@@ -74,7 +74,9 @@ pub trait ConnIo {
 
 /// The disk seam: the core submits jobs, the driver (helper pool or
 /// simulated disk) executes them and feeds the resulting [`Done`] back
-/// into [`shard::ShardCore::complete_job`].
+/// into [`shard::ShardCore::complete_job`] — later, from another
+/// thread's result, or in the same loop turn when the driver can tell
+/// the job needs no waiting (the residency test).
 pub trait HelperPort {
     /// Dispatches one open/read (or open/fstat) job. Must not block.
     fn submit(&mut self, job: HelperJob);
@@ -275,6 +277,11 @@ pub struct ShardStats {
     /// Jobs this shard dispatched to the helper pool (content-cache
     /// misses, after coalescing).
     pub helper_jobs: AtomicU64,
+    /// The subset of `helper_jobs` the driver completed in the loop
+    /// turn that dispatched them, because the residency test found the
+    /// file in memory — no hand-off, no helper. Jobs actually handed
+    /// to the pool = `helper_jobs - inline_jobs`.
+    pub inline_jobs: AtomicU64,
     /// Responses served from this shard's content cache.
     pub cache_hits: AtomicU64,
     /// Gathered `writev(2)` calls issued on the send path.

@@ -17,14 +17,23 @@
 //! open descriptor (`fstat` semantics). A `fs::metadata` + `fs::read`
 //! pair races with path swaps: the metadata could describe one inode
 //! and the read return another.
+//!
+//! There are two executors over those rules. [`exec_job`] blocks for
+//! as long as the disk takes and always answers — success or the error
+//! the client will see; it runs on helper threads (and MT connection
+//! threads). [`exec_job_nowait`] is the event loop's **residency
+//! test**: it never waits, and either returns exactly what `exec_job`
+//! would for a regular file or declines, leaving the job to a helper.
 
 use std::fs::File;
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::cache::Variant;
 use crate::conn::{DoneData, FileData, HelperJob, JobKind, LoadResult};
+use crate::sys;
 
 /// The `.gz` sibling of an identity filesystem path (`a/b.html` →
 /// `a/b.html.gz`) — the on-disk layout of the precompressed variant.
@@ -60,11 +69,52 @@ pub fn exec_job(job: &HelperJob) -> DoneData<Arc<File>> {
     }
 }
 
-/// Opens a regular file, refusing directories and anything unreadable;
-/// returns the descriptor with its fstat'ed length and mtime.
-fn open_regular(p: &Path) -> io::Result<(File, u64, Option<i64>)> {
-    let file = File::open(p)?;
-    let meta = file.metadata()?; // fstat on the open fd — no second path lookup
+/// How an executor touches the filesystem. The job logic below
+/// ([`load`], [`stat`], [`tiered`]) is written once over this table, so
+/// the blocking and the non-blocking executor cannot drift on open
+/// order, sibling rules or tier selection; they differ only in the
+/// four entries.
+struct Access {
+    /// Opens a file for reading.
+    open: fn(&Path) -> io::Result<File>,
+    /// Stat-only probe: is there a regular file at this path?
+    is_file: fn(&Path) -> io::Result<bool>,
+    /// Whether a failed *sibling* open or probe means "no `.gz`
+    /// sibling"; any other error ends the job.
+    absent: fn(&io::Error) -> bool,
+    /// Reads a body `fstat` put at `want` bytes.
+    read: fn(&File, usize) -> io::Result<Vec<u8>>,
+}
+
+/// Waits for the disk as long as it takes, and always has an answer:
+/// whatever is wrong with a sibling, the identity file is served.
+const BLOCKING: Access = Access {
+    open: |p| File::open(p),
+    is_file: |p| Ok(std::fs::metadata(p)?.is_file()),
+    absent: |_| true,
+    read: read_body,
+};
+
+/// Answers from the dentry and page caches or fails ([`sys`]): same
+/// path resolution as `File::open` (symlinks followed, no containment
+/// flags), so both executors name the same file. The probe's `O_PATH`
+/// descriptor needs no read permission and opens nothing, like the
+/// `stat` it stands in for. Only `NotFound` — a cached negative
+/// lookup, or [`regular`]'s verdict on a sibling that is no file —
+/// counts as "no sibling"; where [`BLOCKING`] shrugs off any other
+/// sibling error, this one fails, and `BLOCKING` gets to shrug.
+const NOWAIT: Access = Access {
+    open: |p| sys::open_cached(p, false),
+    is_file: |p| Ok(sys::open_cached(p, true)?.metadata()?.is_file()),
+    absent: |e| e.kind() == io::ErrorKind::NotFound,
+    read: read_body_nowait,
+};
+
+/// The regular-file check on an **open** descriptor (`fstat` — no
+/// second path lookup): refuses directories, FIFOs and the rest;
+/// returns the descriptor with its length and mtime.
+fn regular(file: File) -> io::Result<(File, u64, Option<i64>)> {
+    let meta = file.metadata()?;
     if !meta.is_file() {
         return Err(io::Error::new(
             io::ErrorKind::NotFound,
@@ -76,15 +126,47 @@ fn open_regular(p: &Path) -> io::Result<(File, u64, Option<i64>)> {
     Ok((file, len, mtime))
 }
 
+/// One read of `want + 1` bytes: `want` back means the extra byte met
+/// end of file — the whole body, confirmed, in one syscall
+/// (`read_to_end` spends an fstat, an lseek and an EOF probe read on
+/// the same answer). Anything else means the file changed size after
+/// the fstat (or the read was cut short): keep reading to the real end
+/// of file, as this path always has.
+fn read_body(mut file: &File, want: usize) -> io::Result<Vec<u8>> {
+    let mut body = vec![0u8; want + 1];
+    let n = loop {
+        match file.read(&mut body) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            r => break r?,
+        }
+    };
+    body.truncate(n);
+    if n != want {
+        file.read_to_end(&mut body)?;
+    }
+    Ok(body)
+}
+
+/// The same `want + 1` read from the page cache alone; a count other
+/// than `want` — a page not resident, or a size change — is for
+/// [`read_body`] to sort out.
+fn read_body_nowait(file: &File, want: usize) -> io::Result<Vec<u8>> {
+    let mut body = vec![0u8; want + 1];
+    if sys::pread_nowait(file, &mut body, 0)? != want {
+        return Err(io::ErrorKind::WouldBlock.into());
+    }
+    body.truncate(want);
+    Ok(body)
+}
+
 /// Applies the job's tier rule to an open file: bodies at most
 /// `inline_max` bytes come back as bytes (destined for the content
 /// cache and the `writev` path), larger ones as the open descriptor
 /// for the `sendfile` window path — a multi-gigabyte file never
 /// materializes in executor memory.
 fn tiered(
-    file: File,
-    len: u64,
-    mtime: Option<i64>,
+    fs: &Access,
+    (file, len, mtime): (File, u64, Option<i64>),
     inline_max: u64,
 ) -> io::Result<FileData<Arc<File>>> {
     if len > inline_max {
@@ -94,8 +176,7 @@ fn tiered(
             mtime,
         });
     }
-    let mut body = Vec::with_capacity(len as usize);
-    (&file).read_to_end(&mut body)?;
+    let body = (fs.read)(&file, len as usize)?;
     Ok(FileData::Bytes { body, mtime })
 }
 
@@ -115,27 +196,38 @@ fn tiered(
 /// `.gz` added or removed afterwards is picked up by the next
 /// revalidation or cache miss, not mid-entry.
 pub fn exec_load(job: &HelperJob) -> io::Result<LoadResult<Arc<File>>> {
-    let (id_file, id_len, id_mtime) = open_regular(&job.fs_path)?;
+    load(&BLOCKING, job)
+}
+
+fn load(fs: &Access, job: &HelperJob) -> io::Result<LoadResult<Arc<File>>> {
+    let identity = regular((fs.open)(&job.fs_path)?)?;
     let sibling = gzip_sibling(&job.fs_path);
     if job.variant.is_gzip() {
-        if let Ok((gz_file, gz_len, gz_mtime)) = open_regular(&sibling) {
-            return Ok(LoadResult {
-                data: tiered(gz_file, gz_len, gz_mtime, job.inline_max)?,
-                variant: Variant::Gzip,
-                has_gzip: true,
-            });
+        match (fs.open)(&sibling).and_then(regular) {
+            Ok(gz) => {
+                return Ok(LoadResult {
+                    data: tiered(fs, gz, job.inline_max)?,
+                    variant: Variant::Gzip,
+                    has_gzip: true,
+                });
+            }
+            Err(e) if (fs.absent)(&e) => {
+                return Ok(LoadResult {
+                    data: tiered(fs, identity, job.inline_max)?,
+                    variant: Variant::Identity,
+                    has_gzip: false,
+                });
+            }
+            Err(e) => return Err(e),
         }
-        return Ok(LoadResult {
-            data: tiered(id_file, id_len, id_mtime, job.inline_max)?,
-            variant: Variant::Identity,
-            has_gzip: false,
-        });
     }
-    let has_gzip = std::fs::metadata(&sibling)
-        .map(|m| m.is_file())
-        .unwrap_or(false);
+    let has_gzip = match (fs.is_file)(&sibling) {
+        Ok(is_file) => is_file,
+        Err(e) if (fs.absent)(&e) => false,
+        Err(e) => return Err(e),
+    };
     Ok(LoadResult {
-        data: tiered(id_file, id_len, id_mtime, job.inline_max)?,
+        data: tiered(fs, identity, job.inline_max)?,
         variant: Variant::Identity,
         has_gzip,
     })
@@ -146,6 +238,10 @@ pub fn exec_load(job: &HelperJob) -> io::Result<LoadResult<Arc<File>>> {
 /// from (the `.gz` sibling for gzip entries). Returns the current
 /// (length, mtime) for comparison against the cached entry.
 pub fn exec_stat(job: &HelperJob) -> io::Result<(u64, Option<i64>)> {
+    stat(&BLOCKING, job)
+}
+
+fn stat(fs: &Access, job: &HelperJob) -> io::Result<(u64, Option<i64>)> {
     let sibling;
     let p: &Path = if job.variant.is_gzip() {
         sibling = gzip_sibling(&job.fs_path);
@@ -153,14 +249,52 @@ pub fn exec_stat(job: &HelperJob) -> io::Result<(u64, Option<i64>)> {
     } else {
         &job.fs_path
     };
-    let (_file, len, mtime) = open_regular(p)?;
+    let (_file, len, mtime) = regular((fs.open)(p)?)?;
     Ok((len, mtime))
+}
+
+/// Set once the cached-only system calls prove unavailable (old
+/// kernel, seccomp filter, unsupported target): from then on every job
+/// goes to a helper without the wasted calls. Publishes nothing but
+/// itself, so `Relaxed` suffices.
+static NOWAIT_OFF: AtomicBool = AtomicBool::new(!sys::HAS_NOWAIT);
+
+/// The **residency test**: executes a [`JobKind::Load`] or
+/// [`JobKind::Revalidate`] job only if that takes no waiting — path
+/// lookups answered by the dentry cache ([`sys::open_cached`]), bytes
+/// by the page cache ([`sys::pread_nowait`]). `Some` carries exactly
+/// the payload [`exec_job`] would produce; `None` declines, and the
+/// caller hands the job to a helper as if this had never run.
+///
+/// It declines whenever the answer is not "a regular file, here it
+/// is": a lookup or read that would touch the disk (`EAGAIN`), a read
+/// that came back short or long (the file changed size after the
+/// `fstat`), anything that is not a regular file (a FIFO opens without
+/// blocking, is recognised by `fstat`, and is dropped — a writer
+/// blocked opening its other end does see that reader come and go),
+/// and **every error** — `404`/`403`/`500` are decided by the blocking
+/// executor alone, so there is one source of error semantics. Never
+/// [`JobKind::Dynamic`].
+pub fn exec_job_nowait(job: &HelperJob) -> Option<DoneData<Arc<File>>> {
+    if NOWAIT_OFF.load(Ordering::Relaxed) {
+        return None;
+    }
+    let done = match job.kind {
+        JobKind::Load => load(&NOWAIT, job).map(|r| DoneData::Loaded(Ok(r))),
+        JobKind::Revalidate => stat(&NOWAIT, job).map(|s| DoneData::Stat(Ok(s))),
+        JobKind::Dynamic => return None,
+    };
+    done.inspect_err(|e| {
+        if sys::is_unsupported(e) {
+            NOWAIT_OFF.store(true, Ordering::Relaxed);
+        }
+    })
+    .ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
 
     /// A throwaway directory under the OS temp root (the workspace has
     /// no tempdir crate), removed on drop.
@@ -300,6 +434,217 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(len, 10);
+    }
+
+    /// A completion payload reduced to what the shard acts on, for
+    /// comparing the two executors. A descriptor is read to its end.
+    #[derive(Debug, PartialEq)]
+    enum Seen {
+        Bytes(Vec<u8>, Option<i64>, Variant, bool),
+        Fd(Vec<u8>, u64, Option<i64>, Variant, bool),
+        Stat(u64, Option<i64>),
+        Failed(io::ErrorKind),
+    }
+
+    fn seen(data: DoneData<Arc<File>>) -> Seen {
+        match data {
+            DoneData::Loaded(Ok(LoadResult {
+                data,
+                variant,
+                has_gzip,
+            })) => match data {
+                FileData::Bytes { body, mtime } => Seen::Bytes(body, mtime, variant, has_gzip),
+                FileData::Fd { file, len, mtime } => {
+                    let mut all = Vec::new();
+                    (&*file).read_to_end(&mut all).unwrap();
+                    Seen::Fd(all, len, mtime, variant, has_gzip)
+                }
+            },
+            DoneData::Stat(Ok((len, mtime))) => Seen::Stat(len, mtime),
+            DoneData::Loaded(Err(e)) | DoneData::Stat(Err(e)) => Seen::Failed(e.kind()),
+            DoneData::Dynamic(_) => unreachable!("no dynamic jobs here"),
+        }
+    }
+
+    /// Whether the cached-only calls work on this kernel *and* this
+    /// filesystem: the executor may decline for either reason, and a
+    /// test can demand an answer only where one is possible.
+    fn nowait_works(warm_file: &Path) -> bool {
+        std::fs::read(warm_file).unwrap();
+        let mut byte = [0u8; 1];
+        sys::open_cached(warm_file, false)
+            .and_then(|f| sys::pread_nowait(&f, &mut byte, 0))
+            .is_ok()
+    }
+
+    /// The differential contract: over a docroot of regular files —
+    /// both tiers, empty, with and without a `.gz` sibling, both
+    /// variants, both job kinds — the residency test's answer,
+    /// whenever it gives one, is the blocking executor's answer. Run
+    /// after the blocking executor has touched every path (so lookups
+    /// and bytes are resident), it must give one wherever the kernel
+    /// and filesystem can.
+    #[test]
+    fn nowait_agrees_with_exec_job_on_regular_files() {
+        let dir = TestDir::new("differential");
+        let body: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
+        std::fs::write(dir.path().join("page.html"), &body).unwrap();
+        std::fs::write(dir.path().join("page.html.gz"), b"gz-bytes").unwrap();
+        std::fs::write(dir.path().join("plain.html"), b"no sibling here").unwrap();
+        std::fs::write(dir.path().join("empty.html"), b"").unwrap();
+        std::fs::write(dir.path().join("big.bin"), vec![9u8; 20_000]).unwrap();
+        let inline_max = 16 * 1024;
+        let cases = [
+            ("page.html", JobKind::Load, Variant::Identity),
+            ("page.html", JobKind::Load, Variant::Gzip),
+            ("plain.html", JobKind::Load, Variant::Identity),
+            ("plain.html", JobKind::Load, Variant::Gzip),
+            ("empty.html", JobKind::Load, Variant::Identity),
+            ("big.bin", JobKind::Load, Variant::Identity),
+            ("page.html", JobKind::Revalidate, Variant::Identity),
+            ("page.html", JobKind::Revalidate, Variant::Gzip),
+        ];
+        let must_answer = nowait_works(&dir.path().join("page.html"));
+        for (name, kind, variant) in cases {
+            let j = job(dir.path(), name, kind, variant, inline_max);
+            let want = seen(exec_job(&j));
+            assert!(
+                !matches!(want, Seen::Failed(_)),
+                "{name} {kind:?} {variant:?}: fixture must load"
+            );
+            match exec_job_nowait(&j) {
+                Some(got) => assert_eq!(seen(got), want, "{name} {kind:?} {variant:?}"),
+                None => assert!(!must_answer, "{name} {kind:?} {variant:?}: declined"),
+            }
+        }
+        // Spot-check the expectations themselves, so agreement is not
+        // two executors agreeing on nonsense.
+        let j = job(
+            dir.path(),
+            "page.html",
+            JobKind::Load,
+            Variant::Identity,
+            inline_max,
+        );
+        match seen(exec_job(&j)) {
+            Seen::Bytes(b, _, Variant::Identity, true) => assert_eq!(b, body),
+            other => panic!("page.html: {other:?}"),
+        }
+    }
+
+    /// Everything that is not "a regular file, here it is" is the
+    /// blocking executor's business: the residency test says nothing.
+    #[cfg(unix)]
+    #[test]
+    fn nowait_declines_whatever_is_not_a_readable_regular_file() {
+        use std::os::unix::fs::PermissionsExt;
+        let dir = TestDir::new("decline");
+        std::fs::create_dir(dir.path().join("subdir")).unwrap();
+        std::os::unix::fs::symlink(dir.path().join("nowhere"), dir.path().join("dangling"))
+            .unwrap();
+        std::fs::write(dir.path().join("secret.html"), b"mode 000").unwrap();
+        std::fs::set_permissions(
+            dir.path().join("secret.html"),
+            std::fs::Permissions::from_mode(0o000),
+        )
+        .unwrap();
+        for name in ["subdir", "dangling", "missing.html"] {
+            for kind in [JobKind::Load, JobKind::Revalidate] {
+                let j = job(dir.path(), name, kind, Variant::Identity, 1024);
+                // Blocking first: a negative lookup is cached after it,
+                // so the decline below is the executor's choice, not
+                // merely a cold dentry cache.
+                assert!(matches!(seen(exec_job(&j)), Seen::Failed(_)), "{name}");
+                assert!(exec_job_nowait(&j).is_none(), "{name} {kind:?}");
+            }
+        }
+        // Unreadable: an error for everyone but root, who reads it —
+        // then both executors must read the same thing.
+        let j = job(
+            dir.path(),
+            "secret.html",
+            JobKind::Load,
+            Variant::Identity,
+            1024,
+        );
+        let want = seen(exec_job(&j));
+        match exec_job_nowait(&j) {
+            None => {}
+            Some(got) => assert_eq!(seen(got), want),
+        }
+        if let Seen::Failed(kind) = want {
+            assert_eq!(kind, io::ErrorKind::PermissionDenied);
+            assert!(
+                exec_job_nowait(&j).is_none(),
+                "a 403 is the helper's to give"
+            );
+        }
+        // A dynamic job is never the filesystem's.
+        let j = job(
+            dir.path(),
+            "secret.html",
+            JobKind::Dynamic,
+            Variant::Identity,
+            0,
+        );
+        assert!(exec_job_nowait(&j).is_none());
+    }
+
+    /// A FIFO with no writer blocks `File::open` forever — the trick
+    /// the wedged-helper tests use. The residency test must come back
+    /// at once, and with nothing: a FIFO is not answered inline.
+    #[cfg(unix)]
+    #[test]
+    fn nowait_neither_blocks_on_nor_answers_a_fifo() {
+        let dir = TestDir::new("fifo");
+        let fifo = dir.path().join("wedge.fifo");
+        let made = std::process::Command::new("mkfifo").arg(&fifo).status();
+        if !made.is_ok_and(|s| s.success()) {
+            eprintln!("mkfifo(1) unavailable; skipping");
+            return;
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        let root = dir.path().to_path_buf();
+        std::thread::spawn(move || {
+            for kind in [JobKind::Load, JobKind::Revalidate] {
+                let j = job(&root, "wedge.fifo", kind, Variant::Identity, 1024);
+                let _ = tx.send(exec_job_nowait(&j).is_none());
+            }
+        });
+        for _ in 0..2 {
+            let declined = rx
+                .recv_timeout(std::time::Duration::from_secs(5))
+                .expect("the residency test blocked on a FIFO");
+            assert!(declined, "a FIFO must not be answered inline");
+        }
+    }
+
+    /// A file that changes size between the `fstat` and the read: the
+    /// `len + 1` read sees it either way. The blocking executor reads
+    /// on to the real end of file; the residency test declines.
+    #[test]
+    fn size_change_after_fstat_is_read_through_or_declined() {
+        let dir = TestDir::new("resize");
+        let p = dir.path().join("f.bin");
+        let actual: Vec<u8> = (0..100u8).collect();
+        std::fs::write(&p, &actual).unwrap();
+        // `fstat` said 50 (the file has since grown), then 150 (it has
+        // since been truncated), then the truth.
+        for stale_len in [50usize, 150, 100] {
+            let body = read_body(&File::open(&p).unwrap(), stale_len).unwrap();
+            assert_eq!(body, actual, "fstat said {stale_len}");
+        }
+        if !nowait_works(&p) {
+            return;
+        }
+        let f = sys::open_cached(&p, false).unwrap();
+        for stale_len in [50usize, 150] {
+            assert!(
+                read_body_nowait(&f, stale_len).is_err(),
+                "fstat said {stale_len}: must decline"
+            );
+        }
+        assert_eq!(read_body_nowait(&f, 100).unwrap(), actual);
     }
 
     #[test]

@@ -56,8 +56,9 @@
 //!   the precedence rules). Shards never
 //!   block on disk and own a **private**
 //!   [`ContentCache`] so the request path takes no locks. A **shared
-//!   helper pool** performs all filesystem work, popping its per-shard
-//!   job lanes round-robin so one cold-cache shard cannot starve the
+//!   helper pool** performs all filesystem work that could block (a
+//!   miss whose file is already in memory is read by the shard itself
+//!   — see *Residency test* below), popping its per-shard job lanes round-robin so one cold-cache shard cannot starve the
 //!   others; completions route back to the owning shard over per-shard
 //!   queues with coalesced socketpair wake-ups (one wake byte per
 //!   burst, not per job — the modern analogue of the paper's IPC
@@ -85,9 +86,9 @@
 //!
 //! Substitutions from the 1999 original (documented in DESIGN.md):
 //! helper *threads* instead of forked processes (§3.4 permits both),
-//! an application-level content cache instead of `mmap`+`mincore`
-//! (§5.7 describes this fallback for systems without usable residency
-//! tests), and N event-loop shards instead of one process — the paper
+//! an application-level content cache instead of `mmap` (§5.7), the
+//! `mincore` residency test in its modern spelling (see *Residency
+//! test* below), and N event-loop shards instead of one process — the paper
 //! predates multicore; per-core loops are how its single-loop design
 //! scales while keeping every invariant intact *within* a shard.
 //!
@@ -159,6 +160,72 @@
 //!    `ShardCore::check_invariants` runs between events either way —
 //!    leaked slots, stale-epoch cache inserts, or orphaned deadlines
 //!    from the new fault fail the replay without further wiring.
+//!
+//! # Residency test: a helper only when the disk would block
+//!
+//! Flash does not hand every miss in its own caches to a helper. Its
+//! main loop asks `mincore()` whether the file's pages are in memory
+//! and, when they are, sends at once; helpers exist for the misses
+//! that would otherwise block the loop on the disk — and most misses
+//! in a server's own caches still hit the OS buffer cache. The real
+//! shards do the same with the two system calls that make the test
+//! *atomic with the access* ([`sys`]): when the core submits a `Load`
+//! or `Revalidate` job, the shard's port first runs
+//! [`fsjob::exec_job_nowait`] —
+//!
+//! 1. `openat2(O_RDONLY|O_NONBLOCK|O_CLOEXEC, RESOLVE_CACHED)`: the
+//!    path lookup is answered by the dentry cache or fails `EAGAIN`
+//!    (same symlink policy as the helper's `open`; the `.gz` sibling
+//!    probe is the same call with `O_PATH`, and a cached *negative*
+//!    lookup is an answer too);
+//! 2. `fstat` on the open descriptor — the open-first TOCTOU rule of
+//!    [`fsjob`] is kept;
+//! 3. one `preadv2(RWF_NOWAIT)` of `len + 1` bytes: the page cache
+//!    answers or it fails `EAGAIN`; exactly `len` back is the whole
+//!    body with end of file confirmed
+//!
+//! — and a job answered this way is completed **in the loop turn that
+//! dispatched it**, through the same `ShardCore::complete_job` a
+//! helper's result takes (coalescing, tokens, epochs and the cache
+//! insert are untouched), before the connection's interest and
+//! deadline are reconciled. An inline-served miss therefore costs no
+//! queue lock, no futex wake, no context switch, no wake byte, no
+//! `epoll_ctl`, no timer and no second `epoll_wait`: it is a cache hit
+//! plus three system calls. `inline_jobs` counts them.
+//!
+//! The test **either returns exactly what the blocking executor would
+//! for a regular file, or declines**, and a declined job goes to the
+//! pool as if the test had never run. It declines on:
+//!
+//! * `EAGAIN` from either call — the disk would block, which is what
+//!   helpers are for;
+//! * a read that came back short or long — a page not resident, or the
+//!   file changed size after the `fstat`;
+//! * anything that is not a regular file — a FIFO is opened without
+//!   blocking, recognised, and dropped: it neither stalls the loop nor
+//!   is answered inline;
+//! * **any error at all** — missing, unreadable, a loop of symlinks.
+//!   `404`/`403`/`500` are produced by the blocking executor alone, so
+//!   error semantics have a single source and cannot drift;
+//! * `ENOSYS`/`EINVAL`/`EPERM` — a kernel older than `openat2` (5.6),
+//!   `RESOLVE_CACHED` (5.12) or `RWF_NOWAIT` (4.14), or a seccomp
+//!   filter. The first one latches the test off and every job takes
+//!   the helper path, exactly as before this existed; so does every
+//!   job on a target whose syscall numbers [`sys`] does not list;
+//! * `Dynamic` jobs, always.
+//!
+//! There is no switch: residency is a property the server observes
+//! per request, not a mode an operator picks. One caveat is the
+//! filesystem's: `RESOLVE_CACHED` and `RWF_NOWAIT` promise "no I/O" on
+//! local filesystems (ext4, xfs, btrfs, tmpfs); a network or FUSE
+//! filesystem may revalidate a cached dentry over the wire or lack
+//! non-blocking reads — the first makes `openat2` return `EAGAIN`, the
+//! second `EOPNOTSUPP`, and both simply decline. Bodies above the
+//! `sendfile` threshold come back as a descriptor either way; whether
+//! *their* pages are resident is `sendfile(2)`'s business, as it was.
+//! The MT server has no loop to protect and keeps calling the blocking
+//! executor on its connection threads; the sim models the split with a
+//! seeded [`sim::SimConfig::resident_fraction`].
 //!
 //! # The send plane: one response planner, every driver
 //!
@@ -339,7 +406,8 @@
 //! | `requests` | counter | Completed responses (any status), excluding `/.flash/` responses |
 //! | `metrics_requests` | counter | Responses served by the `/.flash/*` endpoints |
 //! | `accepted` | counter | Connections accepted and dealt to shards |
-//! | `helper_jobs` | counter | Disk jobs dispatched after miss coalescing |
+//! | `helper_jobs` | counter | Disk jobs dispatched after miss coalescing — whoever ends up executing them |
+//! | `inline_jobs` | counter | The subset of `helper_jobs` the residency test answered in the dispatching loop turn; jobs handed to the pool = `helper_jobs − inline_jobs` |
 //! | `cache_hits` | counter | Responses served from the content cache |
 //! | `writev_calls` | counter | Gathered `writev(2)` calls on the send path |
 //! | `sendfile_calls` | counter | `sendfile(2)` calls on the large-body path |
@@ -463,6 +531,7 @@ pub mod server;
 pub mod sim;
 pub mod sock;
 pub mod stats;
+pub mod sys;
 pub mod timer;
 pub mod writev;
 

@@ -649,6 +649,14 @@ impl ServerStats {
         metrics::HELPER_JOBS.merged(&self.shards)
     }
 
+    /// The subset of [`Self::helper_jobs`] the shards completed
+    /// themselves, in the loop turn that dispatched them, because the
+    /// file was memory resident; `helper_jobs() - inline_jobs()` jobs
+    /// were handed to the pool.
+    pub fn inline_jobs(&self) -> u64 {
+        metrics::INLINE_JOBS.merged(&self.shards)
+    }
+
     /// Content-cache hits across all shards.
     pub fn cache_hits(&self) -> u64 {
         metrics::CACHE_HITS.merged(&self.shards)
@@ -949,20 +957,36 @@ struct Job {
     job: HelperJob,
 }
 
-/// The real [`HelperPort`]: wraps each submitted job with its shard's
-/// routing tag and pushes it into that shard's lane of the shared
-/// [`JobQueue`].
+/// The real [`HelperPort`]. Each submitted job first meets the
+/// residency test ([`crate::fsjob::exec_job_nowait`] — the paper's
+/// `mincore` step): a file whose lookup and bytes are already in
+/// memory is read on the spot and its completion parked in
+/// `inline_done` for the shard to apply before this loop turn ends.
+/// Only a job the disk would block — or whose answer is an error — is
+/// wrapped with the shard's routing tag and pushed into that shard's
+/// lane of the shared [`JobQueue`].
 struct PoolPort {
     jobs: Arc<JobQueue>,
     shard: usize,
+    /// Completions of jobs answered without a hand-off, awaiting
+    /// [`complete_inline`].
+    inline_done: Vec<Done<Arc<File>>>,
 }
 
 impl HelperPort for PoolPort {
     fn submit(&mut self, job: HelperJob) {
-        self.jobs.push(Job {
-            shard: self.shard,
-            job,
-        });
+        match crate::fsjob::exec_job_nowait(&job) {
+            Some(data) => self.inline_done.push(Done {
+                path: job.path,
+                data,
+                epoch: job.epoch,
+                token: job.token,
+            }),
+            None => self.jobs.push(Job {
+                shard: self.shard,
+                job,
+            }),
+        }
     }
 }
 
@@ -1300,11 +1324,13 @@ impl Server {
                 let ctx = ShardCtx {
                     core,
                     port: PoolPort {
+                        inline_done: Vec::new(),
                         jobs: Arc::clone(&jobs),
                         shard: shard_id,
                     },
                     cfg: cfg.clone(),
                     live_conns: 0,
+                    woken: Vec::new(),
                 };
                 let lifecycle2 = Arc::clone(&lifecycle);
                 let spawned = std::thread::Builder::new()
@@ -1720,6 +1746,26 @@ struct ShardCtx {
     /// listener interest is dropped; any close below the cap re-arms
     /// it.
     live_conns: usize,
+    /// Scratch for [`drive_and_sync`]: who an inline completion woke.
+    woken: Vec<usize>,
+}
+
+/// Applies the completions the port's residency test produced —
+/// through the same [`ShardCore::complete_job`] a helper's result
+/// takes, so coalescing, tokens, epochs and the cache insert are
+/// untouched — appending the connections they answered to `completed`.
+/// A completion can dispatch again (a revalidation that found the file
+/// changed requeues a load), hence the loop.
+fn complete_inline(
+    core: &mut ShardCore,
+    port: &mut PoolPort,
+    conns: &mut [Option<NetConn>],
+    completed: &mut Vec<usize>,
+) {
+    while let Some(done) = port.inline_done.pop() {
+        core.stats.inline_jobs.fetch_add(1, Ordering::Relaxed);
+        core.complete_job(done, conns, completed, port, Instant::now());
+    }
 }
 
 /// Bounded retry cadence while a shard's listener is throttled with
@@ -1928,6 +1974,9 @@ fn shard_loop(
                     &mut ctx.port,
                     Instant::now(),
                 );
+                // A stale entry's re-stat just came back changed and
+                // the requeued load was answered from memory.
+                complete_inline(&mut ctx.core, &mut ctx.port, &mut conns, &mut completed);
             }
             lap(&ctx.core.stats.phase_completions_us, &mut mark);
             // Completions flipped their waiters to Writing with the
@@ -2249,9 +2298,26 @@ fn drive_and_sync(
     else {
         return;
     };
-    let outcome = ctx
+    let mut outcome = ctx
         .core
         .drive_conn(idx, conns, &mut ctx.port, Instant::now());
+    // A miss the residency test answered parked this connection
+    // `Waiting` with its completion already in hand. Apply it and
+    // drive on *before* reconciling anything: the connection never
+    // shows the backend or the wheel its `Waiting` state, so the miss
+    // costs no interest change, no timer, no wake byte and no second
+    // wait. Pipelined misses go round again.
+    while !ctx.port.inline_done.is_empty() {
+        complete_inline(&mut ctx.core, &mut ctx.port, conns, &mut ctx.woken);
+        // A job dispatched inside this drive has this connection as
+        // its only waiter: a path with earlier waiters already has a
+        // pending job and dispatches nothing.
+        debug_assert!(ctx.woken.iter().all(|&w| w == idx));
+        ctx.woken.clear();
+        outcome = ctx
+            .core
+            .drive_conn(idx, conns, &mut ctx.port, Instant::now());
+    }
     let token = conn_token(idx, fd);
     match conns.get(idx).and_then(|c| c.as_ref()) {
         None => {

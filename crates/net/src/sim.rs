@@ -16,6 +16,9 @@
 //! * **disk stalls and wedged helpers** — job completions delayed past
 //!   the helper-wait deadline, so waiters are reaped, jobs cancelled,
 //!   and late completions must die on the token gate;
+//! * **resident and non-resident files side by side** — a seeded
+//!   fraction of jobs is answered by the residency test in the tick
+//!   that dispatched them, the rest by a latency-delayed helper;
 //! * **EMFILE storms** — accepts that fail and retry, exercising the
 //!   backpressure path;
 //! * **mid-run reloads and a final drain** — epoch bumps with jobs in
@@ -139,6 +142,12 @@ pub struct SimConfig {
     /// Per-request fraction advertising `Accept-Encoding: gzip`,
     /// steering negotiation onto the simulated `.gz` siblings.
     pub gzip_fraction: f64,
+    /// Per-filesystem-job fraction the simulated residency test
+    /// answers: the job completes in the tick that dispatched it —
+    /// same [`ShardCore::complete_job`], no helper latency, no fault —
+    /// as the real driver does for a file already in memory. The rest
+    /// go to the simulated helper pool.
+    pub resident_fraction: f64,
     /// Per-request fraction routed to the dynamic tier (a simulated
     /// application endpoint under [`DYN_PREFIX`], streamed back as
     /// chunked frames — the [`flash_core::FileKind::Cgi`] workload
@@ -166,6 +175,7 @@ impl SimConfig {
             range_fraction: 0.12,
             inm_fraction: 0.10,
             gzip_fraction: 0.25,
+            resident_fraction: 0.5,
             dynamic_fraction: 0.08,
             dynamic_compute_nanos: 2 * MILLI,
             faults: FaultPlan::heavy(),
@@ -189,6 +199,9 @@ pub struct SimReport {
     pub fingerprint: u64,
     pub cache_hits: u64,
     pub helper_jobs: u64,
+    /// The subset of `helper_jobs` completed in their dispatching tick
+    /// ([`SimConfig::resident_fraction`]).
+    pub inline_jobs: u64,
     pub jobs_cancelled: u64,
     pub helper_wait_timeouts: u64,
     pub read_timeouts: u64,
@@ -409,7 +422,8 @@ impl ConnIo for SimIo {
 }
 
 /// The sim's [`HelperPort`]: collects submissions for the driver to
-/// schedule as latency-delayed completion events.
+/// complete on the spot (resident) or schedule as latency-delayed
+/// completion events.
 struct SimPort {
     jobs: Vec<HelperJob>,
 }
@@ -469,6 +483,9 @@ struct Sim {
     bytes: u64,
     reloads: u64,
     completed_scratch: Vec<usize>,
+    /// Connections answered by resident jobs inside `dispatch_jobs`,
+    /// for its caller to drive.
+    woken: Vec<usize>,
     expired_scratch: Vec<u64>,
 }
 
@@ -569,6 +586,7 @@ impl Sim {
             bytes: 0,
             reloads: 0,
             completed_scratch: Vec::new(),
+            woken: Vec::new(),
             expired_scratch: Vec::new(),
             cfg,
         }
@@ -761,7 +779,16 @@ impl Sim {
             let outcome = self
                 .core
                 .drive_conn(slot, &mut self.conns, &mut self.port, now);
+            // A resident job dispatched by this drive was completed by
+            // `dispatch_jobs` already: the connection (its only waiter)
+            // is `Writing`, so go round again before syncing deadlines
+            // — it is never seen `Waiting`, as in the real driver.
             self.dispatch_jobs();
+            if !self.woken.is_empty() {
+                debug_assert!(self.woken.iter().all(|&w| w == slot));
+                self.woken.clear();
+                continue;
+            }
             match outcome {
                 Drive::Yielded => continue,
                 Drive::Closed => {
@@ -788,15 +815,23 @@ impl Sim {
         }
     }
 
-    /// Turns collected job submissions into latency-delayed completion
-    /// events, with the disk-stall and wedged-helper faults applied
-    /// per job.
+    /// Turns collected job submissions into completions: a resident
+    /// filesystem job is executed and completed here and now (the
+    /// connections it answered are appended to `self.woken` for the
+    /// caller to drive; a completion that dispatches again is picked
+    /// up by the loop), everything else becomes a latency-delayed
+    /// completion event with the disk-stall and wedged-helper faults
+    /// applied per job.
     fn dispatch_jobs(&mut self) {
-        if self.port.jobs.is_empty() {
-            return;
-        }
-        let jobs = std::mem::take(&mut self.port.jobs);
-        for job in jobs {
+        while let Some(job) = self.port.jobs.pop() {
+            if job.kind != JobKind::Dynamic && self.rng.chance(self.cfg.resident_fraction) {
+                self.core.stats.inline_jobs.fetch_add(1, Ordering::Relaxed);
+                let done = self.exec_job(&job);
+                let now = self.now_i();
+                self.core
+                    .complete_job(done, &mut self.conns, &mut self.woken, &mut self.port, now);
+                continue;
+            }
             let delay = if job.kind == JobKind::Dynamic {
                 // The compute-time model: the endpoint's fixed
                 // per-request compute plus exponential jitter — or a
@@ -949,7 +984,6 @@ impl Sim {
             self.core
                 .complete_job(done, &mut self.conns, &mut completed, &mut self.port, now);
         }
-        self.dispatch_jobs();
         // Every event pushes the same slot; drive it once.
         completed.dedup();
         for idx in completed.drain(..) {
@@ -1142,7 +1176,10 @@ impl Sim {
                 let now = self.now_i();
                 self.core
                     .complete_job(done, &mut self.conns, &mut completed, &mut self.port, now);
+                // A changed file's re-stat requeues a load, which may be
+                // resident: its waiters join `completed`.
                 self.dispatch_jobs();
+                completed.append(&mut self.woken);
                 for idx in completed.drain(..) {
                     self.drive(idx);
                 }
@@ -1235,6 +1272,7 @@ pub fn run(cfg: &SimConfig, specs: &[FileSpec]) -> Result<SimReport, String> {
         fingerprint: sim.fingerprint,
         cache_hits: s.cache_hits.load(ld),
         helper_jobs: s.helper_jobs.load(ld),
+        inline_jobs: s.inline_jobs.load(ld),
         jobs_cancelled: s.jobs_cancelled.load(ld),
         helper_wait_timeouts: s.helper_wait_timeouts.load(ld),
         read_timeouts: s.read_timeouts.load(ld),
@@ -1413,6 +1451,42 @@ mod tests {
         );
         let again = run(&cfg, &site).expect("wedged run again");
         assert_eq!(report, again, "dynamic traffic stays bit-identical");
+    }
+
+    /// The residency split: every filesystem job is either completed
+    /// in its dispatching tick (counted, invariants checked after it)
+    /// or handed to the simulated pool. All-resident traffic never
+    /// waits on a helper, so nothing can be reaped there; no-resident
+    /// traffic never takes the inline path; the fraction moves the
+    /// response timing, so it is inside the per-seed fingerprint
+    /// contract like every other knob.
+    #[test]
+    fn resident_jobs_complete_in_their_dispatching_tick() {
+        let site = small_site(19);
+        let mut cfg = SimConfig::new(31, 1_500);
+        cfg.check_every = 1;
+        cfg.dynamic_fraction = 0.0;
+        let mixed = run(&cfg, &site).expect("mixed run");
+        assert!(mixed.inline_jobs > 0, "{mixed:?}");
+        assert!(mixed.inline_jobs < mixed.helper_jobs, "{mixed:?}");
+        assert_eq!(mixed, run(&cfg, &site).expect("mixed run again"));
+
+        cfg.resident_fraction = 1.0;
+        let all = run(&cfg, &site).expect("all-resident run");
+        assert_eq!(all.inline_jobs, all.helper_jobs, "{all:?}");
+        assert_eq!(all.helper_wait_timeouts, 0, "{all:?}");
+        assert_eq!(all.jobs_cancelled, 0, "{all:?}");
+        assert_eq!(
+            all.hist_helper_wait.sum_nanos, 0,
+            "a resident job completes at the instant it was dispatched: {all:?}"
+        );
+        assert!(all.revalidations > 0 && all.stale_evicted == 0, "{all:?}");
+
+        cfg.resident_fraction = 0.0;
+        let none = run(&cfg, &site).expect("no-resident run");
+        assert_eq!(none.inline_jobs, 0, "{none:?}");
+        assert!(none.helper_wait_timeouts > 0, "{none:?}");
+        assert_ne!(none.fingerprint, all.fingerprint);
     }
 
     /// Both body tiers must be exercised: the sim's threshold sits

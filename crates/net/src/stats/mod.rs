@@ -237,6 +237,7 @@ registry! {
     METRICS_REQUESTS / metrics_requests: Counter, Sum, "Responses served by the /.flash/metrics and /.flash/stats endpoints";
     ACCEPTED / accepted: Counter, Sum, "Connections accepted and dealt to shards";
     HELPER_JOBS / helper_jobs: Counter, Sum, "Disk jobs dispatched to the helper pool after miss coalescing";
+    INLINE_JOBS / inline_jobs: Counter, Sum, "Disk jobs completed in the dispatching loop turn because the file was memory resident (no helper hand-off)";
     CACHE_HITS / cache_hits: Counter, Sum, "Responses served from the per-shard content cache";
     WRITEV_CALLS / writev_calls: Counter, Sum, "Gathered writev(2) calls issued on the send path";
     SENDFILE_CALLS / sendfile_calls: Counter, Sum, "sendfile(2) calls issued on the large-body path";

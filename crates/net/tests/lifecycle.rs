@@ -634,14 +634,17 @@ fn mt_access_log_rotation_loses_no_lines() {
 /// populating the cache, never waking whatever reuses the slot. Two
 /// jobs sit behind one wedged helper: the wedged job (started, past
 /// its cancel check) and a queued one (never started — skipped by the
-/// flag alone).
+/// flag alone). Both name FIFOs: a FIFO is the one thing in a docroot
+/// the shard's residency test always leaves to the helper, whatever
+/// the dentry and page caches hold.
 #[cfg(target_os = "linux")]
 #[test]
 fn reaping_last_waiter_cancels_inflight_jobs() {
     let root = docroot("job-cancel");
     let fifo = root.join("wedge.fifo");
     mkfifo_at(&fifo);
-    std::fs::write(root.join("queued.html"), b"served after cancel").unwrap();
+    let queued = root.join("queued.fifo");
+    mkfifo_at(&queued);
 
     let mut cfg = NetConfig::new(&root)
         .with_event_loops(1)
@@ -666,7 +669,7 @@ fn reaping_last_waiter_cancels_inflight_jobs() {
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
     parked
-        .write_all(b"GET /queued.html HTTP/1.1\r\nHost: t\r\n\r\n")
+        .write_all(b"GET /queued.fifo HTTP/1.1\r\nHost: t\r\n\r\n")
         .unwrap();
 
     // Both waiters are reaped at the helper-wait deadline (EOF, no
@@ -690,23 +693,154 @@ fn reaping_last_waiter_cancels_inflight_jobs() {
 
     // Unwedge. The helper's open() returns and its completion must be
     // dropped (stale token); the queued job must be skipped entirely
-    // (cancel flag). Then the helper serves fresh work — including the
-    // very path whose job was cancelled while queued, proving the
-    // cancellation didn't poison the path's future.
+    // (cancel flag) — had it run, the helper would now be wedged on the
+    // second FIFO and the 404 below, which only a helper can give,
+    // would never come.
     drop(std::fs::OpenOptions::new().write(true).open(&fifo).unwrap());
     let mut s = TcpStream::connect(addr).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        s.write_all(b"GET /queued.html HTTP/1.1\r\nHost: t\r\n\r\n")
+    s.write_all(b"GET /missing.html HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    let (text, _) = read_response(&mut s);
+    assert!(text.starts_with("HTTP/1.1 404"), "{text}");
+
+    // And the very path whose job was cancelled while queued is
+    // dispatched afresh, proving the cancellation didn't poison its
+    // future: with a writer on the other end the helper's open()
+    // returns, and a FIFO, not being a regular file, is a 404. (The
+    // writer holds its end until the answer is in: the shard's own
+    // non-blocking look at the FIFO also counts as a reader arriving.)
+    let (answered, hold) = std::sync::mpsc::channel::<()>();
+    let writer = thread::spawn(move || {
+        let end = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&queued)
             .unwrap();
-        let (text, body) = read_response(&mut s);
-        assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
-        if body == b"served after cancel" {
-            break;
-        }
-        assert!(Instant::now() < deadline, "helper never recovered");
-    }
+        let _ = hold.recv();
+        drop(end);
+    });
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    s.write_all(b"GET /queued.fifo HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    let (text, _) = read_response(&mut s);
+    assert!(text.starts_with("HTTP/1.1 404"), "{text}");
+    drop(answered);
+    writer.join().unwrap();
+    assert_eq!(server.stats().helper_wait_timeouts(), 2, "no further reaps");
     server.stop();
     let _ = std::fs::remove_dir_all(root);
+}
+
+/// The residency test, end to end: with the **only** helper wedged on
+/// a FIFO open, files whose lookups and bytes are in memory are still
+/// served — the shard reads them itself, in the loop turn that parsed
+/// the request — while the FIFO's own waiter stays parked. Includes a
+/// pipelined burst of distinct misses on one connection, which must
+/// come back in request order.
+#[cfg(target_os = "linux")]
+fn run_resident_misses_bypass_wedged_helper(tag: &str, backend: flash_net::BackendChoice) {
+    let root = docroot(tag);
+    let names: Vec<String> = (0..6).map(|i| format!("r{i}.html")).collect();
+    let body_of_name = |n: &str| format!("<p>{n}</p>").repeat(300).into_bytes();
+    for n in &names {
+        std::fs::write(root.join(n), body_of_name(n)).unwrap();
+    }
+    // What the residency test needs in memory: the bytes (just written)
+    // and every lookup it will make — including the *negative* one for
+    // each `.gz` sibling, which nothing has asked the kernel about yet.
+    for n in names.iter().map(String::as_str).chain(["index.html"]) {
+        std::fs::read(root.join(n)).unwrap();
+        assert!(std::fs::metadata(root.join(format!("{n}.gz"))).is_err());
+    }
+    let probe = flash_net::sys::open_cached(&root.join("index.html"), false).and_then(|f| {
+        let mut byte = [0u8; 1];
+        flash_net::sys::pread_nowait(&f, &mut byte, 0)
+    });
+    if probe.is_err() {
+        // Old kernel, seccomp, or a filesystem without non-blocking
+        // reads: every miss takes the helper path, as it always did.
+        eprintln!("residency test unavailable here ({probe:?}); skipping");
+        let _ = std::fs::remove_dir_all(root);
+        return;
+    }
+    let fifo = root.join("wedge.fifo");
+    mkfifo_at(&fifo);
+
+    let mut cfg = NetConfig::new(&root)
+        .with_backend(backend)
+        .with_event_loops(1)
+        .with_helper_wait_timeout(Some(Duration::from_secs(20)));
+    cfg.helpers = 1;
+    let server = Server::start("127.0.0.1:0", cfg).unwrap();
+    let addr = server.addr();
+
+    // Wedge the only helper: the FIFO is declined by the residency
+    // test (opened without blocking, seen not to be a file, dropped)
+    // and the helper's blocking open never returns.
+    let mut wedged = TcpStream::connect(addr).unwrap();
+    wedged
+        .write_all(b"GET /wedge.fifo HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.stats().helper_jobs() < 1 {
+        assert!(Instant::now() < deadline, "wedge request never dispatched");
+        thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(
+        server.stats().inline_jobs(),
+        0,
+        "a FIFO is not answered inline"
+    );
+
+    // A cold-cache request for a resident file: 200, byte-exact, no
+    // helper involved.
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    s.write_all(b"GET /index.html HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    let (text, body) = read_response(&mut s);
+    assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
+    assert_eq!(body, b"<html>hello flash</html>\n");
+    assert_eq!(server.stats().inline_jobs(), 1);
+
+    // Six distinct misses in one write, on the same connection.
+    let burst: String = names
+        .iter()
+        .map(|n| format!("GET /{n} HTTP/1.1\r\nHost: t\r\n\r\n"))
+        .collect();
+    s.write_all(burst.as_bytes()).unwrap();
+    for n in &names {
+        let (text, body) = read_response(&mut s);
+        assert!(text.starts_with("HTTP/1.1 200 OK"), "{n}: {text}");
+        assert_eq!(body, body_of_name(n), "{n}: out of order or corrupt");
+    }
+    let stats = server.stats();
+    assert_eq!(stats.inline_jobs(), 7);
+    assert_eq!(stats.helper_jobs(), 8, "seven inline plus the wedge");
+    assert_eq!(stats.cache_hits(), 0, "every one of them was a miss");
+    assert_eq!(stats.helper_wait_timeouts(), 0);
+    assert_eq!(stats.requests(), 7);
+
+    // Unwedge so the helper thread can be joined.
+    drop(std::fs::OpenOptions::new().write(true).open(&fifo).unwrap());
+    let (text, _) = read_response(&mut wedged);
+    assert!(
+        text.starts_with("HTTP/1.1 404"),
+        "a FIFO is no file: {text}"
+    );
+    server.stop();
+    let _ = std::fs::remove_dir_all(root);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn resident_misses_bypass_wedged_helper_epoll() {
+    run_resident_misses_bypass_wedged_helper("resident-epoll", flash_net::BackendChoice::Epoll);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn resident_misses_bypass_wedged_helper_poll() {
+    run_resident_misses_bypass_wedged_helper("resident-poll", flash_net::BackendChoice::Poll);
 }

@@ -75,13 +75,16 @@ fn main() {
         total_conns += r.connections;
         println!(
             "sim seed {seed}: {} conns, {} requests, {:.1} MB in {:.1}s simulated \
-             ({:.1}s wall, {} events) — cancelled {}, reaped {}, 304s {}, reloads {}",
+             ({:.1}s wall, {} events) — jobs {} ({} inline), cancelled {}, reaped {}, \
+             304s {}, reloads {}",
             r.connections,
             r.requests,
             r.bytes as f64 / 1e6,
             sim_secs,
             wall.elapsed().as_secs_f64(),
             r.events,
+            r.helper_jobs,
+            r.inline_jobs,
             r.jobs_cancelled,
             r.helper_wait_timeouts,
             r.not_modified,
