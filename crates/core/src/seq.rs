@@ -105,7 +105,7 @@ impl SeqWorker {
         if let FileKind::Cgi { .. } = f.kind {
             // Sequential workers have no CGI plumbing in this build; they
             // answer with a fixed-size error page (the paper's evaluation
-            // is static-only for MP/MT). See DESIGN.md.
+            // is static-only for MP/MT).
             self.caches.borrow_mut().stats.cgi_requests += 1;
             self.ctx.fid = None;
             self.ctx.size = 512;

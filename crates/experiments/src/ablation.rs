@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices DESIGN.md calls out.
+//! Ablation studies for the paper's design choices.
 //!
 //! These go beyond the paper's figures and probe *why* the design works:
 //!

@@ -14,8 +14,8 @@
 //!
 //! Every driver returns [`table::Figure`]s — the same series the paper
 //! plots — and is deterministic for a given seed. `Scale::Quick` shrinks
-//! sweeps for tests and Criterion benches; `Scale::Full` regenerates the
-//! figures in full (see `examples/` and EXPERIMENTS.md).
+//! sweeps for tests; `Scale::Full` regenerates the figures in full (see
+//! `examples/reproduce_figures.rs`).
 
 pub mod ablation;
 pub mod breakdown;
@@ -34,6 +34,6 @@ pub use table::{Figure, Series};
 pub enum Scale {
     /// The paper's full parameter sweep.
     Full,
-    /// A reduced sweep for tests and benches.
+    /// A reduced sweep for tests.
     Quick,
 }

@@ -1,6 +1,6 @@
 //! Shape tests: the paper's qualitative claims, asserted on quick-scale
-//! runs of every figure driver. These are the contract EXPERIMENTS.md
-//! reports against.
+//! runs of every figure driver. These are the contract
+//! `examples/reproduce_figures.rs`'s full-scale output is read against.
 
 use flash_experiments::{breakdown, dataset_sweep, single_file, trace_bars, wan, Scale};
 

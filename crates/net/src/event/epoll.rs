@@ -1,21 +1,19 @@
 //! Edge-triggered `epoll(7)` backend — the Linux fast path of the
 //! readiness subsystem.
 //!
-//! Like [`crate::poll`], [`crate::writev`] and [`crate::sendfile`],
-//! the foreign functions are declared directly against the platform
-//! libc; no external I/O crate is pulled in. Every registration is
-//! `EPOLLET` (edge-triggered), so `epoll_wait` costs O(ready
-//! descriptors) and interest-set maintenance is an incremental
-//! `epoll_ctl` per state-machine transition instead of a per-iteration
-//! rebuild of the whole watch set. Callers must follow the
-//! edge-triggered contract in the [module docs](crate::event).
+//! The three system calls come from [`crate::sys`]; no external I/O
+//! crate is pulled in. Every registration is `EPOLLET`
+//! (edge-triggered), so `epoll_wait` costs O(ready descriptors) and
+//! interest-set maintenance is an incremental `epoll_ctl` per
+//! state-machine transition instead of a per-iteration rebuild of the
+//! whole watch set. Callers must follow the edge-triggered contract in
+//! the [module docs](crate::event).
 
 use std::io;
-use std::os::unix::io::RawFd;
+use std::os::unix::io::{AsRawFd, OwnedFd, RawFd};
 
 use super::{BackendKind, Event, EventBackend, Interest};
-
-const EPOLL_CLOEXEC: core::ffi::c_int = 0o2000000;
+use crate::sys::{self, EpollEvent};
 
 const EPOLL_CTL_ADD: core::ffi::c_int = 1;
 const EPOLL_CTL_DEL: core::ffi::c_int = 2;
@@ -29,34 +27,6 @@ const EPOLLHUP: u32 = 0x010;
 /// keep-alive connections are reaped instead of lingering silently.
 const EPOLLRDHUP: u32 = 0x2000;
 const EPOLLET: u32 = 1 << 31;
-
-/// `struct epoll_event`. The kernel ABI packs this to 4 bytes on
-/// x86-64 (a 12-byte struct); other architectures use natural
-/// alignment. This mirrors the libc definition exactly.
-#[repr(C)]
-#[cfg_attr(target_arch = "x86_64", repr(packed))]
-#[derive(Clone, Copy)]
-struct EpollEvent {
-    events: u32,
-    data: u64,
-}
-
-unsafe extern "C" {
-    fn epoll_create1(flags: core::ffi::c_int) -> core::ffi::c_int;
-    fn epoll_ctl(
-        epfd: core::ffi::c_int,
-        op: core::ffi::c_int,
-        fd: core::ffi::c_int,
-        event: *mut EpollEvent,
-    ) -> core::ffi::c_int;
-    fn epoll_wait(
-        epfd: core::ffi::c_int,
-        events: *mut EpollEvent,
-        maxevents: core::ffi::c_int,
-        timeout: core::ffi::c_int,
-    ) -> core::ffi::c_int;
-    fn close(fd: core::ffi::c_int) -> core::ffi::c_int;
-}
 
 fn mask_of(interest: Interest) -> u32 {
     // EPOLLET unconditionally: even an Interest::NONE registration
@@ -81,48 +51,24 @@ const WAIT_BATCH: usize = 256;
 /// The edge-triggered epoll backend. One epoll instance per event
 /// loop; the instance descriptor is closed on drop.
 pub struct EpollBackend {
-    epfd: RawFd,
+    epfd: OwnedFd,
     buf: Vec<EpollEvent>,
     registered: usize,
 }
 
-// SAFETY: the epoll fd is just an integer handle; the backend is used
-// from one thread at a time (&mut self everywhere).
-unsafe impl Send for EpollBackend {}
-
 impl EpollBackend {
     /// Creates a fresh epoll instance (`EPOLL_CLOEXEC`).
     pub fn new() -> io::Result<EpollBackend> {
-        // SAFETY: plain syscall, no pointers.
-        let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-        if epfd < 0 {
-            return Err(io::Error::last_os_error());
-        }
         Ok(EpollBackend {
-            epfd,
+            epfd: sys::epoll_create()?,
             buf: vec![EpollEvent { events: 0, data: 0 }; WAIT_BATCH],
             registered: 0,
         })
     }
 
     fn ctl(&self, op: core::ffi::c_int, fd: RawFd, event: Option<EpollEvent>) -> io::Result<()> {
-        let mut ev = event.unwrap_or(EpollEvent { events: 0, data: 0 });
-        // SAFETY: `ev` is a valid exclusive pointer for the call; DEL
-        // ignores it (a non-null pointer is passed anyway for pre-2.6.9
-        // kernel compatibility, as the man page prescribes).
-        let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
-        if rc == 0 {
-            Ok(())
-        } else {
-            Err(io::Error::last_os_error())
-        }
-    }
-}
-
-impl Drop for EpollBackend {
-    fn drop(&mut self) {
-        // SAFETY: epfd came from epoll_create1 and is closed only here.
-        unsafe { close(self.epfd) };
+        let ev = event.unwrap_or(EpollEvent { events: 0, data: 0 });
+        sys::epoll_ctl(self.epfd.as_raw_fd(), op, fd, ev)
     }
 }
 
@@ -184,26 +130,7 @@ impl EventBackend for EpollBackend {
         // negative blocks indefinitely (the shard loop passes -1 when
         // its timing wheel has nothing armed), zero polls.
         events.clear();
-        let n = loop {
-            // SAFETY: `buf` is a live, exclusively borrowed array of
-            // `WAIT_BATCH` epoll_event structs; the kernel writes at
-            // most `maxevents` entries.
-            let rc = unsafe {
-                epoll_wait(
-                    self.epfd,
-                    self.buf.as_mut_ptr(),
-                    self.buf.len() as core::ffi::c_int,
-                    timeout_ms,
-                )
-            };
-            if rc >= 0 {
-                break rc as usize;
-            }
-            let err = io::Error::last_os_error();
-            if err.kind() != io::ErrorKind::Interrupted {
-                return Err(err);
-            }
-        };
+        let n = sys::epoll_wait(self.epfd.as_raw_fd(), &mut self.buf, timeout_ms)?;
         for raw in &self.buf[..n] {
             let bits = raw.events;
             events.push(Event {

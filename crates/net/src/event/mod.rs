@@ -14,11 +14,10 @@
 //!   and the reason a shard can carry 10k+ mostly-idle keep-alive
 //!   connections without the readiness call itself becoming the
 //!   bottleneck.
-//! * [`pollset::PollBackend`] — the portable fallback wrapping the
-//!   existing [`crate::poll::poll_fds`] seam. It keeps an interest
-//!   table and rebuilds the `pollfd` array per wait (O(watched fds),
-//!   exactly the cost the epoll backend removes), reporting
-//!   level-triggered readiness.
+//! * [`pollset::PollBackend`] — the portable fallback over `poll(2)`.
+//!   It keeps an interest table and rebuilds the `pollfd` array per
+//!   wait (O(watched fds), exactly the cost the epoll backend
+//!   removes), reporting level-triggered readiness.
 //!
 //! # The edge-triggered contract
 //!
@@ -48,6 +47,8 @@
 
 use std::io;
 use std::os::unix::io::RawFd;
+
+use crate::sys;
 
 pub mod pollset;
 
@@ -231,50 +232,23 @@ pub fn new_backend(choice: BackendChoice) -> Box<dyn EventBackend> {
 
 // -- RLIMIT_NOFILE helper ---------------------------------------------------
 //
-// High-connection-count workloads (and the 1k-socket tests/benches
-// that simulate them) need descriptor headroom beyond the common 1024
+// High-connection-count workloads (and the 1k-socket tests that
+// simulate them) need descriptor headroom beyond the common 1024
 // soft limit. Raising the soft limit toward the hard limit is an
 // unprivileged operation.
-
-#[repr(C)]
-struct RLimit {
-    cur: u64,
-    max: u64,
-}
-
-// RLIMIT_NOFILE is 7 on Linux and 8 on the BSDs/macOS.
-#[cfg(any(target_os = "linux", target_os = "android"))]
-const RLIMIT_NOFILE: core::ffi::c_int = 7;
-#[cfg(not(any(target_os = "linux", target_os = "android")))]
-const RLIMIT_NOFILE: core::ffi::c_int = 8;
-
-unsafe extern "C" {
-    fn getrlimit(resource: core::ffi::c_int, rlim: *mut RLimit) -> core::ffi::c_int;
-    fn setrlimit(resource: core::ffi::c_int, rlim: *const RLimit) -> core::ffi::c_int;
-}
 
 /// Ensures the process may hold at least `want` file descriptors,
 /// raising the soft `RLIMIT_NOFILE` toward the hard limit if needed.
 /// Returns `true` if `want` descriptors are available.
 pub fn ensure_fd_limit(want: u64) -> bool {
-    let mut lim = RLimit { cur: 0, max: 0 };
-    // SAFETY: `lim` is a valid exclusive pointer to an rlimit-layout
-    // struct; the kernel only writes the two fields.
-    if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } != 0 {
+    let Ok((soft, hard)) = sys::nofile_limit() else {
         return false;
-    }
-    if lim.cur >= want {
+    };
+    if soft >= want {
         return true;
     }
-    let raised = RLimit {
-        cur: want.min(lim.max),
-        max: lim.max,
-    };
-    // SAFETY: `raised` is a valid initialized struct read by the kernel.
-    if unsafe { setrlimit(RLIMIT_NOFILE, &raised) } != 0 {
-        return false;
-    }
-    raised.cur >= want
+    let raised = want.min(hard);
+    sys::set_nofile_limit(raised, hard).is_ok() && raised >= want
 }
 
 #[cfg(test)]

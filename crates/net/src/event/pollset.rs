@@ -1,5 +1,6 @@
 //! Portable `poll(2)` backend — the fallback half of the readiness
-//! subsystem, wrapping the existing [`crate::poll::poll_fds`] seam.
+//! subsystem, over the one call every Unix has ([`crate::sys::poll`]):
+//! the paper's portability argument, only ubiquitous interfaces.
 //!
 //! The interest table is maintained incrementally (register / modify /
 //! deregister keep a dense entry vector plus an fd index), but each
@@ -17,7 +18,27 @@ use std::io;
 use std::os::unix::io::RawFd;
 
 use super::{BackendKind, Event, EventBackend, Interest};
-use crate::poll::{poll_fds, PollFd, POLL_IN, POLL_OUT};
+use crate::sys::{self, PollFd};
+
+/// Readable readiness (POLLIN).
+const POLL_IN: i16 = 0x001;
+/// Writable readiness (POLLOUT).
+const POLL_OUT: i16 = 0x004;
+/// Error condition (POLLERR; only returned in `revents`).
+const POLL_ERR: i16 = 0x008;
+/// Hang-up (POLLHUP; only returned in `revents`).
+const POLL_HUP: i16 = 0x010;
+
+/// True if `revents` says readable — or peer-closed/errored, which a
+/// reader must observe to reap the connection.
+fn is_readable(revents: i16) -> bool {
+    revents & (POLL_IN | POLL_ERR | POLL_HUP) != 0
+}
+
+/// True if `revents` says writable (or errored, as above).
+fn is_writable(revents: i16) -> bool {
+    revents & (POLL_OUT | POLL_ERR | POLL_HUP) != 0
+}
 
 struct Entry {
     fd: RawFd,
@@ -125,7 +146,11 @@ impl EventBackend for PollBackend {
                 // quiesced descriptor into a busy loop.
                 continue;
             }
-            self.fds.push(PollFd::new(e.fd, mask));
+            self.fds.push(PollFd {
+                fd: e.fd,
+                events: mask,
+                revents: 0,
+            });
             self.fd_entry.push(i);
         }
         if self.fds.is_empty() {
@@ -144,14 +169,14 @@ impl EventBackend for PollBackend {
             }
             return Ok(0);
         }
-        poll_fds(&mut self.fds, timeout_ms)?;
+        sys::poll(&mut self.fds, timeout_ms)?;
         for (slot, fd) in self.fds.iter().enumerate() {
-            if fd.readable() || fd.writable() {
-                let e = &self.entries[self.fd_entry[slot]];
+            let (readable, writable) = (is_readable(fd.revents), is_writable(fd.revents));
+            if readable || writable {
                 events.push(Event {
-                    token: e.token,
-                    readable: fd.readable(),
-                    writable: fd.writable(),
+                    token: self.entries[self.fd_entry[slot]].token,
+                    readable,
+                    writable,
                 });
             }
         }
@@ -169,6 +194,52 @@ mod tests {
     use std::io::Write;
     use std::os::unix::io::AsRawFd;
     use std::os::unix::net::UnixStream;
+
+    /// One `poll(2)` of `fd` for `events`, as `wait` issues it.
+    fn poll_one(fd: &UnixStream, events: i16, timeout_ms: i32) -> (usize, i16) {
+        let mut fds = [PollFd {
+            fd: fd.as_raw_fd(),
+            events,
+            revents: 0,
+        }];
+        let n = sys::poll(&mut fds, timeout_ms).unwrap();
+        (n, fds[0].revents)
+    }
+
+    #[test]
+    fn timeout_returns_zero_ready() {
+        let (a, _b) = UnixStream::pair().unwrap();
+        let (n, revents) = poll_one(&a, POLL_IN, 10);
+        assert_eq!(n, 0);
+        assert!(!is_readable(revents));
+    }
+
+    #[test]
+    fn data_makes_fd_readable() {
+        let (a, mut b) = UnixStream::pair().unwrap();
+        b.write_all(b"x").unwrap();
+        let (n, revents) = poll_one(&a, POLL_IN, 1000);
+        assert_eq!(n, 1);
+        assert!(is_readable(revents));
+        assert!(!is_writable(revents));
+    }
+
+    #[test]
+    fn sockets_start_writable() {
+        let (a, _b) = UnixStream::pair().unwrap();
+        let (n, revents) = poll_one(&a, POLL_OUT, 1000);
+        assert_eq!(n, 1);
+        assert!(is_writable(revents));
+    }
+
+    #[test]
+    fn hangup_reported_as_readable() {
+        let (a, b) = UnixStream::pair().unwrap();
+        drop(b);
+        let (n, revents) = poll_one(&a, POLL_IN, 1000);
+        assert_eq!(n, 1);
+        assert!(is_readable(revents), "peer close must wake readers");
+    }
 
     #[test]
     fn level_triggered_re_reports_until_drained() {

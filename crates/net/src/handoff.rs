@@ -25,17 +25,19 @@
 //! generation connects and collects the listener set, then the old
 //! generation drains ([`crate::server::Server::drain`]).
 //!
-//! Raw FFI in the same thin-syscall idiom as [`crate::sock`]; on
-//! platforms where the msghdr layout here is not verified
+//! The `sendmsg`/`recvmsg` calls and the control-message layout live
+//! in [`crate::sys`]; on platforms where that layout is not verified
 //! (non-Linux), the functions return `Unsupported` rather than guess —
 //! those platforms run the reuseport-less `Single` mode against std
 //! listeners anyway.
 
 use std::io;
 use std::net::TcpListener;
-use std::os::unix::io::RawFd;
+use std::os::unix::io::{AsRawFd, IntoRawFd, OwnedFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
+
+use crate::sys;
 
 /// The most fds one handoff message carries — far above any real
 /// listener set (one per shard, shards capped at 8), far below the
@@ -51,33 +53,58 @@ pub fn send_fds(sock: &UnixStream, fds: &[RawFd]) -> io::Result<()> {
             "fd count out of range for handoff",
         ));
     }
-    imp::send_fds(sock, fds)
+    // One data byte — the fd count — both because sendmsg demands a
+    // non-empty body for ancillary data to ride on and as a
+    // cross-check for the receiver.
+    sys::send_with_fds(sock.as_raw_fd(), &[fds.len() as u8], fds)
 }
 
 /// Receives one `SCM_RIGHTS` message, returning the installed
 /// descriptor duplicates. The caller owns the returned fds.
 pub fn recv_fds(sock: &UnixStream) -> io::Result<Vec<RawFd>> {
-    imp::recv_fds(sock)
+    Ok(recv_owned(sock)?
+        .into_iter()
+        .map(IntoRawFd::into_raw_fd)
+        .collect())
+}
+
+/// [`recv_fds`] before ownership is given up. Every rejection drops —
+/// and so closes — whatever descriptors the message installed, so a
+/// malformed peer cannot leak descriptors into this process.
+fn recv_owned(sock: &UnixStream) -> io::Result<Vec<OwnedFd>> {
+    let mut count_byte = [0u8; 1];
+    let msg = sys::recv_with_fds(sock.as_raw_fd(), &mut count_byte, MAX_HANDOFF_FDS)?;
+    if msg.bytes == 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "handoff peer closed before sending fds",
+        ));
+    }
+    let reject = |why: &str| Err(io::Error::new(io::ErrorKind::InvalidData, why));
+    if msg.truncated {
+        return reject("handoff control data truncated");
+    }
+    if msg.fds.is_empty() {
+        return reject("handoff message carried no SCM_RIGHTS descriptors");
+    }
+    if msg.fds.len() != count_byte[0] as usize {
+        return reject("handoff fd count mismatch");
+    }
+    Ok(msg.fds)
 }
 
 /// Sends duplicates of a listener set (see
 /// [`crate::server::Server::handoff_listeners`]).
 pub fn send_listeners(sock: &UnixStream, listeners: &[TcpListener]) -> io::Result<()> {
-    use std::os::unix::io::AsRawFd;
     let fds: Vec<RawFd> = listeners.iter().map(|l| l.as_raw_fd()).collect();
     send_fds(sock, &fds)
 }
 
 /// Receives a listener set for [`crate::server::Server::start_inherited`].
 pub fn recv_listeners(sock: &UnixStream) -> io::Result<Vec<TcpListener>> {
-    use std::os::unix::io::FromRawFd;
-    let fds = recv_fds(sock)?;
-    // SAFETY: each fd was freshly installed in this process by
-    // recvmsg and is owned by nothing else; TcpListener takes over
-    // closing it.
-    Ok(fds
+    Ok(recv_owned(sock)?
         .into_iter()
-        .map(|fd| unsafe { TcpListener::from_raw_fd(fd) })
+        .map(TcpListener::from)
         .collect())
 }
 
@@ -124,219 +151,6 @@ impl Drop for HandoffControl {
 pub fn request_listeners(path: impl AsRef<Path>) -> io::Result<Vec<TcpListener>> {
     let conn = UnixStream::connect(path.as_ref())?;
     recv_listeners(&conn)
-}
-
-#[cfg(any(target_os = "linux", target_os = "android"))]
-mod imp {
-    use super::MAX_HANDOFF_FDS;
-    use std::io;
-    use std::mem;
-    use std::os::unix::io::{AsRawFd, RawFd};
-    use std::os::unix::net::UnixStream;
-
-    const SOL_SOCKET: core::ffi::c_int = 1;
-    const SCM_RIGHTS: core::ffi::c_int = 1;
-    /// Atomically set `O_CLOEXEC` on every received fd, so a handoff
-    /// landing mid-`fork` elsewhere in the process cannot leak
-    /// listeners into unrelated children.
-    const MSG_CMSG_CLOEXEC: core::ffi::c_int = 0x40000000;
-    /// Returned in `msg_flags` when the control buffer was too small
-    /// for the peer's ancillary data — some fds were dropped by the
-    /// kernel, so the set is unusable.
-    const MSG_CTRUNC: core::ffi::c_int = 0x8;
-
-    #[repr(C)]
-    struct IoVec {
-        base: *mut core::ffi::c_void,
-        len: usize,
-    }
-
-    #[repr(C)]
-    struct MsgHdr {
-        name: *mut core::ffi::c_void,
-        namelen: u32,
-        iov: *mut IoVec,
-        iovlen: usize,
-        control: *mut core::ffi::c_void,
-        controllen: usize,
-        flags: core::ffi::c_int,
-    }
-
-    #[repr(C)]
-    struct CmsgHdr {
-        len: usize,
-        level: core::ffi::c_int,
-        ty: core::ffi::c_int,
-    }
-
-    unsafe extern "C" {
-        fn sendmsg(fd: core::ffi::c_int, msg: *const MsgHdr, flags: core::ffi::c_int) -> isize;
-        fn recvmsg(fd: core::ffi::c_int, msg: *mut MsgHdr, flags: core::ffi::c_int) -> isize;
-        fn close(fd: core::ffi::c_int) -> core::ffi::c_int;
-    }
-
-    /// `CMSG_ALIGN` for this ABI: round up to the pointer size.
-    fn cmsg_align(n: usize) -> usize {
-        (n + mem::size_of::<usize>() - 1) & !(mem::size_of::<usize>() - 1)
-    }
-
-    /// A control buffer sized and aligned for one fd-carrying cmsg:
-    /// `u64` elements guarantee `cmsghdr`'s alignment.
-    fn control_buf(n_fds: usize) -> Vec<u64> {
-        let bytes = cmsg_align(mem::size_of::<CmsgHdr>()) + cmsg_align(n_fds * 4);
-        vec![0u64; bytes.div_ceil(8)]
-    }
-
-    pub fn send_fds(sock: &UnixStream, fds: &[RawFd]) -> io::Result<()> {
-        let mut control = control_buf(fds.len());
-        let controllen = cmsg_align(mem::size_of::<CmsgHdr>()) + fds.len() * 4;
-        let base = control.as_mut_ptr() as *mut u8;
-        // SAFETY: `control` is zeroed, u64-aligned, and large enough
-        // for the header plus the fd array written right after it.
-        unsafe {
-            let hdr = base as *mut CmsgHdr;
-            (*hdr).len = controllen;
-            (*hdr).level = SOL_SOCKET;
-            (*hdr).ty = SCM_RIGHTS;
-            let data = base.add(cmsg_align(mem::size_of::<CmsgHdr>())) as *mut RawFd;
-            for (i, fd) in fds.iter().enumerate() {
-                data.add(i).write_unaligned(*fd);
-            }
-        }
-        // One data byte — the fd count — both because sendmsg demands
-        // a non-empty iov for ancillary data to ride on and as a
-        // cross-check for the receiver.
-        let mut count_byte = [fds.len() as u8];
-        let mut iov = IoVec {
-            base: count_byte.as_mut_ptr() as *mut core::ffi::c_void,
-            len: 1,
-        };
-        let msg = MsgHdr {
-            name: std::ptr::null_mut(),
-            namelen: 0,
-            iov: &mut iov,
-            iovlen: 1,
-            control: base as *mut core::ffi::c_void,
-            controllen,
-            flags: 0,
-        };
-        loop {
-            // SAFETY: every pointer in `msg` outlives the call.
-            let rc = unsafe { sendmsg(sock.as_raw_fd(), &msg, 0) };
-            if rc >= 0 {
-                return Ok(());
-            }
-            let err = io::Error::last_os_error();
-            if err.kind() != io::ErrorKind::Interrupted {
-                return Err(err);
-            }
-        }
-    }
-
-    pub fn recv_fds(sock: &UnixStream) -> io::Result<Vec<RawFd>> {
-        let mut control = control_buf(MAX_HANDOFF_FDS);
-        let control_bytes = control.len() * 8;
-        let mut count_byte = [0u8; 1];
-        let mut iov = IoVec {
-            base: count_byte.as_mut_ptr() as *mut core::ffi::c_void,
-            len: 1,
-        };
-        let mut msg = MsgHdr {
-            name: std::ptr::null_mut(),
-            namelen: 0,
-            iov: &mut iov,
-            iovlen: 1,
-            control: control.as_mut_ptr() as *mut core::ffi::c_void,
-            controllen: control_bytes,
-            flags: 0,
-        };
-        let received = loop {
-            // SAFETY: every pointer in `msg` outlives the call; the
-            // kernel writes within the declared lengths.
-            let rc = unsafe { recvmsg(sock.as_raw_fd(), &mut msg, MSG_CMSG_CLOEXEC) };
-            if rc >= 0 {
-                break rc as usize;
-            }
-            let err = io::Error::last_os_error();
-            if err.kind() != io::ErrorKind::Interrupted {
-                return Err(err);
-            }
-        };
-        if received == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "handoff peer closed before sending fds",
-            ));
-        }
-        if msg.controllen < mem::size_of::<CmsgHdr>() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "handoff message carried no control data",
-            ));
-        }
-        let base = control.as_ptr() as *const u8;
-        // SAFETY: controllen covers at least one header (checked
-        // above); the kernel wrote a valid cmsg there.
-        let (level, ty, cmsg_len) = unsafe {
-            let hdr = base as *const CmsgHdr;
-            ((*hdr).level, (*hdr).ty, (*hdr).len)
-        };
-        // Collect whatever fds recvmsg already installed in this
-        // process *before* validating: every rejection below must
-        // close them, or a malformed peer leaks descriptors into us.
-        let data_off = cmsg_align(mem::size_of::<CmsgHdr>());
-        let mut fds = Vec::new();
-        if level == SOL_SOCKET && ty == SCM_RIGHTS {
-            let n = cmsg_len.saturating_sub(data_off) / 4;
-            // SAFETY: cmsg_len (≤ controllen ≤ the buffer) covers n
-            // fds starting at data_off.
-            unsafe {
-                let data = base.add(data_off) as *const RawFd;
-                for i in 0..n {
-                    fds.push(data.add(i).read_unaligned());
-                }
-            }
-        }
-        let reject = |fds: Vec<RawFd>, why: &str| {
-            for fd in fds {
-                // SAFETY: each fd was installed by this recvmsg and
-                // handed to no one else.
-                unsafe { close(fd) };
-            }
-            Err(io::Error::new(io::ErrorKind::InvalidData, why))
-        };
-        if msg.flags & MSG_CTRUNC != 0 {
-            return reject(fds, "handoff control data truncated");
-        }
-        if level != SOL_SOCKET || ty != SCM_RIGHTS {
-            return reject(fds, "handoff control message is not SCM_RIGHTS");
-        }
-        if fds.is_empty() || fds.len() != count_byte[0] as usize {
-            return reject(fds, "handoff fd count mismatch");
-        }
-        Ok(fds)
-    }
-}
-
-#[cfg(not(any(target_os = "linux", target_os = "android")))]
-mod imp {
-    use std::io;
-    use std::os::unix::io::RawFd;
-    use std::os::unix::net::UnixStream;
-
-    pub fn send_fds(_sock: &UnixStream, _fds: &[RawFd]) -> io::Result<()> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "SCM_RIGHTS handoff is implemented for Linux only",
-        ))
-    }
-
-    pub fn recv_fds(_sock: &UnixStream) -> io::Result<Vec<RawFd>> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "SCM_RIGHTS handoff is implemented for Linux only",
-        ))
-    }
 }
 
 #[cfg(all(test, any(target_os = "linux", target_os = "android")))]

@@ -23,9 +23,8 @@
 //!   with an edge-triggered `epoll(7)` implementation (Linux; raw FFI,
 //!   `EPOLLIN|EPOLLOUT|EPOLLET`, incremental `epoll_ctl` interest
 //!   updates — O(ready fds) per iteration) and a portable `poll(2)`
-//!   fallback (one small FFI shim in [`poll`], no external I/O crates;
-//!   O(watched fds) per iteration), selected by
-//!   [`server::NetConfig::backend`] (`Auto` = epoll on Linux,
+//!   fallback (no external I/O crates; O(watched fds) per iteration),
+//!   selected by [`server::NetConfig::backend`] (`Auto` = epoll on Linux,
 //!   overridable with `FLASH_EVENT_BACKEND=poll|epoll`). The loop is
 //!   written to the **edge-triggered contract** (see [`event`]): reads
 //!   drain to `EWOULDBLOCK`, write interest is armed only while a send
@@ -81,10 +80,18 @@
 //!   are evicted and reloaded (`stale_evicted`).
 //! * [`mt::MtServer`] — **MT**: thread-per-connection with blocking
 //!   I/O and a shared, locked content cache, for comparison (the §3.2
-//!   trade-off discussion, measurable with `cargo bench -p
-//!   flash-bench --bench net_throughput`).
+//!   trade-off discussion, measurable with `cargo run --release
+//!   --offline --manifest-path loadbench/Cargo.toml -- --workload
+//!   cached_small_mt` against `--workload cached_small`).
 //!
-//! Substitutions from the 1999 original (documented in DESIGN.md):
+//! Every foreign function either server calls — `epoll`, `poll`,
+//! `writev`, `sendfile`, the listener and `SCM_RIGHTS` plumbing, the
+//! signal handler, `openat2`/`preadv2` — is declared in **one file**,
+//! [`sys`], behind safe wrappers that carry a `// SAFETY:` note on
+//! every `unsafe` block; `tests/ffi_audit.rs` fails if a declaration
+//! appears anywhere else.
+//!
+//! Substitutions from the 1999 original (`CHANGES.md` has the history):
 //! helper *threads* instead of forked processes (§3.4 permits both),
 //! an application-level content cache instead of `mmap` (§5.7), the
 //! `mincore` residency test in its modern spelling (see *Residency
@@ -524,8 +531,6 @@ pub mod handle;
 pub mod handoff;
 pub mod lifecycle;
 pub mod mt;
-pub mod poll;
-pub mod report;
 pub mod sendfile;
 pub mod server;
 pub mod sim;
@@ -542,7 +547,6 @@ pub use handle::{ServeHandle, ServerKind};
 pub use handoff::{recv_listeners, request_listeners, send_listeners, HandoffControl};
 pub use lifecycle::{send_to_self, Signal, Signals};
 pub use mt::MtServer;
-pub use report::BenchReport;
 pub use server::{ConfigError, NetConfig, NetConfigBuilder, Server, ServerStats, ShardStats};
 pub use sock::{AcceptMode, AcceptModeKind};
 pub use stats::{HistSnapshot, HistSummary, Histogram};

@@ -26,18 +26,16 @@
 //!   a generation-counted reload slot the shards poll for free (one
 //!   relaxed atomic load per loop iteration).
 //!
-//! The sigaction FFI follows the crate's thin-syscall idiom
-//! ([`crate::sock`], [`crate::poll`]): glibc's `struct sigaction`
-//! layout on Linux, the portable ANSI `signal(2)` registration
-//! elsewhere — `SA_RESTART` is a nicety, not a correctness
-//! requirement, because every blocking site in the servers already
-//! tolerates `EINTR`.
+//! The handler and its registration live in [`crate::sys`]
+//! (`sigaction` on Linux, the portable ANSI `signal(2)` elsewhere —
+//! `SA_RESTART` is a nicety, not a correctness requirement, because
+//! every blocking site in the servers already tolerates `EINTR`).
 
 use std::io::{self, Read};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicI32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -73,96 +71,6 @@ impl Signal {
     }
 }
 
-/// Write end of the self-pipe, stashed where the (process-global)
-/// signal handler can reach it. −1 = no receiver installed.
-static SIGNAL_FD: AtomicI32 = AtomicI32::new(-1);
-
-unsafe extern "C" {
-    fn write(fd: i32, buf: *const core::ffi::c_void, count: usize) -> isize;
-    fn kill(pid: i32, sig: i32) -> i32;
-    fn getpid() -> i32;
-}
-
-/// The installed handler: forward the signal number as one byte down
-/// the self-pipe. `write(2)` is async-signal-safe; nothing else here
-/// allocates, locks, or calls into the runtime. A full pipe (wildly
-/// unlikely — the receiver drains on every wait) drops the byte,
-/// which merely coalesces repeated signals.
-extern "C" fn forward_signal(signo: i32) {
-    let fd = SIGNAL_FD.load(Ordering::Relaxed);
-    if fd >= 0 {
-        let byte = [signo as u8];
-        // SAFETY: one-byte write of a stack buffer to an fd we own.
-        unsafe { write(fd, byte.as_ptr() as *const core::ffi::c_void, 1) };
-    }
-}
-
-#[cfg(any(target_os = "linux", target_os = "android"))]
-mod ffi {
-    /// glibc's `struct sigaction` (x86-64/aarch64 layout): handler,
-    /// 1024-bit mask, flags, restorer. Only the handler and flags are
-    /// populated; an empty mask blocks nothing extra during delivery.
-    #[repr(C)]
-    struct SigAction {
-        handler: usize,
-        mask: [u64; 16],
-        flags: core::ffi::c_int,
-        restorer: usize,
-    }
-
-    const SA_RESTART: core::ffi::c_int = 0x10000000;
-
-    unsafe extern "C" {
-        fn sigaction(
-            signum: core::ffi::c_int,
-            act: *const core::ffi::c_void,
-            oldact: *mut core::ffi::c_void,
-        ) -> core::ffi::c_int;
-    }
-
-    pub fn install_handler(signo: i32, handler: extern "C" fn(i32)) -> std::io::Result<()> {
-        let act = SigAction {
-            handler: handler as usize,
-            mask: [0; 16],
-            flags: SA_RESTART,
-            restorer: 0,
-        };
-        // SAFETY: `act` is a correctly laid out glibc sigaction the
-        // kernel only reads; the handler is async-signal-safe.
-        let rc = unsafe {
-            sigaction(
-                signo,
-                &act as *const _ as *const core::ffi::c_void,
-                std::ptr::null_mut(),
-            )
-        };
-        if rc == 0 {
-            Ok(())
-        } else {
-            Err(std::io::Error::last_os_error())
-        }
-    }
-}
-
-#[cfg(not(any(target_os = "linux", target_os = "android")))]
-mod ffi {
-    unsafe extern "C" {
-        fn signal(signum: core::ffi::c_int, handler: usize) -> usize;
-    }
-
-    /// ANSI `signal(2)` registration: portable, loses `SA_RESTART`
-    /// (harmless — every blocking site tolerates `EINTR`).
-    pub fn install_handler(signo: i32, handler: extern "C" fn(i32)) -> std::io::Result<()> {
-        const SIG_ERR: usize = usize::MAX;
-        // SAFETY: registering an async-signal-safe handler.
-        if unsafe { signal(signo, handler as usize) } == SIG_ERR {
-            Err(std::io::Error::last_os_error())
-        } else {
-            Ok(())
-        }
-    }
-}
-
 /// The read end of the installed self-pipe: signal delivery turned
 /// into ordinary readable-fd bytes (one byte per signal, the signal
 /// number itself).
@@ -193,10 +101,7 @@ impl Signals {
         // Installs happen once or twice per process, so the cost is a
         // dormant socketpair end, never a misdirected byte.
         std::mem::forget(tx);
-        SIGNAL_FD.store(fd, Ordering::SeqCst);
-        for s in set {
-            ffi::install_handler(s.number(), forward_signal)?;
-        }
+        crate::sys::forward_signals(fd, set.iter().map(|s| s.number()))?;
         Ok(Signals { rx })
     }
 
@@ -266,13 +171,7 @@ impl Signals {
 /// process supervisor would — used by the graceful-restart example
 /// and tests to exercise the real delivery path.
 pub fn send_to_self(signal: Signal) -> io::Result<()> {
-    // SAFETY: plain syscalls, no pointers.
-    let rc = unsafe { kill(getpid(), signal.number()) };
-    if rc == 0 {
-        Ok(())
-    } else {
-        Err(io::Error::last_os_error())
-    }
+    crate::sys::kill_self(signal.number())
 }
 
 /// Lifecycle phase: the server is accepting and serving.

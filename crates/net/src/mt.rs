@@ -35,7 +35,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -44,7 +44,6 @@ use flash_http::chunked;
 use flash_http::request::{ParseStatus, Request};
 use flash_http::response::{error_body, ResponseHeader, Status};
 use flash_http::Method;
-use parking_lot::Mutex;
 
 use crate::appworker::{self, WorkerPool};
 use crate::cache::{self, ContentCache, Entry, Lookup, Variant};
@@ -381,7 +380,10 @@ fn serve_conn_inner(
             // read below is capped at 200 ms, so an idle keep-alive
             // reaches this check within that cadence of the drain
             // starting. Buffered pipelined bytes are served first.
-            PHASE_DRAINING if served > 0 && parser.buffered() == 0 => return,
+            PHASE_DRAINING if served > 0 && parser.buffered() == 0 => {
+                shard.drained_conns.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
             _ => {}
         }
         let generation = lifecycle.reload_gen();
@@ -393,7 +395,7 @@ fn serve_conn_inner(
             // shared cache; the generation lives under the cache lock,
             // so the flush happens exactly once and no pre-reload
             // insert can land after it (inserts are epoch-checked).
-            let mut locked = cache.lock();
+            let mut locked = cache.lock().unwrap_or_else(|e| e.into_inner());
             if locked.generation != generation {
                 locked.cache = ContentCache::new(cfg.cache_bytes);
                 locked.generation = generation;
@@ -407,7 +409,7 @@ fn serve_conn_inner(
         if let Some(l) = log {
             let g = lifecycle.log_gen();
             if l.gen_seen.swap(g, Ordering::AcqRel) != g {
-                l.writer.lock().reopen();
+                l.writer.lock().unwrap_or_else(|e| e.into_inner()).reopen();
             }
         }
         // Serve any request already buffered (keep-alive pipelining)
@@ -424,14 +426,16 @@ fn serve_conn_inner(
                     in_header = now_in_header;
                     phase_start = Instant::now();
                 }
-                let deadline = if in_header {
-                    cfg.header_read_timeout
+                let (deadline, expired) = if in_header {
+                    (cfg.header_read_timeout, &shard.read_timeouts)
                 } else {
-                    cfg.idle_timeout
+                    (cfg.idle_timeout, &shard.idle_reaped)
                 };
                 if let Some(t) = deadline {
                     if phase_start.elapsed() >= t {
-                        return; // slow header sender or idle keep-alive
+                        // Slow header sender or idle keep-alive.
+                        expired.fetch_add(1, Ordering::Relaxed);
+                        return;
                     }
                 }
                 let n = match stream.read(&mut buf) {
@@ -571,7 +575,10 @@ fn serve_conn_inner(
                     latency_us: latency / 1_000,
                     tier,
                 }];
-                l.writer.lock().drain(&mut batch);
+                l.writer
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .drain(&mut batch);
             }
         }
         if !ok || !keep {
@@ -847,18 +854,30 @@ fn check_slot(
 ) -> Option<Arc<Entry>> {
     // The lookup's lock guard must drop before the stale arm runs: it
     // re-locks to refresh/invalidate.
-    let looked_up = cache.lock().cache.lookup(key, cfg.cache_revalidate_ttl);
+    let looked_up = cache
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .cache
+        .lookup(key, cfg.cache_revalidate_ttl);
     match looked_up {
         Lookup::Hit(e) => Some(e),
         Lookup::Stale(e) => {
             match fsjob::exec_stat(&inline_job(cfg, key, JobKind::Revalidate, variant)) {
                 Ok((len, mtime)) if e.mtime == mtime && e.body.len() as u64 == len => {
-                    cache.lock().cache.refresh(key);
+                    cache
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .cache
+                        .refresh(key);
                     shard.revalidations.fetch_add(1, Ordering::Relaxed);
                     Some(e)
                 }
                 _ => {
-                    cache.lock().cache.invalidate(key);
+                    cache
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .cache
+                        .invalidate(key);
                     shard.stale_evicted.fetch_add(1, Ordering::Relaxed);
                     None
                 }
@@ -890,7 +909,12 @@ fn resolve_resource(
         }
         // An identity hit that *knows* no sibling exists serves as-is;
         // anything else goes through a gzip-preference load.
-        if let Lookup::Hit(e) = cache.lock().cache.lookup(path, cfg.cache_revalidate_ttl) {
+        if let Lookup::Hit(e) = cache
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .cache
+            .lookup(path, cfg.cache_revalidate_ttl)
+        {
             if !e.has_gzip {
                 shard.cache_hits.fetch_add(1, Ordering::Relaxed);
                 return Ok((MtResource::Cached(e), Tier::Hit));
@@ -917,7 +941,7 @@ fn resolve_resource(
             // predates the swap. The insert key follows the variant
             // that actually loaded (a gzip preference may have fallen
             // back to identity).
-            let mut locked = cache.lock();
+            let mut locked = cache.lock().unwrap_or_else(|e| e.into_inner());
             if locked.generation == epoch {
                 locked
                     .cache

@@ -10,12 +10,11 @@
 //! budget nor a userspace copy (PAPER.md §4.4's mapped-file instinct,
 //! taken all the way to the page cache).
 //!
-//! Like [`crate::poll`] and [`crate::writev`], the one foreign
-//! function is declared directly against the platform libc. On
-//! platforms without a usable `sendfile` (anything non-Linux here) the
-//! same seam is served by a positional `read` + `write` loop —
-//! strictly more copies, identical observable behavior — so callers
-//! never branch on the platform.
+//! The call itself is [`crate::sys::sendfile`]. On platforms without
+//! a usable `sendfile` (anything non-Linux here) the same seam is
+//! served by a positional `read` + `write` loop — strictly more
+//! copies, identical observable behavior — so callers never branch on
+//! the platform.
 
 use std::fs::File;
 use std::io;
@@ -25,25 +24,6 @@ use std::os::unix::io::RawFd;
 /// call at `0x7ffff000` regardless; staying at that bound also keeps
 /// the fallback's arithmetic safely inside `usize` on 32-bit targets.
 pub const MAX_SEND: u64 = 0x7fff_f000;
-
-#[cfg(any(target_os = "linux", target_os = "android"))]
-unsafe extern "C" {
-    // `ssize_t sendfile(int out_fd, int in_fd, off_t *offset, size_t
-    // count)` — with an explicit offset pointer the file's own cursor
-    // is never read or written, so one open `File` can be shared by
-    // every connection streaming it concurrently. The offset is
-    // declared 64-bit unconditionally, so on 32-bit targets (where the
-    // plain `sendfile` symbol takes a 32-bit `off_t`) the LFS variant
-    // `sendfile64` must be bound instead — a raw extern declaration
-    // gets no help from the libc's `_FILE_OFFSET_BITS` macro magic.
-    #[cfg_attr(target_pointer_width = "32", link_name = "sendfile64")]
-    fn sendfile(
-        out_fd: core::ffi::c_int,
-        in_fd: core::ffi::c_int,
-        offset: *mut i64,
-        count: usize,
-    ) -> isize;
-}
 
 /// Transmits up to `remaining` bytes of `file`, starting at `*offset`,
 /// to the socket `out_fd`, advancing `*offset` by the number of bytes
@@ -62,23 +42,11 @@ pub fn send_file(
     offset: &mut u64,
     remaining: u64,
 ) -> io::Result<usize> {
-    use std::os::unix::io::AsRawFd;
     let count = remaining.min(MAX_SEND) as usize;
     let mut off = *offset as i64;
-    loop {
-        // SAFETY: both fds are live for the duration of the call (the
-        // caller borrows `file`); `off` is a valid exclusive pointer;
-        // the kernel reads the file range and writes only `off`.
-        let rc = unsafe { sendfile(out_fd, file.as_raw_fd(), &mut off, count) };
-        if rc >= 0 {
-            *offset = off as u64;
-            return Ok(rc as usize);
-        }
-        let err = io::Error::last_os_error();
-        if err.kind() != io::ErrorKind::Interrupted {
-            return Err(err);
-        }
-    }
+    let sent = crate::sys::sendfile(out_fd, file, &mut off, count)?;
+    *offset = off as u64;
+    Ok(sent)
 }
 
 /// Portable seam: on platforms without `sendfile(2)` the same

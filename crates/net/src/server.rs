@@ -85,11 +85,10 @@ use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::conn::machine::{sync_deadline, Conn};
 use crate::conn::{ConnIo, ConnState, Done, Drive, HelperJob, HelperPort, ProtoConfig, ShardCore};
@@ -1228,13 +1227,13 @@ impl Server {
         let mut shard_setups = Vec::with_capacity(n_shards);
         for shard_id in 0..n_shards {
             let conn_rx = if accept_mode == AcceptModeKind::Single {
-                let (conn_tx, conn_rx) = unbounded::<TcpStream>();
+                let (conn_tx, conn_rx) = channel::<TcpStream>();
                 conn_txs.push(conn_tx);
                 Some(conn_rx)
             } else {
                 None
             };
-            let (done_tx, done_rx) = unbounded::<Done<Arc<File>>>();
+            let (done_tx, done_rx) = channel::<Done<Arc<File>>>();
             let (wake_tx, wake_rx) = UnixStream::pair()?;
             wake_rx.set_nonblocking(true)?;
             let wake = WakeHandle::new(wake_tx);

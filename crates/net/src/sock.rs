@@ -6,9 +6,9 @@
 //! shard accept its own connections with no acceptor thread in
 //! between. `SO_REUSEPORT` must be set *before* `bind(2)`, which
 //! `std::net::TcpListener` cannot express, so on Linux the socket is
-//! assembled through the same thin-FFI style as [`crate::poll`] and
-//! [`crate::writev`]; other platforms fall back to `std` (and never
-//! request reuseport — see [`resolve_accept_mode`]).
+//! assembled by [`crate::sys::bind_listener`]; other platforms fall
+//! back to `std` (and never request reuseport — see
+//! [`resolve_accept_mode`]).
 //!
 //! Mode selection mirrors the readiness backend's
 //! ([`crate::event::resolve`]): [`AcceptMode::Auto`] resolves to
@@ -120,7 +120,7 @@ pub fn apply_conn_options(stream: &TcpStream) -> io::Result<()> {
 pub fn bind_listener(addr: SocketAddr, reuseport: bool) -> io::Result<TcpListener> {
     #[cfg(any(target_os = "linux", target_os = "android"))]
     {
-        ffi::bind_listener(addr, reuseport)
+        crate::sys::bind_listener(addr, reuseport)
     }
     #[cfg(not(any(target_os = "linux", target_os = "android")))]
     {
@@ -131,162 +131,6 @@ pub fn bind_listener(addr: SocketAddr, reuseport: bool) -> io::Result<TcpListene
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         Ok(listener)
-    }
-}
-
-#[cfg(any(target_os = "linux", target_os = "android"))]
-mod ffi {
-    use std::io;
-    use std::net::{SocketAddr, TcpListener};
-    use std::os::unix::io::FromRawFd;
-
-    const AF_INET: core::ffi::c_int = 2;
-    const AF_INET6: core::ffi::c_int = 10;
-    const SOCK_STREAM: core::ffi::c_int = 1;
-    const SOCK_NONBLOCK: core::ffi::c_int = 0o4000;
-    const SOCK_CLOEXEC: core::ffi::c_int = 0o2000000;
-    const SOL_SOCKET: core::ffi::c_int = 1;
-    const SO_REUSEADDR: core::ffi::c_int = 2;
-    const SO_REUSEPORT: core::ffi::c_int = 15;
-
-    /// Accept backlog. Large enough that a burst arriving while a
-    /// shard services existing connections queues in the kernel
-    /// instead of seeing RSTs.
-    const BACKLOG: core::ffi::c_int = 1024;
-
-    #[repr(C)]
-    struct SockAddrIn {
-        family: u16,
-        /// Network byte order.
-        port: u16,
-        /// Network byte order.
-        addr: u32,
-        zero: [u8; 8],
-    }
-
-    #[repr(C)]
-    struct SockAddrIn6 {
-        family: u16,
-        /// Network byte order.
-        port: u16,
-        flowinfo: u32,
-        addr: [u8; 16],
-        scope_id: u32,
-    }
-
-    unsafe extern "C" {
-        fn socket(
-            domain: core::ffi::c_int,
-            ty: core::ffi::c_int,
-            protocol: core::ffi::c_int,
-        ) -> core::ffi::c_int;
-        fn setsockopt(
-            fd: core::ffi::c_int,
-            level: core::ffi::c_int,
-            optname: core::ffi::c_int,
-            optval: *const core::ffi::c_void,
-            optlen: u32,
-        ) -> core::ffi::c_int;
-        fn bind(
-            fd: core::ffi::c_int,
-            addr: *const core::ffi::c_void,
-            addrlen: u32,
-        ) -> core::ffi::c_int;
-        fn listen(fd: core::ffi::c_int, backlog: core::ffi::c_int) -> core::ffi::c_int;
-        fn close(fd: core::ffi::c_int) -> core::ffi::c_int;
-    }
-
-    fn set_flag(fd: core::ffi::c_int, opt: core::ffi::c_int) -> io::Result<()> {
-        let one: core::ffi::c_int = 1;
-        // SAFETY: `one` outlives the call; the kernel reads exactly
-        // `optlen` bytes from it.
-        let rc = unsafe {
-            setsockopt(
-                fd,
-                SOL_SOCKET,
-                opt,
-                &one as *const _ as *const core::ffi::c_void,
-                std::mem::size_of::<core::ffi::c_int>() as u32,
-            )
-        };
-        if rc == 0 {
-            Ok(())
-        } else {
-            Err(io::Error::last_os_error())
-        }
-    }
-
-    pub fn bind_listener(addr: SocketAddr, reuseport: bool) -> io::Result<TcpListener> {
-        let family = match addr {
-            SocketAddr::V4(_) => AF_INET,
-            SocketAddr::V6(_) => AF_INET6,
-        };
-        // SAFETY: plain syscall, no pointers.
-        let fd = unsafe { socket(family, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) };
-        if fd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        let result = (|| {
-            set_flag(fd, SO_REUSEADDR)?;
-            if reuseport {
-                set_flag(fd, SO_REUSEPORT)?;
-            }
-            let rc = match addr {
-                SocketAddr::V4(v4) => {
-                    let sa = SockAddrIn {
-                        family: AF_INET as u16,
-                        port: v4.port().to_be(),
-                        addr: u32::from_ne_bytes(v4.ip().octets()),
-                        zero: [0; 8],
-                    };
-                    // SAFETY: `sa` is a valid, correctly sized
-                    // sockaddr_in the kernel only reads.
-                    unsafe {
-                        bind(
-                            fd,
-                            &sa as *const _ as *const core::ffi::c_void,
-                            std::mem::size_of::<SockAddrIn>() as u32,
-                        )
-                    }
-                }
-                SocketAddr::V6(v6) => {
-                    let sa = SockAddrIn6 {
-                        family: AF_INET6 as u16,
-                        port: v6.port().to_be(),
-                        flowinfo: v6.flowinfo(),
-                        addr: v6.ip().octets(),
-                        scope_id: v6.scope_id(),
-                    };
-                    // SAFETY: as above, for sockaddr_in6.
-                    unsafe {
-                        bind(
-                            fd,
-                            &sa as *const _ as *const core::ffi::c_void,
-                            std::mem::size_of::<SockAddrIn6>() as u32,
-                        )
-                    }
-                }
-            };
-            if rc != 0 {
-                return Err(io::Error::last_os_error());
-            }
-            // SAFETY: plain syscall on the fd we own.
-            if unsafe { listen(fd, BACKLOG) } != 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        })();
-        match result {
-            // SAFETY: fd is a fresh listening socket we exclusively
-            // own; TcpListener takes over closing it.
-            Ok(()) => Ok(unsafe { TcpListener::from_raw_fd(fd) }),
-            Err(e) => {
-                // SAFETY: fd came from socket() above and has not been
-                // handed to any owner.
-                unsafe { close(fd) };
-                Err(e)
-            }
-        }
     }
 }
 

@@ -3,12 +3,10 @@
 //! any queued continuation segments) in **one** kernel crossing
 //! without copying them into a contiguous buffer first.
 //!
-//! Like [`crate::poll`], this declares the single foreign function
-//! directly against the platform libc that every Rust program on Unix
-//! already links, keeping the paper's portability argument: only
-//! ubiquitous POSIX interfaces are used.
+//! The call itself is [`crate::sys::writev`]; this module owns the
+//! gathering policy.
 
-use std::io;
+use std::io::{self, IoSlice};
 use std::os::unix::io::RawFd;
 
 /// Most segments passed to one `writev` call. POSIX guarantees
@@ -16,19 +14,6 @@ use std::os::unix::io::RawFd;
 /// wrapper portable without querying `sysconf`. Callers loop when more
 /// segments are queued.
 pub const MAX_IOV: usize = 16;
-
-/// One gather segment — layout-compatible with `struct iovec`.
-#[repr(C)]
-#[derive(Debug, Clone, Copy)]
-struct IoVec {
-    base: *const u8,
-    len: usize,
-}
-
-unsafe extern "C" {
-    // `int fd, const struct iovec *iov, int iovcnt` on every Unix.
-    fn writev(fd: core::ffi::c_int, iov: *const IoVec, iovcnt: core::ffi::c_int) -> isize;
-}
 
 /// Writes the concatenation of `bufs` to `fd` with a single
 /// `writev(2)` call, returning the number of bytes accepted (which may
@@ -41,27 +26,11 @@ unsafe extern "C" {
 /// caller.
 pub fn writev_fd(fd: RawFd, bufs: &[&[u8]]) -> io::Result<usize> {
     let cnt = bufs.len().min(MAX_IOV);
-    let mut iov = [IoVec {
-        base: std::ptr::null(),
-        len: 0,
-    }; MAX_IOV];
+    let mut iov = [IoSlice::new(&[]); MAX_IOV];
     for (slot, buf) in iov.iter_mut().zip(&bufs[..cnt]) {
-        slot.base = buf.as_ptr();
-        slot.len = buf.len();
+        *slot = IoSlice::new(buf);
     }
-    loop {
-        // SAFETY: `iov[..cnt]` points at live, immutably borrowed
-        // slices for the duration of the call; the kernel only reads
-        // through the pointers; cnt <= MAX_IOV <= IOV_MAX.
-        let rc = unsafe { writev(fd, iov.as_ptr(), cnt as core::ffi::c_int) };
-        if rc >= 0 {
-            return Ok(rc as usize);
-        }
-        let err = io::Error::last_os_error();
-        if err.kind() != io::ErrorKind::Interrupted {
-            return Err(err);
-        }
-    }
+    crate::sys::writev(fd, &iov[..cnt])
 }
 
 #[cfg(test)]

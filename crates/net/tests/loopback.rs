@@ -840,6 +840,10 @@ fn run_mt_deadline_and_304(tag: &str, backend: BackendChoice) {
         elapsed <= timeout + Duration::from_millis(700),
         "closed late: {elapsed:?}"
     );
+    // The worker counts the cause before it drops the socket, so the
+    // close the client just observed is already in the registry.
+    assert_eq!(server.stats().read_timeouts(), 1, "header deadline");
+    assert_eq!(server.stats().idle_reaped(), 0, "not an idle reap");
 
     // 304 parity: prime, echo the validator back, expect Not Modified.
     let resp = get(addr, "GET /index.html HTTP/1.0\r\n\r\n");
@@ -857,6 +861,24 @@ fn run_mt_deadline_and_304(tag: &str, backend: BackendChoice) {
     let text = String::from_utf8_lossy(&resp);
     assert!(text.starts_with("HTTP/1.1 304 Not Modified"), "{text}");
     assert!(!text.contains("Content-Length"), "{text}");
+    server.stop();
+
+    // Idle keep-alive: one request served, then silence past the idle
+    // deadline — closed by the server and counted as an idle reap.
+    let server = MtServer::start(
+        "127.0.0.1:0",
+        cfg(&root, backend).with_idle_timeout(Some(Duration::from_millis(400))),
+    )
+    .unwrap();
+    let mut s = TcpStream::connect(server.addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    s.write_all(b"GET /index.html HTTP/1.1\r\nHost: x\r\n\r\n")
+        .unwrap();
+    let mut resp = Vec::new();
+    let _ = s.read_to_end(&mut resp);
+    assert!(resp.starts_with(b"HTTP/1.1 200 OK\r\n"), "served first");
+    assert_eq!(server.stats().idle_reaped(), 1, "idle deadline");
+    assert_eq!(server.stats().read_timeouts(), 0, "not a header timeout");
     server.stop();
     let _ = std::fs::remove_dir_all(root);
 }

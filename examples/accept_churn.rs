@@ -7,8 +7,8 @@
 //!
 //! Run with: `cargo run --release --example accept_churn`
 //! CI runs this on every push; it exits non-zero on any violation.
-//! Appends both modes' numbers to the `BENCH_net.json` perf
-//! trajectory (destination overridable with `FLASH_BENCH_JSON`).
+//! The printed rates are for the job log only; numbers to compare
+//! come from `loadbench/` (`conn_churn`).
 //!
 //! Doubles as the `/.flash/metrics` smoke: the endpoint is scraped
 //! before and after the churn, every exposition line must parse,
@@ -21,22 +21,25 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use flash_repro::net::report::percentile;
-use flash_repro::net::{AcceptMode, AcceptModeKind, BenchReport, NetConfig, Server};
+use flash_repro::net::{AcceptMode, AcceptModeKind, NetConfig, Server};
 
 const CLIENT_THREADS: usize = 8;
 const CONNS_PER_THREAD: usize = 250;
 const TOTAL_CONNS: usize = CLIENT_THREADS * CONNS_PER_THREAD;
 
-/// Hammers the server; returns the wall time, every connection's
-/// connect-to-close latency in milliseconds, and total response bytes.
-fn churn(addr: std::net::SocketAddr) -> (Duration, Vec<f64>, u64) {
+/// The `q`-quantile of a non-empty **sorted** sample, nearest rank.
+fn percentile(sorted: &[f64], q: f64) -> f64 {
+    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
+}
+
+/// Hammers the server; returns the wall time and every connection's
+/// connect-to-close latency in milliseconds.
+fn churn(addr: std::net::SocketAddr) -> (Duration, Vec<f64>) {
     let start = Instant::now();
     let threads: Vec<_> = (0..CLIENT_THREADS)
         .map(|_| {
             std::thread::spawn(move || {
                 let mut latencies = Vec::with_capacity(CONNS_PER_THREAD);
-                let mut bytes = 0u64;
                 for _ in 0..CONNS_PER_THREAD {
                     let conn_start = Instant::now();
                     let mut s = TcpStream::connect(addr).expect("connect");
@@ -50,20 +53,16 @@ fn churn(addr: std::net::SocketAddr) -> (Duration, Vec<f64>, u64) {
                         "short-lived connection not served"
                     );
                     latencies.push(conn_start.elapsed().as_secs_f64() * 1e3);
-                    bytes += resp.len() as u64;
                 }
-                (latencies, bytes)
+                latencies
             })
         })
         .collect();
     let mut latencies = Vec::with_capacity(TOTAL_CONNS);
-    let mut bytes = 0u64;
     for t in threads {
-        let (l, b) = t.join().expect("client thread");
-        latencies.extend(l);
-        bytes += b;
+        latencies.extend(t.join().expect("client thread"));
     }
-    (start.elapsed(), latencies, bytes)
+    (start.elapsed(), latencies)
 }
 
 /// One scrape of `GET /.flash/metrics`: asserts the response is 200
@@ -136,7 +135,6 @@ fn main() {
     std::fs::create_dir_all(&root).unwrap();
     std::fs::write(root.join("index.html"), b"<html>churn</html>").unwrap();
 
-    let mut report = BenchReport::new();
     for mode in [AcceptMode::Single, AcceptMode::ReusePort] {
         let server = Server::start(
             "127.0.0.1:0",
@@ -148,7 +146,7 @@ fn main() {
         .unwrap();
         let resolved = server.accept_mode();
         let (before, _) = scrape(server.addr());
-        let (elapsed, latencies_ms, bytes) = churn(server.addr());
+        let (elapsed, mut latencies_ms) = churn(server.addr());
         let (after, types) = scrape(server.addr());
         // Counters never go backwards between scrapes (gauges may;
         // histogram buckets, sums and counts are cumulative, so they
@@ -203,30 +201,19 @@ fn main() {
                 assert!(accepted > 0, "shard {i} accepted nothing under reuseport");
             }
         }
+        latencies_ms.sort_by(f64::total_cmp);
         println!(
-            "accept churn OK [{}]: {} conns in {:?} ({:.0} conns/sec), backpressure events: {}",
+            "accept churn OK [{}]: {} conns in {:?} ({:.0} conns/sec, p50 {:.3} ms, p99 {:.3} ms), \
+             backpressure events: {}",
             resolved.name(),
             TOTAL_CONNS,
             elapsed,
             TOTAL_CONNS as f64 / elapsed.as_secs_f64(),
+            percentile(&latencies_ms, 0.50),
+            percentile(&latencies_ms, 0.99),
             stats.accept_backpressure(),
         );
-        let mut sorted = latencies_ms;
-        sorted.sort_by(f64::total_cmp);
-        report.record_full(
-            &format!("accept_churn/{}", resolved.name()),
-            TOTAL_CONNS as u64,
-            elapsed.as_secs_f64(),
-            true,
-            Some(bytes),
-            percentile(&sorted, 0.50),
-            percentile(&sorted, 0.99),
-        );
         server.stop();
-    }
-    match report.write() {
-        Ok(path) => println!("bench report: {}", path.display()),
-        Err(e) => eprintln!("bench report not written: {e}"),
     }
     let _ = std::fs::remove_dir_all(&root);
 }

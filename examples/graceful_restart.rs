@@ -22,18 +22,16 @@
 //!
 //! Run with: `cargo run --release --example graceful_restart`
 //! CI runs this on every push; it exits non-zero on any violation.
-//! Appends both scenarios to the `BENCH_net.json` perf trajectory.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use flash_repro::net::{
-    recv_listeners, send_listeners, send_to_self, AcceptMode, BenchReport, NetConfig, Server,
-    Signal, Signals,
+    recv_listeners, send_listeners, send_to_self, AcceptMode, NetConfig, Server, Signal, Signals,
 };
 
 const CLIENT_THREADS: usize = 4;
@@ -66,7 +64,6 @@ fn main() {
 
     // The self-pipe is process-global; install once, reuse per mode.
     let mut signals = Signals::install(&[Signal::Term]).expect("install SIGTERM handler");
-    let mut report = BenchReport::new();
 
     for mode in [AcceptMode::Single, AcceptMode::ReusePort] {
         let cfg = || {
@@ -81,7 +78,6 @@ fn main() {
 
         let stop = Arc::new(AtomicBool::new(false));
         let served = Arc::new(AtomicU64::new(0));
-        let start = Instant::now();
         let clients: Vec<_> = (0..CLIENT_THREADS)
             .map(|_| {
                 let stop = Arc::clone(&stop);
@@ -122,7 +118,6 @@ fn main() {
             t.join().expect("a client thread failed a request");
         }
 
-        let elapsed = start.elapsed();
         let total = served.load(Ordering::Relaxed);
         let taken_by_b = b.stats().requests();
         assert!(total > 0, "the churn must have served something");
@@ -137,18 +132,8 @@ fn main() {
             total,
             taken_by_b,
         );
-        report.record(
-            &format!("graceful_restart/{}", resolved.name()),
-            total,
-            elapsed.as_secs_f64(),
-            true,
-        );
         b.stop();
     }
 
-    match report.write() {
-        Ok(path) => println!("bench report: {}", path.display()),
-        Err(e) => eprintln!("bench report not written: {e}"),
-    }
     let _ = std::fs::remove_dir_all(&root);
 }

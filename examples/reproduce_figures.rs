@@ -6,7 +6,7 @@
 //!   cargo run --release --example reproduce_figures -- quick  # smoke run
 //!
 //! The full run takes a few minutes of wall time (hundreds of simulated
-//! server-minutes); EXPERIMENTS.md archives one full run's output.
+//! server-minutes).
 
 use flash_repro::experiments::Figure;
 use flash_repro::experiments::{breakdown, dataset_sweep, single_file, trace_bars, wan, Scale};

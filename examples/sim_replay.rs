@@ -17,13 +17,10 @@
 //! Run with: `cargo run --release --example sim_replay`
 //! Connections per seed via `FLASH_SIM_CONNS` (default 350_000 across
 //! seeds {41, 42, 43} ⇒ >1M simulated connections per invocation).
-//! Appends each seed's simulated-time throughput and latency
-//! percentiles to `BENCH_net.json` under the `sim_` scenario prefix.
 
 use std::time::Instant;
 
 use flash_repro::net::sim::{self, SimConfig};
-use flash_repro::net::BenchReport;
 use flash_repro::simcore::SimRng;
 use flash_repro::workload::sitegen::{generate_files, SizeDist};
 
@@ -66,7 +63,6 @@ fn main() {
         a.connections, a.fingerprint
     );
 
-    let mut report = BenchReport::new();
     let mut total_conns = 0u64;
     for seed in SEEDS {
         let wall = Instant::now();
@@ -90,27 +86,11 @@ fn main() {
             r.not_modified,
             r.reloads,
         );
-        // Simulated-time throughput and connection-lifetime
-        // percentiles: deterministic numbers, useful as a trajectory
-        // of protocol-level (not syscall-level) cost.
-        report.record_full(
-            &format!("sim_zipf/seed{seed}"),
-            r.requests,
-            sim_secs,
-            true,
-            Some(r.bytes),
-            Some(r.p50_conn_nanos as f64 / 1e6),
-            Some(r.p99_conn_nanos as f64 / 1e6),
-        );
     }
     println!(
         "sim replay OK: {total_conns} simulated connections across {} seeds",
         SEEDS.len()
     );
-    match report.write() {
-        Ok(path) => println!("bench report: {}", path.display()),
-        Err(e) => eprintln!("bench report not written: {e}"),
-    }
 }
 
 fn fail(e: &str) -> ! {

@@ -1,7 +1,8 @@
 //! Facade crate for the Flash (USENIX 1999) reproduction workspace.
 //!
 //! Re-exports the public crates so examples and integration tests can use a
-//! single dependency. See `README.md` and `DESIGN.md` at the repository root.
+//! single dependency. See `ROADMAP.md` (where the work is going) and
+//! `CHANGES.md` (what each PR did) at the repository root.
 
 pub use flash_core as core;
 pub use flash_experiments as experiments;
