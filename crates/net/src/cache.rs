@@ -194,18 +194,6 @@ impl Entry {
         }
     }
 
-    /// The header with a current `Date` as one contiguous buffer, for
-    /// blocking send paths (the MT server) that write a single slice.
-    pub fn header_with_current_date(&self, keep: bool) -> Vec<u8> {
-        let mut segs: Vec<Bytes> = Vec::with_capacity(3);
-        self.push_header(keep, &mut segs);
-        let mut out = Vec::with_capacity(segs.iter().map(|s| s.len()).sum());
-        for s in &segs {
-            out.extend_from_slice(s);
-        }
-        out
-    }
-
     /// Whether a conditional request bearing this `If-Modified-Since`
     /// value (unix seconds, already parsed) can be answered `304`: the
     /// file has a known mtime no newer than the validator.
@@ -481,9 +469,6 @@ mod tests {
                 &baked[segs[0].len() + flash_http::date::IMF_FIXDATE_LEN..]
             );
         }
-        // The contiguous form agrees with the segmented one.
-        let flat = e.header_with_current_date(true);
-        assert_eq!(flat.len(), e.header_keep.len());
     }
 
     #[test]

@@ -165,9 +165,13 @@ impl<Io: ConnIo> Conn<Io> {
     }
 }
 
-/// How far one call to [`super::shard::drive_conn`] got.
+/// What a core call that can change a slot left behind — returned by
+/// [`ShardCore::drive_conn`](super::ShardCore::drive_conn) and
+/// [`ShardCore::expire_conn`](super::ShardCore::expire_conn), and all a
+/// driver needs to reconcile its side (see [`crate::conn`]).
 pub enum Drive {
-    /// The slot is now empty (connection finished or died).
+    /// The slot is now empty (connection finished, died, or was
+    /// closed by the core's policy).
     Closed,
     /// Progress stopped on genuine backpressure or pending work; the
     /// next readiness event or completion resumes it.

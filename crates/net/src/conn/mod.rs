@@ -6,7 +6,7 @@
 //! simulation in [`crate::sim`] (in-memory endpoints, simulated time,
 //! scheduled fault injection, millions of replayed connections).
 //!
-//! The core speaks through two narrow traits and two existing seams:
+//! The core speaks through two narrow traits:
 //!
 //! * [`ConnIo`] — everything the state machine ever asks of a
 //!   transport: `read`, gathered `writev`, and one `sendfile` chunk
@@ -18,11 +18,38 @@
 //!   submits a [`HelperJob`] and later receives a [`Done`]; whether a
 //!   helper thread pool or a simulated-latency scheduler sits behind
 //!   the port is the driver's business.
-//! * the [`crate::event::EventBackend`] and [`crate::timer::TimerWheel`]
-//!   seams are unchanged: readiness and deadlines stay driver-owned,
-//!   with the core exposing [`machine::desired_interest`] and
-//!   [`machine::sync_deadline`] so both drivers reconcile them the
-//!   same way.
+//!
+//! # The driver contract
+//!
+//! Every core call that can change a slot —
+//! [`ShardCore::drive_conn`], [`ShardCore::expire_conn`], and a
+//! [`ShardCore::complete_job`] followed by a drive of each connection
+//! it woke — ends in a [`Drive`], and the driver reconciles *its* side
+//! with the slot in one place, after every such call:
+//!
+//! * the slot is **empty** (`Drive::Closed`): forget the connection's
+//!   readiness registration and its [`crate::timer::TimerWheel`] key,
+//!   and hand the slot to whatever admits the next connection;
+//! * the slot is **occupied**: arm [`machine::desired_interest`] for
+//!   the state the connection is now in (re-arming the consumed edge
+//!   after `Drive::Yielded`), and call [`machine::sync_deadline`]. If
+//!   the transport can no longer be watched, the driver says so with
+//!   [`ShardCore::close_conn`] and treats the slot as empty.
+//!
+//! Readiness ([`crate::event::EventBackend`]) and the wheel stay
+//! driver-owned, and so do the tokens that key them: the driver mints
+//! them, and the driver checks that an event or an expired key still
+//! names the connection in the slot before it calls the core. When a
+//! wheel key fires, the driver calls `expire_conn` and reconciles; at
+//! drain entry it calls [`ShardCore::begin_drain`] and drives every
+//! `Reading` slot once.
+//!
+//! What a driver must **never** decide: which deadline class means
+//! what (the counter, the `504`-or-sever choice), whether a close has
+//! to purge a waiter registration or cancel a job, what a close
+//! records, or whether a connection is idle enough for the drain to
+//! close. Those rules live in [`shard`], once; `tests/driver_audit.rs`
+//! fails if `server.rs` or `sim.rs` grows a copy.
 //!
 //! Layout: [`machine`] holds the per-connection state machine
 //! ([`machine::Conn`], flush/gather/advance, deadline sync); [`shard`]
@@ -272,7 +299,8 @@ pub struct ProtoConfig {
 pub struct ShardStats {
     /// Completed responses (any status).
     pub requests: AtomicU64,
-    /// Connections dealt to this shard by the acceptor.
+    /// Connections this shard accepted from its own listener
+    /// (reuseport mode) or was dealt by the acceptor (single mode).
     pub accepted: AtomicU64,
     /// Jobs this shard dispatched to the helper pool (content-cache
     /// misses, after coalescing).
@@ -298,7 +326,7 @@ pub struct ShardStats {
     pub wait_calls: AtomicU64,
     /// Readiness events those waits returned (the ratio
     /// `wait_events / wait_calls` is the batching gauge exposed as
-    /// [`crate::server::ServerStats::events_per_wait`]).
+    /// [`crate::stats::ServerStats::events_per_wait`]).
     pub wait_events: AtomicU64,
     /// Keep-alive connections closed by the idle deadline (no request
     /// in flight).
@@ -358,9 +386,9 @@ pub struct ShardStats {
     /// Dynamic requests that hit `dynamic_deadline`: answered `504`
     /// before headers went out, severed mid-stream after.
     pub dynamic_timeouts: AtomicU64,
-    /// Event-loop iterations whose non-wait time exceeded the
-    /// configured `loop_stall_threshold` — the direct "did the AMPED
-    /// loop block?" probe.
+    /// Event-loop iterations whose non-wait time reached the stall
+    /// threshold (100 ms) — the direct "did the AMPED loop block?"
+    /// probe.
     pub loop_stalls: AtomicU64,
     /// Gauge (max-merged): high-water mark of per-iteration non-wait
     /// loop time, in microseconds.

@@ -112,19 +112,40 @@ impl ShardCore {
         self.epoch = generation;
     }
 
-    /// Flips the shard into drain mode (bookkeeping only; the driver
-    /// quiesces its listener and sweeps idle connections itself).
+    /// Flips the shard into drain mode. The driver quiesces its
+    /// listener and then drives every `Reading` slot once: the drive
+    /// applies the drain-entry rule (see the `WouldBlock` arm of
+    /// [`Self::drive_conn`]).
     pub fn begin_drain(&mut self) {
         self.draining = true;
         self.stats.draining.store(1, Ordering::Relaxed);
     }
 
-    /// Records a closing connection's lifetime. The core calls it on
-    /// its own close paths; drivers call it wherever *they* retire a
-    /// slot (deadline expiry, drain sweeps, registration failures).
-    pub fn note_close<Io: ConnIo>(&self, conn: &Conn<Io>, now: Instant) {
+    /// Retires slot `idx` — the one way a connection leaves the table,
+    /// for the core's own arms and for a driver that cannot keep
+    /// watching a transport. Records the lifetime, empties the slot,
+    /// and purges the waiter registration whenever the connection can
+    /// be on a list (`Waiting`, or `Writing` a still-open dynamic
+    /// stream — the membership rule [`Self::check_invariants`]
+    /// checks), so a completion that is still to come cannot reach
+    /// whichever connection reuses the slot. The common close pays one
+    /// flag test. A no-op on an empty slot.
+    pub fn close_conn<Io: ConnIo>(
+        &mut self,
+        idx: usize,
+        conns: &mut [Option<Conn<Io>>],
+        now: Instant,
+    ) {
+        let Some(conn) = conns.get(idx).and_then(|c| c.as_ref()) else {
+            return;
+        };
         if let Some(t0) = conn.opened_at {
             self.stats.hist_lifetime.record(stats::nanos_since(t0, now));
+        }
+        let listed = matches!(conn.state, ConnState::Waiting) || conn.stream_open;
+        conns[idx] = None;
+        if listed {
+            self.purge_waiter(idx);
         }
     }
 
@@ -230,8 +251,7 @@ impl ShardCore {
                     let mut buf = [0u8; 4096];
                     match conn.io.read(&mut buf) {
                         Ok(0) => {
-                            self.note_close(conn, now);
-                            conns[idx] = None;
+                            self.close_conn(idx, conns, now);
                             return Drive::Closed;
                         }
                         Ok(n) => match conn.parser.feed(&buf[..n]) {
@@ -249,11 +269,25 @@ impl ShardCore {
                             }
                         },
                         Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            return Drive::Blocked
+                            // The drain-entry rule. The transport is
+                            // read dry and nothing is buffered, so a
+                            // connection that has been answered before
+                            // is an idle keep-alive: close it now
+                            // rather than wait out its idle timeout.
+                            // One not yet answered keeps its grace to
+                            // send the request it connected for, and
+                            // buffered pipelined bytes never get here
+                            // — they were served above, and the final
+                            // flush closed the connection.
+                            if self.draining && conn.progress > 0 && conn.parser.buffered() == 0 {
+                                self.stats.drained_conns.fetch_add(1, Ordering::Relaxed);
+                                self.close_conn(idx, conns, now);
+                                return Drive::Closed;
+                            }
+                            return Drive::Blocked;
                         }
                         Err(_) => {
-                            self.note_close(conn, now);
-                            conns[idx] = None;
+                            self.close_conn(idx, conns, now);
                             return Drive::Closed;
                         }
                     }
@@ -295,16 +329,14 @@ impl ShardCore {
                                 if self.draining {
                                     self.stats.drained_conns.fetch_add(1, Ordering::Relaxed);
                                 }
-                                self.note_close(conn, now);
-                                conns[idx] = None;
+                                self.close_conn(idx, conns, now);
                                 return Drive::Closed;
                             }
                         }
                         FlushResult::WouldBlock => return Drive::Blocked,
                         FlushResult::Yielded => return Drive::Yielded,
                         FlushResult::Error => {
-                            self.note_close(conn, now);
-                            conns[idx] = None;
+                            self.close_conn(idx, conns, now);
                             return Drive::Closed;
                         }
                     }
@@ -471,6 +503,23 @@ impl ShardCore {
         conn.state = ConnState::Writing;
     }
 
+    /// Records a dispatch under `key`: mints its token and a fresh
+    /// cancellation flag, and counts the job.
+    fn register_job(&mut self, key: &str) -> (u64, Arc<AtomicBool>) {
+        let token = self.next_job_token;
+        self.next_job_token += 1;
+        let cancel = Arc::new(AtomicBool::new(false));
+        self.pending_jobs.insert(
+            key.to_string(),
+            PendingJob {
+                token,
+                cancel: Arc::clone(&cancel),
+            },
+        );
+        self.stats.helper_jobs.fetch_add(1, Ordering::Relaxed);
+        (token, cancel)
+    }
+
     /// Dispatches one job per variant key: coalesced behind the
     /// pending map, tokened so only this dispatch's completion is
     /// accepted, and carrying a fresh cancellation flag. The job
@@ -486,17 +535,7 @@ impl ShardCore {
         if self.pending_jobs.contains_key(&key) {
             return;
         }
-        let token = self.next_job_token;
-        self.next_job_token += 1;
-        let cancel = Arc::new(AtomicBool::new(false));
-        self.pending_jobs.insert(
-            key.clone(),
-            PendingJob {
-                token,
-                cancel: Arc::clone(&cancel),
-            },
-        );
-        self.stats.helper_jobs.fetch_add(1, Ordering::Relaxed);
+        let (token, cancel) = self.register_job(&key);
         // The filesystem path is always the identity representation's;
         // executors derive the `.gz` sibling themselves when the job
         // concerns the gzip variant.
@@ -539,19 +578,10 @@ impl ShardCore {
             conn.state = ConnState::Writing;
             return;
         }
-        let token = self.next_job_token;
-        self.next_job_token += 1;
-        let key = format!("\0dyn:{token}");
-        let cancel = Arc::new(AtomicBool::new(false));
-        self.pending_jobs.insert(
-            key.clone(),
-            PendingJob {
-                token,
-                cancel: Arc::clone(&cancel),
-            },
-        );
+        // Keyed by the token `register_job` mints next.
+        let key = format!("\0dyn:{}", self.next_job_token);
+        let (token, cancel) = self.register_job(&key);
         self.waiters.entry(key.clone()).or_default().push(idx);
-        self.stats.helper_jobs.fetch_add(1, Ordering::Relaxed);
         // `fs_path` carries the request path verbatim: it is the
         // worker's argument, not a filesystem name, so no docroot join
         // and no trailing-slash rewrite.
@@ -577,7 +607,7 @@ impl ShardCore {
     /// already ran dies on token mismatch in [`Self::complete_job`])
     /// and the cancel flag is raised (an executor that has not started
     /// yet skips the job entirely).
-    pub fn purge_waiter(&mut self, idx: usize) {
+    fn purge_waiter(&mut self, idx: usize) {
         let mut orphaned: Vec<String> = Vec::new();
         self.waiters.retain(|path, list| {
             list.retain(|&w| w != idx);
@@ -887,32 +917,47 @@ impl ShardCore {
         }
     }
 
-    /// Expires a dynamic-wait deadline: the worker stayed silent past
-    /// `dynamic_deadline`. Pre-header the connection gets a clean 504
-    /// and the caller drives it (`true`); mid-stream the response
-    /// cannot be repaired, so the caller severs the slot (`false`).
-    /// Either way the waiter purge raises the job's cancel flag, which
-    /// makes the helper kill — and respawn — the wedged worker.
-    pub fn expire_dynamic_wait<Io: ConnIo>(
+    /// Fires the deadline armed for slot `idx` (the driver has checked
+    /// that the wheel key still names this connection): counts the
+    /// cause and closes the slot. The one class with a choice is
+    /// [`DeadlineKind::DynamicWait`] — the worker stayed silent past
+    /// `dynamic_deadline`: before the header a clean 504 is queued and
+    /// driven out; mid-stream the response cannot be repaired and the
+    /// slot is severed. Either way the waiter purge raises the job's
+    /// cancel flag, which makes the helper kill — and respawn — the
+    /// wedged worker.
+    pub fn expire_conn<Io: ConnIo>(
         &mut self,
         idx: usize,
         conns: &mut [Option<Conn<Io>>],
-    ) -> bool {
-        self.stats.dynamic_timeouts.fetch_add(1, Ordering::Relaxed);
-        self.purge_waiter(idx);
+        port: &mut dyn HelperPort,
+        now: Instant,
+    ) -> Drive {
         let Some(conn) = conns.get_mut(idx).and_then(|c| c.as_mut()) else {
-            return false;
+            return Drive::Closed;
         };
-        conn.dynamic = false;
-        if conn.stream_open {
-            conn.stream_open = false;
-            return false;
+        let counter = match conn.deadline {
+            // No armed class: a stale key that survived the driver's
+            // check by descriptor reuse; leave the connection alone.
+            DeadlineKind::None => return Drive::Blocked,
+            DeadlineKind::Idle => &self.stats.idle_reaped,
+            DeadlineKind::Header => &self.stats.read_timeouts,
+            DeadlineKind::WriteStall => &self.stats.write_stall_timeouts,
+            DeadlineKind::HelperWait => &self.stats.helper_wait_timeouts,
+            DeadlineKind::DynamicWait => &self.stats.dynamic_timeouts,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        if conn.deadline == DeadlineKind::DynamicWait && !conn.stream_open {
+            conn.dynamic = false;
+            let body = Bytes::from(error_body(Status::GatewayTimeout));
+            queue_error(conn, Status::GatewayTimeout, body);
+            set_log(conn, Status::GatewayTimeout.code(), Tier::Error);
+            conn.state = ConnState::Writing;
+            self.purge_waiter(idx);
+            return self.drive_conn(idx, conns, port, now);
         }
-        let body = Bytes::from(error_body(Status::GatewayTimeout));
-        queue_error(conn, Status::GatewayTimeout, body);
-        set_log(conn, Status::GatewayTimeout.code(), Tier::Error);
-        conn.state = ConnState::Writing;
-        true
+        self.close_conn(idx, conns, now);
+        Drive::Closed
     }
 
     /// Verifies the shard's structural invariants against its

@@ -1,5 +1,5 @@
 //! Portable `poll(2)` backend — the fallback half of the readiness
-//! subsystem, over the one call every Unix has ([`crate::sys::poll`]):
+//! subsystem, over the one call every Unix has (`sys::poll`):
 //! the paper's portability argument, only ubiquitous interfaces.
 //!
 //! The interest table is maintained incrementally (register / modify /

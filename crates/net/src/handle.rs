@@ -18,8 +18,10 @@ use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::PathBuf;
 
+use crate::config::NetConfig;
 use crate::mt::MtServer;
-use crate::server::{NetConfig, Server, ServerStats};
+use crate::server::Server;
+use crate::stats::ServerStats;
 
 /// The architecture-independent handle to a running server: everything
 /// an operator (or a test battery) does to a server it did not start.

@@ -6,14 +6,14 @@
 //! * [`server::Server`] — **sharded AMPED**:
 //!   `NetConfig::event_loops` independent event-loop shards (default
 //!   `min(cores, 8)`) with a **pluggable accept path**
-//!   ([`server::NetConfig::accept_mode`], resolved by [`sock`]): in
+//!   ([`NetConfig::accept_mode`], resolved by [`sock`]): in
 //!   the default reuseport mode (Linux; `Auto`, overridable with
 //!   `FLASH_ACCEPT_MODE=single|reuseport`) **each shard owns its own
 //!   `SO_REUSEPORT` listener** registered in its own event backend —
 //!   the kernel load-balances connection setup across all shards, no
 //!   acceptor thread serializes it, and no cross-thread dealing hop
 //!   precedes a request; backpressure is local (a shard at
-//!   [`server::NetConfig::max_conns_per_shard`], or out of
+//!   [`NetConfig::max_conns_per_shard`], or out of
 //!   descriptors, quiesces its listener interest and re-arms as slots
 //!   free — `accept_backpressure` counts it). The portable single
 //!   mode keeps a lightweight acceptor thread dealing connections
@@ -24,7 +24,7 @@
 //!   `EPOLLIN|EPOLLOUT|EPOLLET`, incremental `epoll_ctl` interest
 //!   updates — O(ready fds) per iteration) and a portable `poll(2)`
 //!   fallback (no external I/O crates; O(watched fds) per iteration),
-//!   selected by [`server::NetConfig::backend`] (`Auto` = epoll on Linux,
+//!   selected by [`NetConfig::backend`] (`Auto` = epoll on Linux,
 //!   overridable with `FLASH_EVENT_BACKEND=poll|epoll`). The loop is
 //!   written to the **edge-triggered contract** (see [`event`]): reads
 //!   drain to `EWOULDBLOCK`, write interest is armed only while a send
@@ -32,18 +32,18 @@
 //!   consumed edge. Every connection carries a **per-state deadline**
 //!   in its shard's hashed **timing wheel** ([`timer`]; the paper's
 //!   §6.4 slow-WAN-client concern): a header-read deadline from the
-//!   first request byte ([`server::NetConfig::header_read_timeout`],
+//!   first request byte ([`NetConfig::header_read_timeout`],
 //!   default 15 s — slowloris senders; deliberately *not* refreshed by
 //!   trickled bytes), a write-progress deadline re-armed on every byte
-//!   of forward progress ([`server::NetConfig::write_stall_timeout`],
+//!   of forward progress ([`NetConfig::write_stall_timeout`],
 //!   default 30 s — stalled readers, on both the `writev` and
 //!   `sendfile` paths), and the keep-alive idle timeout
-//!   ([`server::NetConfig::idle_timeout`], default 30 s) between
+//!   ([`NetConfig::idle_timeout`], default 30 s) between
 //!   requests; each knob is `Option` (`None` disables that class). The
 //!   wheel sets the backend's wait timeout ("next wheel tick, or
 //!   block") and expires in **O(expired)** — no connection-table scan
 //!   — with each cause counted separately (`read_timeouts`,
-//!   `write_stall_timeouts`, `idle_reaped` in [`server::ServerStats`]).
+//!   `write_stall_timeouts`, `idle_reaped` in [`ServerStats`]).
 //!   The MT server honours the same knobs through blocking-socket
 //!   timeouts. Conditional requests are answered: 200s carry
 //!   `Last-Modified`, a strong `ETag`, and a real, per-second-cached
@@ -65,7 +65,7 @@
 //!   pre-rendered and go out in a single gathered `writev(2)` (see
 //!   [`writev`]) with partial-write resumption tracked across segment
 //!   boundaries, while bodies above
-//!   [`server::NetConfig::sendfile_threshold_bytes`] (default
+//!   [`NetConfig::sendfile_threshold_bytes`] (default
 //!   256 KiB) bypass the content cache entirely and stream from the
 //!   kernel page cache with `sendfile(2)` (see [`sendfile`]) — so the
 //!   in-memory cache budget holds only the small-file hot set, and a
@@ -74,7 +74,7 @@
 //!   ([`cache::MAX_ENTRY_DIVISOR`]), so one huge body can never churn
 //!   a shard's working set. Cached entries do not outlive the files
 //!   they were rendered from: a hit older than
-//!   [`server::NetConfig::cache_revalidate_ttl`] (default 2 s) is
+//!   [`NetConfig::cache_revalidate_ttl`] (default 2 s) is
 //!   re-stat'ed by a helper before it is trusted — unchanged files
 //!   revalidate for free (`revalidations`), changed or deleted ones
 //!   are evicted and reloaded (`stale_evicted`).
@@ -134,7 +134,9 @@
 //!
 //! Driver #1 is the production server described above; its loop only
 //! moves bytes and readiness, so every behavior worth testing lives
-//! below the seams. Driver #2 replays millions of connections in
+//! below the seams. What a driver owes the core after each call, and
+//! what it must never decide for itself, is written down once, in
+//! [`conn`] (*The driver contract*). Driver #2 replays millions of connections in
 //! seconds of wall time: same-seed runs are **bit-identical** (the
 //! report's fingerprint folds every response byte), and the fault mix
 //! — partial writes, trickled headers, disk stalls, wedged helpers,
@@ -142,6 +144,14 @@
 //! real sockets drive. `cargo run --release --example sim_replay`
 //! is the CI entry point; `crates/net/tests/conn_machine.rs` uses the
 //! same seams to prove byte-boundary independence exhaustively.
+//!
+//! Module map of the AMPED side: [`config`] ([`NetConfig`], its
+//! validating builder, and the one mapping to the core's
+//! [`conn::ProtoConfig`]); [`server`] ([`Server`] and the shard
+//! driver); `pool.rs` (the helper pool: job lanes, wake handles, the
+//! shard's `HelperPort` with its residency test); `accept.rs` (the
+//! single-acceptor loop, shared with [`mt`]); [`stats`] (the metrics
+//! registry and [`ServerStats`] over it).
 //!
 //! ## How to add a fault to the sim
 //!
@@ -286,7 +296,7 @@
 //!
 //! # The dynamic tier: persistent workers, chunked streaming
 //!
-//! Paths under [`server::NetConfig::dynamic_prefix`] (builder:
+//! Paths under [`NetConfig::dynamic_prefix`] (builder:
 //! `dynamic_prefix("/app/")`) bypass the filesystem entirely and are
 //! answered by a pool of **persistent worker processes**
 //! ([`appworker::WorkerPool`]) — the paper's CGI concern (§2.2,
@@ -318,7 +328,7 @@
 //! precedence over any dynamic prefix, including `/` itself.
 //!
 //! Worker silence is bounded by
-//! [`server::NetConfig::dynamic_deadline`] (default 10 s), riding the
+//! [`NetConfig::dynamic_deadline`] (default 10 s), riding the
 //! same timing wheel as the other deadline classes: expiry **before
 //! the first frame** yields a `504 Gateway Timeout`; expiry
 //! **mid-stream** severs the connection, leaving the truncation
@@ -412,7 +422,7 @@
 //! |---|---|---|
 //! | `requests` | counter | Completed responses (any status), excluding `/.flash/` responses |
 //! | `metrics_requests` | counter | Responses served by the `/.flash/*` endpoints |
-//! | `accepted` | counter | Connections accepted and dealt to shards |
+//! | `accepted` | counter | Connections accepted, by the shards' own listeners or the acceptor |
 //! | `helper_jobs` | counter | Disk jobs dispatched after miss coalescing — whoever ends up executing them |
 //! | `inline_jobs` | counter | The subset of `helper_jobs` the residency test answered in the dispatching loop turn; jobs handed to the pool = `helper_jobs − inline_jobs` |
 //! | `cache_hits` | counter | Responses served from the content cache |
@@ -437,7 +447,7 @@
 //! | `dynamic_timeouts` | counter | Dynamic requests that hit `dynamic_deadline` (504 pre-header, severed mid-stream) |
 //! | `draining` | gauge | Shards currently in drain mode |
 //! | `drained_conns` | counter | Connections retired by a drain |
-//! | `loop_stalls` | counter | Iterations whose non-wait time exceeded [`server::NetConfig::loop_stall_threshold`] |
+//! | `loop_stalls` | counter | Iterations whose non-wait time reached the stall threshold (100 ms) |
 //! | `loop_stall_max_us` | gauge (max) | High-water per-iteration non-wait time, µs |
 //! | `phase_{wait,accept,read,respond,completions,timers}_us` | counter | Cumulative µs per event-loop phase |
 //!
@@ -452,14 +462,14 @@
 //! probe of the AMPED contract that the event loop never blocks: each
 //! iteration's non-wait time is split across the six phases, its
 //! maximum is kept in `loop_stall_max_us`, and any iteration busier
-//! than `loop_stall_threshold` (default 100 ms) increments
+//! than the threshold (a constant 100 ms) increments
 //! `loop_stalls` — a nonzero value means some phase performed blocking
 //! work on the event thread.
 //!
 //! ## Endpoints
 //!
-//! With [`server::NetConfig::metrics_endpoint`] enabled (builder:
-//! `with_metrics_endpoint(true)`), both servers answer two reserved
+//! With [`NetConfig::metrics_endpoint`] enabled (builder:
+//! `metrics_endpoint(true)`), both servers answer two reserved
 //! paths in-band on every shard, served from the counters without
 //! touching cache or helpers:
 //!
@@ -477,8 +487,8 @@
 //!
 //! ## Access log
 //!
-//! [`server::NetConfig::access_log_path`] (builder:
-//! `with_access_log(path)`) turns on a structured per-response log,
+//! [`NetConfig::access_log_path`] (builder:
+//! `access_log_path(path)`) turns on a structured per-response log,
 //! one line per completed response in common-log field order with
 //! latency and serving tier appended:
 //!
@@ -522,8 +532,10 @@
 //! returns a `Box<dyn ServeHandle>` with `local_addr` / `stats` /
 //! `reload_docroot` / `drain` / `stop`.
 
+mod accept;
 pub mod appworker;
 pub mod cache;
+pub mod config;
 pub mod conn;
 pub mod event;
 pub mod fsjob;
@@ -531,6 +543,7 @@ pub mod handle;
 pub mod handoff;
 pub mod lifecycle;
 pub mod mt;
+mod pool;
 pub mod sendfile;
 pub mod server;
 pub mod sim;
@@ -542,11 +555,13 @@ pub mod writev;
 
 pub use appworker::WorkerPool;
 pub use cache::{ContentCache, Entry};
+pub use config::{ConfigError, NetConfig, NetConfigBuilder};
+pub use conn::ShardStats;
 pub use event::{BackendChoice, BackendKind, EventBackend};
 pub use handle::{ServeHandle, ServerKind};
 pub use handoff::{recv_listeners, request_listeners, send_listeners, HandoffControl};
 pub use lifecycle::{send_to_self, Signal, Signals};
 pub use mt::MtServer;
-pub use server::{ConfigError, NetConfig, NetConfigBuilder, Server, ServerStats, ShardStats};
+pub use server::Server;
 pub use sock::{AcceptMode, AcceptModeKind};
-pub use stats::{HistSnapshot, HistSummary, Histogram};
+pub use stats::{HistSnapshot, HistSummary, Histogram, ServerStats};

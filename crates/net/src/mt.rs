@@ -45,15 +45,16 @@ use flash_http::request::{ParseStatus, Request};
 use flash_http::response::{error_body, ResponseHeader, Status};
 use flash_http::Method;
 
+use crate::accept::{prepare_accept_backend, run_accept_loop, AcceptSink};
 use crate::appworker::{self, WorkerPool};
 use crate::cache::{self, ContentCache, Entry, Lookup, Variant};
+use crate::config::NetConfig;
 use crate::conn::plan::{plan_response, BodySource, RequestCond, Resource, ResponsePlan};
 use crate::conn::{FileData, HelperJob, JobKind, LoadResult, ShardStats};
 use crate::fsjob;
 use crate::lifecycle::{LifecycleShared, PHASE_DRAINING, PHASE_STOPPING};
-use crate::server::{prepare_accept_backend, run_accept_loop, AcceptSink, NetConfig, ServerStats};
 use crate::sock;
-use crate::stats::{self as metrics, AccessLogWriter, AccessRecord, Tier};
+use crate::stats::{self as metrics, AccessLogWriter, AccessRecord, ServerStats, Tier};
 
 /// The shared content cache plus the reload generation its entries
 /// were loaded under — one lock covers both, so a SIGHUP flush and

@@ -10,7 +10,7 @@
 //! budget nor a userspace copy (PAPER.md §4.4's mapped-file instinct,
 //! taken all the way to the page cache).
 //!
-//! The call itself is [`crate::sys::sendfile`]. On platforms without
+//! The call itself is `sys::sendfile`. On platforms without
 //! a usable `sendfile` (anything non-Linux here) the same seam is
 //! served by a positional `read` + `write` loop — strictly more
 //! copies, identical observable behavior — so callers never branch on

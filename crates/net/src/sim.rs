@@ -55,8 +55,8 @@ use flash_workload::Zipf;
 use crate::cache::{self, Variant};
 use crate::conn::machine::{sync_deadline, Conn, ConnState};
 use crate::conn::{
-    ConnIo, DeadlineKind, Done, DoneData, Drive, DynEvent, FileData, HelperJob, HelperPort,
-    JobKind, LoadResult, ProtoConfig, ShardCore, ShardStats,
+    ConnIo, Done, DoneData, Drive, DynEvent, FileData, HelperJob, HelperPort, JobKind, LoadResult,
+    ProtoConfig, ShardCore, ShardStats,
 };
 use crate::stats::HistSummary;
 use crate::timer::TimerWheel;
@@ -454,6 +454,14 @@ fn conn_token(slot: usize, uid: u32) -> u64 {
     ((slot as u64) << 32) | uid as u64
 }
 
+/// The connection a calendar event or wheel key was minted for — the
+/// stale-token guard: `None` once the slot is empty or holds a later
+/// connection.
+fn conn_for(conns: &mut [Option<Conn<SimIo>>], slot: usize, uid: u32) -> Option<&mut Conn<SimIo>> {
+    let conn = conns.get_mut(slot)?.as_mut()?;
+    (conn.io.uid == uid).then_some(conn)
+}
+
 struct Sim {
     cfg: SimConfig,
     files: HashMap<String, SimFile>,
@@ -770,48 +778,50 @@ impl Sim {
         self.drive(slot);
     }
 
-    /// Pumps one connection as far as it goes, reconciling deadlines
-    /// and scheduling a window refill when output is gated on the
-    /// peer; mirrors the real driver's `drive_and_sync`.
+    /// Pumps one connection as far as it goes and reconciles.
     fn drive(&mut self, slot: usize) {
+        let now = self.now_i();
+        let outcome = self
+            .core
+            .drive_conn(slot, &mut self.conns, &mut self.port, now);
+        self.reconcile(slot, outcome);
+    }
+
+    /// The sim's side of the driver contract, run after every core
+    /// call that can change a slot: completes what the call
+    /// dispatched, drives on while that (or a voluntary yield) leaves
+    /// the connection runnable, then retires an emptied slot or syncs
+    /// the deadline and schedules a window refill when output is gated
+    /// on the peer.
+    fn reconcile(&mut self, slot: usize, mut outcome: Drive) {
+        let now = self.now_i();
         loop {
-            let now = self.now_i();
-            let outcome = self
+            // A resident job dispatched by the drive is completed here
+            // and now: the connection (its only waiter) is `Writing`,
+            // so it goes round again before deadlines are synced — it
+            // is never seen `Waiting`, as in the real driver.
+            self.dispatch_jobs();
+            if self.woken.is_empty() && !matches!(outcome, Drive::Yielded) {
+                break;
+            }
+            debug_assert!(self.woken.iter().all(|&w| w == slot));
+            self.woken.clear();
+            outcome = self
                 .core
                 .drive_conn(slot, &mut self.conns, &mut self.port, now);
-            // A resident job dispatched by this drive was completed by
-            // `dispatch_jobs` already: the connection (its only waiter)
-            // is `Writing`, so go round again before syncing deadlines
-            // — it is never seen `Waiting`, as in the real driver.
-            self.dispatch_jobs();
-            if !self.woken.is_empty() {
-                debug_assert!(self.woken.iter().all(|&w| w == slot));
-                self.woken.clear();
-                continue;
-            }
-            match outcome {
-                Drive::Yielded => continue,
-                Drive::Closed => {
-                    self.finalize(slot);
-                    return;
-                }
-                Drive::Blocked => {
-                    let Some(conn) = self.conns[slot].as_mut() else {
-                        return;
-                    };
-                    let token = conn_token(slot, conn.io.uid);
-                    sync_deadline(conn, token, &self.core.cfg, &mut self.wheel, now);
-                    let gated =
-                        conn.io.window == 0 && (!conn.out.is_empty() || conn.sendfile.is_some());
-                    if gated && !conn.io.refill_pending {
-                        conn.io.refill_pending = true;
-                        let uid = conn.io.uid;
-                        let d = 50_000 + self.rng.exp(0.4 * MILLI as f64) as u64;
-                        self.queue.schedule_in(d, Ev::Refill { slot, uid });
-                    }
-                    return;
-                }
-            }
+        }
+        let Some(conn) = self.conns[slot].as_mut() else {
+            self.finalize(slot);
+            return;
+        };
+        let token = conn_token(slot, conn.io.uid);
+        sync_deadline(conn, token, &self.core.cfg, &mut self.wheel, now);
+        let gated = conn.io.window == 0 && (!conn.out.is_empty() || conn.sendfile.is_some());
+        if gated && !conn.io.refill_pending {
+            conn.io.refill_pending = true;
+            let uid = conn.io.uid;
+            let d = 50_000 + self.rng.exp(0.4 * MILLI as f64) as u64;
+            self.queue.schedule_in(d, Ev::Refill { slot, uid });
         }
     }
 
@@ -1016,57 +1026,20 @@ impl Sim {
         self.live -= 1;
     }
 
-    /// Expires due deadlines (mirroring the real loop's expiry block)
-    /// and keeps a backstop `Tick` scheduled for the next pending one.
+    /// Fires due deadlines and keeps a backstop `Tick` scheduled for
+    /// the next pending one.
     fn pump_timers(&mut self) {
         let now = self.now_i();
         let mut expired = std::mem::take(&mut self.expired_scratch);
         self.wheel.expire(now, &mut expired);
         for tok in expired.drain(..) {
             let slot = (tok >> 32) as usize;
-            let uid = tok as u32;
-            let kind = match self
-                .conns
-                .get(slot)
-                .and_then(|c| c.as_ref())
-                .filter(|c| c.io.uid == uid)
-            {
-                Some(c) => c.deadline,
-                None => continue,
-            };
-            if kind == DeadlineKind::DynamicWait {
-                // A wedged application worker. The shared expiry path
-                // purges the waiter (raising the job's cancel flag)
-                // and either queues the 504 — pre-header — or demands
-                // a mid-stream sever.
-                if self.core.expire_dynamic_wait(slot, &mut self.conns) {
-                    self.drive(slot);
-                } else {
-                    if let Some(c) = self.conns[slot].as_ref() {
-                        self.core.note_close(c, now);
-                    }
-                    self.conns[slot] = None;
-                    self.finalize(slot);
-                }
-                continue;
+            if conn_for(&mut self.conns, slot, tok as u32).is_some() {
+                let outcome = self
+                    .core
+                    .expire_conn(slot, &mut self.conns, &mut self.port, now);
+                self.reconcile(slot, outcome);
             }
-            let counter = match kind {
-                DeadlineKind::Idle => &self.core.stats.idle_reaped,
-                DeadlineKind::Header => &self.core.stats.read_timeouts,
-                DeadlineKind::WriteStall => &self.core.stats.write_stall_timeouts,
-                DeadlineKind::HelperWait => &self.core.stats.helper_wait_timeouts,
-                DeadlineKind::DynamicWait => unreachable!("handled above"),
-                DeadlineKind::None => continue,
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
-            if let Some(c) = self.conns[slot].as_ref() {
-                self.core.note_close(c, now);
-            }
-            self.conns[slot] = None;
-            if kind == DeadlineKind::HelperWait {
-                self.core.purge_waiter(slot);
-            }
-            self.finalize(slot);
         }
         self.expired_scratch = expired;
         if let Some(ms) = self.wheel.next_timeout_ms(now) {
@@ -1124,12 +1097,7 @@ impl Sim {
                 }
             }
             Ev::Arrive { slot, uid } => {
-                let Some(conn) = self
-                    .conns
-                    .get_mut(slot)
-                    .and_then(|c| c.as_mut())
-                    .filter(|c| c.io.uid == uid)
-                else {
+                let Some(conn) = conn_for(&mut self.conns, slot, uid) else {
                     return Ok(());
                 };
                 if let Some((_, chunk)) = conn.io.script.pop_front() {
@@ -1141,12 +1109,7 @@ impl Sim {
                 }
             }
             Ev::Refill { slot, uid } => {
-                let Some(conn) = self
-                    .conns
-                    .get_mut(slot)
-                    .and_then(|c| c.as_mut())
-                    .filter(|c| c.io.uid == uid)
-                else {
+                let Some(conn) = conn_for(&mut self.conns, slot, uid) else {
                     return Ok(());
                 };
                 conn.io.refill_pending = false;
@@ -1189,28 +1152,16 @@ impl Sim {
                 self.tick_at = None;
             }
             Ev::BeginDrain => {
+                // Drain entry, as in the real driver: flip the core,
+                // then drive every `Reading` slot once — whether the
+                // drain closes it is the core's rule.
                 self.core.begin_drain();
-                // Sweep idle keep-alives at once, like the real
-                // driver's drain entry.
                 for slot in 0..self.conns.len() {
-                    let idle = matches!(
-                        &self.conns[slot],
-                        Some(c) if matches!(c.state, ConnState::Reading)
-                            && c.parser.buffered() == 0
-                            && c.out.is_empty()
-                            && c.sendfile.is_none()
-                    );
-                    if idle {
-                        self.core
-                            .stats
-                            .drained_conns
-                            .fetch_add(1, Ordering::Relaxed);
-                        if let Some(c) = self.conns[slot].as_ref() {
-                            let now = self.now_i();
-                            self.core.note_close(c, now);
-                        }
-                        self.conns[slot] = None;
-                        self.finalize(slot);
+                    let reading = self.conns[slot]
+                        .as_ref()
+                        .is_some_and(|c| matches!(c.state, ConnState::Reading));
+                    if reading {
+                        self.drive(slot);
                     }
                 }
                 self.check("after drain entry")?;
@@ -1379,6 +1330,30 @@ mod tests {
         assert!(report.hist_helper_wait.count > 0, "{report:?}");
         assert!(report.hist_ttfb.count > 0, "{report:?}");
         assert!(report.hist_request.p99_nanos >= report.hist_request.p50_nanos);
+    }
+
+    /// A connection whose first request chunk is still in flight when
+    /// the drain begins (trickle delays reach 10 ms; the drain starts
+    /// 5 ms after the last open) has not been answered yet: the core's
+    /// drain-entry rule must spare it, and it is served before the
+    /// drain retires it.
+    #[test]
+    fn drain_entry_spares_a_connection_not_yet_answered() {
+        let mut cfg = SimConfig::new(3, 1);
+        cfg.faults = FaultPlan::none();
+        let mut sim = Sim::new(cfg, &small_site(7));
+        sim.admit();
+        sim.handle(Ev::BeginDrain).expect("drain entry");
+        assert_eq!(sim.live, 1, "swept before its request arrived");
+        while let Some((_, ev)) = sim.queue.pop() {
+            sim.handle(ev).expect("invariants");
+            sim.pump_timers();
+        }
+        assert_eq!(sim.live, 0);
+        let stats = &sim.core.stats;
+        assert!(stats.requests.load(Ordering::Relaxed) >= 1);
+        assert_eq!(stats.drained_conns.load(Ordering::Relaxed), 1);
+        sim.check("final").expect("invariants");
     }
 
     /// The acceptance bar: same seed ⇒ byte-identical report (the

@@ -6,7 +6,7 @@
 //! shard accept its own connections with no acceptor thread in
 //! between. `SO_REUSEPORT` must be set *before* `bind(2)`, which
 //! `std::net::TcpListener` cannot express, so on Linux the socket is
-//! assembled by [`crate::sys::bind_listener`]; other platforms fall
+//! assembled by `sys::bind_listener`; other platforms fall
 //! back to `std` (and never request reuseport — see
 //! [`resolve_accept_mode`]).
 //!
@@ -24,7 +24,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 
 /// How the server distributes `accept(2)` work (see
-/// [`crate::server::NetConfig::accept_mode`]).
+/// [`crate::config::NetConfig::accept_mode`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AcceptMode {
     /// Platform default — per-shard `SO_REUSEPORT` listeners on Linux,

@@ -1,6 +1,6 @@
 //! The **metrics registry**: one place that knows every counter,
 //! gauge, and latency histogram the server maintains, so the
-//! aggregated [`crate::server::ServerStats`] getters, the Prometheus
+//! aggregated [`ServerStats`] getters, the Prometheus
 //! text exposition, and the JSON export all read through the same
 //! descriptors and cannot drift apart.
 //!
@@ -20,10 +20,14 @@
 //! from the merged buckets is within one bucket — a factor of two —
 //! of the exact sample quantile.
 
+mod server_stats;
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::conn::ShardStats;
+
+pub use server_stats::ServerStats;
 
 /// Elapsed nanoseconds between two driver-supplied instants,
 /// saturating at zero — the sole conversion the instrumentation uses,
@@ -261,7 +265,7 @@ registry! {
     DYNAMIC_TIMEOUTS / dynamic_timeouts: Counter, Sum, "Dynamic requests that hit dynamic_deadline (504 pre-header, severed mid-stream)";
     DRAINING / draining: Gauge, Sum, "Shards currently in drain mode";
     DRAINED_CONNS / drained_conns: Counter, Sum, "Connections retired by a drain";
-    LOOP_STALLS / loop_stalls: Counter, Sum, "Event-loop iterations whose non-wait time exceeded loop_stall_threshold";
+    LOOP_STALLS / loop_stalls: Counter, Sum, "Event-loop iterations whose non-wait time reached the 100 ms stall threshold";
     LOOP_STALL_MAX_US / loop_stall_max_us: Gauge, Max, "High-water mark of per-iteration non-wait loop time, microseconds";
     PHASE_WAIT_US / phase_wait_us: Counter, Sum, "Cumulative microseconds spent blocked in readiness wait";
     PHASE_ACCEPT_US / phase_accept_us: Counter, Sum, "Cumulative microseconds spent accepting connections";

@@ -9,7 +9,7 @@
 //!
 //! A wrapper adds nothing to its call but the `rc < 0` → `errno`
 //! conversion and, for the calls a signal can interrupt, the `EINTR`
-//! retry loop ([`retry_eintr`]); policy — how many segments to gather,
+//! retry loop (`retry_eintr`); policy — how many segments to gather,
 //! which interest maps to which event bits, what a short `sendfile`
 //! means — stays with the caller ([`crate::writev`],
 //! [`crate::sendfile`], [`crate::event`], [`crate::sock`],

@@ -110,11 +110,6 @@ impl TimerWheel {
         self.armed.contains_key(&key)
     }
 
-    /// The tick granularity.
-    pub fn tick_duration(&self) -> Duration {
-        self.tick
-    }
-
     /// Number of armed (live) timers.
     pub fn pending(&self) -> usize {
         self.armed.len()

@@ -3,7 +3,7 @@
 //! any queued continuation segments) in **one** kernel crossing
 //! without copying them into a contiguous buffer first.
 //!
-//! The call itself is [`crate::sys::writev`]; this module owns the
+//! The call itself is `sys::writev`; this module owns the
 //! gathering policy.
 
 use std::io::{self, IoSlice};

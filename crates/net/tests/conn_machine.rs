@@ -15,23 +15,37 @@ use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::path::PathBuf;
 use std::rc::Rc;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use flash_net::cache::Variant;
-use flash_net::conn::machine::Conn;
+use flash_net::conn::machine::{sync_deadline, Conn};
 use flash_net::conn::{
-    ConnIo, Done, DoneData, FileData, HelperJob, HelperPort, JobKind, LoadResult, ProtoConfig,
-    ShardCore, ShardStats,
+    ConnIo, ConnState, Done, DoneData, Drive, DynEvent, FileData, HelperJob, HelperPort, JobKind,
+    LoadResult, ProtoConfig, ShardCore, ShardStats,
 };
 use flash_net::timer::TimerWheel;
 use flash_simcore::SimRng;
 
-/// An always-writable in-memory transport; the response stream is
-/// captured behind an `Rc` so it survives the core closing the slot.
+/// An in-memory transport, writable unless `write_err` says every
+/// write fails that way; the response stream is captured behind an
+/// `Rc` so it survives the core closing the slot.
 struct TestIo {
     inbox: VecDeque<u8>,
     captured: Rc<RefCell<Vec<u8>>>,
+    write_err: Option<io::ErrorKind>,
+}
+
+impl TestIo {
+    fn new(captured: &Rc<RefCell<Vec<u8>>>) -> TestIo {
+        TestIo {
+            inbox: VecDeque::new(),
+            captured: Rc::clone(captured),
+            write_err: None,
+        }
+    }
 }
 
 impl ConnIo for TestIo {
@@ -49,6 +63,9 @@ impl ConnIo for TestIo {
     }
 
     fn writev(&mut self, bufs: &[&[u8]]) -> io::Result<usize> {
+        if let Some(kind) = self.write_err {
+            return Err(kind.into());
+        }
         let mut out = self.captured.borrow_mut();
         let mut n = 0;
         for b in bufs {
@@ -174,10 +191,7 @@ fn replay(burst: &[u8], chunks: &[&[u8]], files: &HashMap<String, (Vec<u8>, bool
     assert_eq!(chunks.iter().map(|c| c.len()).sum::<usize>(), burst.len());
     let mut core = core();
     let captured = Rc::new(RefCell::new(Vec::new()));
-    let mut conns = vec![Some(Conn::new(TestIo {
-        inbox: VecDeque::new(),
-        captured: Rc::clone(&captured),
-    }))];
+    let mut conns = vec![Some(Conn::new(TestIo::new(&captured)))];
     let mut port = SyncPort { jobs: Vec::new() };
     let now = Instant::now();
     let wheel = TimerWheel::new(std::time::Duration::from_millis(10));
@@ -284,4 +298,144 @@ fn three_way_splits_match_for_mixed_tiers() {
         scrub_dates(&mut got);
         assert_eq!(got, baseline, "split at ({a}, {b}) diverged");
     }
+}
+
+/// A dynamic stream's waiter registration must die with its
+/// connection, however the connection dies mid-stream — a transport
+/// error on the flush, or the write-stall deadline on a peer that
+/// stopped reading. Otherwise the slot's index stays on the
+/// `\0dyn:<token>` list with the job uncancelled, and the worker's
+/// next chunk is framed and sent — fresh `200` header and all — to
+/// whichever connection is accepted into the recycled slot.
+#[test]
+fn a_dead_dynamic_stream_cannot_reach_the_slots_next_connection() {
+    for death in [io::ErrorKind::BrokenPipe, io::ErrorKind::WouldBlock] {
+        let mut core = core();
+        core.cfg.dynamic_prefix = Some("/app/".to_string());
+        core.cfg.write_stall_timeout = Some(Duration::from_secs(30));
+        let captured = Rc::new(RefCell::new(Vec::new()));
+        let mut conns = vec![Some(Conn::new(TestIo::new(&captured)))];
+        let mut port = SyncPort { jobs: Vec::new() };
+        let mut wheel = TimerWheel::new(Duration::from_millis(10));
+        let mut completed = Vec::new();
+        let now = Instant::now();
+        let check = |core: &ShardCore, conns: &[Option<Conn<TestIo>>], wheel: &TimerWheel| {
+            core.check_invariants(conns, wheel, |_| 0)
+                .unwrap_or_else(|e| panic!("{death:?}: {e}"));
+        };
+
+        let io = &mut conns[0].as_mut().unwrap().io;
+        io.inbox.extend(b"GET /app/x HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert!(matches!(
+            core.drive_conn(0, &mut conns, &mut port, now),
+            Drive::Blocked
+        ));
+        let job = port.jobs.pop().expect("a dynamic job was dispatched");
+        assert_eq!(job.kind, JobKind::Dynamic);
+        check(&core, &conns, &wheel);
+        let chunk = |body: &'static [u8]| Done {
+            path: job.path.clone(),
+            data: DoneData::Dynamic(DynEvent::Chunk(Bytes::from(body))),
+            epoch: job.epoch,
+            token: job.token,
+        };
+
+        // Chunk 1 is delivered and flushed; the stream stays open.
+        core.complete_job(chunk(b"one"), &mut conns, &mut completed, &mut port, now);
+        assert_eq!(completed, [0]);
+        assert!(matches!(
+            core.drive_conn(0, &mut conns, &mut port, now),
+            Drive::Blocked
+        ));
+        assert!(captured.borrow().ends_with(b"3\r\none\r\n"));
+        check(&core, &conns, &wheel);
+
+        // The client goes away; chunk 2 finds that out.
+        conns[0].as_mut().unwrap().io.write_err = Some(death);
+        core.complete_job(chunk(b"two"), &mut conns, &mut completed, &mut port, now);
+        let outcome = core.drive_conn(0, &mut conns, &mut port, now);
+        if death == io::ErrorKind::WouldBlock {
+            // Backpressure, not an error: the connection sits `Writing`
+            // with its stream open until the write-stall deadline fires.
+            assert!(matches!(outcome, Drive::Blocked));
+            let conn = conns[0].as_mut().unwrap();
+            assert!(matches!(conn.state, ConnState::Writing) && conn.stream_open);
+            sync_deadline(conn, 0, &core.cfg, &mut wheel, now);
+            check(&core, &conns, &wheel);
+            let outcome = core.expire_conn(0, &mut conns, &mut port, now);
+            wheel.cancel(0);
+            assert!(matches!(outcome, Drive::Closed));
+            assert_eq!(core.stats.write_stall_timeouts.load(Ordering::Relaxed), 1);
+        } else {
+            assert!(matches!(outcome, Drive::Closed));
+        }
+        assert!(conns[0].is_none());
+        check(&core, &conns, &wheel);
+        assert!(job.is_cancelled(), "{death:?}: the worker runs for nobody");
+        assert_eq!(core.stats.jobs_cancelled.load(Ordering::Relaxed), 1);
+        assert!(core.waiters.is_empty() && core.pending_jobs.is_empty());
+
+        // A new client is accepted into the recycled slot; the worker,
+        // not yet stopped, emits chunk 3 under the old token.
+        let fresh = Rc::new(RefCell::new(Vec::new()));
+        conns[0] = Some(Conn::new(TestIo::new(&fresh)));
+        completed.clear();
+        core.complete_job(chunk(b"three"), &mut conns, &mut completed, &mut port, now);
+        assert!(
+            completed.is_empty(),
+            "{death:?}: a stale chunk woke someone"
+        );
+        let _ = core.drive_conn(0, &mut conns, &mut port, now);
+        assert!(
+            fresh.borrow().is_empty(),
+            "{death:?}: a stale chunk was sent"
+        );
+        check(&core, &conns, &wheel);
+    }
+}
+
+/// One connection's fate at drain entry: `served` is answered before
+/// the drain begins, `unread` sits in the transport when it does.
+/// Returns whether the slot is still occupied after the drain-entry
+/// drive, how many `200`s went out in all, and `drained_conns`.
+fn at_drain_entry(served: &[u8], unread: &[u8]) -> (bool, usize, u64) {
+    let files = disk();
+    let mut core = core();
+    let captured = Rc::new(RefCell::new(Vec::new()));
+    let mut conns = vec![Some(Conn::new(TestIo::new(&captured)))];
+    let mut port = SyncPort { jobs: Vec::new() };
+    let wheel = TimerWheel::new(Duration::from_millis(10));
+    let now = Instant::now();
+    conns[0].as_mut().unwrap().io.inbox.extend(served);
+    settle(&mut core, &mut conns, &mut port, &files, now);
+    core.check_invariants(&conns, &wheel, |_| 0).unwrap();
+    conns[0].as_mut().unwrap().io.inbox.extend(unread);
+    // What a driver does at drain entry: flip the core, then drive
+    // every `Reading` slot once.
+    core.begin_drain();
+    settle(&mut core, &mut conns, &mut port, &files, now);
+    core.check_invariants(&conns, &wheel, |_| 0).unwrap();
+    let oks = captured
+        .borrow()
+        .windows(13)
+        .filter(|w| w == b"HTTP/1.1 200 ")
+        .count();
+    (
+        conns[0].is_some(),
+        oks,
+        core.stats.drained_conns.load(Ordering::Relaxed),
+    )
+}
+
+/// The drain-entry rule lives in the core, so every driver gets the
+/// same one: an answered, idle keep-alive closes at once; requests
+/// already in the transport are served first; a connection not yet
+/// answered — or mid-request — keeps its grace.
+#[test]
+fn drain_entry_closes_only_answered_idle_connections() {
+    const GET: &[u8] = b"GET /a.html HTTP/1.1\r\nHost: t\r\n\r\n";
+    assert_eq!(at_drain_entry(b"", b""), (true, 0, 0), "not yet answered");
+    assert_eq!(at_drain_entry(GET, b""), (false, 1, 1), "answered and idle");
+    assert_eq!(at_drain_entry(GET, GET), (false, 2, 1), "a request unread");
+    assert_eq!(at_drain_entry(GET, &GET[..9]), (true, 1, 0), "mid-request");
 }

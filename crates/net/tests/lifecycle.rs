@@ -55,7 +55,10 @@ fn read_response(s: &mut TcpStream) -> (String, Vec<u8>) {
 #[test]
 fn drain_completes_inflight_sendfile() {
     let root = docroot("drain-sendfile");
-    let cfg = NetConfig::new(&root).with_drain_timeout(Duration::from_secs(10));
+    let cfg = NetConfig::builder(&root)
+        .drain_timeout(Duration::from_secs(10))
+        .build()
+        .unwrap();
     let server = Server::start("127.0.0.1:0", cfg).unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -79,7 +82,10 @@ fn drain_completes_inflight_sendfile() {
 #[test]
 fn drain_completes_pipelined_burst() {
     let root = docroot("drain-pipeline");
-    let cfg = NetConfig::new(&root).with_drain_timeout(Duration::from_secs(10));
+    let cfg = NetConfig::builder(&root)
+        .drain_timeout(Duration::from_secs(10))
+        .build()
+        .unwrap();
     let server = Server::start("127.0.0.1:0", cfg).unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -112,9 +118,11 @@ fn drain_closes_idle_keepalive_promptly() {
     let root = docroot("drain-idle");
     // Idle timeout far beyond the assertion window: a prompt close
     // proves the drain swept the connection, not the idle reaper.
-    let cfg = NetConfig::new(&root)
-        .with_drain_timeout(Duration::from_secs(30))
-        .with_idle_timeout(Some(Duration::from_secs(30)));
+    let cfg = NetConfig::builder(&root)
+        .drain_timeout(Duration::from_secs(30))
+        .idle_timeout(Some(Duration::from_secs(30)))
+        .build()
+        .unwrap();
     let server = Server::start("127.0.0.1:0", cfg).unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -225,9 +233,11 @@ fn reload_swaps_docroot_without_dropping_connection() {
 #[test]
 fn port_rebindable_by_new_generation_during_drain() {
     let root = docroot("rebind");
-    let cfg = NetConfig::new(&root)
-        .with_accept_mode(AcceptMode::ReusePort)
-        .with_drain_timeout(Duration::from_secs(10));
+    let cfg = NetConfig::builder(&root)
+        .accept_mode(AcceptMode::ReusePort)
+        .drain_timeout(Duration::from_secs(10))
+        .build()
+        .unwrap();
     let server = Server::start("127.0.0.1:0", cfg.clone()).unwrap();
     let addr = server.addr();
     // Hold the drain open: a fresh connection that has not sent its
@@ -270,7 +280,10 @@ fn port_rebindable_by_new_generation_during_drain() {
 #[test]
 fn handoff_passes_single_listener_across_generations() {
     let root = docroot("handoff-single");
-    let cfg = NetConfig::new(&root).with_accept_mode(AcceptMode::Single);
+    let cfg = NetConfig::builder(&root)
+        .accept_mode(AcceptMode::Single)
+        .build()
+        .unwrap();
     let old = Server::start("127.0.0.1:0", cfg.clone()).unwrap();
     let addr = old.addr();
 
@@ -312,9 +325,11 @@ fn helper_wait_deadline_reaps_wedged_waiter() {
     let fifo = root.join("wedge.fifo");
     mkfifo_at(&fifo);
 
-    let mut cfg = NetConfig::new(&root)
-        .with_event_loops(1)
-        .with_helper_wait_timeout(Some(Duration::from_millis(400)));
+    let mut cfg = NetConfig::builder(&root)
+        .event_loops(1)
+        .helper_wait_timeout(Some(Duration::from_millis(400)))
+        .build()
+        .unwrap();
     cfg.helpers = 1; // the single helper wedges; nothing else moves
     let server = Server::start("127.0.0.1:0", cfg).unwrap();
     let addr = server.addr();
@@ -397,7 +412,10 @@ fn mt_drain_completes_inflight_and_reloads_live() {
     let root_a = docroot("mt-lc-a");
     let root_b = docroot("mt-lc-b");
     std::fs::write(root_b.join("index.html"), b"<html>generation two</html>\n").unwrap();
-    let cfg = NetConfig::new(&root_a).with_drain_timeout(Duration::from_secs(10));
+    let cfg = NetConfig::builder(&root_a)
+        .drain_timeout(Duration::from_secs(10))
+        .build()
+        .unwrap();
     let server = MtServer::start("127.0.0.1:0", cfg).unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -521,9 +539,11 @@ fn sighup_rotates_access_log_without_losing_lines() {
     let log_path = root.join("access.log");
     let server = Server::start(
         "127.0.0.1:0",
-        NetConfig::new(&root)
-            .with_event_loops(2)
-            .with_access_log(&log_path),
+        NetConfig::builder(&root)
+            .event_loops(2)
+            .access_log_path(&log_path)
+            .build()
+            .unwrap(),
     )
     .unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
@@ -594,7 +614,10 @@ fn mt_access_log_rotation_loses_no_lines() {
     let log_path = root.join("access.log");
     let server = MtServer::start(
         "127.0.0.1:0",
-        NetConfig::new(&root).with_access_log(&log_path),
+        NetConfig::builder(&root)
+            .access_log_path(&log_path)
+            .build()
+            .unwrap(),
     )
     .unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
@@ -646,9 +669,11 @@ fn reaping_last_waiter_cancels_inflight_jobs() {
     let queued = root.join("queued.fifo");
     mkfifo_at(&queued);
 
-    let mut cfg = NetConfig::new(&root)
-        .with_event_loops(1)
-        .with_helper_wait_timeout(Some(Duration::from_millis(300)));
+    let mut cfg = NetConfig::builder(&root)
+        .event_loops(1)
+        .helper_wait_timeout(Some(Duration::from_millis(300)))
+        .build()
+        .unwrap();
     cfg.helpers = 1; // one lane: the queued job sits behind the wedge
     let server = Server::start("127.0.0.1:0", cfg).unwrap();
     let addr = server.addr();
@@ -767,10 +792,12 @@ fn run_resident_misses_bypass_wedged_helper(tag: &str, backend: flash_net::Backe
     let fifo = root.join("wedge.fifo");
     mkfifo_at(&fifo);
 
-    let mut cfg = NetConfig::new(&root)
-        .with_backend(backend)
-        .with_event_loops(1)
-        .with_helper_wait_timeout(Some(Duration::from_secs(20)));
+    let mut cfg = NetConfig::builder(&root)
+        .backend(backend)
+        .event_loops(1)
+        .helper_wait_timeout(Some(Duration::from_secs(20)))
+        .build()
+        .unwrap();
     cfg.helpers = 1;
     let server = Server::start("127.0.0.1:0", cfg).unwrap();
     let addr = server.addr();
@@ -843,4 +870,86 @@ fn resident_misses_bypass_wedged_helper_epoll() {
 #[test]
 fn resident_misses_bypass_wedged_helper_poll() {
     run_resident_misses_bypass_wedged_helper("resident-poll", flash_net::BackendChoice::Poll);
+}
+
+/// The per-shard connection cap, end to end: a shard at
+/// `max_conns_per_shard` stops accepting — later connections complete
+/// their handshake into the kernel backlog and wait there, unanswered
+/// — and every close admits exactly one of them. A close the
+/// occupancy count missed would strand the queue; one counted twice
+/// would admit past the cap. The cap is backpressure, not an error.
+#[cfg(target_os = "linux")]
+fn run_connection_cap_admits_one_per_close(tag: &str, backend: flash_net::BackendChoice) {
+    let root = docroot(tag);
+    let cfg = NetConfig::builder(&root)
+        .backend(backend)
+        .accept_mode(AcceptMode::ReusePort)
+        .event_loops(1)
+        .max_conns_per_shard(2)
+        .build()
+        .unwrap();
+    let server = Server::start("127.0.0.1:0", cfg).unwrap();
+    let addr = server.addr();
+    let open = || {
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.write_all(b"GET /index.html HTTP/1.1\r\nHost: t\r\n\r\n")
+            .unwrap();
+        s
+    };
+    let served = |s: &mut TcpStream, who: &str| {
+        s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let mut first = [0u8; 1];
+        assert!(
+            matches!(s.peek(&mut first), Ok(1)),
+            "{who} was not answered within 2 s"
+        );
+        let (text, body) = read_response(s);
+        assert!(text.starts_with("HTTP/1.1 200 OK"), "{who}: {text}");
+        assert_eq!(body, b"<html>hello flash</html>\n", "{who}");
+    };
+    let unanswered = |s: &mut TcpStream, who: &str| {
+        s.set_read_timeout(Some(Duration::from_millis(300)))
+            .unwrap();
+        let mut first = [0u8; 1];
+        let got = s.peek(&mut first);
+        assert!(
+            got.as_ref().is_err_and(|e| matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            )),
+            "{who} got through a full shard: {got:?}"
+        );
+    };
+
+    let mut a = open();
+    served(&mut a, "A");
+    let mut b = open();
+    served(&mut b, "B");
+    let mut c = open();
+    unanswered(&mut c, "C");
+    drop(a);
+    served(&mut c, "C");
+    // B and C hold both slots again.
+    let mut d = open();
+    unanswered(&mut d, "D");
+    drop(b);
+    served(&mut d, "D");
+
+    let stats = server.stats();
+    assert_eq!(stats.accepted(), 4);
+    assert_eq!(stats.accept_backpressure(), 0, "the cap is not an error");
+    server.stop();
+    let _ = std::fs::remove_dir_all(root);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn connection_cap_admits_one_per_close_epoll() {
+    run_connection_cap_admits_one_per_close("cap-epoll", flash_net::BackendChoice::Epoll);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn connection_cap_admits_one_per_close_poll() {
+    run_connection_cap_admits_one_per_close("cap-poll", flash_net::BackendChoice::Poll);
 }

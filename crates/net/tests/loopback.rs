@@ -14,7 +14,8 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use flash_net::{
-    AcceptMode, AcceptModeKind, BackendChoice, BackendKind, MtServer, NetConfig, Server, ServerKind,
+    AcceptMode, AcceptModeKind, BackendChoice, BackendKind, MtServer, NetConfig, NetConfigBuilder,
+    Server, ServerKind,
 };
 use flash_simcore::SimRng;
 
@@ -31,8 +32,8 @@ fn docroot(tag: &str) -> std::path::PathBuf {
 
 /// Base config for a suite run: everything default except the pinned
 /// readiness backend.
-fn cfg(root: &std::path::Path, backend: BackendChoice) -> NetConfig {
-    NetConfig::new(root).with_backend(backend)
+fn cfg(root: &std::path::Path, backend: BackendChoice) -> NetConfigBuilder {
+    NetConfig::builder(root).backend(backend)
 }
 
 /// Sends one request and reads until EOF; returns the raw response.
@@ -76,7 +77,7 @@ fn read_response(s: &mut TcpStream) -> (String, Vec<u8>) {
 
 fn run_serves_files_and_404s(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend)).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
     let addr = server.addr();
 
     let resp = get(addr, "GET /index.html HTTP/1.0\r\n\r\n");
@@ -103,7 +104,11 @@ fn run_second_request_hits_cache(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
     // One shard: all three connections share one content cache, so
     // exactly one disk read happens (shards have private caches).
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend).with_event_loops(1)).unwrap();
+    let server = Server::start(
+        "127.0.0.1:0",
+        cfg(&root, backend).event_loops(1).build().unwrap(),
+    )
+    .unwrap();
     let addr = server.addr();
     let _ = get(addr, "GET /index.html HTTP/1.0\r\n\r\n");
     let _ = get(addr, "GET /index.html HTTP/1.0\r\n\r\n");
@@ -119,7 +124,7 @@ fn run_second_request_hits_cache(tag: &str, backend: BackendChoice) {
 
 fn run_persistent_connection(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend)).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     for i in 0..5 {
@@ -136,7 +141,7 @@ fn run_persistent_connection(tag: &str, backend: BackendChoice) {
 
 fn run_streams_large_files_intact(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend)).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
     let resp = get(server.addr(), "GET /big.bin HTTP/1.0\r\n\r\n");
     let body = body_of(&resp);
     assert_eq!(body.len(), 2_000_000);
@@ -164,8 +169,10 @@ fn run_sendfile_threshold_straddle(tag: &str, backend: BackendChoice) {
     let server = Server::start(
         "127.0.0.1:0",
         cfg(&root, backend)
-            .with_event_loops(1)
-            .with_sendfile_threshold(T),
+            .event_loops(1)
+            .sendfile_threshold_bytes(T)
+            .build()
+            .unwrap(),
     )
     .unwrap();
     let addr = server.addr();
@@ -192,7 +199,7 @@ fn run_sendfile_preserves_keep_alive(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
     let body: Vec<u8> = (0..500_000usize).map(|i| (i * 13) as u8).collect();
     std::fs::write(root.join("video.bin"), &body).unwrap();
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend)).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     // Large (sendfile) request, then a small (cached) one on the SAME
@@ -216,7 +223,7 @@ fn run_sendfile_preserves_keep_alive(tag: &str, backend: BackendChoice) {
 
 fn run_head_on_large_file(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend)).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
     let resp = get(server.addr(), "HEAD /big.bin HTTP/1.0\r\n\r\n");
     let text = String::from_utf8_lossy(&resp);
     assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
@@ -236,7 +243,11 @@ fn run_head_on_large_file(tag: &str, backend: BackendChoice) {
 
 fn run_large_bodies_never_enter_cache(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend).with_event_loops(1)).unwrap();
+    let server = Server::start(
+        "127.0.0.1:0",
+        cfg(&root, backend).event_loops(1).build().unwrap(),
+    )
+    .unwrap();
     let addr = server.addr();
     // Warm the small-file hot set, then snapshot cache residency.
     let _ = get(addr, "GET /index.html HTTP/1.0\r\n\r\n");
@@ -265,7 +276,7 @@ fn run_large_bodies_never_enter_cache(tag: &str, backend: BackendChoice) {
 
 fn run_concurrent_clients(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend)).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
     let addr = server.addr();
     let threads: Vec<_> = (0..16)
         .map(|i| {
@@ -292,7 +303,7 @@ fn run_concurrent_clients(tag: &str, backend: BackendChoice) {
 
 fn run_pipelined_keep_alive(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend)).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     // Three keep-alive requests in a single write: the server must
@@ -326,8 +337,10 @@ fn run_shards_spread_round_robin(tag: &str, backend: BackendChoice) {
     let server = Server::start(
         "127.0.0.1:0",
         cfg(&root, backend)
-            .with_event_loops(4)
-            .with_accept_mode(AcceptMode::Single),
+            .event_loops(4)
+            .accept_mode(AcceptMode::Single)
+            .build()
+            .unwrap(),
     )
     .unwrap();
     let addr = server.addr();
@@ -354,7 +367,11 @@ fn run_shards_spread_round_robin(tag: &str, backend: BackendChoice) {
 
 fn run_cache_hit_is_one_writev(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend).with_event_loops(1)).unwrap();
+    let server = Server::start(
+        "127.0.0.1:0",
+        cfg(&root, backend).event_loops(1).build().unwrap(),
+    )
+    .unwrap();
     let addr = server.addr();
     // Warm the cache, then measure the syscall count of a hit.
     let _ = get(addr, "GET /index.html HTTP/1.0\r\n\r\n");
@@ -374,7 +391,7 @@ fn run_cache_hit_is_one_writev(tag: &str, backend: BackendChoice) {
 
 fn run_rejects_bad_requests_and_post(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend)).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
     let addr = server.addr();
     let resp = get(addr, "BOGUS /x HTTP/9.9\r\n\r\n");
     assert!(String::from_utf8_lossy(&resp).starts_with("HTTP/1.1 400"));
@@ -389,7 +406,7 @@ fn run_rejects_bad_requests_and_post(tag: &str, backend: BackendChoice) {
 
 fn run_head_returns_headers_only(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend)).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
     let resp = get(server.addr(), "HEAD /index.html HTTP/1.0\r\n\r\n");
     let text = String::from_utf8_lossy(&resp);
     assert!(text.starts_with("HTTP/1.1 200 OK"));
@@ -401,7 +418,7 @@ fn run_head_returns_headers_only(tag: &str, backend: BackendChoice) {
 
 fn run_headers_are_alignment_padded(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend)).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
     let resp = get(server.addr(), "GET /index.html HTTP/1.0\r\n\r\n");
     let pos = resp.windows(4).position(|w| w == b"\r\n\r\n").unwrap();
     assert_eq!((pos + 4) % 32, 0, "header must be 32-byte aligned (§5.5)");
@@ -420,8 +437,10 @@ fn run_idle_reaper(tag: &str, backend: BackendChoice) {
     let server = Server::start(
         "127.0.0.1:0",
         cfg(&root, backend)
-            .with_event_loops(1)
-            .with_idle_timeout(Some(Duration::from_millis(1200))),
+            .event_loops(1)
+            .idle_timeout(Some(Duration::from_millis(1200)))
+            .build()
+            .unwrap(),
     )
     .unwrap();
     let addr = server.addr();
@@ -483,12 +502,14 @@ fn run_slow_header_deadline(tag: &str, backend: BackendChoice) {
     let server = Server::start(
         "127.0.0.1:0",
         cfg(&root, backend)
-            .with_event_loops(1)
-            .with_header_read_timeout(Some(timeout))
+            .event_loops(1)
+            .header_read_timeout(Some(timeout))
             // Generous sibling timeouts so only the header deadline
             // can be the one that fires.
-            .with_idle_timeout(Some(Duration::from_secs(30)))
-            .with_write_stall_timeout(Some(Duration::from_secs(30))),
+            .idle_timeout(Some(Duration::from_secs(30)))
+            .write_stall_timeout(Some(Duration::from_secs(30)))
+            .build()
+            .unwrap(),
     )
     .unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
@@ -536,10 +557,12 @@ fn run_stalled_reader_deadline(tag: &str, backend: BackendChoice) {
     let server = Server::start(
         "127.0.0.1:0",
         cfg(&root, backend)
-            .with_event_loops(1)
-            .with_write_stall_timeout(Some(timeout))
-            .with_idle_timeout(Some(Duration::from_secs(30)))
-            .with_header_read_timeout(Some(Duration::from_secs(30))),
+            .event_loops(1)
+            .write_stall_timeout(Some(timeout))
+            .idle_timeout(Some(Duration::from_secs(30)))
+            .header_read_timeout(Some(Duration::from_secs(30)))
+            .build()
+            .unwrap(),
     )
     .unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
@@ -594,8 +617,10 @@ fn run_slow_but_steady_reader_survives(tag: &str, backend: BackendChoice) {
     let server = Server::start(
         "127.0.0.1:0",
         cfg(&root, backend)
-            .with_event_loops(1)
-            .with_write_stall_timeout(Some(timeout)),
+            .event_loops(1)
+            .write_stall_timeout(Some(timeout))
+            .build()
+            .unwrap(),
     )
     .unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
@@ -638,7 +663,11 @@ fn run_slow_but_steady_reader_survives(tag: &str, backend: BackendChoice) {
 /// bumped), a stale one gets the full 200 with `Last-Modified`.
 fn run_if_modified_since(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend).with_event_loops(1)).unwrap();
+    let server = Server::start(
+        "127.0.0.1:0",
+        cfg(&root, backend).event_loops(1).build().unwrap(),
+    )
+    .unwrap();
     let addr = server.addr();
 
     // Prime: the 200 carries Last-Modified (the validator clients echo).
@@ -719,7 +748,11 @@ fn run_if_modified_since(tag: &str, backend: BackendChoice) {
 /// send time rather than serving the load-time date forever.
 fn run_date_header_is_current(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend).with_event_loops(1)).unwrap();
+    let server = Server::start(
+        "127.0.0.1:0",
+        cfg(&root, backend).event_loops(1).build().unwrap(),
+    )
+    .unwrap();
     let date_of = |resp: &[u8]| -> i64 {
         let text = String::from_utf8_lossy(resp);
         let date = text
@@ -759,7 +792,7 @@ fn run_date_header_is_current(tag: &str, backend: BackendChoice) {
 /// Connection-header token lists steer keep-alive end to end.
 fn run_connection_token_list(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend)).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
     let addr = server.addr();
     // 1.0 + "keep-alive, upgrade": must keep the connection open.
     let mut s = TcpStream::connect(addr).unwrap();
@@ -785,7 +818,7 @@ fn run_connection_token_list(tag: &str, backend: BackendChoice) {
 
 fn run_mt_server(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
-    let server = MtServer::start("127.0.0.1:0", cfg(&root, backend)).unwrap();
+    let server = MtServer::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
     let addr = server.addr();
     let threads: Vec<_> = (0..8)
         .map(|_| {
@@ -816,8 +849,10 @@ fn run_mt_deadline_and_304(tag: &str, backend: BackendChoice) {
     let server = MtServer::start(
         "127.0.0.1:0",
         cfg(&root, backend)
-            .with_header_read_timeout(Some(timeout))
-            .with_idle_timeout(Some(Duration::from_secs(30))),
+            .header_read_timeout(Some(timeout))
+            .idle_timeout(Some(Duration::from_secs(30)))
+            .build()
+            .unwrap(),
     )
     .unwrap();
     let addr = server.addr();
@@ -867,7 +902,10 @@ fn run_mt_deadline_and_304(tag: &str, backend: BackendChoice) {
     // deadline — closed by the server and counted as an idle reap.
     let server = MtServer::start(
         "127.0.0.1:0",
-        cfg(&root, backend).with_idle_timeout(Some(Duration::from_millis(400))),
+        cfg(&root, backend)
+            .idle_timeout(Some(Duration::from_millis(400)))
+            .build()
+            .unwrap(),
     )
     .unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
@@ -893,8 +931,10 @@ fn run_reuseport_accept_distribution(tag: &str, backend: BackendChoice) {
     let server = Server::start(
         "127.0.0.1:0",
         cfg(&root, backend)
-            .with_event_loops(4)
-            .with_accept_mode(AcceptMode::ReusePort),
+            .event_loops(4)
+            .accept_mode(AcceptMode::ReusePort)
+            .build()
+            .unwrap(),
     )
     .unwrap();
     if server.accept_mode() != AcceptModeKind::ReusePort {
@@ -939,8 +979,10 @@ fn run_accept_mode_parity(tag: &str, backend: BackendChoice, mode: AcceptMode) {
     let server = Server::start(
         "127.0.0.1:0",
         cfg(&root, backend)
-            .with_event_loops(2)
-            .with_accept_mode(mode),
+            .event_loops(2)
+            .accept_mode(mode)
+            .build()
+            .unwrap(),
     )
     .unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
@@ -979,8 +1021,10 @@ fn run_accept_shutdown_with_inflight(tag: &str, backend: BackendChoice, mode: Ac
     let server = Server::start(
         "127.0.0.1:0",
         cfg(&root, backend)
-            .with_event_loops(2)
-            .with_accept_mode(mode),
+            .event_loops(2)
+            .accept_mode(mode)
+            .build()
+            .unwrap(),
     )
     .unwrap();
     let addr = server.addr();
@@ -1015,8 +1059,10 @@ fn run_accept_port_rebind_after_stop(tag: &str, backend: BackendChoice, mode: Ac
     let server = Server::start(
         "127.0.0.1:0",
         cfg(&root, backend)
-            .with_event_loops(2)
-            .with_accept_mode(mode),
+            .event_loops(2)
+            .accept_mode(mode)
+            .build()
+            .unwrap(),
     )
     .unwrap();
     let addr = server.addr();
@@ -1029,8 +1075,10 @@ fn run_accept_port_rebind_after_stop(tag: &str, backend: BackendChoice, mode: Ac
     let server2 = Server::start(
         addr,
         cfg(&root, backend)
-            .with_event_loops(2)
-            .with_accept_mode(AcceptMode::Single),
+            .event_loops(2)
+            .accept_mode(AcceptMode::Single)
+            .build()
+            .unwrap(),
     )
     .expect("port must be rebindable after stop");
     assert_eq!(server2.addr(), addr);
@@ -1050,8 +1098,10 @@ fn run_cache_revalidation(tag: &str, backend: BackendChoice) {
     let server = Server::start(
         "127.0.0.1:0",
         cfg(&root, backend)
-            .with_event_loops(1)
-            .with_cache_revalidate_ttl(Some(ttl)),
+            .event_loops(1)
+            .cache_revalidate_ttl(Some(ttl))
+            .build()
+            .unwrap(),
     )
     .unwrap();
     let addr = server.addr();
@@ -1116,7 +1166,10 @@ fn run_mt_cache_revalidation(tag: &str, backend: BackendChoice) {
     let ttl = Duration::from_millis(100);
     let server = MtServer::start(
         "127.0.0.1:0",
-        cfg(&root, backend).with_cache_revalidate_ttl(Some(ttl)),
+        cfg(&root, backend)
+            .cache_revalidate_ttl(Some(ttl))
+            .build()
+            .unwrap(),
     )
     .unwrap();
     let addr = server.addr();
@@ -1133,7 +1186,7 @@ fn run_mt_cache_revalidation(tag: &str, backend: BackendChoice) {
 
 fn run_backend_resolution(tag: &str, backend: BackendChoice, expect: BackendKind) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend)).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
     assert_eq!(server.backend(), expect);
     // Sanity: the resolved backend actually serves.
     let resp = get(server.addr(), "GET /index.html HTTP/1.0\r\n\r\n");
@@ -1446,8 +1499,10 @@ fn run_send_plane_parity(tag: &str, backend: BackendChoice) {
     let server = Server::start(
         "127.0.0.1:0",
         cfg(&root, backend)
-            .with_event_loops(1)
-            .with_sendfile_threshold(8 * 1024),
+            .event_loops(1)
+            .sendfile_threshold_bytes(8 * 1024)
+            .build()
+            .unwrap(),
     )
     .unwrap();
     check_send_plane(server.addr(), &pat, &patbig);
@@ -1466,7 +1521,10 @@ fn run_mt_send_plane_parity(tag: &str, backend: BackendChoice) {
     let (root, pat, patbig) = parity_root(tag);
     let server = MtServer::start(
         "127.0.0.1:0",
-        cfg(&root, backend).with_sendfile_threshold(8 * 1024),
+        cfg(&root, backend)
+            .sendfile_threshold_bytes(8 * 1024)
+            .build()
+            .unwrap(),
     )
     .unwrap();
     check_send_plane(server.addr(), &pat, &patbig);
@@ -1493,8 +1551,10 @@ fn run_random_range_windows(tag: &str, backend: BackendChoice, mt: bool) {
     std::fs::write(root.join("wsmall.bin"), &small).unwrap();
     std::fs::write(root.join("wbig.bin"), &big).unwrap();
     let c = cfg(&root, backend)
-        .with_event_loops(1)
-        .with_sendfile_threshold(T);
+        .event_loops(1)
+        .sendfile_threshold_bytes(T)
+        .build()
+        .unwrap();
     // Both drivers behind the one ServeHandle surface: no per-server
     // match arms anywhere below.
     let kind = if mt {
@@ -1868,7 +1928,11 @@ fn real_gzip_fixture_range_and_variant_parity() {
         assert_eq!(body_of(&resp), &identity[..]);
     };
 
-    let server = Server::start("127.0.0.1:0", NetConfig::new(&root).with_event_loops(1)).unwrap();
+    let server = Server::start(
+        "127.0.0.1:0",
+        NetConfig::builder(&root).event_loops(1).build().unwrap(),
+    )
+    .unwrap();
     check(server.addr());
     server.stop();
 

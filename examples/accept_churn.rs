@@ -138,10 +138,12 @@ fn main() {
     for mode in [AcceptMode::Single, AcceptMode::ReusePort] {
         let server = Server::start(
             "127.0.0.1:0",
-            NetConfig::new(&root)
-                .with_event_loops(4)
-                .with_accept_mode(mode)
-                .with_metrics_endpoint(true),
+            NetConfig::builder(&root)
+                .event_loops(4)
+                .accept_mode(mode)
+                .metrics_endpoint(true)
+                .build()
+                .unwrap(),
         )
         .unwrap();
         let resolved = server.accept_mode();

@@ -67,10 +67,12 @@ fn main() {
 
     for mode in [AcceptMode::Single, AcceptMode::ReusePort] {
         let cfg = || {
-            NetConfig::new(&root)
-                .with_event_loops(2)
-                .with_accept_mode(mode)
-                .with_drain_timeout(Duration::from_secs(30))
+            NetConfig::builder(&root)
+                .event_loops(2)
+                .accept_mode(mode)
+                .drain_timeout(Duration::from_secs(30))
+                .build()
+                .unwrap()
         };
         let a = Server::start("127.0.0.1:0", cfg()).expect("generation A");
         let addr = a.addr();
