@@ -16,7 +16,6 @@ use std::sync::Arc;
 use crate::conn::ShardStats;
 use crate::event::{new_backend, BackendChoice, Event, EventBackend, Interest};
 use crate::pool::WakeHandle;
-use crate::sock;
 
 /// Token for an accept loop's listener registration.
 const ACCEPT_LISTENER_TOKEN: u64 = 0;
@@ -81,7 +80,13 @@ pub(crate) fn run_accept_loop(
             retry_accept = false;
             loop {
                 match listener.accept() {
-                    Ok((stream, _)) => sink.on_conn(stream),
+                    Ok((stream, _)) => {
+                        // Linux copies the listener's TCP_NODELAY to
+                        // the accepted socket (`crate::sock`).
+                        #[cfg(not(any(target_os = "linux", target_os = "android")))]
+                        let _ = stream.set_nodelay(true);
+                        sink.on_conn(stream)
+                    }
                     Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(_) => {
                         retry_accept = true;
@@ -105,7 +110,9 @@ pub(crate) struct ShardDealer {
 
 impl AcceptSink for ShardDealer {
     fn on_conn(&mut self, stream: TcpStream) {
-        if sock::apply_conn_options(&stream).is_err() {
+        // The one per-connection call this path keeps: the accept
+        // loop is shared with the MT server, whose sockets must block.
+        if stream.set_nonblocking(true).is_err() {
             return;
         }
         if self.conn_txs[self.next].send(stream).is_ok() {

@@ -86,9 +86,9 @@ pub struct Conn<Io: ConnIo> {
     /// rendered by a helper completion long after the `Request` is
     /// gone.
     pub cond: RequestCond,
-    /// Interest currently armed in the driver's event backend; the
-    /// driver reconciles this against the state machine after every
-    /// drive.
+    /// Interest currently armed in the driver's event backend (from
+    /// the moment the driver registers the connection); the driver
+    /// reconciles this against the state machine after every drive.
     pub interest: Interest,
     /// Deadline class currently armed in the shard's timing wheel;
     /// reconciled alongside interest after every drive.

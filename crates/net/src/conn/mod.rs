@@ -27,14 +27,23 @@
 //! it woke — ends in a [`Drive`], and the driver reconciles *its* side
 //! with the slot in one place, after every such call:
 //!
-//! * the slot is **empty** (`Drive::Closed`): forget the connection's
-//!   readiness registration and its [`crate::timer::TimerWheel`] key,
-//!   and hand the slot to whatever admits the next connection;
+//! * the slot is **empty** (`Drive::Closed`): the transport went with
+//!   the connection, so *forget* its readiness registration
+//!   ([`crate::event::EventBackend::forget`]) — don't deregister a
+//!   descriptor that is already closed — drop its
+//!   [`crate::timer::TimerWheel`] key, and hand the slot to whatever
+//!   admits the next connection;
 //! * the slot is **occupied**: arm [`machine::desired_interest`] for
 //!   the state the connection is now in (re-arming the consumed edge
-//!   after `Drive::Yielded`), and call [`machine::sync_deadline`]. If
-//!   the transport can no longer be watched, the driver says so with
-//!   [`ShardCore::close_conn`] and treats the slot as empty.
+//!   after `Drive::Yielded`), and call [`machine::sync_deadline`]. A
+//!   new connection is driven *first* and registered here, at the
+//!   first reconcile that leaves its slot occupied and with the
+//!   interest that state wants: a connection answered and closed in
+//!   its first drive is never registered at all, and since a
+//!   registration reports readiness that predates it, nothing that
+//!   arrived in between is lost. If the transport cannot be watched,
+//!   the driver says so with [`ShardCore::close_conn`] and treats the
+//!   slot as empty.
 //!
 //! Readiness ([`crate::event::EventBackend`]) and the wheel stay
 //! driver-owned, and so do the tokens that key them: the driver mints
@@ -42,7 +51,10 @@
 //! names the connection in the slot before it calls the core. When a
 //! wheel key fires, the driver calls `expire_conn` and reconciles; at
 //! drain entry it calls [`ShardCore::begin_drain`] and drives every
-//! `Reading` slot once.
+//! `Reading` slot once. A driver whose transport reports
+//! [`ConnIo::known_empty`] withdraws that report on every readable
+//! event and, for every slot, at drain entry — the drain-entry rule
+//! must see what is in the transport, not what was.
 //!
 //! What a driver must **never** decide: which deadline class means
 //! what (the counter, the `504`-or-sever choice), whether a close has
@@ -88,6 +100,15 @@ pub trait ConnIo {
 
     /// Reads request bytes; `Ok(0)` is peer EOF.
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize>;
+
+    /// Whether the transport is known to be dry: a `read` now would
+    /// return `WouldBlock`, **and** anything that arrives from here
+    /// on, EOF included, raises a fresh readiness event. The core asks
+    /// before every read and, on `true`, parks without one. `false`
+    /// (the default) only ever costs the confirming read.
+    fn known_empty(&self) -> bool {
+        false
+    }
 
     /// Gathered write of the queued response segments; returns bytes
     /// accepted (possibly a partial write mid-iovec).
@@ -314,6 +335,16 @@ pub struct ShardStats {
     pub cache_hits: AtomicU64,
     /// Gathered `writev(2)` calls issued on the send path.
     pub writev_calls: AtomicU64,
+    /// [`ConnIo::read`] calls the core issued — `read(2)`s on the real
+    /// transport, `EAGAIN` ones included.
+    pub read_calls: AtomicU64,
+    /// `accept4(2)` calls this shard issued on its own listener,
+    /// `EAGAIN` ones included (none in single-acceptor mode).
+    pub accept_calls: AtomicU64,
+    /// Interest-set calls the shard driver made on its readiness
+    /// backend (`register`, `modify`, `rearm`, `deregister`) — one
+    /// `epoll_ctl(2)` each on epoll.
+    pub ctl_calls: AtomicU64,
     /// `sendfile(2)` calls issued on the large-body path.
     pub sendfile_calls: AtomicU64,
     /// Body bytes transmitted via `sendfile(2)` (page cache → socket,

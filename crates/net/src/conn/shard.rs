@@ -76,7 +76,14 @@ pub struct ShardCore {
     /// every loop iteration and writes the lines, stamping wall time
     /// itself so the core stays clock-free.
     pub access_log: Vec<AccessRecord>,
+    /// Where [`Self::drive_conn`] reads request bytes: one buffer for
+    /// the shard (the parser copies out what it keeps), not a zeroed
+    /// array per call.
+    read_buf: Box<[u8; READ_BUF]>,
 }
+
+/// Bytes asked of the transport per read.
+const READ_BUF: usize = 4096;
 
 impl ShardCore {
     /// A fresh shard core with a `cache_bytes`-bounded content cache.
@@ -94,6 +101,7 @@ impl ShardCore {
             epoch: 0,
             export: Vec::new(),
             access_log: Vec::new(),
+            read_buf: Box::new([0; READ_BUF]),
         }
     }
 
@@ -114,8 +122,8 @@ impl ShardCore {
 
     /// Flips the shard into drain mode. The driver quiesces its
     /// listener and then drives every `Reading` slot once: the drive
-    /// applies the drain-entry rule (see the `WouldBlock` arm of
-    /// [`Self::drive_conn`]).
+    /// applies the drain-entry rule (where [`Self::drive_conn`] finds
+    /// the transport dry).
     pub fn begin_drain(&mut self) {
         self.draining = true;
         self.stats.draining.store(1, Ordering::Relaxed);
@@ -214,8 +222,9 @@ impl ShardCore {
     }
 
     /// Runs one connection's state machine as far as it will go
-    /// without blocking — reads drained to `WouldBlock`, writes until
-    /// backpressure — and reports why it stopped. `now` is the
+    /// without blocking — reads until the transport is dry (it says so,
+    /// [`ConnIo::known_empty`], or a read returns `WouldBlock`), writes
+    /// until backpressure — and reports why it stopped. `now` is the
     /// driver's clock (cache-TTL decisions happen here).
     pub fn drive_conn<Io: ConnIo>(
         &mut self,
@@ -248,49 +257,54 @@ impl ShardCore {
                         }
                         ParseStatus::Incomplete => {}
                     }
-                    let mut buf = [0u8; 4096];
-                    match conn.io.read(&mut buf) {
-                        Ok(0) => {
-                            self.close_conn(idx, conns, now);
-                            return Drive::Closed;
-                        }
-                        Ok(n) => match conn.parser.feed(&buf[..n]) {
-                            ParseStatus::Done(req) => {
-                                self.handle_request(idx, conn, req, port, now);
-                                if matches!(conn.state, ConnState::Waiting) {
-                                    return Drive::Blocked;
-                                }
-                            }
-                            ParseStatus::Incomplete => {}
-                            ParseStatus::Error(_) => {
-                                let body = Bytes::from(error_body(Status::BadRequest));
-                                queue_error(conn, Status::BadRequest, body);
-                                conn.state = ConnState::Writing;
-                            }
-                        },
-                        Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            // The drain-entry rule. The transport is
-                            // read dry and nothing is buffered, so a
-                            // connection that has been answered before
-                            // is an idle keep-alive: close it now
-                            // rather than wait out its idle timeout.
-                            // One not yet answered keeps its grace to
-                            // send the request it connected for, and
-                            // buffered pipelined bytes never get here
-                            // — they were served above, and the final
-                            // flush closed the connection.
-                            if self.draining && conn.progress > 0 && conn.parser.buffered() == 0 {
-                                self.stats.drained_conns.fetch_add(1, Ordering::Relaxed);
+                    // A transport that knows it is dry is not asked:
+                    // the read could only say `WouldBlock`.
+                    if !conn.io.known_empty() {
+                        self.stats.read_calls.fetch_add(1, Ordering::Relaxed);
+                        match conn.io.read(&mut self.read_buf[..]) {
+                            Ok(0) => {
                                 self.close_conn(idx, conns, now);
                                 return Drive::Closed;
                             }
-                            return Drive::Blocked;
-                        }
-                        Err(_) => {
-                            self.close_conn(idx, conns, now);
-                            return Drive::Closed;
+                            Ok(n) => {
+                                match conn.parser.feed(&self.read_buf[..n]) {
+                                    ParseStatus::Done(req) => {
+                                        self.handle_request(idx, conn, req, port, now);
+                                        if matches!(conn.state, ConnState::Waiting) {
+                                            return Drive::Blocked;
+                                        }
+                                    }
+                                    ParseStatus::Incomplete => {}
+                                    ParseStatus::Error(_) => {
+                                        let body = Bytes::from(error_body(Status::BadRequest));
+                                        queue_error(conn, Status::BadRequest, body);
+                                        conn.state = ConnState::Writing;
+                                    }
+                                }
+                                continue;
+                            }
+                            Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                            Err(_) => {
+                                self.close_conn(idx, conns, now);
+                                return Drive::Closed;
+                            }
                         }
                     }
+                    // The drain-entry rule. The transport is dry and
+                    // nothing is buffered, so a connection that has
+                    // been answered before is an idle keep-alive:
+                    // close it now rather than wait out its idle
+                    // timeout. One not yet answered keeps its grace to
+                    // send the request it connected for, and buffered
+                    // pipelined bytes never get here — they were
+                    // served above, and the final flush closed the
+                    // connection.
+                    if self.draining && conn.progress > 0 && conn.parser.buffered() == 0 {
+                        self.stats.drained_conns.fetch_add(1, Ordering::Relaxed);
+                        self.close_conn(idx, conns, now);
+                        return Drive::Closed;
+                    }
+                    return Drive::Blocked;
                 }
                 ConnState::Writing => {
                     let progress_before = conn.progress;

@@ -110,19 +110,15 @@ impl EventBackend for EpollBackend {
     }
 
     fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match self.ctl(EPOLL_CTL_DEL, fd, None) {
-            Ok(()) => {
-                self.registered = self.registered.saturating_sub(1);
-                Ok(())
-            }
-            // The descriptor may already be closed (close removes the
-            // registration when the last reference drops); the count
-            // still shrinks because the kernel-side entry is gone.
-            Err(e) => {
-                self.registered = self.registered.saturating_sub(1);
-                Err(e)
-            }
-        }
+        self.ctl(EPOLL_CTL_DEL, fd, None)?;
+        self.registered = self.registered.saturating_sub(1);
+        Ok(())
+    }
+
+    fn forget(&mut self, _fd: RawFd) {
+        // close(2) took the kernel-side entry with it; only the count
+        // is left to correct.
+        self.registered = self.registered.saturating_sub(1);
     }
 
     fn wait(&mut self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<usize> {
@@ -140,6 +136,7 @@ impl EventBackend for EpollBackend {
                 // and observes the failure there.
                 readable: bits & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0,
                 writable: bits & (EPOLLOUT | EPOLLERR | EPOLLHUP) != 0,
+                hangup: bits & (EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0,
             });
         }
         Ok(n)

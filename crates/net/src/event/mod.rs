@@ -25,9 +25,16 @@
 //! more demanding than level-triggered — a loop that is correct under
 //! ET is correct under LT, so one event loop serves both backends:
 //!
-//! 1. **Drain to `EWOULDBLOCK`.** A readable event may be the only
-//!    notification for any amount of buffered data; the reader must
-//!    consume until the socket blocks.
+//! 1. **Drain to `EWOULDBLOCK` — or to a short read with no hang-up
+//!    seen.** A readable event may be the only notification for any
+//!    amount of buffered data; the reader must consume until the
+//!    socket is empty. On a stream socket a read that returns fewer
+//!    bytes than it asked for has emptied it (the rule `epoll(7)`
+//!    itself gives), and whatever arrives afterwards, a FIN included,
+//!    raises a fresh event. The one thing a short read cannot see is a
+//!    FIN harvested by the *same* `wait` as the data in front of it:
+//!    that edge is already spent, which is why [`Event::hangup`]
+//!    carries it and a reader that has seen it reads on to `Ok(0)`.
 //! 2. **Arm write interest only while a send is in flight**, and fall
 //!    back to read interest the moment the output queue drains. Write
 //!    readiness is the steady state of an idle socket; leaving it
@@ -93,6 +100,11 @@ pub struct Event {
     pub readable: bool,
     /// Ready for writing (or errored).
     pub writable: bool,
+    /// The peer hung up, half-closed or the socket errored
+    /// (`EPOLLRDHUP | EPOLLHUP | EPOLLERR`; `POLLHUP | POLLERR`): an
+    /// end of stream is queued behind whatever data is, so a reader
+    /// must not stop at a short read (contract rule 1).
+    pub hangup: bool,
 }
 
 /// Readiness multiplexing behind a uniform, incrementally-updated
@@ -126,11 +138,20 @@ pub trait EventBackend: Send {
         self.modify(fd, token, interest)
     }
 
-    /// Stops watching `fd`. Safe to call with a descriptor that was
-    /// already closed (the error is swallowed); callers should prefer
-    /// deregistering *before* close so the interest table never holds
-    /// a recycled descriptor number.
+    /// Stops watching `fd`, which must still be **open**: the way to
+    /// silence a descriptor whose open file description outlives this
+    /// handle to it (a listener with a handoff duplicate — closing one
+    /// dup unhooks nothing). For a descriptor the caller has closed,
+    /// use [`EventBackend::forget`].
     fn deregister(&mut self, fd: RawFd) -> io::Result<()>;
+
+    /// Drops whatever the backend still holds about a registered `fd`
+    /// the caller has **closed** (its last handle: `close(2)` already
+    /// removed it from the kernel's interest set). No system call —
+    /// epoll corrects its count, poll removes the table entry, so the
+    /// descriptor number can be registered again when the kernel
+    /// reuses it.
+    fn forget(&mut self, fd: RawFd);
 
     /// Blocks until at least one registered descriptor is ready or
     /// `timeout_ms` expires (negative = infinite). Ready events are

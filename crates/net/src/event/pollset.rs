@@ -127,6 +127,11 @@ impl EventBackend for PollBackend {
         Ok(())
     }
 
+    fn forget(&mut self, fd: RawFd) {
+        // The table is all there is: forgetting is deregistering.
+        let _ = self.deregister(fd);
+    }
+
     fn wait(&mut self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<usize> {
         events.clear();
         self.fds.clear();
@@ -177,6 +182,7 @@ impl EventBackend for PollBackend {
                     token: self.entries[self.fd_entry[slot]].token,
                     readable,
                     writable,
+                    hangup: fd.revents & (POLL_ERR | POLL_HUP) != 0,
                 });
             }
         }

@@ -27,9 +27,9 @@
 //!   selected by [`NetConfig::backend`] (`Auto` = epoll on Linux,
 //!   overridable with `FLASH_EVENT_BACKEND=poll|epoll`). The loop is
 //!   written to the **edge-triggered contract** (see [`event`]): reads
-//!   drain to `EWOULDBLOCK`, write interest is armed only while a send
-//!   is in flight, and a voluntary mid-`sendfile` yield re-arms the
-//!   consumed edge. Every connection carries a **per-state deadline**
+//!   drain to `EWOULDBLOCK` or to a short read, write interest is armed
+//!   only while a send is in flight, and a voluntary mid-`sendfile`
+//!   yield re-arms the consumed edge. Every connection carries a **per-state deadline**
 //!   in its shard's hashed **timing wheel** ([`timer`]; the paper's
 //!   §6.4 slow-WAN-client concern): a header-read deadline from the
 //!   first request byte ([`NetConfig::header_read_timeout`],

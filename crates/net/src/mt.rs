@@ -109,7 +109,7 @@ impl MtServer {
     /// generation (see [`crate::handoff`]): the kernel socket — and
     /// its accept backlog — survives the generation switch.
     pub fn start_inherited(cfg: NetConfig, listener: TcpListener) -> io::Result<MtServer> {
-        listener.set_nonblocking(true)?;
+        sock::adopt_listener(&listener)?;
         Self::start_impl(listener, cfg)
     }
 
@@ -297,7 +297,6 @@ struct WorkerSpawner {
 
 impl AcceptSink for WorkerSpawner {
     fn on_conn(&mut self, stream: TcpStream) {
-        let _ = stream.set_nodelay(true);
         let cache = Arc::clone(&self.cache);
         let cfg = self.cfg.clone();
         let lifecycle = Arc::clone(&self.lifecycle);

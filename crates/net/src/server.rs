@@ -15,8 +15,11 @@
 //!   (Linux) every shard owns its own `SO_REUSEPORT` listening socket
 //!   registered in its own event backend — the kernel hashes incoming
 //!   connections across the listeners, each shard drains its accepts
-//!   to `EWOULDBLOCK` under the ET contract, and there is **no
-//!   acceptor thread and no dealing hop**. Backpressure is local: a
+//!   to `EWOULDBLOCK` under the ET contract — one `accept4(2)` per
+//!   connection, which hands it over nonblocking, close-on-exec and
+//!   (inherited from the listener, [`crate::sock`]) `TCP_NODELAY` —
+//!   and there is **no acceptor thread and no dealing hop**.
+//!   Backpressure is local: a
 //!   shard at [`NetConfig::max_conns_per_shard`] (or hitting
 //!   `EMFILE`/`ENFILE` — counted as `accept_backpressure`) drops its
 //!   listener's read interest, letting the backlog queue in the
@@ -29,15 +32,22 @@
 //!   polling timeout — shutdown arrives as a byte on a dedicated stop
 //!   pipe;
 //! * each **shard** is the paper's event loop on the pluggable
-//!   readiness subsystem ([`crate::event`]): connections are
-//!   registered once with an [`EventBackend`] (edge-triggered `epoll`
-//!   on Linux, `poll(2)` elsewhere — [`NetConfig::backend`]) and their
-//!   interest is adjusted incrementally as the [`Conn`] state machine
-//!   moves (read interest while parsing, write interest only while a
-//!   send is in flight, none while a helper works). The loop is
-//!   written to the edge-triggered contract — drain reads to
-//!   `EWOULDBLOCK`, re-arm after a voluntary yield — which is also
-//!   correct under the level-triggered fallback. Each shard never
+//!   readiness subsystem ([`crate::event`]): a new connection is
+//!   driven first — HTTP clients speak first, the request is usually
+//!   there — and registered with the [`EventBackend`] (edge-triggered
+//!   `epoll` on Linux, `poll(2)` elsewhere — [`NetConfig::backend`])
+//!   only if that drive leaves it open, so a one-request connection
+//!   whose request was waiting costs `accept4`, `read`, `writev`,
+//!   `close` and nothing else; a registered connection's interest is
+//!   adjusted incrementally as the [`Conn`] state machine moves (read
+//!   interest while parsing, write interest only while a send is in
+//!   flight, none while a helper works), and its registration is
+//!   *forgotten*, not deregistered, when its socket closes. The loop
+//!   is written to the edge-triggered contract — drain reads until the
+//!   socket is dry (`EWOULDBLOCK`, or a short read with no hang-up
+//!   seen: a keep-alive request is `wait`, `read`, `writev`), re-arm
+//!   after a voluntary yield — which is also correct under the
+//!   level-triggered fallback. Each shard never
 //!   blocks on the filesystem and owns a private
 //!   [`ContentCache`](crate::cache::ContentCache) — no cross-shard
 //!   locking anywhere on the request path. Every connection carries a
@@ -101,6 +111,7 @@ use crate::pool::{helper_main, JobQueue, PoolPort, WakeHandle};
 use crate::sendfile::send_file;
 use crate::sock::{self, AcceptModeKind};
 use crate::stats::{AccessLogWriter, ServerStats};
+use crate::sys;
 use crate::timer::{tick_for, TimerWheel};
 use crate::writev::writev_fd;
 
@@ -113,13 +124,35 @@ type NetConn = Conn<SockIo>;
 /// `sendfile(2)` against shared `Arc<File>` handles.
 pub(crate) struct SockIo {
     pub(crate) stream: TcpStream,
+    /// The receive queue is known to be empty ([`ConnIo::known_empty`]):
+    /// set by a read that came back short or `EAGAIN`, withdrawn by the
+    /// driver on every readable event and at drain entry.
+    dry: bool,
+    /// A readiness event reported the peer's hang-up. Its end of
+    /// stream may have been harvested together with the data in front
+    /// of it, where no later edge announces it, so from here on only
+    /// `Ok(0)` or `EAGAIN` ends a drain — `dry` is never set again.
+    hangup: bool,
 }
 
 impl ConnIo for SockIo {
     type FileRef = Arc<File>;
 
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.stream.read(buf)
+        let res = self.stream.read(buf);
+        // A stream socket that returns less than was asked for has
+        // been emptied (the rule epoll(7) gives), and whatever arrives
+        // next raises a fresh event on either backend.
+        self.dry = !self.hangup
+            && match &res {
+                Ok(n) => *n < buf.len(),
+                Err(e) => e.kind() == io::ErrorKind::WouldBlock,
+            };
+        res
+    }
+
+    fn known_empty(&self) -> bool {
+        self.dry
     }
 
     fn writev(&mut self, bufs: &[&[u8]]) -> io::Result<usize> {
@@ -266,12 +299,9 @@ impl Server {
         let backend = crate::event::resolve(cfg.backend);
 
         // Inherited fds came in via SCM_RIGHTS as dups of the old
-        // generation's listeners; dup shares the open file
-        // description, so they are already nonblocking — asserted
-        // here anyway, because a blocking listener would wedge a
-        // whole shard on one spurious readiness event.
+        // generation's listeners.
         for l in &inherited {
-            l.set_nonblocking(true)?;
+            sock::adopt_listener(l)?;
         }
         let mut inherited = inherited.into_iter();
 
@@ -660,6 +690,11 @@ struct Shard {
     /// [`Shard::admit`], so accepting never walks the table and the
     /// occupancy the accept gate runs on is `conns.len() - free.len()`.
     free: Vec<usize>,
+    /// Per slot: whether its descriptor is registered with `backend`.
+    /// Set by the first [`Shard::reconcile`] that leaves the slot
+    /// occupied, cleared by its close arm — which is how that arm knows
+    /// there is a registration to forget, the connection being gone.
+    watched: Vec<bool>,
     /// Created by `Server::start` with the wake pipe (and, in
     /// reuseport mode, the listener) already registered, so backend
     /// failures abort startup instead of killing one shard.
@@ -723,6 +758,7 @@ impl Shard {
             },
             conns: Vec::new(),
             free: Vec::new(),
+            watched: Vec::new(),
             backend,
             wheel: TimerWheel::new(tick_for(timeouts.into_iter().flatten())),
             max_conns: cfg.max_conns_per_shard,
@@ -760,13 +796,19 @@ impl Shard {
         Some(conn.io.stream.as_raw_fd())
     }
 
-    /// Places a freshly accepted connection in a slot, registers it
-    /// with the backend, and drives it immediately — its request bytes
-    /// are usually in flight already, so waiting for the first
-    /// readiness event would add a wait's latency for nothing.
+    /// Places a freshly accepted connection in a slot and drives it
+    /// **before** registering it: HTTP clients speak first, so the
+    /// request is usually queued already, and a connection answered
+    /// and closed in this drive never costs a registration. One the
+    /// drive leaves open is registered by [`Shard::reconcile`] with
+    /// the interest its state wants; the registration reports whatever
+    /// became ready in between.
     fn admit(&mut self, stream: TcpStream) {
-        let fd = stream.as_raw_fd();
-        let mut conn = Conn::new(SockIo { stream });
+        let mut conn = Conn::new(SockIo {
+            stream,
+            dry: false,
+            hangup: false,
+        });
         conn.opened_at = Some(Instant::now());
         let idx = match self.free.pop() {
             Some(i) => {
@@ -775,18 +817,24 @@ impl Shard {
             }
             None => {
                 self.conns.push(Some(conn));
+                self.watched.push(false);
                 self.conns.len() - 1
             }
         };
-        if self
-            .backend
-            .register(fd, conn_token(idx, fd), Interest::READ)
-            .is_err()
-        {
-            // A connection the backend cannot watch can never progress.
-            self.core.close_conn(idx, &mut self.conns, Instant::now());
-            self.reconcile(idx, fd, Drive::Closed);
-            return;
+        self.drive(idx);
+    }
+
+    /// Handles one readiness event for a connection, unless the token
+    /// is stale (see [`Shard::fd_of`]): withdraws the transport's "dry"
+    /// report — the event says otherwise — notes a hang-up, and drives.
+    fn on_event(&mut self, ev: &Event) {
+        let idx = token_slot(ev.token);
+        match self.conns.get_mut(idx) {
+            Some(Some(conn)) if conn.io.stream.as_raw_fd() == token_fd(ev.token) => {
+                conn.io.dry &= !ev.readable;
+                conn.io.hangup |= ev.hangup;
+            }
+            _ => return,
         }
         self.drive(idx);
     }
@@ -850,11 +898,20 @@ impl Shard {
         let token = conn_token(idx, fd);
         if let Some(conn) = self.conns[idx].as_mut() {
             let want = crate::conn::machine::desired_interest(&conn.state);
-            let watched = if want != conn.interest {
+            let ctl = &self.core.stats.ctl_calls;
+            let watched = if !self.watched[idx] {
+                bump(ctl);
+                self.backend.register(fd, token, want).map(|()| {
+                    self.watched[idx] = true;
+                    conn.interest = want;
+                })
+            } else if want != conn.interest {
+                bump(ctl);
                 self.backend
                     .modify(fd, token, want)
                     .map(|()| conn.interest = want)
             } else if matches!(outcome, Drive::Yielded) {
+                bump(ctl);
                 self.backend.rearm(fd, token, want)
             } else {
                 Ok(())
@@ -868,31 +925,37 @@ impl Shard {
             // the connection rather than pin its fd and slot forever.
             self.core.close_conn(idx, &mut self.conns, Instant::now());
         }
-        // The slot is empty. Deregister even though close() would
-        // eventually unhook the descriptor: the poll backend keeps a
-        // userspace table that would otherwise hand a recycled fd
+        // The slot is empty and the socket closed with it, which
+        // unhooked it from the kernel's interest set: there is nothing
+        // to deregister, only the backend's own record to drop — the
+        // poll backend's table would otherwise hand a recycled fd
         // number to the kernel. The wheel entry must go for the same
         // reason — the token will be reminted when the slot is reused.
-        let _ = self.backend.deregister(fd);
+        if std::mem::take(&mut self.watched[idx]) {
+            self.backend.forget(fd);
+        }
         self.wheel.cancel(token);
         debug_assert!(!self.free.contains(&idx), "slot {idx} given up twice");
         self.free.push(idx);
     }
 
     /// Flips the shard into drain and drives every `Reading` slot
-    /// once: the drive reads to `EWOULDBLOCK` first — a pipelined burst
+    /// once: the drive reads the transport dry first — a pipelined burst
     /// already sitting in the socket buffer has not reached the parser
     /// yet, and a connection must not be severed with honourable
-    /// requests in its receive queue — and the core then applies its
+    /// requests in its receive queue, so every "dry" report is
+    /// withdrawn here (the event that would have withdrawn it may be
+    /// waiting in the backend) — and the core then applies its
     /// drain-entry rule. Everything else (mid-request, response in
     /// flight) is left to finish under the drain deadline.
     fn enter_drain(&mut self) {
         self.core.begin_drain();
         for idx in 0..self.conns.len() {
-            let reading = self.conns[idx]
-                .as_ref()
-                .is_some_and(|c| matches!(c.state, ConnState::Reading));
-            if reading {
+            let Some(conn) = self.conns[idx].as_mut() else {
+                continue;
+            };
+            conn.io.dry = false;
+            if matches!(conn.state, ConnState::Reading) {
                 self.drive(idx);
             }
         }
@@ -911,12 +974,10 @@ impl Shard {
             if self.live() >= self.max_conns {
                 return !self.quiesce_listener(listener);
             }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if sock::apply_conn_options(&stream).is_err() {
-                        continue;
-                    }
-                    self.core.stats.accepted.fetch_add(1, Ordering::Relaxed);
+            bump(&self.core.stats.accept_calls);
+            match sys::accept_nonblocking(listener) {
+                Ok(stream) => {
+                    bump(&self.core.stats.accepted);
                     self.admit(stream);
                 }
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => return true,
@@ -949,6 +1010,7 @@ impl Shard {
     /// `modify` itself fails the listener stays armed and accepting
     /// simply retries on the next event.
     fn quiesce_listener(&mut self, listener: &TcpListener) -> bool {
+        bump(&self.core.stats.ctl_calls);
         self.backend
             .modify(listener.as_raw_fd(), LISTENER_TOKEN, Interest::NONE)
             .is_ok()
@@ -973,10 +1035,10 @@ const LOOP_STALL_THRESHOLD: Duration = Duration::from_millis(100);
 /// readiness backend, over this shard's private connection set.
 ///
 /// Written to the edge-triggered contract (see [`crate::event`]):
-/// every drive runs the connection until `EWOULDBLOCK`, interest is
-/// reconciled with the state machine after each drive, and a voluntary
-/// yield (the `sendfile` fairness budget) re-arms the descriptor so
-/// the consumed writability edge is redelivered.
+/// every drive runs the connection until its socket is dry or full,
+/// interest is reconciled with the state machine after each drive, and
+/// a voluntary yield (the `sendfile` fairness budget) re-arms the
+/// descriptor so the consumed writability edge is redelivered.
 ///
 /// In reuseport mode (`listener` is `Some`) the shard also owns a
 /// `SO_REUSEPORT` listener under [`LISTENER_TOKEN`]: accepts drain to
@@ -1028,6 +1090,10 @@ fn shard_loop(
                 // keeps the kernel socket (and its backlog) alive;
                 // without one, fresh binds now fully own the port.
                 if let Some(l) = listener.take() {
+                    // An explicit DEL, before the close: the handoff
+                    // dup keeps the open file description — and with
+                    // it the registration — alive past this handle.
+                    bump(&shard.core.stats.ctl_calls);
                     let _ = shard.backend.deregister(l.as_raw_fd());
                 }
                 listener_armed = false;
@@ -1114,9 +1180,11 @@ fn shard_loop(
         let mut accept_ready = false;
         if events.iter().any(|e| e.token == WAKE_TOKEN) {
             // Drain the pipe completely (edge-triggered: this event
-            // may be the only notification for any number of bytes).
+            // may be the only notification for any number of bytes),
+            // by the rule connections read by: a short read emptied it
+            // — one `read` per wake, wake bytes being coalesced.
             let mut sink = [0u8; 256];
-            while matches!(wake_rx.read(&mut sink), Ok(n) if n > 0) {}
+            while matches!(wake_rx.read(&mut sink), Ok(n) if n == sink.len()) {}
             // Clear the coalescing flag *before* draining the queues:
             // anything enqueued after this point writes a fresh wake
             // byte, so completions cannot be lost.
@@ -1165,13 +1233,10 @@ fn shard_loop(
                 accept_ready = true;
                 continue;
             }
-            // The wake-pipe drain above can close a connection and let
-            // its slot be reused by a new stream; the event in hand
-            // describes the *old* registration.
-            let idx = token_slot(ev.token);
-            if shard.fd_of(idx) == Some(token_fd(ev.token)) {
-                shard.drive(idx);
-            }
+            // (The wake-pipe drain above can close a connection and
+            // let its slot be reused by a new stream; `on_event` drops
+            // an event that describes the *old* registration.)
+            shard.on_event(ev);
         }
         lap(&shard.core.stats.phase_read_us, &mut mark);
         // Expire deadlines last: anything the drives above just
@@ -1194,6 +1259,7 @@ fn shard_loop(
                 // level-triggered backend re-reports it on the next
                 // wait — either way the accepts resume without a new
                 // connection having to arrive.
+                bump(&shard.core.stats.ctl_calls);
                 if shard
                     .backend
                     .modify(l.as_raw_fd(), LISTENER_TOKEN, Interest::READ)
@@ -1223,6 +1289,11 @@ fn shard_loop(
     }
 }
 
+/// One more of whatever `counter` counts.
+fn bump(counter: &std::sync::atomic::AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
 /// Adds the time since `*mark` to `counter` and advances the mark —
 /// the per-phase ledger behind the event-loop stall watchdog.
 fn lap(counter: &std::sync::atomic::AtomicU64, mark: &mut Instant) {
@@ -1237,38 +1308,231 @@ fn lap(counter: &std::sync::atomic::AtomicU64, mark: &mut Instant) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::Entry;
+    use crate::event::BackendChoice;
+    use std::net::Shutdown;
+
+    const BACKENDS: [BackendChoice; 2] = [BackendChoice::Epoll, BackendChoice::Poll];
+    const BODY: &[u8] = b"<html>budget</html>";
+    const GET_10: &[u8] = b"GET /index.html HTTP/1.0\r\n\r\n";
+    const GET_11: &[u8] = b"GET /index.html HTTP/1.1\r\nHost: t\r\n\r\n";
+
+    /// A shard driven by hand — no loop, no threads — over a listener
+    /// of its own, with `/index.html` already in its cache so every
+    /// request is a hit (no helper pool stands behind the job queue).
+    /// Over loopback a client's `connect`, `write` and `shutdown` have
+    /// reached the server's socket by the time they return, which is
+    /// what lets the syscall counts below be exact.
+    struct Rig {
+        shard: Shard,
+        listener: TcpListener,
+        events: Vec<Event>,
+    }
+
+    /// The four counted syscall families, in the order
+    /// `(accept_calls, read_calls, writev_calls, ctl_calls)`.
+    type Counts = (u64, u64, u64, u64);
+
+    impl Rig {
+        fn new(choice: BackendChoice) -> Rig {
+            let mut cfg = NetConfig::new(std::env::temp_dir());
+            cfg.cache_revalidate_ttl = None;
+            let backend = new_backend(choice);
+            let mut shard = Shard::new(0, 1 << 20, Arc::default(), JobQueue::new(1), backend, &cfg);
+            let entry = Entry::build("/index.html", BODY.to_vec());
+            assert!(shard
+                .core
+                .cache
+                .insert_at("/index.html".into(), entry, Instant::now()));
+            Rig {
+                shard,
+                listener: sock::bind_listener("127.0.0.1:0".parse().unwrap(), false).unwrap(),
+                events: Vec::new(),
+            }
+        }
+
+        /// A client whose connection sits in the listener's backlog.
+        fn connect(&self) -> TcpStream {
+            let client = TcpStream::connect(self.listener.local_addr().unwrap()).unwrap();
+            client
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            client
+        }
+
+        /// A client the shard has admitted and parked: nothing sent,
+        /// so its first drive read `EAGAIN` and registered it.
+        fn connect_parked(&mut self) -> TcpStream {
+            let client = self.connect();
+            assert!(self.shard.drain_accepts(&self.listener));
+            client
+        }
+
+        /// One turn of the shard loop: a `wait`, then the per-event arm
+        /// for everything it returned. Returns the number of events.
+        fn turn(&mut self) -> usize {
+            let n = self.shard.backend.wait(&mut self.events, 5_000).unwrap();
+            for ev in &self.events {
+                self.shard.on_event(ev);
+            }
+            n
+        }
+
+        /// Turns until no connection is left; returns how many it took.
+        fn turns_until_closed(&mut self) -> usize {
+            let mut turns = 0;
+            while self.shard.live() > 0 {
+                assert!(self.turn() > 0, "nothing happened for 5 s");
+                turns += 1;
+            }
+            turns
+        }
+
+        fn counts(&self) -> Counts {
+            let s = &self.shard.core.stats;
+            let get = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
+            (
+                get(&s.accept_calls),
+                get(&s.read_calls),
+                get(&s.writev_calls),
+                get(&s.ctl_calls),
+            )
+        }
+    }
+
+    /// Reads one keep-alive response off `client`: up to the body the
+    /// rig serves.
+    fn read_response(client: &mut TcpStream) {
+        let mut resp = Vec::new();
+        let mut buf = [0u8; 1024];
+        while !(resp.windows(4).any(|w| w == b"\r\n\r\n") && resp.ends_with(BODY)) {
+            let n = client.read(&mut buf).unwrap();
+            assert!(n > 0, "server closed mid-response");
+            resp.extend_from_slice(&buf[..n]);
+        }
+        assert!(resp.starts_with(b"HTTP/1.1 200 OK\r\n"));
+    }
+
+    /// Reads `client` to the server's close: one whole response.
+    fn read_last_response(mut client: TcpStream) {
+        let mut resp = Vec::new();
+        client.read_to_end(&mut resp).unwrap();
+        assert!(resp.starts_with(b"HTTP/1.1 200 OK\r\n") && resp.ends_with(BODY));
+    }
 
     /// Accepting must not walk the connection table: a close hands
     /// its slot to the free stack and the next admit takes it back.
     #[test]
     fn admit_reuses_the_slot_a_close_freed() {
-        let cfg = NetConfig::new(std::env::temp_dir());
-        let backend = new_backend(cfg.backend);
-        let mut shard = Shard::new(0, 1 << 20, Arc::default(), JobQueue::new(1), backend, &cfg);
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let connect = |shard: &mut Shard| {
-            let client = TcpStream::connect(addr).unwrap();
-            let (stream, _) = listener.accept().unwrap();
-            stream.set_nonblocking(true).unwrap();
-            shard.admit(stream);
-            client
-        };
-        let mut clients: Vec<_> = (0..4).map(|_| connect(&mut shard)).collect();
-        assert_eq!((shard.conns.len(), shard.live()), (4, 4));
+        for choice in BACKENDS {
+            let mut rig = Rig::new(choice);
+            let mut clients: Vec<_> = (0..4).map(|_| rig.connect_parked()).collect();
+            assert_eq!((rig.shard.conns.len(), rig.shard.live()), (4, 4));
 
-        // Client 2 hangs up; the next drive reads its EOF.
-        drop(clients.remove(2));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while shard.conns[2].is_some() {
-            assert!(Instant::now() < deadline, "EOF never arrived");
-            shard.drive(2);
+            // Client 2 hangs up; the next wait reports it and the
+            // drive reads its EOF.
+            drop(clients.remove(2));
+            while rig.shard.conns[2].is_some() {
+                assert!(rig.turn() > 0, "EOF never arrived");
+            }
+            assert_eq!((rig.shard.live(), &rig.shard.free[..]), (3, &[2][..]));
+
+            clients.push(rig.connect_parked());
+            assert!(
+                rig.shard.conns[2].is_some(),
+                "the freed slot was not reused"
+            );
+            assert_eq!((rig.shard.conns.len(), rig.shard.live()), (4, 4));
         }
-        assert_eq!((shard.live(), &shard.free[..]), (3, &[2][..]));
+    }
 
-        clients.push(connect(&mut shard));
-        assert!(shard.conns[2].is_some(), "the freed slot was not reused");
-        assert_eq!((shard.conns.len(), shard.live()), (4, 4));
+    /// Budget (a): a one-request connection whose request is waiting
+    /// costs `accept4`, `read`, `writev` and the `close` — plus the
+    /// `accept4` that finds the backlog empty — and never touches the
+    /// readiness backend.
+    #[test]
+    fn a_one_shot_connection_is_never_registered() {
+        for choice in BACKENDS {
+            let mut rig = Rig::new(choice);
+            let registered = rig.shard.backend.registered();
+            let mut client = rig.connect();
+            client.write_all(GET_10).unwrap();
+            assert!(rig.shard.drain_accepts(&rig.listener));
+            read_last_response(client);
+            assert_eq!(rig.counts(), (2, 1, 1, 0), "{choice:?}");
+            assert_eq!(rig.shard.backend.registered(), registered);
+            assert_eq!(rig.shard.live(), 0);
+        }
+    }
+
+    /// Budget (b): a keep-alive request costs `wait`, `read`, `writev`
+    /// — no second `read` to hear `EAGAIN` — and the connection one
+    /// registration for its whole life, forgotten, not deregistered,
+    /// at its close.
+    #[test]
+    fn a_keep_alive_request_is_one_read_and_the_connection_one_ctl() {
+        for choice in BACKENDS {
+            let mut rig = Rig::new(choice);
+            let registered = rig.shard.backend.registered();
+            let mut client = rig.connect();
+            client.write_all(GET_11).unwrap();
+            assert!(rig.shard.drain_accepts(&rig.listener));
+            read_response(&mut client);
+            for _ in 0..2 {
+                client.write_all(GET_11).unwrap();
+                assert_eq!(rig.turn(), 1);
+                read_response(&mut client);
+            }
+            assert_eq!(rig.counts(), (2, 3, 3, 1), "{choice:?}");
+            assert_eq!(rig.shard.backend.registered(), registered + 1);
+
+            drop(client);
+            assert_eq!(rig.turns_until_closed(), 1);
+            assert_eq!(
+                rig.counts(),
+                (2, 4, 3, 1),
+                "{choice:?}: the EOF is one read"
+            );
+            assert_eq!(rig.shard.backend.registered(), registered);
+        }
+    }
+
+    /// Budgets (c) and (d): a request with the client's half-close
+    /// right behind it — harvested by one `wait` on a registered
+    /// connection (c), or already queued at the unregistered first
+    /// drive (d) — is answered and the connection closed at its EOF,
+    /// not held to its idle deadline. The short read that took the
+    /// request cannot see the FIN; on epoll the event (for (d), the
+    /// registration's own readiness report) carries the hang-up, on
+    /// poll the pending EOF is simply reported again.
+    #[test]
+    fn a_half_close_behind_the_request_closes_at_its_eof() {
+        for choice in BACKENDS {
+            let max_turns = if choice == BackendChoice::Epoll { 1 } else { 2 };
+            for queued_before_accept in [false, true] {
+                let what = format!("{choice:?}, queued before accept: {queued_before_accept}");
+                let mut rig = Rig::new(choice);
+                let mut client = rig.connect();
+                if !queued_before_accept {
+                    assert!(rig.shard.drain_accepts(&rig.listener));
+                }
+                client.write_all(GET_11).unwrap();
+                client.shutdown(Shutdown::Write).unwrap();
+                if queued_before_accept {
+                    assert!(rig.shard.drain_accepts(&rig.listener));
+                }
+                assert_eq!((rig.shard.live(), rig.counts().3), (1, 1), "{what}");
+
+                let turns = rig.turns_until_closed();
+                assert!((1..=max_turns).contains(&turns), "{what}: {turns} turns");
+                read_last_response(client);
+                // The request and the EOF (and, registered first, the
+                // `EAGAIN` that parked it); no ctl beyond the register.
+                let reads = if queued_before_accept { 2 } else { 3 };
+                assert_eq!(rig.counts(), (2, reads, 1, 1), "{what}");
+                assert_eq!(rig.shard.core.stats.idle_reaped.load(Ordering::Relaxed), 0);
+            }
+        }
     }
 
     #[test]

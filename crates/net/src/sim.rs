@@ -383,6 +383,14 @@ impl ConnIo for SimIo {
         Ok(n)
     }
 
+    /// The sim sees its own inbox, so it always knows — and every
+    /// delivery into the inbox is followed by a drive, the "fresh
+    /// readiness event" the guarantee asks for. (There is no EOF
+    /// model: simulated clients never half-close.)
+    fn known_empty(&self) -> bool {
+        self.inbox.is_empty()
+    }
+
     fn writev(&mut self, bufs: &[&[u8]]) -> io::Result<usize> {
         if self.window == 0 {
             return Err(io::ErrorKind::WouldBlock.into());

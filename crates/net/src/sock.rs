@@ -10,6 +10,18 @@
 //! back to `std` (and never request reuseport — see
 //! [`resolve_accept_mode`]).
 //!
+//! It is also the one place that sets **per-connection options**, and
+//! it sets them on the listener: `TCP_NODELAY` (one gathered write per
+//! response makes Nagle pointless, and disabling it removes the
+//! delayed-ACK interaction on keep-alive connections) is put on every
+//! listening socket — fresh ([`bind_listener`]) or inherited
+//! ([`adopt_listener`]) — and Linux copies it to each socket accepted
+//! from it. A shard's connections arrive nonblocking from the
+//! `accept4(2)` that accepts them (`sys::accept_nonblocking`), so no
+//! accept path issues a `setsockopt` or an `ioctl` per connection;
+//! only off Linux, where neither holds, does the accept wrapper make
+//! the two calls itself.
+//!
 //! Mode selection mirrors the readiness backend's
 //! ([`crate::event::resolve`]): [`AcceptMode::Auto`] resolves to
 //! per-shard reuseport listeners on Linux — where the kernel hashes
@@ -21,7 +33,7 @@
 //! degrades to the acceptor thread rather than failing).
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 
 /// How the server distributes `accept(2)` work (see
 /// [`crate::config::NetConfig::accept_mode`]).
@@ -100,14 +112,16 @@ pub fn resolve_accept_mode(choice: AcceptMode) -> AcceptModeKind {
     }
 }
 
-/// Per-connection socket options shared by every accept path (the
-/// AMPED acceptor, the per-shard reuseport drain, and the MT spawner):
-/// nonblocking for the event loops, and `TCP_NODELAY` because one
-/// gathered write per response makes Nagle pointless — disabling it
-/// removes the delayed-ACK interaction on keep-alive connections.
-pub fn apply_conn_options(stream: &TcpStream) -> io::Result<()> {
-    stream.set_nonblocking(true)?;
-    let _ = stream.set_nodelay(true);
+/// Re-asserts on a listener inherited from a previous generation
+/// ([`crate::handoff`]) what [`bind_listener`] sets on a fresh one. The
+/// descriptor is a dup sharing the old generation's open file
+/// description, so both already hold — unless that generation predates
+/// the listener-side `TCP_NODELAY`; and a blocking listener would
+/// wedge a whole shard on one spurious readiness event.
+pub fn adopt_listener(listener: &TcpListener) -> io::Result<()> {
+    listener.set_nonblocking(true)?;
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    crate::sys::set_listener_nodelay(listener)?;
     Ok(())
 }
 
@@ -116,7 +130,8 @@ pub fn apply_conn_options(stream: &TcpStream) -> io::Result<()> {
 /// listeners — one per shard — can share the port and have the kernel
 /// spread incoming connections across them. All listeners get
 /// `SO_REUSEADDR`, so a restart does not trip over old connections in
-/// `TIME_WAIT`.
+/// `TIME_WAIT`, and (on Linux) `TCP_NODELAY`, for the connections
+/// accepted from them to inherit.
 pub fn bind_listener(addr: SocketAddr, reuseport: bool) -> io::Result<TcpListener> {
     #[cfg(any(target_os = "linux", target_os = "android"))]
     {
@@ -159,22 +174,27 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bound_listener_accepts_and_frees_its_port() {
-        let l = bind_listener("127.0.0.1:0".parse().unwrap(), false).unwrap();
-        let addr = l.local_addr().unwrap();
-        let mut c = TcpStream::connect(addr).unwrap();
-        // Nonblocking listener: the connection may need a beat to land.
-        let (mut s, _) = loop {
-            match l.accept() {
-                Ok(pair) => break pair,
+    /// Accepts one connection from the nonblocking `l` through the
+    /// shard's own accept call.
+    fn accept_one(l: &TcpListener) -> TcpStream {
+        loop {
+            match crate::sys::accept_nonblocking(l) {
+                Ok(s) => return s,
+                // The connection may need a beat to land.
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
                     std::thread::sleep(std::time::Duration::from_millis(5));
                 }
                 Err(e) => panic!("accept: {e}"),
             }
-        };
-        apply_conn_options(&s).unwrap();
+        }
+    }
+
+    #[test]
+    fn bound_listener_accepts_and_frees_its_port() {
+        let l = bind_listener("127.0.0.1:0".parse().unwrap(), false).unwrap();
+        let addr = l.local_addr().unwrap();
+        let mut c = TcpStream::connect(addr).unwrap();
+        let mut s = accept_one(&l);
         s.write_all(b"ok").unwrap();
         drop(s);
         let mut buf = Vec::new();
@@ -184,6 +204,32 @@ mod tests {
         drop(l);
         let l2 = bind_listener(addr, false).unwrap();
         assert_eq!(l2.local_addr().unwrap(), addr);
+    }
+
+    /// The listener is the one place per-connection options are set:
+    /// what `accept_nonblocking` returns needs no further call. An
+    /// adopted listener that never had the option gets it too.
+    #[test]
+    fn accepted_sockets_arrive_nodelay_nonblocking_and_cloexec() {
+        use std::os::unix::io::AsRawFd;
+        let bound = bind_listener("127.0.0.1:0".parse().unwrap(), false).unwrap();
+        let plain = TcpListener::bind("127.0.0.1:0").unwrap();
+        adopt_listener(&plain).unwrap();
+        for l in [bound, plain] {
+            let _c = TcpStream::connect(l.local_addr().unwrap()).unwrap();
+            let mut s = accept_one(&l);
+            assert!(s.nodelay().unwrap(), "TCP_NODELAY not inherited");
+            let err = s.read(&mut [0u8; 1]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::WouldBlock, "socket blocks");
+            // `flags:` in fdinfo is the descriptor's open flags in
+            // octal, O_CLOEXEC (0o2000000) among them.
+            let info = format!("/proc/self/fdinfo/{}", s.as_raw_fd());
+            if let Ok(text) = std::fs::read_to_string(info) {
+                let flags = text.lines().find_map(|l| l.strip_prefix("flags:")).unwrap();
+                let flags = u32::from_str_radix(flags.trim(), 8).unwrap();
+                assert_ne!(flags & 0o2000000, 0, "not close-on-exec: {flags:o}");
+            }
+        }
     }
 
     #[cfg(any(target_os = "linux", target_os = "android"))]

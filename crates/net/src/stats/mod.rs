@@ -244,6 +244,9 @@ registry! {
     INLINE_JOBS / inline_jobs: Counter, Sum, "Disk jobs completed in the dispatching loop turn because the file was memory resident (no helper hand-off)";
     CACHE_HITS / cache_hits: Counter, Sum, "Responses served from the per-shard content cache";
     WRITEV_CALLS / writev_calls: Counter, Sum, "Gathered writev(2) calls issued on the send path";
+    READ_CALLS / read_calls: Counter, Sum, "Transport reads issued by the connection core (read(2) on sockets, EAGAIN included)";
+    ACCEPT_CALLS / accept_calls: Counter, Sum, "accept4(2) calls issued by the shards on their own listeners, EAGAIN included";
+    CTL_CALLS / ctl_calls: Counter, Sum, "Interest-set calls (register, modify, rearm, deregister) the shard drivers made on their readiness backends";
     SENDFILE_CALLS / sendfile_calls: Counter, Sum, "sendfile(2) calls issued on the large-body path";
     BYTES_SENDFILE / bytes_sendfile: Counter, Sum, "Body bytes transmitted via sendfile(2)";
     CACHE_USED_BYTES / cache_used_bytes: Gauge, Sum, "Bytes currently resident in the content caches";

@@ -82,6 +82,7 @@ mod c {
         ) -> c_int;
         pub fn bind(fd: c_int, addr: *const c_void, addrlen: u32) -> c_int;
         pub fn listen(fd: c_int, backlog: c_int) -> c_int;
+        pub fn accept4(fd: c_int, addr: *mut c_void, addrlen: *mut u32, flags: c_int) -> c_int;
         pub fn sendmsg(fd: c_int, msg: *const scm::MsgHdr, flags: c_int) -> isize;
         pub fn recvmsg(fd: c_int, msg: *mut scm::MsgHdr, flags: c_int) -> isize;
         pub fn sigaction(signum: c_int, act: *const SigAction, oldact: *mut SigAction) -> c_int;
@@ -223,11 +224,85 @@ pub(crate) fn sendfile(
     retry_eintr(|| unsafe { c::sendfile(out_fd, file.as_raw_fd(), offset, count) })
 }
 
-// -- Listening sockets -------------------------------------------------------
+// -- Listening sockets and accept --------------------------------------------
+
+#[cfg(any(target_os = "linux", target_os = "android"))]
+const SOCK_NONBLOCK: c_int = 0o4000;
+#[cfg(any(target_os = "linux", target_os = "android"))]
+const SOCK_CLOEXEC: c_int = 0o2000000;
+
+/// Sets the integer socket option `level`/`opt` on `fd` to 1.
+#[cfg(any(target_os = "linux", target_os = "android"))]
+fn set_flag(fd: RawFd, level: c_int, opt: c_int) -> io::Result<()> {
+    let one: c_int = 1;
+    // SAFETY: `one` outlives the call; the kernel reads exactly
+    // `optlen` bytes from it.
+    cvt_unit(unsafe {
+        c::setsockopt(
+            fd,
+            level,
+            opt,
+            (&raw const one).cast(),
+            size_of::<c_int>() as u32,
+        )
+    })
+}
+
+/// `TCP_NODELAY` on a **listening** socket: Linux copies the option to
+/// every socket accepted from it, so setting it here once replaces a
+/// `setsockopt` per connection.
+#[cfg(any(target_os = "linux", target_os = "android"))]
+pub(crate) fn set_listener_nodelay(listener: &std::net::TcpListener) -> io::Result<()> {
+    const IPPROTO_TCP: c_int = 6;
+    const TCP_NODELAY: c_int = 1;
+    set_flag(listener.as_raw_fd(), IPPROTO_TCP, TCP_NODELAY)
+}
+
+/// One `accept4(2)` on a nonblocking listener: the connection comes
+/// back nonblocking and close-on-exec from the same call (and, from a
+/// [`bind_listener`] listener, with `TCP_NODELAY` inherited), its peer
+/// address unasked for. `EAGAIN` is an empty backlog; `EINTR` is the
+/// caller's to retry, so a caller that counts its calls counts them
+/// all.
+#[cfg(any(target_os = "linux", target_os = "android"))]
+#[inline]
+pub(crate) fn accept_nonblocking(
+    listener: &std::net::TcpListener,
+) -> io::Result<std::net::TcpStream> {
+    // SAFETY: `listener` is borrowed, so its descriptor stays open for
+    // the call; null address pointers tell the kernel to write no peer
+    // address.
+    let fd = unsafe {
+        c::accept4(
+            listener.as_raw_fd(),
+            std::ptr::null_mut(),
+            std::ptr::null_mut(),
+            SOCK_NONBLOCK | SOCK_CLOEXEC,
+        )
+    };
+    cvt(fd as isize)?;
+    // SAFETY: a non-negative return is a fresh descriptor that nothing
+    // else owns.
+    Ok(unsafe { OwnedFd::from_raw_fd(fd) }.into())
+}
+
+/// Without `accept4` and option inheritance: `accept`, then the two
+/// per-connection calls.
+#[cfg(not(any(target_os = "linux", target_os = "android")))]
+pub(crate) fn accept_nonblocking(
+    listener: &std::net::TcpListener,
+) -> io::Result<std::net::TcpStream> {
+    let (stream, _) = listener.accept()?;
+    stream.set_nonblocking(true)?;
+    let _ = stream.set_nodelay(true);
+    Ok(stream)
+}
 
 /// A nonblocking, close-on-exec TCP listener on `addr` with
 /// `SO_REUSEADDR` and, if asked, `SO_REUSEPORT` — both set *before*
-/// `bind(2)`, which `std::net::TcpListener` cannot express.
+/// `bind(2)`, which `std::net::TcpListener` cannot express — and
+/// `TCP_NODELAY` for the connections accepted from it
+/// ([`set_listener_nodelay`]).
 #[cfg(any(target_os = "linux", target_os = "android"))]
 pub(crate) fn bind_listener(
     addr: std::net::SocketAddr,
@@ -238,8 +313,6 @@ pub(crate) fn bind_listener(
     const AF_INET: c_int = 2;
     const AF_INET6: c_int = 10;
     const SOCK_STREAM: c_int = 1;
-    const SOCK_NONBLOCK: c_int = 0o4000;
-    const SOCK_CLOEXEC: c_int = 0o2000000;
     const SOL_SOCKET: c_int = 1;
     const SO_REUSEADDR: c_int = 2;
     const SO_REUSEPORT: c_int = 15;
@@ -268,21 +341,6 @@ pub(crate) fn bind_listener(
         scope_id: u32,
     }
 
-    fn set_flag(fd: RawFd, opt: c_int) -> io::Result<()> {
-        let one: c_int = 1;
-        // SAFETY: `one` outlives the call; the kernel reads exactly
-        // `optlen` bytes from it.
-        cvt_unit(unsafe {
-            c::setsockopt(
-                fd,
-                SOL_SOCKET,
-                opt,
-                (&raw const one).cast(),
-                size_of::<c_int>() as u32,
-            )
-        })
-    }
-
     fn bind_to<T>(fd: RawFd, sa: &T) -> io::Result<()> {
         // SAFETY: `sa` is a live, correctly sized sockaddr_in or
         // sockaddr_in6 that the kernel only reads.
@@ -299,9 +357,9 @@ pub(crate) fn bind_listener(
     // SAFETY: a non-negative return is a fresh descriptor that nothing
     // else owns; it closes on every early return below.
     let sock = unsafe { OwnedFd::from_raw_fd(fd) };
-    set_flag(fd, SO_REUSEADDR)?;
+    set_flag(fd, SOL_SOCKET, SO_REUSEADDR)?;
     if reuseport {
-        set_flag(fd, SO_REUSEPORT)?;
+        set_flag(fd, SOL_SOCKET, SO_REUSEPORT)?;
     }
     match addr {
         SocketAddr::V4(v4) => bind_to(
@@ -326,7 +384,9 @@ pub(crate) fn bind_listener(
     }
     // SAFETY: plain syscall on the descriptor owned above.
     cvt_unit(unsafe { c::listen(fd, BACKLOG) })?;
-    Ok(sock.into())
+    let listener = sock.into();
+    set_listener_nodelay(&listener)?;
+    Ok(listener)
 }
 
 // -- Descriptor passing: SCM_RIGHTS over a unix socket -----------------------

@@ -36,6 +36,13 @@ struct TestIo {
     inbox: VecDeque<u8>,
     captured: Rc<RefCell<Vec<u8>>>,
     write_err: Option<io::ErrorKind>,
+    /// Scripts [`ConnIo::known_empty`]: the transport says so whenever
+    /// its inbox is empty (a socket works that out from a short read).
+    reports_dry: bool,
+    /// The peer's end of stream is queued behind the inbox — and the
+    /// transport has been told (the hang-up mark), so it never reports
+    /// dry: an empty inbox reads `Ok(0)`.
+    peer_closed: bool,
 }
 
 impl TestIo {
@@ -44,6 +51,8 @@ impl TestIo {
             inbox: VecDeque::new(),
             captured: Rc::clone(captured),
             write_err: None,
+            reports_dry: false,
+            peer_closed: false,
         }
     }
 }
@@ -53,13 +62,21 @@ impl ConnIo for TestIo {
 
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         if self.inbox.is_empty() {
-            return Err(io::ErrorKind::WouldBlock.into());
+            return if self.peer_closed {
+                Ok(0)
+            } else {
+                Err(io::ErrorKind::WouldBlock.into())
+            };
         }
         let n = buf.len().min(self.inbox.len());
         for slot in buf.iter_mut().take(n) {
             *slot = self.inbox.pop_front().unwrap();
         }
         Ok(n)
+    }
+
+    fn known_empty(&self) -> bool {
+        self.reports_dry && !self.peer_closed && self.inbox.is_empty()
     }
 
     fn writev(&mut self, bufs: &[&[u8]]) -> io::Result<usize> {
@@ -394,11 +411,64 @@ fn a_dead_dynamic_stream_cannot_reach_the_slots_next_connection() {
     }
 }
 
+/// One keep-alive request through a fresh core on a transport set up
+/// by `script`; returns what the drive left, the `read` calls it made,
+/// and the response stream.
+fn one_request(script: impl FnOnce(&mut TestIo)) -> (Drive, u64, Vec<u8>) {
+    let mut core = core();
+    let captured = Rc::new(RefCell::new(Vec::new()));
+    let mut io = TestIo::new(&captured);
+    io.inbox.extend(b"GET /a.html HTTP/1.1\r\nHost: t\r\n\r\n");
+    script(&mut io);
+    let mut conns = vec![Some(Conn::new(io))];
+    let entry = flash_net::cache::Entry::build("/a.html", b"alpha body".to_vec());
+    assert!(core
+        .cache
+        .insert_at("/a.html".into(), entry, Instant::now()));
+    let mut port = SyncPort { jobs: Vec::new() };
+    let outcome = core.drive_conn(0, &mut conns, &mut port, Instant::now());
+    assert!(port.jobs.is_empty(), "a cache hit dispatches nothing");
+    let reads = core.stats.read_calls.load(Ordering::Relaxed);
+    let out = captured.borrow().clone();
+    (outcome, reads, out)
+}
+
+/// The dry rule: the core asks the transport before it reads. One that
+/// cannot tell pays the confirming read; one that knows it is dry
+/// parks on the read that took the request; one that has seen the
+/// peer's hang-up reads on to the end of stream and closes there.
+#[test]
+fn a_dry_transport_is_not_read_and_a_hung_up_one_is_read_to_eof() {
+    let (outcome, reads, out) = one_request(|_| {});
+    assert!(matches!(outcome, Drive::Blocked));
+    assert_eq!(reads, 2, "the request, then the read that says WouldBlock");
+    assert!(out.starts_with(b"HTTP/1.1 200 ") && out.ends_with(b"alpha body"));
+
+    let (outcome, reads, dry_out) = one_request(|io| io.reports_dry = true);
+    assert!(matches!(outcome, Drive::Blocked));
+    assert_eq!(reads, 1, "a transport known to be dry is not asked");
+    assert_eq!(scrubbed(dry_out), scrubbed(out.clone()));
+
+    let (outcome, reads, closed_out) = one_request(|io| {
+        io.reports_dry = true;
+        io.peer_closed = true;
+    });
+    assert!(matches!(outcome, Drive::Closed), "closed at its EOF");
+    assert_eq!(reads, 2, "the request, then the read that says Ok(0)");
+    assert_eq!(scrubbed(closed_out), scrubbed(out));
+}
+
+fn scrubbed(mut buf: Vec<u8>) -> Vec<u8> {
+    scrub_dates(&mut buf);
+    buf
+}
+
 /// One connection's fate at drain entry: `served` is answered before
-/// the drain begins, `unread` sits in the transport when it does.
+/// the drain begins, `unread` sits in the transport when it does;
+/// `reports_dry` scripts the transport's [`ConnIo::known_empty`].
 /// Returns whether the slot is still occupied after the drain-entry
 /// drive, how many `200`s went out in all, and `drained_conns`.
-fn at_drain_entry(served: &[u8], unread: &[u8]) -> (bool, usize, u64) {
+fn at_drain_entry(served: &[u8], unread: &[u8], reports_dry: bool) -> (bool, usize, u64) {
     let files = disk();
     let mut core = core();
     let captured = Rc::new(RefCell::new(Vec::new()));
@@ -406,6 +476,7 @@ fn at_drain_entry(served: &[u8], unread: &[u8]) -> (bool, usize, u64) {
     let mut port = SyncPort { jobs: Vec::new() };
     let wheel = TimerWheel::new(Duration::from_millis(10));
     let now = Instant::now();
+    conns[0].as_mut().unwrap().io.reports_dry = reports_dry;
     conns[0].as_mut().unwrap().io.inbox.extend(served);
     settle(&mut core, &mut conns, &mut port, &files, now);
     core.check_invariants(&conns, &wheel, |_| 0).unwrap();
@@ -413,8 +484,13 @@ fn at_drain_entry(served: &[u8], unread: &[u8]) -> (bool, usize, u64) {
     // What a driver does at drain entry: flip the core, then drive
     // every `Reading` slot once.
     core.begin_drain();
+    let reads_before = core.stats.read_calls.load(Ordering::Relaxed);
     settle(&mut core, &mut conns, &mut port, &files, now);
     core.check_invariants(&conns, &wheel, |_| 0).unwrap();
+    if reports_dry && unread.is_empty() {
+        let reads = core.stats.read_calls.load(Ordering::Relaxed);
+        assert_eq!(reads, reads_before, "the rule ran on the park path");
+    }
     let oks = captured
         .borrow()
         .windows(13)
@@ -430,12 +506,17 @@ fn at_drain_entry(served: &[u8], unread: &[u8]) -> (bool, usize, u64) {
 /// The drain-entry rule lives in the core, so every driver gets the
 /// same one: an answered, idle keep-alive closes at once; requests
 /// already in the transport are served first; a connection not yet
-/// answered — or mid-request — keeps its grace.
+/// answered — or mid-request — keeps its grace. It is the same rule
+/// whether the core learns the transport is dry from a `WouldBlock`
+/// read or from the transport's own word.
 #[test]
 fn drain_entry_closes_only_answered_idle_connections() {
     const GET: &[u8] = b"GET /a.html HTTP/1.1\r\nHost: t\r\n\r\n";
-    assert_eq!(at_drain_entry(b"", b""), (true, 0, 0), "not yet answered");
-    assert_eq!(at_drain_entry(GET, b""), (false, 1, 1), "answered and idle");
-    assert_eq!(at_drain_entry(GET, GET), (false, 2, 1), "a request unread");
-    assert_eq!(at_drain_entry(GET, &GET[..9]), (true, 1, 0), "mid-request");
+    for dry in [false, true] {
+        let at = |served, unread| at_drain_entry(served, unread, dry);
+        assert_eq!(at(b"", b""), (true, 0, 0), "not yet answered");
+        assert_eq!(at(GET, b""), (false, 1, 1), "answered and idle");
+        assert_eq!(at(GET, GET), (false, 2, 1), "a request unread");
+        assert_eq!(at(GET, &GET[..9]), (true, 1, 0), "mid-request");
+    }
 }

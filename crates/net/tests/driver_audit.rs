@@ -8,7 +8,11 @@
 //!   outside its tests;
 //! * `server.rs` is the shard driver and nothing else: the config, the
 //!   stats facade, the helper pool and the accept loop each have a
-//!   module of their own.
+//!   module of their own;
+//! * the shard's syscall counters stay honest: it accepts through the
+//!   one counted wrapper (`sys::accept_nonblocking`, bumped as
+//!   `accept_calls`) and sets no per-connection socket option — the
+//!   listener carries them (`sock.rs`).
 
 use std::path::Path;
 
@@ -67,5 +71,14 @@ fn server_rs_is_the_shard_driver_only() {
     assert!(
         found.is_empty(),
         "these live in config.rs, stats/, pool.rs and accept.rs: {found:#?}"
+    );
+}
+
+#[test]
+fn the_shard_accepts_through_the_counted_wrapper_and_sets_no_option() {
+    let found = offenders("server.rs", &[".accept()", "set_nodelay("]);
+    assert!(
+        found.is_empty(),
+        "uncounted accept or per-connection option in the shard driver: {found:#?}"
     );
 }

@@ -329,6 +329,68 @@ fn run_pipelined_keep_alive(tag: &str, backend: BackendChoice) {
     let _ = std::fs::remove_dir_all(root);
 }
 
+/// A client that half-closes right behind its request(s) — `shutdown`
+/// of the write side, the FIN in flight with (or on the heels of) the
+/// data — must get every response and then see the server's close at
+/// that end of stream, not at the idle deadline. The read that takes
+/// the requests comes back short and cannot see the FIN behind them:
+/// under the edge-triggered backend nothing else would ever report it
+/// unless the readiness event's hang-up mark does. First on a cold
+/// cache (the request parks on a miss, interest dropped and re-armed),
+/// then as hits; alone, then as a pipelined pair in one segment; with
+/// the connection fresh, then on one already registered and parked.
+fn run_half_close_behind_requests(tag: &str, backend: BackendChoice) {
+    const ONE: &[u8] = b"GET /index.html HTTP/1.1\r\nHost: t\r\n\r\n";
+    const PAIR: &[u8] = b"GET /index.html HTTP/1.1\r\nHost: t\r\n\r\n\
+                          GET /sub/page.html HTTP/1.1\r\nHost: t\r\n\r\n";
+    let root = docroot(tag);
+    let server = Server::start(
+        "127.0.0.1:0",
+        cfg(&root, backend)
+            .event_loops(1)
+            .idle_timeout(Some(Duration::from_secs(5)))
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    let bodies: [&[u8]; 2] = [b"<html>hello flash</html>\n", b"subdir page"];
+    let mut served = 0;
+    for (n, parked_first) in [(1, false), (2, false), (1, true), (2, true)] {
+        let what = format!("{n} request(s), parked first: {parked_first}");
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        if parked_first {
+            // One exchange, so the shard has read the socket dry,
+            // registered the connection and parked it.
+            s.write_all(ONE).unwrap();
+            assert_eq!(read_response(&mut s).1, bodies[0], "{what}");
+            served += 1;
+        }
+        let sent = std::time::Instant::now();
+        s.write_all(if n == 1 { ONE } else { PAIR }).unwrap();
+        s.shutdown(std::net::Shutdown::Write).unwrap();
+        for expected in &bodies[..n] {
+            let (text, body) = read_response(&mut s);
+            assert!(text.contains("Connection: keep-alive"), "{what}: {text}");
+            assert_eq!(&body[..], *expected, "{what}");
+            served += 1;
+        }
+        let mut rest = Vec::new();
+        s.read_to_end(&mut rest)
+            .unwrap_or_else(|e| panic!("{what}: held open past the client's EOF: {e}"));
+        assert!(rest.is_empty(), "{what}: bytes after the last response");
+        let took = sent.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "{what}: closed after {took:?} — by the idle deadline, not the EOF"
+        );
+    }
+    assert_eq!(server.stats().requests(), served);
+    assert_eq!(server.stats().idle_reaped(), 0);
+    server.stop();
+    let _ = std::fs::remove_dir_all(root);
+}
+
 fn run_shards_spread_round_robin(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
     // Pinned to the single-acceptor mode: exact round-robin dealing is
@@ -1696,6 +1758,11 @@ macro_rules! backend_suite {
             #[test]
             fn amped_headers_are_alignment_padded() {
                 run_headers_are_alignment_padded(&tag("align"), $backend);
+            }
+
+            #[test]
+            fn amped_half_close_behind_requests_closes_at_eof() {
+                run_half_close_behind_requests(&tag("halfclose"), $backend);
             }
 
             #[test]

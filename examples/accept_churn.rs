@@ -16,6 +16,15 @@
 //! `flash_requests` must agree exactly with the example's own count —
 //! which also proves scrapes land in `flash_metrics_requests`, never
 //! in `flash_requests`.
+//!
+//! And as the syscall-diet smoke: from the same scrape it prints the
+//! counted syscalls per connection — `(accept_calls + read_calls +
+//! writev_calls + ctl_calls) / accepted` — and fails if `ctl_calls`
+//! exceeds `accepted`. A one-request connection costs no readiness
+//! registration when its request is already waiting at accept and
+//! exactly one when it is not (registered, never deregistered: a closed
+//! socket is forgotten), so one per connection is an upper bound
+//! whichever way each first-read race goes.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -181,6 +190,17 @@ fn main() {
             after["flash_request_latency_nanos_count"], TOTAL_CONNS as u64,
             "every served request must land in the latency histogram"
         );
+        let accepted = after["flash_accepted"];
+        let ctl_calls = after["flash_ctl_calls"];
+        let counted = ["accept", "read", "writev", "ctl"]
+            .iter()
+            .map(|k| after[&format!("flash_{k}_calls")])
+            .sum::<u64>();
+        assert!(
+            ctl_calls <= accepted,
+            "a one-request connection costs at most one registration: \
+             {ctl_calls} ctl calls for {accepted} connections"
+        );
         let stats = server.stats();
         assert_eq!(
             stats.requests(),
@@ -206,7 +226,7 @@ fn main() {
         latencies_ms.sort_by(f64::total_cmp);
         println!(
             "accept churn OK [{}]: {} conns in {:?} ({:.0} conns/sec, p50 {:.3} ms, p99 {:.3} ms), \
-             backpressure events: {}",
+             backpressure events: {}, counted syscalls/conn: {:.2} (registered: {:.3} of conns)",
             resolved.name(),
             TOTAL_CONNS,
             elapsed,
@@ -214,6 +234,8 @@ fn main() {
             percentile(&latencies_ms, 0.50),
             percentile(&latencies_ms, 0.99),
             stats.accept_backpressure(),
+            counted as f64 / accepted as f64,
+            ctl_calls as f64 / accepted as f64,
         );
         server.stop();
     }
