@@ -172,6 +172,13 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.slab[idx as usize].value.take()
     }
 
+    /// The least-recently-used entry — the one [`Self::pop_lru`] would
+    /// take — without removing or promoting it.
+    pub fn peek_lru(&self) -> Option<(&K, &V)> {
+        let node = self.slab.get(self.tail as usize)?;
+        Some((&node.key, node.value.as_ref()?))
+    }
+
     /// Removes and returns the least-recently-used entry.
     pub fn pop_lru(&mut self) -> Option<(K, V)> {
         let idx = self.tail;
@@ -400,10 +407,12 @@ mod tests {
         c.insert(2, ());
         c.insert(3, ());
         c.get(&1);
+        assert_eq!(c.peek_lru(), Some((&2, &())));
         assert_eq!(c.pop_lru().map(|(k, _)| k), Some(2));
         assert_eq!(c.pop_lru().map(|(k, _)| k), Some(3));
         assert_eq!(c.pop_lru().map(|(k, _)| k), Some(1));
         assert_eq!(c.pop_lru(), None);
+        assert_eq!(c.peek_lru(), None);
         assert!(c.is_empty());
     }
 

@@ -140,7 +140,20 @@ enum BodyMeta<'a> {
 pub struct ResponseHeader {
     bytes: Vec<u8>,
     aligned: bool,
+    /// Offset just past the `Server` product token — where the
+    /// alignment padding sits.
+    pad_at: usize,
+    /// Padding spaces at `pad_at`.
+    pad: usize,
+    /// Whether the header was rendered with `pad_align`.
+    pad_align: bool,
 }
+
+/// The two `Connection` lines, each with the CRLF that ends the
+/// `Server` line in front of it: the only bytes, padding aside, in
+/// which a header's keep-alive and close forms differ.
+const CONNECTION_KEEP: &str = "\r\nConnection: keep-alive\r\n";
+const CONNECTION_CLOSE: &str = "\r\nConnection: close\r\n";
 
 impl ResponseHeader {
     /// Builds a header for `status` with the given content metadata.
@@ -319,13 +332,13 @@ impl ResponseHeader {
         date::with_now_imf(|now| {
             let _ = write!(h, "Date: {now}\r\n");
         });
-        let server_at = h.len() + "Server: ".len();
-        h.push_str("Server: Flash/1.0\r\n");
-        if keep_alive {
-            h.push_str("Connection: keep-alive\r\n");
+        h.push_str("Server: Flash/1.0");
+        let pad_at = h.len();
+        h.push_str(if keep_alive {
+            CONNECTION_KEEP
         } else {
-            h.push_str("Connection: close\r\n");
-        }
+            CONNECTION_CLOSE
+        });
         if let Some(lm) = last_modified_unix {
             let _ = write!(h, "Last-Modified: {}\r\n", date::format_imf(lm));
         }
@@ -361,23 +374,66 @@ impl ResponseHeader {
         h.push_str("\r\n");
 
         let mut bytes = h.into_bytes();
-        let mut aligned = bytes.len().is_multiple_of(ALIGN);
-        if pad_align && !aligned {
-            // Pad the Server product token (a variable-length field the
-            // paper calls out as the padding site) with trailing spaces.
-            let pad = ALIGN - bytes.len() % ALIGN;
-            let insert_at = server_at + "Flash/1.0".len();
-            let spaces = vec![b' '; pad];
-            bytes.splice(insert_at..insert_at, spaces);
-            aligned = true;
+        let pad = Self::padding(bytes.len(), pad_align);
+        // Pad the Server product token (a variable-length field the
+        // paper calls out as the padding site) with trailing spaces.
+        bytes.splice(pad_at..pad_at, std::iter::repeat_n(b' ', pad));
+        Self::padded(bytes, pad_at, pad, pad_align)
+    }
+
+    /// Spaces that bring an `unpadded`-byte header to a multiple of
+    /// [`ALIGN`], if padding is wanted at all.
+    fn padding(unpadded: usize, pad_align: bool) -> usize {
+        if pad_align {
+            (ALIGN - unpadded % ALIGN) % ALIGN
+        } else {
+            0
         }
-        debug_assert!(!pad_align || bytes.len().is_multiple_of(ALIGN));
-        ResponseHeader { bytes, aligned }
+    }
+
+    fn padded(bytes: Vec<u8>, pad_at: usize, pad: usize, pad_align: bool) -> ResponseHeader {
+        let aligned = bytes.len().is_multiple_of(ALIGN);
+        debug_assert!(!pad_align || aligned);
+        ResponseHeader {
+            bytes,
+            aligned,
+            pad_at,
+            pad,
+            pad_align,
+        }
+    }
+
+    /// The `Connection: close` form of a keep-alive header, **derived**
+    /// rather than rendered again: the two forms differ only in the
+    /// `Connection` value and — the value being five bytes shorter —
+    /// in the `Server` padding, so the close form is this header's
+    /// bytes with those two spans rewritten. Byte-identical to
+    /// rendering the same response with `keep_alive = false` in the
+    /// same clock second (the `Date` value is copied, not re-read). A
+    /// header already in its close form is returned as it is.
+    pub fn close_form(&self) -> ResponseHeader {
+        let server_end = self.pad_at + self.pad;
+        let Some(rest) = self.bytes[server_end..].strip_prefix(CONNECTION_KEEP.as_bytes()) else {
+            return self.clone();
+        };
+        let unpadded = self.pad_at + CONNECTION_CLOSE.len() + rest.len();
+        let pad = Self::padding(unpadded, self.pad_align);
+        let mut bytes = Vec::with_capacity(unpadded + pad);
+        bytes.extend_from_slice(&self.bytes[..self.pad_at]);
+        bytes.resize(self.pad_at + pad, b' ');
+        bytes.extend_from_slice(CONNECTION_CLOSE.as_bytes());
+        bytes.extend_from_slice(rest);
+        Self::padded(bytes, self.pad_at, pad, self.pad_align)
     }
 
     /// The header bytes.
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
+    }
+
+    /// The header bytes, without the copy.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.bytes
     }
 
     /// Header length in bytes.
@@ -500,6 +556,67 @@ mod tests {
             (before..=after).contains(&t),
             "Date {t} outside [{before}, {after}]"
         );
+    }
+
+    /// `Date` value blanked: two renders can straddle a second.
+    fn scrub_date(h: &ResponseHeader) -> Vec<u8> {
+        let mut b = h.as_bytes().to_vec();
+        let at = b.windows(6).position(|w| w == b"Date: ").unwrap() + 6;
+        b[at..at + date::IMF_FIXDATE_LEN].fill(b'_');
+        b
+    }
+
+    /// Every header shape the server renders, keep-alive form: its
+    /// derived close form is the rendered close form, padded or not —
+    /// the padding remainder moves with each digit of the length.
+    #[test]
+    fn close_form_is_the_rendered_close_form() {
+        let extras = HeaderExtras {
+            etag: Some("\"2ebd1ca1-2a\""),
+            content_range: Some(ContentRange::Span {
+                start: 5,
+                end: 14,
+                total: 42,
+            }),
+            gzip: true,
+            vary_accept_encoding: true,
+        };
+        for pad in [true, false] {
+            let build = |keep| {
+                let mut all = vec![
+                    ResponseHeader::build_chunked(Status::Ok, "text/plain", keep, pad),
+                    ResponseHeader::not_modified_full(keep, Some(784_111_777), Some("\"aa-1\"")),
+                ];
+                for len in (0..10).flat_map(|d| [10u64.pow(d) - 1, 10u64.pow(d)]) {
+                    all.push(ResponseHeader::build(
+                        Status::Ok,
+                        "image/gif",
+                        len,
+                        keep,
+                        pad,
+                    ));
+                    all.push(ResponseHeader::build_full(
+                        Status::PartialContent,
+                        Some(("text/html", len)),
+                        keep,
+                        pad,
+                        Some(784_111_777),
+                        extras,
+                    ));
+                }
+                all
+            };
+            for (keep, close) in build(true).iter().zip(&build(false)) {
+                let derived = keep.close_form();
+                assert_eq!(
+                    String::from_utf8(scrub_date(&derived)).unwrap(),
+                    String::from_utf8(scrub_date(close)).unwrap()
+                );
+                assert_eq!(derived.aligned(), close.aligned());
+                // A close form is its own close form.
+                assert_eq!(derived.close_form(), derived);
+            }
+        }
     }
 
     #[test]

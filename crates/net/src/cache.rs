@@ -2,7 +2,9 @@
 //!
 //! Plays the role of Flash's pathname-translation + mapped-file +
 //! response-header caches combined: a hit serves entirely from memory
-//! with a pre-rendered (alignment-padded) header. Residency testing via
+//! with a pre-rendered (alignment-padded) header. (On a miss the first
+//! of the three has a home of its own: the shard's open-file table,
+//! [`crate::fsjob::OpenFileTable`].) Residency testing via
 //! `mincore` has no portable stable equivalent, so — exactly as §5.7 of
 //! the paper suggests as the fallback — the server treats its own
 //! LRU-bounded cache as the definition of "in memory" and routes misses
@@ -97,6 +99,8 @@ pub struct Entry {
 /// pair carries the representation's `ETag`, gzip variants add
 /// `Content-Encoding: gzip`, and any negotiated resource (either
 /// variant, when a `.gz` sibling exists) adds `Vary: Accept-Encoding`.
+/// Only the keep-alive form goes through the formatter; the close form
+/// is derived from it ([`ResponseHeader::close_form`]).
 pub fn header_pair(
     path: &str,
     len: u64,
@@ -104,25 +108,26 @@ pub fn header_pair(
     variant: Variant,
     has_gzip: bool,
 ) -> (Bytes, Bytes, String) {
-    let ctype = mime::content_type(path);
     let etag = etag_value(mtime, len, variant.is_gzip());
-    let build = |keep| {
-        let h = ResponseHeader::build_full(
-            Status::Ok,
-            Some((ctype, len)),
-            keep,
-            true,
-            mtime,
-            HeaderExtras {
-                etag: Some(&etag),
-                content_range: None,
-                gzip: variant.is_gzip(),
-                vary_accept_encoding: variant.is_gzip() || has_gzip,
-            },
-        );
-        Bytes::from(h.as_bytes().to_vec())
-    };
-    (build(true), build(false), etag)
+    let keep = ResponseHeader::build_full(
+        Status::Ok,
+        Some((mime::content_type(path), len)),
+        true,
+        true,
+        mtime,
+        HeaderExtras {
+            etag: Some(&etag),
+            content_range: None,
+            gzip: variant.is_gzip(),
+            vary_accept_encoding: variant.is_gzip() || has_gzip,
+        },
+    );
+    let close = keep.close_form();
+    (
+        Bytes::from(keep.into_bytes()),
+        Bytes::from(close.into_bytes()),
+        etag,
+    )
 }
 
 impl Entry {
@@ -438,6 +443,51 @@ mod tests {
         assert!(!e.not_modified_since(Some(i64::MAX)));
         let s = String::from_utf8(e.header_keep.to_vec()).unwrap();
         assert!(!s.contains("Last-Modified"));
+    }
+
+    /// The derived close form is the rendered one, over everything
+    /// `header_pair` takes: each digit count of the length moves the
+    /// padding remainder. `Date` is scrubbed — the renders being
+    /// compared can straddle a second.
+    #[test]
+    fn header_pair_close_form_equals_a_second_render() {
+        let scrub = |b: &[u8]| {
+            let mut b = b.to_vec();
+            let at = b.windows(6).position(|w| w == b"Date: ").unwrap() + 6;
+            b[at..at + flash_http::date::IMF_FIXDATE_LEN].fill(b'_');
+            String::from_utf8(b).unwrap()
+        };
+        let lens = (0..10).flat_map(|d| [10u64.pow(d) - 1, 10u64.pow(d)]);
+        for len in lens {
+            for mtime in [None, Some(784_111_777)] {
+                for variant in [Variant::Identity, Variant::Gzip] {
+                    for has_gzip in [false, true] {
+                        for path in ["/a.html", "/b.jpeg", "/no-extension"] {
+                            let (keep, close, etag) =
+                                header_pair(path, len, mtime, variant, has_gzip);
+                            let render = |keep_alive| {
+                                ResponseHeader::build_full(
+                                    Status::Ok,
+                                    Some((mime::content_type(path), len)),
+                                    keep_alive,
+                                    true,
+                                    mtime,
+                                    HeaderExtras {
+                                        etag: Some(&etag),
+                                        content_range: None,
+                                        gzip: variant.is_gzip(),
+                                        vary_accept_encoding: variant.is_gzip() || has_gzip,
+                                    },
+                                )
+                            };
+                            assert_eq!(scrub(&keep), scrub(render(true).as_bytes()));
+                            assert_eq!(scrub(&close), scrub(render(false).as_bytes()));
+                            assert_eq!(close.len() % 32, 0);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

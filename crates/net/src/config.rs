@@ -69,13 +69,24 @@ pub struct NetConfig {
     /// backlog or hash to other shards) and re-arms the moment a slot
     /// frees. Default 8192.
     pub max_conns_per_shard: usize,
-    /// Content-cache hits older than this re-stat the file (via the
-    /// helper pool — the shard still never touches the filesystem)
-    /// before serving: an mtime/size mismatch evicts the entry and
-    /// reloads, so a file edited in place stops being served — and
-    /// 304-validated — from stale cached bytes within the TTL. `None`
-    /// trusts cached entries forever (the pre-revalidation behavior).
-    /// Default 2 s.
+    /// Content-cache hits older than this re-stat the file (a job like
+    /// any miss: answered on the spot when the lookup is in memory, by
+    /// a helper otherwise — the shard still never waits for the
+    /// filesystem) before serving: an mtime/size mismatch evicts the
+    /// entry and reloads, so a file edited in place stops being served
+    /// — and 304-validated — from stale cached bytes within the TTL.
+    /// It is also how long a **miss** trusts a name it has resolved
+    /// before: the shard's open-file table (crate docs, *Residency
+    /// test*) keeps the descriptor a path led to for this long, and
+    /// a content-cache entry built through it counts its TTL from that
+    /// path lookup, not from the read. So the one bound holds to the
+    /// letter on both paths: whatever changes what a *name* means — a
+    /// symlinked directory flipped, a `.gz` sibling added — is seen
+    /// within the TTL of the change; every change to the *file* the
+    /// name led to (rewrite, truncation, delete, rename-over) is seen
+    /// by the next miss, as ever. `None` trusts cached entries and
+    /// name bindings until they are evicted (the pre-revalidation
+    /// behavior). Default 2 s.
     pub cache_revalidate_ttl: Option<Duration>,
     /// How long a drain ([`Server::drain`](crate::server::Server::drain),
     /// SIGTERM) waits for existing connections to finish before the

@@ -78,7 +78,7 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 pub use machine::{Conn, ConnState, DeadlineKind, Drive};
 pub use plan::{BodySource, RequestCond, Resource, ResponsePlan};
@@ -228,6 +228,15 @@ pub struct LoadResult<F> {
     pub variant: Variant,
     /// Whether a `.gz` sibling existed at load time.
     pub has_gzip: bool,
+    /// When the name was last resolved **by path**, if that was
+    /// earlier than this load: an answer from the open-file table
+    /// ([`crate::fsjob::OpenFileTable`]) carries its entry's resolve
+    /// time, and the content-cache entry built from it inherits that
+    /// as its validation instant — so stale bytes stop within
+    /// `cache_revalidate_ttl` of the moment the name stopped meaning
+    /// this file, not within twice it. `None` (the blocking executor,
+    /// the sim): resolved by this load.
+    pub resolved_at: Option<Instant>,
 }
 
 /// One event in a dynamic job's completion stream. A [`JobKind::Dynamic`]
@@ -331,6 +340,12 @@ pub struct ShardStats {
     /// file in memory — no hand-off, no helper. Jobs actually handed
     /// to the pool = `helper_jobs - inline_jobs`.
     pub inline_jobs: AtomicU64,
+    /// The subset of `inline_jobs` loads answered from the open-file
+    /// table: no path lookup, an `fstat` and a read of the descriptor
+    /// the table already held.
+    pub open_file_hits: AtomicU64,
+    /// Gauge: descriptors this shard's open-file table holds now.
+    pub open_files: AtomicU64,
     /// Responses served from this shard's content cache.
     pub cache_hits: AtomicU64,
     /// Gathered `writev(2)` calls issued on the send path.

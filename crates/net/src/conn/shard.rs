@@ -682,6 +682,7 @@ impl ShardCore {
                 data: FileData::Bytes { body, mtime },
                 variant,
                 has_gzip,
+                resolved_at,
             }) => {
                 let entry = Entry::build_variant(&url_path, body, mtime, variant, has_gzip);
                 // Oversized-for-this-cache entries are refused by the
@@ -695,11 +696,14 @@ impl ShardCore {
                 // back to identity (no `.gz` sibling) populates the
                 // identity slot, so the next gzip-accepting request
                 // hits `has_gzip: false` there and never re-dispatches.
+                // The entry is as fresh as its name binding: bytes read
+                // through a descriptor resolved earlier inherit that
+                // instant, so the TTL runs from the path lookup.
                 if done.epoch == self.epoch {
                     self.cache.insert_at(
                         cache::variant_key(&url_path, variant),
                         Arc::clone(&entry),
-                        now,
+                        resolved_at.unwrap_or(now),
                     );
                     self.stats
                         .cache_used_bytes
@@ -711,6 +715,7 @@ impl ShardCore {
                 data: FileData::Fd { file, len, mtime },
                 variant,
                 has_gzip,
+                ..
             }) => {
                 let (header_keep, header_close, etag) =
                     cache::header_pair(&url_path, len, mtime, variant, has_gzip);

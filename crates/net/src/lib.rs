@@ -149,9 +149,9 @@
 //! validating builder, and the one mapping to the core's
 //! [`conn::ProtoConfig`]); [`server`] ([`Server`] and the shard
 //! driver); `pool.rs` (the helper pool: job lanes, wake handles, the
-//! shard's `HelperPort` with its residency test); `accept.rs` (the
-//! single-acceptor loop, shared with [`mt`]); [`stats`] (the metrics
-//! registry and [`ServerStats`] over it).
+//! shard's `HelperPort` with its residency test and open-file table);
+//! `accept.rs` (the single-acceptor loop, shared with [`mt`]);
+//! [`stats`] (the metrics registry and [`ServerStats`] over it).
 //!
 //! ## How to add a fault to the sim
 //!
@@ -207,8 +207,50 @@
 //! insert are untouched), before the connection's interest and
 //! deadline are reconciled. An inline-served miss therefore costs no
 //! queue lock, no futex wake, no context switch, no wake byte, no
-//! `epoll_ctl`, no timer and no second `epoll_wait`: it is a cache hit
-//! plus three system calls. `inline_jobs` counts them.
+//! `epoll_ctl`, no timer and no second `epoll_wait`. `inline_jobs`
+//! counts them.
+//!
+//! Step 1 is remembered. Flash keeps three caches, not one — pathname
+//! translation, response headers, mapped files (§5.2–5.4) — so that a
+//! request whose *bytes* have left memory still skips name resolution;
+//! here each shard's port keeps an **open-file table**
+//! ([`fsjob::OpenFileTable`]): what step 1 found — the open regular
+//! file, which variant it is, whether a `.gz` sibling exists — in an
+//! entry-count-bounded LRU keyed like the content cache, touched by
+//! the event-loop thread only. A load whose name is in the table is
+//! steps 2 and 3 on the descriptor already held (`open_file_hits`
+//! counts them): `fstat` and `preadv2` where a first-time miss pays
+//! `openat2`, `fstat`, the sibling probe, `preadv2` and `close`; a
+//! body above the `sendfile` threshold is the `fstat` and a clone of
+//! the handle. What the table is trusted for is the policy the content
+//! cache already had, not a new one:
+//!
+//! * the **name binding** — what `open` decided: path lookup, symlinks
+//!   followed, permission checked, sibling present or not — is trusted
+//!   for [`NetConfig::cache_revalidate_ttl`] since the name was last
+//!   resolved by path, exactly as a content-cache hit trusts it. A
+//!   content-cache entry built through the table **inherits the table
+//!   entry's resolve time** ([`conn::LoadResult::resolved_at`]), so
+//!   the two never add up to twice the TTL;
+//! * **everything else comes from the descriptor on every use**: it
+//!   must still be a regular file, still linked (`st_nlink > 0`), of
+//!   the length and mtime it had when resolved, and the `len + 1` read
+//!   must meet end of file. A rewrite, a truncation, a delete or a
+//!   `mv new old` therefore shows on the very next request, as it
+//!   always did; any disagreement, error or `EAGAIN` drops the entry
+//!   and declines, and the helper that takes the job resolves by path.
+//!
+//! The table's capacity is derived, not configured: a quarter of the
+//! process's soft `RLIMIT_NOFILE`, read once at start, split over the
+//! shards (1024 → 256 descriptors in all; under 8 a shard has no
+//! table), never raised. An entry leaves by LRU eviction, when its TTL
+//! has lapsed and a later insert finds it at the LRU tail (an idle
+//! entry must not pin a deleted file's blocks), on a docroot reload —
+//! a SIGHUP to the *same* root drops everything too — at shard exit,
+//! and when `accept4` reports `EMFILE`/`ENFILE`: cached descriptors
+//! are the first thing a shard sheds (`open_files` is the gauge).
+//! Helpers, the MT server and `Revalidate` jobs resolve by path, every
+//! time.
 //!
 //! The test **either returns exactly what the blocking executor would
 //! for a regular file, or declines**, and a declined job goes to the
@@ -229,6 +271,8 @@
 //!   filter. The first one latches the test off and every job takes
 //!   the helper path, exactly as before this existed; so does every
 //!   job on a target whose syscall numbers [`sys`] does not list;
+//! * a table entry that fails its per-use check (the entry is dropped
+//!   with the decline);
 //! * `Dynamic` jobs, always.
 //!
 //! There is no switch: residency is a property the server observes
@@ -425,6 +469,8 @@
 //! | `accepted` | counter | Connections accepted, by the shards' own listeners or the acceptor |
 //! | `helper_jobs` | counter | Disk jobs dispatched after miss coalescing — whoever ends up executing them |
 //! | `inline_jobs` | counter | The subset of `helper_jobs` the residency test answered in the dispatching loop turn; jobs handed to the pool = `helper_jobs − inline_jobs` |
+//! | `open_file_hits` | counter | The subset of `inline_jobs` loads answered from a descriptor the open-file table already held: no path lookup |
+//! | `open_files` | gauge | Descriptors the shards' open-file tables hold now |
 //! | `cache_hits` | counter | Responses served from the content cache |
 //! | `writev_calls` | counter | Gathered `writev(2)` calls on the send path |
 //! | `sendfile_calls` | counter | `sendfile(2)` calls on the large-body path |

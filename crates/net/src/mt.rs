@@ -933,6 +933,7 @@ fn resolve_resource(
             data: FileData::Bytes { body, mtime },
             variant,
             has_gzip,
+            ..
         }) => {
             let e = Entry::build_variant(path, body, mtime, variant, has_gzip);
             // Epoch check under the lock: bytes read against a
@@ -954,6 +955,7 @@ fn resolve_resource(
             data: FileData::Fd { file, len, mtime },
             variant,
             has_gzip,
+            ..
         }) => {
             let (header_keep, header_close, etag) =
                 cache::header_pair(path, len, mtime, variant, has_gzip);

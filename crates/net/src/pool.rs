@@ -13,6 +13,7 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::conn::{Done, HelperJob, HelperPort, ShardStats};
+use crate::fsjob::OpenFileTable;
 
 /// The write side of a shard's wake socketpair, with a coalescing
 /// flag: a producer writes the wake byte only when it is the first to
@@ -58,22 +59,29 @@ struct Job {
 /// The real [`HelperPort`]. Each submitted job first meets the
 /// residency test ([`crate::fsjob::exec_job_nowait`] — the paper's
 /// `mincore` step): a file whose lookup and bytes are already in
-/// memory is read on the spot and its completion parked in
-/// `inline_done` for the shard to apply before this loop turn ends.
-/// Only a job the disk would block — or whose answer is an error — is
-/// wrapped with the shard's routing tag and pushed into that shard's
-/// lane of the shared [`JobQueue`].
+/// memory is read on the spot — through the shard's open-file table,
+/// so a file served before is not even looked up again — and its
+/// completion parked in `inline_done` for the shard to apply before
+/// this loop turn ends. Only a job the disk would block — or whose
+/// answer is an error — is wrapped with the shard's routing tag and
+/// pushed into that shard's lane of the shared [`JobQueue`]; helpers
+/// resolve by path and know nothing of the table.
 pub(crate) struct PoolPort {
     pub(crate) jobs: Arc<JobQueue>,
     pub(crate) shard: usize,
     /// Completions of jobs answered without a hand-off, awaiting
     /// the shard's inline-completion loop.
     pub(crate) inline_done: Vec<Done<Arc<File>>>,
+    /// The shard's open-file table: read and written only here, on
+    /// the event-loop thread, so it takes no lock. The shard driver
+    /// clears it on a docroot reload, when the process runs out of
+    /// descriptors, and at exit.
+    pub(crate) files: OpenFileTable,
 }
 
 impl HelperPort for PoolPort {
     fn submit(&mut self, job: HelperJob) {
-        match crate::fsjob::exec_job_nowait(&job) {
+        match crate::fsjob::exec_job_nowait(&job, &mut self.files) {
             Some(data) => self.inline_done.push(Done {
                 path: job.path,
                 data,

@@ -59,8 +59,11 @@
 //!   in O(expired), never by scanning the connection table — nor does
 //!   accepting, which takes its slot from a free stack;
 //! * the **helper pool** is shared (disk parallelism is a global
-//!   resource): a miss the residency test cannot answer enqueues a job
-//!   in its shard's lane of the job queue, and helpers pop the lanes
+//!   resource): a miss the residency test cannot answer — it reads a
+//!   memory-resident file on the spot, through the shard's open-file
+//!   table when the name has been resolved before (crate docs,
+//!   *Residency test*) — enqueues a job in its shard's lane of the
+//!   job queue, and helpers pop the lanes
 //!   **round-robin by shard** — a cold-cache shard flooding its lane
 //!   cannot starve the other shards' disk latency. The finishing
 //!   helper routes the completion back to that shard's done queue,
@@ -106,6 +109,7 @@ use crate::config::NetConfig;
 use crate::conn::machine::{sync_deadline, Conn};
 use crate::conn::{ConnIo, ConnState, Done, Drive, ShardCore, ShardStats};
 use crate::event::{new_backend, BackendKind, Event, EventBackend, Interest};
+use crate::fsjob::OpenFileTable;
 use crate::lifecycle::{LifecycleShared, PHASE_DRAINING, PHASE_STOPPING};
 use crate::pool::{helper_main, JobQueue, PoolPort, WakeHandle};
 use crate::sendfile::send_file;
@@ -366,6 +370,7 @@ impl Server {
         // entries.
         let jobs = JobQueue::new(n_shards);
         let shard_cache_bytes = (cfg.cache_bytes / n_shards as u64).max(1);
+        let shard_open_files = open_file_budget(n_shards);
         let mut conn_txs = Vec::with_capacity(n_shards);
         let mut done_txs = Vec::with_capacity(n_shards);
         let mut shard_wakes = Vec::with_capacity(n_shards);
@@ -399,6 +404,7 @@ impl Server {
             let mut shard = Shard::new(
                 shard_id,
                 shard_cache_bytes,
+                shard_open_files,
                 Arc::clone(&shard_stats[shard_id]),
                 Arc::clone(&jobs),
                 backend,
@@ -733,10 +739,25 @@ fn complete_inline(
     }
 }
 
+/// Each shard's open-file table capacity: a quarter of the process's
+/// soft `RLIMIT_NOFILE`, read once at start and split evenly, so all
+/// the tables together never hold more than a quarter of the
+/// descriptors the process may have — connections, listeners, helper
+/// opens and `sendfile` handles keep the rest. Derived, never raised:
+/// the limit is the operator's. A shard that still runs out
+/// (`EMFILE`/`ENFILE` at accept) empties its table before it backs
+/// off; the single-acceptor thread has no table to empty and relies on
+/// the quarter rule alone. Unreadable limit: no tables.
+fn open_file_budget(n_shards: usize) -> usize {
+    let soft = sys::nofile_limit().map_or(0, |(soft, _)| soft);
+    usize::try_from(soft / 4 / n_shards as u64).unwrap_or(usize::MAX)
+}
+
 impl Shard {
     fn new(
         id: usize,
         cache_bytes: u64,
+        open_files: usize,
         stats: Arc<ShardStats>,
         jobs: Arc<JobQueue>,
         backend: Box<dyn EventBackend>,
@@ -750,12 +771,13 @@ impl Shard {
             cfg.dynamic_deadline,
         ];
         Shard {
-            core: ShardCore::new(id, cache_bytes, cfg.proto(), stats),
             port: PoolPort {
                 inline_done: Vec::new(),
                 jobs,
                 shard: id,
+                files: OpenFileTable::new(open_files, cfg.cache_revalidate_ttl, Arc::clone(&stats)),
             },
+            core: ShardCore::new(id, cache_bytes, cfg.proto(), stats),
             conns: Vec::new(),
             free: Vec::new(),
             watched: Vec::new(),
@@ -774,9 +796,11 @@ impl Shard {
         }
     }
 
-    /// Leaves the loop: conns drop with the shard when it returns.
+    /// Leaves the loop: conns drop with the shard when it returns,
+    /// and the open-file table's descriptors close here.
     fn exit(mut self) {
         self.core.stats.draining.store(0, Ordering::Relaxed);
+        self.port.files.clear();
         self.flush_access_log();
     }
 
@@ -965,10 +989,11 @@ impl Shard {
     /// contract, admitting and immediately driving each connection.
     /// Stops early — dropping the listener's read interest — at the
     /// shard's connection cap or on an accept failure (`EMFILE`/`ENFILE`
-    /// under fd exhaustion, counted as `accept_backpressure`); pending
-    /// connections then wait in the kernel backlog (or hash to another
-    /// shard's listener) until this shard re-arms. Returns whether the
-    /// listener interest is still armed.
+    /// under fd exhaustion, counted as `accept_backpressure`, and
+    /// answered by closing every descriptor the open-file table
+    /// holds); pending connections then wait in the kernel backlog (or
+    /// hash to another shard's listener) until this shard re-arms.
+    /// Returns whether the listener interest is still armed.
     fn drain_accepts(&mut self, listener: &TcpListener) -> bool {
         loop {
             if self.live() >= self.max_conns {
@@ -994,11 +1019,14 @@ impl Shard {
                     // EMFILE/ENFILE (or another persistent failure):
                     // accepting again immediately would fail immediately.
                     // Count it and back off; the shard loop retries on the
-                    // ACCEPT_RETRY_MS cadence and on every freed slot.
+                    // ACCEPT_RETRY_MS cadence and on every freed slot —
+                    // and finds the headroom the open-file table held:
+                    // cached descriptors are the first thing to go.
                     self.core
                         .stats
                         .accept_backpressure
                         .fetch_add(1, Ordering::Relaxed);
+                    self.port.files.clear();
                     return !self.quiesce_listener(listener);
                 }
             }
@@ -1116,6 +1144,10 @@ fn shard_loop(
             shard
                 .core
                 .apply_reload(lifecycle.reload_docroot(), generation);
+            // The table binds names under the old root — or, on a
+            // SIGHUP to the same root, names the operator has just
+            // asked to have looked at again.
+            shard.port.files.clear();
             // A docroot reload is also a log boundary: reopen so a
             // rotation bundled with the SIGHUP takes effect here too.
             if let Some(w) = shard.access_log.as_mut() {
@@ -1311,6 +1343,7 @@ mod tests {
     use crate::cache::Entry;
     use crate::event::BackendChoice;
     use std::net::Shutdown;
+    use std::sync::atomic::AtomicU64;
 
     const BACKENDS: [BackendChoice; 2] = [BackendChoice::Epoll, BackendChoice::Poll];
     const BODY: &[u8] = b"<html>budget</html>";
@@ -1335,10 +1368,17 @@ mod tests {
 
     impl Rig {
         fn new(choice: BackendChoice) -> Rig {
-            let mut cfg = NetConfig::new(std::env::temp_dir());
+            Rig::over(choice, std::env::temp_dir(), 1 << 20)
+        }
+
+        /// A rig serving `docroot` through a `cache_bytes` content
+        /// cache and an open-file table of 64.
+        fn over(choice: BackendChoice, docroot: PathBuf, cache_bytes: u64) -> Rig {
+            let mut cfg = NetConfig::new(docroot);
             cfg.cache_revalidate_ttl = None;
             let backend = new_backend(choice);
-            let mut shard = Shard::new(0, 1 << 20, Arc::default(), JobQueue::new(1), backend, &cfg);
+            let jobs = JobQueue::new(1);
+            let mut shard = Shard::new(0, cache_bytes, 64, Arc::default(), jobs, backend, &cfg);
             let entry = Entry::build("/index.html", BODY.to_vec());
             assert!(shard
                 .core
@@ -1403,14 +1443,20 @@ mod tests {
     /// Reads one keep-alive response off `client`: up to the body the
     /// rig serves.
     fn read_response(client: &mut TcpStream) {
+        read_response_with(client, BODY);
+    }
+
+    /// Reads one keep-alive `200` off `client`: up to `body`.
+    fn read_response_with(client: &mut TcpStream, body: &[u8]) {
         let mut resp = Vec::new();
         let mut buf = [0u8; 1024];
-        while !(resp.windows(4).any(|w| w == b"\r\n\r\n") && resp.ends_with(BODY)) {
+        while !(resp.windows(4).any(|w| w == b"\r\n\r\n") && resp.ends_with(body)) {
             let n = client.read(&mut buf).unwrap();
             assert!(n > 0, "server closed mid-response");
             resp.extend_from_slice(&buf[..n]);
         }
         assert!(resp.starts_with(b"HTTP/1.1 200 OK\r\n"));
+        assert!(resp[..resp.len() - body.len()].ends_with(b"\r\n\r\n"));
     }
 
     /// Reads `client` to the server's close: one whole response.
@@ -1533,6 +1579,65 @@ mod tests {
                 assert_eq!(rig.shard.core.stats.idle_reaped.load(Ordering::Relaxed), 0);
             }
         }
+    }
+
+    /// The open-file table's budget: a content cache that an LRU cycle
+    /// of six files always misses, fetched twice over one keep-alive
+    /// connection. Every miss is answered inline both times; the
+    /// second pass comes from the six descriptors the first one left,
+    /// and the helper queue (nobody stands behind it) is never used.
+    #[test]
+    fn a_miss_on_a_file_served_before_is_answered_from_the_open_file_table() {
+        let root = std::env::temp_dir().join(format!("flash-rig-table-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(&root).unwrap();
+        let body = |i: usize| vec![b'a' + i as u8; 1000 + i];
+        for i in 0..6 {
+            std::fs::write(root.join(format!("f{i}.html")), body(i)).unwrap();
+            // What the residency test needs cached: the bytes, and the
+            // negative lookup of the `.gz` sibling.
+            std::fs::read(root.join(format!("f{i}.html"))).unwrap();
+            assert!(std::fs::metadata(root.join(format!("f{i}.html.gz"))).is_err());
+        }
+        let probe = sys::open_cached(&root.join("f0.html"), false)
+            .and_then(|f| sys::pread_nowait(&f, &mut [0u8; 1], 0));
+        if probe.is_err() {
+            eprintln!("residency test unavailable here ({probe:?}); skipping");
+            let _ = std::fs::remove_dir_all(&root);
+            return;
+        }
+        for choice in BACKENDS {
+            // 6 000 bytes: four entries of ≈ 1.4 kB each, never six.
+            let mut rig = Rig::over(choice, root.clone(), 6_000);
+            let mut client = rig.connect();
+            let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+            for pass in 0..2 {
+                for i in 0..6 {
+                    let req = format!("GET /f{i}.html HTTP/1.1\r\nHost: t\r\n\r\n");
+                    client.write_all(req.as_bytes()).unwrap();
+                    if pass + i == 0 {
+                        assert!(rig.shard.drain_accepts(&rig.listener));
+                    } else {
+                        assert_eq!(rig.turn(), 1);
+                    }
+                    read_response_with(&mut client, &body(i));
+                }
+                let s = &rig.shard.core.stats;
+                let done = 6 * (pass as u64 + 1);
+                assert_eq!(
+                    (
+                        get(&s.helper_jobs),
+                        get(&s.inline_jobs),
+                        get(&s.open_file_hits),
+                        get(&s.open_files),
+                        get(&s.cache_hits),
+                    ),
+                    (done, done, 6 * pass as u64, 6, 0),
+                    "{choice:?} pass {pass}"
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

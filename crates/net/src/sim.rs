@@ -930,6 +930,7 @@ impl Sim {
                         data,
                         variant,
                         has_gzip,
+                        resolved_at: None,
                     }))
                 }
             },

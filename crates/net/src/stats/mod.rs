@@ -242,6 +242,8 @@ registry! {
     ACCEPTED / accepted: Counter, Sum, "Connections accepted and dealt to shards";
     HELPER_JOBS / helper_jobs: Counter, Sum, "Disk jobs dispatched to the helper pool after miss coalescing";
     INLINE_JOBS / inline_jobs: Counter, Sum, "Disk jobs completed in the dispatching loop turn because the file was memory resident (no helper hand-off)";
+    OPEN_FILE_HITS / open_file_hits: Counter, Sum, "Loads answered from the open-file table: no path lookup, an fstat and a read of a descriptor already held";
+    OPEN_FILES / open_files: Gauge, Sum, "Descriptors the shards' open-file tables hold now";
     CACHE_HITS / cache_hits: Counter, Sum, "Responses served from the per-shard content cache";
     WRITEV_CALLS / writev_calls: Counter, Sum, "Gathered writev(2) calls issued on the send path";
     READ_CALLS / read_calls: Counter, Sum, "Transport reads issued by the connection core (read(2) on sockets, EAGAIN included)";

@@ -54,6 +54,17 @@ impl ServerStats {
         metrics::INLINE_JOBS.merged(&self.shards)
     }
 
+    /// Loads answered from the shards' open-file tables (a subset of
+    /// [`Self::inline_jobs`]).
+    pub fn open_file_hits(&self) -> u64 {
+        metrics::OPEN_FILE_HITS.merged(&self.shards)
+    }
+
+    /// Gauge: descriptors the shards' open-file tables hold now.
+    pub fn open_files(&self) -> u64 {
+        metrics::OPEN_FILES.merged(&self.shards)
+    }
+
     /// Content-cache hits across all shards.
     pub fn cache_hits(&self) -> u64 {
         metrics::CACHE_HITS.merged(&self.shards)

@@ -668,7 +668,9 @@ const RLIMIT_NOFILE: c_int = 7;
 #[cfg(not(any(target_os = "linux", target_os = "android")))]
 const RLIMIT_NOFILE: c_int = 8;
 
-/// The process's `(soft, hard)` limit on open descriptors.
+/// The process's `(soft, hard)` limit on open descriptors. The soft
+/// one is also what the shards' open-file tables are budgeted from
+/// (a quarter of it, [`crate::server`]).
 pub(crate) fn nofile_limit() -> io::Result<(u64, u64)> {
     let mut lim = RLimit { cur: 0, max: 0 };
     // SAFETY: `lim` is a valid exclusive pointer to an rlimit-layout

@@ -151,6 +151,7 @@ fn exec(files: &HashMap<String, (Vec<u8>, bool)>, job: &HelperJob) -> Done<Arc<V
                 data,
                 variant: Variant::Identity,
                 has_gzip: false,
+                resolved_at: None,
             }))
         }
     };

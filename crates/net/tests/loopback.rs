@@ -1246,6 +1246,213 @@ fn run_mt_cache_revalidation(tag: &str, backend: BackendChoice) {
     let _ = std::fs::remove_dir_all(root);
 }
 
+/// A server whose content cache the batteries below can never hit: a
+/// docroot of `t.html` plus seven 1 000-byte fillers behind a cache
+/// that holds five entries, so a target → fillers → target cycle
+/// misses every time — `miss_helper` in miniature — and every answer
+/// comes through the open-file table (or, where the residency test is
+/// unavailable, a helper). Returns the server, its docroot, and
+/// whether the table is in play.
+fn always_missing_server(
+    tag: &str,
+    backend: BackendChoice,
+    ttl: Duration,
+) -> (Server, std::path::PathBuf, bool) {
+    let root = docroot(tag);
+    std::fs::write(root.join("t.html"), vec![b'a'; 1000]).unwrap();
+    for i in 0..7 {
+        std::fs::write(root.join(format!("fill{i}.html")), vec![b'f'; 1000]).unwrap();
+    }
+    let server = Server::start(
+        "127.0.0.1:0",
+        cfg(&root, backend)
+            .event_loops(1)
+            .cache_bytes(8_000)
+            .sendfile_threshold_bytes(2_000)
+            .cache_revalidate_ttl(Some(ttl))
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    let tabled = flash_net::sys::open_cached(&root.join("t.html"), false)
+        .and_then(|f| flash_net::sys::pread_nowait(&f, &mut [0u8; 1], 0))
+        .is_ok();
+    (server, root, tabled)
+}
+
+/// Pushes whatever was fetched last out of the content cache.
+fn fetch_fillers(addr: std::net::SocketAddr) {
+    for i in 0..7 {
+        let resp = get(addr, &format!("GET /fill{i}.html HTTP/1.0\r\n\r\n"));
+        assert_eq!(body_of(&resp), vec![b'f'; 1000]);
+    }
+}
+
+/// What the open-file table may not hide. With a 10 s TTL — so only
+/// the per-use descriptor checks can explain a fresh answer — a
+/// rewrite in place, a delete and a rename-over each show on the very
+/// next request, although the request before it was answered from the
+/// table's descriptor.
+fn run_open_file_table_sees_every_change_to_a_file(tag: &str, backend: BackendChoice) {
+    let (server, root, tabled) = always_missing_server(tag, backend, Duration::from_secs(10));
+    let addr = server.addr();
+    let target = root.join("t.html");
+    let fetch = || get(addr, "GET /t.html HTTP/1.0\r\n\r\n");
+    // Leaves `t.html` held by the table (its last answer came from
+    // there) and absent from the content cache.
+    let settle = |want: &[u8]| {
+        for _ in 0..2 {
+            fetch_fillers(addr);
+            assert_eq!(body_of(&fetch()), want);
+        }
+        fetch_fillers(addr);
+    };
+    settle(&[b'a'; 1000]);
+    let hits = server.stats().open_file_hits();
+    assert_eq!(hits > 0, tabled, "open_file_hits {hits}");
+    let old = String::from_utf8_lossy(&fetch()).into_owned();
+    fetch_fillers(addr);
+
+    // Rewritten in place to another length.
+    std::fs::write(&target, vec![b'b'; 1500]).unwrap();
+    let resp = fetch();
+    let text = String::from_utf8_lossy(&resp).into_owned();
+    assert_eq!(body_of(&resp), vec![b'b'; 1500], "{text}");
+    assert_eq!(
+        hdr_value(&text, "Content-Length").as_deref(),
+        Some("1500"),
+        "{text}"
+    );
+    assert_ne!(hdr_value(&text, "ETag"), hdr_value(&old, "ETag"), "{text}");
+    settle(&[b'b'; 1500]);
+
+    // Deleted.
+    std::fs::remove_file(&target).unwrap();
+    let resp = fetch();
+    assert!(
+        resp.starts_with(b"HTTP/1.1 404"),
+        "{}",
+        String::from_utf8_lossy(&resp)
+    );
+    std::fs::write(&target, vec![b'c'; 1200]).unwrap();
+    settle(&[b'c'; 1200]);
+
+    // Renamed over.
+    std::fs::write(root.join("new.tmp"), vec![b'd'; 1200]).unwrap();
+    std::fs::rename(root.join("new.tmp"), &target).unwrap();
+    assert_eq!(body_of(&fetch()), vec![b'd'; 1200]);
+
+    let stats = server.stats();
+    assert_eq!(stats.cache_hits(), 0, "the cycle must always miss");
+    assert_eq!(
+        (stats.revalidations(), stats.stale_evicted()),
+        (0, 0),
+        "the TTL never came into it"
+    );
+    assert_eq!(stats.open_file_hits() > hits, tabled);
+    server.stop();
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// What the table *may* hide, and for how long: a change to what the
+/// **name** means, with the old file still linked where it was — a
+/// symlinked directory flipped from one tree to another, a `.gz`
+/// sibling added — shows within `cache_revalidate_ttl` of the change,
+/// the same promise a content-cache hit makes. The sharp case is a
+/// content-cache entry built from a table entry about to lapse: it
+/// inherits the table entry's resolve time, or the bound would be
+/// twice the TTL. (The TTL here is long enough that twice it is past
+/// the slack the assertion allows.)
+fn run_open_file_table_name_binding_lapses_with_the_ttl(tag: &str, backend: BackendChoice) {
+    let ttl = Duration::from_millis(400);
+    let bound = ttl + Duration::from_millis(150);
+    let (server, root, tabled) = always_missing_server(tag, backend, ttl);
+    let addr = server.addr();
+    for (tree, byte) in [("v1", b'1'), ("v2", b'2')] {
+        std::fs::create_dir(root.join(tree)).unwrap();
+        std::fs::write(root.join(tree).join("page.html"), vec![byte; 1100]).unwrap();
+    }
+    std::os::unix::fs::symlink("v1", root.join("current")).unwrap();
+    let gz: &[u8] = b"pretend these are gzip bytes";
+
+    type Change<'a> = &'a dyn Fn();
+    let flip: Change = &|| {
+        std::os::unix::fs::symlink("v2", root.join("next")).unwrap();
+        std::fs::rename(root.join("next"), root.join("current")).unwrap();
+    };
+    let add_sibling: Change = &|| std::fs::write(root.join("t.html.gz"), gz).unwrap();
+    let cases: [(&str, Vec<u8>, Change, Vec<u8>); 2] = [
+        (
+            "/current/page.html",
+            vec![b'1'; 1100],
+            flip,
+            vec![b'2'; 1100],
+        ),
+        ("/t.html", vec![b'a'; 1000], add_sibling, gz.to_vec()),
+    ];
+    for (path, before, change, after) in cases {
+        let fetch = || {
+            get(
+                addr,
+                &format!("GET {path} HTTP/1.0\r\nAccept-Encoding: gzip\r\n\r\n"),
+            )
+        };
+        // Fetch until the name is resolved inline, into the table: a
+        // helper answers first and leaves every lookup cached (for a
+        // symlink that includes an atime the kernel is content with).
+        // Before each try, whatever the table holds for the name
+        // lapses and the content cache forgets it.
+        let mut tries = 0;
+        let resolved = loop {
+            std::thread::sleep(ttl);
+            fetch_fillers(addr);
+            let (inline, at) = (server.stats().inline_jobs(), std::time::Instant::now());
+            assert_eq!(body_of(&fetch()), before, "{path}");
+            if !tabled || server.stats().inline_jobs() > inline {
+                break at;
+            }
+            tries += 1;
+            assert!(tries < 5, "{path} is never resolved inline");
+        };
+        change();
+        let changed = std::time::Instant::now();
+        // Just before the binding lapses, a content-cache miss answers
+        // from it once more — legitimately: the TTL is not up — and
+        // leaves a content-cache entry behind.
+        fetch_fillers(addr);
+        std::thread::sleep((ttl - Duration::from_millis(60)).saturating_sub(resolved.elapsed()));
+        let hits = server.stats().open_file_hits();
+        let resp = fetch();
+        if tabled && resolved.elapsed() < ttl {
+            assert_eq!(body_of(&resp), before, "{path}: the binding had not lapsed");
+            assert_eq!(server.stats().open_file_hits(), hits + 1, "{path}");
+        }
+        // From here on only that entry is asked.
+        loop {
+            let resp = fetch();
+            let late = changed.elapsed();
+            if body_of(&resp) == after {
+                let text = String::from_utf8_lossy(&resp).into_owned();
+                assert_eq!(
+                    hdr_value(&text, "Content-Encoding").is_some(),
+                    path == "/t.html",
+                    "{text}"
+                );
+                eprintln!("{tag} {path}: fresh {late:?} after the change (TTL {ttl:?})");
+                break;
+            }
+            assert_eq!(body_of(&resp), before, "{path}");
+            assert!(
+                late < bound,
+                "{path}: still stale {late:?} after the change"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+    server.stop();
+    let _ = std::fs::remove_dir_all(root);
+}
+
 fn run_backend_resolution(tag: &str, backend: BackendChoice, expect: BackendKind) {
     let root = docroot(tag);
     let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
@@ -1850,6 +2057,16 @@ macro_rules! backend_suite {
             #[test]
             fn amped_cache_revalidates_entries_past_ttl() {
                 run_cache_revalidation(&tag("revalidate"), $backend);
+            }
+
+            #[test]
+            fn amped_open_file_table_sees_every_change_to_a_file() {
+                run_open_file_table_sees_every_change_to_a_file(&tag("oft-fresh"), $backend);
+            }
+
+            #[test]
+            fn amped_open_file_table_name_binding_lapses_with_the_ttl() {
+                run_open_file_table_name_binding_lapses_with_the_ttl(&tag("oft-ttl"), $backend);
             }
 
             #[test]
