@@ -165,16 +165,15 @@ enum Pull {
 /// A hand-rolled line/frame reader over the worker socket. Not a
 /// `BufReader`: the cancel-poll read timeout can land mid-line, and
 /// this buffer must survive that timeout intact. The `stop` predicate
-/// is checked on every poll tick — the helper pool plugs in the job's
-/// cancel flag, the MT driver its silence deadline.
-pub(crate) struct FrameReader<'a> {
+/// is checked on every poll tick.
+struct FrameReader<'a> {
     sock: &'a UnixStream,
     stop: &'a dyn Fn() -> bool,
     buf: Vec<u8>,
 }
 
 impl<'a> FrameReader<'a> {
-    pub(crate) fn new(sock: &'a UnixStream, stop: &'a dyn Fn() -> bool) -> FrameReader<'a> {
+    fn new(sock: &'a UnixStream, stop: &'a dyn Fn() -> bool) -> FrameReader<'a> {
         FrameReader {
             sock,
             stop,
@@ -209,7 +208,7 @@ impl<'a> FrameReader<'a> {
 
     /// One `\n`-terminated line (returned without the newline), or
     /// `None` on EOF/stop/garbage-oversized-line.
-    pub(crate) fn read_line(&mut self) -> io::Result<Option<Vec<u8>>> {
+    fn read_line(&mut self) -> io::Result<Option<Vec<u8>>> {
         loop {
             if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
                 let rest = self.buf.split_off(pos + 1);
@@ -230,7 +229,7 @@ impl<'a> FrameReader<'a> {
     }
 
     /// Exactly `len` payload bytes, or `None` on EOF/stop.
-    pub(crate) fn read_exact(&mut self, len: usize) -> io::Result<Option<Vec<u8>>> {
+    fn read_exact(&mut self, len: usize) -> io::Result<Option<Vec<u8>>> {
         while self.buf.len() < len {
             match self.fill()? {
                 Pull::Data => {}
@@ -240,25 +239,37 @@ impl<'a> FrameReader<'a> {
         let rest = self.buf.split_off(len);
         Ok(Some(std::mem::replace(&mut self.buf, rest)))
     }
-
-    pub(crate) fn stopped(&self) -> bool {
-        (self.stop)()
-    }
 }
 
 /// Runs one dynamic exchange end to end on the calling (helper)
-/// thread: checkout, request line, frame loop, checkin-or-kill.
+/// thread, until it ends or the job is cancelled: `run_exchange`
+/// stopped by the job's cancel flag.
+pub fn run_job(pool: &WorkerPool, job: &HelperJob, emit: &mut dyn FnMut(DynEvent)) -> u64 {
+    run_exchange(pool, job, &|| job.is_cancelled(), emit)
+}
+
+/// The one worker exchange: checkout, request line, frame loop,
+/// checkin-or-kill, on the calling thread. `stop` is asked between
+/// frames and on every poll tick of a silent worker — the helper pool
+/// plugs in the job's cancel flag ([`run_job`]), an MT connection
+/// thread adds the deadline its core armed.
 ///
 /// `emit` is called once per streaming event, in order; a clean
 /// exchange ends with `End { clean: true }`, a crash with
-/// `End { clean: false }`, and a **cancelled** exchange emits nothing
-/// further at all — the shard already purged the waiter, so any late
-/// completion would die at the token gate anyway.
+/// `End { clean: false }`, and a **stopped** exchange emits nothing
+/// further at all — the core already purged the waiter (or is about
+/// to expire it), so any late completion would die at the token gate
+/// anyway.
 ///
 /// Returns how many workers this call retired (killed or found dead);
 /// the caller feeds the tally into the `worker_respawns` counter —
 /// every retirement is followed by a respawn on the next checkout.
-pub fn run_job(pool: &WorkerPool, job: &HelperJob, emit: &mut dyn FnMut(DynEvent)) -> u64 {
+pub(crate) fn run_exchange(
+    pool: &WorkerPool,
+    job: &HelperJob,
+    stop: &dyn Fn() -> bool,
+    emit: &mut dyn FnMut(DynEvent),
+) -> u64 {
     let (worker, mut retired) = pool.checkout();
     let mut worker = match worker {
         Ok(w) => w,
@@ -275,12 +286,14 @@ pub fn run_job(pool: &WorkerPool, job: &HelperJob, emit: &mut dyn FnMut(DynEvent
         emit(DynEvent::End { clean: false });
         return retired + 1;
     }
-    let stop = || job.is_cancelled();
-    let mut reader = FrameReader::new(&worker.sock, &stop);
-    // Loop exits (EOF, cancel, oversized line, unparseable header, or
+    let mut reader = FrameReader::new(&worker.sock, stop);
+    // Loop exits (EOF, stop, oversized line, unparseable header, or
     // a hard socket error) all mean the worker cannot be trusted to be
     // frame-aligned again — fall through to the kill below.
-    while let Ok(Some(line)) = reader.read_line() {
+    while !stop() {
+        let Ok(Some(line)) = reader.read_line() else {
+            break;
+        };
         if line == b"END" {
             drop(reader);
             pool.checkin(worker);
@@ -295,18 +308,17 @@ pub fn run_job(pool: &WorkerPool, job: &HelperJob, emit: &mut dyn FnMut(DynEvent
             Ok(None) | Err(_) => break,
         }
     }
-    let cancelled = reader.stopped();
     drop(reader);
     drop(worker); // kills — the only way to resync the framing
     retired += 1;
-    if !cancelled {
+    if !stop() {
         emit(DynEvent::End { clean: false });
     }
     retired
 }
 
 /// Parses `DATA <len>` (ASCII decimal, bounded by [`MAX_FRAME`]).
-pub(crate) fn parse_data_header(line: &[u8]) -> Option<usize> {
+fn parse_data_header(line: &[u8]) -> Option<usize> {
     let rest = line.strip_prefix(b"DATA ")?;
     let s = std::str::from_utf8(rest).ok()?;
     let len: usize = s.trim().parse().ok()?;

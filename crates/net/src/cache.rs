@@ -413,6 +413,57 @@ impl ContentCache {
     }
 }
 
+/// How a [`crate::conn::ShardCore`] reaches its content cache: the
+/// seven operations the protocol core performs, and nothing else.
+///
+/// An AMPED shard's handle *is* its private [`ContentCache`] — the
+/// default type parameter, monomorphised, so a shard pays no lock and
+/// no indirection. The MT server's connection threads share one cache,
+/// as §3.2 says threads do, through a handle that takes the lock per
+/// operation ([`crate::mt`]).
+pub trait CacheHandle {
+    /// [`ContentCache::lookup_at`].
+    fn lookup_at(&mut self, path: &str, ttl: Option<Duration>, now: Instant) -> Lookup;
+    /// [`ContentCache::insert_at`]. A shared handle also refuses an
+    /// insert from a holder that has not applied the latest reload.
+    fn insert_at(&mut self, path: String, entry: Arc<Entry>, now: Instant) -> bool;
+    /// [`ContentCache::peek`].
+    fn peek(&self, path: &str) -> Option<Arc<Entry>>;
+    /// [`ContentCache::refresh_at`].
+    fn refresh_at(&mut self, path: &str, now: Instant);
+    /// [`ContentCache::invalidate`].
+    fn invalidate(&mut self, path: &str) -> bool;
+    /// [`ContentCache::used_bytes`].
+    fn used_bytes(&self) -> u64;
+    /// A docroot reload: the holder now serves reload `generation`,
+    /// and nothing cached under an earlier one may be served again.
+    fn reset(&mut self, generation: u64);
+}
+
+impl CacheHandle for ContentCache {
+    fn lookup_at(&mut self, path: &str, ttl: Option<Duration>, now: Instant) -> Lookup {
+        ContentCache::lookup_at(self, path, ttl, now)
+    }
+    fn insert_at(&mut self, path: String, entry: Arc<Entry>, now: Instant) -> bool {
+        ContentCache::insert_at(self, path, entry, now)
+    }
+    fn peek(&self, path: &str) -> Option<Arc<Entry>> {
+        ContentCache::peek(self, path)
+    }
+    fn refresh_at(&mut self, path: &str, now: Instant) {
+        ContentCache::refresh_at(self, path, now)
+    }
+    fn invalidate(&mut self, path: &str) -> bool {
+        ContentCache::invalidate(self, path)
+    }
+    fn used_bytes(&self) -> u64 {
+        ContentCache::used_bytes(self)
+    }
+    fn reset(&mut self, _generation: u64) {
+        *self = ContentCache::new(self.capacity_bytes);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

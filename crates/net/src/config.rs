@@ -177,7 +177,7 @@ impl NetConfig {
 
     /// The protocol core's slice of this config — the only place a
     /// [`ProtoConfig`] is built from a `NetConfig`.
-    pub(crate) fn proto(&self) -> ProtoConfig {
+    pub fn proto(&self) -> ProtoConfig {
         ProtoConfig {
             docroot: self.docroot.clone(),
             idle_timeout: self.idle_timeout,

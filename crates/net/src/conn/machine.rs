@@ -195,6 +195,32 @@ pub fn desired_interest(state: &ConnState) -> Interest {
     }
 }
 
+/// Where [`sync_deadline`] keeps the deadlines it arms: a shard's
+/// [`TimerWheel`], keyed by connection token, or — for a driver with
+/// one connection and no wheel — the instant itself.
+pub trait Deadlines {
+    fn arm(&mut self, token: u64, at: Instant);
+    fn cancel(&mut self, token: u64);
+}
+
+impl Deadlines for TimerWheel {
+    fn arm(&mut self, token: u64, at: Instant) {
+        TimerWheel::arm(self, token, at)
+    }
+    fn cancel(&mut self, token: u64) {
+        TimerWheel::cancel(self, token)
+    }
+}
+
+impl Deadlines for Option<Instant> {
+    fn arm(&mut self, _token: u64, at: Instant) {
+        *self = Some(at);
+    }
+    fn cancel(&mut self, _token: u64) {
+        *self = None;
+    }
+}
+
 /// Reconciles the timing wheel with a connection's state machine after
 /// a drive — the deadline analogue of the interest reconcile:
 ///
@@ -226,7 +252,7 @@ pub fn sync_deadline<Io: ConnIo>(
     conn: &mut Conn<Io>,
     token: u64,
     cfg: &ProtoConfig,
-    wheel: &mut TimerWheel,
+    wheel: &mut impl Deadlines,
     now: Instant,
 ) {
     let (kind, timeout) = match conn.state {

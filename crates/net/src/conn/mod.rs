@@ -1,23 +1,32 @@
-//! The **sans-IO protocol core**: the AMPED connection state machine
-//! and per-shard bookkeeping, extracted from the syscall-driven server
-//! loop so one body of protocol logic can run under two drivers —
-//! the real event loop in [`crate::server`] (sockets, `writev(2)`,
-//! `sendfile(2)`, the shared helper-thread pool) and the deterministic
-//! simulation in [`crate::sim`] (in-memory endpoints, simulated time,
-//! scheduled fault injection, millions of replayed connections).
+//! The **sans-IO protocol core**: the connection state machine and
+//! per-shard bookkeeping, extracted from the syscall-driven server
+//! loop so one body of protocol logic runs under three drivers — the
+//! AMPED event loop in [`crate::server`] (nonblocking sockets,
+//! `writev(2)`, `sendfile(2)`, the shared helper-thread pool), the
+//! thread-per-connection MT server in [`crate::mt`] (a core per
+//! connection thread, blocking calls, every job run on the thread
+//! that dispatched it) and the deterministic simulation in
+//! [`crate::sim`] (in-memory endpoints, simulated time, scheduled
+//! fault injection, millions of replayed connections).
 //!
-//! The core speaks through two narrow traits:
+//! The core speaks through two narrow traits, and reaches its content
+//! cache through a third:
 //!
 //! * [`ConnIo`] — everything the state machine ever asks of a
 //!   transport: `read`, gathered `writev`, and one `sendfile` chunk
-//!   against an opaque [`ConnIo::FileRef`]. The real driver implements
-//!   it over a nonblocking `TcpStream` (with `FileRef = Arc<File>`);
-//!   the sim implements it over byte queues with windows and injected
-//!   partial writes (with a value-type file handle).
+//!   against an opaque [`ConnIo::FileRef`]. The shard driver implements
+//!   it over a nonblocking `TcpStream` (with `FileRef = Arc<File>`),
+//!   the MT driver over a blocking one; the sim implements it over
+//!   byte queues with windows and injected partial writes (with a
+//!   value-type file handle).
 //! * [`HelperPort`] — how the core dispatches disk work. The core
 //!   submits a [`HelperJob`] and later receives a [`Done`]; whether a
-//!   helper thread pool or a simulated-latency scheduler sits behind
-//!   the port is the driver's business.
+//!   helper thread pool, the submitting thread itself or a
+//!   simulated-latency scheduler sits behind the port is the driver's
+//!   business.
+//! * [`crate::cache::CacheHandle`] — a shard's private
+//!   [`crate::cache::ContentCache`], or an MT thread's locked handle
+//!   on the one cache all threads share.
 //!
 //! # The driver contract
 //!
@@ -45,6 +54,14 @@
 //!   the driver says so with [`ShardCore::close_conn`] and treats the
 //!   slot as empty.
 //!
+//! A driver of one connection a thread has the same contract with
+//! less to reconcile: no registration, and the deadline
+//! `sync_deadline` arms is an instant the thread compares with its
+//! clock ([`machine::Deadlines`]). Its transport may block, so it
+//! reads the clock it gives `sync_deadline` *after* the call it
+//! reconciles: a send can take as long as a slow client does, and a
+//! deadline counted from before it would be armed already lapsed.
+//!
 //! Readiness ([`crate::event::EventBackend`]) and the wheel stay
 //! driver-owned, and so do the tokens that key them: the driver mints
 //! them, and the driver checks that an event or an expired key still
@@ -61,7 +78,8 @@
 //! to purge a waiter registration or cancel a job, what a close
 //! records, or whether a connection is idle enough for the drain to
 //! close. Those rules live in [`shard`], once; `tests/driver_audit.rs`
-//! fails if `server.rs` or `sim.rs` grows a copy.
+//! fails if `server.rs`, `sim.rs` or `mt.rs` grows a copy — and if
+//! `mt.rs` names any piece of the protocol at all.
 //!
 //! Layout: [`machine`] holds the per-connection state machine
 //! ([`machine::Conn`], flush/gather/advance, deadline sync); [`shard`]
@@ -90,7 +108,10 @@ use crate::stats::Histogram;
 /// The transport seam: every I/O operation the connection state
 /// machine performs, with nonblocking semantics — `WouldBlock` means
 /// "retry when the driver says so", exactly as on a nonblocking
-/// socket. Implementations must never block.
+/// socket. Implementations must never block a thread that drives more
+/// than one connection; the MT driver, a thread per connection, blocks
+/// in its sends (and turns a send that timed out into an error, never
+/// `WouldBlock`: nothing would retry it).
 pub trait ConnIo {
     /// An opaque handle to a large body served without materializing
     /// its bytes in the core (`Arc<File>` for the real `sendfile(2)`
@@ -338,7 +359,8 @@ pub struct ShardStats {
     /// The subset of `helper_jobs` the driver completed in the loop
     /// turn that dispatched them, because the residency test found the
     /// file in memory — no hand-off, no helper. Jobs actually handed
-    /// to the pool = `helper_jobs - inline_jobs`.
+    /// to the pool = `helper_jobs - inline_jobs`. On MT, where the
+    /// dispatching thread runs every job, the two are equal.
     pub inline_jobs: AtomicU64,
     /// The subset of `inline_jobs` loads answered from the open-file
     /// table: no path lookup, an `fstat` and a read of the descriptor
@@ -348,10 +370,17 @@ pub struct ShardStats {
     pub open_files: AtomicU64,
     /// Responses served from this shard's content cache.
     pub cache_hits: AtomicU64,
-    /// Gathered `writev(2)` calls issued on the send path.
+    /// Gathered writes issued on the send path: [`ConnIo::writev`]
+    /// calls that moved bytes — one `writev(2)` each on the shards. On
+    /// MT a flush is issued as one `write(2)` per segment (four for a
+    /// cache hit) until the gathered-write follow-up (ROADMAP), so
+    /// there the counter counts flushes, not syscalls.
     pub writev_calls: AtomicU64,
     /// [`ConnIo::read`] calls the core issued — `read(2)`s on the real
-    /// transport, `EAGAIN` ones included.
+    /// transport, `EAGAIN` ones included. On MT the blocking `read(2)`
+    /// happens before the drive and the core's read hands over what it
+    /// took, one for one; the driver adds the ones that timed out
+    /// empty, so there too the counter is `read(2)` calls.
     pub read_calls: AtomicU64,
     /// `accept4(2)` calls this shard issued on its own listener,
     /// `EAGAIN` ones included (none in single-acceptor mode).

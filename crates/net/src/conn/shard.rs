@@ -18,7 +18,7 @@ use flash_http::request::{ParseStatus, Request};
 use flash_http::response::{error_body, ResponseHeader, Status};
 use flash_http::Method;
 
-use crate::cache::{self, ContentCache, Entry, Lookup, Variant};
+use crate::cache::{self, CacheHandle, ContentCache, Entry, Lookup, Variant};
 use crate::stats::{self, AccessRecord, PendingLog, Tier};
 use crate::timer::TimerWheel;
 
@@ -41,14 +41,14 @@ pub struct PendingJob {
 /// miss-coalescing and job-cancellation state, its statistics, and its
 /// reload/drain posture. Deliberately **not** generic over the
 /// transport — per-connection transport state lives in each
-/// [`Conn`]; large-body handles pass through transiently.
-pub struct ShardCore {
+/// [`Conn`]; large-body handles pass through transiently. Generic
+/// over how it reaches its cache ([`CacheHandle`]): an event-loop
+/// shard owns a private [`ContentCache`] (the default, so the bare
+/// type `ShardCore` is that), an MT connection thread holds a handle
+/// to the cache all threads share.
+pub struct ShardCore<C: CacheHandle = ContentCache> {
     pub shard: usize,
-    pub cache: ContentCache,
-    /// This shard's slice of the content-cache budget, kept so a
-    /// SIGHUP reload can build a replacement cache of the same size
-    /// (the cache itself has no capacity getter).
-    pub cache_capacity: u64,
+    pub cache: C,
     /// Connections parked per URL path awaiting a helper completion.
     pub waiters: HashMap<String, Vec<usize>>,
     /// In-flight jobs per URL path. Invariant (checkable via
@@ -86,12 +86,19 @@ pub struct ShardCore {
 const READ_BUF: usize = 4096;
 
 impl ShardCore {
-    /// A fresh shard core with a `cache_bytes`-bounded content cache.
+    /// A fresh shard core with a private, `cache_bytes`-bounded
+    /// content cache.
     pub fn new(shard: usize, cache_bytes: u64, cfg: ProtoConfig, stats: Arc<ShardStats>) -> Self {
+        ShardCore::with_cache(shard, ContentCache::new(cache_bytes), cfg, stats)
+    }
+}
+
+impl<C: CacheHandle> ShardCore<C> {
+    /// A fresh shard core over `cache`.
+    pub fn with_cache(shard: usize, cache: C, cfg: ProtoConfig, stats: Arc<ShardStats>) -> Self {
         ShardCore {
             shard,
-            cache: ContentCache::new(cache_bytes),
-            cache_capacity: cache_bytes,
+            cache,
             waiters: HashMap::new(),
             pending_jobs: HashMap::new(),
             next_job_token: 1,
@@ -106,8 +113,8 @@ impl ShardCore {
     }
 
     /// Applies a docroot reload: the root swaps (when given), the
-    /// content cache is replaced wholesale (same budget — pre-reload
-    /// bytes must not be served under the new root), and the epoch
+    /// content cache is reset (same budget — pre-reload bytes must not
+    /// be served under the new root), and the epoch
     /// advances so a completion from a job dispatched before the swap
     /// serves its parked waiters but is never inserted into the fresh
     /// cache. In-flight connections are untouched.
@@ -115,8 +122,10 @@ impl ShardCore {
         if let Some(root) = docroot {
             self.cfg.docroot = root;
         }
-        self.cache = ContentCache::new(self.cache_capacity);
-        self.stats.cache_used_bytes.store(0, Ordering::Relaxed);
+        self.cache.reset(generation);
+        self.stats
+            .cache_used_bytes
+            .store(self.cache.used_bytes(), Ordering::Relaxed);
         self.epoch = generation;
     }
 

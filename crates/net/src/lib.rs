@@ -1,7 +1,8 @@
 //! A real, runnable Flash-style web server on actual sockets — the
 //! paper's AMPED architecture, sharded across modern cores.
 //!
-//! Two servers built from the shared `flash-http` machinery:
+//! Two servers built from the shared `flash-http` machinery and **one
+//! protocol implementation** ([`conn`]):
 //!
 //! * [`server::Server`] — **sharded AMPED**:
 //!   `NetConfig::event_loops` independent event-loop shards (default
@@ -44,8 +45,9 @@
 //!   block") and expires in **O(expired)** — no connection-table scan
 //!   — with each cause counted separately (`read_timeouts`,
 //!   `write_stall_timeouts`, `idle_reaped` in [`ServerStats`]).
-//!   The MT server honours the same knobs through blocking-socket
-//!   timeouts. Conditional requests are answered: 200s carry
+//!   The MT server honours the same knobs: its read deadlines are the
+//!   core's, checked on a 200 ms read cadence, its write-stall bound
+//!   is `SO_SNDTIMEO`. Conditional requests are answered: 200s carry
 //!   `Last-Modified`, a strong `ETag`, and a real, per-second-cached
 //!   `Date`; `If-None-Match` / `If-Modified-Since` validators get a
 //!   bodyless `304 Not Modified` (the `not_modified` counter), single
@@ -82,7 +84,11 @@
 //!   I/O and a shared, locked content cache, for comparison (the §3.2
 //!   trade-off discussion, measurable with `cargo run --release
 //!   --offline --manifest-path loadbench/Cargo.toml -- --workload
-//!   cached_small_mt` against `--workload cached_small`).
+//!   cached_small_mt` against `--workload cached_small`). Not a
+//!   second server: each connection thread drives the same protocol
+//!   core the shards do, so the comparison is between two
+//!   architectures and nothing else (`tests/differential.rs` holds
+//!   the two to byte-identical answers).
 //!
 //! Every foreign function either server calls — `epoll`, `poll`,
 //! `writev`, `sendfile`, the listener and `SCM_RIGHTS` plumbing, the
@@ -99,13 +105,15 @@
 //! predates multicore; per-core loops are how its single-loop design
 //! scales while keeping every invariant intact *within* a shard.
 //!
-//! # Architecture: one protocol core, two drivers
+//! # Architecture: one protocol core, three drivers
 //!
-//! The AMPED server is layered **sans-IO**: everything the paper is
+//! Both servers are layered **sans-IO**: everything the paper is
 //! *about* — request parsing, the cache/helper handoff, completion
 //! routing, deadlines, drain — lives in a protocol core that performs
 //! no syscalls, reads no clocks, and names no file descriptors. The
-//! core is driven through three narrow seams, and everything
+//! core is driven through three narrow seams (and holds its content
+//! cache through a fourth, [`cache::CacheHandle`]: private to a shard,
+//! locked and shared between MT's threads), and everything
 //! platform-shaped plugs in underneath:
 //!
 //! ```text
@@ -125,7 +133,12 @@
 //!              │  pool, socketpair wakeups, readiness via       │
 //!              │  [`event`]: epoll (Linux) or poll fallback     │
 //!              ├────────────────────────────────────────────────┤
-//!   driver #2  │  deterministic sim  [`sim`] — scripted         │
+//!   driver #2  │  MT  [`mt`] — a thread and a core per          │
+//!              │  connection: blocking `read`/`write`/          │
+//!              │  `sendfile`, jobs run on the thread that       │
+//!              │  dispatched them, one locked cache for all     │
+//!              ├────────────────────────────────────────────────┤
+//!   driver #3  │  deterministic sim  [`sim`] — scripted         │
 //!              │  endpoints, an event calendar + seeded RNG     │
 //!              │  (`flash-simcore`), simulated time, injected   │
 //!              │  faults, invariants checked every event        │
@@ -136,7 +149,9 @@
 //! moves bytes and readiness, so every behavior worth testing lives
 //! below the seams. What a driver owes the core after each call, and
 //! what it must never decide for itself, is written down once, in
-//! [`conn`] (*The driver contract*). Driver #2 replays millions of connections in
+//! [`conn`] (*The driver contract*). Driver #2 is the paper's MT
+//! architecture: what it owns is threads, blocking calls and the cache
+//! lock, and `tests/driver_audit.rs` keeps it to that. Driver #3 replays millions of connections in
 //! seconds of wall time: same-seed runs are **bit-identical** (the
 //! report's fingerprint folds every response byte), and the fault mix
 //! — partial writes, trickled headers, disk stalls, wedged helpers,
@@ -152,6 +167,7 @@
 //! shard's `HelperPort` with its residency test and open-file table);
 //! `accept.rs` (the single-acceptor loop, shared with [`mt`]);
 //! [`stats`] (the metrics registry and [`ServerStats`] over it).
+//! The MT side is [`mt`] alone.
 //!
 //! ## How to add a fault to the sim
 //!

@@ -1,25 +1,39 @@
 //! The MT variant on real sockets: one blocking thread per connection.
 //!
 //! The §3.2 architecture for comparison with the AMPED server in
-//! [`crate::server`]: threads share the content cache behind a lock, each
-//! handles one connection at a time with blocking I/O, and the OS
+//! [`crate::server`]: threads share the content cache behind a lock,
+//! each handles one connection at a time with blocking I/O, and the OS
 //! provides all the overlap. Simpler than the event loop — the exact
-//! trade the paper discusses — at the cost of per-connection threads and
-//! lock traffic.
+//! trade the paper discusses — at the cost of per-connection threads
+//! and lock traffic.
 //!
-//! The AMPED server's per-state deadlines are honoured here with the
-//! blocking-I/O equivalents: the keep-alive idle and header-read
-//! deadlines ([`NetConfig::idle_timeout`],
-//! [`NetConfig::header_read_timeout`]) are enforced by capping the
-//! socket read timeout and checking a per-phase clock, and the
-//! write-progress deadline ([`NetConfig::write_stall_timeout`]) maps
-//! onto `SO_SNDTIMEO` — a `send` that cannot move a single byte for
-//! that long fails the write, which is exactly the "re-arm on forward
-//! progress" semantics (each partial send restarts the timer).
+//! It is a **driver** of the protocol core in [`crate::conn`], not a
+//! second server: a connection thread owns a [`ShardCore`] over a table
+//! of one [`Conn`] and loops "drive; run what the core dispatched,
+//! here, and hand back the result; expire the deadline the core armed
+//! if it has lapsed; wait for bytes". Parsing, routing, negotiation,
+//! revalidation, error responses, the dynamic stream, every counter and
+//! the close-or-keep decision are the core's, as they are for the
+//! shards. What is MT's own is exactly three things:
 //!
-//! The lifecycle semantics match the AMPED server's too (see
+//! * **threads** — one per connection, spawned by the shared accept
+//!   loop (`accept.rs`) and joined at teardown;
+//! * **blocking calls** — `BlockingIo`: a `read` that waits up to
+//!   200 ms (the cadence on which a silent connection's thread looks at
+//!   the lifecycle phase, the reload and log-rotation generations and
+//!   its deadline), one `write` per queued segment and `sendfile`
+//!   windows under `SO_SNDTIMEO` — a send that cannot move a byte for
+//!   [`NetConfig::write_stall_timeout`] fails and the connection
+//!   closes, the blocking twin of the write-stall deadline — and disk
+//!   or worker I/O done right on the connection's thread
+//!   ([`crate::fsjob::exec_job`], `appworker::run_exchange`): only
+//!   this connection stalls;
+//! * **the cache lock** — `SharedCache`, the [`CacheHandle`] through
+//!   which every thread's core reaches the one content cache.
+//!
+//! The lifecycle semantics match the AMPED server's (see
 //! [`crate::lifecycle`]): [`MtServer::drain`] stops accepting and lets
-//! every worker finish its in-flight request (idle keep-alives close
+//! every thread finish its in-flight request (idle keep-alives close
 //! within their 200 ms read cadence; a watchdog severs anything
 //! slower than the grace), [`MtServer::reload_docroot`] swaps the
 //! served root and flushes the shared cache without dropping a
@@ -35,51 +49,60 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
-use flash_http::chunked;
-use flash_http::request::{ParseStatus, Request};
-use flash_http::response::{error_body, ResponseHeader, Status};
-use flash_http::Method;
-
 use crate::accept::{prepare_accept_backend, run_accept_loop, AcceptSink};
 use crate::appworker::{self, WorkerPool};
-use crate::cache::{self, ContentCache, Entry, Lookup, Variant};
+use crate::cache::{CacheHandle, ContentCache, Entry, Lookup};
 use crate::config::NetConfig;
-use crate::conn::plan::{plan_response, BodySource, RequestCond, Resource, ResponsePlan};
-use crate::conn::{FileData, HelperJob, JobKind, LoadResult, ShardStats};
+use crate::conn::machine::sync_deadline;
+use crate::conn::{
+    Conn, ConnIo, ConnState, Done, DoneData, HelperJob, HelperPort, JobKind, ShardCore, ShardStats,
+};
 use crate::fsjob;
 use crate::lifecycle::{LifecycleShared, PHASE_DRAINING, PHASE_STOPPING};
+use crate::sendfile::send_file;
 use crate::sock;
-use crate::stats::{self as metrics, AccessLogWriter, AccessRecord, ServerStats, Tier};
+use crate::stats::{AccessLogWriter, ServerStats};
 
-/// The shared content cache plus the reload generation its entries
-/// were loaded under — one lock covers both, so a SIGHUP flush and
-/// any insert racing it serialize: a worker still holding pre-reload
-/// bytes finds `generation` advanced and skips its insert.
-struct SharedCache {
-    cache: ContentCache,
-    generation: u64,
-}
-
-/// The MT access log: one writer shared by every worker, each
-/// completed response appended under the lock as a single `write_all`
-/// — whole lines, never fragments. `gen_seen` is the last rotation
-/// generation any worker applied (the first to observe a bump
+/// The MT access log: one writer shared by every connection thread,
+/// each batch of records appended under the lock as a single
+/// `write_all` — whole lines, never fragments. `gen_seen` is the last
+/// rotation generation any thread applied (the first to observe a bump
 /// reopens).
 struct MtLog {
     writer: Mutex<AccessLogWriter>,
     gen_seen: AtomicU64,
 }
 
+/// The content cache plus the reload generation its entries were
+/// loaded under — one lock covers both, so a reload's flush and any
+/// insert racing it serialize ([`SharedCache`]).
+struct Generation {
+    cache: ContentCache,
+    number: u64,
+}
+
+/// What every connection thread shares.
+struct Shared {
+    cfg: NetConfig,
+    cache: Mutex<Generation>,
+    lifecycle: Arc<LifecycleShared>,
+    /// One "shard" of counters and histograms: every thread's core
+    /// writes the same atomics.
+    stats: Arc<ShardStats>,
+    log: Option<MtLog>,
+    /// The application workers of the dynamic tier.
+    workers: WorkerPool,
+}
+
 /// Handle to a running MT server.
 pub struct MtServer {
     addr: SocketAddr,
     /// Accept-path stop flag: flipping it (plus a stop byte) ends the
-    /// accept loop; workers are governed by `lifecycle`, not this.
+    /// accept loop; connection threads are governed by `lifecycle`.
     accept_stop: Arc<AtomicBool>,
     lifecycle: Arc<LifecycleShared>,
     drain_timeout: Duration,
@@ -118,7 +141,6 @@ impl MtServer {
         let accept_stop = Arc::new(AtomicBool::new(false));
         let accept_stop2 = Arc::clone(&accept_stop);
         let lifecycle = Arc::new(LifecycleShared::new());
-        let lifecycle2 = Arc::clone(&lifecycle);
         // The handoff dup, kept so a next generation can inherit the
         // live kernel socket while this one drains.
         let handoff = vec![listener.try_clone()?];
@@ -126,46 +148,43 @@ impl MtServer {
         // loop blocks in its readiness backend with no timeout instead
         // of polling on an arbitrary interval.
         let (stop_tx, stop_rx) = UnixStream::pair()?;
-        let cache = Arc::new(Mutex::new(SharedCache {
-            cache: ContentCache::new(cfg.cache_bytes),
-            generation: 0,
-        }));
         // Listener + stop pipe registered before the thread exists, so
         // a backend that cannot watch them is a start error, not a
         // silently deaf accept thread (same machinery as the AMPED
         // acceptor — the loop itself is shared).
         let backend = prepare_accept_backend(cfg.backend, &listener, &stop_rx)?;
         let drain_timeout = cfg.drain_timeout;
-        let shard = Arc::new(ShardStats::default());
-        let shard2 = Arc::clone(&shard);
-        // One application-worker pool shared by every connection
-        // thread — the MT twin of the AMPED helper pool's workers.
-        let workers = Arc::new(WorkerPool::new(
-            cfg.dynamic_command
-                .clone()
-                .unwrap_or_else(WorkerPool::default_command),
-        ));
-        let log = cfg.access_log_path.clone().map(|p| {
-            Arc::new(MtLog {
+        let stats = Arc::new(ShardStats::default());
+        let shared = Arc::new(Shared {
+            cache: Mutex::new(Generation {
+                cache: ContentCache::new(cfg.cache_bytes),
+                number: 0,
+            }),
+            lifecycle: Arc::clone(&lifecycle),
+            stats: Arc::clone(&stats),
+            log: cfg.access_log_path.clone().map(|p| MtLog {
                 writer: Mutex::new(AccessLogWriter::open(p)),
                 gen_seen: AtomicU64::new(0),
-            })
+            }),
+            // One application-worker pool shared by every connection
+            // thread — the MT twin of the AMPED helper pool's workers.
+            workers: WorkerPool::new(
+                cfg.dynamic_command
+                    .clone()
+                    .unwrap_or_else(WorkerPool::default_command),
+            ),
+            cfg,
         });
         let accept_thread = std::thread::Builder::new()
             .name("flash-mt-accept".into())
             .spawn(move || {
-                let mut spawner = WorkerSpawner {
-                    workers: Vec::new(),
-                    cache,
-                    cfg,
-                    lifecycle: lifecycle2,
-                    shard: shard2,
-                    log,
-                    pool: workers,
+                let mut spawner = ThreadSpawner {
+                    threads: Vec::new(),
+                    shared,
                 };
                 run_accept_loop(&listener, backend, &accept_stop2, &mut spawner);
                 drop(stop_rx); // keep the read side alive until exit
-                for h in spawner.workers {
+                for h in spawner.threads {
                     let _ = h.join();
                 }
             })?;
@@ -177,14 +196,14 @@ impl MtServer {
             handoff,
             stop_tx,
             accept_thread: Some(accept_thread),
-            stats: ServerStats::new(vec![shard]),
+            stats: ServerStats::new(vec![stats]),
         })
     }
 
     /// The server's counters and latency histograms — the same
     /// registry-backed [`ServerStats`] surface the AMPED server
-    /// exposes (one shard here: every worker thread writes the same
-    /// atomics).
+    /// exposes (one shard here: every connection thread writes the
+    /// same atomics).
     pub fn stats(&self) -> &ServerStats {
         &self.stats
     }
@@ -205,7 +224,7 @@ impl MtServer {
     const STOP_GRACE: Duration = Duration::from_secs(1);
 
     /// Drains gracefully, bounded by [`NetConfig::drain_timeout`]:
-    /// accepting stops, workers finish their in-flight requests and
+    /// accepting stops, threads finish their in-flight requests and
     /// close (idle keep-alives within their read-cadence), and a
     /// watchdog severs anything still running when the grace expires.
     pub fn drain(self) {
@@ -218,7 +237,7 @@ impl MtServer {
         self.lifecycle.begin_drain(Instant::now() + grace);
         // The deadline has no event loop to enforce it here — a
         // watchdog escalates to stop-now when the grace expires, so
-        // the worker joins below cannot hang past it. It waits on a
+        // the thread joins below cannot hang past it. It waits on a
         // channel rather than sleeping the full grace: when the drain
         // completes early the sender drops and the watchdog wakes and
         // exits at once, leaving no thread pinning the lifecycle Arc
@@ -234,7 +253,7 @@ impl MtServer {
         // dups close now (a next generation holding inherited dups
         // keeps the kernel socket alive), and the accept thread's
         // listener closes as it exits in the join below — so the
-        // address is rebindable while the workers drain.
+        // address is rebindable while the threads drain.
         self.handoff.clear();
         self.halt_accept_and_join();
         drop(drained_tx);
@@ -250,24 +269,25 @@ impl MtServer {
         self.drain_for(grace);
     }
 
-    /// Stops immediately: workers notice within their 200 ms read
+    /// Stops immediately: threads notice within their 200 ms read
     /// cadence and return without finishing keep-alive conversations.
     pub fn stop_now(mut self) {
         self.lifecycle.stop_now();
         self.halt_accept_and_join();
     }
 
-    /// Publishes a new document root: each worker swaps its docroot at
-    /// the next loop turn and the shared cache is flushed exactly once
-    /// (generation-checked under its lock). No connection is dropped.
+    /// Publishes a new document root: each thread's core swaps its
+    /// docroot at the next loop turn and the shared cache is flushed
+    /// exactly once (generation-checked under its lock). No
+    /// connection is dropped.
     pub fn reload_docroot(&self, docroot: impl Into<std::path::PathBuf>) {
         self.lifecycle.publish_reload(docroot.into());
     }
 
-    /// Asks the workers to reopen the access log at its configured
+    /// Asks the threads to reopen the access log at its configured
     /// path (the logrotate handshake — see
     /// [`crate::server::Server::rotate_access_logs`]). Applied by the
-    /// first worker to observe the bump, within its 200 ms read
+    /// first thread to observe the bump, within its 200 ms read
     /// cadence. A no-op unless [`NetConfig::access_log_path`] is set.
     pub fn rotate_access_logs(&self) {
         self.lifecycle.rotate_logs();
@@ -282,780 +302,368 @@ impl MtServer {
     }
 }
 
-/// The MT accept sink: one blocking worker thread per connection,
-/// finished workers reaped between drains.
-struct WorkerSpawner {
-    workers: Vec<JoinHandle<()>>,
-    cache: Arc<Mutex<SharedCache>>,
-    cfg: NetConfig,
-    lifecycle: Arc<LifecycleShared>,
-    shard: Arc<ShardStats>,
-    log: Option<Arc<MtLog>>,
-    /// Shared application-worker pool for the dynamic tier.
-    pool: Arc<WorkerPool>,
+/// The MT accept sink: one blocking thread per connection, finished
+/// threads reaped between drains.
+struct ThreadSpawner {
+    threads: Vec<JoinHandle<()>>,
+    shared: Arc<Shared>,
 }
 
-impl AcceptSink for WorkerSpawner {
+impl AcceptSink for ThreadSpawner {
     fn on_conn(&mut self, stream: TcpStream) {
-        let cache = Arc::clone(&self.cache);
-        let cfg = self.cfg.clone();
-        let lifecycle = Arc::clone(&self.lifecycle);
-        let shard = Arc::clone(&self.shard);
-        let log = self.log.clone();
-        let pool = Arc::clone(&self.pool);
-        shard.accepted.fetch_add(1, Ordering::Relaxed);
+        let shared = Arc::clone(&self.shared);
+        shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
         if let Ok(h) = std::thread::Builder::new()
             .name("flash-mt-conn".into())
-            .spawn(move || serve_conn(stream, cache, cfg, lifecycle, shard, log, pool))
+            .spawn(move || ConnThread::new(stream, shared).serve())
         {
-            self.workers.push(h);
+            self.threads.push(h);
         }
     }
 
     fn after_drain(&mut self) {
-        self.workers.retain(|h| !h.is_finished());
+        self.threads.retain(|h| !h.is_finished());
     }
 }
 
-/// Lifetime wrapper around [`serve_conn_inner`]: however the worker
-/// exits — clean close, deadline, error — the connection's accept-to-
-/// close span lands in the lifetime histogram.
-fn serve_conn(
-    stream: TcpStream,
-    cache: Arc<Mutex<SharedCache>>,
-    cfg: NetConfig,
-    lifecycle: Arc<LifecycleShared>,
-    shard: Arc<ShardStats>,
-    log: Option<Arc<MtLog>>,
-    pool: Arc<WorkerPool>,
-) {
-    let opened = Instant::now();
-    serve_conn_inner(stream, cache, cfg, lifecycle, &shard, &log, &pool);
-    shard
-        .hist_lifetime
-        .record(metrics::nanos_since(opened, Instant::now()));
+/// One connection thread's handle on the cache all threads share,
+/// carrying the reload generation its core has applied: an insert
+/// under a stale generation is refused under the lock, so bytes read
+/// against a pre-reload docroot can never land in the post-reload
+/// cache.
+struct SharedCache {
+    shared: Arc<Shared>,
+    epoch: u64,
 }
 
-fn serve_conn_inner(
-    mut stream: TcpStream,
-    cache: Arc<Mutex<SharedCache>>,
-    mut cfg: NetConfig,
-    lifecycle: Arc<LifecycleShared>,
-    shard: &Arc<ShardStats>,
-    log: &Option<Arc<MtLog>>,
-    pool: &Arc<WorkerPool>,
-) {
-    // The blocking read is capped at 200 ms so shutdown and the phase
-    // deadlines below are checked on that cadence even when the peer
-    // is silent.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    // Write-progress deadline: SO_SNDTIMEO makes any single send that
-    // cannot move a byte for this long fail; partial progress restarts
-    // it — the blocking twin of the AMPED write-stall re-arm.
-    let _ = stream.set_write_timeout(cfg.write_stall_timeout);
-    let mut parser = flash_http::RequestParser::new();
-    let mut buf = [0u8; 4096];
-    // The current read phase started here: reset on every served
-    // response and on the idle→header transition (first byte of a new
-    // request). Idle and header phases carry different deadlines.
-    let mut phase_start = Instant::now();
-    let mut in_header = parser.buffered() > 0;
-    // Reload generation this worker's docroot reflects. The cfg it
-    // was spawned with is a clone of the accept thread's original —
-    // generation 0's docroot, however many reloads have been
-    // published since — so the epoch starts at 0 and the first loop
-    // turn applies any pending reload before a request is served.
-    // (Starting at `lifecycle.reload_gen()` would skip the swap and
-    // serve — and cache — pre-reload content on post-reload
-    // connections.)
-    let mut epoch = 0u64;
-    // Responses served so far: a fresh connection (none yet) gets
-    // grace to send its first request during drain; an idle
-    // keep-alive closes at once.
-    let mut served = 0u64;
-    loop {
-        match lifecycle.phase() {
-            PHASE_STOPPING => return,
-            // Draining and idle between requests: close. The blocking
-            // read below is capped at 200 ms, so an idle keep-alive
-            // reaches this check within that cadence of the drain
-            // starting. Buffered pipelined bytes are served first.
-            PHASE_DRAINING if served > 0 && parser.buffered() == 0 => {
-                shard.drained_conns.fetch_add(1, Ordering::Relaxed);
-                return;
+impl SharedCache {
+    fn lock(&self) -> MutexGuard<'_, Generation> {
+        self.shared.cache.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+impl CacheHandle for SharedCache {
+    fn lookup_at(&mut self, path: &str, ttl: Option<Duration>, now: Instant) -> Lookup {
+        self.lock().cache.lookup_at(path, ttl, now)
+    }
+    fn insert_at(&mut self, path: String, entry: Arc<Entry>, now: Instant) -> bool {
+        let mut locked = self.lock();
+        locked.number == self.epoch && locked.cache.insert_at(path, entry, now)
+    }
+    fn peek(&self, path: &str) -> Option<Arc<Entry>> {
+        self.lock().cache.peek(path)
+    }
+    fn refresh_at(&mut self, path: &str, now: Instant) {
+        self.lock().cache.refresh_at(path, now)
+    }
+    fn invalidate(&mut self, path: &str) -> bool {
+        self.lock().cache.invalidate(path)
+    }
+    fn used_bytes(&self) -> u64 {
+        self.lock().cache.used_bytes()
+    }
+    /// The first thread to apply a reload flushes the cache; the
+    /// generation lives under the lock, so that happens exactly once.
+    fn reset(&mut self, generation: u64) {
+        let mut locked = self.lock();
+        if locked.number < generation {
+            locked.cache.reset(generation);
+            locked.number = generation;
+        }
+        drop(locked);
+        self.epoch = generation;
+    }
+}
+
+/// The blocking transport behind [`ConnIo`]. Writes block in the call,
+/// bounded by `SO_SNDTIMEO`. Reads block *outside* the core, in
+/// [`BlockingIo::fill`]: the core's clock is a parameter, and a drive
+/// entered before a read that then waits 200 ms for the next request
+/// would stamp that request — its latency, its helper wait — with the
+/// instant the wait began. So the thread waits for bytes first and
+/// drives with the time they arrived; [`ConnIo::read`] hands over what
+/// the wait took and [`ConnIo::known_empty`] says when that is all —
+/// a report as fresh as the wait every drive of a reading connection
+/// follows, so there is none to withdraw at drain entry.
+struct BlockingIo {
+    stream: TcpStream,
+    /// `inbox[at..end]` is what the last [`Self::fill`] took and the
+    /// core has not read yet.
+    inbox: Box<[u8; 4096]>,
+    at: usize,
+    end: usize,
+    /// The peer closed, or the socket failed: the next read the core
+    /// makes past the inbox reports end of stream.
+    eof: bool,
+}
+
+impl BlockingIo {
+    /// One blocking `read`, at most [`READ_CADENCE`] long. A timeout
+    /// leaves the inbox empty — the core is not asked to read, as of a
+    /// dry nonblocking socket — and returns `false`; bytes or the end
+    /// of the stream return `true`, and the core's next `read` takes
+    /// all of it (the inbox is the size of the core's read buffer).
+    fn fill(&mut self) -> bool {
+        debug_assert!(self.at == self.end, "filled over unread bytes");
+        match self.stream.read(&mut self.inbox[..]) {
+            Ok(0) => self.eof = true,
+            Ok(n) => (self.at, self.end) = (0, n),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::Interrupted
+                ) =>
+            {
+                return false
             }
+            Err(_) => self.eof = true,
+        }
+        true
+    }
+}
+
+/// A send `SO_SNDTIMEO` gave up on reports `EAGAIN` — which the core
+/// takes for backpressure to be waited out. On a blocking socket it is
+/// the write-stall deadline: the send failed.
+fn stalled(e: io::Error) -> io::Error {
+    match e.kind() {
+        io::ErrorKind::WouldBlock => io::ErrorKind::TimedOut.into(),
+        _ => e,
+    }
+}
+
+impl ConnIo for BlockingIo {
+    type FileRef = Arc<File>;
+
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = (self.end - self.at).min(buf.len());
+        if n == 0 && !self.eof {
+            return Err(io::ErrorKind::WouldBlock.into());
+        }
+        buf[..n].copy_from_slice(&self.inbox[self.at..self.at + n]);
+        self.at += n;
+        Ok(n)
+    }
+
+    fn known_empty(&self) -> bool {
+        self.at == self.end && !self.eof
+    }
+
+    /// One `write` per segment (each looped on a partial write).
+    fn writev(&mut self, bufs: &[&[u8]]) -> io::Result<usize> {
+        let mut n = 0;
+        for buf in bufs {
+            self.stream.write_all(buf).map_err(stalled)?;
+            n += buf.len();
+        }
+        Ok(n)
+    }
+
+    fn sendfile(&mut self, file: &Arc<File>, offset: &mut u64, max: u64) -> io::Result<usize> {
+        send_file(self.stream.as_raw_fd(), file, offset, max).map_err(stalled)
+    }
+}
+
+/// The inline [`HelperPort`]: a thread per connection has no one to
+/// hand a job to, so `submit` only queues it for [`ConnThread::run`].
+struct InlinePort {
+    jobs: Vec<HelperJob>,
+}
+
+impl HelperPort for InlinePort {
+    fn submit(&mut self, job: HelperJob) {
+        self.jobs.push(job);
+    }
+}
+
+/// How long a blocked `read` waits before the thread looks at the
+/// lifecycle phase, the reload and log-rotation generations and its
+/// deadline — so shutdown and every deadline are honoured on that
+/// cadence even when the peer is silent.
+const READ_CADENCE: Duration = Duration::from_millis(200);
+
+/// One connection's thread: a protocol core of its own over a table
+/// of one connection, its port, and the deadline the core has armed.
+struct ConnThread {
+    shared: Arc<Shared>,
+    core: ShardCore<SharedCache>,
+    conns: [Option<Conn<BlockingIo>>; 1],
+    port: InlinePort,
+    /// When the deadline [`sync_deadline`] armed lapses — this
+    /// driver's whole timing wheel.
+    armed: Option<Instant>,
+    /// Scratch: who a completion woke (always this connection).
+    woken: Vec<usize>,
+}
+
+impl ConnThread {
+    fn new(stream: TcpStream, shared: Arc<Shared>) -> ConnThread {
+        let _ = stream.set_read_timeout(Some(READ_CADENCE));
+        let _ = stream.set_write_timeout(shared.cfg.write_stall_timeout);
+        let mut conn = Conn::new(BlockingIo {
+            stream,
+            inbox: Box::new([0; 4096]),
+            at: 0,
+            end: 0,
+            eof: false,
+        });
+        conn.opened_at = Some(Instant::now());
+        // The core starts at reload generation 0 with the docroot the
+        // server was started on, however many reloads have been
+        // published since: `serve` applies a pending one before the
+        // first request is served.
+        let cache = SharedCache {
+            shared: Arc::clone(&shared),
+            epoch: 0,
+        };
+        ConnThread {
+            core: ShardCore::with_cache(0, cache, shared.cfg.proto(), Arc::clone(&shared.stats)),
+            shared,
+            conns: [Some(conn)],
+            port: InlinePort { jobs: Vec::new() },
+            armed: None,
+            woken: Vec::new(),
+        }
+    }
+
+    /// The connection's whole life. Every exit but the stop-now one is
+    /// a close the core made (and recorded).
+    fn serve(mut self) {
+        while self.observe_lifecycle() {
+            self.drive();
+            while let Some(job) = self.port.jobs.pop() {
+                self.run(job);
+            }
+            if lapsed(self.armed) {
+                self.core
+                    .expire_conn(0, &mut self.conns, &mut self.port, Instant::now());
+                self.reconcile();
+            }
+            match self.conns[0].as_mut() {
+                None => return,
+                // `read_calls` is `read(2)`s on every driver: the core
+                // counts this one when it is handed what it took; a
+                // wait that came back empty it never hears of.
+                Some(conn) if matches!(conn.state, ConnState::Reading) => {
+                    if !conn.io.fill() {
+                        self.core.stats.read_calls.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                // Mid-send (the `sendfile` fairness budget): drive on.
+                Some(_) => {}
+            }
+        }
+        self.core.close_conn(0, &mut self.conns, Instant::now());
+    }
+
+    /// Brings the core in line with what the server has been told:
+    /// drain, a docroot reload, an access-log rotation. `false` means
+    /// stop now.
+    fn observe_lifecycle(&mut self) -> bool {
+        let lifecycle = &self.shared.lifecycle;
+        match lifecycle.phase() {
+            PHASE_STOPPING => return false,
+            PHASE_DRAINING if !self.core.draining => self.core.begin_drain(),
             _ => {}
         }
         let generation = lifecycle.reload_gen();
-        if generation != epoch {
-            if let Some(root) = lifecycle.reload_docroot() {
-                cfg.docroot = root;
-            }
-            // First worker to observe the new generation flushes the
-            // shared cache; the generation lives under the cache lock,
-            // so the flush happens exactly once and no pre-reload
-            // insert can land after it (inserts are epoch-checked).
-            let mut locked = cache.lock().unwrap_or_else(|e| e.into_inner());
-            if locked.generation != generation {
-                locked.cache = ContentCache::new(cfg.cache_bytes);
-                locked.generation = generation;
-            }
-            drop(locked);
-            epoch = generation;
+        if generation != self.core.epoch {
+            self.core
+                .apply_reload(lifecycle.reload_docroot(), generation);
         }
-        // Apply a pending access-log rotation: the first worker to
-        // observe the bump wins the swap and reopens the shared
-        // writer; the rest see the generation already applied.
-        if let Some(l) = log {
+        // The first thread to observe a rotation wins the swap and
+        // reopens the shared writer; the rest see it applied.
+        if let Some(log) = &self.shared.log {
             let g = lifecycle.log_gen();
-            if l.gen_seen.swap(g, Ordering::AcqRel) != g {
-                l.writer.lock().unwrap_or_else(|e| e.into_inner()).reopen();
-            }
-        }
-        // Serve any request already buffered (keep-alive pipelining)
-        // before blocking on the socket for more bytes.
-        let req = match parser.feed(&[]) {
-            ParseStatus::Done(r) => r,
-            ParseStatus::Error(_) => {
-                let _ = respond_error(&mut stream, Status::BadRequest, false);
-                return;
-            }
-            ParseStatus::Incomplete => {
-                let now_in_header = parser.buffered() > 0;
-                if now_in_header != in_header {
-                    in_header = now_in_header;
-                    phase_start = Instant::now();
-                }
-                let (deadline, expired) = if in_header {
-                    (cfg.header_read_timeout, &shard.read_timeouts)
-                } else {
-                    (cfg.idle_timeout, &shard.idle_reaped)
-                };
-                if let Some(t) = deadline {
-                    if phase_start.elapsed() >= t {
-                        // Slow header sender or idle keep-alive.
-                        expired.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                }
-                let n = match stream.read(&mut buf) {
-                    Ok(0) => return,
-                    Ok(n) => n,
-                    Err(ref e)
-                        if e.kind() == io::ErrorKind::WouldBlock
-                            || e.kind() == io::ErrorKind::TimedOut =>
-                    {
-                        continue;
-                    }
-                    Err(_) => return,
-                };
-                match parser.feed(&buf[..n]) {
-                    ParseStatus::Done(r) => r,
-                    ParseStatus::Incomplete => continue,
-                    ParseStatus::Error(_) => {
-                        let _ = respond_error(&mut stream, Status::BadRequest, false);
-                        return;
-                    }
-                }
-            }
-        };
-        let keep = req.keep_alive();
-        let head_only = req.method == Method::Head;
-        let req_start = Instant::now();
-        // The in-band observability endpoints, same contract as the
-        // AMPED shards: counted under `metrics_requests`, never
-        // `requests`, so scraping cannot perturb what it reports.
-        if cfg.metrics_endpoint && req.path.starts_with("/.flash/") {
-            let ok = serve_metrics_mt(&mut stream, shard, &req.path, keep, head_only);
-            shard.metrics_requests.fetch_add(1, Ordering::Relaxed);
-            if !ok || !keep {
-                return;
-            }
-            served += 1;
-            phase_start = Instant::now();
-            in_header = parser.buffered() > 0;
-            continue;
-        }
-        if req.method == Method::Post {
-            let _ = respond_error(&mut stream, Status::NotImplemented, head_only);
-            return;
-        }
-        // Dynamic-prefix routing, after the `/.flash/` endpoints above
-        // (so a prefix covering `/` can never shadow them) and before
-        // the static resolve: dynamic responses never touch the cache
-        // or the filesystem.
-        let dynamic = cfg
-            .dynamic_prefix
-            .as_deref()
-            .is_some_and(|p| req.path.starts_with(p));
-        let (ok, status_code, bytes_out, tier) = if dynamic {
-            serve_dynamic_mt(&mut stream, pool, &cfg, shard, &req, req_start)
-        } else {
-            let mut path = req.path.clone();
-            if path.ends_with('/') {
-                path.push_str("index.html");
-            }
-            let cond = RequestCond::from_request(&req);
-            // Resolve the representation against the shared variant cache
-            // (gzip slot first for gzip-accepting clients), loading through
-            // the shared mechanical executor on a miss — only this
-            // connection stalls on the disk. The resolved resource then
-            // goes through the same response plane as the AMPED shards:
-            // the planner, not this driver, decides 200/206/304/416.
-            let resolved = resolve_resource(&cache, &cfg, shard, epoch, &path, cond.accept_gzip);
-            // Each arm writes the header first and records TTFB on its
-            // success — with blocking sockets that write IS the first
-            // response byte on the wire.
-            let ttfb = || {
-                shard
-                    .hist_ttfb
-                    .record(metrics::nanos_since(req_start, Instant::now()));
-            };
-            match resolved {
-                Ok((resource, body_tier)) => {
-                    let plan = match &resource {
-                        MtResource::Cached(e) => {
-                            let res: Resource<'_, Arc<File>> = Resource::Cached(e);
-                            plan_response(&res, &path, &cond, keep, body_tier, shard)
-                        }
-                        MtResource::File {
-                            file,
-                            len,
-                            mtime,
-                            variant,
-                            has_gzip,
-                            etag,
-                            header_keep,
-                            header_close,
-                        } => {
-                            let res = Resource::File {
-                                file,
-                                len: *len,
-                                mtime: *mtime,
-                                variant: *variant,
-                                has_gzip: *has_gzip,
-                                etag,
-                                header_keep,
-                                header_close,
-                            };
-                            plan_response(&res, &path, &cond, keep, body_tier, shard)
-                        }
-                    };
-                    let status = plan.status.code();
-                    let tier = plan.tier;
-                    match write_plan(&mut stream, plan, head_only, shard, &ttfb) {
-                        Ok(n) => (true, status, n, tier),
-                        Err(_) => (false, status, 0, tier),
-                    }
-                }
-                Err(status) => match respond_error(&mut stream, status, head_only) {
-                    Ok(n) => {
-                        ttfb();
-                        (true, status.code(), n, Tier::Error)
-                    }
-                    Err(_) => (false, status.code(), 0, Tier::Error),
-                },
-            }
-        };
-        if ok {
-            let latency = metrics::nanos_since(req_start, Instant::now());
-            shard.requests.fetch_add(1, Ordering::Relaxed);
-            shard.hist_request.record(latency);
-            if let Some(l) = log {
-                let mut batch = vec![AccessRecord {
-                    host: req.host.clone().unwrap_or_default(),
-                    method: match req.method {
-                        Method::Get => "GET",
-                        Method::Head => "HEAD",
-                        Method::Post => "POST",
-                    },
-                    path: req.path.clone(),
-                    status: status_code,
-                    bytes: bytes_out,
-                    latency_us: latency / 1_000,
-                    tier,
-                }];
-                l.writer
+            if log.gen_seen.swap(g, Ordering::AcqRel) != g {
+                log.writer
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
-                    .drain(&mut batch);
+                    .reopen();
             }
         }
-        if !ok || !keep {
-            return;
-        }
-        served += 1;
-        phase_start = Instant::now();
-        in_header = parser.buffered() > 0;
+        true
     }
-}
 
-/// Serves one dynamic request inline on the connection thread — the
-/// blocking twin of the AMPED shard's streaming path. The whole
-/// worker exchange (checkout, request line, frame loop) runs right
-/// here, each `DATA` frame forwarded to the client as one HTTP chunk
-/// the moment it arrives. [`NetConfig::dynamic_deadline`] bounds
-/// worker *silence* (re-armed on every frame), matching the shard's
-/// `DynamicWait` semantics: a wedged worker yields a `504` while
-/// nothing has been written yet, or a severed connection mid-stream —
-/// the client sees chunked framing with no terminator, a detectable
-/// truncation. Dynamic responses carry no validators and honour no
-/// conditional or `Range` headers. Returns the same
-/// `(ok, status, bytes, tier)` tuple as the static arms.
-fn serve_dynamic_mt(
-    stream: &mut TcpStream,
-    pool: &WorkerPool,
-    cfg: &NetConfig,
-    shard: &Arc<ShardStats>,
-    req: &Request,
-    req_start: Instant,
-) -> (bool, u16, u64, Tier) {
-    shard.dynamic_requests.fetch_add(1, Ordering::Relaxed);
-    let keep = req.keep_alive();
-    let head_only = req.method == Method::Head;
-    let header = ResponseHeader::build_chunked(Status::Ok, "text/plain", keep, true);
-    let record_ttfb = || {
-        shard
-            .hist_ttfb
-            .record(metrics::nanos_since(req_start, Instant::now()));
-    };
-    if head_only {
-        // Headers only: no worker exchange, no chunked framing at all
-        // (mirrors the shard tier, where HEAD never opens the stream).
-        return match stream.write_all(header.as_bytes()) {
-            Ok(()) => {
-                record_ttfb();
-                (
-                    true,
-                    Status::Ok.code(),
-                    header.as_bytes().len() as u64,
-                    Tier::Dynamic,
-                )
-            }
-            Err(_) => (false, Status::Ok.code(), 0, Tier::Dynamic),
-        };
+    fn drive(&mut self) {
+        self.core
+            .drive_conn(0, &mut self.conns, &mut self.port, Instant::now());
+        self.reconcile();
     }
-    let (worker, retired) = pool.checkout();
-    let bump = |retired: u64| {
-        if retired > 0 {
-            shard.worker_respawns.fetch_add(retired, Ordering::Relaxed);
-        }
-    };
-    let mut worker = match worker {
-        Ok(w) => w,
-        Err(_) => {
-            // Cannot even spawn the worker program.
-            bump(retired);
-            return match respond_error(stream, Status::InternalError, false) {
-                Ok(n) => {
-                    record_ttfb();
-                    (true, Status::InternalError.code(), n, Tier::Error)
-                }
-                Err(_) => (false, Status::InternalError.code(), 0, Tier::Error),
-            };
-        }
-    };
-    let wait_start = Instant::now();
-    if worker
-        .sock
-        .write_all(format!("GET {}\n", req.path).as_bytes())
-        .is_err()
-    {
-        drop(worker); // kills
-        bump(retired + 1);
-        return match respond_error(stream, Status::InternalError, false) {
-            Ok(n) => {
-                record_ttfb();
-                (true, Status::InternalError.code(), n, Tier::Error)
-            }
-            Err(_) => (false, Status::InternalError.code(), 0, Tier::Error),
-        };
-    }
-    // Silence deadline: `armed` resets on every worker event, and the
-    // frame reader's poll tick trips the stop predicate when the gap
-    // since the last event exceeds `dynamic_deadline`.
-    let armed = Cell::new(Instant::now());
-    let stop = || {
-        cfg.dynamic_deadline
-            .is_some_and(|d| armed.get().elapsed() >= d)
-    };
-    let mut reader = appworker::FrameReader::new(&worker.sock, &stop);
-    let mut n = 0u64;
-    let mut first_event = true;
-    let mut header_written = false;
-    let mut client_dead = false;
-    // Loop exits (EOF, deadline, oversized line, framing corruption,
-    // or a hard socket error) are classified below the loop.
-    while let Ok(Some(line)) = reader.read_line() {
-        armed.set(Instant::now());
-        if first_event {
-            first_event = false;
-            shard
-                .hist_worker_wait
-                .record(metrics::nanos_since(wait_start, Instant::now()));
-        }
-        if line == b"END" {
-            // Clean end: the worker survives. The client write may
-            // still fail — that closes the connection, not the worker.
-            drop(reader);
-            pool.checkin(worker);
-            bump(retired);
-            let mut ok = true;
-            if !header_written {
-                ok = stream.write_all(header.as_bytes()).is_ok();
-                if ok {
-                    record_ttfb();
-                    n += header.as_bytes().len() as u64;
-                }
-            }
-            let ok = ok && stream.write_all(chunked::TERMINATOR).is_ok();
-            if ok {
-                n += chunked::TERMINATOR.len() as u64;
-            }
-            return (ok, Status::Ok.code(), n, Tier::Dynamic);
-        }
-        let Some(len) = appworker::parse_data_header(&line) else {
-            break; // framing corruption — a crash
-        };
-        let body = match reader.read_exact(len) {
-            Ok(Some(body)) => body,
-            Ok(None) | Err(_) => break,
-        };
-        armed.set(Instant::now());
-        if !header_written {
-            header_written = true;
-            if stream.write_all(header.as_bytes()).is_err() {
-                client_dead = true;
-                break;
-            }
-            record_ttfb();
-            n += header.as_bytes().len() as u64;
-        }
-        if body.is_empty() {
-            // A zero-length chunk would terminate the chunked body.
-            continue;
-        }
-        let size = chunked::size_line(body.len());
-        if stream.write_all(&size).is_err()
-            || stream.write_all(&body).is_err()
-            || stream.write_all(chunked::CRLF).is_err()
+
+    /// After every core call that can change the slot: write out the
+    /// access records it staged and sync the connection's deadline —
+    /// from a clock read now, not the one the call was given. The call
+    /// may have blocked in a send for as long as a slow client took,
+    /// and a deadline counted from before it (the write-stall one
+    /// after a `sendfile` visit, the idle one after a long flush) would
+    /// be armed already lapsed.
+    fn reconcile(&mut self) {
+        if let Some(log) = self
+            .shared
+            .log
+            .as_ref()
+            .filter(|_| !self.core.access_log.is_empty())
         {
-            client_dead = true;
-            break;
+            log.writer
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .drain(&mut self.core.access_log);
         }
-        n += (size.len() + body.len() + chunked::CRLF.len()) as u64;
+        match self.conns[0].as_mut() {
+            Some(conn) => sync_deadline(conn, 0, &self.core.cfg, &mut self.armed, Instant::now()),
+            None => self.armed = None,
+        }
     }
-    // The exchange broke: worker crash/garbage, silence deadline, or
-    // the client vanished mid-stream. All paths kill the worker — a
-    // kill is the only way to resync the framing (and for a vanished
-    // client, the shard path cancels the exchange the same way).
-    let timed_out = !client_dead && reader.stopped();
-    drop(reader);
-    drop(worker); // kills
-    bump(retired + 1);
-    if timed_out {
-        shard.dynamic_timeouts.fetch_add(1, Ordering::Relaxed);
-        if !header_written {
-            // Wedged before the first byte: the 504 the shard tier
-            // produces when its DynamicWait deadline fires.
-            return match respond_error(stream, Status::GatewayTimeout, false) {
-                Ok(k) => {
-                    record_ttfb();
-                    (true, Status::GatewayTimeout.code(), k, Tier::Error)
-                }
-                Err(_) => (false, Status::GatewayTimeout.code(), 0, Tier::Error),
-            };
+
+    /// Executes one job the core dispatched, on this thread — on MT
+    /// every job is an inline job — and hands the core each result.
+    fn run(&mut self, job: HelperJob) {
+        self.core.stats.inline_jobs.fetch_add(1, Ordering::Relaxed);
+        if job.kind != JobKind::Dynamic {
+            return self.complete(&job, fsjob::exec_job(&job));
         }
-    } else if !client_dead && !header_written {
-        // Crashed before producing anything: a plain 500.
-        return match respond_error(stream, Status::InternalError, false) {
-            Ok(k) => {
-                record_ttfb();
-                (true, Status::InternalError.code(), k, Tier::Error)
-            }
-            Err(_) => (false, Status::InternalError.code(), 0, Tier::Error),
+        // The worker exchange stops when the core cancels the job (the
+        // client went away), when the server stops, or when the
+        // deadline the core armed lapses — every delivered chunk
+        // re-arms it, so it bounds the worker's silence. What a lapse
+        // means (`504` or sever) is `expire_conn`'s to say, in `serve`.
+        let shared = Arc::clone(&self.shared);
+        let armed = Cell::new(self.armed);
+        let stop = || {
+            job.is_cancelled() || lapsed(armed.get()) || shared.lifecycle.phase() == PHASE_STOPPING
         };
+        let retired = appworker::run_exchange(&shared.workers, &job, &stop, &mut |ev| {
+            self.complete(&job, DoneData::Dynamic(ev));
+            armed.set(self.armed);
+        });
+        shared
+            .stats
+            .worker_respawns
+            .fetch_add(retired, Ordering::Relaxed);
     }
-    // Mid-stream failure: sever. The unterminated chunked body is the
-    // client's truncation signal.
-    (false, Status::Ok.code(), n, Tier::Dynamic)
-}
 
-/// Serves `GET /.flash/metrics` (Prometheus text) or `/.flash/stats`
-/// (JSON) from the MT worker's own thread; any other `/.flash/` path
-/// is a 404. Returns whether the write succeeded.
-fn serve_metrics_mt(
-    stream: &mut TcpStream,
-    shard: &Arc<ShardStats>,
-    path: &str,
-    keep: bool,
-    head_only: bool,
-) -> bool {
-    let one = std::slice::from_ref(shard);
-    let payload = match path {
-        "/.flash/metrics" => Some(("text/plain; version=0.0.4", metrics::render_prometheus(one))),
-        "/.flash/stats" => Some(("application/json", metrics::render_json(one))),
-        _ => None,
-    };
-    match payload {
-        Some((ctype, body)) => {
-            let hdr = ResponseHeader::build(Status::Ok, ctype, body.len() as u64, keep, true);
-            stream.write_all(hdr.as_bytes()).is_ok()
-                && (head_only || stream.write_all(body.as_bytes()).is_ok())
-        }
-        None => respond_error(stream, Status::NotFound, head_only).is_ok(),
+    fn complete(&mut self, job: &HelperJob, data: DoneData<Arc<File>>) {
+        let done = Done {
+            path: job.path.clone(),
+            data,
+            epoch: job.epoch,
+            token: job.token,
+        };
+        self.core.complete_job(
+            done,
+            &mut self.conns,
+            &mut self.woken,
+            &mut self.port,
+            Instant::now(),
+        );
+        self.woken.clear();
+        self.drive();
     }
 }
 
-/// A resolved representation on the MT path: a shared-cache entry, or
-/// an open descriptor (with its plain-200 headers pre-rendered) bound
-/// for the blocking `sendfile` window loop.
-enum MtResource {
-    Cached(Arc<Entry>),
-    File {
-        file: Arc<File>,
-        len: u64,
-        mtime: Option<i64>,
-        variant: Variant,
-        has_gzip: bool,
-        etag: String,
-        header_keep: Bytes,
-        header_close: Bytes,
-    },
-}
-
-/// A synthetic [`HelperJob`] for inline execution: the MT path has no
-/// helper pool, so the job exists only to carry the variant and the
-/// core's tier threshold to the shared executor.
-fn inline_job(cfg: &NetConfig, key: &str, kind: JobKind, variant: Variant) -> HelperJob {
-    let url_path = cache::split_variant_key(key).0;
-    HelperJob {
-        path: key.to_string(),
-        fs_path: cfg.docroot.join(url_path.trim_start_matches('/')),
-        kind,
-        variant,
-        inline_max: cfg.sendfile_threshold_bytes,
-        epoch: 0,
-        token: 0,
-        cancel: Arc::new(AtomicBool::new(false)),
-    }
-}
-
-/// Consults one slot of the shared variant cache, revalidating a
-/// stale hit inline (blocking is this server's whole idiom): a
-/// matching re-stat restarts the TTL clock, a mismatch evicts — the
-/// same policy the AMPED shards apply through their helper pool.
-fn check_slot(
-    cache: &Arc<Mutex<SharedCache>>,
-    cfg: &NetConfig,
-    shard: &Arc<ShardStats>,
-    key: &str,
-    variant: Variant,
-) -> Option<Arc<Entry>> {
-    // The lookup's lock guard must drop before the stale arm runs: it
-    // re-locks to refresh/invalidate.
-    let looked_up = cache
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .cache
-        .lookup(key, cfg.cache_revalidate_ttl);
-    match looked_up {
-        Lookup::Hit(e) => Some(e),
-        Lookup::Stale(e) => {
-            match fsjob::exec_stat(&inline_job(cfg, key, JobKind::Revalidate, variant)) {
-                Ok((len, mtime)) if e.mtime == mtime && e.body.len() as u64 == len => {
-                    cache
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .cache
-                        .refresh(key);
-                    shard.revalidations.fetch_add(1, Ordering::Relaxed);
-                    Some(e)
-                }
-                _ => {
-                    cache
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .cache
-                        .invalidate(key);
-                    shard.stale_evicted.fetch_add(1, Ordering::Relaxed);
-                    None
-                }
-            }
-        }
-        Lookup::Miss => None,
-    }
-}
-
-/// Resolves the representation to serve for `path`: the gzip cache
-/// slot first for gzip-accepting clients (with the identity slot
-/// answering when it knows no `.gz` sibling exists), then a blocking
-/// load through the shared executor — which negotiates the variant,
-/// applies the tier threshold, and reports what actually loaded.
-/// Mirrors the AMPED shard's routing exactly, minus the parking.
-fn resolve_resource(
-    cache: &Arc<Mutex<SharedCache>>,
-    cfg: &NetConfig,
-    shard: &Arc<ShardStats>,
-    epoch: u64,
-    path: &str,
-    accept_gzip: bool,
-) -> Result<(MtResource, Tier), Status> {
-    let (key, want) = if accept_gzip {
-        let gz_key = cache::variant_key(path, Variant::Gzip);
-        if let Some(e) = check_slot(cache, cfg, shard, &gz_key, Variant::Gzip) {
-            shard.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((MtResource::Cached(e), Tier::Hit));
-        }
-        // An identity hit that *knows* no sibling exists serves as-is;
-        // anything else goes through a gzip-preference load.
-        if let Lookup::Hit(e) = cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .cache
-            .lookup(path, cfg.cache_revalidate_ttl)
-        {
-            if !e.has_gzip {
-                shard.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((MtResource::Cached(e), Tier::Hit));
-            }
-        }
-        (gz_key, Variant::Gzip)
-    } else {
-        if let Some(e) = check_slot(cache, cfg, shard, path, Variant::Identity) {
-            shard.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((MtResource::Cached(e), Tier::Hit));
-        }
-        (path.to_string(), Variant::Identity)
-    };
-    match fsjob::exec_load(&inline_job(cfg, &key, JobKind::Load, want)) {
-        Ok(LoadResult {
-            data: FileData::Bytes { body, mtime },
-            variant,
-            has_gzip,
-            ..
-        }) => {
-            let e = Entry::build_variant(path, body, mtime, variant, has_gzip);
-            // Epoch check under the lock: bytes read against a
-            // pre-reload docroot must not land in the post-reload
-            // cache. This connection is still served — its request
-            // predates the swap. The insert key follows the variant
-            // that actually loaded (a gzip preference may have fallen
-            // back to identity).
-            let mut locked = cache.lock().unwrap_or_else(|e| e.into_inner());
-            if locked.generation == epoch {
-                locked
-                    .cache
-                    .insert(cache::variant_key(path, variant), Arc::clone(&e));
-            }
-            drop(locked);
-            Ok((MtResource::Cached(e), Tier::Miss))
-        }
-        Ok(LoadResult {
-            data: FileData::Fd { file, len, mtime },
-            variant,
-            has_gzip,
-            ..
-        }) => {
-            let (header_keep, header_close, etag) =
-                cache::header_pair(path, len, mtime, variant, has_gzip);
-            Ok((
-                MtResource::File {
-                    file,
-                    len,
-                    mtime,
-                    variant,
-                    has_gzip,
-                    etag,
-                    header_keep,
-                    header_close,
-                },
-                Tier::Sendfile,
-            ))
-        }
-        Err(err) => Err(match err.kind() {
-            io::ErrorKind::NotFound => Status::NotFound,
-            io::ErrorKind::PermissionDenied => Status::Forbidden,
-            _ => Status::InternalError,
-        }),
-    }
-}
-
-/// Transmits one planned response on the blocking socket: header
-/// segments first (TTFB lands on their success), then the body window
-/// — in-memory bytes as a straight write, a file window through
-/// `sendfile(2)` under `SO_SNDTIMEO` (a send that cannot move a byte
-/// for the write-stall timeout fails the response, the blocking twin
-/// of the AMPED write-stall deadline). Returns the bytes put on the
-/// wire for the access log.
-fn write_plan(
-    stream: &mut TcpStream,
-    plan: ResponsePlan<Arc<File>>,
-    head_only: bool,
-    shard: &Arc<ShardStats>,
-    ttfb: &impl Fn(),
-) -> io::Result<u64> {
-    let mut n = 0u64;
-    for seg in &plan.header {
-        stream.write_all(seg)?;
-        n += seg.len() as u64;
-    }
-    ttfb();
-    if head_only {
-        return Ok(n);
-    }
-    match plan.body {
-        BodySource::Bytes(b) => {
-            stream.write_all(&b)?;
-            n += b.len() as u64;
-        }
-        BodySource::File {
-            file,
-            mut offset,
-            len,
-        } => {
-            let mut remaining = len;
-            while remaining > 0 {
-                match crate::sendfile::send_file(stream.as_raw_fd(), &file, &mut offset, remaining)
-                {
-                    // The file shrank after fstat: the promised
-                    // Content-Length cannot be honoured; drop the
-                    // connection, as the AMPED tier does.
-                    Ok(0) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "file shrank mid-send",
-                        ))
-                    }
-                    Ok(k) => {
-                        shard.sendfile_calls.fetch_add(1, Ordering::Relaxed);
-                        shard.bytes_sendfile.fetch_add(k as u64, Ordering::Relaxed);
-                        remaining -= k as u64;
-                        n += k as u64;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        BodySource::Empty => {}
-        // Streaming bodies never reach write_plan in this driver: the
-        // dynamic tier runs its own inline exchange (serve_dynamic_mt)
-        // and writes chunked frames directly.
-        BodySource::Stream => {}
-    }
-    Ok(n)
-}
-
-/// Writes an error response; returns the bytes put on the wire (for
-/// the access log).
-fn respond_error(stream: &mut TcpStream, status: Status, head_only: bool) -> io::Result<u64> {
-    let body = Bytes::from(error_body(status));
-    let hdr = ResponseHeader::build(status, "text/html", body.len() as u64, false, true);
-    stream.write_all(hdr.as_bytes())?;
-    let mut n = hdr.as_bytes().len() as u64;
-    if !head_only {
-        stream.write_all(&body)?;
-        n += body.len() as u64;
-    }
-    Ok(n)
+fn lapsed(deadline: Option<Instant>) -> bool {
+    deadline.is_some_and(|d| Instant::now() >= d)
 }

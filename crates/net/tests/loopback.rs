@@ -672,11 +672,22 @@ fn run_stalled_reader_deadline(tag: &str, backend: BackendChoice) {
 
 /// A keep-alive connection making steady progress through a large
 /// body is NOT write-stall reaped even when the whole transfer takes
-/// several deadlines' worth of time — progress re-arms the clock.
-fn run_slow_but_steady_reader_survives(tag: &str, backend: BackendChoice) {
+/// several deadlines' worth of time — progress re-arms the clock — and
+/// the connection is a usable keep-alive afterwards. The client reads
+/// `sip` bytes of the `len`-byte body every 100 ms, sixteen times, and
+/// then the rest at once.
+fn run_slow_but_steady_reader_survives(
+    tag: &str,
+    backend: BackendChoice,
+    kind: ServerKind,
+    len: usize,
+    sip: usize,
+) {
     let root = docroot(tag);
+    std::fs::write(root.join("steady.bin"), vec![0xABu8; len]).unwrap();
     let timeout = Duration::from_millis(400);
-    let server = Server::start(
+    let server = flash_net::handle::start(
+        kind,
         "127.0.0.1:0",
         cfg(&root, backend)
             .event_loops(1)
@@ -685,11 +696,11 @@ fn run_slow_but_steady_reader_survives(tag: &str, backend: BackendChoice) {
             .unwrap(),
     )
     .unwrap();
-    let mut s = TcpStream::connect(server.addr()).unwrap();
+    let mut s = TcpStream::connect(server.local_addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    s.write_all(b"GET /big.bin HTTP/1.1\r\nHost: t\r\n\r\n")
+    s.write_all(b"GET /steady.bin HTTP/1.1\r\nHost: t\r\n\r\n")
         .unwrap();
-    // Drain the 2 MB response in small sips spread over ~4 deadlines:
+    // Drain the response in small sips spread over several deadlines:
     // each sip is forward progress, so the deadline keeps re-arming.
     let (hdr, body) = {
         let mut hdr = Vec::new();
@@ -698,24 +709,28 @@ fn run_slow_but_steady_reader_survives(tag: &str, backend: BackendChoice) {
             s.read_exact(&mut byte).unwrap();
             hdr.push(byte[0]);
         }
-        let mut body = vec![0u8; 2_000_000];
+        let mut body = vec![0u8; len];
         let mut off = 0;
-        let sip = 125_000; // 16 sips × 100 ms ≈ 1.6 s total
-        while off < body.len() {
-            let n = (body.len() - off).min(sip);
-            s.read_exact(&mut body[off..off + n]).unwrap();
-            off += n;
+        for _ in 0..16 {
             std::thread::sleep(Duration::from_millis(100));
+            s.read_exact(&mut body[off..off + sip]).unwrap();
+            off += sip;
         }
+        s.read_exact(&mut body[off..]).unwrap();
         (String::from_utf8_lossy(&hdr).into_owned(), body)
     };
     assert!(hdr.starts_with("HTTP/1.1 200 OK"), "{hdr}");
     assert!(body.iter().all(|&b| b == 0xAB));
+    s.write_all(b"GET /index.html HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    let (text, _) = read_response(&mut s);
+    assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
     assert_eq!(
         server.stats().write_stall_timeouts(),
         0,
         "steady progress must never trip the stall deadline"
     );
+    assert_eq!(server.stats().idle_reaped(), 0);
     server.stop();
     let _ = std::fs::remove_dir_all(root);
 }
@@ -1989,7 +2004,32 @@ macro_rules! backend_suite {
 
             #[test]
             fn amped_steady_reader_outlives_write_deadline() {
-                run_slow_but_steady_reader_survives(&tag("steady"), $backend);
+                // The whole body in sips: ≈ 1.6 s, four deadlines.
+                run_slow_but_steady_reader_survives(
+                    &tag("steady"),
+                    $backend,
+                    ServerKind::Amped,
+                    2_000_000,
+                    125_000,
+                );
+            }
+
+            /// MT's sends block for as long as the client takes: a body
+            /// larger than the loopback socket buffers absorb, sipped so
+            /// that one 1 MiB `sendfile` visit spans two deadlines — a
+            /// deadline counted from a clock read before the visit would
+            /// be armed already lapsed. (Slower than a shard can be
+            /// asked to go: it learns of progress a writable event at a
+            /// time, a third of the send buffer apart.)
+            #[test]
+            fn mt_steady_reader_outlives_write_deadline() {
+                run_slow_but_steady_reader_survives(
+                    &tag("mt-steady"),
+                    $backend,
+                    ServerKind::Mt,
+                    8 << 20,
+                    128 << 10,
+                );
             }
 
             #[test]
