@@ -1,21 +1,16 @@
-//! The accept loop both servers share: a listener and a stop pipe in
-//! one readiness backend, drained to `EWOULDBLOCK` per cycle, handing
-//! each connection to an [`AcceptSink`] — the AMPED single-acceptor
-//! mode deals to the shards ([`ShardDealer`]), the MT server spawns a
-//! thread. Reuseport shards accept for themselves
-//! ([`crate::server`]) and never come through here.
+//! The MT server's accept loop: a listener and a stop pipe in one
+//! readiness backend, drained to `EWOULDBLOCK` per cycle, each
+//! connection handed to the caller's closure (MT spawns a thread). The
+//! AMPED shards accept for themselves in both accept modes
+//! ([`crate::server`]) and share only [`is_transient`] with this loop.
 
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::Sender;
-use std::sync::Arc;
 
-use crate::conn::ShardStats;
 use crate::event::{new_backend, BackendChoice, Event, EventBackend, Interest};
-use crate::pool::WakeHandle;
 
 /// Token for an accept loop's listener registration.
 const ACCEPT_LISTENER_TOKEN: u64 = 0;
@@ -38,14 +33,16 @@ pub(crate) fn prepare_accept_backend(
     Ok(backend)
 }
 
-/// What an accept loop does with each connection (and between drains);
-/// the loop mechanics — wait, drain, retry — are shared between the
-/// AMPED acceptor (deal to shards) and the MT server (spawn a worker).
-pub(crate) trait AcceptSink {
-    /// Called once per accepted connection.
-    fn on_conn(&mut self, stream: TcpStream);
-    /// Called once per wait/drain cycle (worker reaping and the like).
-    fn after_drain(&mut self) {}
+/// Whether an accept failure says nothing about the listener or the
+/// process — a connection that died while queued in the backlog, a
+/// signal landing mid-call — so the drain skips it and accepts again at
+/// once. Anything else but `EWOULDBLOCK` is descriptor exhaustion
+/// (`EMFILE`/`ENFILE`) or as persistent, and the caller backs off.
+pub(crate) fn is_transient(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::ConnectionAborted | io::ErrorKind::Interrupted
+    )
 }
 
 /// The accept loop over a prepared backend (see
@@ -53,15 +50,15 @@ pub(crate) trait AcceptSink {
 /// stop pipe is the shutdown signal, so no polling interval is burned
 /// while idle and shutdown latency is one pipe write, not a timeout
 /// expiry — and drains accepts to `EWOULDBLOCK` per readiness cycle.
-/// An accept failure other than `EWOULDBLOCK` (EMFILE/ENFILE under fd
-/// exhaustion) bounds the next wait to a short retry instead: the
-/// readiness edge is consumed but connections may still be queued, and
-/// an edge-triggered backend reports each arrival only once.
+/// A persistent accept failure (EMFILE/ENFILE under fd exhaustion —
+/// not [`is_transient`]) bounds the next wait to a short retry instead:
+/// the readiness edge is consumed but connections may still be queued,
+/// and an edge-triggered backend reports each arrival only once.
 pub(crate) fn run_accept_loop(
     listener: &TcpListener,
     mut backend: Box<dyn EventBackend>,
     shutdown: &AtomicBool,
-    sink: &mut dyn AcceptSink,
+    mut on_conn: impl FnMut(TcpStream),
 ) {
     let mut events: Vec<Event> = Vec::new();
     let mut retry_accept = false;
@@ -85,9 +82,10 @@ pub(crate) fn run_accept_loop(
                         // the accepted socket (`crate::sock`).
                         #[cfg(not(any(target_os = "linux", target_os = "android")))]
                         let _ = stream.set_nodelay(true);
-                        sink.on_conn(stream)
+                        on_conn(stream)
                     }
                     Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(ref e) if is_transient(e) => continue,
                     Err(_) => {
                         retry_accept = true;
                         break;
@@ -95,32 +93,19 @@ pub(crate) fn run_accept_loop(
                 }
             }
         }
-        sink.after_drain();
     }
 }
 
-/// The AMPED acceptor's sink: deals accepted connections round-robin
-/// to the shards, waking each target through its wake pipe.
-pub(crate) struct ShardDealer {
-    pub(crate) conn_txs: Vec<Sender<TcpStream>>,
-    pub(crate) wakes: Vec<WakeHandle>,
-    pub(crate) stats: Vec<Arc<ShardStats>>,
-    pub(crate) next: usize,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-impl AcceptSink for ShardDealer {
-    fn on_conn(&mut self, stream: TcpStream) {
-        // The one per-connection call this path keeps: the accept
-        // loop is shared with the MT server, whose sockets must block.
-        if stream.set_nonblocking(true).is_err() {
-            return;
-        }
-        if self.conn_txs[self.next].send(stream).is_ok() {
-            self.stats[self.next]
-                .accepted
-                .fetch_add(1, Ordering::Relaxed);
-            self.wakes[self.next].wake();
-        }
-        self.next = (self.next + 1) % self.conn_txs.len();
+    #[test]
+    fn only_a_dead_backlog_entry_or_a_signal_is_transient() {
+        assert!(is_transient(&io::ErrorKind::ConnectionAborted.into()));
+        assert!(is_transient(&io::ErrorKind::Interrupted.into()));
+        assert!(!is_transient(&io::ErrorKind::WouldBlock.into()));
+        const EMFILE: i32 = 24;
+        assert!(!is_transient(&io::Error::from_raw_os_error(EMFILE)));
     }
 }

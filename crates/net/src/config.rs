@@ -55,19 +55,18 @@ pub struct NetConfig {
     /// long as the peer keeps draining. `None` disables it.
     /// Default 30 s.
     pub write_stall_timeout: Option<Duration>,
-    /// How `accept(2)` work is distributed (see [`crate::sock`]):
-    /// `Auto` (default) resolves to per-shard `SO_REUSEPORT` listeners
-    /// on Linux — every shard accepts from its own listener registered
-    /// in its own event backend, no acceptor thread, no dealing hop —
-    /// and to the single acceptor thread elsewhere, overridable with
-    /// `FLASH_ACCEPT_MODE=single|reuseport`; `ReusePort`/`Single` pin
-    /// a mode and ignore the environment.
+    /// How many kernel sockets stand behind the shards' listener
+    /// registrations (see [`crate::sock`]; every shard accepts for
+    /// itself either way): `Auto` (default) resolves to per-shard
+    /// `SO_REUSEPORT` listeners on Linux — the kernel hashes arrivals
+    /// across them — and to one socket shared by every shard
+    /// elsewhere, overridable with `FLASH_ACCEPT_MODE=single|reuseport`;
+    /// `ReusePort`/`Single` pin a mode and ignore the environment.
     pub accept_mode: AcceptMode,
-    /// Per-shard connection cap, enforced on the reuseport accept path
-    /// as **local backpressure**: a shard at its cap unregisters its
-    /// listener's read interest (new connections queue in the kernel
-    /// backlog or hash to other shards) and re-arms the moment a slot
-    /// frees. Default 8192.
+    /// Per-shard connection cap, enforced as **local backpressure**:
+    /// a shard at its cap drops its listener's read interest (new
+    /// connections queue in the kernel backlog or go to other shards)
+    /// and re-arms the moment a slot frees. Default 8192.
     pub max_conns_per_shard: usize,
     /// Content-cache hits older than this re-stat the file (a job like
     /// any miss: answered on the spot when the lookup is in memory, by
@@ -391,9 +390,8 @@ impl NetConfigBuilder {
     }
 }
 
-/// `min(available cores, 8)`: one loop per core. The cap of 8 dates
-/// from the single-acceptor design and has not been measured since
-/// shards accept for themselves (the reference box has 2 vCPUs).
+/// `min(available cores, 8)`: one loop per core. The cap of 8 has not
+/// been measured (the reference box has 2 vCPUs).
 pub fn default_event_loops() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())

@@ -350,8 +350,8 @@ pub struct ProtoConfig {
 pub struct ShardStats {
     /// Completed responses (any status).
     pub requests: AtomicU64,
-    /// Connections this shard accepted from its own listener
-    /// (reuseport mode) or was dealt by the acceptor (single mode).
+    /// Connections this shard accepted from its listener — its own
+    /// kernel socket (reuseport mode) or the shared one (single mode).
     pub accepted: AtomicU64,
     /// Jobs this shard dispatched to the helper pool (content-cache
     /// misses, after coalescing).
@@ -382,8 +382,9 @@ pub struct ShardStats {
     /// took, one for one; the driver adds the ones that timed out
     /// empty, so there too the counter is `read(2)` calls.
     pub read_calls: AtomicU64,
-    /// `accept4(2)` calls this shard issued on its own listener,
-    /// `EAGAIN` ones included (none in single-acceptor mode).
+    /// `accept4(2)` calls this shard issued on its listener, `EAGAIN`
+    /// ones included — in single mode that is one for every sibling
+    /// that woke for an arrival and lost the race.
     pub accept_calls: AtomicU64,
     /// Interest-set calls the shard driver made on its readiness
     /// backend (`register`, `modify`, `rearm`, `deregister`) — one

@@ -6,19 +6,20 @@
 //!
 //! * [`server::Server`] — **sharded AMPED**:
 //!   `NetConfig::event_loops` independent event-loop shards (default
-//!   `min(cores, 8)`) with a **pluggable accept path**
-//!   ([`NetConfig::accept_mode`], resolved by [`sock`]): in
+//!   `min(cores, 8)`), **each accepting for itself** as the first
+//!   step of its own loop — no acceptor thread serializes connection
+//!   setup and no cross-thread dealing hop precedes a request. The
+//!   accept mode ([`NetConfig::accept_mode`], resolved by [`sock`])
+//!   decides only what the shards' listener registrations stand on: in
 //!   the default reuseport mode (Linux; `Auto`, overridable with
 //!   `FLASH_ACCEPT_MODE=single|reuseport`) **each shard owns its own
-//!   `SO_REUSEPORT` listener** registered in its own event backend —
-//!   the kernel load-balances connection setup across all shards, no
-//!   acceptor thread serializes it, and no cross-thread dealing hop
-//!   precedes a request; backpressure is local (a shard at
-//!   [`NetConfig::max_conns_per_shard`], or out of
-//!   descriptors, quiesces its listener interest and re-arms as slots
-//!   free — `accept_backpressure` counts it). The portable single
-//!   mode keeps a lightweight acceptor thread dealing connections
-//!   round-robin to the shards. Each
+//!   `SO_REUSEPORT` listener** and the kernel load-balances connection
+//!   setup across them; in the portable single mode every shard
+//!   registers a duplicate of one shared socket and a connection goes
+//!   to whichever wakes first. Backpressure is local in both (a shard
+//!   at [`NetConfig::max_conns_per_shard`], or out of descriptors,
+//!   quiesces its listener interest and re-arms as slots free —
+//!   `accept_backpressure` counts it). Each
 //!   shard multiplexes its connections through the pluggable
 //!   **readiness subsystem** in [`event`]: an [`EventBackend`] trait
 //!   with an edge-triggered `epoll(7)` implementation (Linux; raw FFI,
@@ -165,9 +166,8 @@
 //! [`conn::ProtoConfig`]); [`server`] ([`Server`] and the shard
 //! driver); `pool.rs` (the helper pool: job lanes, wake handles, the
 //! shard's `HelperPort` with its residency test and open-file table);
-//! `accept.rs` (the single-acceptor loop, shared with [`mt`]);
 //! [`stats`] (the metrics registry and [`ServerStats`] over it).
-//! The MT side is [`mt`] alone.
+//! The MT side is [`mt`] and its accept loop, `accept.rs`.
 //!
 //! ## How to add a fault to the sim
 //!
@@ -482,7 +482,7 @@
 //! |---|---|---|
 //! | `requests` | counter | Completed responses (any status), excluding `/.flash/` responses |
 //! | `metrics_requests` | counter | Responses served by the `/.flash/*` endpoints |
-//! | `accepted` | counter | Connections accepted, by the shards' own listeners or the acceptor |
+//! | `accepted` | counter | Connections accepted by the shards, each from its own listener registration |
 //! | `helper_jobs` | counter | Disk jobs dispatched after miss coalescing — whoever ends up executing them |
 //! | `inline_jobs` | counter | The subset of `helper_jobs` the residency test answered in the dispatching loop turn; jobs handed to the pool = `helper_jobs − inline_jobs` |
 //! | `open_file_hits` | counter | The subset of `inline_jobs` loads answered from a descriptor the open-file table already held: no path lookup |

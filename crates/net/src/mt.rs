@@ -16,8 +16,8 @@
 //! the close-or-keep decision are the core's, as they are for the
 //! shards. What is MT's own is exactly three things:
 //!
-//! * **threads** — one per connection, spawned by the shared accept
-//!   loop (`accept.rs`) and joined at teardown;
+//! * **threads** — one per connection, spawned by the accept loop
+//!   (`accept.rs`) and joined at teardown;
 //! * **blocking calls** — `BlockingIo`: a `read` that waits up to
 //!   200 ms (the cadence on which a silent connection's thread looks at
 //!   the lifecycle phase, the reload and log-rotation generations and
@@ -53,7 +53,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::accept::{prepare_accept_backend, run_accept_loop, AcceptSink};
+use crate::accept::{prepare_accept_backend, run_accept_loop};
 use crate::appworker::{self, WorkerPool};
 use crate::cache::{CacheHandle, ContentCache, Entry, Lookup};
 use crate::config::NetConfig;
@@ -150,8 +150,7 @@ impl MtServer {
         let (stop_tx, stop_rx) = UnixStream::pair()?;
         // Listener + stop pipe registered before the thread exists, so
         // a backend that cannot watch them is a start error, not a
-        // silently deaf accept thread (same machinery as the AMPED
-        // acceptor — the loop itself is shared).
+        // silently deaf accept thread.
         let backend = prepare_accept_backend(cfg.backend, &listener, &stop_rx)?;
         let drain_timeout = cfg.drain_timeout;
         let stats = Arc::new(ShardStats::default());
@@ -178,13 +177,22 @@ impl MtServer {
         let accept_thread = std::thread::Builder::new()
             .name("flash-mt-accept".into())
             .spawn(move || {
-                let mut spawner = ThreadSpawner {
-                    threads: Vec::new(),
-                    shared,
-                };
-                run_accept_loop(&listener, backend, &accept_stop2, &mut spawner);
+                // One blocking thread per connection; each accept reaps
+                // the ones that have finished since the last.
+                let mut threads: Vec<JoinHandle<()>> = Vec::new();
+                run_accept_loop(&listener, backend, &accept_stop2, |stream| {
+                    threads.retain(|h| !h.is_finished());
+                    let shared = Arc::clone(&shared);
+                    shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
+                    if let Ok(h) = std::thread::Builder::new()
+                        .name("flash-mt-conn".into())
+                        .spawn(move || ConnThread::new(stream, shared).serve())
+                    {
+                        threads.push(h);
+                    }
+                });
                 drop(stop_rx); // keep the read side alive until exit
-                for h in spawner.threads {
+                for h in threads {
                     let _ = h.join();
                 }
             })?;
@@ -299,30 +307,6 @@ impl MtServer {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-    }
-}
-
-/// The MT accept sink: one blocking thread per connection, finished
-/// threads reaped between drains.
-struct ThreadSpawner {
-    threads: Vec<JoinHandle<()>>,
-    shared: Arc<Shared>,
-}
-
-impl AcceptSink for ThreadSpawner {
-    fn on_conn(&mut self, stream: TcpStream) {
-        let shared = Arc::clone(&self.shared);
-        shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-        if let Ok(h) = std::thread::Builder::new()
-            .name("flash-mt-conn".into())
-            .spawn(move || ConnThread::new(stream, shared).serve())
-        {
-            self.threads.push(h);
-        }
-    }
-
-    fn after_drain(&mut self) {
-        self.threads.retain(|h| !h.is_finished());
     }
 }
 

@@ -5,32 +5,28 @@
 //! (start, drain, stop, reload) and the **shard driver** — the event
 //! loop that binds the sans-IO core in [`crate::conn`] to sockets; the
 //! configuration lives in [`crate::config`], the counters in
-//! [`crate::stats`], the helper pool in `pool.rs` and the
-//! single-acceptor loop in `accept.rs`.
+//! [`crate::stats`] and the helper pool in `pool.rs`.
 //!
 //! Layout:
 //!
-//! * the **accept path** is pluggable ([`NetConfig::accept_mode`],
-//!   resolved by [`crate::sock`]): in the default **reuseport** mode
-//!   (Linux) every shard owns its own `SO_REUSEPORT` listening socket
-//!   registered in its own event backend — the kernel hashes incoming
-//!   connections across the listeners, each shard drains its accepts
-//!   to `EWOULDBLOCK` under the ET contract — one `accept4(2)` per
-//!   connection, which hands it over nonblocking, close-on-exec and
-//!   (inherited from the listener, [`crate::sock`]) `TCP_NODELAY` —
-//!   and there is **no acceptor thread and no dealing hop**.
-//!   Backpressure is local: a
-//!   shard at [`NetConfig::max_conns_per_shard`] (or hitting
-//!   `EMFILE`/`ENFILE` — counted as `accept_backpressure`) drops its
-//!   listener's read interest, letting the backlog queue in the
-//!   kernel or hash to its siblings, and re-arms the moment a slot
-//!   frees. The portable **single** fallback keeps the previous
-//!   shape: a lightweight acceptor thread owns the only listening
-//!   socket and deals accepted connections round-robin to the shards
-//!   over per-shard channels, waking each target through its wake
-//!   socketpair; it blocks in its own readiness backend with no
-//!   polling timeout — shutdown arrives as a byte on a dedicated stop
-//!   pipe;
+//! * **accepting is the first step of each shard's own loop** (the
+//!   paper's Fig. 1; there is no acceptor thread and no dealing hop in
+//!   either mode): every shard holds a listening descriptor registered
+//!   in its own event backend and drains its accepts to `EWOULDBLOCK`
+//!   under the ET contract — one `accept4(2)` per connection, which
+//!   hands it over nonblocking, close-on-exec and (inherited from the
+//!   listener, [`crate::sock`]) `TCP_NODELAY`. The accept mode
+//!   ([`NetConfig::accept_mode`], resolved by [`crate::sock`]) decides
+//!   only how many kernel sockets stand behind those N registrations:
+//!   in the default **reuseport** mode (Linux) N `SO_REUSEPORT`
+//!   siblings, the kernel hashing incoming connections across them; in
+//!   the portable **single** fallback one socket, every shard
+//!   registered on a duplicate of it, a connection going to whichever
+//!   shard wakes first. Backpressure is local in both: a shard at
+//!   [`NetConfig::max_conns_per_shard`] (or hitting `EMFILE`/`ENFILE`
+//!   — counted as `accept_backpressure`) drops its listener's read
+//!   interest, leaving the backlog to the kernel and to its siblings,
+//!   and re-arms the moment a slot frees;
 //! * each **shard** is the paper's event loop on the pluggable
 //!   readiness subsystem ([`crate::event`]): a new connection is
 //!   driven first — HTTP clients speak first, the request is usually
@@ -93,18 +89,18 @@
 //! uniprocessor event loop.
 
 use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::accept::{prepare_accept_backend, run_accept_loop, ShardDealer};
+use crate::accept::is_transient;
 use crate::config::NetConfig;
 use crate::conn::machine::{sync_deadline, Conn};
 use crate::conn::{ConnIo, ConnState, Done, Drive, ShardCore, ShardStats};
@@ -187,9 +183,8 @@ impl ConnIo for SockIo {
 ///               └─────────────────────────► exited ◄────────────┘
 /// ```
 ///
-/// Draining shards quiesce their listeners (reuseport) or the
-/// acceptor stops (single mode), idle keep-alive connections are
-/// closed at once, and everything mid-request — in-flight `sendfile`
+/// Draining shards close their listeners, idle keep-alive connections
+/// are closed at once, and everything mid-request — in-flight `sendfile`
 /// bodies, pipelined keep-alive bursts — is served to completion or
 /// the deadline. For zero-downtime restarts, hand the listener set to
 /// the next generation first (see [`crate::handoff`] and
@@ -202,12 +197,9 @@ pub struct Server {
     stats: Arc<ServerStats>,
     backend: BackendKind,
     accept_mode: AcceptModeKind,
-    /// Accept-path stop flag (the acceptor thread and the shared
-    /// accept loop); shards take their orders from `lifecycle`.
-    shutdown: Arc<AtomicBool>,
     lifecycle: Arc<LifecycleShared>,
     drain_timeout: Duration,
-    /// Duplicates of every listening socket this server accepts from
+    /// A duplicate of every kernel socket this server accepts from
     /// (plus any extras inherited from a previous generation), held
     /// for handoff: passing these to the next generation keeps the
     /// kernel sockets — and their backlogs — alive across the switch.
@@ -215,11 +207,7 @@ pub struct Server {
     /// stop/drain still releases the port.
     handoff: Vec<TcpListener>,
     shard_wakes: Vec<WakeHandle>,
-    /// `Some` only in single-acceptor mode; reuseport shards are woken
-    /// for shutdown through their ordinary wake pipes.
-    acceptor_stop: Option<UnixStream>,
     jobs: Arc<JobQueue>,
-    acceptor_thread: Option<JoinHandle<()>>,
     shard_threads: Vec<JoinHandle<()>>,
     helper_threads: Vec<JoinHandle<()>>,
 }
@@ -229,7 +217,7 @@ pub struct Server {
 /// with fd 2^32-1 cannot occur).
 const WAKE_TOKEN: u64 = u64::MAX;
 
-/// Token for a shard's own `SO_REUSEPORT` listener — the slot half is
+/// Token for a shard's listener registration — the slot half is
 /// 2^32-1, which a real connection slot can never reach, so it can
 /// never collide with a connection token (nor with [`WAKE_TOKEN`],
 /// whose fd half differs).
@@ -252,11 +240,11 @@ fn token_fd(token: u64) -> RawFd {
 }
 
 impl Server {
-    /// Binds `addr` and starts the event-loop shards, the shared
-    /// helper pool and — in single-acceptor mode only — the acceptor
-    /// thread. In reuseport mode every shard owns its own
-    /// `SO_REUSEPORT` listener, registered in that shard's event
-    /// backend before its thread exists.
+    /// Binds `addr` and starts the event-loop shards and the shared
+    /// helper pool. Every shard's listener — its own `SO_REUSEPORT`
+    /// socket, or in single mode its duplicate of the one socket — is
+    /// registered in that shard's event backend before its thread
+    /// exists.
     pub fn start(addr: impl ToSocketAddrs, cfg: NetConfig) -> io::Result<Server> {
         let req_addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
             io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing")
@@ -271,10 +259,11 @@ impl Server {
     /// switch drops nothing even in the `Single`/non-reuseport mode
     /// where a same-port rebind is impossible.
     ///
-    /// In single mode the first inherited listener serves; in
-    /// reuseport mode the inherited set is dealt to the shards in
-    /// order, and if there are fewer listeners than shards the
-    /// remainder bind fresh `SO_REUSEPORT` siblings on the same port.
+    /// In single mode the first inherited listener serves every
+    /// shard; in reuseport mode the inherited set is dealt to the
+    /// shards in order, and if there are fewer listeners than shards
+    /// the remainder bind fresh `SO_REUSEPORT` siblings on the same
+    /// port.
     /// Inherited listeners beyond what the accept path needs are not
     /// closed — they stay in this server's handoff set
     /// ([`Server::handoff_listeners`]), because closing the last
@@ -297,7 +286,7 @@ impl Server {
         cfg: NetConfig,
     ) -> io::Result<Server> {
         let accept_mode = sock::resolve_accept_mode(cfg.accept_mode);
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let reuseport = accept_mode == AcceptModeKind::ReusePort;
         let lifecycle = Arc::new(LifecycleShared::new());
         let n_shards = cfg.event_loops.max(1);
         let backend = crate::event::resolve(cfg.backend);
@@ -309,51 +298,42 @@ impl Server {
         }
         let mut inherited = inherited.into_iter();
 
-        // All listeners are bound (or adopted) before any thread
-        // exists, so an unbindable port is a clean start() error. In
-        // reuseport mode the first bind fixes the port (addr may
-        // carry port 0) and the remaining shards bind the resolved
-        // address.
-        let (addr, single_listener, shard_listeners) = match accept_mode {
-            AcceptModeKind::Single => {
-                let l = match inherited.next() {
-                    Some(l) => l,
-                    None => sock::bind_listener(req_addr.expect("addr or listeners"), false)?,
-                };
-                let bound = l.local_addr()?;
-                (bound, Some(l), Vec::new())
-            }
-            AcceptModeKind::ReusePort => {
-                let first = match inherited.next() {
-                    Some(l) => l,
-                    None => sock::bind_listener(req_addr.expect("addr or listeners"), true)?,
-                };
-                let bound = first.local_addr()?;
-                let mut listeners = vec![first];
-                for _ in 1..n_shards {
-                    listeners.push(match inherited.next() {
-                        Some(l) => l,
-                        // Fewer inherited listeners than shards: the
-                        // rest bind fresh reuseport siblings (the
-                        // inherited sockets carry SO_REUSEPORT, so
-                        // the shared bind is permitted).
-                        None => sock::bind_listener(bound, true)?,
-                    });
-                }
-                (bound, None, listeners)
-            }
+        // Every shard's listener is bound (or adopted, or duplicated)
+        // before any thread exists, so an unbindable port is a clean
+        // start() error. The first fixes the port (addr may carry port
+        // 0); each further shard gets a reuseport sibling on the
+        // resolved address or, in single mode, one more descriptor for
+        // the first's kernel socket.
+        let first = match inherited.next() {
+            Some(l) => l,
+            None => sock::bind_listener(req_addr.expect("addr or listeners"), reuseport)?,
         };
-
-        // The handoff set: one duplicate of every listener the accept
-        // path uses, plus inherited extras (closing the last dup of a
-        // listening socket would RST its queued connections — extras
-        // ride along to the next generation instead).
-        let mut handoff = Vec::new();
-        for l in single_listener.iter().chain(shard_listeners.iter()) {
-            handoff.push(l.try_clone()?);
+        let addr = first.local_addr()?;
+        let mut listeners = vec![first];
+        for _ in 1..n_shards {
+            let next = if !reuseport {
+                listeners[0].try_clone()?
+            } else if let Some(l) = inherited.next() {
+                l
+            } else {
+                // Fewer inherited listeners than shards: the rest bind
+                // fresh reuseport siblings (the inherited sockets carry
+                // SO_REUSEPORT, so the shared bind is permitted).
+                sock::bind_listener(addr, true)?
+            };
+            listeners.push(next);
         }
-        handoff.extend(inherited);
-        let mut shard_listeners = shard_listeners.into_iter();
+
+        // The handoff set: one duplicate of every kernel socket the
+        // accept path uses, plus inherited extras (closing the last dup
+        // of a listening socket would RST its queued connections —
+        // extras ride along to the next generation instead).
+        let kernel_sockets = if reuseport { n_shards } else { 1 };
+        let handoff = listeners[..kernel_sockets]
+            .iter()
+            .map(TcpListener::try_clone)
+            .chain(inherited.map(Ok))
+            .collect::<io::Result<Vec<_>>>()?;
 
         let shard_stats: Vec<Arc<ShardStats>> = (0..n_shards)
             .map(|_| Arc::new(ShardStats::default()))
@@ -361,46 +341,31 @@ impl Server {
         let stats = Arc::new(ServerStats::new(shard_stats.clone()));
 
         // One shared helper queue with per-shard lanes; per-shard done
-        // queues and wake pipes routing completions back. The conn
-        // channels exist only in single-acceptor mode — reuseport
-        // shards accept for themselves, so there is no dealing hop and
-        // no wake byte per accepted connection. Each shard gets an
-        // equal slice of the cache budget: private caches mean zero
-        // lock traffic at the cost of N-way duplication of the hottest
-        // entries.
+        // queues and wake pipes routing completions back. Each shard
+        // gets an equal slice of the cache budget: private caches mean
+        // zero lock traffic at the cost of N-way duplication of the
+        // hottest entries.
         let jobs = JobQueue::new(n_shards);
         let shard_cache_bytes = (cfg.cache_bytes / n_shards as u64).max(1);
         let shard_open_files = open_file_budget(n_shards);
-        let mut conn_txs = Vec::with_capacity(n_shards);
         let mut done_txs = Vec::with_capacity(n_shards);
         let mut shard_wakes = Vec::with_capacity(n_shards);
-        let mut shard_threads = Vec::with_capacity(n_shards);
         let mut shards = Vec::with_capacity(n_shards);
-        for shard_id in 0..n_shards {
-            let conn_rx = if accept_mode == AcceptModeKind::Single {
-                let (conn_tx, conn_rx) = channel::<TcpStream>();
-                conn_txs.push(conn_tx);
-                Some(conn_rx)
-            } else {
-                None
-            };
+        for (shard_id, listener) in listeners.into_iter().enumerate() {
             let (done_tx, done_rx) = channel::<Done<Arc<File>>>();
             let (wake_tx, wake_rx) = UnixStream::pair()?;
             wake_rx.set_nonblocking(true)?;
             let wake = WakeHandle::new(wake_tx);
             done_txs.push(done_tx);
             shard_wakes.push(wake.clone());
-            // The backend is created and the wake pipe (and, in
-            // reuseport mode, this shard's listener) registered HERE,
-            // before any thread exists, so a failure (epoll watch
-            // limits, fd exhaustion) is a clean start() error instead
-            // of a silently dead shard.
+            // The backend is created and the wake pipe and this
+            // shard's listener registered HERE, before any thread
+            // exists, so a failure (epoll watch limits, fd exhaustion)
+            // is a clean start() error instead of a silently dead
+            // shard.
             let mut backend = new_backend(cfg.backend);
             backend.register(wake_rx.as_raw_fd(), WAKE_TOKEN, Interest::READ)?;
-            let listener = shard_listeners.next();
-            if let Some(l) = &listener {
-                backend.register(l.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
-            }
+            backend.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
             let mut shard = Shard::new(
                 shard_id,
                 shard_cache_bytes,
@@ -414,7 +379,7 @@ impl Server {
             // `/.flash/metrics` scrape answered by any one shard
             // reports the whole server.
             shard.core.export = shard_stats.clone();
-            shards.push((shard, conn_rx, done_rx, wake_rx, wake, listener));
+            shards.push((shard, done_rx, wake_rx, wake, listener));
         }
 
         // The dynamic tier's worker pool, shared by every helper
@@ -440,102 +405,40 @@ impl Server {
         }
         drop(done_txs);
 
-        // Everything fallible from the first shard spawn onward runs
-        // inside this labeled block: once any shard thread exists, a
-        // later failure must tear the spawned ones down (below) rather
-        // than `?` straight out — an abandoned shard would otherwise
-        // keep its SO_REUSEPORT listener bound for the process
-        // lifetime and spin on its dead wake pipe.
-        let setup: io::Result<(Option<UnixStream>, Option<JoinHandle<()>>)> = 'setup: {
-            for (shard, conn_rx, done_rx, wake_rx, wake, listener) in shards {
-                let lifecycle2 = Arc::clone(&lifecycle);
-                let spawned = std::thread::Builder::new()
-                    .name(format!("flash-shard-{}", shard.core.shard))
-                    .spawn(move || {
-                        shard_loop(shard, conn_rx, done_rx, wake_rx, wake, listener, lifecycle2)
-                    });
-                match spawned {
-                    Ok(t) => shard_threads.push(t),
-                    Err(e) => break 'setup Err(e),
-                }
-            }
-
-            match single_listener {
-                None => Ok((None, None)),
-                Some(listener) => {
-                    let (acceptor_stop, stop_rx) = match UnixStream::pair() {
-                        Ok(pair) => pair,
-                        Err(e) => break 'setup Err(e),
-                    };
-                    // Same principle: listener + stop pipe registered
-                    // before the thread exists, so a deaf acceptor is a
-                    // start() error.
-                    let accept_backend =
-                        match prepare_accept_backend(cfg.backend, &listener, &stop_rx) {
-                            Ok(b) => b,
-                            Err(e) => break 'setup Err(e),
-                        };
-                    let shutdown2 = Arc::clone(&shutdown);
-                    let accept_stats = shard_stats.clone();
-                    let acceptor_wakes = shard_wakes.clone();
-                    let spawned = std::thread::Builder::new()
-                        .name("flash-acceptor".into())
-                        .spawn(move || {
-                            let mut dealer = ShardDealer {
-                                conn_txs,
-                                wakes: acceptor_wakes,
-                                stats: accept_stats,
-                                next: 0,
-                            };
-                            run_accept_loop(&listener, accept_backend, &shutdown2, &mut dealer);
-                            drop(stop_rx); // keep the read side alive until exit
-                        });
-                    match spawned {
-                        Ok(t) => Ok((Some(acceptor_stop), Some(t))),
-                        Err(e) => break 'setup Err(e),
-                    }
-                }
-            }
-        };
-        let (acceptor_stop, acceptor_thread) = match setup {
-            Ok(v) => v,
-            Err(e) => {
-                // Partial start: stop and join every thread spawned so
-                // far, exactly like stop_now() — the per-shard
-                // listeners close with their loops, so the port is
-                // released before the error is returned.
-                lifecycle.stop_now();
-                shutdown.store(true, Ordering::SeqCst);
-                for wake in &shard_wakes {
-                    wake.wake_force();
-                }
-                for t in shard_threads {
-                    let _ = t.join();
-                }
-                jobs.close();
-                for t in helper_threads {
-                    let _ = t.join();
-                }
-                return Err(e);
-            }
-        };
-
-        Ok(Server {
+        let mut server = Server {
             addr,
             stats,
             backend,
             accept_mode,
-            shutdown,
             lifecycle,
             drain_timeout: cfg.drain_timeout,
             handoff,
             shard_wakes,
-            acceptor_stop,
             jobs,
-            acceptor_thread,
-            shard_threads,
+            shard_threads: Vec::with_capacity(n_shards),
             helper_threads,
-        })
+        };
+        for (shard, done_rx, wake_rx, wake, listener) in shards {
+            let lifecycle = Arc::clone(&server.lifecycle);
+            let spawned = std::thread::Builder::new()
+                .name(format!("flash-shard-{}", shard.core.shard))
+                .spawn(move || shard_loop(shard, done_rx, wake_rx, wake, listener, lifecycle));
+            match spawned {
+                Ok(t) => server.shard_threads.push(t),
+                Err(e) => {
+                    // Once any shard thread exists, a later failure
+                    // must tear the spawned ones down rather than `?`
+                    // straight out — an abandoned shard would keep its
+                    // listener open for the process lifetime and spin
+                    // on its dead wake pipe. Exactly stop_now(): each
+                    // listener closes with its loop, so the port is
+                    // released before the error is returned.
+                    server.stop_now();
+                    return Err(e);
+                }
+            }
+        }
+        Ok(server)
     }
 
     /// The bound address (useful with port 0).
@@ -647,25 +550,15 @@ impl Server {
         }
     }
 
-    /// Wakes everything and joins all threads. Every listener — the
-    /// acceptor's or the per-shard reuseport set — is owned by the
-    /// thread it serves and closed before that thread is joined, and
-    /// the handoff duplicates drop with `self`, so when the caller
-    /// returns the port is fully released and rebindable (unless a
-    /// next generation holds inherited duplicates — the point of
-    /// handoff).
+    /// Wakes every shard and joins all threads. Each listening
+    /// descriptor is owned by the shard it serves and closed before
+    /// that thread is joined, and the handoff duplicates drop with
+    /// `self`, so when the caller returns the port is fully released
+    /// and rebindable (unless a next generation holds inherited
+    /// duplicates — the point of handoff).
     fn halt_accept_and_join(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // The acceptor blocks with no timeout; its stop pipe is the
-        // only thing that can wake it.
-        if let Some(stop) = &self.acceptor_stop {
-            let _ = (&*stop).write_all(b"q");
-        }
         for wake in &self.shard_wakes {
             wake.wake_force();
-        }
-        if let Some(t) = self.acceptor_thread.take() {
-            let _ = t.join();
         }
         for t in self.shard_threads.drain(..) {
             let _ = t.join();
@@ -701,9 +594,9 @@ struct Shard {
     /// occupied, cleared by its close arm — which is how that arm knows
     /// there is a registration to forget, the connection being gone.
     watched: Vec<bool>,
-    /// Created by `Server::start` with the wake pipe (and, in
-    /// reuseport mode, the listener) already registered, so backend
-    /// failures abort startup instead of killing one shard.
+    /// Created by `Server::start` with the wake pipe and the listener
+    /// already registered, so backend failures abort startup instead
+    /// of killing one shard.
     backend: Box<dyn EventBackend>,
     /// Per-state deadlines, keyed by the same slot+fd tokens the event
     /// backend uses. The tick is an eighth of the smallest configured
@@ -746,8 +639,7 @@ fn complete_inline(
 /// opens and `sendfile` handles keep the rest. Derived, never raised:
 /// the limit is the operator's. A shard that still runs out
 /// (`EMFILE`/`ENFILE` at accept) empties its table before it backs
-/// off; the single-acceptor thread has no table to empty and relies on
-/// the quarter rule alone. Unreadable limit: no tables.
+/// off. Unreadable limit: no tables.
 fn open_file_budget(n_shards: usize) -> usize {
     let soft = sys::nofile_limit().map_or(0, |(soft, _)| soft);
     usize::try_from(soft / 4 / n_shards as u64).unwrap_or(usize::MAX)
@@ -827,6 +719,11 @@ impl Shard {
     /// drive leaves open is registered by [`Shard::reconcile`] with
     /// the interest its state wants; the registration reports whatever
     /// became ready in between.
+    ///
+    /// Out of line on purpose: with one caller it would be inlined,
+    /// first drive and all, into `shard_loop`, whose keep-alive turn
+    /// then measures ≈ 1.3% slower on `cached_small` (CHANGES, PR 23).
+    #[inline(never)]
     fn admit(&mut self, stream: TcpStream) {
         let mut conn = Conn::new(SockIo {
             stream,
@@ -985,14 +882,14 @@ impl Shard {
         }
     }
 
-    /// Drains a shard's own listener to `EWOULDBLOCK` under the ET
+    /// Drains the shard's listener to `EWOULDBLOCK` under the ET
     /// contract, admitting and immediately driving each connection.
     /// Stops early — dropping the listener's read interest — at the
     /// shard's connection cap or on an accept failure (`EMFILE`/`ENFILE`
     /// under fd exhaustion, counted as `accept_backpressure`, and
     /// answered by closing every descriptor the open-file table
     /// holds); pending connections then wait in the kernel backlog (or
-    /// hash to another shard's listener) until this shard re-arms.
+    /// go to another shard) until this shard re-arms.
     /// Returns whether the listener interest is still armed.
     fn drain_accepts(&mut self, listener: &TcpListener) -> bool {
         loop {
@@ -1006,15 +903,8 @@ impl Shard {
                     self.admit(stream);
                 }
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => return true,
-                // A connection that died while queued in the backlog is
-                // not backpressure — skip it and keep draining. Neither is
-                // a signal landing mid-accept: retry immediately.
-                Err(ref e)
-                    if e.kind() == io::ErrorKind::ConnectionAborted
-                        || e.kind() == io::ErrorKind::Interrupted =>
-                {
-                    continue
-                }
+                // Not backpressure: skip it and keep draining.
+                Err(ref e) if is_transient(e) => continue,
                 Err(_) => {
                     // EMFILE/ENFILE (or another persistent failure):
                     // accepting again immediately would fail immediately.
@@ -1068,36 +958,34 @@ const LOOP_STALL_THRESHOLD: Duration = Duration::from_millis(100);
 /// a voluntary yield (the `sendfile` fairness budget) re-arms the
 /// descriptor so the consumed writability edge is redelivered.
 ///
-/// In reuseport mode (`listener` is `Some`) the shard also owns a
-/// `SO_REUSEPORT` listener under [`LISTENER_TOKEN`]: accepts drain to
-/// `EWOULDBLOCK` like any other read source, and **backpressure is
-/// local** — at the connection cap (or on `EMFILE`/`ENFILE`) the
-/// listener's read interest is dropped, so pending connections stay
-/// in the kernel backlog (or hash to other shards), and the interest
-/// is re-armed the moment a slot frees. The re-arm leans on the
-/// backend contract that `modify` redelivers a still-true readiness
-/// condition, so a backlog that filled while throttled surfaces as a
-/// fresh event.
+/// The shard's `listener` — a `SO_REUSEPORT` socket of its own, or in
+/// single mode its duplicate of the one socket — is registered under
+/// [`LISTENER_TOKEN`]: accepts drain to `EWOULDBLOCK` like any other
+/// read source, and **backpressure is local** — at the connection cap
+/// (or on `EMFILE`/`ENFILE`) the listener's read interest is dropped,
+/// so pending connections stay in the kernel backlog (or go to other
+/// shards), and the interest is re-armed the moment a slot frees. The
+/// re-arm leans on the backend contract that `modify` redelivers a
+/// still-true readiness condition, so a backlog that filled while
+/// throttled surfaces as a fresh event.
 fn shard_loop(
     mut shard: Shard,
-    // `Some` only in single-acceptor mode (the dealing channel).
-    conn_rx: Option<Receiver<TcpStream>>,
     done_rx: Receiver<Done<Arc<File>>>,
     mut wake_rx: UnixStream,
     wake: WakeHandle,
-    // `Some` only in reuseport mode: this shard's own listener, owned
-    // (and therefore closed) by this loop — dropped at drain entry or
-    // on return, before Server::stop's join observes the thread gone,
-    // so the port is free once stop() returns.
-    mut listener: Option<TcpListener>,
+    // Owned (and therefore closed) by this loop — dropped at drain
+    // entry or on return, before Server::stop's join observes the
+    // thread gone, so the port is free once stop() returns.
+    listener: TcpListener,
     lifecycle: Arc<LifecycleShared>,
 ) {
+    let mut listener = Some(listener);
     let mut events: Vec<Event> = Vec::new();
     let mut completed: Vec<usize> = Vec::new();
     let mut expired: Vec<u64> = Vec::new();
     // Whether the listener's READ interest is currently armed in the
     // backend (registered armed by Server::start).
-    let mut listener_armed = listener.is_some();
+    let mut listener_armed = true;
     // The drain deadline, captured once when the shard observes the
     // draining phase (begin_drain stores it before flipping the
     // phase, so it is always visible here).
@@ -1114,13 +1002,16 @@ fn shard_loop(
                 // open reuseport socket keeps its place in the
                 // kernel's hash group even with no one accepting, so
                 // keeping it would blackhole the connections hashed to
-                // it. A next generation holding inherited handoff dups
-                // keeps the kernel socket (and its backlog) alive;
-                // without one, fresh binds now fully own the port.
+                // it (and a shared socket nobody accepts from would
+                // hold the port against a fresh bind). A next
+                // generation holding inherited handoff dups keeps the
+                // kernel socket (and its backlog) alive; without one,
+                // fresh binds now fully own the port.
                 if let Some(l) = listener.take() {
                     // An explicit DEL, before the close: the handoff
-                    // dup keeps the open file description — and with
-                    // it the registration — alive past this handle.
+                    // dup (and, on a shared socket, every sibling's
+                    // descriptor) keeps the open file description — and
+                    // with it the registration — alive past this handle.
                     bump(&shard.core.stats.ctl_calls);
                     let _ = shard.backend.deregister(l.as_raw_fd());
                 }
@@ -1221,12 +1112,6 @@ fn shard_loop(
             // anything enqueued after this point writes a fresh wake
             // byte, so completions cannot be lost.
             wake.pending.store(false, Ordering::Release);
-            if let Some(conn_rx) = &conn_rx {
-                while let Ok(stream) = conn_rx.try_recv() {
-                    shard.admit(stream);
-                }
-            }
-            lap(&shard.core.stats.phase_accept_us, &mut mark);
             completed.clear();
             while let Ok(done) = done_rx.try_recv() {
                 shard.core.complete_job(
@@ -1342,6 +1227,7 @@ mod tests {
     use super::*;
     use crate::cache::Entry;
     use crate::event::BackendChoice;
+    use std::io::Write;
     use std::net::Shutdown;
     use std::sync::atomic::AtomicU64;
 

@@ -1,10 +1,11 @@
 //! Listening-socket construction and accept-path mode selection.
 //!
-//! One place builds every listening socket the servers use — the AMPED
-//! acceptor's, the MT server's, and (the point of this module) the
-//! **per-shard `SO_REUSEPORT` listeners** that let each event-loop
-//! shard accept its own connections with no acceptor thread in
-//! between. `SO_REUSEPORT` must be set *before* `bind(2)`, which
+//! One place builds every listening socket the servers use — the MT
+//! server's, the one socket every AMPED shard registers a duplicate of
+//! in single mode, and (the point of this module) the **per-shard
+//! `SO_REUSEPORT` listeners** that give each event-loop shard a kernel
+//! socket, and a share of the arrivals, of its own. `SO_REUSEPORT` must
+//! be set *before* `bind(2)`, which
 //! `std::net::TcpListener` cannot express, so on Linux the socket is
 //! assembled by `sys::bind_listener`; other platforms fall
 //! back to `std` (and never request reuseport — see
@@ -22,34 +23,38 @@
 //! only off Linux, where neither holds, does the accept wrapper make
 //! the two calls itself.
 //!
-//! Mode selection mirrors the readiness backend's
-//! ([`crate::event::resolve`]): [`AcceptMode::Auto`] resolves to
-//! per-shard reuseport listeners on Linux — where the kernel hashes
-//! incoming connections across all sockets bound to the port — and to
-//! the single acceptor thread elsewhere, overridable with
-//! `FLASH_ACCEPT_MODE=single|reuseport`; `ReusePort`/`Single` pin a
-//! mode and ignore the environment (modulo the platform floor:
-//! reuseport requested where the kernel does not load-balance it
-//! degrades to the acceptor thread rather than failing).
+//! The shards accept for themselves in both modes; the mode is how
+//! many kernel sockets stand behind their registrations. Selection
+//! mirrors the readiness backend's ([`crate::event::resolve`]):
+//! [`AcceptMode::Auto`] resolves to per-shard reuseport listeners on
+//! Linux — where the kernel hashes incoming connections across all
+//! sockets bound to the port — and to one shared socket elsewhere,
+//! overridable with `FLASH_ACCEPT_MODE=single|reuseport`;
+//! `ReusePort`/`Single` pin a mode and ignore the environment (modulo
+//! the platform floor: reuseport requested where the kernel does not
+//! load-balance it degrades to the shared socket rather than failing).
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 
-/// How the server distributes `accept(2)` work (see
+/// How `accept(2)` work is spread over the shards (see
 /// [`crate::config::NetConfig::accept_mode`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AcceptMode {
     /// Platform default — per-shard `SO_REUSEPORT` listeners on Linux,
-    /// the single acceptor thread elsewhere — overridable with
+    /// one shared socket elsewhere — overridable with
     /// `FLASH_ACCEPT_MODE=single|reuseport`.
     #[default]
     Auto,
-    /// Pin per-shard reuseport listeners (degrades to the acceptor
-    /// thread on platforms without load-balancing `SO_REUSEPORT`).
+    /// Pin per-shard reuseport listeners (degrades to the shared
+    /// socket on platforms without load-balancing `SO_REUSEPORT`).
     /// Ignores the environment.
     ReusePort,
-    /// Pin the single acceptor thread dealing connections round-robin
-    /// to the shards. Ignores the environment.
+    /// Pin one listening socket shared by every shard: each registers
+    /// a duplicate of it, and a connection goes to whichever shard
+    /// wakes first, bounded by
+    /// [`max_conns_per_shard`](crate::config::NetConfig::max_conns_per_shard).
+    /// Ignores the environment.
     Single,
 }
 
@@ -59,8 +64,8 @@ pub enum AcceptModeKind {
     /// Each shard owns a `SO_REUSEPORT` listener registered in its own
     /// event backend; the kernel load-balances accepts.
     ReusePort,
-    /// One acceptor thread owns the only listener and deals accepted
-    /// connections to the shards over channels.
+    /// One kernel socket shared by every shard's registration; the
+    /// shards race for each arrival.
     Single,
 }
 
@@ -86,7 +91,7 @@ fn platform_has_reuseport() -> bool {
 /// Resolves a choice to the accept path that will actually run,
 /// applying the `FLASH_ACCEPT_MODE` override (only to `Auto`) and the
 /// platform floor (reuseport requested where the kernel does not
-/// load-balance it degrades to the acceptor thread).
+/// load-balance it degrades to the shared socket).
 pub fn resolve_accept_mode(choice: AcceptMode) -> AcceptModeKind {
     let want = match choice {
         AcceptMode::Single => AcceptModeKind::Single,

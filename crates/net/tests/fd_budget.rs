@@ -15,7 +15,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use flash_net::{AcceptMode, NetConfig, Server};
+use flash_net::{NetConfig, Server};
 
 fn open_fds() -> usize {
     std::fs::read_dir("/proc/self/fd").unwrap().count()
@@ -82,13 +82,11 @@ fn open_file_table_stays_within_its_budget_and_leaks_nothing() {
     }
 
     let baseline = open_fds();
-    // Reuseport pinned: the shedding below is the shard's own accept
-    // arm. No TTL, so nothing leaves the table but by the rules under
+    // No TTL, so nothing leaves the table but by the rules under
     // test; a content cache of five entries, so every request is the
     // table's to answer.
     let cfg = NetConfig::builder(&root)
         .event_loops(1)
-        .accept_mode(AcceptMode::ReusePort)
         .cache_revalidate_ttl(None)
         .cache_bytes(8_000)
         .sendfile_threshold_bytes(2_000)

@@ -273,7 +273,7 @@ fn port_rebindable_by_new_generation_during_drain() {
 }
 
 /// Listener-fd handoff in the mode where a same-port rebind is
-/// impossible: the single acceptor's socket travels to the next
+/// impossible: the one shared socket travels to the next
 /// generation over SCM_RIGHTS, and the same kernel socket keeps
 /// accepting.
 #[cfg(target_os = "linux")]
@@ -877,13 +877,19 @@ fn resident_misses_bypass_wedged_helper_poll() {
 /// their handshake into the kernel backlog and wait there, unanswered
 /// — and every close admits exactly one of them. A close the
 /// occupancy count missed would strand the queue; one counted twice
-/// would admit past the cap. The cap is backpressure, not an error.
+/// would admit past the cap. The cap is backpressure, not an error —
+/// and the shard's own, whichever accept mode stands behind its
+/// listener.
 #[cfg(target_os = "linux")]
-fn run_connection_cap_admits_one_per_close(tag: &str, backend: flash_net::BackendChoice) {
+fn run_connection_cap_admits_one_per_close(
+    tag: &str,
+    backend: flash_net::BackendChoice,
+    mode: AcceptMode,
+) {
     let root = docroot(tag);
     let cfg = NetConfig::builder(&root)
         .backend(backend)
-        .accept_mode(AcceptMode::ReusePort)
+        .accept_mode(mode)
         .event_loops(1)
         .max_conns_per_shard(2)
         .build()
@@ -945,11 +951,15 @@ fn run_connection_cap_admits_one_per_close(tag: &str, backend: flash_net::Backen
 #[cfg(target_os = "linux")]
 #[test]
 fn connection_cap_admits_one_per_close_epoll() {
-    run_connection_cap_admits_one_per_close("cap-epoll", flash_net::BackendChoice::Epoll);
+    use flash_net::BackendChoice::Epoll;
+    run_connection_cap_admits_one_per_close("cap-epoll-single", Epoll, AcceptMode::Single);
+    run_connection_cap_admits_one_per_close("cap-epoll-rp", Epoll, AcceptMode::ReusePort);
 }
 
 #[cfg(target_os = "linux")]
 #[test]
 fn connection_cap_admits_one_per_close_poll() {
-    run_connection_cap_admits_one_per_close("cap-poll", flash_net::BackendChoice::Poll);
+    use flash_net::BackendChoice::Poll;
+    run_connection_cap_admits_one_per_close("cap-poll-single", Poll, AcceptMode::Single);
+    run_connection_cap_admits_one_per_close("cap-poll-rp", Poll, AcceptMode::ReusePort);
 }

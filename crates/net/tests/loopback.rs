@@ -391,11 +391,20 @@ fn run_half_close_behind_requests(tag: &str, backend: BackendChoice) {
     let _ = std::fs::remove_dir_all(root);
 }
 
-fn run_shards_spread_round_robin(tag: &str, backend: BackendChoice) {
+/// `accept4(2)` calls the shards issued, `EAGAIN` ones included.
+fn accept_calls(stats: &flash_net::ServerStats) -> u64 {
+    use std::sync::atomic::Ordering;
+    let shards = stats.per_shard().iter();
+    shards.map(|s| s.accept_calls.load(Ordering::Relaxed)).sum()
+}
+
+/// The single fallback: four shards registered on one shared socket.
+/// Which shard takes a connection is whichever wakes first, so nothing
+/// is asserted about the split — only that every connection was
+/// accepted by exactly one shard and answered whole, through the
+/// shards' own counted accept arm: no acceptor thread exists.
+fn run_single_mode_shards_share_one_socket(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
-    // Pinned to the single-acceptor mode: exact round-robin dealing is
-    // that mode's contract. (Reuseport distribution is the kernel's
-    // hash — asserted loosely by its own test below.)
     let server = Server::start(
         "127.0.0.1:0",
         cfg(&root, backend)
@@ -411,18 +420,31 @@ fn run_shards_spread_round_robin(tag: &str, backend: BackendChoice) {
     for _ in 0..32 {
         let resp = get(addr, "GET /index.html HTTP/1.0\r\n\r\n");
         assert!(String::from_utf8_lossy(&resp).starts_with("HTTP/1.1 200"));
+        assert_eq!(body_of(&resp), b"<html>hello flash</html>\n");
     }
     let stats = server.stats();
     assert_eq!(stats.requests(), 32);
-    // Round-robin dealing: every shard saw exactly a quarter of the
-    // connections, and each shard's private cache missed exactly once.
-    for (i, shard) in stats.per_shard().iter().enumerate() {
-        use std::sync::atomic::Ordering;
-        assert_eq!(shard.accepted.load(Ordering::Relaxed), 8, "shard {i}");
-        assert!(shard.cache_hits.load(Ordering::Relaxed) >= 7, "shard {i}");
+    assert_eq!(stats.accepted(), 32, "one shard per connection");
+    assert!(accept_calls(stats) >= stats.accepted());
+    // Each shard that took a connection missed its private cache once.
+    use std::sync::atomic::Ordering;
+    let shards = stats.per_shard().iter();
+    let active = shards.filter(|s| s.accepted.load(Ordering::Relaxed) > 0);
+    let active = active.count() as u64;
+    assert_eq!(stats.helper_jobs(), active, "one disk read per shard cache");
+    assert_eq!(stats.cache_hits(), 32 - active);
+    #[cfg(target_os = "linux")]
+    {
+        let threads: Vec<String> = std::fs::read_dir("/proc/self/task")
+            .unwrap()
+            .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+            .collect();
+        assert!(threads.iter().any(|t| t.trim() == "flash-shard-3"));
+        assert!(
+            !threads.iter().any(|t| t.starts_with("flash-acceptor")),
+            "{threads:?}"
+        );
     }
-    assert_eq!(stats.helper_jobs(), 4, "one disk read per shard cache");
-    assert_eq!(stats.cache_hits(), 28);
     server.stop();
     let _ = std::fs::remove_dir_all(root);
 }
@@ -998,11 +1020,10 @@ fn run_mt_deadline_and_304(tag: &str, backend: BackendChoice) {
     let _ = std::fs::remove_dir_all(root);
 }
 
-/// Per-shard reuseport listeners: with no acceptor thread in the way,
-/// the kernel's 4-tuple hash must spread connections over every
-/// shard's listener. The distribution is the kernel's, so it is
-/// asserted loosely — every shard saw *some* traffic and nothing was
-/// lost — not as an exact split.
+/// Per-shard reuseport listeners: the kernel's 4-tuple hash must
+/// spread connections over every shard's listener. The distribution
+/// is the kernel's, so it is asserted loosely — every shard saw *some*
+/// traffic and nothing was lost — not as an exact split.
 fn run_reuseport_accept_distribution(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
     let server = Server::start(
@@ -1016,7 +1037,7 @@ fn run_reuseport_accept_distribution(tag: &str, backend: BackendChoice) {
     .unwrap();
     if server.accept_mode() != AcceptModeKind::ReusePort {
         // Platform without load-balancing SO_REUSEPORT: the mode
-        // degraded to the acceptor thread; nothing to assert here.
+        // degraded to the shared socket; nothing to assert here.
         server.stop();
         let _ = std::fs::remove_dir_all(root);
         return;
@@ -1034,6 +1055,7 @@ fn run_reuseport_accept_distribution(tag: &str, backend: BackendChoice) {
         CONNS,
         "every connection must be accepted by some shard"
     );
+    assert!(accept_calls(stats) >= CONNS);
     // Loose distribution bound: 96 connections over 4 reuseport
     // listeners leaves each shard empty with probability (3/4)^96 —
     // a shard with zero accepts means its listener never took traffic.
@@ -1958,8 +1980,8 @@ macro_rules! backend_suite {
             }
 
             #[test]
-            fn amped_shards_spread_connections_round_robin() {
-                run_shards_spread_round_robin(&tag("shards"), $backend);
+            fn amped_single_mode_shards_share_one_socket() {
+                run_single_mode_shards_share_one_socket(&tag("shards"), $backend);
             }
 
             #[test]

@@ -1,8 +1,8 @@
 //! Connection-setup-rate smoke test for the accept path: hammers the
 //! real AMPED server with short-lived connections — one request each,
 //! no keep-alive, so every request pays the full accept cost — under
-//! **both accept modes** (the single acceptor thread and the per-shard
-//! `SO_REUSEPORT` listeners), asserts every connection is served, and
+//! **both accept modes** (one listening socket shared by the shards,
+//! and the per-shard `SO_REUSEPORT` listeners), asserts every connection is served, and
 //! prints the connections-per-second each mode sustained.
 //!
 //! Run with: `cargo run --release --example accept_churn`
@@ -216,8 +216,8 @@ fn main() {
         );
         if resolved == AcceptModeKind::ReusePort {
             // The kernel hash must have spread the churn across the
-            // shards' listeners — an acceptorless shard would mean its
-            // listener never took traffic.
+            // shards' listeners — a shard that accepted nothing would
+            // mean its listener never took traffic.
             for (i, shard) in stats.per_shard().iter().enumerate() {
                 let accepted = shard.accepted.load(std::sync::atomic::Ordering::Relaxed);
                 assert!(accepted > 0, "shard {i} accepted nothing under reuseport");
