@@ -1,15 +1,25 @@
-//! Persistent application-worker pool — the dynamic tier's backend
-//! (the paper's §5.6 CGI successor: long-lived worker *processes*
-//! reused across requests instead of a fork+exec per hit).
+//! Persistent application workers — the dynamic tier's backend (the
+//! paper's §5.6 CGI successor: long-lived worker *processes* reused
+//! across requests instead of a fork+exec per hit).
 //!
 //! Each worker is spawned **once** over a `socketpair(2)`
 //! ([`std::os::unix::net::UnixStream::pair`]) with both stdin and
-//! stdout bound to the child end, parked in an idle list between
-//! requests, and killed + replaced only when it crashes, corrupts the
-//! framing, or is cancelled mid-exchange (a kill is the only way to
-//! resynchronize a stream protocol with no request ids). The helper
-//! pool runs the exchange — the event-loop shards never block on a
-//! worker, exactly as they never block on disk.
+//! stdout bound to the child end, kept between requests, and killed +
+//! replaced only when it crashes, corrupts the framing, talks out of
+//! turn, or is cancelled mid-exchange (a kill is the only way to
+//! resynchronize a stream protocol with no request ids).
+//!
+//! This module holds what every driver shares — the process
+//! (`Worker`: spawn, and kill + reap on drop) and the wire protocol
+//! ([`FrameParser`], sans-IO) — and the exchange in its **blocking**
+//! form (`run_exchange` over a shared [`WorkerPool`]), which MT's
+//! connection threads run themselves. An event-loop shard does not
+//! block on a worker and does not hand the exchange to a helper
+//! either: as in the paper, the worker's descriptor sits in the same
+//! readiness set as the client sockets, and the shard speaks to it
+//! directly (`workerset.rs`); only the `fork`+`exec` of a cold worker
+//! and the `kill`+`waitpid` of a retired one — the two calls here that
+//! block — go to the helper pool.
 //!
 //! ## Wire protocol (server ↔ worker, newline-framed)
 //!
@@ -21,11 +31,14 @@
 //!
 //! Every `DATA` frame becomes one HTTP chunk on the wire
 //! ([`crate::conn::DynEvent::Chunk`]); `END` terminates the exchange
-//! cleanly and returns the worker to the idle list. EOF or a garbled
-//! frame before `END` is a crash: the worker is killed and the
-//! response ends unclean ([`crate::conn::DynEvent::End`] with
-//! `clean: false` — a detectable truncation, because chunked framing
-//! never sees its `0\r\n\r\n` terminator).
+//! cleanly and leaves the worker idle, ready for the next request.
+//! EOF or a garbled frame before `END` is a crash: the worker is
+//! killed and the response ends unclean
+//! ([`crate::conn::DynEvent::End`] with `clean: false` — a detectable
+//! truncation, because chunked framing never sees its `0\r\n\r\n`
+//! terminator). A worker says nothing between an `END` and the next
+//! request: bytes behind an `END` end that response cleanly and the
+//! worker's life with it.
 
 use std::io::{self, Read, Write};
 use std::os::fd::OwnedFd;
@@ -38,14 +51,18 @@ use bytes::Bytes;
 
 use crate::conn::{DynEvent, HelperJob};
 
-/// Cadence at which a blocked frame read wakes to check the job's
-/// cancellation flag — the path by which a shard's `dynamic_deadline`
-/// expiry (or a vanished client) reaches a helper mid-exchange.
+/// Cadence at which a blocked frame read wakes to ask `stop` — the
+/// path by which a deadline, a cancellation or a server stop reaches a
+/// thread that is inside [`run_exchange`].
 const CANCEL_POLL: Duration = Duration::from_millis(50);
 
 /// Upper bound on a single `DATA` frame. A length past this is treated
 /// as framing corruption (worker killed), not an allocation request.
-const MAX_FRAME: usize = 16 * 1024 * 1024;
+pub const MAX_FRAME: usize = 16 * 1024 * 1024;
+
+/// Upper bound on a header line, newline excluded. A kilobyte-scale
+/// "line" is framing corruption, not a header — it is not buffered on.
+pub const MAX_LINE: usize = 4096;
 
 /// The built-in worker program: a POSIX `sh` loop that answers every
 /// request with one `DATA` frame echoing the path, then `END`. Real
@@ -65,7 +82,12 @@ pub(crate) struct Worker {
 }
 
 impl Worker {
-    fn spawn(command: &[String]) -> io::Result<Worker> {
+    /// Forks and execs `command` — blocking calls, so never on an
+    /// event-loop thread. `blocking` picks what the parent's end is
+    /// for: reads that wake on the cancel-poll cadence
+    /// ([`run_exchange`]), or a non-blocking end for a shard's
+    /// readiness set.
+    pub(crate) fn spawn(command: &[String], blocking: bool) -> io::Result<Worker> {
         if command.is_empty() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -83,8 +105,13 @@ impl Worker {
             .stdin(Stdio::from(stdin_fd))
             .stdout(Stdio::from(stdout_fd))
             .spawn()?;
-        ours.set_read_timeout(Some(CANCEL_POLL))?;
-        Ok(Worker { child, sock: ours })
+        let worker = Worker { child, sock: ours };
+        if blocking {
+            worker.sock.set_read_timeout(Some(CANCEL_POLL))?;
+        } else {
+            worker.sock.set_nonblocking(true)?;
+        }
+        Ok(worker)
     }
 
     /// Whether the process has already exited (a dead idle worker is
@@ -103,11 +130,11 @@ impl Drop for Worker {
     }
 }
 
-/// The shared pool: a command line and the idle list. Workers are
-/// spawned lazily (first dynamic request), reused FIFO-ish (LIFO,
-/// actually — the hottest worker stays hottest), and never counted
-/// against a cap: the helper pool's own size bounds concurrent
-/// exchanges, so at most `helpers` workers can be checked out at once.
+/// The pool behind the blocking exchange: a command line and the idle
+/// list. Workers are spawned lazily (first dynamic request), reused
+/// LIFO (the hottest worker stays hottest), and never counted against
+/// a cap: a checked-out worker has a thread blocked on it, so the
+/// driver's thread count bounds them.
 pub struct WorkerPool {
     command: Vec<String>,
     idle: Mutex<Vec<Worker>>,
@@ -144,7 +171,7 @@ impl WorkerPool {
             return (Ok(w), dead);
         }
         drop(idle);
-        (Worker::spawn(&self.command), dead)
+        (Worker::spawn(&self.command, true), dead)
     }
 
     pub(crate) fn checkin(&self, worker: Worker) {
@@ -155,104 +182,104 @@ impl WorkerPool {
     }
 }
 
-/// What one attempt to pull bytes from the worker produced.
-enum Pull {
-    Data,
-    Eof,
-    Stopped,
+/// One thing the worker said, as [`FrameParser`] reads it.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Frame {
+    /// The payload of one `DATA <len>` frame.
+    Data(Vec<u8>),
+    /// The `END` line.
+    End,
+    /// Not the protocol: a line that is neither `END` nor a `DATA`
+    /// header with a decimal length of at most [`MAX_FRAME`], or more
+    /// than [`MAX_LINE`] bytes with no newline. Final — the stream has
+    /// no resynchronisation point, so every later `pop` says it again.
+    Corrupt,
 }
 
-/// A hand-rolled line/frame reader over the worker socket. Not a
-/// `BufReader`: the cancel-poll read timeout can land mid-line, and
-/// this buffer must survive that timeout intact. The `stop` predicate
-/// is checked on every poll tick.
-struct FrameReader<'a> {
-    sock: &'a UnixStream,
-    stop: &'a dyn Fn() -> bool,
+/// The worker → server half of the wire protocol, **sans-IO**: push
+/// the bytes a read produced, pop the frames they complete. How the
+/// bytes were cut into reads never shows in the frames
+/// (`tests/worker_frames.rs`), which is what lets the blocking exchange (`run_exchange`)
+/// and a shard's readable arm (`workerset.rs`) share it. End of stream
+/// is the driver's to notice: short of an `END` it is a crash wherever
+/// it falls, and the parser is simply never given the rest.
+#[derive(Default)]
+pub struct FrameParser {
     buf: Vec<u8>,
+    /// Bytes of `buf` already popped as frames.
+    head: usize,
+    /// The payload length of a `DATA` header already consumed.
+    want: Option<usize>,
+    corrupt: bool,
 }
 
-impl<'a> FrameReader<'a> {
-    fn new(sock: &'a UnixStream, stop: &'a dyn Fn() -> bool) -> FrameReader<'a> {
-        FrameReader {
-            sock,
-            stop,
-            buf: Vec::new(),
-        }
+impl FrameParser {
+    /// Buffers what one read returned.
+    pub fn push(&mut self, bytes: &[u8]) {
+        // What is left of earlier reads is less than a frame — or the
+        // front of one large one, moved this once.
+        self.buf.drain(..self.head);
+        self.head = 0;
+        self.buf.extend_from_slice(bytes);
     }
 
-    /// Blocks (on the cancel-poll cadence) until at least one more
-    /// byte is buffered, EOF, or the stop predicate fires.
-    fn fill(&mut self) -> io::Result<Pull> {
-        let mut tmp = [0u8; 4096];
-        loop {
-            match (&mut self.sock).read(&mut tmp) {
-                Ok(0) => return Ok(Pull::Eof),
-                Ok(n) => {
-                    self.buf.extend_from_slice(&tmp[..n]);
-                    return Ok(Pull::Data);
+    /// The next complete frame, or `None` until more bytes arrive.
+    pub fn pop(&mut self) -> Option<Frame> {
+        if self.corrupt {
+            return Some(Frame::Corrupt);
+        }
+        let len = match self.want {
+            Some(len) => len,
+            None => {
+                let rest = &self.buf[self.head..];
+                let line = match rest.iter().position(|&b| b == b'\n') {
+                    Some(pos) if pos <= MAX_LINE => &rest[..pos],
+                    // Still short enough to become a header.
+                    None if rest.len() <= MAX_LINE => return None,
+                    _ => return Some(self.corrupted()),
+                };
+                self.head += line.len() + 1;
+                if line == b"END" {
+                    return Some(Frame::End);
                 }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    if (self.stop)() {
-                        return Ok(Pull::Stopped);
-                    }
+                match parse_data_header(line) {
+                    Some(len) => *self.want.insert(len),
+                    None => return Some(self.corrupted()),
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
             }
-        }
+        };
+        let body = self.buf.get(self.head..self.head + len)?.to_vec();
+        self.head += len;
+        self.want = None;
+        Some(Frame::Data(body))
     }
 
-    /// One `\n`-terminated line (returned without the newline), or
-    /// `None` on EOF/stop/garbage-oversized-line.
-    fn read_line(&mut self) -> io::Result<Option<Vec<u8>>> {
-        loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let rest = self.buf.split_off(pos + 1);
-                let mut line = std::mem::replace(&mut self.buf, rest);
-                line.pop(); // the newline
-                return Ok(Some(line));
-            }
-            if self.buf.len() > 4096 {
-                // A kilobyte-scale "line" is framing corruption, not a
-                // header — stop buffering it.
-                return Ok(None);
-            }
-            match self.fill()? {
-                Pull::Data => {}
-                Pull::Eof | Pull::Stopped => return Ok(None),
-            }
-        }
+    /// Whether bytes are buffered past the frames popped so far. After
+    /// an `END` that is a worker talking out of turn: it cannot be
+    /// handed another request.
+    pub fn has_leftover(&self) -> bool {
+        self.head < self.buf.len()
     }
 
-    /// Exactly `len` payload bytes, or `None` on EOF/stop.
-    fn read_exact(&mut self, len: usize) -> io::Result<Option<Vec<u8>>> {
-        while self.buf.len() < len {
-            match self.fill()? {
-                Pull::Data => {}
-                Pull::Eof | Pull::Stopped => return Ok(None),
-            }
-        }
-        let rest = self.buf.split_off(len);
-        Ok(Some(std::mem::replace(&mut self.buf, rest)))
+    fn corrupted(&mut self) -> Frame {
+        self.corrupt = true;
+        Frame::Corrupt
     }
 }
 
-/// Runs one dynamic exchange end to end on the calling (helper)
-/// thread, until it ends or the job is cancelled: `run_exchange`
-/// stopped by the job's cancel flag.
+/// Runs one dynamic exchange end to end on the calling thread, until
+/// it ends or the job is cancelled: `run_exchange` stopped by the
+/// job's cancel flag.
 pub fn run_job(pool: &WorkerPool, job: &HelperJob, emit: &mut dyn FnMut(DynEvent)) -> u64 {
     run_exchange(pool, job, &|| job.is_cancelled(), emit)
 }
 
-/// The one worker exchange: checkout, request line, frame loop,
-/// checkin-or-kill, on the calling thread. `stop` is asked between
-/// frames and on every poll tick of a silent worker — the helper pool
-/// plugs in the job's cancel flag ([`run_job`]), an MT connection
-/// thread adds the deadline its core armed.
+/// The worker exchange in its **blocking** form — checkout, request
+/// line, frame loop, checkin-or-kill, on the calling thread — for a
+/// driver whose threads may block: an MT connection thread, which adds
+/// the deadline its core armed to `stop`, and `loadbench`'s round-trip
+/// layer ([`run_job`]). `stop` is asked between reads and on every
+/// poll tick of a silent worker.
 ///
 /// `emit` is called once per streaming event, in order; a clean
 /// exchange ends with `End { clean: true }`, a crash with
@@ -280,41 +307,58 @@ pub(crate) fn run_exchange(
             return retired;
         }
     };
-    let line = format!("GET {}\n", job.fs_path.display());
-    if worker.sock.write_all(line.as_bytes()).is_err() {
+    if worker.sock.write_all(&request_line(job)).is_err() {
         drop(worker); // kills
         emit(DynEvent::End { clean: false });
         return retired + 1;
     }
-    let mut reader = FrameReader::new(&worker.sock, stop);
-    // Loop exits (EOF, stop, oversized line, unparseable header, or
-    // a hard socket error) all mean the worker cannot be trusted to be
-    // frame-aligned again — fall through to the kill below.
-    while !stop() {
-        let Ok(Some(line)) = reader.read_line() else {
-            break;
-        };
-        if line == b"END" {
-            drop(reader);
-            pool.checkin(worker);
-            emit(DynEvent::End { clean: true });
-            return retired;
+    let mut parser = FrameParser::default();
+    let mut chunk = [0u8; 4096];
+    // Whether the worker said `END`. Every other way out (EOF, stop,
+    // garbage, a hard socket error) means it cannot be trusted to be
+    // frame-aligned again.
+    let ended = 'exchange: loop {
+        if stop() {
+            break false;
         }
-        let Some(len) = parse_data_header(&line) else {
-            break;
-        };
-        match reader.read_exact(len) {
-            Ok(Some(body)) => emit(DynEvent::Chunk(Bytes::from(body))),
-            Ok(None) | Err(_) => break,
+        while let Some(frame) = parser.pop() {
+            match frame {
+                Frame::Data(body) => emit(DynEvent::Chunk(Bytes::from(body))),
+                Frame::End => break 'exchange true,
+                Frame::Corrupt => break 'exchange false,
+            }
         }
+        match worker.sock.read(&mut chunk) {
+            Ok(0) => break false,
+            Ok(n) => parser.push(&chunk[..n]),
+            // The cancel-poll tick of a silent worker, or a signal.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::Interrupted
+                ) => {}
+            Err(_) => break false,
+        }
+    };
+    // Bytes behind the `END` would be read as the next request's
+    // first frame: such a worker is not checked in either.
+    if ended && !parser.has_leftover() {
+        pool.checkin(worker);
+    } else {
+        drop(worker); // kills — the only way to resync the framing
+        retired += 1;
     }
-    drop(reader);
-    drop(worker); // kills — the only way to resync the framing
-    retired += 1;
-    if !stop() {
-        emit(DynEvent::End { clean: false });
+    if ended || !stop() {
+        emit(DynEvent::End { clean: ended });
     }
     retired
+}
+
+/// The server → worker half of the protocol: `GET <path>\n`.
+pub(crate) fn request_line(job: &HelperJob) -> Vec<u8> {
+    format!("GET {}\n", job.fs_path.display()).into_bytes()
 }
 
 /// Parses `DATA <len>` (ASCII decimal, bounded by [`MAX_FRAME`]).

@@ -17,7 +17,12 @@ pub struct NetConfig {
     /// Directory served as the document root.
     pub docroot: PathBuf,
     /// Number of helper threads (the AMPED helper pool, shared by all
-    /// shards).
+    /// shards) — and, there being no reason for a second number, the
+    /// ceiling on the application workers each shard keeps alive for
+    /// the dynamic tier: a shard with that many busy queues further
+    /// dynamic requests FIFO under [`Self::dynamic_deadline`]. (On MT a
+    /// worker is checked out by a connection thread; the connections
+    /// bound them.)
     pub helpers: usize,
     /// Total content-cache capacity in bytes, divided evenly among the
     /// shards.

@@ -353,14 +353,19 @@ pub struct ShardStats {
     /// Connections this shard accepted from its listener — its own
     /// kernel socket (reuseport mode) or the shared one (single mode).
     pub accepted: AtomicU64,
-    /// Jobs this shard dispatched to the helper pool (content-cache
-    /// misses, after coalescing).
+    /// Jobs the core dispatched through its [`HelperPort`]:
+    /// content-cache misses and revalidations after coalescing, and one
+    /// per dynamic request. How many of them a helper thread actually
+    /// ran is `helper_jobs - inline_jobs`.
     pub helper_jobs: AtomicU64,
-    /// The subset of `helper_jobs` the driver completed in the loop
-    /// turn that dispatched them, because the residency test found the
-    /// file in memory — no hand-off, no helper. Jobs actually handed
-    /// to the pool = `helper_jobs - inline_jobs`. On MT, where the
-    /// dispatching thread runs every job, the two are equal.
+    /// The subset of `helper_jobs` the driver ran itself, with no
+    /// hand-off and no helper: a miss the residency test found in
+    /// memory, completed in the loop turn that dispatched it, and every
+    /// dynamic exchange a shard opened on one of its own workers
+    /// (counted when the request line is written). Jobs actually handed
+    /// to the pool = `helper_jobs - inline_jobs` — on warm dynamic
+    /// traffic, none. On MT, where the dispatching thread runs every
+    /// job, the two are equal.
     pub inline_jobs: AtomicU64,
     /// The subset of `inline_jobs` loads answered from the open-file
     /// table: no path lookup, an `fstat` and a read of the descriptor
@@ -388,8 +393,15 @@ pub struct ShardStats {
     pub accept_calls: AtomicU64,
     /// Interest-set calls the shard driver made on its readiness
     /// backend (`register`, `modify`, `rearm`, `deregister`) — one
-    /// `epoll_ctl(2)` each on epoll.
+    /// `epoll_ctl(2)` each on epoll. An application worker costs one
+    /// when it is adopted and one when it is retired, none per request.
     pub ctl_calls: AtomicU64,
+    /// `read(2)`s and `write(2)`s a shard issued on its application
+    /// workers' sockets: a warm dynamic request whose worker answers in
+    /// one write is exactly two, the request line out and the frames
+    /// in. Zero on MT, whose connection threads block in the exchange
+    /// uncounted.
+    pub worker_io_calls: AtomicU64,
     /// `sendfile(2)` calls issued on the large-body path.
     pub sendfile_calls: AtomicU64,
     /// Body bytes transmitted via `sendfile(2)` (page cache → socket,
@@ -456,8 +468,10 @@ pub struct ShardStats {
     /// Requests routed to the dynamic tier (matched the configured
     /// prefix), whether they completed, timed out, or crashed.
     pub dynamic_requests: AtomicU64,
-    /// Application workers killed and replaced: crashes (EOF before
-    /// the protocol's END) plus deadline kills of wedged workers.
+    /// Application workers retired — killed, reaped, and replaced when
+    /// next needed: crashes (EOF before the protocol's END), garbled
+    /// or out-of-turn output, and kills of workers whose exchange was
+    /// cancelled (the deadline fired, or the client went away).
     pub worker_respawns: AtomicU64,
     /// Dynamic requests that hit `dynamic_deadline`: answered `504`
     /// before headers went out, severed mid-stream after.

@@ -952,7 +952,7 @@ impl<C: CacheHandle> ShardCore<C> {
     /// `dynamic_deadline`: before the header a clean 504 is queued and
     /// driven out; mid-stream the response cannot be repaired and the
     /// slot is severed. Either way the waiter purge raises the job's
-    /// cancel flag, which makes the helper kill — and respawn — the
+    /// cancel flag, which makes whoever runs the exchange kill the
     /// wedged worker.
     pub fn expire_conn<Io: ConnIo>(
         &mut self,

@@ -73,10 +73,11 @@ pub fn exec_job(job: &HelperJob) -> DoneData<Arc<File>> {
     match job.kind {
         JobKind::Load => DoneData::Loaded(exec_load(job)),
         JobKind::Revalidate => DoneData::Stat(exec_stat(job)),
-        // Dynamic jobs are multi-event streams run by the worker pool
-        // (`crate::appworker`); the helper loop intercepts them before
-        // this single-shot executor. Reaching here means a driver
-        // forgot that interception — fail the request, don't guess.
+        // Dynamic jobs are multi-event streams, exchanges with an
+        // application worker (`crate::appworker`): a shard's worker
+        // set or an MT connection thread takes them before this
+        // single-shot executor. Reaching here means a driver forgot
+        // to — fail the request, don't guess.
         JobKind::Dynamic => DoneData::Loaded(Err(io::Error::new(
             io::ErrorKind::Unsupported,
             "dynamic job reached the filesystem executor",

@@ -289,7 +289,8 @@
 //!   job on a target whose syscall numbers [`sys`] does not list;
 //! * a table entry that fails its per-use check (the entry is dropped
 //!   with the decline);
-//! * `Dynamic` jobs, always.
+//! * `Dynamic` jobs, always — on a shard they never get this far: its
+//!   worker set takes them (*The dynamic tier*).
 //!
 //! There is no switch: residency is a property the server observes
 //! per request, not a mode an operator picks. One caveat is the
@@ -358,14 +359,14 @@
 //!
 //! Paths under [`NetConfig::dynamic_prefix`] (builder:
 //! `dynamic_prefix("/app/")`) bypass the filesystem entirely and are
-//! answered by a pool of **persistent worker processes**
-//! ([`appworker::WorkerPool`]) — the paper's CGI concern (§2.2,
-//! `FileKind::Cgi` in the workload model) without fork-per-request:
-//! each worker is spawned once over a `socketpair(2)` (its stdin *and*
-//! stdout are the same socket), checked out per request, and checked
-//! back in after a clean exchange. A worker that crashes, emits
-//! garbage, or misses its deadline is killed and discarded; the next
-//! checkout spawns a replacement (`worker_respawns`).
+//! answered by **persistent worker processes** ([`appworker`]) — the
+//! paper's CGI concern (§2.2, §5.6; `FileKind::Cgi` in the workload
+//! model) without fork-per-request: each worker is spawned once over a
+//! `socketpair(2)` (its stdin *and* stdout are the same socket), given
+//! one request at a time, and kept after a clean exchange. A worker
+//! that crashes, emits garbage, says anything it was not asked for, or
+//! misses its deadline is killed and discarded; the next request that
+//! needs one has a replacement forked (`worker_respawns`).
 //!
 //! The wire protocol is deliberately tiny. Server → worker, one line:
 //! `<METHOD> <path>\n`. Worker → server, a frame stream:
@@ -397,13 +398,46 @@
 //! is killed via the helper-job cancellation token and counted in
 //! `dynamic_timeouts` + `worker_respawns`.
 //!
-//! All three drivers serve the tier: the AMPED shards relay frames
-//! through the helper pool as streaming completions
-//! ([`conn::DynEvent`] under a single job token), the MT server runs
-//! the exchange inline on the connection thread, and the deterministic
-//! sim models per-endpoint compute times from the workload's
-//! `FileKind::Cgi` specs — dynamic fraction, wedges, and worker
-//! crashes are all folded into its bit-identical fingerprint.
+//! All three drivers serve the tier, and the core cannot tell them
+//! apart: a dynamic job goes out through the [`conn::HelperPort`] and
+//! comes back as streaming completions ([`conn::DynEvent`] under a
+//! single job token).
+//!
+//! * **An event-loop shard speaks to its workers itself** — the paper's
+//!   design (§5.6: the CGI process's descriptor is one more member of
+//!   the `select` set, and its output is transmitted "just like static
+//!   content"). Each shard owns up to [`NetConfig::helpers`] workers,
+//!   their non-blocking sockets registered with its readiness backend
+//!   once, when they are forked. A warm keep-alive request is, on the
+//!   one thread and with no other involved,
+//!
+//!   ```text
+//!   wait    the client's socket is readable
+//!   read    the request                        (read_calls)
+//!   write   GET <path>\n to an idle worker      (worker_io_calls)
+//!   wait    the worker's socket is readable
+//!   read    DATA <len>\n<bytes>END\n            (worker_io_calls)
+//!   writev  header, chunk and terminator       (writev_calls)
+//!   ```
+//!
+//!   plus the connection's own two interest changes (`Reading` →
+//!   `Waiting` → `Reading`). The helper pool keeps the two calls that
+//!   block — the `fork`+`exec` of a cold worker, the `kill`+`waitpid`
+//!   of a retired one — so a warm request hands it nothing
+//!   (`helper_jobs − inline_jobs` stays put). A set with every worker
+//!   busy queues requests FIFO under the dynamic deadline, and the
+//!   worker of an exchange that is cancelled — the deadline fired, the
+//!   client's connection closed — is retired at the end of the loop
+//!   turn that cancelled it.
+//! * **An MT connection thread runs the exchange inline**, blocking:
+//!   checkout from the shared [`WorkerPool`] (a `waitpid` to skip the
+//!   dead), `write` the request line, `read` frames on a 50 ms
+//!   cancel-poll cadence, one `write` per queued segment to the client,
+//!   check the worker back in.
+//! * **The deterministic sim** models per-endpoint compute times from
+//!   the workload's `FileKind::Cgi` specs — dynamic fraction, wedges,
+//!   and worker crashes are all folded into its bit-identical
+//!   fingerprint.
 //!
 //! # Lifecycle: drain, signals, and generation handoff
 //!
@@ -483,8 +517,8 @@
 //! | `requests` | counter | Completed responses (any status), excluding `/.flash/` responses |
 //! | `metrics_requests` | counter | Responses served by the `/.flash/*` endpoints |
 //! | `accepted` | counter | Connections accepted by the shards, each from its own listener registration |
-//! | `helper_jobs` | counter | Disk jobs dispatched after miss coalescing — whoever ends up executing them |
-//! | `inline_jobs` | counter | The subset of `helper_jobs` the residency test answered in the dispatching loop turn; jobs handed to the pool = `helper_jobs − inline_jobs` |
+//! | `helper_jobs` | counter | Jobs dispatched through the helper port — misses and revalidations after coalescing, dynamic requests — whoever ends up executing them |
+//! | `inline_jobs` | counter | The subset of `helper_jobs` the dispatching driver ran itself: misses the residency test answered in that loop turn, and dynamic exchanges on a shard's own workers; jobs handed to the pool = `helper_jobs − inline_jobs` |
 //! | `open_file_hits` | counter | The subset of `inline_jobs` loads answered from a descriptor the open-file table already held: no path lookup |
 //! | `open_files` | gauge | Descriptors the shards' open-file tables hold now |
 //! | `cache_hits` | counter | Responses served from the content cache |
@@ -505,7 +539,8 @@
 //! | `helper_wait_timeouts` | counter | Waiters closed by the helper-completion deadline |
 //! | `jobs_cancelled` | counter | In-flight jobs cancelled after their last waiter left |
 //! | `dynamic_requests` | counter | Requests routed to the dynamic tier by the configured prefix |
-//! | `worker_respawns` | counter | Workers killed and replaced after a crash or deadline kill |
+//! | `worker_respawns` | counter | Workers retired (crashed, garbled, out of turn, cancelled) and replaced |
+//! | `worker_io_calls` | counter | `read(2)` + `write(2)` calls the shards issued on their workers' sockets: two per warm dynamic request |
 //! | `dynamic_timeouts` | counter | Dynamic requests that hit `dynamic_deadline` (504 pre-header, severed mid-stream) |
 //! | `draining` | gauge | Shards currently in drain mode |
 //! | `drained_conns` | counter | Connections retired by a drain |
@@ -613,6 +648,7 @@ pub mod sock;
 pub mod stats;
 pub mod sys;
 pub mod timer;
+mod workerset;
 pub mod writev;
 
 pub use appworker::WorkerPool;

@@ -3,17 +3,26 @@
 //! routes a completion back to its shard ([`WakeHandle`]), the shard's
 //! [`HelperPort`] with its residency test ([`PoolPort`]), and the
 //! helper threads' main loop.
+//!
+//! Helpers do what would block the loop, and nothing else ([`Work`]):
+//! the filesystem calls of a miss whose file is not in memory, the
+//! `fork`+`exec` of a cold application worker and the `kill`+`waitpid`
+//! of a retired one. A dynamic *exchange* is none of those — a shard
+//! speaks to its workers' sockets itself (`workerset.rs`) — so a
+//! dynamic job never enters the queue.
 
 use std::collections::VecDeque;
 use std::fs::File;
-use std::io::Write;
+use std::io::{self, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 
-use crate::conn::{Done, HelperJob, HelperPort, ShardStats};
+use crate::appworker::Worker;
+use crate::conn::{Done, HelperJob, HelperPort, JobKind};
 use crate::fsjob::OpenFileTable;
+use crate::workerset::WorkerSet;
 
 /// The write side of a shard's wake socketpair, with a coalescing
 /// flag: a producer writes the wake byte only when it is the first to
@@ -47,13 +56,28 @@ impl WakeHandle {
     }
 }
 
-/// One queued unit of helper work: the protocol core's [`HelperJob`]
-/// plus the driver-side routing tag — which shard's done queue the
-/// completion goes back to.
-struct Job {
-    /// Which shard's done queue the completion routes back to.
+/// What a shard asks of a helper: the calls that would block its loop.
+pub(crate) enum Work {
+    /// The filesystem work of one of the protocol core's jobs.
+    Job(HelperJob),
+    /// `fork` + `exec` one application worker for the shard's set.
+    Spawn,
+    /// `kill` + `waitpid` a worker the shard has retired (and already
+    /// taken out of its readiness set).
+    Reap(Worker),
+}
+
+/// What a helper sends back to the shard that asked.
+pub(crate) enum Reply {
+    Done(Done<Arc<File>>),
+    Spawned(io::Result<Worker>),
+}
+
+/// One queued unit of helper work plus the driver-side routing tag —
+/// which shard's reply queue the result goes back to.
+struct Queued {
     shard: usize,
-    job: HelperJob,
+    work: Work,
 }
 
 /// The real [`HelperPort`]. Each submitted job first meets the
@@ -65,7 +89,8 @@ struct Job {
 /// this loop turn ends. Only a job the disk would block — or whose
 /// answer is an error — is wrapped with the shard's routing tag and
 /// pushed into that shard's lane of the shared [`JobQueue`]; helpers
-/// resolve by path and know nothing of the table.
+/// resolve by path and know nothing of the table. A dynamic job goes to
+/// neither: the shard's own worker set takes it.
 pub(crate) struct PoolPort {
     pub(crate) jobs: Arc<JobQueue>,
     pub(crate) shard: usize,
@@ -77,10 +102,20 @@ pub(crate) struct PoolPort {
     /// clears it on a docroot reload, when the process runs out of
     /// descriptors, and at exit.
     pub(crate) files: OpenFileTable,
+    /// The shard's application workers, under the table's ownership
+    /// rule: this thread's alone, no lock. `None` without a
+    /// [`crate::NetConfig::dynamic_prefix`] — the core then dispatches
+    /// no dynamic job.
+    pub(crate) workers: Option<WorkerSet>,
 }
 
 impl HelperPort for PoolPort {
     fn submit(&mut self, job: HelperJob) {
+        if job.kind == JobKind::Dynamic {
+            if let Some(workers) = self.workers.as_mut() {
+                return workers.submit(job);
+            }
+        }
         match crate::fsjob::exec_job_nowait(&job, &mut self.files) {
             Some(data) => self.inline_done.push(Done {
                 path: job.path,
@@ -88,10 +123,7 @@ impl HelperPort for PoolPort {
                 epoch: job.epoch,
                 token: job.token,
             }),
-            None => self.jobs.push(Job {
-                shard: self.shard,
-                job,
-            }),
+            None => self.jobs.push(self.shard, Work::Job(job)),
         }
     }
 }
@@ -108,7 +140,7 @@ pub(crate) struct JobQueue {
 }
 
 struct JobLanes {
-    queues: Vec<VecDeque<Job>>,
+    queues: Vec<VecDeque<Queued>>,
     /// Next lane to serve; advances past each lane that yields a job.
     cursor: usize,
     queued: usize,
@@ -128,13 +160,14 @@ impl JobQueue {
         })
     }
 
-    fn push(&self, job: Job) {
+    /// Queues `work` in `shard`'s lane; refused (dropped) once the
+    /// queue is closed, which is after the last shard has exited.
+    pub(crate) fn push(&self, shard: usize, work: Work) {
         let mut lanes = self.lanes.lock().unwrap_or_else(|e| e.into_inner());
         if lanes.closed {
             return;
         }
-        let lane = job.shard;
-        lanes.queues[lane].push_back(job);
+        lanes.queues[shard].push_back(Queued { shard, work });
         lanes.queued += 1;
         drop(lanes);
         self.ready.notify_one();
@@ -142,7 +175,7 @@ impl JobQueue {
 
     /// Blocks for the next job in shard-rotation order; `None` once
     /// the queue is closed and drained.
-    fn pop(&self) -> Option<Job> {
+    fn pop(&self) -> Option<Queued> {
         let mut lanes = self.lanes.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(job) = pop_round_robin(&mut lanes) {
@@ -164,7 +197,7 @@ impl JobQueue {
 
 /// Takes the next job starting at the rotation cursor, advancing the
 /// cursor past the lane served so consecutive pops visit lanes fairly.
-fn pop_round_robin(lanes: &mut JobLanes) -> Option<Job> {
+fn pop_round_robin(lanes: &mut JobLanes) -> Option<Queued> {
     if lanes.queued == 0 {
         return None;
     }
@@ -180,66 +213,44 @@ fn pop_round_robin(lanes: &mut JobLanes) -> Option<Job> {
     None
 }
 
-/// Shared helper pool: pops jobs and hands each to the shared
-/// mechanical executor ([`crate::fsjob`]), routing the completion back
-/// to the shard that requested it. No tier or variant policy lives
-/// here — the job carries it all.
+/// Shared helper pool: pops work in shard rotation, does the one
+/// blocking thing it names, and routes the result back to the shard
+/// that asked. No tier or variant policy lives here — a job carries it
+/// all to the mechanical executor ([`crate::fsjob`]) — and nothing of
+/// the worker protocol: a worker is forked here and reaped here, and
+/// spoken to elsewhere.
 pub(crate) fn helper_main(
     jobs: Arc<JobQueue>,
-    done_txs: Vec<Sender<Done<Arc<File>>>>,
+    reply_txs: Vec<Sender<Reply>>,
     wakes: Vec<WakeHandle>,
-    workers: Arc<crate::appworker::WorkerPool>,
-    stats: Vec<Arc<ShardStats>>,
+    worker_command: Arc<[String]>,
 ) {
     // `pop` rotates over the per-shard lanes; `None` means the server
     // closed the queue at shutdown.
-    while let Some(Job { shard, job }) = jobs.pop() {
-        // A job whose last waiter was reaped while it sat in the queue
-        // needs no disk work and no completion: its pending entry is
-        // already gone, so a Done would die on token mismatch anyway.
-        if job.is_cancelled() {
-            continue;
-        }
-        // Dynamic jobs are multi-event streams the single-shot
-        // filesystem executor cannot express: the worker exchange runs
-        // here, on this helper thread, emitting one completion per
-        // frame under the job's single token.
-        if job.kind == crate::conn::JobKind::Dynamic {
-            let tx = &done_txs[shard];
-            let wake = &wakes[shard];
-            let retired = crate::appworker::run_job(&workers, &job, &mut |ev| {
-                if tx
-                    .send(Done {
-                        path: job.path.clone(),
-                        data: crate::conn::DoneData::Dynamic(ev),
-                        epoch: job.epoch,
-                        token: job.token,
-                    })
-                    .is_ok()
-                {
-                    wake.wake();
-                }
-            });
-            if retired > 0 {
-                stats[shard]
-                    .worker_respawns
-                    .fetch_add(retired, Ordering::Relaxed);
-            }
-            continue;
-        }
-        let data = crate::fsjob::exec_job(&job);
-        if done_txs[shard]
-            .send(Done {
+    while let Some(Queued { shard, work }) = jobs.pop() {
+        let reply = match work {
+            // A job whose last waiter was reaped while it sat in the
+            // queue needs no disk work and no completion: its pending
+            // entry is already gone, so a Done would die on token
+            // mismatch anyway.
+            Work::Job(job) if job.is_cancelled() => continue,
+            Work::Job(job) => Reply::Done(Done {
+                data: crate::fsjob::exec_job(&job),
                 path: job.path,
-                data,
                 epoch: job.epoch,
                 token: job.token,
-            })
-            .is_err()
-        {
-            continue;
+            }),
+            Work::Spawn => Reply::Spawned(Worker::spawn(&worker_command, false)),
+            Work::Reap(worker) => {
+                drop(worker); // kills, and waits for the corpse
+                continue;
+            }
+        };
+        // A shard that has exited takes no replies; a worker spawned
+        // for it dies with the refused message.
+        if reply_txs[shard].send(reply).is_ok() {
+            wakes[shard].wake();
         }
-        wakes[shard].wake();
     }
 }
 
@@ -247,23 +258,23 @@ pub(crate) fn helper_main(
 mod tests {
     use super::*;
     use crate::cache::Variant;
-    use crate::conn::JobKind;
     use std::path::PathBuf;
 
-    fn job_for(shard: usize) -> Job {
-        Job {
-            shard,
-            job: HelperJob {
-                path: format!("/{shard}"),
-                fs_path: PathBuf::new(),
-                kind: JobKind::Load,
-                variant: Variant::Identity,
-                inline_max: u64::MAX,
-                epoch: 0,
-                token: 0,
-                cancel: Arc::new(AtomicBool::new(false)),
-            },
-        }
+    fn job(path: String, token: u64) -> Work {
+        Work::Job(HelperJob {
+            path,
+            fs_path: PathBuf::new(),
+            kind: JobKind::Load,
+            variant: Variant::Identity,
+            inline_max: u64::MAX,
+            epoch: 0,
+            token,
+            cancel: Arc::new(AtomicBool::new(false)),
+        })
+    }
+
+    fn push(q: &JobQueue, shard: usize) {
+        q.push(shard, job(format!("/{shard}"), 0));
     }
 
     #[test]
@@ -271,15 +282,15 @@ mod tests {
         let q = JobQueue::new(3);
         // Shard 0 floods its lane; shard 2 queues two jobs.
         for _ in 0..4 {
-            q.push(job_for(0));
+            push(&q, 0);
         }
-        q.push(job_for(2));
-        q.push(job_for(2));
+        push(&q, 2);
+        push(&q, 2);
         let mut order = Vec::new();
         {
             let mut lanes = q.lanes.lock().unwrap();
-            while let Some(job) = pop_round_robin(&mut lanes) {
-                order.push(job.shard);
+            while let Some(queued) = pop_round_robin(&mut lanes) {
+                order.push(queued.shard);
             }
         }
         // Rotation bounds shard 0's head-of-line damage to one job per
@@ -292,23 +303,14 @@ mod tests {
     fn job_queue_preserves_fifo_within_a_shard() {
         let q = JobQueue::new(2);
         for i in 0..3 {
-            q.push(Job {
-                shard: 0,
-                job: HelperJob {
-                    path: format!("/a{i}"),
-                    fs_path: PathBuf::new(),
-                    kind: JobKind::Load,
-                    variant: Variant::Identity,
-                    inline_max: u64::MAX,
-                    epoch: 0,
-                    token: i as u64,
-                    cancel: Arc::new(AtomicBool::new(false)),
-                },
-            });
+            q.push(0, job(format!("/a{i}"), i));
         }
         let mut lanes = q.lanes.lock().unwrap();
         let paths: Vec<String> = std::iter::from_fn(|| pop_round_robin(&mut lanes))
-            .map(|j| j.job.path)
+            .map(|queued| match queued.work {
+                Work::Job(job) => job.path,
+                _ => unreachable!("only jobs were queued"),
+            })
             .collect();
         assert_eq!(paths, vec!["/a0", "/a1", "/a2"]);
     }
@@ -316,14 +318,14 @@ mod tests {
     #[test]
     fn job_queue_close_releases_poppers() {
         let q = JobQueue::new(1);
-        q.push(job_for(0));
+        push(&q, 0);
         q.close();
         // Closed but not drained: the queued job still comes out...
         assert!(q.pop().is_some());
         // ...then pops end instead of blocking forever.
         assert!(q.pop().is_none());
         // And pushes after close are refused.
-        q.push(job_for(0));
+        push(&q, 0);
         assert!(q.pop().is_none());
     }
 }

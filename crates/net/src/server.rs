@@ -1,11 +1,13 @@
 //! The real AMPED web server, sharded across cores: N independent
 //! event loops (one per core by default, capped at 8), each a faithful
 //! copy of the paper's single-process architecture (§3.4, §5), plus a
-//! shared helper pool for disk I/O. This file holds [`Server`]
-//! (start, drain, stop, reload) and the **shard driver** — the event
-//! loop that binds the sans-IO core in [`crate::conn`] to sockets; the
+//! shared helper pool for what would block them: disk I/O, and forking
+//! and reaping application workers. This file holds [`Server`] (start,
+//! drain, stop, reload) and the **shard driver** — the event loop that
+//! binds the sans-IO core in [`crate::conn`] to sockets; the
 //! configuration lives in [`crate::config`], the counters in
-//! [`crate::stats`] and the helper pool in `pool.rs`.
+//! [`crate::stats`], the helper pool in `pool.rs` and a shard's
+//! application workers in `workerset.rs`.
 //!
 //! Layout:
 //!
@@ -72,6 +74,16 @@
 //!   (`revalidations`), a mismatch evicts the stale entry and reloads
 //!   (`stale_evicted`), so a file edited in place stops being served —
 //!   and 304-validated — from stale bytes within the TTL;
+//! * the **dynamic tier is part of the loop** (§5.6): a shard's
+//!   application workers are descriptors in its readiness set like any
+//!   client, registered once under tokens of their own, and a worker's
+//!   readable event is read, parsed and relayed in the loop turn that
+//!   harvested it — the frame and the `END` behind it leave in one
+//!   `writev`. `workerset.rs` has the exchange; this driver routes the
+//!   event, applies the completions through the core's one completion
+//!   path, and ends every loop turn with a sweep that retires the
+//!   workers of exchanges the turn cancelled. Forking and reaping are
+//!   the helpers' (crate docs, *The dynamic tier*);
 //! * the send path is **two-tier and zero-copy at both tiers**: small
 //!   bodies are queued as their cached header and body segments and
 //!   transmitted with a single gathered `writev(2)` (see
@@ -103,16 +115,17 @@ use std::time::{Duration, Instant};
 use crate::accept::is_transient;
 use crate::config::NetConfig;
 use crate::conn::machine::{sync_deadline, Conn};
-use crate::conn::{ConnIo, ConnState, Done, Drive, ShardCore, ShardStats};
+use crate::conn::{ConnIo, ConnState, Drive, ShardCore, ShardStats};
 use crate::event::{new_backend, BackendKind, Event, EventBackend, Interest};
 use crate::fsjob::OpenFileTable;
 use crate::lifecycle::{LifecycleShared, PHASE_DRAINING, PHASE_STOPPING};
-use crate::pool::{helper_main, JobQueue, PoolPort, WakeHandle};
+use crate::pool::{helper_main, JobQueue, PoolPort, Reply, WakeHandle};
 use crate::sendfile::send_file;
 use crate::sock::{self, AcceptModeKind};
 use crate::stats::{AccessLogWriter, ServerStats};
 use crate::sys;
 use crate::timer::{tick_for, TimerWheel};
+use crate::workerset::{WorkerSet, WORKER_TOKEN_BASE};
 use crate::writev::writev_fd;
 
 /// A connection over the real transport: the sans-IO state machine
@@ -222,6 +235,10 @@ const WAKE_TOKEN: u64 = u64::MAX;
 /// never collide with a connection token (nor with [`WAKE_TOKEN`],
 /// whose fd half differs).
 const LISTENER_TOKEN: u64 = u64::MAX - 1;
+
+// A shard's application workers are registered under the tokens from
+// `WORKER_TOKEN_BASE` up (`workerset.rs`): the slot half of the two
+// above, with a worker's index where those have 2^32-1 and 2^32-2.
 
 /// Packs a connection's identity into an event token: slot index in
 /// the high 32 bits, descriptor number in the low 32. The fd half lets
@@ -352,7 +369,7 @@ impl Server {
         let mut shard_wakes = Vec::with_capacity(n_shards);
         let mut shards = Vec::with_capacity(n_shards);
         for (shard_id, listener) in listeners.into_iter().enumerate() {
-            let (done_tx, done_rx) = channel::<Done<Arc<File>>>();
+            let (done_tx, done_rx) = channel::<Reply>();
             let (wake_tx, wake_rx) = UnixStream::pair()?;
             wake_rx.set_nonblocking(true)?;
             let wake = WakeHandle::new(wake_tx);
@@ -382,25 +399,24 @@ impl Server {
             shards.push((shard, done_rx, wake_rx, wake, listener));
         }
 
-        // The dynamic tier's worker pool, shared by every helper
-        // thread (spawning is lazy — a server with no dynamic_prefix
-        // never forks anything).
-        let workers = Arc::new(crate::appworker::WorkerPool::new(
-            cfg.dynamic_command
-                .clone()
-                .unwrap_or_else(crate::appworker::WorkerPool::default_command),
-        ));
+        // The application worker's command line: the helpers fork the
+        // workers the shards ask for (lazily — a server with no
+        // dynamic_prefix never forks anything).
+        let worker_command: Arc<[String]> = cfg
+            .dynamic_command
+            .clone()
+            .unwrap_or_else(crate::appworker::WorkerPool::default_command)
+            .into();
         let mut helper_threads = Vec::new();
         for i in 0..cfg.helpers.max(1) {
             let queue = Arc::clone(&jobs);
             let txs = done_txs.clone();
             let wakes = shard_wakes.clone();
-            let pool = Arc::clone(&workers);
-            let helper_stats = shard_stats.clone();
+            let command = Arc::clone(&worker_command);
             helper_threads.push(
                 std::thread::Builder::new()
                     .name(format!("flash-helper-{i}"))
-                    .spawn(move || helper_main(queue, txs, wakes, pool, helper_stats))?,
+                    .spawn(move || helper_main(queue, txs, wakes, command))?,
             );
         }
         drop(done_txs);
@@ -665,9 +681,17 @@ impl Shard {
         Shard {
             port: PoolPort {
                 inline_done: Vec::new(),
-                jobs,
                 shard: id,
                 files: OpenFileTable::new(open_files, cfg.cache_revalidate_ttl, Arc::clone(&stats)),
+                workers: cfg.dynamic_prefix.as_ref().map(|_| {
+                    WorkerSet::new(
+                        cfg.helpers.max(1),
+                        Arc::clone(&jobs),
+                        id,
+                        Arc::clone(&stats),
+                    )
+                }),
+                jobs,
             },
             core: ShardCore::new(id, cache_bytes, cfg.proto(), stats),
             conns: Vec::new(),
@@ -688,8 +712,10 @@ impl Shard {
         }
     }
 
-    /// Leaves the loop: conns drop with the shard when it returns,
-    /// and the open-file table's descriptors close here.
+    /// Leaves the loop: the open-file table's descriptors close here,
+    /// and conns and application workers drop with the shard when it
+    /// returns — the workers killed and reaped on this thread, which
+    /// has no loop left to keep from blocking.
     fn exit(mut self) {
         self.core.stats.draining.store(0, Ordering::Relaxed);
         self.port.files.clear();
@@ -745,10 +771,14 @@ impl Shard {
         self.drive(idx);
     }
 
-    /// Handles one readiness event for a connection, unless the token
-    /// is stale (see [`Shard::fd_of`]): withdraws the transport's "dry"
-    /// report — the event says otherwise — notes a hang-up, and drives.
+    /// Handles one readiness event — a worker's, or a connection's
+    /// unless the token is stale (see [`Shard::fd_of`]): withdraws the
+    /// transport's "dry" report — the event says otherwise — notes a
+    /// hang-up, and drives.
     fn on_event(&mut self, ev: &Event) {
+        if ev.token >= WORKER_TOKEN_BASE {
+            return self.on_worker_event(ev);
+        }
         let idx = token_slot(ev.token);
         match self.conns.get_mut(idx) {
             Some(Some(conn)) if conn.io.stream.as_raw_fd() == token_fd(ev.token) => {
@@ -758,6 +788,67 @@ impl Shard {
             _ => return,
         }
         self.drive(idx);
+    }
+
+    /// A worker has something to say: its frames become completions,
+    /// and the connections they answer are driven here, in the turn
+    /// that read them — a `DATA` and the `END` behind it leave in one
+    /// `writev`.
+    fn on_worker_event(&mut self, ev: &Event) {
+        if let Some(workers) = self.port.workers.as_mut() {
+            let slot = (ev.token - WORKER_TOKEN_BASE) as usize;
+            workers.on_readable(slot, ev.hangup, &mut *self.backend);
+            self.deliver_worker_events();
+        }
+    }
+
+    /// Applies what the worker set has queued through the core's one
+    /// completion path and drives whoever it woke. A drive can dispatch
+    /// again — the next pipelined request — and the set can answer on
+    /// the spot (a worker that refused the request line), hence the
+    /// loop.
+    fn deliver_worker_events(&mut self) {
+        let mut woken = std::mem::take(&mut self.woken);
+        loop {
+            let next = |port: &mut PoolPort| port.workers.as_mut()?.outbox.pop_front();
+            while let Some(done) = next(&mut self.port) {
+                self.core.complete_job(
+                    done,
+                    &mut self.conns,
+                    &mut woken,
+                    &mut self.port,
+                    Instant::now(),
+                );
+            }
+            if woken.is_empty() {
+                break;
+            }
+            // A chunk and its `END` woke the same connection.
+            woken.dedup();
+            for idx in woken.drain(..) {
+                self.drive(idx);
+            }
+        }
+        self.woken = woken;
+    }
+
+    /// The end of a loop turn, for the worker set: exchanges the turn
+    /// cancelled — their waiters were purged by a close or a deadline
+    /// — lose their workers now, not a poll tick later, and every
+    /// worker the turn retired leaves the readiness set and goes to
+    /// the helper pool to be killed and reaped.
+    fn sweep_workers(&mut self) {
+        // Sweeping can queue (a freed worker refuses the next job's
+        // request line) and delivering can cancel (a chunk for a client
+        // that is gone): round again until a sweep leaves nothing to
+        // deliver.
+        while let Some(workers) = self.port.workers.as_mut() {
+            workers.drop_cancelled();
+            if workers.outbox.is_empty() {
+                return workers.bury(&mut *self.backend);
+            }
+            self.deliver_worker_events();
+        }
     }
 
     /// Drives one connection as far as it goes and reconciles. A slot
@@ -970,7 +1061,7 @@ const LOOP_STALL_THRESHOLD: Duration = Duration::from_millis(100);
 /// throttled surfaces as a fresh event.
 fn shard_loop(
     mut shard: Shard,
-    done_rx: Receiver<Done<Arc<File>>>,
+    done_rx: Receiver<Reply>,
     mut wake_rx: UnixStream,
     wake: WakeHandle,
     // Owned (and therefore closed) by this loop — dropped at drain
@@ -1113,7 +1204,19 @@ fn shard_loop(
             // byte, so completions cannot be lost.
             wake.pending.store(false, Ordering::Release);
             completed.clear();
-            while let Ok(done) = done_rx.try_recv() {
+            while let Ok(reply) = done_rx.try_recv() {
+                let done = match reply {
+                    Reply::Done(done) => done,
+                    // What it can do at once — open the exchanges that
+                    // were waiting for it — it does here; what that
+                    // answers is applied by this turn's sweep.
+                    Reply::Spawned(worker) => {
+                        if let Some(workers) = shard.port.workers.as_mut() {
+                            workers.adopt(worker, &mut *shard.backend);
+                        }
+                        continue;
+                    }
+                };
                 shard.core.complete_job(
                     done,
                     &mut shard.conns,
@@ -1189,6 +1292,7 @@ fn shard_loop(
             }
         }
         lap(&shard.core.stats.phase_accept_us, &mut mark);
+        shard.sweep_workers();
         // Flush this iteration's access records in one append, then
         // close the watchdog ledger: everything since the wait
         // returned was time the event loop spent NOT listening — the
@@ -1262,9 +1366,13 @@ mod tests {
         fn over(choice: BackendChoice, docroot: PathBuf, cache_bytes: u64) -> Rig {
             let mut cfg = NetConfig::new(docroot);
             cfg.cache_revalidate_ttl = None;
+            Rig::with(choice, &cfg, cache_bytes)
+        }
+
+        fn with(choice: BackendChoice, cfg: &NetConfig, cache_bytes: u64) -> Rig {
             let backend = new_backend(choice);
             let jobs = JobQueue::new(1);
-            let mut shard = Shard::new(0, cache_bytes, 64, Arc::default(), jobs, backend, &cfg);
+            let mut shard = Shard::new(0, cache_bytes, 64, Arc::default(), jobs, backend, cfg);
             let entry = Entry::build("/index.html", BODY.to_vec());
             assert!(shard
                 .core
@@ -1464,6 +1572,180 @@ mod tests {
                 assert_eq!(rig.counts(), (2, reads, 1, 1), "{what}");
                 assert_eq!(rig.shard.core.stats.idle_reaped.load(Ordering::Relaxed), 0);
             }
+        }
+    }
+
+    /// A rig with the dynamic tier on `/app/`, and the command line of
+    /// the `sh` worker the test will play the helper with.
+    fn dynamic_rig(choice: BackendChoice, worker: &str) -> (Rig, Vec<String>) {
+        let mut cfg = NetConfig::new(std::env::temp_dir());
+        cfg.dynamic_prefix = Some("/app/".into());
+        let rig = Rig::with(choice, &cfg, 1 << 20);
+        (rig, vec!["/bin/sh".into(), "-c".into(), worker.into()])
+    }
+
+    /// Answers every request with one write: a frame and its `END`.
+    const ONE_WRITE_WORKER: &str = "while read -r m p; do printf 'DATA 2\\nokEND\\n'; done";
+    const DYNAMIC_BODY: &[u8] = b"2\r\nok\r\n0\r\n\r\n";
+
+    impl Rig {
+        /// Plays the helper the shard asked for a worker: forks one and
+        /// hands it over, as the wake branch of the loop would.
+        fn adopt_worker(&mut self, command: &[String]) {
+            let worker = crate::appworker::Worker::spawn(command, false);
+            let workers = self.shard.port.workers.as_mut().unwrap();
+            workers.adopt(worker, &mut *self.shard.backend);
+        }
+
+        fn dynamic_counts(&self) -> (u64, u64, u64) {
+            let s = &self.shard.core.stats;
+            let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+            (
+                get(&s.worker_io_calls),
+                get(&s.helper_jobs) - get(&s.inline_jobs),
+                get(&s.worker_respawns),
+            )
+        }
+    }
+
+    /// The dynamic budget: once its worker exists, a keep-alive dynamic
+    /// request is `wait, read, write, wait, read, writev` — two calls on
+    /// the worker's socket, nothing handed to the pool, and no
+    /// interest-set call for the worker, whose one registration dates
+    /// from its adoption. (The two `ctl` a request does cost are the
+    /// connection's own: `Reading` → `Waiting` → `Reading`.)
+    #[test]
+    fn a_warm_dynamic_request_is_two_worker_calls_and_no_worker_ctl() {
+        for choice in BACKENDS {
+            let (mut rig, command) = dynamic_rig(choice, ONE_WRITE_WORKER);
+            let mut client = rig.connect();
+            client
+                .write_all(b"GET /app/cold HTTP/1.1\r\nHost: t\r\n\r\n")
+                .unwrap();
+            // Read and dispatched, to a set with no worker yet: the one
+            // job of this test the pool is asked to do is the fork.
+            assert!(rig.shard.drain_accepts(&rig.listener));
+            assert_eq!(rig.dynamic_counts(), (0, 1, 0), "{choice:?}");
+            let registered = rig.shard.backend.registered();
+            rig.adopt_worker(&command);
+            assert_eq!(rig.shard.backend.registered(), registered + 1);
+            assert_eq!(rig.turn(), 1);
+            read_response_with(&mut client, DYNAMIC_BODY);
+            assert_eq!(rig.dynamic_counts(), (2, 0, 0), "{choice:?}");
+
+            let before = rig.counts();
+            for path in ["warm", "warmer"] {
+                let req = format!("GET /app/{path} HTTP/1.1\r\nHost: t\r\n\r\n");
+                client.write_all(req.as_bytes()).unwrap();
+                assert_eq!(rig.turn(), 1, "the client's request");
+                assert_eq!(rig.turn(), 1, "the worker's answer");
+                read_response_with(&mut client, DYNAMIC_BODY);
+                rig.shard.sweep_workers();
+            }
+            let after = rig.counts();
+            assert_eq!(
+                (
+                    after.0 - before.0,
+                    after.1 - before.1,
+                    after.2 - before.2,
+                    after.3 - before.3
+                ),
+                (0, 2, 2, 4),
+                "{choice:?}: a read, a writev and the connection's two ctl, per request"
+            );
+            assert_eq!(rig.dynamic_counts(), (6, 0, 0), "{choice:?}");
+            assert_eq!(rig.shard.backend.registered(), registered + 1);
+        }
+    }
+
+    /// One worker cannot hold the loop: whatever it has written, a
+    /// readable event is worth sixteen reads of 16 KiB, so a 1 MiB
+    /// frame takes at least four turns to arrive — and arrives whole.
+    #[test]
+    fn a_readable_event_is_worth_a_bounded_number_of_reads() {
+        const FRAME: usize = 1 << 20;
+        let chatty =
+            "read -r m p; printf 'DATA 1048576\\n'; head -c 1048576 /dev/zero; printf 'END\\n'";
+        for choice in BACKENDS {
+            let (mut rig, command) = dynamic_rig(choice, chatty);
+            let mut client = rig.connect();
+            client
+                .write_all(b"GET /app/big HTTP/1.1\r\nHost: t\r\n\r\n")
+                .unwrap();
+            assert!(rig.shard.drain_accepts(&rig.listener));
+            rig.adopt_worker(&command);
+            client.set_nonblocking(true).unwrap();
+            let io = |rig: &Rig| rig.dynamic_counts().0;
+            let (mut resp, mut buf, mut worker_turns) = (Vec::new(), vec![0u8; 1 << 16], 0);
+            while !resp.ends_with(b"\r\n0\r\n\r\n") {
+                let before = io(&rig);
+                assert!(
+                    rig.turn() > 0,
+                    "{choice:?}: stalled at {} bytes",
+                    resp.len()
+                );
+                let reads = io(&rig) - before;
+                assert!(reads <= 16, "{choice:?}: {reads} reads in one turn");
+                worker_turns += usize::from(reads > 0);
+                while let Ok(n) = client.read(&mut buf) {
+                    assert!(n > 0, "{choice:?}: closed mid-response");
+                    resp.extend_from_slice(&buf[..n]);
+                }
+            }
+            assert!(worker_turns >= 4, "{choice:?}: {worker_turns} turns");
+            let zeros = resp.iter().filter(|&&b| b == 0).count();
+            assert_eq!(zeros, FRAME, "{choice:?}");
+        }
+    }
+
+    /// A cancelled exchange loses its worker in the turn that cancelled
+    /// it: the deadline of a connection waiting on a wedged worker
+    /// fires, and the sweep that ends that turn has the worker out of
+    /// the readiness set and on its way to a helper — the next request
+    /// asks for a fresh one. And a worker that talks behind its `END`
+    /// is retired by the event that says so, before it can be given
+    /// another request.
+    #[test]
+    fn a_cancelled_or_talkative_worker_is_gone_by_the_end_of_the_turn() {
+        let wedged = "read -r m p; exec sleep 30";
+        let talkative =
+            "while read -r m p; do printf 'DATA 2\\nokEND\\n'; printf 'DATA 1\\nx'; done";
+        for choice in BACKENDS {
+            let (mut rig, command) = dynamic_rig(choice, wedged);
+            let registered = rig.shard.backend.registered();
+            let mut client = rig.connect();
+            client
+                .write_all(b"GET /app/wedge HTTP/1.1\r\nHost: t\r\n\r\n")
+                .unwrap();
+            assert!(rig.shard.drain_accepts(&rig.listener));
+            rig.adopt_worker(&command);
+            assert_eq!(rig.shard.backend.registered(), registered + 2);
+            // The turn in which the dynamic deadline fires.
+            let token = conn_token(0, rig.shard.fd_of(0).unwrap());
+            rig.shard.expire(token);
+            rig.shard.sweep_workers();
+            assert_eq!(rig.dynamic_counts(), (1, 0, 1), "{choice:?}");
+            assert_eq!(rig.shard.backend.registered(), registered, "{choice:?}");
+            let mut resp = Vec::new();
+            client.read_to_end(&mut resp).unwrap();
+            assert!(resp.starts_with(b"HTTP/1.1 504 "), "{choice:?}");
+
+            let (mut rig, command) = dynamic_rig(choice, talkative);
+            let registered = rig.shard.backend.registered();
+            let mut client = rig.connect();
+            client
+                .write_all(b"GET /app/chatty HTTP/1.1\r\nHost: t\r\n\r\n")
+                .unwrap();
+            assert!(rig.shard.drain_accepts(&rig.listener));
+            rig.adopt_worker(&command);
+            // The answer, and — in that read or in one of its own —
+            // what the worker had no business adding.
+            while rig.dynamic_counts().2 == 0 {
+                assert!(rig.turn() > 0, "{choice:?}: the worker stayed silent");
+            }
+            rig.shard.sweep_workers();
+            read_response_with(&mut client, DYNAMIC_BODY);
+            assert_eq!(rig.shard.backend.registered(), registered + 1, "{choice:?}");
         }
     }
 

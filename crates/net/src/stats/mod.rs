@@ -240,8 +240,8 @@ registry! {
     REQUESTS / requests: Counter, Sum, "Completed responses (any status), excluding /.flash/ endpoint responses";
     METRICS_REQUESTS / metrics_requests: Counter, Sum, "Responses served by the /.flash/metrics and /.flash/stats endpoints";
     ACCEPTED / accepted: Counter, Sum, "Connections accepted and dealt to shards";
-    HELPER_JOBS / helper_jobs: Counter, Sum, "Disk jobs dispatched to the helper pool after miss coalescing";
-    INLINE_JOBS / inline_jobs: Counter, Sum, "Disk jobs completed in the dispatching loop turn because the file was memory resident (no helper hand-off)";
+    HELPER_JOBS / helper_jobs: Counter, Sum, "Jobs dispatched through the helper port: misses and revalidations after coalescing, and dynamic requests";
+    INLINE_JOBS / inline_jobs: Counter, Sum, "Jobs the dispatching driver ran itself with no helper hand-off: memory-resident misses, and dynamic exchanges on a shard's own workers";
     OPEN_FILE_HITS / open_file_hits: Counter, Sum, "Loads answered from the open-file table: no path lookup, an fstat and a read of a descriptor already held";
     OPEN_FILES / open_files: Gauge, Sum, "Descriptors the shards' open-file tables hold now";
     CACHE_HITS / cache_hits: Counter, Sum, "Responses served from the per-shard content cache";
@@ -249,6 +249,7 @@ registry! {
     READ_CALLS / read_calls: Counter, Sum, "Transport reads issued by the connection core (read(2) on sockets, EAGAIN included)";
     ACCEPT_CALLS / accept_calls: Counter, Sum, "accept4(2) calls issued by the shards on their own listeners, EAGAIN included";
     CTL_CALLS / ctl_calls: Counter, Sum, "Interest-set calls (register, modify, rearm, deregister) the shard drivers made on their readiness backends";
+    WORKER_IO_CALLS / worker_io_calls: Counter, Sum, "read(2) and write(2) calls the shards issued on their application workers' sockets";
     SENDFILE_CALLS / sendfile_calls: Counter, Sum, "sendfile(2) calls issued on the large-body path";
     BYTES_SENDFILE / bytes_sendfile: Counter, Sum, "Body bytes transmitted via sendfile(2)";
     CACHE_USED_BYTES / cache_used_bytes: Gauge, Sum, "Bytes currently resident in the content caches";
@@ -266,7 +267,7 @@ registry! {
     HELPER_WAIT_TIMEOUTS / helper_wait_timeouts: Counter, Sum, "Waiting connections closed by the helper-completion deadline";
     JOBS_CANCELLED / jobs_cancelled: Counter, Sum, "In-flight helper jobs cancelled after their last waiter left";
     DYNAMIC_REQUESTS / dynamic_requests: Counter, Sum, "Requests routed to the dynamic tier by the configured prefix";
-    WORKER_RESPAWNS / worker_respawns: Counter, Sum, "Application workers killed and replaced after a crash or deadline kill";
+    WORKER_RESPAWNS / worker_respawns: Counter, Sum, "Application workers retired (crashed, garbled, out of turn, or cancelled) and replaced";
     DYNAMIC_TIMEOUTS / dynamic_timeouts: Counter, Sum, "Dynamic requests that hit dynamic_deadline (504 pre-header, severed mid-stream)";
     DRAINING / draining: Gauge, Sum, "Shards currently in drain mode";
     DRAINED_CONNS / drained_conns: Counter, Sum, "Connections retired by a drain";

@@ -41,15 +41,16 @@ impl ServerStats {
         metrics::ACCEPTED.merged(&self.shards)
     }
 
-    /// Helper jobs dispatched across all shards.
+    /// Jobs dispatched through the helper port across all shards
+    /// (misses, revalidations, dynamic requests).
     pub fn helper_jobs(&self) -> u64 {
         metrics::HELPER_JOBS.merged(&self.shards)
     }
 
-    /// The subset of [`Self::helper_jobs`] the shards completed
-    /// themselves, in the loop turn that dispatched them, because the
-    /// file was memory resident; `helper_jobs() - inline_jobs()` jobs
-    /// were handed to the pool.
+    /// The subset of [`Self::helper_jobs`] the shards ran themselves:
+    /// misses on memory-resident files, and dynamic exchanges on their
+    /// own workers; `helper_jobs() - inline_jobs()` jobs were handed to
+    /// the pool.
     pub fn inline_jobs(&self) -> u64 {
         metrics::INLINE_JOBS.merged(&self.shards)
     }
@@ -183,8 +184,14 @@ impl ServerStats {
         metrics::DYNAMIC_REQUESTS.merged(&self.shards)
     }
 
-    /// Application workers retired (crashed, garbled, cancel-killed,
-    /// or found dead at checkout) and replaced, across shards.
+    /// `read(2)` + `write(2)` calls the shards issued on their
+    /// application workers' sockets — two per warm dynamic request.
+    pub fn worker_io_calls(&self) -> u64 {
+        metrics::WORKER_IO_CALLS.merged(&self.shards)
+    }
+
+    /// Application workers retired (crashed, garbled, out of turn,
+    /// cancel-killed, or found dead) and replaced, across shards.
     pub fn worker_respawns(&self) -> u64 {
         metrics::WORKER_RESPAWNS.merged(&self.shards)
     }

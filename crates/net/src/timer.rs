@@ -23,6 +23,17 @@
 //! steadily-progressing sender re-arming faster than the tick
 //! granularity) is a no-op.
 //!
+//! **Stale entries are bounded by the live ones, not by the clock.** A
+//! bucket comes round a whole timeout after its entries were pushed,
+//! and a connection that alternates between two deadline classes — a
+//! dynamic request arms the worker-wait deadline, its response the
+//! idle one, ten and thirty seconds out — re-arms to a new tick twice
+//! a request: left to the clock, that is 48 bytes a request for half a
+//! minute, memory in proportion to the request rate. So the wheel
+//! counts its entries, and when the stale ones outnumber the live ones
+//! by more than a constant it drops them all in one pass, paid for by
+//! the arms that made it necessary (amortised O(1)).
+//!
 //! Timers never fire **early**: deadlines round *up* to a tick
 //! boundary and a tick is processed only once it has fully elapsed.
 //! They fire at most one tick late (plus the caller's wait cadence,
@@ -38,6 +49,10 @@ use std::time::{Duration, Instant};
 /// re-touch cost of long timers negligible while the bucket array
 /// stays a fraction of a page.
 pub const WHEEL_SLOTS: usize = 256;
+
+/// Stale bucket entries tolerated beyond one per live timer before
+/// [`TimerWheel::arm`] sweeps them out (24 bytes each).
+const STALE_SLACK: usize = 1024;
 
 /// The authoritative record of one armed timer.
 #[derive(Debug, Clone, Copy)]
@@ -63,6 +78,9 @@ pub struct TimerWheel {
     /// Next tick to process: every tick < `cur` has been processed.
     cur: u64,
     slots: Vec<Vec<Slotted>>,
+    /// Entries in `slots`, live and stale together; each armed key has
+    /// exactly one live one.
+    entries: usize,
     armed: HashMap<u64, Armed>,
     gen: u64,
 }
@@ -98,6 +116,7 @@ impl TimerWheel {
             start,
             cur: 0,
             slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
+            entries: 0,
             armed: HashMap::new(),
             gen: 0,
         }
@@ -143,6 +162,14 @@ impl TimerWheel {
         let gen = self.gen;
         self.armed.insert(key, Armed { gen, tick });
         self.slots[(tick % WHEEL_SLOTS as u64) as usize].push(Slotted { key, gen, tick });
+        self.entries += 1;
+        if self.entries > 2 * self.armed.len() + STALE_SLACK {
+            let armed = &self.armed;
+            for bucket in &mut self.slots {
+                bucket.retain(|e| armed.get(&e.key).is_some_and(|a| a.gen == e.gen));
+            }
+            self.entries = armed.len();
+        }
     }
 
     /// Disarms `key`'s timer. O(1): the bucket entry goes stale and is
@@ -200,6 +227,7 @@ impl TimerWheel {
             return;
         }
         let mut bucket = std::mem::take(&mut self.slots[slot]);
+        self.entries -= bucket.len();
         bucket.retain(|e| {
             match self.armed.get(&e.key) {
                 Some(a) if a.gen == e.gen => {
@@ -213,6 +241,7 @@ impl TimerWheel {
                 _ => false, // stale: cancelled or re-armed since
             }
         });
+        self.entries += bucket.len();
         self.slots[slot] = bucket;
         for key in out.iter() {
             self.armed.remove(key);
@@ -247,6 +276,35 @@ mod tests {
         assert_eq!(expire_at(&mut w, 30 * MS), vec![1]);
         assert_eq!(w.pending(), 0);
         assert!(expire_at(&mut w, 100 * MS).is_empty(), "fires once");
+    }
+
+    /// A key that alternates between two deadlines — a dynamic
+    /// request's worker wait and the idle period behind it — leaves a
+    /// stale entry at every re-arm; they are swept by count, long
+    /// before their ticks come round, and nothing live goes with them.
+    #[test]
+    fn stale_entries_are_bounded_by_the_live_ones_not_the_clock() {
+        let mut w = TimerWheel::new(10 * MS);
+        for key in 0..8 {
+            w.arm(key, w.start + 50 * MS);
+        }
+        for i in 0..100_000u64 {
+            let key = 100 + i % 2;
+            w.arm(key, w.start + 10_000 * MS);
+            w.arm(key, w.start + 30_000 * MS);
+            let held: usize = w.slots.iter().map(Vec::len).sum();
+            assert_eq!(held, w.entries);
+            assert!(held <= 2 * w.pending() + STALE_SLACK + 1, "{held} entries");
+        }
+        assert_eq!(w.pending(), 10);
+        let mut fired = expire_at(&mut w, 60 * MS);
+        fired.sort_unstable();
+        assert_eq!(fired, (0..8).collect::<Vec<u64>>());
+        assert!(expire_at(&mut w, 29_999 * MS).is_empty());
+        let mut fired = expire_at(&mut w, 30_000 * MS);
+        fired.sort_unstable();
+        assert_eq!(fired, vec![100, 101]);
+        assert_eq!((w.pending(), w.entries), (0, 0));
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //! * there is one AMPED accept path, the shard's own: no acceptor
 //!   thread, no channel of dealt streams — and `accept.rs`, MT's
 //!   accept loop, knows nothing of the shards;
+//! * a shard speaks to its application workers and does nothing to
+//!   them that blocks: the shard-side worker set names no process call
+//!   (fork, kill, reap are `appworker.rs`'s, run on helper threads or
+//!   at the shard's exit), and the helper pool names nothing of the
+//!   exchange — it forks and reaps workers, it does not talk to them;
 //! * the shard's syscall counters stay honest: every AMPED file accepts
 //!   through the one counted wrapper (`sys::accept_nonblocking`, bumped
 //!   as `accept_calls`) and sets no per-connection socket option — the
@@ -45,10 +50,13 @@ const SERVER: (&str, usize) = ("server.rs", 600);
 const SIM: (&str, usize) = ("sim.rs", 600);
 const MT: (&str, usize) = ("mt.rs", 250);
 const ACCEPT: (&str, usize) = ("accept.rs", 30);
+const POOL: (&str, usize) = ("pool.rs", 100);
+const WORKERSET: (&str, usize) = ("workerset.rs", 100);
 /// What a connection passes through on its way into a shard.
-const AMPED: [(&str, usize); 4] = [
+const AMPED: [(&str, usize); 5] = [
     SERVER,
-    ("pool.rs", 100),
+    POOL,
+    WORKERSET,
     ("conn/shard.rs", 300),
     ("conn/machine.rs", 200),
 ];
@@ -121,6 +129,17 @@ fn the_shard_accepts_through_the_counted_wrapper_and_sets_no_option() {
     assert!(
         found.is_empty(),
         "uncounted accept or per-connection option on an AMPED path: {found:#?}"
+    );
+}
+
+#[test]
+fn the_loop_talks_to_workers_and_the_pool_forks_and_reaps_them() {
+    const PROCESS: [&str; 5] = ["Command::", ".spawn(", ".kill(", ".wait(", "try_wait("];
+    const EXCHANGE: [&str; 3] = ["run_job", "run_exchange", "DynEvent"];
+    let found = [offenders(WORKERSET, &PROCESS), offenders(POOL, &EXCHANGE)].concat();
+    assert!(
+        found.is_empty(),
+        "a blocking process call on the loop, or the exchange back on a helper: {found:#?}"
     );
 }
 

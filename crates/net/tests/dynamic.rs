@@ -1,7 +1,11 @@
 //! End-to-end tests of the dynamic-content tier over loopback: worker
 //! exchanges streamed back as `Transfer-Encoding: chunked`, worker
-//! crashes mid-body, wedged workers hitting the dynamic deadline, and
-//! the `/.flash/*` endpoints keeping precedence over a dynamic prefix.
+//! crashes mid-body, wedged workers hitting the dynamic deadline,
+//! workers that talk behind their `END`, cancelled exchanges losing
+//! their worker at once, and the `/.flash/*` endpoints keeping
+//! precedence over a dynamic prefix. (What the process is left holding
+//! afterwards — children, threads, descriptors — is counted in
+//! `worker_leak.rs`, a process of its own.)
 //!
 //! Like `loopback.rs`, the suite runs twice — once per readiness
 //! backend — and every scenario runs against both drivers through the
@@ -350,6 +354,190 @@ fn run_deadline_fires_mid_stream(tag: &str, backend: BackendChoice, kind: Server
     let _ = std::fs::remove_dir_all(root);
 }
 
+/// Whether process `pid` still exists in any form, zombie included.
+fn pid_exists(pid: u32) -> bool {
+    std::path::Path::new(&format!("/proc/{pid}/stat")).exists()
+}
+
+/// The pid a worker script left in `file` (`echo $$ > file`), once it
+/// has.
+fn worker_pid(file: &std::path::Path) -> u32 {
+    let mut pid = None;
+    wait_for("the worker's pid file", || {
+        pid = std::fs::read_to_string(file)
+            .ok()
+            .and_then(|s| s.trim().parse().ok());
+        pid.is_some()
+    });
+    pid.unwrap()
+}
+
+/// A worker that writes behind its `END` — here in the same write, so
+/// the bytes are in hand when the `END` is parsed — has answered that
+/// request, cleanly, and no other: it is retired, and the next request
+/// is a fresh worker's, read from its first byte. (Left alone, the
+/// stray frame would lead the next response's body.)
+fn run_bytes_after_end_retire_the_worker(tag: &str, backend: BackendChoice, kind: ServerKind) {
+    let root = docroot(tag);
+    let argv = script(
+        &root,
+        "chatty.sh",
+        "while read -r m p; do\nprintf 'DATA 2\\nokEND\\nDATA 1\\nx'\ndone\n",
+    );
+    let server = start(
+        kind,
+        builder(&root, backend)
+            .dynamic_command(argv)
+            .build()
+            .unwrap(),
+    );
+    let mut s = TcpStream::connect(server.local_addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    for round in 1..=2u64 {
+        s.write_all(b"GET /app/chatty HTTP/1.1\r\nHost: t\r\n\r\n")
+            .unwrap();
+        let hdr = read_header(&mut s);
+        assert!(hdr.starts_with("HTTP/1.1 200 OK"), "{hdr}");
+        assert_eq!(read_chunked_body(&mut s), b"ok", "round {round}");
+        wait_for("the talkative worker retired", || {
+            server.stats().worker_respawns() >= round
+        });
+    }
+    drop(s);
+    assert_eq!(server.stats().dynamic_timeouts(), 0);
+    server.stop();
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// A client that goes away mid-stream takes its worker with it, now:
+/// the next chunk's write fails, the close cancels the exchange, and
+/// the worker — which would stream forever, under a deadline that is
+/// half a minute away — is killed and reaped without either being
+/// waited for. One worker slot (`helpers(1)`): the request behind it
+/// is answered only because that slot came free.
+fn run_client_gone_mid_stream_kills_the_worker(
+    tag: &str,
+    backend: BackendChoice,
+    kind: ServerKind,
+) {
+    let root = docroot(tag);
+    let pid_file = root.join("streamer.pid");
+    let argv = script(
+        &root,
+        "streamer.sh",
+        &format!(
+            "while read -r m p; do\n\
+             case \"$p\" in\n\
+             */forever) echo $$ > {pid}; while :; do printf 'DATA 1\\nx'; sleep 0.02; done;;\n\
+             *) printf 'DATA 2\\nokEND\\n';;\n\
+             esac\n\
+             done\n",
+            pid = pid_file.display()
+        ),
+    );
+    let server = start(
+        kind,
+        builder(&root, backend)
+            .helpers(1)
+            .dynamic_command(argv)
+            .dynamic_deadline(Some(Duration::from_secs(30)))
+            .build()
+            .unwrap(),
+    );
+    let addr = server.local_addr();
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    s.write_all(b"GET /app/forever HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    let hdr = read_header(&mut s);
+    assert!(hdr.starts_with("HTTP/1.1 200 OK"), "{hdr}");
+    let pid = worker_pid(&pid_file);
+    assert!(pid_exists(pid));
+    drop(s);
+
+    let started = std::time::Instant::now();
+    wait_for("the streaming worker killed and reaped", || {
+        !pid_exists(pid)
+    });
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(3),
+        "worker outlived its client by {took:?}"
+    );
+    let stats = server.stats();
+    wait_for("the retirement counted", || stats.worker_respawns() >= 1);
+    assert_eq!(stats.dynamic_timeouts(), 0, "no deadline was waited for");
+
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    s.write_all(b"GET /app/next HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    let hdr = read_header(&mut s);
+    assert!(hdr.starts_with("HTTP/1.1 200 OK"), "{hdr}");
+    assert_eq!(read_chunked_body(&mut s), b"ok");
+    drop(s);
+    server.stop();
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// The deadline that answers a wedged worker's client `504` is the
+/// last thing anyone waits for: the worker is dead and reaped, and its
+/// slot — the only one, `helpers(1)` — serving the next request, well
+/// inside another deadline period.
+fn run_wedged_worker_is_gone_with_its_504(tag: &str, backend: BackendChoice, kind: ServerKind) {
+    let root = docroot(tag);
+    let pid_file = root.join("wedged.pid");
+    let argv = script(
+        &root,
+        "wedge-by-path.sh",
+        &format!(
+            "while read -r m p; do\n\
+             case \"$p\" in\n\
+             */wedge) echo $$ > {pid}; exec sleep 30;;\n\
+             *) printf 'DATA 2\\nokEND\\n';;\n\
+             esac\n\
+             done\n",
+            pid = pid_file.display()
+        ),
+    );
+    let deadline = Duration::from_millis(400);
+    let server = start(
+        kind,
+        builder(&root, backend)
+            .helpers(1)
+            .dynamic_command(argv)
+            .dynamic_deadline(Some(deadline))
+            .build()
+            .unwrap(),
+    );
+    let addr = server.local_addr();
+    let resp = get(addr, "GET /app/wedge HTTP/1.0\r\n\r\n");
+    let text = String::from_utf8_lossy(&resp).into_owned();
+    assert!(text.starts_with("HTTP/1.1 504 Gateway Timeout"), "{text}");
+
+    let answered = std::time::Instant::now();
+    let pid = worker_pid(&pid_file);
+    wait_for("the wedged worker killed and reaped", || !pid_exists(pid));
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    s.write_all(b"GET /app/next HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    let hdr = read_header(&mut s);
+    assert!(hdr.starts_with("HTTP/1.1 200 OK"), "{hdr}");
+    assert_eq!(read_chunked_body(&mut s), b"ok");
+    let took = answered.elapsed();
+    assert!(
+        took < deadline,
+        "reaping the worker and serving the next request took {took:?}"
+    );
+    drop(s);
+    let stats = server.stats();
+    assert_eq!(stats.dynamic_timeouts(), 1);
+    assert_eq!(stats.worker_respawns(), 1);
+    server.stop();
+    let _ = std::fs::remove_dir_all(root);
+}
+
 /// `/.flash/metrics` and `/.flash/stats` keep precedence over a
 /// dynamic prefix that covers the whole path space (`/`): the scrape
 /// endpoints answer in-process while everything else routes to the
@@ -469,6 +657,44 @@ macro_rules! dynamic_suite {
             #[test]
             fn mt_deadline_mid_stream_severs() {
                 run_deadline_fires_mid_stream(&tag("mt-midstream"), $backend, ServerKind::Mt);
+            }
+
+            #[test]
+            fn amped_bytes_after_end_retire_the_worker() {
+                run_bytes_after_end_retire_the_worker(&tag("chatty"), $backend, ServerKind::Amped);
+            }
+
+            #[test]
+            fn mt_bytes_after_end_retire_the_worker() {
+                run_bytes_after_end_retire_the_worker(&tag("mt-chatty"), $backend, ServerKind::Mt);
+            }
+
+            #[test]
+            fn amped_client_gone_mid_stream_kills_the_worker() {
+                run_client_gone_mid_stream_kills_the_worker(
+                    &tag("gone"),
+                    $backend,
+                    ServerKind::Amped,
+                );
+            }
+
+            #[test]
+            fn mt_client_gone_mid_stream_kills_the_worker() {
+                run_client_gone_mid_stream_kills_the_worker(
+                    &tag("mt-gone"),
+                    $backend,
+                    ServerKind::Mt,
+                );
+            }
+
+            #[test]
+            fn amped_wedged_worker_is_gone_with_its_504() {
+                run_wedged_worker_is_gone_with_its_504(&tag("reap"), $backend, ServerKind::Amped);
+            }
+
+            #[test]
+            fn mt_wedged_worker_is_gone_with_its_504() {
+                run_wedged_worker_is_gone_with_its_504(&tag("mt-reap"), $backend, ServerKind::Mt);
             }
 
             #[test]

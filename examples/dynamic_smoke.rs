@@ -1,6 +1,8 @@
-//! Dynamic-tier smoke test: a persistent worker pool serving chunked
-//! responses, a worker crash mid-body, and the pool respawning a fresh
-//! worker for the next request.
+//! Dynamic-tier smoke test: persistent workers serving chunked
+//! responses from inside the event loop — a warm request is the shard's
+//! own `write` and `read` on its worker's socket, nothing handed to the
+//! helper pool — a worker crash mid-body, and a fresh worker forked for
+//! the next request.
 //!
 //! The server routes `/app/*` to the dynamic tier. The first phase
 //! uses the built-in echo worker; the second points
@@ -62,12 +64,35 @@ fn main() {
     assert_eq!(body, b"hello from worker: /app/demo");
     println!("GET /app/demo -> 200, chunked body {:?}", body.len());
     assert_eq!(server.stats().dynamic_requests(), 1);
-    assert_eq!(server.stats().worker_respawns(), 0);
+
+    // The worker exists now: from here on the helper pool has nothing
+    // to do with a dynamic request.
+    let stats = server.stats();
+    let handed_off = || stats.helper_jobs() - stats.inline_jobs();
+    let cold = handed_off();
+    for i in 0..10 {
+        let resp = fetch(addr, &format!("GET /app/warm{i} HTTP/1.0\r\n\r\n"));
+        let body = ChunkedDecoder::decode_all(split(&resp).1).expect("chunked body");
+        assert_eq!(
+            body,
+            format!("hello from worker: /app/warm{i}").into_bytes()
+        );
+    }
+    println!(
+        "requests={} worker_io_calls={} handed_to_pool={} worker_respawns={}",
+        stats.requests(),
+        stats.worker_io_calls(),
+        handed_off(),
+        stats.worker_respawns()
+    );
+    assert_eq!(handed_off(), cold, "a warm request went to the helper pool");
+    assert!(stats.worker_io_calls() >= 2 * stats.requests());
+    assert_eq!(stats.worker_respawns(), 0);
     server.stop();
 
-    // Phase 2: a worker that dies halfway through its body. The pool
-    // retires the corpse and spawns a fresh worker for the next
-    // request — the listener never degrades.
+    // Phase 2: a worker that dies halfway through its body. The shard
+    // retires the corpse (a helper reaps it) and has a fresh worker
+    // forked for the next request — the listener never degrades.
     let script = root.join("crashy.sh");
     std::fs::write(
         &script,
@@ -100,8 +125,8 @@ fn main() {
         dec.body().len()
     );
 
-    // The respawn counter is bumped by the helper that reaps the
-    // corpse; give it a moment.
+    // The retirement is counted by the shard, beside the close the
+    // client saw; give it a moment.
     let t0 = std::time::Instant::now();
     while server.stats().worker_respawns() == 0 {
         assert!(t0.elapsed() < Duration::from_secs(5), "respawn not counted");
