@@ -25,7 +25,7 @@ pub(crate) fn prepare_accept_backend(
     choice: BackendChoice,
     listener: &TcpListener,
     stop_rx: &UnixStream,
-) -> io::Result<Box<dyn EventBackend>> {
+) -> io::Result<Box<dyn EventBackend + Send>> {
     let mut backend = new_backend(choice);
     stop_rx.set_nonblocking(true)?;
     backend.register(listener.as_raw_fd(), ACCEPT_LISTENER_TOKEN, Interest::READ)?;
@@ -56,7 +56,7 @@ pub(crate) fn is_transient(e: &io::Error) -> bool {
 /// and an edge-triggered backend reports each arrival only once.
 pub(crate) fn run_accept_loop(
     listener: &TcpListener,
-    mut backend: Box<dyn EventBackend>,
+    mut backend: Box<dyn EventBackend + Send>,
     shutdown: &AtomicBool,
     mut on_conn: impl FnMut(TcpStream),
 ) {

@@ -41,7 +41,7 @@
 //! worker's life with it.
 
 use std::io::{self, Read, Write};
-use std::os::fd::OwnedFd;
+use std::os::fd::{AsRawFd, OwnedFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::process::{Child, Command, Stdio};
 use std::sync::Mutex;
@@ -118,6 +118,30 @@ impl Worker {
     /// discarded at checkout instead of being handed a request).
     fn exited(&mut self) -> bool {
         matches!(self.child.try_wait(), Ok(Some(_)) | Err(_))
+    }
+}
+
+/// A shard speaks to a worker through its socket: reads and writes on
+/// the parent's end, registered under that descriptor.
+impl Read for Worker {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.sock.read(buf)
+    }
+}
+
+impl Write for Worker {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.sock.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+impl AsRawFd for Worker {
+    fn as_raw_fd(&self) -> RawFd {
+        self.sock.as_raw_fd()
     }
 }
 

@@ -246,8 +246,8 @@ impl Deadlines for Option<Instant> {
 ///   severs the chunked stream (mid-body) and cancels the job, which
 ///   gets the wedged worker killed and respawned.
 ///
-/// `now` is the driver's clock — wall time for the real loop, the
-/// simulated instant for the deterministic driver.
+/// `now` is the driver's clock — wall time on the real server, the
+/// simulated instant under the deterministic sim.
 pub fn sync_deadline<Io: ConnIo>(
     conn: &mut Conn<Io>,
     token: u64,

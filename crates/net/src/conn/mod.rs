@@ -1,13 +1,14 @@
 //! The **sans-IO protocol core**: the connection state machine and
 //! per-shard bookkeeping, extracted from the syscall-driven server
-//! loop so one body of protocol logic runs under three drivers — the
-//! AMPED event loop in [`crate::server`] (nonblocking sockets,
-//! `writev(2)`, `sendfile(2)`, the shared helper-thread pool), the
-//! thread-per-connection MT server in [`crate::mt`] (a core per
-//! connection thread, blocking calls, every job run on the thread
-//! that dispatched it) and the deterministic simulation in
-//! [`crate::sim`] (in-memory endpoints, simulated time, scheduled
-//! fault injection, millions of replayed connections).
+//! loop so one body of protocol logic runs under two drivers — the
+//! AMPED event loop in [`crate::server`] and the thread-per-connection
+//! MT server in [`crate::mt`] (a core per connection thread, blocking
+//! calls, every job run on the thread that dispatched it). The event
+//! loop is written once, over an environment: the real kernel
+//! (nonblocking sockets, `writev(2)`, `sendfile(2)`, the shared
+//! helper-thread pool) or the simulated one in [`crate::sim`]
+//! (in-memory sockets, simulated time, scheduled fault injection,
+//! hundreds of thousands of replayed connections per seed).
 //!
 //! The core speaks through two narrow traits, and reaches its content
 //! cache through a third:
@@ -16,9 +17,9 @@
 //!   transport: `read`, gathered `writev`, and one `sendfile` chunk
 //!   against an opaque [`ConnIo::FileRef`]. The shard driver implements
 //!   it over a nonblocking `TcpStream` (with `FileRef = Arc<File>`),
-//!   the MT driver over a blocking one; the sim implements it over
-//!   byte queues with windows and injected partial writes (with a
-//!   value-type file handle).
+//!   the MT driver over a blocking one; the simulated kernel over
+//!   in-memory sockets with windows and injected partial writes (with
+//!   a value-type file handle).
 //! * [`HelperPort`] — how the core dispatches disk work. The core
 //!   submits a [`HelperJob`] and later receives a [`Done`]; whether a
 //!   helper thread pool, the submitting thread itself or a
@@ -214,6 +215,16 @@ impl HelperJob {
     /// job needs no completion — its pending entry is already gone.
     pub fn is_cancelled(&self) -> bool {
         self.cancel.load(Ordering::Acquire)
+    }
+
+    /// The completion that answers this job with `data`.
+    pub fn done<F>(self, data: DoneData<F>) -> Done<F> {
+        Done {
+            path: self.path,
+            data,
+            epoch: self.epoch,
+            token: self.token,
+        }
     }
 }
 

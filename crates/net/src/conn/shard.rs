@@ -20,7 +20,7 @@ use flash_http::Method;
 
 use crate::cache::{self, CacheHandle, ContentCache, Entry, Lookup, Variant};
 use crate::stats::{self, AccessRecord, PendingLog, Tier};
-use crate::timer::TimerWheel;
+use crate::timer::{TimerWheel, STALE_SLACK};
 
 use super::machine::{flush_out, Conn, ConnState, DeadlineKind, Drive, FlushResult};
 use super::plan::{plan_dynamic, plan_response, queue_plan, RequestCond, Resource};
@@ -990,20 +990,26 @@ impl<C: CacheHandle> ShardCore<C> {
 
     /// Verifies the shard's structural invariants against its
     /// connection table and timing wheel — the deterministic sim calls
-    /// this after (samples of) every step; tests call it constantly.
+    /// this after (samples of) every loop turn of the shipped shard;
+    /// tests call it constantly.
     /// `token_of` maps a slot index to its wheel key.
     ///
     /// Checked: every waiter index refers to a live `Waiting`
     /// connection and appears on exactly one list; a path has a
     /// pending job iff it has (non-empty) waiters; every `Waiting`
     /// connection is on some waiter list; a connection carries a
-    /// deadline class iff its wheel key is armed.
+    /// deadline class iff its wheel key is armed; the wheel holds at
+    /// most 2 × armed + [`STALE_SLACK`] entries, stale ones included.
     pub fn check_invariants<Io: ConnIo>(
         &self,
         conns: &[Option<Conn<Io>>],
         wheel: &TimerWheel,
         token_of: impl Fn(usize) -> u64,
     ) -> Result<(), String> {
+        let (entries, armed) = (wheel.entries(), wheel.pending());
+        if entries > 2 * armed + STALE_SLACK {
+            return Err(format!("wheel holds {entries} entries for {armed} armed"));
+        }
         let mut seen: std::collections::HashSet<usize> = std::collections::HashSet::new();
         for (path, list) in &self.waiters {
             if list.is_empty() {

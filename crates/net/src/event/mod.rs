@@ -109,8 +109,10 @@ pub struct Event {
 
 /// Readiness multiplexing behind a uniform, incrementally-updated
 /// interest set. See the module docs for the edge-triggered contract
-/// callers must follow.
-pub trait EventBackend: Send {
+/// callers must follow. Not `Send` by itself: the kernel backends are
+/// ([`new_backend`]), the simulated one ([`crate::sim`]) shares its
+/// kernel with the endpoints it watches and stays on its thread.
+pub trait EventBackend {
     /// The resolved kind (for diagnostics and tests).
     fn kind(&self) -> BackendKind;
 
@@ -240,7 +242,7 @@ pub fn resolve(choice: BackendChoice) -> BackendKind {
 /// creation itself fails (fd exhaustion, exotic kernel), the portable
 /// poll backend is returned instead — a server should degrade to the
 /// O(n) scan, not refuse to start.
-pub fn new_backend(choice: BackendChoice) -> Box<dyn EventBackend> {
+pub fn new_backend(choice: BackendChoice) -> Box<dyn EventBackend + Send> {
     #[cfg(any(target_os = "linux", target_os = "android"))]
     if resolve(choice) == BackendKind::Epoll {
         if let Ok(b) = epoll::EpollBackend::new() {

@@ -106,7 +106,7 @@
 //! predates multicore; per-core loops are how its single-loop design
 //! scales while keeping every invariant intact *within* a shard.
 //!
-//! # Architecture: one protocol core, three drivers
+//! # Architecture: one protocol core, two drivers, one shard loop
 //!
 //! Both servers are layered **sans-IO**: everything the paper is
 //! *about* — request parsing, the cache/helper handoff, completion
@@ -130,19 +130,20 @@
 //!               Io::FileRef)    come back as     core never reads
 //!                               plain values)    a clock)
 //!              ┌───────┴──────────────┴──────────────┴──────────┐
-//!   driver #1  │  real shards  [`server`] — sockets, a helper   │
-//!              │  pool, socketpair wakeups, readiness via       │
-//!              │  [`event`]: epoll (Linux) or poll fallback     │
-//!              ├────────────────────────────────────────────────┤
+//!   driver #1  │  the shard loop  [`server`] — a connection     │
+//!              │  table, a timing wheel, readiness, the worker  │
+//!              │  set; generic over its environment (`Env`):    │
+//!              ├───────────────────────┬────────────────────────┤
+//!              │  the real kernel      │  a simulated kernel    │
+//!              │  (`NetEnv`): sockets, │  [`sim`]: in-memory    │
+//!              │  epoll or poll, the   │  sockets, a seeded     │
+//!              │  helper pool, the     │  calendar, simulated   │
+//!              │  wall clock           │  time, injected faults │
+//!              ├───────────────────────┴────────────────────────┤
 //!   driver #2  │  MT  [`mt`] — a thread and a core per          │
 //!              │  connection: blocking `read`/`write`/          │
 //!              │  `sendfile`, jobs run on the thread that       │
 //!              │  dispatched them, one locked cache for all     │
-//!              ├────────────────────────────────────────────────┤
-//!   driver #3  │  deterministic sim  [`sim`] — scripted         │
-//!              │  endpoints, an event calendar + seeded RNG     │
-//!              │  (`flash-simcore`), simulated time, injected   │
-//!              │  faults, invariants checked every event        │
 //!              └────────────────────────────────────────────────┘
 //! ```
 //!
@@ -152,47 +153,60 @@
 //! what it must never decide for itself, is written down once, in
 //! [`conn`] (*The driver contract*). Driver #2 is the paper's MT
 //! architecture: what it owns is threads, blocking calls and the cache
-//! lock, and `tests/driver_audit.rs` keeps it to that. Driver #3 replays millions of connections in
-//! seconds of wall time: same-seed runs are **bit-identical** (the
-//! report's fingerprint folds every response byte), and the fault mix
-//! — partial writes, trickled headers, disk stalls, wedged helpers,
-//! EMFILE storms, mid-run reloads — runs against the *same* core the
-//! real sockets drive. `cargo run --release --example sim_replay`
-//! is the CI entry point; `crates/net/tests/conn_machine.rs` uses the
-//! same seams to prove byte-boundary independence exhaustively.
+//! lock, and `tests/driver_audit.rs` keeps it to that.
+//!
+//! The deterministic sim is not a third driver: it runs driver #1's
+//! `shard_loop` — the same lifecycle prologue and `Shard::turn` — over
+//! a simulated kernel, replaying hundreds of thousands of connections
+//! per seed in seconds of wall time. Same-seed runs are
+//! **bit-identical** (the report's fingerprint folds every response
+//! byte), the fault mix runs against the loop the real sockets drive,
+//! and the core's invariants, the timing wheel's bound among them, are
+//! checked between loop turns. `cargo run --release --example
+//! sim_replay` is the CI entry point; `crates/net/tests/conn_machine.rs`
+//! uses the core's seams to prove byte-boundary independence
+//! exhaustively.
 //!
 //! Module map of the AMPED side: [`config`] ([`NetConfig`], its
 //! validating builder, and the one mapping to the core's
-//! [`conn::ProtoConfig`]); [`server`] ([`Server`] and the shard
-//! driver); `pool.rs` (the helper pool: job lanes, wake handles, the
-//! shard's `HelperPort` with its residency test and open-file table);
-//! [`stats`] (the metrics registry and [`ServerStats`] over it).
-//! The MT side is [`mt`] and its accept loop, `accept.rs`.
+//! [`conn::ProtoConfig`]); [`server`] ([`Server`], the shard loop and
+//! its real environment); `pool.rs` (the helper pool: job lanes, wake
+//! handles, the shard's `HelperPort` with its residency test);
+//! `workerset.rs` (a shard's application workers); [`stats`] (the
+//! metrics registry and [`ServerStats`] over it). The MT side is [`mt`]
+//! and its accept loop, `accept.rs`.
 //!
 //! ## How to add a fault to the sim
 //!
-//! Faults are driver-side behaviors, never core changes — the core
-//! must already survive them, that's the point:
+//! Faults live in the simulated kernel, never in the shard or the core
+//! — the shipped loop must already survive them, that's the point:
 //!
 //! 1. **Add a knob** to [`sim::FaultPlan`] (a probability or
 //!    magnitude), defaulted into `FaultPlan::heavy()` so the CI replay
 //!    exercises it.
-//! 2. **Express it at a seam.** Transport faults live in the sim's
-//!    `ConnIo` (shrink the write window for partial writes, delay or
-//!    fragment inbox refills for slow clients); helper faults live in
-//!    job dispatch (stretch the completion delay for disk stalls or
-//!    wedges, drop the completion after reaping for cancellations);
-//!    resource faults live in admission (refuse an accept for EMFILE).
-//! 3. **Consume randomness deterministically**: draw from the single
-//!    `SimRng` only inside event handlers (never during iteration over
-//!    a hash map), and schedule effects through the event calendar so
-//!    a seed fully determines the interleaving.
+//! 2. **Express it at a kernel seam.** The *transport* (`SimFd` as a
+//!    connection: shrink the window for partial writes, cut the client's
+//!    script short or end it in a half-close, reset the client after so
+//!    many bytes); *readiness* (`SimBackend`: which edges a calendar
+//!    event raises, e.g. a window refill is a writable edge); *accept*
+//!    (the listener's backlog: refuse with `EMFILE`); the *worker
+//!    endpoint* (`SimFd` as a worker: the script of frames the `DynApp`
+//!    model writes — delay it, stop it, garble it); and *helper
+//!    delivery* (stretch a completion's delay for a stall or a wedge,
+//!    deliver a cancelled job's completion anyway to test the token
+//!    gate).
+//! 3. **Consume randomness deterministically**: draw from the kernel's
+//!    one `SimRng` only inside the kernel's calls and event handlers
+//!    (never during iteration over a hash map), and schedule effects
+//!    through the event calendar so a seed fully determines the
+//!    interleaving.
 //! 4. **Assert the consequence**, not just survival: add a counter to
 //!    the report if the fault has an observable outcome, and extend
 //!    the in-file tests so a fault that stops firing fails loudly.
-//!    `ShardCore::check_invariants` runs between events either way —
-//!    leaked slots, stale-epoch cache inserts, or orphaned deadlines
-//!    from the new fault fail the replay without further wiring.
+//!    `ShardCore::check_invariants` runs between loop turns either way
+//!    — leaked slots, stale-epoch cache inserts, orphaned deadlines or
+//!    an unbounded wheel from the new fault fail the replay without
+//!    further wiring.
 //!
 //! # Residency test: a helper only when the disk would block
 //!
@@ -398,8 +412,8 @@
 //! is killed via the helper-job cancellation token and counted in
 //! `dynamic_timeouts` + `worker_respawns`.
 //!
-//! All three drivers serve the tier, and the core cannot tell them
-//! apart: a dynamic job goes out through the [`conn::HelperPort`] and
+//! Both drivers and the sim serve the tier, and the core cannot tell
+//! them apart: a dynamic job goes out through the [`conn::HelperPort`] and
 //! comes back as streaming completions ([`conn::DynEvent`] under a
 //! single job token).
 //!
@@ -434,10 +448,12 @@
 //!   dead), `write` the request line, `read` frames on a 50 ms
 //!   cancel-poll cadence, one `write` per queued segment to the client,
 //!   check the worker back in.
-//! * **The deterministic sim** models per-endpoint compute times from
-//!   the workload's `FileKind::Cgi` specs — dynamic fraction, wedges,
-//!   and worker crashes are all folded into its bit-identical
-//!   fingerprint.
+//! * **The deterministic sim** runs the shard's own worker set against
+//!   simulated workers that write real `DATA`/`END` frames on simulated
+//!   time, after per-endpoint compute times from the workload's
+//!   `FileKind::Cgi` shape — wedged, crashing and garbling workers and
+//!   clients that reset mid-stream are all folded into its
+//!   bit-identical fingerprint.
 //!
 //! # Lifecycle: drain, signals, and generation handoff
 //!

@@ -1,8 +1,9 @@
 //! The shared helper pool of the AMPED server: per-shard job lanes
 //! popped round-robin ([`JobQueue`]), the coalescing wake handle that
 //! routes a completion back to its shard ([`WakeHandle`]), the shard's
-//! [`HelperPort`] with its residency test ([`PoolPort`]), and the
-//! helper threads' main loop.
+//! [`HelperPort`] ([`PoolPort`], over whatever environment the shard
+//! runs in — the real one or the simulated kernel), and the helper
+//! threads' main loop.
 //!
 //! Helpers do what would block the loop, and nothing else ([`Work`]):
 //! the filesystem calls of a miss whose file is not in memory, the
@@ -21,7 +22,7 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use crate::appworker::Worker;
 use crate::conn::{Done, HelperJob, HelperPort, JobKind};
-use crate::fsjob::OpenFileTable;
+use crate::server::{Env, FileOf};
 use crate::workerset::WorkerSet;
 
 /// The write side of a shard's wake socketpair, with a coalescing
@@ -57,20 +58,20 @@ impl WakeHandle {
 }
 
 /// What a shard asks of a helper: the calls that would block its loop.
-pub(crate) enum Work {
+pub(crate) enum Work<W = Worker> {
     /// The filesystem work of one of the protocol core's jobs.
     Job(HelperJob),
     /// `fork` + `exec` one application worker for the shard's set.
     Spawn,
     /// `kill` + `waitpid` a worker the shard has retired (and already
     /// taken out of its readiness set).
-    Reap(Worker),
+    Reap(W),
 }
 
 /// What a helper sends back to the shard that asked.
-pub(crate) enum Reply {
-    Done(Done<Arc<File>>),
-    Spawned(io::Result<Worker>),
+pub(crate) enum Reply<F = Arc<File>, W = Worker> {
+    Done(Done<F>),
+    Spawned(io::Result<W>),
 }
 
 /// One queued unit of helper work plus the driver-side routing tag —
@@ -80,50 +81,39 @@ struct Queued {
     work: Work,
 }
 
-/// The real [`HelperPort`]. Each submitted job first meets the
-/// residency test ([`crate::fsjob::exec_job_nowait`] — the paper's
-/// `mincore` step): a file whose lookup and bytes are already in
-/// memory is read on the spot — through the shard's open-file table,
-/// so a file served before is not even looked up again — and its
-/// completion parked in `inline_done` for the shard to apply before
-/// this loop turn ends. Only a job the disk would block — or whose
-/// answer is an error — is wrapped with the shard's routing tag and
-/// pushed into that shard's lane of the shared [`JobQueue`]; helpers
-/// resolve by path and know nothing of the table. A dynamic job goes to
-/// neither: the shard's own worker set takes it.
-pub(crate) struct PoolPort {
-    pub(crate) jobs: Arc<JobQueue>,
-    pub(crate) shard: usize,
+/// A shard's [`HelperPort`]. Each submitted filesystem job first
+/// meets the environment's residency test ([`Env::try_inline`]; on the
+/// real server [`crate::fsjob::exec_job_nowait`] — the paper's
+/// `mincore` step — through the shard's open-file table): a job it can
+/// answer without blocking is completed on the spot and parked in
+/// `inline_done` for the shard to apply before this loop turn ends.
+/// Only a job the disk would block — or whose answer is an error — goes
+/// to the helpers ([`Env::push`]), which resolve by path and know
+/// nothing of the table. A dynamic job goes to neither: the shard's own
+/// worker set takes it.
+pub(crate) struct PoolPort<E: Env> {
+    /// The environment: the helpers, the residency test, the clock.
+    pub(crate) env: E,
     /// Completions of jobs answered without a hand-off, awaiting
     /// the shard's inline-completion loop.
-    pub(crate) inline_done: Vec<Done<Arc<File>>>,
-    /// The shard's open-file table: read and written only here, on
-    /// the event-loop thread, so it takes no lock. The shard driver
-    /// clears it on a docroot reload, when the process runs out of
-    /// descriptors, and at exit.
-    pub(crate) files: OpenFileTable,
-    /// The shard's application workers, under the table's ownership
-    /// rule: this thread's alone, no lock. `None` without a
+    pub(crate) inline_done: Vec<Done<FileOf<E>>>,
+    /// The shard's application workers, touched by the loop's thread
+    /// alone, no lock. `None` without a
     /// [`crate::NetConfig::dynamic_prefix`] — the core then dispatches
     /// no dynamic job.
-    pub(crate) workers: Option<WorkerSet>,
+    pub(crate) workers: Option<WorkerSet<E>>,
 }
 
-impl HelperPort for PoolPort {
+impl<E: Env> HelperPort for PoolPort<E> {
     fn submit(&mut self, job: HelperJob) {
         if job.kind == JobKind::Dynamic {
             if let Some(workers) = self.workers.as_mut() {
-                return workers.submit(job);
+                return workers.submit(job, &mut self.env);
             }
         }
-        match crate::fsjob::exec_job_nowait(&job, &mut self.files) {
-            Some(data) => self.inline_done.push(Done {
-                path: job.path,
-                data,
-                epoch: job.epoch,
-                token: job.token,
-            }),
-            None => self.jobs.push(self.shard, Work::Job(job)),
+        match self.env.try_inline(&job) {
+            Some(data) => self.inline_done.push(job.done(data)),
+            None => self.env.push(Work::Job(job)),
         }
     }
 }
@@ -234,12 +224,10 @@ pub(crate) fn helper_main(
             // entry is already gone, so a Done would die on token
             // mismatch anyway.
             Work::Job(job) if job.is_cancelled() => continue,
-            Work::Job(job) => Reply::Done(Done {
-                data: crate::fsjob::exec_job(&job),
-                path: job.path,
-                epoch: job.epoch,
-                token: job.token,
-            }),
+            Work::Job(job) => {
+                let data = crate::fsjob::exec_job(&job);
+                Reply::Done(job.done(data))
+            }
             Work::Spawn => Reply::Spawned(Worker::spawn(&worker_command, false)),
             Work::Reap(worker) => {
                 drop(worker); // kills, and waits for the corpse

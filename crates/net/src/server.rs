@@ -4,10 +4,24 @@
 //! shared helper pool for what would block them: disk I/O, and forking
 //! and reaping application workers. This file holds [`Server`] (start,
 //! drain, stop, reload) and the **shard driver** — the event loop that
-//! binds the sans-IO core in [`crate::conn`] to sockets; the
+//! binds the sans-IO core in [`crate::conn`] to its environment; the
 //! configuration lives in [`crate::config`], the counters in
 //! [`crate::stats`], the helper pool in `pool.rs` and a shard's
 //! application workers in `workerset.rs`.
+//!
+//! **One loop, two kernels.** The shard and its loop are generic over
+//! one environment trait, `Env`: the clock, the connection transport
+//! (a [`ConnIo`] whose descriptor is its readiness key; the shard keeps
+//! the dry and hang-up notes on it, `SockIo`), the listener, the
+//! application workers' endpoints, the readiness backend, and the
+//! helper pool with its reply queue. The real server is monomorphised
+//! over `NetEnv`, which makes exactly the calls described below and
+//! is the only reader of the wall clock here; the deterministic sim
+//! ([`crate::sim`]) runs the same `shard_loop` — its lifecycle
+//! prologue, then one `Shard::turn` per wait — over a simulated kernel.
+//! A turn takes the helpers' replies (on a wake), the readiness events,
+//! the expired deadlines and the accepts, in that order, and ends with
+//! the worker sweep; the `Rig` tests below drive the same turn by hand.
 //!
 //! Layout:
 //!
@@ -101,25 +115,26 @@
 //! uniprocessor event loop.
 
 use std::fs::File;
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::sync::atomic::Ordering;
-use std::sync::mpsc::{channel, Receiver};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::accept::is_transient;
+use crate::appworker::Worker;
 use crate::config::NetConfig;
 use crate::conn::machine::{sync_deadline, Conn};
-use crate::conn::{ConnIo, ConnState, Drive, ShardCore, ShardStats};
+use crate::conn::{ConnIo, ConnState, DoneData, Drive, HelperJob, ShardCore, ShardStats};
 use crate::event::{new_backend, BackendKind, Event, EventBackend, Interest};
 use crate::fsjob::OpenFileTable;
 use crate::lifecycle::{LifecycleShared, PHASE_DRAINING, PHASE_STOPPING};
-use crate::pool::{helper_main, JobQueue, PoolPort, Reply, WakeHandle};
+use crate::pool::{helper_main, JobQueue, PoolPort, Reply, WakeHandle, Work};
 use crate::sendfile::send_file;
 use crate::sock::{self, AcceptModeKind};
 use crate::stats::{AccessLogWriter, ServerStats};
@@ -128,15 +143,144 @@ use crate::timer::{tick_for, TimerWheel};
 use crate::workerset::{WorkerSet, WORKER_TOKEN_BASE};
 use crate::writev::writev_fd;
 
-/// A connection over the real transport: the sans-IO state machine
-/// ([`crate::conn::machine::Conn`]) bound to a nonblocking socket.
-type NetConn = Conn<SockIo>;
+/// Everything a shard reaches outside its own memory: a clock, the
+/// connection transport (with its readiness key), the listener, the
+/// application workers' endpoints, the readiness backend, and the
+/// helper pool with its reply queue. The loop ([`shard_loop`],
+/// [`Shard::turn`]) is written once over this trait and monomorphised:
+/// [`NetEnv`] makes the calls the real server makes; the simulated
+/// kernel in [`crate::sim`] answers the same calls from memory, on
+/// simulated time.
+pub(crate) trait Env: Sized {
+    /// A connection's byte stream; its descriptor is its readiness key.
+    type Stream: ConnIo + AsRawFd;
+    /// What connections are accepted from.
+    type Listener: AsRawFd;
+    /// An application worker's endpoint, watched like a connection.
+    type Worker: Read + Write + AsRawFd;
+    /// The readiness backend.
+    type Backend: EventBackend + ?Sized;
+
+    /// The clock behind every instant the shard hands its core.
+    fn now(&self) -> Instant;
+    /// Accepts one queued connection, nonblocking.
+    fn accept(&mut self, listener: &Self::Listener) -> io::Result<Self::Stream>;
+    /// The residency test: answers a filesystem job at once, or
+    /// declines (crate docs, *Residency test*).
+    fn try_inline(&mut self, job: &HelperJob) -> Option<DoneData<FileOf<Self>>>;
+    /// Hands the helpers what would block the loop.
+    fn push(&mut self, work: Work<Self::Worker>);
+    /// Drops the descriptors the residency test holds open.
+    fn clear_files(&mut self);
+    /// Takes the wake the reply queue raised; the next reply raises a
+    /// fresh one.
+    fn take_wake(&mut self);
+    /// The next reply from the helpers, if one is queued.
+    fn recv(&mut self) -> Option<Reply<FileOf<Self>, Self::Worker>>;
+    /// Called after every loop turn; the sim checks its invariants.
+    fn after_turn(_shard: &Shard<Self>) {}
+}
+
+/// The large-body handle of an environment's transport.
+pub(crate) type FileOf<E> = <<E as Env>::Stream as ConnIo>::FileRef;
+
+/// The real server's environment: the wall clock, nonblocking sockets,
+/// the shared helper pool, the shard's reply channel and wake pipe, and
+/// its open-file table.
+pub(crate) struct NetEnv {
+    jobs: Arc<JobQueue>,
+    shard: usize,
+    /// The shard's open-file table: read and written only on the
+    /// event-loop thread, so it takes no lock. Cleared on a docroot
+    /// reload, when the process runs out of descriptors, and at exit.
+    files: OpenFileTable,
+    replies: Receiver<Reply>,
+    wake_rx: UnixStream,
+    wake: WakeHandle,
+}
+
+impl NetEnv {
+    /// The wall clock: the one clock this file reads.
+    fn clock() -> Instant {
+        Instant::now()
+    }
+}
+
+impl Env for NetEnv {
+    type Stream = TcpIo;
+    type Listener = TcpListener;
+    type Worker = Worker;
+    type Backend = dyn EventBackend + Send;
+
+    fn now(&self) -> Instant {
+        NetEnv::clock()
+    }
+
+    fn accept(&mut self, listener: &TcpListener) -> io::Result<TcpIo> {
+        sys::accept_nonblocking(listener).map(TcpIo)
+    }
+
+    fn try_inline(&mut self, job: &HelperJob) -> Option<DoneData<Arc<File>>> {
+        crate::fsjob::exec_job_nowait(job, &mut self.files)
+    }
+
+    fn push(&mut self, work: Work) {
+        self.jobs.push(self.shard, work);
+    }
+
+    fn clear_files(&mut self) {
+        self.files.clear();
+    }
+
+    fn take_wake(&mut self) {
+        // Drain the pipe completely (edge-triggered: this event may be
+        // the only notification for any number of bytes), by the rule
+        // connections read by: a short read emptied it — one `read`
+        // per wake, wake bytes being coalesced.
+        let mut sink = [0u8; 256];
+        while matches!(self.wake_rx.read(&mut sink), Ok(n) if n == sink.len()) {}
+        // Clear the coalescing flag *before* the replies are read:
+        // anything enqueued after this point writes a fresh wake byte,
+        // so completions cannot be lost.
+        self.wake.pending.store(false, Ordering::Release);
+    }
+
+    fn recv(&mut self) -> Option<Reply> {
+        self.replies.try_recv().ok()
+    }
+}
 
 /// The real transport behind [`ConnIo`]: a nonblocking `TcpStream`,
 /// with gathered writes via `writev(2)` and large bodies via
 /// `sendfile(2)` against shared `Arc<File>` handles.
-pub(crate) struct SockIo {
-    pub(crate) stream: TcpStream,
+pub(crate) struct TcpIo(TcpStream);
+
+impl AsRawFd for TcpIo {
+    fn as_raw_fd(&self) -> RawFd {
+        self.0.as_raw_fd()
+    }
+}
+
+impl ConnIo for TcpIo {
+    type FileRef = Arc<File>;
+
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.0.read(buf)
+    }
+
+    fn writev(&mut self, bufs: &[&[u8]]) -> io::Result<usize> {
+        writev_fd(self.as_raw_fd(), bufs)
+    }
+
+    fn sendfile(&mut self, file: &Arc<File>, offset: &mut u64, max: u64) -> io::Result<usize> {
+        send_file(self.as_raw_fd(), file, offset, max)
+    }
+}
+
+/// A connection's transport as the shard drives it: the environment's
+/// stream plus the two notes readiness events leave on it.
+pub(crate) struct SockIo<S> {
+    pub(crate) stream: S,
     /// The receive queue is known to be empty ([`ConnIo::known_empty`]):
     /// set by a read that came back short or `EAGAIN`, withdrawn by the
     /// driver on every readable event and at drain entry.
@@ -148,8 +292,8 @@ pub(crate) struct SockIo {
     hangup: bool,
 }
 
-impl ConnIo for SockIo {
-    type FileRef = Arc<File>;
+impl<S: ConnIo> ConnIo for SockIo<S> {
+    type FileRef = S::FileRef;
 
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         let res = self.stream.read(buf);
@@ -169,13 +313,17 @@ impl ConnIo for SockIo {
     }
 
     fn writev(&mut self, bufs: &[&[u8]]) -> io::Result<usize> {
-        writev_fd(self.stream.as_raw_fd(), bufs)
+        self.stream.writev(bufs)
     }
 
-    fn sendfile(&mut self, file: &Arc<File>, offset: &mut u64, max: u64) -> io::Result<usize> {
-        send_file(self.stream.as_raw_fd(), file, offset, max)
+    fn sendfile(&mut self, file: &S::FileRef, offset: &mut u64, max: u64) -> io::Result<usize> {
+        self.stream.sendfile(file, offset, max)
     }
 }
+
+/// A connection of a shard over environment `E`: the sans-IO state
+/// machine ([`crate::conn::machine::Conn`]) bound to its transport.
+type NetConn<E> = Conn<SockIo<<E as Env>::Stream>>;
 
 /// Handle to a running server; dropping it does **not** stop the
 /// server — call [`Server::stop`] (drain with a short grace),
@@ -228,13 +376,13 @@ pub struct Server {
 /// Token for the shard's wake pipe (never a valid connection token:
 /// connection tokens carry a slot in the high half, and slot 2^32-1
 /// with fd 2^32-1 cannot occur).
-const WAKE_TOKEN: u64 = u64::MAX;
+pub(crate) const WAKE_TOKEN: u64 = u64::MAX;
 
 /// Token for a shard's listener registration — the slot half is
 /// 2^32-1, which a real connection slot can never reach, so it can
 /// never collide with a connection token (nor with [`WAKE_TOKEN`],
 /// whose fd half differs).
-const LISTENER_TOKEN: u64 = u64::MAX - 1;
+pub(crate) const LISTENER_TOKEN: u64 = u64::MAX - 1;
 
 // A shard's application workers are registered under the tokens from
 // `WORKER_TOKEN_BASE` up (`workerset.rs`): the slot half of the two
@@ -358,45 +506,21 @@ impl Server {
         let stats = Arc::new(ServerStats::new(shard_stats.clone()));
 
         // One shared helper queue with per-shard lanes; per-shard done
-        // queues and wake pipes routing completions back. Each shard
-        // gets an equal slice of the cache budget: private caches mean
-        // zero lock traffic at the cost of N-way duplication of the
-        // hottest entries.
+        // queues and wake pipes routing completions back.
         let jobs = JobQueue::new(n_shards);
-        let shard_cache_bytes = (cfg.cache_bytes / n_shards as u64).max(1);
-        let shard_open_files = open_file_budget(n_shards);
         let mut done_txs = Vec::with_capacity(n_shards);
         let mut shard_wakes = Vec::with_capacity(n_shards);
         let mut shards = Vec::with_capacity(n_shards);
         for (shard_id, listener) in listeners.into_iter().enumerate() {
-            let (done_tx, done_rx) = channel::<Reply>();
-            let (wake_tx, wake_rx) = UnixStream::pair()?;
-            wake_rx.set_nonblocking(true)?;
-            let wake = WakeHandle::new(wake_tx);
+            let stats = &shard_stats[shard_id];
+            let (mut shard, wake, done_tx) = net_shard(shard_id, &cfg, stats, &jobs, listener)?;
             done_txs.push(done_tx);
-            shard_wakes.push(wake.clone());
-            // The backend is created and the wake pipe and this
-            // shard's listener registered HERE, before any thread
-            // exists, so a failure (epoll watch limits, fd exhaustion)
-            // is a clean start() error instead of a silently dead
-            // shard.
-            let mut backend = new_backend(cfg.backend);
-            backend.register(wake_rx.as_raw_fd(), WAKE_TOKEN, Interest::READ)?;
-            backend.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
-            let mut shard = Shard::new(
-                shard_id,
-                shard_cache_bytes,
-                shard_open_files,
-                Arc::clone(&shard_stats[shard_id]),
-                Arc::clone(&jobs),
-                backend,
-                &cfg,
-            );
+            shard_wakes.push(wake);
             // Every shard can see its siblings' counters, so a
             // `/.flash/metrics` scrape answered by any one shard
             // reports the whole server.
             shard.core.export = shard_stats.clone();
-            shards.push((shard, done_rx, wake_rx, wake, listener));
+            shards.push(shard);
         }
 
         // The application worker's command line: the helpers fork the
@@ -434,11 +558,11 @@ impl Server {
             shard_threads: Vec::with_capacity(n_shards),
             helper_threads,
         };
-        for (shard, done_rx, wake_rx, wake, listener) in shards {
+        for mut shard in shards {
             let lifecycle = Arc::clone(&server.lifecycle);
             let spawned = std::thread::Builder::new()
                 .name(format!("flash-shard-{}", shard.core.shard))
-                .spawn(move || shard_loop(shard, done_rx, wake_rx, wake, listener, lifecycle));
+                .spawn(move || shard_loop(&mut shard, &lifecycle));
             match spawned {
                 Ok(t) => server.shard_threads.push(t),
                 Err(e) => {
@@ -506,7 +630,7 @@ impl Server {
 
     /// [`Server::drain`] with an explicit grace bound.
     pub fn drain_for(mut self, grace: Duration) {
-        self.lifecycle.begin_drain(Instant::now() + grace);
+        self.lifecycle.begin_drain(NetEnv::clock() + grace);
         // This generation's claim on the port ends now: the handoff
         // dups close here (and each shard closes its own listener as
         // it observes the drain). A next generation that already
@@ -587,19 +711,53 @@ impl Server {
     }
 }
 
+/// Builds shard `id` of the real server around `listener`. The backend
+/// is created and the wake pipe and the listener registered here,
+/// before any thread exists, so a failure (epoll watch limits, fd
+/// exhaustion) is a clean start() error instead of a silently dead
+/// shard. Returns the shard, the handle that wakes it and the sender of
+/// its reply channel.
+fn net_shard(
+    id: usize,
+    cfg: &NetConfig,
+    stats: &Arc<ShardStats>,
+    jobs: &Arc<JobQueue>,
+    listener: TcpListener,
+) -> io::Result<(Shard<NetEnv>, WakeHandle, Sender<Reply>)> {
+    let (done_tx, replies) = channel();
+    let (wake_tx, wake_rx) = UnixStream::pair()?;
+    wake_rx.set_nonblocking(true)?;
+    let wake = WakeHandle::new(wake_tx);
+    let mut backend = new_backend(cfg.backend);
+    backend.register(wake_rx.as_raw_fd(), WAKE_TOKEN, Interest::READ)?;
+    backend.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
+    let open_files = open_file_budget(cfg.event_loops.max(1));
+    let env = NetEnv {
+        jobs: Arc::clone(jobs),
+        shard: id,
+        files: OpenFileTable::new(open_files, cfg.cache_revalidate_ttl, Arc::clone(stats)),
+        replies,
+        wake_rx,
+        wake: wake.clone(),
+    };
+    let shard = Shard::new(id, env, backend, listener, Arc::clone(stats), cfg);
+    Ok((shard, wake, done_tx))
+}
+
 /// One shard's driver-side state: the transport-agnostic protocol
-/// core plus everything only this driver owns — the helper-pool port,
-/// the connection table, the event backend and the timing wheel.
+/// core plus everything only this driver owns — the helper port (and
+/// in it the environment), the connection table, the listener, the
+/// event backend and the timing wheel.
 ///
 /// The driver's whole contract with the core is [`Shard::reconcile`]:
 /// every core call that can change a slot returns a [`Drive`], and
 /// `reconcile` brings the backend, the wheel and the slot table in
 /// line with it. Which connection closes, when, and what that does to
 /// waiter lists and counters is the core's business.
-struct Shard {
-    core: ShardCore,
-    port: PoolPort,
-    conns: Vec<Option<NetConn>>,
+pub(crate) struct Shard<E: Env> {
+    pub(crate) core: ShardCore,
+    pub(crate) port: PoolPort<E>,
+    conns: Vec<Option<NetConn<E>>>,
     /// The empty slots of `conns`: pushed by [`Shard::reconcile`]'s
     /// close arm — the only place a slot is given up — and popped by
     /// [`Shard::admit`], so accepting never walks the table and the
@@ -610,16 +768,21 @@ struct Shard {
     /// occupied, cleared by its close arm — which is how that arm knows
     /// there is a registration to forget, the connection being gone.
     watched: Vec<bool>,
-    /// Created by `Server::start` with the wake pipe and the listener
-    /// already registered, so backend failures abort startup instead
-    /// of killing one shard.
-    backend: Box<dyn EventBackend>,
+    /// Created with the wake pipe and the listener already registered,
+    /// so backend failures abort startup instead of killing one shard.
+    backend: Box<E::Backend>,
     /// Per-state deadlines, keyed by the same slot+fd tokens the event
     /// backend uses. The tick is an eighth of the smallest configured
     /// timeout, so rounding (≤1 tick) plus wait cadence (≤1 tick)
     /// keeps expiry within ~1.25× the configured deadline; expiry work
     /// is O(expired), never a scan of the connection table.
     wheel: TimerWheel,
+    /// This shard's listener — a `SO_REUSEPORT` socket of its own, or
+    /// in single mode its duplicate of the one socket — registered
+    /// under [`LISTENER_TOKEN`]. Closed (`None`) from drain entry on.
+    listener: Option<E::Listener>,
+    /// Whether the listener's READ interest is armed in the backend.
+    listener_armed: bool,
     /// [`NetConfig::max_conns_per_shard`]: at the cap the shard's
     /// listener interest is dropped; any close below it re-arms.
     max_conns: usize,
@@ -636,15 +799,16 @@ struct Shard {
 /// untouched — appending the connections they answered to `completed`.
 /// A completion can dispatch again (a revalidation that found the file
 /// changed requeues a load), hence the loop.
-fn complete_inline(
+fn complete_inline<E: Env>(
     core: &mut ShardCore,
-    port: &mut PoolPort,
-    conns: &mut [Option<NetConn>],
+    port: &mut PoolPort<E>,
+    conns: &mut [Option<NetConn<E>>],
     completed: &mut Vec<usize>,
 ) {
     while let Some(done) = port.inline_done.pop() {
         core.stats.inline_jobs.fetch_add(1, Ordering::Relaxed);
-        core.complete_job(done, conns, completed, port, Instant::now());
+        let now = port.env.now();
+        core.complete_job(done, conns, completed, port, now);
     }
 }
 
@@ -661,16 +825,20 @@ fn open_file_budget(n_shards: usize) -> usize {
     usize::try_from(soft / 4 / n_shards as u64).unwrap_or(usize::MAX)
 }
 
-impl Shard {
-    fn new(
+impl<E: Env> Shard<E> {
+    /// Shard `id` over `env`, whose `backend` has the wake channel and
+    /// `listener` registered already. Each shard gets an equal slice of
+    /// the cache budget: private caches mean zero lock traffic at the
+    /// cost of N-way duplication of the hottest entries.
+    pub(crate) fn new(
         id: usize,
-        cache_bytes: u64,
-        open_files: usize,
+        env: E,
+        backend: Box<E::Backend>,
+        listener: E::Listener,
         stats: Arc<ShardStats>,
-        jobs: Arc<JobQueue>,
-        backend: Box<dyn EventBackend>,
         cfg: &NetConfig,
-    ) -> Shard {
+    ) -> Shard<E> {
+        let cache_bytes = (cfg.cache_bytes / cfg.event_loops.max(1) as u64).max(1);
         let timeouts = [
             cfg.idle_timeout,
             cfg.header_read_timeout,
@@ -678,31 +846,33 @@ impl Shard {
             cfg.helper_wait_timeout,
             cfg.dynamic_deadline,
         ];
+        let wheel = TimerWheel::new_at(tick_for(timeouts.into_iter().flatten()), env.now());
         Shard {
             port: PoolPort {
                 inline_done: Vec::new(),
-                shard: id,
-                files: OpenFileTable::new(open_files, cfg.cache_revalidate_ttl, Arc::clone(&stats)),
-                workers: cfg.dynamic_prefix.as_ref().map(|_| {
-                    WorkerSet::new(
-                        cfg.helpers.max(1),
-                        Arc::clone(&jobs),
-                        id,
-                        Arc::clone(&stats),
-                    )
-                }),
-                jobs,
+                workers: cfg
+                    .dynamic_prefix
+                    .as_ref()
+                    .map(|_| WorkerSet::new(cfg.helpers.max(1), Arc::clone(&stats))),
+                env,
             },
             core: ShardCore::new(id, cache_bytes, cfg.proto(), stats),
             conns: Vec::new(),
             free: Vec::new(),
             watched: Vec::new(),
             backend,
-            wheel: TimerWheel::new(tick_for(timeouts.into_iter().flatten())),
+            wheel,
+            listener: Some(listener),
+            listener_armed: true,
             max_conns: cfg.max_conns_per_shard,
             access_log: cfg.access_log_path.clone().map(AccessLogWriter::open),
             woken: Vec::new(),
         }
+    }
+
+    /// The environment's clock.
+    fn now(&self) -> Instant {
+        self.port.env.now()
     }
 
     /// Appends the access records the core has staged, in one write.
@@ -713,18 +883,26 @@ impl Shard {
     }
 
     /// Leaves the loop: the open-file table's descriptors close here,
-    /// and conns and application workers drop with the shard when it
-    /// returns — the workers killed and reaped on this thread, which
+    /// and conns and application workers drop with the shard — on the
+    /// real server the workers killed and reaped on its thread, which
     /// has no loop left to keep from blocking.
-    fn exit(mut self) {
+    fn exit(&mut self) {
         self.core.stats.draining.store(0, Ordering::Relaxed);
-        self.port.files.clear();
+        self.port.env.clear_files();
         self.flush_access_log();
     }
 
     /// Connections currently occupying slots.
-    fn live(&self) -> usize {
+    pub(crate) fn live(&self) -> usize {
         self.conns.len() - self.free.len()
+    }
+
+    /// The core's structural invariants over this shard's slots and
+    /// wheel ([`ShardCore::check_invariants`]).
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
+        let token_of = |idx| self.fd_of(idx).map_or(0, |fd| conn_token(idx, fd));
+        self.core
+            .check_invariants(&self.conns, &self.wheel, token_of)
     }
 
     /// The descriptor in slot `idx`, if the slot is occupied. Tokens
@@ -747,16 +925,16 @@ impl Shard {
     /// became ready in between.
     ///
     /// Out of line on purpose: with one caller it would be inlined,
-    /// first drive and all, into `shard_loop`, whose keep-alive turn
-    /// then measures ≈ 1.3% slower on `cached_small` (CHANGES, PR 23).
+    /// first drive and all, into the loop turn, which then measures
+    /// ≈ 1.3% slower on `cached_small` (CHANGES.md has the pairs).
     #[inline(never)]
-    fn admit(&mut self, stream: TcpStream) {
+    fn admit(&mut self, stream: E::Stream) {
         let mut conn = Conn::new(SockIo {
             stream,
             dry: false,
             hangup: false,
         });
-        conn.opened_at = Some(Instant::now());
+        conn.opened_at = Some(self.now());
         let idx = match self.free.pop() {
             Some(i) => {
                 self.conns[i] = Some(conn);
@@ -771,13 +949,21 @@ impl Shard {
         self.drive(idx);
     }
 
-    /// Handles one readiness event — a worker's, or a connection's
-    /// unless the token is stale (see [`Shard::fd_of`]): withdraws the
+    /// Handles one readiness event. A worker's means it has something
+    /// to say: its frames become completions, and the connections they
+    /// answer are driven here, in the turn that read them — a `DATA`
+    /// and the `END` behind it leave in one `writev`. A connection's,
+    /// unless the token is stale (see [`Shard::fd_of`]), withdraws the
     /// transport's "dry" report — the event says otherwise — notes a
     /// hang-up, and drives.
     fn on_event(&mut self, ev: &Event) {
         if ev.token >= WORKER_TOKEN_BASE {
-            return self.on_worker_event(ev);
+            if let Some(workers) = self.port.workers.as_mut() {
+                let slot = (ev.token - WORKER_TOKEN_BASE) as usize;
+                workers.on_readable(slot, ev.hangup, &mut self.backend, &mut self.port.env);
+                self.deliver_worker_events();
+            }
+            return;
         }
         let idx = token_slot(ev.token);
         match self.conns.get_mut(idx) {
@@ -790,18 +976,6 @@ impl Shard {
         self.drive(idx);
     }
 
-    /// A worker has something to say: its frames become completions,
-    /// and the connections they answer are driven here, in the turn
-    /// that read them — a `DATA` and the `END` behind it leave in one
-    /// `writev`.
-    fn on_worker_event(&mut self, ev: &Event) {
-        if let Some(workers) = self.port.workers.as_mut() {
-            let slot = (ev.token - WORKER_TOKEN_BASE) as usize;
-            workers.on_readable(slot, ev.hangup, &mut *self.backend);
-            self.deliver_worker_events();
-        }
-    }
-
     /// Applies what the worker set has queued through the core's one
     /// completion path and drives whoever it woke. A drive can dispatch
     /// again — the next pipelined request — and the set can answer on
@@ -810,15 +984,11 @@ impl Shard {
     fn deliver_worker_events(&mut self) {
         let mut woken = std::mem::take(&mut self.woken);
         loop {
-            let next = |port: &mut PoolPort| port.workers.as_mut()?.outbox.pop_front();
+            let next = |port: &mut PoolPort<E>| port.workers.as_mut()?.outbox.pop_front();
             while let Some(done) = next(&mut self.port) {
-                self.core.complete_job(
-                    done,
-                    &mut self.conns,
-                    &mut woken,
-                    &mut self.port,
-                    Instant::now(),
-                );
+                let now = self.now();
+                self.core
+                    .complete_job(done, &mut self.conns, &mut woken, &mut self.port, now);
             }
             if woken.is_empty() {
                 break;
@@ -843,9 +1013,9 @@ impl Shard {
         // that is gone): round again until a sweep leaves nothing to
         // deliver.
         while let Some(workers) = self.port.workers.as_mut() {
-            workers.drop_cancelled();
+            workers.drop_cancelled(&mut self.port.env);
             if workers.outbox.is_empty() {
-                return workers.bury(&mut *self.backend);
+                return workers.bury(&mut self.backend, &mut self.port.env);
             }
             self.deliver_worker_events();
         }
@@ -858,9 +1028,10 @@ impl Shard {
         let Some(fd) = self.fd_of(idx) else {
             return;
         };
+        let now = self.now();
         let outcome = self
             .core
-            .drive_conn(idx, &mut self.conns, &mut self.port, Instant::now());
+            .drive_conn(idx, &mut self.conns, &mut self.port, now);
         self.reconcile(idx, fd, outcome);
     }
 
@@ -871,9 +1042,10 @@ impl Shard {
         if self.fd_of(idx) != Some(fd) {
             return;
         }
+        let now = self.now();
         let outcome = self
             .core
-            .expire_conn(idx, &mut self.conns, &mut self.port, Instant::now());
+            .expire_conn(idx, &mut self.conns, &mut self.port, now);
         self.reconcile(idx, fd, outcome);
     }
 
@@ -903,9 +1075,10 @@ impl Shard {
             // has a pending job and dispatches nothing.
             debug_assert!(self.woken.iter().all(|&w| w == idx));
             self.woken.clear();
+            let now = self.now();
             outcome = self
                 .core
-                .drive_conn(idx, &mut self.conns, &mut self.port, Instant::now());
+                .drive_conn(idx, &mut self.conns, &mut self.port, now);
         }
         let token = conn_token(idx, fd);
         if let Some(conn) = self.conns[idx].as_mut() {
@@ -929,13 +1102,15 @@ impl Shard {
                 Ok(())
             };
             if watched.is_ok() {
-                sync_deadline(conn, token, &self.core.cfg, &mut self.wheel, Instant::now());
+                let now = self.port.env.now();
+                sync_deadline(conn, token, &self.core.cfg, &mut self.wheel, now);
                 return;
             }
             // Unwatchable means unreachable — and under ET a consumed
             // edge that cannot be re-armed is a permanent stall: close
             // the connection rather than pin its fd and slot forever.
-            self.core.close_conn(idx, &mut self.conns, Instant::now());
+            let now = self.port.env.now();
+            self.core.close_conn(idx, &mut self.conns, now);
         }
         // The slot is empty and the socket closed with it, which
         // unhooked it from the kernel's interest set: there is nothing
@@ -982,13 +1157,16 @@ impl Shard {
     /// holds); pending connections then wait in the kernel backlog (or
     /// go to another shard) until this shard re-arms.
     /// Returns whether the listener interest is still armed.
-    fn drain_accepts(&mut self, listener: &TcpListener) -> bool {
+    fn drain_accepts(&mut self) -> bool {
         loop {
             if self.live() >= self.max_conns {
-                return !self.quiesce_listener(listener);
+                return !self.set_listener_interest(Interest::NONE);
             }
+            let Some(listener) = self.listener.as_ref() else {
+                return false;
+            };
             bump(&self.core.stats.accept_calls);
-            match sys::accept_nonblocking(listener) {
+            match self.port.env.accept(listener) {
                 Ok(stream) => {
                     bump(&self.core.stats.accepted);
                     self.admit(stream);
@@ -999,30 +1177,186 @@ impl Shard {
                 Err(_) => {
                     // EMFILE/ENFILE (or another persistent failure):
                     // accepting again immediately would fail immediately.
-                    // Count it and back off; the shard loop retries on the
+                    // Count it and back off; the loop retries on the
                     // ACCEPT_RETRY_MS cadence and on every freed slot —
                     // and finds the headroom the open-file table held:
                     // cached descriptors are the first thing to go.
-                    self.core
-                        .stats
-                        .accept_backpressure
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.port.files.clear();
-                    return !self.quiesce_listener(listener);
+                    bump(&self.core.stats.accept_backpressure);
+                    self.port.env.clear_files();
+                    return !self.set_listener_interest(Interest::NONE);
                 }
             }
         }
     }
 
-    /// Drops a listener's read interest (keeping the registration).
-    /// Returns whether the interest was actually dropped — if the
-    /// `modify` itself fails the listener stays armed and accepting
-    /// simply retries on the next event.
-    fn quiesce_listener(&mut self, listener: &TcpListener) -> bool {
+    /// Sets the listener's interest, keeping the registration: `NONE`
+    /// quiesces it, `READ` re-arms it. Returns whether the backend took
+    /// it — a listener whose interest could not be dropped stays armed,
+    /// and accepting simply retries on the next event.
+    fn set_listener_interest(&mut self, interest: Interest) -> bool {
+        let Some(fd) = self.listener.as_ref().map(AsRawFd::as_raw_fd) else {
+            return false;
+        };
         bump(&self.core.stats.ctl_calls);
-        self.backend
-            .modify(listener.as_raw_fd(), LISTENER_TOKEN, Interest::NONE)
-            .is_ok()
+        self.backend.modify(fd, LISTENER_TOKEN, interest).is_ok()
+    }
+
+    /// How long the next wait may block: until the next wheel tick
+    /// could expire something; with nothing armed, indefinitely — new
+    /// work always arrives as a wake or a readiness event. A throttled
+    /// listener with room to re-arm (the EMFILE case: headroom can
+    /// return without any local readiness edge) bounds the wait to a
+    /// retry cadence, and a draining shard never sleeps past its drain
+    /// deadline — the severing check must run when it lands even if
+    /// every remaining connection is quietly mid-transfer.
+    fn wait_timeout(&self, drain_deadline: Option<Instant>) -> i32 {
+        let now = self.now();
+        let mut wait_ms = self.wheel.next_timeout_ms(now).unwrap_or(-1);
+        if self.listener.is_some()
+            && !self.listener_armed
+            && !self.core.draining
+            && self.live() < self.max_conns
+            && !(0..=ACCEPT_RETRY_MS).contains(&wait_ms)
+        {
+            wait_ms = ACCEPT_RETRY_MS;
+        }
+        if let Some(d) = drain_deadline {
+            let left = d.saturating_duration_since(now).as_millis();
+            let left = left.clamp(1, i32::MAX as u128) as i32;
+            if !(0..=left).contains(&wait_ms) {
+                wait_ms = left;
+            }
+        }
+        wait_ms
+    }
+
+    /// Waits for readiness — the one call a turn may block in — and
+    /// counts it. Returns the instant the wait returned: the start of
+    /// the turn.
+    fn wait(&mut self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<Instant> {
+        let begin = self.now();
+        let n = self.backend.wait(events, timeout_ms)?;
+        let start = self.now();
+        let stats = &self.core.stats;
+        stats.phase_wait_us.fetch_add(
+            start.duration_since(begin).as_micros() as u64,
+            Ordering::Relaxed,
+        );
+        bump(&stats.wait_calls);
+        stats.wait_events.fetch_add(n as u64, Ordering::Relaxed);
+        Ok(start)
+    }
+
+    /// One loop turn over the `events` a wait returned at `start`, in
+    /// the order the loop has always taken them: the helpers' replies
+    /// (on a wake), the readiness events, the deadlines, the accepts,
+    /// and the worker sweep; then the turn's access records are
+    /// flushed and its busy time goes to the stall watchdog.
+    fn turn(&mut self, events: &[Event], start: Instant) {
+        // Everything from here to the end of the turn is non-wait time
+        // — the span the stall watchdog measures, phase by phase.
+        let mut mark = start;
+        if events.iter().any(|e| e.token == WAKE_TOKEN) {
+            self.port.env.take_wake();
+            let mut completed = Vec::new();
+            while let Some(reply) = self.port.env.recv() {
+                let done = match reply {
+                    Reply::Done(done) => done,
+                    // What it can do at once — open the exchanges that
+                    // were waiting for it — it does here; what that
+                    // answers is applied by this turn's sweep.
+                    Reply::Spawned(worker) => {
+                        if let Some(workers) = self.port.workers.as_mut() {
+                            workers.adopt(worker, &mut self.backend, &mut self.port.env);
+                        }
+                        continue;
+                    }
+                };
+                let now = self.now();
+                self.core
+                    .complete_job(done, &mut self.conns, &mut completed, &mut self.port, now);
+                // A stale entry's re-stat just came back changed and
+                // the requeued load was answered from memory.
+                complete_inline(
+                    &mut self.core,
+                    &mut self.port,
+                    &mut self.conns,
+                    &mut completed,
+                );
+            }
+            self.lap(&self.core.stats.phase_completions_us, &mut mark);
+            // Completions flipped their waiters to Writing with the
+            // socket unarmed; drive them now — the socket is almost
+            // always writable, so the common case finishes here
+            // without ever arming write interest.
+            for idx in completed {
+                self.drive(idx);
+            }
+            self.lap(&self.core.stats.phase_respond_us, &mut mark);
+        }
+        let mut accept_ready = false;
+        for ev in events {
+            match ev.token {
+                WAKE_TOKEN => {}
+                // Drained below, after existing connections are
+                // serviced and expiries may have freed slots.
+                LISTENER_TOKEN => accept_ready = true,
+                // (The replies above can close a connection and let its
+                // slot be reused by a new stream; `on_event` drops an
+                // event that describes the *old* registration.)
+                _ => self.on_event(ev),
+            }
+        }
+        self.lap(&self.core.stats.phase_read_us, &mut mark);
+        // Expire deadlines last: anything the drives above just
+        // re-armed is already accounted for (single-threaded, so the
+        // wheel is exactly consistent with the connection table here).
+        let mut expired = Vec::new();
+        let now = self.port.env.now();
+        self.wheel.expire(now, &mut expired);
+        for token in expired {
+            self.expire(token);
+        }
+        self.lap(&self.core.stats.phase_timers_us, &mut mark);
+        // Accept last: the drives and expiries above may have freed
+        // slots, so the gate decision below sees this turn's final
+        // occupancy. (A draining shard has no listener left.)
+        if !self.listener_armed && self.live() < self.max_conns {
+            // Re-arm: `modify` redelivers a still-pending backlog as a
+            // fresh readiness event (ET contract), and the
+            // level-triggered backend re-reports it on the next wait —
+            // either way the accepts resume without a new connection
+            // having to arrive.
+            self.listener_armed = self.set_listener_interest(Interest::READ);
+        } else if accept_ready && self.listener_armed {
+            self.listener_armed = self.drain_accepts();
+        }
+        self.lap(&self.core.stats.phase_accept_us, &mut mark);
+        self.sweep_workers();
+        // Flush this turn's access records in one append, then close
+        // the watchdog ledger: everything since the wait returned was
+        // time the event loop spent NOT listening — the one quantity
+        // AMPED exists to keep small.
+        self.flush_access_log();
+        let busy = self.now().duration_since(start);
+        let stats = &self.core.stats;
+        stats
+            .loop_stall_max_us
+            .fetch_max(busy.as_micros() as u64, Ordering::Relaxed);
+        if busy >= LOOP_STALL_THRESHOLD {
+            bump(&stats.loop_stalls);
+        }
+    }
+
+    /// Adds the time since `*mark` to `counter` and advances the mark —
+    /// the per-phase ledger behind the event-loop stall watchdog.
+    fn lap(&self, counter: &AtomicU64, mark: &mut Instant) {
+        let now = self.now();
+        counter.fetch_add(
+            now.duration_since(*mark).as_micros() as u64,
+            Ordering::Relaxed,
+        );
+        *mark = now;
     }
 }
 
@@ -1041,7 +1375,8 @@ const ACCEPT_RETRY_MS: i32 = 50;
 const LOOP_STALL_THRESHOLD: Duration = Duration::from_millis(100);
 
 /// One event-loop shard: the paper's AMPED loop on the pluggable
-/// readiness backend, over this shard's private connection set.
+/// readiness backend, over this shard's private connection set — the
+/// real server's thread body and the sim's whole run alike.
 ///
 /// Written to the edge-triggered contract (see [`crate::event`]):
 /// every drive runs the connection until its socket is dry or full,
@@ -1049,34 +1384,18 @@ const LOOP_STALL_THRESHOLD: Duration = Duration::from_millis(100);
 /// a voluntary yield (the `sendfile` fairness budget) re-arms the
 /// descriptor so the consumed writability edge is redelivered.
 ///
-/// The shard's `listener` — a `SO_REUSEPORT` socket of its own, or in
-/// single mode its duplicate of the one socket — is registered under
-/// [`LISTENER_TOKEN`]: accepts drain to `EWOULDBLOCK` like any other
-/// read source, and **backpressure is local** — at the connection cap
-/// (or on `EMFILE`/`ENFILE`) the listener's read interest is dropped,
-/// so pending connections stay in the kernel backlog (or go to other
-/// shards), and the interest is re-armed the moment a slot frees. The
-/// re-arm leans on the backend contract that `modify` redelivers a
-/// still-true readiness condition, so a backlog that filled while
-/// throttled surfaces as a fresh event.
-fn shard_loop(
-    mut shard: Shard,
-    done_rx: Receiver<Reply>,
-    mut wake_rx: UnixStream,
-    wake: WakeHandle,
-    // Owned (and therefore closed) by this loop — dropped at drain
-    // entry or on return, before Server::stop's join observes the
-    // thread gone, so the port is free once stop() returns.
-    listener: TcpListener,
-    lifecycle: Arc<LifecycleShared>,
-) {
-    let mut listener = Some(listener);
+/// Each iteration is a lifecycle prologue — stop, drain entry, drain
+/// exit, a published reload or log rotation — then a wait and one
+/// [`Shard::turn`]. The shard's listener drains to `EWOULDBLOCK` like
+/// any other read source, and **backpressure is local** — at the
+/// connection cap (or on `EMFILE`/`ENFILE`) the listener's read
+/// interest is dropped, so pending connections stay in the kernel
+/// backlog (or go to other shards), and the interest is re-armed the
+/// moment a slot frees. The re-arm leans on the backend contract that
+/// `modify` redelivers a still-true readiness condition, so a backlog
+/// that filled while throttled surfaces as a fresh event.
+pub(crate) fn shard_loop<E: Env>(shard: &mut Shard<E>, lifecycle: &LifecycleShared) {
     let mut events: Vec<Event> = Vec::new();
-    let mut completed: Vec<usize> = Vec::new();
-    let mut expired: Vec<u64> = Vec::new();
-    // Whether the listener's READ interest is currently armed in the
-    // backend (registered armed by Server::start).
-    let mut listener_armed = true;
     // The drain deadline, captured once when the shard observes the
     // draining phase (begin_drain stores it before flipping the
     // phase, so it is always visible here).
@@ -1098,7 +1417,7 @@ fn shard_loop(
                 // generation holding inherited handoff dups keeps the
                 // kernel socket (and its backlog) alive; without one,
                 // fresh binds now fully own the port.
-                if let Some(l) = listener.take() {
+                if let Some(l) = shard.listener.take() {
                     // An explicit DEL, before the close: the handoff
                     // dup (and, on a shared socket, every sibling's
                     // descriptor) keeps the open file description — and
@@ -1106,13 +1425,13 @@ fn shard_loop(
                     bump(&shard.core.stats.ctl_calls);
                     let _ = shard.backend.deregister(l.as_raw_fd());
                 }
-                listener_armed = false;
+                shard.listener_armed = false;
                 shard.enter_drain();
             }
             _ => {}
         }
         if shard.core.draining
-            && (shard.live() == 0 || drain_deadline.is_some_and(|d| Instant::now() >= d))
+            && (shard.live() == 0 || drain_deadline.is_some_and(|d| shard.now() >= d))
         {
             // Drained clean — or the deadline severs whatever is left.
             return shard.exit();
@@ -1129,7 +1448,7 @@ fn shard_loop(
             // The table binds names under the old root — or, on a
             // SIGHUP to the same root, names the operator has just
             // asked to have looked at again.
-            shard.port.files.clear();
+            shard.port.env.clear_files();
             // A docroot reload is also a log boundary: reopen so a
             // rotation bundled with the SIGHUP takes effect here too.
             if let Some(w) = shard.access_log.as_mut() {
@@ -1145,185 +1464,18 @@ fn shard_loop(
                 w.reopen();
             }
         }
-        // Sleep until the next wheel tick could expire something; with
-        // nothing armed, block — new work always arrives as a wake
-        // byte or a readiness event. A throttled listener with room to
-        // re-arm (the EMFILE case: headroom can return without any
-        // local readiness edge) bounds the wait to a retry cadence on
-        // top of whatever the wheel asks for.
-        let mut wait_ms = shard.wheel.next_timeout_ms(Instant::now()).unwrap_or(-1);
-        if listener.is_some()
-            && !listener_armed
-            && !shard.core.draining
-            && shard.live() < shard.max_conns
-            && !(0..=ACCEPT_RETRY_MS).contains(&wait_ms)
-        {
-            wait_ms = ACCEPT_RETRY_MS;
-        }
-        // While draining, never sleep past the drain deadline — the
-        // severing check above must run when it lands even if every
-        // remaining connection is quietly mid-transfer.
-        if let Some(d) = drain_deadline {
-            let left = d
-                .saturating_duration_since(Instant::now())
-                .as_millis()
-                .min(i32::MAX as u128) as i32;
-            let left = left.max(1);
-            if wait_ms < 0 || wait_ms > left {
-                wait_ms = left;
-            }
-        }
-        let wait_begin = Instant::now();
-        if shard.backend.wait(&mut events, wait_ms).is_err() {
+        let timeout_ms = shard.wait_timeout(drain_deadline);
+        let Ok(start) = shard.wait(&mut events, timeout_ms) else {
             continue;
-        }
-        // Everything from here to the bottom of the loop is non-wait
-        // time — the span the stall watchdog measures, phase by phase.
-        let loop_start = Instant::now();
-        shard.core.stats.phase_wait_us.fetch_add(
-            loop_start.duration_since(wait_begin).as_micros() as u64,
-            Ordering::Relaxed,
-        );
-        let mut mark = loop_start;
-        shard.core.stats.wait_calls.fetch_add(1, Ordering::Relaxed);
-        shard
-            .core
-            .stats
-            .wait_events
-            .fetch_add(events.len() as u64, Ordering::Relaxed);
-        let mut accept_ready = false;
-        if events.iter().any(|e| e.token == WAKE_TOKEN) {
-            // Drain the pipe completely (edge-triggered: this event
-            // may be the only notification for any number of bytes),
-            // by the rule connections read by: a short read emptied it
-            // — one `read` per wake, wake bytes being coalesced.
-            let mut sink = [0u8; 256];
-            while matches!(wake_rx.read(&mut sink), Ok(n) if n == sink.len()) {}
-            // Clear the coalescing flag *before* draining the queues:
-            // anything enqueued after this point writes a fresh wake
-            // byte, so completions cannot be lost.
-            wake.pending.store(false, Ordering::Release);
-            completed.clear();
-            while let Ok(reply) = done_rx.try_recv() {
-                let done = match reply {
-                    Reply::Done(done) => done,
-                    // What it can do at once — open the exchanges that
-                    // were waiting for it — it does here; what that
-                    // answers is applied by this turn's sweep.
-                    Reply::Spawned(worker) => {
-                        if let Some(workers) = shard.port.workers.as_mut() {
-                            workers.adopt(worker, &mut *shard.backend);
-                        }
-                        continue;
-                    }
-                };
-                shard.core.complete_job(
-                    done,
-                    &mut shard.conns,
-                    &mut completed,
-                    &mut shard.port,
-                    Instant::now(),
-                );
-                // A stale entry's re-stat just came back changed and
-                // the requeued load was answered from memory.
-                complete_inline(
-                    &mut shard.core,
-                    &mut shard.port,
-                    &mut shard.conns,
-                    &mut completed,
-                );
-            }
-            lap(&shard.core.stats.phase_completions_us, &mut mark);
-            // Completions flipped their waiters to Writing with the
-            // socket unarmed; drive them now — the socket is almost
-            // always writable, so the common case finishes here
-            // without ever arming write interest.
-            for idx in completed.drain(..) {
-                shard.drive(idx);
-            }
-            lap(&shard.core.stats.phase_respond_us, &mut mark);
-        }
-        for ev in &events {
-            if ev.token == WAKE_TOKEN {
-                continue;
-            }
-            if ev.token == LISTENER_TOKEN {
-                // Drained below, after existing connections are
-                // serviced and expiries may have freed slots.
-                accept_ready = true;
-                continue;
-            }
-            // (The wake-pipe drain above can close a connection and
-            // let its slot be reused by a new stream; `on_event` drops
-            // an event that describes the *old* registration.)
-            shard.on_event(ev);
-        }
-        lap(&shard.core.stats.phase_read_us, &mut mark);
-        // Expire deadlines last: anything the drives above just
-        // re-armed is already accounted for (single-threaded, so the
-        // wheel is exactly consistent with the connection table here).
-        shard.wheel.expire(Instant::now(), &mut expired);
-        for token in expired.drain(..) {
-            shard.expire(token);
-        }
-        lap(&shard.core.stats.phase_timers_us, &mut mark);
-        // Accept last: the drives and expiries above may have freed
-        // slots, so the gate decision below sees this iteration's
-        // final occupancy.
-        // (`listener` is already `None` by drain entry, so a draining
-        // shard can neither re-arm nor accept here.)
-        if let Some(l) = &listener {
-            if !listener_armed && shard.live() < shard.max_conns {
-                // Re-arm: `modify` redelivers a still-pending backlog
-                // as a fresh readiness event (ET contract), and the
-                // level-triggered backend re-reports it on the next
-                // wait — either way the accepts resume without a new
-                // connection having to arrive.
-                bump(&shard.core.stats.ctl_calls);
-                if shard
-                    .backend
-                    .modify(l.as_raw_fd(), LISTENER_TOKEN, Interest::READ)
-                    .is_ok()
-                {
-                    listener_armed = true;
-                }
-            } else if accept_ready && listener_armed {
-                listener_armed = shard.drain_accepts(l);
-            }
-        }
-        lap(&shard.core.stats.phase_accept_us, &mut mark);
-        shard.sweep_workers();
-        // Flush this iteration's access records in one append, then
-        // close the watchdog ledger: everything since the wait
-        // returned was time the event loop spent NOT listening — the
-        // one quantity AMPED exists to keep small.
-        shard.flush_access_log();
-        let busy = Instant::now().duration_since(loop_start);
-        shard
-            .core
-            .stats
-            .loop_stall_max_us
-            .fetch_max(busy.as_micros() as u64, Ordering::Relaxed);
-        if busy >= LOOP_STALL_THRESHOLD {
-            shard.core.stats.loop_stalls.fetch_add(1, Ordering::Relaxed);
-        }
+        };
+        shard.turn(&events, start);
+        E::after_turn(shard);
     }
 }
 
 /// One more of whatever `counter` counts.
-fn bump(counter: &std::sync::atomic::AtomicU64) {
+fn bump(counter: &AtomicU64) {
     counter.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Adds the time since `*mark` to `counter` and advances the mark —
-/// the per-phase ledger behind the event-loop stall watchdog.
-fn lap(counter: &std::sync::atomic::AtomicU64, mark: &mut Instant) {
-    let now = Instant::now();
-    counter.fetch_add(
-        now.duration_since(*mark).as_micros() as u64,
-        Ordering::Relaxed,
-    );
-    *mark = now;
 }
 
 #[cfg(test)]
@@ -1331,25 +1483,27 @@ mod tests {
     use super::*;
     use crate::cache::Entry;
     use crate::event::BackendChoice;
-    use std::io::Write;
     use std::net::Shutdown;
-    use std::sync::atomic::AtomicU64;
 
     const BACKENDS: [BackendChoice; 2] = [BackendChoice::Epoll, BackendChoice::Poll];
     const BODY: &[u8] = b"<html>budget</html>";
     const GET_10: &[u8] = b"GET /index.html HTTP/1.0\r\n\r\n";
     const GET_11: &[u8] = b"GET /index.html HTTP/1.1\r\nHost: t\r\n\r\n";
 
-    /// A shard driven by hand — no loop, no threads — over a listener
-    /// of its own, with `/index.html` already in its cache so every
-    /// request is a hit (no helper pool stands behind the job queue).
-    /// Over loopback a client's `connect`, `write` and `shutdown` have
-    /// reached the server's socket by the time they return, which is
-    /// what lets the syscall counts below be exact.
+    /// A shard built as `Server::start` builds one and turned by hand
+    /// — no loop, no threads — over a listener of its own, with
+    /// `/index.html` already in its cache so every request is a hit (no
+    /// helper pool stands behind the job queue). Over loopback a
+    /// client's `connect`, `write` and `shutdown` have reached the
+    /// server's socket by the time they return, which is what lets the
+    /// syscall counts below be exact.
     struct Rig {
-        shard: Shard,
-        listener: TcpListener,
+        shard: Shard<NetEnv>,
+        addr: SocketAddr,
         events: Vec<Event>,
+        /// Keeps the wake pipe's write end open: a closed one would
+        /// read as an event on every wait.
+        _wake: WakeHandle,
     }
 
     /// The four counted syscall families, in the order
@@ -1362,7 +1516,7 @@ mod tests {
         }
 
         /// A rig serving `docroot` through a `cache_bytes` content
-        /// cache and an open-file table of 64.
+        /// cache.
         fn over(choice: BackendChoice, docroot: PathBuf, cache_bytes: u64) -> Rig {
             let mut cfg = NetConfig::new(docroot);
             cfg.cache_revalidate_ttl = None;
@@ -1370,9 +1524,17 @@ mod tests {
         }
 
         fn with(choice: BackendChoice, cfg: &NetConfig, cache_bytes: u64) -> Rig {
-            let backend = new_backend(choice);
+            let cfg = NetConfig {
+                backend: choice,
+                cache_bytes,
+                event_loops: 1,
+                ..cfg.clone()
+            };
+            let listener = sock::bind_listener("127.0.0.1:0".parse().unwrap(), false).unwrap();
+            let addr = listener.local_addr().unwrap();
             let jobs = JobQueue::new(1);
-            let mut shard = Shard::new(0, cache_bytes, 64, Arc::default(), jobs, backend, cfg);
+            let (mut shard, wake, _) =
+                net_shard(0, &cfg, &Arc::default(), &jobs, listener).unwrap();
             let entry = Entry::build("/index.html", BODY.to_vec());
             assert!(shard
                 .core
@@ -1380,14 +1542,15 @@ mod tests {
                 .insert_at("/index.html".into(), entry, Instant::now()));
             Rig {
                 shard,
-                listener: sock::bind_listener("127.0.0.1:0".parse().unwrap(), false).unwrap(),
+                addr,
                 events: Vec::new(),
+                _wake: wake,
             }
         }
 
         /// A client whose connection sits in the listener's backlog.
         fn connect(&self) -> TcpStream {
-            let client = TcpStream::connect(self.listener.local_addr().unwrap()).unwrap();
+            let client = TcpStream::connect(self.addr).unwrap();
             client
                 .set_read_timeout(Some(Duration::from_secs(5)))
                 .unwrap();
@@ -1398,18 +1561,16 @@ mod tests {
         /// so its first drive read `EAGAIN` and registered it.
         fn connect_parked(&mut self) -> TcpStream {
             let client = self.connect();
-            assert!(self.shard.drain_accepts(&self.listener));
+            assert!(self.shard.drain_accepts());
             client
         }
 
-        /// One turn of the shard loop: a `wait`, then the per-event arm
-        /// for everything it returned. Returns the number of events.
+        /// One turn of the shard loop: a `wait`, then the shipped turn
+        /// over everything it returned. Returns the number of events.
         fn turn(&mut self) -> usize {
-            let n = self.shard.backend.wait(&mut self.events, 5_000).unwrap();
-            for ev in &self.events {
-                self.shard.on_event(ev);
-            }
-            n
+            let start = self.shard.wait(&mut self.events, 5_000).unwrap();
+            self.shard.turn(&self.events, start);
+            self.events.len()
         }
 
         /// Turns until no connection is left; returns how many it took.
@@ -1497,7 +1658,7 @@ mod tests {
             let registered = rig.shard.backend.registered();
             let mut client = rig.connect();
             client.write_all(GET_10).unwrap();
-            assert!(rig.shard.drain_accepts(&rig.listener));
+            assert!(rig.shard.drain_accepts());
             read_last_response(client);
             assert_eq!(rig.counts(), (2, 1, 1, 0), "{choice:?}");
             assert_eq!(rig.shard.backend.registered(), registered);
@@ -1516,7 +1677,7 @@ mod tests {
             let registered = rig.shard.backend.registered();
             let mut client = rig.connect();
             client.write_all(GET_11).unwrap();
-            assert!(rig.shard.drain_accepts(&rig.listener));
+            assert!(rig.shard.drain_accepts());
             read_response(&mut client);
             for _ in 0..2 {
                 client.write_all(GET_11).unwrap();
@@ -1554,12 +1715,12 @@ mod tests {
                 let mut rig = Rig::new(choice);
                 let mut client = rig.connect();
                 if !queued_before_accept {
-                    assert!(rig.shard.drain_accepts(&rig.listener));
+                    assert!(rig.shard.drain_accepts());
                 }
                 client.write_all(GET_11).unwrap();
                 client.shutdown(Shutdown::Write).unwrap();
                 if queued_before_accept {
-                    assert!(rig.shard.drain_accepts(&rig.listener));
+                    assert!(rig.shard.drain_accepts());
                 }
                 assert_eq!((rig.shard.live(), rig.counts().3), (1, 1), "{what}");
 
@@ -1592,9 +1753,9 @@ mod tests {
         /// Plays the helper the shard asked for a worker: forks one and
         /// hands it over, as the wake branch of the loop would.
         fn adopt_worker(&mut self, command: &[String]) {
-            let worker = crate::appworker::Worker::spawn(command, false);
+            let worker = Worker::spawn(command, false);
             let workers = self.shard.port.workers.as_mut().unwrap();
-            workers.adopt(worker, &mut *self.shard.backend);
+            workers.adopt(worker, &mut *self.shard.backend, &mut self.shard.port.env);
         }
 
         fn dynamic_counts(&self) -> (u64, u64, u64) {
@@ -1624,7 +1785,7 @@ mod tests {
                 .unwrap();
             // Read and dispatched, to a set with no worker yet: the one
             // job of this test the pool is asked to do is the fork.
-            assert!(rig.shard.drain_accepts(&rig.listener));
+            assert!(rig.shard.drain_accepts());
             assert_eq!(rig.dynamic_counts(), (0, 1, 0), "{choice:?}");
             let registered = rig.shard.backend.registered();
             rig.adopt_worker(&command);
@@ -1640,7 +1801,6 @@ mod tests {
                 assert_eq!(rig.turn(), 1, "the client's request");
                 assert_eq!(rig.turn(), 1, "the worker's answer");
                 read_response_with(&mut client, DYNAMIC_BODY);
-                rig.shard.sweep_workers();
             }
             let after = rig.counts();
             assert_eq!(
@@ -1672,7 +1832,7 @@ mod tests {
             client
                 .write_all(b"GET /app/big HTTP/1.1\r\nHost: t\r\n\r\n")
                 .unwrap();
-            assert!(rig.shard.drain_accepts(&rig.listener));
+            assert!(rig.shard.drain_accepts());
             rig.adopt_worker(&command);
             client.set_nonblocking(true).unwrap();
             let io = |rig: &Rig| rig.dynamic_counts().0;
@@ -1717,7 +1877,7 @@ mod tests {
             client
                 .write_all(b"GET /app/wedge HTTP/1.1\r\nHost: t\r\n\r\n")
                 .unwrap();
-            assert!(rig.shard.drain_accepts(&rig.listener));
+            assert!(rig.shard.drain_accepts());
             rig.adopt_worker(&command);
             assert_eq!(rig.shard.backend.registered(), registered + 2);
             // The turn in which the dynamic deadline fires.
@@ -1736,14 +1896,13 @@ mod tests {
             client
                 .write_all(b"GET /app/chatty HTTP/1.1\r\nHost: t\r\n\r\n")
                 .unwrap();
-            assert!(rig.shard.drain_accepts(&rig.listener));
+            assert!(rig.shard.drain_accepts());
             rig.adopt_worker(&command);
             // The answer, and — in that read or in one of its own —
             // what the worker had no business adding.
             while rig.dynamic_counts().2 == 0 {
                 assert!(rig.turn() > 0, "{choice:?}: the worker stayed silent");
             }
-            rig.shard.sweep_workers();
             read_response_with(&mut client, DYNAMIC_BODY);
             assert_eq!(rig.shard.backend.registered(), registered + 1, "{choice:?}");
         }
@@ -1784,7 +1943,7 @@ mod tests {
                     let req = format!("GET /f{i}.html HTTP/1.1\r\nHost: t\r\n\r\n");
                     client.write_all(req.as_bytes()).unwrap();
                     if pass + i == 0 {
-                        assert!(rig.shard.drain_accepts(&rig.listener));
+                        assert!(rig.shard.drain_accepts());
                     } else {
                         assert_eq!(rig.turn(), 1);
                     }

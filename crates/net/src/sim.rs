@@ -1,35 +1,48 @@
-//! The **deterministic simulation driver** for the sans-IO protocol
-//! core in [`crate::conn`]: the same `ShardCore`/`Conn` state machine
-//! the real event loop runs, bound to in-memory endpoints, a simulated
-//! clock ([`flash_simcore::EventQueue`]), and a seeded RNG
-//! ([`flash_simcore::SimRng`]) — so millions of connections replay in
-//! seconds of wall time, **bit-for-bit reproducibly**: the same seed
-//! produces the same [`SimReport`], fingerprint included.
+//! The **deterministic simulation** of one shard: the shipped loop
+//! ([`crate::server`]'s `shard_loop` and `Shard::turn`, the same code a
+//! real shard thread runs) over a **simulated kernel** — in-memory
+//! endpoints, a simulated clock ([`flash_simcore::EventQueue`]) and a
+//! seeded RNG ([`flash_simcore::SimRng`]) — so hundreds of thousands of
+//! connections replay in seconds of wall time, **bit-for-bit
+//! reproducibly**: the same seed produces the same [`SimReport`],
+//! fingerprint included.
 //!
-//! What the sim injects that loopback tests cannot (not reliably, not
-//! on demand, and never twice the same way):
+//! The sim is not a driver. It supplies the shard's environment
+//! (`server::Env`) at the seams where the real server makes system
+//! calls:
 //!
-//! * **partial writes** — the peer's receive window opens a few dozen
-//!   bytes at a time, landing every flush mid-iovec and mid-`sendfile`;
-//! * **trickled headers** — request bytes dribble in 1–4 byte chunks,
-//!   walking a slowloris straight into the header-read deadline;
-//! * **disk stalls and wedged helpers** — job completions delayed past
-//!   the helper-wait deadline, so waiters are reaped, jobs cancelled,
-//!   and late completions must die on the token gate;
-//! * **resident and non-resident files side by side** — a seeded
-//!   fraction of jobs is answered by the residency test in the tick
-//!   that dispatched them, the rest by a latency-delayed helper;
-//! * **EMFILE storms** — accepts that fail and retry, exercising the
-//!   backpressure path;
-//! * **mid-run reloads and a final drain** — epoch bumps with jobs in
-//!   flight (stale-epoch completions must serve waiters but never
-//!   populate the fresh cache) and a drain that must terminate.
+//! * **readiness** — `SimBackend`, an [`EventBackend`] with epoll's
+//!   edge-triggered semantics, whose `wait` advances the calendar to
+//!   the next event or to the timeout the shard's timing wheel asked
+//!   for, and reports the edges in-memory endpoints raised;
+//! * **the transport** — `SimFd` as a connection: its inbox (filled on
+//!   the client's script), its receive window (a refill is a writable
+//!   edge) and the capture of everything sent;
+//! * **accept** — a listener whose backlog fills on the seeded arrival
+//!   schedule, and whose accept can fail with `EMFILE`;
+//! * **the worker endpoint** — `SimFd` as a worker's socket: a
+//!   `DynApp` model that writes real `DATA`/`END` frames over simulated
+//!   time, read by the shard's own worker set and frame parser;
+//! * **the helpers** — the residency test's answer and helper
+//!   completions delivered on simulated time through the same reply
+//!   queue and wake token the pool uses.
 //!
-//! After every event (configurable cadence at scale) the harness runs
-//! [`ShardCore::check_invariants`]: no leaked slots or waiter
-//! registrations, waiters ⇔ pending-jobs bijection, every armed
-//! deadline tracked by the wheel. A run that violates an invariant,
-//! livelocks (fuel exhausted), or strands a connection returns `Err`.
+//! Mid-run reloads and the final drain reach the shard through the
+//! shared lifecycle state (`LifecycleShared`), the way signals reach
+//! the real server. What the sim injects that loopback tests cannot
+//! (not reliably, not on demand, and never twice the same way) is the
+//! [`FaultPlan`]: partial writes,
+//! trickled headers, disk stalls and wedged helpers, EMFILE storms,
+//! crashing, wedged and garbling workers, half-closing and resetting
+//! clients.
+//!
+//! After every loop turn (configurable cadence at scale) the sim runs
+//! the core's invariant check
+//! ([`crate::conn::ShardCore::check_invariants`]):
+//! no leaked slots or waiter registrations, waiters ⇔ pending-jobs
+//! bijection, every armed deadline tracked by the wheel, the wheel's
+//! stale entries bounded. A run that violates an invariant, livelocks
+//! (fuel exhausted), or strands a connection returns `Err`.
 //!
 //! Determinism rules: the only wall-clock value in the response stream
 //! is the `Date` header (rendered by `flash_http::date` from real
@@ -39,31 +52,31 @@
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::io;
+use std::io::{self, Read, Write};
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use flash_core::{FileKind, FileSpec};
-use flash_simcore::time::{Nanos, SimTime, MILLI, SEC};
+use flash_simcore::time::{Nanos, MILLI, SEC};
 use flash_simcore::{EventQueue, SimRng};
 use flash_workload::Zipf;
 
 use crate::cache::{self, Variant};
-use crate::conn::machine::{sync_deadline, Conn, ConnState};
-use crate::conn::{
-    ConnIo, Done, DoneData, Drive, DynEvent, FileData, HelperJob, HelperPort, JobKind, LoadResult,
-    ProtoConfig, ShardCore, ShardStats,
-};
+use crate::config::NetConfig;
+use crate::conn::{ConnIo, DoneData, FileData, HelperJob, JobKind, LoadResult};
+use crate::event::{BackendKind, Event, EventBackend, Interest};
+use crate::lifecycle::LifecycleShared;
+use crate::pool::{Reply, Work};
+use crate::server::{shard_loop, Env, Shard, LISTENER_TOKEN, WAKE_TOKEN};
 use crate::stats::HistSummary;
-use crate::timer::TimerWheel;
 
 /// Fault-injection probabilities, all independent. `none()` is a
 /// clean-network baseline; [`FaultPlan::heavy`] is the CI setting.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     /// Per-connection: request bytes arrive in 1–4 byte chunks with
     /// millisecond gaps (slowloris; many die on the header deadline).
@@ -76,27 +89,34 @@ pub struct FaultPlan {
     pub disk_stall: f64,
     /// Per-job: completion delayed 5 s (a wedged helper; the late
     /// completion must be dropped by cancel flag or token mismatch).
+    /// Per-exchange: the worker never answers (the dynamic deadline
+    /// answers `504` and the worker is retired).
     pub wedge: f64,
-    /// Per-accept: the accept fails (EMFILE storm) and is retried.
+    /// Per-accept: the accept fails with `EMFILE`; the shard backs off.
     pub emfile: f64,
-    /// Per-dynamic-exchange: the application worker crashes mid-body —
-    /// some chunks arrive, then an unclean end (no chunked terminator
-    /// on the wire) and a worker respawn.
+    /// Per-exchange: the application worker exits mid-body — some
+    /// frames, then end of stream (no chunked terminator on the wire)
+    /// and a worker respawn.
     pub worker_crash: f64,
+    /// Per-connection: the client leaves out `Connection: close` and
+    /// half-closes behind its last request instead (`Ok(0)`, with the
+    /// hang-up on the event); a quarter of them close in the middle of
+    /// that request, which then gets nothing.
+    pub half_close: f64,
+    /// Per-connection: the client resets after the first 64–4 160
+    /// response bytes reach it; the next send fails.
+    pub client_reset: f64,
+    /// Per-exchange: the worker writes a line that is not a frame,
+    /// before its first frame (a `500`) or after one (a truncated
+    /// stream), and is retired.
+    pub worker_garbage: f64,
 }
 
 impl FaultPlan {
     /// No faults: every byte arrives promptly, every window is wide,
-    /// every helper answers fast.
+    /// every helper and worker answers fast.
     pub fn none() -> FaultPlan {
-        FaultPlan {
-            trickle: 0.0,
-            partial_write: 0.0,
-            disk_stall: 0.0,
-            wedge: 0.0,
-            emfile: 0.0,
-            worker_crash: 0.0,
-        }
+        FaultPlan::default()
     }
 
     /// The fault mix the CI replay runs under.
@@ -108,6 +128,9 @@ impl FaultPlan {
             wedge: 0.01,
             emfile: 0.02,
             worker_crash: 0.03,
+            half_close: 0.05,
+            client_reset: 0.03,
+            worker_garbage: 0.03,
         }
     }
 }
@@ -118,8 +141,8 @@ impl FaultPlan {
 pub struct SimConfig {
     pub seed: u64,
     pub connections: u64,
-    /// Admission cap (the sim's `max_conns_per_shard`); opens beyond
-    /// it are backpressured and retried.
+    /// The shard's `max_conns_per_shard`: arrivals beyond it wait in
+    /// the listener's backlog.
     pub max_concurrent: usize,
     /// Content-cache budget — deliberately small so eviction and
     /// re-load churn under Zipf traffic.
@@ -127,8 +150,8 @@ pub struct SimConfig {
     /// Bodies at or above this stream through the simulated
     /// `sendfile` path instead of the cache.
     pub sendfile_threshold: u64,
-    /// Run the full invariant check every N events (0 = only at
-    /// reloads, drain, and end). Small runs use 1; CI-scale uses ~512.
+    /// Run the full invariant check after every N loop turns (0 = only
+    /// at the end). Small runs use 1; CI-scale uses ~512.
     pub check_every: u64,
     /// Mean open-to-open gap in simulated nanoseconds.
     pub interarrival_nanos: Nanos,
@@ -143,15 +166,14 @@ pub struct SimConfig {
     /// steering negotiation onto the simulated `.gz` siblings.
     pub gzip_fraction: f64,
     /// Per-filesystem-job fraction the simulated residency test
-    /// answers: the job completes in the tick that dispatched it —
-    /// same [`ShardCore::complete_job`], no helper latency, no fault —
-    /// as the real driver does for a file already in memory. The rest
-    /// go to the simulated helper pool.
+    /// answers: the job completes in the turn that dispatched it, as
+    /// the real shard's does for a file already in memory. The rest go
+    /// to the simulated helpers.
     pub resident_fraction: f64,
     /// Per-request fraction routed to the dynamic tier (a simulated
     /// application endpoint under [`DYN_PREFIX`], streamed back as
     /// chunked frames — the [`flash_core::FileKind::Cgi`] workload
-    /// model replayed through the shard's streaming plane).
+    /// model replayed through the shard's worker set).
     pub dynamic_fraction: f64,
     /// Mean of the exponential jitter added to each simulated
     /// application's fixed per-request compute time.
@@ -188,7 +210,7 @@ impl SimConfig {
 /// equal — that comparison IS the determinism test.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimReport {
-    /// Connections admitted (== `SimConfig::connections` on success).
+    /// Connections accepted (== `SimConfig::connections` on success).
     pub connections: u64,
     /// Responses completed (any status).
     pub requests: u64,
@@ -197,10 +219,15 @@ pub struct SimReport {
     /// Order-sensitive FNV fold of every connection's full response
     /// stream (Date headers scrubbed — the one wall-clock leak).
     pub fingerprint: u64,
+    /// Connections closed without a response byte sent.
+    pub unanswered: u64,
+    /// `500 Internal Server Error` status lines sent.
+    pub server_errors: u64,
     pub cache_hits: u64,
     pub helper_jobs: u64,
-    /// The subset of `helper_jobs` completed in their dispatching tick
-    /// ([`SimConfig::resident_fraction`]).
+    /// The subset of `helper_jobs` the shard ran itself: resident
+    /// files ([`SimConfig::resident_fraction`]) and exchanges on its
+    /// own workers.
     pub inline_jobs: u64,
     pub jobs_cancelled: u64,
     pub helper_wait_timeouts: u64,
@@ -216,18 +243,15 @@ pub struct SimReport {
     pub stale_evicted: u64,
     pub drained_conns: u64,
     pub accept_backpressure: u64,
-    /// Dynamic-tier traffic: requests routed to the worker pool, the
-    /// 504s/severs its silence deadline produced, and the worker
-    /// respawns (crashes, plus kills of wedged/cancelled exchanges).
+    /// Dynamic-tier traffic: requests routed to the workers, the
+    /// 504s/severs their silence deadline produced, and the worker
+    /// respawns (crashes, garbage, kills of cancelled exchanges).
     pub dynamic_requests: u64,
     pub dynamic_timeouts: u64,
     pub worker_respawns: u64,
     /// Mid-run docroot reloads applied (epoch bumps).
     pub reloads: u64,
-    /// Connection-lifetime percentiles, simulated nanoseconds.
-    pub p50_conn_nanos: u64,
-    pub p99_conn_nanos: u64,
-    /// Simulated instant the last event fired.
+    /// Simulated instant the shard's loop returned.
     pub sim_elapsed_nanos: u64,
     /// Calendar events processed.
     pub events: u64,
@@ -263,44 +287,49 @@ pub fn body_byte(id: u32, offset: u64) -> u8 {
         % 251) as u8
 }
 
-/// The gzip twin of an identity file id — high bit set, so
-/// [`body_byte`] streams a distinct (still deterministic) sequence for
-/// the compressed representation.
-pub fn gz_id(id: u32) -> u32 {
-    id | 0x8000_0000
-}
-
 /// The simulated `.gz` sibling of an identity file, if the docroot
 /// "has one": every third file is precompressed, ~2/3 the identity
 /// length (so siblings land on both sides of the sendfile threshold
-/// too) and slightly newer. A pure function of the identity file —
+/// too) and slightly newer. Its id is the identity file's with the
+/// high bit set, so [`body_byte`] streams a distinct (still
+/// deterministic) sequence for the compressed representation. A pure function of the identity file —
 /// part of the per-seed determinism contract.
 pub fn gzip_sibling(f: &SimFile) -> Option<SimFile> {
     if f.id & 0x8000_0000 != 0 || !f.id.is_multiple_of(3) {
         return None;
     }
     Some(SimFile {
-        id: gz_id(f.id),
+        id: f.id | 0x8000_0000,
         len: (f.len * 2 / 3).max(1),
         mtime: f.mtime + 7,
     })
 }
 
 /// The URL namespace the sim routes to its dynamic tier (the
-/// `ProtoConfig::dynamic_prefix` every simulated shard runs with).
+/// `dynamic_prefix` the simulated shard runs with).
 pub const DYN_PREFIX: &str = "/app/";
 
 /// One simulated application endpoint — the sim's realization of the
 /// workload model's [`FileKind::Cgi`] `{ compute_ns, output_bytes }`:
 /// a fixed per-request compute time and a deterministic response body
-/// streamed back as chunked frames.
-#[derive(Debug, Clone)]
+/// its worker writes back as `DATA` frames.
+#[derive(Debug, Clone, Copy)]
 struct DynApp {
     /// Body-byte id-space with the top two bits set — never collides
     /// with static file ids or their gzip twins.
     id: u32,
     compute_ns: Nanos,
     output_bytes: u64,
+}
+
+impl DynApp {
+    fn new(id: u32, compute_ns: Nanos, output_bytes: u64) -> DynApp {
+        DynApp {
+            id,
+            compute_ns,
+            output_bytes,
+        }
+    }
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -311,316 +340,455 @@ fn fnv(h: u64, b: u8) -> u64 {
 }
 
 /// Blanks the 29-byte IMF-fixdate value after every `Date: ` in place
-/// — the only wall-clock bytes in a response stream.
-fn scrub_dates(buf: &mut [u8]) {
+/// — the only wall-clock bytes in a response stream, cut short when
+/// the client went away mid-header — and counts the `500` status lines
+/// on the way.
+fn scrub_dates(buf: &mut [u8]) -> u64 {
     const PAT: &[u8] = b"Date: ";
     const VAL: usize = flash_http::date::IMF_FIXDATE_LEN;
-    let mut i = 0;
-    while i + PAT.len() + VAL <= buf.len() {
-        if &buf[i..i + PAT.len()] == PAT {
-            for b in &mut buf[i + PAT.len()..i + PAT.len() + VAL] {
-                *b = b'#';
-            }
-            i += PAT.len() + VAL;
+    const ERR: &[u8] = b"HTTP/1.1 500 ";
+    let (mut i, mut errors) = (0, 0);
+    while i < buf.len() {
+        if buf[i..].starts_with(PAT) {
+            let end = buf.len().min(i + PAT.len() + VAL);
+            buf[i + PAT.len()..end].fill(b'#');
+            i = end;
         } else {
+            errors += u64::from(buf[i..].starts_with(ERR));
             i += 1;
         }
     }
+    errors
 }
 
-/// What one connection transmitted, shared between its [`SimIo`] (which
-/// appends) and the driver's slot table (which outlives the `Conn` —
-/// the state machine closes slots internally, and the response stream
-/// must survive that close to be fingerprinted).
-#[derive(Clone)]
-struct Capture {
-    opened_at: SimTime,
-    /// The `writev` stream verbatim (headers + small bodies).
-    bytes: Vec<u8>,
-    /// Running FNV over the `sendfile` stream (never buffered — large
-    /// bodies carry no headers, so no scrubbing is needed).
+/// The simulated kernel, shared by every handle the shard holds on it:
+/// its environment, its backend, and the descriptors of its listener,
+/// connections and workers. The loop is single-threaded, so the handles
+/// borrow it one call at a time.
+type K = Rc<RefCell<Kernel>>;
+
+/// The descriptor of the shard's wake channel.
+const WAKE_FD: RawFd = 0;
+/// The descriptor of the shard's listener.
+const LISTEN_FD: RawFd = 1;
+/// The drain's grace: longer than any fault keeps a connection open,
+/// so a drain that reaches it has stranded a connection.
+const DRAIN_GRACE: Duration = Duration::from_secs(10);
+/// The shard's worker ceiling (`NetConfig::helpers`): room for every
+/// exchange the default dynamic fraction keeps in flight.
+const SIM_WORKERS: usize = 64;
+/// Body bytes per `DATA` frame a simulated worker writes.
+const FRAME: u64 = 1024;
+
+/// The calendar's event alphabet. Descriptors are never reused, so an
+/// event for one closed since finds nothing and is dropped.
+enum Ev {
+    /// The next planned connection reaches the listener's backlog.
+    Open,
+    /// The next chunk of a peer's script arrives.
+    Arrive(RawFd),
+    /// A client's receive window opens by this many bytes.
+    Refill(RawFd, usize),
+    /// A helper job's completion lands in the reply queue.
+    HelperDone(HelperJob),
+    /// A helper has forked the worker the shard asked for.
+    Spawned,
+    /// The end of a wait's timeout.
+    Tick,
+    /// Every planned connection has arrived: the shard is drained.
+    BeginDrain,
+}
+
+/// A simulated socket, seen from the shard: what its peer — a client,
+/// or an application worker — has sent and the shard not yet read, and
+/// what the peer sends next; for a client, also its receive window and
+/// the capture of what the shard sent it.
+#[derive(Default)]
+struct Sock {
+    worker: bool,
+    inbox: VecDeque<u8>,
+    /// The peer has closed its end: reads return `Ok(0)` once `inbox`
+    /// is dry.
+    eof: bool,
+    /// The peer's next chunks: (delay before the chunk, bytes).
+    script: VecDeque<(Nanos, Vec<u8>)>,
+    /// The peer closes behind its last chunk: a client's half-close,
+    /// a worker's crash.
+    eof_after: bool,
+    window: usize,
+    refill_pending: bool,
+    /// Window refills stay tiny for this connection's whole life.
+    partial: bool,
+    /// The client resets once this many response bytes reached it.
+    reset_at: Option<u64>,
+    /// What the shard sent a client, kept until it closes and its
+    /// stream is fingerprinted: the `writev` stream verbatim (headers
+    /// and small bodies), and a running FNV over the `sendfile` stream
+    /// (never buffered — large bodies carry no headers to scrub).
+    sent: Vec<u8>,
     body_hash: u64,
     body_bytes: u64,
 }
 
-impl Capture {
-    fn new(opened_at: SimTime) -> Capture {
-        Capture {
-            opened_at,
-            bytes: Vec::new(),
-            body_hash: FNV_OFFSET,
-            body_bytes: 0,
-        }
+impl Sock {
+    fn received(&self) -> u64 {
+        self.sent.len() as u64 + self.body_bytes
+    }
+
+    fn reset(&self) -> bool {
+        self.reset_at.is_some_and(|at| self.received() >= at)
     }
 }
 
-/// The simulated transport: an inbox the driver fills from the
-/// connection's arrival script, a receive window the driver refills
-/// (tiny refills = the partial-write fault), and the shared capture.
-pub struct SimIo {
-    uid: u32,
-    inbox: VecDeque<u8>,
-    window: usize,
-    refill_pending: bool,
-    /// Remaining request chunks: (delay before this chunk, bytes).
-    script: VecDeque<(Nanos, Vec<u8>)>,
-    /// Window refills stay tiny for this connection's whole life.
-    partial: bool,
-    cap: Rc<RefCell<Capture>>,
-}
-
-impl ConnIo for SimIo {
-    type FileRef = SimFile;
-
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if self.inbox.is_empty() {
-            return Err(io::ErrorKind::WouldBlock.into());
-        }
-        let n = buf.len().min(self.inbox.len());
-        for slot in buf.iter_mut().take(n) {
-            *slot = self.inbox.pop_front().unwrap();
-        }
-        Ok(n)
-    }
-
-    /// The sim sees its own inbox, so it always knows — and every
-    /// delivery into the inbox is followed by a drive, the "fresh
-    /// readiness event" the guarantee asks for. (There is no EOF
-    /// model: simulated clients never half-close.)
-    fn known_empty(&self) -> bool {
-        self.inbox.is_empty()
-    }
-
-    fn writev(&mut self, bufs: &[&[u8]]) -> io::Result<usize> {
-        if self.window == 0 {
-            return Err(io::ErrorKind::WouldBlock.into());
-        }
-        let mut cap = self.cap.borrow_mut();
-        let mut n = 0;
-        for b in bufs {
-            if self.window == 0 {
-                break;
-            }
-            let take = self.window.min(b.len());
-            cap.bytes.extend_from_slice(&b[..take]);
-            self.window -= take;
-            n += take;
-        }
-        Ok(n)
-    }
-
-    fn sendfile(&mut self, file: &SimFile, offset: &mut u64, max: u64) -> io::Result<usize> {
-        if self.window == 0 {
-            return Err(io::ErrorKind::WouldBlock.into());
-        }
-        let left = file.len.saturating_sub(*offset);
-        if left == 0 {
-            return Ok(0);
-        }
-        let n = max.min(self.window as u64).min(left);
-        let mut cap = self.cap.borrow_mut();
-        for off in *offset..*offset + n {
-            cap.body_hash = fnv(cap.body_hash, body_byte(file.id, off));
-        }
-        cap.body_bytes += n;
-        *offset += n;
-        self.window -= n as usize;
-        Ok(n as usize)
-    }
-}
-
-/// The sim's [`HelperPort`]: collects submissions for the driver to
-/// complete on the spot (resident) or schedule as latency-delayed
-/// completion events.
-struct SimPort {
-    jobs: Vec<HelperJob>,
-}
-
-impl HelperPort for SimPort {
-    fn submit(&mut self, job: HelperJob) {
-        self.jobs.push(job);
-    }
-}
-
-/// The calendar's event alphabet.
-enum Ev {
-    /// Admit the next planned connection (or backpressure and retry).
-    Open,
-    /// Deliver the next request chunk to a connection's inbox.
-    Arrive { slot: usize, uid: u32 },
-    /// The peer's receive window opens further.
-    Refill { slot: usize, uid: u32 },
-    /// A helper job's completion lands at the shard.
-    HelperDone(HelperJob),
-    /// Timer-wheel backstop: expire deadlines in a quiet calendar.
-    Tick,
-    /// All connections admitted: the shard enters drain.
-    BeginDrain,
-}
-
-fn conn_token(slot: usize, uid: u32) -> u64 {
-    ((slot as u64) << 32) | uid as u64
-}
-
-/// The connection a calendar event or wheel key was minted for — the
-/// stale-token guard: `None` once the slot is empty or holds a later
-/// connection.
-fn conn_for(conns: &mut [Option<Conn<SimIo>>], slot: usize, uid: u32) -> Option<&mut Conn<SimIo>> {
-    let conn = conns.get_mut(slot)?.as_mut()?;
-    (conn.io.uid == uid).then_some(conn)
-}
-
-struct Sim {
+struct Kernel {
     cfg: SimConfig,
-    files: HashMap<String, SimFile>,
-    paths: Vec<String>,
-    /// Dynamic endpoints by URL path, plus a stable pick order.
-    apps: HashMap<String, DynApp>,
-    app_paths: Vec<String>,
-    zipf: Zipf,
     rng: SimRng,
     queue: EventQueue<Ev>,
-    /// Real-clock anchor: simulated instant `t` is `base + t` (the
-    /// wheel and cache speak `Instant`; only differences matter).
+    /// Simulated instant `t` is `base + t` (the shard speaks
+    /// `Instant`; only differences matter).
     base: Instant,
-    wheel: TimerWheel,
-    core: ShardCore,
-    port: SimPort,
-    conns: Vec<Option<Conn<SimIo>>>,
-    caps: Vec<Option<Rc<RefCell<Capture>>>>,
-    uids: Vec<u32>,
-    free: Vec<usize>,
-    live: usize,
-    opened: u64,
-    next_uid: u32,
-    tick_at: Option<SimTime>,
-    latencies: Vec<u64>,
+    lifecycle: Arc<LifecycleShared>,
+    files: HashMap<String, SimFile>,
+    paths: Vec<String>,
+    /// The dynamic tier's endpoints, by URL path.
+    apps: Vec<(String, DynApp)>,
+    zipf: Zipf,
+    /// Sockets and the backend's registrations, by descriptor;
+    /// [`WAKE_FD`] and [`LISTEN_FD`] are the kernel's own.
+    socks: Vec<Option<Sock>>,
+    regs: Vec<Option<(u64, Interest)>>,
+    /// Descriptors whose readiness may have changed since the last
+    /// wait: the edges the next one reports.
+    edges: Vec<RawFd>,
+    arrived: u64,
+    backlog: u64,
+    wake: bool,
+    replies: VecDeque<Reply<SimFile, RawFd>>,
+    turns: u64,
+    error: Option<String>,
     fingerprint: u64,
     bytes: u64,
-    reloads: u64,
-    completed_scratch: Vec<usize>,
-    /// Connections answered by resident jobs inside `dispatch_jobs`,
-    /// for its caller to drive.
-    woken: Vec<usize>,
-    expired_scratch: Vec<u64>,
+    unanswered: u64,
+    server_errors: u64,
 }
 
-impl Sim {
-    fn new(cfg: SimConfig, specs: &[FileSpec]) -> Sim {
-        let mut files = HashMap::new();
-        let mut paths = Vec::with_capacity(specs.len());
-        let mut apps = HashMap::new();
-        let mut app_paths = Vec::new();
-        for (i, s) in specs.iter().enumerate() {
-            // Cgi specs become dynamic endpoints (below), not files.
-            if let FileKind::Cgi {
-                compute_ns,
-                output_bytes,
-            } = s.kind
-            {
-                let path = if s.path.starts_with(DYN_PREFIX) {
-                    s.path.clone()
-                } else {
-                    format!("/app{}", s.path)
-                };
-                let app = DynApp {
-                    id: 0xC000_0000 | app_paths.len() as u32,
-                    compute_ns,
-                    output_bytes,
-                };
-                app_paths.push(path.clone());
-                apps.insert(path, app);
-                continue;
-            }
-            let id = i as u32;
-            files.insert(
-                s.path.clone(),
-                SimFile {
-                    id,
-                    len: s.size,
-                    // Deterministic, distinct per file, in the
-                    // parseable IMF-fixdate range.
-                    mtime: 800_000_000 + id as i64 * 61,
-                },
-            );
-            paths.push(s.path.clone());
-        }
-        if apps.is_empty() {
-            // No Cgi specs in the site: synthesize a small application
-            // set, a pure function of the index (compute times 1–5 ms,
-            // bodies a few chunks long — the FileKind::Cgi shape).
-            for i in 0u32..12 {
-                let path = format!("{DYN_PREFIX}{i}");
-                let app = DynApp {
-                    id: 0xC000_0000 | i,
-                    compute_ns: (1 + i as u64 % 5) * MILLI,
-                    output_bytes: 200 + (i as u64 * 977) % 6000,
-                };
-                app_paths.push(path.clone());
-                apps.insert(path, app);
-            }
-        }
-        let base = Instant::now();
-        let proto = ProtoConfig {
-            docroot: PathBuf::from("/sim"),
-            idle_timeout: Some(Duration::from_millis(120)),
-            header_read_timeout: Some(Duration::from_millis(100)),
-            write_stall_timeout: Some(Duration::from_millis(150)),
-            helper_wait_timeout: Some(Duration::from_millis(20)),
-            cache_revalidate_ttl: Some(Duration::from_millis(5)),
-            sendfile_threshold: cfg.sendfile_threshold,
-            metrics_endpoint: false,
-            access_log: false,
-            dynamic_prefix: Some(DYN_PREFIX.to_string()),
-            // Generous against the 1–5 ms compute times, decisive
-            // against the 5 s wedge fault.
-            dynamic_deadline: Some(Duration::from_millis(100)),
-        };
-        let stats = Arc::new(ShardStats::default());
-        Sim {
-            core: ShardCore::new(0, cfg.cache_bytes, proto, stats),
-            zipf: Zipf::new(paths.len().max(1), 1.0),
-            rng: SimRng::new(cfg.seed),
-            queue: EventQueue::new(),
-            wheel: TimerWheel::new_at(Duration::from_millis(2), base),
-            base,
-            files,
-            paths,
-            apps,
-            app_paths,
-            port: SimPort { jobs: Vec::new() },
-            conns: Vec::new(),
-            caps: Vec::new(),
-            uids: Vec::new(),
-            free: Vec::new(),
-            live: 0,
-            opened: 0,
-            next_uid: 0,
-            tick_at: None,
-            latencies: Vec::new(),
-            fingerprint: FNV_OFFSET,
-            bytes: 0,
-            reloads: 0,
-            completed_scratch: Vec::new(),
-            woken: Vec::new(),
-            expired_scratch: Vec::new(),
-            cfg,
-        }
-    }
-
-    fn now_i(&self) -> Instant {
+impl Kernel {
+    fn now(&self) -> Instant {
         self.base + Duration::from_nanos(self.queue.now().as_nanos())
     }
 
-    /// One connection's whole life as request chunks: 1–4 pipelineable
-    /// requests (the last `Connection: close`), a sprinkling of HEAD,
-    /// POST, conditional, and missing-path requests, delivered whole
-    /// or trickled byte-by-byte per the fault plan.
-    fn build_script(&mut self, trickle: bool) -> VecDeque<(Nanos, Vec<u8>)> {
+    /// Records the run's first failure and stops the shard, the way
+    /// `Server::stop_now` stops a real one.
+    fn fail(&mut self, e: String) {
+        self.error.get_or_insert(e);
+        self.lifecycle.stop_now();
+    }
+
+    fn open(&mut self, sock: Sock) -> RawFd {
+        self.socks.push(Some(sock));
+        self.regs.push(None);
+        (self.socks.len() - 1) as RawFd
+    }
+
+    fn sock(&mut self, fd: RawFd) -> Option<&mut Sock> {
+        self.socks.get_mut(fd as usize)?.as_mut()
+    }
+
+    /// Closes `fd`; a connection's response stream is folded into the
+    /// fingerprint here.
+    fn close(&mut self, fd: RawFd) {
+        let Some(s) = self.socks[fd as usize].take().filter(|s| !s.worker) else {
+            return;
+        };
+        let mut head = s.sent;
+        self.server_errors += scrub_dates(&mut head);
+        let h = head.iter().fold(FNV_OFFSET, |h, &b| fnv(h, b));
+        let h = h ^ s.body_hash.rotate_left(17);
+        self.fingerprint = (self.fingerprint ^ h).wrapping_mul(FNV_PRIME);
+        self.bytes += head.len() as u64 + s.body_bytes;
+        self.unanswered += u64::from(head.is_empty() && s.body_bytes == 0);
+    }
+
+    fn raise_wake(&mut self) {
+        if !std::mem::replace(&mut self.wake, true) {
+            self.edges.push(WAKE_FD);
+        }
+    }
+
+    fn reply(&mut self, reply: Reply<SimFile, RawFd>) {
+        self.replies.push_back(reply);
+        self.raise_wake();
+    }
+
+    /// What `fd` is ready for now: (readable, writable, hung up).
+    fn readiness(&self, fd: RawFd) -> (bool, bool, bool) {
+        match (fd, &self.socks[fd as usize]) {
+            (WAKE_FD, _) => (self.wake, false, false),
+            (LISTEN_FD, _) => (self.backlog > 0, false, false),
+            (_, Some(s)) => {
+                let gone = s.eof || s.reset();
+                (gone || !s.inbox.is_empty(), gone || s.window > 0, gone)
+            }
+            (_, None) => (false, false, false),
+        }
+    }
+
+    /// Blocks the shard in simulated time: handles calendar events
+    /// until an edge meets a registration's interest, or until the
+    /// timeout. Edge-triggered, as epoll is: an edge on a descriptor
+    /// not watching for it is gone, and registering or changing
+    /// interest re-checks what already holds.
+    fn wait(&mut self, events: &mut Vec<Event>, timeout_ms: i32) -> usize {
+        events.clear();
+        let deadline = u64::try_from(timeout_ms)
+            .ok()
+            .map(|ms| self.queue.now() + ms * MILLI);
+        loop {
+            for i in 0..self.edges.len() {
+                let fd = self.edges[i];
+                let Some((token, interest)) = self.regs[fd as usize] else {
+                    continue;
+                };
+                let (readable, writable, hangup) = self.readiness(fd);
+                let readable = readable && interest.is_readable();
+                let writable = writable && interest.is_writable();
+                if (readable || writable) && !events.iter().any(|e| e.token == token) {
+                    let hangup = hangup && readable;
+                    events.push(Event {
+                        token,
+                        readable,
+                        writable,
+                        hangup,
+                    });
+                }
+            }
+            self.edges.clear();
+            if !events.is_empty() || self.error.is_some() {
+                return events.len();
+            }
+            if let Some(d) = deadline.filter(|&d| self.queue.peek_time().is_none_or(|t| t > d)) {
+                self.queue.schedule_at(d, Ev::Tick);
+            }
+            match self.queue.pop() {
+                Some((_, Ev::Tick)) => return 0,
+                Some((_, ev)) => self.handle(ev),
+                None => {
+                    self.fail("the calendar ran dry with the shard waiting for ever".into());
+                    return 0;
+                }
+            }
+        }
+    }
+
+    fn handle(&mut self, ev: Ev) {
+        match ev {
+            Ev::Open => {
+                self.arrived += 1;
+                self.backlog += 1;
+                self.edges.push(LISTEN_FD);
+                // Two mid-run reloads with jobs in flight: stale-epoch
+                // completions must serve waiters, never the new cache.
+                let third = self.cfg.connections / 3;
+                if third > 0 && (self.arrived == third || self.arrived == 2 * third) {
+                    self.lifecycle.publish_reload(PathBuf::from("/sim"));
+                    self.raise_wake();
+                }
+                if self.arrived < self.cfg.connections {
+                    let gap = 1 + self.rng.exp(self.cfg.interarrival_nanos as f64) as u64;
+                    self.queue.schedule_in(gap, Ev::Open);
+                } else {
+                    self.queue.schedule_in(5 * MILLI, Ev::BeginDrain);
+                }
+            }
+            Ev::Arrive(fd) => {
+                let Some(s) = self.sock(fd) else {
+                    return;
+                };
+                let Some((_, chunk)) = s.script.pop_front() else {
+                    return;
+                };
+                s.inbox.extend(chunk);
+                s.eof |= s.script.is_empty() && s.eof_after;
+                let next = s.script.front().map(|&(d, _)| d);
+                self.edges.push(fd);
+                if let Some(d) = next {
+                    self.queue.schedule_in(d, Ev::Arrive(fd));
+                }
+            }
+            Ev::Refill(fd, add) => {
+                if let Some(s) = self.sock(fd) {
+                    s.refill_pending = false;
+                    s.window += add;
+                    self.edges.push(fd);
+                }
+            }
+            Ev::HelperDone(job) => {
+                // A cancelled job is usually skipped by the helper (the
+                // cooperative flag); half the time we model a helper
+                // already past the check — its completion must then die
+                // on the token gate inside `complete_job`.
+                if job.is_cancelled() && self.rng.chance(0.5) {
+                    return;
+                }
+                let data = self.exec_job(&job);
+                self.reply(Reply::Done(job.done(data)));
+            }
+            Ev::Spawned => {
+                let worker = Sock {
+                    worker: true,
+                    ..Sock::default()
+                };
+                let fd = self.open(worker);
+                self.reply(Reply::Spawned(Ok(fd)));
+            }
+            Ev::Tick => {}
+            Ev::BeginDrain if self.backlog > 0 => {
+                self.queue.schedule_in(5 * MILLI, Ev::BeginDrain);
+            }
+            Ev::BeginDrain => {
+                self.lifecycle.begin_drain(self.now() + DRAIN_GRACE);
+                self.raise_wake();
+            }
+        }
+    }
+
+    /// A receive window, initial or refilled: tiny under the
+    /// partial-write fault.
+    fn window(&mut self, partial: bool) -> usize {
+        if partial {
+            64 + self.rng.uniform(0, 448) as usize
+        } else {
+            2048 + self.rng.uniform(0, 62 * 1024) as usize
+        }
+    }
+
+    /// Takes one connection off the backlog — or fails with `EMFILE`
+    /// — and gives it its script, its faults and its window.
+    fn accept(&mut self) -> io::Result<RawFd> {
+        const EMFILE: i32 = 24;
+        if self.backlog == 0 {
+            return Err(io::ErrorKind::WouldBlock.into());
+        }
+        let f = self.cfg.faults.clone();
+        if self.rng.chance(f.emfile) {
+            return Err(io::Error::from_raw_os_error(EMFILE));
+        }
+        self.backlog -= 1;
+        let (trickle, partial) = (self.rng.chance(f.trickle), self.rng.chance(f.partial_write));
+        let eof_after = self.rng.chance(f.half_close);
+        let reset_at = self.rng.chance(f.client_reset);
+        let reset_at = reset_at.then(|| 64 + self.rng.uniform(0, 4096));
+        let sock = Sock {
+            window: self.window(partial),
+            script: self.build_script(trickle, eof_after),
+            eof_after,
+            partial,
+            reset_at,
+            ..Sock::default()
+        };
+        let first = sock.script.front().map(|&(d, _)| d);
+        let fd = self.open(sock);
+        if let Some(d) = first {
+            self.queue.schedule_in(d, Ev::Arrive(fd));
+        }
+        Ok(fd)
+    }
+
+    /// How many bytes connection `fd` takes now: its window, up to the
+    /// client's reset point. A closed window schedules its refill.
+    fn room(&mut self, fd: RawFd) -> io::Result<usize> {
+        let s = self.sock(fd).expect("an open connection");
+        if s.reset() {
+            return Err(io::ErrorKind::ConnectionReset.into());
+        }
+        let to_reset = s.reset_at.map_or(u64::MAX, |at| at - s.received());
+        let room = s.window.min(to_reset as usize);
+        if room == 0 && !std::mem::replace(&mut s.refill_pending, true) {
+            let partial = s.partial;
+            let d = 50_000 + self.rng.exp(0.4 * MILLI as f64) as u64;
+            let add = self.window(partial);
+            self.queue.schedule_in(d, Ev::Refill(fd, add));
+        }
+        match room {
+            0 => Err(io::ErrorKind::WouldBlock.into()),
+            n => Ok(n),
+        }
+    }
+
+    /// A helper job: a wedged helper, a stalled disk, or the usual
+    /// latency.
+    fn dispatch(&mut self, job: HelperJob) {
+        let (wedge, stall) = (self.cfg.faults.wedge, self.cfg.faults.disk_stall);
+        let delay = if self.rng.chance(wedge) {
+            5 * SEC
+        } else if self.rng.chance(stall) {
+            50 * MILLI + self.rng.exp(5.0 * MILLI as f64) as u64
+        } else {
+            100_000 + self.rng.exp(2.0 * MILLI as f64) as u64
+        };
+        self.queue.schedule_in(delay, Ev::HelperDone(job));
+    }
+
+    /// A worker reads its request line and scripts its answer: after
+    /// the endpoint's compute time, one `DATA` frame per write on
+    /// simulated time, the last with the `END` behind it. Under the
+    /// faults it never answers (a wedge), exits halfway (a crash), or
+    /// writes a line that is not a frame where a frame or the `END`
+    /// belonged (garbage).
+    fn start_exchange(&mut self, fd: RawFd, line: &[u8]) {
+        let path = std::str::from_utf8(line).unwrap_or_default();
+        let path = path.trim_end().trim_start_matches("GET ");
+        // An unknown endpoint answers an empty response.
+        let app = self.apps.iter().find(|(p, _)| p == path);
+        let app = app.map_or(DynApp::new(0, 0, 0), |&(_, app)| app);
+        let f = self.cfg.faults.clone();
+        let wedge = self.rng.chance(f.wedge);
+        let crash = self.rng.chance(f.worker_crash);
+        let garbage = self.rng.chance(f.worker_garbage);
+        let emit = if crash {
+            app.output_bytes / 2
+        } else {
+            app.output_bytes
+        };
+        let frames = emit.div_ceil(FRAME);
+        let garbage_at = garbage.then(|| self.rng.uniform(0, frames + 1));
+        let jitter = self.rng.exp(self.cfg.dynamic_compute_nanos as f64) as u64;
+        let mut delay = app.compute_ns + 100_000 + jitter;
+        let mut script = VecDeque::new();
+        for frame in (0..frames).take_while(|&f| garbage_at != Some(f)) {
+            let (off, take) = (frame * FRAME, (emit - frame * FRAME).min(FRAME));
+            let mut bytes = format!("DATA {take}\n").into_bytes();
+            bytes.extend((off..off + take).map(|o| body_byte(app.id, o)));
+            script.push_back((delay, bytes));
+            delay = 20_000 + self.rng.exp(100_000.0) as u64;
+        }
+        let end: &[u8] = match (garbage, crash) {
+            (true, _) => b"WAT\n",
+            (false, true) => b"",
+            (false, false) => b"END\n",
+        };
+        match script.back_mut() {
+            Some((_, last)) if !garbage => last.extend_from_slice(end),
+            _ => script.push_back((delay, end.to_vec())),
+        }
+        let first = script.front().map(|&(d, _)| d);
+        let s = self.sock(fd).expect("an open worker");
+        (s.script, s.eof_after) = (script, crash);
+        if let Some(d) = first.filter(|_| !wedge) {
+            self.queue.schedule_in(d, Ev::Arrive(fd));
+        }
+    }
+
+    /// One client's whole life as request chunks: 1–4 pipelineable
+    /// requests (the last `Connection: close`, unless the client
+    /// half-closes instead), a sprinkling of HEAD, POST, conditional,
+    /// and missing-path requests, delivered whole or trickled
+    /// byte-by-byte per the fault plan.
+    fn build_script(&mut self, trickle: bool, half_close: bool) -> VecDeque<(Nanos, Vec<u8>)> {
         let nreq = 1 + self.rng.uniform(0, 4);
-        let mut stream = Vec::new();
+        let (mut stream, mut last_start) = (Vec::new(), 0);
         for i in 0..nreq {
-            let last = i + 1 == nreq;
+            last_start = stream.len();
             let roll = self.rng.unit();
             let (method, path) = if roll < 0.02 {
                 ("POST", "/submit".to_string())
@@ -628,250 +796,101 @@ impl Sim {
                 ("GET", format!("/missing/{}.html", self.rng.uniform(0, 997)))
             } else if roll < 0.07 {
                 ("GET", "/".to_string())
-            } else if self.rng.chance(self.cfg.dynamic_fraction) {
-                // Dynamic tier: a worker-pool endpoint. No validators
-                // or ranges are drawn below — `rep` resolves to None —
-                // matching the tier's conditional bypass.
-                let pick = self.rng.uniform(0, self.app_paths.len() as u64) as usize;
-                let m = if self.rng.chance(0.05) { "HEAD" } else { "GET" };
-                (m, self.app_paths[pick].clone())
             } else {
-                let pick = self.zipf.sample(&mut self.rng);
-                let m = if self.rng.chance(0.05) { "HEAD" } else { "GET" };
-                (m, self.paths[pick].clone())
+                // The dynamic tier's endpoints have no validators and
+                // no ranges: `rep` below resolves to None for them,
+                // matching the tier's conditional bypass.
+                let path = if self.rng.chance(self.cfg.dynamic_fraction) {
+                    let pick = self.rng.uniform(0, self.apps.len() as u64) as usize;
+                    self.apps[pick].0.clone()
+                } else {
+                    self.paths[self.zipf.sample(&mut self.rng)].clone()
+                };
+                (if self.rng.chance(0.05) { "HEAD" } else { "GET" }, path)
             };
+            let _ = write!(stream, "{method} {path} HTTP/1.1\r\nHost: sim\r\n");
             let accept_gzip = method != "POST" && self.rng.chance(self.cfg.gzip_fraction);
+            if accept_gzip {
+                stream.extend_from_slice(b"Accept-Encoding: gzip\r\n");
+            }
             // The representation this request will negotiate: the `.gz`
             // sibling when the client accepts gzip and the file has
             // one, the identity file otherwise. Conditional validators
             // and range bounds are drawn against it, exactly as a real
             // client revalidating or resuming a prior download would.
-            let rep = self.files.get(&path).map(|f| {
-                if accept_gzip {
-                    gzip_sibling(f).unwrap_or_else(|| f.clone())
-                } else {
-                    f.clone()
-                }
+            let rep = self.files.get(&path).map(|f| match gzip_sibling(f) {
+                Some(gz) if accept_gzip => gz,
+                _ => f.clone(),
             });
-            let ims = if method == "GET" && self.rng.chance(0.15) {
-                rep.as_ref().map(|f| {
-                    // 60/40 current validator (→ 304) vs stale (→ 200).
-                    if self.rng.chance(0.6) {
-                        f.mtime
-                    } else {
-                        f.mtime - 7200
-                    }
-                })
-            } else {
-                None
-            };
-            let inm = if method == "GET" && self.rng.chance(self.cfg.inm_fraction) {
-                rep.as_ref().map(|f| {
-                    let gz = f.id & 0x8000_0000 != 0;
-                    if self.rng.chance(0.6) {
-                        flash_http::etag_value(Some(f.mtime), f.len, gz)
-                    } else {
-                        flash_http::etag_value(Some(f.mtime - 7200), f.len, gz)
-                    }
-                })
-            } else {
-                None
-            };
-            let range = if method != "POST" && self.rng.chance(self.cfg.range_fraction) {
-                rep.as_ref().map(|f| {
-                    let roll = self.rng.unit();
-                    if roll < 0.10 {
-                        // Past EOF: unsatisfiable → 416.
-                        format!("bytes={}-", f.len + 1 + self.rng.uniform(0, 1000))
-                    } else if roll < 0.25 {
-                        // Suffix form.
-                        format!("bytes=-{}", 1 + self.rng.uniform(0, f.len.max(1)))
-                    } else {
-                        let start = self.rng.uniform(0, f.len.max(1));
-                        let end = start + self.rng.uniform(0, f.len - start + 64);
-                        format!("bytes={start}-{end}")
-                    }
-                })
-            } else {
-                None
-            };
-            stream
-                .extend_from_slice(format!("{method} {path} HTTP/1.1\r\nHost: sim\r\n").as_bytes());
-            if accept_gzip {
-                stream.extend_from_slice(b"Accept-Encoding: gzip\r\n");
+            let get = method == "GET";
+            if let Some(f) = rep.as_ref().filter(|_| get && self.rng.chance(0.15)) {
+                let t = flash_http::date::format_imf(f.mtime - self.stale());
+                let _ = write!(stream, "If-Modified-Since: {t}\r\n");
             }
-            if let Some(t) = ims {
-                stream.extend_from_slice(
-                    format!("If-Modified-Since: {}\r\n", flash_http::date::format_imf(t))
-                        .as_bytes(),
-                );
+            let inm = get && self.rng.chance(self.cfg.inm_fraction);
+            if let Some(f) = rep.as_ref().filter(|_| inm) {
+                let gz = f.id & 0x8000_0000 != 0;
+                let tag = flash_http::etag_value(Some(f.mtime - self.stale()), f.len, gz);
+                let _ = write!(stream, "If-None-Match: {tag}\r\n");
             }
-            if let Some(tag) = inm {
-                stream.extend_from_slice(format!("If-None-Match: {tag}\r\n").as_bytes());
+            let range = method != "POST" && self.rng.chance(self.cfg.range_fraction);
+            if let Some(f) = rep.as_ref().filter(|_| range) {
+                let roll = self.rng.unit();
+                let _ = if roll < 0.10 {
+                    // Past EOF: unsatisfiable → 416.
+                    let start = f.len + 1 + self.rng.uniform(0, 1000);
+                    write!(stream, "Range: bytes={start}-\r\n")
+                } else if roll < 0.25 {
+                    let suffix = 1 + self.rng.uniform(0, f.len.max(1));
+                    write!(stream, "Range: bytes=-{suffix}\r\n")
+                } else {
+                    let start = self.rng.uniform(0, f.len.max(1));
+                    let end = start + self.rng.uniform(0, f.len - start + 64);
+                    write!(stream, "Range: bytes={start}-{end}\r\n")
+                };
             }
-            if let Some(r) = range {
-                stream.extend_from_slice(format!("Range: {r}\r\n").as_bytes());
-            }
-            if last {
+            if i + 1 == nreq && !half_close {
                 stream.extend_from_slice(b"Connection: close\r\n");
             }
             stream.extend_from_slice(b"\r\n");
         }
+        if half_close && self.rng.chance(0.25) {
+            // The end of stream lands inside the last request.
+            let span = (stream.len() - last_start - 1) as u64;
+            stream.truncate(last_start + 1 + self.rng.uniform(0, span) as usize);
+        }
         let mut script = VecDeque::new();
-        let mut off = 0;
-        while off < stream.len() {
+        let mut rest = &stream[..];
+        while !rest.is_empty() {
+            // Trickled: slow enough that a typical request needs longer
+            // than the header deadline — most trickled requests are the
+            // slowloris the deadline exists for; short ones squeak
+            // through.
             let (chunk, delay) = if trickle {
-                // Slow enough that a typical request needs longer than
-                // the header deadline — most trickled requests are the
-                // slowloris the deadline exists for; short ones squeak
-                // through.
                 (
-                    1 + self.rng.uniform(0, 4) as usize,
+                    1 + self.rng.uniform(0, 4),
                     MILLI + self.rng.uniform(0, 9 * MILLI),
                 )
             } else {
                 (
-                    256 + self.rng.uniform(0, 1792) as usize,
+                    256 + self.rng.uniform(0, 1792),
                     50_000 + self.rng.uniform(0, MILLI),
                 )
             };
-            let end = (off + chunk).min(stream.len());
-            script.push_back((delay, stream[off..end].to_vec()));
-            off = end;
+            let (now, later) = rest.split_at((chunk as usize).min(rest.len()));
+            script.push_back((delay, now.to_vec()));
+            rest = later;
         }
         script
     }
 
-    fn admit(&mut self) {
-        let slot = self.free.pop().unwrap_or_else(|| {
-            self.conns.push(None);
-            self.caps.push(None);
-            self.uids.push(0);
-            self.conns.len() - 1
-        });
-        let uid = self.next_uid;
-        self.next_uid = self.next_uid.wrapping_add(1);
-        let trickle = self.rng.chance(self.cfg.faults.trickle);
-        let partial = self.rng.chance(self.cfg.faults.partial_write);
-        let window = if partial {
-            64 + self.rng.uniform(0, 448) as usize
+    /// How far a conditional validator lags the file: 60/40 current
+    /// (→ 304) vs two hours stale (→ 200).
+    fn stale(&mut self) -> i64 {
+        if self.rng.chance(0.6) {
+            0
         } else {
-            2048 + self.rng.uniform(0, 30 * 1024) as usize
-        };
-        let script = self.build_script(trickle);
-        let cap = Rc::new(RefCell::new(Capture::new(self.queue.now())));
-        let first_delay = script.front().map(|(d, _)| *d);
-        let mut conn = Conn::new(SimIo {
-            uid,
-            inbox: VecDeque::new(),
-            window,
-            refill_pending: false,
-            script,
-            partial,
-            cap: Rc::clone(&cap),
-        });
-        // Simulated accept instant: the lifetime histogram ticks in
-        // simulated time, exactly like the real driver's wall clock.
-        conn.opened_at = Some(self.now_i());
-        self.conns[slot] = Some(conn);
-        self.caps[slot] = Some(cap);
-        self.uids[slot] = uid;
-        self.live += 1;
-        self.core.stats.accepted.fetch_add(1, Ordering::Relaxed);
-        if let Some(d) = first_delay {
-            self.queue.schedule_in(d, Ev::Arrive { slot, uid });
-        }
-        // Drive immediately (arms the idle deadline, exactly like the
-        // real driver's admit path).
-        self.drive(slot);
-    }
-
-    /// Pumps one connection as far as it goes and reconciles.
-    fn drive(&mut self, slot: usize) {
-        let now = self.now_i();
-        let outcome = self
-            .core
-            .drive_conn(slot, &mut self.conns, &mut self.port, now);
-        self.reconcile(slot, outcome);
-    }
-
-    /// The sim's side of the driver contract, run after every core
-    /// call that can change a slot: completes what the call
-    /// dispatched, drives on while that (or a voluntary yield) leaves
-    /// the connection runnable, then retires an emptied slot or syncs
-    /// the deadline and schedules a window refill when output is gated
-    /// on the peer.
-    fn reconcile(&mut self, slot: usize, mut outcome: Drive) {
-        let now = self.now_i();
-        loop {
-            // A resident job dispatched by the drive is completed here
-            // and now: the connection (its only waiter) is `Writing`,
-            // so it goes round again before deadlines are synced — it
-            // is never seen `Waiting`, as in the real driver.
-            self.dispatch_jobs();
-            if self.woken.is_empty() && !matches!(outcome, Drive::Yielded) {
-                break;
-            }
-            debug_assert!(self.woken.iter().all(|&w| w == slot));
-            self.woken.clear();
-            outcome = self
-                .core
-                .drive_conn(slot, &mut self.conns, &mut self.port, now);
-        }
-        let Some(conn) = self.conns[slot].as_mut() else {
-            self.finalize(slot);
-            return;
-        };
-        let token = conn_token(slot, conn.io.uid);
-        sync_deadline(conn, token, &self.core.cfg, &mut self.wheel, now);
-        let gated = conn.io.window == 0 && (!conn.out.is_empty() || conn.sendfile.is_some());
-        if gated && !conn.io.refill_pending {
-            conn.io.refill_pending = true;
-            let uid = conn.io.uid;
-            let d = 50_000 + self.rng.exp(0.4 * MILLI as f64) as u64;
-            self.queue.schedule_in(d, Ev::Refill { slot, uid });
-        }
-    }
-
-    /// Turns collected job submissions into completions: a resident
-    /// filesystem job is executed and completed here and now (the
-    /// connections it answered are appended to `self.woken` for the
-    /// caller to drive; a completion that dispatches again is picked
-    /// up by the loop), everything else becomes a latency-delayed
-    /// completion event with the disk-stall and wedged-helper faults
-    /// applied per job.
-    fn dispatch_jobs(&mut self) {
-        while let Some(job) = self.port.jobs.pop() {
-            if job.kind != JobKind::Dynamic && self.rng.chance(self.cfg.resident_fraction) {
-                self.core.stats.inline_jobs.fetch_add(1, Ordering::Relaxed);
-                let done = self.exec_job(&job);
-                let now = self.now_i();
-                self.core
-                    .complete_job(done, &mut self.conns, &mut self.woken, &mut self.port, now);
-                continue;
-            }
-            let delay = if job.kind == JobKind::Dynamic {
-                // The compute-time model: the endpoint's fixed
-                // per-request compute plus exponential jitter — or a
-                // wedged worker, parked far past `dynamic_deadline`.
-                if self.rng.chance(self.cfg.faults.wedge) {
-                    5 * SEC
-                } else {
-                    let compute = self
-                        .apps
-                        .get(job.fs_path.to_string_lossy().as_ref())
-                        .map(|a| a.compute_ns)
-                        .unwrap_or(MILLI);
-                    compute + 100_000 + self.rng.exp(self.cfg.dynamic_compute_nanos as f64) as u64
-                }
-            } else if self.rng.chance(self.cfg.faults.wedge) {
-                5 * SEC
-            } else if self.rng.chance(self.cfg.faults.disk_stall) {
-                50 * MILLI + self.rng.exp(5.0 * MILLI as f64) as u64
-            } else {
-                100_000 + self.rng.exp(2.0 * MILLI as f64) as u64
-            };
-            self.queue.schedule_in(delay, Ev::HelperDone(job));
+            7200
         }
     }
 
@@ -882,388 +901,442 @@ impl Sim {
     /// `.gz` sibling when the identity file has one, falling back to
     /// identity otherwise; a missing identity file is `NotFound` even
     /// when a sibling "exists").
-    fn exec_job(&self, job: &HelperJob) -> Done<SimFile> {
-        let url = cache::split_variant_key(&job.path).0;
-        let data = match self.files.get(url) {
-            None => match job.kind {
-                JobKind::Load => DoneData::Loaded(Err(io::ErrorKind::NotFound.into())),
-                JobKind::Revalidate => DoneData::Stat(Err(io::ErrorKind::NotFound.into())),
-                // Dynamic jobs are intercepted in `Ev::HelperDone` and
-                // streamed through `dynamic_done`, never this
-                // single-shot executor.
-                JobKind::Dynamic => unreachable!("dynamic job reached the sim disk"),
-            },
-            Some(f) => match job.kind {
-                JobKind::Dynamic => unreachable!("dynamic job reached the sim disk"),
-                JobKind::Revalidate => {
-                    // Stat the file the entry's variant came from.
-                    let probe = if job.variant.is_gzip() {
-                        gzip_sibling(f)
-                    } else {
-                        Some(f.clone())
-                    };
-                    match probe {
-                        Some(v) => DoneData::Stat(Ok((v.len, Some(v.mtime)))),
-                        None => DoneData::Stat(Err(io::ErrorKind::NotFound.into())),
-                    }
-                }
-                JobKind::Load => {
-                    let sibling = gzip_sibling(f);
-                    let has_gzip = sibling.is_some();
-                    let (serve, variant) = match sibling.filter(|_| job.variant.is_gzip()) {
-                        Some(gz) => (gz, Variant::Gzip),
-                        None => (f.clone(), Variant::Identity),
-                    };
-                    let data = if serve.len > job.inline_max {
-                        FileData::Fd {
-                            len: serve.len,
-                            mtime: Some(serve.mtime),
-                            file: serve,
-                        }
-                    } else {
-                        FileData::Bytes {
-                            body: (0..serve.len).map(|o| body_byte(serve.id, o)).collect(),
-                            mtime: Some(serve.mtime),
-                        }
-                    };
-                    DoneData::Loaded(Ok(LoadResult {
-                        data,
-                        variant,
-                        has_gzip,
-                        resolved_at: None,
-                    }))
-                }
-            },
-        };
-        Done {
-            path: job.path.clone(),
-            data,
-            epoch: job.epoch,
-            token: job.token,
-        }
-    }
-
-    /// Delivers one dynamic exchange's whole event stream at a single
-    /// simulated instant: the worker's frames synthesized from the
-    /// endpoint's [`FileKind::Cgi`]-shaped model (1 KiB chunk split),
-    /// ending clean — or unclean on the worker-crash fault, killing
-    /// the body roughly halfway. A cancelled job (the `DynamicWait`
-    /// deadline fired and purged the waiter, raising the flag) models
-    /// the helper's kill+respawn: the respawn is counted, and half the
-    /// time the completion is delivered anyway — it must die on the
-    /// token gate inside `complete_job`.
-    fn dynamic_done(&mut self, job: HelperJob) {
-        if job.is_cancelled() {
-            self.core
-                .stats
-                .worker_respawns
-                .fetch_add(1, Ordering::Relaxed);
-            if self.rng.chance(0.5) {
-                return;
-            }
-        }
-        let mut events = Vec::new();
-        match self.apps.get(job.fs_path.to_string_lossy().as_ref()) {
-            // No such application: the exchange fails pre-header.
-            None => events.push(DynEvent::End { clean: false }),
-            Some(app) => {
-                let crash = self.rng.chance(self.cfg.faults.worker_crash);
-                let emit_up_to = if crash {
-                    app.output_bytes / 2
+    fn exec_job(&self, job: &HelperJob) -> DoneData<SimFile> {
+        let not_found = || io::Error::from(io::ErrorKind::NotFound);
+        let file = self.files.get(cache::split_variant_key(&job.path).0);
+        let sibling = file.and_then(gzip_sibling);
+        match job.kind {
+            // Stat the file the entry's variant came from.
+            JobKind::Revalidate => {
+                let probe = if job.variant.is_gzip() {
+                    sibling
                 } else {
-                    app.output_bytes
+                    file.cloned()
                 };
-                let mut off = 0u64;
-                while off < emit_up_to {
-                    let take = (emit_up_to - off).min(1024);
-                    let body: Vec<u8> = (off..off + take).map(|o| body_byte(app.id, o)).collect();
-                    events.push(DynEvent::Chunk(Bytes::from(body)));
-                    off += take;
-                }
-                events.push(DynEvent::End { clean: !crash });
+                DoneData::Stat(probe.map(|v| (v.len, Some(v.mtime))).ok_or_else(not_found))
             }
-        }
-        if !job.is_cancelled() && matches!(events.last(), Some(DynEvent::End { clean: false })) {
-            // A crashed worker is killed and respawned by the helper.
-            self.core
-                .stats
-                .worker_respawns
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        let mut completed = std::mem::take(&mut self.completed_scratch);
-        completed.clear();
-        let now = self.now_i();
-        for ev in events {
-            let done = Done {
-                path: job.path.clone(),
-                data: DoneData::Dynamic(ev),
-                epoch: job.epoch,
-                token: job.token,
-            };
-            self.core
-                .complete_job(done, &mut self.conns, &mut completed, &mut self.port, now);
-        }
-        // Every event pushes the same slot; drive it once.
-        completed.dedup();
-        for idx in completed.drain(..) {
-            self.drive(idx);
-        }
-        self.completed_scratch = completed;
-    }
-
-    /// Retires a now-empty slot: cancels its wheel key, scrubs and
-    /// fingerprints its captured response stream, frees the slot.
-    fn finalize(&mut self, slot: usize) {
-        self.wheel.cancel(conn_token(slot, self.uids[slot]));
-        let Some(cap) = self.caps[slot].take() else {
-            return;
-        };
-        let cap = Rc::try_unwrap(cap)
-            .map(RefCell::into_inner)
-            .unwrap_or_else(|rc| rc.borrow().clone());
-        let mut head = cap.bytes;
-        scrub_dates(&mut head);
-        let mut h = FNV_OFFSET;
-        for &b in &head {
-            h = fnv(h, b);
-        }
-        h ^= cap.body_hash.rotate_left(17);
-        self.fingerprint = (self.fingerprint ^ h).wrapping_mul(FNV_PRIME);
-        self.bytes += head.len() as u64 + cap.body_bytes;
-        self.latencies.push(self.queue.now().since(cap.opened_at));
-        self.free.push(slot);
-        self.live -= 1;
-    }
-
-    /// Fires due deadlines and keeps a backstop `Tick` scheduled for
-    /// the next pending one.
-    fn pump_timers(&mut self) {
-        let now = self.now_i();
-        let mut expired = std::mem::take(&mut self.expired_scratch);
-        self.wheel.expire(now, &mut expired);
-        for tok in expired.drain(..) {
-            let slot = (tok >> 32) as usize;
-            if conn_for(&mut self.conns, slot, tok as u32).is_some() {
-                let outcome = self
-                    .core
-                    .expire_conn(slot, &mut self.conns, &mut self.port, now);
-                self.reconcile(slot, outcome);
-            }
-        }
-        self.expired_scratch = expired;
-        if let Some(ms) = self.wheel.next_timeout_ms(now) {
-            let at = self.queue.now() + (ms.max(1) as u64) * MILLI;
-            if self.tick_at.is_none_or(|t| at < t) {
-                self.queue.schedule_at(at, Ev::Tick);
-                self.tick_at = Some(at);
-            }
-        }
-    }
-
-    fn check(&self, when: &str) -> Result<(), String> {
-        let uids = &self.uids;
-        self.core
-            .check_invariants(&self.conns, &self.wheel, |i| conn_token(i, uids[i]))
-            .map_err(|e| {
-                format!(
-                    "invariant violated ({when}, event {}, t={:?}): {e}",
-                    self.queue.events_processed(),
-                    self.queue.now()
-                )
-            })
-    }
-
-    fn handle(&mut self, ev: Ev) -> Result<(), String> {
-        match ev {
-            Ev::Open => {
-                if self.opened >= self.cfg.connections {
-                    return Ok(());
-                }
-                if self.live >= self.cfg.max_concurrent || self.rng.chance(self.cfg.faults.emfile) {
-                    self.core
-                        .stats
-                        .accept_backpressure
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.queue.schedule_in(2 * MILLI, Ev::Open);
-                    return Ok(());
-                }
-                self.admit();
-                self.opened += 1;
-                // Two mid-run reloads with jobs in flight: stale-epoch
-                // completions must serve waiters, never the new cache.
-                let third = self.cfg.connections / 3;
-                if third > 0 && (self.opened == third || self.opened == 2 * third) {
-                    let generation = self.core.epoch + 1;
-                    self.core.apply_reload(None, generation);
-                    self.reloads += 1;
-                    self.check("after reload")?;
-                }
-                if self.opened < self.cfg.connections {
-                    let gap = 1 + self.rng.exp(self.cfg.interarrival_nanos as f64) as u64;
-                    self.queue.schedule_in(gap, Ev::Open);
-                } else {
-                    self.queue.schedule_in(5 * MILLI, Ev::BeginDrain);
-                }
-            }
-            Ev::Arrive { slot, uid } => {
-                let Some(conn) = conn_for(&mut self.conns, slot, uid) else {
-                    return Ok(());
+            JobKind::Load => DoneData::Loaded(file.ok_or_else(not_found).map(|f| {
+                let has_gzip = sibling.is_some();
+                let (serve, variant) = match sibling.filter(|_| job.variant.is_gzip()) {
+                    Some(gz) => (gz, Variant::Gzip),
+                    None => (f.clone(), Variant::Identity),
                 };
-                if let Some((_, chunk)) = conn.io.script.pop_front() {
-                    conn.io.inbox.extend(chunk);
-                    if let Some(&(d, _)) = conn.io.script.front() {
-                        self.queue.schedule_in(d, Ev::Arrive { slot, uid });
+                let mtime = Some(serve.mtime);
+                let data = if serve.len > job.inline_max {
+                    let len = serve.len;
+                    FileData::Fd {
+                        file: serve,
+                        len,
+                        mtime,
                     }
-                    self.drive(slot);
-                }
-            }
-            Ev::Refill { slot, uid } => {
-                let Some(conn) = conn_for(&mut self.conns, slot, uid) else {
-                    return Ok(());
-                };
-                conn.io.refill_pending = false;
-                let add = if conn.io.partial {
-                    64 + self.rng.uniform(0, 448) as usize
                 } else {
-                    8 * 1024 + self.rng.uniform(0, 56 * 1024) as usize
+                    let body = (0..serve.len).map(|o| body_byte(serve.id, o)).collect();
+                    FileData::Bytes { body, mtime }
                 };
-                conn.io.window += add;
-                self.drive(slot);
-            }
-            Ev::HelperDone(job) => {
-                if job.kind == JobKind::Dynamic {
-                    self.dynamic_done(job);
-                    return Ok(());
+                LoadResult {
+                    data,
+                    variant,
+                    has_gzip,
+                    resolved_at: None,
                 }
-                // A cancelled job is usually skipped by the executor
-                // (the cooperative flag); half the time we model a
-                // helper already past the check — its completion must
-                // then die on the token gate inside `complete_job`.
-                if job.is_cancelled() && self.rng.chance(0.5) {
-                    return Ok(());
-                }
-                let done = self.exec_job(&job);
-                let mut completed = std::mem::take(&mut self.completed_scratch);
-                completed.clear();
-                let now = self.now_i();
-                self.core
-                    .complete_job(done, &mut self.conns, &mut completed, &mut self.port, now);
-                // A changed file's re-stat requeues a load, which may be
-                // resident: its waiters join `completed`.
-                self.dispatch_jobs();
-                completed.append(&mut self.woken);
-                for idx in completed.drain(..) {
-                    self.drive(idx);
-                }
-                self.completed_scratch = completed;
-            }
-            Ev::Tick => {
-                self.tick_at = None;
-            }
-            Ev::BeginDrain => {
-                // Drain entry, as in the real driver: flip the core,
-                // then drive every `Reading` slot once — whether the
-                // drain closes it is the core's rule.
-                self.core.begin_drain();
-                for slot in 0..self.conns.len() {
-                    let reading = self.conns[slot]
-                        .as_ref()
-                        .is_some_and(|c| matches!(c.state, ConnState::Reading));
-                    if reading {
-                        self.drive(slot);
-                    }
-                }
-                self.check("after drain entry")?;
-            }
+            })),
+            // Dynamic jobs go to the shard's workers, never to a disk.
+            JobKind::Dynamic => unreachable!("dynamic job reached the sim disk"),
         }
+    }
+}
+
+/// A descriptor of the simulated kernel, as the shard holds it: the
+/// listener, a client connection (its transport) or an application
+/// worker's socket (the worker set's endpoint).
+struct SimFd {
+    fd: RawFd,
+    k: K,
+}
+
+impl AsRawFd for SimFd {
+    fn as_raw_fd(&self) -> RawFd {
+        self.fd
+    }
+}
+
+impl Drop for SimFd {
+    fn drop(&mut self) {
+        self.k.borrow_mut().close(self.fd);
+    }
+}
+
+impl Read for SimFd {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let mut k = self.k.borrow_mut();
+        let s = k.sock(self.fd).expect("an open socket");
+        if s.reset() {
+            return Err(io::ErrorKind::ConnectionReset.into());
+        }
+        if s.inbox.is_empty() && !s.eof {
+            return Err(io::ErrorKind::WouldBlock.into());
+        }
+        s.inbox.read(buf)
+    }
+}
+
+/// A worker's socket takes one request line at a time.
+impl Write for SimFd {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.k.borrow_mut().start_exchange(self.fd, buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
         Ok(())
     }
 }
 
-/// Replays `cfg.connections` simulated connections against the shared
-/// protocol core and the given file set. Returns the run's
-/// [`SimReport`] — or `Err` on any invariant violation, stranded
-/// connection, or livelock. Same inputs ⇒ equal report, always.
+impl ConnIo for SimFd {
+    type FileRef = SimFile;
+
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        Read::read(self, buf)
+    }
+
+    fn writev(&mut self, bufs: &[&[u8]]) -> io::Result<usize> {
+        let mut k = self.k.borrow_mut();
+        let room = k.room(self.fd)?;
+        let s = k.sock(self.fd).expect("an open connection");
+        let mut n = 0;
+        for b in bufs {
+            let take = (room - n).min(b.len());
+            s.sent.extend_from_slice(&b[..take]);
+            n += take;
+        }
+        s.window -= n;
+        Ok(n)
+    }
+
+    fn sendfile(&mut self, file: &SimFile, offset: &mut u64, max: u64) -> io::Result<usize> {
+        let mut k = self.k.borrow_mut();
+        let room = k.room(self.fd)?;
+        let s = k.sock(self.fd).expect("an open connection");
+        let n = max.min(room as u64).min(file.len.saturating_sub(*offset));
+        for off in *offset..*offset + n {
+            s.body_hash = fnv(s.body_hash, body_byte(file.id, off));
+        }
+        s.body_bytes += n;
+        s.window -= n as usize;
+        *offset += n;
+        Ok(n as usize)
+    }
+}
+
+/// The shard's readiness backend: the kernel's registrations and edges.
+struct SimBackend {
+    k: K,
+}
+
+impl EventBackend for SimBackend {
+    fn kind(&self) -> BackendKind {
+        BackendKind::Epoll
+    }
+
+    fn edge_triggered(&self) -> bool {
+        true
+    }
+
+    fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        let mut k = self.k.borrow_mut();
+        k.regs[fd as usize] = Some((token, interest));
+        k.edges.push(fd);
+        Ok(())
+    }
+
+    fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        let mut k = self.k.borrow_mut();
+        let reg = k.regs[fd as usize]
+            .as_mut()
+            .ok_or(io::ErrorKind::NotFound)?;
+        *reg = (token, interest);
+        k.edges.push(fd);
+        Ok(())
+    }
+
+    fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        self.forget(fd);
+        Ok(())
+    }
+
+    fn forget(&mut self, fd: RawFd) {
+        self.k.borrow_mut().regs[fd as usize] = None;
+    }
+
+    fn wait(&mut self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<usize> {
+        Ok(self.k.borrow_mut().wait(events, timeout_ms))
+    }
+
+    fn registered(&self) -> usize {
+        self.k.borrow().regs.iter().flatten().count()
+    }
+}
+
+/// The shard's environment in the sim: every call answered by the
+/// kernel.
+struct SimEnv {
+    k: K,
+}
+
+impl Env for SimEnv {
+    type Stream = SimFd;
+    type Listener = SimFd;
+    type Worker = SimFd;
+    type Backend = SimBackend;
+
+    fn now(&self) -> Instant {
+        self.k.borrow().now()
+    }
+
+    fn accept(&mut self, _listener: &SimFd) -> io::Result<SimFd> {
+        let fd = self.k.borrow_mut().accept()?;
+        let k = Rc::clone(&self.k);
+        Ok(SimFd { fd, k })
+    }
+
+    fn try_inline(&mut self, job: &HelperJob) -> Option<DoneData<SimFile>> {
+        let mut k = self.k.borrow_mut();
+        let resident = k.cfg.resident_fraction;
+        k.rng.chance(resident).then(|| k.exec_job(job))
+    }
+
+    fn push(&mut self, work: Work<SimFd>) {
+        match work {
+            // Killed and reaped: its descriptor closes.
+            Work::Reap(worker) => drop(worker),
+            Work::Spawn => {
+                let mut k = self.k.borrow_mut();
+                let d = 300_000 + k.rng.exp(300_000.0) as u64;
+                k.queue.schedule_in(d, Ev::Spawned);
+            }
+            Work::Job(job) => self.k.borrow_mut().dispatch(job),
+        }
+    }
+
+    fn clear_files(&mut self) {}
+
+    fn take_wake(&mut self) {
+        self.k.borrow_mut().wake = false;
+    }
+
+    fn recv(&mut self) -> Option<Reply<SimFile, SimFd>> {
+        let reply = self.k.borrow_mut().replies.pop_front()?;
+        let k = Rc::clone(&self.k);
+        Some(match reply {
+            Reply::Done(done) => Reply::Done(done),
+            Reply::Spawned(fd) => Reply::Spawned(fd.map(|fd| SimFd { fd, k })),
+        })
+    }
+
+    fn after_turn(shard: &Shard<SimEnv>) {
+        let mut k = shard.port.env.k.borrow_mut();
+        k.turns += 1;
+        let (turns, events) = (k.turns, k.queue.events_processed());
+        let every = k.cfg.check_every;
+        if let Some(Err(e)) = (every > 0 && turns % every == 0).then(|| shard.check_invariants()) {
+            let t = k.queue.now();
+            k.fail(format!("invariant violated (turn {turns}, t={t:?}): {e}"));
+        }
+        let fuel = k.cfg.connections.saturating_mul(500) + 1_000_000;
+        if events + turns > fuel {
+            let live = shard.live();
+            k.fail(format!(
+                "fuel exhausted after {events} events and {turns} turns with {live} connections live — livelock"
+            ));
+        }
+    }
+}
+
+/// One simulated run: the kernel, the shard over it, and the lifecycle
+/// the kernel drives the shard through.
+struct Sim {
+    k: K,
+    lifecycle: Arc<LifecycleShared>,
+    shard: Shard<SimEnv>,
+}
+
+impl Sim {
+    fn new(cfg: SimConfig, specs: &[FileSpec]) -> Sim {
+        let (mut files, mut paths, mut apps) = (HashMap::new(), Vec::new(), Vec::new());
+        for (i, s) in specs.iter().enumerate() {
+            match s.kind {
+                // A Cgi spec is one of the dynamic tier's endpoints.
+                FileKind::Cgi {
+                    compute_ns,
+                    output_bytes,
+                } => {
+                    let path = match s.path.starts_with(DYN_PREFIX) {
+                        true => s.path.clone(),
+                        false => format!("/app{}", s.path),
+                    };
+                    let id = 0xC000_0000 | apps.len() as u32;
+                    apps.push((path, DynApp::new(id, compute_ns, output_bytes)));
+                }
+                FileKind::Static => {
+                    // Deterministic, distinct per file, in the parseable
+                    // IMF-fixdate range.
+                    let (id, len) = (i as u32, s.size);
+                    let mtime = 800_000_000 + id as i64 * 61;
+                    files.insert(s.path.clone(), SimFile { id, len, mtime });
+                    paths.push(s.path.clone());
+                }
+            }
+        }
+        if apps.is_empty() {
+            // No Cgi specs in the site: synthesize a small application
+            // set, a pure function of the index (compute times 1–5 ms,
+            // bodies a few frames long — the FileKind::Cgi shape).
+            apps = (0u32..12)
+                .map(|i| {
+                    let (compute, output) =
+                        ((1 + i as u64 % 5) * MILLI, 200 + (i as u64 * 977) % 6000);
+                    (
+                        format!("{DYN_PREFIX}{i}"),
+                        DynApp::new(0xC000_0000 | i, compute, output),
+                    )
+                })
+                .collect();
+        }
+        let mut net = NetConfig::new("/sim");
+        net.cache_bytes = cfg.cache_bytes;
+        net.event_loops = 1;
+        net.idle_timeout = Some(Duration::from_millis(120));
+        net.header_read_timeout = Some(Duration::from_millis(100));
+        net.write_stall_timeout = Some(Duration::from_millis(150));
+        net.helper_wait_timeout = Some(Duration::from_millis(20));
+        net.cache_revalidate_ttl = Some(Duration::from_millis(5));
+        net.sendfile_threshold_bytes = cfg.sendfile_threshold;
+        net.max_conns_per_shard = cfg.max_concurrent;
+        net.helpers = SIM_WORKERS;
+        net.dynamic_prefix = Some(DYN_PREFIX.to_string());
+        // Generous against the 1–5 ms compute times, decisive against
+        // a wedged worker.
+        net.dynamic_deadline = Some(Duration::from_millis(100));
+        let lifecycle = Arc::new(LifecycleShared::new());
+        let k = Rc::new(RefCell::new(Kernel {
+            zipf: Zipf::new(paths.len().max(1), 1.0),
+            rng: SimRng::new(cfg.seed),
+            queue: EventQueue::new(),
+            base: Instant::now(),
+            lifecycle: Arc::clone(&lifecycle),
+            files,
+            paths,
+            apps,
+            socks: vec![None, None],
+            regs: vec![None, None],
+            edges: Vec::new(),
+            arrived: 0,
+            backlog: 0,
+            wake: false,
+            replies: VecDeque::new(),
+            turns: 0,
+            error: None,
+            fingerprint: FNV_OFFSET,
+            bytes: 0,
+            unanswered: 0,
+            server_errors: 0,
+            cfg,
+        }));
+        // Registered as `Server::start` registers a real shard's.
+        let mut backend = Box::new(SimBackend { k: Rc::clone(&k) });
+        let _ = backend.register(WAKE_FD, WAKE_TOKEN, Interest::READ);
+        let _ = backend.register(LISTEN_FD, LISTENER_TOKEN, Interest::READ);
+        let listener = SimFd {
+            fd: LISTEN_FD,
+            k: Rc::clone(&k),
+        };
+        let env = SimEnv { k: Rc::clone(&k) };
+        let shard = Shard::new(0, env, backend, listener, Arc::default(), &net);
+        // A run of no connections drains at once.
+        let first = match k.borrow().cfg.connections {
+            0 => Ev::BeginDrain,
+            _ => Ev::Open,
+        };
+        k.borrow_mut().queue.schedule_in(1, first);
+        Sim {
+            k,
+            lifecycle,
+            shard,
+        }
+    }
+
+    /// Runs the shard's loop until the drain ends it, and reports.
+    fn run(mut self) -> Result<SimReport, String> {
+        shard_loop(&mut self.shard, &self.lifecycle);
+        let mut k = self.k.borrow_mut();
+        let (shard, core) = (&self.shard, &self.shard.core);
+        if let Some(e) = k.error.take() {
+            return Err(e);
+        }
+        if shard.live() != 0 {
+            let live = shard.live();
+            return Err(format!("the drain deadline severed {live} connections"));
+        }
+        shard
+            .check_invariants()
+            .map_err(|e| format!("invariant violated at the end: {e}"))?;
+        if !core.waiters.is_empty() || !core.pending_jobs.is_empty() {
+            return Err("leaked waiter lists or pending jobs at end of run".into());
+        }
+        let s = &core.stats;
+        let ld = Ordering::Relaxed;
+        Ok(SimReport {
+            connections: s.accepted.load(ld),
+            requests: s.requests.load(ld),
+            bytes: k.bytes,
+            fingerprint: k.fingerprint,
+            unanswered: k.unanswered,
+            server_errors: k.server_errors,
+            cache_hits: s.cache_hits.load(ld),
+            helper_jobs: s.helper_jobs.load(ld),
+            inline_jobs: s.inline_jobs.load(ld),
+            jobs_cancelled: s.jobs_cancelled.load(ld),
+            helper_wait_timeouts: s.helper_wait_timeouts.load(ld),
+            read_timeouts: s.read_timeouts.load(ld),
+            write_stall_timeouts: s.write_stall_timeouts.load(ld),
+            idle_reaped: s.idle_reaped.load(ld),
+            not_modified: s.not_modified.load(ld),
+            range_requests: s.range_requests.load(ld),
+            range_unsatisfiable: s.range_unsatisfiable.load(ld),
+            revalidations: s.revalidations.load(ld),
+            stale_evicted: s.stale_evicted.load(ld),
+            drained_conns: s.drained_conns.load(ld),
+            accept_backpressure: s.accept_backpressure.load(ld),
+            dynamic_requests: s.dynamic_requests.load(ld),
+            dynamic_timeouts: s.dynamic_timeouts.load(ld),
+            worker_respawns: s.worker_respawns.load(ld),
+            reloads: core.epoch,
+            sim_elapsed_nanos: k.queue.now().as_nanos(),
+            events: k.queue.events_processed(),
+            hist_request: s.hist_request.snapshot().summary(),
+            hist_ttfb: s.hist_ttfb.snapshot().summary(),
+            hist_helper_wait: s.hist_helper_wait.snapshot().summary(),
+            hist_lifetime: s.hist_lifetime.snapshot().summary(),
+            hist_worker_wait: s.hist_worker_wait.snapshot().summary(),
+        })
+    }
+}
+
+/// Replays `cfg.connections` simulated connections through the shipped
+/// shard loop over the simulated kernel and the given file set. Returns
+/// the run's [`SimReport`] — or `Err` on any invariant violation,
+/// stranded connection, or livelock. Same inputs ⇒ equal report, always.
 pub fn run(cfg: &SimConfig, specs: &[FileSpec]) -> Result<SimReport, String> {
     if specs.is_empty() {
         return Err("sim needs a non-empty file set".into());
     }
-    let mut sim = Sim::new(cfg.clone(), specs);
-    sim.queue.schedule_in(1, Ev::Open);
-    let fuel = cfg.connections.saturating_mul(500) + 1_000_000;
-    while let Some((_, ev)) = sim.queue.pop() {
-        sim.handle(ev)?;
-        sim.pump_timers();
-        if cfg.check_every > 0 && sim.queue.events_processed().is_multiple_of(cfg.check_every) {
-            sim.check("periodic")?;
-        }
-        if sim.queue.events_processed() > fuel {
-            return Err(format!(
-                "fuel exhausted after {} events with {} connections live — livelock",
-                sim.queue.events_processed(),
-                sim.live
-            ));
-        }
-    }
-    if sim.live != 0 {
-        return Err(format!(
-            "calendar empty but {} connections never terminated",
-            sim.live
-        ));
-    }
-    sim.check("final")?;
-    if !sim.core.waiters.is_empty() || !sim.core.pending_jobs.is_empty() {
-        return Err("leaked waiter lists or pending jobs at end of run".into());
-    }
-    sim.latencies.sort_unstable();
-    let pct = |q: f64| -> u64 {
-        if sim.latencies.is_empty() {
-            0
-        } else {
-            sim.latencies[((sim.latencies.len() - 1) as f64 * q) as usize]
-        }
-    };
-    let s = &sim.core.stats;
-    let ld = Ordering::Relaxed;
-    Ok(SimReport {
-        connections: sim.opened,
-        requests: s.requests.load(ld),
-        bytes: sim.bytes,
-        fingerprint: sim.fingerprint,
-        cache_hits: s.cache_hits.load(ld),
-        helper_jobs: s.helper_jobs.load(ld),
-        inline_jobs: s.inline_jobs.load(ld),
-        jobs_cancelled: s.jobs_cancelled.load(ld),
-        helper_wait_timeouts: s.helper_wait_timeouts.load(ld),
-        read_timeouts: s.read_timeouts.load(ld),
-        write_stall_timeouts: s.write_stall_timeouts.load(ld),
-        idle_reaped: s.idle_reaped.load(ld),
-        not_modified: s.not_modified.load(ld),
-        range_requests: s.range_requests.load(ld),
-        range_unsatisfiable: s.range_unsatisfiable.load(ld),
-        revalidations: s.revalidations.load(ld),
-        stale_evicted: s.stale_evicted.load(ld),
-        drained_conns: s.drained_conns.load(ld),
-        accept_backpressure: s.accept_backpressure.load(ld),
-        dynamic_requests: s.dynamic_requests.load(ld),
-        dynamic_timeouts: s.dynamic_timeouts.load(ld),
-        worker_respawns: s.worker_respawns.load(ld),
-        reloads: sim.reloads,
-        p50_conn_nanos: pct(0.50),
-        p99_conn_nanos: pct(0.99),
-        sim_elapsed_nanos: sim.queue.now().as_nanos(),
-        events: sim.queue.events_processed(),
-        hist_request: s.hist_request.snapshot().summary(),
-        hist_ttfb: s.hist_ttfb.snapshot().summary(),
-        hist_helper_wait: s.hist_helper_wait.snapshot().summary(),
-        hist_lifetime: s.hist_lifetime.snapshot().summary(),
-        hist_worker_wait: s.hist_worker_wait.snapshot().summary(),
-    })
+    Sim::new(cfg.clone(), specs).run()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flash_simcore::time::SimTime;
     use flash_workload::sitegen::{generate_files, SizeDist};
 
     fn small_site(seed: u64) -> Vec<FileSpec> {
@@ -1342,27 +1415,26 @@ mod tests {
     }
 
     /// A connection whose first request chunk is still in flight when
-    /// the drain begins (trickle delays reach 10 ms; the drain starts
-    /// 5 ms after the last open) has not been answered yet: the core's
-    /// drain-entry rule must spare it, and it is served before the
-    /// drain retires it.
+    /// the drain begins (the first chunk lands 50 µs–1 ms after the
+    /// connection; the drain here 1 ns after it) has not been answered
+    /// yet: the core's drain-entry rule must spare it, and it is served
+    /// before the drain retires it. The drain reaches the shard through
+    /// `LifecycleShared`, as a signal's does.
     #[test]
     fn drain_entry_spares_a_connection_not_yet_answered() {
         let mut cfg = SimConfig::new(3, 1);
         cfg.faults = FaultPlan::none();
-        let mut sim = Sim::new(cfg, &small_site(7));
-        sim.admit();
-        sim.handle(Ev::BeginDrain).expect("drain entry");
-        assert_eq!(sim.live, 1, "swept before its request arrived");
-        while let Some((_, ev)) = sim.queue.pop() {
-            sim.handle(ev).expect("invariants");
-            sim.pump_timers();
-        }
-        assert_eq!(sim.live, 0);
-        let stats = &sim.core.stats;
-        assert!(stats.requests.load(Ordering::Relaxed) >= 1);
-        assert_eq!(stats.drained_conns.load(Ordering::Relaxed), 1);
-        sim.check("final").expect("invariants");
+        cfg.check_every = 1;
+        let sim = Sim::new(cfg, &small_site(7));
+        sim.k
+            .borrow_mut()
+            .queue
+            .schedule_at(SimTime(2), Ev::BeginDrain);
+        let report = sim.run().expect("invariants");
+        assert_eq!(report.connections, 1);
+        assert!(report.requests >= 1, "swept before its request arrived");
+        assert_eq!(report.drained_conns, 1);
+        assert_eq!(report.unanswered, 0);
     }
 
     /// The acceptance bar: same seed ⇒ byte-identical report (the
@@ -1399,6 +1471,7 @@ mod tests {
         assert_eq!(report.write_stall_timeouts, 0, "{report:?}");
         assert_eq!(report.dynamic_timeouts, 0, "{report:?}");
         assert_eq!(report.worker_respawns, 0, "{report:?}");
+        assert_eq!(report.unanswered, 0, "{report:?}");
         assert!(report.requests > 1_500, "{report:?}");
         assert!(
             report.dynamic_requests > 0,
@@ -1514,12 +1587,70 @@ mod tests {
         assert_eq!(with_gz, again, "variant traffic stays bit-identical");
     }
 
+    /// A client that half-closes behind its last request is closed at
+    /// that end of stream, never held to the idle deadline; one whose
+    /// end of stream cuts its only request short gets nothing.
+    #[test]
+    fn a_half_close_closes_at_the_eof() {
+        let site = small_site(23);
+        let mut cfg = SimConfig::new(61, 1_500);
+        cfg.faults = FaultPlan::none();
+        cfg.faults.half_close = 1.0;
+        cfg.check_every = 1;
+        let report = run(&cfg, &site).expect("half-close run");
+        assert_eq!(report.connections, 1_500);
+        assert_eq!(report.idle_reaped, 0, "{report:?}");
+        assert_eq!(report.read_timeouts, 0, "{report:?}");
+        assert!(report.unanswered > 0, "{report:?}");
+        assert!(report.requests > 1_500, "{report:?}");
+    }
+
+    /// A client that resets while a dynamic response is still arriving
+    /// cancels its exchange at the next chunk, and the worker is retired
+    /// by the sweep that ends that turn: one respawn per cancellation.
+    #[test]
+    fn a_client_reset_mid_stream_retires_the_worker() {
+        let site = small_site(29);
+        let mut cfg = SimConfig::new(67, 1_500);
+        cfg.dynamic_fraction = 1.0;
+        cfg.faults = FaultPlan::none();
+        cfg.faults.client_reset = 0.3;
+        cfg.check_every = 1;
+        let report = run(&cfg, &site).expect("reset run");
+        assert!(report.jobs_cancelled > 0, "{report:?}");
+        assert_eq!(report.worker_respawns, report.jobs_cancelled, "{report:?}");
+        assert_eq!(report.dynamic_timeouts, 0, "{report:?}");
+    }
+
+    /// A worker that writes what is not a frame is read by the real
+    /// parser as `Corrupt`: before its first frame the request gets a
+    /// `500`, after it a truncated stream — and every such exchange
+    /// retires its worker.
+    #[test]
+    fn worker_garbage_is_a_500_or_a_truncation_and_a_respawn() {
+        let site = small_site(31);
+        let mut cfg = SimConfig::new(71, 1_000);
+        cfg.dynamic_fraction = 0.3;
+        cfg.faults = FaultPlan::none();
+        cfg.faults.worker_garbage = 1.0;
+        cfg.check_every = 1;
+        let report = run(&cfg, &site).expect("garbage run");
+        assert!(report.server_errors > 0, "{report:?}");
+        assert!(report.worker_respawns > 0, "{report:?}");
+        // One worker-wait sample per exchange, one retirement each.
+        assert_eq!(
+            report.worker_respawns, report.hist_worker_wait.count,
+            "{report:?}"
+        );
+        assert_eq!(report.dynamic_timeouts, 0, "{report:?}");
+    }
+
     #[test]
     fn date_scrubbing_blanks_only_the_value() {
         let mut buf =
             b"HTTP/1.1 200 OK\r\nDate: Fri, 08 Aug 2026 12:00:00 GMT\r\nX: y\r\n\r\n".to_vec();
         let before = buf.len();
-        scrub_dates(&mut buf);
+        assert_eq!(scrub_dates(&mut buf), 0);
         assert_eq!(buf.len(), before);
         assert!(buf.windows(6).any(|w| w == b"Date: "));
         assert!(
@@ -1529,6 +1660,13 @@ mod tests {
         assert!(
             buf.windows(8).any(|w| w == b"\r\nX: y\r\n"),
             "neighbours intact"
+        );
+        // A client that reset mid-header took part of a date with it.
+        let mut cut = b"HTTP/1.1 500 Internal\r\nDate: Fri, 08 Aug".to_vec();
+        assert_eq!(scrub_dates(&mut cut), 1);
+        assert!(
+            cut.ends_with(b"Date: ###########"),
+            "a date cut short is blanked too"
         );
     }
 }

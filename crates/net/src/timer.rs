@@ -32,7 +32,10 @@
 //! minute, memory in proportion to the request rate. So the wheel
 //! counts its entries, and when the stale ones outnumber the live ones
 //! by more than a constant it drops them all in one pass, paid for by
-//! the arms that made it necessary (amortised O(1)).
+//! the arms, cancels and expiries that made it necessary (amortised
+//! O(1)). The bound — entries ≤ 2 × armed + [`STALE_SLACK`] — therefore
+//! holds between any two calls, and `ShardCore::check_invariants`
+//! asserts it.
 //!
 //! Timers never fire **early**: deadlines round *up* to a tick
 //! boundary and a tick is processed only once it has fully elapsed.
@@ -50,9 +53,9 @@ use std::time::{Duration, Instant};
 /// stays a fraction of a page.
 pub const WHEEL_SLOTS: usize = 256;
 
-/// Stale bucket entries tolerated beyond one per live timer before
-/// [`TimerWheel::arm`] sweeps them out (24 bytes each).
-const STALE_SLACK: usize = 1024;
+/// Stale bucket entries tolerated beyond one per live timer before the
+/// wheel sweeps them out (24 bytes each).
+pub const STALE_SLACK: usize = 1024;
 
 /// The authoritative record of one armed timer.
 #[derive(Debug, Clone, Copy)]
@@ -106,10 +109,11 @@ impl TimerWheel {
         TimerWheel::new_at(tick, Instant::now())
     }
 
-    /// An empty wheel with an explicit epoch — the seam the
-    /// deterministic sim driver uses: every `arm`/`expire` instant is
-    /// derived from one base `Instant` plus simulated nanoseconds, so
-    /// the wheel's behavior is a pure function of the simulation.
+    /// An empty wheel with an explicit epoch — a shard starts its wheel
+    /// at its environment's clock, so under the deterministic sim every
+    /// `arm`/`expire` instant is one base `Instant` plus simulated
+    /// nanoseconds and the wheel's behavior is a pure function of the
+    /// simulation.
     pub fn new_at(tick: Duration, start: Instant) -> TimerWheel {
         TimerWheel {
             tick: tick.max(Duration::from_millis(1)),
@@ -132,6 +136,11 @@ impl TimerWheel {
     /// Number of armed (live) timers.
     pub fn pending(&self) -> usize {
         self.armed.len()
+    }
+
+    /// Bucket entries held, live and stale together.
+    pub fn entries(&self) -> usize {
+        self.entries
     }
 
     /// Ticks that have *fully elapsed* by `now` (floor).
@@ -163,6 +172,19 @@ impl TimerWheel {
         self.armed.insert(key, Armed { gen, tick });
         self.slots[(tick % WHEEL_SLOTS as u64) as usize].push(Slotted { key, gen, tick });
         self.entries += 1;
+        self.bound_stale();
+    }
+
+    /// Disarms `key`'s timer. O(1): the bucket entry goes stale and is
+    /// dropped when its bucket next comes around, or by the sweep.
+    pub fn cancel(&mut self, key: u64) {
+        self.armed.remove(&key);
+        self.bound_stale();
+    }
+
+    /// Drops every stale entry once they outnumber the live ones by
+    /// more than [`STALE_SLACK`].
+    fn bound_stale(&mut self) {
         if self.entries > 2 * self.armed.len() + STALE_SLACK {
             let armed = &self.armed;
             for bucket in &mut self.slots {
@@ -170,12 +192,6 @@ impl TimerWheel {
             }
             self.entries = armed.len();
         }
-    }
-
-    /// Disarms `key`'s timer. O(1): the bucket entry goes stale and is
-    /// dropped when its bucket next comes around.
-    pub fn cancel(&mut self, key: u64) {
-        self.armed.remove(&key);
     }
 
     /// Milliseconds until the next tick boundary — what the event
@@ -246,6 +262,7 @@ impl TimerWheel {
         for key in out.iter() {
             self.armed.remove(key);
         }
+        self.bound_stale();
     }
 }
 
@@ -297,6 +314,18 @@ mod tests {
             assert!(held <= 2 * w.pending() + STALE_SLACK + 1, "{held} entries");
         }
         assert_eq!(w.pending(), 10);
+        // Cancelling leaves no more behind than arming does.
+        for key in 1000..3000 {
+            w.arm(key, w.start + 20_000 * MS);
+        }
+        for key in 1000..3000 {
+            w.cancel(key);
+            assert!(
+                w.entries() <= 2 * w.pending() + STALE_SLACK,
+                "{} entries",
+                w.entries()
+            );
+        }
         let mut fired = expire_at(&mut w, 60 * MS);
         fired.sort_unstable();
         assert_eq!(fired, (0..8).collect::<Vec<u64>>());

@@ -35,10 +35,12 @@
 //! Nothing here forks, kills or reaps (`tests/driver_audit.rs`): a
 //! cold worker is asked of the helper pool ([`Work::Spawn`]) and a
 //! retired one given to it ([`Work::Reap`]), the pool doing for
-//! processes what it does for disks — the calls that block.
+//! processes what it does for disks — the calls that block. The set is
+//! generic over the shard's environment ([`Env`]): on the real server a
+//! worker is a child process behind a socketpair, in the sim an
+//! endpoint of the simulated kernel that writes the same frames.
 
 use std::collections::VecDeque;
-use std::fs::File;
 use std::io::{self, Read, Write};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,10 +48,11 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::appworker::{request_line, Frame, FrameParser, Worker};
+use crate::appworker::{request_line, Frame, FrameParser};
 use crate::conn::{Done, DoneData, DynEvent, HelperJob, ShardStats};
 use crate::event::{EventBackend, Interest};
-use crate::pool::{JobQueue, Work};
+use crate::pool::Work;
+use crate::server::{Env, FileOf};
 
 /// Worker tokens carry the slot half no connection can have (2^32-1,
 /// as the wake pipe's and the listener's do) and the worker's index in
@@ -69,8 +72,8 @@ const READ_CHUNK: usize = 16 * 1024;
 const READS_PER_EVENT: usize = 16;
 
 /// One live worker, registered with the shard's backend.
-struct Slot {
-    worker: Worker,
+struct Slot<W> {
+    worker: W,
     /// The exchange it is in; `None` while idle — an idle worker holds
     /// no buffer.
     exchange: Option<Exchange>,
@@ -81,33 +84,26 @@ struct Exchange {
     parser: FrameParser,
 }
 
-pub(crate) struct WorkerSet {
+pub(crate) struct WorkerSet<E: Env> {
     /// As many slots as the set may have live workers; worker `i` is
     /// registered under `worker_token(i)`.
-    slots: Vec<Option<Slot>>,
+    slots: Vec<Option<Slot<E::Worker>>>,
     /// Workers asked of the helper pool and not handed over yet.
     spawning: usize,
     /// Jobs waiting for a worker, oldest first.
     queue: VecDeque<HelperJob>,
     /// Completions for the shard to apply, oldest first.
-    pub(crate) outbox: VecDeque<Done<Arc<File>>>,
+    pub(crate) outbox: VecDeque<Done<FileOf<E>>>,
     /// Retired workers, still registered and still alive: the shard
     /// deregisters them and hands them on at the end of the turn
     /// ([`WorkerSet::bury`]).
-    morgue: Vec<Worker>,
+    morgue: Vec<E::Worker>,
     chunk: Box<[u8; READ_CHUNK]>,
-    jobs: Arc<JobQueue>,
-    shard: usize,
     stats: Arc<ShardStats>,
 }
 
-impl WorkerSet {
-    pub(crate) fn new(
-        ceiling: usize,
-        jobs: Arc<JobQueue>,
-        shard: usize,
-        stats: Arc<ShardStats>,
-    ) -> WorkerSet {
+impl<E: Env> WorkerSet<E> {
+    pub(crate) fn new(ceiling: usize, stats: Arc<ShardStats>) -> WorkerSet<E> {
         WorkerSet {
             slots: (0..ceiling).map(|_| None).collect(),
             spawning: 0,
@@ -115,23 +111,26 @@ impl WorkerSet {
             outbox: VecDeque::new(),
             morgue: Vec::new(),
             chunk: Box::new([0; READ_CHUNK]),
-            jobs,
-            shard,
             stats,
         }
     }
 
     /// Takes one dynamic job: straight to an idle worker if there is
     /// one, else behind the jobs already waiting.
-    pub(crate) fn submit(&mut self, job: HelperJob) {
+    pub(crate) fn submit(&mut self, job: HelperJob, env: &mut E) {
         self.queue.push_back(job);
-        self.pump();
+        self.pump(env);
     }
 
     /// Takes the worker a helper forked for this set — or its failure
     /// to, which fails the oldest waiting job as a `500` — and registers
     /// it: the one interest-set call of its life.
-    pub(crate) fn adopt(&mut self, spawned: io::Result<Worker>, backend: &mut dyn EventBackend) {
+    pub(crate) fn adopt(
+        &mut self,
+        spawned: io::Result<E::Worker>,
+        backend: &mut E::Backend,
+        env: &mut E,
+    ) {
         self.spawning = self.spawning.saturating_sub(1);
         let adopted = spawned.and_then(|worker| {
             // Live and asked-for workers together never outnumber the
@@ -139,7 +138,7 @@ impl WorkerSet {
             let registered = match self.slots.iter().position(Option::is_none) {
                 Some(slot) => {
                     bump(&self.stats.ctl_calls);
-                    let fd = worker.sock.as_raw_fd();
+                    let fd = worker.as_raw_fd();
                     backend
                         .register(fd, worker_token(slot), Interest::READ)
                         .map(|()| slot)
@@ -165,7 +164,7 @@ impl WorkerSet {
                 self.finish(job, false);
             }
         }
-        self.pump();
+        self.pump(env);
     }
 
     /// Reads what worker `slot` has to say — to dry, or for
@@ -176,7 +175,8 @@ impl WorkerSet {
         &mut self,
         slot: usize,
         hangup: bool,
-        backend: &mut dyn EventBackend,
+        backend: &mut E::Backend,
+        env: &mut E,
     ) {
         for reads in 0.. {
             let Some(live) = self.slots.get_mut(slot).and_then(Option::as_mut) else {
@@ -185,7 +185,7 @@ impl WorkerSet {
             if reads == READS_PER_EVENT {
                 // The edge is spent and the socket is not dry.
                 bump(&self.stats.ctl_calls);
-                let fd = live.worker.sock.as_raw_fd();
+                let fd = live.worker.as_raw_fd();
                 if backend
                     .rearm(fd, worker_token(slot), Interest::READ)
                     .is_err()
@@ -195,7 +195,7 @@ impl WorkerSet {
                 break;
             }
             bump(&self.stats.worker_io_calls);
-            let n = match (&live.worker.sock).read(&mut self.chunk[..]) {
+            let n = match live.worker.read(&mut self.chunk[..]) {
                 Ok(n) => n,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -236,14 +236,14 @@ impl WorkerSet {
                 break; // dry: what comes next raises an event of its own
             }
         }
-        self.pump();
+        self.pump(env);
     }
 
     /// Retires the worker of every exchange whose job has been
     /// cancelled — the core purged its waiter: the client went away, or
     /// the deadline fired — without a word to anyone, and forgets the
     /// cancelled jobs still waiting for a worker.
-    pub(crate) fn drop_cancelled(&mut self) {
+    pub(crate) fn drop_cancelled(&mut self, env: &mut E) {
         self.queue.retain(|job| !job.is_cancelled());
         for slot in 0..self.slots.len() {
             let cancelled = self.slots[slot]
@@ -254,23 +254,23 @@ impl WorkerSet {
                 self.retire(slot, None);
             }
         }
-        self.pump();
+        self.pump(env);
     }
 
     /// Takes the retired workers out of the readiness set and gives
     /// them to the helper pool to kill and reap.
-    pub(crate) fn bury(&mut self, backend: &mut dyn EventBackend) {
+    pub(crate) fn bury(&mut self, backend: &mut E::Backend, env: &mut E) {
         for worker in self.morgue.drain(..) {
             bump(&self.stats.ctl_calls);
-            let _ = backend.deregister(worker.sock.as_raw_fd());
-            self.jobs.push(self.shard, Work::Reap(worker));
+            let _ = backend.deregister(worker.as_raw_fd());
+            env.push(Work::Reap(worker));
         }
     }
 
     /// Starts waiting jobs on idle workers, oldest job first, and asks
     /// the helper pool for as many more workers as the jobs left over
     /// need and the ceiling allows.
-    fn pump(&mut self) {
+    fn pump(&mut self, env: &mut E) {
         for slot in 0..self.slots.len() {
             if self.queue.is_empty() {
                 return;
@@ -284,7 +284,7 @@ impl WorkerSet {
         let live = self.slots.iter().flatten().count();
         while self.spawning < self.queue.len() && live + self.spawning < self.slots.len() {
             self.spawning += 1;
-            self.jobs.push(self.shard, Work::Spawn);
+            env.push(Work::Spawn);
         }
     }
 
@@ -309,7 +309,7 @@ impl WorkerSet {
         bump(&self.stats.inline_jobs);
         bump(&self.stats.worker_io_calls);
         let line = request_line(&job);
-        if matches!((&live.worker.sock).write(&line), Ok(n) if n == line.len()) {
+        if matches!(live.worker.write(&line), Ok(n) if n == line.len()) {
             live.exchange = Some(Exchange {
                 job,
                 parser: FrameParser::default(),
@@ -337,12 +337,8 @@ impl WorkerSet {
 
     /// Queues the `End` that closes `job`'s completion stream.
     fn finish(&mut self, job: HelperJob, clean: bool) {
-        self.outbox.push_back(Done {
-            path: job.path,
-            data: DoneData::Dynamic(DynEvent::End { clean }),
-            epoch: job.epoch,
-            token: job.token,
-        });
+        let end = DoneData::Dynamic(DynEvent::End { clean });
+        self.outbox.push_back(job.done(end));
     }
 }
 

@@ -24,7 +24,12 @@
 //! * the shard's syscall counters stay honest: every AMPED file accepts
 //!   through the one counted wrapper (`sys::accept_nonblocking`, bumped
 //!   as `accept_calls`) and sets no per-connection socket option — the
-//!   listener carries them (`sock.rs`).
+//!   listener carries them (`sock.rs`);
+//! * there is one shard loop: `sim.rs` is a simulated kernel under the
+//!   shipped `Shard`, with no connection table, wheel, core or loop of
+//!   its own, and `server.rs` reads the wall clock only through
+//!   `NetEnv`'s clock — a stray read would break the sim's per-seed
+//!   determinism.
 
 use std::path::Path;
 
@@ -174,4 +179,39 @@ fn mt_is_a_driver_not_a_second_server() {
         lines <= LANDED_AT,
         "mt.rs grew to {lines} code lines (ratchet: {LANDED_AT})"
     );
+}
+
+#[test]
+fn the_sim_is_a_kernel_under_the_shipped_loop() {
+    const LOOP: [&str; 10] = [
+        "fn admit",
+        "fn drive",
+        "fn reconcile",
+        "fn expire",
+        "fn pump_timers",
+        "TimerWheel",
+        "ShardCore",
+        "drive_conn(",
+        "complete_job(",
+        "expire_conn(",
+    ];
+    let found = offenders(SIM, &LOOP);
+    assert!(
+        found.is_empty(),
+        "a second event loop in the sim: {found:#?}"
+    );
+}
+
+#[test]
+fn server_rs_reads_the_wall_clock_only_through_net_env() {
+    let lines = product_lines(SERVER.0, SERVER.1);
+    let reads: Vec<usize> = (0..lines.len())
+        .filter(|&i| lines[i].1.contains("Instant::now()"))
+        .collect();
+    let clock = reads.len() == 1
+        && reads[0] >= 2
+        && lines[reads[0] - 1].1.trim() == "fn clock() -> Instant {"
+        && lines[reads[0] - 2].1.trim() == "impl NetEnv {";
+    let reads: Vec<_> = reads.iter().map(|&i| &lines[i]).collect();
+    assert!(clock, "Instant::now() outside NetEnv's clock: {reads:#?}");
 }

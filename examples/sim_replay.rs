@@ -1,9 +1,11 @@
-//! Deterministic simulated replay of the sans-IO protocol core at
-//! scale: a Zipf-visited synthetic site (generated by
-//! `workload::sitegen`), hundreds of thousands of simulated
-//! connections per seed, the full fault mix on (partial writes,
-//! trickled headers, disk stalls, wedged helpers, EMFILE storms,
-//! mid-run reloads, a final drain), and the shard invariants checked
+//! Deterministic simulated replay of the shipped shard loop at scale,
+//! over the simulated kernel of `flash_net::sim`: a Zipf-visited
+//! synthetic site (generated by `workload::sitegen`), hundreds of
+//! thousands of simulated connections per seed, the full fault mix on
+//! (partial writes, trickled headers, disk stalls, wedged helpers,
+//! EMFILE storms, crashing, wedged and garbling workers, half-closing
+//! and resetting clients, mid-run reloads, a final drain), and the
+//! shard invariants — the timing wheel's bound among them — checked
 //! throughout.
 //!
 //! Two gates, both fatal (non-zero exit):
@@ -72,7 +74,8 @@ fn main() {
         println!(
             "sim seed {seed}: {} conns, {} requests, {:.1} MB in {:.1}s simulated \
              ({:.1}s wall, {} events) — jobs {} ({} inline), cancelled {}, reaped {}, \
-             304s {}, reloads {}",
+             304s {}, 500s {}, unanswered {}, worker respawns {}, reloads {}, \
+             fingerprint {:#018x}",
             r.connections,
             r.requests,
             r.bytes as f64 / 1e6,
@@ -84,7 +87,11 @@ fn main() {
             r.jobs_cancelled,
             r.helper_wait_timeouts,
             r.not_modified,
+            r.server_errors,
+            r.unanswered,
+            r.worker_respawns,
             r.reloads,
+            r.fingerprint,
         );
     }
     println!(

@@ -1,10 +1,15 @@
-//! Reproducibility: a simulation is a pure function of its seed.
+//! Reproducibility: a simulation is a pure function of its seed — the
+//! modelled servers of `flash_core`, and the shipped shard loop run
+//! over `flash_net::sim`'s simulated kernel.
 
 use std::rc::Rc;
 
 use flash_repro::core::ServerConfig;
 use flash_repro::experiments::{run_one, RunParams};
+use flash_repro::net::sim::{self, FaultPlan, SimConfig};
+use flash_repro::simcore::SimRng;
 use flash_repro::simos::MachineConfig;
+use flash_repro::workload::sitegen::{generate_files, SizeDist};
 use flash_repro::workload::{ClientFleet, ConnMode, Trace, TraceConfig};
 
 fn run(seed: u64) -> (f64, f64, u64) {
@@ -53,4 +58,28 @@ fn different_seeds_vary_but_agree_qualitatively() {
         ratio > 0.5 && ratio < 2.0,
         "seeds too divergent: {a:?} vs {b:?}"
     );
+}
+
+/// The shipped shard loop, without a socket: a short replay under the
+/// CI fault mix, invariants checked after every loop turn, is the same
+/// report twice.
+#[test]
+fn the_shipped_shard_loop_replays_bit_for_bit() {
+    let dist = SizeDist {
+        body_median: 2_000.0,
+        body_sigma: 1.0,
+        tail_fraction: 0.03,
+        tail_scale: 20_000.0,
+        tail_alpha: 1.3,
+        max_bytes: 128 * 1024,
+    };
+    let site = generate_files(&mut SimRng::new(5), 256 * 1024, &dist);
+    let mut cfg = SimConfig::new(8, 600);
+    cfg.faults = FaultPlan::heavy();
+    cfg.check_every = 1;
+    let a = sim::run(&cfg, &site).expect("invariants hold");
+    let b = sim::run(&cfg, &site).expect("invariants hold");
+    assert_eq!(a, b, "same seed, same report");
+    assert_eq!(a.connections, 600);
+    assert!(a.requests > 0 && a.dynamic_requests > 0, "{a:?}");
 }
