@@ -9,8 +9,11 @@
 //! The encoder side is deliberately split into pieces ([`size_line`],
 //! [`CRLF`], [`TERMINATOR`]) so the server can queue a worker's chunk
 //! as three segments — size line, the worker's bytes zero-copy, CRLF —
-//! on its gathered-`writev` path instead of reassembling a copy.
-//! [`encode`] glues them for tests and one-shot callers.
+//! on its gathered-`writev` path instead of reassembling a copy. The
+//! two constant pieces never change, so the server holds each as one
+//! shared segment per thread and queues it without allocating; only
+//! the size line is made per chunk. [`encode`] glues them for tests
+//! and one-shot callers.
 //!
 //! The decoder ([`ChunkedDecoder`]) is incremental byte-at-a-time —
 //! feed it arbitrary splits of the wire stream and it reassembles the

@@ -295,15 +295,16 @@ impl FrameParser {
 /// it ends or the job is cancelled: `run_exchange` stopped by the
 /// job's cancel flag.
 pub fn run_job(pool: &WorkerPool, job: &HelperJob, emit: &mut dyn FnMut(DynEvent)) -> u64 {
-    run_exchange(pool, job, &|| job.is_cancelled(), emit)
+    run_exchange(pool, job, &|_| job.is_cancelled(), emit)
 }
 
 /// The worker exchange in its **blocking** form — checkout, request
 /// line, frame loop, checkin-or-kill, on the calling thread — for a
 /// driver whose threads may block: an MT connection thread, which adds
-/// the deadline its core armed to `stop`, and `loadbench`'s round-trip
-/// layer ([`run_job`]). `stop` is asked between reads and on every
-/// poll tick of a silent worker.
+/// the deadline its core armed to `stop` and, on a silent worker's
+/// tick, a look at its client, and `loadbench`'s round-trip layer
+/// ([`run_job`]). `stop` is asked between reads, with `false`, and on
+/// every poll tick of a silent worker, with `true`.
 ///
 /// `emit` is called once per streaming event, in order; a clean
 /// exchange ends with `End { clean: true }`, a crash with
@@ -318,7 +319,7 @@ pub fn run_job(pool: &WorkerPool, job: &HelperJob, emit: &mut dyn FnMut(DynEvent
 pub(crate) fn run_exchange(
     pool: &WorkerPool,
     job: &HelperJob,
-    stop: &dyn Fn() -> bool,
+    stop: &dyn Fn(bool) -> bool,
     emit: &mut dyn FnMut(DynEvent),
 ) -> u64 {
     let (worker, mut retired) = pool.checkout();
@@ -338,11 +339,13 @@ pub(crate) fn run_exchange(
     }
     let mut parser = FrameParser::default();
     let mut chunk = [0u8; 4096];
+    // Whether the last read came back empty: a tick of a silent worker.
+    let mut silent = false;
     // Whether the worker said `END`. Every other way out (EOF, stop,
     // garbage, a hard socket error) means it cannot be trusted to be
     // frame-aligned again.
     let ended = 'exchange: loop {
-        if stop() {
+        if stop(std::mem::take(&mut silent)) {
             break false;
         }
         while let Some(frame) = parser.pop() {
@@ -362,7 +365,10 @@ pub(crate) fn run_exchange(
                     io::ErrorKind::WouldBlock
                         | io::ErrorKind::TimedOut
                         | io::ErrorKind::Interrupted
-                ) => {}
+                ) =>
+            {
+                silent = true
+            }
             Err(_) => break false,
         }
     };
@@ -374,7 +380,7 @@ pub(crate) fn run_exchange(
         drop(worker); // kills — the only way to resync the framing
         retired += 1;
     }
-    if ended || !stop() {
+    if ended || !stop(false) {
         emit(DynEvent::End { clean: ended });
     }
     retired

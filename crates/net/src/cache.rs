@@ -154,16 +154,7 @@ impl Entry {
     ) -> Arc<Entry> {
         let (header_keep, header_close, etag) =
             header_pair(path, body.len() as u64, mtime, variant, has_gzip);
-        // Locate the Date value once; the keep/close forms share their
-        // prefix (status line + Date line), so one offset serves both.
-        let date_at = header_keep
-            .windows(6)
-            .position(|w| w == b"Date: ")
-            .map(|i| i + 6)
-            .filter(|&at| {
-                at + flash_http::date::IMF_FIXDATE_LEN <= header_close.len()
-                    && header_keep[..at] == header_close[..at]
-            });
+        let date_at = date_offset(&header_keep, &header_close);
         Arc::new(Entry {
             header_keep,
             header_close,
@@ -188,15 +179,7 @@ impl Entry {
         } else {
             &self.header_close
         };
-        match self.date_at {
-            Some(at) => out.extend([
-                hdr.slice(..at),
-                flash_http::date::now_imf_bytes(),
-                hdr.slice(at + flash_http::date::IMF_FIXDATE_LEN..),
-            ]),
-            // No recognizable Date line: serve the header as rendered.
-            None => out.extend([hdr.clone()]),
-        }
+        push_dated(hdr, self.date_at, out);
     }
 
     /// Whether a conditional request bearing this `If-Modified-Since`
@@ -209,6 +192,33 @@ impl Entry {
     /// Total cached bytes (headers + body).
     pub fn cost(&self) -> u64 {
         (self.header_keep.len() + self.header_close.len() + self.body.len()) as u64
+    }
+}
+
+/// Where the `Date` value sits in a pre-rendered header pair: one
+/// offset serves both forms, whose prefixes (status line and `Date`
+/// line) are identical. `None` if the header has no such line.
+pub(crate) fn date_offset(keep: &[u8], close: &[u8]) -> Option<usize> {
+    keep.windows(6)
+        .position(|w| w == b"Date: ")
+        .map(|i| i + 6)
+        .filter(|&at| {
+            at + flash_http::date::IMF_FIXDATE_LEN <= close.len() && keep[..at] == close[..at]
+        })
+}
+
+/// Queues pre-rendered header `hdr` with a **current** `Date` onto
+/// `out`: two zero-copy slices of it around the per-second-cached date
+/// segment, its value being at `date_at` ([`date_offset`]) — or, with
+/// no `Date` line, the header as rendered.
+pub(crate) fn push_dated(hdr: &Bytes, date_at: Option<usize>, out: &mut impl Extend<Bytes>) {
+    match date_at {
+        Some(at) => out.extend([
+            hdr.slice(..at),
+            flash_http::date::now_imf_bytes(),
+            hdr.slice(at + flash_http::date::IMF_FIXDATE_LEN..),
+        ]),
+        None => out.extend([hdr.clone()]),
     }
 }
 

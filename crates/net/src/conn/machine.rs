@@ -22,8 +22,9 @@ use std::sync::atomic::Ordering;
 pub enum ConnState {
     /// Parsing (or waiting for) request bytes.
     Reading,
-    /// The request is owned by a helper job; a completion will flip
-    /// the connection to `Writing`.
+    /// Parked: the request is owned by a helper job or an application
+    /// worker, and a completion will flip the connection to `Writing`.
+    /// Still watched for its peer's hang-up ([`desired_interest`]).
     Waiting,
     /// A response is queued or in flight.
     Writing,
@@ -183,15 +184,23 @@ pub enum Drive {
     Yielded,
 }
 
-/// The interest the backend should have armed for a connection in this
-/// state: read while parsing, write only while a send is in flight,
-/// nothing while a helper owns the request (completions arrive through
-/// the driver, not the transport).
-pub fn desired_interest(state: &ConnState) -> Interest {
-    match state {
+/// The interest a backend — edge-triggered or not — should have armed
+/// for `conn`: read while parsing, write only while a send is in
+/// flight, and while a helper or a worker owns the request (its
+/// completions arrive through the driver, not the transport) the
+/// peer's hang-up, at whatever costs least ([`crate::event`], *Parked
+/// registrations*). An edge-triggered backend keeps `READ`: parking
+/// and resuming change nothing, and a data edge meanwhile leaves its
+/// bytes in the socket. A level-triggered one gets the hang-up alone,
+/// and nothing once a hang-up has been noted — a condition that stays
+/// true would be reported by every wait.
+pub fn desired_interest<Io: ConnIo>(conn: &Conn<Io>, edge_triggered: bool) -> Interest {
+    match conn.state {
         ConnState::Reading => Interest::READ,
         ConnState::Writing => Interest::WRITE,
-        ConnState::Waiting => Interest::NONE,
+        ConnState::Waiting if edge_triggered => Interest::READ,
+        ConnState::Waiting if conn.io.hung_up() => Interest::NONE,
+        ConnState::Waiting => Interest::HANGUP,
     }
 }
 
@@ -510,19 +519,38 @@ mod tests {
 
     #[test]
     fn desired_interest_tracks_state_machine() {
-        assert_eq!(desired_interest(&ConnState::Reading), Interest::READ);
-        assert_eq!(desired_interest(&ConnState::Writing), Interest::WRITE);
-        assert_eq!(desired_interest(&ConnState::Waiting), Interest::NONE);
+        for (edge_triggered, parked) in [(true, Interest::READ), (false, Interest::HANGUP)] {
+            let mut conn = Conn::new(InertIo::default());
+            let want = |c: &Conn<InertIo>| desired_interest(c, edge_triggered);
+            assert_eq!(want(&conn), Interest::READ);
+            conn.state = ConnState::Writing;
+            assert_eq!(want(&conn), Interest::WRITE);
+            conn.state = ConnState::Waiting;
+            assert_eq!(want(&conn), parked, "edge-triggered: {edge_triggered}");
+            conn.io.hung_up = true;
+            let noted = if edge_triggered {
+                parked
+            } else {
+                Interest::NONE
+            };
+            assert_eq!(want(&conn), noted, "a hang-up is reported once");
+        }
     }
 
     /// A transport that never moves a byte — the deadline logic under
-    /// test never touches it.
-    struct InertIo;
+    /// test never touches it — and reports a hang-up when told to.
+    #[derive(Default)]
+    struct InertIo {
+        hung_up: bool,
+    }
 
     impl ConnIo for InertIo {
         type FileRef = ();
         fn read(&mut self, _buf: &mut [u8]) -> io::Result<usize> {
             Err(io::ErrorKind::WouldBlock.into())
+        }
+        fn hung_up(&self) -> bool {
+            self.hung_up
         }
         fn writev(&mut self, _bufs: &[&[u8]]) -> io::Result<usize> {
             Err(io::ErrorKind::WouldBlock.into())
@@ -550,7 +578,7 @@ mod tests {
 
     #[test]
     fn sync_deadline_maps_states_to_classes() {
-        let mut conn = Conn::new(InertIo);
+        let mut conn = Conn::new(InertIo::default());
         let cfg = proto_cfg();
         let mut wheel = TimerWheel::new(Duration::from_millis(10));
         let token = 42;
@@ -602,7 +630,7 @@ mod tests {
 
     #[test]
     fn sync_deadline_rearms_on_forward_progress_only() {
-        let mut conn = Conn::new(InertIo);
+        let mut conn = Conn::new(InertIo::default());
         let cfg = proto_cfg();
         let mut wheel = TimerWheel::new(Duration::from_millis(10));
         let now = Instant::now();
@@ -624,7 +652,7 @@ mod tests {
 
     #[test]
     fn sync_deadline_honours_disabled_classes() {
-        let mut conn = Conn::new(InertIo);
+        let mut conn = Conn::new(InertIo::default());
         let cfg = ProtoConfig {
             idle_timeout: None,
             header_read_timeout: None,

@@ -44,8 +44,13 @@
 //!   [`crate::timer::TimerWheel`] key, and hand the slot to whatever
 //!   admits the next connection;
 //! * the slot is **occupied**: arm [`machine::desired_interest`] for
-//!   the state the connection is now in (re-arming the consumed edge
-//!   after `Drive::Yielded`), and call [`machine::sync_deadline`]. A
+//!   the state the connection is now in and the kind of backend it is
+//!   registered with (re-arming the consumed edge after
+//!   `Drive::Yielded`), and call [`machine::sync_deadline`]. A parked
+//!   connection stays watched for its peer's hang-up — on an
+//!   edge-triggered backend with the registration it already has, so
+//!   parking costs no interest change ([`crate::event`], *Parked
+//!   registrations*). A
 //!   new connection is driven *first* and registered here, at the
 //!   first reconcile that leaves its slot occupied and with the
 //!   interest that state wants: a connection answered and closed in
@@ -72,15 +77,24 @@
 //! `Reading` slot once. A driver whose transport reports
 //! [`ConnIo::known_empty`] withdraws that report on every readable
 //! event and, for every slot, at drain entry — the drain-entry rule
-//! must see what is in the transport, not what was.
+//! must see what is in the transport, not what was. A hang-up it
+//! hears of — a readiness event's mark, or (MT) a query on a silent
+//! worker's tick — it notes on the transport ([`ConnIo::hung_up`]) and
+//! drives the connection, parked or not: what the hang-up means is the
+//! core's to say.
 //!
 //! What a driver must **never** decide: which deadline class means
 //! what (the counter, the `504`-or-sever choice), whether a close has
 //! to purge a waiter registration or cancel a job, what a close
-//! records, or whether a connection is idle enough for the drain to
-//! close. Those rules live in [`shard`], once; `tests/driver_audit.rs`
-//! fails if `server.rs`, `sim.rs` or `mt.rs` grows a copy — and if
-//! `mt.rs` names any piece of the protocol at all.
+//! records, whether a connection is idle enough for the drain to
+//! close, which interest a state wants, or whether a hang-up aborts a
+//! parked request (it does on a worker, as nginx's default
+//! `proxy_ignore_client_abort off` has it, and not on a helper: the
+//! file is answered, and the connection closed at its end of stream).
+//! Those rules live in [`machine`] and [`shard`], once;
+//! `tests/driver_audit.rs` fails if `server.rs`, `sim.rs` or `mt.rs`
+//! grows a copy — and if `mt.rs` names any piece of the protocol at
+//! all.
 //!
 //! Layout: [`machine`] holds the per-connection state machine
 //! ([`machine::Conn`], flush/gather/advance, deadline sync); [`shard`]
@@ -129,6 +143,17 @@ pub trait ConnIo {
     /// before every read and, on `true`, parks without one. `false`
     /// (the default) only ever costs the confirming read.
     fn known_empty(&self) -> bool {
+        false
+    }
+
+    /// Whether the peer is known to have hung up — half-closed, closed
+    /// or reset — as the transport last heard (a readiness event's
+    /// hang-up mark; a query MT makes on a silent worker's tick). The
+    /// core asks it of a parked connection: one parked on an
+    /// application worker whose client has hung up is a client abort.
+    /// `false` (the default) only ever defers that to the worker's
+    /// answer or its deadline.
+    fn hung_up(&self) -> bool {
         false
     }
 
@@ -404,8 +429,11 @@ pub struct ShardStats {
     pub accept_calls: AtomicU64,
     /// Interest-set calls the shard driver made on its readiness
     /// backend (`register`, `modify`, `rearm`, `deregister`) — one
-    /// `epoll_ctl(2)` each on epoll. An application worker costs one
-    /// when it is adopted and one when it is retired, none per request.
+    /// `epoll_ctl(2)` each on epoll, a table edit and no system call on
+    /// poll. An application worker costs one when it is adopted and one
+    /// when it is retired, none per request; a parked request costs its
+    /// connection none on epoll (the registration does not change) and
+    /// two table edits on poll (`READ` → `HANGUP` → `READ`).
     pub ctl_calls: AtomicU64,
     /// `read(2)`s and `write(2)`s a shard issued on its application
     /// workers' sockets: a warm dynamic request whose worker answers in
@@ -460,7 +488,9 @@ pub struct ShardStats {
     /// arrives, is discarded by its stale token.
     pub helper_wait_timeouts: AtomicU64,
     /// In-flight helper jobs cancelled because their last waiter was
-    /// reaped: the cancel flag was raised and the pending entry
+    /// reaped by a deadline or went away — its connection closed, or
+    /// its client hung up on a request parked on an application worker
+    /// (a client abort): the cancel flag was raised and the pending entry
     /// dropped, so the job is skipped if still queued and its
     /// completion (if it already ran) dies on token mismatch — never
     /// populating the cache, never waking a reused slot.

@@ -20,7 +20,7 @@ use flash_http::request::{IfRange, RangeSpec, Request};
 use flash_http::response::{error_body, ContentRange, HeaderExtras, ResponseHeader, Status};
 use flash_http::{etag_matches, mime};
 
-use crate::cache::{not_modified_since, Entry, Variant};
+use crate::cache::{self, not_modified_since, Entry, Variant};
 use crate::stats::Tier;
 
 use super::machine::{Conn, SendFileState};
@@ -332,17 +332,46 @@ pub fn queue_plan<Io: ConnIo>(conn: &mut Conn<Io>, plan: ResponsePlan<Io::FileRe
     }
 }
 
+/// The dynamic tier's chunked `200` header, both forms, and where
+/// their `Date` value sits: the one header the tier sends, rendered
+/// once per thread.
+struct ChunkedPair {
+    keep: Bytes,
+    close: Bytes,
+    date_at: Option<usize>,
+}
+
+thread_local! {
+    /// Per thread — a shard's, or an MT connection's — like the date
+    /// cache it splices from, so no two threads share a reference count.
+    static CHUNKED_200: ChunkedPair = {
+        let keep = ResponseHeader::build_chunked(Status::Ok, "text/plain", true, true);
+        let close = Bytes::from(keep.close_form().into_bytes());
+        let keep = Bytes::from(keep.into_bytes());
+        let date_at = cache::date_offset(&keep, &close);
+        ChunkedPair { keep, close, date_at }
+    };
+}
+
 /// The dynamic tier's response plan: a chunked `200` whose body is an
 /// open [`BodySource::Stream`]. Dynamic responses bypass the
 /// conditional plane entirely — no `ETag`, `Last-Modified`, `304`, or
 /// `Range` handling applies ([`plan_response`] is never consulted);
 /// the worker's output is generated per request and has no validators.
+/// So the header never varies but for `Connection` and `Date`: it is
+/// the thread's pre-rendered pair with the current `Date` spliced in,
+/// as a cached entry's is ([`Entry::push_header`]) — three zero-copy
+/// segments, nothing rendered per response.
 pub fn plan_dynamic<F>(keep_alive: bool) -> ResponsePlan<F> {
-    let hdr = ResponseHeader::build_chunked(Status::Ok, "text/plain", keep_alive, true);
+    let mut header = Vec::with_capacity(3);
+    CHUNKED_200.with(|pair| {
+        let hdr = if keep_alive { &pair.keep } else { &pair.close };
+        cache::push_dated(hdr, pair.date_at, &mut header);
+    });
     ResponsePlan {
         status: Status::Ok,
         tier: Tier::Dynamic,
-        header: vec![Bytes::from(hdr.as_bytes().to_vec())],
+        header,
         body: BodySource::Stream,
     }
 }
@@ -504,6 +533,35 @@ mod tests {
         assert!(!hdr.contains("Content-Length"), "{hdr}");
         assert!(!hdr.contains("ETag"), "dynamic bypasses validators: {hdr}");
         assert!(!hdr.contains("Last-Modified"), "{hdr}");
+    }
+
+    /// The thread's pre-rendered chunked pair is the header a render
+    /// would give, in both forms — `Date` aside, which is spliced in
+    /// current: three segments, the rendered length, so the alignment.
+    #[test]
+    fn plan_dynamic_splices_a_current_date_into_the_rendered_pair() {
+        let blank = |b: &[u8]| {
+            let mut b = b.to_vec();
+            let at = b.windows(6).position(|w| w == b"Date: ").unwrap() + 6;
+            b[at..at + flash_http::date::IMF_FIXDATE_LEN].fill(b'_');
+            String::from_utf8(b).unwrap()
+        };
+        for keep in [true, false] {
+            let plan: ResponsePlan<()> = plan_dynamic(keep);
+            assert_eq!(plan.header.len(), 3, "prefix + date + suffix");
+            let joined: Vec<u8> = plan.header.iter().flat_map(|s| s.to_vec()).collect();
+            let rendered = ResponseHeader::build_chunked(Status::Ok, "text/plain", keep, true);
+            assert_eq!(
+                blank(&joined),
+                blank(rendered.as_bytes()),
+                "keep-alive: {keep}"
+            );
+            assert_eq!(joined.len() % 32, 0, "the splice keeps the alignment");
+            let text = String::from_utf8(joined).unwrap();
+            let date = text.lines().find_map(|l| l.strip_prefix("Date: ")).unwrap();
+            let t = flash_http::date::parse_imf(date).expect("valid IMF-fixdate");
+            assert!((t - flash_http::date::unix_now()).abs() <= 2, "date is now");
+        }
     }
 
     #[test]

@@ -253,9 +253,6 @@ impl<C: CacheHandle> ShardCore<C> {
                     match conn.parser.feed(&[]) {
                         ParseStatus::Done(req) => {
                             self.handle_request(idx, conn, req, port, now);
-                            if matches!(conn.state, ConnState::Waiting) {
-                                return Drive::Blocked;
-                            }
                             continue;
                         }
                         ParseStatus::Error(_) => {
@@ -279,9 +276,6 @@ impl<C: CacheHandle> ShardCore<C> {
                                 match conn.parser.feed(&self.read_buf[..n]) {
                                     ParseStatus::Done(req) => {
                                         self.handle_request(idx, conn, req, port, now);
-                                        if matches!(conn.state, ConnState::Waiting) {
-                                            return Drive::Blocked;
-                                        }
                                     }
                                     ParseStatus::Incomplete => {}
                                     ParseStatus::Error(_) => {
@@ -363,6 +357,23 @@ impl<C: CacheHandle> ShardCore<C> {
                             return Drive::Closed;
                         }
                     }
+                }
+                // Parked. The transport is not read: a pipelined request
+                // behind this one stays in the socket, starting no
+                // deadline, until the completion resumes the connection.
+                // Its peer's hang-up is the one thing that counts here.
+                // A client that leaves a request an application worker
+                // owns has aborted it (nginx's default,
+                // `proxy_ignore_client_abort off`): the close purges the
+                // waiter, which cancels the job, and the driver's sweep
+                // retires the worker — now, not at the dynamic deadline.
+                // Requests pipelined behind it go unanswered with it: a
+                // half-close is not told apart from a close. A request
+                // a helper owns is answered regardless, and the
+                // connection closed at its end of stream.
+                ConnState::Waiting if conn.dynamic && conn.io.hung_up() => {
+                    self.close_conn(idx, conns, now);
+                    return Drive::Closed;
                 }
                 ConnState::Waiting => return Drive::Blocked,
             }
@@ -921,7 +932,7 @@ impl<C: CacheHandle> ShardCore<C> {
                         // chunked response.
                         queue_plan(conn, plan_dynamic(conn.keep_alive));
                     }
-                    conn.out.push_back(Bytes::from(chunked::TERMINATOR));
+                    FRAMING.with(|(_, end)| conn.out.push_back(end.clone()));
                     conn.stream_open = false;
                     conn.dynamic = false;
                 }
@@ -1093,6 +1104,17 @@ fn set_log<Io: ConnIo>(conn: &mut Conn<Io>, status: u16, tier: Tier) {
     }
 }
 
+thread_local! {
+    /// The chunked framing's two constant segments, [`chunked::CRLF`]
+    /// and [`chunked::TERMINATOR`], allocated once per thread and
+    /// queued as clones: a reference count bump per use, shared by no
+    /// other thread (a shard's, or an MT connection's).
+    static FRAMING: (Bytes, Bytes) = (
+        Bytes::from(chunked::CRLF),
+        Bytes::from(chunked::TERMINATOR),
+    );
+}
+
 /// Frames one worker chunk for the wire — `size\r\n`, the bytes,
 /// `\r\n`: three output segments, zero copies of the body. Empty
 /// chunks are skipped (a zero-size line would terminate the chunked
@@ -1104,7 +1126,7 @@ fn push_chunk<Io: ConnIo>(conn: &mut Conn<Io>, bytes: Bytes) {
     conn.out
         .push_back(Bytes::from(chunked::size_line(bytes.len())));
     conn.out.push_back(bytes);
-    conn.out.push_back(Bytes::from(chunked::CRLF));
+    FRAMING.with(|(crlf, _)| conn.out.push_back(crlf.clone()));
 }
 
 pub(crate) fn queue_error<Io: ConnIo>(conn: &mut Conn<Io>, status: Status, body: Bytes) {

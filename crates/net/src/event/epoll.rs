@@ -32,7 +32,10 @@ fn mask_of(interest: Interest) -> u32 {
     // EPOLLET unconditionally: even an Interest::NONE registration
     // stays edge-triggered for the error conditions the kernel always
     // reports. EPOLLRDHUP rides with read interest so a peer's
-    // half-close surfaces as readability (read() will return 0).
+    // half-close surfaces as readability (read() will return 0). A
+    // parked connection keeps its READ registration here
+    // (`desired_interest`); HANGUP is the level-triggered backend's.
+    debug_assert!(!interest.is_hangup(), "HANGUP is for poll, not epoll");
     let mut m = EPOLLET;
     if interest.is_readable() {
         m |= EPOLLIN | EPOLLRDHUP;

@@ -46,6 +46,28 @@
 //!    redelivers, or the connection would stall forever waiting for an
 //!    edge that never comes.
 //!
+//! # Parked registrations
+//!
+//! A connection whose request a helper or an application worker owns
+//! (`Waiting`) stays watched — for its peer's hang-up, which is how a
+//! client abandoning a request on a worker reaches the shard — at the
+//! cheapest interest each kernel offers
+//! ([`crate::conn::machine::desired_interest`] decides, not the
+//! driver):
+//!
+//! * **edge-triggered** backends keep the `READ` registration the
+//!   connection already has (`EPOLLIN | EPOLLRDHUP`, for life), so
+//!   parking and resuming cost no interest-set call. A data edge on a
+//!   parked connection only withdraws the transport's "dry" note; the
+//!   bytes stay in the socket for the drive after the completion, so
+//!   pipelined requests start no header deadline while it is parked;
+//! * **level-triggered** backends, where an interest change is a table
+//!   edit and no system call, hold a [`Interest::HANGUP`] entry: the
+//!   peer's data is not reported, its hang-up is. Once a hang-up has
+//!   been noted the entry drops to [`Interest::NONE`] — out of the
+//!   `poll(2)` set — until the connection resumes, or a condition that
+//!   stays true would be reported by every wait.
+//!
 //! Backend selection is [`BackendChoice`]: `Auto` (the default)
 //! resolves to epoll on Linux and poll elsewhere, overridable with the
 //! `FLASH_EVENT_BACKEND=poll|epoll` environment variable (CI uses this
@@ -70,12 +92,19 @@ impl Interest {
     /// Watch for nothing (the descriptor stays registered; errors and
     /// hangups are still reported by kernels that always deliver them).
     pub const NONE: Interest = Interest(0);
-    /// Watch for readability.
+    /// Watch for readability (a hang-up reads as readable: `read`
+    /// returns 0).
     pub const READ: Interest = Interest(1);
     /// Watch for writability.
     pub const WRITE: Interest = Interest(2);
     /// Watch for both.
     pub const READ_WRITE: Interest = Interest(3);
+    /// Watch for the peer's hang-up alone — its half-close, close or
+    /// reset, never its data (`POLLRDHUP`, Linux only: elsewhere poll
+    /// has no such bit and the entry watches nothing). What a parked
+    /// connection asks of the poll backend; epoll is never asked for
+    /// it, a parked connection keeping its `READ` registration there.
+    pub const HANGUP: Interest = Interest(4);
 
     /// True if readability is requested.
     pub fn is_readable(self) -> bool {
@@ -85,6 +114,11 @@ impl Interest {
     /// True if writability is requested.
     pub fn is_writable(self) -> bool {
         self.0 & 2 != 0
+    }
+
+    /// True if the peer's hang-up alone is requested ([`Self::HANGUP`]).
+    pub fn is_hangup(self) -> bool {
+        self.0 & 4 != 0
     }
 }
 
@@ -101,9 +135,9 @@ pub struct Event {
     /// Ready for writing (or errored).
     pub writable: bool,
     /// The peer hung up, half-closed or the socket errored
-    /// (`EPOLLRDHUP | EPOLLHUP | EPOLLERR`; `POLLHUP | POLLERR`): an
-    /// end of stream is queued behind whatever data is, so a reader
-    /// must not stop at a short read (contract rule 1).
+    /// (`EPOLLRDHUP | EPOLLHUP | EPOLLERR`; `POLLRDHUP | POLLHUP |
+    /// POLLERR`): an end of stream is queued behind whatever data is,
+    /// so a reader must not stop at a short read (contract rule 1).
     pub hangup: bool,
 }
 
@@ -307,6 +341,9 @@ mod tests {
         assert!(!Interest::WRITE.is_readable());
         assert!(Interest::READ_WRITE.is_readable() && Interest::READ_WRITE.is_writable());
         assert!(!Interest::NONE.is_readable() && !Interest::NONE.is_writable());
+        let hup = Interest::HANGUP;
+        assert!(hup.is_hangup() && !hup.is_readable() && !hup.is_writable());
+        assert!(!Interest::READ_WRITE.is_hangup());
     }
 
     #[test]

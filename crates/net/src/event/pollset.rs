@@ -28,11 +28,20 @@ const POLL_OUT: i16 = 0x004;
 const POLL_ERR: i16 = 0x008;
 /// Hang-up (POLLHUP; only returned in `revents`).
 const POLL_HUP: i16 = 0x010;
+/// The peer shut down its write half (POLLRDHUP) — Linux only; where
+/// poll has no such bit a hang-up-only entry watches nothing.
+#[cfg(any(target_os = "linux", target_os = "android"))]
+const POLL_RDHUP: i16 = 0x2000;
+#[cfg(not(any(target_os = "linux", target_os = "android")))]
+const POLL_RDHUP: i16 = 0;
+
+/// Any of the hang-up conditions.
+const HANGUP: i16 = POLL_RDHUP | POLL_ERR | POLL_HUP;
 
 /// True if `revents` says readable — or peer-closed/errored, which a
 /// reader must observe to reap the connection.
 fn is_readable(revents: i16) -> bool {
-    revents & (POLL_IN | POLL_ERR | POLL_HUP) != 0
+    revents & (POLL_IN | HANGUP) != 0
 }
 
 /// True if `revents` says writable (or errored, as above).
@@ -144,6 +153,9 @@ impl EventBackend for PollBackend {
             if e.interest.is_writable() {
                 mask |= POLL_OUT;
             }
+            if e.interest.is_hangup() {
+                mask |= POLL_RDHUP;
+            }
             if mask == 0 {
                 // Interest::NONE entries stay registered but are not
                 // handed to the kernel: poll(2) would still report
@@ -182,7 +194,7 @@ impl EventBackend for PollBackend {
                     token: self.entries[self.fd_entry[slot]].token,
                     readable,
                     writable,
-                    hangup: fd.revents & (POLL_ERR | POLL_HUP) != 0,
+                    hangup: fd.revents & HANGUP != 0,
                 });
             }
         }
@@ -192,6 +204,19 @@ impl EventBackend for PollBackend {
     fn registered(&self) -> usize {
         self.entries.len()
     }
+}
+
+/// Whether `fd`'s peer has hung up — half-closed, closed or reset —
+/// asked of the kernel at once: one `poll(2)` of the descriptor for
+/// the hang-up alone, timeout 0. For a thread that owns its connection
+/// and no readiness set (MT, while it waits on a silent worker).
+pub(crate) fn peer_hung_up(fd: RawFd) -> bool {
+    let mut fds = [PollFd {
+        fd,
+        events: POLL_RDHUP,
+        revents: 0,
+    }];
+    matches!(sys::poll(&mut fds, 0), Ok(1)) && fds[0].revents & HANGUP != 0
 }
 
 #[cfg(test)]
@@ -273,6 +298,15 @@ mod tests {
         assert_eq!(be.registered(), 1, "NONE keeps the registration");
         be.modify(a.as_raw_fd(), 5, Interest::READ).unwrap();
         assert_eq!(be.wait(&mut evs, 1000).unwrap(), 1);
+    }
+
+    #[test]
+    fn peer_hung_up_sees_a_half_close_and_not_data() {
+        let (a, mut b) = UnixStream::pair().unwrap();
+        b.write_all(b"pipelined").unwrap();
+        assert!(!peer_hung_up(a.as_raw_fd()), "data is not a hang-up");
+        b.shutdown(std::net::Shutdown::Write).unwrap();
+        assert!(peer_hung_up(a.as_raw_fd()));
     }
 
     #[test]

@@ -423,7 +423,7 @@
 //!   content"). Each shard owns up to [`NetConfig::helpers`] workers,
 //!   their non-blocking sockets registered with its readiness backend
 //!   once, when they are forked. A warm keep-alive request is, on the
-//!   one thread and with no other involved,
+//!   one thread and with no other involved, six kernel crossings:
 //!
 //!   ```text
 //!   wait    the client's socket is readable
@@ -434,26 +434,34 @@
 //!   writev  header, chunk and terminator       (writev_calls)
 //!   ```
 //!
-//!   plus the connection's own two interest changes (`Reading` →
-//!   `Waiting` → `Reading`). The helper pool keeps the two calls that
+//!   No interest change: on epoll the parked connection keeps the
+//!   read registration it has (on poll its entry turns hang-up-only
+//!   and back, two table edits and no system call), and the chunked
+//!   header is the shard's pre-rendered pair with the current `Date`
+//!   spliced in, its `CRLF` and terminator segments shared, not
+//!   allocated. The helper pool keeps the two calls that
 //!   block — the `fork`+`exec` of a cold worker, the `kill`+`waitpid`
 //!   of a retired one — so a warm request hands it nothing
 //!   (`helper_jobs − inline_jobs` stays put). A set with every worker
 //!   busy queues requests FIFO under the dynamic deadline, and the
 //!   worker of an exchange that is cancelled — the deadline fired, the
-//!   client's connection closed — is retired at the end of the loop
-//!   turn that cancelled it.
+//!   client's connection closed, or its client hung up before the
+//!   worker answered (a client abort, the core's rule) — is retired at
+//!   the end of the loop turn that cancelled it.
 //! * **An MT connection thread runs the exchange inline**, blocking:
 //!   checkout from the shared [`WorkerPool`] (a `waitpid` to skip the
 //!   dead), `write` the request line, `read` frames on a 50 ms
 //!   cancel-poll cadence, one `write` per queued segment to the client,
-//!   check the worker back in.
+//!   check the worker back in. On each tick of a silent worker it
+//!   `poll`s its client for a hang-up (timeout 0), so the same abort
+//!   rule reaches it; a worker that answers within a tick answers a
+//!   client that has already hung up.
 //! * **The deterministic sim** runs the shard's own worker set against
 //!   simulated workers that write real `DATA`/`END` frames on simulated
 //!   time, after per-endpoint compute times from the workload's
-//!   `FileKind::Cgi` shape — wedged, crashing and garbling workers and
-//!   clients that reset mid-stream are all folded into its
-//!   bit-identical fingerprint.
+//!   `FileKind::Cgi` shape — wedged, crashing and garbling workers,
+//!   clients that reset mid-stream and clients that leave a silent
+//!   worker are all folded into its bit-identical fingerprint.
 //!
 //! # Lifecycle: drain, signals, and generation handoff
 //!

@@ -42,7 +42,7 @@
 //! the thread-per-connection comparison server restarts without
 //! resetting a queued connection.
 
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -61,6 +61,7 @@ use crate::conn::machine::sync_deadline;
 use crate::conn::{
     Conn, ConnIo, ConnState, Done, DoneData, HelperJob, HelperPort, JobKind, ShardCore, ShardStats,
 };
+use crate::event::pollset::peer_hung_up;
 use crate::fsjob;
 use crate::lifecycle::{LifecycleShared, PHASE_DRAINING, PHASE_STOPPING};
 use crate::sendfile::send_file;
@@ -376,8 +377,10 @@ struct BlockingIo {
     inbox: Box<[u8; 4096]>,
     at: usize,
     end: usize,
-    /// The peer closed, or the socket failed: the next read the core
-    /// makes past the inbox reports end of stream.
+    /// The peer closed (a read took the end of the stream, or a silent
+    /// worker's tick saw the hang-up), or the socket failed: the next
+    /// read the core makes past the inbox reports end of stream, and
+    /// the core hears of it ([`ConnIo::hung_up`]).
     eof: bool,
 }
 
@@ -392,19 +395,21 @@ impl BlockingIo {
         match self.stream.read(&mut self.inbox[..]) {
             Ok(0) => self.eof = true,
             Ok(n) => (self.at, self.end) = (0, n),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                return false
-            }
-            Err(_) => self.eof = true,
+            Err(e) => match e.kind() {
+                io::ErrorKind::WouldBlock
+                | io::ErrorKind::TimedOut
+                | io::ErrorKind::Interrupted => return false,
+                _ => self.eof = true,
+            },
         }
         true
+    }
+
+    /// One `poll` of the socket for the peer's hang-up, noted as its
+    /// end of stream. Whether one is noted.
+    fn note_hangup(&mut self) -> bool {
+        self.eof = self.eof || peer_hung_up(self.stream.as_raw_fd());
+        self.eof
     }
 }
 
@@ -433,6 +438,10 @@ impl ConnIo for BlockingIo {
 
     fn known_empty(&self) -> bool {
         self.at == self.end && !self.eof
+    }
+
+    fn hung_up(&self) -> bool {
+        self.eof
     }
 
     /// One `write` per segment (each looped on a partial write).
@@ -609,24 +618,29 @@ impl ConnThread {
         if job.kind != JobKind::Dynamic {
             return self.complete(&job, fsjob::exec_job(&job));
         }
-        // The worker exchange stops when the core cancels the job (the
-        // client went away), when the server stops, or when the
-        // deadline the core armed lapses — every delivered chunk
-        // re-arms it, so it bounds the worker's silence. What a lapse
-        // means (`504` or sever) is `expire_conn`'s to say, in `serve`.
+        // The worker exchange stops when the core cancels the job — the
+        // client went away, or hung up while the worker was silent —
+        // when the server stops, or when the deadline the core armed
+        // lapses — every delivered chunk re-arms it, so it bounds the
+        // worker's silence. What a lapse means (`504` or sever) is
+        // `expire_conn`'s to say, in `serve`.
         let shared = Arc::clone(&self.shared);
-        let armed = Cell::new(self.armed);
-        let stop = || {
-            job.is_cancelled() || lapsed(armed.get()) || shared.lifecycle.phase() == PHASE_STOPPING
+        let this = RefCell::new(self);
+        let stop = |silent| {
+            let mut this = this.borrow_mut();
+            // A silent worker's tick: a look at the client. A hang-up
+            // is noted and the parked connection driven — what it
+            // means is the core's to say.
+            if silent && this.conns[0].as_mut().is_some_and(|c| c.io.note_hangup()) {
+                this.drive();
+            }
+            job.is_cancelled() || lapsed(this.armed) || shared.lifecycle.phase() == PHASE_STOPPING
         };
         let retired = appworker::run_exchange(&shared.workers, &job, &stop, &mut |ev| {
-            self.complete(&job, DoneData::Dynamic(ev));
-            armed.set(self.armed);
+            this.borrow_mut().complete(&job, DoneData::Dynamic(ev))
         });
-        shared
-            .stats
-            .worker_respawns
-            .fetch_add(retired, Ordering::Relaxed);
+        let respawns = &shared.stats.worker_respawns;
+        respawns.fetch_add(retired, Ordering::Relaxed);
     }
 
     fn complete(&mut self, job: &HelperJob, data: DoneData<Arc<File>>) {
@@ -636,13 +650,9 @@ impl ConnThread {
             epoch: job.epoch,
             token: job.token,
         };
-        self.core.complete_job(
-            done,
-            &mut self.conns,
-            &mut self.woken,
-            &mut self.port,
-            Instant::now(),
-        );
+        let now = Instant::now();
+        self.core
+            .complete_job(done, &mut self.conns, &mut self.woken, &mut self.port, now);
         self.woken.clear();
         self.drive();
     }

@@ -53,11 +53,13 @@
 //!   `close` and nothing else; a registered connection's interest is
 //!   adjusted incrementally as the [`Conn`] state machine moves (read
 //!   interest while parsing, write interest only while a send is in
-//!   flight, none while a helper works), and its registration is
-//!   *forgotten*, not deregistered, when its socket closes. The loop
-//!   is written to the edge-triggered contract — drain reads until the
-//!   socket is dry (`EWOULDBLOCK`, or a short read with no hang-up
-//!   seen: a keep-alive request is `wait`, `read`, `writev`), re-arm
+//!   flight; parked on a helper or a worker, it stays watched for its
+//!   client's hang-up — on epoll by the read registration it already
+//!   has, so a warm dynamic request costs no `epoll_ctl`), and its
+//!   registration is *forgotten*, not deregistered, when its socket
+//!   closes. The loop is written to the edge-triggered contract — drain
+//!   reads until the socket is dry (`EWOULDBLOCK`, or a short read with
+//!   no hang-up seen: a keep-alive request is `wait`, `read`, `writev`), re-arm
 //!   after a voluntary yield — which is also correct under the
 //!   level-triggered fallback. Each shard never
 //!   blocks on the filesystem and owns a private
@@ -129,7 +131,7 @@ use std::time::{Duration, Instant};
 use crate::accept::is_transient;
 use crate::appworker::Worker;
 use crate::config::NetConfig;
-use crate::conn::machine::{sync_deadline, Conn};
+use crate::conn::machine::{desired_interest, sync_deadline, Conn};
 use crate::conn::{ConnIo, ConnState, DoneData, Drive, HelperJob, ShardCore, ShardStats};
 use crate::event::{new_backend, BackendKind, Event, EventBackend, Interest};
 use crate::fsjob::OpenFileTable;
@@ -288,7 +290,9 @@ pub(crate) struct SockIo<S> {
     /// A readiness event reported the peer's hang-up. Its end of
     /// stream may have been harvested together with the data in front
     /// of it, where no later edge announces it, so from here on only
-    /// `Ok(0)` or `EAGAIN` ends a drain — `dry` is never set again.
+    /// `Ok(0)` or `EAGAIN` ends a drain — `dry` is never set again. The
+    /// core hears of it too ([`ConnIo::hung_up`]): it aborts a request
+    /// parked on a worker.
     hangup: bool,
 }
 
@@ -310,6 +314,10 @@ impl<S: ConnIo> ConnIo for SockIo<S> {
 
     fn known_empty(&self) -> bool {
         self.dry
+    }
+
+    fn hung_up(&self) -> bool {
+        self.hangup
     }
 
     fn writev(&mut self, bufs: &[&[u8]]) -> io::Result<usize> {
@@ -955,7 +963,8 @@ impl<E: Env> Shard<E> {
     /// and the `END` behind it leave in one `writev`. A connection's,
     /// unless the token is stale (see [`Shard::fd_of`]), withdraws the
     /// transport's "dry" report — the event says otherwise — notes a
-    /// hang-up, and drives.
+    /// hang-up, and drives, parked or not: what a hang-up on a parked
+    /// request means is the core's rule.
     fn on_event(&mut self, ev: &Event) {
         if ev.token >= WORKER_TOKEN_BASE {
             if let Some(workers) = self.port.workers.as_mut() {
@@ -1003,8 +1012,8 @@ impl<E: Env> Shard<E> {
     }
 
     /// The end of a loop turn, for the worker set: exchanges the turn
-    /// cancelled — their waiters were purged by a close or a deadline
-    /// — lose their workers now, not a poll tick later, and every
+    /// cancelled — their waiters were purged by a close, a client's
+    /// hang-up or a deadline — lose their workers now, and every
     /// worker the turn retired leaves the readiness set and goes to
     /// the helper pool to be killed and reaped.
     fn sweep_workers(&mut self) {
@@ -1082,7 +1091,7 @@ impl<E: Env> Shard<E> {
         }
         let token = conn_token(idx, fd);
         if let Some(conn) = self.conns[idx].as_mut() {
-            let want = crate::conn::machine::desired_interest(&conn.state);
+            let want = desired_interest(conn, self.backend.edge_triggered());
             let ctl = &self.core.stats.ctl_calls;
             let watched = if !self.watched[idx] {
                 bump(ctl);
@@ -1285,8 +1294,8 @@ impl<E: Env> Shard<E> {
                 );
             }
             self.lap(&self.core.stats.phase_completions_us, &mut mark);
-            // Completions flipped their waiters to Writing with the
-            // socket unarmed; drive them now — the socket is almost
+            // Completions flipped their waiters to Writing with write
+            // interest unarmed; drive them now — the socket is almost
             // always writable, so the common case finishes here
             // without ever arming write interest.
             for idx in completed {
@@ -1773,11 +1782,15 @@ mod tests {
     /// request is `wait, read, write, wait, read, writev` — two calls on
     /// the worker's socket, nothing handed to the pool, and no
     /// interest-set call for the worker, whose one registration dates
-    /// from its adoption. (The two `ctl` a request does cost are the
-    /// connection's own: `Reading` → `Waiting` → `Reading`.)
+    /// from its adoption. On epoll none for the connection either: it
+    /// stays registered for reading, and so watched for its client's
+    /// hang-up, while the worker owns its request. On poll its entry
+    /// turns hang-up-only and back (`Reading` → `Waiting` → `Reading`):
+    /// two table edits a request, counted, no system call.
     #[test]
     fn a_warm_dynamic_request_is_two_worker_calls_and_no_worker_ctl() {
         for choice in BACKENDS {
+            let ctl = if choice == BackendChoice::Epoll { 0 } else { 4 };
             let (mut rig, command) = dynamic_rig(choice, ONE_WRITE_WORKER);
             let mut client = rig.connect();
             client
@@ -1810,8 +1823,8 @@ mod tests {
                     after.2 - before.2,
                     after.3 - before.3
                 ),
-                (0, 2, 2, 4),
-                "{choice:?}: a read, a writev and the connection's two ctl, per request"
+                (0, 2, 2, ctl),
+                "{choice:?}: a read and a writev per request"
             );
             assert_eq!(rig.dynamic_counts(), (6, 0, 0), "{choice:?}");
             assert_eq!(rig.shard.backend.registered(), registered + 1);
@@ -1905,6 +1918,39 @@ mod tests {
             }
             read_response_with(&mut client, DYNAMIC_BODY);
             assert_eq!(rig.shard.backend.registered(), registered + 1, "{choice:?}");
+        }
+    }
+
+    /// A client that hangs up on a request its worker has not answered
+    /// takes the worker with it in the turn that hears of it: the event
+    /// carries the hang-up, the core aborts the request, and the sweep
+    /// that ends the turn retires the worker — no deadline waited for.
+    #[test]
+    fn a_client_that_leaves_a_silent_worker_frees_it_in_that_turn() {
+        for choice in BACKENDS {
+            let (mut rig, command) = dynamic_rig(choice, "read -r m p; exec sleep 30");
+            let registered = rig.shard.backend.registered();
+            let client = rig.connect();
+            (&client)
+                .write_all(b"GET /app/silent HTTP/1.1\r\nHost: t\r\n\r\n")
+                .unwrap();
+            assert!(rig.shard.drain_accepts());
+            rig.adopt_worker(&command);
+            assert_eq!(
+                rig.dynamic_counts(),
+                (1, 0, 0),
+                "{choice:?}: the request line"
+            );
+            drop(client);
+            assert_eq!(rig.turn(), 1, "{choice:?}: the hang-up");
+            assert_eq!(rig.dynamic_counts(), (1, 0, 1), "{choice:?}");
+            let s = &rig.shard.core.stats;
+            assert_eq!(s.jobs_cancelled.load(Ordering::Relaxed), 1, "{choice:?}");
+            assert_eq!(s.dynamic_timeouts.load(Ordering::Relaxed), 0, "{choice:?}");
+            assert_eq!(
+                (rig.shard.live(), rig.shard.backend.registered()),
+                (0, registered)
+            );
         }
     }
 

@@ -34,7 +34,7 @@
 //! [`FaultPlan`]: partial writes,
 //! trickled headers, disk stalls and wedged helpers, EMFILE storms,
 //! crashing, wedged and garbling workers, half-closing and resetting
-//! clients.
+//! clients, and clients that leave a request parked on a silent worker.
 //!
 //! After every loop turn (configurable cadence at scale) the sim runs
 //! the core's invariant check
@@ -101,7 +101,10 @@ pub struct FaultPlan {
     /// Per-connection: the client leaves out `Connection: close` and
     /// half-closes behind its last request instead (`Ok(0)`, with the
     /// hang-up on the event); a quarter of them close in the middle of
-    /// that request, which then gets nothing.
+    /// that request, which then gets nothing. Its requests arrive on a
+    /// schedule that ignores the responses, so its hang-up can reach a
+    /// dynamic request still parked on a worker: a client abort, which
+    /// takes the requests pipelined behind it too.
     pub half_close: f64,
     /// Per-connection: the client resets after the first 64–4 160
     /// response bytes reach it; the next send fails.
@@ -110,6 +113,12 @@ pub struct FaultPlan {
     /// before its first frame (a `500`) or after one (a truncated
     /// stream), and is retired.
     pub worker_garbage: f64,
+    /// Per-connection, when the mix has dynamic requests at all: the
+    /// client's one request goes to a worker that never answers, and
+    /// the client leaves once the worker has it — a hang-up on a
+    /// connection parked on a worker, which aborts the request and
+    /// retires the worker.
+    pub parked_hangup: f64,
 }
 
 impl FaultPlan {
@@ -131,6 +140,7 @@ impl FaultPlan {
             half_close: 0.05,
             client_reset: 0.03,
             worker_garbage: 0.03,
+            parked_hangup: 0.02,
         }
     }
 }
@@ -309,6 +319,11 @@ pub fn gzip_sibling(f: &SimFile) -> Option<SimFile> {
 /// `dynamic_prefix` the simulated shard runs with).
 pub const DYN_PREFIX: &str = "/app/";
 
+/// The endpoint under [`DYN_PREFIX`] whose worker never answers,
+/// followed by the descriptor of the client that will leave it
+/// ([`FaultPlan::parked_hangup`]).
+const SILENT: &str = "/app/silent/";
+
 /// One simulated application endpoint — the sim's realization of the
 /// workload model's [`FileKind::Cgi`] `{ compute_ns, output_bytes }`:
 /// a fixed per-request compute time and a deterministic response body
@@ -389,6 +404,8 @@ enum Ev {
     Arrive(RawFd),
     /// A client's receive window opens by this many bytes.
     Refill(RawFd, usize),
+    /// A client leaves: its end of stream, behind whatever it sent.
+    Leave(RawFd),
     /// A helper job's completion lands in the reply queue.
     HelperDone(HelperJob),
     /// A helper has forked the worker the shard asked for.
@@ -622,6 +639,12 @@ impl Kernel {
                     self.edges.push(fd);
                 }
             }
+            Ev::Leave(fd) => {
+                if let Some(s) = self.sock(fd) {
+                    s.eof = true;
+                    self.edges.push(fd);
+                }
+            }
             Ev::HelperDone(job) => {
                 // A cancelled job is usually skipped by the helper (the
                 // cooperative flag); half the time we model a helper
@@ -678,16 +701,26 @@ impl Kernel {
         let eof_after = self.rng.chance(f.half_close);
         let reset_at = self.rng.chance(f.client_reset);
         let reset_at = reset_at.then(|| 64 + self.rng.uniform(0, 4096));
-        let sock = Sock {
-            window: self.window(partial),
-            script: self.build_script(trickle, eof_after),
+        // A dynamic request: only where the mix has any.
+        let leaves = self.cfg.dynamic_fraction > 0.0 && self.rng.chance(f.parked_hangup);
+        let fd = self.open(Sock::default());
+        let window = self.window(partial);
+        let (script, eof_after) = if leaves {
+            // The silent endpoint learns from the path whom to hang up.
+            let req = format!("GET {SILENT}{fd} HTTP/1.1\r\nHost: sim\r\n\r\n");
+            (VecDeque::from([(50_000, req.into_bytes())]), false)
+        } else {
+            (self.build_script(trickle, eof_after), eof_after)
+        };
+        let first = script.front().map(|&(d, _)| d);
+        self.socks[fd as usize] = Some(Sock {
+            window,
+            script,
             eof_after,
             partial,
             reset_at,
             ..Sock::default()
-        };
-        let first = sock.script.front().map(|&(d, _)| d);
-        let fd = self.open(sock);
+        });
         if let Some(d) = first {
             self.queue.schedule_in(d, Ev::Arrive(fd));
         }
@@ -734,10 +767,16 @@ impl Kernel {
     /// simulated time, the last with the `END` behind it. Under the
     /// faults it never answers (a wedge), exits halfway (a crash), or
     /// writes a line that is not a frame where a frame or the `END`
-    /// belonged (garbage).
+    /// belonged (garbage). The silent endpoint never answers, and its
+    /// client leaves shortly after the worker has the line.
     fn start_exchange(&mut self, fd: RawFd, line: &[u8]) {
         let path = std::str::from_utf8(line).unwrap_or_default();
         let path = path.trim_end().trim_start_matches("GET ");
+        if let Some(client) = path.strip_prefix(SILENT).and_then(|c| c.parse().ok()) {
+            let d = 20_000 + self.rng.exp(200_000.0) as u64;
+            self.queue.schedule_in(d, Ev::Leave(client));
+            return;
+        }
         // An unknown endpoint answers an empty response.
         let app = self.apps.iter().find(|(p, _)| p == path);
         let app = app.map_or(DynApp::new(0, 0, 0), |&(_, app)| app);
@@ -1620,6 +1659,25 @@ mod tests {
         assert!(report.jobs_cancelled > 0, "{report:?}");
         assert_eq!(report.worker_respawns, report.jobs_cancelled, "{report:?}");
         assert_eq!(report.dynamic_timeouts, 0, "{report:?}");
+    }
+
+    /// A client that leaves while its request is parked on a worker
+    /// that has not answered aborts it: the hang-up's event closes the
+    /// connection, which cancels the exchange, and the sweep that ends
+    /// that turn retires the worker — one respawn per cancellation, and
+    /// none of it waits for the dynamic deadline.
+    #[test]
+    fn a_client_leaving_a_silent_worker_retires_it() {
+        let site = small_site(37);
+        let mut cfg = SimConfig::new(73, 1_500);
+        cfg.faults = FaultPlan::none();
+        cfg.faults.parked_hangup = 0.1;
+        cfg.check_every = 1;
+        let report = run(&cfg, &site).expect("parked-hangup run");
+        assert!(report.jobs_cancelled > 0, "{report:?}");
+        assert_eq!(report.worker_respawns, report.jobs_cancelled, "{report:?}");
+        assert_eq!(report.dynamic_timeouts, 0, "{report:?}");
+        assert_eq!(report.helper_wait_timeouts, 0, "{report:?}");
     }
 
     /// A worker that writes what is not a frame is read by the real

@@ -23,7 +23,11 @@
 //! * **a cancelled exchange dies with the turn** — the shard sweeps
 //!   ([`WorkerSet::drop_cancelled`]) at the end of every loop turn, so
 //!   the worker of a job whose waiter was purged in that turn is
-//!   retired before the next wait, silently;
+//!   retired before the next wait, silently. A waiter is purged by its
+//!   deadline, by its connection's close, and by its client's hang-up
+//!   while the worker is still at work: the parked connection stays
+//!   watched, and the core counts a hang-up on a request a worker owns
+//!   as a client abort;
 //! * **a worker speaks only when spoken to** — EOF, garbage, a refused
 //!   request line, or anything at all readable on an idle worker (its
 //!   death, or bytes behind an `END`) retires it, counted as
@@ -240,8 +244,8 @@ impl<E: Env> WorkerSet<E> {
     }
 
     /// Retires the worker of every exchange whose job has been
-    /// cancelled — the core purged its waiter: the client went away, or
-    /// the deadline fired — without a word to anyone, and forgets the
+    /// cancelled — the core purged its waiter: the client went away or
+    /// hung up, or the deadline fired — without a word to anyone, and forgets the
     /// cancelled jobs still waiting for a worker.
     pub(crate) fn drop_cancelled(&mut self, env: &mut E) {
         self.queue.retain(|job| !job.is_cancelled());

@@ -2,10 +2,12 @@
 //! the source, as `ffi_audit.rs` does for the foreign-function surface:
 //!
 //! * connection-lifecycle policy — which deadline class means what,
-//!   when a waiter registration must be purged, what a close records —
-//!   is `conn/shard.rs`'s alone: no driver (`server.rs`, `sim.rs`,
-//!   `mt.rs`) names a `DeadlineKind` or calls the close/expiry
-//!   internals outside its tests;
+//!   when a waiter registration must be purged, what a close records,
+//!   whether a hang-up aborts a parked request, which interest a state
+//!   wants — is `conn/`'s alone: no driver (`server.rs`, `sim.rs`,
+//!   `mt.rs`) names a `DeadlineKind` or `purge_waiter`, asks a
+//!   transport whether it hung up, maps a `ConnState` to an
+//!   `Interest`, or calls the close/expiry internals outside its tests;
 //! * `mt.rs` is a driver, not a second server: it names nothing the
 //!   protocol is made of — parser, planner, header renderer, error
 //!   pages, chunked framing, cache verdicts, worker frames — and stays
@@ -76,11 +78,14 @@ fn offenders((file, floor): (&str, usize), needles: &[&str]) -> Vec<String> {
 
 #[test]
 fn drivers_decide_no_connection_lifecycle_policy() {
-    const POLICY: [&str; 4] = [
+    // `.hung_up()`: a driver notes a hang-up on the transport; asking
+    // it back is deciding what it means — the abort rule is the core's.
+    const POLICY: [&str; 5] = [
         "DeadlineKind::",
         "note_close(",
-        "purge_waiter(",
+        "purge_waiter",
         "expire_dynamic_wait",
+        ".hung_up()",
     ];
     let found = [
         offenders(SERVER, &POLICY),
@@ -91,6 +96,28 @@ fn drivers_decide_no_connection_lifecycle_policy() {
     assert!(
         found.is_empty(),
         "lifecycle policy belongs in conn/shard.rs, once: {found:#?}"
+    );
+}
+
+/// Which interest a connection's state wants — parked ones included,
+/// per backend — is `desired_interest`'s, in `conn/machine.rs`: no
+/// driver line names a `ConnState::` within three lines of an
+/// `Interest::`.
+#[test]
+fn drivers_map_no_state_to_an_interest() {
+    let mut found = Vec::new();
+    for (file, floor) in [SERVER, SIM, MT] {
+        let lines = product_lines(file, floor);
+        for (i, (n, line)) in lines.iter().enumerate() {
+            let near = &lines[i.saturating_sub(3)..(i + 4).min(lines.len())];
+            if line.contains("ConnState::") && near.iter().any(|(_, l)| l.contains("Interest::")) {
+                found.push(format!("{file}:{n}: {}", line.trim()));
+            }
+        }
+    }
+    assert!(
+        found.is_empty(),
+        "the state-to-interest map is desired_interest's, once: {found:#?}"
     );
 }
 

@@ -2,7 +2,9 @@
 //! exchanges streamed back as `Transfer-Encoding: chunked`, worker
 //! crashes mid-body, wedged workers hitting the dynamic deadline,
 //! workers that talk behind their `END`, cancelled exchanges losing
-//! their worker at once, and the `/.flash/*` endpoints keeping
+//! their worker at once — a client that leaves, mid-stream or before a
+//! word, cancels its exchange, and one that half-closes behind an
+//! unanswered request has aborted it — and the `/.flash/*` endpoints keeping
 //! precedence over a dynamic prefix. (What the process is left holding
 //! afterwards — children, threads, descriptors — is counted in
 //! `worker_leak.rs`, a process of its own.)
@@ -480,6 +482,125 @@ fn run_client_gone_mid_stream_kills_the_worker(
     let _ = std::fs::remove_dir_all(root);
 }
 
+/// A client that leaves before its worker has said a word frees that
+/// worker at once: the hang-up reaches the core — on the AMPED side
+/// as the parked connection's readiness event, on MT as the look a
+/// connection thread takes at its client on a silent worker's tick —
+/// the request is aborted and its exchange cancelled, and the worker,
+/// which would have slept out a deadline half a minute away, is killed
+/// and reaped. One worker slot (`helpers(1)`): the request behind it is
+/// answered only because that slot came free.
+fn run_client_gone_before_the_header_frees_a_silent_worker(
+    tag: &str,
+    backend: BackendChoice,
+    kind: ServerKind,
+) {
+    let root = docroot(tag);
+    let pid_file = root.join("silent.pid");
+    let argv = script(
+        &root,
+        "silent.sh",
+        &format!(
+            "while read -r m p; do\n\
+             case \"$p\" in\n\
+             */silent) echo $$ > {pid}; exec sleep 30;;\n\
+             *) printf 'DATA 2\\nokEND\\n';;\n\
+             esac\n\
+             done\n",
+            pid = pid_file.display()
+        ),
+    );
+    let server = start(
+        kind,
+        builder(&root, backend)
+            .helpers(1)
+            .dynamic_command(argv)
+            .dynamic_deadline(Some(Duration::from_secs(30)))
+            .build()
+            .unwrap(),
+    );
+    let addr = server.local_addr();
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.write_all(b"GET /app/silent HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    let pid = worker_pid(&pid_file);
+    assert!(pid_exists(pid));
+    drop(s);
+
+    let started = std::time::Instant::now();
+    wait_for("the silent worker killed and reaped", || !pid_exists(pid));
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(3),
+        "worker outlived its client by {took:?}"
+    );
+    let stats = server.stats();
+    wait_for("the exchange cancelled", || stats.jobs_cancelled() >= 1);
+    assert_eq!(stats.dynamic_timeouts(), 0, "no deadline was waited for");
+
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    s.write_all(b"GET /app/next HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    let hdr = read_header(&mut s);
+    assert!(hdr.starts_with("HTTP/1.1 200 OK"), "{hdr}");
+    assert_eq!(read_chunked_body(&mut s), b"ok");
+    drop(s);
+    server.stop();
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// A client that half-closes right behind a dynamic request
+/// (`shutdown(SHUT_WR)`, an `nc -N`-style HTTP/1.0 client) has aborted
+/// it, on both drivers, if its worker has not answered yet: a
+/// half-close is not told apart from a close (nginx's default, as
+/// `conn/mod.rs` has it). The client reads end of stream and nothing
+/// else, and the worker — warm, holding the request line, and two
+/// seconds from an answer — is retired with the cancelled exchange.
+/// (MT looks at its client on a silent worker's 50 ms tick, so a
+/// worker that answers within one tick is still heard there; this one
+/// never does.)
+fn run_half_close_behind_a_dynamic_request_aborts_it(
+    tag: &str,
+    backend: BackendChoice,
+    kind: ServerKind,
+) {
+    let root = docroot(tag);
+    let argv = script(
+        &root,
+        "slow.sh",
+        "while read -r m p; do\n\
+         case \"$p\" in */slow) sleep 2;; esac\n\
+         printf 'DATA 2\\nokEND\\n'\n\
+         done\n",
+    );
+    let server = start(
+        kind,
+        builder(&root, backend)
+            .dynamic_command(argv)
+            .build()
+            .unwrap(),
+    );
+    let addr = server.local_addr();
+    let warm = String::from_utf8_lossy(&get(addr, "GET /app/warm HTTP/1.0\r\n\r\n")).into_owned();
+    assert!(warm.starts_with("HTTP/1.1 200 OK"), "{warm}");
+
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    s.write_all(b"GET /app/slow HTTP/1.0\r\n\r\n").unwrap();
+    s.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut resp = Vec::new();
+    s.read_to_end(&mut resp).unwrap();
+    assert_eq!(String::from_utf8_lossy(&resp), "", "aborted: no answer");
+
+    let stats = server.stats();
+    wait_for("the exchange cancelled", || stats.jobs_cancelled() >= 1);
+    wait_for("its worker retired", || stats.worker_respawns() >= 1);
+    assert_eq!(stats.dynamic_timeouts(), 0);
+    server.stop();
+    let _ = std::fs::remove_dir_all(root);
+}
+
 /// The deadline that answers a wedged worker's client `504` is the
 /// last thing anyone waits for: the worker is dead and reaped, and its
 /// slot — the only one, `helpers(1)` — serving the next request, well
@@ -682,6 +803,42 @@ macro_rules! dynamic_suite {
             fn mt_client_gone_mid_stream_kills_the_worker() {
                 run_client_gone_mid_stream_kills_the_worker(
                     &tag("mt-gone"),
+                    $backend,
+                    ServerKind::Mt,
+                );
+            }
+
+            #[test]
+            fn amped_client_gone_before_the_header_frees_a_silent_worker() {
+                run_client_gone_before_the_header_frees_a_silent_worker(
+                    &tag("silent"),
+                    $backend,
+                    ServerKind::Amped,
+                );
+            }
+
+            #[test]
+            fn mt_client_gone_before_the_header_frees_a_silent_worker() {
+                run_client_gone_before_the_header_frees_a_silent_worker(
+                    &tag("mt-silent"),
+                    $backend,
+                    ServerKind::Mt,
+                );
+            }
+
+            #[test]
+            fn amped_half_close_behind_a_dynamic_request_aborts_it() {
+                run_half_close_behind_a_dynamic_request_aborts_it(
+                    &tag("halfclose"),
+                    $backend,
+                    ServerKind::Amped,
+                );
+            }
+
+            #[test]
+            fn mt_half_close_behind_a_dynamic_request_aborts_it() {
+                run_half_close_behind_a_dynamic_request_aborts_it(
+                    &tag("mt-halfclose"),
                     $backend,
                     ServerKind::Mt,
                 );

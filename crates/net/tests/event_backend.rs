@@ -1,8 +1,10 @@
 //! Direct tests of the readiness subsystem (`flash_net::event`):
 //! conformance shared by both backends, scale (≈1k registered
 //! sockets with a sparse active set — the workload the epoll backend
-//! exists for), and the edge-triggered re-arm contract across partial
-//! writes that the server's `sendfile` fairness yield depends on.
+//! exists for), the edge-triggered re-arm contract across partial
+//! writes that the server's `sendfile` fairness yield depends on, and
+//! parked registrations: a parked connection hears its peer's hang-up,
+//! not its data, and a shard holding one does not spin.
 
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
@@ -216,10 +218,11 @@ fn poll_rearm_reports_only_true_readiness() {
     assert!(evs[0].writable);
 }
 
-/// Interest transitions mirror the server's state machine:
-/// READ → NONE (waiting on a helper) → WRITE (response queued) →
-/// READ (keep-alive). Both backends must deliver exactly the events
-/// the current interest asks for.
+/// Interest transitions as the server makes them: READ → NONE (a
+/// quiesced listener; on poll, a parked connection whose hang-up has
+/// been noted) → WRITE (response queued) → READ (keep-alive). Both
+/// backends must deliver exactly the events the current interest asks
+/// for.
 fn interest_lifecycle(choice: BackendChoice) {
     const TOKEN: u64 = 3;
     let mut be = new_backend(choice);
@@ -232,7 +235,7 @@ fn interest_lifecycle(choice: BackendChoice) {
     assert_eq!(be.wait(&mut evs, 1000).unwrap(), 1);
     assert!(evs[0].readable);
 
-    // Waiting: interest NONE silences the still-readable socket.
+    // Interest NONE silences the still-readable socket.
     be.modify(a.as_raw_fd(), TOKEN, Interest::NONE).unwrap();
     assert_eq!(be.wait(&mut evs, 50).unwrap(), 0);
 
@@ -258,6 +261,109 @@ fn poll_interest_lifecycle() {
 #[test]
 fn epoll_interest_lifecycle() {
     interest_lifecycle(BackendChoice::Epoll);
+}
+
+/// A parked connection's poll entry ([`Interest::HANGUP`], the
+/// level-triggered backend's alone: epoll keeps `READ`) reports its
+/// peer's hang-up and not its peer's data: a pipelined request stays
+/// unreported in the socket, the FIN behind it is an event marked
+/// `hangup`. That condition stays true, so the entry must leave the
+/// set ([`Interest::NONE`]) once it has been reported. Linux only:
+/// elsewhere poll has no `POLLRDHUP`.
+#[cfg(any(target_os = "linux", target_os = "android"))]
+#[test]
+fn poll_parked_entry_reports_the_fin_not_the_data() {
+    const TOKEN: u64 = 11;
+    let mut be = new_backend(BackendChoice::Poll);
+    let (a, mut b) = UnixStream::pair().unwrap();
+    a.set_nonblocking(true).unwrap();
+    be.register(a.as_raw_fd(), TOKEN, Interest::HANGUP).unwrap();
+    let mut evs = Vec::new();
+
+    b.write_all(b"GET /pipelined HTTP/1.1\r\n\r\n").unwrap();
+    assert_eq!(be.wait(&mut evs, 50).unwrap(), 0, "data is not reported");
+
+    b.shutdown(std::net::Shutdown::Write).unwrap();
+    assert_eq!(be.wait(&mut evs, 1000).unwrap(), 1, "the FIN is");
+    assert_eq!(evs[0].token, TOKEN);
+    assert!(evs[0].hangup && evs[0].readable, "{:?}", evs[0]);
+
+    be.modify(a.as_raw_fd(), TOKEN, Interest::NONE).unwrap();
+    assert_eq!(be.wait(&mut evs, 50).unwrap(), 0, "noted, then silent");
+    // Resumed for reading, the request is still there to be read.
+    be.modify(a.as_raw_fd(), TOKEN, Interest::READ).unwrap();
+    assert_eq!(be.wait(&mut evs, 1000).unwrap(), 1);
+    assert!(evs[0].readable);
+}
+
+/// A shard with one connection parked and nothing else to do sleeps:
+/// its request is a helper's — wedged opening a FIFO no one writes —
+/// and its client half-closes behind it. The wait that reports the
+/// hang-up and at most one timing-wheel tick (1 s here) are all the
+/// shard makes while it waits; a level-triggered hang-up left in the
+/// poll set would return from every wait. Unwedged, the request is
+/// answered and the connection closed at its end of stream.
+fn a_parked_hangup_costs_at_most_two_waits(choice: BackendChoice) {
+    use flash_net::{NetConfig, Server};
+    use std::net::TcpStream;
+    use std::time::Duration;
+
+    let root = std::env::temp_dir().join(format!(
+        "flash-parked-hangup-{}-{}",
+        flash_net::event::resolve(choice).name(),
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).unwrap();
+    let fifo = root.join("wedge.fifo");
+    let made = std::process::Command::new("mkfifo").arg(&fifo).status();
+    if !made.is_ok_and(|s| s.success()) {
+        eprintln!("mkfifo(1) unavailable; skipping");
+        return;
+    }
+    let cfg = NetConfig::builder(&root)
+        .backend(choice)
+        .event_loops(1)
+        .build()
+        .unwrap();
+    let server = Server::start("127.0.0.1:0", cfg).unwrap();
+    let shard = &server.stats().per_shard()[0];
+    let get = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
+    let mut s = TcpStream::connect(server.addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    s.write_all(b"GET /wedge.fifo HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while get(&shard.helper_jobs) == 0 {
+        assert!(std::time::Instant::now() < deadline, "never parked");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    std::thread::sleep(Duration::from_millis(50));
+
+    let waits = get(&shard.wait_calls);
+    s.shutdown(std::net::Shutdown::Write).unwrap();
+    std::thread::sleep(Duration::from_millis(400));
+    let made = get(&shard.wait_calls) - waits;
+    assert!(made <= 2, "{choice:?}: {made} waits while parked");
+
+    drop(std::fs::OpenOptions::new().write(true).open(&fifo).unwrap());
+    let mut resp = Vec::new();
+    s.read_to_end(&mut resp).unwrap();
+    let text = String::from_utf8_lossy(&resp);
+    assert!(text.starts_with("HTTP/1.1 404 "), "{choice:?}: {text}");
+    server.stop();
+    let _ = std::fs::remove_dir_all(root);
+}
+
+#[test]
+fn poll_a_parked_hangup_costs_at_most_two_waits() {
+    a_parked_hangup_costs_at_most_two_waits(BackendChoice::Poll);
+}
+
+#[cfg(any(target_os = "linux", target_os = "android"))]
+#[test]
+fn epoll_a_parked_hangup_costs_at_most_two_waits() {
+    a_parked_hangup_costs_at_most_two_waits(BackendChoice::Epoll);
 }
 
 /// The accept-gate sequence the reuseport shards run their listeners
