@@ -102,8 +102,8 @@ pub struct NetConfig {
     pub drain_timeout: Duration,
     /// A connection whose request is owned by a helper (`Waiting`)
     /// must receive its completion within this long or be closed —
-    /// the wedged-disk/wedged-helper defense, the fourth timing-wheel
-    /// deadline class. Without it a helper stuck in `open(2)` on a
+    /// the wedged-disk/wedged-helper defense, the fourth deadline
+    /// class. Without it a helper stuck in `open(2)` on a
     /// dead NFS mount (or a FIFO, or a hung CGI successor) pins the
     /// waiter's fd and slot forever. `None` disables it.
     /// Default 60 s — deliberately above every disk-latency spike a
@@ -134,7 +134,7 @@ pub struct NetConfig {
     /// no body bytes have been sent yet, a severed connection
     /// mid-stream — and the wedged worker is killed and respawned
     /// either way. Re-armed per event, so it bounds worker *silence*,
-    /// not total response time. The fifth timing-wheel deadline class.
+    /// not total response time. The fifth deadline class.
     /// `None` disables it. Default 10 s.
     pub dynamic_deadline: Option<Duration>,
     /// The worker command line (argv): spawned once per worker over a

@@ -41,8 +41,8 @@ pub struct SendFileState<F> {
     pub remaining: u64,
 }
 
-/// Which deadline class is currently armed in the shard's timing
-/// wheel for a connection — also the expiry's *cause*, mapped to the
+/// Which deadline class is currently armed in the shard's timers for
+/// a connection — also the expiry's *cause*, mapped to the
 /// matching [`ShardStats`] counter when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeadlineKind {
@@ -91,7 +91,7 @@ pub struct Conn<Io: ConnIo> {
     /// the moment the driver registers the connection); the driver
     /// reconciles this against the state machine after every drive.
     pub interest: Interest,
-    /// Deadline class currently armed in the shard's timing wheel;
+    /// Deadline class currently armed in the shard's timers;
     /// reconciled alongside interest after every drive.
     pub deadline: DeadlineKind,
     /// Value of `progress` when the write-stall deadline was last
@@ -206,7 +206,7 @@ pub fn desired_interest<Io: ConnIo>(conn: &Conn<Io>, edge_triggered: bool) -> In
 
 /// Where [`sync_deadline`] keeps the deadlines it arms: a shard's
 /// [`TimerWheel`], keyed by connection token, or — for a driver with
-/// one connection and no wheel — the instant itself.
+/// one connection and no set — the instant itself.
 pub trait Deadlines {
     fn arm(&mut self, token: u64, at: Instant);
     fn cancel(&mut self, token: u64);
@@ -230,7 +230,7 @@ impl Deadlines for Option<Instant> {
     }
 }
 
-/// Reconciles the timing wheel with a connection's state machine after
+/// Reconciles the timers with a connection's state machine after
 /// a drive — the deadline analogue of the interest reconcile:
 ///
 /// * `Reading` with an empty parse buffer → the **idle** keep-alive

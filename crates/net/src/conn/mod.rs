@@ -40,8 +40,8 @@
 //! * the slot is **empty** (`Drive::Closed`): the transport went with
 //!   the connection, so *forget* its readiness registration
 //!   ([`crate::event::EventBackend::forget`]) — don't deregister a
-//!   descriptor that is already closed — drop its
-//!   [`crate::timer::TimerWheel`] key, and hand the slot to whatever
+//!   descriptor that is already closed — cancel its timer
+//!   ([`crate::timer::TimerWheel`]), and hand the slot to whatever
 //!   admits the next connection;
 //! * the slot is **occupied**: arm [`machine::desired_interest`] for
 //!   the state the connection is now in and the kind of backend it is
@@ -68,11 +68,11 @@
 //! reconciles: a send can take as long as a slow client does, and a
 //! deadline counted from before it would be armed already lapsed.
 //!
-//! Readiness ([`crate::event::EventBackend`]) and the wheel stay
+//! Readiness ([`crate::event::EventBackend`]) and the timers stay
 //! driver-owned, and so do the tokens that key them: the driver mints
 //! them, and the driver checks that an event or an expired key still
 //! names the connection in the slot before it calls the core. When a
-//! wheel key fires, the driver calls `expire_conn` and reconciles; at
+//! timer key fires, the driver calls `expire_conn` and reconciles; at
 //! drain entry it calls [`ShardCore::begin_drain`] and drives every
 //! `Reading` slot once. A driver whose transport reports
 //! [`ConnIo::known_empty`] withdraws that report on every readable

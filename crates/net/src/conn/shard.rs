@@ -20,7 +20,7 @@ use flash_http::Method;
 
 use crate::cache::{self, CacheHandle, ContentCache, Entry, Lookup, Variant};
 use crate::stats::{self, AccessRecord, PendingLog, Tier};
-use crate::timer::{TimerWheel, STALE_SLACK};
+use crate::timer::TimerWheel;
 
 use super::machine::{flush_out, Conn, ConnState, DeadlineKind, Drive, FlushResult};
 use super::plan::{plan_dynamic, plan_response, queue_plan, RequestCond, Resource};
@@ -1000,27 +1000,24 @@ impl<C: CacheHandle> ShardCore<C> {
     }
 
     /// Verifies the shard's structural invariants against its
-    /// connection table and timing wheel — the deterministic sim calls
+    /// connection table and timers — the deterministic sim calls
     /// this after (samples of) every loop turn of the shipped shard;
     /// tests call it constantly.
-    /// `token_of` maps a slot index to its wheel key.
+    /// `token_of` maps a slot index to its timer key.
     ///
     /// Checked: every waiter index refers to a live `Waiting`
     /// connection and appears on exactly one list; a path has a
     /// pending job iff it has (non-empty) waiters; every `Waiting`
     /// connection is on some waiter list; a connection carries a
-    /// deadline class iff its wheel key is armed; the wheel holds at
-    /// most 2 × armed + [`STALE_SLACK`] entries, stale ones included.
+    /// deadline class iff its timer key is armed, and nothing else is
+    /// armed: the timers are exactly the live connections with a
+    /// deadline class.
     pub fn check_invariants<Io: ConnIo>(
         &self,
         conns: &[Option<Conn<Io>>],
         wheel: &TimerWheel,
         token_of: impl Fn(usize) -> u64,
     ) -> Result<(), String> {
-        let (entries, armed) = (wheel.entries(), wheel.pending());
-        if entries > 2 * armed + STALE_SLACK {
-            return Err(format!("wheel holds {entries} entries for {armed} armed"));
-        }
         let mut seen: std::collections::HashSet<usize> = std::collections::HashSet::new();
         for (path, list) in &self.waiters {
             if list.is_empty() {
@@ -1053,10 +1050,12 @@ impl<C: CacheHandle> ShardCore<C> {
                 ));
             }
         }
+        let mut classed = 0;
         for (idx, slot) in conns.iter().enumerate() {
             let Some(conn) = slot else { continue };
             let armed = wheel.is_armed(token_of(idx));
             let class = conn.deadline != DeadlineKind::None;
+            classed += usize::from(class);
             if class != armed {
                 return Err(format!(
                     "conn {idx}: deadline class {:?} but wheel armed={armed}",
@@ -1068,6 +1067,12 @@ impl<C: CacheHandle> ShardCore<C> {
                     "conn {idx} is Waiting but on no waiter list (permanently parked)"
                 ));
             }
+        }
+        if wheel.pending() != classed {
+            return Err(format!(
+                "{} timers armed for {classed} connections with a deadline class",
+                wheel.pending()
+            ));
         }
         Ok(())
     }

@@ -127,7 +127,7 @@ impl EventBackend for EpollBackend {
     fn wait(&mut self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<usize> {
         // `timeout_ms` maps straight onto epoll_wait's timeout:
         // negative blocks indefinitely (the shard loop passes -1 when
-        // its timing wheel has nothing armed), zero polls.
+        // it has no deadline armed), zero polls.
         events.clear();
         let n = sys::epoll_wait(self.epfd.as_raw_fd(), &mut self.buf, timeout_ms)?;
         for raw in &self.buf[..n] {

@@ -194,10 +194,11 @@ pub trait EventBackend {
     /// appended to `events` (cleared first); returns how many. `EINTR`
     /// is retried internally.
     ///
-    /// Callers with armed timers (the shard loop's timing wheel,
-    /// [`crate::timer`]) pass the time to the next wheel tick here and
-    /// block (-1) when nothing is armed — deadline latency is bounded
-    /// by the tick, and an idle loop costs zero wakeups.
+    /// Callers with armed timers (the shard loop's deadlines,
+    /// [`crate::timer`]) pass the time until the earliest one is due
+    /// here and block (-1) when nothing is armed — a loop wakes for a
+    /// deadline only when one is due, and an idle loop costs zero
+    /// wakeups.
     fn wait(&mut self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<usize>;
 
     /// Number of descriptors currently registered.

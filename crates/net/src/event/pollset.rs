@@ -172,7 +172,7 @@ impl EventBackend for PollBackend {
         }
         if self.fds.is_empty() {
             // Nothing pollable: honour the timeout so callers keep
-            // their cadence (shutdown checks, timing-wheel ticks). An
+            // their cadence (shutdown checks, deadlines). An
             // infinite timeout degrades to a short sleep-poll — the
             // server's loops always keep at least a wake pipe
             // registered, so this path only guards exotic callers

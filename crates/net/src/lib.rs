@@ -32,7 +32,7 @@
 //!   drain to `EWOULDBLOCK` or to a short read, write interest is armed
 //!   only while a send is in flight, and a voluntary mid-`sendfile`
 //!   yield re-arms the consumed edge. Every connection carries a **per-state deadline**
-//!   in its shard's hashed **timing wheel** ([`timer`]; the paper's
+//!   in its shard's **ordered deadline set** ([`timer`]; the paper's
 //!   §6.4 slow-WAN-client concern): a header-read deadline from the
 //!   first request byte ([`NetConfig::header_read_timeout`],
 //!   default 15 s — slowloris senders; deliberately *not* refreshed by
@@ -42,10 +42,11 @@
 //!   `sendfile` paths), and the keep-alive idle timeout
 //!   ([`NetConfig::idle_timeout`], default 30 s) between
 //!   requests; each knob is `Option` (`None` disables that class). The
-//!   wheel sets the backend's wait timeout ("next wheel tick, or
-//!   block") and expires in **O(expired)** — no connection-table scan
-//!   — with each cause counted separately (`read_timeouts`,
-//!   `write_stall_timeouts`, `idle_reaped` in [`ServerStats`]).
+//!   earliest deadline bounds the backend's wait ("until the next one
+//!   is due, or block"), and expiry costs **O((expired + 1) log n)** —
+//!   no connection-table scan — with each cause counted separately
+//!   (`read_timeouts`, `write_stall_timeouts`, `idle_reaped` in
+//!   [`ServerStats`]).
 //!   The MT server honours the same knobs: its read deadlines are the
 //!   core's, checked on a 200 ms read cadence, its write-stall bound
 //!   is `SO_SNDTIMEO`. Conditional requests are answered: 200s carry
@@ -124,14 +125,14 @@
 //!              │  waiter lists, job tokens, completion routing, │
 //!              │  deadline policy, drain · check_invariants()   │
 //!              └───────┬──────────────┬──────────────┬──────────┘
-//!        seams:     ConnIo        HelperPort      Wheel + `now`
+//!        seams:     ConnIo        HelperPort     Timers + `now`
 //!              (read/writev/   (submit job;     (every Instant is
 //!               sendfile on     completions      a parameter; the
 //!               Io::FileRef)    come back as     core never reads
 //!                               plain values)    a clock)
 //!              ┌───────┴──────────────┴──────────────┴──────────┐
 //!   driver #1  │  the shard loop  [`server`] — a connection     │
-//!              │  table, a timing wheel, readiness, the worker  │
+//!              │  table, its timers, readiness, the worker      │
 //!              │  set; generic over its environment (`Env`):    │
 //!              ├───────────────────────┬────────────────────────┤
 //!              │  the real kernel      │  a simulated kernel    │
@@ -161,7 +162,7 @@
 //! per seed in seconds of wall time. Same-seed runs are
 //! **bit-identical** (the report's fingerprint folds every response
 //! byte), the fault mix runs against the loop the real sockets drive,
-//! and the core's invariants, the timing wheel's bound among them, are
+//! and the core's invariants, armed timers ⇔ live deadlines among them, are
 //! checked between loop turns. `cargo run --release --example
 //! sim_replay` is the CI entry point; `crates/net/tests/conn_machine.rs`
 //! uses the core's seams to prove byte-boundary independence
@@ -204,9 +205,8 @@
 //!    the report if the fault has an observable outcome, and extend
 //!    the in-file tests so a fault that stops firing fails loudly.
 //!    `ShardCore::check_invariants` runs between loop turns either way
-//!    — leaked slots, stale-epoch cache inserts, orphaned deadlines or
-//!    an unbounded wheel from the new fault fail the replay without
-//!    further wiring.
+//!    — leaked slots, stale-epoch cache inserts, or orphaned deadlines
+//!    from the new fault fail the replay without further wiring.
 //!
 //! # Residency test: a helper only when the disk would block
 //!
@@ -404,7 +404,7 @@
 //!
 //! Worker silence is bounded by
 //! [`NetConfig::dynamic_deadline`] (default 10 s), riding the
-//! same timing wheel as the other deadline classes: expiry **before
+//! same deadline set as the other deadline classes: expiry **before
 //! the first frame** yields a `504 Gateway Timeout`; expiry
 //! **mid-stream** severs the connection, leaving the truncation
 //! visible on the wire (no chunked terminator) — a 504 after bytes of

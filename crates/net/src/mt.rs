@@ -485,7 +485,7 @@ struct ConnThread {
     conns: [Option<Conn<BlockingIo>>; 1],
     port: InlinePort,
     /// When the deadline [`sync_deadline`] armed lapses — this
-    /// driver's whole timing wheel.
+    /// driver's whole deadline set.
     armed: Option<Instant>,
     /// Scratch: who a completion woke (always this connection).
     woken: Vec<usize>,

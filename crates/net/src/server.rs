@@ -65,13 +65,14 @@
 //!   blocks on the filesystem and owns a private
 //!   [`ContentCache`](crate::cache::ContentCache) — no cross-shard
 //!   locking anywhere on the request path. Every connection carries a
-//!   **per-state deadline** in the shard's hashed timing wheel
+//!   **per-state deadline** in the shard's ordered deadline set
 //!   ([`crate::timer`], §6.4's slow-WAN-client defense): which class a
 //!   state arms and what its expiry does is the core's policy
-//!   ([`crate::conn`]); the wheel itself is the driver's, sets the
-//!   backend's wait timeout ("next wheel tick, or block") and expires
-//!   in O(expired), never by scanning the connection table — nor does
-//!   accepting, which takes its slot from a free stack;
+//!   ([`crate::conn`]); the set itself is the driver's, bounds the
+//!   backend's wait ("until the earliest deadline is due, or block")
+//!   and expires in O((expired + 1) log n), never by scanning the
+//!   connection table — nor does accepting, which takes its slot from
+//!   a free stack;
 //! * the **helper pool** is shared (disk parallelism is a global
 //!   resource): a miss the residency test cannot answer — it reads a
 //!   memory-resident file on the spot, through the shard's open-file
@@ -755,11 +756,11 @@ fn net_shard(
 /// One shard's driver-side state: the transport-agnostic protocol
 /// core plus everything only this driver owns — the helper port (and
 /// in it the environment), the connection table, the listener, the
-/// event backend and the timing wheel.
+/// event backend and the deadline timers.
 ///
 /// The driver's whole contract with the core is [`Shard::reconcile`]:
 /// every core call that can change a slot returns a [`Drive`], and
-/// `reconcile` brings the backend, the wheel and the slot table in
+/// `reconcile` brings the backend, the timers and the slot table in
 /// line with it. Which connection closes, when, and what that does to
 /// waiter lists and counters is the core's business.
 pub(crate) struct Shard<E: Env> {
@@ -780,10 +781,12 @@ pub(crate) struct Shard<E: Env> {
     /// so backend failures abort startup instead of killing one shard.
     backend: Box<E::Backend>,
     /// Per-state deadlines, keyed by the same slot+fd tokens the event
-    /// backend uses. The tick is an eighth of the smallest configured
-    /// timeout, so rounding (≤1 tick) plus wait cadence (≤1 tick)
-    /// keeps expiry within ~1.25× the configured deadline; expiry work
-    /// is O(expired), never a scan of the connection table.
+    /// backend uses: exactly one per live connection with a deadline
+    /// class. The tick is an eighth of the smallest configured
+    /// timeout and the wait ends when the earliest tick is due, so
+    /// rounding (≤1 tick) keeps expiry within 1.125× the configured
+    /// deadline; expiry work is O((expired + 1) log n), never a scan
+    /// of the connection table.
     wheel: TimerWheel,
     /// This shard's listener — a `SO_REUSEPORT` socket of its own, or
     /// in single mode its duplicate of the one socket — registered
@@ -906,7 +909,7 @@ impl<E: Env> Shard<E> {
     }
 
     /// The core's structural invariants over this shard's slots and
-    /// wheel ([`ShardCore::check_invariants`]).
+    /// timers ([`ShardCore::check_invariants`]).
     pub(crate) fn check_invariants(&self) -> Result<(), String> {
         let token_of = |idx| self.fd_of(idx).map_or(0, |fd| conn_token(idx, fd));
         self.core
@@ -1044,7 +1047,7 @@ impl<E: Env> Shard<E> {
         self.reconcile(idx, fd, outcome);
     }
 
-    /// Fires the deadline behind an expired wheel key, unless the key
+    /// Fires the deadline behind an expired timer key, unless the key
     /// is stale (see [`Shard::fd_of`]).
     fn expire(&mut self, token: u64) {
         let (idx, fd) = (token_slot(token), token_fd(token));
@@ -1058,7 +1061,7 @@ impl<E: Env> Shard<E> {
         self.reconcile(idx, fd, outcome);
     }
 
-    /// Brings the backend, the timing wheel and the slot table in line
+    /// Brings the backend, the timers and the slot table in line
     /// with what a core call left in slot `idx` (whose connection had
     /// descriptor `fd` going in) — run after **every** core call that
     /// can change a slot: re-arms interest when the state machine
@@ -1069,7 +1072,7 @@ impl<E: Env> Shard<E> {
         // A miss the residency test answered parked this connection
         // `Waiting` with its completion already in hand. Apply it and
         // drive on *before* reconciling anything: the connection never
-        // shows the backend or the wheel its `Waiting` state, so the
+        // shows the backend or the timers its `Waiting` state, so the
         // miss costs no interest change, no timer, no wake byte and no
         // second wait. Pipelined misses go round again.
         while !self.port.inline_done.is_empty() {
@@ -1125,7 +1128,7 @@ impl<E: Env> Shard<E> {
         // unhooked it from the kernel's interest set: there is nothing
         // to deregister, only the backend's own record to drop — the
         // poll backend's table would otherwise hand a recycled fd
-        // number to the kernel. The wheel entry must go for the same
+        // number to the kernel. The timer must go for the same
         // reason — the token will be reminted when the slot is reused.
         if std::mem::take(&mut self.watched[idx]) {
             self.backend.forget(fd);
@@ -1210,8 +1213,8 @@ impl<E: Env> Shard<E> {
         self.backend.modify(fd, LISTENER_TOKEN, interest).is_ok()
     }
 
-    /// How long the next wait may block: until the next wheel tick
-    /// could expire something; with nothing armed, indefinitely — new
+    /// How long the next wait may block: until the earliest armed
+    /// deadline is due; with nothing armed, indefinitely — new
     /// work always arrives as a wake or a readiness event. A throttled
     /// listener with room to re-arm (the EMFILE case: headroom can
     /// return without any local readiness edge) bounds the wait to a
@@ -1319,7 +1322,7 @@ impl<E: Env> Shard<E> {
         self.lap(&self.core.stats.phase_read_us, &mut mark);
         // Expire deadlines last: anything the drives above just
         // re-armed is already accounted for (single-threaded, so the
-        // wheel is exactly consistent with the connection table here).
+        // timers are exactly consistent with the connection table here).
         let mut expired = Vec::new();
         let now = self.port.env.now();
         self.wheel.expire(now, &mut expired);

@@ -13,7 +13,7 @@
 //!
 //! * **readiness** — `SimBackend`, an [`EventBackend`] with epoll's
 //!   edge-triggered semantics, whose `wait` advances the calendar to
-//!   the next event or to the timeout the shard's timing wheel asked
+//!   the next event or to the timeout the shard's deadlines asked
 //!   for, and reports the edges in-memory endpoints raised;
 //! * **the transport** — `SimFd` as a connection: its inbox (filled on
 //!   the client's script), its receive window (a refill is a writable
@@ -40,8 +40,8 @@
 //! the core's invariant check
 //! ([`crate::conn::ShardCore::check_invariants`]):
 //! no leaked slots or waiter registrations, waiters ⇔ pending-jobs
-//! bijection, every armed deadline tracked by the wheel, the wheel's
-//! stale entries bounded. A run that violates an invariant, livelocks
+//! bijection, the armed timers exactly the connections with a
+//! deadline class. A run that violates an invariant, livelocks
 //! (fuel exhausted), or strands a connection returns `Err`.
 //!
 //! Determinism rules: the only wall-clock value in the response stream

@@ -31,7 +31,10 @@
 //!   shipped `Shard`, with no connection table, wheel, core or loop of
 //!   its own, and `server.rs` reads the wall clock only through
 //!   `NetEnv`'s clock — a stray read would break the sim's per-seed
-//!   determinism.
+//!   determinism;
+//! * deadlines are cancelled at once: `timer.rs` keeps no stale entry
+//!   to police — no generation, no slack, no sweep — and stays at or
+//!   under the size it landed at.
 
 use std::path::Path;
 
@@ -59,6 +62,7 @@ const MT: (&str, usize) = ("mt.rs", 250);
 const ACCEPT: (&str, usize) = ("accept.rs", 30);
 const POOL: (&str, usize) = ("pool.rs", 100);
 const WORKERSET: (&str, usize) = ("workerset.rs", 100);
+const TIMER: (&str, usize) = ("timer.rs", 40);
 /// What a connection passes through on its way into a shard.
 const AMPED: [(&str, usize); 5] = [
     SERVER,
@@ -241,4 +245,21 @@ fn server_rs_reads_the_wall_clock_only_through_net_env() {
         && lines[reads[0] - 2].1.trim() == "impl NetEnv {";
     let reads: Vec<_> = reads.iter().map(|&i| &lines[i]).collect();
     assert!(clock, "Instant::now() outside NetEnv's clock: {reads:#?}");
+}
+
+#[test]
+fn timers_are_cancelled_at_once_and_stay_small() {
+    // What lazy cancellation needs and eager cancellation never makes.
+    const LAZY: [&str; 4] = ["STALE", "stale", "gen:", "generation"];
+    let found = offenders(TIMER, &LAZY);
+    assert!(
+        found.is_empty(),
+        "lazy cancellation is back in timer.rs: {found:#?}"
+    );
+    const LANDED_AT: usize = 75;
+    let lines = product_lines(TIMER.0, TIMER.1).len();
+    assert!(
+        lines <= LANDED_AT,
+        "timer.rs grew to {lines} code lines (ratchet: {LANDED_AT})"
+    );
 }

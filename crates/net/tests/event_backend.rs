@@ -299,10 +299,11 @@ fn poll_parked_entry_reports_the_fin_not_the_data() {
 /// A shard with one connection parked and nothing else to do sleeps:
 /// its request is a helper's — wedged opening a FIFO no one writes —
 /// and its client half-closes behind it. The wait that reports the
-/// hang-up and at most one timing-wheel tick (1 s here) are all the
-/// shard makes while it waits; a level-triggered hang-up left in the
-/// poll set would return from every wait. Unwedged, the request is
-/// answered and the connection closed at its end of stream.
+/// hang-up is all the shard makes while it waits (the connection's
+/// helper-wait deadline is a minute out, and the wait runs to it); a
+/// level-triggered hang-up left in the poll set would return from
+/// every wait. Unwedged, the request is answered and the connection
+/// closed at its end of stream.
 fn a_parked_hangup_costs_at_most_two_waits(choice: BackendChoice) {
     use flash_net::{NetConfig, Server};
     use std::net::TcpStream;
@@ -364,6 +365,75 @@ fn poll_a_parked_hangup_costs_at_most_two_waits() {
 #[test]
 fn epoll_a_parked_hangup_costs_at_most_two_waits() {
     a_parked_hangup_costs_at_most_two_waits(BackendChoice::Epoll);
+}
+
+/// A shard whose one connection sits idle between requests sleeps
+/// until that connection's deadline: the wait after the response runs
+/// to the idle timeout, and the reap lands on the first tick at or
+/// after it. The tick is 37.5 ms here (an eighth of the 300 ms
+/// header-read timeout), so a loop that woke once a tick would make
+/// ≈ 16 waits in the 600 ms idle period.
+fn an_idle_shard_sleeps_until_its_deadline(choice: BackendChoice) {
+    use flash_net::{NetConfig, Server};
+    use std::net::TcpStream;
+    use std::time::{Duration, Instant};
+
+    const BODY: &[u8] = b"<p>asleep</p>";
+    let root = std::env::temp_dir().join(format!(
+        "flash-idle-sleep-{}-{}",
+        flash_net::event::resolve(choice).name(),
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).unwrap();
+    std::fs::write(root.join("index.html"), BODY).unwrap();
+    let (idle, tick) = (Duration::from_millis(600), Duration::from_micros(37_500));
+    let cfg = NetConfig::builder(&root)
+        .backend(choice)
+        .event_loops(1)
+        .idle_timeout(Some(idle))
+        .header_read_timeout(Some(Duration::from_millis(300)))
+        .build()
+        .unwrap();
+    let server = Server::start("127.0.0.1:0", cfg).unwrap();
+    let shard = &server.stats().per_shard()[0];
+    let get = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
+    let mut s = TcpStream::connect(server.addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+
+    // The idle deadline is armed after the request is sent.
+    let sent = Instant::now();
+    s.write_all(b"GET /index.html HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    let (mut resp, mut buf) = (Vec::new(), [0u8; 1024]);
+    while !resp.ends_with(BODY) {
+        let n = s.read(&mut buf).unwrap();
+        assert!(n > 0, "{choice:?}: closed before the response");
+        resp.extend_from_slice(&buf[..n]);
+    }
+    let waits = get(&shard.wait_calls);
+    assert_eq!(s.read(&mut buf).unwrap(), 0, "{choice:?}: not reaped");
+    let reaped = sent.elapsed();
+    let made = get(&shard.wait_calls) - waits;
+    assert!(made <= 2, "{choice:?}: {made} waits while idle");
+    let late = idle + tick + Duration::from_millis(50);
+    assert!(
+        (idle..=late).contains(&reaped),
+        "{choice:?}: reaped {reaped:?} after the request"
+    );
+    server.stop();
+    let _ = std::fs::remove_dir_all(root);
+}
+
+#[test]
+fn poll_an_idle_shard_sleeps_until_its_deadline() {
+    an_idle_shard_sleeps_until_its_deadline(BackendChoice::Poll);
+}
+
+#[cfg(any(target_os = "linux", target_os = "android"))]
+#[test]
+fn epoll_an_idle_shard_sleeps_until_its_deadline() {
+    an_idle_shard_sleeps_until_its_deadline(BackendChoice::Epoll);
 }
 
 /// The accept-gate sequence the reuseport shards run their listeners

@@ -43,14 +43,31 @@ fn census() -> (Vec<String>, usize, usize) {
     (children, count("/proc/self/task"), count("/proc/self/fd"))
 }
 
-/// Spins until `cond` holds: a helper reaps a retired worker beside
-/// the response that retired it, not before it.
-fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
+/// Spins until `cond` holds, for at most `within`: a helper reaps a
+/// retired worker beside the response that retired it, not before it.
+fn wait_for(what: &str, within: Duration, mut cond: impl FnMut() -> bool) {
     let start = Instant::now();
     while !cond() {
-        assert!(start.elapsed() < Duration::from_secs(5), "never: {what}");
+        assert!(start.elapsed() < within, "never: {what}");
         std::thread::sleep(Duration::from_millis(10));
     }
+}
+
+/// How long a thread fact may take to settle: a joined thread leaves
+/// `/proc/self/task` a moment after `join` returns, and a new one takes
+/// its name a moment after it starts.
+const SETTLE: Duration = Duration::from_secs(2);
+
+/// The census right after `stop()` or `drain()` is `before`: children
+/// and descriptors exactly, at once; the thread count once it settles.
+fn assert_clean(before: &(Vec<String>, usize, usize), what: &str) {
+    let (children, _, fds) = census();
+    assert_eq!((children, fds), (before.0.clone(), before.2), "{what}");
+    wait_for(
+        &format!("{what}: threads back to {}", before.1),
+        SETTLE,
+        || census().1 == before.1,
+    );
 }
 
 /// One `HTTP/1.0` request; returns the status line and the decoded
@@ -124,6 +141,9 @@ fn exercise(server: &dyn ServeHandle, kind: ServerKind) {
     if kind == ServerKind::Amped {
         let stats = server.stats();
         let handed_off = || stats.helper_jobs() - stats.inline_jobs();
+        wait_for("four named helpers", SETTLE, || {
+            helper_switches().len() == 4
+        });
         let before = (helper_switches(), handed_off(), stats.worker_io_calls());
         assert_eq!(before.0.len(), 4, "the default helper pool");
         hundred_warm_requests(addr);
@@ -134,13 +154,16 @@ fn exercise(server: &dyn ServeHandle, kind: ServerKind) {
     let (status, body, whole) = get(addr, "/app/crash");
     assert!(status.contains("200") && !whole, "{status}");
     assert_eq!(body, b"half");
-    wait_for("the crashed worker reaped", || census().0.is_empty());
+    let reaped = || census().0.is_empty();
+    wait_for("the crashed worker reaped", Duration::from_secs(5), reaped);
 
     let (status, ..) = get(addr, "/app/wedge");
     assert!(status.contains("504"), "{status}");
-    wait_for("the wedged worker killed and reaped", || {
-        census().0.is_empty()
-    });
+    wait_for(
+        "the wedged worker killed and reaped",
+        Duration::from_secs(5),
+        reaped,
+    );
     assert_eq!(server.stats().worker_respawns(), 2);
 
     let (status, body, whole) = get(addr, "/app/two");
@@ -191,12 +214,12 @@ fn the_dynamic_tier_leaves_no_child_no_thread_and_no_descriptor() {
         let server = handle::start(kind, "127.0.0.1:0", cfg.clone()).unwrap();
         exercise(&*server, kind);
         server.stop();
-        assert_eq!(census(), before, "{what}: after stop()");
+        assert_clean(&before, &format!("{what}: after stop()"));
 
         let server = handle::start(kind, "127.0.0.1:0", cfg).unwrap();
         exercise(&*server, kind);
         server.drain();
-        assert_eq!(census(), before, "{what}: after drain()");
+        assert_clean(&before, &format!("{what}: after drain()"));
     }
     let _ = std::fs::remove_dir_all(&root);
 }

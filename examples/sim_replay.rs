@@ -5,7 +5,7 @@
 //! (partial writes, trickled headers, disk stalls, wedged helpers,
 //! EMFILE storms, crashing, wedged and garbling workers, half-closing
 //! and resetting clients, mid-run reloads, a final drain), and the
-//! shard invariants — the timing wheel's bound among them — checked
+//! shard invariants — armed timers ⇔ live deadlines among them — checked
 //! throughout.
 //!
 //! Two gates, both fatal (non-zero exit):
