@@ -1,35 +1,35 @@
-//! The MT server's accept loop: a listener and a stop pipe in one
+//! The MT server's accept loop: a listener and a wake pipe in one
 //! readiness backend, drained to `EWOULDBLOCK` per cycle, each
-//! connection handed to the caller's closure (MT spawns a thread). The
-//! AMPED shards accept for themselves in both accept modes
-//! ([`crate::server`]) and share only [`is_transient`] with this loop.
+//! connection handed to the caller's closure (MT spawns a thread), until
+//! the server leaves the running phase. The AMPED shards accept for
+//! themselves in both accept modes ([`crate::server`]) and share only
+//! [`is_transient`] with this loop.
 
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::event::{new_backend, BackendChoice, Event, EventBackend, Interest};
+use crate::lifecycle::{LifecycleShared, PHASE_RUNNING};
 
 /// Token for an accept loop's listener registration.
 const ACCEPT_LISTENER_TOKEN: u64 = 0;
-/// Token for an accept loop's stop pipe.
-const ACCEPT_STOP_TOKEN: u64 = 1;
+/// Token for an accept loop's wake pipe.
+const ACCEPT_WAKE_TOKEN: u64 = 1;
 
 /// Creates an accept loop's readiness backend with the listener and
-/// stop pipe already registered — called on the *starting* thread so a
+/// wake pipe already registered — called on the *starting* thread so a
 /// registration failure surfaces as a start error rather than a
 /// silently deaf accept thread.
 pub(crate) fn prepare_accept_backend(
     choice: BackendChoice,
     listener: &TcpListener,
-    stop_rx: &UnixStream,
+    wake_rx: &UnixStream,
 ) -> io::Result<Box<dyn EventBackend + Send>> {
     let mut backend = new_backend(choice);
-    stop_rx.set_nonblocking(true)?;
     backend.register(listener.as_raw_fd(), ACCEPT_LISTENER_TOKEN, Interest::READ)?;
-    backend.register(stop_rx.as_raw_fd(), ACCEPT_STOP_TOKEN, Interest::READ)?;
+    backend.register(wake_rx.as_raw_fd(), ACCEPT_WAKE_TOKEN, Interest::READ)?;
     Ok(backend)
 }
 
@@ -46,10 +46,11 @@ pub(crate) fn is_transient(e: &io::Error) -> bool {
 }
 
 /// The accept loop over a prepared backend (see
-/// [`prepare_accept_backend`]): blocks with an infinite timeout — the
-/// stop pipe is the shutdown signal, so no polling interval is burned
-/// while idle and shutdown latency is one pipe write, not a timeout
-/// expiry — and drains accepts to `EWOULDBLOCK` per readiness cycle.
+/// [`prepare_accept_backend`]): blocks with an infinite timeout — a
+/// forced wake after the lifecycle leaves the running phase is the
+/// shutdown signal, so no polling interval is burned while idle and
+/// shutdown latency is one pipe write, not a timeout expiry — and
+/// drains accepts to `EWOULDBLOCK` per readiness cycle.
 /// A persistent accept failure (EMFILE/ENFILE under fd exhaustion —
 /// not [`is_transient`]) bounds the next wait to a short retry instead:
 /// the readiness edge is consumed but connections may still be queued,
@@ -57,20 +58,17 @@ pub(crate) fn is_transient(e: &io::Error) -> bool {
 pub(crate) fn run_accept_loop(
     listener: &TcpListener,
     mut backend: Box<dyn EventBackend + Send>,
-    shutdown: &AtomicBool,
+    lifecycle: &LifecycleShared,
     mut on_conn: impl FnMut(TcpStream),
 ) {
     let mut events: Vec<Event> = Vec::new();
     let mut retry_accept = false;
     loop {
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
         let timeout = if retry_accept { 10 } else { -1 };
         if backend.wait(&mut events, timeout).is_err() {
             continue;
         }
-        if shutdown.load(Ordering::SeqCst) {
+        if lifecycle.phase() != PHASE_RUNNING {
             return;
         }
         if events.iter().any(|e| e.token == ACCEPT_LISTENER_TOKEN) || retry_accept {

@@ -1,8 +1,9 @@
 //! Server configuration: [`NetConfig`] and its validating
-//! [`NetConfigBuilder`], shared by the AMPED shards
-//! ([`crate::server::Server`]) and the MT server
-//! ([`crate::mt::MtServer`]), plus the one mapping from it to the
-//! protocol core's [`ProtoConfig`].
+//! [`NetConfigBuilder`], one for both architectures the one
+//! [`Server`](crate::Server) runs — the AMPED shards ([`crate::server`])
+//! and the MT server ([`crate::mt`]); which of them is
+//! [`ServerKind`](crate::ServerKind)'s to say, not the config's — plus
+//! the one mapping from it to the protocol core's [`ProtoConfig`].
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -92,9 +93,9 @@ pub struct NetConfig {
     /// name bindings until they are evicted (the pre-revalidation
     /// behavior). Default 2 s.
     pub cache_revalidate_ttl: Option<Duration>,
-    /// How long a drain ([`Server::drain`](crate::server::Server::drain),
+    /// How long a drain ([`Server::drain`](crate::Server::drain),
     /// SIGTERM) waits for existing connections to finish before the
-    /// shards exit anyway.
+    /// server's threads exit anyway, on either architecture.
     /// In-flight responses (including multi-gigabyte `sendfile`
     /// bodies) and pipelined keep-alive requests already buffered are
     /// served to completion within this bound; whatever is still open
@@ -116,10 +117,10 @@ pub struct NetConfig {
     /// default (the `/.flash/` prefix stays ordinary docroot space
     /// until opted in).
     pub metrics_endpoint: bool,
-    /// Structured access log: each shard buffers one record per
-    /// completed response and appends batched lines to this file
-    /// (`None` disables logging). Reopened on SIGHUP via
-    /// [`Server::rotate_access_logs`](crate::server::Server::rotate_access_logs)
+    /// Structured access log: each shard (or MT connection thread)
+    /// buffers one record per completed response and appends batched
+    /// lines to this file (`None` disables logging). Reopened on SIGHUP via
+    /// [`Server::rotate_access_logs`](crate::Server::rotate_access_logs)
     /// and on every docroot reload.
     pub access_log_path: Option<PathBuf>,
     /// Requests whose path starts with this prefix are routed to the
@@ -177,6 +178,14 @@ impl NetConfig {
         NetConfigBuilder {
             cfg: NetConfig::new(docroot),
         }
+    }
+
+    /// The application worker's command line, for either driver's
+    /// workers: [`Self::dynamic_command`], or the built-in worker.
+    pub(crate) fn worker_command(&self) -> Vec<String> {
+        self.dynamic_command
+            .clone()
+            .unwrap_or_else(crate::appworker::WorkerPool::default_command)
     }
 
     /// The protocol core's slice of this config — the only place a

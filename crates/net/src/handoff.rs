@@ -23,7 +23,7 @@
 //! for the server's use, and [`HandoffControl`] is the rendezvous: the
 //! old generation binds a control socket at a well-known path, the new
 //! generation connects and collects the listener set, then the old
-//! generation drains ([`crate::server::Server::drain`]).
+//! generation drains ([`crate::Server::drain`]).
 //!
 //! The `sendmsg`/`recvmsg` calls and the control-message layout live
 //! in [`crate::sys`]; on platforms where that layout is not verified
@@ -94,13 +94,13 @@ fn recv_owned(sock: &UnixStream) -> io::Result<Vec<OwnedFd>> {
 }
 
 /// Sends duplicates of a listener set (see
-/// [`crate::server::Server::handoff_listeners`]).
+/// [`crate::Server::handoff_listeners`]).
 pub fn send_listeners(sock: &UnixStream, listeners: &[TcpListener]) -> io::Result<()> {
     let fds: Vec<RawFd> = listeners.iter().map(|l| l.as_raw_fd()).collect();
     send_fds(sock, &fds)
 }
 
-/// Receives a listener set for [`crate::server::Server::start_inherited`].
+/// Receives a listener set for [`crate::Server::start_inherited`].
 pub fn recv_listeners(sock: &UnixStream) -> io::Result<Vec<TcpListener>> {
     Ok(recv_owned(sock)?
         .into_iter()

@@ -1,10 +1,12 @@
 //! A real, runnable Flash-style web server on actual sockets — the
 //! paper's AMPED architecture, sharded across modern cores.
 //!
-//! Two servers built from the shared `flash-http` machinery and **one
-//! protocol implementation** ([`conn`]):
+//! One server handle, [`Server`], built from the shared `flash-http`
+//! machinery and **one protocol implementation** ([`conn`]), runs
+//! either of two architectures ([`ServerKind`]):
 //!
-//! * [`server::Server`] — **sharded AMPED**:
+//! * [`ServerKind::Amped`] (what [`Server::start`] runs; the shard
+//!   driver is [`server`]) — **sharded AMPED**:
 //!   `NetConfig::event_loops` independent event-loop shards (default
 //!   `min(cores, 8)`), **each accepting for itself** as the first
 //!   step of its own loop — no acceptor thread serializes connection
@@ -82,15 +84,18 @@
 //!   re-stat'ed by a helper before it is trusted — unchanged files
 //!   revalidate for free (`revalidations`), changed or deleted ones
 //!   are evicted and reloaded (`stale_evicted`).
-//! * [`mt::MtServer`] — **MT**: thread-per-connection with blocking
-//!   I/O and a shared, locked content cache, for comparison (the §3.2
-//!   trade-off discussion, measurable with `cargo run --release
-//!   --offline --manifest-path loadbench/Cargo.toml -- --workload
+//! * [`ServerKind::Mt`] ([`Server::start_as`]; the driver is [`mt`]) —
+//!   **MT**: thread-per-connection with blocking I/O and a shared,
+//!   locked content cache, for comparison (the §3.2 trade-off
+//!   discussion, measurable with `cargo run --release --offline
+//!   --manifest-path loadbench/Cargo.toml -- --workload
 //!   cached_small_mt` against `--workload cached_small`). Not a
 //!   second server: each connection thread drives the same protocol
-//!   core the shards do, so the comparison is between two
-//!   architectures and nothing else (`tests/differential.rs` holds
-//!   the two to byte-identical answers).
+//!   core the shards do, and the handle around it — listeners,
+//!   handoff, counters, drain, reload, stop — is the same `Server`, so
+//!   the comparison is between two architectures and nothing else
+//!   (`tests/differential.rs` holds the two to byte-identical
+//!   answers).
 //!
 //! Every foreign function either server calls — `epoll`, `poll`,
 //! `writev`, `sendfile`, the listener and `SCM_RIGHTS` plumbing, the
@@ -468,7 +473,7 @@
 //! # Lifecycle: drain, signals, and generation handoff
 //!
 //! A production server's restarts and deploys must be non-events. The
-//! lifecycle subsystem ([`lifecycle`], [`handoff`]) gives both servers
+//! lifecycle subsystem ([`lifecycle`], [`handoff`]) gives both architectures
 //! a real one:
 //!
 //! ```text
@@ -494,17 +499,20 @@
 //! ([`lifecycle::Signals`]): an async-signal-safe handler writes the
 //! signal number to a nonblocking socketpair and the orchestrator
 //! (your main thread) reads it at leisure and calls
-//! [`Server::drain`](server::Server::drain),
-//! [`Server::reload_docroot`](server::Server::reload_docroot), or
-//! [`Server::stop_now`](server::Server::stop_now).
+//! [`Server::drain`], [`Server::reload_docroot`], or
+//! [`Server::stop_now`] — the same verbs on either architecture, each
+//! written once ([`handle`]). Every loop enforces the drain deadline
+//! itself — a shard in its wait, an MT connection thread on its read
+//! cadence — so no thread exists only to wait out the grace.
 //!
 //! **Generation handoff** makes the restart itself zero-downtime: the
 //! old process sends duplicates of its listening sockets
-//! ([`Server::handoff_listeners`](server::Server::handoff_listeners))
+//! ([`Server::handoff_listeners`])
 //! over a unix control socket with `SCM_RIGHTS`
 //! ([`handoff::send_listeners`] / [`handoff::recv_listeners`], or the
 //! [`handoff::HandoffControl`] rendezvous), the new process adopts
-//! them with [`Server::start_inherited`](server::Server::start_inherited),
+//! them with [`Server::start_inherited`] (or
+//! [`Server::start_inherited_as`]),
 //! and only then does the old generation drain. Because the *kernel
 //! sockets* move — not just the port via a fresh `SO_REUSEPORT` bind —
 //! the accept backlog survives the switch in both accept modes and no
@@ -592,7 +600,7 @@
 //! ## Endpoints
 //!
 //! With [`NetConfig::metrics_endpoint`] enabled (builder:
-//! `metrics_endpoint(true)`), both servers answer two reserved
+//! `metrics_endpoint(true)`), both architectures answer two reserved
 //! paths in-band on every shard, served from the counters without
 //! touching cache or helpers:
 //!
@@ -625,7 +633,7 @@
 //! the end of its loop iteration, so concurrent shards (or MT worker
 //! threads) interleave whole batches — never fragments of a line. The
 //! logrotate handshake is
-//! [`Server::rotate_access_logs`](server::Server::rotate_access_logs)
+//! [`Server::rotate_access_logs`]
 //! (typically mapped from `SIGHUP` alongside the reload): rename the
 //! file, signal, and every writer reopens the configured path.
 //!
@@ -648,11 +656,22 @@
 //! server.drain();
 //! ```
 //!
-//! Code that only *operates* a server — batteries, lifecycle
-//! harnesses, examples comparing the two architectures — can start
-//! either one behind the shared [`ServeHandle`] surface instead:
-//! `handle::start(ServerKind::Amped | ServerKind::Mt, addr, cfg)`
-//! returns a `Box<dyn ServeHandle>` with `local_addr` / `stats` /
+//! The MT comparison server is the same handle with the other
+//! architecture behind it — every verb above applies unchanged:
+//!
+//! ```no_run
+//! use flash_net::{NetConfig, Server, ServerKind};
+//!
+//! let mt = Server::start_as(ServerKind::Mt, "127.0.0.1:8081", NetConfig::new("./public"))
+//!     .unwrap();
+//! mt.drain();
+//! ```
+//!
+//! [`ServeHandle`] is that handle as a trait with one impl, kept for
+//! code that holds a server boxed — the benchmark harness and the
+//! driver-parameterised batteries call
+//! `handle::start(ServerKind::Amped | ServerKind::Mt, addr, cfg)` and
+//! get a `Box<dyn ServeHandle>` with `local_addr` / `stats` /
 //! `reload_docroot` / `drain` / `stop`.
 
 mod accept;
@@ -682,10 +701,8 @@ pub use cache::{ContentCache, Entry};
 pub use config::{ConfigError, NetConfig, NetConfigBuilder};
 pub use conn::ShardStats;
 pub use event::{BackendChoice, BackendKind, EventBackend};
-pub use handle::{ServeHandle, ServerKind};
+pub use handle::{ServeHandle, Server, ServerKind};
 pub use handoff::{recv_listeners, request_listeners, send_listeners, HandoffControl};
 pub use lifecycle::{send_to_self, Signal, Signals};
-pub use mt::MtServer;
-pub use server::Server;
 pub use sock::{AcceptMode, AcceptModeKind};
 pub use stats::{HistSnapshot, HistSummary, Histogram, ServerStats};

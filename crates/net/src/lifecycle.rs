@@ -23,8 +23,11 @@
 //! * `LifecycleShared` — the per-server state those orders mutate:
 //!   a monotonic phase (`Running → Draining → Stopping`; a drain can
 //!   escalate to a stop, never the reverse), the drain deadline, and
-//!   a generation-counted reload slot the shards poll for free (one
-//!   relaxed atomic load per loop iteration).
+//!   a generation-counted reload slot the serving threads poll for
+//!   free (one relaxed atomic load per loop iteration). Its `severs`
+//!   is the one drain-deadline rule: every shard and every MT
+//!   connection thread asks it, on its own loop, whether to sever what
+//!   it holds.
 //!
 //! The handler and its registration live in [`crate::sys`]
 //! (`sigaction` on Linux, the portable ANSI `signal(2)` elsewhere —
@@ -36,7 +39,7 @@ use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The signals the lifecycle machinery speaks.
@@ -182,7 +185,8 @@ pub(crate) const PHASE_DRAINING: u8 = 1;
 /// Lifecycle phase: tear down now, severing whatever remains.
 pub(crate) const PHASE_STOPPING: u8 = 2;
 
-/// State shared between a server handle and its shards: the current
+/// State shared between a server handle and its serving threads (the
+/// shards, or MT's connection threads): the current
 /// phase, the drain deadline, and the reload slot. Phase moves only
 /// forward (`Running → Draining → Stopping`), so a drain that hits
 /// its deadline escalates cleanly and a late `drain()` cannot undo a
@@ -190,27 +194,22 @@ pub(crate) const PHASE_STOPPING: u8 = 2;
 #[derive(Debug)]
 pub(crate) struct LifecycleShared {
     phase: AtomicU8,
-    drain_deadline: Mutex<Option<Instant>>,
+    /// Set once, by the first drain.
+    drain_deadline: OnceLock<Instant>,
     /// Bumped on every published reload; shards compare against their
     /// last-seen value — one relaxed load per loop iteration when
     /// nothing changed.
     reload_gen: AtomicU64,
     reload_docroot: Mutex<Option<PathBuf>>,
-    /// Bumped on every access-log rotation request; shards compare
-    /// against their last-seen value and reopen their log file at the
-    /// configured path — the logrotate handshake, same polling shape
-    /// as the reload generation.
-    log_gen: AtomicU64,
 }
 
 impl LifecycleShared {
     pub fn new() -> Self {
         LifecycleShared {
             phase: AtomicU8::new(PHASE_RUNNING),
-            drain_deadline: Mutex::new(None),
+            drain_deadline: OnceLock::new(),
             reload_gen: AtomicU64::new(0),
             reload_docroot: Mutex::new(None),
-            log_gen: AtomicU64::new(0),
         }
     }
 
@@ -221,10 +220,7 @@ impl LifecycleShared {
     /// Enters the draining phase (no-op if already draining or
     /// stopping — phases only move forward).
     pub fn begin_drain(&self, deadline: Instant) {
-        *self
-            .drain_deadline
-            .lock()
-            .unwrap_or_else(|e| e.into_inner()) = Some(deadline);
+        let _ = self.drain_deadline.set(deadline);
         let _ = self.phase.compare_exchange(
             PHASE_RUNNING,
             PHASE_DRAINING,
@@ -239,10 +235,20 @@ impl LifecycleShared {
     }
 
     pub fn drain_deadline(&self) -> Option<Instant> {
-        *self
-            .drain_deadline
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+        self.drain_deadline.get().copied()
+    }
+
+    /// Whether a serving thread must sever what it still holds and
+    /// exit: the server is stopping, or draining past its deadline.
+    /// Every driver enforces the deadline through this, on its own
+    /// thread. While the server runs it is one phase load: the clock
+    /// is read only while draining.
+    pub fn severs(&self, now: impl FnOnce() -> Instant) -> bool {
+        match self.phase() {
+            PHASE_RUNNING => false,
+            PHASE_DRAINING => self.drain_deadline().is_some_and(|d| now() >= d),
+            _ => true,
+        }
     }
 
     /// Publishes a new docroot; shards observe the generation bump and
@@ -265,15 +271,6 @@ impl LifecycleShared {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .clone()
-    }
-
-    /// Asks every access-log owner to reopen its file.
-    pub fn rotate_logs(&self) {
-        self.log_gen.fetch_add(1, Ordering::Release);
-    }
-
-    pub fn log_gen(&self) -> u64 {
-        self.log_gen.load(Ordering::Acquire)
     }
 }
 
@@ -300,6 +297,18 @@ mod tests {
         // A late drain cannot resurrect a stopped server.
         l.begin_drain(Instant::now());
         assert_eq!(l.phase(), PHASE_STOPPING);
+    }
+
+    #[test]
+    fn a_drain_severs_at_its_deadline_and_a_stop_at_once() {
+        let t0 = Instant::now();
+        let l = LifecycleShared::new();
+        assert!(!l.severs(|| unreachable!("a running server reads no clock")));
+        l.begin_drain(t0 + Duration::from_secs(1));
+        assert!(!l.severs(|| t0));
+        assert!(l.severs(|| t0 + Duration::from_secs(1)));
+        l.stop_now();
+        assert!(l.severs(|| t0));
     }
 
     #[test]

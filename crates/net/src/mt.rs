@@ -20,8 +20,8 @@
 //!   (`accept.rs`) and joined at teardown;
 //! * **blocking calls** — `BlockingIo`: a `read` that waits up to
 //!   200 ms (the cadence on which a silent connection's thread looks at
-//!   the lifecycle phase, the reload and log-rotation generations and
-//!   its deadline), one `write` per queued segment and `sendfile`
+//!   the lifecycle phase, the reload generation and its deadline), one
+//!   `write` per queued segment and `sendfile`
 //!   windows under `SO_SNDTIMEO` — a send that cannot move a byte for
 //!   [`NetConfig::write_stall_timeout`] fails and the connection
 //!   closes, the blocking twin of the write-stall deadline — and disk
@@ -31,24 +31,27 @@
 //! * **the cache lock** — `SharedCache`, the [`CacheHandle`] through
 //!   which every thread's core reaches the one content cache.
 //!
-//! The lifecycle semantics match the AMPED server's (see
-//! [`crate::lifecycle`]): [`MtServer::drain`] stops accepting and lets
-//! every thread finish its in-flight request (idle keep-alives close
-//! within their 200 ms read cadence; a watchdog severs anything
-//! slower than the grace), [`MtServer::reload_docroot`] swaps the
-//! served root and flushes the shared cache without dropping a
-//! connection, and [`MtServer::stop_now`] is the immediate teardown.
-//! [`MtServer::start_inherited`] adopts a handed-off listener so even
-//! the thread-per-connection comparison server restarts without
-//! resetting a queued connection.
+//! The lifecycle is the one [`Server`](crate::Server)'s, started with
+//! [`ServerKind::Mt`](crate::ServerKind::Mt): the handle binds or
+//! adopts the listener, keeps the handoff set and owns every verb; this
+//! file only spawns the accept thread over that listener. A connection
+//! thread applies what the verbs published on its read cadence, as a
+//! shard does on its loop: on a drain an idle keep-alive closes and a
+//! request in flight finishes; at the drain deadline, or on a stop, the
+//! thread severs its connection itself (`LifecycleShared::severs`,
+//! read by its loop and by its worker exchange), so no watchdog thread
+//! waits out the grace; a reload swaps the served root and flushes the
+//! shared cache without dropping a connection. The accept thread closes
+//! the listener as soon as the server leaves the running phase, before
+//! it joins the connection threads, so a next generation can bind or
+//! inherit the port while this one drains.
 
 use std::cell::RefCell;
 use std::fs::File;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -63,20 +66,11 @@ use crate::conn::{
 };
 use crate::event::pollset::peer_hung_up;
 use crate::fsjob;
-use crate::lifecycle::{LifecycleShared, PHASE_DRAINING, PHASE_STOPPING};
+use crate::handle::Threads;
+use crate::lifecycle::{LifecycleShared, PHASE_DRAINING, PHASE_RUNNING};
+use crate::pool::WakeHandle;
 use crate::sendfile::send_file;
-use crate::sock;
-use crate::stats::{AccessLogWriter, ServerStats};
-
-/// The MT access log: one writer shared by every connection thread,
-/// each batch of records appended under the lock as a single
-/// `write_all` — whole lines, never fragments. `gen_seen` is the last
-/// rotation generation any thread applied (the first to observe a bump
-/// reopens).
-struct MtLog {
-    writer: Mutex<AccessLogWriter>,
-    gen_seen: AtomicU64,
-}
+use crate::stats::AccessLogWriter;
 
 /// The content cache plus the reload generation its entries were
 /// loaded under — one lock covers both, so a reload's flush and any
@@ -94,221 +88,78 @@ struct Shared {
     /// One "shard" of counters and histograms: every thread's core
     /// writes the same atomics.
     stats: Arc<ShardStats>,
-    log: Option<MtLog>,
+    /// The access log: one writer for every connection thread, each
+    /// batch of records appended under its lock.
+    log: Option<Arc<AccessLogWriter>>,
     /// The application workers of the dynamic tier.
     workers: WorkerPool,
 }
 
-/// Handle to a running MT server.
-pub struct MtServer {
-    addr: SocketAddr,
-    /// Accept-path stop flag: flipping it (plus a stop byte) ends the
-    /// accept loop; connection threads are governed by `lifecycle`.
-    accept_stop: Arc<AtomicBool>,
-    lifecycle: Arc<LifecycleShared>,
-    drain_timeout: Duration,
-    handoff: Vec<TcpListener>,
-    stop_tx: UnixStream,
-    accept_thread: Option<JoinHandle<()>>,
-    /// One "shard" of counters and histograms — the same registry the
-    /// AMPED server exports, so both architectures are compared with
-    /// identical instruments.
-    stats: ServerStats,
-}
-
-impl MtServer {
-    /// Binds `addr` and starts the accept loop. The listener comes
-    /// from the shared socket-options helper ([`crate::sock`]) — same
-    /// nonblocking + `SO_REUSEADDR` setup as the AMPED listeners, one
-    /// accept path's options can never drift from the other's.
-    pub fn start(addr: impl ToSocketAddrs, cfg: NetConfig) -> io::Result<MtServer> {
-        let req_addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing")
-        })?;
-        let listener = sock::bind_listener(req_addr, false)?;
-        Self::start_impl(listener, cfg)
-    }
-
-    /// Starts on a listening socket inherited from a previous
-    /// generation (see [`crate::handoff`]): the kernel socket — and
-    /// its accept backlog — survives the generation switch.
-    pub fn start_inherited(cfg: NetConfig, listener: TcpListener) -> io::Result<MtServer> {
-        sock::adopt_listener(&listener)?;
-        Self::start_impl(listener, cfg)
-    }
-
-    fn start_impl(listener: TcpListener, cfg: NetConfig) -> io::Result<MtServer> {
-        let addr = listener.local_addr()?;
-        let accept_stop = Arc::new(AtomicBool::new(false));
-        let accept_stop2 = Arc::clone(&accept_stop);
-        let lifecycle = Arc::new(LifecycleShared::new());
-        // The handoff dup, kept so a next generation can inherit the
-        // live kernel socket while this one drains.
-        let handoff = vec![listener.try_clone()?];
-        // Shutdown wakes the accept loop through this pipe, so the
-        // loop blocks in its readiness backend with no timeout instead
-        // of polling on an arbitrary interval.
-        let (stop_tx, stop_rx) = UnixStream::pair()?;
-        // Listener + stop pipe registered before the thread exists, so
-        // a backend that cannot watch them is a start error, not a
-        // silently deaf accept thread.
-        let backend = prepare_accept_backend(cfg.backend, &listener, &stop_rx)?;
-        let drain_timeout = cfg.drain_timeout;
-        let stats = Arc::new(ShardStats::default());
-        let shared = Arc::new(Shared {
-            cache: Mutex::new(Generation {
-                cache: ContentCache::new(cfg.cache_bytes),
-                number: 0,
-            }),
-            lifecycle: Arc::clone(&lifecycle),
-            stats: Arc::clone(&stats),
-            log: cfg.access_log_path.clone().map(|p| MtLog {
-                writer: Mutex::new(AccessLogWriter::open(p)),
-                gen_seen: AtomicU64::new(0),
-            }),
-            // One application-worker pool shared by every connection
-            // thread — the MT twin of the AMPED helper pool's workers.
-            workers: WorkerPool::new(
-                cfg.dynamic_command
-                    .clone()
-                    .unwrap_or_else(WorkerPool::default_command),
-            ),
-            cfg,
-        });
-        let accept_thread = std::thread::Builder::new()
-            .name("flash-mt-accept".into())
-            .spawn(move || {
-                // One blocking thread per connection; each accept reaps
-                // the ones that have finished since the last.
-                let mut threads: Vec<JoinHandle<()>> = Vec::new();
-                run_accept_loop(&listener, backend, &accept_stop2, |stream| {
-                    threads.retain(|h| !h.is_finished());
-                    let shared = Arc::clone(&shared);
-                    shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                    if let Ok(h) = std::thread::Builder::new()
-                        .name("flash-mt-conn".into())
-                        .spawn(move || ConnThread::new(stream, shared).serve())
-                    {
-                        threads.push(h);
-                    }
-                });
-                drop(stop_rx); // keep the read side alive until exit
-                for h in threads {
-                    let _ = h.join();
+/// Spawns MT's accept thread over `listener` into `threads`: a thread
+/// per accepted connection, each joined when the accept loop ends. The
+/// listener and the accept thread's wake pipe are registered in its
+/// readiness backend before the thread exists, so a backend that cannot
+/// watch them is a start error, not a silently deaf accept thread.
+/// Returns the one "shard" of counters every connection thread writes —
+/// the same registry the AMPED server exports, so both architectures
+/// are compared with identical instruments.
+pub(crate) fn spawn(
+    listener: TcpListener,
+    cfg: NetConfig,
+    lifecycle: &Arc<LifecycleShared>,
+    threads: &mut Threads,
+) -> io::Result<Vec<Arc<ShardStats>>> {
+    let (wake, wake_rx) = WakeHandle::pair()?;
+    let backend = prepare_accept_backend(cfg.backend, &listener, &wake_rx)?;
+    // A published reload concerns the connection threads, which look
+    // for themselves on their read cadence: the accept thread's wake is
+    // left pending, so only halt's forced one reaches it.
+    wake.pending.store(true, Ordering::Relaxed);
+    threads.wakes.push(wake);
+    let stats = Arc::new(ShardStats::default());
+    let shared = Arc::new(Shared {
+        cache: Mutex::new(Generation {
+            cache: ContentCache::new(cfg.cache_bytes),
+            number: 0,
+        }),
+        lifecycle: Arc::clone(lifecycle),
+        stats: Arc::clone(&stats),
+        log: cfg
+            .access_log_path
+            .clone()
+            .map(|p| Arc::new(AccessLogWriter::open(p))),
+        // One application-worker pool shared by every connection
+        // thread — the MT twin of the AMPED helper pool's workers.
+        workers: WorkerPool::new(cfg.worker_command()),
+        cfg,
+    });
+    threads.logs.extend(shared.log.clone());
+    let accept = std::thread::Builder::new()
+        .name("flash-mt-accept".into())
+        .spawn(move || {
+            // One blocking thread per connection; each accept reaps
+            // the ones that have finished since the last.
+            let mut threads: Vec<JoinHandle<()>> = Vec::new();
+            run_accept_loop(&listener, backend, &shared.lifecycle, |stream| {
+                threads.retain(|h| !h.is_finished());
+                let shared = Arc::clone(&shared);
+                shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
+                if let Ok(h) = std::thread::Builder::new()
+                    .name("flash-mt-conn".into())
+                    .spawn(move || ConnThread::new(stream, shared).serve())
+                {
+                    threads.push(h);
                 }
-            })?;
-        Ok(MtServer {
-            addr,
-            accept_stop,
-            lifecycle,
-            drain_timeout,
-            handoff,
-            stop_tx,
-            accept_thread: Some(accept_thread),
-            stats: ServerStats::new(vec![stats]),
-        })
-    }
-
-    /// The server's counters and latency histograms — the same
-    /// registry-backed [`ServerStats`] surface the AMPED server
-    /// exposes (one shard here: every connection thread writes the
-    /// same atomics).
-    pub fn stats(&self) -> &ServerStats {
-        &self.stats
-    }
-
-    /// The bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The handoff set: a duplicate of the listening socket, for
-    /// sending to the next generation (see [`crate::handoff`]).
-    pub fn handoff_listeners(&self) -> &[TcpListener] {
-        &self.handoff
-    }
-
-    /// See [`crate::server::Server::stop`]: the grace the drain-based
-    /// `stop()` allows in-flight responses.
-    const STOP_GRACE: Duration = Duration::from_secs(1);
-
-    /// Drains gracefully, bounded by [`NetConfig::drain_timeout`]:
-    /// accepting stops, threads finish their in-flight requests and
-    /// close (idle keep-alives within their read-cadence), and a
-    /// watchdog severs anything still running when the grace expires.
-    pub fn drain(self) {
-        let grace = self.drain_timeout;
-        self.drain_for(grace);
-    }
-
-    /// [`MtServer::drain`] with an explicit grace bound.
-    pub fn drain_for(mut self, grace: Duration) {
-        self.lifecycle.begin_drain(Instant::now() + grace);
-        // The deadline has no event loop to enforce it here — a
-        // watchdog escalates to stop-now when the grace expires, so
-        // the thread joins below cannot hang past it. It waits on a
-        // channel rather than sleeping the full grace: when the drain
-        // completes early the sender drops and the watchdog wakes and
-        // exits at once, leaving no thread pinning the lifecycle Arc
-        // for the rest of the grace.
-        let lifecycle = Arc::clone(&self.lifecycle);
-        let (drained_tx, drained_rx) = std::sync::mpsc::channel::<()>();
-        let watchdog = std::thread::spawn(move || {
-            if drained_rx.recv_timeout(grace) == Err(std::sync::mpsc::RecvTimeoutError::Timeout) {
-                lifecycle.stop_now();
+            });
+            // The port is released before the connections are waited
+            // for: a next generation may bind it while these drain.
+            drop((listener, wake_rx));
+            for h in threads {
+                let _ = h.join();
             }
-        });
-        // Release this generation's claim on the port: the handoff
-        // dups close now (a next generation holding inherited dups
-        // keeps the kernel socket alive), and the accept thread's
-        // listener closes as it exits in the join below — so the
-        // address is rebindable while the threads drain.
-        self.handoff.clear();
-        self.halt_accept_and_join();
-        drop(drained_tx);
-        let _ = watchdog.join();
-    }
-
-    /// Stops through the drain path with a short bounded grace (min of
-    /// [`NetConfig::drain_timeout`] and 1 s), so a response already
-    /// being written goes out whole. [`MtServer::stop_now`] is the
-    /// immediate teardown.
-    pub fn stop(self) {
-        let grace = self.drain_timeout.min(Self::STOP_GRACE);
-        self.drain_for(grace);
-    }
-
-    /// Stops immediately: threads notice within their 200 ms read
-    /// cadence and return without finishing keep-alive conversations.
-    pub fn stop_now(mut self) {
-        self.lifecycle.stop_now();
-        self.halt_accept_and_join();
-    }
-
-    /// Publishes a new document root: each thread's core swaps its
-    /// docroot at the next loop turn and the shared cache is flushed
-    /// exactly once (generation-checked under its lock). No
-    /// connection is dropped.
-    pub fn reload_docroot(&self, docroot: impl Into<std::path::PathBuf>) {
-        self.lifecycle.publish_reload(docroot.into());
-    }
-
-    /// Asks the threads to reopen the access log at its configured
-    /// path (the logrotate handshake — see
-    /// [`crate::server::Server::rotate_access_logs`]). Applied by the
-    /// first thread to observe the bump, within its 200 ms read
-    /// cadence. A no-op unless [`NetConfig::access_log_path`] is set.
-    pub fn rotate_access_logs(&self) {
-        self.lifecycle.rotate_logs();
-    }
-
-    fn halt_accept_and_join(&mut self) {
-        self.accept_stop.store(true, Ordering::SeqCst);
-        let _ = (&self.stop_tx).write_all(b"q");
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
+        })?;
+    threads.loops.push(accept);
+    Ok(vec![stats])
 }
 
 /// One connection thread's handle on the cache all threads share,
@@ -553,29 +404,21 @@ impl ConnThread {
 
     /// Brings the core in line with what the server has been told:
     /// drain, a docroot reload, an access-log rotation. `false` means
-    /// stop now.
+    /// sever: the server is stopping, or this thread is past the drain
+    /// deadline — which it enforces itself, as a shard does.
     fn observe_lifecycle(&mut self) -> bool {
         let lifecycle = &self.shared.lifecycle;
-        match lifecycle.phase() {
-            PHASE_STOPPING => return false,
-            PHASE_DRAINING if !self.core.draining => self.core.begin_drain(),
-            _ => {}
+        let phase = lifecycle.phase();
+        if phase == PHASE_DRAINING && !self.core.draining {
+            self.core.begin_drain();
+        }
+        if phase != PHASE_RUNNING && lifecycle.severs(Instant::now) {
+            return false;
         }
         let generation = lifecycle.reload_gen();
         if generation != self.core.epoch {
             self.core
                 .apply_reload(lifecycle.reload_docroot(), generation);
-        }
-        // The first thread to observe a rotation wins the swap and
-        // reopens the shared writer; the rest see it applied.
-        if let Some(log) = &self.shared.log {
-            let g = lifecycle.log_gen();
-            if log.gen_seen.swap(g, Ordering::AcqRel) != g {
-                log.writer
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .reopen();
-            }
         }
         true
     }
@@ -594,16 +437,8 @@ impl ConnThread {
     /// after a `sendfile` visit, the idle one after a long flush) would
     /// be armed already lapsed.
     fn reconcile(&mut self) {
-        if let Some(log) = self
-            .shared
-            .log
-            .as_ref()
-            .filter(|_| !self.core.access_log.is_empty())
-        {
-            log.writer
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .drain(&mut self.core.access_log);
+        if let Some(log) = &self.shared.log {
+            log.drain(&mut self.core.access_log);
         }
         match self.conns[0].as_mut() {
             Some(conn) => sync_deadline(conn, 0, &self.core.cfg, &mut self.armed, Instant::now()),
@@ -620,7 +455,8 @@ impl ConnThread {
         }
         // The worker exchange stops when the core cancels the job — the
         // client went away, or hung up while the worker was silent —
-        // when the server stops, or when the deadline the core armed
+        // when the server severs (stopped, or past the drain
+        // deadline), or when the deadline the core armed
         // lapses — every delivered chunk re-arms it, so it bounds the
         // worker's silence. What a lapse means (`504` or sever) is
         // `expire_conn`'s to say, in `serve`.
@@ -634,7 +470,7 @@ impl ConnThread {
             if silent && this.conns[0].as_mut().is_some_and(|c| c.io.note_hangup()) {
                 this.drive();
             }
-            job.is_cancelled() || lapsed(this.armed) || shared.lifecycle.phase() == PHASE_STOPPING
+            job.is_cancelled() || lapsed(this.armed) || shared.lifecycle.severs(Instant::now)
         };
         let retired = appworker::run_exchange(&shared.workers, &job, &stop, &mut |ev| {
             this.borrow_mut().complete(&job, DoneData::Dynamic(ev))

@@ -37,11 +37,16 @@ pub(crate) struct WakeHandle {
 }
 
 impl WakeHandle {
-    pub(crate) fn new(tx: UnixStream) -> Self {
-        WakeHandle {
+    /// A wake pipe: the handle, and the nonblocking read end its owner
+    /// registers in its readiness backend.
+    pub(crate) fn pair() -> io::Result<(WakeHandle, UnixStream)> {
+        let (tx, wake_rx) = UnixStream::pair()?;
+        wake_rx.set_nonblocking(true)?;
+        let wake = WakeHandle {
             tx: Arc::new(tx),
             pending: Arc::new(AtomicBool::new(false)),
-        }
+        };
+        Ok((wake, wake_rx))
     }
 
     /// Wakes the shard unless a wake is already pending.

@@ -2,8 +2,11 @@
 //! event loops (one per core by default, capped at 8), each a faithful
 //! copy of the paper's single-process architecture (§3.4, §5), plus a
 //! shared helper pool for what would block them: disk I/O, and forking
-//! and reaping application workers. This file holds [`Server`] (start,
-//! drain, stop, reload) and the **shard driver** — the event loop that
+//! and reaping application workers — what [`Server`](crate::Server)
+//! runs for [`ServerKind::Amped`](crate::ServerKind::Amped). This file
+//! spawns the shards and the helpers over the listeners the handle
+//! bound (start, drain, stop and reload are the handle's, in
+//! `handle.rs`), and holds the **shard driver** — the event loop that
 //! binds the sans-IO core in [`crate::conn`] to its environment; the
 //! configuration lives in [`crate::config`], the counters in
 //! [`crate::stats`], the helper pool in `pool.rs` and a shard's
@@ -125,14 +128,12 @@
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::accept::is_transient;
@@ -140,13 +141,13 @@ use crate::appworker::Worker;
 use crate::config::NetConfig;
 use crate::conn::machine::{desired_interest, sync_deadline, Conn};
 use crate::conn::{ConnIo, ConnState, DoneData, Drive, HelperJob, ShardCore, ShardStats};
-use crate::event::{new_backend, BackendKind, Event, EventBackend, Interest};
+use crate::event::{new_backend, Event, EventBackend, Interest};
 use crate::fsjob::OpenFileTable;
-use crate::lifecycle::{LifecycleShared, PHASE_DRAINING, PHASE_STOPPING};
+use crate::handle::Threads;
+use crate::lifecycle::{LifecycleShared, PHASE_DRAINING, PHASE_RUNNING};
 use crate::pool::{helper_main, JobQueue, PoolPort, Reply, WakeHandle, Work};
 use crate::sendfile::send_file;
-use crate::sock::{self, AcceptModeKind};
-use crate::stats::{AccessLogWriter, ServerStats};
+use crate::stats::AccessLogWriter;
 use crate::sys;
 use crate::timer::{tick_for, TimerWheel};
 use crate::workerset::{WorkerSet, WORKER_TOKEN_BASE};
@@ -340,54 +341,6 @@ impl<S: ConnIo> ConnIo for SockIo<S> {
 /// machine ([`crate::conn::machine::Conn`]) bound to its transport.
 type NetConn<E> = Conn<SockIo<<E as Env>::Stream>>;
 
-/// Handle to a running server; dropping it does **not** stop the
-/// server — call [`Server::stop`] (drain with a short grace),
-/// [`Server::drain`] (graceful, bounded by
-/// [`NetConfig::drain_timeout`]), or [`Server::stop_now`] (immediate).
-///
-/// # Lifecycle
-///
-/// ```text
-///            SIGHUP: reload_docroot() — connections undisturbed
-///               ┌───┐
-///               ▼   │
-///  ┌─────────────────┐  drain()/SIGTERM   ┌──────────────┐  all conns done
-///  │     serving     │ ─────────────────► │   draining   │ ─────┬─────────► exited
-///  └─────────────────┘                    └──────────────┘      │
-///               │                               │ drain_timeout │
-///               │ stop_now()/SIGINT             ▼               │
-///               └─────────────────────────► exited ◄────────────┘
-/// ```
-///
-/// Draining shards close their listeners, idle keep-alive connections
-/// are closed at once, and everything mid-request — in-flight `sendfile`
-/// bodies, pipelined keep-alive bursts — is served to completion or
-/// the deadline. For zero-downtime restarts, hand the listener set to
-/// the next generation first (see [`crate::handoff`] and
-/// [`Server::handoff_listeners`]), start it with
-/// [`Server::start_inherited`], then drain this one: the kernel
-/// sockets (and their accept backlogs) survive the switch, in both
-/// accept modes.
-pub struct Server {
-    addr: SocketAddr,
-    stats: Arc<ServerStats>,
-    backend: BackendKind,
-    accept_mode: AcceptModeKind,
-    lifecycle: Arc<LifecycleShared>,
-    drain_timeout: Duration,
-    /// A duplicate of every kernel socket this server accepts from
-    /// (plus any extras inherited from a previous generation), held
-    /// for handoff: passing these to the next generation keeps the
-    /// kernel sockets — and their backlogs — alive across the switch.
-    /// Dropped when the server handle is consumed, so a plain
-    /// stop/drain still releases the port.
-    handoff: Vec<TcpListener>,
-    shard_wakes: Vec<WakeHandle>,
-    jobs: Arc<JobQueue>,
-    shard_threads: Vec<JoinHandle<()>>,
-    helper_threads: Vec<JoinHandle<()>>,
-}
-
 /// Token for the shard's wake pipe (never a valid connection token:
 /// connection tokens carry a slot in the high half, and slot 2^32-1
 /// with fd 2^32-1 cannot occur).
@@ -419,311 +372,65 @@ fn token_fd(token: u64) -> RawFd {
     token as u32 as RawFd
 }
 
-impl Server {
-    /// Binds `addr` and starts the event-loop shards and the shared
-    /// helper pool. Every shard's listener — its own `SO_REUSEPORT`
-    /// socket, or in single mode its duplicate of the one socket — is
-    /// registered in that shard's event backend before its thread
-    /// exists.
-    pub fn start(addr: impl ToSocketAddrs, cfg: NetConfig) -> io::Result<Server> {
-        let req_addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing")
-        })?;
-        Server::start_impl(Some(req_addr), Vec::new(), cfg)
+/// Spawns one shard per listener, and the shared helper pool behind
+/// them, into `threads`. Every shard's listener — its own
+/// `SO_REUSEPORT` socket, or in single mode its duplicate of the one
+/// socket — is registered in that shard's event backend before its
+/// thread exists ([`net_shard`]). Returns each shard's counters.
+pub(crate) fn spawn(
+    listeners: Vec<TcpListener>,
+    cfg: &NetConfig,
+    lifecycle: &Arc<LifecycleShared>,
+    threads: &mut Threads,
+) -> io::Result<Vec<Arc<ShardStats>>> {
+    let n_shards = listeners.len();
+    let shard_stats: Vec<Arc<ShardStats>> = (0..n_shards)
+        .map(|_| Arc::new(ShardStats::default()))
+        .collect();
+
+    // One shared helper queue with per-shard lanes; per-shard done
+    // queues and wake pipes routing completions back.
+    let jobs = JobQueue::new(n_shards);
+    let mut done_txs = Vec::with_capacity(n_shards);
+    let mut shards = Vec::with_capacity(n_shards);
+    for (shard_id, listener) in listeners.into_iter().enumerate() {
+        let stats = &shard_stats[shard_id];
+        let (mut shard, wake, done_tx) = net_shard(shard_id, cfg, stats, &jobs, listener)?;
+        done_txs.push(done_tx);
+        threads.wakes.push(wake);
+        threads.logs.extend(shard.access_log.clone());
+        // Every shard can see its siblings' counters, so a
+        // `/.flash/metrics` scrape answered by any one shard
+        // reports the whole server.
+        shard.core.export = shard_stats.clone();
+        shards.push(shard);
     }
 
-    /// Starts a server on listening sockets inherited from a previous
-    /// generation (see [`crate::handoff`]) instead of binding fresh
-    /// ones — the kernel sockets, and every connection queued in
-    /// their backlogs, carry over from the old generation, so the
-    /// switch drops nothing even in the `Single`/non-reuseport mode
-    /// where a same-port rebind is impossible.
-    ///
-    /// In single mode the first inherited listener serves every
-    /// shard; in reuseport mode the inherited set is dealt to the
-    /// shards in order, and if there are fewer listeners than shards
-    /// the remainder bind fresh `SO_REUSEPORT` siblings on the same
-    /// port.
-    /// Inherited listeners beyond what the accept path needs are not
-    /// closed — they stay in this server's handoff set
-    /// ([`Server::handoff_listeners`]), because closing the last
-    /// duplicate of a listening socket RSTs its queued connections;
-    /// still, matching `event_loops` across generations is the
-    /// clean configuration.
-    pub fn start_inherited(cfg: NetConfig, inherited: Vec<TcpListener>) -> io::Result<Server> {
-        if inherited.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "start_inherited requires at least one listener",
-            ));
-        }
-        Server::start_impl(None, inherited, cfg)
+    // The helpers fork the workers the shards ask for (lazily — a
+    // server with no dynamic_prefix never forks anything).
+    let command: Arc<[String]> = cfg.worker_command().into();
+    let helpers = &mut threads.pool.insert((Arc::clone(&jobs), Vec::new())).1;
+    for i in 0..cfg.helpers.max(1) {
+        let queue = Arc::clone(&jobs);
+        let txs = done_txs.clone();
+        let wakes = threads.wakes.clone();
+        let command = Arc::clone(&command);
+        helpers.push(
+            std::thread::Builder::new()
+                .name(format!("flash-helper-{i}"))
+                .spawn(move || helper_main(queue, txs, wakes, command))?,
+        );
     }
-
-    fn start_impl(
-        req_addr: Option<SocketAddr>,
-        inherited: Vec<TcpListener>,
-        cfg: NetConfig,
-    ) -> io::Result<Server> {
-        let accept_mode = sock::resolve_accept_mode(cfg.accept_mode);
-        let reuseport = accept_mode == AcceptModeKind::ReusePort;
-        let lifecycle = Arc::new(LifecycleShared::new());
-        let n_shards = cfg.event_loops.max(1);
-        let backend = crate::event::resolve(cfg.backend);
-
-        // Inherited fds came in via SCM_RIGHTS as dups of the old
-        // generation's listeners.
-        for l in &inherited {
-            sock::adopt_listener(l)?;
-        }
-        let mut inherited = inherited.into_iter();
-
-        // Every shard's listener is bound (or adopted, or duplicated)
-        // before any thread exists, so an unbindable port is a clean
-        // start() error. The first fixes the port (addr may carry port
-        // 0); each further shard gets a reuseport sibling on the
-        // resolved address or, in single mode, one more descriptor for
-        // the first's kernel socket.
-        let first = match inherited.next() {
-            Some(l) => l,
-            None => sock::bind_listener(req_addr.expect("addr or listeners"), reuseport)?,
-        };
-        let addr = first.local_addr()?;
-        let mut listeners = vec![first];
-        for _ in 1..n_shards {
-            let next = if !reuseport {
-                listeners[0].try_clone()?
-            } else if let Some(l) = inherited.next() {
-                l
-            } else {
-                // Fewer inherited listeners than shards: the rest bind
-                // fresh reuseport siblings (the inherited sockets carry
-                // SO_REUSEPORT, so the shared bind is permitted).
-                sock::bind_listener(addr, true)?
-            };
-            listeners.push(next);
-        }
-
-        // The handoff set: one duplicate of every kernel socket the
-        // accept path uses, plus inherited extras (closing the last dup
-        // of a listening socket would RST its queued connections —
-        // extras ride along to the next generation instead).
-        let kernel_sockets = if reuseport { n_shards } else { 1 };
-        let handoff = listeners[..kernel_sockets]
-            .iter()
-            .map(TcpListener::try_clone)
-            .chain(inherited.map(Ok))
-            .collect::<io::Result<Vec<_>>>()?;
-
-        let shard_stats: Vec<Arc<ShardStats>> = (0..n_shards)
-            .map(|_| Arc::new(ShardStats::default()))
-            .collect();
-        let stats = Arc::new(ServerStats::new(shard_stats.clone()));
-
-        // One shared helper queue with per-shard lanes; per-shard done
-        // queues and wake pipes routing completions back.
-        let jobs = JobQueue::new(n_shards);
-        let mut done_txs = Vec::with_capacity(n_shards);
-        let mut shard_wakes = Vec::with_capacity(n_shards);
-        let mut shards = Vec::with_capacity(n_shards);
-        for (shard_id, listener) in listeners.into_iter().enumerate() {
-            let stats = &shard_stats[shard_id];
-            let (mut shard, wake, done_tx) = net_shard(shard_id, &cfg, stats, &jobs, listener)?;
-            done_txs.push(done_tx);
-            shard_wakes.push(wake);
-            // Every shard can see its siblings' counters, so a
-            // `/.flash/metrics` scrape answered by any one shard
-            // reports the whole server.
-            shard.core.export = shard_stats.clone();
-            shards.push(shard);
-        }
-
-        // The application worker's command line: the helpers fork the
-        // workers the shards ask for (lazily — a server with no
-        // dynamic_prefix never forks anything).
-        let worker_command: Arc<[String]> = cfg
-            .dynamic_command
-            .clone()
-            .unwrap_or_else(crate::appworker::WorkerPool::default_command)
-            .into();
-        let mut helper_threads = Vec::new();
-        for i in 0..cfg.helpers.max(1) {
-            let queue = Arc::clone(&jobs);
-            let txs = done_txs.clone();
-            let wakes = shard_wakes.clone();
-            let command = Arc::clone(&worker_command);
-            helper_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("flash-helper-{i}"))
-                    .spawn(move || helper_main(queue, txs, wakes, command))?,
-            );
-        }
-        drop(done_txs);
-
-        let mut server = Server {
-            addr,
-            stats,
-            backend,
-            accept_mode,
-            lifecycle,
-            drain_timeout: cfg.drain_timeout,
-            handoff,
-            shard_wakes,
-            jobs,
-            shard_threads: Vec::with_capacity(n_shards),
-            helper_threads,
-        };
-        for mut shard in shards {
-            let lifecycle = Arc::clone(&server.lifecycle);
-            let spawned = std::thread::Builder::new()
+    drop(done_txs);
+    for mut shard in shards {
+        let lifecycle = Arc::clone(lifecycle);
+        threads.loops.push(
+            std::thread::Builder::new()
                 .name(format!("flash-shard-{}", shard.core.shard))
-                .spawn(move || shard_loop(&mut shard, &lifecycle));
-            match spawned {
-                Ok(t) => server.shard_threads.push(t),
-                Err(e) => {
-                    // Once any shard thread exists, a later failure
-                    // must tear the spawned ones down rather than `?`
-                    // straight out — an abandoned shard would keep its
-                    // listener open for the process lifetime and spin
-                    // on its dead wake pipe. Exactly stop_now(): each
-                    // listener closes with its loop, so the port is
-                    // released before the error is returned.
-                    server.stop_now();
-                    return Err(e);
-                }
-            }
-        }
-        Ok(server)
+                .spawn(move || shard_loop(&mut shard, &lifecycle))?,
+        );
     }
-
-    /// The bound address (useful with port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Live counters, aggregated over shards on read.
-    pub fn stats(&self) -> &ServerStats {
-        &self.stats
-    }
-
-    /// The readiness backend this server resolved to at start.
-    pub fn backend(&self) -> BackendKind {
-        self.backend
-    }
-
-    /// The accept-path mode this server resolved to at start.
-    pub fn accept_mode(&self) -> AcceptModeKind {
-        self.accept_mode
-    }
-
-    /// The handoff set: duplicates of every listening socket this
-    /// server accepts from. Send these to the next generation
-    /// ([`crate::handoff::send_listeners`]) before draining this one —
-    /// the kernel sockets and their accept backlogs then survive the
-    /// generation switch.
-    pub fn handoff_listeners(&self) -> &[TcpListener] {
-        &self.handoff
-    }
-
-    /// Grace period [`Server::stop`] allows in-flight responses: long
-    /// enough for any response already being written to go out whole
-    /// on a healthy link, short enough that tests and tools calling
-    /// `stop()` stay snappy.
-    const STOP_GRACE: Duration = Duration::from_secs(1);
-
-    /// Drains gracefully, bounded by [`NetConfig::drain_timeout`]:
-    /// accepting stops everywhere, idle keep-alive connections are
-    /// closed at once, connections mid-request — including in-flight
-    /// `sendfile` bodies and pipelined keep-alive bursts already
-    /// buffered — are served to completion, and each shard exits when
-    /// its last connection finishes (or the deadline severs the rest).
-    /// This is the SIGTERM order in the lifecycle diagram above.
-    pub fn drain(self) {
-        let grace = self.drain_timeout;
-        self.drain_for(grace);
-    }
-
-    /// [`Server::drain`] with an explicit grace bound.
-    pub fn drain_for(mut self, grace: Duration) {
-        self.lifecycle.begin_drain(NetEnv::clock() + grace);
-        // This generation's claim on the port ends now: the handoff
-        // dups close here (and each shard closes its own listener as
-        // it observes the drain). A next generation that already
-        // received inherited dups keeps the kernel sockets — and
-        // their accept backlogs — alive; without one, a fresh
-        // `SO_REUSEPORT` bind fully owns the port while we drain
-        // instead of sharing the hash group with sockets nobody is
-        // accepting from.
-        self.handoff.clear();
-        self.halt_accept_and_join();
-    }
-
-    /// Stops the server through the drain path with a short bounded
-    /// grace (min of [`NetConfig::drain_timeout`] and 1 s): a response
-    /// already being written goes out whole instead of being truncated
-    /// mid-body, idle connections close immediately, and anything
-    /// slower than the grace is severed. Tests that need today's
-    /// instant teardown use [`Server::stop_now`].
-    pub fn stop(self) {
-        let grace = self.drain_timeout.min(Self::STOP_GRACE);
-        self.drain_for(grace);
-    }
-
-    /// Stops immediately, severing in-flight connections — the
-    /// SIGINT order, and the pre-drain `stop()` behavior.
-    pub fn stop_now(mut self) {
-        self.lifecycle.stop_now();
-        self.halt_accept_and_join();
-    }
-
-    /// Publishes a new document root: every shard swaps its config
-    /// and flushes its content cache between drives — in-flight
-    /// requests finish undisturbed, the next request on every
-    /// connection (including currently open keep-alives) is served
-    /// from the new root. This is the SIGHUP order; completions from
-    /// jobs dispatched before the swap are served to their waiters
-    /// but not cached (epoch-checked), so pre-reload bytes cannot
-    /// poison the post-reload cache.
-    pub fn reload_docroot(&self, docroot: impl Into<PathBuf>) {
-        self.lifecycle.publish_reload(docroot.into());
-        for wake in &self.shard_wakes {
-            wake.wake();
-        }
-    }
-
-    /// Asks every shard to reopen its access-log file at the
-    /// configured path — the logrotate handshake: rename the file,
-    /// send SIGHUP (or call this), and the shards close the renamed
-    /// inode and append to a fresh one. Records are batched per loop
-    /// iteration and written with a single `O_APPEND` write each, so
-    /// no line is lost or torn across the swap. A no-op unless
-    /// [`NetConfig::access_log_path`] is set.
-    pub fn rotate_access_logs(&self) {
-        self.lifecycle.rotate_logs();
-        for wake in &self.shard_wakes {
-            wake.wake();
-        }
-    }
-
-    /// Wakes every shard and joins all threads. Each listening
-    /// descriptor is owned by the shard it serves and closed before
-    /// that thread is joined, and the handoff duplicates drop with
-    /// `self`, so when the caller returns the port is fully released
-    /// and rebindable (unless a next generation holds inherited
-    /// duplicates — the point of handoff).
-    fn halt_accept_and_join(&mut self) {
-        for wake in &self.shard_wakes {
-            wake.wake_force();
-        }
-        for t in self.shard_threads.drain(..) {
-            let _ = t.join();
-        }
-        // Shards are gone — no producer remains; release the helpers.
-        self.jobs.close();
-        for t in self.helper_threads.drain(..) {
-            let _ = t.join();
-        }
-    }
+    Ok(shard_stats)
 }
 
 /// Builds shard `id` of the real server around `listener`. The backend
@@ -740,9 +447,7 @@ fn net_shard(
     listener: TcpListener,
 ) -> io::Result<(Shard<NetEnv>, WakeHandle, Sender<Reply>)> {
     let (done_tx, replies) = channel();
-    let (wake_tx, wake_rx) = UnixStream::pair()?;
-    wake_rx.set_nonblocking(true)?;
-    let wake = WakeHandle::new(wake_tx);
+    let (wake, wake_rx) = WakeHandle::pair()?;
     let mut backend = new_backend(cfg.backend);
     backend.register(wake_rx.as_raw_fd(), WAKE_TOKEN, Interest::READ)?;
     backend.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
@@ -804,8 +509,9 @@ pub(crate) struct Shard<E: Env> {
     /// listener interest is dropped; any close below it re-arms.
     max_conns: usize,
     /// The access-log writer (`None` unless
-    /// [`NetConfig::access_log_path`] is set).
-    access_log: Option<AccessLogWriter>,
+    /// [`NetConfig::access_log_path`] is set), this shard's own; the
+    /// server handle holds it too, to reopen it on a rotation.
+    access_log: Option<Arc<AccessLogWriter>>,
     /// Scratch for [`Shard::settle`]: who the completions woke.
     woken: Vec<usize>,
 }
@@ -864,7 +570,10 @@ impl<E: Env> Shard<E> {
             listener: Some(listener),
             listener_armed: true,
             max_conns: cfg.max_conns_per_shard,
-            access_log: cfg.access_log_path.clone().map(AccessLogWriter::open),
+            access_log: cfg
+                .access_log_path
+                .clone()
+                .map(|p| Arc::new(AccessLogWriter::open(p))),
             woken: Vec::new(),
         }
     }
@@ -876,7 +585,7 @@ impl<E: Env> Shard<E> {
 
     /// Appends the access records the core has staged, in one write.
     fn flush_access_log(&mut self) {
-        if let Some(w) = self.access_log.as_mut() {
+        if let Some(w) = &self.access_log {
             w.drain(&mut self.core.access_log);
         }
     }
@@ -1383,44 +1092,34 @@ const LOOP_STALL_THRESHOLD: Duration = Duration::from_millis(100);
 /// that filled while throttled surfaces as a fresh event.
 pub(crate) fn shard_loop<E: Env>(shard: &mut Shard<E>, lifecycle: &LifecycleShared) {
     let mut events: Vec<Event> = Vec::new();
-    // The drain deadline, captured once when the shard observes the
-    // draining phase (begin_drain stores it before flipping the
-    // phase, so it is always visible here).
-    let mut drain_deadline: Option<Instant> = None;
-    // The access-log rotation generation last applied.
-    let mut log_gen_seen = lifecycle.log_gen();
-
     loop {
-        match lifecycle.phase() {
-            PHASE_STOPPING => return shard.exit(),
-            PHASE_DRAINING if !shard.core.draining => {
-                drain_deadline = lifecycle.drain_deadline();
-                // The listener CLOSES here, not merely quiesces: an
-                // open reuseport socket keeps its place in the
-                // kernel's hash group even with no one accepting, so
-                // keeping it would blackhole the connections hashed to
-                // it (and a shared socket nobody accepts from would
-                // hold the port against a fresh bind). A next
-                // generation holding inherited handoff dups keeps the
-                // kernel socket (and its backlog) alive; without one,
-                // fresh binds now fully own the port.
-                if let Some(l) = shard.listener.take() {
-                    // An explicit DEL, before the close: the handoff
-                    // dup (and, on a shared socket, every sibling's
-                    // descriptor) keeps the open file description — and
-                    // with it the registration — alive past this handle.
-                    bump(&shard.core.stats.ctl_calls);
-                    let _ = shard.backend.deregister(l.as_raw_fd());
-                }
-                shard.listener_armed = false;
-                shard.enter_drain();
+        let phase = lifecycle.phase();
+        if phase == PHASE_DRAINING && !shard.core.draining {
+            // The listener CLOSES here, not merely quiesces: an
+            // open reuseport socket keeps its place in the
+            // kernel's hash group even with no one accepting, so
+            // keeping it would blackhole the connections hashed to
+            // it (and a shared socket nobody accepts from would
+            // hold the port against a fresh bind). A next
+            // generation holding inherited handoff dups keeps the
+            // kernel socket (and its backlog) alive; without one,
+            // fresh binds now fully own the port.
+            if let Some(l) = shard.listener.take() {
+                // An explicit DEL, before the close: the handoff
+                // dup (and, on a shared socket, every sibling's
+                // descriptor) keeps the open file description — and
+                // with it the registration — alive past this handle.
+                bump(&shard.core.stats.ctl_calls);
+                let _ = shard.backend.deregister(l.as_raw_fd());
             }
-            _ => {}
+            shard.listener_armed = false;
+            shard.enter_drain();
         }
-        if shard.core.draining
-            && (shard.live() == 0 || drain_deadline.is_some_and(|d| shard.now() >= d))
+        if (phase != PHASE_RUNNING && lifecycle.severs(|| shard.now()))
+            || (shard.core.draining && shard.live() == 0)
         {
-            // Drained clean — or the deadline severs whatever is left.
+            // Stopped, or past the drain deadline — whatever is left
+            // is severed — or drained clean.
             return shard.exit();
         }
         // Apply a published SIGHUP reload the shard has not seen yet.
@@ -1436,22 +1135,11 @@ pub(crate) fn shard_loop<E: Env>(shard: &mut Shard<E>, lifecycle: &LifecycleShar
             // SIGHUP to the same root, names the operator has just
             // asked to have looked at again.
             shard.port.env.clear_files();
-            // A docroot reload is also a log boundary: reopen so a
-            // rotation bundled with the SIGHUP takes effect here too.
-            if let Some(w) = shard.access_log.as_mut() {
-                w.reopen();
-            }
         }
-        // Apply a pending access-log rotation (logrotate renamed the
-        // file, then asked us to reopen the path).
-        let log_gen = lifecycle.log_gen();
-        if log_gen != log_gen_seen {
-            log_gen_seen = log_gen;
-            if let Some(w) = shard.access_log.as_mut() {
-                w.reopen();
-            }
-        }
-        let timeout_ms = shard.wait_timeout(drain_deadline);
+        // No wait sleeps past the drain deadline: the severing check
+        // must run when it lands.
+        let deadline = shard.core.draining.then(|| lifecycle.drain_deadline());
+        let timeout_ms = shard.wait_timeout(deadline.flatten());
         let Ok(start) = shard.wait(&mut events, timeout_ms) else {
             continue;
         };
@@ -1471,7 +1159,9 @@ mod tests {
     use crate::cache::Entry;
     use crate::conn::DeadlineKind;
     use crate::event::BackendChoice;
-    use std::net::Shutdown;
+    use crate::sock;
+    use std::net::{Shutdown, SocketAddr};
+    use std::path::PathBuf;
 
     const BACKENDS: [BackendChoice; 2] = [BackendChoice::Epoll, BackendChoice::Poll];
     const BODY: &[u8] = b"<html>budget</html>";

@@ -267,6 +267,17 @@ pub struct SimReport {
     pub sim_elapsed_nanos: u64,
     /// Calendar events processed.
     pub events: u64,
+    /// The kernel crossings the shard made, as its counters count them
+    /// on the real server ([`crate::conn::ShardStats`]): readiness
+    /// waits, client `read`s, `writev`s and `sendfile`s, `accept`s,
+    /// interest-set calls, and `read`s and `write`s on its workers.
+    pub wait_calls: u64,
+    pub read_calls: u64,
+    pub writev_calls: u64,
+    pub sendfile_calls: u64,
+    pub accept_calls: u64,
+    pub ctl_calls: u64,
+    pub worker_io_calls: u64,
     /// Summaries of the same per-shard latency histograms the real
     /// drivers record ([`crate::stats`]), fed simulated time through
     /// the identical instrumentation path — and, via this report's
@@ -278,6 +289,22 @@ pub struct SimReport {
     /// Submit-to-first-frame wait per dynamic exchange — the sim's
     /// worker-wait histogram, fingerprint-stable per seed.
     pub hist_worker_wait: HistSummary,
+}
+
+impl SimReport {
+    /// Every kernel crossing the shard counted, by kind, in the order
+    /// of the fields.
+    pub fn crossings(&self) -> [(&'static str, u64); 7] {
+        [
+            ("wait", self.wait_calls),
+            ("read", self.read_calls),
+            ("writev", self.writev_calls),
+            ("sendfile", self.sendfile_calls),
+            ("accept", self.accept_calls),
+            ("ctl", self.ctl_calls),
+            ("worker_io", self.worker_io_calls),
+        ]
+    }
 }
 
 /// A simulated file: identity and metadata only — body bytes are the
@@ -1354,6 +1381,13 @@ impl Sim {
             reloads: core.epoch,
             sim_elapsed_nanos: k.queue.now().as_nanos(),
             events: k.queue.events_processed(),
+            wait_calls: s.wait_calls.load(ld),
+            read_calls: s.read_calls.load(ld),
+            writev_calls: s.writev_calls.load(ld),
+            sendfile_calls: s.sendfile_calls.load(ld),
+            accept_calls: s.accept_calls.load(ld),
+            ctl_calls: s.ctl_calls.load(ld),
+            worker_io_calls: s.worker_io_calls.load(ld),
             hist_request: s.hist_request.snapshot().summary(),
             hist_ttfb: s.hist_ttfb.snapshot().summary(),
             hist_helper_wait: s.hist_helper_wait.snapshot().summary(),

@@ -510,16 +510,19 @@ impl AccessRecord {
 
 /// Append-only access-log writer: a batch of records is formatted
 /// into one buffer and written with a single `write_all` against an
-/// `O_APPEND` descriptor, so concurrent writers (shards, or the MT
-/// server's threads) interleave whole batches — never fragments of a
-/// line. An `open` failure disables the writer (records drain to
-/// nowhere) rather than killing its owner; `reopen` retries the same
-/// path — the SIGHUP/logrotate handshake.
+/// `O_APPEND` descriptor, so concurrent writers (shards, each with its
+/// own) interleave whole batches — never fragments of a line. One
+/// writer may also be shared (the MT server's threads share one): a
+/// batch is written, and a `reopen` made, under its lock, so a rotation
+/// lands between batches. An `open` failure disables the writer
+/// (records drain to nowhere) rather than killing its owner; `reopen`
+/// retries the same path — the SIGHUP/logrotate handshake.
 #[derive(Debug)]
 pub struct AccessLogWriter {
     path: std::path::PathBuf,
-    file: Option<std::fs::File>,
-    buf: String,
+    /// The open file, if the last open succeeded, and the buffer a
+    /// batch is rendered into.
+    out: std::sync::Mutex<(Option<std::fs::File>, String)>,
 }
 
 impl AccessLogWriter {
@@ -527,8 +530,7 @@ impl AccessLogWriter {
         let file = Self::open_file(&path);
         AccessLogWriter {
             path,
-            file,
-            buf: String::new(),
+            out: std::sync::Mutex::new((file, String::new())),
         }
     }
 
@@ -540,16 +542,20 @@ impl AccessLogWriter {
             .ok()
     }
 
+    fn out(&self) -> std::sync::MutexGuard<'_, (Option<std::fs::File>, String)> {
+        self.out.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Closes the current file and appends to whatever now lives at
     /// the configured path (after logrotate renamed the old one).
-    pub fn reopen(&mut self) {
-        self.file = Self::open_file(&self.path);
+    pub fn reopen(&self) {
+        self.out().0 = Self::open_file(&self.path);
     }
 
     /// Stamps wall-clock time on the staged records and appends them
     /// as one write. Records are consumed even with no open file, so
     /// a failed open cannot grow the staging buffer without bound.
-    pub fn drain(&mut self, records: &mut Vec<AccessRecord>) {
+    pub fn drain(&self, records: &mut Vec<AccessRecord>) {
         if records.is_empty() {
             return;
         }
@@ -557,13 +563,14 @@ impl AccessLogWriter {
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
             .unwrap_or(0);
-        self.buf.clear();
+        let (file, buf) = &mut *self.out();
+        buf.clear();
         for r in records.drain(..) {
-            self.buf.push_str(&r.render_line(ts));
+            buf.push_str(&r.render_line(ts));
         }
-        if let Some(f) = &mut self.file {
+        if let Some(f) = file {
             use std::io::Write;
-            let _ = f.write_all(self.buf.as_bytes());
+            let _ = f.write_all(buf.as_bytes());
         }
     }
 }

@@ -3,14 +3,17 @@
 //! complete; idle keep-alives close promptly), SIGHUP-style reload
 //! without dropping a connection, generation handoff of listener fds,
 //! the drain-based `stop()` vs the immediate `stop_now()`, and the
-//! helper-wait deadline that reaps waiters of a wedged helper.
+//! helper-wait deadline that reaps waiters of a wedged helper. The
+//! drain, stop and handoff scenarios run on both architectures through
+//! the one `Server` handle: the AMPED test keeps the scenario's name,
+//! MT's is prefixed `mt_`.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use flash_net::{send_to_self, AcceptMode, MtServer, NetConfig, Server, Signal, Signals};
+use flash_net::{send_to_self, AcceptMode, NetConfig, Server, ServerKind, Signal, Signals};
 
 /// Creates a docroot with known content; returns its path.
 fn docroot(tag: &str) -> std::path::PathBuf {
@@ -52,14 +55,23 @@ fn read_response(s: &mut TcpStream) -> (String, Vec<u8>) {
     (text, body)
 }
 
-#[test]
-fn drain_completes_inflight_sendfile() {
-    let root = docroot("drain-sendfile");
+/// How much later than a shard an architecture may notice a lifecycle
+/// order: a shard is woken, an MT connection thread looks on its 200 ms
+/// read cadence.
+fn cadence(kind: ServerKind) -> Duration {
+    match kind {
+        ServerKind::Amped => Duration::ZERO,
+        ServerKind::Mt => Duration::from_millis(200),
+    }
+}
+
+fn run_drain_completes_inflight_sendfile(kind: ServerKind) {
+    let root = docroot(&format!("drain-sendfile-{kind:?}"));
     let cfg = NetConfig::builder(&root)
         .drain_timeout(Duration::from_secs(10))
         .build()
         .unwrap();
-    let server = Server::start("127.0.0.1:0", cfg).unwrap();
+    let server = Server::start_as(kind, "127.0.0.1:0", cfg).unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     s.write_all(b"GET /big.bin HTTP/1.0\r\n\r\n").unwrap();
@@ -79,14 +91,13 @@ fn drain_completes_inflight_sendfile() {
     let _ = std::fs::remove_dir_all(root);
 }
 
-#[test]
-fn drain_completes_pipelined_burst() {
-    let root = docroot("drain-pipeline");
+fn run_drain_completes_pipelined_burst(kind: ServerKind) {
+    let root = docroot(&format!("drain-pipeline-{kind:?}"));
     let cfg = NetConfig::builder(&root)
         .drain_timeout(Duration::from_secs(10))
         .build()
         .unwrap();
-    let server = Server::start("127.0.0.1:0", cfg).unwrap();
+    let server = Server::start_as(kind, "127.0.0.1:0", cfg).unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     // One served response first: the connection is an established
@@ -113,9 +124,8 @@ fn drain_completes_pipelined_burst() {
     let _ = std::fs::remove_dir_all(root);
 }
 
-#[test]
-fn drain_closes_idle_keepalive_promptly() {
-    let root = docroot("drain-idle");
+fn run_drain_closes_idle_keepalive_promptly(kind: ServerKind) {
+    let root = docroot(&format!("drain-idle-{kind:?}"));
     // Idle timeout far beyond the assertion window: a prompt close
     // proves the drain swept the connection, not the idle reaper.
     let cfg = NetConfig::builder(&root)
@@ -123,7 +133,7 @@ fn drain_closes_idle_keepalive_promptly() {
         .idle_timeout(Some(Duration::from_secs(30)))
         .build()
         .unwrap();
-    let server = Server::start("127.0.0.1:0", cfg).unwrap();
+    let server = Server::start_as(kind, "127.0.0.1:0", cfg).unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     s.write_all(b"GET /index.html HTTP/1.1\r\nHost: t\r\n\r\n")
@@ -135,7 +145,7 @@ fn drain_closes_idle_keepalive_promptly() {
     assert_eq!(stats.drained_conns(), 0);
     server.drain();
     assert!(
-        started.elapsed() < Duration::from_secs(2),
+        started.elapsed() < Duration::from_secs(2) + cadence(kind),
         "idle keep-alive must not hold the drain: {:?}",
         started.elapsed()
     );
@@ -144,10 +154,9 @@ fn drain_closes_idle_keepalive_promptly() {
     let _ = std::fs::remove_dir_all(root);
 }
 
-#[test]
-fn stop_finishes_response_already_in_flight() {
-    let root = docroot("stop-grace");
-    let server = Server::start("127.0.0.1:0", NetConfig::new(&root)).unwrap();
+fn run_stop_finishes_response_already_in_flight(kind: ServerKind) {
+    let root = docroot(&format!("stop-grace-{kind:?}"));
+    let server = Server::start_as(kind, "127.0.0.1:0", NetConfig::new(&root)).unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     s.write_all(b"GET /big.bin HTTP/1.0\r\n\r\n").unwrap();
@@ -171,10 +180,9 @@ fn headers_len(response_start: &[u8]) -> usize {
         + 4
 }
 
-#[test]
-fn stop_now_severs_immediately() {
-    let root = docroot("stop-now");
-    let server = Server::start("127.0.0.1:0", NetConfig::new(&root)).unwrap();
+fn run_stop_now_severs_immediately(kind: ServerKind) {
+    let root = docroot(&format!("stop-now-{kind:?}"));
+    let server = Server::start_as(kind, "127.0.0.1:0", NetConfig::new(&root)).unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     s.write_all(b"GET /index.html HTTP/1.1\r\nHost: t\r\n\r\n")
@@ -183,7 +191,7 @@ fn stop_now_severs_immediately() {
     let started = Instant::now();
     server.stop_now();
     assert!(
-        started.elapsed() < Duration::from_secs(2),
+        started.elapsed() < Duration::from_secs(2) + cadence(kind),
         "stop_now must not wait out any grace"
     );
     let _ = std::fs::remove_dir_all(root);
@@ -230,15 +238,14 @@ fn reload_swaps_docroot_without_dropping_connection() {
 /// The port must be rebindable by a new generation while the old one
 /// is still draining — the reuseport half of a zero-downtime restart.
 #[cfg(target_os = "linux")]
-#[test]
-fn port_rebindable_by_new_generation_during_drain() {
-    let root = docroot("rebind");
+fn run_port_rebindable_by_new_generation_during_drain(kind: ServerKind) {
+    let root = docroot(&format!("rebind-{kind:?}"));
     let cfg = NetConfig::builder(&root)
         .accept_mode(AcceptMode::ReusePort)
         .drain_timeout(Duration::from_secs(10))
         .build()
         .unwrap();
-    let server = Server::start("127.0.0.1:0", cfg.clone()).unwrap();
+    let server = Server::start_as(kind, "127.0.0.1:0", cfg.clone()).unwrap();
     let addr = server.addr();
     // Hold the drain open: a fresh connection that has not sent its
     // request yet keeps its grace, so the old generation lingers.
@@ -251,7 +258,7 @@ fn port_rebindable_by_new_generation_during_drain() {
     thread::sleep(Duration::from_millis(200));
 
     // New generation binds the same port while the old one drains.
-    let next = Server::start(addr, cfg).unwrap();
+    let next = Server::start_as(kind, addr, cfg).unwrap();
     assert_eq!(next.addr(), addr);
     let mut s = TcpStream::connect(addr).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -277,14 +284,13 @@ fn port_rebindable_by_new_generation_during_drain() {
 /// generation over SCM_RIGHTS, and the same kernel socket keeps
 /// accepting.
 #[cfg(target_os = "linux")]
-#[test]
-fn handoff_passes_single_listener_across_generations() {
-    let root = docroot("handoff-single");
+fn run_handoff_passes_single_listener_across_generations(kind: ServerKind) {
+    let root = docroot(&format!("handoff-single-{kind:?}"));
     let cfg = NetConfig::builder(&root)
         .accept_mode(AcceptMode::Single)
         .build()
         .unwrap();
-    let old = Server::start("127.0.0.1:0", cfg.clone()).unwrap();
+    let old = Server::start_as(kind, "127.0.0.1:0", cfg.clone()).unwrap();
     let addr = old.addr();
 
     // The control-socket hop, in-process: old sends its listener dups,
@@ -292,7 +298,7 @@ fn handoff_passes_single_listener_across_generations() {
     let (tx, rx) = std::os::unix::net::UnixStream::pair().unwrap();
     flash_net::send_listeners(&tx, old.handoff_listeners()).unwrap();
     let inherited = flash_net::recv_listeners(&rx).unwrap();
-    let next = Server::start_inherited(cfg, inherited).unwrap();
+    let next = Server::start_inherited_as(kind, cfg, inherited).unwrap();
     assert_eq!(next.addr(), addr);
 
     // Old generation drains away entirely...
@@ -311,6 +317,45 @@ fn handoff_passes_single_listener_across_generations() {
     assert!(next.stats().requests() >= 1);
     next.stop();
     let _ = std::fs::remove_dir_all(root);
+}
+
+/// A `#[test]` per architecture for each scenario above: the AMPED one
+/// under the scenario's name, the MT one prefixed `mt_`.
+macro_rules! on_both_architectures {
+    ($($(#[$attr:meta])* $run:ident => $amped:ident, $mt:ident;)*) => {$(
+        $(#[$attr])*
+        #[test]
+        fn $amped() {
+            $run(ServerKind::Amped);
+        }
+
+        $(#[$attr])*
+        #[test]
+        fn $mt() {
+            $run(ServerKind::Mt);
+        }
+    )*};
+}
+
+on_both_architectures! {
+    run_drain_completes_inflight_sendfile =>
+        drain_completes_inflight_sendfile, mt_drain_completes_inflight_sendfile;
+    run_drain_completes_pipelined_burst =>
+        drain_completes_pipelined_burst, mt_drain_completes_pipelined_burst;
+    run_drain_closes_idle_keepalive_promptly =>
+        drain_closes_idle_keepalive_promptly, mt_drain_closes_idle_keepalive_promptly;
+    run_stop_finishes_response_already_in_flight =>
+        stop_finishes_response_already_in_flight, mt_stop_finishes_response_already_in_flight;
+    run_stop_now_severs_immediately =>
+        stop_now_severs_immediately, mt_stop_now_severs_immediately;
+    #[cfg(target_os = "linux")]
+    run_port_rebindable_by_new_generation_during_drain =>
+        port_rebindable_by_new_generation_during_drain,
+        mt_port_rebindable_by_new_generation_during_drain;
+    #[cfg(target_os = "linux")]
+    run_handoff_passes_single_listener_across_generations =>
+        handoff_passes_single_listener_across_generations,
+        mt_handoff_passes_single_listener_across_generations;
 }
 
 /// A `Waiting` connection whose helper never completes is reaped at
@@ -416,7 +461,7 @@ fn mt_drain_completes_inflight_and_reloads_live() {
         .drain_timeout(Duration::from_secs(10))
         .build()
         .unwrap();
-    let server = MtServer::start("127.0.0.1:0", cfg).unwrap();
+    let server = Server::start_as(ServerKind::Mt, "127.0.0.1:0", cfg).unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     s.write_all(b"GET /index.html HTTP/1.1\r\nHost: t\r\n\r\n")
@@ -459,7 +504,7 @@ fn mt_connection_opened_after_reload_serves_new_root() {
     let root_a = docroot("mt-postreload-a");
     let root_b = docroot("mt-postreload-b");
     std::fs::write(root_b.join("index.html"), b"<html>generation two</html>\n").unwrap();
-    let server = MtServer::start("127.0.0.1:0", NetConfig::new(&root_a)).unwrap();
+    let server = Server::start_as(ServerKind::Mt, "127.0.0.1:0", NetConfig::new(&root_a)).unwrap();
     // A pre-reload request warms the shared cache with root-a bytes.
     let mut warm = TcpStream::connect(server.addr()).unwrap();
     warm.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -565,8 +610,8 @@ fn sighup_rotates_access_log_without_losing_lines() {
     assert_eq!(got, Some(Signal::Hup));
     server.rotate_access_logs();
 
-    // One round trip plus a pause lets every shard observe the bumped
-    // log generation before the bulk of the post-rotation traffic.
+    // `rotate_access_logs` reopened every shard's writer before it
+    // returned: everything from here on lands in the fresh file.
     s.write_all(b"GET /index.html HTTP/1.1\r\nHost: t\r\n\r\n")
         .unwrap();
     let _ = read_response(&mut s);
@@ -612,7 +657,8 @@ fn mt_access_log_rotation_loses_no_lines() {
     const AFTER: usize = 15;
     let root = docroot("mt-log-rotate");
     let log_path = root.join("access.log");
-    let server = MtServer::start(
+    let server = Server::start_as(
+        ServerKind::Mt,
         "127.0.0.1:0",
         NetConfig::builder(&root)
             .access_log_path(&log_path)

@@ -14,8 +14,8 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use flash_net::{
-    AcceptMode, AcceptModeKind, BackendChoice, BackendKind, MtServer, NetConfig, NetConfigBuilder,
-    Server, ServerKind,
+    AcceptMode, AcceptModeKind, BackendChoice, BackendKind, NetConfig, NetConfigBuilder, Server,
+    ServerKind,
 };
 use flash_simcore::SimRng;
 
@@ -917,7 +917,12 @@ fn run_connection_token_list(tag: &str, backend: BackendChoice) {
 
 fn run_mt_server(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
-    let server = MtServer::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
+    let server = Server::start_as(
+        ServerKind::Mt,
+        "127.0.0.1:0",
+        cfg(&root, backend).build().unwrap(),
+    )
+    .unwrap();
     let addr = server.addr();
     let threads: Vec<_> = (0..8)
         .map(|_| {
@@ -945,7 +950,8 @@ fn run_mt_server(tag: &str, backend: BackendChoice) {
 fn run_mt_deadline_and_304(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
     let timeout = Duration::from_millis(800);
-    let server = MtServer::start(
+    let server = Server::start_as(
+        ServerKind::Mt,
         "127.0.0.1:0",
         cfg(&root, backend)
             .header_read_timeout(Some(timeout))
@@ -999,7 +1005,8 @@ fn run_mt_deadline_and_304(tag: &str, backend: BackendChoice) {
 
     // Idle keep-alive: one request served, then silence past the idle
     // deadline — closed by the server and counted as an idle reap.
-    let server = MtServer::start(
+    let server = Server::start_as(
+        ServerKind::Mt,
         "127.0.0.1:0",
         cfg(&root, backend)
             .idle_timeout(Some(Duration::from_millis(400)))
@@ -1263,7 +1270,8 @@ fn run_cache_revalidation(tag: &str, backend: BackendChoice) {
 fn run_mt_cache_revalidation(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
     let ttl = Duration::from_millis(100);
-    let server = MtServer::start(
+    let server = Server::start_as(
+        ServerKind::Mt,
         "127.0.0.1:0",
         cfg(&root, backend)
             .cache_revalidate_ttl(Some(ttl))
@@ -1825,7 +1833,8 @@ fn run_send_plane_parity(tag: &str, backend: BackendChoice) {
 
 fn run_mt_send_plane_parity(tag: &str, backend: BackendChoice) {
     let (root, pat, patbig) = parity_root(tag);
-    let server = MtServer::start(
+    let server = Server::start_as(
+        ServerKind::Mt,
         "127.0.0.1:0",
         cfg(&root, backend)
             .sendfile_threshold_bytes(8 * 1024)
@@ -2282,7 +2291,7 @@ fn real_gzip_fixture_range_and_variant_parity() {
     check(server.addr());
     server.stop();
 
-    let server = MtServer::start("127.0.0.1:0", NetConfig::new(&root)).unwrap();
+    let server = Server::start_as(ServerKind::Mt, "127.0.0.1:0", NetConfig::new(&root)).unwrap();
     check(server.addr());
     server.stop();
 

@@ -1,13 +1,16 @@
-//! A thread per connection leaks nothing: after 64 connections in
-//! every state a connection can be left in — answered and idle, closed
-//! by the client mid-keep-alive, stopped mid-header, stopped mid-way
-//! through a dynamic stream — and a `drain()`, the process has exactly
-//! the threads (`/proc/self/task`) and descriptors (`/proc/self/fd`) it
-//! had before `start`. And again for a second generation started on
-//! the first one's listener with `start_inherited`.
+//! Neither architecture leaks: after 64 connections in every state a
+//! connection can be left in — answered and idle, closed by the client
+//! mid-keep-alive, stopped mid-header, stopped mid-way through a dynamic
+//! stream — and a `drain()`, the process has exactly the descriptors
+//! (`/proc/self/fd`) it had before `start`, and, once the joined threads
+//! have left `/proc/self/task`, exactly its threads. And again for a second generation started on the first
+//! one's listeners with `start_inherited_as`. The AMPED shards run the
+//! census first, then MT's thread per connection, whose drain deadline
+//! no watchdog enforces: each connection thread severs itself.
 //!
 //! One test, in a file — a process — of its own (`fd_budget.rs`'s
-//! pattern): it counts everything the process has.
+//! pattern): it counts everything the process has, so the two
+//! architectures take their turns in it one after the other.
 
 #![cfg(target_os = "linux")]
 
@@ -15,15 +18,15 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use flash_net::{MtServer, NetConfig};
+use flash_net::{NetConfig, Server, ServerKind};
 
 /// The drain grace: the two connections stopped mid-request outlast
-/// any drain and are the watchdog's to sever.
+/// any drain and are the deadline's to sever.
 const GRACE: Duration = Duration::from_millis(600);
 
 /// Drains `server`; the grace bounds it — a connection in mid-stream,
-/// whose thread is in a worker exchange, is severed like any other.
-fn drain(server: MtServer) {
+/// whose worker exchange is open, is severed like any other.
+fn drain(server: Server) {
     let started = Instant::now();
     server.drain();
     let took = started.elapsed();
@@ -34,6 +37,27 @@ fn drain(server: MtServer) {
 fn census() -> (usize, usize) {
     let count = |dir| std::fs::read_dir(dir).unwrap().count();
     (count("/proc/self/task"), count("/proc/self/fd"))
+}
+
+/// How long the thread count may take to settle: a joined thread leaves
+/// `/proc/self/task` a moment after `join` returns (`worker_leak.rs`
+/// waits as long).
+const SETTLE: Duration = Duration::from_secs(2);
+
+/// The census right after a drain is `want`: descriptors exactly, at
+/// once; the thread count once it settles.
+fn assert_clean(want: (usize, usize), what: &str) {
+    assert_eq!(census().1, want.1, "{what}: descriptors");
+    let start = Instant::now();
+    while census().0 != want.0 {
+        let threads = census().0;
+        assert!(
+            start.elapsed() < SETTLE,
+            "{what}: {threads} threads, want {}",
+            want.0
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }
 
 fn connect(addr: SocketAddr) -> TcpStream {
@@ -82,21 +106,13 @@ fn exercise(addr: SocketAddr) -> Vec<TcpStream> {
     held
 }
 
-#[test]
-fn a_thread_per_connection_leaks_no_thread_and_no_descriptor() {
-    let root = std::env::temp_dir().join(format!("flash-mt-leak-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).unwrap();
-    std::fs::write(root.join("index.html"), b"<html>hello flash</html>\n").unwrap();
+/// Two generations of `kind` over one docroot, counted against the
+/// census taken before the first started.
+fn census_of(kind: ServerKind, root: &std::path::Path) {
     // One frame, then silence: the stream stays open until the server
     // gives up on it.
     let worker = root.join("stall.sh");
-    std::fs::write(
-        &worker,
-        "read -r m p\nprintf 'DATA 7\\npartial'\nexec sleep 30\n",
-    )
-    .unwrap();
-    let cfg = NetConfig::builder(&root)
+    let cfg = NetConfig::builder(root)
         .dynamic_prefix("/app/")
         .dynamic_command(vec!["/bin/sh".into(), worker.to_str().unwrap().into()])
         .drain_timeout(GRACE)
@@ -104,22 +120,48 @@ fn a_thread_per_connection_leaks_no_thread_and_no_descriptor() {
         .unwrap();
 
     let before = census();
-    let first = MtServer::start("127.0.0.1:0", cfg.clone()).unwrap();
+    let first = Server::start_as(kind, "127.0.0.1:0", cfg.clone()).unwrap();
     let held = exercise(first.addr());
-    assert_eq!(first.stats().accepted(), 64);
-    assert!(census().0 >= before.0 + 1 + held.len(), "a thread each");
-    // The next generation's listener: the one descriptor that is
-    // meant to outlive this one.
-    let inherited = first.handoff_listeners()[0].try_clone().unwrap();
+    assert_eq!(first.stats().accepted(), 64, "{kind:?}");
+    if kind == ServerKind::Mt {
+        assert!(census().0 >= before.0 + 1 + held.len(), "a thread each");
+    }
+    // The next generation's listeners: the descriptors that are meant
+    // to outlive this one.
+    let inherited: Vec<_> = first
+        .handoff_listeners()
+        .iter()
+        .map(|l| l.try_clone().unwrap())
+        .collect();
+    let kept = inherited.len();
     drain(first);
     drop(held);
-    assert_eq!(census(), (before.0, before.1 + 1), "first generation");
+    assert_clean(
+        (before.0, before.1 + kept),
+        &format!("{kind:?}: first generation"),
+    );
 
-    let second = MtServer::start_inherited(cfg, inherited).unwrap();
+    let second = Server::start_inherited_as(kind, cfg, inherited).unwrap();
     let held = exercise(second.addr());
-    assert_eq!(second.stats().accepted(), 64);
+    assert_eq!(second.stats().accepted(), 64, "{kind:?}");
     drain(second);
     drop(held);
-    assert_eq!(census(), before, "second generation");
+    assert_clean(before, &format!("{kind:?}: second generation"));
+}
+
+#[test]
+fn no_architecture_leaks_a_thread_or_a_descriptor() {
+    let root = std::env::temp_dir().join(format!("flash-mt-leak-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).unwrap();
+    std::fs::write(root.join("index.html"), b"<html>hello flash</html>\n").unwrap();
+    std::fs::write(
+        root.join("stall.sh"),
+        "read -r m p\nprintf 'DATA 7\\npartial'\nexec sleep 30\n",
+    )
+    .unwrap();
+    for kind in [ServerKind::Amped, ServerKind::Mt] {
+        census_of(kind, &root);
+    }
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -95,6 +95,19 @@ fn main() {
             r.reloads,
             r.fingerprint,
         );
+        // The kernel crossings behind those requests, per request.
+        let per_req = |n: u64| n as f64 / r.requests.max(1) as f64;
+        let ledger: Vec<String> = r
+            .crossings()
+            .iter()
+            .map(|(name, n)| format!("{name} {:.3}", per_req(*n)))
+            .collect();
+        let total = r.crossings().iter().map(|(_, n)| n).sum();
+        println!(
+            "  crossings per request: {} — total {:.3}",
+            ledger.join(", "),
+            per_req(total)
+        );
     }
     println!(
         "sim replay OK: {total_conns} simulated connections across {} seeds",
