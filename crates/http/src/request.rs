@@ -5,6 +5,11 @@
 //! §6.4 do exactly this) and never panics on malformed input: every
 //! failure is a typed [`ParseError`] that the server maps to a 4xx
 //! response.
+//!
+//! A path is percent-decoded and normalized before anything sees it.
+//! One that climbs above the root, or that holds a control byte once
+//! decoded — a NUL, a newline, any byte below 0x20, or DEL — is
+//! rejected with a `400`: such names are not served.
 
 use bytes::BytesMut;
 use std::fmt;
@@ -71,7 +76,8 @@ impl fmt::Display for Version {
 pub struct Request {
     /// Request method.
     pub method: Method,
-    /// Decoded path (no query string), always starting with `/`.
+    /// Decoded path (no query string), always starting with `/`, and
+    /// free of control bytes.
     pub path: String,
     /// Raw query string (after `?`), if any.
     pub query: Option<String>,
@@ -252,7 +258,8 @@ pub enum ParseError {
     BadMethod,
     /// Version string unknown.
     BadVersion,
-    /// A path escaped the document root via `..`.
+    /// A path escaped the document root via `..`, or held a control
+    /// byte (below 0x20, or 0x7F) once decoded.
     PathTraversal,
     /// Header section exceeded [`MAX_HEADER_BYTES`].
     TooLarge,
@@ -266,7 +273,7 @@ impl fmt::Display for ParseError {
             ParseError::BadRequestLine => "malformed request line",
             ParseError::BadMethod => "unknown method",
             ParseError::BadVersion => "unknown HTTP version",
-            ParseError::PathTraversal => "path escapes document root",
+            ParseError::PathTraversal => "path escapes document root or holds a control byte",
             ParseError::TooLarge => "request header too large",
             ParseError::BadHeader => "malformed header line",
         };
@@ -437,11 +444,13 @@ fn parse_header(raw: &[u8]) -> Result<Request, ParseError> {
 /// outside the document root.
 fn normalize_path(raw: &str) -> Result<String, ParseError> {
     let decoded = percent_decode(raw);
-    // A NUL can only arrive via %00 and is a filename-smuggling vector
-    // on C-string filesystems; rejecting it also guarantees decoded
-    // paths never collide with the server's NUL-separated internal
-    // variant-cache keys.
-    if decoded.contains('\u{0}') {
+    // A NUL is a filename-smuggling vector on C-string filesystems;
+    // rejecting it also guarantees decoded paths never collide with the
+    // server's NUL-separated internal variant-cache keys. Every other
+    // control byte goes with it: a `%0A` would split the request line
+    // handed to an application worker in two, and forge a line of the
+    // access log.
+    if decoded.chars().any(|c| c.is_ascii_control()) {
         return Err(ParseError::PathTraversal);
     }
     let mut out: Vec<&str> = Vec::new();
@@ -703,10 +712,25 @@ mod tests {
 
     #[test]
     fn nul_in_path_is_rejected() {
-        assert_eq!(
-            parse("GET /a%00.html HTTP/1.0\r\n\r\n"),
-            ParseStatus::Error(ParseError::PathTraversal)
-        );
+        for path in [
+            "/a%00.html",
+            "/app/x%0Ay",
+            "/nope%0Aforged%20line",
+            "/a%0D.html",
+            "/a%01",
+            "/a%1f",
+            "/a%7F",
+            "/a\x01b",
+            "/a\x7fb",
+        ] {
+            assert_eq!(
+                parse(&format!("GET {path} HTTP/1.0\r\n\r\n")),
+                ParseStatus::Error(ParseError::PathTraversal),
+                "{path:?}"
+            );
+        }
+        // The printable neighbours are served.
+        assert_eq!(done("GET /a%20b%7E HTTP/1.0\r\n\r\n").path, "/a b~");
     }
 
     #[test]

@@ -114,7 +114,7 @@ pub mod shard;
 
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -122,8 +122,9 @@ pub use machine::{Conn, ConnState, DeadlineKind, Drive};
 pub use plan::{BodySource, RequestCond, Resource, ResponsePlan};
 pub use shard::ShardCore;
 
+pub use crate::stats::ShardStats;
+
 use crate::cache::Variant;
-use crate::stats::Histogram;
 
 /// The transport seam: every I/O operation the connection state
 /// machine performs, with nonblocking semantics — `WouldBlock` means
@@ -382,179 +383,4 @@ pub struct ProtoConfig {
     /// Stage an [`crate::stats::AccessRecord`] per completed response
     /// in [`ShardCore::access_log`] for the driver to drain and write.
     pub access_log: bool,
-}
-
-/// Live counters for one event-loop shard (real or simulated —
-/// atomics so the real driver's cross-thread readers need no locks;
-/// the sim reads them single-threaded).
-#[derive(Debug, Default)]
-pub struct ShardStats {
-    /// Completed responses (any status).
-    pub requests: AtomicU64,
-    /// Connections this shard accepted from its listener — its own
-    /// kernel socket (reuseport mode) or the shared one (single mode).
-    pub accepted: AtomicU64,
-    /// Jobs the core dispatched through its [`HelperPort`]:
-    /// content-cache misses and revalidations after coalescing, and one
-    /// per dynamic request. How many of them a helper thread actually
-    /// ran is `helper_jobs - inline_jobs`.
-    pub helper_jobs: AtomicU64,
-    /// The subset of `helper_jobs` the driver ran itself, with no
-    /// hand-off and no helper: a miss the residency test found in
-    /// memory, completed in the loop turn that dispatched it, and every
-    /// dynamic exchange a shard opened on one of its own workers
-    /// (counted when the request line is written). Jobs actually handed
-    /// to the pool = `helper_jobs - inline_jobs` — on warm dynamic
-    /// traffic, none. On MT, where the dispatching thread runs every
-    /// job, the two are equal.
-    pub inline_jobs: AtomicU64,
-    /// The subset of `inline_jobs` loads answered from the open-file
-    /// table: no path lookup, an `fstat` and a read of the descriptor
-    /// the table already held.
-    pub open_file_hits: AtomicU64,
-    /// Gauge: descriptors this shard's open-file table holds now.
-    pub open_files: AtomicU64,
-    /// Responses served from this shard's content cache.
-    pub cache_hits: AtomicU64,
-    /// Gathered writes issued on the send path: [`ConnIo::writev`]
-    /// calls that moved bytes — one `writev(2)` each on the shards. On
-    /// MT a flush is issued as one `write(2)` per segment (four for a
-    /// cache hit) until the gathered-write follow-up (ROADMAP), so
-    /// there the counter counts flushes, not syscalls.
-    pub writev_calls: AtomicU64,
-    /// [`ConnIo::read`] calls the core issued — `read(2)`s on the real
-    /// transport, `EAGAIN` ones included. On MT the blocking `read(2)`
-    /// happens before the drive and the core's read hands over what it
-    /// took, one for one; the driver adds the ones that timed out
-    /// empty, so there too the counter is `read(2)` calls.
-    pub read_calls: AtomicU64,
-    /// `accept4(2)` calls this shard issued on its listener, `EAGAIN`
-    /// ones included — in single mode that is one for every sibling
-    /// that woke for an arrival and lost the race.
-    pub accept_calls: AtomicU64,
-    /// Interest-set calls the shard driver made on its readiness
-    /// backend (`register`, `modify`, `rearm`, `deregister`) — one
-    /// `epoll_ctl(2)` each on epoll, a table edit and no system call on
-    /// poll. An application worker costs one when it is adopted and one
-    /// when it is retired, none per request; a parked request costs its
-    /// connection none on epoll (the registration does not change) and
-    /// two table edits on poll (`READ` → `HANGUP` → `READ`).
-    pub ctl_calls: AtomicU64,
-    /// `read(2)`s and `write(2)`s a shard issued on its application
-    /// workers' sockets: a warm dynamic request whose worker answers in
-    /// one write is exactly two, the request line out and the frames
-    /// in. Zero on MT, whose connection threads block in the exchange
-    /// uncounted.
-    pub worker_io_calls: AtomicU64,
-    /// `sendfile(2)` calls issued on the large-body path.
-    pub sendfile_calls: AtomicU64,
-    /// Body bytes transmitted via `sendfile(2)` (page cache → socket,
-    /// never through userspace).
-    pub bytes_sendfile: AtomicU64,
-    /// Gauge: bytes currently resident in this shard's content cache
-    /// (refreshed after every insert).
-    pub cache_used_bytes: AtomicU64,
-    /// Readiness `wait` calls this shard has issued.
-    pub wait_calls: AtomicU64,
-    /// Readiness events those waits returned (the ratio
-    /// `wait_events / wait_calls` is the batching gauge exposed as
-    /// [`crate::stats::ServerStats::events_per_wait`]).
-    pub wait_events: AtomicU64,
-    /// Keep-alive connections closed by the idle deadline (no request
-    /// in flight).
-    pub idle_reaped: AtomicU64,
-    /// Connections closed by the header-read deadline (slow or silent
-    /// request senders).
-    pub read_timeouts: AtomicU64,
-    /// Connections closed by the write-progress deadline (peers that
-    /// stopped draining a response).
-    pub write_stall_timeouts: AtomicU64,
-    /// `304 Not Modified` responses served to conditional requests.
-    pub not_modified: AtomicU64,
-    /// Requests carrying a well-formed single-range `Range` header
-    /// that reached a file response (satisfiable or not).
-    pub range_requests: AtomicU64,
-    /// `416 Range Not Satisfiable` responses (`Content-Range: bytes
-    /// */len`).
-    pub range_unsatisfiable: AtomicU64,
-    /// Times this shard's reuseport listener was throttled by fd
-    /// exhaustion (`EMFILE`/`ENFILE`) or another accept failure — read
-    /// interest dropped, re-armed once a connection slot frees.
-    pub accept_backpressure: AtomicU64,
-    /// Cache hits past the revalidation TTL whose re-stat confirmed
-    /// the entry still matches the file (served, TTL clock restarted).
-    pub revalidations: AtomicU64,
-    /// Cache entries evicted because a revalidation re-stat saw a
-    /// different mtime or size (the file changed or vanished) — the
-    /// stale bytes were dropped instead of served.
-    pub stale_evicted: AtomicU64,
-    /// `Waiting` connections closed by the helper-completion deadline
-    /// — their helper or disk wedged; the late completion, if it ever
-    /// arrives, is discarded by its stale token.
-    pub helper_wait_timeouts: AtomicU64,
-    /// In-flight helper jobs cancelled because their last waiter was
-    /// reaped by a deadline or went away — its connection closed, or
-    /// its client hung up on a request parked on an application worker
-    /// (a client abort): the cancel flag was raised and the pending entry
-    /// dropped, so the job is skipped if still queued and its
-    /// completion (if it already ran) dies on token mismatch — never
-    /// populating the cache, never waking a reused slot.
-    pub jobs_cancelled: AtomicU64,
-    /// Gauge: 1 while this shard is in drain mode (listener quiesced,
-    /// serving out existing connections), 0 otherwise.
-    pub draining: AtomicU64,
-    /// Connections retired *by the drain*: idle keep-alive
-    /// connections closed at drain entry plus keep-alive connections
-    /// closed after their final response went out whole.
-    pub drained_conns: AtomicU64,
-    /// Responses served by the `/.flash/metrics` and `/.flash/stats`
-    /// endpoints (kept out of `requests` so workload counters stay
-    /// exact under scraping).
-    pub metrics_requests: AtomicU64,
-    /// Requests routed to the dynamic tier (matched the configured
-    /// prefix), whether they completed, timed out, or crashed.
-    pub dynamic_requests: AtomicU64,
-    /// Application workers retired — killed, reaped, and replaced when
-    /// next needed: crashes (EOF before the protocol's END), garbled
-    /// or out-of-turn output, and kills of workers whose exchange was
-    /// cancelled (the deadline fired, or the client went away).
-    pub worker_respawns: AtomicU64,
-    /// Dynamic requests that hit `dynamic_deadline`: answered `504`
-    /// before headers went out, severed mid-stream after.
-    pub dynamic_timeouts: AtomicU64,
-    /// Event-loop iterations whose non-wait time reached the stall
-    /// threshold (100 ms) — the direct "did the AMPED loop block?"
-    /// probe.
-    pub loop_stalls: AtomicU64,
-    /// Gauge (max-merged): high-water mark of per-iteration non-wait
-    /// loop time, in microseconds.
-    pub loop_stall_max_us: AtomicU64,
-    /// Cumulative microseconds the loop spent blocked in readiness
-    /// wait (the only phase *allowed* to block).
-    pub phase_wait_us: AtomicU64,
-    /// Cumulative microseconds spent accepting connections.
-    pub phase_accept_us: AtomicU64,
-    /// Cumulative microseconds spent driving readiness events.
-    pub phase_read_us: AtomicU64,
-    /// Cumulative microseconds spent on a wake applying the completion
-    /// queue and driving the connections it answered.
-    pub phase_respond_us: AtomicU64,
-    /// Cumulative microseconds spent on a wake taking the helpers'
-    /// replies into the completion queue.
-    pub phase_completions_us: AtomicU64,
-    /// Cumulative microseconds spent expiring deadline timers.
-    pub phase_timers_us: AtomicU64,
-    /// Request latency: request parsed → final response byte queued.
-    pub hist_request: Histogram,
-    /// Time to first byte: request parsed → first response byte
-    /// accepted by the transport.
-    pub hist_ttfb: Histogram,
-    /// Helper-job wait: connection parked `Waiting` → completion
-    /// delivered.
-    pub hist_helper_wait: Histogram,
-    /// Worker wait: dynamic request dispatched → first worker event
-    /// (first chunk or an immediate end) delivered.
-    pub hist_worker_wait: Histogram,
-    /// Connection lifetime: accept → close, any close reason.
-    pub hist_lifetime: Histogram,
 }

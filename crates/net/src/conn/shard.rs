@@ -157,7 +157,7 @@ impl<C: CacheHandle> ShardCore<C> {
             return;
         };
         if let Some(t0) = conn.opened_at {
-            self.stats.hist_lifetime.record(stats::nanos_since(t0, now));
+            self.stats.conn_lifetime.record(stats::nanos_since(t0, now));
         }
         let listed = matches!(conn.state, ConnState::Waiting) || conn.stream_open;
         conns[idx] = None;
@@ -180,7 +180,7 @@ impl<C: CacheHandle> ShardCore<C> {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         let latency_nanos = conn.req_start.take().map(|t0| stats::nanos_since(t0, now));
         if let Some(ns) = latency_nanos {
-            self.stats.hist_request.record(ns);
+            self.stats.request_latency.record(ns);
         }
         if let Some(log) = conn.pending_log.take() {
             self.access_log.push(AccessRecord {
@@ -193,6 +193,26 @@ impl<C: CacheHandle> ShardCore<C> {
                 tier: log.tier,
             });
         }
+    }
+
+    /// Answers a request the parser refused with a `400` that closes
+    /// the connection, and stages its access-log record. Nothing of
+    /// the request is echoed — it may hold the very bytes it was
+    /// refused for — so its method and path are logged as `-`.
+    fn reject_request<Io: ConnIo>(&self, conn: &mut Conn<Io>) {
+        if self.cfg.access_log {
+            conn.pending_log = Some(PendingLog {
+                host: String::new(),
+                method: "-",
+                path: "-".into(),
+                status: Status::BadRequest.code(),
+                tier: Tier::Error,
+            });
+        }
+        conn.progress_at_req = conn.progress;
+        let body = Bytes::from(error_body(Status::BadRequest));
+        queue_error(conn, Status::BadRequest, body);
+        conn.state = ConnState::Writing;
     }
 
     /// Serves the in-band observability endpoints: the registry
@@ -256,9 +276,7 @@ impl<C: CacheHandle> ShardCore<C> {
                             continue;
                         }
                         ParseStatus::Error(_) => {
-                            let body = Bytes::from(error_body(Status::BadRequest));
-                            queue_error(conn, Status::BadRequest, body);
-                            conn.state = ConnState::Writing;
+                            self.reject_request(conn);
                             continue;
                         }
                         ParseStatus::Incomplete => {}
@@ -278,11 +296,7 @@ impl<C: CacheHandle> ShardCore<C> {
                                         self.handle_request(idx, conn, req, port, now);
                                     }
                                     ParseStatus::Incomplete => {}
-                                    ParseStatus::Error(_) => {
-                                        let body = Bytes::from(error_body(Status::BadRequest));
-                                        queue_error(conn, Status::BadRequest, body);
-                                        conn.state = ConnState::Writing;
-                                    }
+                                    ParseStatus::Error(_) => self.reject_request(conn),
                                 }
                                 continue;
                             }
@@ -318,7 +332,7 @@ impl<C: CacheHandle> ShardCore<C> {
                     if conn.ttfb_pending && conn.progress > progress_before {
                         conn.ttfb_pending = false;
                         if let Some(t0) = conn.req_start {
-                            self.stats.hist_ttfb.record(stats::nanos_since(t0, now));
+                            self.stats.ttfb.record(stats::nanos_since(t0, now));
                         }
                     }
                     match flushed {
@@ -842,9 +856,7 @@ impl<C: CacheHandle> ShardCore<C> {
                 continue;
             };
             if let Some(t0) = conn.wait_start.take() {
-                self.stats
-                    .hist_helper_wait
-                    .record(stats::nanos_since(t0, now));
+                self.stats.helper_wait.record(stats::nanos_since(t0, now));
             }
             match &completion {
                 Completion::Small(entry) => {
@@ -916,7 +928,7 @@ impl<C: CacheHandle> ShardCore<C> {
             // not per-chunk delivery.
             if let Some(start) = conn.wait_start.take() {
                 self.stats
-                    .hist_worker_wait
+                    .worker_wait
                     .record(now.duration_since(start).as_nanos() as u64);
             }
             match &ev {

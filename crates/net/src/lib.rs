@@ -522,16 +522,19 @@
 //!
 //! # Observability: the flight recorder
 //!
-//! Every number the server knows about itself lives in one place: the
-//! metrics **registry** in [`stats`]. Each per-shard `AtomicU64` on
-//! [`ShardStats`] has exactly one [`stats::Desc`] (name, kind, merge
-//! rule, help), each latency histogram one [`stats::HistDesc`] — the
-//! [`ServerStats`] getters, the Prometheus exposition, and the JSON
-//! document all read through the same descriptors, so an exported
-//! metric can never drift from its getter. Shards write with relaxed
-//! atomics on their own cache lines (no locks, no contention on the
-//! request path); readers merge per-shard values on demand (counters
-//! sum, `loop_stall_max_us` takes the max).
+//! Every number the server knows about itself is declared once, as
+//! one line of the **table of metrics** in [`stats`]: its doc, name,
+//! kind, merge rule and `# HELP` string. That line generates the
+//! per-shard field on [`ShardStats`], the registry descriptor
+//! ([`stats::Desc`] in [`stats::REGISTRY`], or [`stats::HistDesc`]), a
+//! [`ServerStats`] getter of the same name, and a slot in the plain
+//! [`stats::Counts`] snapshot the deterministic sim reports. The
+//! getters, the Prometheus exposition and the JSON document cannot
+//! drift apart, and adding a metric is one table line. Shards write
+//! with relaxed atomics on their own cache lines (no locks, no
+//! contention on the request path); readers merge per-shard values on
+//! demand (counters sum, `loop_stall_max_us` takes the max). The
+//! [`ShardStats`] field docs say what each metric counts.
 //!
 //! Latency is recorded in **log-bucketed histograms**
 //! ([`Histogram`]: 64 power-of-two nanosecond buckets, so a quantile
@@ -541,53 +544,12 @@
 //! Recording happens inside the sans-IO core with `Instant`s passed in
 //! as parameters, so the real shards, the MT server, and the
 //! deterministic sim produce the *same* histograms — the sim in
-//! simulated time, bit-identical per seed, with the four
-//! [`HistSummary`] digests folded into its fingerprinted report.
-//!
-//! ## Scalar metrics
-//!
-//! | Metric | Kind | What it counts |
-//! |---|---|---|
-//! | `requests` | counter | Completed responses (any status), excluding `/.flash/` responses |
-//! | `metrics_requests` | counter | Responses served by the `/.flash/*` endpoints |
-//! | `accepted` | counter | Connections accepted by the shards, each from its own listener registration |
-//! | `helper_jobs` | counter | Jobs dispatched through the helper port — misses and revalidations after coalescing, dynamic requests — whoever ends up executing them |
-//! | `inline_jobs` | counter | The subset of `helper_jobs` the dispatching driver ran itself, counted where answered: misses the residency test answered at dispatch, and dynamic exchanges opened on a shard's own workers; jobs handed to the pool = `helper_jobs − inline_jobs` |
-//! | `open_file_hits` | counter | The subset of `inline_jobs` loads answered from a descriptor the open-file table already held: no path lookup |
-//! | `open_files` | gauge | Descriptors the shards' open-file tables hold now |
-//! | `cache_hits` | counter | Responses served from the content cache |
-//! | `writev_calls` | counter | Gathered `writev(2)` calls on the send path |
-//! | `sendfile_calls` | counter | `sendfile(2)` calls on the large-body path |
-//! | `bytes_sendfile` | counter | Body bytes transmitted via `sendfile(2)` |
-//! | `cache_used_bytes` | gauge | Bytes resident in the content caches |
-//! | `wait_calls` / `wait_events` | counter | Readiness waits and the events they returned |
-//! | `idle_reaped` | counter | Keep-alives closed by the idle deadline |
-//! | `read_timeouts` | counter | Connections closed by the header-read deadline |
-//! | `write_stall_timeouts` | counter | Connections closed by the write-progress deadline |
-//! | `not_modified` | counter | `304 Not Modified` responses |
-//! | `range_requests` | counter | Well-formed single-range requests reaching a file response |
-//! | `range_unsatisfiable` | counter | Range requests answered `416 Range Not Satisfiable` |
-//! | `accept_backpressure` | counter | Accept throttles (fd exhaustion / accept failure) |
-//! | `revalidations` | counter | Re-stats confirming a past-TTL entry unchanged |
-//! | `stale_evicted` | counter | Entries evicted because a re-stat saw them change |
-//! | `helper_wait_timeouts` | counter | Waiters closed by the helper-completion deadline |
-//! | `jobs_cancelled` | counter | In-flight jobs cancelled after their last waiter left |
-//! | `dynamic_requests` | counter | Requests routed to the dynamic tier by the configured prefix |
-//! | `worker_respawns` | counter | Workers retired (crashed, garbled, out of turn, cancelled) and replaced |
-//! | `worker_io_calls` | counter | `read(2)` + `write(2)` calls the shards issued on their workers' sockets: two per warm dynamic request |
-//! | `dynamic_timeouts` | counter | Dynamic requests that hit `dynamic_deadline` (504 pre-header, severed mid-stream) |
-//! | `draining` | gauge | Shards currently in drain mode |
-//! | `drained_conns` | counter | Connections retired by a drain |
-//! | `loop_stalls` | counter | Iterations whose non-wait time reached the stall threshold (100 ms) |
-//! | `loop_stall_max_us` | gauge (max) | High-water per-iteration non-wait time, µs |
-//! | `phase_{wait,accept,read,respond,completions,timers}_us` | counter | Cumulative µs per event-loop phase. On a wake, `completions` is taking the helpers' replies into the completion queue (and adopting spawned workers), `respond` the settle that applies the queue and drives whom it woke; answers settled after a drive or a worker's event count in the phase that drove or read |
-//!
-//! Histograms (nanoseconds): `request_latency_nanos` (request parsed →
-//! final response byte queued), `ttfb_nanos` (request parsed → first
-//! byte accepted by the transport), `helper_wait_nanos` (parked
-//! `Waiting` → completion delivered), `conn_lifetime_nanos` (accept →
-//! close, any reason), `worker_wait_nanos` (dynamic dispatch → first
-//! worker frame delivered).
+//! simulated time, bit-identical per seed, with the five
+//! [`HistSummary`] digests folded into its fingerprinted report. The
+//! five are `request_latency` (request parsed → final response byte
+//! queued), `ttfb` (request parsed → first byte accepted by the
+//! transport), `helper_wait`, `worker_wait` and `conn_lifetime`,
+//! exported with `_nanos` appended.
 //!
 //! The `phase_*` counters and the **stall watchdog** are the direct
 //! probe of the AMPED contract that the event loop never blocks: each

@@ -58,7 +58,6 @@ use std::io::{self, Read, Write};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::path::PathBuf;
 use std::rc::Rc;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -74,7 +73,7 @@ use crate::event::{BackendKind, Event, EventBackend, Interest};
 use crate::lifecycle::LifecycleShared;
 use crate::pool::{Reply, Work};
 use crate::server::{shard_loop, Env, Shard, LISTENER_TOKEN, WAKE_TOKEN};
-use crate::stats::HistSummary;
+use crate::stats::Counts;
 
 /// Fault-injection probabilities, all independent. `none()` is a
 /// clean-network baseline; [`FaultPlan::heavy`] is the CI setting.
@@ -222,10 +221,12 @@ impl SimConfig {
 /// equal — that comparison IS the determinism test.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimReport {
-    /// Connections accepted (== `SimConfig::connections` on success).
-    pub connections: u64,
-    /// Responses completed (any status).
-    pub requests: u64,
+    /// The shard's metrics at the end of the run: every counter and
+    /// gauge the real server exports ([`crate::stats`]), and a
+    /// [`crate::stats::HistSummary`] of each latency histogram, fed
+    /// simulated time through the identical instrumentation path.
+    /// `counts.accepted` is `SimConfig::connections` on success.
+    pub counts: Counts,
     /// Response bytes transmitted (headers + both body tiers).
     pub bytes: u64,
     /// Order-sensitive FNV fold of every connection's full response
@@ -235,74 +236,28 @@ pub struct SimReport {
     pub unanswered: u64,
     /// `500 Internal Server Error` status lines sent.
     pub server_errors: u64,
-    pub cache_hits: u64,
-    pub helper_jobs: u64,
-    /// The subset of `helper_jobs` the shard ran itself: resident
-    /// files ([`SimConfig::resident_fraction`]) and exchanges on its
-    /// own workers.
-    pub inline_jobs: u64,
-    pub jobs_cancelled: u64,
-    pub helper_wait_timeouts: u64,
-    pub read_timeouts: u64,
-    pub write_stall_timeouts: u64,
-    pub idle_reaped: u64,
-    pub not_modified: u64,
-    /// Well-formed single-range requests that reached a file response
-    /// (satisfiable or not), and the subset answered 416.
-    pub range_requests: u64,
-    pub range_unsatisfiable: u64,
-    pub revalidations: u64,
-    pub stale_evicted: u64,
-    pub drained_conns: u64,
-    pub accept_backpressure: u64,
-    /// Dynamic-tier traffic: requests routed to the workers, the
-    /// 504s/severs their silence deadline produced, and the worker
-    /// respawns (crashes, garbage, kills of cancelled exchanges).
-    pub dynamic_requests: u64,
-    pub dynamic_timeouts: u64,
-    pub worker_respawns: u64,
     /// Mid-run docroot reloads applied (epoch bumps).
     pub reloads: u64,
     /// Simulated instant the shard's loop returned.
     pub sim_elapsed_nanos: u64,
     /// Calendar events processed.
     pub events: u64,
-    /// The kernel crossings the shard made, as its counters count them
-    /// on the real server ([`crate::conn::ShardStats`]): readiness
-    /// waits, client `read`s, `writev`s and `sendfile`s, `accept`s,
-    /// interest-set calls, and `read`s and `write`s on its workers.
-    pub wait_calls: u64,
-    pub read_calls: u64,
-    pub writev_calls: u64,
-    pub sendfile_calls: u64,
-    pub accept_calls: u64,
-    pub ctl_calls: u64,
-    pub worker_io_calls: u64,
-    /// Summaries of the same per-shard latency histograms the real
-    /// drivers record ([`crate::stats`]), fed simulated time through
-    /// the identical instrumentation path — and, via this report's
-    /// `Eq`, part of the bit-identical-per-seed guarantee.
-    pub hist_request: HistSummary,
-    pub hist_ttfb: HistSummary,
-    pub hist_helper_wait: HistSummary,
-    pub hist_lifetime: HistSummary,
-    /// Submit-to-first-frame wait per dynamic exchange — the sim's
-    /// worker-wait histogram, fingerprint-stable per seed.
-    pub hist_worker_wait: HistSummary,
 }
 
 impl SimReport {
-    /// Every kernel crossing the shard counted, by kind, in the order
-    /// of the fields.
+    /// Every kernel crossing the shard counted, by kind: readiness
+    /// waits, client `read`s, `writev`s and `sendfile`s, `accept`s,
+    /// interest-set calls, and `read`s and `write`s on its workers.
     pub fn crossings(&self) -> [(&'static str, u64); 7] {
+        let c = &self.counts;
         [
-            ("wait", self.wait_calls),
-            ("read", self.read_calls),
-            ("writev", self.writev_calls),
-            ("sendfile", self.sendfile_calls),
-            ("accept", self.accept_calls),
-            ("ctl", self.ctl_calls),
-            ("worker_io", self.worker_io_calls),
+            ("wait", c.wait_calls),
+            ("read", c.read_calls),
+            ("writev", c.writev_calls),
+            ("sendfile", c.sendfile_calls),
+            ("accept", c.accept_calls),
+            ("ctl", c.ctl_calls),
+            ("worker_io", c.worker_io_calls),
         ]
     }
 }
@@ -1351,48 +1306,15 @@ impl Sim {
         if !core.waiters.is_empty() || !core.pending_jobs.is_empty() {
             return Err("leaked waiter lists or pending jobs at end of run".into());
         }
-        let s = &core.stats;
-        let ld = Ordering::Relaxed;
         Ok(SimReport {
-            connections: s.accepted.load(ld),
-            requests: s.requests.load(ld),
+            counts: core.stats.counts(),
             bytes: k.bytes,
             fingerprint: k.fingerprint,
             unanswered: k.unanswered,
             server_errors: k.server_errors,
-            cache_hits: s.cache_hits.load(ld),
-            helper_jobs: s.helper_jobs.load(ld),
-            inline_jobs: s.inline_jobs.load(ld),
-            jobs_cancelled: s.jobs_cancelled.load(ld),
-            helper_wait_timeouts: s.helper_wait_timeouts.load(ld),
-            read_timeouts: s.read_timeouts.load(ld),
-            write_stall_timeouts: s.write_stall_timeouts.load(ld),
-            idle_reaped: s.idle_reaped.load(ld),
-            not_modified: s.not_modified.load(ld),
-            range_requests: s.range_requests.load(ld),
-            range_unsatisfiable: s.range_unsatisfiable.load(ld),
-            revalidations: s.revalidations.load(ld),
-            stale_evicted: s.stale_evicted.load(ld),
-            drained_conns: s.drained_conns.load(ld),
-            accept_backpressure: s.accept_backpressure.load(ld),
-            dynamic_requests: s.dynamic_requests.load(ld),
-            dynamic_timeouts: s.dynamic_timeouts.load(ld),
-            worker_respawns: s.worker_respawns.load(ld),
             reloads: core.epoch,
             sim_elapsed_nanos: k.queue.now().as_nanos(),
             events: k.queue.events_processed(),
-            wait_calls: s.wait_calls.load(ld),
-            read_calls: s.read_calls.load(ld),
-            writev_calls: s.writev_calls.load(ld),
-            sendfile_calls: s.sendfile_calls.load(ld),
-            accept_calls: s.accept_calls.load(ld),
-            ctl_calls: s.ctl_calls.load(ld),
-            worker_io_calls: s.worker_io_calls.load(ld),
-            hist_request: s.hist_request.snapshot().summary(),
-            hist_ttfb: s.hist_ttfb.snapshot().summary(),
-            hist_helper_wait: s.hist_helper_wait.snapshot().summary(),
-            hist_lifetime: s.hist_lifetime.snapshot().summary(),
-            hist_worker_wait: s.hist_worker_wait.snapshot().summary(),
         })
     }
 }
@@ -1435,58 +1357,74 @@ mod tests {
         let mut cfg = SimConfig::new(42, 2_000);
         cfg.check_every = 1;
         let report = run(&cfg, &site).expect("invariants must hold");
-        assert_eq!(report.connections, 2_000);
-        assert!(report.requests > 1_000, "requests: {}", report.requests);
+        assert_eq!(report.counts.accepted, 2_000);
+        assert!(
+            report.counts.requests > 1_000,
+            "requests: {}",
+            report.counts.requests
+        );
         assert!(report.bytes > 0);
-        assert!(report.cache_hits > 0, "Zipf traffic must hit the cache");
-        assert!(report.helper_jobs > 0);
+        assert!(
+            report.counts.cache_hits > 0,
+            "Zipf traffic must hit the cache"
+        );
+        assert!(report.counts.helper_jobs > 0);
         assert_eq!(report.reloads, 2, "both mid-run reloads must apply");
         assert!(
-            report.helper_wait_timeouts > 0,
+            report.counts.helper_wait_timeouts > 0,
             "wedged/stalled helpers must reap waiters: {report:?}"
         );
         assert!(
-            report.jobs_cancelled > 0,
+            report.counts.jobs_cancelled > 0,
             "reaped last-waiters must cancel their jobs: {report:?}"
         );
         assert!(
-            report.read_timeouts > 0,
+            report.counts.read_timeouts > 0,
             "trickled headers must hit the header deadline: {report:?}"
         );
         assert!(
-            report.not_modified > 0,
+            report.counts.not_modified > 0,
             "current-validator IMS/INM requests must 304: {report:?}"
         );
         assert!(
-            report.range_requests > 0,
+            report.counts.range_requests > 0,
             "the range fraction must reach file responses: {report:?}"
         );
         assert!(
-            report.range_unsatisfiable > 0,
+            report.counts.range_unsatisfiable > 0,
             "past-EOF ranges must 416: {report:?}"
         );
         assert!(
-            report.range_unsatisfiable < report.range_requests,
+            report.counts.range_unsatisfiable < report.counts.range_requests,
             "most generated ranges are satisfiable: {report:?}"
         );
-        assert!(report.drained_conns > 0, "drain must retire idle conns");
+        assert!(
+            report.counts.drained_conns > 0,
+            "drain must retire idle conns"
+        );
         // The dynamic fraction must reach the worker pool, and the
         // fault mix must produce both respawns (crashes) and wedges
         // reaped by the DynamicWait deadline.
-        assert!(report.dynamic_requests > 0, "{report:?}");
-        assert!(report.worker_respawns > 0, "{report:?}");
+        assert!(report.counts.dynamic_requests > 0, "{report:?}");
+        assert!(report.counts.worker_respawns > 0, "{report:?}");
         assert!(
-            report.hist_worker_wait.count > 0,
+            report.counts.worker_wait.count > 0,
             "delivered dynamic exchanges must record a worker wait: {report:?}"
         );
         // The histograms ride the same drive path: every completed
         // response has a latency sample, every admitted connection a
         // lifetime sample, and parked waiters a helper-wait sample.
-        assert_eq!(report.hist_request.count, report.requests, "{report:?}");
-        assert_eq!(report.hist_lifetime.count, report.connections, "{report:?}");
-        assert!(report.hist_helper_wait.count > 0, "{report:?}");
-        assert!(report.hist_ttfb.count > 0, "{report:?}");
-        assert!(report.hist_request.p99_nanos >= report.hist_request.p50_nanos);
+        assert_eq!(
+            report.counts.request_latency.count, report.counts.requests,
+            "{report:?}"
+        );
+        assert_eq!(
+            report.counts.conn_lifetime.count, report.counts.accepted,
+            "{report:?}"
+        );
+        assert!(report.counts.helper_wait.count > 0, "{report:?}");
+        assert!(report.counts.ttfb.count > 0, "{report:?}");
+        assert!(report.counts.request_latency.p99_nanos >= report.counts.request_latency.p50_nanos);
     }
 
     /// A connection whose first request chunk is still in flight when
@@ -1506,9 +1444,12 @@ mod tests {
             .queue
             .schedule_at(SimTime(2), Ev::BeginDrain);
         let report = sim.run().expect("invariants");
-        assert_eq!(report.connections, 1);
-        assert!(report.requests >= 1, "swept before its request arrived");
-        assert_eq!(report.drained_conns, 1);
+        assert_eq!(report.counts.accepted, 1);
+        assert!(
+            report.counts.requests >= 1,
+            "swept before its request arrived"
+        );
+        assert_eq!(report.counts.drained_conns, 1);
         assert_eq!(report.unanswered, 0);
     }
 
@@ -1539,17 +1480,17 @@ mod tests {
         cfg.faults = FaultPlan::none();
         cfg.check_every = 1;
         let report = run(&cfg, &site).expect("clean run");
-        assert_eq!(report.connections, 1_500);
-        assert_eq!(report.helper_wait_timeouts, 0, "{report:?}");
-        assert_eq!(report.jobs_cancelled, 0, "{report:?}");
-        assert_eq!(report.read_timeouts, 0, "{report:?}");
-        assert_eq!(report.write_stall_timeouts, 0, "{report:?}");
-        assert_eq!(report.dynamic_timeouts, 0, "{report:?}");
-        assert_eq!(report.worker_respawns, 0, "{report:?}");
+        assert_eq!(report.counts.accepted, 1_500);
+        assert_eq!(report.counts.helper_wait_timeouts, 0, "{report:?}");
+        assert_eq!(report.counts.jobs_cancelled, 0, "{report:?}");
+        assert_eq!(report.counts.read_timeouts, 0, "{report:?}");
+        assert_eq!(report.counts.write_stall_timeouts, 0, "{report:?}");
+        assert_eq!(report.counts.dynamic_timeouts, 0, "{report:?}");
+        assert_eq!(report.counts.worker_respawns, 0, "{report:?}");
         assert_eq!(report.unanswered, 0, "{report:?}");
-        assert!(report.requests > 1_500, "{report:?}");
+        assert!(report.counts.requests > 1_500, "{report:?}");
         assert!(
-            report.dynamic_requests > 0,
+            report.counts.dynamic_requests > 0,
             "the dynamic fraction must draw requests: {report:?}"
         );
     }
@@ -1568,17 +1509,17 @@ mod tests {
         cfg.faults.worker_crash = 0.05;
         cfg.check_every = 1;
         let report = run(&cfg, &site).expect("wedged run");
-        assert!(report.dynamic_requests > 50, "{report:?}");
+        assert!(report.counts.dynamic_requests > 50, "{report:?}");
         assert!(
-            report.dynamic_timeouts > 0,
+            report.counts.dynamic_timeouts > 0,
             "wedged exchanges must 504 on the DynamicWait deadline: {report:?}"
         );
         assert!(
-            report.worker_respawns > 0,
+            report.counts.worker_respawns > 0,
             "wedges and crashes must retire workers: {report:?}"
         );
         assert!(
-            report.jobs_cancelled > 0,
+            report.counts.jobs_cancelled > 0,
             "purged dynamic waiters must cancel their jobs: {report:?}"
         );
         let again = run(&cfg, &site).expect("wedged run again");
@@ -1599,25 +1540,31 @@ mod tests {
         cfg.check_every = 1;
         cfg.dynamic_fraction = 0.0;
         let mixed = run(&cfg, &site).expect("mixed run");
-        assert!(mixed.inline_jobs > 0, "{mixed:?}");
-        assert!(mixed.inline_jobs < mixed.helper_jobs, "{mixed:?}");
+        assert!(mixed.counts.inline_jobs > 0, "{mixed:?}");
+        assert!(
+            mixed.counts.inline_jobs < mixed.counts.helper_jobs,
+            "{mixed:?}"
+        );
         assert_eq!(mixed, run(&cfg, &site).expect("mixed run again"));
 
         cfg.resident_fraction = 1.0;
         let all = run(&cfg, &site).expect("all-resident run");
-        assert_eq!(all.inline_jobs, all.helper_jobs, "{all:?}");
-        assert_eq!(all.helper_wait_timeouts, 0, "{all:?}");
-        assert_eq!(all.jobs_cancelled, 0, "{all:?}");
+        assert_eq!(all.counts.inline_jobs, all.counts.helper_jobs, "{all:?}");
+        assert_eq!(all.counts.helper_wait_timeouts, 0, "{all:?}");
+        assert_eq!(all.counts.jobs_cancelled, 0, "{all:?}");
         assert_eq!(
-            all.hist_helper_wait.sum_nanos, 0,
+            all.counts.helper_wait.sum_nanos, 0,
             "a resident job completes at the instant it was dispatched: {all:?}"
         );
-        assert!(all.revalidations > 0 && all.stale_evicted == 0, "{all:?}");
+        assert!(
+            all.counts.revalidations > 0 && all.counts.stale_evicted == 0,
+            "{all:?}"
+        );
 
         cfg.resident_fraction = 0.0;
         let none = run(&cfg, &site).expect("no-resident run");
-        assert_eq!(none.inline_jobs, 0, "{none:?}");
-        assert!(none.helper_wait_timeouts > 0, "{none:?}");
+        assert_eq!(none.counts.inline_jobs, 0, "{none:?}");
+        assert!(none.counts.helper_wait_timeouts > 0, "{none:?}");
         assert_ne!(none.fingerprint, all.fingerprint);
     }
 
@@ -1673,11 +1620,11 @@ mod tests {
         cfg.faults.half_close = 1.0;
         cfg.check_every = 1;
         let report = run(&cfg, &site).expect("half-close run");
-        assert_eq!(report.connections, 1_500);
-        assert_eq!(report.idle_reaped, 0, "{report:?}");
-        assert_eq!(report.read_timeouts, 0, "{report:?}");
+        assert_eq!(report.counts.accepted, 1_500);
+        assert_eq!(report.counts.idle_reaped, 0, "{report:?}");
+        assert_eq!(report.counts.read_timeouts, 0, "{report:?}");
         assert!(report.unanswered > 0, "{report:?}");
-        assert!(report.requests > 1_500, "{report:?}");
+        assert!(report.counts.requests > 1_500, "{report:?}");
     }
 
     /// A client that resets while a dynamic response is still arriving
@@ -1692,9 +1639,12 @@ mod tests {
         cfg.faults.client_reset = 0.3;
         cfg.check_every = 1;
         let report = run(&cfg, &site).expect("reset run");
-        assert!(report.jobs_cancelled > 0, "{report:?}");
-        assert_eq!(report.worker_respawns, report.jobs_cancelled, "{report:?}");
-        assert_eq!(report.dynamic_timeouts, 0, "{report:?}");
+        assert!(report.counts.jobs_cancelled > 0, "{report:?}");
+        assert_eq!(
+            report.counts.worker_respawns, report.counts.jobs_cancelled,
+            "{report:?}"
+        );
+        assert_eq!(report.counts.dynamic_timeouts, 0, "{report:?}");
     }
 
     /// A client that leaves while its request is parked on a worker
@@ -1710,10 +1660,13 @@ mod tests {
         cfg.faults.parked_hangup = 0.1;
         cfg.check_every = 1;
         let report = run(&cfg, &site).expect("parked-hangup run");
-        assert!(report.jobs_cancelled > 0, "{report:?}");
-        assert_eq!(report.worker_respawns, report.jobs_cancelled, "{report:?}");
-        assert_eq!(report.dynamic_timeouts, 0, "{report:?}");
-        assert_eq!(report.helper_wait_timeouts, 0, "{report:?}");
+        assert!(report.counts.jobs_cancelled > 0, "{report:?}");
+        assert_eq!(
+            report.counts.worker_respawns, report.counts.jobs_cancelled,
+            "{report:?}"
+        );
+        assert_eq!(report.counts.dynamic_timeouts, 0, "{report:?}");
+        assert_eq!(report.counts.helper_wait_timeouts, 0, "{report:?}");
     }
 
     /// A worker that writes what is not a frame is read by the real
@@ -1730,13 +1683,13 @@ mod tests {
         cfg.check_every = 1;
         let report = run(&cfg, &site).expect("garbage run");
         assert!(report.server_errors > 0, "{report:?}");
-        assert!(report.worker_respawns > 0, "{report:?}");
+        assert!(report.counts.worker_respawns > 0, "{report:?}");
         // One worker-wait sample per exchange, one retirement each.
         assert_eq!(
-            report.worker_respawns, report.hist_worker_wait.count,
+            report.counts.worker_respawns, report.counts.worker_wait.count,
             "{report:?}"
         );
-        assert_eq!(report.dynamic_timeouts, 0, "{report:?}");
+        assert_eq!(report.counts.dynamic_timeouts, 0, "{report:?}");
     }
 
     #[test]

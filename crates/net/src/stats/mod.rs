@@ -1,15 +1,20 @@
-//! The **metrics registry**: one place that knows every counter,
+//! The **metrics registry**: one table that declares every counter,
 //! gauge, and latency histogram the server maintains, so the
-//! aggregated [`ServerStats`] getters, the Prometheus
-//! text exposition, and the JSON export all read through the same
-//! descriptors and cannot drift apart.
+//! per-shard fields, the aggregated [`ServerStats`] getters, the
+//! Prometheus text exposition, the JSON export and the sim's report
+//! are all generated from the same line and cannot drift apart.
 //!
-//! Scalars live as plain `AtomicU64` fields on
-//! [`crate::conn::ShardStats`] (one instance per shard, written with
-//! relaxed ordering on the hot path, merged on read). Each field is
-//! described once in [`REGISTRY`] — name, kind, merge rule, help —
-//! and read through a function pointer, so adding a counter without
-//! registering it is a one-line diff away from being export-visible.
+//! Adding a metric is one table line (the `metrics!` invocation
+//! below): its doc, its name, and for a scalar its [`Kind`],
+//! [`MergeRule`] and `# HELP` string, for a histogram its `# HELP`.
+//! From it the macro generates the [`ShardStats`] field, the [`Desc`]
+//! in [`REGISTRY`] (or the [`HistDesc`] in [`HIST_REGISTRY`]), the
+//! [`ServerStats`] getter of the same name, and the slot in the
+//! [`Counts`] snapshot. There is no other declaration to keep in step.
+//!
+//! Scalars live as plain `AtomicU64` fields on [`ShardStats`] (one
+//! instance per shard, written with relaxed ordering on the hot path,
+//! merged on read by their rule).
 //!
 //! Latencies use [`Histogram`]: 64 power-of-two buckets over
 //! nanoseconds, each a plain `AtomicU64`. Recording is a single
@@ -24,8 +29,6 @@ mod server_stats;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-use crate::conn::ShardStats;
 
 pub use server_stats::ServerStats;
 
@@ -188,154 +191,350 @@ pub enum MergeRule {
     Max,
 }
 
-/// One scalar metric: its export identity plus how to read it off a
-/// [`ShardStats`]. Every `AtomicU64` field on `ShardStats` has exactly
-/// one `Desc` in [`REGISTRY`]; the `ServerStats` getters read through
-/// these same descriptors.
+/// One scalar metric: its export identity plus the [`ShardStats`]
+/// field it lives in.
 pub struct Desc {
-    /// Export name (also the JSON key; prefixed `flash_` in the
-    /// Prometheus exposition).
+    /// Export name — also the JSON key, the [`ShardStats`] field and
+    /// the [`ServerStats`] getter; prefixed `flash_` in the Prometheus
+    /// exposition.
     pub name: &'static str,
     pub kind: Kind,
     pub merge: MergeRule,
     /// One-line help string (`# HELP` in the exposition).
     pub help: &'static str,
-    read: fn(&ShardStats) -> u64,
+    cell: fn(&ShardStats) -> &AtomicU64,
 }
 
 impl Desc {
-    /// This metric's value on one shard.
-    pub fn read_one(&self, s: &ShardStats) -> u64 {
-        (self.read)(s)
+    /// This metric's counter on one shard.
+    pub fn cell<'a>(&self, s: &'a ShardStats) -> &'a AtomicU64 {
+        (self.cell)(s)
     }
 
     /// The server-wide value: per-shard values combined by the merge
     /// rule.
     pub fn merged(&self, shards: &[Arc<ShardStats>]) -> u64 {
-        let vals = shards.iter().map(|s| (self.read)(s));
-        match self.merge {
+        let vals = shards.iter().map(|s| self.cell(s).load(Ordering::Relaxed));
+        self.merge.fold(vals)
+    }
+}
+
+impl MergeRule {
+    /// Combines per-shard values into the server-wide one.
+    fn fold(self, vals: impl Iterator<Item = u64>) -> u64 {
+        match self {
             MergeRule::Sum => vals.sum(),
             MergeRule::Max => vals.max().unwrap_or(0),
         }
     }
 }
 
-macro_rules! registry {
-    ($( $konst:ident / $field:ident : $kind:ident, $merge:ident, $help:expr; )+) => {
-        $(
-            pub const $konst: Desc = Desc {
-                name: stringify!($field),
-                kind: Kind::$kind,
-                merge: MergeRule::$merge,
-                help: $help,
-                read: |s: &ShardStats| s.$field.load(Ordering::Relaxed),
-            };
-        )+
-        /// Every scalar metric the server maintains, in export order.
-        pub static REGISTRY: &[Desc] = &[ $( $konst ),+ ];
-    };
-}
-
-registry! {
-    REQUESTS / requests: Counter, Sum, "Completed responses (any status), excluding /.flash/ endpoint responses";
-    METRICS_REQUESTS / metrics_requests: Counter, Sum, "Responses served by the /.flash/metrics and /.flash/stats endpoints";
-    ACCEPTED / accepted: Counter, Sum, "Connections accepted and dealt to shards";
-    HELPER_JOBS / helper_jobs: Counter, Sum, "Jobs dispatched through the helper port: misses and revalidations after coalescing, and dynamic requests";
-    INLINE_JOBS / inline_jobs: Counter, Sum, "Jobs the dispatching driver ran itself with no helper hand-off: memory-resident misses, and dynamic exchanges on a shard's own workers";
-    OPEN_FILE_HITS / open_file_hits: Counter, Sum, "Loads answered from the open-file table: no path lookup, an fstat and a read of a descriptor already held";
-    OPEN_FILES / open_files: Gauge, Sum, "Descriptors the shards' open-file tables hold now";
-    CACHE_HITS / cache_hits: Counter, Sum, "Responses served from the per-shard content cache";
-    WRITEV_CALLS / writev_calls: Counter, Sum, "Gathered writev(2) calls issued on the send path";
-    READ_CALLS / read_calls: Counter, Sum, "Transport reads issued by the connection core (read(2) on sockets, EAGAIN included)";
-    ACCEPT_CALLS / accept_calls: Counter, Sum, "accept4(2) calls issued by the shards on their own listeners, EAGAIN included";
-    CTL_CALLS / ctl_calls: Counter, Sum, "Interest-set calls (register, modify, rearm, deregister) the shard drivers made on their readiness backends";
-    WORKER_IO_CALLS / worker_io_calls: Counter, Sum, "read(2) and write(2) calls the shards issued on their application workers' sockets";
-    SENDFILE_CALLS / sendfile_calls: Counter, Sum, "sendfile(2) calls issued on the large-body path";
-    BYTES_SENDFILE / bytes_sendfile: Counter, Sum, "Body bytes transmitted via sendfile(2)";
-    CACHE_USED_BYTES / cache_used_bytes: Gauge, Sum, "Bytes currently resident in the content caches";
-    WAIT_CALLS / wait_calls: Counter, Sum, "Readiness wait calls issued by the shard loops";
-    WAIT_EVENTS / wait_events: Counter, Sum, "Readiness events returned by those waits";
-    IDLE_REAPED / idle_reaped: Counter, Sum, "Keep-alive connections closed by the idle deadline";
-    READ_TIMEOUTS / read_timeouts: Counter, Sum, "Connections closed by the header-read deadline";
-    WRITE_STALL_TIMEOUTS / write_stall_timeouts: Counter, Sum, "Connections closed by the write-progress deadline";
-    NOT_MODIFIED / not_modified: Counter, Sum, "304 Not Modified responses served to conditional requests";
-    RANGE_REQUESTS / range_requests: Counter, Sum, "Well-formed single-range requests reaching a file response (satisfiable or not)";
-    RANGE_UNSATISFIABLE / range_unsatisfiable: Counter, Sum, "Range requests answered 416 because no byte of the representation was addressable";
-    ACCEPT_BACKPRESSURE / accept_backpressure: Counter, Sum, "Accept throttles from fd exhaustion or accept failure";
-    REVALIDATIONS / revalidations: Counter, Sum, "Cache re-stats confirming an entry past its TTL still matches";
-    STALE_EVICTED / stale_evicted: Counter, Sum, "Cache entries evicted because a re-stat saw them change";
-    HELPER_WAIT_TIMEOUTS / helper_wait_timeouts: Counter, Sum, "Waiting connections closed by the helper-completion deadline";
-    JOBS_CANCELLED / jobs_cancelled: Counter, Sum, "In-flight helper jobs cancelled after their last waiter left";
-    DYNAMIC_REQUESTS / dynamic_requests: Counter, Sum, "Requests routed to the dynamic tier by the configured prefix";
-    WORKER_RESPAWNS / worker_respawns: Counter, Sum, "Application workers retired (crashed, garbled, out of turn, or cancelled) and replaced";
-    DYNAMIC_TIMEOUTS / dynamic_timeouts: Counter, Sum, "Dynamic requests that hit dynamic_deadline (504 pre-header, severed mid-stream)";
-    DRAINING / draining: Gauge, Sum, "Shards currently in drain mode";
-    DRAINED_CONNS / drained_conns: Counter, Sum, "Connections retired by a drain";
-    LOOP_STALLS / loop_stalls: Counter, Sum, "Event-loop iterations whose non-wait time reached the 100 ms stall threshold";
-    LOOP_STALL_MAX_US / loop_stall_max_us: Gauge, Max, "High-water mark of per-iteration non-wait loop time, microseconds";
-    PHASE_WAIT_US / phase_wait_us: Counter, Sum, "Cumulative microseconds spent blocked in readiness wait";
-    PHASE_ACCEPT_US / phase_accept_us: Counter, Sum, "Cumulative microseconds spent accepting connections";
-    PHASE_READ_US / phase_read_us: Counter, Sum, "Cumulative microseconds spent driving readiness events";
-    PHASE_RESPOND_US / phase_respond_us: Counter, Sum, "Cumulative microseconds spent on a wake applying the completion queue and driving the connections it answered";
-    PHASE_COMPLETIONS_US / phase_completions_us: Counter, Sum, "Cumulative microseconds spent on a wake taking helper replies into the completion queue";
-    PHASE_TIMERS_US / phase_timers_us: Counter, Sum, "Cumulative microseconds spent expiring deadline timers";
-}
-
-/// One latency histogram: export identity plus how to read it off a
-/// [`ShardStats`].
+/// One latency histogram: its export identity plus the [`ShardStats`]
+/// field it lives in.
 pub struct HistDesc {
-    /// Export name; values are nanoseconds.
+    /// Export name: the [`ShardStats`] field and [`ServerStats`] getter
+    /// with `_nanos` appended; values are nanoseconds.
     pub name: &'static str,
     pub help: &'static str,
-    read: fn(&ShardStats) -> &Histogram,
+    cell: fn(&ShardStats) -> &Histogram,
 }
 
 impl HistDesc {
+    /// This histogram on one shard.
+    pub fn cell<'a>(&self, s: &'a ShardStats) -> &'a Histogram {
+        (self.cell)(s)
+    }
+
     /// Per-shard snapshots merged bucket-wise into the server-wide
     /// histogram.
     pub fn merged(&self, shards: &[Arc<ShardStats>]) -> HistSnapshot {
-        let mut total = HistSnapshot::default();
-        for s in shards {
-            total.merge(&(self.read)(s).snapshot());
-        }
-        total
+        merge_hists(shards.iter().map(|s| self.cell(s)))
     }
 }
 
-pub const HIST_REQUEST: HistDesc = HistDesc {
-    name: "request_latency_nanos",
-    help: "Request latency: request parsed to final response byte queued for the transport",
-    read: |s: &ShardStats| &s.hist_request,
-};
-pub const HIST_TTFB: HistDesc = HistDesc {
-    name: "ttfb_nanos",
-    help: "Time to first byte: request parsed to first response byte accepted by the transport",
-    read: |s: &ShardStats| &s.hist_ttfb,
-};
-pub const HIST_HELPER_WAIT: HistDesc = HistDesc {
-    name: "helper_wait_nanos",
-    help: "Helper-job wait: connection parked Waiting to its completion delivered",
-    read: |s: &ShardStats| &s.hist_helper_wait,
-};
-pub const HIST_WORKER_WAIT: HistDesc = HistDesc {
-    name: "worker_wait_nanos",
-    help: "Worker wait: dynamic request dispatched to first worker event delivered",
-    read: |s: &ShardStats| &s.hist_worker_wait,
-};
-pub const HIST_LIFETIME: HistDesc = HistDesc {
-    name: "conn_lifetime_nanos",
-    help: "Connection lifetime: accept to close, any close reason",
-    read: |s: &ShardStats| &s.hist_lifetime,
-};
+fn merge_hists<'a>(hists: impl Iterator<Item = &'a Histogram>) -> HistSnapshot {
+    let mut total = HistSnapshot::default();
+    for h in hists {
+        total.merge(&h.snapshot());
+    }
+    total
+}
 
-/// Every latency histogram the server maintains, in export order.
-pub static HIST_REGISTRY: &[HistDesc] = &[
-    HIST_REQUEST,
-    HIST_TTFB,
-    HIST_HELPER_WAIT,
-    HIST_WORKER_WAIT,
-    HIST_LIFETIME,
-];
+/// Expands the table of metrics below. Each counter or gauge entry is
+/// `doc name: Kind, MergeRule, "HELP";`, each histogram entry
+/// `doc name: "HELP";`, and each generates, from that one line:
+///
+/// * its [`ShardStats`] field (an `AtomicU64`, or a [`Histogram`]);
+/// * its [`Desc`] in [`REGISTRY`] (or [`HistDesc`] in
+///   [`HIST_REGISTRY`], exported as `<name>_nanos`), in table order;
+/// * its [`ServerStats`] getter of the same name, merged by its rule;
+/// * its slot in [`Counts`] (a [`HistSummary`] for a histogram).
+macro_rules! metrics {
+    (
+        counters { $( $(#[$doc:meta])* $name:ident: $kind:ident, $merge:ident, $help:literal; )+ }
+        histograms { $( $(#[$hdoc:meta])* $hist:ident: $hhelp:literal; )+ }
+    ) => {
+        /// Live metrics of one event-loop shard (real or simulated) or
+        /// of an MT server: atomics, so readers on other threads need
+        /// no lock, written with relaxed ordering on the request path
+        /// and merged on read ([`ServerStats`]).
+        #[derive(Debug, Default)]
+        pub struct ShardStats {
+            $( $(#[$doc])* pub $name: AtomicU64, )+
+            $( $(#[$hdoc])* pub $hist: Histogram, )+
+        }
+
+        /// A plain-value copy of one [`ShardStats`]: every counter and
+        /// gauge, and a [`HistSummary`] of every histogram. `Eq`, so two
+        /// same-seed sim reports compare over every metric.
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct Counts {
+            $( $(#[$doc])* pub $name: u64, )+
+            $( $(#[$hdoc])* pub $hist: HistSummary, )+
+        }
+
+        impl ShardStats {
+            /// This shard's metrics as plain values.
+            pub fn counts(&self) -> Counts {
+                Counts {
+                    $( $name: self.$name.load(Ordering::Relaxed), )+
+                    $( $hist: self.$hist.snapshot().summary(), )+
+                }
+            }
+        }
+
+        /// Every scalar metric the server maintains, in export order.
+        pub static REGISTRY: &[Desc] = &[$(
+            Desc {
+                name: stringify!($name),
+                kind: Kind::$kind,
+                merge: MergeRule::$merge,
+                help: $help,
+                cell: |s: &ShardStats| &s.$name,
+            },
+        )+];
+
+        /// Every latency histogram the server maintains, in export order.
+        pub static HIST_REGISTRY: &[HistDesc] = &[$(
+            HistDesc {
+                name: concat!(stringify!($hist), "_nanos"),
+                help: $hhelp,
+                cell: |s: &ShardStats| &s.$hist,
+            },
+        )+];
+
+        impl ServerStats {
+            $(
+                $(#[$doc])*
+                #[doc = ""]
+                #[doc = concat!("Server-wide: merged across shards by [`MergeRule::", stringify!($merge), "`].")]
+                pub fn $name(&self) -> u64 {
+                    MergeRule::$merge.fold(self.shards.iter().map(|s| s.$name.load(Ordering::Relaxed)))
+                }
+            )+
+            $(
+                $(#[$hdoc])*
+                #[doc = ""]
+                #[doc = "Server-wide: merged bucket-wise across shards."]
+                pub fn $hist(&self) -> HistSnapshot {
+                    merge_hists(self.shards.iter().map(|s| &s.$hist))
+                }
+            )+
+        }
+
+        // Each getter under its metric's name, for the test that every
+        // view of a metric agrees. Each shares a line with its
+        // attribute: `driver_audit.rs` counts product lines up to the
+        // first line that is `#[cfg(test)]` alone.
+        #[cfg(test)] const GETTERS: &[(&str, fn(&ServerStats) -> u64)] =
+            &[$((stringify!($name), ServerStats::$name)),+];
+        #[cfg(test)] const HIST_GETTERS: &[(&str, fn(&ServerStats) -> HistSnapshot)] =
+            &[$((stringify!($hist), ServerStats::$hist)),+];
+    };
+}
+
+metrics! {
+    counters {
+        /// Completed responses (any status), excluding `/.flash/` endpoint
+        /// responses, which count under `metrics_requests`.
+        requests: Counter, Sum, "Completed responses (any status), excluding /.flash/ endpoint responses";
+        /// Responses served by the `/.flash/metrics` and `/.flash/stats`
+        /// endpoints — kept out of `requests`, so scraping never perturbs
+        /// the workload counters it reports.
+        metrics_requests: Counter, Sum, "Responses served by the /.flash/metrics and /.flash/stats endpoints";
+        /// Connections the shard accepted from its listener — its own
+        /// kernel socket (reuseport mode) or the shared one (single mode).
+        /// Shards accept for themselves: nothing is dealt to them.
+        accepted: Counter, Sum, "Connections the shards accepted from their listeners";
+        /// Jobs the core dispatched through its [`crate::conn::HelperPort`]:
+        /// content-cache misses and revalidations after coalescing, and one
+        /// per dynamic request. How many of them a helper thread actually
+        /// ran is `helper_jobs - inline_jobs`.
+        helper_jobs: Counter, Sum, "Jobs dispatched through the helper port: misses and revalidations after coalescing, and dynamic requests";
+        /// The subset of `helper_jobs` the driver ran itself, with no
+        /// hand-off and no helper: a miss the residency test found in
+        /// memory, completed in the loop turn that dispatched it, and every
+        /// dynamic exchange a shard opened on one of its own workers
+        /// (counted when the request line is written). Jobs actually handed
+        /// to the pool = `helper_jobs - inline_jobs` — on warm dynamic
+        /// traffic, none. On MT, where the dispatching thread runs every
+        /// job, the two are equal.
+        inline_jobs: Counter, Sum, "Jobs the dispatching driver ran itself with no helper hand-off: memory-resident misses, and dynamic exchanges on a shard's own workers";
+        /// The subset of `inline_jobs` loads answered from the open-file
+        /// table: no path lookup, an `fstat` and a read of the descriptor
+        /// the table already held.
+        open_file_hits: Counter, Sum, "Loads answered from the open-file table: no path lookup, an fstat and a read of a descriptor already held";
+        /// Gauge: descriptors the open-file table holds now.
+        open_files: Gauge, Sum, "Descriptors the shards' open-file tables hold now";
+        /// Responses served from the content cache.
+        cache_hits: Counter, Sum, "Responses served from the per-shard content cache";
+        /// Gathered writes issued on the send path:
+        /// [`crate::conn::ConnIo::writev`] calls that moved bytes — one
+        /// `writev(2)` each on the shards. On MT a flush is issued as one
+        /// `write(2)` per segment (four for a cache hit) until the
+        /// gathered-write follow-up (ROADMAP), so there the counter counts
+        /// flushes, not syscalls.
+        writev_calls: Counter, Sum, "Gathered writev(2) calls issued on the send path";
+        /// [`crate::conn::ConnIo::read`] calls the core issued — `read(2)`s
+        /// on the real transport, `EAGAIN` ones included. On MT the
+        /// blocking `read(2)` happens before the drive and the core's read
+        /// hands over what it took, one for one; the driver adds the ones
+        /// that timed out empty, so there too the counter is `read(2)`
+        /// calls.
+        read_calls: Counter, Sum, "Transport reads issued by the connection core (read(2) on sockets, EAGAIN included)";
+        /// `accept4(2)` calls the shard issued on its listener, `EAGAIN`
+        /// ones included — in single mode that is one for every sibling
+        /// that woke for an arrival and lost the race.
+        accept_calls: Counter, Sum, "accept4(2) calls issued by the shards on their own listeners, EAGAIN included";
+        /// Interest-set calls the shard driver made on its readiness
+        /// backend (`register`, `modify`, `rearm`, `deregister`) — one
+        /// `epoll_ctl(2)` each on epoll, a table edit and no system call on
+        /// poll. An application worker costs one when it is adopted and one
+        /// when it is retired, none per request; a parked request costs its
+        /// connection none on epoll (the registration does not change) and
+        /// two table edits on poll (`READ` → `HANGUP` → `READ`).
+        ctl_calls: Counter, Sum, "Interest-set calls (register, modify, rearm, deregister) the shard drivers made on their readiness backends";
+        /// `read(2)`s and `write(2)`s the shard issued on its application
+        /// workers' sockets: a warm dynamic request whose worker answers in
+        /// one write is exactly two, the request line out and the frames
+        /// in. Zero on MT, whose connection threads block in the exchange
+        /// uncounted.
+        worker_io_calls: Counter, Sum, "read(2) and write(2) calls the shards issued on their application workers' sockets";
+        /// `sendfile(2)` calls issued on the large-body path.
+        sendfile_calls: Counter, Sum, "sendfile(2) calls issued on the large-body path";
+        /// Body bytes transmitted via `sendfile(2)` (page cache → socket,
+        /// never through userspace).
+        bytes_sendfile: Counter, Sum, "Body bytes transmitted via sendfile(2)";
+        /// Gauge: bytes resident in the content cache now (refreshed after
+        /// every insert). Large-body responses leave it untouched.
+        cache_used_bytes: Gauge, Sum, "Bytes currently resident in the content caches";
+        /// Readiness `wait` calls the shard issued.
+        wait_calls: Counter, Sum, "Readiness wait calls issued by the shard loops";
+        /// Readiness events those waits returned; per `wait_calls`, how
+        /// much work each wait amortizes.
+        wait_events: Counter, Sum, "Readiness events returned by those waits";
+        /// Keep-alive connections closed by the idle deadline (no request
+        /// in flight).
+        idle_reaped: Counter, Sum, "Keep-alive connections closed by the idle deadline";
+        /// Connections closed by the header-read deadline (slow or silent
+        /// request senders).
+        read_timeouts: Counter, Sum, "Connections closed by the header-read deadline";
+        /// Connections closed by the write-progress deadline (peers that
+        /// stopped draining a response).
+        write_stall_timeouts: Counter, Sum, "Connections closed by the write-progress deadline";
+        /// `304 Not Modified` responses served to conditional requests.
+        not_modified: Counter, Sum, "304 Not Modified responses served to conditional requests";
+        /// Requests carrying a well-formed single-range `Range` header
+        /// that reached a file response (satisfiable or not).
+        range_requests: Counter, Sum, "Well-formed single-range requests reaching a file response (satisfiable or not)";
+        /// `416 Range Not Satisfiable` responses (`Content-Range: bytes
+        /// */len`).
+        range_unsatisfiable: Counter, Sum, "Range requests answered 416 because no byte of the representation was addressable";
+        /// Times the shard's listener was throttled by fd exhaustion
+        /// (`EMFILE`/`ENFILE`) or another accept failure — read interest
+        /// dropped, re-armed once a connection slot frees.
+        accept_backpressure: Counter, Sum, "Accept throttles from fd exhaustion or accept failure";
+        /// Cache hits past the revalidation TTL whose re-stat confirmed
+        /// the entry still matches the file (served, TTL clock restarted).
+        revalidations: Counter, Sum, "Cache re-stats confirming an entry past its TTL still matches";
+        /// Cache entries evicted because a revalidation re-stat saw a
+        /// different mtime or size (the file changed or vanished) — the
+        /// stale bytes were dropped instead of served.
+        stale_evicted: Counter, Sum, "Cache entries evicted because a re-stat saw them change";
+        /// `Waiting` connections closed by the helper-completion deadline
+        /// — their helper or disk wedged; the late completion, if it ever
+        /// arrives, is discarded by its stale token.
+        helper_wait_timeouts: Counter, Sum, "Waiting connections closed by the helper-completion deadline";
+        /// In-flight helper jobs cancelled because their last waiter was
+        /// reaped by a deadline or went away — its connection closed, or
+        /// its client hung up on a request parked on an application worker
+        /// (a client abort): the cancel flag was raised and the pending
+        /// entry dropped, so the job is skipped if still queued and its
+        /// completion (if it already ran) dies on token mismatch — never
+        /// populating the cache, never waking a reused slot.
+        jobs_cancelled: Counter, Sum, "In-flight helper jobs cancelled after their last waiter left";
+        /// Requests routed to the dynamic tier (matched the configured
+        /// prefix), whether they completed, timed out, or crashed.
+        dynamic_requests: Counter, Sum, "Requests routed to the dynamic tier by the configured prefix";
+        /// Application workers retired — killed, reaped, and replaced when
+        /// next needed: crashes (EOF before the protocol's END), garbled
+        /// or out-of-turn output, and kills of workers whose exchange was
+        /// cancelled (the deadline fired, or the client went away).
+        worker_respawns: Counter, Sum, "Application workers retired (crashed, garbled, out of turn, or cancelled) and replaced";
+        /// Dynamic requests that hit `dynamic_deadline`: answered `504`
+        /// before headers went out, severed mid-stream after.
+        dynamic_timeouts: Counter, Sum, "Dynamic requests that hit dynamic_deadline (504 pre-header, severed mid-stream)";
+        /// Gauge: 1 while the shard is in drain mode (listener quiesced,
+        /// serving out existing connections), 0 otherwise; server-wide,
+        /// the shards draining now.
+        draining: Gauge, Sum, "Shards currently in drain mode";
+        /// Connections retired *by the drain*: idle keep-alive
+        /// connections closed at drain entry plus keep-alive connections
+        /// closed after their final response went out whole.
+        drained_conns: Counter, Sum, "Connections retired by a drain";
+        /// Event-loop iterations whose non-wait time reached the stall
+        /// threshold (100 ms) — the direct "did the AMPED loop block?"
+        /// probe.
+        loop_stalls: Counter, Sum, "Event-loop iterations whose non-wait time reached the 100 ms stall threshold";
+        /// Gauge: high-water mark of per-iteration non-wait loop time, in
+        /// microseconds (server-wide, the worst shard's).
+        loop_stall_max_us: Gauge, Max, "High-water mark of per-iteration non-wait loop time, microseconds";
+        /// Cumulative microseconds the loop spent blocked in readiness
+        /// wait (the only phase *allowed* to block).
+        phase_wait_us: Counter, Sum, "Cumulative microseconds spent blocked in readiness wait";
+        /// Cumulative microseconds spent accepting connections.
+        phase_accept_us: Counter, Sum, "Cumulative microseconds spent accepting connections";
+        /// Cumulative microseconds spent driving readiness events.
+        phase_read_us: Counter, Sum, "Cumulative microseconds spent driving readiness events";
+        /// Cumulative microseconds spent on a wake applying the completion
+        /// queue and driving the connections it answered. Answers settled
+        /// after a drive or a worker's event count in the phase that drove
+        /// or read.
+        phase_respond_us: Counter, Sum, "Cumulative microseconds spent on a wake applying the completion queue and driving the connections it answered";
+        /// Cumulative microseconds spent on a wake taking the helpers'
+        /// replies into the completion queue (and adopting spawned
+        /// workers).
+        phase_completions_us: Counter, Sum, "Cumulative microseconds spent on a wake taking helper replies into the completion queue";
+        /// Cumulative microseconds spent expiring deadline timers.
+        phase_timers_us: Counter, Sum, "Cumulative microseconds spent expiring deadline timers";
+    }
+    histograms {
+        /// Request latency: request parsed → final response byte queued
+        /// for the transport.
+        request_latency: "Request latency: request parsed to final response byte queued for the transport";
+        /// Time to first byte: request parsed → first response byte
+        /// accepted by the transport.
+        ttfb: "Time to first byte: request parsed to first response byte accepted by the transport";
+        /// Helper-job wait: connection parked `Waiting` → completion
+        /// delivered.
+        helper_wait: "Helper-job wait: connection parked Waiting to its completion delivered";
+        /// Worker wait: dynamic request dispatched → first worker event
+        /// (first chunk or an immediate end) delivered.
+        worker_wait: "Worker wait: dynamic request dispatched to first worker event delivered";
+        /// Connection lifetime: accept → close, any close reason.
+        conn_lifetime: "Connection lifetime: accept to close, any close reason";
+    }
+}
 
 /// Renders the full registry in the Prometheus text exposition format
 /// (`text/plain; version=0.0.4`): every scalar as
@@ -700,23 +899,75 @@ mod tests {
         }
     }
 
+    /// Two shards hold distinct values for every metric; each metric's
+    /// getter, its Prometheus sample and its JSON key all read the
+    /// value its rule merges: the sum, or the larger for the one
+    /// high-water gauge.
     #[test]
     fn renderers_cover_every_metric() {
-        let shards = vec![Arc::new(ShardStats::default())];
-        shards[0].requests.fetch_add(7, Ordering::Relaxed);
-        shards[0].hist_request.record(1500);
+        let shards = vec![
+            Arc::new(ShardStats::default()),
+            Arc::new(ShardStats::default()),
+        ];
+        let stats = ServerStats::new(shards.clone());
+        assert_eq!(GETTERS.len(), REGISTRY.len());
+        for (i, d) in (0u64..).zip(REGISTRY) {
+            let (a, b) = (1000 + 2 * i, 3 * i + 7);
+            d.cell(&shards[0]).store(a, Ordering::Relaxed);
+            d.cell(&shards[1]).store(b, Ordering::Relaxed);
+        }
+        for (i, h) in (0u32..).zip(HIST_REGISTRY) {
+            for _ in 0..=i {
+                h.cell(&shards[0]).record(1 << (10 + i));
+            }
+            h.cell(&shards[1]).record(3 << (20 + i));
+        }
         let prom = render_prometheus(&shards);
         let json = render_json(&shards);
-        for d in REGISTRY {
-            assert!(prom.contains(&format!("flash_{} ", d.name)), "{}", d.name);
-            assert!(json.contains(&format!("\"{}\":", d.name)), "{}", d.name);
+        let json_has = |entry: String| {
+            json.lines()
+                .any(|l| l.trim().trim_end_matches(',') == entry)
+        };
+        for ((i, d), (getter, get)) in (0u64..).zip(REGISTRY).zip(GETTERS) {
+            let (a, b) = (1000 + 2 * i, 3 * i + 7);
+            let want = if d.name == "loop_stall_max_us" {
+                a.max(b)
+            } else {
+                a + b
+            };
+            assert_eq!(*getter, d.name);
+            assert_eq!(get(&stats), want, "{}", d.name);
+            assert!(
+                prom.lines()
+                    .any(|l| l == format!("flash_{} {want}", d.name)),
+                "{}",
+                d.name
+            );
+            assert!(json_has(format!("\"{}\": {want}", d.name)), "{}", d.name);
         }
-        for h in HIST_REGISTRY {
-            assert!(prom.contains(&format!("flash_{}_count", h.name)));
-            assert!(json.contains(&format!("\"{}\":", h.name)));
+        assert_eq!(HIST_GETTERS.len(), HIST_REGISTRY.len());
+        for ((i, h), (getter, get)) in (0u64..).zip(HIST_REGISTRY).zip(HIST_GETTERS) {
+            let (count, sum) = (i + 2, (i + 1) * (1 << (10 + i)) + (3 << (20 + i)));
+            assert_eq!(h.name.strip_suffix("_nanos"), Some(*getter));
+            let snap = get(&stats);
+            assert_eq!((snap.count(), snap.sum), (count, sum), "{}", h.name);
+            assert_eq!(snap, h.merged(&shards), "{}", h.name);
+            assert!(prom
+                .lines()
+                .any(|l| l == format!("flash_{}_count {count}", h.name)));
+            assert!(prom
+                .lines()
+                .any(|l| l == format!("flash_{}_sum {sum}", h.name)));
+            let digest = format!(
+                "\"{}\": {{\"count\": {count}, \"sum_nanos\": {sum},",
+                h.name
+            );
+            assert!(
+                json.lines().any(|l| l.trim().starts_with(&digest)),
+                "{}",
+                h.name
+            );
         }
-        assert!(prom.contains("flash_requests 7"));
-        assert!(prom.contains("flash_request_latency_nanos_count 1"));
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! workers that talk behind their `END`, cancelled exchanges losing
 //! their worker at once — a client that leaves, mid-stream or before a
 //! word, cancels its exchange, and one that half-closes behind an
-//! unanswered request has aborted it — and the `/.flash/*` endpoints keeping
+//! unanswered request has aborted it — control bytes in a path refused
+//! before they reach a worker, and the `/.flash/*` endpoints keeping
 //! precedence over a dynamic prefix. (What the process is left holding
 //! afterwards — children, threads, descriptors — is counted in
 //! `worker_leak.rs`, a process of its own.)
@@ -710,6 +711,45 @@ fn run_metrics_not_shadowed_by_dynamic_prefix(tag: &str, backend: BackendChoice,
     let _ = std::fs::remove_dir_all(root);
 }
 
+/// A control byte decoded out of a path — a `%0A` that would split
+/// the worker's request line, a `%0D`, a NUL, a DEL — is refused by the
+/// parser with a `400` before any tier sees it: no worker answers
+/// twice or is retired for it, and each refusal is one access-log line
+/// that forges no other.
+fn run_control_bytes_in_path_are_refused(tag: &str, backend: BackendChoice, kind: ServerKind) {
+    let root = docroot(tag);
+    let log = root.join("access.log");
+    let server = start(
+        kind,
+        builder(&root, backend)
+            .access_log_path(&log)
+            .build()
+            .unwrap(),
+    );
+    let addr = server.local_addr();
+    let paths = [
+        "/app/x%0Ay",
+        "/app/x%0D%0Ay",
+        "/app/x%00y",
+        "/app/x%7Fy",
+        "/nope%0Aforged%20line",
+    ];
+    for path in paths {
+        let resp = get(addr, &format!("GET {path} HTTP/1.0\r\n\r\n"));
+        let text = String::from_utf8_lossy(&resp).into_owned();
+        assert!(text.starts_with("HTTP/1.1 400 "), "{path}: {text}");
+        assert_eq!(text.matches("HTTP/1.1 ").count(), 1, "{path}: {text}");
+    }
+    let stats = server.stats();
+    assert_eq!(stats.dynamic_requests(), 0);
+    assert_eq!(stats.worker_respawns(), 0);
+    server.stop();
+    let lines = std::fs::read_to_string(&log).unwrap();
+    assert_eq!(lines.lines().count(), paths.len(), "{lines}");
+    assert!(lines.lines().all(|l| l.contains("\"- -\" 400 ")), "{lines}");
+    let _ = std::fs::remove_dir_all(root);
+}
+
 /// Instantiates the battery for one pinned backend × both drivers.
 macro_rules! dynamic_suite {
     ($modname:ident, $backend:expr) => {
@@ -852,6 +892,16 @@ macro_rules! dynamic_suite {
             #[test]
             fn mt_wedged_worker_is_gone_with_its_504() {
                 run_wedged_worker_is_gone_with_its_504(&tag("mt-reap"), $backend, ServerKind::Mt);
+            }
+
+            #[test]
+            fn amped_control_bytes_in_path_are_refused() {
+                run_control_bytes_in_path_are_refused(&tag("ctl"), $backend, ServerKind::Amped);
+            }
+
+            #[test]
+            fn mt_control_bytes_in_path_are_refused() {
+                run_control_bytes_in_path_are_refused(&tag("mt-ctl"), $backend, ServerKind::Mt);
             }
 
             #[test]

@@ -64,7 +64,7 @@ fn main() {
     }
     println!(
         "determinism pair OK: {} conns, fingerprint {:#018x}",
-        a.connections, a.fingerprint
+        a.counts.accepted, a.fingerprint
     );
 
     let mut total_conns = 0u64;
@@ -72,31 +72,31 @@ fn main() {
         let wall = Instant::now();
         let r = sim::run(&SimConfig::new(seed, conns), &site).unwrap_or_else(|e| fail(&e));
         let sim_secs = r.sim_elapsed_nanos as f64 / 1e9;
-        total_conns += r.connections;
+        total_conns += r.counts.accepted;
         println!(
             "sim seed {seed}: {} conns, {} requests, {:.1} MB in {:.1}s simulated \
              ({:.1}s wall, {} events) — jobs {} ({} inline), cancelled {}, reaped {}, \
              304s {}, 500s {}, unanswered {}, worker respawns {}, reloads {}, \
              fingerprint {:#018x}",
-            r.connections,
-            r.requests,
+            r.counts.accepted,
+            r.counts.requests,
             r.bytes as f64 / 1e6,
             sim_secs,
             wall.elapsed().as_secs_f64(),
             r.events,
-            r.helper_jobs,
-            r.inline_jobs,
-            r.jobs_cancelled,
-            r.helper_wait_timeouts,
-            r.not_modified,
+            r.counts.helper_jobs,
+            r.counts.inline_jobs,
+            r.counts.jobs_cancelled,
+            r.counts.helper_wait_timeouts,
+            r.counts.not_modified,
             r.server_errors,
             r.unanswered,
-            r.worker_respawns,
+            r.counts.worker_respawns,
             r.reloads,
             r.fingerprint,
         );
         // The kernel crossings behind those requests, per request.
-        let per_req = |n: u64| n as f64 / r.requests.max(1) as f64;
+        let per_req = |n: u64| n as f64 / r.counts.requests.max(1) as f64;
         let ledger: Vec<String> = r
             .crossings()
             .iter()

@@ -80,6 +80,9 @@ fn the_shipped_shard_loop_replays_bit_for_bit() {
     let a = sim::run(&cfg, &site).expect("invariants hold");
     let b = sim::run(&cfg, &site).expect("invariants hold");
     assert_eq!(a, b, "same seed, same report");
-    assert_eq!(a.connections, 600);
-    assert!(a.requests > 0 && a.dynamic_requests > 0, "{a:?}");
+    assert_eq!(a.counts.accepted, 600);
+    assert!(
+        a.counts.requests > 0 && a.counts.dynamic_requests > 0,
+        "{a:?}"
+    );
 }
