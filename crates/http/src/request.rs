@@ -10,6 +10,12 @@
 //! One that climbs above the root, or that holds a control byte once
 //! decoded — a NUL, a newline, any byte below 0x20, or DEL — is
 //! rejected with a `400`: such names are not served.
+//!
+//! The parser reads no request body. A GET or HEAD that declares one —
+//! any `Transfer-Encoding`, or a `Content-Length` other than `0` — is
+//! refused, not parsed past: its body bytes would otherwise be read as
+//! the next request, which a proxy framing by `Content-Length` never
+//! sent (request smuggling).
 
 use bytes::BytesMut;
 use std::fmt;
@@ -38,15 +44,20 @@ impl Method {
             _ => None,
         }
     }
+
+    /// The method's token, as it appears on the request line.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Method::Get => "GET",
+            Method::Head => "HEAD",
+            Method::Post => "POST",
+        }
+    }
 }
 
 impl fmt::Display for Method {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Method::Get => "GET",
-            Method::Head => "HEAD",
-            Method::Post => "POST",
-        })
+        f.write_str(self.as_str())
     }
 }
 
@@ -265,6 +276,9 @@ pub enum ParseError {
     TooLarge,
     /// A header line had no `:` separator.
     BadHeader,
+    /// A GET or HEAD declared a body: a `Transfer-Encoding`, or a
+    /// `Content-Length` other than `0` (an unparseable one included).
+    UnexpectedBody,
 }
 
 impl fmt::Display for ParseError {
@@ -276,6 +290,7 @@ impl fmt::Display for ParseError {
             ParseError::PathTraversal => "path escapes document root or holds a control byte",
             ParseError::TooLarge => "request header too large",
             ParseError::BadHeader => "malformed header line",
+            ParseError::UnexpectedBody => "GET or HEAD request declares a body",
         };
         f.write_str(s)
     }
@@ -408,6 +423,9 @@ fn parse_header(raw: &[u8]) -> Result<Request, ParseError> {
     let mut if_range = None;
     let mut if_none_match = None;
     let mut accept_gzip = false;
+    // POST is answered `501` and the connection closed, so its body is
+    // never read as a request; any other method may declare none.
+    let bodiless = method != Method::Post;
     for line in lines {
         if line.is_empty() {
             continue;
@@ -415,6 +433,10 @@ fn parse_header(raw: &[u8]) -> Result<Request, ParseError> {
         let (name, value) = line.split_once(':').ok_or(ParseError::BadHeader)?;
         let value = value.trim();
         match name.to_ascii_lowercase().as_str() {
+            "transfer-encoding" if bodiless => return Err(ParseError::UnexpectedBody),
+            "content-length" if bodiless && value.parse::<u64>() != Ok(0) => {
+                return Err(ParseError::UnexpectedBody)
+            }
             "connection" => connection = Some(value.to_ascii_lowercase()),
             "host" => host = Some(value.to_string()),
             "if-modified-since" => if_modified_since = Some(value.to_string()),
@@ -731,6 +753,56 @@ mod tests {
         }
         // The printable neighbours are served.
         assert_eq!(done("GET /a%20b%7E HTTP/1.0\r\n\r\n").path, "/a b~");
+    }
+
+    #[test]
+    fn a_get_or_head_that_declares_a_body_is_refused() {
+        for method in ["GET", "HEAD"] {
+            for header in [
+                "Content-Length: 58",
+                "content-length: 1",
+                "Content-Length: -1",
+                "Content-Length: lots",
+                "Content-Length: ",
+                "Transfer-Encoding: chunked",
+                "Transfer-Encoding: identity",
+            ] {
+                assert_eq!(
+                    parse(&format!("{method} /x HTTP/1.1\r\n{header}\r\n\r\n")),
+                    ParseStatus::Error(ParseError::UnexpectedBody),
+                    "{method} with {header:?}"
+                );
+            }
+            // An empty body is no body.
+            for header in [
+                "Content-Length: 0",
+                "Content-Length:  0 ",
+                "Content-Length: 00",
+            ] {
+                let r = done(&format!("{method} /x HTTP/1.1\r\n{header}\r\n\r\n"));
+                assert_eq!(r.path, "/x", "{method} with {header:?}");
+            }
+        }
+        // POST keeps its own refusal (a `501` that closes), so it parses.
+        let r = done("POST /x HTTP/1.1\r\nContent-Length: 58\r\n\r\n");
+        assert_eq!(r.method, Method::Post);
+    }
+
+    /// The refusal comes before the body is looked at: the smuggled
+    /// request is never returned, and the server closes the connection
+    /// on a parse error, so the bytes behind it are not fed again.
+    #[test]
+    fn a_body_is_never_parsed_as_the_next_request() {
+        let body = "GET /secret.html HTTP/1.1\r\nHost: t\r\n\r\n";
+        let mut p = RequestParser::new();
+        let req = format!(
+            "GET /index.html HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        assert_eq!(
+            p.feed(req.as_bytes()),
+            ParseStatus::Error(ParseError::UnexpectedBody)
+        );
     }
 
     #[test]

@@ -59,7 +59,12 @@ pub fn split_variant_key(key: &str) -> (&str, Variant) {
     }
 }
 
-/// One cached, ready-to-send response.
+/// One representation's ready-to-send response: the pre-rendered
+/// header pair and the validators baked into it, plus the body bytes
+/// when the body is held in memory. A *head* ([`Entry::head`]) is the
+/// same record with no body bytes — the sendfile tier's, whose body
+/// stays in the file — so both tiers keep one response header per
+/// representation, as the paper's response-header cache does (§5.3).
 #[derive(Debug)]
 pub struct Entry {
     /// Pre-rendered, alignment-padded response header (keep-alive form).
@@ -72,7 +77,7 @@ pub struct Entry {
     /// splice in the current date with zero-copy slices instead of
     /// serving the load-time date for the entry's whole cache life.
     date_at: Option<usize>,
-    /// File contents.
+    /// File contents; empty on a head.
     pub body: Bytes,
     /// File mtime (unix seconds) at load time, when the filesystem
     /// reported one — the validator `If-Modified-Since` compares
@@ -93,15 +98,14 @@ pub struct Entry {
 
 /// Renders the pre-padded 200 header pair (keep-alive form, close
 /// form) for a body of `len` bytes at `path` — the one place plain-200
-/// header rendering happens, shared by the cached-entry tier and the
-/// large-body `sendfile` tier so the two can never drift apart. A
-/// known `mtime` (unix seconds) adds a `Last-Modified` field; every
-/// pair carries the representation's `ETag`, gzip variants add
+/// header rendering happens, called by [`Entry::head`] for both body
+/// tiers. A known `mtime` (unix seconds) adds a `Last-Modified` field;
+/// every pair carries the representation's `ETag`, gzip variants add
 /// `Content-Encoding: gzip`, and any negotiated resource (either
 /// variant, when a `.gz` sibling exists) adds `Vary: Accept-Encoding`.
 /// Only the keep-alive form goes through the formatter; the close form
 /// is derived from it ([`ResponseHeader::close_form`]).
-pub fn header_pair(
+fn header_pair(
     path: &str,
     len: u64,
     mtime: Option<i64>,
@@ -143,8 +147,33 @@ impl Entry {
         Self::build_variant(path, body, mtime, Variant::Identity, false)
     }
 
-    /// Builds an entry for one representation of `path`: its variant,
-    /// and whether a gzip sibling exists for the resource.
+    /// Builds the head of one representation of `path` — `len` bytes
+    /// long, its variant, and whether a gzip sibling exists for the
+    /// resource: the header pair and the validators, with no body
+    /// bytes. The sendfile tier serves its body from the file.
+    pub fn head(
+        path: &str,
+        len: u64,
+        mtime: Option<i64>,
+        variant: Variant,
+        has_gzip: bool,
+    ) -> Entry {
+        let (header_keep, header_close, etag) = header_pair(path, len, mtime, variant, has_gzip);
+        let date_at = date_offset(&header_keep, &header_close);
+        Entry {
+            header_keep,
+            header_close,
+            date_at,
+            body: Bytes::new(),
+            mtime,
+            variant,
+            has_gzip,
+            etag,
+        }
+    }
+
+    /// Builds an entry for one representation of `path`: its
+    /// [`Self::head`] plus `body`.
     pub fn build_variant(
         path: &str,
         body: Vec<u8>,
@@ -152,18 +181,10 @@ impl Entry {
         variant: Variant,
         has_gzip: bool,
     ) -> Arc<Entry> {
-        let (header_keep, header_close, etag) =
-            header_pair(path, body.len() as u64, mtime, variant, has_gzip);
-        let date_at = date_offset(&header_keep, &header_close);
+        let head = Self::head(path, body.len() as u64, mtime, variant, has_gzip);
         Arc::new(Entry {
-            header_keep,
-            header_close,
-            date_at,
             body: Bytes::from(body),
-            mtime,
-            variant,
-            has_gzip,
-            etag,
+            ..head
         })
     }
 
@@ -184,9 +205,10 @@ impl Entry {
 
     /// Whether a conditional request bearing this `If-Modified-Since`
     /// value (unix seconds, already parsed) can be answered `304`: the
-    /// file has a known mtime no newer than the validator.
+    /// file has a known mtime no newer than the validator. Both body
+    /// tiers answer through this one rule, on a cached entry or a head.
     pub fn not_modified_since(&self, ims: Option<i64>) -> bool {
-        not_modified_since(self.mtime, ims)
+        matches!((self.mtime, ims), (Some(m), Some(v)) if m <= v)
     }
 
     /// Total cached bytes (headers + body).
@@ -220,14 +242,6 @@ pub(crate) fn push_dated(hdr: &Bytes, date_at: Option<usize>, out: &mut impl Ext
         ]),
         None => out.extend([hdr.clone()]),
     }
-}
-
-/// The `If-Modified-Since` validator rule, shared by both body tiers
-/// (cached entries and the `sendfile` fd path) so their `304` behavior
-/// can never drift apart: not-modified iff the file has a known mtime
-/// no newer than the client's validator (both unix seconds).
-pub fn not_modified_since(mtime: Option<i64>, ims: Option<i64>) -> bool {
-    matches!((mtime, ims), (Some(m), Some(v)) if m <= v)
 }
 
 /// Largest admissible entry, as a divisor of capacity: entries costing
@@ -582,14 +596,38 @@ mod tests {
         }
     }
 
+    /// A head carries what the entry for the same bytes carries, bar
+    /// the bytes: one header pair and one set of validators per
+    /// representation, whichever tier sends the body.
+    #[test]
+    fn a_head_is_an_entry_without_its_body() {
+        let body = b"0123456789".to_vec();
+        let full = Entry::build_variant("/x.html", body, Some(7), Variant::Gzip, true);
+        let head = Entry::head("/x.html", 10, Some(7), Variant::Gzip, true);
+        assert!(head.body.is_empty());
+        assert_eq!(head.etag, full.etag);
+        assert_eq!(
+            (head.mtime, head.variant, head.has_gzip),
+            (Some(7), Variant::Gzip, true)
+        );
+        assert_eq!(head.header_keep.len(), full.header_keep.len());
+        assert_eq!(head.header_close.len(), full.header_close.len());
+        let mut segs: Vec<Bytes> = Vec::new();
+        head.push_header(false, &mut segs);
+        assert_eq!(segs.len(), 3, "a head splices a current date too");
+    }
+
     #[test]
     fn validator_rule_is_shared_and_consistent() {
-        assert!(not_modified_since(Some(5), Some(5)));
-        assert!(not_modified_since(Some(5), Some(9)));
-        assert!(!not_modified_since(Some(5), Some(4)));
-        assert!(!not_modified_since(None, Some(5)));
-        assert!(!not_modified_since(Some(5), None));
-        assert!(!not_modified_since(None, None));
+        let at = |mtime, ims| {
+            Entry::head("/x", 1, mtime, Variant::Identity, false).not_modified_since(ims)
+        };
+        assert!(at(Some(5), Some(5)));
+        assert!(at(Some(5), Some(9)));
+        assert!(!at(Some(5), Some(4)));
+        assert!(!at(None, Some(5)));
+        assert!(!at(Some(5), None));
+        assert!(!at(None, None));
     }
 
     #[test]

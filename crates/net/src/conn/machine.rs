@@ -131,9 +131,10 @@ pub struct Conn<Io: ConnIo> {
     /// is not — draining `out` must park the connection back in
     /// `Waiting` instead of finishing the response.
     pub stream_open: bool,
-    /// Access-log metadata staged for the in-flight response (only
-    /// when access logging is on).
-    pub pending_log: Option<crate::stats::PendingLog>,
+    /// The in-flight request's access-log record, staged at parse
+    /// (only when access logging is on) and completed — bytes and
+    /// latency — when its response finishes.
+    pub log: Option<crate::stats::AccessRecord>,
 }
 
 impl<Io: ConnIo> Conn<Io> {
@@ -161,7 +162,7 @@ impl<Io: ConnIo> Conn<Io> {
             metrics_response: false,
             dynamic: false,
             stream_open: false,
-            pending_log: None,
+            log: None,
         }
     }
 }

@@ -243,7 +243,7 @@ pub struct HelperJob {
 impl HelperJob {
     /// Whether this job was cancelled after dispatch. Executors check
     /// before (and long-running ones, during) the work; a cancelled
-    /// job needs no completion — its pending entry is already gone.
+    /// job needs no completion — the shard has already dropped it.
     pub fn is_cancelled(&self) -> bool {
         self.cancel.load(Ordering::Acquire)
     }
@@ -304,7 +304,7 @@ pub struct LoadResult<F> {
 
 /// One event in a dynamic job's completion stream. A [`JobKind::Dynamic`]
 /// job delivers zero or more `Chunk`s followed by exactly one `End`,
-/// all under the same dispatch token; the pending entry survives until
+/// all under the same dispatch token; the shard's job survives until
 /// the `End` (or a cancellation) retires it.
 #[derive(Debug, Clone)]
 pub enum DynEvent {

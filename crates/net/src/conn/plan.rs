@@ -20,7 +20,7 @@ use flash_http::request::{IfRange, RangeSpec, Request};
 use flash_http::response::{error_body, ContentRange, HeaderExtras, ResponseHeader, Status};
 use flash_http::{etag_matches, mime};
 
-use crate::cache::{self, not_modified_since, Entry, Variant};
+use crate::cache::{self, Entry};
 use crate::stats::Tier;
 
 use super::machine::{Conn, SendFileState};
@@ -64,21 +64,18 @@ impl RequestCond {
 }
 
 /// The representation about to be served, unified across the two
-/// storage tiers so the planner never branches on "cached or fd".
+/// storage tiers so the planner never branches on "cached or fd": both
+/// hold an [`Entry`] for the headers and validators, and differ only in
+/// where the body is.
 pub enum Resource<'a, F> {
     /// A content-cache entry (body resident, headers pre-rendered).
     Cached(&'a Arc<Entry>),
-    /// An open file handle bound for the `sendfile` window seam, with
-    /// the plain-200 header pair pre-rendered once per completion.
+    /// An open file handle of `len` bytes bound for the `sendfile`
+    /// window seam, under its [`Entry::head`].
     File {
+        head: &'a Entry,
         file: &'a F,
         len: u64,
-        mtime: Option<i64>,
-        variant: Variant,
-        has_gzip: bool,
-        etag: &'a str,
-        header_keep: &'a Bytes,
-        header_close: &'a Bytes,
     },
 }
 
@@ -96,31 +93,11 @@ impl<'a, F: Clone> Resource<'a, F> {
         self.len() == 0
     }
 
-    fn mtime(&self) -> Option<i64> {
+    /// The headers and validators, whichever tier holds the body.
+    fn head(&self) -> &Entry {
         match self {
-            Resource::Cached(e) => e.mtime,
-            Resource::File { mtime, .. } => *mtime,
-        }
-    }
-
-    fn etag(&self) -> &str {
-        match self {
-            Resource::Cached(e) => &e.etag,
-            Resource::File { etag, .. } => etag,
-        }
-    }
-
-    fn variant(&self) -> Variant {
-        match self {
-            Resource::Cached(e) => e.variant,
-            Resource::File { variant, .. } => *variant,
-        }
-    }
-
-    fn has_gzip(&self) -> bool {
-        match self {
-            Resource::Cached(e) => e.has_gzip,
-            Resource::File { has_gzip, .. } => *has_gzip,
+            Resource::Cached(e) => e,
+            Resource::File { head, .. } => head,
         }
     }
 
@@ -136,22 +113,6 @@ impl<'a, F: Clone> Resource<'a, F> {
                 offset,
                 len,
             },
-        }
-    }
-
-    /// Queues the pre-rendered plain-200 header (current `Date`).
-    fn push_plain_header(&self, keep: bool, out: &mut Vec<Bytes>) {
-        match self {
-            Resource::Cached(e) => e.push_header(keep, out),
-            Resource::File {
-                header_keep,
-                header_close,
-                ..
-            } => out.push(if keep {
-                (*header_keep).clone()
-            } else {
-                (*header_close).clone()
-            }),
         }
     }
 }
@@ -187,8 +148,8 @@ pub struct ResponsePlan<F> {
     /// Access-log tier (`NotModified` for 304, `Error` for 416, the
     /// caller's serving tier otherwise).
     pub tier: Tier,
-    /// Header segments, queued ahead of the body (plain-200 cached
-    /// headers arrive as zero-copy slices around a fresh date).
+    /// Header segments, queued ahead of the body (a plain `200`'s, on
+    /// either tier, arrives as zero-copy slices around a fresh date).
     pub header: Vec<Bytes>,
     pub body: BodySource<F>,
 }
@@ -208,7 +169,8 @@ pub struct ResponsePlan<F> {
 ///    matching byte window; an unsatisfiable one is a `416` with
 ///    `Content-Range: bytes */total` (keep-alive preserved — the
 ///    connection is fine, the range was not).
-/// 4. Everything else is the plain `200` with the pre-rendered header.
+/// 4. Everything else is the plain `200` with the pre-rendered header
+///    ([`Entry::push_header`]), on either tier.
 ///
 /// `path` is the resource's URL path (content-type only); `body_tier`
 /// is the access-log tier a body-bearing response reports.
@@ -220,13 +182,14 @@ pub fn plan_response<F: Clone>(
     body_tier: Tier,
     stats: &ShardStats,
 ) -> ResponsePlan<F> {
-    let etag = resource.etag();
-    let mtime = resource.mtime();
+    let head = resource.head();
+    let etag = head.etag.as_str();
+    let mtime = head.mtime;
     let total = resource.len();
     // Conditional evaluation: If-None-Match wins outright when present.
     let not_modified = match cond.if_none_match.as_deref() {
         Some(inm) => etag_matches(inm, etag),
-        None => not_modified_since(mtime, cond.if_modified_since),
+        None => head.not_modified_since(cond.if_modified_since),
     };
     if not_modified {
         stats.not_modified.fetch_add(1, Ordering::Relaxed);
@@ -249,8 +212,8 @@ pub fn plan_response<F: Clone>(
         let extras_for = |content_range| HeaderExtras {
             etag: Some(etag),
             content_range: Some(content_range),
-            gzip: resource.variant().is_gzip(),
-            vary_accept_encoding: resource.variant().is_gzip() || resource.has_gzip(),
+            gzip: head.variant.is_gzip(),
+            vary_accept_encoding: head.variant.is_gzip() || head.has_gzip,
         };
         match spec.resolve(total) {
             Some((start, end)) => {
@@ -290,9 +253,10 @@ pub fn plan_response<F: Clone>(
             }
         }
     }
-    // Plain 200: the pre-rendered header pair, full-body window.
+    // Plain 200: the pre-rendered header pair with a current `Date`,
+    // full-body window.
     let mut header = Vec::with_capacity(3);
-    resource.push_plain_header(keep_alive, &mut header);
+    head.push_header(keep_alive, &mut header);
     ResponsePlan {
         status: Status::Ok,
         tier: body_tier,
@@ -379,7 +343,7 @@ pub fn plan_dynamic<F>(keep_alive: bool) -> ResponsePlan<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::variant_key;
+    use crate::cache::{variant_key, Variant};
 
     fn stats() -> ShardStats {
         ShardStats::default()
@@ -492,18 +456,12 @@ mod tests {
 
     #[test]
     fn file_resource_windows_through_sendfile_seam() {
-        let (hk, hc, etag) =
-            crate::cache::header_pair("/big.bin", 100_000, Some(7), Variant::Identity, false);
+        let head = Entry::head("/big.bin", 100_000, Some(7), Variant::Identity, false);
         let file = 42u32;
         let res: Resource<'_, u32> = Resource::File {
+            head: &head,
             file: &file,
             len: 100_000,
-            mtime: Some(7),
-            variant: Variant::Identity,
-            has_gzip: false,
-            etag: &etag,
-            header_keep: &hk,
-            header_close: &hc,
         };
         let s = stats();
         let cond = RequestCond {
@@ -520,6 +478,28 @@ mod tests {
             }
             _ => panic!("file resource must window through sendfile"),
         }
+        // Its plain 200 is its head's, with a current `Date` spliced in
+        // as a cached entry's is, and the whole file behind it.
+        let plan = plan_response(
+            &res,
+            "/big.bin",
+            &RequestCond::default(),
+            false,
+            Tier::Sendfile,
+            &s,
+        );
+        assert!(matches!(plan.status, Status::Ok));
+        assert_eq!(plan.header.len(), 3, "prefix + date + suffix");
+        let joined: Vec<u8> = plan.header.iter().flat_map(|b| b.to_vec()).collect();
+        assert_eq!(joined.len(), head.header_close.len());
+        assert!(matches!(
+            plan.body,
+            BodySource::File {
+                offset: 0,
+                len: 100_000,
+                ..
+            }
+        ));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use flash_http::response::{error_body, ResponseHeader, Status};
 use flash_http::Method;
 
 use crate::cache::{self, CacheHandle, ContentCache, Entry, Lookup, Variant};
-use crate::stats::{self, AccessRecord, PendingLog, Tier};
+use crate::stats::{self, AccessRecord, Tier};
 use crate::timer::TimerWheel;
 
 use super::machine::{flush_out, Conn, ConnState, DeadlineKind, Drive, FlushResult};
@@ -29,16 +29,20 @@ use super::{
     ProtoConfig, ShardStats,
 };
 
-/// The shard's record of one dispatched, not-yet-completed job: the
-/// token a completion must echo to be accepted, and the cancellation
-/// flag raised if every waiter is reaped first.
+/// The shard's one record of a dispatched, not-yet-completed job: the
+/// token a completion must echo to be accepted, the connections parked
+/// on it (coalesced misses share one job; a dynamic request has its
+/// own), and the cancellation flag raised when the last of them leaves.
 pub struct PendingJob {
     pub token: u64,
     pub cancel: Arc<AtomicBool>,
+    /// Slots parked on this job, in arrival order; never empty while
+    /// the job is in [`ShardCore::jobs`].
+    pub waiters: Vec<usize>,
 }
 
-/// Everything one shard's protocol layer owns: its cache, its
-/// miss-coalescing and job-cancellation state, its statistics, and its
+/// Everything one shard's protocol layer owns: its cache, its jobs in
+/// flight with the connections parked on each, its statistics, and its
 /// reload/drain posture. Deliberately **not** generic over the
 /// transport — per-connection transport state lives in each
 /// [`Conn`]; large-body handles pass through transiently. Generic
@@ -49,12 +53,9 @@ pub struct PendingJob {
 pub struct ShardCore<C: CacheHandle = ContentCache> {
     pub shard: usize,
     pub cache: C,
-    /// Connections parked per URL path awaiting a helper completion.
-    pub waiters: HashMap<String, Vec<usize>>,
-    /// In-flight jobs per URL path. Invariant (checkable via
-    /// [`ShardCore::check_invariants`]): a path has a pending job iff
-    /// it has a non-empty waiter list.
-    pub pending_jobs: HashMap<String, PendingJob>,
+    /// Jobs in flight, per variant key (or a dynamic request's
+    /// synthetic `\0dyn:` key), each with the connections it answers.
+    pub jobs: HashMap<String, PendingJob>,
     /// Monotonic per-dispatch token source (see [`HelperJob::token`]).
     next_job_token: u64,
     pub cfg: ProtoConfig,
@@ -99,8 +100,7 @@ impl<C: CacheHandle> ShardCore<C> {
         ShardCore {
             shard,
             cache,
-            waiters: HashMap::new(),
-            pending_jobs: HashMap::new(),
+            jobs: HashMap::new(),
             next_job_token: 1,
             cfg,
             stats,
@@ -182,16 +182,10 @@ impl<C: CacheHandle> ShardCore<C> {
         if let Some(ns) = latency_nanos {
             self.stats.request_latency.record(ns);
         }
-        if let Some(log) = conn.pending_log.take() {
-            self.access_log.push(AccessRecord {
-                host: log.host,
-                method: log.method,
-                path: log.path,
-                status: log.status,
-                bytes: conn.progress - conn.progress_at_req,
-                latency_us: latency_nanos.unwrap_or(0) / 1_000,
-                tier: log.tier,
-            });
+        if let Some(mut log) = conn.log.take() {
+            log.bytes = conn.progress - conn.progress_at_req;
+            log.latency_us = latency_nanos.unwrap_or(0) / 1_000;
+            self.access_log.push(log);
         }
     }
 
@@ -200,19 +194,40 @@ impl<C: CacheHandle> ShardCore<C> {
     /// the request is echoed — it may hold the very bytes it was
     /// refused for — so its method and path are logged as `-`.
     fn reject_request<Io: ConnIo>(&self, conn: &mut Conn<Io>) {
-        if self.cfg.access_log {
-            conn.pending_log = Some(PendingLog {
-                host: String::new(),
-                method: "-",
-                path: "-".into(),
-                status: Status::BadRequest.code(),
-                tier: Tier::Error,
-            });
-        }
-        conn.progress_at_req = conn.progress;
+        self.stage_log(conn, None);
         let body = Bytes::from(error_body(Status::BadRequest));
         queue_error(conn, Status::BadRequest, body);
+        set_log(conn, Status::BadRequest.code(), Tier::Error);
         conn.state = ConnState::Writing;
+    }
+
+    /// Marks where this request's response starts on the wire and, when
+    /// the access log is on, stages its record — a refused request
+    /// (`None`) as `"- -"`. The outcome is filled in when the response
+    /// is decided ([`set_log`]), the bytes and latency when it finishes
+    /// ([`Self::finish_response`]).
+    fn stage_log<Io: ConnIo>(&self, conn: &mut Conn<Io>, req: Option<&Request>) {
+        conn.progress_at_req = conn.progress;
+        if !self.cfg.access_log {
+            return;
+        }
+        let (host, method, path) = match req {
+            Some(req) => (
+                req.host.clone().unwrap_or_default(),
+                req.method.as_str(),
+                req.path.clone(),
+            ),
+            None => (String::new(), "-", "-".to_string()),
+        };
+        conn.log = Some(AccessRecord {
+            host,
+            method,
+            path,
+            status: 0,
+            bytes: 0,
+            latency_us: 0,
+            tier: Tier::Error,
+        });
     }
 
     /// Serves the in-band observability endpoints: the registry
@@ -420,20 +435,7 @@ impl<C: CacheHandle> ShardCore<C> {
         }
         conn.req_start = Some(now);
         conn.ttfb_pending = true;
-        conn.progress_at_req = conn.progress;
-        if self.cfg.access_log {
-            conn.pending_log = Some(PendingLog {
-                host: req.host.clone().unwrap_or_default(),
-                method: match req.method {
-                    Method::Get => "GET",
-                    Method::Head => "HEAD",
-                    Method::Post => "POST",
-                },
-                path: req.path.clone(),
-                status: 0,
-                tier: Tier::Error,
-            });
-        }
+        self.stage_log(conn, Some(&req));
         if req.method == Method::Post {
             let body = Bytes::from(error_body(Status::NotImplemented));
             queue_error(conn, Status::NotImplemented, body);
@@ -463,68 +465,51 @@ impl<C: CacheHandle> ShardCore<C> {
         // identity slot. Either way the hit is served through the one
         // response plane — the planner, not the lookup, decides
         // 200/206/304/416.
-        let (key, kind, variant) = if conn.cond.accept_gzip {
-            let gz_key = cache::variant_key(&path, Variant::Gzip);
-            match self.cache.lookup_at(&gz_key, ttl, now) {
-                Lookup::Hit(entry) => {
-                    self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    self.respond_cached(conn, &entry, &path, Tier::Hit);
-                    return;
-                }
-                Lookup::Stale(_) => (gz_key, JobKind::Revalidate, Variant::Gzip),
-                // No gzip entry yet. An identity hit that *knows* no
-                // sibling exists is served as-is; anything else (miss,
-                // stale, or a sibling on record) dispatches a
-                // gzip-preference load, which falls back to identity
-                // when no `.gz` file is found.
+        let gz_key = conn
+            .cond
+            .accept_gzip
+            .then(|| cache::variant_key(&path, Variant::Gzip));
+        let lookup = match &gz_key {
+            None => self.cache.lookup_at(&path, ttl, now),
+            // No gzip entry yet. An identity hit that *knows* no
+            // sibling exists is served as-is; anything else (miss,
+            // stale, or a sibling on record) dispatches a
+            // gzip-preference load, which falls back to identity when
+            // no `.gz` file is found.
+            Some(gz) => match self.cache.lookup_at(gz, ttl, now) {
                 Lookup::Miss => match self.cache.lookup_at(&path, ttl, now) {
-                    Lookup::Hit(entry) if !entry.has_gzip => {
-                        self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        self.respond_cached(conn, &entry, &path, Tier::Hit);
-                        return;
-                    }
-                    _ => (gz_key, JobKind::Load, Variant::Gzip),
+                    Lookup::Hit(entry) if !entry.has_gzip => Lookup::Hit(entry),
+                    _ => Lookup::Miss,
                 },
+                found => found,
+            },
+        };
+        let kind = match lookup {
+            Lookup::Hit(entry) => {
+                self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+                self.respond(conn, &Resource::Cached(&entry), &path, Tier::Hit);
+                return;
             }
-        } else {
-            match self.cache.lookup_at(&path, ttl, now) {
-                Lookup::Hit(entry) => {
-                    self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    self.respond_cached(conn, &entry, &path, Tier::Hit);
-                    return;
-                }
-                // Resident but past the revalidation TTL: the bytes
-                // cannot be trusted until a helper re-stats the file —
-                // a cheap open+fstat, no read — so the connection parks
-                // exactly like a miss and is served by the completion
-                // (from memory if the stat matches, from a reload if
-                // not).
-                Lookup::Stale(_) => (path.clone(), JobKind::Revalidate, Variant::Identity),
-                // Miss: hand the disk work to a helper.
-                Lookup::Miss => (path.clone(), JobKind::Load, Variant::Identity),
-            }
+            // Resident but past the revalidation TTL: the bytes cannot
+            // be trusted until a helper re-stats the file — a cheap
+            // open+fstat, no read — so the connection parks exactly
+            // like a miss and is served by the completion (from memory
+            // if the stat matches, from a reload if not).
+            Lookup::Stale(_) => JobKind::Revalidate,
+            // Miss: hand the disk work to a helper.
+            Lookup::Miss => JobKind::Load,
         };
         // Coalesce concurrent misses (and revalidations) per variant
-        // key. The request parser has already normalized away any
-        // `..`, so joining the relative remainder cannot escape the
-        // docroot.
-        self.waiters.entry(key.clone()).or_default().push(idx);
-        self.dispatch_job(key, kind, variant, port);
+        // key: a request for a key already in flight parks on its job.
+        // The request parser has already normalized away any `..`, so
+        // joining the relative remainder cannot escape the docroot.
+        let key = gz_key.unwrap_or(path);
+        match self.jobs.get_mut(&key) {
+            Some(job) => job.waiters.push(idx),
+            None => self.dispatch_job(key, kind, vec![idx], port),
+        }
         conn.wait_start = Some(now);
         conn.state = ConnState::Waiting;
-    }
-
-    /// Serves a cached entry to one connection through the response
-    /// plane: plan, log, queue, flip to `Writing`.
-    fn respond_cached<Io: ConnIo>(
-        &self,
-        conn: &mut Conn<Io>,
-        entry: &Arc<Entry>,
-        path: &str,
-        body_tier: Tier,
-    ) {
-        let res: Resource<'_, Io::FileRef> = Resource::Cached(entry);
-        self.respond(conn, &res, path, body_tier);
     }
 
     /// Plans and queues one response — the only call site pattern for
@@ -551,43 +536,39 @@ impl<C: CacheHandle> ShardCore<C> {
         conn.state = ConnState::Writing;
     }
 
-    /// Records a dispatch under `key`: mints its token and a fresh
-    /// cancellation flag, and counts the job.
-    fn register_job(&mut self, key: &str) -> (u64, Arc<AtomicBool>) {
+    /// Records a dispatch under `key` for `waiters`: mints its token
+    /// and a fresh cancellation flag, and counts the job.
+    fn register_job(&mut self, key: &str, waiters: Vec<usize>) -> (u64, Arc<AtomicBool>) {
         let token = self.next_job_token;
         self.next_job_token += 1;
         let cancel = Arc::new(AtomicBool::new(false));
-        self.pending_jobs.insert(
-            key.to_string(),
-            PendingJob {
-                token,
-                cancel: Arc::clone(&cancel),
-            },
-        );
+        let job = PendingJob {
+            token,
+            cancel: Arc::clone(&cancel),
+            waiters,
+        };
+        self.jobs.insert(key.to_string(), job);
         self.stats.helper_jobs.fetch_add(1, Ordering::Relaxed);
         (token, cancel)
     }
 
-    /// Dispatches one job per variant key: coalesced behind the
-    /// pending map, tokened so only this dispatch's completion is
-    /// accepted, and carrying a fresh cancellation flag. The job
-    /// carries the core's tier threshold (`inline_max`) and the wanted
-    /// variant so every executor stays mechanical.
+    /// Dispatches the job for a variant key no job is in flight for,
+    /// on behalf of `waiters`: tokened so only this dispatch's
+    /// completion is accepted, and carrying a fresh cancellation flag.
+    /// The job carries the core's tier threshold (`inline_max`) and the
+    /// key's variant so every executor stays mechanical.
     fn dispatch_job(
         &mut self,
         key: String,
         kind: JobKind,
-        variant: Variant,
+        waiters: Vec<usize>,
         port: &mut dyn HelperPort,
     ) {
-        if self.pending_jobs.contains_key(&key) {
-            return;
-        }
-        let (token, cancel) = self.register_job(&key);
+        let (token, cancel) = self.register_job(&key, waiters);
         // The filesystem path is always the identity representation's;
         // executors derive the `.gz` sibling themselves when the job
         // concerns the gzip variant.
-        let url_path = cache::split_variant_key(&key).0;
+        let (url_path, variant) = cache::split_variant_key(&key);
         let fs_path = self.cfg.docroot.join(url_path.trim_start_matches('/'));
         port.submit(HelperJob {
             path: key,
@@ -628,8 +609,7 @@ impl<C: CacheHandle> ShardCore<C> {
         }
         // Keyed by the token `register_job` mints next.
         let key = format!("\0dyn:{}", self.next_job_token);
-        let (token, cancel) = self.register_job(&key);
-        self.waiters.entry(key.clone()).or_default().push(idx);
+        let (token, cancel) = self.register_job(&key, vec![idx]);
         // `fs_path` carries the request path verbatim: it is the
         // worker's argument, not a filesystem name, so no docroot join
         // and no trailing-slash rewrite.
@@ -648,38 +628,32 @@ impl<C: CacheHandle> ShardCore<C> {
         conn.state = ConnState::Waiting;
     }
 
-    /// Removes a dropped connection's index from every waiter list —
+    /// Removes a dropped connection's index from every job's waiters —
     /// so a helper completion can never be delivered to a recycled
-    /// slot — and **cancels the job** of any path whose waiter list
-    /// emptied: the pending entry is dropped (a completion that
-    /// already ran dies on token mismatch in [`Self::complete_job`])
-    /// and the cancel flag is raised (an executor that has not started
-    /// yet skips the job entirely).
+    /// slot — and **cancels** any job it was the last waiter of: the
+    /// entry is dropped (a completion that already ran dies on token
+    /// mismatch in [`Self::complete_job`]) and the cancel flag is
+    /// raised (an executor that has not started yet skips the job
+    /// entirely).
     fn purge_waiter(&mut self, idx: usize) {
-        let mut orphaned: Vec<String> = Vec::new();
-        self.waiters.retain(|path, list| {
-            list.retain(|&w| w != idx);
-            if list.is_empty() {
-                orphaned.push(path.clone());
-                false
-            } else {
-                true
-            }
-        });
-        for path in orphaned {
-            if let Some(job) = self.pending_jobs.remove(&path) {
+        let stats = &self.stats;
+        self.jobs.retain(|_, job| {
+            job.waiters.retain(|&w| w != idx);
+            let orphaned = job.waiters.is_empty();
+            if orphaned {
                 job.cancel.store(true, Ordering::Release);
-                self.stats.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
+                stats.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
             }
-        }
+            !orphaned
+        });
     }
 
     /// Renders a helper completion into every waiter's output queue,
     /// flipping them to `Writing` and appending their indices to
     /// `completed` for the driver to drive. A completion whose token
-    /// does not match the path's pending dispatch — the job was
-    /// cancelled after a waiter reap, or superseded — is dropped
-    /// wholesale: no cache insert, no waiter wake.
+    /// does not match the key's job in flight — the job was cancelled
+    /// after a waiter reap, or superseded — is dropped wholesale: no
+    /// cache insert, no waiter wake.
     pub fn complete_job<Io: ConnIo>(
         &mut self,
         done: Done<Io::FileRef>,
@@ -689,24 +663,27 @@ impl<C: CacheHandle> ShardCore<C> {
         now: Instant,
     ) {
         // A dynamic job produces *several* completions under one token
-        // — every mid-stream `Chunk` keeps the pending entry (and its
-        // cancel flag) alive; only the final `End` (or any non-dynamic
-        // completion) retires it.
-        let retire = !matches!(done.data, DoneData::Dynamic(DynEvent::Chunk(_)));
-        match self.pending_jobs.get(&done.path) {
-            Some(p) if p.token == done.token => {
-                if retire {
-                    self.pending_jobs.remove(&done.path);
-                }
-            }
+        // — every mid-stream `Chunk` keeps the job (its waiter and its
+        // cancel flag) in place; only the final `End` (or any
+        // non-dynamic completion) retires it, waiters and all.
+        let waiters = match self.jobs.get(&done.path) {
+            Some(job) if job.token == done.token => match done.data {
+                DoneData::Dynamic(DynEvent::Chunk(_)) => job.waiters.clone(),
+                _ => self
+                    .jobs
+                    .remove(&done.path)
+                    .map(|job| job.waiters)
+                    .unwrap_or_default(),
+            },
             _ => return,
-        }
+        };
         let result = match done.data {
             DoneData::Stat(stat) => {
-                return self.complete_revalidation(done.path, stat, conns, completed, port, now);
+                return self
+                    .complete_revalidation(done.path, stat, waiters, conns, completed, port, now);
             }
             DoneData::Dynamic(ev) => {
-                return self.deliver_dynamic(&done.path, ev, conns, completed, now);
+                return self.deliver_dynamic(ev, &waiters, conns, completed, now);
             }
             DoneData::Loaded(result) => result,
         };
@@ -750,20 +727,11 @@ impl<C: CacheHandle> ShardCore<C> {
                 variant,
                 has_gzip,
                 ..
-            }) => {
-                let (header_keep, header_close, etag) =
-                    cache::header_pair(&url_path, len, mtime, variant, has_gzip);
-                Completion::Large {
-                    file,
-                    len,
-                    mtime,
-                    variant,
-                    has_gzip,
-                    etag,
-                    header_keep,
-                    header_close,
-                }
-            }
+            }) => Completion::Large {
+                head: Entry::head(&url_path, len, mtime, variant, has_gzip),
+                file,
+                len,
+            },
             Err(e) => {
                 let status = match e.kind() {
                     io::ErrorKind::NotFound => Status::NotFound,
@@ -775,7 +743,7 @@ impl<C: CacheHandle> ShardCore<C> {
         };
         self.deliver_completion(
             &completion,
-            &done.path,
+            &waiters,
             &url_path,
             conns,
             completed,
@@ -788,29 +756,30 @@ impl<C: CacheHandle> ShardCore<C> {
     /// still matches the file's (length, mtime), its TTL clock
     /// restarts and the waiters are served straight from memory;
     /// otherwise the stale entry is evicted and a full load is
-    /// requeued — the waiters stay parked and the `Load` completion
-    /// serves them the fresh bytes (or the error the reload produces).
+    /// requeued for the same waiters, who stay parked: the `Load`
+    /// completion serves them the fresh bytes (or the error the reload
+    /// produces).
+    #[allow(clippy::too_many_arguments)]
     fn complete_revalidation<Io: ConnIo>(
         &mut self,
         path: String,
         stat: io::Result<(u64, Option<i64>)>,
+        waiters: Vec<usize>,
         conns: &mut [Option<Conn<Io>>],
         completed: &mut Vec<usize>,
         port: &mut dyn HelperPort,
         now: Instant,
     ) {
-        let (url_path, variant) = {
-            let (p, v) = cache::split_variant_key(&path);
-            (p.to_string(), v)
-        };
         if let (Some(entry), Ok((len, mtime))) = (self.cache.peek(&path), &stat) {
             if entry.mtime == *mtime && entry.body.len() as u64 == *len {
                 self.cache.refresh_at(&path, now);
                 self.stats.revalidations.fetch_add(1, Ordering::Relaxed);
+                let url_path = cache::split_variant_key(&path).0;
+                let completion = Completion::Small(entry);
                 self.deliver_completion(
-                    &Completion::Small(entry),
-                    &path,
-                    &url_path,
+                    &completion,
+                    &waiters,
+                    url_path,
                     conns,
                     completed,
                     Tier::Hit,
@@ -829,12 +798,13 @@ impl<C: CacheHandle> ShardCore<C> {
                 .cache_used_bytes
                 .store(self.cache.used_bytes(), Ordering::Relaxed);
         }
-        self.dispatch_job(path, JobKind::Load, variant, port);
+        self.dispatch_job(path, JobKind::Load, waiters, port);
     }
 
-    /// Renders a completion into every waiter's output queue through
-    /// the response plane, flipping them to `Writing` and appending
-    /// their indices to `completed` for the driver to drive.
+    /// Renders a completion into the output queue of each of the
+    /// retired job's `waiters` through the response plane, flipping
+    /// them to `Writing` and appending their indices to `completed` for
+    /// the driver to drive.
     /// `served_tier` is the access-log tier a body-bearing small
     /// response reports (miss for a fresh load, hit for a confirmed
     /// revalidation); `now` closes out each waiter's helper-wait
@@ -844,43 +814,29 @@ impl<C: CacheHandle> ShardCore<C> {
     fn deliver_completion<Io: ConnIo>(
         &mut self,
         completion: &Completion<Io::FileRef>,
-        key: &str,
+        waiters: &[usize],
         url_path: &str,
         conns: &mut [Option<Conn<Io>>],
         completed: &mut Vec<usize>,
         served_tier: Tier,
         now: Instant,
     ) {
-        for idx in self.waiters.remove(key).unwrap_or_default() {
+        for &idx in waiters {
             let Some(conn) = conns.get_mut(idx).and_then(|c| c.as_mut()) else {
                 continue;
             };
             if let Some(t0) = conn.wait_start.take() {
                 self.stats.helper_wait.record(stats::nanos_since(t0, now));
             }
-            match &completion {
+            match completion {
                 Completion::Small(entry) => {
-                    self.respond_cached(conn, entry, url_path, served_tier);
+                    self.respond(conn, &Resource::Cached(entry), url_path, served_tier);
                 }
-                Completion::Large {
-                    file,
-                    len,
-                    mtime,
-                    variant,
-                    has_gzip,
-                    etag,
-                    header_keep,
-                    header_close,
-                } => {
+                Completion::Large { head, file, len } => {
                     let res = Resource::File {
+                        head,
                         file,
                         len: *len,
-                        mtime: *mtime,
-                        variant: *variant,
-                        has_gzip: *has_gzip,
-                        etag,
-                        header_keep,
-                        header_close,
                     };
                     self.respond(conn, &res, url_path, Tier::Sendfile);
                 }
@@ -895,10 +851,9 @@ impl<C: CacheHandle> ShardCore<C> {
     }
 
     /// Delivers one streaming event from a dynamic worker to the
-    /// (single) waiter parked on the synthetic `\0dyn:` key. `Chunk`
-    /// events leave the waiter and pending entries in place — the
-    /// stream is still running — while `End` retires both (the pending
-    /// entry was already removed by [`Self::complete_job`]'s gate).
+    /// (single) waiter of its job. `Chunk` events leave the job in
+    /// place — the stream is still running — while [`Self::complete_job`]'s
+    /// gate has already retired it, waiter and all, for the `End`.
     /// The first event opens the response (chunked header + stream
     /// state); every chunk is framed on the spot; a clean end appends
     /// the `0\r\n\r\n` terminator; an unclean end (worker crashed)
@@ -907,19 +862,13 @@ impl<C: CacheHandle> ShardCore<C> {
     /// were queued, turns into a plain 500.
     fn deliver_dynamic<Io: ConnIo>(
         &mut self,
-        key: &str,
         ev: DynEvent,
+        waiters: &[usize],
         conns: &mut [Option<Conn<Io>>],
         completed: &mut Vec<usize>,
         now: Instant,
     ) {
-        let ended = matches!(ev, DynEvent::End { .. });
-        let waiting = if ended {
-            self.waiters.remove(key).unwrap_or_default()
-        } else {
-            self.waiters.get(key).cloned().unwrap_or_default()
-        };
-        for idx in waiting {
+        for &idx in waiters {
             let Some(conn) = conns.get_mut(idx).and_then(|c| c.as_mut()) else {
                 continue;
             };
@@ -1017,13 +966,12 @@ impl<C: CacheHandle> ShardCore<C> {
     /// tests call it constantly.
     /// `token_of` maps a slot index to its timer key.
     ///
-    /// Checked: every waiter index refers to a live `Waiting`
-    /// connection and appears on exactly one list; a path has a
-    /// pending job iff it has (non-empty) waiters; every `Waiting`
-    /// connection is on some waiter list; a connection carries a
-    /// deadline class iff its timer key is armed, and nothing else is
-    /// armed: the timers are exactly the live connections with a
-    /// deadline class.
+    /// Checked: every job in flight has a waiter; every waiter index
+    /// refers to a live `Waiting` connection and is parked on exactly
+    /// one job; every `Waiting` connection is parked on some job; a
+    /// connection carries a deadline class iff its timer key is armed,
+    /// and nothing else is armed: the timers are exactly the live
+    /// connections with a deadline class.
     pub fn check_invariants<Io: ConnIo>(
         &self,
         conns: &[Option<Conn<Io>>],
@@ -1031,16 +979,15 @@ impl<C: CacheHandle> ShardCore<C> {
         token_of: impl Fn(usize) -> u64,
     ) -> Result<(), String> {
         let mut seen: std::collections::HashSet<usize> = std::collections::HashSet::new();
-        for (path, list) in &self.waiters {
-            if list.is_empty() {
-                return Err(format!("empty waiter list left behind for {path}"));
+        for (path, job) in &self.jobs {
+            if job.waiters.is_empty() {
+                return Err(format!(
+                    "job for {path} with no waiters (leak: nobody can consume it)"
+                ));
             }
-            if !self.pending_jobs.contains_key(path) {
-                return Err(format!("waiters parked on {path} with no pending job"));
-            }
-            for &idx in list {
+            for &idx in &job.waiters {
                 if !seen.insert(idx) {
-                    return Err(format!("conn {idx} appears on two waiter lists"));
+                    return Err(format!("conn {idx} is parked on two jobs"));
                 }
                 match conns.get(idx).and_then(|c| c.as_ref()) {
                     // A dynamic waiter with chunks still in flight may
@@ -1053,13 +1000,6 @@ impl<C: CacheHandle> ShardCore<C> {
                     }
                     None => return Err(format!("waiter {idx} on {path} is an empty slot")),
                 }
-            }
-        }
-        for path in self.pending_jobs.keys() {
-            if !self.waiters.contains_key(path) {
-                return Err(format!(
-                    "pending job for {path} with no waiters (leak: nobody can consume it)"
-                ));
             }
         }
         let mut classed = 0;
@@ -1076,7 +1016,7 @@ impl<C: CacheHandle> ShardCore<C> {
             }
             if matches!(conn.state, ConnState::Waiting) && !seen.contains(&idx) {
                 return Err(format!(
-                    "conn {idx} is Waiting but on no waiter list (permanently parked)"
+                    "conn {idx} is Waiting but parked on no job (permanently parked)"
                 ));
             }
         }
@@ -1095,27 +1035,22 @@ impl<C: CacheHandle> ShardCore<C> {
 enum Completion<F> {
     /// Small body: a cached (or at least cacheable) in-memory entry.
     Small(Arc<Entry>),
-    /// Large body: a shared file handle for the sendfile window path,
-    /// with the representation's identity (variant, validator) and
-    /// both plain-200 header forms pre-rendered once for the whole
-    /// waiter list (range/conditional responses re-render per waiter).
+    /// Large body: a shared file handle of `len` bytes for the
+    /// sendfile window path, under its [`Entry::head`] — rendered once
+    /// for all the job's waiters (range/conditional responses
+    /// re-render per waiter).
     Large {
+        head: Entry,
         file: F,
         len: u64,
-        mtime: Option<i64>,
-        variant: Variant,
-        has_gzip: bool,
-        etag: String,
-        header_keep: Bytes,
-        header_close: Bytes,
     },
     Fail(Status, Bytes),
 }
 
 /// Fills in the staged access-log record's outcome fields (no-op when
-/// access logging is off — `pending_log` is `None`).
+/// access logging is off — `log` is `None`).
 fn set_log<Io: ConnIo>(conn: &mut Conn<Io>, status: u16, tier: Tier) {
-    if let Some(log) = conn.pending_log.as_mut() {
+    if let Some(log) = conn.log.as_mut() {
         log.status = status;
         log.tier = tier;
     }

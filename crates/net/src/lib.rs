@@ -127,8 +127,8 @@
 //!              ┌────────────────────────────────────────────────┐
 //!              │            protocol core   [`conn`]            │
 //!              │  Conn<Io> state machine · ShardCore: cache,    │
-//!              │  waiter lists, job tokens, completion routing, │
-//!              │  deadline policy, drain · check_invariants()   │
+//!              │  one job table (token, waiters), completion    │
+//!              │  routing, deadlines, drain, check_invariants() │
 //!              └───────┬──────────────┬──────────────┬──────────┘
 //!        seams:     ConnIo        HelperPort     Timers + `now`
 //!              (read/writev/   (submit job;     (every Instant is

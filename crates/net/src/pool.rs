@@ -237,8 +237,8 @@ pub(crate) fn helper_main(
     while let Some(Queued { shard, work }) = jobs.pop() {
         let reply = match work {
             // A job whose last waiter was reaped while it sat in the
-            // queue needs no disk work and no completion: its pending
-            // entry is already gone, so a Done would die on token
+            // queue needs no disk work and no completion: the shard has
+            // already dropped the job, so a Done would die on token
             // mismatch anyway.
             Work::Job(job) if job.is_cancelled() => continue,
             Work::Job(job) => {

@@ -473,7 +473,7 @@ fn net_shard(
 /// every core call that can change a slot returns a [`Drive`], and
 /// `reconcile` brings the backend, the timers and the slot table in
 /// line with it. Which connection closes, when, and what that does to
-/// waiter lists and counters is the core's business.
+/// the jobs it is parked on and to the counters is the core's business.
 pub(crate) struct Shard<E: Env> {
     pub(crate) core: ShardCore,
     pub(crate) port: PoolPort<E>,

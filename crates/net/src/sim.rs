@@ -39,8 +39,8 @@
 //! After every loop turn (configurable cadence at scale) the sim runs
 //! the core's invariant check
 //! ([`crate::conn::ShardCore::check_invariants`]):
-//! no leaked slots or waiter registrations, waiters ⇔ pending-jobs
-//! bijection, the armed timers exactly the connections with a
+//! no leaked slots or waiter registrations, no job without a waiter,
+//! the armed timers exactly the connections with a
 //! deadline class — and the driver's: no completion left in the
 //! shard's queue, no retired worker left registered. A run that
 //! violates an invariant, livelocks
@@ -1303,8 +1303,8 @@ impl Sim {
         shard
             .check_invariants()
             .map_err(|e| format!("invariant violated at the end: {e}"))?;
-        if !core.waiters.is_empty() || !core.pending_jobs.is_empty() {
-            return Err("leaked waiter lists or pending jobs at end of run".into());
+        if !core.jobs.is_empty() {
+            return Err("leaked jobs in flight at end of run".into());
         }
         Ok(SimReport {
             counts: core.stats.counts(),

@@ -653,22 +653,11 @@ impl Tier {
     }
 }
 
-/// Response metadata staged on a connection between request parse and
-/// response completion, when access logging is on. Bytes and latency
-/// are filled in at completion time.
-#[derive(Debug, Clone)]
-pub struct PendingLog {
-    pub host: String,
-    pub method: &'static str,
-    pub path: String,
-    pub status: u16,
-    pub tier: Tier,
-}
-
-/// One finished response, ready to be written as an access-log line.
-/// The sans-IO core fills everything but the wall-clock timestamp;
-/// the driver stamps that at write time (keeping the core free of
-/// clock reads).
+/// One response's access-log line. The sans-IO core stages it on the
+/// connection when the request parses, fills in the outcome when the
+/// response is decided and the bytes and latency when it finishes;
+/// the driver stamps the wall-clock time at write time (keeping the
+/// core free of clock reads).
 #[derive(Debug, Clone)]
 pub struct AccessRecord {
     pub host: String,

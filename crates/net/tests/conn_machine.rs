@@ -221,7 +221,7 @@ fn replay(burst: &[u8], chunks: &[&[u8]], files: &HashMap<String, (Vec<u8>, bool
             .expect("invariants must hold after every chunk");
     }
     assert!(
-        core.waiters.is_empty() && core.pending_jobs.is_empty(),
+        core.jobs.is_empty(),
         "no parked state may survive a settled replay"
     );
     let out = captured.borrow().clone();
@@ -391,7 +391,7 @@ fn a_dead_dynamic_stream_cannot_reach_the_slots_next_connection() {
         check(&core, &conns, &wheel);
         assert!(job.is_cancelled(), "{death:?}: the worker runs for nobody");
         assert_eq!(core.stats.jobs_cancelled.load(Ordering::Relaxed), 1);
-        assert!(core.waiters.is_empty() && core.pending_jobs.is_empty());
+        assert!(core.jobs.is_empty());
 
         // A new client is accepted into the recycled slot; the worker,
         // not yet stopped, emits chunk 3 under the old token.
@@ -520,4 +520,125 @@ fn drain_entry_closes_only_answered_idle_connections() {
         assert_eq!(at(GET, GET), (false, 2, 1), "a request unread");
         assert_eq!(at(GET, &GET[..9]), (true, 1, 0), "mid-request");
     }
+}
+
+/// Two connections coalesced on one stale entry follow their job
+/// through a revalidation that finds the file changed: the re-stat's
+/// answer dispatches exactly one `Load` under a new token for the same
+/// waiters, a late answer under the old token is dropped, a waiter
+/// that leaves takes only itself off the job, the `Load` answers the
+/// survivor alone, and the last waiter's leaving cancels the job.
+#[test]
+fn coalesced_waiters_follow_their_job_through_a_changed_file() {
+    let mut core = core();
+    // Every resident entry is past its TTL: each request re-stats.
+    core.cfg.cache_revalidate_ttl = Some(Duration::ZERO);
+    let now = Instant::now();
+    let old = flash_net::cache::Entry::build_with_mtime("/a.html", b"old".to_vec(), Some(1));
+    assert!(core.cache.insert_at("/a.html".into(), old, now));
+    let outs: Vec<_> = (0..2).map(|_| Rc::new(RefCell::new(Vec::new()))).collect();
+    let mut conns: Vec<_> = outs
+        .iter()
+        .map(|o| Some(Conn::new(TestIo::new(o))))
+        .collect();
+    let mut port = SyncPort { jobs: Vec::new() };
+    let wheel = TimerWheel::new(Duration::from_millis(10));
+    let mut completed = Vec::new();
+    let check = |core: &ShardCore, conns: &[Option<Conn<TestIo>>]| {
+        core.check_invariants(conns, &wheel, |_| 0).unwrap();
+    };
+    const GET: &[u8] = b"GET /a.html HTTP/1.1\r\nHost: t\r\n\r\n";
+    let waiters = |core: &ShardCore| core.jobs.get("/a.html").map(|job| job.waiters.clone());
+
+    // Both ask; one `Revalidate` job carries both.
+    for idx in 0..2 {
+        conns[idx].as_mut().unwrap().io.inbox.extend(GET);
+        let _ = core.drive_conn(idx, &mut conns, &mut port, now);
+        check(&core, &conns);
+    }
+    let stat = port.jobs.pop().expect("one revalidation");
+    assert!(port.jobs.is_empty(), "the second request coalesced");
+    assert_eq!(stat.kind, JobKind::Revalidate);
+    assert_eq!(waiters(&core), Some(vec![0, 1]));
+
+    // The re-stat reports a change: one `Load` under a new token, for
+    // the same waiters, and no one is answered yet.
+    let changed = Done {
+        path: stat.path.clone(),
+        data: DoneData::Stat(Ok((9, Some(2)))),
+        epoch: stat.epoch,
+        token: stat.token,
+    };
+    core.complete_job(changed, &mut conns, &mut completed, &mut port, now);
+    check(&core, &conns);
+    assert!(completed.is_empty());
+    let load = port.jobs.pop().expect("the changed file is reloaded");
+    assert!(port.jobs.is_empty(), "exactly one reload");
+    assert_eq!((load.kind, load.path.as_str()), (JobKind::Load, "/a.html"));
+    assert_ne!(load.token, stat.token);
+    assert_eq!(waiters(&core), Some(vec![0, 1]));
+    assert_eq!(core.stats.stale_evicted.load(Ordering::Relaxed), 1);
+    let fresh = |token| Done {
+        path: load.path.clone(),
+        data: DoneData::Loaded(Ok(LoadResult {
+            data: FileData::Bytes {
+                body: b"new body!".to_vec(),
+                mtime: Some(2),
+            },
+            variant: Variant::Identity,
+            has_gzip: false,
+            resolved_at: None,
+        })),
+        epoch: load.epoch,
+        token,
+    };
+
+    // A late answer under the old token wakes no one.
+    core.complete_job(
+        fresh(stat.token),
+        &mut conns,
+        &mut completed,
+        &mut port,
+        now,
+    );
+    check(&core, &conns);
+    assert!(completed.is_empty() && port.jobs.is_empty());
+    assert_eq!(waiters(&core), Some(vec![0, 1]));
+
+    // One waiter leaves; the job stays for the other.
+    core.close_conn(0, &mut conns, now);
+    check(&core, &conns);
+    assert_eq!(waiters(&core), Some(vec![1]));
+    assert!(!load.is_cancelled());
+    assert_eq!(core.stats.jobs_cancelled.load(Ordering::Relaxed), 0);
+
+    // The `Load` answers the survivor alone, with the new bytes.
+    core.complete_job(
+        fresh(load.token),
+        &mut conns,
+        &mut completed,
+        &mut port,
+        now,
+    );
+    check(&core, &conns);
+    assert_eq!(completed, [1]);
+    assert!(core.jobs.is_empty());
+    let _ = core.drive_conn(1, &mut conns, &mut port, now);
+    check(&core, &conns);
+    assert!(outs[0].borrow().is_empty());
+    let answer = outs[1].borrow().clone();
+    assert!(answer.starts_with(b"HTTP/1.1 200 ") && answer.ends_with(b"new body!"));
+
+    // The survivor asks again and leaves before the re-stat answers:
+    // its job is cancelled.
+    conns[1].as_mut().unwrap().io.inbox.extend(GET);
+    let _ = core.drive_conn(1, &mut conns, &mut port, now);
+    check(&core, &conns);
+    let again = port.jobs.pop().expect("a second revalidation");
+    assert_eq!(again.kind, JobKind::Revalidate);
+    core.close_conn(1, &mut conns, now);
+    check(&core, &conns);
+    assert!(core.jobs.is_empty());
+    assert!(again.is_cancelled());
+    assert_eq!(core.stats.jobs_cancelled.load(Ordering::Relaxed), 1);
 }

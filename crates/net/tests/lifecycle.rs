@@ -698,7 +698,7 @@ fn mt_access_log_rotation_loses_no_lines() {
 }
 
 /// Reaping the **last waiter** of an in-flight job must cancel the job
-/// itself: the pending entry drops, the cancel flag is raised, and a
+/// itself: the shard drops its entry, the cancel flag is raised, and a
 /// completion that arrives anyway dies on the token gate — never
 /// populating the cache, never waking whatever reuses the slot. Two
 /// jobs sit behind one wedged helper: the wedged job (started, past

@@ -488,6 +488,47 @@ fn run_rejects_bad_requests_and_post(tag: &str, backend: BackendChoice) {
     let _ = std::fs::remove_dir_all(root);
 }
 
+/// A GET or HEAD that declares a body is refused, not parsed past: the
+/// body of `GET /index.html` framed by `Content-Length` (or chunked)
+/// is a request for `/secret.html`, which a proxy that frames by the
+/// header never sent. One `400`, logged as `"- -"`, the connection
+/// closed — and the smuggled request is never served.
+fn run_body_is_not_a_request(tag: &str, backend: BackendChoice, kind: ServerKind) {
+    let root = docroot(tag);
+    std::fs::write(root.join("secret.html"), b"top secret").unwrap();
+    let log = root.join("access.log");
+    let config = cfg(&root, backend).access_log_path(&log).build().unwrap();
+    let server = Server::start_as(kind, "127.0.0.1:0", config).unwrap();
+    let smuggled = "GET /secret.html HTTP/1.1\r\nHost: t\r\n\r\n";
+    let framings = [
+        format!("Content-Length: {}\r\n\r\n{smuggled}", smuggled.len()),
+        format!(
+            "Transfer-Encoding: chunked\r\n\r\n{:x}\r\n{smuggled}\r\n0\r\n\r\n",
+            smuggled.len()
+        ),
+    ];
+    for method in ["GET", "HEAD"] {
+        for framing in &framings {
+            let req = format!("{method} /index.html HTTP/1.1\r\nHost: t\r\n{framing}");
+            let resp = get(server.addr(), &req);
+            let text = String::from_utf8_lossy(&resp).into_owned();
+            assert!(text.starts_with("HTTP/1.1 400 "), "{req:?}: {text}");
+            assert_eq!(text.matches("HTTP/1.1 ").count(), 1, "{req:?}: {text}");
+            assert!(!text.contains("top secret"), "{req:?}: {text}");
+        }
+    }
+    assert_eq!(
+        server.stats().requests(),
+        4,
+        "the four refusals, nothing else"
+    );
+    server.stop();
+    let lines = std::fs::read_to_string(&log).unwrap();
+    assert_eq!(lines.lines().count(), 4, "{lines}");
+    assert!(lines.lines().all(|l| l.contains("\"- -\" 400 ")), "{lines}");
+    let _ = std::fs::remove_dir_all(root);
+}
+
 fn run_head_returns_headers_only(tag: &str, backend: BackendChoice) {
     let root = docroot(tag);
     let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
@@ -2001,6 +2042,16 @@ macro_rules! backend_suite {
             #[test]
             fn amped_rejects_bad_requests_and_post() {
                 run_rejects_bad_requests_and_post(&tag("bad"), $backend);
+            }
+
+            #[test]
+            fn amped_body_of_a_get_is_not_a_request() {
+                run_body_is_not_a_request(&tag("body"), $backend, ServerKind::Amped);
+            }
+
+            #[test]
+            fn mt_body_of_a_get_is_not_a_request() {
+                run_body_is_not_a_request(&tag("mt-body"), $backend, ServerKind::Mt);
             }
 
             #[test]
