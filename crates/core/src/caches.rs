@@ -339,8 +339,6 @@ pub struct CacheStats {
     pub mincore_missing: u64,
     /// Requests fully served.
     pub requests_done: u64,
-    /// CGI requests forwarded to application processes.
-    pub cgi_requests: u64,
 }
 
 /// The cache set of one server process (or the shared set of an MT

@@ -77,9 +77,6 @@ pub struct ServerConfig {
     /// Extra per-request user CPU modelling a less optimized code base
     /// (Apache).
     pub extra_request_ns: Nanos,
-    /// Number of persistent CGI application processes to pre-spawn
-    /// (event-driven architectures only).
-    pub cgi_apps: usize,
 }
 
 impl ServerConfig {
@@ -109,7 +106,6 @@ impl ServerConfig {
             header_gen_ns: 45_000,
             lock_ns: 0,
             extra_request_ns: 0,
-            cgi_apps: 0,
         }
     }
 
@@ -184,7 +180,6 @@ impl ServerConfig {
             header_gen_ns: 80_000,
             lock_ns: 0,
             extra_request_ns: 70_000,
-            cgi_apps: 0,
         }
     }
 

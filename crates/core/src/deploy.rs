@@ -15,7 +15,6 @@ use flash_simos::proc::ProcKind;
 use flash_simos::{ListenId, Pid, Simulation};
 
 use crate::caches::Caches;
-use crate::cgi::CgiAppLogic;
 use crate::config::{Architecture, ServerConfig};
 use crate::eventloop::EventLoopServer;
 use crate::helper::HelperLogic;
@@ -27,8 +26,6 @@ use crate::site::Site;
 pub enum DeployError {
     /// The OS profile has no kernel threads (MT requires them, §3.2).
     NoKernelThreads,
-    /// CGI applications require a single event-driven server process.
-    CgiNeedsSingleEventProcess,
 }
 
 impl fmt::Display for DeployError {
@@ -36,9 +33,6 @@ impl fmt::Display for DeployError {
         match self {
             DeployError::NoKernelThreads => {
                 f.write_str("MT architecture requires kernel threads, which this OS lacks")
-            }
-            DeployError::CgiNeedsSingleEventProcess => {
-                f.write_str("CGI applications are supported with a single event-driven process")
             }
         }
     }
@@ -100,16 +94,14 @@ pub fn deploy(
                 cfg.header_cache_entries,
                 cfg.mmap_cache_bytes,
             )));
-            let done_pipe = (cfg.helpers > 0 || cfg.cgi_apps > 0).then(|| sim.kernel.add_pipe());
+            let done_pipe = (cfg.helpers > 0).then(|| sim.kernel.add_pipe());
             let helper_pipes: Vec<_> = (0..cfg.helpers).map(|_| sim.kernel.add_pipe()).collect();
-            let cgi_pipes: Vec<_> = (0..cfg.cgi_apps).map(|_| sim.kernel.add_pipe()).collect();
             let logic = EventLoopServer::new(
                 Rc::clone(&cfg),
                 Rc::clone(&site),
                 listen,
                 Rc::clone(&caches),
                 helper_pipes.clone(),
-                cgi_pipes.clone(),
                 done_pipe,
             );
             let pid = sim.add_process(
@@ -121,7 +113,7 @@ pub fn deploy(
             );
             handle.server_pids.push(pid);
             handle.caches.push(caches);
-            let done = done_pipe.expect("AMPED has workers");
+            let done = done_pipe.expect("AMPED has helpers");
             for (i, job) in helper_pipes.into_iter().enumerate() {
                 sim.add_process(
                     ProcKind::Process,
@@ -131,20 +123,8 @@ pub fn deploy(
                     Box::new(HelperLogic::new(job, done)),
                 );
             }
-            for (i, job) in cgi_pipes.into_iter().enumerate() {
-                sim.add_process(
-                    ProcKind::Process,
-                    None,
-                    512 * 1024,
-                    format!("{}-cgi-{i}", cfg.name),
-                    Box::new(CgiAppLogic::new(job, done, Rc::clone(&site))),
-                );
-            }
         }
         Architecture::Sped => {
-            if cfg.cgi_apps > 0 && cfg.workers != 1 {
-                return Err(DeployError::CgiNeedsSingleEventProcess);
-            }
             for w in 0..cfg.workers.max(1) {
                 let caches = Rc::new(RefCell::new(Caches::build(
                     cfg.path_cache_entries,
@@ -152,20 +132,13 @@ pub fn deploy(
                     cfg.header_cache_entries,
                     cfg.mmap_cache_bytes,
                 )));
-                let done_pipe = (w == 0 && cfg.cgi_apps > 0).then(|| sim.kernel.add_pipe());
-                let cgi_pipes: Vec<_> = if w == 0 {
-                    (0..cfg.cgi_apps).map(|_| sim.kernel.add_pipe()).collect()
-                } else {
-                    Vec::new()
-                };
                 let logic = EventLoopServer::new(
                     Rc::clone(&cfg),
                     Rc::clone(&site),
                     listen,
                     Rc::clone(&caches),
                     Vec::new(),
-                    cgi_pipes.clone(),
-                    done_pipe,
+                    None,
                 );
                 let pid = sim.add_process(
                     ProcKind::Process,
@@ -176,17 +149,6 @@ pub fn deploy(
                 );
                 handle.server_pids.push(pid);
                 handle.caches.push(caches);
-                if let Some(done) = done_pipe {
-                    for (i, job) in cgi_pipes.into_iter().enumerate() {
-                        sim.add_process(
-                            ProcKind::Process,
-                            None,
-                            512 * 1024,
-                            format!("{}-cgi-{i}", cfg.name),
-                            Box::new(CgiAppLogic::new(job, done, Rc::clone(&site))),
-                        );
-                    }
-                }
             }
         }
         Architecture::Mp => {

@@ -27,10 +27,9 @@ use flash_simos::{ConnId, Fd, FileId, ListenId, Pid, PipeId, ProcessLogic};
 use crate::caches::{Caches, HeaderEntry, PathEntry, CHUNK_BYTES};
 use crate::config::ServerConfig;
 use crate::helper::{
-    pack_a, pack_c, unpack_a, OP_CGI, OP_CGI_DONE, OP_CHUNK, OP_CHUNK_DONE, OP_TRANSLATE,
-    OP_TRANSLATE_DONE,
+    pack_a, pack_c, unpack_a, OP_CHUNK, OP_CHUNK_DONE, OP_TRANSLATE, OP_TRANSLATE_DONE,
 };
-use crate::site::{FileKind, Site};
+use crate::site::Site;
 
 /// Per-connection request state.
 #[derive(Debug)]
@@ -58,7 +57,7 @@ enum Phase {
     ReadRequest,
     /// SPED: a blocking `stat` is in flight.
     Translating,
-    /// AMPED: waiting for a helper or CGI app notification.
+    /// AMPED: waiting for a helper notification.
     WaitExternal,
     /// Transmitting header/body.
     Send,
@@ -77,13 +76,13 @@ enum Work {
     SendJob,
 }
 
-/// An external-worker slot (helper or CGI application process).
+/// A helper process slot.
 struct Slot {
     job_pipe: PipeId,
     busy: bool,
 }
 
-/// A queued job for an external worker.
+/// A queued job for a helper.
 #[derive(Debug, Clone, Copy)]
 enum Job {
     Translate {
@@ -95,10 +94,6 @@ enum Job {
         fid: FileId,
         offset: u64,
         len: u64,
-    },
-    Cgi {
-        conn: u64,
-        token: u64,
     },
 }
 
@@ -112,28 +107,26 @@ pub struct EventLoopServer {
     work: VecDeque<Work>,
     cur_work: Option<Work>,
     helpers: Vec<Slot>,
-    cgi_apps: Vec<Slot>,
     done_pipe: Option<PipeId>,
     pending_jobs: VecDeque<Job>,
     stat_conn: Option<u32>,
 }
 
 impl EventLoopServer {
-    /// Creates the event-loop logic. `helpers`/`cgi_apps` are the job
-    /// pipes of the already-spawned worker processes; `done_pipe` is the
-    /// shared notification pipe (present iff there are workers).
+    /// Creates the event-loop logic. `helpers` are the job pipes of the
+    /// already-spawned helper processes; `done_pipe` is their shared
+    /// notification pipe (present iff there are helpers).
     pub fn new(
         cfg: Rc<ServerConfig>,
         site: Rc<Site>,
         listen: ListenId,
         caches: Rc<RefCell<Caches>>,
         helpers: Vec<PipeId>,
-        cgi_apps: Vec<PipeId>,
         done_pipe: Option<PipeId>,
     ) -> Self {
         assert!(
-            (helpers.is_empty() && cgi_apps.is_empty()) == done_pipe.is_none(),
-            "done pipe must exist exactly when external workers do"
+            helpers.is_empty() == done_pipe.is_none(),
+            "done pipe must exist exactly when helpers do"
         );
         EventLoopServer {
             cfg,
@@ -144,13 +137,6 @@ impl EventLoopServer {
             work: VecDeque::new(),
             cur_work: None,
             helpers: helpers
-                .into_iter()
-                .map(|p| Slot {
-                    job_pipe: p,
-                    busy: false,
-                })
-                .collect(),
-            cgi_apps: cgi_apps
                 .into_iter()
                 .map(|p| Slot {
                     job_pipe: p,
@@ -334,26 +320,6 @@ impl EventLoopServer {
                     self.work.push_back(Work::Continue(conn));
                 }
             }
-            OP_CGI_DONE => {
-                let (slot, conn) = unpack_a(msg.a);
-                self.cgi_apps[slot].busy = false;
-                if let Some(ctx) = self.conns.get_mut(&conn) {
-                    // Output is ready on the app pipe; send it like
-                    // static content (but from memory, not a file).
-                    ctx.size = msg.c;
-                    ctx.fid = None;
-                    k.cpu(self.cfg.header_gen_ns);
-                    let f = self.site.file(msg.b);
-                    ctx.hdr_left = if self.cfg.aligned_headers {
-                        f.hdr_len_aligned
-                    } else {
-                        f.hdr_len_raw
-                    };
-                    ctx.aligned = self.cfg.aligned_headers;
-                    ctx.phase = Phase::Send;
-                    self.work.push_back(Work::Continue(conn));
-                }
-            }
             other => panic!("server got unknown notification op {other}"),
         }
         if !self.pending_jobs.is_empty() {
@@ -372,23 +338,12 @@ impl EventLoopServer {
         // experiment only).
         let keep_alive = token & KEEP_ALIVE_BIT != 0;
         let token = token & !KEEP_ALIVE_BIT;
-        let f = self.site.file(token);
         {
             let ctx = self.conns.get_mut(&conn).expect("request on live conn");
             ctx.token = token;
             ctx.offset = 0;
             ctx.hdr_left = 0;
             ctx.keep_alive = keep_alive;
-        }
-        if let FileKind::Cgi { .. } = f.kind {
-            self.caches.borrow_mut().stats.cgi_requests += 1;
-            self.conns.get_mut(&conn).unwrap().phase = Phase::WaitExternal;
-            self.pending_jobs.push_back(Job::Cgi {
-                conn: conn as u64,
-                token,
-            });
-            self.work.push_front(Work::SendJob);
-            return;
         }
         // Pathname translation (§5.2).
         let hit = {
@@ -428,8 +383,7 @@ impl EventLoopServer {
     /// Records a finished translation in the cache and moves to sending.
     fn finish_translation(&mut self, k: &mut Kernel, conn: u32, token: u64) {
         let f = self.site.file(token);
-        let fid = f.fid.expect("translated a static file");
-        let size = f.size;
+        let (fid, size) = (f.fid, f.size);
         {
             let mut caches = self.caches.borrow_mut();
             if let Some(cache) = caches.path.as_mut() {
@@ -556,13 +510,13 @@ impl EventLoopServer {
                     return false;
                 }
                 let token = ctx.token;
-                let fid = self.site.file(token).fid.expect("static file");
+                let fid = self.site.file(token).fid;
                 self.stat_conn = Some(c);
                 k.sys_stat(fid);
                 true
             }
             Phase::Send => self.advance_send(k, c),
-            // Waiting on helpers/CGI or idle: nothing to issue.
+            // Waiting on a helper or idle: nothing to issue.
             Phase::ReadRequest | Phase::WaitExternal | Phase::Closing => false,
         }
     }
@@ -583,8 +537,8 @@ impl EventLoopServer {
         };
         let chunk = (size - offset.min(size)).min(CHUNK_BYTES);
         let (Some(fid), true) = (fid, chunk > 0) else {
-            // CGI output, or nothing left but header bytes: app-memory
-            // send that can never fault on file pages.
+            // Nothing left but header bytes: a memory send that can
+            // never fault on file pages.
             k.sys_send(
                 conn,
                 hdr_left,
@@ -663,58 +617,39 @@ impl EventLoopServer {
         true
     }
 
-    /// Sends the oldest pending job to an idle worker; returns true if a
+    /// Sends the oldest pending job to an idle helper; returns true if a
     /// syscall was issued.
     fn dispatch_job(&mut self, k: &mut Kernel) -> bool {
         let Some(job) = self.pending_jobs.front().copied() else {
             return false;
         };
-        let (slots, msg) = match job {
-            Job::Translate { conn, token } => (
-                &mut self.helpers,
-                PipeMsg {
-                    op: OP_TRANSLATE,
-                    a: conn as u64,
-                    // The helper needs the file to stat; the done handler
-                    // needs the token back, so both travel in the message.
-                    b: self.site.file(token).fid.expect("static").0 as u64,
-                    c: token,
-                },
-            ),
+        let Some(idx) = self.helpers.iter().position(|s| !s.busy) else {
+            return false; // all helpers busy; retried on next notification
+        };
+        let msg = match job {
+            Job::Translate { conn, token } => PipeMsg {
+                op: OP_TRANSLATE,
+                a: pack_a(idx, conn),
+                // The helper needs the file to stat; the done handler
+                // needs the token back, so both travel in the message.
+                b: self.site.file(token).fid.0 as u64,
+                c: token,
+            },
             Job::Chunk {
                 conn,
                 fid,
                 offset,
                 len,
-            } => (
-                &mut self.helpers,
-                PipeMsg {
-                    op: OP_CHUNK,
-                    a: conn as u64,
-                    b: fid.0 as u64,
-                    c: pack_c(offset, len),
-                },
-            ),
-            Job::Cgi { conn, token } => (
-                &mut self.cgi_apps,
-                PipeMsg {
-                    op: OP_CGI,
-                    a: conn,
-                    b: token,
-                    c: 0,
-                },
-            ),
+            } => PipeMsg {
+                op: OP_CHUNK,
+                a: pack_a(idx, conn),
+                b: fid.0 as u64,
+                c: pack_c(offset, len),
+            },
         };
-        let Some(idx) = slots.iter().position(|s| !s.busy) else {
-            return false; // all workers busy; retried on next notification
-        };
-        slots[idx].busy = true;
-        let pipe = slots[idx].job_pipe;
+        self.helpers[idx].busy = true;
+        let pipe = self.helpers[idx].job_pipe;
         self.pending_jobs.pop_front();
-        let msg = PipeMsg {
-            a: pack_a(idx, (msg.a & 0xFFFF_FFFF) as u32),
-            ..msg
-        };
         self.caches.borrow_mut().stats.helper_jobs += 1;
         k.sys_pipe_send(pipe, msg);
         true

@@ -15,16 +15,12 @@ use flash_simos::{FileId, Pid, PipeId, ProcessLogic};
 pub const OP_TRANSLATE: u32 = 1;
 /// Job: read a file chunk into the page cache (helper touches pages).
 pub const OP_CHUNK: u32 = 2;
-/// Job: run a CGI request (sent to a CGI application process).
-pub const OP_CGI: u32 = 3;
 /// Notification: translation finished.
 pub const OP_TRANSLATE_DONE: u32 = 11;
 /// Notification: chunk read finished.
 pub const OP_CHUNK_DONE: u32 = 12;
-/// Notification: CGI output ready.
-pub const OP_CGI_DONE: u32 = 13;
 
-/// Packs a worker (helper/CGI slot) index and connection id into the `a`
+/// Packs a helper slot index and connection id into the `a`
 /// operand so completions identify both.
 pub fn pack_a(slot: usize, conn: u32) -> u64 {
     ((slot as u64) << 40) | conn as u64

@@ -11,7 +11,6 @@
 //! | MP (Fig. 2) / MT (Fig. 3) | [`seq`] |
 //! | Pathname/header/mapped-file caches (§5.2–5.4) | [`caches`] |
 //! | Byte-position alignment (§5.5) | `flash-http` + send paths |
-//! | CGI handling (§5.6) | [`cgi`] |
 //! | mincore residency testing (§5.7) | [`eventloop`] send path |
 //!
 //! Baselines: `ServerConfig::apache_like()` (MP without the aggressive
@@ -33,7 +32,6 @@
 //! ```
 
 pub mod caches;
-pub mod cgi;
 pub mod config;
 pub mod deploy;
 pub mod eventloop;
@@ -45,4 +43,4 @@ pub use caches::{CacheStats, Caches, CHUNK_BYTES};
 pub use config::{Architecture, ServerConfig};
 pub use deploy::{deploy, DeployError, ServerHandle};
 pub use eventloop::KEEP_ALIVE_BIT;
-pub use site::{FileKind, FileSpec, Site, SiteFile};
+pub use site::{FileSpec, Site, SiteFile};

@@ -21,7 +21,7 @@ use flash_simos::{ConnId, FileId, ListenId, Pid, ProcessLogic};
 use crate::caches::{Caches, HeaderEntry, PathEntry, CHUNK_BYTES};
 use crate::config::ServerConfig;
 use crate::eventloop::KEEP_ALIVE_BIT;
-use crate::site::{FileKind, Site};
+use crate::site::Site;
 
 /// Worker state across blocking syscalls.
 #[derive(Debug)]
@@ -97,23 +97,10 @@ impl SeqWorker {
         k.cpu(self.cfg.parse_ns + self.cfg.request_user_ns + self.cfg.extra_request_ns);
         let keep_alive = token & KEEP_ALIVE_BIT != 0;
         let token = token & !KEEP_ALIVE_BIT;
-        let f = self.site.file(token);
         self.ctx.token = token;
         self.ctx.keep_alive = keep_alive;
         self.ctx.offset = 0;
         self.ctx.buffered = 0;
-        if let FileKind::Cgi { .. } = f.kind {
-            // Sequential workers have no CGI plumbing in this build; they
-            // answer with a fixed-size error page (the paper's evaluation
-            // is static-only for MP/MT).
-            self.caches.borrow_mut().stats.cgi_requests += 1;
-            self.ctx.fid = None;
-            self.ctx.size = 512;
-            self.ctx.hdr_left = 160;
-            self.ctx.aligned = self.cfg.aligned_headers;
-            k.cpu(self.cfg.header_gen_ns);
-            return self.send_step(k, conn);
-        }
         self.lock(k);
         let hit = {
             let mut caches = self.caches.borrow_mut();
@@ -138,7 +125,7 @@ impl SeqWorker {
             None => {
                 // Blocking translation: only this worker stalls on a
                 // metadata miss.
-                k.sys_stat(f.fid.expect("static file"));
+                k.sys_stat(self.site.file(token).fid);
                 SeqPhase::Translating(conn)
             }
         }
@@ -188,8 +175,8 @@ impl SeqWorker {
     fn send_step(&mut self, k: &mut Kernel, conn: ConnId) -> SeqPhase {
         let remaining = self.ctx.size - self.ctx.offset.min(self.ctx.size);
         let chunk = remaining.min(CHUNK_BYTES);
-        let Some(fid) = self.ctx.fid else {
-            // CGI error page / memory-backed body.
+        let (Some(fid), true) = (self.ctx.fid, chunk > 0) else {
+            // Only header bytes left.
             k.sys_send(
                 conn,
                 self.ctx.hdr_left,
@@ -199,17 +186,6 @@ impl SeqWorker {
             );
             return SeqPhase::Sending(conn);
         };
-        if chunk == 0 {
-            // Only header bytes left.
-            k.sys_send(
-                conn,
-                self.ctx.hdr_left,
-                SendSrc::Mem { len: 0 },
-                self.ctx.aligned,
-                Blocking::Yes,
-            );
-            return SeqPhase::Sending(conn);
-        }
         if !self.cfg.use_mmap {
             // Apache path: read() into a user buffer (may block on disk),
             // then write from memory.

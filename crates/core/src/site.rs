@@ -10,34 +10,17 @@
 use std::rc::Rc;
 
 use flash_http::mime;
-use flash_http::response::{ResponseHeader, Status};
-use flash_simcore::time::Nanos;
+use flash_http::response::{HeaderExtras, ResponseHeader, Status};
 use flash_simos::kernel::Kernel;
 use flash_simos::FileId;
-
-/// How a file is produced when requested.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FileKind {
-    /// Static content read from disk.
-    Static,
-    /// Dynamic content produced by a CGI application.
-    Cgi {
-        /// CPU/compute time the application spends per request.
-        compute_ns: Nanos,
-        /// Response body size it produces.
-        output_bytes: u64,
-    },
-}
 
 /// Specification of one site file, as produced by workload generators.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileSpec {
     /// URL path ("/users/bob/index.html").
     pub path: String,
-    /// Body size in bytes (for CGI, the size of the generated output).
+    /// Body size in bytes.
     pub size: u64,
-    /// Static or CGI.
-    pub kind: FileKind,
 }
 
 impl FileSpec {
@@ -46,7 +29,6 @@ impl FileSpec {
         FileSpec {
             path: path.into(),
             size,
-            kind: FileKind::Static,
         }
     }
 }
@@ -58,12 +40,10 @@ pub struct SiteFile {
     pub path: String,
     /// Body size in bytes.
     pub size: u64,
-    /// Backing file (static files only; CGI output is not file-backed).
-    pub fid: Option<FileId>,
+    /// Backing file.
+    pub fid: FileId,
     /// Pathname component count (drives translation cost).
     pub components: u32,
-    /// Content kind.
-    pub kind: FileKind,
     /// Bytes of a padded (aligned) response header for this file.
     pub hdr_len_aligned: u64,
     /// Bytes of an unpadded response header for this file.
@@ -88,41 +68,30 @@ impl Site {
                     .filter(|s| !s.is_empty())
                     .count()
                     .max(1) as u32;
-                let fid = match spec.kind {
-                    FileKind::Static => Some(kernel.fs.create(spec.size, components)),
-                    FileKind::Cgi { .. } => None,
-                };
-                let ctype = mime::content_type(&spec.path);
+                let fid = kernel.fs.create(spec.size, components);
+                let content = Some((mime::content_type(&spec.path), spec.size));
                 // The real servers stamp Last-Modified on every 200
                 // with a known mtime, so the simulated header length
                 // must include the field too; IMF-fixdate is
                 // fixed-width, so any mtime gives the right length.
-                let hdr_len_aligned = ResponseHeader::build_with_last_modified(
-                    Status::Ok,
-                    ctype,
-                    spec.size,
-                    true,
-                    true,
-                    0,
-                )
-                .len() as u64;
-                let hdr_len_raw = ResponseHeader::build_with_last_modified(
-                    Status::Ok,
-                    ctype,
-                    spec.size,
-                    true,
-                    false,
-                    0,
-                )
-                .len() as u64;
+                let hdr_len = |pad_align| {
+                    ResponseHeader::build_full(
+                        Status::Ok,
+                        content,
+                        true,
+                        pad_align,
+                        Some(0),
+                        HeaderExtras::default(),
+                    )
+                    .len() as u64
+                };
                 SiteFile {
                     path: spec.path.clone(),
                     size: spec.size,
                     fid,
                     components,
-                    kind: spec.kind.clone(),
-                    hdr_len_aligned,
-                    hdr_len_raw,
+                    hdr_len_aligned: hdr_len(true),
+                    hdr_len_raw: hdr_len(false),
                 }
             })
             .collect();
@@ -144,13 +113,9 @@ impl Site {
         self.files.is_empty()
     }
 
-    /// Total static bytes (the dataset size).
+    /// Total bytes (the dataset size).
     pub fn dataset_bytes(&self) -> u64 {
-        self.files
-            .iter()
-            .filter(|f| f.kind == FileKind::Static)
-            .map(|f| f.size)
-            .sum()
+        self.files.iter().map(|f| f.size).sum()
     }
 
     /// Approximate request size in bytes for token `t` (method + path +
@@ -179,27 +144,8 @@ mod tests {
         assert_eq!(site.dataset_bytes(), 10_500);
         let f0 = site.file(0);
         assert_eq!(f0.components, 2);
-        assert!(f0.fid.is_some());
+        assert_ne!(f0.fid, site.file(1).fid);
         assert_eq!(k.fs.len(), 2);
-    }
-
-    #[test]
-    fn cgi_files_have_no_backing_fid() {
-        let mut k = Kernel::new(MachineConfig::freebsd());
-        let site = Site::build(
-            &mut k,
-            &[FileSpec {
-                path: "/cgi-bin/report".into(),
-                size: 8_192,
-                kind: FileKind::Cgi {
-                    compute_ns: 1_000_000,
-                    output_bytes: 8_192,
-                },
-            }],
-        );
-        assert!(site.file(0).fid.is_none());
-        assert_eq!(k.fs.len(), 0);
-        assert_eq!(site.dataset_bytes(), 0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use flash_core::{deploy, FileKind, FileSpec, ServerConfig, Site, KEEP_ALIVE_BIT};
+use flash_core::{deploy, FileSpec, ServerConfig, Site, KEEP_ALIVE_BIT};
 use flash_simcore::SimTime;
 use flash_simos::kernel::{AgentEvent, Kernel};
 use flash_simos::{Agent, AgentId, ConnId, ListenId, MachineConfig, Simulation};
@@ -214,33 +214,6 @@ fn large_files_stream_in_chunks() {
     assert!(done.get() >= 10, "only {} large responses", done.get());
     let bytes = sim.kernel.metrics.bytes_out.total();
     assert!(bytes >= done.get() * 1_500_000);
-}
-
-#[test]
-fn cgi_requests_run_in_application_processes() {
-    let mut sim = Simulation::new(MachineConfig::freebsd());
-    let specs = vec![
-        FileSpec::file("/index.html", 4096),
-        FileSpec {
-            path: "/cgi-bin/report".into(),
-            size: 0,
-            kind: FileKind::Cgi {
-                compute_ns: 3_000_000,
-                output_bytes: 10_000,
-            },
-        },
-    ];
-    let site = Site::build(&mut sim.kernel, &specs);
-    let mut cfg = ServerConfig::flash();
-    cfg.cgi_apps = 2;
-    let server = deploy(&mut sim, &cfg, site).expect("deploy");
-    let done = attach_clients(&mut sim, server.listen, 3, vec![0, 1], false);
-    sim.run_until(SimTime::from_secs(1));
-    assert!(done.get() > 50);
-    let cgi = server.total_stat(|s| s.cgi_requests);
-    assert!(cgi > 20, "only {cgi} CGI requests");
-    // CGI output bytes flowed to clients alongside static content.
-    assert!(sim.kernel.metrics.bytes_out.total() > cgi * 10_000);
 }
 
 #[test]

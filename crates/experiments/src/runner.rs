@@ -113,7 +113,7 @@ fn prewarm(sim: &mut Simulation, trace: &Trace, site: &Site) {
     // Metadata for every file (it is small and hot).
     let files: Vec<_> = order
         .iter()
-        .filter_map(|&i| site.file(i as u64).fid.map(|fid| (i, fid)))
+        .map(|&i| (i, site.file(i as u64).fid))
         .collect();
     for &(_, fid) in &files {
         let meta = sim.kernel.fs.get(fid).meta_page();

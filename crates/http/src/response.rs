@@ -10,8 +10,8 @@
 //! second per thread by [`crate::date`]); because the format is
 //! fixed-width, header lengths stay deterministic for the simulator and
 //! the alignment padding. `Last-Modified` rides along when the caller
-//! knows the file's mtime, and [`ResponseHeader::not_modified`] renders
-//! the bodyless `304` used to answer `If-Modified-Since` hits.
+//! knows the file's mtime, and [`ResponseHeader::build_full`] without
+//! content renders the bodyless `304` used to answer conditional hits.
 
 use crate::date;
 use std::fmt::Write as _;
@@ -169,38 +169,23 @@ impl ResponseHeader {
         keep_alive: bool,
         pad_align: bool,
     ) -> ResponseHeader {
-        Self::render(
+        Self::render_any(
             status,
-            Some((content_type, content_length)),
+            BodyMeta::Sized(content_type, content_length),
             keep_alive,
             pad_align,
             None,
-        )
-    }
-
-    /// [`ResponseHeader::build`] plus a `Last-Modified` field, for
-    /// responses whose file mtime (unix seconds) is known — the
-    /// validator `If-Modified-Since` compares against.
-    pub fn build_with_last_modified(
-        status: Status,
-        content_type: &str,
-        content_length: u64,
-        keep_alive: bool,
-        pad_align: bool,
-        last_modified_unix: i64,
-    ) -> ResponseHeader {
-        Self::render(
-            status,
-            Some((content_type, content_length)),
-            keep_alive,
-            pad_align,
-            Some(last_modified_unix),
+            HeaderExtras::default(),
         )
     }
 
     /// The fully general builder: [`ResponseHeader::build`] plus an
-    /// optional `Last-Modified` and the [`HeaderExtras`] surface
-    /// (ETag, `Content-Range`, content encoding, `Vary`).
+    /// optional `Last-Modified` (the file's mtime in unix seconds, the
+    /// validator `If-Modified-Since` compares against) and the
+    /// [`HeaderExtras`] surface (ETag, `Content-Range`, content
+    /// encoding, `Vary`). Without `content` the header has no
+    /// `Content-Type` or `Content-Length`: the bodyless form a
+    /// `304 Not Modified` takes.
     pub fn build_full(
         status: Status,
         content: Option<(&str, u64)>,
@@ -209,9 +194,13 @@ impl ResponseHeader {
         last_modified_unix: Option<i64>,
         extras: HeaderExtras<'_>,
     ) -> ResponseHeader {
-        Self::render_full(
+        let body = match content {
+            Some((ct, len)) => BodyMeta::Sized(ct, len),
+            None => BodyMeta::None,
+        };
+        Self::render_any(
             status,
-            content,
+            body,
             keep_alive,
             pad_align,
             last_modified_unix,
@@ -239,80 +228,6 @@ impl ResponseHeader {
             pad_align,
             None,
             HeaderExtras::default(),
-        )
-    }
-
-    /// A bodyless `304 Not Modified` header: no `Content-Type` or
-    /// `Content-Length` (the response carries no payload by
-    /// definition), `Last-Modified` echoed when known so caches can
-    /// refresh their validator.
-    pub fn not_modified(keep_alive: bool, last_modified_unix: Option<i64>) -> ResponseHeader {
-        Self::render(
-            Status::NotModified,
-            None,
-            keep_alive,
-            true,
-            last_modified_unix,
-        )
-    }
-
-    /// [`ResponseHeader::not_modified`] plus the representation's
-    /// `ETag`, so `If-None-Match` revalidations refresh both
-    /// validators.
-    pub fn not_modified_full(
-        keep_alive: bool,
-        last_modified_unix: Option<i64>,
-        etag: Option<&str>,
-    ) -> ResponseHeader {
-        Self::render_full(
-            Status::NotModified,
-            None,
-            keep_alive,
-            true,
-            last_modified_unix,
-            HeaderExtras {
-                etag,
-                ..HeaderExtras::default()
-            },
-        )
-    }
-
-    fn render(
-        status: Status,
-        content: Option<(&str, u64)>,
-        keep_alive: bool,
-        pad_align: bool,
-        last_modified_unix: Option<i64>,
-    ) -> ResponseHeader {
-        Self::render_full(
-            status,
-            content,
-            keep_alive,
-            pad_align,
-            last_modified_unix,
-            HeaderExtras::default(),
-        )
-    }
-
-    fn render_full(
-        status: Status,
-        content: Option<(&str, u64)>,
-        keep_alive: bool,
-        pad_align: bool,
-        last_modified_unix: Option<i64>,
-        extras: HeaderExtras<'_>,
-    ) -> ResponseHeader {
-        let body = match content {
-            Some((ct, len)) => BodyMeta::Sized(ct, len),
-            None => BodyMeta::None,
-        };
-        Self::render_any(
-            status,
-            body,
-            keep_alive,
-            pad_align,
-            last_modified_unix,
-            extras,
         )
     }
 
@@ -585,7 +500,7 @@ mod tests {
             let build = |keep| {
                 let mut all = vec![
                     ResponseHeader::build_chunked(Status::Ok, "text/plain", keep, pad),
-                    ResponseHeader::not_modified_full(keep, Some(784_111_777), Some("\"aa-1\"")),
+                    not_modified(keep, Some(784_111_777), Some("\"aa-1\"")),
                 ];
                 for len in (0..10).flat_map(|d| [10u64.pow(d) - 1, 10u64.pow(d)]) {
                     all.push(ResponseHeader::build(
@@ -621,13 +536,13 @@ mod tests {
 
     #[test]
     fn last_modified_rides_along_and_stays_aligned() {
-        let h = ResponseHeader::build_with_last_modified(
+        let h = ResponseHeader::build_full(
             Status::Ok,
-            "text/html",
-            42,
+            Some(("text/html", 42)),
             true,
             true,
-            784_111_777,
+            Some(784_111_777),
+            HeaderExtras::default(),
         );
         let s = String::from_utf8(h.as_bytes().to_vec()).unwrap();
         assert!(s.contains("Last-Modified: Sun, 06 Nov 1994 08:49:37 GMT\r\n"));
@@ -722,9 +637,18 @@ mod tests {
         assert_eq!(etag_value(None, 7, false), "\"0-7\"");
     }
 
+    /// The `304` the planner renders: no content, the validators echoed.
+    fn not_modified(keep: bool, mtime: Option<i64>, etag: Option<&str>) -> ResponseHeader {
+        let extras = HeaderExtras {
+            etag,
+            ..HeaderExtras::default()
+        };
+        ResponseHeader::build_full(Status::NotModified, None, keep, true, mtime, extras)
+    }
+
     #[test]
-    fn not_modified_full_carries_etag() {
-        let h = ResponseHeader::not_modified_full(true, Some(784_111_777), Some("\"aa-1\""));
+    fn not_modified_carries_etag() {
+        let h = not_modified(true, Some(784_111_777), Some("\"aa-1\""));
         let s = String::from_utf8(h.as_bytes().to_vec()).unwrap();
         assert!(s.starts_with("HTTP/1.1 304 Not Modified\r\n"));
         assert!(s.contains("ETag: \"aa-1\"\r\n"));
@@ -733,7 +657,7 @@ mod tests {
 
     #[test]
     fn not_modified_is_bodyless_by_construction() {
-        let h = ResponseHeader::not_modified(true, Some(784_111_777));
+        let h = not_modified(true, Some(784_111_777), None);
         let s = String::from_utf8(h.as_bytes().to_vec()).unwrap();
         assert!(s.starts_with("HTTP/1.1 304 Not Modified\r\n"), "{s}");
         assert!(!s.contains("Content-Length"), "304 must not promise a body");
@@ -742,7 +666,7 @@ mod tests {
         assert!(s.contains("Last-Modified: Sun, 06 Nov 1994 08:49:37 GMT\r\n"));
         assert!(s.ends_with("\r\n\r\n"));
         // And without a known mtime the validator line is simply absent.
-        let h = ResponseHeader::not_modified(false, None);
+        let h = not_modified(false, None, None);
         let s = String::from_utf8(h.as_bytes().to_vec()).unwrap();
         assert!(!s.contains("Last-Modified"));
         assert!(s.contains("Connection: close\r\n"));

@@ -255,19 +255,19 @@ pub const MAX_ENTRY_DIVISOR: u64 = 4;
 
 /// A resident entry plus the instant it was last known to match the
 /// file on disk — set at insert, refreshed by a successful
-/// revalidation re-stat (see [`ContentCache::lookup`]).
+/// revalidation re-stat (see [`ContentCache::lookup_at`]).
 struct Cached {
     entry: Arc<Entry>,
     validated_at: Instant,
 }
 
-/// Outcome of a freshness-aware lookup ([`ContentCache::lookup`]).
+/// Outcome of a freshness-aware lookup ([`ContentCache::lookup_at`]).
 pub enum Lookup {
     /// Resident and within its revalidation TTL: serve it.
     Hit(Arc<Entry>),
     /// Resident but past the TTL: the entry may no longer match the
     /// file on disk — re-stat before serving, then
-    /// [`ContentCache::refresh`] (unchanged) or
+    /// [`ContentCache::refresh_at`] (unchanged) or
     /// [`ContentCache::invalidate`] (changed).
     Stale(Arc<Entry>),
     /// Not resident.
@@ -279,9 +279,6 @@ pub struct ContentCache {
     lru: LruCache<String, Cached>,
     capacity_bytes: u64,
     used_bytes: u64,
-    hits: u64,
-    misses: u64,
-    rejected_oversized: u64,
 }
 
 impl ContentCache {
@@ -293,9 +290,6 @@ impl ContentCache {
             lru: LruCache::new((capacity_bytes / 256 + 2) as usize),
             capacity_bytes,
             used_bytes: 0,
-            hits: 0,
-            misses: 0,
-            rejected_oversized: 0,
         }
     }
 
@@ -304,39 +298,19 @@ impl ContentCache {
         self.capacity_bytes / MAX_ENTRY_DIVISOR
     }
 
-    /// Looks up a path, promoting on hit. Borrowed-key lookup: no
-    /// allocation on this per-request path. Freshness-blind — callers
-    /// that honour a revalidation TTL use [`Self::lookup`].
-    pub fn get(&mut self, path: &str) -> Option<Arc<Entry>> {
-        match self.lru.get(path) {
-            Some(c) => {
-                self.hits += 1;
-                Some(Arc::clone(&c.entry))
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Freshness-aware lookup: a resident entry whose last validation
-    /// is older than `ttl` comes back [`Lookup::Stale`] — still
-    /// promoted and counted as a hit (the bytes are resident; it is
-    /// their *currency* that is in doubt), but the caller must re-stat
-    /// the file and either [`Self::refresh`] or [`Self::invalidate`]
-    /// before serving. `ttl = None` disables staleness entirely.
-    pub fn lookup(&mut self, path: &str, ttl: Option<Duration>) -> Lookup {
-        self.lookup_at(path, ttl, Instant::now())
-    }
-
-    /// [`Self::lookup`] with an explicit notion of "now" — the seam
-    /// the deterministic sim driver uses (its clock is a base
-    /// `Instant` plus simulated nanoseconds, never the wall clock).
+    /// Freshness-aware lookup at `now`, promoting on hit. Borrowed-key
+    /// lookup: no allocation on this per-request path. A resident
+    /// entry whose last validation is older than `ttl` comes back
+    /// [`Lookup::Stale`] — still promoted (the bytes are resident; it
+    /// is their *currency* that is in doubt), but the caller must
+    /// re-stat the file and either [`Self::refresh_at`] or
+    /// [`Self::invalidate`] before serving. `ttl = None` disables
+    /// staleness entirely. `now` is the caller's clock: the
+    /// deterministic sim's is a base `Instant` plus simulated
+    /// nanoseconds, never the wall clock.
     pub fn lookup_at(&mut self, path: &str, ttl: Option<Duration>, now: Instant) -> Lookup {
         match self.lru.get(path) {
             Some(c) => {
-                self.hits += 1;
                 let entry = Arc::clone(&c.entry);
                 match ttl {
                     Some(t) if now.saturating_duration_since(c.validated_at) >= t => {
@@ -345,28 +319,20 @@ impl ContentCache {
                     _ => Lookup::Hit(entry),
                 }
             }
-            None => {
-                self.misses += 1;
-                Lookup::Miss
-            }
+            None => Lookup::Miss,
         }
     }
 
-    /// Looks up a path without promoting it or touching the hit/miss
-    /// counters — for internal consultations (a revalidation
-    /// completion checking what is resident) that are not requests.
+    /// Looks up a path without promoting it — for internal
+    /// consultations (a revalidation completion checking what is
+    /// resident) that are not requests.
     pub fn peek(&self, path: &str) -> Option<Arc<Entry>> {
         self.lru.peek(path).map(|c| Arc::clone(&c.entry))
     }
 
     /// Marks a resident entry as just revalidated against the disk
     /// file (a re-stat matched its mtime and size): its TTL clock
-    /// restarts now.
-    pub fn refresh(&mut self, path: &str) {
-        self.refresh_at(path, Instant::now())
-    }
-
-    /// [`Self::refresh`] with an explicit validation instant.
+    /// restarts at `now`.
     pub fn refresh_at(&mut self, path: &str, now: Instant) {
         if let Some(c) = self.lru.get_mut(path) {
             c.validated_at = now;
@@ -401,7 +367,6 @@ impl ContentCache {
     /// [`Self::insert`] with an explicit validation instant.
     pub fn insert_at(&mut self, path: String, entry: Arc<Entry>, now: Instant) -> bool {
         if entry.cost() > self.max_entry_bytes() {
-            self.rejected_oversized += 1;
             return false;
         }
         self.used_bytes += entry.cost();
@@ -424,16 +389,6 @@ impl ContentCache {
     /// Bytes currently cached.
     pub fn used_bytes(&self) -> u64 {
         self.used_bytes
-    }
-
-    /// (hits, misses) counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Inserts refused by the oversized-entry admission check.
-    pub fn rejected_oversized(&self) -> u64 {
-        self.rejected_oversized
     }
 }
 
@@ -631,23 +586,14 @@ mod tests {
     }
 
     #[test]
-    fn cache_hit_and_miss_counting() {
-        let mut c = ContentCache::new(1024 * 1024);
-        assert!(c.get("/a").is_none());
-        c.insert("/a".into(), Entry::build("/a", vec![1, 2, 3]));
-        assert!(c.get("/a").is_some());
-        assert_eq!(c.stats(), (1, 1));
-    }
-
-    #[test]
     fn byte_bound_evicts_lru() {
         let mut c = ContentCache::new(8000);
         for i in 0..10 {
             assert!(c.insert(format!("/f{i}"), Entry::build("/f", vec![0u8; 700])));
             assert!(c.used_bytes() <= 8000, "used {}", c.used_bytes());
         }
-        assert!(c.get("/f9").is_some());
-        assert!(c.get("/f0").is_none());
+        assert!(c.peek("/f9").is_some());
+        assert!(c.peek("/f0").is_none());
     }
 
     #[test]
@@ -666,39 +612,32 @@ mod tests {
         assert!(big.cost() > c.max_entry_bytes());
         assert!(!c.insert("/big".into(), big));
         assert_eq!(c.used_bytes(), resident, "resident set must be untouched");
-        assert!(c.get("/big").is_none());
-        assert_eq!(c.rejected_oversized(), 1);
+        assert!(c.peek("/big").is_none());
         for i in 0..4 {
-            assert!(c.get(&format!("/f{i}")).is_some(), "/f{i} must survive");
+            assert!(c.peek(&format!("/f{i}")).is_some(), "/f{i} must survive");
         }
     }
 
     #[test]
     fn lookup_reports_staleness_and_refresh_resets_it() {
-        let mut c = ContentCache::new(1024 * 1024);
-        c.insert("/a".into(), Entry::build("/a", b"x".to_vec()));
-        // Long TTL: fresh.
-        assert!(matches!(
-            c.lookup("/a", Some(Duration::from_secs(60))),
-            Lookup::Hit(_)
-        ));
+        let (mut c, t0) = (ContentCache::new(1024 * 1024), Instant::now());
+        let ttl = Some(Duration::from_secs(60));
+        c.insert_at("/a".into(), Entry::build("/a", b"x".to_vec()), t0);
+        // Within the TTL: fresh.
+        assert!(matches!(c.lookup_at("/a", ttl, t0), Lookup::Hit(_)));
         // Zero TTL: immediately stale — resident but untrusted.
         assert!(matches!(
-            c.lookup("/a", Some(Duration::ZERO)),
+            c.lookup_at("/a", Some(Duration::ZERO), t0),
             Lookup::Stale(_)
         ));
-        // No TTL: staleness disabled entirely.
-        assert!(matches!(c.lookup("/a", None), Lookup::Hit(_)));
-        // A refresh restarts the clock for a non-zero TTL.
-        c.refresh("/a");
-        assert!(matches!(
-            c.lookup("/a", Some(Duration::from_secs(60))),
-            Lookup::Hit(_)
-        ));
-        assert!(matches!(
-            c.lookup("/missing", Some(Duration::from_secs(60))),
-            Lookup::Miss
-        ));
+        // Past the TTL: stale; no TTL: staleness disabled entirely.
+        let later = t0 + Duration::from_secs(61);
+        assert!(matches!(c.lookup_at("/a", ttl, later), Lookup::Stale(_)));
+        assert!(matches!(c.lookup_at("/a", None, later), Lookup::Hit(_)));
+        // A refresh restarts the clock.
+        c.refresh_at("/a", later);
+        assert!(matches!(c.lookup_at("/a", ttl, later), Lookup::Hit(_)));
+        assert!(matches!(c.lookup_at("/missing", ttl, later), Lookup::Miss));
     }
 
     #[test]
@@ -708,13 +647,13 @@ mod tests {
         c.insert("/b".into(), Entry::build("/b", vec![0u8; 700]));
         let both = c.used_bytes();
         assert!(c.invalidate("/a"), "resident entry must be removed");
-        assert!(c.get("/a").is_none(), "stale bytes must stop serving");
+        assert!(c.peek("/a").is_none(), "stale bytes must stop serving");
         assert!(c.used_bytes() < both, "bytes must be released");
-        assert!(c.get("/b").is_some(), "other entries untouched");
+        assert!(c.peek("/b").is_some(), "other entries untouched");
         assert!(!c.invalidate("/a"), "second invalidate is a no-op");
         // The slot is reusable: a reload re-inserts cleanly.
         c.insert("/a".into(), Entry::build("/a", vec![1u8; 200]));
-        assert!(c.get("/a").is_some());
+        assert!(c.peek("/a").is_some());
     }
 
     #[test]
@@ -734,8 +673,8 @@ mod tests {
         );
         c.insert(variant_key("/x.html", Variant::Identity), Arc::clone(&id));
         c.insert(variant_key("/x.html", Variant::Gzip), Arc::clone(&gz));
-        let got_id = c.get(&variant_key("/x.html", Variant::Identity)).unwrap();
-        let got_gz = c.get(&variant_key("/x.html", Variant::Gzip)).unwrap();
+        let got_id = c.peek(&variant_key("/x.html", Variant::Identity)).unwrap();
+        let got_gz = c.peek(&variant_key("/x.html", Variant::Gzip)).unwrap();
         assert_eq!(&got_id.body[..], b"plain");
         assert_eq!(&got_gz.body[..], b"gz");
         assert_ne!(
@@ -744,8 +683,8 @@ mod tests {
         );
         // Evicting one variant leaves the other resident.
         assert!(c.invalidate(&variant_key("/x.html", Variant::Gzip)));
-        assert!(c.get(&variant_key("/x.html", Variant::Identity)).is_some());
-        assert!(c.get(&variant_key("/x.html", Variant::Gzip)).is_none());
+        assert!(c.peek(&variant_key("/x.html", Variant::Identity)).is_some());
+        assert!(c.peek(&variant_key("/x.html", Variant::Gzip)).is_none());
     }
 
     #[test]

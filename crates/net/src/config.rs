@@ -206,8 +206,14 @@ impl NetConfig {
         }
     }
 
-    /// The consistency check behind [`NetConfigBuilder::build`],
-    /// callable on a hand-assembled config too.
+    /// Each shard's equal slice of the content-cache budget.
+    pub(crate) fn shard_cache_bytes(&self) -> u64 {
+        (self.cache_bytes / self.event_loops as u64).max(1)
+    }
+
+    /// The consistency check behind [`NetConfigBuilder::build`]. Every
+    /// [`Server`](crate::Server) start runs it too, so a config
+    /// assembled field by field is held to the same rules.
     pub fn validate(&self) -> Result<(), ConfigError> {
         fn nonzero(n: u64, what: &'static str) -> Result<(), ConfigError> {
             if n == 0 {
@@ -242,8 +248,7 @@ impl NetConfig {
         // (cache slice / MAX_ENTRY_DIVISOR); a sendfile threshold
         // above it leaves a dead band of bodies too big to cache yet
         // too small for sendfile — every such hit re-reads the disk.
-        let shard_cache = (self.cache_bytes / self.event_loops.max(1) as u64).max(1);
-        let max_entry = shard_cache / crate::cache::MAX_ENTRY_DIVISOR;
+        let max_entry = self.shard_cache_bytes() / crate::cache::MAX_ENTRY_DIVISOR;
         if self.sendfile_threshold_bytes > max_entry {
             return Err(ConfigError(format!(
                 "sendfile_threshold_bytes ({}) exceeds the largest cacheable entry \

@@ -193,7 +193,12 @@ pub fn plan_response<F: Clone>(
     };
     if not_modified {
         stats.not_modified.fetch_add(1, Ordering::Relaxed);
-        let hdr = ResponseHeader::not_modified_full(keep_alive, mtime, Some(etag));
+        let extras = HeaderExtras {
+            etag: Some(etag),
+            ..HeaderExtras::default()
+        };
+        let hdr =
+            ResponseHeader::build_full(Status::NotModified, None, keep_alive, true, mtime, extras);
         return ResponsePlan {
             status: Status::NotModified,
             tier: Tier::NotModified,

@@ -135,11 +135,18 @@ impl Server {
     /// because closing the last duplicate of a listening socket RSTs
     /// its queued connections; still, matching `event_loops` across
     /// generations is the clean configuration.
+    ///
+    /// Every start comes through here. A config that
+    /// [`NetConfig::validate`] refuses is an `InvalidInput` error
+    /// carrying its reason: no thread is spawned, and the listeners
+    /// are dropped, so the port is free again.
     pub fn start_inherited_as(
         kind: ServerKind,
         cfg: NetConfig,
         inherited: Vec<TcpListener>,
     ) -> io::Result<Server> {
+        cfg.validate()
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let (accept_mode, n) = accepting(kind, &cfg);
         let (mut listeners, handoff) = listeners(inherited, n, accept_mode)?;
         let addr = listeners[0].local_addr()?;
@@ -290,10 +297,7 @@ impl Server {
 /// accepts for itself, as the accept mode resolves.
 fn accepting(kind: ServerKind, cfg: &NetConfig) -> (AcceptModeKind, usize) {
     match kind {
-        ServerKind::Amped => (
-            sock::resolve_accept_mode(cfg.accept_mode),
-            cfg.event_loops.max(1),
-        ),
+        ServerKind::Amped => (sock::resolve_accept_mode(cfg.accept_mode), cfg.event_loops),
         ServerKind::Mt => (AcceptModeKind::Single, 1),
     }
 }

@@ -381,8 +381,8 @@
 //! Paths under [`NetConfig::dynamic_prefix`] (builder:
 //! `dynamic_prefix("/app/")`) bypass the filesystem entirely and are
 //! answered by **persistent worker processes** ([`appworker`]) — the
-//! paper's CGI concern (§2.2, §5.6; `FileKind::Cgi` in the workload
-//! model) without fork-per-request: each worker is spawned once over a
+//! paper's persistent CGI processes (§2.2, §5.6), without
+//! fork-per-request: each worker is spawned once over a
 //! `socketpair(2)` (its stdin *and* stdout are the same socket), given
 //! one request at a time, and kept after a clean exchange. A worker
 //! that crashes, emits garbage, says anything it was not asked for, or
@@ -465,8 +465,8 @@
 //!   client that has already hung up.
 //! * **The deterministic sim** runs the shard's own worker set against
 //!   simulated workers that write real `DATA`/`END` frames on simulated
-//!   time, after per-endpoint compute times from the workload's
-//!   `FileKind::Cgi` shape — wedged, crashing and garbling workers,
+//!   time, after per-endpoint compute times (1–5 ms) — wedged,
+//!   crashing and garbling workers,
 //!   clients that reset mid-stream and clients that leave a silent
 //!   worker are all folded into its bit-identical fingerprint.
 //!

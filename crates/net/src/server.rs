@@ -410,7 +410,7 @@ pub(crate) fn spawn(
     // server with no dynamic_prefix never forks anything).
     let command: Arc<[String]> = cfg.worker_command().into();
     let helpers = &mut threads.pool.insert((Arc::clone(&jobs), Vec::new())).1;
-    for i in 0..cfg.helpers.max(1) {
+    for i in 0..cfg.helpers {
         let queue = Arc::clone(&jobs);
         let txs = done_txs.clone();
         let wakes = threads.wakes.clone();
@@ -451,7 +451,7 @@ fn net_shard(
     let mut backend = new_backend(cfg.backend);
     backend.register(wake_rx.as_raw_fd(), WAKE_TOKEN, Interest::READ)?;
     backend.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
-    let open_files = open_file_budget(cfg.event_loops.max(1));
+    let open_files = open_file_budget(cfg.event_loops);
     let env = NetEnv {
         jobs: Arc::clone(jobs),
         shard: id,
@@ -542,7 +542,7 @@ impl<E: Env> Shard<E> {
         stats: Arc<ShardStats>,
         cfg: &NetConfig,
     ) -> Shard<E> {
-        let cache_bytes = (cfg.cache_bytes / cfg.event_loops.max(1) as u64).max(1);
+        debug_assert!(cfg.validate().is_ok(), "{:?}", cfg.validate());
         let timeouts = [
             cfg.idle_timeout,
             cfg.header_read_timeout,
@@ -557,11 +557,11 @@ impl<E: Env> Shard<E> {
                 workers: cfg
                     .dynamic_prefix
                     .as_ref()
-                    .map(|_| WorkerSet::new(cfg.helpers.max(1), Arc::clone(&stats))),
+                    .map(|_| WorkerSet::new(cfg.helpers, Arc::clone(&stats))),
                 env,
                 stats: Arc::clone(&stats),
             },
-            core: ShardCore::new(id, cache_bytes, cfg.proto(), stats),
+            core: ShardCore::new(id, cfg.shard_cache_bytes(), cfg.proto(), stats),
             conns: Vec::new(),
             free: Vec::new(),
             watched: Vec::new(),
@@ -1202,10 +1202,14 @@ mod tests {
         }
 
         fn with(choice: BackendChoice, cfg: &NetConfig, cache_bytes: u64) -> Rig {
+            // A small cache admits small entries only; the sendfile
+            // tier starts where they stop, as `validate` requires.
+            let largest = cache_bytes / crate::cache::MAX_ENTRY_DIVISOR;
             let cfg = NetConfig {
                 backend: choice,
                 cache_bytes,
                 event_loops: 1,
+                sendfile_threshold_bytes: cfg.sendfile_threshold_bytes.min(largest),
                 ..cfg.clone()
             };
             let listener = sock::bind_listener("127.0.0.1:0".parse().unwrap(), false).unwrap();

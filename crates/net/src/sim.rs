@@ -61,7 +61,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use flash_core::{FileKind, FileSpec};
+use flash_core::FileSpec;
 use flash_simcore::time::{Nanos, MILLI, SEC};
 use flash_simcore::{EventQueue, SimRng};
 use flash_workload::Zipf;
@@ -183,8 +183,7 @@ pub struct SimConfig {
     pub resident_fraction: f64,
     /// Per-request fraction routed to the dynamic tier (a simulated
     /// application endpoint under [`DYN_PREFIX`], streamed back as
-    /// chunked frames — the [`flash_core::FileKind::Cgi`] workload
-    /// model replayed through the shard's worker set).
+    /// chunked frames through the shard's worker set).
     pub dynamic_fraction: f64,
     /// Mean of the exponential jitter added to each simulated
     /// application's fixed per-request compute time.
@@ -308,8 +307,7 @@ pub const DYN_PREFIX: &str = "/app/";
 /// ([`FaultPlan::parked_hangup`]).
 const SILENT: &str = "/app/silent/";
 
-/// One simulated application endpoint — the sim's realization of the
-/// workload model's [`FileKind::Cgi`] `{ compute_ns, output_bytes }`:
+/// One simulated application endpoint (a persistent CGI process, §5.6):
 /// a fixed per-request compute time and a deterministic response body
 /// its worker writes back as `DATA` frames.
 #[derive(Debug, Clone, Copy)]
@@ -1185,46 +1183,26 @@ struct Sim {
 
 impl Sim {
     fn new(cfg: SimConfig, specs: &[FileSpec]) -> Sim {
-        let (mut files, mut paths, mut apps) = (HashMap::new(), Vec::new(), Vec::new());
+        let (mut files, mut paths) = (HashMap::new(), Vec::new());
         for (i, s) in specs.iter().enumerate() {
-            match s.kind {
-                // A Cgi spec is one of the dynamic tier's endpoints.
-                FileKind::Cgi {
-                    compute_ns,
-                    output_bytes,
-                } => {
-                    let path = match s.path.starts_with(DYN_PREFIX) {
-                        true => s.path.clone(),
-                        false => format!("/app{}", s.path),
-                    };
-                    let id = 0xC000_0000 | apps.len() as u32;
-                    apps.push((path, DynApp::new(id, compute_ns, output_bytes)));
-                }
-                FileKind::Static => {
-                    // Deterministic, distinct per file, in the parseable
-                    // IMF-fixdate range.
-                    let (id, len) = (i as u32, s.size);
-                    let mtime = 800_000_000 + id as i64 * 61;
-                    files.insert(s.path.clone(), SimFile { id, len, mtime });
-                    paths.push(s.path.clone());
-                }
-            }
+            // Deterministic, distinct per file, in the parseable
+            // IMF-fixdate range.
+            let (id, len) = (i as u32, s.size);
+            let mtime = 800_000_000 + id as i64 * 61;
+            files.insert(s.path.clone(), SimFile { id, len, mtime });
+            paths.push(s.path.clone());
         }
-        if apps.is_empty() {
-            // No Cgi specs in the site: synthesize a small application
-            // set, a pure function of the index (compute times 1–5 ms,
-            // bodies a few frames long — the FileKind::Cgi shape).
-            apps = (0u32..12)
-                .map(|i| {
-                    let (compute, output) =
-                        ((1 + i as u64 % 5) * MILLI, 200 + (i as u64 * 977) % 6000);
-                    (
-                        format!("{DYN_PREFIX}{i}"),
-                        DynApp::new(0xC000_0000 | i, compute, output),
-                    )
-                })
-                .collect();
-        }
+        // The application set, a pure function of the index: compute
+        // times 1–5 ms, bodies a few frames long.
+        let apps: Vec<_> = (0u32..12)
+            .map(|i| {
+                let (compute, output) = ((1 + i as u64 % 5) * MILLI, 200 + (i as u64 * 977) % 6000);
+                (
+                    format!("{DYN_PREFIX}{i}"),
+                    DynApp::new(0xC000_0000 | i, compute, output),
+                )
+            })
+            .collect();
         let mut net = NetConfig::new("/sim");
         net.cache_bytes = cfg.cache_bytes;
         net.event_loops = 1;

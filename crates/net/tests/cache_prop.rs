@@ -2,7 +2,9 @@
 //! any sequence of inserts, lookups, and the evictions they trigger,
 //! `used_bytes` equals the summed cost of exactly the live entries.
 
-use flash_net::cache::{ContentCache, Entry};
+use std::time::Instant;
+
+use flash_net::cache::{ContentCache, Entry, Lookup};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -68,7 +70,7 @@ proptest! {
     #[test]
     fn used_bytes_matches_live_entry_costs(script in proptest::collection::vec(ops(), 1..300)) {
         const CAP: u64 = 16 * 1024;
-        let mut cache = ContentCache::new(CAP);
+        let (mut cache, now) = (ContentCache::new(CAP), Instant::now());
         let mut model = Model { live: Vec::new(), cap: CAP };
         for op in script {
             match op {
@@ -86,7 +88,7 @@ proptest! {
                 }
                 Op::Get(k) => {
                     let path = format!("/f{k}");
-                    let hit = cache.get(&path).is_some();
+                    let hit = matches!(cache.lookup_at(&path, None, now), Lookup::Hit(_));
                     prop_assert_eq!(hit, model.get(&path), "hit/miss diverged on {}", path);
                 }
             }

@@ -3,8 +3,9 @@
 //! complete; idle keep-alives close promptly), SIGHUP-style reload
 //! without dropping a connection, generation handoff of listener fds,
 //! the drain-based `stop()` vs the immediate `stop_now()`, and the
-//! helper-wait deadline that reaps waiters of a wedged helper. The
-//! drain, stop and handoff scenarios run on both architectures through
+//! helper-wait deadline that reaps waiters of a wedged helper, and the
+//! refusal of an invalid config at start. The drain, stop, handoff and
+//! refusal scenarios run on both architectures through
 //! the one `Server` handle: the AMPED test keeps the scenario's name,
 //! MT's is prefixed `mt_`.
 
@@ -319,6 +320,39 @@ fn run_handoff_passes_single_listener_across_generations(kind: ServerKind) {
     let _ = std::fs::remove_dir_all(root);
 }
 
+/// A config assembled field by field is held to the builder's rules:
+/// a zero idle timeout (every connection would expire at once) and a
+/// helper count of zero each fail to start, naming the field, with no
+/// server left holding the port.
+fn run_invalid_config_starts_nothing(kind: ServerKind) {
+    let root = docroot(&format!("invalid-{kind:?}"));
+    let mut zero_idle = NetConfig::new(&root);
+    zero_idle.idle_timeout = Some(Duration::ZERO);
+    let mut no_helpers = NetConfig::new(&root);
+    no_helpers.helpers = 0;
+    for (cfg, field) in [(zero_idle, "idle_timeout"), (no_helpers, "helpers")] {
+        let addr = std::net::TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let err = match Server::start_as(kind, addr, cfg) {
+            Ok(server) => {
+                server.stop_now();
+                panic!("{kind:?} started with an invalid {field}");
+            }
+            Err(e) => e,
+        };
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidInput,
+            "{field}: {err}"
+        );
+        assert!(err.to_string().contains(field), "{field}: {err}");
+        std::net::TcpListener::bind(addr).expect("the refused start left the port bound");
+    }
+    let _ = std::fs::remove_dir_all(root);
+}
+
 /// A `#[test]` per architecture for each scenario above: the AMPED one
 /// under the scenario's name, the MT one prefixed `mt_`.
 macro_rules! on_both_architectures {
@@ -348,6 +382,8 @@ on_both_architectures! {
         stop_finishes_response_already_in_flight, mt_stop_finishes_response_already_in_flight;
     run_stop_now_severs_immediately =>
         stop_now_severs_immediately, mt_stop_now_severs_immediately;
+    run_invalid_config_starts_nothing =>
+        invalid_config_starts_nothing, mt_invalid_config_starts_nothing;
     #[cfg(target_os = "linux")]
     run_port_rebindable_by_new_generation_during_drain =>
         port_rebindable_by_new_generation_during_drain,

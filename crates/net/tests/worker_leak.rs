@@ -1,8 +1,8 @@
 //! The dynamic tier leaks nothing: after a clean exchange, a worker
 //! crash and its respawn, a wedged worker cancelled by the deadline,
 //! and a `stop()` — and again after a `drain()` with a worker still
-//! alive and idle — the process has no child left (nothing in
-//! `/proc/self/task/*/children`, which lists zombies too), and exactly
+//! alive and idle — the process has no child left (no `/proc/<pid>/stat`
+//! names it as the parent, zombies included), and exactly
 //! the threads (`/proc/self/task`) and descriptors (`/proc/self/fd`) it
 //! had before `start`. For the event-loop server on both backends,
 //! whose shards speak to their workers themselves and leave the fork
@@ -28,17 +28,28 @@ use flash_http::chunked::ChunkedDecoder;
 use flash_net::handle::{self, ServeHandle};
 use flash_net::{BackendChoice, NetConfig, ServerKind};
 
-/// (children, threads, descriptors) of this process, now.
+/// (children, threads, descriptors) of this process, now. Children
+/// are read from every process's `stat`, whose parent field is exact
+/// at any moment; `/proc/<tid>/children` is reliable only for a
+/// stopped task.
 fn census() -> (Vec<String>, usize, usize) {
     let count = |dir| std::fs::read_dir(dir).unwrap().count();
+    let me = std::process::id().to_string();
     let mut children = Vec::new();
-    for task in std::fs::read_dir("/proc/self/task").unwrap() {
-        // A thread that has just exited takes its file with it.
-        let list = std::fs::read_to_string(task.unwrap().path().join("children"));
-        children.extend(
-            list.iter()
-                .flat_map(|l| l.split_whitespace().map(String::from)),
-        );
+    for entry in std::fs::read_dir("/proc").unwrap() {
+        let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+        if !name.bytes().all(|b| b.is_ascii_digit()) {
+            continue;
+        }
+        // A process that has just been reaped takes its file with it.
+        let Ok(stat) = std::fs::read_to_string(format!("/proc/{name}/stat")) else {
+            continue;
+        };
+        // `pid (comm) state ppid …`: comm may hold spaces or `)`.
+        let after_comm = &stat[stat.rfind(')').unwrap() + 1..];
+        if after_comm.split_whitespace().nth(1) == Some(me.as_str()) {
+            children.push(name);
+        }
     }
     (children, count("/proc/self/task"), count("/proc/self/fd"))
 }

@@ -102,7 +102,7 @@ pub enum SendSrc {
         /// Body length in bytes.
         len: u64,
     },
-    /// Application-memory data (CGI output, app buffers): never faults,
+    /// Application-memory data (app buffers): never faults,
     /// but pays the user-space copy on top of the stack cost.
     Mem {
         /// Body length in bytes.

@@ -2,7 +2,7 @@
 //!
 //! Processes are the schedulable entities: full processes (own address
 //! space), kernel threads (shared address space, cheaper switches), and
-//! the helper/CGI processes AMPED spawns. Each entry tracks its scheduler
+//! the helper processes AMPED spawns. Each entry tracks its scheduler
 //! state, resident memory (which competes with the page cache), and the
 //! completion value to deliver at its next dispatch.
 

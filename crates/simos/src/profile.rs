@@ -63,7 +63,7 @@ pub struct OsProfile {
     pub ctx_switch_ns: Nanos,
     /// Cost of a thread-to-thread switch inside one address space.
     pub thread_switch_ns: Nanos,
-    /// Cost of `fork(2)` (used when spawning helpers and CGI processes).
+    /// Cost of `fork(2)` (used when spawning helpers).
     pub fork_ns: Nanos,
     /// Cost of closing a connection (protocol control block teardown).
     pub close_ns: Nanos,
