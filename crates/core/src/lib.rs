@@ -2,6 +2,11 @@
 //! the AMPED architecture and its SPED/MP/MT siblings, built from one
 //! code base, on top of the `flash-simos` simulated operating system.
 //!
+//! This is the *modelled* server. It depends on the shipped crates and
+//! never the reverse: its caches are built on `flash-net`'s
+//! `LruCache`, and its sites are `flash-workload`'s `FileSpec`s. The
+//! real server, its sim and its benchmark compile none of this crate.
+//!
 //! # Architecture map (paper §3 → modules)
 //!
 //! | Paper | Module |
@@ -21,14 +26,15 @@
 //!
 //! ```
 //! use std::rc::Rc;
-//! use flash_core::{deploy, ServerConfig, Site, FileSpec};
+//! use flash_core::{deploy, ServerConfig, Site};
 //! use flash_simos::{MachineConfig, Simulation};
+//! use flash_workload::FileSpec;
 //!
 //! let mut sim = Simulation::new(MachineConfig::freebsd());
 //! let site = Site::build(&mut sim.kernel, &[FileSpec::file("/index.html", 8192)]);
 //! let server = deploy(&mut sim, &ServerConfig::flash(), Rc::clone(&site)).unwrap();
 //! assert_eq!(server.name, "Flash");
-//! // Attach client agents (see `flash-workload`) and run the simulation.
+//! // Attach client agents (see `flash-experiments`) and run the simulation.
 //! ```
 
 pub mod caches;
@@ -43,4 +49,4 @@ pub use caches::{CacheStats, Caches, CHUNK_BYTES};
 pub use config::{Architecture, ServerConfig};
 pub use deploy::{deploy, DeployError, ServerHandle};
 pub use eventloop::KEEP_ALIVE_BIT;
-pub use site::{FileSpec, Site, SiteFile};
+pub use site::{Site, SiteFile};

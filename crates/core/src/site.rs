@@ -13,25 +13,7 @@ use flash_http::mime;
 use flash_http::response::{HeaderExtras, ResponseHeader, Status};
 use flash_simos::kernel::Kernel;
 use flash_simos::FileId;
-
-/// Specification of one site file, as produced by workload generators.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FileSpec {
-    /// URL path ("/users/bob/index.html").
-    pub path: String,
-    /// Body size in bytes.
-    pub size: u64,
-}
-
-impl FileSpec {
-    /// A static file.
-    pub fn file(path: impl Into<String>, size: u64) -> Self {
-        FileSpec {
-            path: path.into(),
-            size,
-        }
-    }
-}
+use flash_workload::FileSpec;
 
 /// One resolvable site entry (a [`FileSpec`] realized in the filesystem).
 #[derive(Debug, Clone)]

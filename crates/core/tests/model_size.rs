@@ -11,9 +11,12 @@
 
 use std::path::Path;
 
-/// Product lines of `crates/core/src` as the model last shrank: 1 827
-/// before its CGI tier went, which the shipped dynamic tier replaces.
-const LANDED_AT: usize = 1616;
+/// Product lines of `crates/core/src` as the model last shrank: 1 616
+/// before ROADMAP item 17 moved `LruCache` to `flash-net` and
+/// `FileSpec` to `flash-workload`, so that the model depends on the
+/// shipped crates and never the reverse (1 827 before its CGI tier
+/// went).
+const LANDED_AT: usize = 1440;
 
 /// The code lines of one source file.
 fn product_lines(path: &Path) -> usize {

@@ -6,10 +6,11 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use flash_core::{deploy, FileSpec, ServerConfig, Site, KEEP_ALIVE_BIT};
+use flash_core::{deploy, ServerConfig, Site, KEEP_ALIVE_BIT};
 use flash_simcore::SimTime;
 use flash_simos::kernel::{AgentEvent, Kernel};
 use flash_simos::{Agent, AgentId, ConnId, ListenId, MachineConfig, Simulation};
+use flash_workload::FileSpec;
 
 /// A benchmark client: requests tokens in sequence as fast as the server
 /// answers. Non-persistent by default; persistent when `keep_alive`.

@@ -12,8 +12,9 @@ use std::rc::Rc;
 use flash_core::ServerConfig;
 use flash_simcore::SimTime;
 use flash_simos::MachineConfig;
-use flash_workload::{ClientFleet, ConnMode, Trace};
+use flash_workload::Trace;
 
+use crate::client::{ClientFleet, ConnMode};
 use crate::runner::{run_one, RunParams};
 use crate::table::{Figure, Series};
 use crate::Scale;

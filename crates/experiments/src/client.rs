@@ -1,7 +1,7 @@
 //! Replay clients: the event-driven load generator of §6.
 //!
 //! The paper's client tool simulates many HTTP clients, each issuing
-//! requests "as fast as the server can handle them". [`ReplayClient`]
+//! requests "as fast as the server can handle them". `ReplayClient`
 //! does the same against the simulated kernel: all clients share one
 //! cursor into the request log (the aggregate request stream follows the
 //! log order, as in the paper's replay methodology), reconnecting per
@@ -16,11 +16,10 @@ use flash_simcore::time::Nanos;
 use flash_simcore::SimTime;
 use flash_simos::kernel::{AgentEvent, Kernel};
 use flash_simos::{Agent, AgentId, ConnId, ListenId};
-
-use crate::trace::Trace;
+use flash_workload::Trace;
 
 /// Shared replay position in the request log.
-pub type Cursor = Rc<RefCell<usize>>;
+type Cursor = Rc<RefCell<usize>>;
 
 /// How clients use connections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,7 +31,7 @@ pub enum ConnMode {
 }
 
 /// One simulated client machine replaying the shared log.
-pub struct ReplayClient {
+struct ReplayClient {
     id: AgentId,
     listen: ListenId,
     trace: Rc<Trace>,
@@ -147,14 +146,15 @@ mod tests {
     use super::*;
     use flash_core::{deploy, ServerConfig, Site};
     use flash_simos::{MachineConfig, Simulation};
+    use flash_workload::TraceConfig;
 
     fn run(mode: ConnMode, secs: u64) -> (u64, f64) {
         let mut sim = Simulation::new(MachineConfig::freebsd());
         let trace = Rc::new(Trace::generate(
-            &crate::trace::TraceConfig {
+            &TraceConfig {
                 dataset_bytes: 2 * 1024 * 1024,
                 n_requests: 5_000,
-                ..crate::trace::TraceConfig::owlnet()
+                ..TraceConfig::owlnet()
             },
             9,
         ));
@@ -226,10 +226,10 @@ mod tests {
     fn shared_cursor_follows_log_order() {
         let mut sim = Simulation::new(MachineConfig::freebsd());
         let trace = Rc::new(Trace::generate(
-            &crate::trace::TraceConfig {
+            &TraceConfig {
                 dataset_bytes: 512 * 1024,
                 n_requests: 100,
-                ..crate::trace::TraceConfig::owlnet()
+                ..TraceConfig::owlnet()
             },
             1,
         ));

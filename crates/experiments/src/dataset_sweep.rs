@@ -14,8 +14,9 @@ use std::rc::Rc;
 use flash_core::ServerConfig;
 use flash_simcore::SimTime;
 use flash_simos::MachineConfig;
-use flash_workload::{ClientFleet, ConnMode, Trace, TraceConfig};
+use flash_workload::{Trace, TraceConfig};
 
+use crate::client::{ClientFleet, ConnMode};
 use crate::runner::{run_one, RunParams};
 use crate::table::{Figure, Series};
 use crate::Scale;

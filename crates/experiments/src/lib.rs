@@ -12,6 +12,10 @@
 //! (helper-pool size, §5.5 alignment, disk scheduling, §5.7 residency
 //! policies).
 //!
+//! Every driver runs the modelled server through [`runner`] against
+//! [`client`]'s replay clients: the event-driven load generator of §6,
+//! in per-request (HTTP/1.0) and persistent (§6.4 WAN) modes.
+//!
 //! Every driver returns [`table::Figure`]s — the same series the paper
 //! plots — and is deterministic for a given seed. `Scale::Quick` shrinks
 //! sweeps for tests; `Scale::Full` regenerates the figures in full (see
@@ -19,6 +23,7 @@
 
 pub mod ablation;
 pub mod breakdown;
+pub mod client;
 pub mod dataset_sweep;
 pub mod runner;
 pub mod single_file;
@@ -26,6 +31,7 @@ pub mod table;
 pub mod trace_bars;
 pub mod wan;
 
+pub use client::{attach_fleet, ClientFleet, ConnMode};
 pub use runner::{run_one, RunParams, RunResult};
 pub use table::{Figure, Series};
 

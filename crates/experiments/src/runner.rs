@@ -12,7 +12,9 @@ use flash_core::{deploy, DeployError, ServerConfig, ServerHandle, Site};
 use flash_simcore::SimTime;
 use flash_simos::fs::META_FILE;
 use flash_simos::{MachineConfig, Simulation, PAGE_SIZE};
-use flash_workload::{attach_fleet, ClientFleet, Trace};
+use flash_workload::Trace;
+
+use crate::client::{attach_fleet, ClientFleet};
 
 /// Measured outcome of one run.
 #[derive(Debug, Clone)]
@@ -130,7 +132,7 @@ fn prewarm(sim: &mut Simulation, trace: &Trace, site: &Site) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flash_workload::ConnMode;
+    use crate::client::ConnMode;
 
     #[test]
     fn run_one_produces_sane_metrics() {

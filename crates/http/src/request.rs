@@ -274,7 +274,9 @@ pub enum ParseError {
     PathTraversal,
     /// Header section exceeded [`MAX_HEADER_BYTES`].
     TooLarge,
-    /// A header line had no `:` separator.
+    /// A header line had no `:` separator, or its field name was empty
+    /// or not a token (whitespace before the colon included); or the
+    /// request carried a second `Host`.
     BadHeader,
     /// A GET or HEAD declared a body: a `Transfer-Encoding`, or a
     /// `Content-Length` other than `0` (an unparseable one included).
@@ -431,6 +433,12 @@ fn parse_header(raw: &[u8]) -> Result<Request, ParseError> {
             continue;
         }
         let (name, value) = line.split_once(':').ok_or(ParseError::BadHeader)?;
+        // A field name is a token (RFC 9110 §5.6.2), so whitespace
+        // before the colon is a `400` (RFC 9112 §5.1): read leniently,
+        // `Content-Length : 5` would get past the body refusal below.
+        if name.is_empty() || !name.bytes().all(is_tchar) {
+            return Err(ParseError::BadHeader);
+        }
         let value = value.trim();
         match name.to_ascii_lowercase().as_str() {
             "transfer-encoding" if bodiless => return Err(ParseError::UnexpectedBody),
@@ -438,6 +446,8 @@ fn parse_header(raw: &[u8]) -> Result<Request, ParseError> {
                 return Err(ParseError::UnexpectedBody)
             }
             "connection" => connection = Some(value.to_ascii_lowercase()),
+            // More than one `Host` is a `400` (RFC 9112 §3.2).
+            "host" if host.is_some() => return Err(ParseError::BadHeader),
             "host" => host = Some(value.to_string()),
             "if-modified-since" => if_modified_since = Some(value.to_string()),
             "range" => range = RangeSpec::parse(value),
@@ -460,6 +470,11 @@ fn parse_header(raw: &[u8]) -> Result<Request, ParseError> {
         if_none_match,
         accept_gzip,
     })
+}
+
+/// A `tchar` of RFC 9110 §5.6.2: the bytes a field name may hold.
+fn is_tchar(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b)
 }
 
 /// Percent-decodes and normalizes a request path, rejecting traversal
@@ -802,6 +817,51 @@ mod tests {
         assert_eq!(
             p.feed(req.as_bytes()),
             ParseStatus::Error(ParseError::UnexpectedBody)
+        );
+    }
+
+    /// A field name is a token: a space or a tab before the colon, or
+    /// no name at all, is a malformed header, so a spaced framing
+    /// header cannot slip past the body refusal.
+    #[test]
+    fn a_field_name_that_is_not_a_token_is_refused() {
+        for method in ["GET", "HEAD"] {
+            for header in [
+                "Transfer-Encoding : chunked",
+                "Content-Length : 5",
+                "Content-Length\t: 5",
+                "Host\t: h",
+                " Host: h",
+                ": x",
+                "Ho(st: h",
+            ] {
+                assert_eq!(
+                    parse(&format!(
+                        "{method} / HTTP/1.1\r\nHost: h\r\n{header}\r\n\r\n"
+                    )),
+                    ParseStatus::Error(ParseError::BadHeader),
+                    "{method} with {header:?}"
+                );
+            }
+        }
+        // Every tchar is accepted, and the value may still be spaced.
+        let r = done("GET / HTTP/1.1\r\nX-!#$%&'*+.^_`|~9: a b \r\nHost:  h \r\n\r\n");
+        assert_eq!(r.host.as_deref(), Some("h"));
+    }
+
+    #[test]
+    fn a_second_host_is_refused() {
+        assert_eq!(
+            parse("GET / HTTP/1.1\r\nHost: a\r\nHost: b\r\n\r\n"),
+            ParseStatus::Error(ParseError::BadHeader)
+        );
+        assert_eq!(
+            parse("GET / HTTP/1.0\r\nhost: a\r\nHOST: a\r\n\r\n"),
+            ParseStatus::Error(ParseError::BadHeader)
+        );
+        assert_eq!(
+            done("GET / HTTP/1.1\r\nHost: a\r\n\r\n").host.as_deref(),
+            Some("a")
         );
     }
 

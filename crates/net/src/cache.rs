@@ -14,9 +14,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use flash_core::caches::LruCache;
 use flash_http::mime;
 use flash_http::response::{etag_value, HeaderExtras, ResponseHeader, Status};
+
+use crate::lru::LruCache;
 
 /// Which representation of a resource an entry (or helper load) holds.
 /// The content cache is keyed by `(path, variant)` — see

@@ -44,10 +44,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use flash_core::caches::LruCache;
-
 use crate::cache::Variant;
 use crate::conn::{DoneData, FileData, HelperJob, JobKind, LoadResult, ShardStats};
+use crate::lru::LruCache;
 use crate::sys;
 
 /// The `.gz` sibling of an identity filesystem path (`a/b.html` →

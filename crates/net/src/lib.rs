@@ -179,8 +179,9 @@
 //! its real environment); `pool.rs` (the helper pool: job lanes, wake
 //! handles, the shard's `HelperPort` with its residency test);
 //! `workerset.rs` (a shard's application workers); [`stats`] (the
-//! metrics registry and [`ServerStats`] over it). The MT side is [`mt`]
-//! and its accept loop, `accept.rs`.
+//! metrics registry and [`ServerStats`] over it); [`lru`] (the O(1)
+//! LRU map under the content cache and the open-file table). The MT
+//! side is [`mt`] and its accept loop, `accept.rs`.
 //!
 //! ## How to add a fault to the sim
 //!
@@ -646,6 +647,7 @@ pub mod fsjob;
 pub mod handle;
 pub mod handoff;
 pub mod lifecycle;
+pub mod lru;
 pub mod mt;
 mod pool;
 pub mod sendfile;

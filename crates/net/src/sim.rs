@@ -61,10 +61,9 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use flash_core::FileSpec;
 use flash_simcore::time::{Nanos, MILLI, SEC};
 use flash_simcore::{EventQueue, SimRng};
-use flash_workload::Zipf;
+use flash_workload::{FileSpec, Zipf};
 
 use crate::cache::{self, Variant};
 use crate::config::NetConfig;

@@ -53,6 +53,10 @@
 //!   headers and validators of either body tier, rendered only in
 //!   `cache.rs`; one staged access-log record — and the files that
 //!   hold them stay at or under the size they landed at.
+//! * the shipped crates do not build the model: neither `flash-net`
+//!   nor `flash-workload` depends on `flash-core` or `flash-simos`, or
+//!   names either in its source — the arrows point from the model to
+//!   the shipped crates.
 
 use std::path::Path;
 
@@ -469,5 +473,55 @@ fn a_request_in_flight_is_held_once() {
     assert!(
         lines <= LANDED_AT,
         "conn/shard.rs + conn/plan.rs + cache.rs grew to {lines} code lines (ratchet: {LANDED_AT})"
+    );
+}
+
+#[test]
+fn the_shipped_crates_do_not_build_the_model() {
+    const MODEL: [&str; 2] = ["flash-core", "flash-simos"];
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap();
+    let mut found = Vec::new();
+    for krate in ["net", "workload"] {
+        let manifest = crates.join(krate).join("Cargo.toml");
+        let text = std::fs::read_to_string(&manifest).unwrap();
+        let deps: Vec<&str> = text
+            .lines()
+            .skip_while(|l| l.trim() != "[dependencies]")
+            .skip(1)
+            .take_while(|l| !l.trim_start().starts_with('['))
+            .collect();
+        assert!(
+            deps.iter().any(|l| l.starts_with("flash-")),
+            "read no [dependencies] table: {manifest:?}"
+        );
+        found.extend(
+            deps.iter()
+                .filter(|l| MODEL.iter().any(|m| l.trim_start().starts_with(m)))
+                .map(|l| format!("{krate}/Cargo.toml: {}", l.trim())),
+        );
+        let mut dirs = vec![crates.join(krate).join("src")];
+        while let Some(dir) = dirs.pop() {
+            for entry in std::fs::read_dir(&dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    dirs.push(path);
+                    continue;
+                }
+                let text = std::fs::read_to_string(&path).unwrap();
+                found.extend(
+                    text.lines()
+                        .enumerate()
+                        .filter(|(_, l)| l.contains("flash_core") || l.contains("flash_simos"))
+                        .map(|(n, l)| {
+                            let file = path.strip_prefix(crates).unwrap().display();
+                            format!("{file}:{}: {}", n + 1, l.trim())
+                        }),
+                );
+            }
+        }
+    }
+    assert!(
+        found.is_empty(),
+        "a shipped crate builds the model: {found:#?}"
     );
 }

@@ -2,19 +2,15 @@
 //!
 //! * [`zipf`] — Zipf popularity sampling (web requests are Zipf-like).
 //! * [`sitegen`] — heavy-tailed file-size distributions and site
-//!   generation.
+//!   generation, as [`FileSpec`]s.
 //! * [`trace`] — the paper's CS / Owlnet / ECE trace presets, the
 //!   log-truncation methodology of §6.2, and Common-Log-Format
 //!   round-tripping.
-//! * [`client`] — the event-driven replay clients of §6, in per-request
-//!   (HTTP/1.0) and persistent (§6.4 WAN) modes.
 
-pub mod client;
 pub mod sitegen;
 pub mod trace;
 pub mod zipf;
 
-pub use client::{attach_fleet, ClientFleet, ConnMode, ReplayClient};
-pub use sitegen::{generate_files, SizeDist};
+pub use sitegen::{generate_files, FileSpec, SizeDist};
 pub use trace::{Trace, TraceConfig};
 pub use zipf::Zipf;

@@ -1,12 +1,30 @@
-//! Synthetic site generation: file sizes and paths.
+//! Synthetic site generation: file sizes and paths, as [`FileSpec`]s.
 //!
 //! Web file sizes are heavy-tailed (Crovella & Bestavros, SIGMETRICS'96,
 //! the paper's reference 11): a log-normal body of small HTML/image files plus a
 //! Pareto tail of large archives. The generator produces a file set with
 //! a target total (dataset) size and realistic paths/extensions.
 
-use flash_core::FileSpec;
 use flash_simcore::SimRng;
+
+/// Specification of one site file, as produced by workload generators.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FileSpec {
+    /// URL path ("/users/bob/index.html").
+    pub path: String,
+    /// Body size in bytes.
+    pub size: u64,
+}
+
+impl FileSpec {
+    /// A static file.
+    pub fn file(path: impl Into<String>, size: u64) -> Self {
+        FileSpec {
+            path: path.into(),
+            size,
+        }
+    }
+}
 
 /// Parameters of a synthetic file-size distribution.
 #[derive(Debug, Clone)]

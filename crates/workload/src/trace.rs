@@ -17,10 +17,9 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use flash_core::FileSpec;
 use flash_simcore::SimRng;
 
-use crate::sitegen::{generate_files, SizeDist};
+use crate::sitegen::{generate_files, FileSpec, SizeDist};
 use crate::zipf::Zipf;
 
 /// One NCSA Common Log Format entry — `host ident user [timestamp]

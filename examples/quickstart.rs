@@ -6,9 +6,10 @@
 use std::rc::Rc;
 
 use flash_repro::core::{deploy, ServerConfig, Site};
+use flash_repro::experiments::{attach_fleet, ClientFleet, ConnMode};
 use flash_repro::simcore::SimTime;
 use flash_repro::simos::{MachineConfig, Simulation};
-use flash_repro::workload::{attach_fleet, ClientFleet, ConnMode, Trace, TraceConfig};
+use flash_repro::workload::{Trace, TraceConfig};
 
 fn main() {
     // A machine like the paper's testbed (333 MHz P-II, 128 MB, FreeBSD).

@@ -9,9 +9,9 @@
 use std::rc::Rc;
 
 use flash_repro::core::ServerConfig;
-use flash_repro::experiments::{run_one, RunParams};
+use flash_repro::experiments::{run_one, ClientFleet, ConnMode, RunParams};
 use flash_repro::simos::MachineConfig;
-use flash_repro::workload::{ClientFleet, ConnMode, Trace, TraceConfig};
+use flash_repro::workload::{Trace, TraceConfig};
 
 fn replay(trace: &Rc<Trace>, cfg: &ServerConfig) -> f64 {
     // The experiment harness pre-warms the page cache to the steady

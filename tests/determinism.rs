@@ -5,12 +5,12 @@
 use std::rc::Rc;
 
 use flash_repro::core::ServerConfig;
-use flash_repro::experiments::{run_one, RunParams};
+use flash_repro::experiments::{run_one, ClientFleet, ConnMode, RunParams};
 use flash_repro::net::sim::{self, FaultPlan, SimConfig};
 use flash_repro::simcore::SimRng;
 use flash_repro::simos::MachineConfig;
 use flash_repro::workload::sitegen::{generate_files, SizeDist};
-use flash_repro::workload::{ClientFleet, ConnMode, Trace, TraceConfig};
+use flash_repro::workload::{Trace, TraceConfig};
 
 fn run(seed: u64) -> (f64, f64, u64) {
     let trace = Rc::new(Trace::generate(

@@ -3,11 +3,11 @@
 
 use std::rc::Rc;
 
-use flash_repro::core::{deploy, FileSpec, ServerConfig, Site};
-use flash_repro::experiments::{run_one, RunParams};
+use flash_repro::core::{deploy, ServerConfig, Site};
+use flash_repro::experiments::{attach_fleet, run_one, ClientFleet, ConnMode, RunParams};
 use flash_repro::simcore::SimTime;
 use flash_repro::simos::{MachineConfig, Simulation};
-use flash_repro::workload::{attach_fleet, ClientFleet, ConnMode, Trace, TraceConfig};
+use flash_repro::workload::{FileSpec, Trace, TraceConfig};
 
 fn ece_small(seed: u64) -> Rc<Trace> {
     Rc::new(Trace::generate(

@@ -6,10 +6,10 @@ use std::net::TcpStream;
 use std::rc::Rc;
 
 use flash_repro::core::ServerConfig;
-use flash_repro::experiments::{run_one, RunParams};
+use flash_repro::experiments::{run_one, ClientFleet, ConnMode, RunParams};
 use flash_repro::net::{NetConfig, Server};
 use flash_repro::simos::MachineConfig;
-use flash_repro::workload::{ClientFleet, ConnMode, SizeDist, Trace, TraceConfig};
+use flash_repro::workload::{SizeDist, Trace, TraceConfig};
 
 fn small_cfg() -> TraceConfig {
     TraceConfig {
