@@ -49,7 +49,7 @@ impl Agent for TestClient {
                     k.agent_connect(self.id, self.listen, 100_000_000, 200_000);
                 }
             }
-            AgentEvent::Data { .. } | AgentEvent::Timer(_) => {}
+            AgentEvent::Data { .. } => {}
         }
     }
 }

@@ -81,7 +81,7 @@ impl Agent for ReplayClient {
                     self.reconnect(k);
                 }
             }
-            AgentEvent::Data { .. } | AgentEvent::Timer(_) => {}
+            AgentEvent::Data { .. } => {}
         }
     }
 }

@@ -27,11 +27,6 @@ pub fn content_type(path: &str) -> &'static str {
     }
 }
 
-/// True when the path should be handled as dynamic content (CGI).
-pub fn is_cgi(path: &str) -> bool {
-    path.starts_with("/cgi-bin/") || path.ends_with(".cgi")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,13 +50,5 @@ mod tests {
     fn dots_in_directories_do_not_confuse() {
         assert_eq!(content_type("/v1.2/readme"), "application/octet-stream");
         assert_eq!(content_type("/v1.2/readme.txt"), "text/plain");
-    }
-
-    #[test]
-    fn cgi_detection() {
-        assert!(is_cgi("/cgi-bin/search"));
-        assert!(is_cgi("/app/form.cgi"));
-        assert!(!is_cgi("/cgi-bin.html"));
-        assert!(!is_cgi("/index.html"));
     }
 }

@@ -252,12 +252,6 @@ impl Request {
             Version::Http11 => !has_token("close"),
         }
     }
-
-    /// Number of pathname components ("/a/b/c.html" → 3); the simulator
-    /// charges per-component translation cost.
-    pub fn path_components(&self) -> u32 {
-        self.path.split('/').filter(|s| !s.is_empty()).count() as u32
-    }
 }
 
 /// Why a request failed to parse.
@@ -559,7 +553,6 @@ mod tests {
         assert_eq!(r.path, "/index.html");
         assert_eq!(r.version, Version::Http10);
         assert!(!r.keep_alive());
-        assert_eq!(r.path_components(), 1);
     }
 
     #[test]
@@ -571,7 +564,6 @@ mod tests {
         assert_eq!(r.connection.as_deref(), Some("keep-alive"));
         assert!(r.keep_alive());
         assert!(r.if_modified_since.is_some());
-        assert_eq!(r.path_components(), 2);
     }
 
     #[test]

@@ -37,10 +37,9 @@ pub struct NetConfig {
     /// of one more copy through userspace overtakes the cost of the
     /// extra syscall, and past the sweet spot of cache residency.
     pub sendfile_threshold_bytes: u64,
-    /// Readiness backend (see [`crate::event`]): `Auto` (default)
-    /// resolves to edge-triggered `epoll` on Linux and `poll` elsewhere,
-    /// overridable with `FLASH_EVENT_BACKEND=poll|epoll`; `Epoll`/`Poll`
-    /// pin a backend and ignore the environment.
+    /// Readiness backend (see [`crate::event`]). Default:
+    /// edge-triggered `epoll` on Linux, `poll` elsewhere; `Epoll` asked
+    /// for where there is none runs `poll`.
     pub backend: BackendChoice,
     /// Keep-alive connections with no request in flight and no bytes
     /// received for this long are closed by their shard, so dead
@@ -63,11 +62,10 @@ pub struct NetConfig {
     pub write_stall_timeout: Option<Duration>,
     /// How many kernel sockets stand behind the shards' listener
     /// registrations (see [`crate::sock`]; every shard accepts for
-    /// itself either way): `Auto` (default) resolves to per-shard
-    /// `SO_REUSEPORT` listeners on Linux — the kernel hashes arrivals
-    /// across them — and to one socket shared by every shard
-    /// elsewhere, overridable with `FLASH_ACCEPT_MODE=single|reuseport`;
-    /// `ReusePort`/`Single` pin a mode and ignore the environment.
+    /// itself either way). Default: per-shard `SO_REUSEPORT` listeners
+    /// on Linux — the kernel hashes arrivals across them — and one
+    /// socket shared by every shard elsewhere; `ReusePort` asked for
+    /// off Linux runs the shared socket.
     pub accept_mode: AcceptMode,
     /// Per-shard connection cap, enforced as **local backpressure**:
     /// a shard at its cap drops its listener's read interest (new
@@ -110,12 +108,12 @@ pub struct NetConfig {
     /// Default 60 s — deliberately above every disk-latency spike a
     /// healthy system produces.
     pub helper_wait_timeout: Option<Duration>,
-    /// Serve `GET /.flash/metrics` (Prometheus text exposition) and
-    /// `GET /.flash/stats` (JSON) from the shards themselves — no
-    /// sidecar thread; the scrape rides the normal parse/respond path
-    /// and counts under `metrics_requests`, never `requests`. Off by
-    /// default (the `/.flash/` prefix stays ordinary docroot space
-    /// until opted in).
+    /// Serve `GET /.flash/metrics` (Prometheus text exposition) from
+    /// the shards themselves, and a `404` for any other `/.flash/`
+    /// path — no sidecar thread; the scrape rides the normal
+    /// parse/respond path and counts under `metrics_requests`, never
+    /// `requests`. Off by default (the `/.flash/` prefix stays ordinary
+    /// docroot space until opted in).
     pub metrics_endpoint: bool,
     /// Structured access log: each shard (or MT connection thread)
     /// buffers one record per completed response and appends batched
@@ -128,7 +126,7 @@ pub struct NetConfig {
     /// ([`crate::appworker`]) generates the body, streamed back as
     /// `Transfer-Encoding: chunked`. The reserved `/.flash/` namespace
     /// always wins over this rule — even a prefix of `/` cannot shadow
-    /// the metrics endpoints. `None` (default) disables the tier.
+    /// the metrics endpoint. `None` (default) disables the tier.
     pub dynamic_prefix: Option<String>,
     /// A connection waiting on a dynamic worker must receive the next
     /// streaming event within this long or the request fails: 504 if
@@ -154,11 +152,11 @@ impl NetConfig {
             cache_bytes: 64 * 1024 * 1024,
             event_loops: default_event_loops(),
             sendfile_threshold_bytes: 256 * 1024,
-            backend: BackendChoice::Auto,
+            backend: BackendChoice::default(),
             idle_timeout: Some(Duration::from_secs(30)),
             header_read_timeout: Some(Duration::from_secs(15)),
             write_stall_timeout: Some(Duration::from_secs(30)),
-            accept_mode: AcceptMode::Auto,
+            accept_mode: AcceptMode::default(),
             max_conns_per_shard: 8192,
             cache_revalidate_ttl: Some(Duration::from_secs(2)),
             drain_timeout: Duration::from_secs(30),

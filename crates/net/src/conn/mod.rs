@@ -365,15 +365,15 @@ pub struct ProtoConfig {
     /// `writev`; larger ones stream through the `sendfile` window seam.
     /// Carried onto every [`HelperJob`] as `inline_max`.
     pub sendfile_threshold: u64,
-    /// Serve `GET /.flash/metrics` (Prometheus text) and
-    /// `/.flash/stats` (JSON) in-band on the normal parse/respond
-    /// path. Off by default; endpoint responses count under
+    /// Serve `GET /.flash/metrics` (Prometheus text) in-band on the
+    /// normal parse/respond path, and a `404` for any other `/.flash/`
+    /// path. Off by default; these responses count under
     /// [`ShardStats::metrics_requests`], not `requests`.
     pub metrics_endpoint: bool,
     /// URL-path prefix routed to the dynamic tier (persistent
     /// application workers, chunked responses). `None` disables the
-    /// tier. The `/.flash/` endpoints always take precedence, even
-    /// under a prefix of `/`.
+    /// tier. The `/.flash/` paths always take precedence, even under a
+    /// prefix of `/`.
     pub dynamic_prefix: Option<String>,
     /// Per-request worker deadline for `Waiting` dynamic connections,
     /// re-armed on every chunk: a wedged worker yields a `504` (or a

@@ -230,11 +230,11 @@ impl<C: CacheHandle> ShardCore<C> {
         });
     }
 
-    /// Serves the in-band observability endpoints: the registry
-    /// rendered as Prometheus text (`/.flash/metrics`) or JSON
-    /// (`/.flash/stats`), aggregated over every shard the driver
-    /// exported. Rides the normal respond path — no sidecar thread —
-    /// and counts under `metrics_requests`, never `requests`.
+    /// Serves the in-band observability endpoint: the registry rendered
+    /// as Prometheus text (`/.flash/metrics`), aggregated over every
+    /// shard the driver exported; any other `/.flash/` path is a `404`.
+    /// Rides the normal respond path — no sidecar thread — and counts
+    /// under `metrics_requests`, never `requests`.
     fn serve_metrics<Io: ConnIo>(&mut self, conn: &mut Conn<Io>, path: &str) {
         conn.metrics_response = true;
         let shards: &[Arc<ShardStats>] = if self.export.is_empty() {
@@ -242,20 +242,14 @@ impl<C: CacheHandle> ShardCore<C> {
         } else {
             &self.export
         };
-        let (ctype, body) = match path {
-            "/.flash/metrics" => (
-                "text/plain; version=0.0.4",
-                stats::render_prometheus(shards),
-            ),
-            "/.flash/stats" => ("application/json", stats::render_json(shards)),
-            _ => {
-                let body = Bytes::from(error_body(Status::NotFound));
-                queue_error(conn, Status::NotFound, body);
-                conn.state = ConnState::Writing;
-                return;
-            }
-        };
-        let body = Bytes::from(body.into_bytes());
+        if path != "/.flash/metrics" {
+            let body = Bytes::from(error_body(Status::NotFound));
+            queue_error(conn, Status::NotFound, body);
+            conn.state = ConnState::Writing;
+            return;
+        }
+        let body = Bytes::from(stats::render_prometheus(shards).into_bytes());
+        let ctype = "text/plain; version=0.0.4";
         let hdr =
             ResponseHeader::build(Status::Ok, ctype, body.len() as u64, conn.keep_alive, true);
         conn.out.push_back(Bytes::from(hdr.as_bytes().to_vec()));

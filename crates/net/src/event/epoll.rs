@@ -12,7 +12,7 @@
 use std::io;
 use std::os::unix::io::{AsRawFd, OwnedFd, RawFd};
 
-use super::{BackendKind, Event, EventBackend, Interest};
+use super::{BackendChoice, Event, EventBackend, Interest};
 use crate::sys::{self, EpollEvent};
 
 const EPOLL_CTL_ADD: core::ffi::c_int = 1;
@@ -76,8 +76,8 @@ impl EpollBackend {
 }
 
 impl EventBackend for EpollBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Epoll
+    fn kind(&self) -> BackendChoice {
+        BackendChoice::Epoll
     }
 
     fn edge_triggered(&self) -> bool {

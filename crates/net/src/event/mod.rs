@@ -68,11 +68,10 @@
 //!   `poll(2)` set — until the connection resumes, or a condition that
 //!   stays true would be reported by every wait.
 //!
-//! Backend selection is [`BackendChoice`]: `Auto` (the default)
-//! resolves to epoll on Linux and poll elsewhere, overridable with the
-//! `FLASH_EVENT_BACKEND=poll|epoll` environment variable (CI uses this
-//! to keep the portable fallback green on Linux); `Epoll`/`Poll` pin a
-//! backend explicitly and ignore the environment.
+//! Backend selection is [`BackendChoice`], set by
+//! [`NetConfig::backend`](crate::config::NetConfig::backend) and by
+//! nothing else: its default is epoll on Linux and poll elsewhere, and
+//! epoll asked for where there is none runs poll ([`resolve`]).
 
 use std::io;
 use std::os::unix::io::RawFd;
@@ -147,8 +146,8 @@ pub struct Event {
 /// ([`new_backend`]), the simulated one ([`crate::sim`]) shares its
 /// kernel with the endpoints it watches and stays on its thread.
 pub trait EventBackend {
-    /// The resolved kind (for diagnostics and tests).
-    fn kind(&self) -> BackendKind;
+    /// Which backend this is (for diagnostics and tests).
+    fn kind(&self) -> BackendChoice;
 
     /// True if events are delivered once per readiness *transition*
     /// (epoll ET) rather than re-reported while the condition holds.
@@ -205,71 +204,47 @@ pub trait EventBackend {
     fn registered(&self) -> usize;
 }
 
-/// Which concrete backend a [`BackendChoice`] resolved to.
+/// Which readiness backend a server runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendKind {
-    /// Edge-triggered `epoll(7)`.
+pub enum BackendChoice {
+    /// Edge-triggered `epoll(7)`: the default on Linux.
     Epoll,
-    /// Level-triggered `poll(2)`.
+    /// Level-triggered `poll(2)`: the portable fallback, and the
+    /// default elsewhere.
     Poll,
 }
 
-impl BackendKind {
-    /// Lower-case name, matching the `FLASH_EVENT_BACKEND` values.
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendKind::Epoll => "epoll",
-            BackendKind::Poll => "poll",
+impl Default for BackendChoice {
+    fn default() -> Self {
+        if platform_has_epoll() {
+            BackendChoice::Epoll
+        } else {
+            BackendChoice::Poll
         }
     }
 }
 
-/// How the server picks its readiness backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackendChoice {
-    /// Platform default — epoll on Linux, poll elsewhere — overridable
-    /// with `FLASH_EVENT_BACKEND=poll|epoll`.
-    #[default]
-    Auto,
-    /// Pin the edge-triggered epoll backend (falls back to poll on
-    /// platforms without epoll). Ignores the environment.
-    Epoll,
-    /// Pin the portable poll backend. Ignores the environment.
-    Poll,
+impl BackendChoice {
+    /// Lower-case name.
+    pub fn name(self) -> &'static str {
+        match self {
+            BackendChoice::Epoll => "epoll",
+            BackendChoice::Poll => "poll",
+        }
+    }
 }
-
-const ENV_BACKEND: &str = "FLASH_EVENT_BACKEND";
 
 fn platform_has_epoll() -> bool {
     cfg!(any(target_os = "linux", target_os = "android"))
 }
 
-/// Resolves a choice to the backend that will actually run, applying
-/// the `FLASH_EVENT_BACKEND` override (only to `Auto`) and the
-/// platform floor (epoll requested where it does not exist degrades to
-/// poll rather than failing).
-pub fn resolve(choice: BackendChoice) -> BackendKind {
-    let want = match choice {
-        BackendChoice::Poll => BackendKind::Poll,
-        BackendChoice::Epoll => BackendKind::Epoll,
-        BackendChoice::Auto => match std::env::var(ENV_BACKEND).ok().as_deref() {
-            Some("poll") => BackendKind::Poll,
-            Some("epoll") => BackendKind::Epoll,
-            // Unknown values fall through to the platform default
-            // rather than aborting a running server over a typo.
-            _ => {
-                if platform_has_epoll() {
-                    BackendKind::Epoll
-                } else {
-                    BackendKind::Poll
-                }
-            }
-        },
-    };
-    if want == BackendKind::Epoll && !platform_has_epoll() {
-        BackendKind::Poll
+/// The backend `choice` runs on this platform: epoll asked for where
+/// there is none runs poll rather than failing.
+pub fn resolve(choice: BackendChoice) -> BackendChoice {
+    if platform_has_epoll() {
+        choice
     } else {
-        want
+        BackendChoice::Poll
     }
 }
 
@@ -279,7 +254,7 @@ pub fn resolve(choice: BackendChoice) -> BackendKind {
 /// O(n) scan, not refuse to start.
 pub fn new_backend(choice: BackendChoice) -> Box<dyn EventBackend + Send> {
     #[cfg(any(target_os = "linux", target_os = "android"))]
-    if resolve(choice) == BackendKind::Epoll {
+    if resolve(choice) == BackendChoice::Epoll {
         if let Ok(b) = epoll::EpollBackend::new() {
             return Box::new(b);
         }
@@ -314,24 +289,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn explicit_choices_ignore_environment() {
-        // Whatever FLASH_EVENT_BACKEND says, pinned choices stand
-        // (modulo the platform floor).
-        assert_eq!(resolve(BackendChoice::Poll), BackendKind::Poll);
-        if platform_has_epoll() {
-            assert_eq!(resolve(BackendChoice::Epoll), BackendKind::Epoll);
+    fn the_default_is_the_platforms_and_the_floor_is_poll() {
+        let default = if platform_has_epoll() {
+            BackendChoice::Epoll
         } else {
-            assert_eq!(resolve(BackendChoice::Epoll), BackendKind::Poll);
-        }
+            BackendChoice::Poll
+        };
+        assert_eq!(BackendChoice::default(), default);
+        assert_eq!(resolve(BackendChoice::Poll), BackendChoice::Poll);
+        assert_eq!(resolve(BackendChoice::Epoll), default);
     }
 
     #[test]
     fn new_backend_matches_resolution() {
-        let b = new_backend(BackendChoice::Poll);
-        assert_eq!(b.kind(), BackendKind::Poll);
-        assert!(!b.edge_triggered());
-        let b = new_backend(BackendChoice::Auto);
-        assert_eq!(b.kind(), resolve(BackendChoice::Auto));
+        for choice in [BackendChoice::Epoll, BackendChoice::Poll] {
+            let b = new_backend(choice);
+            assert_eq!(b.kind(), resolve(choice));
+            assert_eq!(b.edge_triggered(), b.kind() == BackendChoice::Epoll);
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::io;
 use std::os::unix::io::RawFd;
 
-use super::{BackendKind, Event, EventBackend, Interest};
+use super::{BackendChoice, Event, EventBackend, Interest};
 use crate::sys::{self, PollFd};
 
 /// Readable readiness (POLLIN).
@@ -84,8 +84,8 @@ impl Default for PollBackend {
 }
 
 impl EventBackend for PollBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Poll
+    fn kind(&self) -> BackendChoice {
+        BackendChoice::Poll
     }
 
     fn edge_triggered(&self) -> bool {

@@ -29,10 +29,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::config::NetConfig;
-use crate::event::BackendKind;
+use crate::event::{self, BackendChoice};
 use crate::lifecycle::LifecycleShared;
 use crate::pool::{JobQueue, WakeHandle};
-use crate::sock::{self, AcceptModeKind};
+use crate::sock::{self, AcceptMode};
 use crate::stats::{AccessLogWriter, ServerStats};
 use crate::{mt, server};
 
@@ -76,8 +76,8 @@ pub enum ServerKind {
 pub struct Server {
     addr: SocketAddr,
     stats: ServerStats,
-    backend: BackendKind,
-    accept_mode: AcceptModeKind,
+    backend: BackendChoice,
+    accept_mode: AcceptMode,
     lifecycle: Arc<LifecycleShared>,
     drain_timeout: Duration,
     /// A duplicate of every kernel socket this server accepts from
@@ -108,7 +108,7 @@ impl Server {
         let addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
             io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing")
         })?;
-        let reuseport = accepting(kind, &cfg).0 == AcceptModeKind::ReusePort;
+        let reuseport = accepting(kind, &cfg).0 == AcceptMode::ReusePort;
         let first = sock::bind_listener(addr, reuseport)?;
         Server::start_inherited_as(kind, cfg, vec![first])
     }
@@ -151,7 +151,7 @@ impl Server {
         let (mut listeners, handoff) = listeners(inherited, n, accept_mode)?;
         let addr = listeners[0].local_addr()?;
         let lifecycle = Arc::new(LifecycleShared::new());
-        let (backend, drain_timeout) = (crate::event::resolve(cfg.backend), cfg.drain_timeout);
+        let (backend, drain_timeout) = (event::resolve(cfg.backend), cfg.drain_timeout);
         let mut threads = Threads::default();
         let spawned = match kind {
             ServerKind::Amped => server::spawn(listeners, &cfg, &lifecycle, &mut threads),
@@ -192,14 +192,13 @@ impl Server {
         &self.stats
     }
 
-    /// The readiness backend this server resolved to at start.
-    pub fn backend(&self) -> BackendKind {
+    /// The readiness backend this server runs.
+    pub fn backend(&self) -> BackendChoice {
         self.backend
     }
 
-    /// The accept-path mode this server resolved to at start
-    /// (`Single` on MT).
-    pub fn accept_mode(&self) -> AcceptModeKind {
+    /// The accept mode this server runs (`Single` on MT).
+    pub fn accept_mode(&self) -> AcceptMode {
         self.accept_mode
     }
 
@@ -294,11 +293,13 @@ impl Server {
 
 /// How `kind` accepts under `cfg`: the accept mode, and how many loops
 /// accept. MT accepts on one thread, from one kernel socket; each shard
-/// accepts for itself, as the accept mode resolves.
-fn accepting(kind: ServerKind, cfg: &NetConfig) -> (AcceptModeKind, usize) {
+/// accepts for itself, in the configured mode — where the kernel does
+/// not load-balance reuseport, from the shared socket.
+fn accepting(kind: ServerKind, cfg: &NetConfig) -> (AcceptMode, usize) {
     match kind {
-        ServerKind::Amped => (sock::resolve_accept_mode(cfg.accept_mode), cfg.event_loops),
-        ServerKind::Mt => (AcceptModeKind::Single, 1),
+        ServerKind::Amped if sock::platform_has_reuseport() => (cfg.accept_mode, cfg.event_loops),
+        ServerKind::Amped => (AcceptMode::Single, cfg.event_loops),
+        ServerKind::Mt => (AcceptMode::Single, 1),
     }
 }
 
@@ -315,7 +316,7 @@ fn accepting(kind: ServerKind, cfg: &NetConfig) -> (AcceptModeKind, usize) {
 fn listeners(
     given: Vec<TcpListener>,
     n: usize,
-    mode: AcceptModeKind,
+    mode: AcceptMode,
 ) -> io::Result<(Vec<TcpListener>, Vec<TcpListener>)> {
     for l in &given {
         sock::adopt_listener(l)?;
@@ -327,7 +328,7 @@ fn listeners(
             "start_inherited requires at least one listener",
         ));
     };
-    let reuseport = mode == AcceptModeKind::ReusePort;
+    let reuseport = mode == AcceptMode::ReusePort;
     let addr = first.local_addr()?;
     let mut listeners = vec![first];
     for _ in 1..n {

@@ -153,7 +153,8 @@ pub fn request_listeners(path: impl AsRef<Path>) -> io::Result<Vec<TcpListener>>
     recv_listeners(&conn)
 }
 
-#[cfg(all(test, any(target_os = "linux", target_os = "android")))]
+#[cfg(test)]
+#[cfg(any(target_os = "linux", target_os = "android"))]
 mod tests {
     use super::*;
     use std::io::{Read, Write};

@@ -11,10 +11,9 @@
 //!   `min(cores, 8)`), **each accepting for itself** as the first
 //!   step of its own loop — no acceptor thread serializes connection
 //!   setup and no cross-thread dealing hop precedes a request. The
-//!   accept mode ([`NetConfig::accept_mode`], resolved by [`sock`])
+//!   accept mode ([`NetConfig::accept_mode`]; see [`sock`])
 //!   decides only what the shards' listener registrations stand on: in
-//!   the default reuseport mode (Linux; `Auto`, overridable with
-//!   `FLASH_ACCEPT_MODE=single|reuseport`) **each shard owns its own
+//!   the reuseport mode (the Linux default) **each shard owns its own
 //!   `SO_REUSEPORT` listener** and the kernel load-balances connection
 //!   setup across them; in the portable single mode every shard
 //!   registers a duplicate of one shared socket and a connection goes
@@ -28,8 +27,8 @@
 //!   `EPOLLIN|EPOLLOUT|EPOLLET`, incremental `epoll_ctl` interest
 //!   updates — O(ready fds) per iteration) and a portable `poll(2)`
 //!   fallback (no external I/O crates; O(watched fds) per iteration),
-//!   selected by [`NetConfig::backend`] (`Auto` = epoll on Linux,
-//!   overridable with `FLASH_EVENT_BACKEND=poll|epoll`). The loop is
+//!   selected by [`NetConfig::backend`] (default: epoll on Linux,
+//!   poll elsewhere). The loop is
 //!   written to the **edge-triggered contract** (see [`event`]): reads
 //!   drain to `EWOULDBLOCK` or to a short read, write interest is armed
 //!   only while a send is in flight, and a voluntary mid-`sendfile`
@@ -407,8 +406,8 @@
 //! `If-Modified-Since`, `Range`, and `If-Range` are all ignored on a
 //! dynamic path (there is no representation to validate against), and
 //! `HEAD` sends the chunked header plan with zero body bytes and no
-//! worker consulted. The reserved `/.flash/*` endpoints keep
-//! precedence over any dynamic prefix, including `/` itself.
+//! worker consulted. The reserved `/.flash/` paths keep precedence
+//! over any dynamic prefix, including `/` itself.
 //!
 //! Worker silence is bounded by
 //! [`NetConfig::dynamic_deadline`] (default 10 s), riding the
@@ -563,18 +562,13 @@
 //! ## Endpoints
 //!
 //! With [`NetConfig::metrics_endpoint`] enabled (builder:
-//! `metrics_endpoint(true)`), both architectures answer two reserved
-//! paths in-band on every shard, served from the counters without
-//! touching cache or helpers:
-//!
-//! * `GET /.flash/metrics` — Prometheus text exposition
-//!   (`text/plain; version=0.0.4`): every scalar as
-//!   `flash_<name> <value>` with `# HELP`/`# TYPE`, every histogram as
-//!   cumulative `flash_<name>_bucket{le="<nanos>"}` lines plus `_sum`
-//!   and `_count`.
-//! * `GET /.flash/stats` — the same registry as one JSON document:
-//!   `{"counters": {...}, "gauges": {...}, "histograms": {"<name>":
-//!   {"count", "sum_nanos", "p50_nanos", "p99_nanos"}}}`.
+//! `metrics_endpoint(true)`), both architectures answer one reserved
+//! path in-band on every shard, served from the counters without
+//! touching cache or helpers: `GET /.flash/metrics`, the Prometheus
+//! text exposition (`text/plain; version=0.0.4`) — every scalar as
+//! `flash_<name> <value>` with `# HELP`/`# TYPE`, every histogram as
+//! cumulative `flash_<name>_bucket{le="<nanos>"}` lines plus `_sum` and
+//! `_count`. Any other path under `/.flash/` is a `404`.
 //!
 //! These responses count only `metrics_requests`, never `requests` —
 //! scrapes don't perturb the workload numbers they report.
@@ -664,9 +658,9 @@ pub use appworker::WorkerPool;
 pub use cache::{ContentCache, Entry};
 pub use config::{ConfigError, NetConfig, NetConfigBuilder};
 pub use conn::ShardStats;
-pub use event::{BackendChoice, BackendKind, EventBackend};
+pub use event::{BackendChoice, EventBackend};
 pub use handle::{ServeHandle, Server, ServerKind};
 pub use handoff::{recv_listeners, request_listeners, send_listeners, HandoffControl};
 pub use lifecycle::{send_to_self, Signal, Signals};
-pub use sock::{AcceptMode, AcceptModeKind};
+pub use sock::AcceptMode;
 pub use stats::{HistSnapshot, HistSummary, Histogram, ServerStats};

@@ -40,7 +40,7 @@
 //!   under the ET contract — one `accept4(2)` per connection, which
 //!   hands it over nonblocking, close-on-exec and (inherited from the
 //!   listener, [`crate::sock`]) `TCP_NODELAY`. The accept mode
-//!   ([`NetConfig::accept_mode`], resolved by [`crate::sock`]) decides
+//!   ([`NetConfig::accept_mode`], see [`crate::sock`]) decides
 //!   only how many kernel sockets stand behind those N registrations:
 //!   in the default **reuseport** mode (Linux) N `SO_REUSEPORT`
 //!   siblings, the kernel hashing incoming connections across them; in

@@ -68,7 +68,7 @@ use flash_workload::{FileSpec, Zipf};
 use crate::cache::{self, Variant};
 use crate::config::NetConfig;
 use crate::conn::{ConnIo, DoneData, FileData, HelperJob, JobKind, LoadResult};
-use crate::event::{BackendKind, Event, EventBackend, Interest};
+use crate::event::{BackendChoice, Event, EventBackend, Interest};
 use crate::lifecycle::LifecycleShared;
 use crate::pool::{Reply, Work};
 use crate::server::{shard_loop, Env, Shard, LISTENER_TOKEN, WAKE_TOKEN};
@@ -145,15 +145,28 @@ impl FaultPlan {
     }
 }
 
+/// The shard's `max_conns_per_shard`: arrivals beyond it wait in the
+/// listener's backlog.
+const MAX_CONCURRENT: usize = 256;
+/// Mean open-to-open gap in simulated nanoseconds.
+const INTERARRIVAL_NANOS: Nanos = 150_000;
+/// Per-GET/HEAD fraction carrying a single-range `Range` header (mix
+/// of satisfiable spans, suffixes, and past-EOF → 416).
+const RANGE_FRACTION: f64 = 0.12;
+/// Per-GET fraction carrying `If-None-Match` (60/40 current validator
+/// → 304 vs stale → 200), drawn against the representation the
+/// request will negotiate.
+const INM_FRACTION: f64 = 0.10;
+/// Mean of the exponential jitter added to each simulated
+/// application's fixed per-request compute time.
+const DYNAMIC_COMPUTE_NANOS: Nanos = 2 * MILLI;
+
 /// One simulated run's shape. `connections` is the number admitted;
 /// each plays a 1–4 request keep-alive script drawn from the seed.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     pub seed: u64,
     pub connections: u64,
-    /// The shard's `max_conns_per_shard`: arrivals beyond it wait in
-    /// the listener's backlog.
-    pub max_concurrent: usize,
     /// Content-cache budget — deliberately small so eviction and
     /// re-load churn under Zipf traffic.
     pub cache_bytes: u64,
@@ -163,15 +176,6 @@ pub struct SimConfig {
     /// Run the full invariant check after every N loop turns (0 = only
     /// at the end). Small runs use 1; CI-scale uses ~512.
     pub check_every: u64,
-    /// Mean open-to-open gap in simulated nanoseconds.
-    pub interarrival_nanos: Nanos,
-    /// Per-GET/HEAD fraction carrying a single-range `Range` header
-    /// (mix of satisfiable spans, suffixes, and past-EOF → 416).
-    pub range_fraction: f64,
-    /// Per-GET fraction carrying `If-None-Match` (60/40 current
-    /// validator → 304 vs stale → 200), drawn against the
-    /// representation the request will negotiate.
-    pub inm_fraction: f64,
     /// Per-request fraction advertising `Accept-Encoding: gzip`,
     /// steering negotiation onto the simulated `.gz` siblings.
     pub gzip_fraction: f64,
@@ -184,9 +188,6 @@ pub struct SimConfig {
     /// application endpoint under [`DYN_PREFIX`], streamed back as
     /// chunked frames through the shard's worker set).
     pub dynamic_fraction: f64,
-    /// Mean of the exponential jitter added to each simulated
-    /// application's fixed per-request compute time.
-    pub dynamic_compute_nanos: Nanos,
     pub faults: FaultPlan,
 }
 
@@ -198,17 +199,12 @@ impl SimConfig {
         SimConfig {
             seed,
             connections,
-            max_concurrent: 256,
             cache_bytes: 256 * 1024,
             sendfile_threshold: 16 * 1024,
             check_every: 512,
-            interarrival_nanos: 150_000,
-            range_fraction: 0.12,
-            inm_fraction: 0.10,
             gzip_fraction: 0.25,
             resident_fraction: 0.5,
             dynamic_fraction: 0.08,
-            dynamic_compute_nanos: 2 * MILLI,
             faults: FaultPlan::heavy(),
         }
     }
@@ -592,7 +588,7 @@ impl Kernel {
                     self.raise_wake();
                 }
                 if self.arrived < self.cfg.connections {
-                    let gap = 1 + self.rng.exp(self.cfg.interarrival_nanos as f64) as u64;
+                    let gap = 1 + self.rng.exp(INTERARRIVAL_NANOS as f64) as u64;
                     self.queue.schedule_in(gap, Ev::Open);
                 } else {
                     self.queue.schedule_in(5 * MILLI, Ev::BeginDrain);
@@ -772,7 +768,7 @@ impl Kernel {
         };
         let frames = emit.div_ceil(FRAME);
         let garbage_at = garbage.then(|| self.rng.uniform(0, frames + 1));
-        let jitter = self.rng.exp(self.cfg.dynamic_compute_nanos as f64) as u64;
+        let jitter = self.rng.exp(DYNAMIC_COMPUTE_NANOS as f64) as u64;
         let mut delay = app.compute_ns + 100_000 + jitter;
         let mut script = VecDeque::new();
         for frame in (0..frames).take_while(|&f| garbage_at != Some(f)) {
@@ -847,13 +843,13 @@ impl Kernel {
                 let t = flash_http::date::format_imf(f.mtime - self.stale());
                 let _ = write!(stream, "If-Modified-Since: {t}\r\n");
             }
-            let inm = get && self.rng.chance(self.cfg.inm_fraction);
+            let inm = get && self.rng.chance(INM_FRACTION);
             if let Some(f) = rep.as_ref().filter(|_| inm) {
                 let gz = f.id & 0x8000_0000 != 0;
                 let tag = flash_http::etag_value(Some(f.mtime - self.stale()), f.len, gz);
                 let _ = write!(stream, "If-None-Match: {tag}\r\n");
             }
-            let range = method != "POST" && self.rng.chance(self.cfg.range_fraction);
+            let range = method != "POST" && self.rng.chance(RANGE_FRACTION);
             if let Some(f) = rep.as_ref().filter(|_| range) {
                 let roll = self.rng.unit();
                 let _ = if roll < 0.10 {
@@ -1054,8 +1050,8 @@ struct SimBackend {
 }
 
 impl EventBackend for SimBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Epoll
+    fn kind(&self) -> BackendChoice {
+        BackendChoice::Epoll
     }
 
     fn edge_triggered(&self) -> bool {
@@ -1211,7 +1207,7 @@ impl Sim {
         net.helper_wait_timeout = Some(Duration::from_millis(20));
         net.cache_revalidate_ttl = Some(Duration::from_millis(5));
         net.sendfile_threshold_bytes = cfg.sendfile_threshold;
-        net.max_conns_per_shard = cfg.max_concurrent;
+        net.max_conns_per_shard = MAX_CONCURRENT;
         net.helpers = SIM_WORKERS;
         net.dynamic_prefix = Some(DYN_PREFIX.to_string());
         // Generous against the 1–5 ms compute times, decisive against

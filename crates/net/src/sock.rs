@@ -8,8 +8,7 @@
 //! be set *before* `bind(2)`, which
 //! `std::net::TcpListener` cannot express, so on Linux the socket is
 //! assembled by `sys::bind_listener`; other platforms fall
-//! back to `std` (and never request reuseport — see
-//! [`resolve_accept_mode`]).
+//! back to `std` (and never request reuseport — see [`AcceptMode`]).
 //!
 //! It is also the one place that sets **per-connection options**, and
 //! it sets them on the listener: `TCP_NODELAY` (one gathered write per
@@ -24,97 +23,58 @@
 //! the two calls itself.
 //!
 //! The shards accept for themselves in both modes; the mode is how
-//! many kernel sockets stand behind their registrations. Selection
-//! mirrors the readiness backend's ([`crate::event::resolve`]):
-//! [`AcceptMode::Auto`] resolves to per-shard reuseport listeners on
-//! Linux — where the kernel hashes incoming connections across all
-//! sockets bound to the port — and to one shared socket elsewhere,
-//! overridable with `FLASH_ACCEPT_MODE=single|reuseport`;
-//! `ReusePort`/`Single` pin a mode and ignore the environment (modulo
-//! the platform floor: reuseport requested where the kernel does not
-//! load-balance it degrades to the shared socket rather than failing).
+//! many kernel sockets stand behind their registrations. It is
+//! [`NetConfig::accept_mode`](crate::config::NetConfig::accept_mode)'s
+//! to say and nothing else's: per-shard reuseport listeners by default
+//! on Linux — where the kernel hashes incoming connections across all
+//! sockets bound to the port — and one shared socket elsewhere.
+//! Reuseport asked for where the kernel does not load-balance it runs
+//! the shared socket rather than failing.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 
 /// How `accept(2)` work is spread over the shards (see
 /// [`crate::config::NetConfig::accept_mode`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AcceptMode {
-    /// Platform default — per-shard `SO_REUSEPORT` listeners on Linux,
-    /// one shared socket elsewhere — overridable with
-    /// `FLASH_ACCEPT_MODE=single|reuseport`.
-    #[default]
-    Auto,
-    /// Pin per-shard reuseport listeners (degrades to the shared
-    /// socket on platforms without load-balancing `SO_REUSEPORT`).
-    /// Ignores the environment.
-    ReusePort,
-    /// Pin one listening socket shared by every shard: each registers
-    /// a duplicate of it, and a connection goes to whichever shard
-    /// wakes first, bounded by
-    /// [`max_conns_per_shard`](crate::config::NetConfig::max_conns_per_shard).
-    /// Ignores the environment.
-    Single,
-}
-
-/// Which concrete accept path an [`AcceptMode`] resolved to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AcceptModeKind {
+pub enum AcceptMode {
     /// Each shard owns a `SO_REUSEPORT` listener registered in its own
-    /// event backend; the kernel load-balances accepts.
+    /// event backend; the kernel load-balances accepts. The default on
+    /// Linux; elsewhere it runs as [`AcceptMode::Single`].
     ReusePort,
-    /// One kernel socket shared by every shard's registration; the
-    /// shards race for each arrival.
+    /// One kernel socket shared by every shard: each registers a
+    /// duplicate of it, and a connection goes to whichever shard wakes
+    /// first, bounded by
+    /// [`max_conns_per_shard`](crate::config::NetConfig::max_conns_per_shard).
+    /// The portable fallback, and the default off Linux.
     Single,
 }
 
-impl AcceptModeKind {
-    /// Lower-case name, matching the `FLASH_ACCEPT_MODE` values.
-    pub fn name(self) -> &'static str {
-        match self {
-            AcceptModeKind::ReusePort => "reuseport",
-            AcceptModeKind::Single => "single",
+impl Default for AcceptMode {
+    fn default() -> Self {
+        if platform_has_reuseport() {
+            AcceptMode::ReusePort
+        } else {
+            AcceptMode::Single
         }
     }
 }
 
-const ENV_ACCEPT_MODE: &str = "FLASH_ACCEPT_MODE";
+impl AcceptMode {
+    /// Lower-case name.
+    pub fn name(self) -> &'static str {
+        match self {
+            AcceptMode::ReusePort => "reuseport",
+            AcceptMode::Single => "single",
+        }
+    }
+}
 
 /// `SO_REUSEPORT` exists on the BSDs too, but only Linux (≥3.9) hashes
 /// connections across the sockets sharing the port — which is the
-/// entire point here, so only Linux gets it by default.
-fn platform_has_reuseport() -> bool {
+/// entire point here, so only Linux gets it.
+pub(crate) fn platform_has_reuseport() -> bool {
     cfg!(any(target_os = "linux", target_os = "android"))
-}
-
-/// Resolves a choice to the accept path that will actually run,
-/// applying the `FLASH_ACCEPT_MODE` override (only to `Auto`) and the
-/// platform floor (reuseport requested where the kernel does not
-/// load-balance it degrades to the shared socket).
-pub fn resolve_accept_mode(choice: AcceptMode) -> AcceptModeKind {
-    let want = match choice {
-        AcceptMode::Single => AcceptModeKind::Single,
-        AcceptMode::ReusePort => AcceptModeKind::ReusePort,
-        AcceptMode::Auto => match std::env::var(ENV_ACCEPT_MODE).ok().as_deref() {
-            Some("single") => AcceptModeKind::Single,
-            Some("reuseport") => AcceptModeKind::ReusePort,
-            // Unknown values fall through to the platform default
-            // rather than aborting a running server over a typo.
-            _ => {
-                if platform_has_reuseport() {
-                    AcceptModeKind::ReusePort
-                } else {
-                    AcceptModeKind::Single
-                }
-            }
-        },
-    };
-    if want == AcceptModeKind::ReusePort && !platform_has_reuseport() {
-        AcceptModeKind::Single
-    } else {
-        want
-    }
 }
 
 /// Re-asserts on a listener inherited from a previous generation
@@ -144,8 +104,8 @@ pub fn bind_listener(addr: SocketAddr, reuseport: bool) -> io::Result<TcpListene
     }
     #[cfg(not(any(target_os = "linux", target_os = "android")))]
     {
-        // No load-balancing reuseport off Linux; resolve_accept_mode
-        // never asks for it there, so std's builder suffices.
+        // No load-balancing reuseport off Linux; the server never asks
+        // for it there, so std's builder suffices.
         debug_assert!(!reuseport, "reuseport listeners are Linux-only");
         let _ = reuseport;
         let listener = TcpListener::bind(addr)?;
@@ -161,22 +121,13 @@ mod tests {
     use std::net::TcpStream;
 
     #[test]
-    fn pinned_modes_ignore_environment() {
-        assert_eq!(
-            resolve_accept_mode(AcceptMode::Single),
-            AcceptModeKind::Single
-        );
-        if platform_has_reuseport() {
-            assert_eq!(
-                resolve_accept_mode(AcceptMode::ReusePort),
-                AcceptModeKind::ReusePort
-            );
+    fn the_default_is_the_platforms() {
+        let want = if platform_has_reuseport() {
+            AcceptMode::ReusePort
         } else {
-            assert_eq!(
-                resolve_accept_mode(AcceptMode::ReusePort),
-                AcceptModeKind::Single
-            );
-        }
+            AcceptMode::Single
+        };
+        assert_eq!(AcceptMode::default(), want);
     }
 
     /// Accepts one connection from the nonblocking `l` through the

@@ -358,10 +358,11 @@ metrics! {
         /// Completed responses (any status), excluding `/.flash/` endpoint
         /// responses, which count under `metrics_requests`.
         requests: Counter, Sum, "Completed responses (any status), excluding /.flash/ endpoint responses";
-        /// Responses served by the `/.flash/metrics` and `/.flash/stats`
-        /// endpoints — kept out of `requests`, so scraping never perturbs
-        /// the workload counters it reports.
-        metrics_requests: Counter, Sum, "Responses served by the /.flash/metrics and /.flash/stats endpoints";
+        /// Responses to the reserved `/.flash/` paths — the
+        /// `/.flash/metrics` endpoint, or a `404` — kept out of
+        /// `requests`, so scraping never perturbs the workload counters
+        /// it reports.
+        metrics_requests: Counter, Sum, "Responses to /.flash/ paths: the /.flash/metrics endpoint, or a 404";
         /// Connections the shard accepted from its listener — its own
         /// kernel socket (reuseport mode) or the shared one (single mode).
         /// Shards accept for themselves: nothing is dealt to them.
@@ -575,48 +576,6 @@ pub fn render_prometheus(shards: &[Arc<ShardStats>]) -> String {
         let _ = writeln!(out, "flash_{}_sum {}", h.name, snap.sum);
         let _ = writeln!(out, "flash_{}_count {}", h.name, cum);
     }
-    out
-}
-
-/// Renders the full registry as a JSON document: `"counters"` and
-/// `"gauges"` objects keyed by metric name, plus `"histograms"` with
-/// each histogram's count / sum / p50 / p99 (nanoseconds).
-pub fn render_json(shards: &[Arc<ShardStats>]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(2048);
-    out.push_str("{\n  \"counters\": {");
-    let mut first = true;
-    for d in REGISTRY.iter().filter(|d| d.kind == Kind::Counter) {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "\n    \"{}\": {}", d.name, d.merged(shards));
-    }
-    out.push_str("\n  },\n  \"gauges\": {");
-    first = true;
-    for d in REGISTRY.iter().filter(|d| d.kind == Kind::Gauge) {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "\n    \"{}\": {}", d.name, d.merged(shards));
-    }
-    out.push_str("\n  },\n  \"histograms\": {");
-    first = true;
-    for h in HIST_REGISTRY {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let s = h.merged(shards).summary();
-        let _ = write!(
-            out,
-            "\n    \"{}\": {{\"count\": {}, \"sum_nanos\": {}, \"p50_nanos\": {}, \"p99_nanos\": {}}}",
-            h.name, s.count, s.sum_nanos, s.p50_nanos, s.p99_nanos
-        );
-    }
-    out.push_str("\n  }\n}\n");
     out
 }
 
@@ -889,9 +848,8 @@ mod tests {
     }
 
     /// Two shards hold distinct values for every metric; each metric's
-    /// getter, its Prometheus sample and its JSON key all read the
-    /// value its rule merges: the sum, or the larger for the one
-    /// high-water gauge.
+    /// getter and its Prometheus sample both read the value its rule
+    /// merges: the sum, or the larger for the one high-water gauge.
     #[test]
     fn renderers_cover_every_metric() {
         let shards = vec![
@@ -912,11 +870,6 @@ mod tests {
             h.cell(&shards[1]).record(3 << (20 + i));
         }
         let prom = render_prometheus(&shards);
-        let json = render_json(&shards);
-        let json_has = |entry: String| {
-            json.lines()
-                .any(|l| l.trim().trim_end_matches(',') == entry)
-        };
         for ((i, d), (getter, get)) in (0u64..).zip(REGISTRY).zip(GETTERS) {
             let (a, b) = (1000 + 2 * i, 3 * i + 7);
             let want = if d.name == "loop_stall_max_us" {
@@ -932,7 +885,6 @@ mod tests {
                 "{}",
                 d.name
             );
-            assert!(json_has(format!("\"{}\": {want}", d.name)), "{}", d.name);
         }
         assert_eq!(HIST_GETTERS.len(), HIST_REGISTRY.len());
         for ((i, h), (getter, get)) in (0u64..).zip(HIST_REGISTRY).zip(HIST_GETTERS) {
@@ -947,15 +899,6 @@ mod tests {
             assert!(prom
                 .lines()
                 .any(|l| l == format!("flash_{}_sum {sum}", h.name)));
-            let digest = format!(
-                "\"{}\": {{\"count\": {count}, \"sum_nanos\": {sum},",
-                h.name
-            );
-            assert!(
-                json.lines().any(|l| l.trim().starts_with(&digest)),
-                "{}",
-                h.name
-            );
         }
     }
 

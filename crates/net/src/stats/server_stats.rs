@@ -9,10 +9,10 @@ use super::ShardStats;
 /// so the hot path never contends on a shared cacheline.
 ///
 /// Every metric getter is generated from the same table entry as the
-/// [`crate::stats`] registry descriptor the exporters
-/// ([`Self::render_prometheus`], [`Self::render_json`]) iterate, so a
-/// metric cannot exist here without appearing in the scrape output (or
-/// vice versa), and every metric has a getter of its own name.
+/// [`crate::stats`] registry descriptor the exporter
+/// ([`Self::render_prometheus`]) iterates, so a metric cannot exist
+/// here without appearing in the scrape output (or vice versa), and
+/// every metric has a getter of its own name.
 #[derive(Debug)]
 pub struct ServerStats {
     pub(super) shards: Vec<Arc<ShardStats>>,
@@ -27,12 +27,6 @@ impl ServerStats {
     /// `GET /.flash/metrics` serves.
     pub fn render_prometheus(&self) -> String {
         super::render_prometheus(&self.shards)
-    }
-
-    /// The full JSON stats document — exactly what
-    /// `GET /.flash/stats` serves.
-    pub fn render_json(&self) -> String {
-        super::render_json(&self.shards)
     }
 
     /// The per-shard counters (index = shard id).

@@ -57,6 +57,8 @@
 //!   nor `flash-workload` depends on `flash-core` or `flash-simos`, or
 //!   names either in its source — the arrows point from the model to
 //!   the shipped crates.
+//! * `NetConfig` is the one thing that configures the server: no
+//!   product line of `flash-net` reads the process environment.
 
 use std::path::Path;
 
@@ -523,5 +525,31 @@ fn the_shipped_crates_do_not_build_the_model() {
     assert!(
         found.is_empty(),
         "a shipped crate builds the model: {found:#?}"
+    );
+}
+
+/// `NetConfig` is the one thing that configures the server: no line of
+/// the shipped crate reads the process environment, so no setting can
+/// take effect that the config does not show.
+#[test]
+fn the_environment_does_not_configure_the_server() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let mut dirs = vec![src.clone()];
+    let mut found = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                dirs.push(path);
+                continue;
+            }
+            let file = path.strip_prefix(&src).unwrap().to_str().unwrap();
+            found.extend(offenders((file, 0), &["env::var", "std::env"]));
+        }
+    }
+    assert!(
+        found.is_empty(),
+        "read from the environment:\n{}",
+        found.join("\n")
     );
 }

@@ -5,7 +5,7 @@
 //! their worker at once — a client that leaves, mid-stream or before a
 //! word, cancels its exchange, and one that half-closes behind an
 //! unanswered request has aborted it — control bytes in a path refused
-//! before they reach a worker, and the `/.flash/*` endpoints keeping
+//! before they reach a worker, and the reserved `/.flash/` paths keeping
 //! precedence over a dynamic prefix. (What the process is left holding
 //! afterwards — children, threads, descriptors — is counted in
 //! `worker_leak.rs`, a process of its own.)
@@ -660,10 +660,10 @@ fn run_wedged_worker_is_gone_with_its_504(tag: &str, backend: BackendChoice, kin
     let _ = std::fs::remove_dir_all(root);
 }
 
-/// `/.flash/metrics` and `/.flash/stats` keep precedence over a
-/// dynamic prefix that covers the whole path space (`/`): the scrape
-/// endpoints answer in-process while everything else routes to the
-/// worker.
+/// The reserved `/.flash/` paths keep precedence over a dynamic prefix
+/// that covers the whole path space (`/`): the scrape endpoint, and the
+/// `404` for any other path there, answer in-process while everything
+/// else routes to the worker.
 fn run_metrics_not_shadowed_by_dynamic_prefix(tag: &str, backend: BackendChoice, kind: ServerKind) {
     let root = docroot(tag);
     let server = start(
@@ -687,10 +687,17 @@ fn run_metrics_not_shadowed_by_dynamic_prefix(tag: &str, backend: BackendChoice,
     assert_eq!(read_chunked_body(&mut s), b"hello from worker: /anything");
     drop(s);
 
-    for path in ["/.flash/stats", "/.flash/metrics"] {
+    let answers = [
+        ("/.flash/metrics", "200 OK", "dynamic_requests"),
+        ("/.flash/stats", "404", "Not Found"),
+    ];
+    for (path, status, body) in answers {
         let resp = get(addr, &format!("GET {path} HTTP/1.0\r\n\r\n"));
         let text = String::from_utf8_lossy(&resp).into_owned();
-        assert!(text.starts_with("HTTP/1.1 200 OK"), "{path}: {text}");
+        assert!(
+            text.starts_with(&format!("HTTP/1.1 {status}")),
+            "{path}: {text}"
+        );
         assert!(
             !text.contains("Transfer-Encoding: chunked"),
             "{path} must be served in-process, not by the worker: {text}"
@@ -699,10 +706,7 @@ fn run_metrics_not_shadowed_by_dynamic_prefix(tag: &str, backend: BackendChoice,
             !text.contains("hello from worker"),
             "{path} routed to the dynamic tier: {text}"
         );
-        assert!(
-            text.contains("dynamic_requests"),
-            "{path} must export the dynamic counters: {text}"
-        );
+        assert!(text.contains(body), "{path}: {text}");
     }
     let stats = server.stats();
     assert_eq!(stats.dynamic_requests(), 1, "scrapes are not dynamic");

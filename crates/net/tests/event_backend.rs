@@ -11,7 +11,7 @@ use std::io::{Read, Write};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 
-use flash_net::event::{ensure_fd_limit, new_backend, BackendChoice, BackendKind, Interest};
+use flash_net::event::{ensure_fd_limit, new_backend, BackendChoice, Interest};
 
 /// ~1k registered sockets, 64 of them readable: every active token is
 /// reported (across however many wait batches it takes), no idle token
@@ -128,7 +128,7 @@ fn epoll_rearm_across_partial_writes_among_1k_sockets() {
         "cannot raise RLIMIT_NOFILE"
     );
     let mut be = new_backend(BackendChoice::Epoll);
-    assert_eq!(be.kind(), BackendKind::Epoll);
+    assert_eq!(be.kind(), BackendChoice::Epoll);
     assert!(be.edge_triggered());
 
     // A quiet crowd: none of these may ever produce an event.
@@ -296,6 +296,25 @@ fn poll_parked_entry_reports_the_fin_not_the_data() {
     assert!(evs[0].readable);
 }
 
+/// Makes a FIFO at `path` with `mkfifo(3)`, not by running `mkfifo(1)`:
+/// this file's tests share a process, and a child spawned by one of
+/// them can interrupt another's timed client `read` with `EINTR` — the
+/// child's `SIGCHLD` can arrive while the spawning thread still has
+/// every signal blocked inside `posix_spawn`, so it is queued, not
+/// discarded, and delivering it wakes a thread blocked in `recv`.
+fn mkfifo_at(path: &std::path::Path) {
+    use std::os::unix::ffi::OsStrExt;
+    extern "C" {
+        fn mkfifo(path: *const u8, mode: u32) -> i32;
+    }
+    let mut bytes = path.as_os_str().as_bytes().to_vec();
+    bytes.push(0);
+    // SAFETY: `bytes` is a NUL-terminated path buffer that outlives
+    // the call; mkfifo reads it and touches nothing else.
+    let rc = unsafe { mkfifo(bytes.as_ptr(), 0o644) };
+    assert_eq!(rc, 0, "mkfifo failed: {}", std::io::Error::last_os_error());
+}
+
 /// A shard with one connection parked and nothing else to do sleeps:
 /// its request is a helper's — wedged opening a FIFO no one writes —
 /// and its client half-closes behind it. The wait that reports the
@@ -317,11 +336,7 @@ fn a_parked_hangup_costs_at_most_two_waits(choice: BackendChoice) {
     let _ = std::fs::remove_dir_all(&root);
     std::fs::create_dir_all(&root).unwrap();
     let fifo = root.join("wedge.fifo");
-    let made = std::process::Command::new("mkfifo").arg(&fifo).status();
-    if !made.is_ok_and(|s| s.success()) {
-        eprintln!("mkfifo(1) unavailable; skipping");
-        return;
-    }
+    mkfifo_at(&fifo);
     let cfg = NetConfig::builder(&root)
         .backend(choice)
         .event_loops(1)

@@ -5,8 +5,10 @@
 //! out of descriptors.
 //!
 //! One test, in a file — a process — of its own: it counts every
-//! descriptor the process has and, at one point, uses them all up. CI
-//! runs it a second time under `ulimit -n 256`.
+//! descriptor the process has and, at one point, uses them all up. It
+//! runs the server on the platform's defaults, then on the fallbacks
+//! (the `poll` backend, one shared listening socket), one after the
+//! other. CI runs it a second time under `ulimit -n 256`.
 
 #![cfg(target_os = "linux")]
 
@@ -15,7 +17,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use flash_net::{NetConfig, Server};
+use flash_net::{AcceptMode, BackendChoice, NetConfig, Server};
 
 fn open_fds() -> usize {
     std::fs::read_dir("/proc/self/fd").unwrap().count()
@@ -59,6 +61,14 @@ fn fetch(s: &mut TcpStream, path: &str) -> (String, Vec<u8>) {
 
 #[test]
 fn open_file_table_stays_within_its_budget_and_leaks_nothing() {
+    let platform = (BackendChoice::default(), AcceptMode::default());
+    let fallbacks = (BackendChoice::Poll, AcceptMode::Single);
+    for (backend, accept_mode) in [platform, fallbacks] {
+        budget_held(backend, accept_mode);
+    }
+}
+
+fn budget_held(backend: BackendChoice, accept_mode: AcceptMode) {
     // One shard: the whole quarter of the limit is its table's.
     let capacity = (soft_nofile_limit() / 4) as usize;
     if !(8..=8192).contains(&capacity) {
@@ -86,6 +96,8 @@ fn open_file_table_stays_within_its_budget_and_leaks_nothing() {
     // test; a content cache of five entries, so every request is the
     // table's to answer.
     let cfg = NetConfig::builder(&root)
+        .backend(backend)
+        .accept_mode(accept_mode)
         .event_loops(1)
         .cache_revalidate_ttl(None)
         .cache_bytes(8_000)
@@ -101,7 +113,7 @@ fn open_file_table_stays_within_its_budget_and_leaks_nothing() {
         .unwrap();
     // What the process holds with the server up and this connection
     // accepted, the table still empty: a scrape opens nothing.
-    assert_eq!(fetch(&mut client, "/.flash/stats").0, "HTTP/1.1 200 OK");
+    assert_eq!(fetch(&mut client, "/.flash/metrics").0, "HTTP/1.1 200 OK");
     let serving = open_fds();
     assert_eq!(server.stats().open_files(), 0);
     // A helper answers a name's first request and leaves its lookups
@@ -123,7 +135,7 @@ fn open_file_table_stays_within_its_budget_and_leaks_nothing() {
     let deadline = Instant::now() + Duration::from_secs(5);
     while server.stats().open_files() > 0 {
         assert!(Instant::now() < deadline, "reload never reached the table");
-        fetch(&mut client, "/.flash/stats");
+        fetch(&mut client, "/.flash/metrics");
     }
     assert_eq!(open_fds(), serving);
     fetch(&mut client, "/f0.html");

@@ -7,14 +7,64 @@
 //! refusal of an invalid config at start. The drain, stop, handoff and
 //! refusal scenarios run on both architectures through
 //! the one `Server` handle: the AMPED test keeps the scenario's name,
-//! MT's is prefixed `mt_`.
+//! MT's is prefixed `mt_`. Every AMPED scenario that does not pin its
+//! own backend runs a second time on the fallbacks every platform has —
+//! the `poll` backend and one shared listening socket — under the name
+//! prefixed `portable_`.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use flash_net::{send_to_self, AcceptMode, NetConfig, Server, ServerKind, Signal, Signals};
+use flash_net::{
+    send_to_self, AcceptMode, BackendChoice, NetConfig, NetConfigBuilder, Server, ServerKind,
+    Signal, Signals,
+};
+
+/// How a scenario's server is built: the architecture, and the
+/// readiness backend and accept mode it runs (MT accepts from one
+/// socket whatever the mode).
+#[derive(Clone, Copy, Debug)]
+struct Setup {
+    kind: ServerKind,
+    backend: BackendChoice,
+    accept_mode: AcceptMode,
+}
+
+impl Setup {
+    /// AMPED on the fallbacks every platform has.
+    const PORTABLE: Setup = Setup {
+        kind: ServerKind::Amped,
+        backend: BackendChoice::Poll,
+        accept_mode: AcceptMode::Single,
+    };
+
+    /// `kind` on the platform's defaults.
+    fn platform(kind: ServerKind) -> Setup {
+        Setup {
+            kind,
+            backend: BackendChoice::default(),
+            accept_mode: AcceptMode::default(),
+        }
+    }
+
+    fn builder(self, root: &std::path::Path) -> NetConfigBuilder {
+        NetConfig::builder(root)
+            .backend(self.backend)
+            .accept_mode(self.accept_mode)
+    }
+
+    fn start(self, addr: impl std::net::ToSocketAddrs, cfg: NetConfig) -> Server {
+        Server::start_as(self.kind, addr, cfg).unwrap()
+    }
+
+    /// `scenario`'s docroot name for this setup.
+    fn tag(self, scenario: &str) -> String {
+        let (backend, mode) = (self.backend.name(), self.accept_mode.name());
+        format!("{scenario}-{:?}-{backend}-{mode}", self.kind)
+    }
+}
 
 /// Creates a docroot with known content; returns its path.
 fn docroot(tag: &str) -> std::path::PathBuf {
@@ -66,13 +116,14 @@ fn cadence(kind: ServerKind) -> Duration {
     }
 }
 
-fn run_drain_completes_inflight_sendfile(kind: ServerKind) {
-    let root = docroot(&format!("drain-sendfile-{kind:?}"));
-    let cfg = NetConfig::builder(&root)
+fn run_drain_completes_inflight_sendfile(setup: Setup) {
+    let root = docroot(&setup.tag("drain-sendfile"));
+    let cfg = setup
+        .builder(&root)
         .drain_timeout(Duration::from_secs(10))
         .build()
         .unwrap();
-    let server = Server::start_as(kind, "127.0.0.1:0", cfg).unwrap();
+    let server = setup.start("127.0.0.1:0", cfg);
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     s.write_all(b"GET /big.bin HTTP/1.0\r\n\r\n").unwrap();
@@ -92,13 +143,14 @@ fn run_drain_completes_inflight_sendfile(kind: ServerKind) {
     let _ = std::fs::remove_dir_all(root);
 }
 
-fn run_drain_completes_pipelined_burst(kind: ServerKind) {
-    let root = docroot(&format!("drain-pipeline-{kind:?}"));
-    let cfg = NetConfig::builder(&root)
+fn run_drain_completes_pipelined_burst(setup: Setup) {
+    let root = docroot(&setup.tag("drain-pipeline"));
+    let cfg = setup
+        .builder(&root)
         .drain_timeout(Duration::from_secs(10))
         .build()
         .unwrap();
-    let server = Server::start_as(kind, "127.0.0.1:0", cfg).unwrap();
+    let server = setup.start("127.0.0.1:0", cfg);
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     // One served response first: the connection is an established
@@ -125,16 +177,17 @@ fn run_drain_completes_pipelined_burst(kind: ServerKind) {
     let _ = std::fs::remove_dir_all(root);
 }
 
-fn run_drain_closes_idle_keepalive_promptly(kind: ServerKind) {
-    let root = docroot(&format!("drain-idle-{kind:?}"));
+fn run_drain_closes_idle_keepalive_promptly(setup: Setup) {
+    let root = docroot(&setup.tag("drain-idle"));
     // Idle timeout far beyond the assertion window: a prompt close
     // proves the drain swept the connection, not the idle reaper.
-    let cfg = NetConfig::builder(&root)
+    let cfg = setup
+        .builder(&root)
         .drain_timeout(Duration::from_secs(30))
         .idle_timeout(Some(Duration::from_secs(30)))
         .build()
         .unwrap();
-    let server = Server::start_as(kind, "127.0.0.1:0", cfg).unwrap();
+    let server = setup.start("127.0.0.1:0", cfg);
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     s.write_all(b"GET /index.html HTTP/1.1\r\nHost: t\r\n\r\n")
@@ -146,7 +199,7 @@ fn run_drain_closes_idle_keepalive_promptly(kind: ServerKind) {
     assert_eq!(stats.drained_conns(), 0);
     server.drain();
     assert!(
-        started.elapsed() < Duration::from_secs(2) + cadence(kind),
+        started.elapsed() < Duration::from_secs(2) + cadence(setup.kind),
         "idle keep-alive must not hold the drain: {:?}",
         started.elapsed()
     );
@@ -155,9 +208,9 @@ fn run_drain_closes_idle_keepalive_promptly(kind: ServerKind) {
     let _ = std::fs::remove_dir_all(root);
 }
 
-fn run_stop_finishes_response_already_in_flight(kind: ServerKind) {
-    let root = docroot(&format!("stop-grace-{kind:?}"));
-    let server = Server::start_as(kind, "127.0.0.1:0", NetConfig::new(&root)).unwrap();
+fn run_stop_finishes_response_already_in_flight(setup: Setup) {
+    let root = docroot(&setup.tag("stop-grace"));
+    let server = setup.start("127.0.0.1:0", setup.builder(&root).build().unwrap());
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     s.write_all(b"GET /big.bin HTTP/1.0\r\n\r\n").unwrap();
@@ -181,9 +234,9 @@ fn headers_len(response_start: &[u8]) -> usize {
         + 4
 }
 
-fn run_stop_now_severs_immediately(kind: ServerKind) {
-    let root = docroot(&format!("stop-now-{kind:?}"));
-    let server = Server::start_as(kind, "127.0.0.1:0", NetConfig::new(&root)).unwrap();
+fn run_stop_now_severs_immediately(setup: Setup) {
+    let root = docroot(&setup.tag("stop-now"));
+    let server = setup.start("127.0.0.1:0", setup.builder(&root).build().unwrap());
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     s.write_all(b"GET /index.html HTTP/1.1\r\nHost: t\r\n\r\n")
@@ -192,18 +245,17 @@ fn run_stop_now_severs_immediately(kind: ServerKind) {
     let started = Instant::now();
     server.stop_now();
     assert!(
-        started.elapsed() < Duration::from_secs(2) + cadence(kind),
+        started.elapsed() < Duration::from_secs(2) + cadence(setup.kind),
         "stop_now must not wait out any grace"
     );
     let _ = std::fs::remove_dir_all(root);
 }
 
-#[test]
-fn reload_swaps_docroot_without_dropping_connection() {
-    let root_a = docroot("reload-a");
-    let root_b = docroot("reload-b");
+fn run_reload_swaps_docroot_without_dropping_connection(setup: Setup) {
+    let root_a = docroot(&setup.tag("reload-a"));
+    let root_b = docroot(&setup.tag("reload-b"));
     std::fs::write(root_b.join("index.html"), b"<html>generation two</html>\n").unwrap();
-    let server = Server::start("127.0.0.1:0", NetConfig::new(&root_a)).unwrap();
+    let server = setup.start("127.0.0.1:0", setup.builder(&root_a).build().unwrap());
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     s.write_all(b"GET /index.html HTTP/1.1\r\nHost: t\r\n\r\n")
@@ -239,14 +291,15 @@ fn reload_swaps_docroot_without_dropping_connection() {
 /// The port must be rebindable by a new generation while the old one
 /// is still draining — the reuseport half of a zero-downtime restart.
 #[cfg(target_os = "linux")]
-fn run_port_rebindable_by_new_generation_during_drain(kind: ServerKind) {
-    let root = docroot(&format!("rebind-{kind:?}"));
-    let cfg = NetConfig::builder(&root)
+fn run_port_rebindable_by_new_generation_during_drain(setup: Setup) {
+    let root = docroot(&setup.tag("rebind"));
+    let cfg = setup
+        .builder(&root)
         .accept_mode(AcceptMode::ReusePort)
         .drain_timeout(Duration::from_secs(10))
         .build()
         .unwrap();
-    let server = Server::start_as(kind, "127.0.0.1:0", cfg.clone()).unwrap();
+    let server = setup.start("127.0.0.1:0", cfg.clone());
     let addr = server.addr();
     // Hold the drain open: a fresh connection that has not sent its
     // request yet keeps its grace, so the old generation lingers.
@@ -259,7 +312,7 @@ fn run_port_rebindable_by_new_generation_during_drain(kind: ServerKind) {
     thread::sleep(Duration::from_millis(200));
 
     // New generation binds the same port while the old one drains.
-    let next = Server::start_as(kind, addr, cfg).unwrap();
+    let next = setup.start(addr, cfg);
     assert_eq!(next.addr(), addr);
     let mut s = TcpStream::connect(addr).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -285,13 +338,14 @@ fn run_port_rebindable_by_new_generation_during_drain(kind: ServerKind) {
 /// generation over SCM_RIGHTS, and the same kernel socket keeps
 /// accepting.
 #[cfg(target_os = "linux")]
-fn run_handoff_passes_single_listener_across_generations(kind: ServerKind) {
-    let root = docroot(&format!("handoff-single-{kind:?}"));
-    let cfg = NetConfig::builder(&root)
+fn run_handoff_passes_single_listener_across_generations(setup: Setup) {
+    let root = docroot(&setup.tag("handoff-single"));
+    let cfg = setup
+        .builder(&root)
         .accept_mode(AcceptMode::Single)
         .build()
         .unwrap();
-    let old = Server::start_as(kind, "127.0.0.1:0", cfg.clone()).unwrap();
+    let old = setup.start("127.0.0.1:0", cfg.clone());
     let addr = old.addr();
 
     // The control-socket hop, in-process: old sends its listener dups,
@@ -299,7 +353,7 @@ fn run_handoff_passes_single_listener_across_generations(kind: ServerKind) {
     let (tx, rx) = std::os::unix::net::UnixStream::pair().unwrap();
     flash_net::send_listeners(&tx, old.handoff_listeners()).unwrap();
     let inherited = flash_net::recv_listeners(&rx).unwrap();
-    let next = Server::start_inherited_as(kind, cfg, inherited).unwrap();
+    let next = Server::start_inherited_as(setup.kind, cfg, inherited).unwrap();
     assert_eq!(next.addr(), addr);
 
     // Old generation drains away entirely...
@@ -324,21 +378,21 @@ fn run_handoff_passes_single_listener_across_generations(kind: ServerKind) {
 /// a zero idle timeout (every connection would expire at once) and a
 /// helper count of zero each fail to start, naming the field, with no
 /// server left holding the port.
-fn run_invalid_config_starts_nothing(kind: ServerKind) {
-    let root = docroot(&format!("invalid-{kind:?}"));
-    let mut zero_idle = NetConfig::new(&root);
+fn run_invalid_config_starts_nothing(setup: Setup) {
+    let root = docroot(&setup.tag("invalid"));
+    let mut zero_idle = setup.builder(&root).build().unwrap();
+    let mut no_helpers = zero_idle.clone();
     zero_idle.idle_timeout = Some(Duration::ZERO);
-    let mut no_helpers = NetConfig::new(&root);
     no_helpers.helpers = 0;
     for (cfg, field) in [(zero_idle, "idle_timeout"), (no_helpers, "helpers")] {
         let addr = std::net::TcpListener::bind("127.0.0.1:0")
             .unwrap()
             .local_addr()
             .unwrap();
-        let err = match Server::start_as(kind, addr, cfg) {
+        let err = match Server::start_as(setup.kind, addr, cfg) {
             Ok(server) => {
                 server.stop_now();
-                panic!("{kind:?} started with an invalid {field}");
+                panic!("{setup:?} started with an invalid {field}");
             }
             Err(e) => e,
         };
@@ -353,66 +407,116 @@ fn run_invalid_config_starts_nothing(kind: ServerKind) {
     let _ = std::fs::remove_dir_all(root);
 }
 
-/// A `#[test]` per architecture for each scenario above: the AMPED one
-/// under the scenario's name, the MT one prefixed `mt_`.
+/// A `#[test]` per architecture for each scenario above, and one more
+/// for AMPED on the fallbacks: the AMPED one under the scenario's name,
+/// the others prefixed `mt_` and `portable_`.
 macro_rules! on_both_architectures {
-    ($($(#[$attr:meta])* $run:ident => $amped:ident, $mt:ident;)*) => {$(
+    ($($(#[$attr:meta])* $run:ident => $amped:ident, $mt:ident, $portable:ident;)*) => {$(
         $(#[$attr])*
         #[test]
         fn $amped() {
-            $run(ServerKind::Amped);
+            $run(Setup::platform(ServerKind::Amped));
         }
 
         $(#[$attr])*
         #[test]
         fn $mt() {
-            $run(ServerKind::Mt);
+            $run(Setup::platform(ServerKind::Mt));
+        }
+
+        $(#[$attr])*
+        #[test]
+        fn $portable() {
+            $run(Setup::PORTABLE);
         }
     )*};
 }
 
 on_both_architectures! {
     run_drain_completes_inflight_sendfile =>
-        drain_completes_inflight_sendfile, mt_drain_completes_inflight_sendfile;
+        drain_completes_inflight_sendfile, mt_drain_completes_inflight_sendfile,
+        portable_drain_completes_inflight_sendfile;
     run_drain_completes_pipelined_burst =>
-        drain_completes_pipelined_burst, mt_drain_completes_pipelined_burst;
+        drain_completes_pipelined_burst, mt_drain_completes_pipelined_burst,
+        portable_drain_completes_pipelined_burst;
     run_drain_closes_idle_keepalive_promptly =>
-        drain_closes_idle_keepalive_promptly, mt_drain_closes_idle_keepalive_promptly;
+        drain_closes_idle_keepalive_promptly, mt_drain_closes_idle_keepalive_promptly,
+        portable_drain_closes_idle_keepalive_promptly;
     run_stop_finishes_response_already_in_flight =>
-        stop_finishes_response_already_in_flight, mt_stop_finishes_response_already_in_flight;
+        stop_finishes_response_already_in_flight, mt_stop_finishes_response_already_in_flight,
+        portable_stop_finishes_response_already_in_flight;
     run_stop_now_severs_immediately =>
-        stop_now_severs_immediately, mt_stop_now_severs_immediately;
+        stop_now_severs_immediately, mt_stop_now_severs_immediately,
+        portable_stop_now_severs_immediately;
     run_invalid_config_starts_nothing =>
-        invalid_config_starts_nothing, mt_invalid_config_starts_nothing;
+        invalid_config_starts_nothing, mt_invalid_config_starts_nothing,
+        portable_invalid_config_starts_nothing;
     #[cfg(target_os = "linux")]
     run_port_rebindable_by_new_generation_during_drain =>
         port_rebindable_by_new_generation_during_drain,
-        mt_port_rebindable_by_new_generation_during_drain;
+        mt_port_rebindable_by_new_generation_during_drain,
+        portable_port_rebindable_by_new_generation_during_drain;
     #[cfg(target_os = "linux")]
     run_handoff_passes_single_listener_across_generations =>
         handoff_passes_single_listener_across_generations,
-        mt_handoff_passes_single_listener_across_generations;
+        mt_handoff_passes_single_listener_across_generations,
+        portable_handoff_passes_single_listener_across_generations;
+}
+
+/// The AMPED-only scenarios below: on the platform's defaults under the
+/// scenario's name, on the fallbacks prefixed `portable_`.
+macro_rules! on_both_platforms {
+    ($($(#[$attr:meta])* $run:ident => $amped:ident, $portable:ident;)*) => {$(
+        $(#[$attr])*
+        #[test]
+        fn $amped() {
+            $run(Setup::platform(ServerKind::Amped));
+        }
+
+        $(#[$attr])*
+        #[test]
+        fn $portable() {
+            $run(Setup::PORTABLE);
+        }
+    )*};
+}
+
+on_both_platforms! {
+    run_reload_swaps_docroot_without_dropping_connection =>
+        reload_swaps_docroot_without_dropping_connection,
+        portable_reload_swaps_docroot_without_dropping_connection;
+    #[cfg(target_os = "linux")]
+    run_helper_wait_deadline_reaps_wedged_waiter =>
+        helper_wait_deadline_reaps_wedged_waiter,
+        portable_helper_wait_deadline_reaps_wedged_waiter;
+    run_sighup_rotates_access_log_without_losing_lines =>
+        sighup_rotates_access_log_without_losing_lines,
+        portable_sighup_rotates_access_log_without_losing_lines;
+    #[cfg(target_os = "linux")]
+    run_reaping_last_waiter_cancels_inflight_jobs =>
+        reaping_last_waiter_cancels_inflight_jobs,
+        portable_reaping_last_waiter_cancels_inflight_jobs;
 }
 
 /// A `Waiting` connection whose helper never completes is reaped at
 /// `helper_wait_timeout`, counted, and its slot safely reusable — the
 /// late completion (if it ever arrives) is delivered to nobody.
 #[cfg(target_os = "linux")]
-#[test]
-fn helper_wait_deadline_reaps_wedged_waiter() {
-    let root = docroot("helper-wedge");
+fn run_helper_wait_deadline_reaps_wedged_waiter(setup: Setup) {
+    let root = docroot(&setup.tag("helper-wedge"));
     // A FIFO in the docroot: File::open blocks until a writer appears,
     // which is exactly a wedged disk/helper from the shard's view.
     let fifo = root.join("wedge.fifo");
     mkfifo_at(&fifo);
 
-    let mut cfg = NetConfig::builder(&root)
+    let mut cfg = setup
+        .builder(&root)
         .event_loops(1)
         .helper_wait_timeout(Some(Duration::from_millis(400)))
         .build()
         .unwrap();
     cfg.helpers = 1; // the single helper wedges; nothing else moves
-    let server = Server::start("127.0.0.1:0", cfg).unwrap();
+    let server = setup.start("127.0.0.1:0", cfg);
     let addr = server.addr();
 
     // Prewarm the cache while the helper still works.
@@ -612,21 +716,20 @@ fn check_log_line(line: &str) -> String {
 /// once across the two files, every line whole — the single
 /// `O_APPEND` write per batch means concurrent shards can never tear
 /// a line.
-#[test]
-fn sighup_rotates_access_log_without_losing_lines() {
+fn run_sighup_rotates_access_log_without_losing_lines(setup: Setup) {
     const BEFORE: usize = 40;
     const AFTER: usize = 40;
-    let root = docroot("log-rotate");
+    let root = docroot(&setup.tag("log-rotate"));
     let log_path = root.join("access.log");
-    let server = Server::start(
+    let server = setup.start(
         "127.0.0.1:0",
-        NetConfig::builder(&root)
+        setup
+            .builder(&root)
             .event_loops(2)
             .access_log_path(&log_path)
             .build()
             .unwrap(),
-    )
-    .unwrap();
+    );
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     for _ in 0..BEFORE {
@@ -743,21 +846,21 @@ fn mt_access_log_rotation_loses_no_lines() {
 /// the shard's residency test always leaves to the helper, whatever
 /// the dentry and page caches hold.
 #[cfg(target_os = "linux")]
-#[test]
-fn reaping_last_waiter_cancels_inflight_jobs() {
-    let root = docroot("job-cancel");
+fn run_reaping_last_waiter_cancels_inflight_jobs(setup: Setup) {
+    let root = docroot(&setup.tag("job-cancel"));
     let fifo = root.join("wedge.fifo");
     mkfifo_at(&fifo);
     let queued = root.join("queued.fifo");
     mkfifo_at(&queued);
 
-    let mut cfg = NetConfig::builder(&root)
+    let mut cfg = setup
+        .builder(&root)
         .event_loops(1)
         .helper_wait_timeout(Some(Duration::from_millis(300)))
         .build()
         .unwrap();
     cfg.helpers = 1; // one lane: the queued job sits behind the wedge
-    let server = Server::start("127.0.0.1:0", cfg).unwrap();
+    let server = setup.start("127.0.0.1:0", cfg);
     let addr = server.addr();
 
     // Waiter 1 wedges the only helper on the FIFO open.

@@ -1,22 +1,22 @@
 //! End-to-end tests of the real AMPED and MT servers over loopback,
 //! using plain `std::net::TcpStream` clients.
 //!
-//! The whole suite runs **twice**, parameterized over the readiness
-//! backend: once pinned to the edge-triggered `epoll` backend (which
-//! degrades to poll on platforms without epoll — the suite still
-//! passes, it just re-covers the fallback) and once pinned to the
-//! portable `poll` backend. The event loop is one code path written to
-//! the edge-triggered contract; these tests are what holds both
-//! kernels to identical observable behavior.
+//! The whole suite runs **twice**, each pinning both portability
+//! choices: once on Linux's defaults — the edge-triggered `epoll`
+//! backend and per-shard `SO_REUSEPORT` listeners — and once on the
+//! fallbacks every other platform runs — the `poll` backend and one
+//! listening socket shared by the shards. (Off Linux the first run
+//! degrades to the second: it still passes, it just re-covers the
+//! fallbacks.) The event loop is one code path written to the
+//! edge-triggered contract; these tests are what holds both kernels,
+//! and both accept modes, to identical observable behavior. A scenario
+//! that pins its own accept mode runs it on both backends.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use flash_net::{
-    AcceptMode, AcceptModeKind, BackendChoice, BackendKind, NetConfig, NetConfigBuilder, Server,
-    ServerKind,
-};
+use flash_net::{AcceptMode, BackendChoice, NetConfig, NetConfigBuilder, Server, ServerKind};
 use flash_simcore::SimRng;
 
 /// Creates a docroot with known content; returns its path guard.
@@ -30,10 +30,18 @@ fn docroot(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Base config for a suite run: everything default except the pinned
-/// readiness backend.
-fn cfg(root: &std::path::Path, backend: BackendChoice) -> NetConfigBuilder {
-    NetConfig::builder(root).backend(backend)
+/// What a suite run pins: the readiness backend and the accept mode.
+#[derive(Clone, Copy)]
+struct Pins {
+    backend: BackendChoice,
+    accept_mode: AcceptMode,
+}
+
+/// Base config for a suite run: everything default except the pins.
+fn cfg(root: &std::path::Path, pins: Pins) -> NetConfigBuilder {
+    NetConfig::builder(root)
+        .backend(pins.backend)
+        .accept_mode(pins.accept_mode)
 }
 
 /// Sends one request and reads until EOF; returns the raw response.
@@ -75,9 +83,9 @@ fn read_response(s: &mut TcpStream) -> (String, Vec<u8>) {
     (text, body)
 }
 
-fn run_serves_files_and_404s(tag: &str, backend: BackendChoice) {
+fn run_serves_files_and_404s(tag: &str, pins: Pins) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, pins).build().unwrap()).unwrap();
     let addr = server.addr();
 
     let resp = get(addr, "GET /index.html HTTP/1.0\r\n\r\n");
@@ -100,13 +108,13 @@ fn run_serves_files_and_404s(tag: &str, backend: BackendChoice) {
     let _ = std::fs::remove_dir_all(root);
 }
 
-fn run_second_request_hits_cache(tag: &str, backend: BackendChoice) {
+fn run_second_request_hits_cache(tag: &str, pins: Pins) {
     let root = docroot(tag);
     // One shard: all three connections share one content cache, so
     // exactly one disk read happens (shards have private caches).
     let server = Server::start(
         "127.0.0.1:0",
-        cfg(&root, backend).event_loops(1).build().unwrap(),
+        cfg(&root, pins).event_loops(1).build().unwrap(),
     )
     .unwrap();
     let addr = server.addr();
@@ -122,9 +130,9 @@ fn run_second_request_hits_cache(tag: &str, backend: BackendChoice) {
     let _ = std::fs::remove_dir_all(root);
 }
 
-fn run_persistent_connection(tag: &str, backend: BackendChoice) {
+fn run_persistent_connection(tag: &str, pins: Pins) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, pins).build().unwrap()).unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     for i in 0..5 {
@@ -139,9 +147,9 @@ fn run_persistent_connection(tag: &str, backend: BackendChoice) {
     let _ = std::fs::remove_dir_all(root);
 }
 
-fn run_streams_large_files_intact(tag: &str, backend: BackendChoice) {
+fn run_streams_large_files_intact(tag: &str, pins: Pins) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, pins).build().unwrap()).unwrap();
     let resp = get(server.addr(), "GET /big.bin HTTP/1.0\r\n\r\n");
     let body = body_of(&resp);
     assert_eq!(body.len(), 2_000_000);
@@ -156,7 +164,7 @@ fn run_streams_large_files_intact(tag: &str, backend: BackendChoice) {
     let _ = std::fs::remove_dir_all(root);
 }
 
-fn run_sendfile_threshold_straddle(tag: &str, backend: BackendChoice) {
+fn run_sendfile_threshold_straddle(tag: &str, pins: Pins) {
     const T: u64 = 8 * 1024;
     let root = docroot(tag);
     let mk = |n: usize| -> Vec<u8> { (0..n).map(|i| (i * 31 + 7) as u8).collect() };
@@ -168,7 +176,7 @@ fn run_sendfile_threshold_straddle(tag: &str, backend: BackendChoice) {
     std::fs::write(root.join("above.bin"), mk(T as usize + 1)).unwrap();
     let server = Server::start(
         "127.0.0.1:0",
-        cfg(&root, backend)
+        cfg(&root, pins)
             .event_loops(1)
             .sendfile_threshold_bytes(T)
             .build()
@@ -195,11 +203,11 @@ fn run_sendfile_threshold_straddle(tag: &str, backend: BackendChoice) {
     let _ = std::fs::remove_dir_all(root);
 }
 
-fn run_sendfile_preserves_keep_alive(tag: &str, backend: BackendChoice) {
+fn run_sendfile_preserves_keep_alive(tag: &str, pins: Pins) {
     let root = docroot(tag);
     let body: Vec<u8> = (0..500_000usize).map(|i| (i * 13) as u8).collect();
     std::fs::write(root.join("video.bin"), &body).unwrap();
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, pins).build().unwrap()).unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     // Large (sendfile) request, then a small (cached) one on the SAME
@@ -221,9 +229,9 @@ fn run_sendfile_preserves_keep_alive(tag: &str, backend: BackendChoice) {
     let _ = std::fs::remove_dir_all(root);
 }
 
-fn run_head_on_large_file(tag: &str, backend: BackendChoice) {
+fn run_head_on_large_file(tag: &str, pins: Pins) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, pins).build().unwrap()).unwrap();
     let resp = get(server.addr(), "HEAD /big.bin HTTP/1.0\r\n\r\n");
     let text = String::from_utf8_lossy(&resp);
     assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
@@ -241,11 +249,11 @@ fn run_head_on_large_file(tag: &str, backend: BackendChoice) {
     let _ = std::fs::remove_dir_all(root);
 }
 
-fn run_large_bodies_never_enter_cache(tag: &str, backend: BackendChoice) {
+fn run_large_bodies_never_enter_cache(tag: &str, pins: Pins) {
     let root = docroot(tag);
     let server = Server::start(
         "127.0.0.1:0",
-        cfg(&root, backend).event_loops(1).build().unwrap(),
+        cfg(&root, pins).event_loops(1).build().unwrap(),
     )
     .unwrap();
     let addr = server.addr();
@@ -274,9 +282,9 @@ fn run_large_bodies_never_enter_cache(tag: &str, backend: BackendChoice) {
     let _ = std::fs::remove_dir_all(root);
 }
 
-fn run_concurrent_clients(tag: &str, backend: BackendChoice) {
+fn run_concurrent_clients(tag: &str, pins: Pins) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, pins).build().unwrap()).unwrap();
     let addr = server.addr();
     let threads: Vec<_> = (0..16)
         .map(|i| {
@@ -301,9 +309,9 @@ fn run_concurrent_clients(tag: &str, backend: BackendChoice) {
     let _ = std::fs::remove_dir_all(root);
 }
 
-fn run_pipelined_keep_alive(tag: &str, backend: BackendChoice) {
+fn run_pipelined_keep_alive(tag: &str, pins: Pins) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, pins).build().unwrap()).unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     // Three keep-alive requests in a single write: the server must
@@ -339,14 +347,14 @@ fn run_pipelined_keep_alive(tag: &str, backend: BackendChoice) {
 /// cache (the request parks on a miss, interest dropped and re-armed),
 /// then as hits; alone, then as a pipelined pair in one segment; with
 /// the connection fresh, then on one already registered and parked.
-fn run_half_close_behind_requests(tag: &str, backend: BackendChoice) {
+fn run_half_close_behind_requests(tag: &str, pins: Pins) {
     const ONE: &[u8] = b"GET /index.html HTTP/1.1\r\nHost: t\r\n\r\n";
     const PAIR: &[u8] = b"GET /index.html HTTP/1.1\r\nHost: t\r\n\r\n\
                           GET /sub/page.html HTTP/1.1\r\nHost: t\r\n\r\n";
     let root = docroot(tag);
     let server = Server::start(
         "127.0.0.1:0",
-        cfg(&root, backend)
+        cfg(&root, pins)
             .event_loops(1)
             .idle_timeout(Some(Duration::from_secs(5)))
             .build()
@@ -403,11 +411,11 @@ fn accept_calls(stats: &flash_net::ServerStats) -> u64 {
 /// is asserted about the split — only that every connection was
 /// accepted by exactly one shard and answered whole, through the
 /// shards' own counted accept arm: no acceptor thread exists.
-fn run_single_mode_shards_share_one_socket(tag: &str, backend: BackendChoice) {
+fn run_single_mode_shards_share_one_socket(tag: &str, pins: Pins) {
     let root = docroot(tag);
     let server = Server::start(
         "127.0.0.1:0",
-        cfg(&root, backend)
+        cfg(&root, pins)
             .event_loops(4)
             .accept_mode(AcceptMode::Single)
             .build()
@@ -415,7 +423,7 @@ fn run_single_mode_shards_share_one_socket(tag: &str, backend: BackendChoice) {
     )
     .unwrap();
     let addr = server.addr();
-    assert_eq!(server.accept_mode(), AcceptModeKind::Single);
+    assert_eq!(server.accept_mode(), AcceptMode::Single);
     assert_eq!(server.stats().per_shard().len(), 4);
     for _ in 0..32 {
         let resp = get(addr, "GET /index.html HTTP/1.0\r\n\r\n");
@@ -449,11 +457,11 @@ fn run_single_mode_shards_share_one_socket(tag: &str, backend: BackendChoice) {
     let _ = std::fs::remove_dir_all(root);
 }
 
-fn run_cache_hit_is_one_writev(tag: &str, backend: BackendChoice) {
+fn run_cache_hit_is_one_writev(tag: &str, pins: Pins) {
     let root = docroot(tag);
     let server = Server::start(
         "127.0.0.1:0",
-        cfg(&root, backend).event_loops(1).build().unwrap(),
+        cfg(&root, pins).event_loops(1).build().unwrap(),
     )
     .unwrap();
     let addr = server.addr();
@@ -473,9 +481,9 @@ fn run_cache_hit_is_one_writev(tag: &str, backend: BackendChoice) {
     let _ = std::fs::remove_dir_all(root);
 }
 
-fn run_rejects_bad_requests_and_post(tag: &str, backend: BackendChoice) {
+fn run_rejects_bad_requests_and_post(tag: &str, pins: Pins) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, pins).build().unwrap()).unwrap();
     let addr = server.addr();
     let resp = get(addr, "BOGUS /x HTTP/9.9\r\n\r\n");
     assert!(String::from_utf8_lossy(&resp).starts_with("HTTP/1.1 400"));
@@ -493,11 +501,11 @@ fn run_rejects_bad_requests_and_post(tag: &str, backend: BackendChoice) {
 /// is a request for `/secret.html`, which a proxy that frames by the
 /// header never sent. One `400`, logged as `"- -"`, the connection
 /// closed — and the smuggled request is never served.
-fn run_body_is_not_a_request(tag: &str, backend: BackendChoice, kind: ServerKind) {
+fn run_body_is_not_a_request(tag: &str, pins: Pins, kind: ServerKind) {
     let root = docroot(tag);
     std::fs::write(root.join("secret.html"), b"top secret").unwrap();
     let log = root.join("access.log");
-    let config = cfg(&root, backend).access_log_path(&log).build().unwrap();
+    let config = cfg(&root, pins).access_log_path(&log).build().unwrap();
     let server = Server::start_as(kind, "127.0.0.1:0", config).unwrap();
     let smuggled = "GET /secret.html HTTP/1.1\r\nHost: t\r\n\r\n";
     // Each framing also with a space before the colon: a field name
@@ -536,9 +544,9 @@ fn run_body_is_not_a_request(tag: &str, backend: BackendChoice, kind: ServerKind
     let _ = std::fs::remove_dir_all(root);
 }
 
-fn run_head_returns_headers_only(tag: &str, backend: BackendChoice) {
+fn run_head_returns_headers_only(tag: &str, pins: Pins) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, pins).build().unwrap()).unwrap();
     let resp = get(server.addr(), "HEAD /index.html HTTP/1.0\r\n\r\n");
     let text = String::from_utf8_lossy(&resp);
     assert!(text.starts_with("HTTP/1.1 200 OK"));
@@ -548,9 +556,9 @@ fn run_head_returns_headers_only(tag: &str, backend: BackendChoice) {
     let _ = std::fs::remove_dir_all(root);
 }
 
-fn run_headers_are_alignment_padded(tag: &str, backend: BackendChoice) {
+fn run_headers_are_alignment_padded(tag: &str, pins: Pins) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, pins).build().unwrap()).unwrap();
     let resp = get(server.addr(), "GET /index.html HTTP/1.0\r\n\r\n");
     let pos = resp.windows(4).position(|w| w == b"\r\n\r\n").unwrap();
     assert_eq!((pos + 4) % 32, 0, "header must be 32-byte aligned (§5.5)");
@@ -561,14 +569,14 @@ fn run_headers_are_alignment_padded(tag: &str, backend: BackendChoice) {
 /// Idle keep-alive reaping: a parked connection is closed once it sits
 /// past `idle_timeout`, while a connection that keeps issuing requests
 /// survives — activity resets its clock.
-fn run_idle_reaper(tag: &str, backend: BackendChoice) {
+fn run_idle_reaper(tag: &str, pins: Pins) {
     let root = docroot(tag);
     // A generous timeout relative to the active client's 150 ms
     // request spacing: a CI scheduler stall would need to exceed a
     // full second before the survivor could be mis-reaped.
     let server = Server::start(
         "127.0.0.1:0",
-        cfg(&root, backend)
+        cfg(&root, pins)
             .event_loops(1)
             .idle_timeout(Some(Duration::from_millis(1200)))
             .build()
@@ -628,12 +636,12 @@ fn run_idle_reaper(tag: &str, backend: BackendChoice) {
 /// bytes without ever completing the header is closed within ~1.25×
 /// the configured header-read deadline — and the trickle must NOT
 /// refresh the deadline.
-fn run_slow_header_deadline(tag: &str, backend: BackendChoice) {
+fn run_slow_header_deadline(tag: &str, pins: Pins) {
     let root = docroot(tag);
     let timeout = Duration::from_millis(800);
     let server = Server::start(
         "127.0.0.1:0",
-        cfg(&root, backend)
+        cfg(&root, pins)
             .event_loops(1)
             .header_read_timeout(Some(timeout))
             // Generous sibling timeouts so only the header deadline
@@ -680,7 +688,7 @@ fn run_slow_header_deadline(tag: &str, backend: BackendChoice) {
 /// Write-stall deadline: a client that requests a large (sendfile)
 /// body and then stops reading is closed within ~1.25× the configured
 /// write-progress deadline, with the matching counter bumped.
-fn run_stalled_reader_deadline(tag: &str, backend: BackendChoice) {
+fn run_stalled_reader_deadline(tag: &str, pins: Pins) {
     let root = docroot(tag);
     // Big enough that the kernel's socket buffers (both directions of
     // loopback, auto-tuned) can never absorb the whole body.
@@ -688,7 +696,7 @@ fn run_stalled_reader_deadline(tag: &str, backend: BackendChoice) {
     let timeout = Duration::from_millis(800);
     let server = Server::start(
         "127.0.0.1:0",
-        cfg(&root, backend)
+        cfg(&root, pins)
             .event_loops(1)
             .write_stall_timeout(Some(timeout))
             .idle_timeout(Some(Duration::from_secs(30)))
@@ -748,7 +756,7 @@ fn run_stalled_reader_deadline(tag: &str, backend: BackendChoice) {
 /// then the rest at once.
 fn run_slow_but_steady_reader_survives(
     tag: &str,
-    backend: BackendChoice,
+    pins: Pins,
     kind: ServerKind,
     len: usize,
     sip: usize,
@@ -759,7 +767,7 @@ fn run_slow_but_steady_reader_survives(
     let server = flash_net::handle::start(
         kind,
         "127.0.0.1:0",
-        cfg(&root, backend)
+        cfg(&root, pins)
             .event_loops(1)
             .write_stall_timeout(Some(timeout))
             .build()
@@ -808,11 +816,11 @@ fn run_slow_but_steady_reader_survives(
 /// `If-Modified-Since` handling across both body tiers: a current
 /// validator gets a bodyless 304 (keep-alive preserved, counter
 /// bumped), a stale one gets the full 200 with `Last-Modified`.
-fn run_if_modified_since(tag: &str, backend: BackendChoice) {
+fn run_if_modified_since(tag: &str, pins: Pins) {
     let root = docroot(tag);
     let server = Server::start(
         "127.0.0.1:0",
-        cfg(&root, backend).event_loops(1).build().unwrap(),
+        cfg(&root, pins).event_loops(1).build().unwrap(),
     )
     .unwrap();
     let addr = server.addr();
@@ -893,11 +901,11 @@ fn run_if_modified_since(tag: &str, backend: BackendChoice) {
 /// The Date header is the real current time in IMF-fixdate form —
 /// including on cache hits, whose pre-rendered headers are re-dated at
 /// send time rather than serving the load-time date forever.
-fn run_date_header_is_current(tag: &str, backend: BackendChoice) {
+fn run_date_header_is_current(tag: &str, pins: Pins) {
     let root = docroot(tag);
     let server = Server::start(
         "127.0.0.1:0",
-        cfg(&root, backend).event_loops(1).build().unwrap(),
+        cfg(&root, pins).event_loops(1).build().unwrap(),
     )
     .unwrap();
     let date_of = |resp: &[u8]| -> i64 {
@@ -937,9 +945,9 @@ fn run_date_header_is_current(tag: &str, backend: BackendChoice) {
 }
 
 /// Connection-header token lists steer keep-alive end to end.
-fn run_connection_token_list(tag: &str, backend: BackendChoice) {
+fn run_connection_token_list(tag: &str, pins: Pins) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg(&root, pins).build().unwrap()).unwrap();
     let addr = server.addr();
     // 1.0 + "keep-alive, upgrade": must keep the connection open.
     let mut s = TcpStream::connect(addr).unwrap();
@@ -963,12 +971,12 @@ fn run_connection_token_list(tag: &str, backend: BackendChoice) {
     let _ = std::fs::remove_dir_all(root);
 }
 
-fn run_mt_server(tag: &str, backend: BackendChoice) {
+fn run_mt_server(tag: &str, pins: Pins) {
     let root = docroot(tag);
     let server = Server::start_as(
         ServerKind::Mt,
         "127.0.0.1:0",
-        cfg(&root, backend).build().unwrap(),
+        cfg(&root, pins).build().unwrap(),
     )
     .unwrap();
     let addr = server.addr();
@@ -995,13 +1003,13 @@ fn run_mt_server(tag: &str, backend: BackendChoice) {
 /// The MT server honours the same deadline knobs through its blocking
 /// socket timeouts: a slow header sender is disconnected, and a
 /// conditional request gets a 304.
-fn run_mt_deadline_and_304(tag: &str, backend: BackendChoice) {
+fn run_mt_deadline_and_304(tag: &str, pins: Pins) {
     let root = docroot(tag);
     let timeout = Duration::from_millis(800);
     let server = Server::start_as(
         ServerKind::Mt,
         "127.0.0.1:0",
-        cfg(&root, backend)
+        cfg(&root, pins)
             .header_read_timeout(Some(timeout))
             .idle_timeout(Some(Duration::from_secs(30)))
             .build()
@@ -1056,7 +1064,7 @@ fn run_mt_deadline_and_304(tag: &str, backend: BackendChoice) {
     let server = Server::start_as(
         ServerKind::Mt,
         "127.0.0.1:0",
-        cfg(&root, backend)
+        cfg(&root, pins)
             .idle_timeout(Some(Duration::from_millis(400)))
             .build()
             .unwrap(),
@@ -1079,18 +1087,18 @@ fn run_mt_deadline_and_304(tag: &str, backend: BackendChoice) {
 /// spread connections over every shard's listener. The distribution
 /// is the kernel's, so it is asserted loosely — every shard saw *some*
 /// traffic and nothing was lost — not as an exact split.
-fn run_reuseport_accept_distribution(tag: &str, backend: BackendChoice) {
+fn run_reuseport_accept_distribution(tag: &str, pins: Pins) {
     let root = docroot(tag);
     let server = Server::start(
         "127.0.0.1:0",
-        cfg(&root, backend)
+        cfg(&root, pins)
             .event_loops(4)
             .accept_mode(AcceptMode::ReusePort)
             .build()
             .unwrap(),
     )
     .unwrap();
-    if server.accept_mode() != AcceptModeKind::ReusePort {
+    if server.accept_mode() != AcceptMode::ReusePort {
         // Platform without load-balancing SO_REUSEPORT: the mode
         // degraded to the shared socket; nothing to assert here.
         server.stop();
@@ -1126,13 +1134,13 @@ fn run_reuseport_accept_distribution(tag: &str, backend: BackendChoice) {
 /// The observable protocol behavior — keep-alive, pipelining, both
 /// body tiers on one connection — must be identical whichever accept
 /// path delivered the connection.
-fn run_accept_mode_parity(tag: &str, backend: BackendChoice, mode: AcceptMode) {
+fn run_accept_mode_parity(tag: &str, pins: Pins, mode: AcceptMode) {
     let root = docroot(tag);
     let body: Vec<u8> = (0..400_000usize).map(|i| (i * 7) as u8).collect();
     std::fs::write(root.join("video.bin"), &body).unwrap();
     let server = Server::start(
         "127.0.0.1:0",
-        cfg(&root, backend)
+        cfg(&root, pins)
             .event_loops(2)
             .accept_mode(mode)
             .build()
@@ -1170,11 +1178,11 @@ fn run_accept_mode_parity(tag: &str, backend: BackendChoice, mode: AcceptMode) {
 /// Shutdown with connections mid-flight — idle keep-alive, a
 /// half-sent request header — must complete promptly and close every
 /// connection rather than hang in a join.
-fn run_accept_shutdown_with_inflight(tag: &str, backend: BackendChoice, mode: AcceptMode) {
+fn run_accept_shutdown_with_inflight(tag: &str, pins: Pins, mode: AcceptMode) {
     let root = docroot(tag);
     let server = Server::start(
         "127.0.0.1:0",
-        cfg(&root, backend)
+        cfg(&root, pins)
             .event_loops(2)
             .accept_mode(mode)
             .build()
@@ -1208,11 +1216,11 @@ fn run_accept_shutdown_with_inflight(tag: &str, backend: BackendChoice, mode: Ac
 /// address must be immediately rebindable by a fresh server in either
 /// accept mode (a leaked per-shard reuseport socket would make the
 /// non-reuseport rebind fail forever).
-fn run_accept_port_rebind_after_stop(tag: &str, backend: BackendChoice, mode: AcceptMode) {
+fn run_accept_port_rebind_after_stop(tag: &str, pins: Pins, mode: AcceptMode) {
     let root = docroot(tag);
     let server = Server::start(
         "127.0.0.1:0",
-        cfg(&root, backend)
+        cfg(&root, pins)
             .event_loops(2)
             .accept_mode(mode)
             .build()
@@ -1228,7 +1236,7 @@ fn run_accept_port_rebind_after_stop(tag: &str, backend: BackendChoice, mode: Ac
     // would fail this bind.
     let server2 = Server::start(
         addr,
-        cfg(&root, backend)
+        cfg(&root, pins)
             .event_loops(2)
             .accept_mode(AcceptMode::Single)
             .build()
@@ -1246,12 +1254,12 @@ fn run_accept_port_rebind_after_stop(tag: &str, backend: BackendChoice, mode: Ac
 /// stop being served from the stale bytes once the revalidation TTL
 /// lapses, and an unchanged file must revalidate (cheap re-stat)
 /// without a reload.
-fn run_cache_revalidation(tag: &str, backend: BackendChoice) {
+fn run_cache_revalidation(tag: &str, pins: Pins) {
     let root = docroot(tag);
     let ttl = Duration::from_millis(100);
     let server = Server::start(
         "127.0.0.1:0",
-        cfg(&root, backend)
+        cfg(&root, pins)
             .event_loops(1)
             .cache_revalidate_ttl(Some(ttl))
             .build()
@@ -1315,13 +1323,13 @@ fn run_cache_revalidation(tag: &str, backend: BackendChoice) {
 }
 
 /// The MT server applies the same revalidation policy inline.
-fn run_mt_cache_revalidation(tag: &str, backend: BackendChoice) {
+fn run_mt_cache_revalidation(tag: &str, pins: Pins) {
     let root = docroot(tag);
     let ttl = Duration::from_millis(100);
     let server = Server::start_as(
         ServerKind::Mt,
         "127.0.0.1:0",
-        cfg(&root, backend)
+        cfg(&root, pins)
             .cache_revalidate_ttl(Some(ttl))
             .build()
             .unwrap(),
@@ -1348,7 +1356,7 @@ fn run_mt_cache_revalidation(tag: &str, backend: BackendChoice) {
 /// whether the table is in play.
 fn always_missing_server(
     tag: &str,
-    backend: BackendChoice,
+    pins: Pins,
     ttl: Duration,
 ) -> (Server, std::path::PathBuf, bool) {
     let root = docroot(tag);
@@ -1358,7 +1366,7 @@ fn always_missing_server(
     }
     let server = Server::start(
         "127.0.0.1:0",
-        cfg(&root, backend)
+        cfg(&root, pins)
             .event_loops(1)
             .cache_bytes(8_000)
             .sendfile_threshold_bytes(2_000)
@@ -1386,8 +1394,8 @@ fn fetch_fillers(addr: std::net::SocketAddr) {
 /// rewrite in place, a delete and a rename-over each show on the very
 /// next request, although the request before it was answered from the
 /// table's descriptor.
-fn run_open_file_table_sees_every_change_to_a_file(tag: &str, backend: BackendChoice) {
-    let (server, root, tabled) = always_missing_server(tag, backend, Duration::from_secs(10));
+fn run_open_file_table_sees_every_change_to_a_file(tag: &str, pins: Pins) {
+    let (server, root, tabled) = always_missing_server(tag, pins, Duration::from_secs(10));
     let addr = server.addr();
     let target = root.join("t.html");
     let fetch = || get(addr, "GET /t.html HTTP/1.0\r\n\r\n");
@@ -1456,10 +1464,10 @@ fn run_open_file_table_sees_every_change_to_a_file(tag: &str, backend: BackendCh
 /// inherits the table entry's resolve time, or the bound would be
 /// twice the TTL. (The TTL here is long enough that twice it is past
 /// the slack the assertion allows.)
-fn run_open_file_table_name_binding_lapses_with_the_ttl(tag: &str, backend: BackendChoice) {
+fn run_open_file_table_name_binding_lapses_with_the_ttl(tag: &str, pins: Pins) {
     let ttl = Duration::from_millis(400);
     let bound = ttl + Duration::from_millis(150);
-    let (server, root, tabled) = always_missing_server(tag, backend, ttl);
+    let (server, root, tabled) = always_missing_server(tag, pins, ttl);
     let addr = server.addr();
     for (tree, byte) in [("v1", b'1'), ("v2", b'2')] {
         std::fs::create_dir(root.join(tree)).unwrap();
@@ -1546,9 +1554,10 @@ fn run_open_file_table_name_binding_lapses_with_the_ttl(tag: &str, backend: Back
     let _ = std::fs::remove_dir_all(root);
 }
 
-fn run_backend_resolution(tag: &str, backend: BackendChoice, expect: BackendKind) {
+fn run_backend_resolution(tag: &str, backend: BackendChoice, expect: BackendChoice) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, backend).build().unwrap()).unwrap();
+    let cfg = NetConfig::builder(&root).backend(backend).build().unwrap();
+    let server = Server::start("127.0.0.1:0", cfg).unwrap();
     assert_eq!(server.backend(), expect);
     // Sanity: the resolved backend actually serves.
     let resp = get(server.addr(), "GET /index.html HTTP/1.0\r\n\r\n");
@@ -1557,8 +1566,6 @@ fn run_backend_resolution(tag: &str, backend: BackendChoice, expect: BackendKind
     let _ = std::fs::remove_dir_all(root);
 }
 
-/// Instantiates the full suite for one pinned backend; test names keep
-/// their historical `amped_*`/`mt_*` forms inside a per-backend module.
 /// Extracts a header value (case-insensitive name) from response text.
 fn hdr_value(text: &str, name: &str) -> Option<String> {
     text.lines().find_map(|l| {
@@ -1856,11 +1863,11 @@ fn check_send_plane(addr: std::net::SocketAddr, pat: &[u8], patbig: &[u8]) {
     );
 }
 
-fn run_send_plane_parity(tag: &str, backend: BackendChoice) {
+fn run_send_plane_parity(tag: &str, pins: Pins) {
     let (root, pat, patbig) = parity_root(tag);
     let server = Server::start(
         "127.0.0.1:0",
-        cfg(&root, backend)
+        cfg(&root, pins)
             .event_loops(1)
             .sendfile_threshold_bytes(8 * 1024)
             .build()
@@ -1879,12 +1886,12 @@ fn run_send_plane_parity(tag: &str, backend: BackendChoice) {
     let _ = std::fs::remove_dir_all(root);
 }
 
-fn run_mt_send_plane_parity(tag: &str, backend: BackendChoice) {
+fn run_mt_send_plane_parity(tag: &str, pins: Pins) {
     let (root, pat, patbig) = parity_root(tag);
     let server = Server::start_as(
         ServerKind::Mt,
         "127.0.0.1:0",
-        cfg(&root, backend)
+        cfg(&root, pins)
             .sendfile_threshold_bytes(8 * 1024)
             .build()
             .unwrap(),
@@ -1906,14 +1913,14 @@ fn run_mt_send_plane_parity(tag: &str, backend: BackendChoice) {
 /// crafted full-body, final-byte, and threshold-straddling windows —
 /// must come back byte-exact with exact `Content-Range` on both body
 /// tiers. `mt` selects the driver; the window list is identical.
-fn run_random_range_windows(tag: &str, backend: BackendChoice, mt: bool) {
+fn run_random_range_windows(tag: &str, pins: Pins, mt: bool) {
     const T: u64 = 8 * 1024;
     let root = docroot(tag);
     let small: Vec<u8> = (0..(T as usize / 2)).map(|i| (i * 13 + 3) as u8).collect();
     let big: Vec<u8> = (0..(3 * T as usize)).map(|i| (i * 29 + 5) as u8).collect();
     std::fs::write(root.join("wsmall.bin"), &small).unwrap();
     std::fs::write(root.join("wbig.bin"), &big).unwrap();
-    let c = cfg(&root, backend)
+    let c = cfg(&root, pins)
         .event_loops(1)
         .sendfile_threshold_bytes(T)
         .build()
@@ -1977,10 +1984,18 @@ fn run_random_range_windows(tag: &str, backend: BackendChoice, mt: bool) {
     let _ = std::fs::remove_dir_all(root);
 }
 
+/// Instantiates the full suite for one pinned backend and accept mode;
+/// test names keep their historical `amped_*`/`mt_*` forms inside a
+/// per-backend module.
 macro_rules! backend_suite {
-    ($modname:ident, $backend:expr) => {
+    ($modname:ident, $backend:expr, $accept_mode:expr) => {
         mod $modname {
             use super::*;
+
+            const PINS: Pins = Pins {
+                backend: $backend,
+                accept_mode: $accept_mode,
+            };
 
             fn tag(name: &str) -> String {
                 format!("{}-{name}", stringify!($modname))
@@ -1988,107 +2003,107 @@ macro_rules! backend_suite {
 
             #[test]
             fn amped_serves_files_and_404s() {
-                run_serves_files_and_404s(&tag("serves"), $backend);
+                run_serves_files_and_404s(&tag("serves"), PINS);
             }
 
             #[test]
             fn amped_second_request_hits_cache() {
-                run_second_request_hits_cache(&tag("cache"), $backend);
+                run_second_request_hits_cache(&tag("cache"), PINS);
             }
 
             #[test]
             fn amped_persistent_connection_serves_multiple_requests() {
-                run_persistent_connection(&tag("keepalive"), $backend);
+                run_persistent_connection(&tag("keepalive"), PINS);
             }
 
             #[test]
             fn amped_streams_large_files_intact() {
-                run_streams_large_files_intact(&tag("large"), $backend);
+                run_streams_large_files_intact(&tag("large"), PINS);
             }
 
             #[test]
             fn amped_sendfile_threshold_straddle_is_byte_exact() {
-                run_sendfile_threshold_straddle(&tag("straddle"), $backend);
+                run_sendfile_threshold_straddle(&tag("straddle"), PINS);
             }
 
             #[test]
             fn amped_sendfile_preserves_keep_alive() {
-                run_sendfile_preserves_keep_alive(&tag("sf-keepalive"), $backend);
+                run_sendfile_preserves_keep_alive(&tag("sf-keepalive"), PINS);
             }
 
             #[test]
             fn amped_head_on_large_file_sends_no_body() {
-                run_head_on_large_file(&tag("sf-head"), $backend);
+                run_head_on_large_file(&tag("sf-head"), PINS);
             }
 
             #[test]
             fn amped_large_bodies_never_enter_the_content_cache() {
-                run_large_bodies_never_enter_cache(&tag("sf-cache"), $backend);
+                run_large_bodies_never_enter_cache(&tag("sf-cache"), PINS);
             }
 
             #[test]
             fn amped_handles_concurrent_clients() {
-                run_concurrent_clients(&tag("concurrent"), $backend);
+                run_concurrent_clients(&tag("concurrent"), PINS);
             }
 
             #[test]
             fn amped_pipelined_keep_alive_requests_on_one_connection() {
-                run_pipelined_keep_alive(&tag("pipeline"), $backend);
+                run_pipelined_keep_alive(&tag("pipeline"), PINS);
             }
 
             #[test]
             fn amped_single_mode_shards_share_one_socket() {
-                run_single_mode_shards_share_one_socket(&tag("shards"), $backend);
+                run_single_mode_shards_share_one_socket(&tag("shards"), PINS);
             }
 
             #[test]
             fn amped_cache_hit_is_one_writev_call() {
-                run_cache_hit_is_one_writev(&tag("writev"), $backend);
+                run_cache_hit_is_one_writev(&tag("writev"), PINS);
             }
 
             #[test]
             fn amped_rejects_bad_requests_and_post() {
-                run_rejects_bad_requests_and_post(&tag("bad"), $backend);
+                run_rejects_bad_requests_and_post(&tag("bad"), PINS);
             }
 
             #[test]
             fn amped_body_of_a_get_is_not_a_request() {
-                run_body_is_not_a_request(&tag("body"), $backend, ServerKind::Amped);
+                run_body_is_not_a_request(&tag("body"), PINS, ServerKind::Amped);
             }
 
             #[test]
             fn mt_body_of_a_get_is_not_a_request() {
-                run_body_is_not_a_request(&tag("mt-body"), $backend, ServerKind::Mt);
+                run_body_is_not_a_request(&tag("mt-body"), PINS, ServerKind::Mt);
             }
 
             #[test]
             fn amped_head_returns_headers_only() {
-                run_head_returns_headers_only(&tag("head"), $backend);
+                run_head_returns_headers_only(&tag("head"), PINS);
             }
 
             #[test]
             fn amped_headers_are_alignment_padded() {
-                run_headers_are_alignment_padded(&tag("align"), $backend);
+                run_headers_are_alignment_padded(&tag("align"), PINS);
             }
 
             #[test]
             fn amped_half_close_behind_requests_closes_at_eof() {
-                run_half_close_behind_requests(&tag("halfclose"), $backend);
+                run_half_close_behind_requests(&tag("halfclose"), PINS);
             }
 
             #[test]
             fn amped_reaps_idle_keep_alive_connections() {
-                run_idle_reaper(&tag("reaper"), $backend);
+                run_idle_reaper(&tag("reaper"), PINS);
             }
 
             #[test]
             fn amped_slow_header_sender_hits_read_deadline() {
-                run_slow_header_deadline(&tag("slowhdr"), $backend);
+                run_slow_header_deadline(&tag("slowhdr"), PINS);
             }
 
             #[test]
             fn amped_stalled_body_reader_hits_write_deadline() {
-                run_stalled_reader_deadline(&tag("stallrd"), $backend);
+                run_stalled_reader_deadline(&tag("stallrd"), PINS);
             }
 
             #[test]
@@ -2096,7 +2111,7 @@ macro_rules! backend_suite {
                 // The whole body in sips: ≈ 1.6 s, four deadlines.
                 run_slow_but_steady_reader_survives(
                     &tag("steady"),
-                    $backend,
+                    PINS,
                     ServerKind::Amped,
                     2_000_000,
                     125_000,
@@ -2114,7 +2129,7 @@ macro_rules! backend_suite {
             fn mt_steady_reader_outlives_write_deadline() {
                 run_slow_but_steady_reader_survives(
                     &tag("mt-steady"),
-                    $backend,
+                    PINS,
                     ServerKind::Mt,
                     8 << 20,
                     128 << 10,
@@ -2123,133 +2138,121 @@ macro_rules! backend_suite {
 
             #[test]
             fn amped_if_modified_since_both_tiers() {
-                run_if_modified_since(&tag("ims"), $backend);
+                run_if_modified_since(&tag("ims"), PINS);
             }
 
             #[test]
             fn amped_date_header_is_current() {
-                run_date_header_is_current(&tag("date"), $backend);
+                run_date_header_is_current(&tag("date"), PINS);
             }
 
             #[test]
             fn amped_connection_header_token_list() {
-                run_connection_token_list(&tag("connlist"), $backend);
+                run_connection_token_list(&tag("connlist"), PINS);
             }
 
             #[test]
             fn amped_reuseport_accept_distribution_covers_all_shards() {
-                run_reuseport_accept_distribution(&tag("rp-dist"), $backend);
+                run_reuseport_accept_distribution(&tag("rp-dist"), PINS);
             }
 
             #[test]
             fn amped_accept_mode_single_full_protocol_parity() {
-                run_accept_mode_parity(&tag("parity-single"), $backend, AcceptMode::Single);
+                run_accept_mode_parity(&tag("parity-single"), PINS, AcceptMode::Single);
             }
 
             #[test]
             fn amped_accept_mode_reuseport_full_protocol_parity() {
-                run_accept_mode_parity(&tag("parity-rp"), $backend, AcceptMode::ReusePort);
+                run_accept_mode_parity(&tag("parity-rp"), PINS, AcceptMode::ReusePort);
             }
 
             #[test]
             fn amped_accept_shutdown_with_inflight_connections_single() {
-                run_accept_shutdown_with_inflight(
-                    &tag("shut-single"),
-                    $backend,
-                    AcceptMode::Single,
-                );
+                run_accept_shutdown_with_inflight(&tag("shut-single"), PINS, AcceptMode::Single);
             }
 
             #[test]
             fn amped_accept_shutdown_with_inflight_connections_reuseport() {
-                run_accept_shutdown_with_inflight(&tag("shut-rp"), $backend, AcceptMode::ReusePort);
+                run_accept_shutdown_with_inflight(&tag("shut-rp"), PINS, AcceptMode::ReusePort);
             }
 
             #[test]
             fn amped_accept_port_rebinds_after_stop_single() {
-                run_accept_port_rebind_after_stop(
-                    &tag("rebind-single"),
-                    $backend,
-                    AcceptMode::Single,
-                );
+                run_accept_port_rebind_after_stop(&tag("rebind-single"), PINS, AcceptMode::Single);
             }
 
             #[test]
             fn amped_accept_port_rebinds_after_stop_reuseport() {
-                run_accept_port_rebind_after_stop(
-                    &tag("rebind-rp"),
-                    $backend,
-                    AcceptMode::ReusePort,
-                );
+                run_accept_port_rebind_after_stop(&tag("rebind-rp"), PINS, AcceptMode::ReusePort);
             }
 
             #[test]
             fn amped_cache_revalidates_entries_past_ttl() {
-                run_cache_revalidation(&tag("revalidate"), $backend);
+                run_cache_revalidation(&tag("revalidate"), PINS);
             }
 
             #[test]
             fn amped_open_file_table_sees_every_change_to_a_file() {
-                run_open_file_table_sees_every_change_to_a_file(&tag("oft-fresh"), $backend);
+                run_open_file_table_sees_every_change_to_a_file(&tag("oft-fresh"), PINS);
             }
 
             #[test]
             fn amped_open_file_table_name_binding_lapses_with_the_ttl() {
-                run_open_file_table_name_binding_lapses_with_the_ttl(&tag("oft-ttl"), $backend);
+                run_open_file_table_name_binding_lapses_with_the_ttl(&tag("oft-ttl"), PINS);
             }
 
             #[test]
             fn mt_cache_revalidates_entries_past_ttl() {
-                run_mt_cache_revalidation(&tag("mt-revalidate"), $backend);
+                run_mt_cache_revalidation(&tag("mt-revalidate"), PINS);
             }
 
             #[test]
             fn amped_send_plane_range_etag_gzip_parity() {
-                run_send_plane_parity(&tag("plane"), $backend);
+                run_send_plane_parity(&tag("plane"), PINS);
             }
 
             #[test]
             fn mt_send_plane_range_etag_gzip_parity() {
-                run_mt_send_plane_parity(&tag("mt-plane"), $backend);
+                run_mt_send_plane_parity(&tag("mt-plane"), PINS);
             }
 
             #[test]
             fn amped_random_range_windows_byte_exact() {
-                run_random_range_windows(&tag("windows"), $backend, false);
+                run_random_range_windows(&tag("windows"), PINS, false);
             }
 
             #[test]
             fn mt_random_range_windows_byte_exact() {
-                run_random_range_windows(&tag("mt-windows"), $backend, true);
+                run_random_range_windows(&tag("mt-windows"), PINS, true);
             }
 
             #[test]
             fn mt_server_serves_and_shares_cache() {
-                run_mt_server(&tag("mt"), $backend);
+                run_mt_server(&tag("mt"), PINS);
             }
 
             #[test]
             fn mt_deadline_and_not_modified_parity() {
-                run_mt_deadline_and_304(&tag("mt-deadline"), $backend);
+                run_mt_deadline_and_304(&tag("mt-deadline"), PINS);
             }
         }
     };
 }
 
-backend_suite!(epoll_backend, BackendChoice::Epoll);
-backend_suite!(poll_backend, BackendChoice::Poll);
+backend_suite!(epoll_backend, BackendChoice::Epoll, AcceptMode::ReusePort);
+backend_suite!(poll_backend, BackendChoice::Poll, AcceptMode::Single);
 
 #[test]
 fn poll_choice_resolves_to_poll_everywhere() {
-    run_backend_resolution("resolve-poll", BackendChoice::Poll, BackendKind::Poll);
+    run_backend_resolution("resolve-poll", BackendChoice::Poll, BackendChoice::Poll);
 }
 
 #[test]
 fn epoll_choice_resolves_to_platform_best() {
     let expect = if cfg!(any(target_os = "linux", target_os = "android")) {
-        BackendKind::Epoll
+        BackendChoice::Epoll
     } else {
-        BackendKind::Poll
+        BackendChoice::Poll
     };
     run_backend_resolution("resolve-epoll", BackendChoice::Epoll, expect);
 }

@@ -5,12 +5,14 @@
 //! (`/proc/self/fd`) it had before `start`, and, once the joined threads
 //! have left `/proc/self/task`, exactly its threads. And again for a second generation started on the first
 //! one's listeners with `start_inherited_as`. The AMPED shards run the
-//! census first, then MT's thread per connection, whose drain deadline
-//! no watchdog enforces: each connection thread severs itself.
+//! census first, on the platform's defaults and then on the fallbacks
+//! (the `poll` backend, one shared listening socket), then MT's thread
+//! per connection, whose drain deadline no watchdog enforces: each
+//! connection thread severs itself.
 //!
 //! One test, in a file — a process — of its own (`fd_budget.rs`'s
-//! pattern): it counts everything the process has, so the two
-//! architectures take their turns in it one after the other.
+//! pattern): it counts everything the process has, so the servers take
+//! their turns in it one after the other.
 
 #![cfg(target_os = "linux")]
 
@@ -18,7 +20,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use flash_net::{NetConfig, Server, ServerKind};
+use flash_net::{AcceptMode, BackendChoice, NetConfig, Server, ServerKind};
 
 /// The drain grace: the two connections stopped mid-request outlast
 /// any drain and are the deadline's to sever.
@@ -106,13 +108,21 @@ fn exercise(addr: SocketAddr) -> Vec<TcpStream> {
     held
 }
 
-/// Two generations of `kind` over one docroot, counted against the
-/// census taken before the first started.
-fn census_of(kind: ServerKind, root: &std::path::Path) {
+/// Two generations of `kind` on `backend` and `accept_mode` over one
+/// docroot, counted against the census taken before the first started.
+fn census_of(
+    kind: ServerKind,
+    backend: BackendChoice,
+    accept_mode: AcceptMode,
+    root: &std::path::Path,
+) {
+    let what = format!("{kind:?} on {} and {}", backend.name(), accept_mode.name());
     // One frame, then silence: the stream stays open until the server
     // gives up on it.
     let worker = root.join("stall.sh");
     let cfg = NetConfig::builder(root)
+        .backend(backend)
+        .accept_mode(accept_mode)
         .dynamic_prefix("/app/")
         .dynamic_command(vec!["/bin/sh".into(), worker.to_str().unwrap().into()])
         .drain_timeout(GRACE)
@@ -122,7 +132,7 @@ fn census_of(kind: ServerKind, root: &std::path::Path) {
     let before = census();
     let first = Server::start_as(kind, "127.0.0.1:0", cfg.clone()).unwrap();
     let held = exercise(first.addr());
-    assert_eq!(first.stats().accepted(), 64, "{kind:?}");
+    assert_eq!(first.stats().accepted(), 64, "{what}");
     if kind == ServerKind::Mt {
         assert!(census().0 >= before.0 + 1 + held.len(), "a thread each");
     }
@@ -138,15 +148,15 @@ fn census_of(kind: ServerKind, root: &std::path::Path) {
     drop(held);
     assert_clean(
         (before.0, before.1 + kept),
-        &format!("{kind:?}: first generation"),
+        &format!("{what}: first generation"),
     );
 
     let second = Server::start_inherited_as(kind, cfg, inherited).unwrap();
     let held = exercise(second.addr());
-    assert_eq!(second.stats().accepted(), 64, "{kind:?}");
+    assert_eq!(second.stats().accepted(), 64, "{what}");
     drain(second);
     drop(held);
-    assert_clean(before, &format!("{kind:?}: second generation"));
+    assert_clean(before, &format!("{what}: second generation"));
 }
 
 #[test]
@@ -160,8 +170,14 @@ fn no_architecture_leaks_a_thread_or_a_descriptor() {
         "read -r m p\nprintf 'DATA 7\\npartial'\nexec sleep 30\n",
     )
     .unwrap();
-    for kind in [ServerKind::Amped, ServerKind::Mt] {
-        census_of(kind, &root);
+    let platform = (BackendChoice::default(), AcceptMode::default());
+    let fallbacks = (BackendChoice::Poll, AcceptMode::Single);
+    for (kind, (backend, accept_mode)) in [
+        (ServerKind::Amped, platform),
+        (ServerKind::Amped, fallbacks),
+        (ServerKind::Mt, platform),
+    ] {
+        census_of(kind, backend, accept_mode, &root);
     }
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -210,7 +210,7 @@ fn the_dynamic_tier_leaves_no_child_no_thread_and_no_descriptor() {
     for (kind, backend) in [
         (ServerKind::Amped, BackendChoice::Epoll),
         (ServerKind::Amped, BackendChoice::Poll),
-        (ServerKind::Mt, BackendChoice::Auto),
+        (ServerKind::Mt, BackendChoice::default()),
     ] {
         let what = format!("{kind:?} on {backend:?}");
         let cfg = NetConfig::builder(&root)

@@ -74,11 +74,6 @@ impl Disk {
         self.active.is_none()
     }
 
-    /// Pending queue depth (not counting the active request).
-    pub fn queue_depth(&self) -> usize {
-        self.queue.len()
-    }
-
     /// If an in-flight or queued request already covers the range, adds
     /// `pid` to its waiters and returns true. Used to coalesce concurrent
     /// faults on the same pages.

@@ -52,8 +52,6 @@ pub(crate) enum KEvent {
         client_bps: u64,
         rtt_ns: Nanos,
     },
-    /// An agent timer fired.
-    AgentTimer { agent: AgentId, token: u64 },
     /// A process `sleep` expired.
     ProcTimer(Pid),
 }
@@ -77,8 +75,6 @@ pub enum AgentEvent {
     },
     /// The connection is fully closed.
     Closed(ConnId),
-    /// A timer requested via [`Kernel::agent_timer`] fired.
-    Timer(u64),
 }
 
 /// What to do with the current process when its dispatch ends.
@@ -429,12 +425,6 @@ impl Kernel {
         self.post = PostRun::Exit;
     }
 
-    /// Yields the CPU, staying runnable (delivers `WouldBlock`).
-    pub fn sys_yield(&mut self) {
-        self.note_syscall();
-        self.finish_now(Completion::WouldBlock);
-    }
-
     /// Sleeps for `ns` (delivers `TimerFired`).
     pub fn sys_sleep(&mut self, ns: Nanos) {
         self.note_syscall();
@@ -619,30 +609,6 @@ impl Kernel {
             self.request_disk(META_FILE, meta_page, 1, pid);
             self.finish_block(ProcState::BlockedDisk);
         }
-    }
-
-    /// `mmap(2)`: establishes a mapping (cost only; pages fault lazily).
-    pub fn sys_mmap(&mut self) {
-        self.note_syscall();
-        self.cur_cpu += self.cfg.os.mmap_ns;
-        self.finish_now(Completion::Mapped);
-    }
-
-    /// `munmap(2)`.
-    pub fn sys_munmap(&mut self) {
-        self.note_syscall();
-        self.cur_cpu += self.cfg.os.munmap_ns;
-        self.finish_now(Completion::Mapped);
-    }
-
-    /// `mincore(2)`: residency of `[offset, offset+len)` of `file`,
-    /// *without* promoting the pages (it must not perturb replacement).
-    pub fn sys_mincore(&mut self, file: FileId, offset: u64, len: u64) {
-        self.note_syscall();
-        let (first, n) = page_range(offset, len);
-        self.cur_cpu += self.cfg.os.mincore_ns + n * self.cfg.os.mincore_per_page_ns;
-        let resident = self.cache.resident_count(file, first, n) == n;
-        self.finish_now(Completion::Residency { resident });
     }
 
     /// Reads `[offset, offset+len)` of `file`: touches pages, faulting
@@ -1107,12 +1073,6 @@ impl Kernel {
         let delay = c.rtt_ns / 2 + wire_time(bytes, c.client_bps);
         self.queue
             .schedule_in(delay, KEvent::InboundArrive { conn, bytes, token });
-    }
-
-    /// Arms a timer for an agent.
-    pub fn agent_timer(&mut self, agent: AgentId, delay: Nanos, token: u64) {
-        self.queue
-            .schedule_in(delay.max(1), KEvent::AgentTimer { agent, token });
     }
 }
 

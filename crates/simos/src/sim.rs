@@ -138,11 +138,6 @@ impl Simulation {
                 client_bps,
                 rtt_ns,
             } => self.kernel.handle_syn(listen, agent, client_bps, rtt_ns),
-            KEvent::AgentTimer { agent, token } => {
-                self.kernel
-                    .agent_outbox
-                    .push_back((agent, AgentEvent::Timer(token)));
-            }
             KEvent::ProcTimer(pid) => self.kernel.handle_proc_timer(pid),
         }
         self.drain_agent_outbox();
@@ -287,7 +282,7 @@ mod tests {
                 AgentEvent::Closed(_) => {
                     k.agent_connect(self.id, self.listen, 100_000_000, 200_000);
                 }
-                AgentEvent::Data { .. } | AgentEvent::Timer(_) => {}
+                AgentEvent::Data { .. } => {}
             }
         }
     }

@@ -77,13 +77,6 @@ pub enum Completion {
         /// Bytes covered.
         bytes: u64,
     },
-    /// `mmap` or `munmap` finished.
-    Mapped,
-    /// `mincore` answered a residency query.
-    Residency {
-        /// True if every page in the queried range was resident.
-        resident: bool,
-    },
     /// A pipe write completed.
     PipeSent,
     /// A pipe read returned a message.

@@ -30,7 +30,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use flash_repro::net::{AcceptMode, AcceptModeKind, NetConfig, Server};
+use flash_repro::net::{AcceptMode, NetConfig, Server};
 
 const CLIENT_THREADS: usize = 8;
 const CONNS_PER_THREAD: usize = 250;
@@ -214,7 +214,7 @@ fn main() {
             TOTAL_CONNS as u64 + 2,
             "every connection must be accepted"
         );
-        if resolved == AcceptModeKind::ReusePort {
+        if resolved == AcceptMode::ReusePort {
             // The kernel hash must have spread the churn across the
             // shards' listeners — a shard that accepted nothing would
             // mean its listener never took traffic.
