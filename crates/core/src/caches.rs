@@ -11,16 +11,21 @@
 //! All three are built on the shipped server's O(1) [`LruCache`]. A shared
 //! [`CacheStats`] records hits and misses so the Figure 11 breakdown
 //! experiment (and the tests) can attribute costs.
+//!
+//! The steps that use them are written once, in `request.rs`, for every
+//! architecture.
 
 use flash_net::lru::LruCache;
 use flash_simos::FileId;
+
+use crate::config::ServerConfig;
 
 /// Mapped-file chunk size in bytes (64 KB: 16 pages).
 pub const CHUNK_BYTES: u64 = 64 * 1024;
 
 /// A pathname-translation cache entry: the result of resolving a
 /// requested name.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PathEntry {
     /// Resolved file.
     pub fid: FileId,
@@ -143,18 +148,18 @@ pub struct Caches {
 }
 
 impl Caches {
-    /// Builds a cache set: `path_entries == 0`, `header == false` or
-    /// `mmap_bytes == 0` disable the respective cache.
-    pub fn build(
-        path_entries: usize,
-        header: bool,
-        header_entries: usize,
-        mmap_bytes: u64,
-    ) -> Self {
+    /// Builds the cache set `cfg` describes: a cache whose size is 0 is
+    /// disabled.
+    pub fn build(cfg: &ServerConfig) -> Self {
+        let (path, header, mmap) = (
+            cfg.path_cache_entries,
+            cfg.header_cache_entries,
+            cfg.mmap_cache_bytes,
+        );
         Caches {
-            path: (path_entries > 0).then(|| LruCache::new(path_entries)),
-            header: (header && header_entries > 0).then(|| LruCache::new(header_entries)),
-            mmap: (mmap_bytes > 0).then(|| MappedCache::new(mmap_bytes)),
+            path: (path > 0).then(|| LruCache::new(path)),
+            header: (header > 0).then(|| LruCache::new(header)),
+            mmap: (mmap > 0).then(|| MappedCache::new(mmap)),
             stats: CacheStats::default(),
         }
     }
@@ -201,9 +206,15 @@ mod tests {
 
     #[test]
     fn caches_build_respects_disables() {
-        let c = Caches::build(0, false, 0, 0);
+        let c = Caches::build(&ServerConfig::apache_like());
         assert!(c.path.is_none() && c.header.is_none() && c.mmap.is_none());
-        let c = Caches::build(10, true, 10, CHUNK_BYTES);
+        let c = Caches::build(&ServerConfig::flash());
         assert!(c.path.is_some() && c.header.is_some() && c.mmap.is_some());
+        let no_headers = ServerConfig {
+            header_cache_entries: 0,
+            ..ServerConfig::flash()
+        };
+        let c = Caches::build(&no_headers);
+        assert!(c.path.is_some() && c.header.is_none() && c.mmap.is_some());
     }
 }

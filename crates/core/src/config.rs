@@ -33,26 +33,26 @@ pub struct ServerConfig {
     pub arch: Architecture,
     /// MP processes / MT threads / SPED event processes.
     pub workers: usize,
-    /// AMPED helper-pool size (ignored by other architectures).
+    /// AMPED helper-pool size (ignored by other architectures). An event
+    /// loop with helpers tests residency before it sends file data and
+    /// routes misses to them; one without (SPED) simply risks blocking.
     pub helpers: usize,
     /// Pathname-translation cache entries (0 disables; §5.2).
     pub path_cache_entries: usize,
-    /// Response-header cache on/off (§5.3).
-    pub header_cache: bool,
-    /// Response-header cache entry bound (independent of the pathname
-    /// cache so the Figure 11 breakdown can toggle them separately).
+    /// Response-header cache entries (0 disables; §5.3), bounded apart
+    /// from the pathname cache so the Figure 11 breakdown can toggle
+    /// them separately.
     pub header_cache_entries: usize,
     /// Mapped-file cache capacity in bytes (0 disables; §5.4).
     pub mmap_cache_bytes: u64,
     /// Serve file data via `mmap` (Flash/Zeus) or `read()`+copy (Apache).
     pub use_mmap: bool,
-    /// Check `mincore` before sending and route misses to helpers
-    /// (AMPED); off for SPED, which simply risks blocking.
-    pub use_mincore: bool,
-    /// §5.7 fallback for OSes without a usable `mincore`: predict
-    /// residency from the server's own mapped-file LRU instead of asking
-    /// the kernel. Cheaper per request than `mincore` but can mispredict
-    /// (an occasional blocking fault) under memory pressure.
+    /// AMPED only: how the event loop tests residency. Off, it asks the
+    /// kernel (`mincore`, §5.7); on, it takes §5.7's fallback for OSes
+    /// without a usable `mincore` and predicts residency from the
+    /// server's own mapped-file LRU. Cheaper per request than `mincore`
+    /// but can mispredict (an occasional blocking fault) under memory
+    /// pressure.
     pub residency_heuristic: bool,
     /// §5.5 byte-position alignment padding of response headers.
     pub aligned_headers: bool,
@@ -90,11 +90,9 @@ impl ServerConfig {
             workers: 1,
             helpers: 32,
             path_cache_entries: 6000,
-            header_cache: true,
             header_cache_entries: 6000,
             mmap_cache_bytes: 32 * 1024 * 1024,
             use_mmap: true,
-            use_mincore: true,
             residency_heuristic: false,
             aligned_headers: true,
             small_doc_priority: false,
@@ -109,14 +107,13 @@ impl ServerConfig {
         }
     }
 
-    /// Flash-SPED: same code, no helpers, no residency checks — blocks
-    /// on any disk access.
+    /// Flash-SPED: same code, no helpers, hence no residency checks —
+    /// blocks on any disk access.
     pub fn flash_sped() -> Self {
         ServerConfig {
             name: "Flash-SPED".into(),
             arch: Architecture::Sped,
             helpers: 0,
-            use_mincore: false,
             ..Self::flash()
         }
     }
@@ -132,7 +129,6 @@ impl ServerConfig {
             path_cache_entries: 200,
             header_cache_entries: 200,
             mmap_cache_bytes: 2 * 1024 * 1024,
-            use_mincore: false,
             main_mem: 1_200_000,
             per_worker_mem: 300_000,
             ..Self::flash()
@@ -147,7 +143,6 @@ impl ServerConfig {
             arch: Architecture::Mt,
             workers: 32,
             helpers: 0,
-            use_mincore: false,
             per_worker_mem: 96 * 1024,
             lock_ns: 4_000,
             ..Self::flash()
@@ -164,11 +159,9 @@ impl ServerConfig {
             workers: 32,
             helpers: 0,
             path_cache_entries: 0,
-            header_cache: false,
             header_cache_entries: 0,
             mmap_cache_bytes: 0,
             use_mmap: false,
-            use_mincore: false,
             residency_heuristic: false,
             aligned_headers: false,
             small_doc_priority: false,
@@ -193,7 +186,6 @@ impl ServerConfig {
             arch: Architecture::Sped,
             workers,
             helpers: 0,
-            use_mincore: false,
             aligned_headers: false,
             small_doc_priority: true,
             ..Self::flash()
@@ -206,7 +198,6 @@ impl ServerConfig {
     pub fn flash_heuristic() -> Self {
         ServerConfig {
             name: "Flash-Heuristic".into(),
-            use_mincore: false,
             residency_heuristic: true,
             ..Self::flash()
         }
@@ -236,9 +227,11 @@ mod tests {
     #[test]
     fn flash_has_helpers_and_mincore_sped_does_not() {
         let f = ServerConfig::flash();
-        let s = ServerConfig::flash_sped();
-        assert!(f.helpers > 0 && f.use_mincore);
-        assert!(s.helpers == 0 && !s.use_mincore);
+        let h = ServerConfig::flash_heuristic();
+        assert!(f.helpers > 0 && !f.residency_heuristic);
+        assert!(h.helpers > 0 && h.residency_heuristic);
+        assert_eq!(ServerConfig::flash_sped().helpers, 0);
+        assert_eq!(ServerConfig::zeus_like(1).helpers, 0);
     }
 
     #[test]
@@ -254,7 +247,7 @@ mod tests {
     fn apache_lacks_every_optimization() {
         let a = ServerConfig::apache_like();
         assert_eq!(a.path_cache_entries, 0);
-        assert!(!a.header_cache);
+        assert_eq!(a.header_cache_entries, 0);
         assert_eq!(a.mmap_cache_bytes, 0);
         assert!(!a.use_mmap);
         assert!(!a.aligned_headers);

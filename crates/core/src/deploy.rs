@@ -63,13 +63,7 @@ impl ServerHandle {
 /// Estimated application memory of one cache set (pathname + header
 /// entries; mapped chunks are page-cache pages and not double-counted).
 fn cache_mem(cfg: &ServerConfig) -> u64 {
-    let path = cfg.path_cache_entries as u64 * 96;
-    let header = if cfg.header_cache {
-        cfg.header_cache_entries as u64 * 64
-    } else {
-        0
-    };
-    path + header
+    cfg.path_cache_entries as u64 * 96 + cfg.header_cache_entries as u64 * 64
 }
 
 /// Spawns the server described by `cfg` into `sim`, serving `site`.
@@ -80,6 +74,7 @@ pub fn deploy(
 ) -> Result<ServerHandle, DeployError> {
     let cfg = Rc::new(cfg.clone());
     let listen = sim.kernel.add_listen();
+    let new_caches = || Rc::new(RefCell::new(Caches::build(&cfg)));
     let mut handle = ServerHandle {
         name: cfg.name.clone(),
         listen,
@@ -88,12 +83,7 @@ pub fn deploy(
     };
     match cfg.arch {
         Architecture::Amped => {
-            let caches = Rc::new(RefCell::new(Caches::build(
-                cfg.path_cache_entries,
-                cfg.header_cache,
-                cfg.header_cache_entries,
-                cfg.mmap_cache_bytes,
-            )));
+            let caches = new_caches();
             let done_pipe = (cfg.helpers > 0).then(|| sim.kernel.add_pipe());
             let helper_pipes: Vec<_> = (0..cfg.helpers).map(|_| sim.kernel.add_pipe()).collect();
             let logic = EventLoopServer::new(
@@ -126,12 +116,7 @@ pub fn deploy(
         }
         Architecture::Sped => {
             for w in 0..cfg.workers.max(1) {
-                let caches = Rc::new(RefCell::new(Caches::build(
-                    cfg.path_cache_entries,
-                    cfg.header_cache,
-                    cfg.header_cache_entries,
-                    cfg.mmap_cache_bytes,
-                )));
+                let caches = new_caches();
                 let logic = EventLoopServer::new(
                     Rc::clone(&cfg),
                     Rc::clone(&site),
@@ -153,12 +138,7 @@ pub fn deploy(
         }
         Architecture::Mp => {
             for w in 0..cfg.workers.max(1) {
-                let caches = Rc::new(RefCell::new(Caches::build(
-                    cfg.path_cache_entries,
-                    cfg.header_cache,
-                    cfg.header_cache_entries,
-                    cfg.mmap_cache_bytes,
-                )));
+                let caches = new_caches();
                 // The first process carries the shared text/data footprint;
                 // the rest add their private resident set.
                 let mem = cfg.per_worker_mem + if w == 0 { cfg.main_mem } else { 0 };
@@ -183,12 +163,7 @@ pub fn deploy(
             if !sim.kernel.cfg.os.kernel_threads {
                 return Err(DeployError::NoKernelThreads);
             }
-            let caches = Rc::new(RefCell::new(Caches::build(
-                cfg.path_cache_entries,
-                cfg.header_cache,
-                cfg.header_cache_entries,
-                cfg.mmap_cache_bytes,
-            )));
+            let caches = new_caches();
             let group = sim.kernel.new_group();
             for w in 0..cfg.workers.max(1) {
                 let mem = cfg.per_worker_mem

@@ -1,17 +1,21 @@
 //! The event-driven server: AMPED ("Flash") and SPED from one code base.
 //!
 //! A single process multiplexes all connections through `select`,
-//! processing one basic step (§2) per readiness event. The two
-//! architectures differ in exactly two switches, mirroring the paper's
-//! methodology of building every server from the same code:
+//! processing one basic step (§2) per readiness event. The request path
+//! itself — the preamble, the §5.2–5.4 caches, the end of a response —
+//! is the one the blocking workers run too (`request.rs`); this module
+//! keeps only the event-driven I/O discipline. The two architectures
+//! differ in one switch, whether the loop has helpers, mirroring the
+//! paper's methodology of building every server from the same code:
 //!
-//! * **AMPED** (`use_mincore = true`, `helpers > 0`): before sending
-//!   file data the server checks residency with `mincore`; misses are
-//!   routed to helper processes, so the event loop itself never faults.
+//! * **AMPED** (`helpers > 0`): before sending file data the server
+//!   tests residency — with `mincore`, or by the §5.7 prediction when
+//!   `residency_heuristic` is set; misses are routed to helper
+//!   processes, so the event loop itself never faults.
 //!   Pathname-translation misses also go to helpers.
-//! * **SPED** (`use_mincore = false`, `helpers = 0`): the server calls
-//!   `stat` and `writev` directly and simply *blocks the whole process*
-//!   when disk I/O is needed — the weakness the paper demonstrates.
+//! * **SPED** (`helpers = 0`): the server calls `stat` and `writev`
+//!   directly and simply *blocks the whole process* when disk I/O is
+//!   needed — the weakness the paper demonstrates.
 //!
 //! The Zeus-like baseline is SPED plus unaligned headers and
 //! small-document priority (see `ServerConfig::zeus_like`).
@@ -24,31 +28,25 @@ use flash_simos::kernel::{Kernel, SendSrc};
 use flash_simos::syscall::{Blocking, Completion, PipeMsg};
 use flash_simos::{ConnId, Fd, FileId, ListenId, Pid, PipeId, ProcessLogic};
 
-use crate::caches::{Caches, HeaderEntry, PathEntry, CHUNK_BYTES};
+use crate::caches::Caches;
 use crate::config::ServerConfig;
 use crate::helper::{
     pack_a, pack_c, unpack_a, OP_CHUNK, OP_CHUNK_DONE, OP_TRANSLATE, OP_TRANSLATE_DONE,
 };
+use crate::request::{AfterWrite, Request, Steps};
 use crate::site::Site;
 
-/// Per-connection request state.
+/// Per-connection state.
 #[derive(Debug)]
 struct Ctx {
     conn: ConnId,
     phase: Phase,
-    token: u64,
-    keep_alive: bool,
-    fid: Option<FileId>,
-    size: u64,
-    hdr_left: u64,
-    aligned: bool,
-    offset: u64,
+    req: Request,
     want_write: bool,
     /// Set when a helper just brought the current chunk into memory, so
     /// the next send skips the residency check (crucial for the §5.7
     /// heuristic, which cannot observe the helper's page touches).
     resident_hint: bool,
-    pending_tokens: VecDeque<u64>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,10 +97,8 @@ enum Job {
 
 /// The event-driven server process logic.
 pub struct EventLoopServer {
-    cfg: Rc<ServerConfig>,
-    site: Rc<Site>,
+    steps: Steps,
     listen: ListenId,
-    caches: Rc<RefCell<Caches>>,
     conns: BTreeMap<u32, Ctx>,
     work: VecDeque<Work>,
     cur_work: Option<Work>,
@@ -129,10 +125,8 @@ impl EventLoopServer {
             "done pipe must exist exactly when helpers do"
         );
         EventLoopServer {
-            cfg,
-            site,
+            steps: Steps { cfg, site, caches },
             listen,
-            caches,
             conns: BTreeMap::new(),
             work: VecDeque::new(),
             cur_work: None,
@@ -165,16 +159,9 @@ impl EventLoopServer {
                     Ctx {
                         conn,
                         phase: Phase::ReadRequest,
-                        token: 0,
-                        keep_alive: false,
-                        fid: None,
-                        size: 0,
-                        hdr_left: 0,
-                        aligned: true,
-                        offset: 0,
+                        req: Request::default(),
                         want_write: false,
                         resident_hint: false,
-                        pending_tokens: VecDeque::new(),
                     },
                 );
                 // Keep accepting until the queue drains (WouldBlock).
@@ -202,12 +189,11 @@ impl EventLoopServer {
                     .stat_conn
                     .take()
                     .expect("Stated completion without an in-flight stat");
-                if let Some(ctx) = self.conns.get_mut(&c) {
-                    debug_assert_eq!(ctx.phase, Phase::Translating);
-                    let token = ctx.token;
-                    self.finish_translation(k, c, token);
-                    self.work.push_back(Work::Continue(c));
-                }
+                debug_assert!(self
+                    .conns
+                    .get(&c)
+                    .is_none_or(|ctx| ctx.phase == Phase::Translating));
+                self.finish_translation(k, c);
             }
             Completion::Written {
                 conn,
@@ -240,7 +226,7 @@ impl EventLoopServer {
                 }
             }
         }
-        if self.cfg.small_doc_priority {
+        if self.steps.cfg.small_doc_priority {
             // Zeus quirk: service connections with the least remaining
             // data first, which under load starves large documents.
             items.sort_by_key(|w| match w {
@@ -249,7 +235,7 @@ impl EventLoopServer {
                 Work::Continue(c) | Work::Close(c) => self
                     .conns
                     .get(c)
-                    .map(|ctx| 2 + ctx.size.saturating_sub(ctx.offset))
+                    .map(|ctx| 2 + ctx.req.size.saturating_sub(ctx.req.offset))
                     .unwrap_or(2),
             });
         }
@@ -268,9 +254,9 @@ impl EventLoopServer {
         if tokens.is_empty() {
             return; // partial request; select will fire again
         }
-        ctx.pending_tokens.extend(tokens);
+        ctx.req.pending_tokens.extend(tokens);
         if ctx.phase == Phase::ReadRequest {
-            let t = ctx.pending_tokens.pop_front().expect("just extended");
+            let t = ctx.req.pending_tokens.pop_front().expect("just extended");
             self.begin_request(k, conn.0, t);
             self.work.push_back(Work::Continue(conn.0));
         }
@@ -280,23 +266,14 @@ impl EventLoopServer {
         let Some(ctx) = self.conns.get_mut(&conn.0) else {
             return;
         };
-        ctx.hdr_left -= hdr;
-        ctx.offset += body;
-        if ctx.hdr_left == 0 && ctx.offset >= ctx.size {
-            k.mark_response_boundary(conn);
-            self.caches.borrow_mut().stats.requests_done += 1;
-            if ctx.keep_alive {
-                if let Some(t) = ctx.pending_tokens.pop_front() {
-                    self.begin_request(k, conn.0, t);
-                    self.work.push_back(Work::Continue(conn.0));
-                } else {
-                    ctx.phase = Phase::ReadRequest;
-                }
-            } else {
-                self.work.push_back(Work::Close(conn.0));
+        match self.steps.written(k, conn, &mut ctx.req, hdr, body) {
+            AfterWrite::Send => self.work.push_back(Work::Continue(conn.0)),
+            AfterWrite::Next(token) => {
+                self.begin_request(k, conn.0, token);
+                self.work.push_back(Work::Continue(conn.0));
             }
-        } else {
-            self.work.push_back(Work::Continue(conn.0));
+            AfterWrite::Read => ctx.phase = Phase::ReadRequest,
+            AfterWrite::Close => self.work.push_back(Work::Close(conn.0)),
         }
     }
 
@@ -305,10 +282,7 @@ impl EventLoopServer {
             OP_TRANSLATE_DONE => {
                 let (slot, conn) = unpack_a(msg.a);
                 self.helpers[slot].busy = false;
-                if self.conns.contains_key(&conn) {
-                    self.finish_translation(k, conn, msg.c);
-                    self.work.push_back(Work::Continue(conn));
-                }
+                self.finish_translation(k, conn);
             }
             OP_CHUNK_DONE => {
                 let (slot, conn) = unpack_a(msg.a);
@@ -332,111 +306,36 @@ impl EventLoopServer {
     /// Starts processing a parsed request: resolves the token through the
     /// pathname cache or schedules translation. Handle-phase only.
     fn begin_request(&mut self, k: &mut Kernel, conn: u32, token: u64) {
-        k.cpu(self.cfg.parse_ns + self.cfg.request_user_ns + self.cfg.extra_request_ns);
-        // Clients encode "use a persistent connection" in the token's
-        // high bit (the paper uses persistent connections in the WAN
-        // experiment only).
-        let keep_alive = token & KEEP_ALIVE_BIT != 0;
-        let token = token & !KEEP_ALIVE_BIT;
-        {
-            let ctx = self.conns.get_mut(&conn).expect("request on live conn");
-            ctx.token = token;
-            ctx.offset = 0;
-            ctx.hdr_left = 0;
-            ctx.keep_alive = keep_alive;
-        }
-        // Pathname translation (§5.2).
-        let hit = {
-            let mut caches = self.caches.borrow_mut();
-            match caches.path.as_mut() {
-                Some(cache) => {
-                    let hit = cache.get(&token).cloned();
-                    if hit.is_some() {
-                        caches.stats.path_hits += 1;
-                    } else {
-                        caches.stats.path_misses += 1;
-                    }
-                    hit
-                }
-                None => None,
+        let ctx = self.conns.get_mut(&conn).expect("request on live conn");
+        self.steps.begin(k, &mut ctx.req, token);
+        match self.steps.lookup(&ctx.req) {
+            Some(file) => {
+                self.steps.respond(k, &mut ctx.req, file);
+                ctx.phase = Phase::Send;
             }
-        };
-        match hit {
-            Some(entry) => {
-                self.setup_response(k, conn, token, entry.fid, entry.size);
-            }
+            // SPED: translate inline; the stat may block the whole
+            // process on a metadata read.
+            None if self.helpers.is_empty() => ctx.phase = Phase::Translating,
             None => {
-                if self.helpers.is_empty() {
-                    // SPED: translate inline; the stat may block the whole
-                    // process on a metadata read.
-                    self.conns.get_mut(&conn).unwrap().phase = Phase::Translating;
-                } else {
-                    // AMPED: hand translation to a helper.
-                    self.conns.get_mut(&conn).unwrap().phase = Phase::WaitExternal;
-                    self.pending_jobs.push_back(Job::Translate { conn, token });
-                    self.work.push_front(Work::SendJob);
-                }
+                // AMPED: hand translation to a helper.
+                ctx.phase = Phase::WaitExternal;
+                let token = ctx.req.token;
+                self.pending_jobs.push_back(Job::Translate { conn, token });
+                self.work.push_front(Work::SendJob);
             }
         }
     }
 
-    /// Records a finished translation in the cache and moves to sending.
-    fn finish_translation(&mut self, k: &mut Kernel, conn: u32, token: u64) {
-        let f = self.site.file(token);
-        let (fid, size) = (f.fid, f.size);
-        {
-            let mut caches = self.caches.borrow_mut();
-            if let Some(cache) = caches.path.as_mut() {
-                cache.insert(token, PathEntry { fid, size });
-            }
-        }
-        self.setup_response(k, conn, token, fid, size);
-    }
-
-    /// Fills header state (cache or generation) and enters the send
-    /// phase. Handle-phase only (charges CPU, no syscalls).
-    fn setup_response(&mut self, k: &mut Kernel, conn: u32, token: u64, fid: FileId, size: u64) {
-        let f = self.site.file(token);
-        let ctx = self.conns.get_mut(&conn).expect("live conn");
-        let key = (token, ctx.keep_alive);
-        let aligned = self.cfg.aligned_headers;
-        let fresh = HeaderEntry {
-            len: if aligned {
-                f.hdr_len_aligned
-            } else {
-                f.hdr_len_raw
-            },
-            aligned,
+    /// Records a finished translation, fills the response header and
+    /// moves a still-open connection to sending. Handle-phase only.
+    fn finish_translation(&mut self, k: &mut Kernel, conn: u32) {
+        let Some(ctx) = self.conns.get_mut(&conn) else {
+            return;
         };
-        let entry = {
-            let mut caches = self.caches.borrow_mut();
-            let Caches { header, stats, .. } = &mut *caches;
-            match header.as_mut() {
-                Some(cache) => match cache.get(&key) {
-                    Some(e) => {
-                        stats.header_hits += 1;
-                        *e
-                    }
-                    None => {
-                        stats.header_misses += 1;
-                        k.cpu(self.cfg.header_gen_ns);
-                        cache.insert(key, fresh);
-                        fresh
-                    }
-                },
-                None => {
-                    k.cpu(self.cfg.header_gen_ns);
-                    fresh
-                }
-            }
-        };
-        let ctx = self.conns.get_mut(&conn).expect("live conn");
-        ctx.fid = Some(fid);
-        ctx.size = size;
-        ctx.hdr_left = entry.len;
-        ctx.aligned = entry.aligned;
-        ctx.offset = 0;
+        let file = self.steps.translated(&ctx.req);
+        self.steps.respond(k, &mut ctx.req, file);
         ctx.phase = Phase::Send;
+        self.work.push_back(Work::Continue(conn));
     }
 
     // -------------------------------------------------------------
@@ -509,8 +408,7 @@ impl EventLoopServer {
                     self.work.push_back(Work::Continue(c));
                     return false;
                 }
-                let token = ctx.token;
-                let fid = self.site.file(token).fid;
+                let fid = self.steps.site.file(ctx.req.token).fid;
                 self.stat_conn = Some(c);
                 k.sys_stat(fid);
                 true
@@ -522,30 +420,13 @@ impl EventLoopServer {
     }
 
     fn advance_send(&mut self, k: &mut Kernel, c: u32) -> bool {
-        let (conn, fid, size, offset, hdr_left, aligned, hint) = {
-            let ctx = self.conns.get_mut(&c).expect("live conn");
-            let hint = std::mem::take(&mut ctx.resident_hint);
-            (
-                ctx.conn,
-                ctx.fid,
-                ctx.size,
-                ctx.offset,
-                ctx.hdr_left,
-                ctx.aligned,
-                hint,
-            )
-        };
-        let chunk = (size - offset.min(size)).min(CHUNK_BYTES);
-        let (Some(fid), true) = (fid, chunk > 0) else {
+        let ctx = self.conns.get_mut(&c).expect("live conn");
+        let hint = std::mem::take(&mut ctx.resident_hint);
+        let Some((fid, chunk)) = ctx.req.chunk() else {
             // Nothing left but header bytes: a memory send that can
             // never fault on file pages.
-            k.sys_send(
-                conn,
-                hdr_left,
-                SendSrc::Mem { len: chunk },
-                aligned,
-                Blocking::No,
-            );
+            ctx.req
+                .send(k, ctx.conn, SendSrc::Mem { len: 0 }, Blocking::No);
             return true;
         };
         // AMPED: test residency before sending; a miss becomes helper
@@ -555,23 +436,23 @@ impl EventLoopServer {
         // (the paper's §5.7 fallback). The prediction costs no syscall
         // but can be wrong, in which case the writev below blocks like
         // SPED would.
-        if (self.cfg.use_mincore || self.cfg.residency_heuristic) && chunk > 0 && !hint {
-            let resident = if self.cfg.use_mincore {
+        let offset = ctx.req.offset;
+        if !self.helpers.is_empty() && !hint {
+            let resident = if self.steps.cfg.residency_heuristic {
+                self.steps.predicts_resident(fid, offset)
+            } else {
                 let os = &k.cfg.os;
                 let pages = chunk.div_ceil(flash_simos::PAGE_SIZE);
                 k.cpu(os.mincore_ns + pages * os.mincore_per_page_ns);
                 k.residency(fid, offset, chunk)
-            } else {
-                let mut caches = self.caches.borrow_mut();
-                caches.mmap.as_mut().is_some_and(|m| m.hit(fid, offset))
             };
-            let mut caches = self.caches.borrow_mut();
+            let mut caches = self.steps.caches.borrow_mut();
             if resident {
                 caches.stats.mincore_resident += 1;
             } else {
                 caches.stats.mincore_missing += 1;
                 drop(caches);
-                self.conns.get_mut(&c).unwrap().phase = Phase::WaitExternal;
+                ctx.phase = Phase::WaitExternal;
                 self.pending_jobs.push_back(Job::Chunk {
                     conn: c,
                     fid,
@@ -581,39 +462,8 @@ impl EventLoopServer {
                 return self.dispatch_job(k);
             }
         }
-        // Mapped-file cache (§5.4).
-        if chunk > 0 {
-            let os_mmap = k.cfg.os.mmap_ns;
-            let os_munmap = k.cfg.os.munmap_ns;
-            let mut caches = self.caches.borrow_mut();
-            match caches.mmap.as_mut() {
-                Some(mc) => {
-                    if mc.hit(fid, offset) {
-                        caches.stats.mmap_hits += 1;
-                    } else {
-                        let evicted = mc.map(fid, offset, size);
-                        caches.stats.mmap_misses += 1;
-                        caches.stats.unmaps += u64::from(evicted);
-                        k.cpu(os_mmap + u64::from(evicted) * os_munmap);
-                    }
-                }
-                None => {
-                    // No cache: map and lazily unmap around every send.
-                    k.cpu(os_mmap + os_munmap);
-                }
-            }
-        }
-        k.sys_send(
-            conn,
-            hdr_left,
-            SendSrc::File {
-                file: fid,
-                offset,
-                len: chunk,
-            },
-            aligned,
-            Blocking::No,
-        );
+        let body = self.steps.map_chunk(k, &ctx.req, fid, chunk);
+        ctx.req.send(k, ctx.conn, body, Blocking::No);
         true
     }
 
@@ -630,10 +480,10 @@ impl EventLoopServer {
             Job::Translate { conn, token } => PipeMsg {
                 op: OP_TRANSLATE,
                 a: pack_a(idx, conn),
-                // The helper needs the file to stat; the done handler
-                // needs the token back, so both travel in the message.
-                b: self.site.file(token).fid.0 as u64,
-                c: token,
+                // The file to stat; the done handler finds the token on
+                // the connection, which waits for nothing else.
+                b: self.steps.site.file(token).fid.0 as u64,
+                c: 0,
             },
             Job::Chunk {
                 conn,
@@ -650,7 +500,7 @@ impl EventLoopServer {
         self.helpers[idx].busy = true;
         let pipe = self.helpers[idx].job_pipe;
         self.pending_jobs.pop_front();
-        self.caches.borrow_mut().stats.helper_jobs += 1;
+        self.steps.caches.borrow_mut().stats.helper_jobs += 1;
         k.sys_pipe_send(pipe, msg);
         true
     }
@@ -673,9 +523,6 @@ impl EventLoopServer {
         v
     }
 }
-
-/// Token flag requesting a persistent (keep-alive) connection.
-pub const KEEP_ALIVE_BIT: u64 = 1 << 63;
 
 impl ProcessLogic for EventLoopServer {
     fn on_run(&mut self, _pid: Pid, k: &mut Kernel, completion: Completion) {

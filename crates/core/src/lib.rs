@@ -14,6 +14,7 @@
 //! | AMPED event loop + helpers (Fig. 5) | [`eventloop`], [`helper`] |
 //! | SPED (Fig. 4) | [`eventloop`] with helpers disabled |
 //! | MP (Fig. 2) / MT (Fig. 3) | [`seq`] |
+//! | The request path all four share (§2 steps over §5.2–5.4) | `request` |
 //! | Pathname/header/mapped-file caches (§5.2–5.4) | [`caches`] |
 //! | Byte-position alignment (§5.5) | `flash-http` + send paths |
 //! | mincore residency testing (§5.7) | [`eventloop`] send path |
@@ -42,11 +43,12 @@ pub mod config;
 pub mod deploy;
 pub mod eventloop;
 pub mod helper;
+mod request;
 pub mod seq;
 pub mod site;
 
 pub use caches::{CacheStats, Caches, CHUNK_BYTES};
 pub use config::{Architecture, ServerConfig};
 pub use deploy::{deploy, DeployError, ServerHandle};
-pub use eventloop::KEEP_ALIVE_BIT;
+pub use request::KEEP_ALIVE_BIT;
 pub use site::{Site, SiteFile};

@@ -7,20 +7,24 @@
 //! (Flash-MT). The OS overlaps disk, CPU and network by switching among
 //! workers — at context-switch and memory cost.
 //!
+//! The request path itself — the preamble, the §5.2–5.4 caches, the
+//! end of a response — is the one the event loop runs too
+//! (`request.rs`); this module keeps only the blocking phases and MT's
+//! lock charge on the shared cache set.
+//!
 //! The Apache-like baseline runs the same worker with every cache
 //! disabled and the `read()`+copy (non-mmap) send path.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 use flash_simos::kernel::{Kernel, SendSrc};
 use flash_simos::syscall::{Blocking, Completion};
-use flash_simos::{ConnId, FileId, ListenId, Pid, ProcessLogic};
+use flash_simos::{ConnId, ListenId, Pid, ProcessLogic};
 
-use crate::caches::{Caches, HeaderEntry, PathEntry, CHUNK_BYTES};
+use crate::caches::{Caches, PathEntry};
 use crate::config::ServerConfig;
-use crate::eventloop::KEEP_ALIVE_BIT;
+use crate::request::{AfterWrite, Request, Steps};
 use crate::site::Site;
 
 /// Worker state across blocking syscalls.
@@ -43,25 +47,16 @@ enum SeqPhase {
 /// Per-request scratch (the worker serves one request at a time).
 #[derive(Debug, Default)]
 struct SeqCtx {
-    token: u64,
-    keep_alive: bool,
-    fid: Option<FileId>,
-    size: u64,
-    hdr_left: u64,
-    aligned: bool,
-    offset: u64,
+    req: Request,
     /// Bytes already `read()` into the user buffer (non-mmap path).
     buffered: u64,
-    pending_tokens: VecDeque<u64>,
 }
 
 /// One sequential worker (an MP process or an MT thread).
 pub struct SeqWorker {
-    cfg: Rc<ServerConfig>,
-    site: Rc<Site>,
+    /// Over private caches (MP) or the shared cache set (MT).
+    steps: Steps,
     listen: ListenId,
-    /// Private caches (MP) or the shared cache set (MT).
-    caches: Rc<RefCell<Caches>>,
     phase: SeqPhase,
     ctx: SeqCtx,
 }
@@ -75,10 +70,8 @@ impl SeqWorker {
         caches: Rc<RefCell<Caches>>,
     ) -> Self {
         SeqWorker {
-            cfg,
-            site,
+            steps: Steps { cfg, site, caches },
             listen,
-            caches,
             phase: SeqPhase::Accepting,
             ctx: SeqCtx::default(),
         }
@@ -86,172 +79,61 @@ impl SeqWorker {
 
     /// Lock cost for one shared-cache access (MT only; 0 elsewhere).
     fn lock(&self, k: &mut Kernel) {
-        if self.cfg.lock_ns > 0 {
-            k.cpu(self.cfg.lock_ns);
+        if self.steps.cfg.lock_ns > 0 {
+            k.cpu(self.steps.cfg.lock_ns);
         }
     }
 
     /// Starts a parsed request; returns the next phase after issuing the
     /// appropriate syscall.
     fn begin_request(&mut self, k: &mut Kernel, conn: ConnId, token: u64) -> SeqPhase {
-        k.cpu(self.cfg.parse_ns + self.cfg.request_user_ns + self.cfg.extra_request_ns);
-        let keep_alive = token & KEEP_ALIVE_BIT != 0;
-        let token = token & !KEEP_ALIVE_BIT;
-        self.ctx.token = token;
-        self.ctx.keep_alive = keep_alive;
-        self.ctx.offset = 0;
+        self.steps.begin(k, &mut self.ctx.req, token);
         self.ctx.buffered = 0;
         self.lock(k);
-        let hit = {
-            let mut caches = self.caches.borrow_mut();
-            match caches.path.as_mut() {
-                Some(cache) => {
-                    let hit = cache.get(&token).cloned();
-                    if hit.is_some() {
-                        caches.stats.path_hits += 1;
-                    } else {
-                        caches.stats.path_misses += 1;
-                    }
-                    hit
-                }
-                None => None,
-            }
-        };
-        match hit {
-            Some(entry) => {
-                self.setup_response(k, entry.fid, entry.size);
-                self.send_step(k, conn)
-            }
+        match self.steps.lookup(&self.ctx.req) {
+            Some(file) => self.respond(k, conn, file),
             None => {
                 // Blocking translation: only this worker stalls on a
                 // metadata miss.
-                k.sys_stat(self.site.file(token).fid);
+                k.sys_stat(self.steps.site.file(self.ctx.req.token).fid);
                 SeqPhase::Translating(conn)
             }
         }
     }
 
-    fn setup_response(&mut self, k: &mut Kernel, fid: FileId, size: u64) {
-        let f = self.site.file(self.ctx.token);
-        let aligned = self.cfg.aligned_headers;
-        let len = if aligned {
-            f.hdr_len_aligned
-        } else {
-            f.hdr_len_raw
-        };
+    /// Fills the response header under the lock and starts sending.
+    fn respond(&mut self, k: &mut Kernel, conn: ConnId, file: PathEntry) -> SeqPhase {
         self.lock(k);
-        let key = (self.ctx.token, self.ctx.keep_alive);
-        let entry = {
-            let mut caches = self.caches.borrow_mut();
-            let Caches { header, stats, .. } = &mut *caches;
-            match header.as_mut() {
-                Some(cache) => match cache.get(&key) {
-                    Some(e) => {
-                        stats.header_hits += 1;
-                        *e
-                    }
-                    None => {
-                        stats.header_misses += 1;
-                        k.cpu(self.cfg.header_gen_ns);
-                        let e = HeaderEntry { len, aligned };
-                        cache.insert(key, e);
-                        e
-                    }
-                },
-                None => {
-                    k.cpu(self.cfg.header_gen_ns);
-                    HeaderEntry { len, aligned }
-                }
-            }
-        };
-        self.ctx.fid = Some(fid);
-        self.ctx.size = size;
-        self.ctx.hdr_left = entry.len;
-        self.ctx.aligned = entry.aligned;
+        self.steps.respond(k, &mut self.ctx.req, file);
+        self.send_step(k, conn)
     }
 
     /// Issues the next step of the response: a buffer fill (`read(2)`
     /// path), or a blocking `writev`. Returns the phase to wait in.
     fn send_step(&mut self, k: &mut Kernel, conn: ConnId) -> SeqPhase {
-        let remaining = self.ctx.size - self.ctx.offset.min(self.ctx.size);
-        let chunk = remaining.min(CHUNK_BYTES);
-        let (Some(fid), true) = (self.ctx.fid, chunk > 0) else {
+        let req = &self.ctx.req;
+        let Some((fid, chunk)) = req.chunk() else {
             // Only header bytes left.
-            k.sys_send(
-                conn,
-                self.ctx.hdr_left,
-                SendSrc::Mem { len: chunk },
-                self.ctx.aligned,
-                Blocking::Yes,
-            );
+            req.send(k, conn, SendSrc::Mem { len: 0 }, Blocking::Yes);
             return SeqPhase::Sending(conn);
         };
-        if !self.cfg.use_mmap {
+        if !self.steps.cfg.use_mmap {
             // Apache path: read() into a user buffer (may block on disk),
             // then write from memory.
             if self.ctx.buffered == 0 {
-                k.sys_file_read(fid, self.ctx.offset, chunk, true);
+                k.sys_file_read(fid, req.offset, chunk, true);
                 return SeqPhase::FillingBuffer(conn);
             }
-            let n = self.ctx.buffered.min(chunk);
-            k.sys_send(
-                conn,
-                self.ctx.hdr_left,
-                SendSrc::Mem { len: n },
-                self.ctx.aligned,
-                Blocking::Yes,
-            );
+            let len = self.ctx.buffered.min(chunk);
+            req.send(k, conn, SendSrc::Mem { len }, Blocking::Yes);
             return SeqPhase::Sending(conn);
         }
         // mmap path with the §5.4 chunk cache; the writev may block on a
         // page fault — acceptable here, only this worker stalls.
-        let os_mmap = k.cfg.os.mmap_ns;
-        let os_munmap = k.cfg.os.munmap_ns;
         self.lock(k);
-        {
-            let mut caches = self.caches.borrow_mut();
-            match caches.mmap.as_mut() {
-                Some(mc) => {
-                    if mc.hit(fid, self.ctx.offset) {
-                        caches.stats.mmap_hits += 1;
-                    } else {
-                        let evicted = mc.map(fid, self.ctx.offset, self.ctx.size);
-                        caches.stats.mmap_misses += 1;
-                        caches.stats.unmaps += u64::from(evicted);
-                        k.cpu(os_mmap + u64::from(evicted) * os_munmap);
-                    }
-                }
-                None => k.cpu(os_mmap + os_munmap),
-            }
-        }
-        k.sys_send(
-            conn,
-            self.ctx.hdr_left,
-            SendSrc::File {
-                file: fid,
-                offset: self.ctx.offset,
-                len: chunk,
-            },
-            self.ctx.aligned,
-            Blocking::Yes,
-        );
+        let body = self.steps.map_chunk(k, req, fid, chunk);
+        req.send(k, conn, body, Blocking::Yes);
         SeqPhase::Sending(conn)
-    }
-
-    /// A response is fully sent: log it and move on.
-    fn finish_response(&mut self, k: &mut Kernel, conn: ConnId) -> SeqPhase {
-        k.mark_response_boundary(conn);
-        self.caches.borrow_mut().stats.requests_done += 1;
-        if self.ctx.keep_alive {
-            if let Some(t) = self.ctx.pending_tokens.pop_front() {
-                return self.begin_request(k, conn, t);
-            }
-            k.sys_conn_read(conn, Blocking::Yes);
-            SeqPhase::Reading(conn)
-        } else {
-            k.sys_close(conn);
-            SeqPhase::Closing(conn)
-        }
     }
 }
 
@@ -279,24 +161,16 @@ impl ProcessLogic for SeqWorker {
                     k.sys_conn_read(conn, Blocking::Yes);
                     SeqPhase::Reading(conn)
                 } else {
-                    self.ctx.pending_tokens.extend(tokens);
-                    let t = self.ctx.pending_tokens.pop_front().expect("nonempty");
+                    self.ctx.req.pending_tokens.extend(tokens);
+                    let t = self.ctx.req.pending_tokens.pop_front().expect("nonempty");
                     self.begin_request(k, conn, t)
                 }
             }
-            (SeqPhase::Translating(conn), Completion::Stated { file }) => {
+            (SeqPhase::Translating(conn), Completion::Stated { .. }) => {
                 let conn = *conn;
-                let size = self.site.file(self.ctx.token).size;
-                let fid = file;
                 self.lock(k);
-                {
-                    let mut caches = self.caches.borrow_mut();
-                    if let Some(cache) = caches.path.as_mut() {
-                        cache.insert(self.ctx.token, PathEntry { fid, size });
-                    }
-                }
-                self.setup_response(k, fid, size);
-                self.send_step(k, conn)
+                let file = self.steps.translated(&self.ctx.req);
+                self.respond(k, conn, file)
             }
             (SeqPhase::FillingBuffer(conn), Completion::FileRead { bytes, .. }) => {
                 let conn = *conn;
@@ -312,15 +186,21 @@ impl ProcessLogic for SeqWorker {
                 },
             ) => {
                 let conn = *conn;
-                self.ctx.hdr_left -= hdr_bytes;
-                self.ctx.offset += body_bytes;
-                if self.ctx.buffered > 0 {
-                    self.ctx.buffered -= body_bytes.min(self.ctx.buffered);
-                }
-                if self.ctx.hdr_left == 0 && self.ctx.offset >= self.ctx.size {
-                    self.finish_response(k, conn)
-                } else {
-                    self.send_step(k, conn)
+                self.ctx.buffered -= body_bytes.min(self.ctx.buffered);
+                match self
+                    .steps
+                    .written(k, conn, &mut self.ctx.req, hdr_bytes, body_bytes)
+                {
+                    AfterWrite::Send => self.send_step(k, conn),
+                    AfterWrite::Next(token) => self.begin_request(k, conn, token),
+                    AfterWrite::Read => {
+                        k.sys_conn_read(conn, Blocking::Yes);
+                        SeqPhase::Reading(conn)
+                    }
+                    AfterWrite::Close => {
+                        k.sys_close(conn);
+                        SeqPhase::Closing(conn)
+                    }
                 }
             }
             // A blocking write was parked on a full buffer and woken.

@@ -44,7 +44,9 @@ pub fn combo_config(path: bool, mmap: bool, resp: bool) -> ServerConfig {
     if !mmap {
         cfg.mmap_cache_bytes = 0;
     }
-    cfg.header_cache = resp;
+    if !resp {
+        cfg.header_cache_entries = 0;
+    }
     cfg
 }
 

@@ -11,7 +11,6 @@
 
 use std::rc::Rc;
 
-use flash_core::ServerConfig;
 use flash_simcore::SimTime;
 use flash_simos::MachineConfig;
 use flash_workload::{Trace, TraceConfig};
@@ -19,25 +18,10 @@ use flash_workload::{Trace, TraceConfig};
 use crate::client::{ClientFleet, ConnMode};
 use crate::runner::{run_one, RunParams};
 use crate::table::{Figure, Series};
-use crate::Scale;
+use crate::{single_file, Scale};
 
 /// Dataset sizes of the full sweep (MB).
 pub const DATASET_MB: &[u64] = &[15, 30, 45, 60, 75, 90, 105, 120, 135, 150];
-
-/// Server line-up; Zeus runs its two-process trace-test configuration.
-pub fn lineup(os_has_threads: bool) -> Vec<ServerConfig> {
-    let mut v = vec![
-        ServerConfig::flash_sped(),
-        ServerConfig::flash(),
-        ServerConfig::zeus_like(2),
-        ServerConfig::flash_mp(),
-        ServerConfig::apache_like(),
-    ];
-    if os_has_threads {
-        v.insert(3, ServerConfig::flash_mt());
-    }
-    v
-}
 
 /// Runs the sweep on `machine`.
 pub fn run(machine: &MachineConfig, fig_id: &str, scale: Scale) -> Figure {
@@ -68,7 +52,8 @@ pub fn run(machine: &MachineConfig, fig_id: &str, scale: Scale) -> Figure {
         "Dataset size (MB)",
         "Bandwidth (Mb/s)",
     );
-    for cfg in lineup(machine.os.kernel_threads) {
+    // Zeus runs its two-process trace-test configuration.
+    for cfg in single_file::lineup(machine.os.kernel_threads, 2) {
         let mut s = Series::new(cfg.name.clone());
         for &mb in &sizes_mb {
             let trace = Rc::new(base.truncate_to_dataset(mb * 1024 * 1024));

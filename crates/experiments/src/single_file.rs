@@ -26,12 +26,14 @@ pub const BANDWIDTH_SIZES_KB: &[u64] = &[1, 5, 10, 20, 50, 100, 125, 150, 175, 2
 /// File sizes for the connection-rate panel (KB).
 pub const RATE_SIZES_KB: &[u64] = &[1, 2, 5, 10, 15, 20];
 
-/// The server line-up of Figures 6/7 (MT only where the OS supports it).
-pub fn lineup(os_has_threads: bool) -> Vec<ServerConfig> {
+/// The server line-up of Figures 6/7 and 9/10 (MT only where the OS
+/// supports it). Zeus runs `zeus_processes` processes: 1 for the
+/// synthetic tests, 2 for the trace tests (§6).
+pub fn lineup(os_has_threads: bool, zeus_processes: usize) -> Vec<ServerConfig> {
     let mut v = vec![
         ServerConfig::flash_sped(),
         ServerConfig::flash(),
-        ServerConfig::zeus_like(1),
+        ServerConfig::zeus_like(zeus_processes),
         ServerConfig::flash_mp(),
         ServerConfig::apache_like(),
     ];
@@ -72,7 +74,7 @@ pub fn run(machine: &MachineConfig, fig_id: &str, scale: Scale) -> Vec<Figure> {
         "File size (KB)",
         "Connection rate (req/s)",
     );
-    for cfg in lineup(machine.os.kernel_threads) {
+    for cfg in lineup(machine.os.kernel_threads, 1) {
         let mut bw_series = Series::new(cfg.name.clone());
         let mut rate_series = Series::new(cfg.name.clone());
         for &kb in &bw_sizes {

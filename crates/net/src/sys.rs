@@ -872,6 +872,26 @@ mod nowait {
     }
 }
 
+/// Makes a FIFO at `path` with `mkfifo(3)`. A test that ran
+/// `mkfifo(1)` instead would spawn a child inside the test binary, and
+/// the child's `SIGCHLD` can fail another test's timed `read` with
+/// `EINTR`.
+#[cfg(test)]
+pub(crate) fn mkfifo(path: &Path) -> io::Result<()> {
+    use std::ffi::CString;
+    use std::os::unix::ffi::OsStrExt;
+    unsafe extern "C" {
+        fn mkfifo(path: *const core::ffi::c_char, mode: u32) -> c_int;
+    }
+    let c_path = CString::new(path.as_os_str().as_bytes())?;
+    // SAFETY: `c_path` is a live NUL-terminated buffer that outlives
+    // the call; mkfifo only reads it.
+    if unsafe { mkfifo(c_path.as_ptr(), 0o644) } < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

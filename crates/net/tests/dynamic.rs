@@ -259,7 +259,7 @@ fn run_wedged_worker_504_then_respawn(tag: &str, backend: BackendChoice, kind: S
         "wedge.sh",
         &format!(
             "while read -r m p; do\n\
-             if [ ! -f {marker} ]; then : > {marker}; sleep 30; exit 0; fi\n\
+             if [ ! -f {marker} ]; then : > {marker}; exec sleep 30; fi\n\
              b=\"ok: $p\"\n\
              printf 'DATA %s\\n%s' \"${{#b}}\" \"$b\"\n\
              printf 'END\\n'\n\
@@ -321,7 +321,7 @@ fn run_deadline_fires_mid_stream(tag: &str, backend: BackendChoice, kind: Server
     let argv = script(
         &root,
         "stall.sh",
-        "read -r m p\nprintf 'DATA 7\\npartial'\nsleep 30\n",
+        "read -r m p\nprintf 'DATA 7\\npartial'\nexec sleep 30\n",
     );
     let deadline = Duration::from_millis(500);
     let server = start(
