@@ -10,7 +10,9 @@
 //! resynchronize a stream protocol with no request ids).
 //!
 //! This module holds what every driver shares — the process
-//! (`Worker`: spawn, and kill + reap on drop) and the wire protocol
+//! (`Worker`: spawned as the leader of a process group of its own, and
+//! the whole group killed + the worker reaped on drop, so nothing it
+//! forked outlives it) and the wire protocol
 //! ([`FrameParser`], sans-IO) — and the exchange in its **blocking**
 //! form (`run_exchange` over a shared [`WorkerPool`]), which MT's
 //! connection threads run themselves. An event-loop shard does not
@@ -43,6 +45,7 @@
 use std::io::{self, Read, Write};
 use std::os::fd::{AsRawFd, OwnedFd, RawFd};
 use std::os::unix::net::UnixStream;
+use std::os::unix::process::CommandExt;
 use std::process::{Child, Command, Stdio};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -100,10 +103,13 @@ impl Worker {
         // persistent CGI processes used.
         let stdin_fd = OwnedFd::from(theirs.try_clone()?);
         let stdout_fd = OwnedFd::from(theirs);
+        // A process group of its own, led by the worker: what it
+        // forks (a shell script's `sleep`) is killed with it.
         let child = Command::new(&command[0])
             .args(&command[1..])
             .stdin(Stdio::from(stdin_fd))
             .stdout(Stdio::from(stdout_fd))
+            .process_group(0)
             .spawn()?;
         let worker = Worker { child, sock: ours };
         if blocking {
@@ -146,9 +152,16 @@ impl AsRawFd for Worker {
 }
 
 impl Drop for Worker {
-    // Kill + wait on every drop: no zombies, whether the worker is
-    // retired for crash, cancellation, or pool teardown.
+    // Kill + wait on every drop: no zombies and no orphans, whether the
+    // worker is retired for crash, cancellation, or pool teardown. The
+    // group is signalled only while its leader is unreaped (`try_wait`
+    // reaps nothing that still runs), so its id cannot have been
+    // reused; a worker that already exited on its own leaves its group
+    // to whatever it made of it.
     fn drop(&mut self) {
+        if let Ok(None) = self.child.try_wait() {
+            let _ = crate::sys::kill_group(self.child.id());
+        }
         let _ = self.child.kill();
         let _ = self.child.wait();
     }

@@ -31,11 +31,17 @@ pub struct NetConfig {
     /// Number of independent event-loop shards. Default:
     /// `min(available cores, 8)`.
     pub event_loops: usize,
-    /// Bodies strictly larger than this bypass the content cache and
-    /// are served from the kernel page cache with `sendfile(2)` (see
+    /// The content cache's admission size for a load resolved by path:
+    /// a body at most this large is read, cached and sent with
+    /// `writev(2)`; a larger one bypasses the content cache and is
+    /// served from the kernel page cache with `sendfile(2)` (see
     /// [`crate::sendfile`]). Default 256 KiB — roughly where the cost
     /// of one more copy through userspace overtakes the cost of the
-    /// extra syscall, and past the sweet spot of cache residency.
+    /// extra syscall, and past the sweet spot of cache residency. A
+    /// file a shard's open-file table already holds is sent from its
+    /// descriptor at any size, once `cachestat(2)` finds it resident
+    /// ([`crate::fsjob::OpenFileTable`]); where `cachestat` is
+    /// unavailable this size splits those too.
     pub sendfile_threshold_bytes: u64,
     /// Readiness backend (see [`crate::event`]). Default:
     /// edge-triggered `epoll` on Linux, `poll` elsewhere; `Epoll` asked

@@ -373,9 +373,12 @@ const SENDFILE_VISIT_BUDGET: u64 = 1024 * 1024;
 
 /// Drains `conn.out` with gathered writes — the happy path (cached
 /// header + body fitting the transport's window) is exactly one
-/// `writev` — then streams any pending large body through
-/// [`ConnIo::sendfile`].
+/// `writev` — then streams any pending file body through
+/// [`ConnIo::sendfile`]. Segments a file body follows go out with
+/// [`ConnIo::writev_more`], so the header can leave in the body's
+/// first segment.
 pub fn flush_out<Io: ConnIo>(conn: &mut Conn<Io>, stats: &ShardStats) -> FlushResult {
+    let body_follows = conn.sendfile.is_some();
     while !conn.out.is_empty() {
         let mut bufs: [&[u8]; MAX_IOV] = [&[]; MAX_IOV];
         let cnt = gather_out(&conn.out, conn.out_off, &mut bufs);
@@ -386,7 +389,12 @@ pub fn flush_out<Io: ConnIo>(conn: &mut Conn<Io>, stats: &ShardStats) -> FlushRe
             conn.out_off = 0;
             break;
         }
-        match conn.io.writev(&bufs[..cnt]) {
+        let sent = if body_follows {
+            conn.io.writev_more(&bufs[..cnt])
+        } else {
+            conn.io.writev(&bufs[..cnt])
+        };
+        match sent {
             Ok(n) => {
                 stats.writev_calls.fetch_add(1, Ordering::Relaxed);
                 conn.progress += n as u64;

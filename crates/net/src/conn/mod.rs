@@ -14,8 +14,9 @@
 //! cache through a third:
 //!
 //! * [`ConnIo`] — everything the state machine ever asks of a
-//!   transport: `read`, gathered `writev`, and one `sendfile` chunk
-//!   against an opaque [`ConnIo::FileRef`]. The shard driver implements
+//!   transport: `read`, gathered `writev` (corked with
+//!   [`ConnIo::writev_more`] when a `sendfile` body follows), and one
+//!   `sendfile` chunk against an opaque [`ConnIo::FileRef`]. The shard driver implements
 //!   it over a nonblocking `TcpStream` (with `FileRef = Arc<File>`),
 //!   the MT driver over a blocking one; the simulated kernel over
 //!   in-memory sockets with windows and injected partial writes (with
@@ -167,6 +168,17 @@ pub trait ConnIo {
     /// accepted (possibly a partial write mid-iovec).
     fn writev(&mut self, bufs: &[&[u8]]) -> io::Result<usize>;
 
+    /// [`Self::writev`] of segments that a [`Self::sendfile`] body
+    /// follows at once: the core calls it while a response's header
+    /// is queued ahead of its file window. A transport that can should
+    /// hold a short tail back so it leaves in the body's first segment
+    /// rather than in a packet of its own (TCP's `MSG_MORE`); the next
+    /// send, or a close, must still push whatever it held. Same return
+    /// and errors as `writev`, and `writev` itself by default.
+    fn writev_more(&mut self, bufs: &[&[u8]]) -> io::Result<usize> {
+        self.writev(bufs)
+    }
+
     /// Transmits up to `max` bytes of `file` starting at `*offset`,
     /// advancing `*offset` past the bytes sent. `Ok(0)` means the file
     /// ended early (it shrank after stat — a protocol-fatal condition).
@@ -222,7 +234,11 @@ pub struct HelperJob {
     /// most this many bytes; larger files come back as an open handle
     /// for the `sendfile` window path. The value is core policy
     /// (`ProtoConfig::sendfile_threshold`) carried on the job so
-    /// executors stay mechanical — no driver consults the config.
+    /// executors stay mechanical — no driver consults the config. (A
+    /// shard's open-file table answers a file it holds with the handle
+    /// at any size, once its pages are known resident: the bytes are
+    /// read only for the content cache, and only a load resolved by
+    /// path feeds that.)
     pub inline_max: u64,
     /// The dispatching shard's reload epoch; echoed back on the
     /// [`Done`] so a completion that raced a SIGHUP reload can be
@@ -262,8 +278,9 @@ impl HelperJob {
 /// What a job execution hands back for a readable file: either the
 /// bytes themselves (small representation, destined for the content
 /// cache — `len <= HelperJob::inline_max`) or an opaque file handle
-/// plus its stat'ed length (large representation, destined for the
-/// `sendfile` window path — the shard never sees the body at all).
+/// plus its stat'ed length (a large representation, or any a shard's
+/// open-file table holds; destined for the `sendfile` window path —
+/// the shard never sees the body at all, and caches nothing).
 /// Both carry the fstat'ed mtime so responses advertise
 /// `Last-Modified` and conditional requests can be answered `304`.
 #[derive(Debug)]
@@ -363,7 +380,8 @@ pub struct ProtoConfig {
     /// The two-tier body policy, owned by the core: representations at
     /// most this many bytes are cached pre-rendered and sent with
     /// `writev`; larger ones stream through the `sendfile` window seam.
-    /// Carried onto every [`HelperJob`] as `inline_max`.
+    /// Carried onto every [`HelperJob`] as `inline_max` (see there for
+    /// the held-file exception).
     pub sendfile_threshold: u64,
     /// Serve `GET /.flash/metrics` (Prometheus text) in-band on the
     /// normal parse/respond path, and a `404` for any other `/.flash/`

@@ -24,17 +24,23 @@
 //! half, and the rule above then reads: **the name binding — what
 //! `open` decided, path lookup and permission check both — is trusted
 //! for `cache_revalidate_ttl`; the regular-file check, the link count,
-//! the length, the mtime and the bytes come from the open descriptor
-//! every time.** That is what a content-cache hit already assumes
-//! about a name, and no more.
+//! the length, the mtime and the residency of the bytes come from the
+//! open descriptor every time.** That is what a content-cache hit
+//! already assumes about a name, and no more.
 //!
 //! There are two executors over those rules. [`exec_job`] blocks for
 //! as long as the disk takes and always answers — success or the error
 //! the client will see; it runs on helper threads (and MT connection
 //! threads) and resolves every job by path. [`exec_job_nowait`] is the
-//! event loop's **residency test**: it never waits, and either returns
-//! exactly what `exec_job` would for a regular file or declines,
-//! leaving the job to a helper.
+//! event loop's **residency test**: it never waits, and either answers
+//! a regular file as `exec_job` would — the same file, variant and
+//! validators — or declines, leaving the job to a helper. A name the
+//! table holds is answered with the **descriptor** at any size, as
+//! Flash sent from its mapped files (§5.4): `cachestat(2)` confirms
+//! that every page is resident (§5.7's `mincore` test, asked of a
+//! descriptor), and `sendfile(2)` sends the body from the page cache
+//! without a copy. Only a load resolved by path reads a small body
+//! into bytes, for the content cache.
 
 use std::fs::File;
 use std::io::{self, Read};
@@ -227,6 +233,32 @@ fn resolve(fs: &Access, job: &HelperJob) -> io::Result<Resolved> {
     Ok(found(identity, Variant::Identity, has_gzip))
 }
 
+impl Resolved {
+    /// A load's result with `data` as the body.
+    fn loaded(
+        &self,
+        data: FileData<Arc<File>>,
+        resolved_at: Option<Instant>,
+    ) -> LoadResult<Arc<File>> {
+        LoadResult {
+            data,
+            variant: self.variant,
+            has_gzip: self.has_gzip,
+            resolved_at,
+        }
+    }
+
+    /// The body as the open descriptor, for the `sendfile` path.
+    fn by_descriptor(&self, resolved_at: Option<Instant>) -> LoadResult<Arc<File>> {
+        let data = FileData::Fd {
+            file: Arc::clone(&self.file),
+            len: self.len,
+            mtime: self.mtime,
+        };
+        self.loaded(data, resolved_at)
+    }
+}
+
 /// The second half: applies the job's tier rule to the open file.
 /// Bodies at most `inline_max` bytes come back as bytes (destined for
 /// the content cache and the `writev` path), larger ones as the open
@@ -238,23 +270,12 @@ fn tiered(
     inline_max: u64,
     resolved_at: Option<Instant>,
 ) -> io::Result<LoadResult<Arc<File>>> {
+    if found.len > inline_max {
+        return Ok(found.by_descriptor(resolved_at));
+    }
+    let body = (fs.read)(&found.file, found.len as usize)?;
     let mtime = found.mtime;
-    let data = if found.len > inline_max {
-        FileData::Fd {
-            file: Arc::clone(&found.file),
-            len: found.len,
-            mtime,
-        }
-    } else {
-        let body = (fs.read)(&found.file, found.len as usize)?;
-        FileData::Bytes { body, mtime }
-    };
-    Ok(LoadResult {
-        data,
-        variant: found.variant,
-        has_gzip: found.has_gzip,
-        resolved_at,
-    })
+    Ok(found.loaded(FileData::Bytes { body, mtime }, resolved_at))
 }
 
 /// Executes a [`JobKind::Load`] — `resolve`, then `tiered` — and
@@ -293,24 +314,34 @@ fn stat(fs: &Access, job: &HelperJob) -> io::Result<(u64, Option<i64>)> {
 /// itself, so `Relaxed` suffices.
 static NOWAIT_OFF: AtomicBool = AtomicBool::new(!sys::HAS_NOWAIT);
 
+/// Set once `cachestat(2)` proves unavailable (a kernel before 6.5, a
+/// seccomp filter, a kernel that asks for ownership the server lacks):
+/// from then on a held file's residency is tested by reading its
+/// bytes, as a load resolved by path does. Like [`NOWAIT_OFF`], a
+/// fact about the platform, not a setting.
+static CACHESTAT_OFF: AtomicBool = AtomicBool::new(!sys::HAS_NOWAIT);
+
 /// One shard's **open-file table**: `resolve` memoised for the
 /// residency test, so a content-cache miss on a file the shard has
-/// served before costs an `fstat` and a read of a descriptor it
-/// already holds instead of `openat2`, `fstat`, the sibling probe, the
-/// read and `close` — the paper's pathname-translation cache (§5.2),
-/// holding descriptors where Flash held `mmap`s.
+/// served before costs an `fstat` and a `cachestat` of a descriptor it
+/// already holds, and is answered with that descriptor for `sendfile`
+/// — no `openat2`, no sibling probe, no read, no copy, no `close` —
+/// the paper's pathname-translation cache (§5.2), holding descriptors
+/// where Flash held `mmap`s (§5.4). Such an answer inserts nothing:
+/// the content cache is fed only by loads resolved by path.
 ///
 /// An entry-count-bounded LRU keyed by the job's variant key, owned by
 /// the shard's port and touched by its event-loop thread only. What an
 /// entry is trusted for is the module's TOCTOU rule: the name binding
 /// for `ttl` since it was resolved by path (`None`: until something
 /// else drops it), everything else re-read from the descriptor on
-/// every use (`OpenFile::unchanged`). Any disagreement, error or
-/// would-block drops the entry and declines the job; the helper that
-/// takes it resolves by path. Two things only the TTL catches, as on
-/// a content-cache hit: a `chmod` that would refuse the open today,
-/// and a rename-over of a file that keeps another hard link (its link
-/// count never reaches zero). Entries leave by LRU eviction at
+/// every use (`OpenFile::unchanged`), and the body's residency asked
+/// of `cachestat` (`OpenFile::answer`). Any disagreement, error, page
+/// not resident or would-block drops the entry and declines the job;
+/// the helper that takes it resolves by path. Two things only the TTL
+/// catches, as on a content-cache hit: a `chmod` that would refuse
+/// the open today, and a rename-over of a file that keeps another hard
+/// link (its link count never reaches zero). Entries leave by LRU eviction at
 /// capacity, by [`Self::clear`] (docroot reload, descriptor
 /// exhaustion, shard exit), and — so that a file nobody asks for again
 /// does not pin a deleted inode's blocks until eviction — from the LRU
@@ -341,8 +372,10 @@ impl OpenFile {
     /// with a name (`st_nlink > 0` — an unlinked or renamed-over file
     /// is dropped at once, so a delete still `404`s and a `mv new old`
     /// shows on the very next request) and the length and mtime it had
-    /// when resolved. The bytes' own check is [`tiered`]'s `len + 1`
-    /// read.
+    /// when resolved. No byte is read after it: the length this
+    /// promises is `sendfile`'s to deliver, and a file that shrinks in
+    /// between drops the connection (`ConnIo::sendfile`'s `Ok(0)`), on
+    /// either tier.
     fn unchanged(&self) -> io::Result<()> {
         let meta = self.found.file.metadata()?;
         let same = meta.is_file()
@@ -354,6 +387,29 @@ impl OpenFile {
         } else {
             Err(io::Error::other("open file changed since it was resolved"))
         }
+    }
+
+    /// The answer from the held descriptor, once [`Self::unchanged`]
+    /// passed: the descriptor itself, for `sendfile`, when `cachestat`
+    /// finds every page of the body in the page cache; `WouldBlock`
+    /// when one is not — the disk would block, a helper's business.
+    /// A body above `inline_max` is the descriptor either way, as it
+    /// always was. Where `cachestat` is unavailable a small body is
+    /// read instead, and the `RWF_NOWAIT` read is the residency test.
+    fn answer(&self, inline_max: u64) -> io::Result<LoadResult<Arc<File>>> {
+        let (found, at) = (&self.found, Some(self.resolved_at));
+        if found.len <= inline_max && !CACHESTAT_OFF.load(Ordering::Relaxed) {
+            match sys::resident(&found.file, found.len) {
+                Ok(true) => return Ok(found.by_descriptor(at)),
+                Ok(false) => return Err(io::ErrorKind::WouldBlock.into()),
+                Err(e) if sys::is_unsupported(&e) => {
+                    CACHESTAT_OFF.store(true, Ordering::Relaxed);
+                }
+                // A verdict on this file alone: its bytes decide.
+                Err(_) => {}
+            }
+        }
+        tiered(&NOWAIT, found, inline_max, at)
     }
 }
 
@@ -379,8 +435,9 @@ impl OpenFileTable {
         self.stats.open_files.store(0, Ordering::Relaxed);
     }
 
-    /// A [`JobKind::Load`] through the table: from a trusted entry if
-    /// there is one, else resolved by path and remembered.
+    /// A [`JobKind::Load`] through the table: from a trusted entry's
+    /// descriptor if there is one, else resolved by path and
+    /// remembered.
     fn answer(&mut self, job: &HelperJob) -> io::Result<LoadResult<Arc<File>>> {
         let Some(lru) = &mut self.lru else {
             return load(&NOWAIT, job);
@@ -388,10 +445,7 @@ impl OpenFileTable {
         let (key, now) = (job.path.as_str(), Instant::now());
         let answer = match lru.get(key) {
             Some(held) if held.trusted(self.ttl, now) => {
-                let at = Some(held.resolved_at);
-                let answer = held
-                    .unchanged()
-                    .and_then(|()| tiered(&NOWAIT, &held.found, job.inline_max, at));
+                let answer = held.unchanged().and_then(|()| held.answer(job.inline_max));
                 if answer.is_ok() {
                     self.stats.open_file_hits.fetch_add(1, Ordering::Relaxed);
                 } else {
@@ -431,18 +485,21 @@ impl OpenFileTable {
 /// The **residency test**: executes a [`JobKind::Load`] or
 /// [`JobKind::Revalidate`] job only if that takes no waiting — path
 /// lookups answered by the dentry cache ([`sys::open_cached`]) or by
-/// `table`, bytes by the page cache ([`sys::pread_nowait`]). `Some`
-/// carries exactly the payload [`exec_job`] would produce; `None`
-/// declines, and the caller hands the job to a helper as if this had
-/// never run.
+/// `table`, bytes by the page cache ([`sys::pread_nowait`], or
+/// [`sys::resident`] for a body sent from a held descriptor). `Some`
+/// carries the payload [`exec_job`] would produce — the same file,
+/// variant and validators; from a held descriptor the body is that
+/// descriptor at any size — and `None` declines, and the caller hands
+/// the job to a helper as if this had never run.
 ///
 /// It declines whenever the answer is not "a regular file, here it
-/// is": a lookup or read that would touch the disk (`EAGAIN`), a read
-/// that came back short or long (the file changed size after the
-/// `fstat`), a table entry that fails its per-use check, anything that
-/// is not a regular file (a FIFO opens without blocking, is recognised
-/// by `fstat`, and is dropped — a writer blocked opening its other end
-/// does see that reader come and go), and **every error** —
+/// is": a lookup or read that would touch the disk (`EAGAIN`), a held
+/// body with a page out of memory, a read that came back short or long
+/// (the file changed size after the `fstat`), a table entry that fails
+/// its per-use check, anything that is not a regular file (a FIFO
+/// opens without blocking, is recognised by `fstat`, and is dropped —
+/// a writer blocked opening its other end does see that reader come
+/// and go), and **every error** —
 /// `404`/`403`/`500` are decided by the blocking executor alone, so
 /// there is one source of error semantics. Never [`JobKind::Dynamic`].
 pub fn exec_job_nowait(job: &HelperJob, table: &mut OpenFileTable) -> Option<DoneData<Arc<File>>> {
@@ -607,14 +664,14 @@ mod tests {
     }
 
     /// A completion payload reduced to what the shard acts on, for
-    /// comparing the two executors. A descriptor is read to its end —
-    /// by position, as `sendfile` reads it: the open-file table hands
-    /// the same descriptor out again and again, so its cursor is
-    /// nobody's.
+    /// comparing the two executors: the body, whichever way it came. A
+    /// descriptor is read to its end — by position, as `sendfile` reads
+    /// it: the open-file table hands the same descriptor out again and
+    /// again, so its cursor is nobody's — and must hold exactly the
+    /// length it was handed out with.
     #[derive(Debug, PartialEq)]
     enum Seen {
-        Bytes(Vec<u8>, Option<i64>, Variant, bool),
-        Fd(Vec<u8>, u64, Option<i64>, Variant, bool),
+        Body(Vec<u8>, Option<i64>, Variant, bool),
         Stat(u64, Option<i64>),
         Failed(io::ErrorKind),
     }
@@ -627,19 +684,37 @@ mod tests {
                 has_gzip,
                 ..
             })) => match data {
-                FileData::Bytes { body, mtime } => Seen::Bytes(body, mtime, variant, has_gzip),
+                FileData::Bytes { body, mtime } => Seen::Body(body, mtime, variant, has_gzip),
                 FileData::Fd { file, len, mtime } => {
                     use std::os::unix::fs::FileExt;
                     let mut all = vec![0u8; len as usize + 1];
                     let n = file.read_at(&mut all, 0).unwrap();
+                    assert_eq!(n as u64, len, "a descriptor handed out with a stale length");
                     all.truncate(n);
-                    Seen::Fd(all, len, mtime, variant, has_gzip)
+                    Seen::Body(all, mtime, variant, has_gzip)
                 }
             },
             DoneData::Stat(Ok((len, mtime))) => Seen::Stat(len, mtime),
             DoneData::Loaded(Err(e)) | DoneData::Stat(Err(e)) => Seen::Failed(e.kind()),
             DoneData::Dynamic(_) => unreachable!("no dynamic jobs here"),
         }
+    }
+
+    /// Whether a load was answered with a descriptor, for `sendfile`.
+    fn by_descriptor(data: &DoneData<Arc<File>>) -> bool {
+        matches!(
+            data,
+            DoneData::Loaded(Ok(LoadResult {
+                data: FileData::Fd { .. },
+                ..
+            }))
+        )
+    }
+
+    /// Whether `cachestat` answers here: where it does not, a held
+    /// file's bytes are read, as a load resolved by path reads them.
+    fn cachestat_works(file: &Path) -> bool {
+        File::open(file).and_then(|f| sys::resident(&f, 1)).is_ok()
     }
 
     /// Whether the cached-only calls work on this kernel *and* this
@@ -672,11 +747,15 @@ mod tests {
     /// The differential contract: over a docroot of regular files —
     /// both tiers, empty, with and without a `.gz` sibling, both
     /// variants, both job kinds — the residency test's answer,
-    /// whenever it gives one, is the blocking executor's answer. Run
-    /// after the blocking executor has touched every path (so lookups
-    /// and bytes are resident), it must give one wherever the kernel
-    /// and filesystem can — without a table, through an empty table,
-    /// and a second time from the entries the first pass left.
+    /// whenever it gives one, carries the blocking executor's body,
+    /// variant and validators. Run after the blocking executor has
+    /// touched every path (so lookups and bytes are resident), it must
+    /// give one wherever the kernel and filesystem can — without a
+    /// table, through an empty table, and a second time from the
+    /// entries the first pass left. That second time every load is
+    /// answered with the held descriptor, at any size, where
+    /// `cachestat` can vouch for its pages; otherwise only the large
+    /// tier is.
     #[test]
     fn nowait_agrees_with_exec_job_on_regular_files() {
         let dir = TestDir::new("differential");
@@ -698,6 +777,7 @@ mod tests {
             ("page.html", JobKind::Revalidate, Variant::Gzip),
         ];
         let must_answer = nowait_works(&dir.path().join("page.html"));
+        let held_by_descriptor = cachestat_works(&dir.path().join("page.html"));
         for capacity in [0, 64] {
             let (mut files, stats) = table(capacity, MINUTE);
             for pass in 0..2 {
@@ -711,7 +791,12 @@ mod tests {
                         "{what}: fixture must load"
                     );
                     match exec_job_nowait(&j, &mut files) {
-                        Some(got) => assert_eq!(seen(got), want, "{what}"),
+                        Some(got) => {
+                            let held = capacity > 0 && pass == 1 && held_by_descriptor;
+                            let fd = kind == JobKind::Load && (held || name == "big.bin");
+                            assert_eq!(by_descriptor(&got), fd, "{what}: by descriptor");
+                            assert_eq!(seen(got), want, "{what}");
+                        }
                         None => assert!(!must_answer, "{what}: declined"),
                     }
                 }
@@ -732,8 +817,10 @@ mod tests {
             Variant::Identity,
             inline_max,
         );
-        match seen(exec_job(&j)) {
-            Seen::Bytes(b, _, Variant::Identity, true) => assert_eq!(b, body),
+        let loaded = exec_job(&j);
+        assert!(!by_descriptor(&loaded), "8 KiB under 16 KiB is read");
+        match seen(loaded) {
+            Seen::Body(b, _, Variant::Identity, true) => assert_eq!(b, body),
             other => panic!("page.html: {other:?}"),
         }
     }
@@ -806,7 +893,7 @@ mod tests {
         let (got, want) = load("big.bin", &mut files);
         assert_eq!(got, Some(want));
         let (got, want) = load("big.bin", &mut files);
-        assert!(matches!(want, Seen::Fd(_, 4096, ..)));
+        assert!(matches!(&want, Seen::Body(b, ..) if b.len() == 4096));
         assert_eq!(got, Some(want));
         let big = dir.path().join("big.bin");
         File::options()
@@ -816,7 +903,7 @@ mod tests {
             .set_len(2048)
             .unwrap();
         let (got, want) = load("big.bin", &mut files);
-        assert!(matches!(want, Seen::Fd(_, 2048, ..)));
+        assert!(matches!(&want, Seen::Body(b, ..) if b.len() == 2048));
         assert_eq!(got, None);
         let (got, _) = load("big.bin", &mut files);
         assert_eq!(got, Some(want));
@@ -961,6 +1048,88 @@ mod tests {
                 .recv_timeout(std::time::Duration::from_secs(5))
                 .expect("the residency test blocked on a FIFO");
             assert!(declined, "a FIFO must be neither answered inline nor held");
+        }
+    }
+
+    /// §5.7 on the held path: a held file whose pages have left
+    /// memory is not sent from the loop. `cachestat` reports the pages
+    /// gone, the residency test declines (a helper reads the file) and
+    /// forgets the entry, and a held file still resident is answered
+    /// with its descriptor. Where `cachestat` is unavailable a held hit
+    /// reads its bytes instead; where the cached-only calls are, the
+    /// residency test answers nothing at all.
+    #[test]
+    fn a_held_file_that_left_memory_is_declined_and_a_resident_one_sent_by_descriptor() {
+        let dir = TestDir::new("evicted");
+        let body: Vec<u8> = (0..20_000u32).map(|i| (i % 241) as u8).collect();
+        let path = |name: &str| dir.path().join(name);
+        for name in ["cold.bin", "warm.bin"] {
+            std::fs::write(path(name), &body).unwrap();
+        }
+        let load = |name: &str| {
+            job(
+                dir.path(),
+                name,
+                JobKind::Load,
+                Variant::Identity,
+                64 * 1024,
+            )
+        };
+        let nowait = nowait_works(&path("warm.bin"));
+        let (mut files, stats) = table(8, MINUTE);
+        // Resolved by path (the blocking executor first, so every
+        // lookup is cached) and remembered: both files are held.
+        for name in ["cold.bin", "warm.bin"] {
+            let want = seen(exec_job(&load(name)));
+            let got = exec_job_nowait(&load(name), &mut files).map(seen);
+            assert_eq!(got, nowait.then_some(want), "{name}");
+        }
+        assert_eq!(hits_and_held(&stats), (0, if nowait { 2 } else { 0 }));
+
+        let cold = File::open(path("cold.bin")).unwrap();
+        cold.sync_all().unwrap();
+        let dropped = sys::drop_cached_pages(&cold);
+        let len = body.len() as u64;
+        match sys::resident(&cold, len) {
+            Ok(resident) => {
+                dropped.unwrap();
+                assert!(!resident, "cachestat still counts cold.bin's pages");
+                let warm = File::open(path("warm.bin")).unwrap();
+                assert!(sys::resident(&warm, len).unwrap());
+                assert!(
+                    exec_job_nowait(&load("cold.bin"), &mut files).is_none(),
+                    "a body out of memory was answered from the loop"
+                );
+                let got = exec_job_nowait(&load("warm.bin"), &mut files);
+                assert_eq!(got.is_some(), nowait);
+                if let Some(got) = got {
+                    assert!(
+                        by_descriptor(&got),
+                        "a resident held file goes by descriptor"
+                    );
+                    assert_eq!(seen(got), seen(exec_job(&load("warm.bin"))));
+                    // The decline forgot cold.bin; warm.bin was a hit.
+                    assert_eq!(hits_and_held(&stats), (1, 1));
+                }
+            }
+            Err(e) => {
+                assert!(
+                    sys::is_unsupported(&e) || e.kind() == io::ErrorKind::Unsupported,
+                    "{e}"
+                );
+                // No `cachestat`: a held hit reads its bytes, and the
+                // `RWF_NOWAIT` read is the residency test.
+                let got = exec_job_nowait(&load("warm.bin"), &mut files);
+                assert_eq!(got.is_some(), nowait);
+                if let Some(got) = got {
+                    assert!(
+                        !by_descriptor(&got),
+                        "held bytes are read without cachestat"
+                    );
+                    assert_eq!(seen(got), seen(exec_job(&load("warm.bin"))));
+                    assert_eq!(hits_and_held(&stats).0, 1);
+                }
+            }
         }
     }
 

@@ -72,9 +72,12 @@
 //!   boundaries, while bodies above
 //!   [`NetConfig::sendfile_threshold_bytes`] (default
 //!   256 KiB) bypass the content cache entirely and stream from the
-//!   kernel page cache with `sendfile(2)` (see [`sendfile`]) — so the
+//!   kernel page cache with `sendfile(2)` (see [`sendfile`]), their
+//!   header corked to ride in the body's first segment — so the
 //!   in-memory cache budget holds only the small-file hot set, and a
-//!   multi-gigabyte response costs no userspace memory at all.
+//!   multi-gigabyte response costs no userspace memory at all. A miss
+//!   on a file the shard already holds open is sent the same way at any
+//!   size, from the page cache, without a copy (*Residency test*).
 //!   Oversized entries are likewise refused at cache admission
 //!   ([`cache::MAX_ENTRY_DIVISOR`]), so one huge body can never churn
 //!   a shard's working set. Cached entries do not outlive the files
@@ -97,17 +100,20 @@
 //!   answers).
 //!
 //! Every foreign function either server calls — `epoll`, `poll`,
-//! `writev`, `sendfile`, the listener and `SCM_RIGHTS` plumbing, the
-//! signal handler, `openat2`/`preadv2` — is declared in **one file**,
+//! `writev`, `sendmsg`, `sendfile`, the listener and `SCM_RIGHTS`
+//! plumbing, the signal handler, `kill`, `openat2`/`preadv2`/`cachestat`
+//! — is declared in **one file**,
 //! [`sys`], behind safe wrappers that carry a `// SAFETY:` note on
 //! every `unsafe` block; `tests/ffi_audit.rs` fails if a declaration
 //! appears anywhere else.
 //!
 //! Substitutions from the 1999 original (`CHANGES.md` has the history):
 //! helper *threads* instead of forked processes (§3.4 permits both),
-//! an application-level content cache instead of `mmap` (§5.7), the
-//! `mincore` residency test in its modern spelling (see *Residency
-//! test* below), and N event-loop shards instead of one process — the paper
+//! an application-level content cache for the bytes a load resolved by
+//! path reads, and held descriptors sent with `sendfile` where Flash
+//! sent from `mmap`ed files (§5.4), the `mincore` residency test in its
+//! modern spelling (see *Residency test* below), and N event-loop
+//! shards instead of one process — the paper
 //! predates multicore; per-core loops are how its single-loop design
 //! scales while keeping every invariant intact *within* a shard.
 //!
@@ -130,10 +136,10 @@
 //!              │  routing, deadlines, drain, check_invariants() │
 //!              └───────┬──────────────┬──────────────┬──────────┘
 //!        seams:     ConnIo        HelperPort     Timers + `now`
-//!              (read/writev/   (submit job;     (every Instant is
-//!               sendfile on     completions      a parameter; the
-//!               Io::FileRef)    come back as     core never reads
-//!                               plain values)    a clock)
+//!              (read/writev,   (submit job;     (every Instant is
+//!               corked ahead    completions      a parameter; the
+//!               of sendfile     come back as     core never reads
+//!               on FileRef)     plain values)    a clock)
 //!              ┌───────┴──────────────┴──────────────┴──────────┐
 //!   driver #1  │  the shard loop  [`server`] — a connection     │
 //!              │  table, its timers, readiness, the worker      │
@@ -255,12 +261,25 @@
 //! file, which variant it is, whether a `.gz` sibling exists — in an
 //! entry-count-bounded LRU keyed like the content cache, touched by
 //! the event-loop thread only. A load whose name is in the table is
-//! steps 2 and 3 on the descriptor already held (`open_file_hits`
-//! counts them): `fstat` and `preadv2` where a first-time miss pays
-//! `openat2`, `fstat`, the sibling probe, `preadv2` and `close`; a
-//! body above the `sendfile` threshold is the `fstat` and a clone of
-//! the handle. What the table is trusted for is the policy the content
-//! cache already had, not a new one:
+//! answered from the descriptor already held, as Flash sent from its
+//! mapped files (`open_file_hits` counts them): step 2, then
+//! `cachestat(2)` in place of step 3 — it counts the file's resident
+//! pages without reading one, the question `mincore` asked of a
+//! mapping — and, with every page of the body resident, the
+//! descriptor itself goes to `sendfile(2)`, at any size. No byte is
+//! read or copied, and nothing is inserted into the content cache,
+//! which only loads resolved by path feed (a first touch, a name
+//! re-resolved once its TTL lapsed, a helper's load). A first-time
+//! miss pays `openat2`, `fstat`, the sibling probe, `preadv2` and
+//! `close`. A body with a page out of memory is declined to a helper.
+//! Where `cachestat` is unavailable (before Linux 6.5, or refused) a
+//! held body up to the threshold is read with step 3 instead, and a
+//! larger one is the `fstat` and a clone of the handle, as before. A
+//! file that shrinks between the `fstat` and the `sendfile` ends its
+//! connection, since its `Content-Length` is already promised — the
+//! large tier's rule, now every held file's. What the table is
+//! trusted for is the policy the content cache already had, not a new
+//! one:
 //!
 //! * the **name binding** — what `open` decided: path lookup, symlinks
 //!   followed, permission checked, sibling present or not — is trusted
@@ -271,8 +290,8 @@
 //!   the two never add up to twice the TTL;
 //! * **everything else comes from the descriptor on every use**: it
 //!   must still be a regular file, still linked (`st_nlink > 0`), of
-//!   the length and mtime it had when resolved, and the `len + 1` read
-//!   must meet end of file. A rewrite, a truncation, a delete or a
+//!   the length and mtime it had when resolved, and its pages resident.
+//!   A rewrite, a truncation, a delete or a
 //!   `mv new old` therefore shows on the very next request, as it
 //!   always did; any disagreement, error or `EAGAIN` drops the entry
 //!   and declines, and the helper that takes the job resolves by path.
@@ -293,8 +312,9 @@
 //! for a regular file, or declines**, and a declined job goes to the
 //! pool as if the test had never run. It declines on:
 //!
-//! * `EAGAIN` from either call — the disk would block, which is what
-//!   helpers are for;
+//! * `EAGAIN` from either call, or a held body that `cachestat` finds
+//!   not wholly resident — the disk would block, which is what helpers
+//!   are for;
 //! * a read that came back short or long — a page not resident, or the
 //!   file changed size after the `fstat`;
 //! * anything that is not a regular file — a FIFO is opened without
@@ -307,7 +327,9 @@
 //!   `RESOLVE_CACHED` (5.12) or `RWF_NOWAIT` (4.14), or a seccomp
 //!   filter. The first one latches the test off and every job takes
 //!   the helper path, exactly as before this existed; so does every
-//!   job on a target whose syscall numbers [`sys`] does not list;
+//!   job on a target whose syscall numbers [`sys`] does not list. The
+//!   same answer from `cachestat` latches only it off: held bodies are
+//!   then read, as above;
 //! * a table entry that fails its per-use check (the entry is dropped
 //!   with the decline);
 //! * `Dynamic` jobs, always — on a shard they never get this far: its
@@ -321,7 +343,8 @@
 //! non-blocking reads — the first makes `openat2` return `EAGAIN`, the
 //! second `EOPNOTSUPP`, and both simply decline. Bodies above the
 //! `sendfile` threshold come back as a descriptor either way; whether
-//! *their* pages are resident is `sendfile(2)`'s business, as it was.
+//! *their* pages are resident is `sendfile(2)`'s business, as it was
+//! (`cachestat` asks only of bodies the threshold would have read).
 //! The MT server has no loop to protect and keeps calling the blocking
 //! executor on its connection threads; the sim models the split with a
 //! seeded [`sim::SimConfig::resident_fraction`].

@@ -2,13 +2,16 @@
 //! that transmits file bytes straight from the kernel page cache to a
 //! socket, never routing them through application buffers.
 //!
-//! This is the large-body half of the server's two-tier send path:
+//! This is the file-body half of the server's two-tier send path:
 //! small hot files live pre-rendered in the [`crate::ContentCache`]
 //! and go out with `writev(2)`; bodies above
-//! `NetConfig::sendfile_threshold_bytes` are served through this
-//! module so a multi-megabyte response costs neither content-cache
-//! budget nor a userspace copy (PAPER.md §4.4's mapped-file instinct,
-//! taken all the way to the page cache).
+//! `NetConfig::sendfile_threshold_bytes` — and, on a shard, any file
+//! its open-file table holds whose pages are resident — are served
+//! through this module, so they cost neither content-cache budget nor
+//! a userspace copy (PAPER.md §4.4's mapped-file instinct, taken all
+//! the way to the page cache). The header ahead of such a body is
+//! corked (`MSG_MORE`, [`crate::writev::writev_more_fd`]) so it leaves
+//! in the body's first segment.
 //!
 //! The call itself is `sys::sendfile`. On platforms without
 //! a usable `sendfile` (anything non-Linux here) the same seam is

@@ -116,9 +116,14 @@
 //!   segment boundaries; bodies above
 //!   [`NetConfig::sendfile_threshold_bytes`] never enter the content
 //!   cache at all — the helper hands the shard an open fd, the shard
-//!   sends the header with `writev` and the body with `sendfile(2)`
-//!   (see [`crate::sendfile`]) straight from the kernel page cache,
-//!   resuming partial sends from the same per-connection state.
+//!   sends the header with one corked gathered write (`sendmsg(2)`
+//!   with `MSG_MORE`, so it rides in the body's first segment) and the
+//!   body with `sendfile(2)` (see [`crate::sendfile`]) straight from
+//!   the kernel page cache, resuming partial sends from the same
+//!   per-connection state. A content-cache miss on a file the shard's
+//!   open-file table holds takes the same path at any size: the
+//!   table answers with its descriptor once `cachestat(2)` finds the
+//!   pages resident, and caches nothing.
 //!
 //! With `event_loops = 1` the behavior is byte-identical to the
 //! original single-loop server; with N shards the same architecture
@@ -151,7 +156,7 @@ use crate::stats::AccessLogWriter;
 use crate::sys;
 use crate::timer::{tick_for, TimerWheel};
 use crate::workerset::{WorkerSet, WORKER_TOKEN_BASE};
-use crate::writev::writev_fd;
+use crate::writev::{writev_fd, writev_more_fd};
 
 /// Everything a shard reaches outside its own memory: a clock, the
 /// connection transport (with its readiness key), the listener, the
@@ -261,8 +266,9 @@ impl Env for NetEnv {
 }
 
 /// The real transport behind [`ConnIo`]: a nonblocking `TcpStream`,
-/// with gathered writes via `writev(2)` and large bodies via
-/// `sendfile(2)` against shared `Arc<File>` handles.
+/// with gathered writes via `writev(2)` — `sendmsg(2)` with `MSG_MORE`
+/// when a file body follows — and file bodies via `sendfile(2)` against
+/// shared `Arc<File>` handles.
 pub(crate) struct TcpIo(TcpStream);
 
 impl AsRawFd for TcpIo {
@@ -280,6 +286,12 @@ impl ConnIo for TcpIo {
 
     fn writev(&mut self, bufs: &[&[u8]]) -> io::Result<usize> {
         writev_fd(self.as_raw_fd(), bufs)
+    }
+
+    /// One `sendmsg(MSG_MORE)` on Linux: the header waits for its
+    /// `sendfile` body and leaves in the body's first segment.
+    fn writev_more(&mut self, bufs: &[&[u8]]) -> io::Result<usize> {
+        writev_more_fd(self.as_raw_fd(), bufs)
     }
 
     fn sendfile(&mut self, file: &Arc<File>, offset: &mut u64, max: u64) -> io::Result<usize> {
@@ -330,6 +342,10 @@ impl<S: ConnIo> ConnIo for SockIo<S> {
 
     fn writev(&mut self, bufs: &[&[u8]]) -> io::Result<usize> {
         self.stream.writev(bufs)
+    }
+
+    fn writev_more(&mut self, bufs: &[&[u8]]) -> io::Result<usize> {
+        self.stream.writev_more(bufs)
     }
 
     fn sendfile(&mut self, file: &S::FileRef, offset: &mut u64, max: u64) -> io::Result<usize> {
@@ -945,14 +961,10 @@ impl<E: Env> Shard<E> {
     /// counts it. Returns the instant the wait returned: the start of
     /// the turn.
     fn wait(&mut self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<Instant> {
-        let begin = self.now();
+        let mut start = self.now();
         let n = self.backend.wait(events, timeout_ms)?;
-        let start = self.now();
+        self.lap(&self.core.stats.phase_wait_us, &mut start);
         let stats = &self.core.stats;
-        stats.phase_wait_us.fetch_add(
-            start.duration_since(begin).as_micros() as u64,
-            Ordering::Relaxed,
-        );
         bump(&stats.wait_calls);
         stats.wait_events.fetch_add(n as u64, Ordering::Relaxed);
         Ok(start)
@@ -1008,8 +1020,7 @@ impl<E: Env> Shard<E> {
         // re-armed is already accounted for (single-threaded, so the
         // timers are exactly consistent with the connection table here).
         let mut expired = Vec::new();
-        let now = self.port.env.now();
-        self.wheel.expire(now, &mut expired);
+        self.wheel.expire(self.port.env.now(), &mut expired);
         for token in expired {
             self.expire(token);
         }
@@ -1048,11 +1059,8 @@ impl<E: Env> Shard<E> {
     /// the per-phase ledger behind the event-loop stall watchdog.
     fn lap(&self, counter: &AtomicU64, mark: &mut Instant) {
         let now = self.now();
-        counter.fetch_add(
-            now.duration_since(*mark).as_micros() as u64,
-            Ordering::Relaxed,
-        );
-        *mark = now;
+        let since = now.duration_since(std::mem::replace(mark, now));
+        counter.fetch_add(since.as_micros() as u64, Ordering::Relaxed);
     }
 }
 
@@ -1634,16 +1642,23 @@ mod tests {
         }
     }
 
-    /// The open-file table's budget: a content cache that an LRU cycle
-    /// of six files always misses, fetched twice over one keep-alive
-    /// connection. Every miss is answered inline both times; the
-    /// second pass comes from the six descriptors the first one left,
-    /// and the helper queue (nobody stands behind it) is never used.
-    /// An answer on the spot is settled before the connection is
-    /// reconciled, so its `Waiting` state is never seen: the
-    /// connection's one registration is the only interest-set call (on
-    /// poll a parked entry would cost two table edits), and after each
-    /// response the one armed deadline is the connection's idle one.
+    /// The open-file table's budget: six files behind a content cache
+    /// that holds four, fetched twice in order over one keep-alive
+    /// connection. Every miss is answered inline both times, and the
+    /// helper queue (nobody stands behind it) is never used. The first
+    /// pass resolves each name by path, reads it and caches it, the
+    /// last four inserts evicting the first two. The second pass
+    /// misses those two and answers each from the descriptor the first
+    /// pass left — `sendfile`, the whole body — inserting nothing, so
+    /// the four cached files it fetches next are still there: a cyclic
+    /// pass no longer thrashes the cache. (Where `cachestat` is
+    /// unavailable the held hits read bytes and insert them, and the
+    /// second pass misses all six, as every pass used to.) An answer
+    /// on the spot is settled before the connection is reconciled, so
+    /// its `Waiting` state is never seen: the connection's one
+    /// registration is the only interest-set call (on poll a parked
+    /// entry would cost two table edits), and after each response the
+    /// one armed deadline is the connection's idle one.
     #[test]
     fn a_miss_on_a_file_served_before_is_answered_from_the_open_file_table() {
         let root = std::env::temp_dir().join(format!("flash-rig-table-{}", std::process::id()));
@@ -1664,13 +1679,20 @@ mod tests {
             let _ = std::fs::remove_dir_all(&root);
             return;
         }
+        let by_descriptor = File::open(root.join("f0.html"))
+            .and_then(|f| sys::resident(&f, 1))
+            .is_ok();
         for choice in BACKENDS {
             // 6 000 bytes: four entries of ≈ 1.4 kB each, never six.
             let mut rig = Rig::over(choice, root.clone(), 6_000);
             let mut client = rig.connect();
             let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+            let mut cached = 0;
             for pass in 0..2 {
                 for i in 0..6 {
+                    if pass == 1 && i == 0 {
+                        cached = get(&rig.shard.core.stats.cache_used_bytes);
+                    }
                     let req = format!("GET /f{i}.html HTTP/1.1\r\nHost: t\r\n\r\n");
                     client.write_all(req.as_bytes()).unwrap();
                     if pass + i == 0 {
@@ -1687,7 +1709,14 @@ mod tests {
                     );
                 }
                 let s = &rig.shard.core.stats;
-                let done = 6 * (pass as u64 + 1);
+                // The second pass: f0 and f1 from their descriptors,
+                // f2–f5 from the cache (read, all six, without
+                // `cachestat`).
+                let (done, held, hits, sent) = match (pass, by_descriptor) {
+                    (0, _) => (6, 0, 0, (0, 0)),
+                    (_, true) => (8, 2, 4, (2, 1000 + 1001)),
+                    (_, false) => (12, 6, 0, (0, 0)),
+                };
                 assert_eq!(
                     (
                         get(&s.helper_jobs),
@@ -1696,9 +1725,21 @@ mod tests {
                         get(&s.open_files),
                         get(&s.cache_hits),
                     ),
-                    (done, done, 6 * pass as u64, 6, 0),
+                    (done, done, held, 6, hits),
                     "{choice:?} pass {pass}"
                 );
+                assert_eq!(
+                    (get(&s.sendfile_calls), get(&s.bytes_sendfile)),
+                    sent,
+                    "{choice:?} pass {pass}: one sendfile per held hit, the whole body"
+                );
+                if pass == 1 && by_descriptor {
+                    assert_eq!(
+                        get(&s.cache_used_bytes),
+                        cached,
+                        "{choice:?}: a held hit must not insert"
+                    );
+                }
             }
         }
         let _ = std::fs::remove_dir_all(&root);

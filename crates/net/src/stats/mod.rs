@@ -382,9 +382,11 @@ metrics! {
         /// job, the two are equal.
         inline_jobs: Counter, Sum, "Jobs the dispatching driver ran itself with no helper hand-off: memory-resident misses, and dynamic exchanges on a shard's own workers";
         /// The subset of `inline_jobs` loads answered from the open-file
-        /// table: no path lookup, an `fstat` and a read of the descriptor
-        /// the table already held.
-        open_file_hits: Counter, Sum, "Loads answered from the open-file table: no path lookup, an fstat and a read of a descriptor already held";
+        /// table: no path lookup, an `fstat` and a `cachestat` of the
+        /// descriptor the table already held, and that descriptor handed
+        /// to `sendfile` — served on the `sendfile` tier, inserting
+        /// nothing into the content cache.
+        open_file_hits: Counter, Sum, "Loads answered from the open-file table: no path lookup, an fstat and a cachestat of a descriptor already held, sent with sendfile";
         /// Gauge: descriptors the open-file table holds now.
         open_files: Gauge, Sum, "Descriptors the shards' open-file tables hold now";
         /// Responses served from the content cache.
@@ -421,13 +423,15 @@ metrics! {
         /// in. Zero on MT, whose connection threads block in the exchange
         /// uncounted.
         worker_io_calls: Counter, Sum, "read(2) and write(2) calls the shards issued on their application workers' sockets";
-        /// `sendfile(2)` calls issued on the large-body path.
-        sendfile_calls: Counter, Sum, "sendfile(2) calls issued on the large-body path";
+        /// `sendfile(2)` calls issued on the file-body path: bodies above
+        /// the threshold, and files answered from the open-file table.
+        sendfile_calls: Counter, Sum, "sendfile(2) calls issued on the file-body path: large bodies and open-file-table hits";
         /// Body bytes transmitted via `sendfile(2)` (page cache → socket,
         /// never through userspace).
         bytes_sendfile: Counter, Sum, "Body bytes transmitted via sendfile(2)";
         /// Gauge: bytes resident in the content cache now (refreshed after
-        /// every insert). Large-body responses leave it untouched.
+        /// every insert). `sendfile`-tier responses — large bodies and
+        /// open-file-table hits — leave it untouched.
         cache_used_bytes: Gauge, Sum, "Bytes currently resident in the content caches";
         /// Readiness `wait` calls the shard issued.
         wait_calls: Counter, Sum, "Readiness wait calls issued by the shard loops";
@@ -587,7 +591,8 @@ pub enum Tier {
     Hit,
     /// Loaded from disk by a helper for this (coalesced) request.
     Miss,
-    /// Large body streamed via the `sendfile` path.
+    /// A body streamed via the `sendfile` path: one above the
+    /// threshold, or a file the open-file table held.
     Sendfile,
     /// `304 Not Modified` — no body either way.
     NotModified,

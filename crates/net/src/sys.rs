@@ -15,15 +15,16 @@
 //! [`crate::sendfile`], [`crate::event`], [`crate::sock`],
 //! [`crate::handoff`], [`crate::lifecycle`]).
 //!
-//! The last section holds the two calls behind the **residency test**
-//! ([`crate::fsjob::exec_job_nowait`]): an `open` that succeeds only
-//! when the whole path lookup is answered by the dentry cache, and a
+//! The last section holds the three calls behind the **residency
+//! test** ([`crate::fsjob::exec_job_nowait`]): an `open` that succeeds
+//! only when the whole path lookup is answered by the dentry cache, a
 //! positional `read` that succeeds only for bytes already in the page
-//! cache. Both are issued through `syscall(2)` by number, so nothing
-//! here depends on the libc being new enough to wrap them; where the
-//! numbers are not known ([`HAS_NOWAIT`] is `false`) both functions
-//! report `Unsupported` and callers fall back to blocking I/O on a
-//! helper thread.
+//! cache, and `cachestat`, which counts a held file's resident pages
+//! without reading one. All three are issued through `syscall(2)` by
+//! number, so nothing here depends on the libc being new enough to
+//! wrap them; where the numbers are not known ([`HAS_NOWAIT`] is
+//! `false`) the functions report `Unsupported` and callers fall back
+//! to blocking I/O on a helper thread.
 
 use std::fs::File;
 use std::io::{self, IoSlice};
@@ -224,6 +225,30 @@ pub(crate) fn sendfile(
     retry_eintr(|| unsafe { c::sendfile(out_fd, file.as_raw_fd(), offset, count) })
 }
 
+/// [`writev`] with more to follow: one `sendmsg(2)` of `iov` flagged
+/// `MSG_MORE`, so TCP holds a short tail back for the bytes the caller
+/// sends next instead of pushing it out in a segment of its own. The
+/// next send without the flag (a `sendfile` counts) pushes it, and so
+/// does a close.
+#[cfg(any(target_os = "linux", target_os = "android"))]
+#[inline]
+pub(crate) fn writev_more(fd: RawFd, iov: &[IoSlice<'_>]) -> io::Result<usize> {
+    const MSG_MORE: c_int = 0x8000;
+    let msg = scm::MsgHdr {
+        name: std::ptr::null_mut(),
+        namelen: 0,
+        iov: iov.as_ptr() as *mut scm::MsgIoVec,
+        iovlen: iov.len(),
+        control: std::ptr::null_mut(),
+        controllen: 0,
+        flags: 0,
+    };
+    // SAFETY: `IoSlice` is ABI-compatible with `struct iovec`, as for
+    // `writev`; every segment and `msg` itself outlive the call, and
+    // `sendmsg` only reads through the pointers.
+    retry_eintr(|| unsafe { c::sendmsg(fd, &msg, MSG_MORE) })
+}
+
 // -- Listening sockets and accept --------------------------------------------
 
 #[cfg(any(target_os = "linux", target_os = "android"))]
@@ -418,13 +443,13 @@ mod scm {
     /// `struct msghdr` (Linux layout).
     #[repr(C)]
     pub(super) struct MsgHdr {
-        name: *mut c_void,
-        namelen: u32,
-        iov: *mut MsgIoVec,
-        iovlen: usize,
-        control: *mut c_void,
-        controllen: usize,
-        flags: c_int,
+        pub(super) name: *mut c_void,
+        pub(super) namelen: u32,
+        pub(super) iov: *mut MsgIoVec,
+        pub(super) iovlen: usize,
+        pub(super) control: *mut c_void,
+        pub(super) controllen: usize,
+        pub(super) flags: c_int,
     }
 
     /// `struct iovec` as `msghdr` wants it: one mutable pointer type for
@@ -653,6 +678,21 @@ pub(crate) fn kill_self(signo: i32) -> io::Result<()> {
     cvt_unit(unsafe { c::kill(c::getpid(), signo) })
 }
 
+/// `kill(-pgid, SIGKILL)`: kills every process in the process group
+/// `pgid` — a child spawned as the leader of a group of its own, and
+/// whatever it forked. A `pgid` that is no process id (zero, or out of
+/// `pid_t`'s range) is refused rather than passed on: `kill(0, ..)`
+/// would signal the caller's own group.
+pub(crate) fn kill_group(pgid: u32) -> io::Result<()> {
+    const SIGKILL: c_int = 9;
+    let pgid = c_int::try_from(pgid)
+        .ok()
+        .filter(|&p| p > 0)
+        .ok_or(io::ErrorKind::InvalidInput)?;
+    // SAFETY: plain syscall, no pointers.
+    cvt_unit(unsafe { c::kill(-pgid, SIGKILL) })
+}
+
 // -- RLIMIT_NOFILE -----------------------------------------------------------
 
 /// `struct rlimit` with a 64-bit `rlim_t`.
@@ -690,11 +730,12 @@ pub(crate) fn set_nofile_limit(soft: u64, hard: u64) -> io::Result<()> {
     cvt_unit(unsafe { c::setrlimit(RLIMIT_NOFILE, &lim) })
 }
 
-// -- The residency test: openat2(RESOLVE_CACHED), preadv2(RWF_NOWAIT) --------
+// -- The residency test: openat2(RESOLVE_CACHED), preadv2(RWF_NOWAIT), cachestat
 
-/// Whether this target has the cached-only `open` and `read` below at
-/// all. `true` does not promise the running kernel (or a seccomp
-/// filter) lets them through — see [`is_unsupported`].
+/// Whether this target has the cached-only `open` and `read` and
+/// `cachestat` below at all. `true` does not promise the running
+/// kernel (or a seccomp filter) lets them through — see
+/// [`is_unsupported`].
 pub const HAS_NOWAIT: bool = cfg!(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
@@ -702,7 +743,8 @@ pub const HAS_NOWAIT: bool = cfg!(all(
 
 /// Whether `e` says the cached-only calls are unavailable *here* —
 /// `ENOSYS` (kernel older than the call), `EINVAL` (the call exists
-/// but not `RESOLVE_CACHED`/`RWF_NOWAIT`), `EPERM` (a seccomp filter)
+/// but not `RESOLVE_CACHED`/`RWF_NOWAIT`), `EPERM` (a seccomp filter,
+/// or a kernel that lets only a file's owner or writer ask `cachestat`)
 /// — as opposed to a verdict on one file. A caller seeing this should
 /// stop trying.
 pub fn is_unsupported(e: &io::Error) -> bool {
@@ -729,6 +771,7 @@ mod nowait {
     // `openat2` postdates the per-architecture syscall tables: one
     // number everywhere. `preadv2` does not.
     const SYS_OPENAT2: c_long = 437;
+    const SYS_CACHESTAT: c_long = 451;
     #[cfg(target_arch = "x86_64")]
     const SYS_PREADV2: c_long = 327;
     #[cfg(target_arch = "aarch64")]
@@ -762,11 +805,35 @@ mod nowait {
         len: usize,
     }
 
+    /// `struct cachestat_range` from `<linux/mman.h>`.
+    #[repr(C)]
+    struct CachestatRange {
+        off: u64,
+        len: u64,
+    }
+
+    /// `struct cachestat` from `<linux/mman.h>`: page counts.
+    #[repr(C)]
+    #[derive(Default)]
+    struct Cachestat {
+        nr_cache: u64,
+        nr_dirty: u64,
+        nr_writeback: u64,
+        nr_evicted: u64,
+        nr_recently_evicted: u64,
+    }
+
+    /// `_SC_PAGESIZE`, the same on both supported targets.
+    const SC_PAGESIZE: c_int = 30;
+
     unsafe extern "C" {
         // `long syscall(long number, ...)`: every argument below is
         // passed as a `c_long`-sized integer or a pointer, which is
         // what the kernel ABI takes on both supported targets.
         fn syscall(number: c_long, ...) -> c_long;
+        fn sysconf(name: c_int) -> c_long;
+        #[cfg(test)]
+        fn posix_fadvise(fd: c_int, offset: i64, len: i64, advice: c_int) -> c_int;
     }
 
     pub fn open_cached(path: &Path, path_only: bool) -> io::Result<File> {
@@ -825,6 +892,50 @@ mod nowait {
         }
         Ok(rc as usize)
     }
+
+    fn page_size() -> u64 {
+        static PAGE: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
+        // SAFETY: plain libc call, no pointers.
+        *PAGE.get_or_init(|| (unsafe { sysconf(SC_PAGESIZE) }).max(1) as u64)
+    }
+
+    pub fn resident(file: &File, len: u64) -> io::Result<bool> {
+        if len == 0 {
+            return Ok(true);
+        }
+        let range = CachestatRange { off: 0, len };
+        let mut stat = Cachestat::default();
+        // SAFETY: `file` is borrowed, so its descriptor stays open for
+        // the call; `range` is a live `cachestat_range` the kernel
+        // only reads, and `stat` a live, exclusively borrowed
+        // `cachestat`, the only memory it writes.
+        let rc = unsafe {
+            syscall(
+                SYS_CACHESTAT,
+                file.as_raw_fd() as c_long,
+                &range as *const CachestatRange,
+                &mut stat as *mut Cachestat,
+                0 as c_long,
+            )
+        };
+        if rc < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        // The kernel counts the pages of `[off, off + len)`, a page
+        // partly covered at either end included.
+        Ok(stat.nr_cache >= len.div_ceil(page_size()))
+    }
+
+    #[cfg(test)]
+    pub fn drop_cached_pages(file: &File) -> io::Result<()> {
+        const POSIX_FADV_DONTNEED: c_int = 4;
+        // SAFETY: `file` is borrowed, so its descriptor stays open for
+        // the call; no pointers.
+        match unsafe { posix_fadvise(file.as_raw_fd(), 0, 0, POSIX_FADV_DONTNEED) } {
+            0 => Ok(()),
+            errno => Err(io::Error::from_raw_os_error(errno)),
+        }
+    }
 }
 
 /// Opens `path` read-only **only if** the lookup needs no I/O: every
@@ -852,6 +963,23 @@ pub fn pread_nowait(file: &File, buf: &mut [u8], offset: u64) -> io::Result<usiz
     nowait::pread_nowait(file, buf, offset)
 }
 
+/// Whether every page of `file`'s first `len` bytes is in the page
+/// cache, by `cachestat(2)` (Linux 6.5): the question `mincore(2)` asks
+/// of a mapping, asked of a descriptor — nothing is read, mapped or
+/// copied, and nothing is waited for. An empty range is resident.
+pub fn resident(file: &File, len: u64) -> io::Result<bool> {
+    nowait::resident(file, len)
+}
+
+/// Drops `file`'s clean pages from the page cache
+/// (`posix_fadvise(POSIX_FADV_DONTNEED)`): how a test makes a file
+/// leave memory without touching anything else. Dirty pages stay, so
+/// sync the file first.
+#[cfg(test)]
+pub(crate) fn drop_cached_pages(file: &File) -> io::Result<()> {
+    nowait::drop_cached_pages(file)
+}
+
 /// Targets whose syscall numbers are not listed above: nothing to
 /// call, so every job takes the helper path.
 #[cfg(not(all(
@@ -868,6 +996,15 @@ mod nowait {
     }
 
     pub fn pread_nowait(_file: &File, _buf: &mut [u8], _offset: u64) -> io::Result<usize> {
+        Err(io::ErrorKind::Unsupported.into())
+    }
+
+    pub fn resident(_file: &File, _len: u64) -> io::Result<bool> {
+        Err(io::ErrorKind::Unsupported.into())
+    }
+
+    #[cfg(test)]
+    pub fn drop_cached_pages(_file: &File) -> io::Result<()> {
         Err(io::ErrorKind::Unsupported.into())
     }
 }

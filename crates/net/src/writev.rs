@@ -25,12 +25,36 @@ pub const MAX_IOV: usize = 16;
 /// `EAGAIN`/`WouldBlock` on nonblocking sockets) surface to the
 /// caller.
 pub fn writev_fd(fd: RawFd, bufs: &[&[u8]]) -> io::Result<usize> {
+    gathered(bufs, |iov| crate::sys::writev(fd, iov))
+}
+
+/// [`writev_fd`] for segments with more right behind them: one
+/// `sendmsg(2)` flagged `MSG_MORE`, so a short tail — a response
+/// header ahead of its `sendfile` body — waits to leave in the same
+/// TCP segment as the first body bytes. Same contract otherwise.
+#[cfg(any(target_os = "linux", target_os = "android"))]
+pub fn writev_more_fd(fd: RawFd, bufs: &[&[u8]]) -> io::Result<usize> {
+    gathered(bufs, |iov| crate::sys::writev_more(fd, iov))
+}
+
+/// Portable seam: without `MSG_MORE` the segments go out as
+/// [`writev_fd`] sends them.
+#[cfg(not(any(target_os = "linux", target_os = "android")))]
+pub fn writev_more_fd(fd: RawFd, bufs: &[&[u8]]) -> io::Result<usize> {
+    writev_fd(fd, bufs)
+}
+
+/// Hands `send` the first [`MAX_IOV`] of `bufs` as `iovec`s.
+fn gathered(
+    bufs: &[&[u8]],
+    send: impl FnOnce(&[IoSlice<'_>]) -> io::Result<usize>,
+) -> io::Result<usize> {
     let cnt = bufs.len().min(MAX_IOV);
     let mut iov = [IoSlice::new(&[]); MAX_IOV];
     for (slot, buf) in iov.iter_mut().zip(&bufs[..cnt]) {
         *slot = IoSlice::new(buf);
     }
-    crate::sys::writev(fd, &iov[..cnt])
+    send(&iov[..cnt])
 }
 
 #[cfg(test)]
@@ -48,6 +72,22 @@ mod tests {
         let mut got = [0u8; 13];
         b.read_exact(&mut got).unwrap();
         assert_eq!(&got, b"hello writev!");
+    }
+
+    /// The corked write moves the same bytes: `MSG_MORE` changes when
+    /// TCP sends them, not what arrives.
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    #[test]
+    fn writev_more_gathers_the_same_bytes() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let a = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut b, _) = listener.accept().unwrap();
+        let n = writev_more_fd(a.as_raw_fd(), &[b"head ", b"", b"then body"]).unwrap();
+        assert_eq!(n, 14);
+        drop(a);
+        let mut got = Vec::new();
+        b.read_to_end(&mut got).unwrap();
+        assert_eq!(got, b"head then body");
     }
 
     #[test]

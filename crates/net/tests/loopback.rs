@@ -14,6 +14,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use flash_net::{AcceptMode, BackendChoice, NetConfig, NetConfigBuilder, Server, ServerKind};
@@ -147,10 +148,24 @@ fn run_persistent_connection(tag: &str, pins: Pins) {
     let _ = std::fs::remove_dir_all(root);
 }
 
+/// The large tier end to end: a body far above the threshold goes
+/// out whole through `sendfile`; fetched again, through the descriptor
+/// the open-file table kept from the first fetch (where the kernel has
+/// the cached-only calls; elsewhere a helper opens it again, by path);
+/// and truncated in place, as the file now is — the table re-reads
+/// `fstat` on every use.
 fn run_streams_large_files_intact(tag: &str, pins: Pins) {
     let root = docroot(tag);
-    let server = Server::start("127.0.0.1:0", cfg(&root, pins).build().unwrap()).unwrap();
-    let resp = get(server.addr(), "GET /big.bin HTTP/1.0\r\n\r\n");
+    // The lookup that finds no `.gz` sibling is cached before the first
+    // request, so even that one is answered in the loop, and remembered.
+    assert!(std::fs::metadata(root.join("big.bin.gz")).is_err());
+    let server = Server::start(
+        "127.0.0.1:0",
+        cfg(&root, pins).event_loops(1).build().unwrap(),
+    )
+    .unwrap();
+    let fetch = || get(server.addr(), "GET /big.bin HTTP/1.0\r\n\r\n");
+    let resp = fetch();
     let body = body_of(&resp);
     assert_eq!(body.len(), 2_000_000);
     assert!(body.iter().all(|&b| b == 0xAB));
@@ -158,8 +173,36 @@ fn run_streams_large_files_intact(tag: &str, pins: Pins) {
     // out via sendfile, not from the content cache. It is also above
     // the 1 MiB fairness budget, so the transfer crossed at least one
     // voluntary yield — the re-arm path both backends must get right.
-    assert!(server.stats().sendfile_calls() >= 1);
-    assert_eq!(server.stats().bytes_sendfile(), 2_000_000);
+    let stats = server.stats();
+    assert!(stats.sendfile_calls() >= 1);
+    assert_eq!(stats.bytes_sendfile(), 2_000_000);
+
+    let tabled = stats.open_files() > 0;
+    let (hits, held) = (stats.open_file_hits(), stats.open_files());
+    let resp = fetch();
+    assert_eq!(body_of(&resp), &vec![0xAB; 2_000_000][..], "second fetch");
+    assert_eq!(
+        (stats.open_file_hits(), stats.open_files()),
+        (hits + u64::from(tabled), held),
+        "the second fetch must reuse the held descriptor"
+    );
+    assert_eq!(stats.bytes_sendfile(), 4_000_000);
+
+    let half = 1_000_000;
+    std::fs::File::options()
+        .write(true)
+        .open(root.join("big.bin"))
+        .unwrap()
+        .set_len(half)
+        .unwrap();
+    let resp = fetch();
+    let text = String::from_utf8_lossy(&resp[..resp.len() - half as usize]).into_owned();
+    assert_eq!(
+        hdr_value(&text, "Content-Length").as_deref(),
+        Some("1000000"),
+        "truncation not seen: {text}"
+    );
+    assert_eq!(body_of(&resp), &vec![0xAB; half as usize][..]);
     server.stop();
     let _ = std::fs::remove_dir_all(root);
 }
@@ -1348,11 +1391,11 @@ fn run_mt_cache_revalidation(tag: &str, pins: Pins) {
 }
 
 /// A server whose content cache the batteries below can never hit: a
-/// docroot of `t.html` plus seven 1 000-byte fillers behind a cache
-/// that holds five entries, so a target → fillers → target cycle
-/// misses every time — `miss_helper` in miniature — and every answer
-/// comes through the open-file table (or, where the residency test is
-/// unavailable, a helper). Returns the server, its docroot, and
+/// docroot of `t.html` behind a cache that holds five entries, which
+/// [`fetch_fillers`] empties between two requests for the target, so
+/// every request for it misses — `miss_helper` in miniature — and is
+/// answered through the open-file table (or, where the residency test
+/// is unavailable, by a helper). Returns the server, its docroot, and
 /// whether the table is in play.
 fn always_missing_server(
     tag: &str,
@@ -1361,9 +1404,6 @@ fn always_missing_server(
 ) -> (Server, std::path::PathBuf, bool) {
     let root = docroot(tag);
     std::fs::write(root.join("t.html"), vec![b'a'; 1000]).unwrap();
-    for i in 0..7 {
-        std::fs::write(root.join(format!("fill{i}.html")), vec![b'f'; 1000]).unwrap();
-    }
     let server = Server::start(
         "127.0.0.1:0",
         cfg(&root, pins)
@@ -1381,10 +1421,16 @@ fn always_missing_server(
     (server, root, tabled)
 }
 
-/// Pushes whatever was fetched last out of the content cache.
-fn fetch_fillers(addr: std::net::SocketAddr) {
-    for i in 0..7 {
-        let resp = get(addr, &format!("GET /fill{i}.html HTTP/1.0\r\n\r\n"));
+/// Pushes whatever was fetched before out of the content cache: seven
+/// files nobody has asked for yet, each loaded by path and cached. (A
+/// name asked for again is answered from the open-file table's
+/// descriptor, which caches nothing and pushes nothing out.)
+fn fetch_fillers(addr: std::net::SocketAddr, root: &std::path::Path) {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    for _ in 0..7 {
+        let name = format!("fill{}.html", NEXT.fetch_add(1, Ordering::Relaxed));
+        std::fs::write(root.join(&name), vec![b'f'; 1000]).unwrap();
+        let resp = get(addr, &format!("GET /{name} HTTP/1.0\r\n\r\n"));
         assert_eq!(body_of(&resp), vec![b'f'; 1000]);
     }
 }
@@ -1399,20 +1445,20 @@ fn run_open_file_table_sees_every_change_to_a_file(tag: &str, pins: Pins) {
     let addr = server.addr();
     let target = root.join("t.html");
     let fetch = || get(addr, "GET /t.html HTTP/1.0\r\n\r\n");
-    // Leaves `t.html` held by the table (its last answer came from
-    // there) and absent from the content cache.
+    // Leaves `t.html` held by the table and absent from the content
+    // cache: its next answer comes from the held descriptor.
     let settle = |want: &[u8]| {
         for _ in 0..2 {
-            fetch_fillers(addr);
+            fetch_fillers(addr, &root);
             assert_eq!(body_of(&fetch()), want);
         }
-        fetch_fillers(addr);
+        fetch_fillers(addr, &root);
     };
     settle(&[b'a'; 1000]);
+    let old = String::from_utf8_lossy(&fetch()).into_owned();
     let hits = server.stats().open_file_hits();
     assert_eq!(hits > 0, tabled, "open_file_hits {hits}");
-    let old = String::from_utf8_lossy(&fetch()).into_owned();
-    fetch_fillers(addr);
+    fetch_fillers(addr, &root);
 
     // Rewritten in place to another length.
     std::fs::write(&target, vec![b'b'; 1500]).unwrap();
@@ -1451,6 +1497,10 @@ fn run_open_file_table_sees_every_change_to_a_file(tag: &str, pins: Pins) {
         "the TTL never came into it"
     );
     assert_eq!(stats.open_file_hits() > hits, tabled);
+    // The table's answers went out by `sendfile`, where `cachestat`
+    // could vouch for their pages.
+    let cachestat = std::fs::File::open(&target).and_then(|f| flash_net::sys::resident(&f, 1));
+    assert_eq!(stats.bytes_sendfile() > 0, tabled && cachestat.is_ok());
     server.stop();
     let _ = std::fs::remove_dir_all(root);
 }
@@ -1460,10 +1510,13 @@ fn run_open_file_table_sees_every_change_to_a_file(tag: &str, pins: Pins) {
 /// symlinked directory flipped from one tree to another, a `.gz`
 /// sibling added — shows within `cache_revalidate_ttl` of the change,
 /// the same promise a content-cache hit makes. The sharp case is a
-/// content-cache entry built from a table entry about to lapse: it
-/// inherits the table entry's resolve time, or the bound would be
-/// twice the TTL. (The TTL here is long enough that twice it is past
-/// the slack the assertion allows.)
+/// table entry about to lapse that answers once more: its descriptor
+/// answer caches nothing, so the next requests ask the table again
+/// and the binding lapses on time; where held bytes are read instead
+/// (no `cachestat`), the content-cache entry they make inherits the
+/// table entry's resolve time, or the bound would be twice the TTL.
+/// (The TTL here is long enough that twice it is past the slack the
+/// assertion allows.)
 fn run_open_file_table_name_binding_lapses_with_the_ttl(tag: &str, pins: Pins) {
     let ttl = Duration::from_millis(400);
     let bound = ttl + Duration::from_millis(150);
@@ -1506,7 +1559,7 @@ fn run_open_file_table_name_binding_lapses_with_the_ttl(tag: &str, pins: Pins) {
         let mut tries = 0;
         let resolved = loop {
             std::thread::sleep(ttl);
-            fetch_fillers(addr);
+            fetch_fillers(addr, &root);
             let (inline, at) = (server.stats().inline_jobs(), std::time::Instant::now());
             assert_eq!(body_of(&fetch()), before, "{path}");
             if !tabled || server.stats().inline_jobs() > inline {
@@ -1518,9 +1571,8 @@ fn run_open_file_table_name_binding_lapses_with_the_ttl(tag: &str, pins: Pins) {
         change();
         let changed = std::time::Instant::now();
         // Just before the binding lapses, a content-cache miss answers
-        // from it once more — legitimately: the TTL is not up — and
-        // leaves a content-cache entry behind.
-        fetch_fillers(addr);
+        // from it once more — legitimately: the TTL is not up.
+        fetch_fillers(addr, &root);
         std::thread::sleep((ttl - Duration::from_millis(60)).saturating_sub(resolved.elapsed()));
         let hits = server.stats().open_file_hits();
         let resp = fetch();
@@ -1528,7 +1580,8 @@ fn run_open_file_table_name_binding_lapses_with_the_ttl(tag: &str, pins: Pins) {
             assert_eq!(body_of(&resp), before, "{path}: the binding had not lapsed");
             assert_eq!(server.stats().open_file_hits(), hits + 1, "{path}");
         }
-        // From here on only that entry is asked.
+        // From here on only the table's entry is asked (or, with held
+        // bytes read, the content-cache entry they left behind).
         loop {
             let resp = fetch();
             let late = changed.elapsed();
