@@ -391,6 +391,12 @@ impl ContentCache {
     pub fn used_bytes(&self) -> u64 {
         self.used_bytes
     }
+
+    /// The entries' costs summed afresh — what [`Self::used_bytes`]
+    /// keeps a running count of, for an invariant check to compare.
+    pub fn entries_cost(&self) -> u64 {
+        self.lru.values().map(|c| c.entry.cost()).sum()
+    }
 }
 
 /// How a [`crate::conn::ShardCore`] reaches its content cache: the

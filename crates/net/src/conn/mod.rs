@@ -6,7 +6,7 @@
 //! calls, every job run on the thread that dispatched it). The event
 //! loop is written once, over an environment: the real kernel
 //! (nonblocking sockets, `writev(2)`, `sendfile(2)`, the shared
-//! helper-thread pool) or the simulated one in [`crate::sim`]
+//! helper-thread pool) or the simulated one of the `flash-sim` crate
 //! (in-memory sockets, simulated time, scheduled fault injection,
 //! hundreds of thousands of replayed connections per seed).
 //!
@@ -98,7 +98,7 @@
 //! `proxy_ignore_client_abort off` has it, and not on a helper: the
 //! file is answered, and the connection closed at its end of stream).
 //! Those rules live in [`machine`] and [`shard`], once;
-//! `tests/driver_audit.rs` fails if `server.rs`, `sim.rs` or `mt.rs`
+//! `tests/driver_audit.rs` fails if `server.rs`, the sim or `mt.rs`
 //! grows a copy — and if `mt.rs` names any piece of the protocol at
 //! all.
 //!

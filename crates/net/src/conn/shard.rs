@@ -92,6 +92,21 @@ impl ShardCore {
     pub fn new(shard: usize, cache_bytes: u64, cfg: ProtoConfig, stats: Arc<ShardStats>) -> Self {
         ShardCore::with_cache(shard, ContentCache::new(cache_bytes), cfg, stats)
     }
+
+    /// The cache's byte count reconciled: [`ContentCache::used_bytes`]
+    /// is the sum of its entries' costs, and the `cache_used_bytes`
+    /// gauge reads it — every path that inserts, evicts, invalidates or
+    /// resets stores the gauge behind it.
+    pub fn check_cache_bytes(&self) -> Result<(), String> {
+        let (used, held) = (self.cache.used_bytes(), self.cache.entries_cost());
+        let gauge = self.stats.cache_used_bytes.load(Ordering::Relaxed);
+        if used != held || gauge != used {
+            return Err(format!(
+                "the cache counts {used} bytes and holds {held}; its gauge reads {gauge}"
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl<C: CacheHandle> ShardCore<C> {

@@ -143,7 +143,7 @@ pub struct Event {
 /// Readiness multiplexing behind a uniform, incrementally-updated
 /// interest set. See the module docs for the edge-triggered contract
 /// callers must follow. Not `Send` by itself: the kernel backends are
-/// ([`new_backend`]), the simulated one ([`crate::sim`]) shares its
+/// ([`new_backend`]), the simulated one (`flash-sim`) shares its
 /// kernel with the endpoints it watches and stays on its thread.
 pub trait EventBackend {
     /// Which backend this is (for diagnostics and tests).

@@ -3,8 +3,10 @@
 //! driver — the AMPED helper pool ([`crate::server`]) and the
 //! thread-per-connection server ([`crate::mt`]) — so the two can never
 //! drift on tier selection, variant negotiation, or TOCTOU hygiene.
-//! The deterministic sim implements the same mechanics against its
-//! in-memory filesystem.
+//! The deterministic sim (the `flash-sim` crate) answers helper jobs
+//! the way [`exec_job`] does, against its in-memory files; its
+//! residency test is a seeded coin, not [`exec_job_nowait`] and its
+//! open-file table.
 //!
 //! "Mechanical" means: no policy lives here. The tier threshold rides
 //! on the job as [`HelperJob::inline_max`]; the wanted representation

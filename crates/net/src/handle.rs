@@ -150,7 +150,7 @@ impl Server {
         let (accept_mode, n) = accepting(kind, &cfg);
         let (mut listeners, handoff) = listeners(inherited, n, accept_mode)?;
         let addr = listeners[0].local_addr()?;
-        let lifecycle = Arc::new(LifecycleShared::new());
+        let lifecycle = Arc::new(LifecycleShared::default());
         let (backend, drain_timeout) = (event::resolve(cfg.backend), cfg.drain_timeout);
         let mut threads = Threads::default();
         let spawned = match kind {

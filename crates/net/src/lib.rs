@@ -143,14 +143,11 @@
 //!              ┌───────┴──────────────┴──────────────┴──────────┐
 //!   driver #1  │  the shard loop  [`server`] — a connection     │
 //!              │  table, its timers, readiness, the worker      │
-//!              │  set; generic over its environment (`Env`):    │
-//!              ├───────────────────────┬────────────────────────┤
-//!              │  the real kernel      │  a simulated kernel    │
-//!              │  (`NetEnv`): sockets, │  [`sim`]: in-memory    │
-//!              │  epoll or poll, the   │  sockets, a seeded     │
-//!              │  helper pool, the     │  calendar, simulated   │
-//!              │  wall clock           │  time, injected faults │
-//!              ├───────────────────────┴────────────────────────┤
+//!              │  set; generic over its environment (`Env`,     │
+//!              │  [`driver`]), here the real kernel (`NetEnv`): │
+//!              │  sockets, epoll or poll, the helper pool, the  │
+//!              │  wall clock                                    │
+//!              ├────────────────────────────────────────────────┤
 //!   driver #2  │  MT  [`mt`] — a thread and a core per          │
 //!              │  connection: blocking `read`/`write`/          │
 //!              │  `sendfile`, jobs run on the thread that       │
@@ -166,58 +163,23 @@
 //! architecture: what it owns is threads, blocking calls and the cache
 //! lock, and `tests/driver_audit.rs` keeps it to that.
 //!
-//! The deterministic sim is not a third driver: it runs driver #1's
-//! `shard_loop` — the same lifecycle prologue and `Shard::turn` — over
-//! a simulated kernel, replaying hundreds of thousands of connections
-//! per seed in seconds of wall time. Same-seed runs are
-//! **bit-identical** (the report's fingerprint folds every response
-//! byte), the fault mix runs against the loop the real sockets drive,
-//! and the core's invariants, armed timers ⇔ live deadlines among them, are
-//! checked between loop turns. `cargo run --release --example
-//! sim_replay` is the CI entry point; `crates/net/tests/conn_machine.rs`
-//! uses the core's seams to prove byte-boundary independence
-//! exhaustively.
+//! The environment is the shard's one seam, and [`driver`] names
+//! everything on it. The deterministic simulator, the `flash-sim`
+//! crate, is not a third driver: it runs driver #1's `shard_loop` over
+//! a simulated kernel of its own through that module and nothing else.
+//! `crates/net/tests/conn_machine.rs` uses the core's seams to prove
+//! byte-boundary independence exhaustively.
 //!
 //! Module map of the AMPED side: [`config`] ([`NetConfig`], its
 //! validating builder, and the one mapping to the core's
 //! [`conn::ProtoConfig`]); [`server`] ([`Server`], the shard loop and
-//! its real environment); `pool.rs` (the helper pool: job lanes, wake
+//! its real environment); [`driver`] (the shard's seam, as a driver
+//! outside this crate sees it); `pool.rs` (the helper pool: job lanes, wake
 //! handles, the shard's `HelperPort` with its residency test);
 //! `workerset.rs` (a shard's application workers); [`stats`] (the
 //! metrics registry and [`ServerStats`] over it); [`lru`] (the O(1)
 //! LRU map under the content cache and the open-file table). The MT
 //! side is [`mt`] and its accept loop, `accept.rs`.
-//!
-//! ## How to add a fault to the sim
-//!
-//! Faults live in the simulated kernel, never in the shard or the core
-//! — the shipped loop must already survive them, that's the point:
-//!
-//! 1. **Add a knob** to [`sim::FaultPlan`] (a probability or
-//!    magnitude), defaulted into `FaultPlan::heavy()` so the CI replay
-//!    exercises it.
-//! 2. **Express it at a kernel seam.** The *transport* (`SimFd` as a
-//!    connection: shrink the window for partial writes, cut the client's
-//!    script short or end it in a half-close, reset the client after so
-//!    many bytes); *readiness* (`SimBackend`: which edges a calendar
-//!    event raises, e.g. a window refill is a writable edge); *accept*
-//!    (the listener's backlog: refuse with `EMFILE`); the *worker
-//!    endpoint* (`SimFd` as a worker: the script of frames the `DynApp`
-//!    model writes — delay it, stop it, garble it); and *helper
-//!    delivery* (stretch a completion's delay for a stall or a wedge,
-//!    deliver a cancelled job's completion anyway to test the token
-//!    gate).
-//! 3. **Consume randomness deterministically**: draw from the kernel's
-//!    one `SimRng` only inside the kernel's calls and event handlers
-//!    (never during iteration over a hash map), and schedule effects
-//!    through the event calendar so a seed fully determines the
-//!    interleaving.
-//! 4. **Assert the consequence**, not just survival: add a counter to
-//!    the report if the fault has an observable outcome, and extend
-//!    the in-file tests so a fault that stops firing fails loudly.
-//!    `ShardCore::check_invariants` runs between loop turns either way
-//!    — leaked slots, stale-epoch cache inserts, or orphaned deadlines
-//!    from the new fault fail the replay without further wiring.
 //!
 //! # Residency test: a helper only when the disk would block
 //!
@@ -346,8 +308,7 @@
 //! *their* pages are resident is `sendfile(2)`'s business, as it was
 //! (`cachestat` asks only of bodies the threshold would have read).
 //! The MT server has no loop to protect and keeps calling the blocking
-//! executor on its connection threads; the sim models the split with a
-//! seeded [`sim::SimConfig::resident_fraction`].
+//! executor on its connection threads.
 //!
 //! # The send plane: one response planner, every driver
 //!
@@ -396,8 +357,7 @@
 //! threshold — rides on the helper job itself
 //! ([`conn::HelperJob::inline_max`]), so job executors stay
 //! mechanical: the AMPED helper pool and the MT server share one real
-//! filesystem executor ([`fsjob`]), and the sim mirrors its mechanics
-//! against the in-memory file table.
+//! filesystem executor ([`fsjob`]).
 //!
 //! # The dynamic tier: persistent workers, chunked streaming
 //!
@@ -442,7 +402,7 @@
 //! is killed via the helper-job cancellation token and counted in
 //! `dynamic_timeouts` + `worker_respawns`.
 //!
-//! Both drivers and the sim serve the tier, and the core cannot tell
+//! Both drivers serve the tier, and the core cannot tell
 //! them apart: a dynamic job goes out through the [`conn::HelperPort`] and
 //! comes back as streaming completions ([`conn::DynEvent`] under a
 //! single job token).
@@ -486,12 +446,6 @@
 //!   `poll`s its client for a hang-up (timeout 0), so the same abort
 //!   rule reaches it; a worker that answers within a tick answers a
 //!   client that has already hung up.
-//! * **The deterministic sim** runs the shard's own worker set against
-//!   simulated workers that write real `DATA`/`END` frames on simulated
-//!   time, after per-endpoint compute times (1–5 ms) — wedged,
-//!   crashing and garbling workers,
-//!   clients that reset mid-stream and clients that leave a silent
-//!   worker are all folded into its bit-identical fingerprint.
 //!
 //! # Lifecycle: drain, signals, and generation handoff
 //!
@@ -659,6 +613,7 @@ pub mod appworker;
 pub mod cache;
 pub mod config;
 pub mod conn;
+pub mod driver;
 pub mod event;
 pub mod fsjob;
 pub mod handle;
@@ -669,7 +624,6 @@ pub mod mt;
 mod pool;
 pub mod sendfile;
 pub mod server;
-pub mod sim;
 pub mod sock;
 pub mod stats;
 pub mod sys;

@@ -190,9 +190,10 @@ pub(crate) const PHASE_STOPPING: u8 = 2;
 /// phase, the drain deadline, and the reload slot. Phase moves only
 /// forward (`Running → Draining → Stopping`), so a drain that hits
 /// its deadline escalates cleanly and a late `drain()` cannot undo a
-/// `stop_now()`.
-#[derive(Debug)]
-pub(crate) struct LifecycleShared {
+/// `stop_now()`. A new one (`default()`) is running: its phase is
+/// `PHASE_RUNNING`, zero.
+#[derive(Debug, Default)]
+pub struct LifecycleShared {
     phase: AtomicU8,
     /// Set once, by the first drain.
     drain_deadline: OnceLock<Instant>,
@@ -204,16 +205,7 @@ pub(crate) struct LifecycleShared {
 }
 
 impl LifecycleShared {
-    pub fn new() -> Self {
-        LifecycleShared {
-            phase: AtomicU8::new(PHASE_RUNNING),
-            drain_deadline: OnceLock::new(),
-            reload_gen: AtomicU64::new(0),
-            reload_docroot: Mutex::new(None),
-        }
-    }
-
-    pub fn phase(&self) -> u8 {
+    pub(crate) fn phase(&self) -> u8 {
         self.phase.load(Ordering::SeqCst)
     }
 
@@ -234,7 +226,7 @@ impl LifecycleShared {
         self.phase.store(PHASE_STOPPING, Ordering::SeqCst);
     }
 
-    pub fn drain_deadline(&self) -> Option<Instant> {
+    pub(crate) fn drain_deadline(&self) -> Option<Instant> {
         self.drain_deadline.get().copied()
     }
 
@@ -243,7 +235,7 @@ impl LifecycleShared {
     /// Every driver enforces the deadline through this, on its own
     /// thread. While the server runs it is one phase load: the clock
     /// is read only while draining.
-    pub fn severs(&self, now: impl FnOnce() -> Instant) -> bool {
+    pub(crate) fn severs(&self, now: impl FnOnce() -> Instant) -> bool {
         match self.phase() {
             PHASE_RUNNING => false,
             PHASE_DRAINING => self.drain_deadline().is_some_and(|d| now() >= d),
@@ -262,11 +254,11 @@ impl LifecycleShared {
         self.reload_gen.fetch_add(1, Ordering::Release);
     }
 
-    pub fn reload_gen(&self) -> u64 {
+    pub(crate) fn reload_gen(&self) -> u64 {
         self.reload_gen.load(Ordering::Acquire)
     }
 
-    pub fn reload_docroot(&self) -> Option<PathBuf> {
+    pub(crate) fn reload_docroot(&self) -> Option<PathBuf> {
         self.reload_docroot
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -288,7 +280,7 @@ mod tests {
 
     #[test]
     fn phase_only_moves_forward() {
-        let l = LifecycleShared::new();
+        let l = LifecycleShared::default();
         assert_eq!(l.phase(), PHASE_RUNNING);
         l.begin_drain(Instant::now());
         assert_eq!(l.phase(), PHASE_DRAINING);
@@ -302,7 +294,7 @@ mod tests {
     #[test]
     fn a_drain_severs_at_its_deadline_and_a_stop_at_once() {
         let t0 = Instant::now();
-        let l = LifecycleShared::new();
+        let l = LifecycleShared::default();
         assert!(!l.severs(|| unreachable!("a running server reads no clock")));
         l.begin_drain(t0 + Duration::from_secs(1));
         assert!(!l.severs(|| t0));
@@ -313,7 +305,7 @@ mod tests {
 
     #[test]
     fn reload_publishes_generation_and_root() {
-        let l = LifecycleShared::new();
+        let l = LifecycleShared::default();
         assert_eq!(l.reload_gen(), 0);
         assert_eq!(l.reload_docroot(), None);
         l.publish_reload(PathBuf::from("/srv/new"));

@@ -158,6 +158,11 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.slab[idx as usize].value.take()
     }
 
+    /// Every value, in no particular order.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.slab.iter().filter_map(|node| node.value.as_ref())
+    }
+
     /// The least-recently-used entry — the one [`Self::pop_lru`] would
     /// take — without removing or promoting it.
     pub fn peek_lru(&self) -> Option<(&K, &V)> {

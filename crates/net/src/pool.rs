@@ -63,7 +63,7 @@ impl WakeHandle {
 }
 
 /// What a shard asks of a helper: the calls that would block its loop.
-pub(crate) enum Work<W = Worker> {
+pub enum Work<W> {
     /// The filesystem work of one of the protocol core's jobs.
     Job(HelperJob),
     /// `fork` + `exec` one application worker for the shard's set.
@@ -74,16 +74,20 @@ pub(crate) enum Work<W = Worker> {
 }
 
 /// What a helper sends back to the shard that asked.
-pub(crate) enum Reply<F = Arc<File>, W = Worker> {
+pub enum Reply<F, W> {
     Done(Done<F>),
     Spawned(io::Result<W>),
 }
+
+/// What the real helper pool sends back: file handles and worker
+/// processes.
+pub(crate) type NetReply = Reply<Arc<File>, Worker>;
 
 /// One queued unit of helper work plus the driver-side routing tag —
 /// which shard's reply queue the result goes back to.
 struct Queued {
     shard: usize,
-    work: Work,
+    work: Work<Worker>,
 }
 
 /// A shard's completion queue: every answer to a job, oldest first,
@@ -169,7 +173,7 @@ impl JobQueue {
 
     /// Queues `work` in `shard`'s lane; refused (dropped) once the
     /// queue is closed, which is after the last shard has exited.
-    pub(crate) fn push(&self, shard: usize, work: Work) {
+    pub(crate) fn push(&self, shard: usize, work: Work<Worker>) {
         let mut lanes = self.lanes.lock().unwrap_or_else(|e| e.into_inner());
         if lanes.closed {
             return;
@@ -228,7 +232,7 @@ fn pop_round_robin(lanes: &mut JobLanes) -> Option<Queued> {
 /// spoken to elsewhere.
 pub(crate) fn helper_main(
     jobs: Arc<JobQueue>,
-    reply_txs: Vec<Sender<Reply>>,
+    reply_txs: Vec<Sender<NetReply>>,
     wakes: Vec<WakeHandle>,
     worker_command: Arc<[String]>,
 ) {
@@ -265,7 +269,7 @@ mod tests {
     use crate::cache::Variant;
     use std::path::PathBuf;
 
-    fn job(path: String, token: u64) -> Work {
+    fn job(path: String, token: u64) -> Work<Worker> {
         Work::Job(HelperJob {
             path,
             fs_path: PathBuf::new(),

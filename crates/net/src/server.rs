@@ -20,8 +20,9 @@
 //! helper pool with its reply queue. The real server is monomorphised
 //! over `NetEnv`, which makes exactly the calls described below and
 //! is the only reader of the wall clock here; the deterministic sim
-//! ([`crate::sim`]) runs the same `shard_loop` — its lifecycle
-//! prologue, then one `Shard::turn` per wait — over a simulated kernel.
+//! (the `flash-sim` crate) runs the same `shard_loop` — its lifecycle
+//! prologue, then one `Shard::turn` per wait — over a simulated kernel,
+//! reaching the shard through [`crate::driver`] alone.
 //! A turn takes the helpers' replies (on a wake), the readiness events,
 //! the expired deadlines and the accepts, in that order, and ends with
 //! the worker sweep; the `Rig` tests below drive the same turn by hand.
@@ -150,7 +151,7 @@ use crate::event::{new_backend, Event, EventBackend, Interest};
 use crate::fsjob::OpenFileTable;
 use crate::handle::Threads;
 use crate::lifecycle::{LifecycleShared, PHASE_DRAINING, PHASE_RUNNING};
-use crate::pool::{helper_main, JobQueue, PoolPort, Reply, WakeHandle, Work};
+use crate::pool::{helper_main, JobQueue, NetReply, PoolPort, Reply, WakeHandle, Work};
 use crate::sendfile::send_file;
 use crate::stats::AccessLogWriter;
 use crate::sys;
@@ -162,11 +163,11 @@ use crate::writev::{writev_fd, writev_more_fd};
 /// connection transport (with its readiness key), the listener, the
 /// application workers' endpoints, the readiness backend, and the
 /// helper pool with its reply queue. The loop ([`shard_loop`],
-/// [`Shard::turn`]) is written once over this trait and monomorphised:
-/// [`NetEnv`] makes the calls the real server makes; the simulated
-/// kernel in [`crate::sim`] answers the same calls from memory, on
-/// simulated time.
-pub(crate) trait Env: Sized {
+/// `Shard::turn`) is written once over this trait and monomorphised:
+/// `NetEnv` makes the calls the real server makes; the simulated
+/// kernel of the `flash-sim` crate answers the same calls from memory,
+/// on simulated time. Public as part of [`crate::driver`].
+pub trait Env: Sized {
     /// A connection's byte stream; its descriptor is its readiness key.
     type Stream: ConnIo + AsRawFd;
     /// What connections are accepted from.
@@ -197,7 +198,7 @@ pub(crate) trait Env: Sized {
 }
 
 /// The large-body handle of an environment's transport.
-pub(crate) type FileOf<E> = <<E as Env>::Stream as ConnIo>::FileRef;
+pub type FileOf<E> = <<E as Env>::Stream as ConnIo>::FileRef;
 
 /// The real server's environment: the wall clock, nonblocking sockets,
 /// the shared helper pool, the shard's reply channel and wake pipe, and
@@ -209,7 +210,7 @@ pub(crate) struct NetEnv {
     /// event-loop thread, so it takes no lock. Cleared on a docroot
     /// reload, when the process runs out of descriptors, and at exit.
     files: OpenFileTable,
-    replies: Receiver<Reply>,
+    replies: Receiver<NetReply>,
     wake_rx: UnixStream,
     wake: WakeHandle,
 }
@@ -239,7 +240,7 @@ impl Env for NetEnv {
         crate::fsjob::exec_job_nowait(job, &mut self.files)
     }
 
-    fn push(&mut self, work: Work) {
+    fn push(&mut self, work: Work<Worker>) {
         self.jobs.push(self.shard, work);
     }
 
@@ -260,7 +261,7 @@ impl Env for NetEnv {
         self.wake.pending.store(false, Ordering::Release);
     }
 
-    fn recv(&mut self) -> Option<Reply> {
+    fn recv(&mut self) -> Option<NetReply> {
         self.replies.try_recv().ok()
     }
 }
@@ -360,13 +361,13 @@ type NetConn<E> = Conn<SockIo<<E as Env>::Stream>>;
 /// Token for the shard's wake pipe (never a valid connection token:
 /// connection tokens carry a slot in the high half, and slot 2^32-1
 /// with fd 2^32-1 cannot occur).
-pub(crate) const WAKE_TOKEN: u64 = u64::MAX;
+pub const WAKE_TOKEN: u64 = u64::MAX;
 
 /// Token for a shard's listener registration — the slot half is
 /// 2^32-1, which a real connection slot can never reach, so it can
 /// never collide with a connection token (nor with [`WAKE_TOKEN`],
 /// whose fd half differs).
-pub(crate) const LISTENER_TOKEN: u64 = u64::MAX - 1;
+pub const LISTENER_TOKEN: u64 = u64::MAX - 1;
 
 // A shard's application workers are registered under the tokens from
 // `WORKER_TOKEN_BASE` up (`workerset.rs`): the slot half of the two
@@ -461,7 +462,7 @@ fn net_shard(
     stats: &Arc<ShardStats>,
     jobs: &Arc<JobQueue>,
     listener: TcpListener,
-) -> io::Result<(Shard<NetEnv>, WakeHandle, Sender<Reply>)> {
+) -> io::Result<(Shard<NetEnv>, WakeHandle, Sender<NetReply>)> {
     let (done_tx, replies) = channel();
     let (wake, wake_rx) = WakeHandle::pair()?;
     let mut backend = new_backend(cfg.backend);
@@ -485,12 +486,12 @@ fn net_shard(
 /// in it the environment), the connection table, the listener, the
 /// event backend and the deadline timers.
 ///
-/// The driver's whole contract with the core is [`Shard::reconcile`]:
+/// The driver's whole contract with the core is `Shard::reconcile`:
 /// every core call that can change a slot returns a [`Drive`], and
 /// `reconcile` brings the backend, the timers and the slot table in
 /// line with it. Which connection closes, when, and what that does to
 /// the jobs it is parked on and to the counters is the core's business.
-pub(crate) struct Shard<E: Env> {
+pub struct Shard<E: Env> {
     pub(crate) core: ShardCore,
     pub(crate) port: PoolPort<E>,
     conns: Vec<Option<NetConn<E>>>,
@@ -550,7 +551,7 @@ impl<E: Env> Shard<E> {
     /// `listener` registered already. Each shard gets an equal slice of
     /// the cache budget: private caches mean zero lock traffic at the
     /// cost of N-way duplication of the hottest entries.
-    pub(crate) fn new(
+    pub fn new(
         id: usize,
         env: E,
         backend: Box<E::Backend>,
@@ -617,7 +618,7 @@ impl<E: Env> Shard<E> {
     }
 
     /// Connections currently occupying slots.
-    pub(crate) fn live(&self) -> usize {
+    pub fn live(&self) -> usize {
         self.conns.len() - self.free.len()
     }
 
@@ -625,7 +626,7 @@ impl<E: Env> Shard<E> {
     /// timers ([`ShardCore::check_invariants`]), and the driver's own
     /// between turns: no completion outlives its turn, and every worker
     /// the turn retired has left the readiness set for the helpers.
-    pub(crate) fn check_invariants(&self) -> Result<(), String> {
+    pub fn check_invariants(&self) -> Result<(), String> {
         let queued = self.port.done.len();
         let retired = self.port.workers.as_ref().map_or(0, |w| w.morgue.len());
         if queued + retired > 0 {
@@ -633,6 +634,7 @@ impl<E: Env> Shard<E> {
                 "{queued} completions unapplied, {retired} retired workers unburied"
             ));
         }
+        self.core.check_cache_bytes()?;
         let token_of = |idx| self.fd_of(idx).map_or(0, |fd| conn_token(idx, fd));
         self.core
             .check_invariants(&self.conns, &self.wheel, token_of)
@@ -1090,7 +1092,7 @@ const LOOP_STALL_THRESHOLD: Duration = Duration::from_millis(100);
 ///
 /// Each iteration is a lifecycle prologue — stop, drain entry, drain
 /// exit, a published reload or log rotation — then a wait and one
-/// [`Shard::turn`]. The shard's listener drains to `EWOULDBLOCK` like
+/// `Shard::turn`. The shard's listener drains to `EWOULDBLOCK` like
 /// any other read source, and **backpressure is local** — at the
 /// connection cap (or on `EMFILE`/`ENFILE`) the listener's read
 /// interest is dropped, so pending connections stay in the kernel
@@ -1098,7 +1100,7 @@ const LOOP_STALL_THRESHOLD: Duration = Duration::from_millis(100);
 /// moment a slot frees. The re-arm leans on the backend contract that
 /// `modify` redelivers a still-true readiness condition, so a backlog
 /// that filled while throttled surfaces as a fresh event.
-pub(crate) fn shard_loop<E: Env>(shard: &mut Shard<E>, lifecycle: &LifecycleShared) {
+pub fn shard_loop<E: Env>(shard: &mut Shard<E>, lifecycle: &LifecycleShared) {
     let mut events: Vec<Event> = Vec::new();
     loop {
         let phase = lifecycle.phase();

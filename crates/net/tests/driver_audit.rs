@@ -4,8 +4,8 @@
 //! * connection-lifecycle policy — which deadline class means what,
 //!   when a waiter registration must be purged, what a close records,
 //!   whether a hang-up aborts a parked request, which interest a state
-//!   wants — is `conn/`'s alone: no driver (`server.rs`, `sim.rs`,
-//!   `mt.rs`) names a `DeadlineKind` or `purge_waiter`, asks a
+//!   wants — is `conn/`'s alone: no driver (`server.rs`, the sim in
+//!   `crates/sim`, `mt.rs`) names a `DeadlineKind` or `purge_waiter`, asks a
 //!   transport whether it hung up, maps a `ConnState` to an
 //!   `Interest`, or calls the close/expiry internals outside its tests;
 //! * `mt.rs` is a driver, not a second server: it names nothing the
@@ -27,9 +27,9 @@
 //!   through the one counted wrapper (`sys::accept_nonblocking`, bumped
 //!   as `accept_calls`) and sets no per-connection socket option — the
 //!   listener carries them (`sock.rs`);
-//! * there is one shard loop: `sim.rs` is a simulated kernel under the
-//!   shipped `Shard`, with no connection table, wheel, core or loop of
-//!   its own, and `server.rs` reads the wall clock only through
+//! * there is one shard loop: the sim (`crates/sim/src/lib.rs`) is a
+//!   simulated kernel under the shipped `Shard`, with no connection
+//!   table, wheel, core or loop of its own, and `server.rs` reads the wall clock only through
 //!   `NetEnv`'s clock — a stray read would break the sim's per-seed
 //!   determinism;
 //! * deadlines are cancelled at once: `timer.rs` keeps no stale entry
@@ -56,7 +56,9 @@
 //! * the shipped crates do not build the model: neither `flash-net`
 //!   nor `flash-workload` depends on `flash-core` or `flash-simos`, or
 //!   names either in its source — the arrows point from the model to
-//!   the shipped crates.
+//!   the shipped crates — and `flash-net` depends on `flash-http` and
+//!   `bytes` alone: the simulator, its clock and its workloads are
+//!   `flash-sim`'s.
 //! * `NetConfig` is the one thing that configures the server: no
 //!   product line of `flash-net` reads the process environment.
 
@@ -81,7 +83,8 @@ fn product_lines(file: &str, floor: usize) -> Vec<(usize, String)> {
 
 /// The drivers, each with the least code it can plausibly have.
 const SERVER: (&str, usize) = ("server.rs", 600);
-const SIM: (&str, usize) = ("sim.rs", 600);
+/// The sim drives the shard from a crate of its own, `flash-sim`.
+const SIM: (&str, usize) = ("../../sim/src/lib.rs", 600);
 const MT: (&str, usize) = ("mt.rs", 250);
 const ACCEPT: (&str, usize) = ("accept.rs", 30);
 const POOL: (&str, usize) = ("pool.rs", 100);
@@ -496,6 +499,20 @@ fn the_shipped_crates_do_not_build_the_model() {
             deps.iter().any(|l| l.starts_with("flash-")),
             "read no [dependencies] table: {manifest:?}"
         );
+        if krate == "net" {
+            let mut names: Vec<&str> = deps
+                .iter()
+                .map(|l| l.trim())
+                .filter(|l| !l.is_empty() && !l.starts_with('#'))
+                .map(|l| l.split(['.', ' ', '=']).next().unwrap())
+                .collect();
+            names.sort_unstable();
+            assert_eq!(
+                names,
+                ["bytes", "flash-http"],
+                "flash-net builds the server and nothing else: {manifest:?}"
+            );
+        }
         found.extend(
             deps.iter()
                 .filter(|l| MODEL.iter().any(|m| l.trim_start().starts_with(m)))

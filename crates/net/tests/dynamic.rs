@@ -108,7 +108,8 @@ fn script(root: &std::path::Path, name: &str, body: &str) -> Vec<String> {
 
 /// A dynamic GET streams a chunked body byte-exact, carries none of
 /// the static tier's validators, and leaves the keep-alive connection
-/// serviceable for both another dynamic and a static request.
+/// serviceable for both another dynamic and a static request. On a
+/// shard, warm requests then hand the helper pool nothing.
 fn run_dynamic_streams_chunked(tag: &str, backend: BackendChoice, kind: ServerKind) {
     let root = docroot(tag);
     let server = start(kind, builder(&root, backend).build().unwrap());
@@ -153,6 +154,34 @@ fn run_dynamic_streams_chunked(tag: &str, backend: BackendChoice, kind: ServerKi
         2,
         "every dynamic exchange lands in the worker-wait histogram"
     );
+
+    // On a shard, a warm request is the shard's own `write` and `read`
+    // on its worker's socket: the helper pool is handed nothing, and
+    // each request costs at least those two worker calls.
+    if kind == ServerKind::Amped {
+        // The static response is counted once written: maybe after the
+        // client read it.
+        wait_for("the static request counted", || stats.requests() == 3);
+        let handed_off = || stats.helper_jobs() - stats.inline_jobs();
+        let (cold, requests, io) = (handed_off(), stats.requests(), stats.worker_io_calls());
+        for i in 0..10 {
+            let resp = get(addr, &format!("GET /app/warm{i} HTTP/1.0\r\n\r\n"));
+            let body_start = resp.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
+            let body = ChunkedDecoder::decode_all(&resp[body_start..]).expect("chunked body");
+            assert_eq!(
+                body,
+                format!("hello from worker: /app/warm{i}").into_bytes()
+            );
+        }
+        assert_eq!(handed_off(), cold, "a warm request went to the helper pool");
+        let (requests, io) = (stats.requests() - requests, stats.worker_io_calls() - io);
+        assert_eq!(requests, 10);
+        assert!(
+            io >= 2 * requests,
+            "{io} worker calls for {requests} requests"
+        );
+        assert_eq!(stats.worker_respawns(), 0);
+    }
     server.stop();
     let _ = std::fs::remove_dir_all(root);
 }

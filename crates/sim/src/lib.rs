@@ -1,15 +1,35 @@
 //! The **deterministic simulation** of one shard: the shipped loop
-//! ([`crate::server`]'s `shard_loop` and `Shard::turn`, the same code a
-//! real shard thread runs) over a **simulated kernel** — in-memory
+//! ([`flash_net::driver::shard_loop`] and `Shard::turn`, the same code
+//! a real shard thread runs) over a **simulated kernel** — in-memory
 //! endpoints, a simulated clock ([`flash_simcore::EventQueue`]) and a
 //! seeded RNG ([`flash_simcore::SimRng`]) — so hundreds of thousands of
 //! connections replay in seconds of wall time, **bit-for-bit
 //! reproducibly**: the same seed produces the same [`SimReport`],
 //! fingerprint included.
 //!
-//! The sim is not a driver. It supplies the shard's environment
-//! (`server::Env`) at the seams where the real server makes system
-//! calls:
+//! The sim is not a driver, and it lives outside the server's crate:
+//! it reaches the shard through [`flash_net::driver`] and nothing else.
+//! The shard loop is written once, over an environment
+//! ([`flash_net::driver::Env`]); the real server supplies the kernel,
+//! and this crate supplies a simulated one:
+//!
+//! ```text
+//!              ┌────────────────────────────────────────────────┐
+//!              │  the shard loop (flash_net::server) — a        │
+//!              │  connection table, its timers, readiness, the  │
+//!              │  worker set; generic over its environment      │
+//!              ├───────────────────────┬────────────────────────┤
+//!              │  the real kernel      │  a simulated kernel    │
+//!              │  (`NetEnv`): sockets, │  (this crate):         │
+//!              │  epoll or poll, the   │  in-memory sockets, a  │
+//!              │  helper pool, the     │  seeded calendar,      │
+//!              │  wall clock           │  simulated time,       │
+//!              │                       │  injected faults       │
+//!              └───────────────────────┴────────────────────────┘
+//! ```
+//!
+//! It answers the environment's calls at the seams where the real
+//! server makes system calls:
 //!
 //! * **readiness** — `SimBackend`, an [`EventBackend`] with epoll's
 //!   edge-triggered semantics, whose `wait` advances the calendar to
@@ -22,13 +42,16 @@
 //!   schedule, and whose accept can fail with `EMFILE`;
 //! * **the worker endpoint** — `SimFd` as a worker's socket: a
 //!   `DynApp` model that writes real `DATA`/`END` frames over simulated
-//!   time, read by the shard's own worker set and frame parser;
+//!   time, after per-endpoint compute times (1–5 ms), read by the
+//!   shard's own worker set and frame parser;
 //! * **the helpers** — the residency test's answer and helper
 //!   completions delivered on simulated time through the same reply
-//!   queue and wake token the pool uses.
+//!   queue and wake token the pool uses. Residency is a seeded coin
+//!   ([`SimConfig::resident_fraction`]), not a page cache (see
+//!   `Kernel::exec_job`).
 //!
 //! Mid-run reloads and the final drain reach the shard through the
-//! shared lifecycle state (`LifecycleShared`), the way signals reach
+//! shared lifecycle state ([`LifecycleShared`]), the way signals reach
 //! the real server. What the sim injects that loopback tests cannot
 //! (not reliably, not on demand, and never twice the same way) is the
 //! [`FaultPlan`]: partial writes,
@@ -37,13 +60,15 @@
 //! clients, and clients that leave a request parked on a silent worker.
 //!
 //! After every loop turn (configurable cadence at scale) the sim runs
-//! the core's invariant check
-//! ([`crate::conn::ShardCore::check_invariants`]):
+//! the shard's invariant check
+//! ([`Shard::check_invariants`], the core's
+//! [`flash_net::conn::ShardCore::check_invariants`] among it):
 //! no leaked slots or waiter registrations, no job without a waiter,
 //! the armed timers exactly the connections with a
-//! deadline class — and the driver's: no completion left in the
-//! shard's queue, no retired worker left registered. A run that
-//! violates an invariant, livelocks
+//! deadline class, the content cache's byte count the sum of its
+//! entries and what its gauge reads — and the driver's: no completion
+//! left in the shard's queue, no retired worker left registered. A run
+//! that violates an invariant, livelocks
 //! (fuel exhausted), or strands a connection returns `Err`.
 //!
 //! Determinism rules: the only wall-clock value in the response stream
@@ -51,6 +76,37 @@
 //! time); the fingerprint scrubs those 29 bytes before hashing.
 //! Everything else — simulated time, RNG, event order (FIFO within an
 //! instant) — is a pure function of the seed.
+//!
+//! # How to add a fault to the sim
+//!
+//! Faults live in the simulated kernel, never in the shard or the core
+//! — the shipped loop must already survive them, that's the point:
+//!
+//! 1. **Add a knob** to [`FaultPlan`] (a probability or
+//!    magnitude), defaulted into `FaultPlan::heavy()` so the CI replay
+//!    exercises it.
+//! 2. **Express it at a kernel seam.** The *transport* (`SimFd` as a
+//!    connection: shrink the window for partial writes, cut the client's
+//!    script short or end it in a half-close, reset the client after so
+//!    many bytes); *readiness* (`SimBackend`: which edges a calendar
+//!    event raises, e.g. a window refill is a writable edge); *accept*
+//!    (the listener's backlog: refuse with `EMFILE`); the *worker
+//!    endpoint* (`SimFd` as a worker: the script of frames the `DynApp`
+//!    model writes — delay it, stop it, garble it); and *helper
+//!    delivery* (stretch a completion's delay for a stall or a wedge,
+//!    deliver a cancelled job's completion anyway to test the token
+//!    gate).
+//! 3. **Consume randomness deterministically**: draw from the kernel's
+//!    one `SimRng` only inside the kernel's calls and event handlers
+//!    (never during iteration over a hash map), and schedule effects
+//!    through the event calendar so a seed fully determines the
+//!    interleaving.
+//! 4. **Assert the consequence**, not just survival: add a counter to
+//!    the report if the fault has an observable outcome, and extend
+//!    the unit tests below so a fault that stops firing fails loudly.
+//!    The invariant check runs between loop turns either way — leaked
+//!    slots, stale-epoch cache inserts, or orphaned deadlines from the
+//!    new fault fail the replay without further wiring.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -65,14 +121,13 @@ use flash_simcore::time::{Nanos, MILLI, SEC};
 use flash_simcore::{EventQueue, SimRng};
 use flash_workload::{FileSpec, Zipf};
 
-use crate::cache::{self, Variant};
-use crate::config::NetConfig;
-use crate::conn::{ConnIo, DoneData, FileData, HelperJob, JobKind, LoadResult};
-use crate::event::{BackendChoice, Event, EventBackend, Interest};
-use crate::lifecycle::LifecycleShared;
-use crate::pool::{Reply, Work};
-use crate::server::{shard_loop, Env, Shard, LISTENER_TOKEN, WAKE_TOKEN};
-use crate::stats::Counts;
+use flash_net::cache::{self, Variant};
+use flash_net::conn::{ConnIo, DoneData, FileData, HelperJob, JobKind, LoadResult};
+use flash_net::driver::{shard_loop, Env, LifecycleShared, Reply, Shard, Work};
+use flash_net::driver::{LISTENER_TOKEN, WAKE_TOKEN};
+use flash_net::event::{BackendChoice, Event, EventBackend, Interest};
+use flash_net::stats::Counts;
+use flash_net::NetConfig;
 
 /// Fault-injection probabilities, all independent. `none()` is a
 /// clean-network baseline; [`FaultPlan::heavy`] is the CI setting.
@@ -216,8 +271,8 @@ impl SimConfig {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimReport {
     /// The shard's metrics at the end of the run: every counter and
-    /// gauge the real server exports ([`crate::stats`]), and a
-    /// [`crate::stats::HistSummary`] of each latency histogram, fed
+    /// gauge the real server exports ([`flash_net::stats`]), and a
+    /// [`flash_net::stats::HistSummary`] of each latency histogram, fed
     /// simulated time through the identical instrumentation path.
     /// `counts.accepted` is `SimConfig::connections` on success.
     pub counts: Counts,
@@ -910,13 +965,23 @@ impl Kernel {
         }
     }
 
-    /// The simulated disk, mirroring [`crate::fsjob`] mechanically: no
-    /// tier or variant policy of its own — the inline/fd split obeys
+    /// The simulated disk, answering as a helper's blocking executor
+    /// ([`flash_net::fsjob::exec_job`]) does: no tier or variant policy
+    /// of its own — the inline/fd split obeys
     /// [`HelperJob::inline_max`], the representation obeys
     /// [`HelperJob::variant`] (a gzip preference serves the simulated
     /// `.gz` sibling when the identity file has one, falling back to
     /// identity otherwise; a missing identity file is `NotFound` even
     /// when a sibling "exists").
+    ///
+    /// The residency test does **not** match the real one. The sim
+    /// decides residency with the [`SimConfig::resident_fraction`]
+    /// coin and then answers here, as a helper would: bytes up to
+    /// `inline_max`. The real test
+    /// ([`flash_net::fsjob::exec_job_nowait`]) answers a file its
+    /// open-file table holds with the descriptor, at any size, once
+    /// `cachestat` finds its pages resident. A simulated page cache,
+    /// and the table with it, is ROADMAP item 14.
     fn exec_job(&self, job: &HelperJob) -> DoneData<SimFile> {
         let not_found = || io::Error::from(io::ErrorKind::NotFound);
         let file = self.files.get(cache::split_variant_key(&job.path).0);
@@ -1150,7 +1215,7 @@ impl Env for SimEnv {
     }
 
     fn after_turn(shard: &Shard<SimEnv>) {
-        let mut k = shard.port.env.k.borrow_mut();
+        let mut k = shard.env().k.borrow_mut();
         k.turns += 1;
         let (turns, events) = (k.turns, k.queue.events_processed());
         let every = k.cfg.check_every;
@@ -1213,7 +1278,7 @@ impl Sim {
         // Generous against the 1–5 ms compute times, decisive against
         // a wedged worker.
         net.dynamic_deadline = Some(Duration::from_millis(100));
-        let lifecycle = Arc::new(LifecycleShared::new());
+        let lifecycle = Arc::new(LifecycleShared::default());
         let k = Rc::new(RefCell::new(Kernel {
             zipf: Zipf::new(paths.len().max(1), 1.0),
             rng: SimRng::new(cfg.seed),
@@ -1265,7 +1330,7 @@ impl Sim {
     fn run(mut self) -> Result<SimReport, String> {
         shard_loop(&mut self.shard, &self.lifecycle);
         let mut k = self.k.borrow_mut();
-        let (shard, core) = (&self.shard, &self.shard.core);
+        let shard = &self.shard;
         if let Some(e) = k.error.take() {
             return Err(e);
         }
@@ -1276,16 +1341,16 @@ impl Sim {
         shard
             .check_invariants()
             .map_err(|e| format!("invariant violated at the end: {e}"))?;
-        if !core.jobs.is_empty() {
+        if shard.jobs_in_flight() != 0 {
             return Err("leaked jobs in flight at end of run".into());
         }
         Ok(SimReport {
-            counts: core.stats.counts(),
+            counts: shard.counts(),
             bytes: k.bytes,
             fingerprint: k.fingerprint,
             unanswered: k.unanswered,
             server_errors: k.server_errors,
-            reloads: core.epoch,
+            reloads: shard.epoch(),
             sim_elapsed_nanos: k.queue.now().as_nanos(),
             events: k.queue.events_processed(),
         })

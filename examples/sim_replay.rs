@@ -1,12 +1,13 @@
 //! Deterministic simulated replay of the shipped shard loop at scale,
-//! over the simulated kernel of `flash_net::sim`: a Zipf-visited
+//! over the simulated kernel of `flash_sim`: a Zipf-visited
 //! synthetic site (generated by `workload::sitegen`), hundreds of
 //! thousands of simulated connections per seed, the full fault mix on
 //! (partial writes, trickled headers, disk stalls, wedged helpers,
 //! EMFILE storms, crashing, wedged and garbling workers, half-closing
 //! and resetting clients, mid-run reloads, a final drain), and the
-//! shard invariants — armed timers ⇔ live deadlines, and no completion
-//! or retired worker outliving its turn, among them — checked
+//! shard invariants — armed timers ⇔ live deadlines, the cache's byte
+//! count ⇔ its entries and its gauge, and no completion or retired
+//! worker outliving its turn, among them — checked
 //! throughout. In the debug profile the loop's `debug_assert!`s run
 //! too (CI: `FLASH_SIM_CONNS=20000 cargo run --example sim_replay`).
 //!
@@ -24,7 +25,7 @@
 
 use std::time::Instant;
 
-use flash_repro::net::sim::{self, SimConfig};
+use flash_repro::sim::{self, SimConfig};
 use flash_repro::simcore::SimRng;
 use flash_repro::workload::sitegen::{generate_files, SizeDist};
 

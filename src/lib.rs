@@ -8,6 +8,7 @@ pub use flash_core as core;
 pub use flash_experiments as experiments;
 pub use flash_http as http;
 pub use flash_net as net;
+pub use flash_sim as sim;
 pub use flash_simcore as simcore;
 pub use flash_simos as simos;
 pub use flash_workload as workload;

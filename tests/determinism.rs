@@ -1,12 +1,12 @@
 //! Reproducibility: a simulation is a pure function of its seed — the
 //! modelled servers of `flash_core`, and the shipped shard loop run
-//! over `flash_net::sim`'s simulated kernel.
+//! over `flash_sim`'s simulated kernel.
 
 use std::rc::Rc;
 
 use flash_repro::core::ServerConfig;
 use flash_repro::experiments::{run_one, ClientFleet, ConnMode, RunParams};
-use flash_repro::net::sim::{self, FaultPlan, SimConfig};
+use flash_repro::sim::{self, FaultPlan, SimConfig};
 use flash_repro::simcore::SimRng;
 use flash_repro::simos::MachineConfig;
 use flash_repro::workload::sitegen::{generate_files, SizeDist};
