@@ -4,6 +4,16 @@
 //! the server leaves the running phase. The AMPED shards accept for
 //! themselves in both accept modes ([`crate::server`]) and share only
 //! [`is_transient`] with this loop.
+//!
+//! This loop keeps the edge-triggered contract the shards' listeners
+//! left ([`crate::event`], *The listener is level-triggered*): it
+//! drains to `EWOULDBLOCK`, paying the `accept4` that finds the backlog
+//! empty, because its `EMFILE` retry is built on one report per
+//! arrival — once an accept fails, no further report comes for the
+//! connections still queued, so a timed retry drains them all. Taking
+//! one connection per report would mean reworking that retry for a
+//! thread-per-connection server, whose thread spawn costs far more
+//! than the call it would save.
 
 use std::io;
 use std::net::{TcpListener, TcpStream};

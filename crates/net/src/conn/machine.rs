@@ -80,6 +80,12 @@ pub struct Conn<Io: ConnIo> {
     /// after `out` drains (the header always precedes the file bytes).
     pub sendfile: Option<SendFileState<Io::FileRef>>,
     pub keep_alive: bool,
+    /// The client asked to close after this response (HTTP/1.0 without
+    /// keep-alive, or `Connection: close`). A close of the server's own
+    /// choosing never has it: a refusal or an error response clears it,
+    /// and a drain's close does not set it. See [`flush_out`] for what
+    /// it buys.
+    pub client_close: bool,
     pub head_only: bool,
     /// The in-flight request's conditional/negotiation fields
     /// (`If-Modified-Since`, `If-None-Match`, `Range`, `If-Range`,
@@ -148,6 +154,7 @@ impl<Io: ConnIo> Conn<Io> {
             out_off: 0,
             sendfile: None,
             keep_alive: false,
+            client_close: false,
             head_only: false,
             cond: RequestCond::default(),
             interest: Interest::READ,
@@ -376,9 +383,15 @@ const SENDFILE_VISIT_BUDGET: u64 = 1024 * 1024;
 /// `writev` — then streams any pending file body through
 /// [`ConnIo::sendfile`]. Segments a file body follows go out with
 /// [`ConnIo::writev_more`], so the header can leave in the body's
-/// first segment.
+/// first segment. So do the last segments of a response that closes
+/// its connection at the client's request ([`Conn::client_close`]) on
+/// a transport that knows no unread byte is waiting
+/// ([`ConnIo::known_empty`]): the close that follows puts the FIN in
+/// the held segment. Any other close keeps a pushed write: a close
+/// with bytes unread sends a reset, which would discard what was held.
 pub fn flush_out<Io: ConnIo>(conn: &mut Conn<Io>, stats: &ShardStats) -> FlushResult {
-    let body_follows = conn.sendfile.is_some();
+    let cork = conn.sendfile.is_some()
+        || (conn.client_close && !conn.stream_open && conn.io.known_empty());
     while !conn.out.is_empty() {
         let mut bufs: [&[u8]; MAX_IOV] = [&[]; MAX_IOV];
         let cnt = gather_out(&conn.out, conn.out_off, &mut bufs);
@@ -389,7 +402,7 @@ pub fn flush_out<Io: ConnIo>(conn: &mut Conn<Io>, stats: &ShardStats) -> FlushRe
             conn.out_off = 0;
             break;
         }
-        let sent = if body_follows {
+        let sent = if cork {
             conn.io.writev_more(&bufs[..cnt])
         } else {
             conn.io.writev(&bufs[..cnt])

@@ -15,7 +15,8 @@
 //!
 //! * [`ConnIo`] — everything the state machine ever asks of a
 //!   transport: `read`, gathered `writev` (corked with
-//!   [`ConnIo::writev_more`] when a `sendfile` body follows), and one
+//!   [`ConnIo::writev_more`] when a `sendfile` body or the close's FIN
+//!   follows), and one
 //!   `sendfile` chunk against an opaque [`ConnIo::FileRef`]. The shard driver implements
 //!   it over a nonblocking `TcpStream` (with `FileRef = Arc<File>`),
 //!   the MT driver over a blocking one; the simulated kernel over
@@ -168,13 +169,17 @@ pub trait ConnIo {
     /// accepted (possibly a partial write mid-iovec).
     fn writev(&mut self, bufs: &[&[u8]]) -> io::Result<usize>;
 
-    /// [`Self::writev`] of segments that a [`Self::sendfile`] body
-    /// follows at once: the core calls it while a response's header
-    /// is queued ahead of its file window. A transport that can should
-    /// hold a short tail back so it leaves in the body's first segment
-    /// rather than in a packet of its own (TCP's `MSG_MORE`); the next
-    /// send, or a close, must still push whatever it held. Same return
-    /// and errors as `writev`, and `writev` itself by default.
+    /// [`Self::writev`] of segments that something follows at once:
+    /// the core calls it while a response's header is queued ahead of
+    /// its [`Self::sendfile`] body, and for the last write of a
+    /// response whose connection closes behind it at the client's
+    /// request, on a transport [known to be dry](Self::known_empty)
+    /// ([`machine::flush_out`]). A transport that can should hold a
+    /// short tail back so it leaves in the body's first segment — or
+    /// in the segment that carries the close's FIN — rather than in a
+    /// packet of its own (TCP's `MSG_MORE`); the next send, or a close,
+    /// must still push whatever it held. Same return and errors as
+    /// `writev`, and `writev` itself by default.
     fn writev_more(&mut self, bufs: &[&[u8]]) -> io::Result<usize> {
         self.writev(bufs)
     }

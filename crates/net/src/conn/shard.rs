@@ -427,6 +427,7 @@ impl<C: CacheHandle> ShardCore<C> {
         now: Instant,
     ) {
         conn.keep_alive = req.keep_alive();
+        conn.client_close = !conn.keep_alive;
         conn.head_only = req.method == Method::Head;
         // The conditional/negotiation fields, snapshotted once here
         // (dates parsed; an unparseable date simply makes the request
@@ -1097,4 +1098,5 @@ pub(crate) fn queue_error<Io: ConnIo>(conn: &mut Conn<Io>, status: Status, body:
         conn.out.push_back(body);
     }
     conn.keep_alive = false;
+    conn.client_close = false;
 }

@@ -2,12 +2,16 @@
 //! readiness subsystem.
 //!
 //! The three system calls come from [`crate::sys`]; no external I/O
-//! crate is pulled in. Every registration is `EPOLLET`
-//! (edge-triggered), so `epoll_wait` costs O(ready descriptors) and
-//! interest-set maintenance is an incremental `epoll_ctl` per
-//! state-machine transition instead of a per-iteration rebuild of the
-//! whole watch set. Callers must follow the edge-triggered contract in
-//! the [module docs](crate::event).
+//! crate is pulled in. Every registration but a listener's is
+//! `EPOLLET` (edge-triggered), so `epoll_wait` costs O(ready
+//! descriptors) and interest-set maintenance is an incremental
+//! `epoll_ctl` per state-machine transition instead of a per-iteration
+//! rebuild of the whole watch set. Callers must follow the
+//! edge-triggered contract in the [module docs](crate::event). A
+//! listener asks for [`Interest::ACCEPT`] and is registered without
+//! `EPOLLET`: each wait reports it while its backlog holds a
+//! connection, so the shard can take one per report and never call
+//! `accept4` on an empty backlog (*The listener is level-triggered*).
 
 use std::io;
 use std::os::unix::io::{AsRawFd, OwnedFd, RawFd};
@@ -29,14 +33,15 @@ const EPOLLRDHUP: u32 = 0x2000;
 const EPOLLET: u32 = 1 << 31;
 
 fn mask_of(interest: Interest) -> u32 {
-    // EPOLLET unconditionally: even an Interest::NONE registration
-    // stays edge-triggered for the error conditions the kernel always
-    // reports. EPOLLRDHUP rides with read interest so a peer's
-    // half-close surfaces as readability (read() will return 0). A
-    // parked connection keeps its READ registration here
-    // (`desired_interest`); HANGUP is the level-triggered backend's.
+    // EPOLLET unless the interest is level-triggered (a listener's
+    // ACCEPT): even an Interest::NONE registration stays edge-triggered
+    // for the error conditions the kernel always reports. EPOLLRDHUP
+    // rides with read interest so a peer's half-close surfaces as
+    // readability (read() will return 0). A parked connection keeps its
+    // READ registration here (`desired_interest`); HANGUP is the
+    // level-triggered backend's.
     debug_assert!(!interest.is_hangup(), "HANGUP is for poll, not epoll");
-    let mut m = EPOLLET;
+    let mut m = if interest.is_level() { 0 } else { EPOLLET };
     if interest.is_readable() {
         m |= EPOLLIN | EPOLLRDHUP;
     }

@@ -46,6 +46,20 @@
 //!    redelivers, or the connection would stall forever waiting for an
 //!    edge that never comes.
 //!
+//! # The listener is level-triggered
+//!
+//! One registration is exempt from the contract: a shard's listener
+//! asks for [`Interest::ACCEPT`], readability reported by *every* wait
+//! while the backlog holds a connection, on both backends. Draining it
+//! to `EWOULDBLOCK` as rule 1 would have it costs an `accept4(2)` that
+//! finds the backlog empty after the last connection — and Linux
+//! allocates the new socket's inode, file and descriptor before it
+//! looks, then frees all three. Level-triggered, the shard takes one
+//! connection per report (nginx's default, `multi_accept off`) and a
+//! backlog with more behind it is simply reported again: a one-shot
+//! connection costs exactly one `accept4`. Connections stay
+//! edge-triggered.
+//!
 //! # Parked registrations
 //!
 //! A connection whose request a helper or an application worker owns
@@ -104,6 +118,11 @@ impl Interest {
     /// connection asks of the poll backend; epoll is never asked for
     /// it, a parked connection keeping its `READ` registration there.
     pub const HANGUP: Interest = Interest(4);
+    /// Watch for readability, **level-triggered** on every backend:
+    /// reported by each wait for as long as the condition holds, not
+    /// once per edge. What a shard's listener asks for (module docs,
+    /// *The listener is level-triggered*).
+    pub const ACCEPT: Interest = Interest(1 | 8);
 
     /// True if readability is requested.
     pub fn is_readable(self) -> bool {
@@ -118,6 +137,12 @@ impl Interest {
     /// True if the peer's hang-up alone is requested ([`Self::HANGUP`]).
     pub fn is_hangup(self) -> bool {
         self.0 & 4 != 0
+    }
+
+    /// True if readiness is to be reported level-triggered
+    /// ([`Self::ACCEPT`]) even by an edge-triggered backend.
+    pub fn is_level(self) -> bool {
+        self.0 & 8 != 0
     }
 }
 
@@ -150,7 +175,9 @@ pub trait EventBackend {
     fn kind(&self) -> BackendChoice;
 
     /// True if events are delivered once per readiness *transition*
-    /// (epoll ET) rather than re-reported while the condition holds.
+    /// (epoll ET) rather than re-reported while the condition holds —
+    /// for every registration but a level-triggered one
+    /// ([`Interest::ACCEPT`]).
     fn edge_triggered(&self) -> bool;
 
     /// Starts watching `fd` with `interest`; `token` comes back in
@@ -320,6 +347,9 @@ mod tests {
         let hup = Interest::HANGUP;
         assert!(hup.is_hangup() && !hup.is_readable() && !hup.is_writable());
         assert!(!Interest::READ_WRITE.is_hangup());
+        let accept = Interest::ACCEPT;
+        assert!(accept.is_readable() && accept.is_level() && !accept.is_writable());
+        assert!(!Interest::READ.is_level() && !Interest::NONE.is_level());
     }
 
     #[test]

@@ -37,10 +37,13 @@
 //! * **accepting is the first step of each shard's own loop** (the
 //!   paper's Fig. 1; there is no acceptor thread and no dealing hop in
 //!   either mode): every shard holds a listening descriptor registered
-//!   in its own event backend and drains its accepts to `EWOULDBLOCK`
-//!   under the ET contract — one `accept4(2)` per connection, which
-//!   hands it over nonblocking, close-on-exec and (inherited from the
-//!   listener, [`crate::sock`]) `TCP_NODELAY`. The accept mode
+//!   level-triggered in its own event backend ([`Interest::ACCEPT`];
+//!   [`crate::event`], *The listener is level-triggered*) and takes one
+//!   connection per readiness report — one `accept4(2)` per connection
+//!   and none on an empty backlog, handing it over nonblocking,
+//!   close-on-exec and (inherited from the listener, [`crate::sock`])
+//!   `TCP_NODELAY`; a backlog with more behind it is reported again by
+//!   the next wait. The accept mode
 //!   ([`NetConfig::accept_mode`], see [`crate::sock`]) decides
 //!   only how many kernel sockets stand behind those N registrations:
 //!   in the default **reuseport** mode (Linux) N `SO_REUSEPORT`
@@ -59,7 +62,10 @@
 //!   `epoll` on Linux, `poll(2)` elsewhere — [`NetConfig::backend`])
 //!   only if that drive leaves it open, so a one-request connection
 //!   whose request was waiting costs `accept4`, `read`, `writev`,
-//!   `close` and nothing else; a registered connection's interest is
+//!   `close` and nothing else — and, the client having asked to close,
+//!   its `writev` is corked (`MSG_MORE`), so the `close` puts the FIN
+//!   in the response's last segment ([`ConnIo::writev_more`]); a
+//!   registered connection's interest is
 //!   adjusted incrementally as the [`Conn`] state machine moves (read
 //!   interest while parsing, write interest only while a send is in
 //!   flight; parked on a helper or a worker, it stays watched for its
@@ -290,7 +296,9 @@ impl ConnIo for TcpIo {
     }
 
     /// One `sendmsg(MSG_MORE)` on Linux: the header waits for its
-    /// `sendfile` body and leaves in the body's first segment.
+    /// `sendfile` body and leaves in the body's first segment, or a
+    /// closing response's tail for the `close(2)` behind it, whose FIN
+    /// then rides in the same segment.
     fn writev_more(&mut self, bufs: &[&[u8]]) -> io::Result<usize> {
         writev_more_fd(self.as_raw_fd(), bufs)
     }
@@ -467,7 +475,7 @@ fn net_shard(
     let (wake, wake_rx) = WakeHandle::pair()?;
     let mut backend = new_backend(cfg.backend);
     backend.register(wake_rx.as_raw_fd(), WAKE_TOKEN, Interest::READ)?;
-    backend.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
+    backend.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::ACCEPT)?;
     let open_files = open_file_budget(cfg.event_loops);
     let env = NetEnv {
         jobs: Arc::clone(jobs),
@@ -877,49 +885,51 @@ impl<E: Env> Shard<E> {
         }
     }
 
-    /// Drains the shard's listener to `EWOULDBLOCK` under the ET
-    /// contract, admitting and immediately driving each connection.
-    /// Stops early — dropping the listener's read interest — at the
-    /// shard's connection cap or on an accept failure (`EMFILE`/`ENFILE`
-    /// under fd exhaustion, counted as `accept_backpressure`, and
-    /// answered by closing every descriptor the open-file table
-    /// holds); pending connections then wait in the kernel backlog (or
-    /// go to another shard) until this shard re-arms.
-    /// Returns whether the listener interest is still armed.
-    fn drain_accepts(&mut self) -> bool {
-        loop {
-            if self.live() >= self.max_conns {
-                return !self.set_listener_interest(Interest::NONE);
+    /// Takes one connection off the shard's listener for one readiness
+    /// report, admitting and immediately driving it. The listener is
+    /// level-triggered ([`Interest::ACCEPT`]), so a backlog with more
+    /// behind it is reported again by the next wait, and no `accept4`
+    /// is spent finding it empty. Drops the listener's read interest
+    /// instead at the shard's connection cap, or on an accept failure
+    /// (`EMFILE`/`ENFILE` under fd exhaustion, counted as
+    /// `accept_backpressure`, and answered by closing every descriptor
+    /// the open-file table holds); pending connections then wait in
+    /// the kernel backlog (or go to another shard) until this shard
+    /// re-arms. Returns whether the listener interest is still armed.
+    fn accept_one(&mut self) -> bool {
+        if self.live() >= self.max_conns {
+            return !self.set_listener_interest(Interest::NONE);
+        }
+        let Some(listener) = self.listener.as_ref() else {
+            return false;
+        };
+        bump(&self.core.stats.accept_calls);
+        match self.port.env.accept(listener) {
+            Ok(stream) => {
+                bump(&self.core.stats.accepted);
+                self.admit(stream);
+                true
             }
-            let Some(listener) = self.listener.as_ref() else {
-                return false;
-            };
-            bump(&self.core.stats.accept_calls);
-            match self.port.env.accept(listener) {
-                Ok(stream) => {
-                    bump(&self.core.stats.accepted);
-                    self.admit(stream);
-                }
-                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => return true,
-                // Not backpressure: skip it and keep draining.
-                Err(ref e) if is_transient(e) => continue,
-                Err(_) => {
-                    // EMFILE/ENFILE (or another persistent failure):
-                    // accepting again immediately would fail immediately.
-                    // Count it and back off; the loop retries on the
-                    // ACCEPT_RETRY_MS cadence and on every freed slot —
-                    // and finds the headroom the open-file table held:
-                    // cached descriptors are the first thing to go.
-                    bump(&self.core.stats.accept_backpressure);
-                    self.port.env.clear_files();
-                    return !self.set_listener_interest(Interest::NONE);
-                }
+            // A sibling on a shared socket won the race, or the
+            // connection died queued: the next report says whether
+            // another is waiting.
+            Err(ref e) if e.kind() == io::ErrorKind::WouldBlock || is_transient(e) => true,
+            Err(_) => {
+                // EMFILE/ENFILE (or another persistent failure):
+                // accepting again immediately would fail immediately.
+                // Count it and back off; the loop retries on the
+                // ACCEPT_RETRY_MS cadence and on every freed slot —
+                // and finds the headroom the open-file table held:
+                // cached descriptors are the first thing to go.
+                bump(&self.core.stats.accept_backpressure);
+                self.port.env.clear_files();
+                !self.set_listener_interest(Interest::NONE)
             }
         }
     }
 
     /// Sets the listener's interest, keeping the registration: `NONE`
-    /// quiesces it, `READ` re-arms it. Returns whether the backend took
+    /// quiesces it, `ACCEPT` re-arms it. Returns whether the backend took
     /// it — a listener whose interest could not be dropped stays armed,
     /// and accepting simply retries on the next event.
     fn set_listener_interest(&mut self, interest: Interest) -> bool {
@@ -1008,7 +1018,7 @@ impl<E: Env> Shard<E> {
         for ev in events {
             match ev.token {
                 WAKE_TOKEN => {}
-                // Drained below, after existing connections are
+                // Taken below, after existing connections are
                 // serviced and expiries may have freed slots.
                 LISTENER_TOKEN => accept_ready = true,
                 // (The replies above can close a connection and let its
@@ -1031,14 +1041,12 @@ impl<E: Env> Shard<E> {
         // slots, so the gate decision below sees this turn's final
         // occupancy. (A draining shard has no listener left.)
         if !self.listener_armed && self.live() < self.max_conns {
-            // Re-arm: `modify` redelivers a still-pending backlog as a
-            // fresh readiness event (ET contract), and the
-            // level-triggered backend re-reports it on the next wait —
-            // either way the accepts resume without a new connection
-            // having to arrive.
-            self.listener_armed = self.set_listener_interest(Interest::READ);
+            // Re-arm: the listener is level-triggered, so the next wait
+            // reports a backlog that is still pending and the accepts
+            // resume without a new connection having to arrive.
+            self.listener_armed = self.set_listener_interest(Interest::ACCEPT);
         } else if accept_ready && self.listener_armed {
-            self.listener_armed = self.drain_accepts();
+            self.listener_armed = self.accept_one();
         }
         self.lap(&self.core.stats.phase_accept_us, &mut mark);
         self.sweep_workers();
@@ -1092,14 +1100,13 @@ const LOOP_STALL_THRESHOLD: Duration = Duration::from_millis(100);
 ///
 /// Each iteration is a lifecycle prologue — stop, drain entry, drain
 /// exit, a published reload or log rotation — then a wait and one
-/// `Shard::turn`. The shard's listener drains to `EWOULDBLOCK` like
-/// any other read source, and **backpressure is local** — at the
-/// connection cap (or on `EMFILE`/`ENFILE`) the listener's read
-/// interest is dropped, so pending connections stay in the kernel
-/// backlog (or go to other shards), and the interest is re-armed the
-/// moment a slot frees. The re-arm leans on the backend contract that
-/// `modify` redelivers a still-true readiness condition, so a backlog
-/// that filled while throttled surfaces as a fresh event.
+/// `Shard::turn`. The shard's listener is the contract's one
+/// exception: level-triggered, and taken one connection per report.
+/// **Backpressure is local** — at the connection cap (or on
+/// `EMFILE`/`ENFILE`) the listener's read interest is dropped, so
+/// pending connections stay in the kernel backlog (or go to other
+/// shards), and the interest is re-armed the moment a slot frees; a
+/// backlog that filled while throttled is reported by the next wait.
 pub fn shard_loop<E: Env>(shard: &mut Shard<E>, lifecycle: &LifecycleShared) {
     let mut events: Vec<Event> = Vec::new();
     loop {
@@ -1253,7 +1260,7 @@ mod tests {
         /// so its first drive read `EAGAIN` and registered it.
         fn connect_parked(&mut self) -> TcpStream {
             let client = self.connect();
-            assert!(self.shard.drain_accepts());
+            assert!(self.shard.accept_one());
             client
         }
 
@@ -1340,9 +1347,9 @@ mod tests {
     }
 
     /// Budget (a): a one-request connection whose request is waiting
-    /// costs `accept4`, `read`, `writev` and the `close` — plus the
-    /// `accept4` that finds the backlog empty — and never touches the
-    /// readiness backend.
+    /// costs `accept4`, `read`, `writev` and the `close` — no `accept4`
+    /// finds the backlog empty — and never touches the readiness
+    /// backend.
     #[test]
     fn a_one_shot_connection_is_never_registered() {
         for choice in BACKENDS {
@@ -1350,9 +1357,9 @@ mod tests {
             let registered = rig.shard.backend.registered();
             let mut client = rig.connect();
             client.write_all(GET_10).unwrap();
-            assert!(rig.shard.drain_accepts());
+            assert!(rig.shard.accept_one());
             read_last_response(client);
-            assert_eq!(rig.counts(), (2, 1, 1, 0), "{choice:?}");
+            assert_eq!(rig.counts(), (1, 1, 1, 0), "{choice:?}");
             assert_eq!(rig.shard.backend.registered(), registered);
             assert_eq!(rig.shard.live(), 0);
         }
@@ -1369,21 +1376,21 @@ mod tests {
             let registered = rig.shard.backend.registered();
             let mut client = rig.connect();
             client.write_all(GET_11).unwrap();
-            assert!(rig.shard.drain_accepts());
+            assert!(rig.shard.accept_one());
             read_response(&mut client);
             for _ in 0..2 {
                 client.write_all(GET_11).unwrap();
                 assert_eq!(rig.turn(), 1);
                 read_response(&mut client);
             }
-            assert_eq!(rig.counts(), (2, 3, 3, 1), "{choice:?}");
+            assert_eq!(rig.counts(), (1, 3, 3, 1), "{choice:?}");
             assert_eq!(rig.shard.backend.registered(), registered + 1);
 
             drop(client);
             assert_eq!(rig.turns_until_closed(), 1);
             assert_eq!(
                 rig.counts(),
-                (2, 4, 3, 1),
+                (1, 4, 3, 1),
                 "{choice:?}: the EOF is one read"
             );
             assert_eq!(rig.shard.backend.registered(), registered);
@@ -1407,12 +1414,12 @@ mod tests {
                 let mut rig = Rig::new(choice);
                 let mut client = rig.connect();
                 if !queued_before_accept {
-                    assert!(rig.shard.drain_accepts());
+                    assert!(rig.shard.accept_one());
                 }
                 client.write_all(GET_11).unwrap();
                 client.shutdown(Shutdown::Write).unwrap();
                 if queued_before_accept {
-                    assert!(rig.shard.drain_accepts());
+                    assert!(rig.shard.accept_one());
                 }
                 assert_eq!((rig.shard.live(), rig.counts().3), (1, 1), "{what}");
 
@@ -1422,7 +1429,7 @@ mod tests {
                 // The request and the EOF (and, registered first, the
                 // `EAGAIN` that parked it); no ctl beyond the register.
                 let reads = if queued_before_accept { 2 } else { 3 };
-                assert_eq!(rig.counts(), (2, reads, 1, 1), "{what}");
+                assert_eq!(rig.counts(), (1, reads, 1, 1), "{what}");
                 assert_eq!(rig.shard.core.stats.idle_reaped.load(Ordering::Relaxed), 0);
             }
         }
@@ -1488,7 +1495,7 @@ mod tests {
                 .unwrap();
             // Read and dispatched, to a set with no worker yet: the one
             // job of this test the pool is asked to do is the fork.
-            assert!(rig.shard.drain_accepts());
+            assert!(rig.shard.accept_one());
             assert_eq!(rig.dynamic_counts(), (0, 1, 0), "{choice:?}");
             let registered = rig.shard.backend.registered();
             rig.adopt_worker(&command);
@@ -1535,7 +1542,7 @@ mod tests {
             client
                 .write_all(b"GET /app/big HTTP/1.1\r\nHost: t\r\n\r\n")
                 .unwrap();
-            assert!(rig.shard.drain_accepts());
+            assert!(rig.shard.accept_one());
             rig.adopt_worker(&command);
             client.set_nonblocking(true).unwrap();
             let io = |rig: &Rig| rig.dynamic_counts().0;
@@ -1580,7 +1587,7 @@ mod tests {
             client
                 .write_all(b"GET /app/wedge HTTP/1.1\r\nHost: t\r\n\r\n")
                 .unwrap();
-            assert!(rig.shard.drain_accepts());
+            assert!(rig.shard.accept_one());
             rig.adopt_worker(&command);
             assert_eq!(rig.shard.backend.registered(), registered + 2);
             // The turn in which the dynamic deadline fires.
@@ -1599,7 +1606,7 @@ mod tests {
             client
                 .write_all(b"GET /app/chatty HTTP/1.1\r\nHost: t\r\n\r\n")
                 .unwrap();
-            assert!(rig.shard.drain_accepts());
+            assert!(rig.shard.accept_one());
             rig.adopt_worker(&command);
             // The answer, and — in that read or in one of its own —
             // what the worker had no business adding.
@@ -1624,7 +1631,7 @@ mod tests {
             (&client)
                 .write_all(b"GET /app/silent HTTP/1.1\r\nHost: t\r\n\r\n")
                 .unwrap();
-            assert!(rig.shard.drain_accepts());
+            assert!(rig.shard.accept_one());
             rig.adopt_worker(&command);
             assert_eq!(
                 rig.dynamic_counts(),
@@ -1698,7 +1705,7 @@ mod tests {
                     let req = format!("GET /f{i}.html HTTP/1.1\r\nHost: t\r\n\r\n");
                     client.write_all(req.as_bytes()).unwrap();
                     if pass + i == 0 {
-                        assert!(rig.shard.drain_accepts());
+                        assert!(rig.shard.accept_one());
                     } else {
                         assert_eq!(rig.turn(), 1);
                     }

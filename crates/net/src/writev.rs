@@ -30,8 +30,9 @@ pub fn writev_fd(fd: RawFd, bufs: &[&[u8]]) -> io::Result<usize> {
 
 /// [`writev_fd`] for segments with more right behind them: one
 /// `sendmsg(2)` flagged `MSG_MORE`, so a short tail — a response
-/// header ahead of its `sendfile` body — waits to leave in the same
-/// TCP segment as the first body bytes. Same contract otherwise.
+/// header ahead of its `sendfile` body, or a closing response ahead of
+/// its FIN — waits to leave in the same TCP segment as what follows.
+/// Same contract otherwise.
 #[cfg(any(target_os = "linux", target_os = "android"))]
 pub fn writev_more_fd(fd: RawFd, bufs: &[&[u8]]) -> io::Result<usize> {
     gathered(bufs, |iov| crate::sys::writev_more(fd, iov))

@@ -30,11 +30,13 @@ use flash_net::timer::TimerWheel;
 use flash_simcore::SimRng;
 
 /// An in-memory transport, writable unless `write_err` says every
-/// write fails that way; the response stream is captured behind an
-/// `Rc` so it survives the core closing the slot.
+/// write fails that way; the response stream — and which call carried
+/// each write — is captured behind an `Rc` so it survives the core
+/// closing the slot.
 struct TestIo {
     inbox: VecDeque<u8>,
     captured: Rc<RefCell<Vec<u8>>>,
+    calls: Rc<RefCell<Vec<&'static str>>>,
     write_err: Option<io::ErrorKind>,
     /// Scripts [`ConnIo::known_empty`]: the transport says so whenever
     /// its inbox is empty (a socket works that out from a short read).
@@ -50,6 +52,7 @@ impl TestIo {
         TestIo {
             inbox: VecDeque::new(),
             captured: Rc::clone(captured),
+            calls: Rc::default(),
             write_err: None,
             reports_dry: false,
             peer_closed: false,
@@ -80,19 +83,17 @@ impl ConnIo for TestIo {
     }
 
     fn writev(&mut self, bufs: &[&[u8]]) -> io::Result<usize> {
-        if let Some(kind) = self.write_err {
-            return Err(kind.into());
-        }
-        let mut out = self.captured.borrow_mut();
-        let mut n = 0;
-        for b in bufs {
-            out.extend_from_slice(b);
-            n += b.len();
-        }
-        Ok(n)
+        self.calls.borrow_mut().push("writev");
+        self.gather(bufs)
+    }
+
+    fn writev_more(&mut self, bufs: &[&[u8]]) -> io::Result<usize> {
+        self.calls.borrow_mut().push("writev_more");
+        self.gather(bufs)
     }
 
     fn sendfile(&mut self, file: &Arc<Vec<u8>>, offset: &mut u64, max: u64) -> io::Result<usize> {
+        self.calls.borrow_mut().push("sendfile");
         let left = (file.len() as u64).saturating_sub(*offset);
         if left == 0 {
             return Ok(0);
@@ -103,6 +104,22 @@ impl ConnIo for TestIo {
             .extend_from_slice(&file[*offset as usize..(*offset + n) as usize]);
         *offset += n;
         Ok(n as usize)
+    }
+}
+
+impl TestIo {
+    /// What both gathered writes do with their segments.
+    fn gather(&mut self, bufs: &[&[u8]]) -> io::Result<usize> {
+        if let Some(kind) = self.write_err {
+            return Err(kind.into());
+        }
+        let mut out = self.captured.borrow_mut();
+        let mut n = 0;
+        for b in bufs {
+            out.extend_from_slice(b);
+            n += b.len();
+        }
+        Ok(n)
     }
 }
 
@@ -457,6 +474,57 @@ fn a_dry_transport_is_not_read_and_a_hung_up_one_is_read_to_eof() {
     assert!(matches!(outcome, Drive::Closed), "closed at its EOF");
     assert_eq!(reads, 2, "the request, then the read that says Ok(0)");
     assert_eq!(scrubbed(closed_out), scrubbed(out));
+}
+
+/// One connection answering `request` on a transport that reports
+/// itself dry when `dry`, on a shard draining when `drain`: which call
+/// carried each write, and whether the connection closed.
+fn carriers(request: &[u8], dry: bool, drain: bool) -> (Vec<&'static str>, bool) {
+    let files = disk();
+    let mut core = core();
+    if drain {
+        core.begin_drain();
+    }
+    let mut io = TestIo::new(&Rc::default());
+    io.reports_dry = dry;
+    io.inbox.extend(request);
+    let calls = Rc::clone(&io.calls);
+    let mut conns = vec![Some(Conn::new(io))];
+    let mut port = SyncPort { jobs: Vec::new() };
+    settle(&mut core, &mut conns, &mut port, &files, Instant::now());
+    let calls = calls.borrow().clone();
+    (calls, conns[0].is_none())
+}
+
+/// The cork rule: a response that ends its connection because the
+/// client asked to close, on a transport that knows no unread byte is
+/// waiting, leaves through `writev_more`, so the close behind it puts
+/// the FIN in the held segment. Every other response's last write is
+/// pushed — a keep-alive one's, a drain's close of a keep-alive, one
+/// on a transport that cannot vouch for being dry, a refusal's (the
+/// refused request's body may still be arriving, and a close with
+/// bytes unread sends a reset, which would discard a held segment),
+/// and a `sendfile` body's, whose header alone is corked.
+#[test]
+fn only_a_close_the_client_asked_for_is_corked() {
+    const GET_10: &[u8] = b"GET /a.html HTTP/1.0\r\n\r\n";
+    const GET_11: &[u8] = b"GET /a.html HTTP/1.1\r\nHost: t\r\n\r\n";
+    const CLOSE: &[u8] = b"GET /a.html HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n";
+    const BODY_400: &[u8] = b"GET /a.html HTTP/1.0\r\nContent-Length: 3\r\n\r\nabc";
+    const POST_501: &[u8] = b"POST /a.html HTTP/1.0\r\nContent-Length: 3\r\n\r\nabc";
+    const BIG: &[u8] = b"GET /big.bin HTTP/1.0\r\n\r\n";
+    let corked = (vec!["writev_more"], true);
+    let pushed = (vec!["writev"], true);
+    assert_eq!(carriers(GET_10, true, false), corked, "HTTP/1.0");
+    assert_eq!(carriers(CLOSE, true, false), corked, "Connection: close");
+    let kept = (vec!["writev"], false);
+    assert_eq!(carriers(GET_11, true, false), kept, "keep-alive");
+    assert_eq!(carriers(GET_11, true, true), pushed, "a drain's close");
+    assert_eq!(carriers(GET_10, false, false), pushed, "not known dry");
+    assert_eq!(carriers(BODY_400, true, false), pushed, "a 400");
+    assert_eq!(carriers(POST_501, true, false), pushed, "a 501");
+    let sendfile = (vec!["writev_more", "sendfile"], true);
+    assert_eq!(carriers(BIG, true, false), sendfile, "a sendfile body");
 }
 
 fn scrubbed(mut buf: Vec<u8>) -> Vec<u8> {

@@ -451,12 +451,13 @@ fn epoll_an_idle_shard_sleeps_until_its_deadline() {
     an_idle_shard_sleeps_until_its_deadline(BackendChoice::Epoll);
 }
 
-/// The accept-gate sequence the reuseport shards run their listeners
-/// through: a listener registered for READ reports pending
-/// connections, `Interest::NONE` quiesces it (backpressure — the
-/// backlog keeps queueing in the kernel), and re-arming with `modify`
-/// redelivers the *still-pending* backlog as a fresh event without a
-/// new connection having to arrive.
+/// The accept-gate sequence the shards run their listeners through:
+/// a listener registered for [`Interest::ACCEPT`] reports pending
+/// connections level-triggered — after one `accept` of two, the next
+/// wait reports the other, and an empty backlog is silent —
+/// `Interest::NONE` quiesces it (backpressure — the backlog keeps
+/// queueing in the kernel), and re-arming with `modify` redelivers the
+/// *still-pending* backlog without a new connection having to arrive.
 fn listener_accept_gate(choice: BackendChoice) {
     use std::net::{TcpListener, TcpStream};
 
@@ -465,21 +466,29 @@ fn listener_accept_gate(choice: BackendChoice) {
     listener.set_nonblocking(true).unwrap();
     let addr = listener.local_addr().unwrap();
     let mut be = new_backend(choice);
-    be.register(listener.as_raw_fd(), TOKEN, Interest::READ)
+    be.register(listener.as_raw_fd(), TOKEN, Interest::ACCEPT)
         .unwrap();
     let mut evs = Vec::new();
 
-    // A pending connection surfaces as readability on the listener.
+    // Two pending connections surface as two reports, one per accept.
     let _c1 = TcpStream::connect(addr).unwrap();
-    assert_eq!(be.wait(&mut evs, 2000).unwrap(), 1);
-    assert_eq!(evs[0].token, TOKEN);
-    assert!(evs[0].readable);
-    let _ = listener.accept().unwrap();
+    let _c2 = TcpStream::connect(addr).unwrap();
+    for i in 0..2 {
+        assert_eq!(be.wait(&mut evs, 2000).unwrap(), 1, "report {i}");
+        assert_eq!(evs[0].token, TOKEN);
+        assert!(evs[0].readable);
+        let _ = listener.accept().unwrap();
+    }
+    assert_eq!(
+        be.wait(&mut evs, 50).unwrap(),
+        0,
+        "an empty backlog must stay silent"
+    );
 
     // Throttled: connections queue silently in the backlog.
     be.modify(listener.as_raw_fd(), TOKEN, Interest::NONE)
         .unwrap();
-    let _c2 = TcpStream::connect(addr).unwrap();
+    let _c3 = TcpStream::connect(addr).unwrap();
     // Give the loopback handshake a beat to complete first.
     std::thread::sleep(std::time::Duration::from_millis(30));
     assert_eq!(
@@ -490,7 +499,7 @@ fn listener_accept_gate(choice: BackendChoice) {
 
     // Re-arm: the backlog that filled while throttled must be
     // redelivered even though its edge predates the modify.
-    be.modify(listener.as_raw_fd(), TOKEN, Interest::READ)
+    be.modify(listener.as_raw_fd(), TOKEN, Interest::ACCEPT)
         .unwrap();
     assert_eq!(
         be.wait(&mut evs, 2000).unwrap(),

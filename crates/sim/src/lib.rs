@@ -34,7 +34,9 @@
 //! * **readiness** — `SimBackend`, an [`EventBackend`] with epoll's
 //!   edge-triggered semantics, whose `wait` advances the calendar to
 //!   the next event or to the timeout the shard's deadlines asked
-//!   for, and reports the edges in-memory endpoints raised;
+//!   for, and reports the edges in-memory endpoints raised — and the
+//!   listener, registered level-triggered ([`Interest::ACCEPT`]) as a
+//!   real shard's is, whenever its backlog is non-empty;
 //! * **the transport** — `SimFd` as a connection: its inbox (filled on
 //!   the client's script), its receive window (a refill is a writable
 //!   edge) and the capture of everything sent;
@@ -558,6 +560,13 @@ impl Kernel {
         self.unanswered += u64::from(head.is_empty() && s.body_bytes == 0);
     }
 
+    /// Whether the run has spent the events and turns a livelock-free
+    /// run of its size could need.
+    fn out_of_fuel(&self) -> bool {
+        let fuel = self.cfg.connections.saturating_mul(500) + 1_000_000;
+        self.queue.events_processed() + self.turns > fuel
+    }
+
     fn raise_wake(&mut self) {
         if !std::mem::replace(&mut self.wake, true) {
             self.edges.push(WAKE_FD);
@@ -586,13 +595,19 @@ impl Kernel {
     /// until an edge meets a registration's interest, or until the
     /// timeout. Edge-triggered, as epoll is: an edge on a descriptor
     /// not watching for it is gone, and registering or changing
-    /// interest re-checks what already holds.
+    /// interest re-checks what already holds. A level-triggered
+    /// registration — the listener's — is reported whenever its
+    /// condition holds, edge or not.
     fn wait(&mut self, events: &mut Vec<Event>, timeout_ms: i32) -> usize {
         events.clear();
         let deadline = u64::try_from(timeout_ms)
             .ok()
             .map(|ms| self.queue.now() + ms * MILLI);
         loop {
+            let listener = self.regs[LISTEN_FD as usize];
+            if self.backlog > 0 && listener.is_some_and(|(_, interest)| interest.is_level()) {
+                self.edges.push(LISTEN_FD);
+            }
             for i in 0..self.edges.len() {
                 let fd = self.edges[i];
                 let Some((token, interest)) = self.regs[fd as usize] else {
@@ -614,6 +629,15 @@ impl Kernel {
             self.edges.clear();
             if !events.is_empty() || self.error.is_some() {
                 return events.len();
+            }
+            // A wait that never returns is a livelock too: say, a
+            // backlog nobody reports holding the drain off for ever.
+            if self.out_of_fuel() {
+                let events = self.queue.events_processed();
+                self.fail(format!(
+                    "fuel exhausted after {events} events inside one wait"
+                ));
+                return 0;
             }
             if let Some(d) = deadline.filter(|&d| self.queue.peek_time().is_none_or(|t| t > d)) {
                 self.queue.schedule_at(d, Ev::Tick);
@@ -1223,8 +1247,7 @@ impl Env for SimEnv {
             let t = k.queue.now();
             k.fail(format!("invariant violated (turn {turns}, t={t:?}): {e}"));
         }
-        let fuel = k.cfg.connections.saturating_mul(500) + 1_000_000;
-        if events + turns > fuel {
+        if k.out_of_fuel() {
             let live = shard.live();
             k.fail(format!(
                 "fuel exhausted after {events} events and {turns} turns with {live} connections live — livelock"
@@ -1306,7 +1329,7 @@ impl Sim {
         // Registered as `Server::start` registers a real shard's.
         let mut backend = Box::new(SimBackend { k: Rc::clone(&k) });
         let _ = backend.register(WAKE_FD, WAKE_TOKEN, Interest::READ);
-        let _ = backend.register(LISTEN_FD, LISTENER_TOKEN, Interest::READ);
+        let _ = backend.register(LISTEN_FD, LISTENER_TOKEN, Interest::ACCEPT);
         let listener = SimFd {
             fd: LISTEN_FD,
             k: Rc::clone(&k),
@@ -1489,6 +1512,29 @@ mod tests {
         );
         assert_eq!(report.counts.drained_conns, 1);
         assert_eq!(report.unanswered, 0);
+    }
+
+    /// The listener is level-triggered and taken one connection per
+    /// report: eight arrivals queued behind the one edge the shard's
+    /// first wait reports are admitted over eight turns, one `accept`
+    /// each — none finds the backlog empty — and none is stranded.
+    #[test]
+    fn a_queued_backlog_is_admitted_one_accept_per_turn() {
+        const N: u64 = 8;
+        let mut cfg = SimConfig::new(5, 0);
+        cfg.faults = FaultPlan::none();
+        cfg.check_every = 1;
+        let sim = Sim::new(cfg, &small_site(7));
+        {
+            let mut k = sim.k.borrow_mut();
+            k.backlog = N;
+            k.edges.push(LISTEN_FD);
+        }
+        let report = sim.run().expect("invariants");
+        let c = &report.counts;
+        assert_eq!((c.accepted, c.accept_calls), (N, N), "{report:?}");
+        assert!(c.wait_calls >= N, "{report:?}");
+        assert_eq!(report.unanswered, 0, "{report:?}");
     }
 
     /// The acceptance bar: same seed ⇒ byte-identical report (the

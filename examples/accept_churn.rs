@@ -24,7 +24,11 @@
 //! registration when its request is already waiting at accept and
 //! exactly one when it is not (registered, never deregistered: a closed
 //! socket is forgotten), so one per connection is an upper bound
-//! whichever way each first-read race goes.
+//! whichever way each first-read race goes. A shard takes one
+//! connection per report of its level-triggered listener, so in the
+//! reuseport mode, where each shard owns its socket, every `accept4`
+//! returns a connection (`accept_calls == accepted`); on the one
+//! shared socket the shards race, and the losers' calls find it empty.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -191,6 +195,7 @@ fn main() {
             "every served request must land in the latency histogram"
         );
         let accepted = after["flash_accepted"];
+        let accept_calls = after["flash_accept_calls"];
         let ctl_calls = after["flash_ctl_calls"];
         let counted = ["accept", "read", "writev", "ctl"]
             .iter()
@@ -201,6 +206,14 @@ fn main() {
             "a one-request connection costs at most one registration: \
              {ctl_calls} ctl calls for {accepted} connections"
         );
+        if resolved == AcceptMode::ReusePort {
+            assert_eq!(
+                accept_calls, accepted,
+                "a shard owning its socket accepts only when a connection waits"
+            );
+        } else {
+            assert!(accept_calls >= accepted, "{accept_calls} < {accepted}");
+        }
         let stats = server.stats();
         assert_eq!(
             stats.requests(),
