@@ -26,7 +26,10 @@
 //!   submits a [`HelperJob`] and later receives a [`Done`]; whether a
 //!   helper thread pool, the submitting thread itself or a
 //!   simulated-latency scheduler sits behind the port is the driver's
-//!   business.
+//!   business. Before it makes a job for a content-cache miss, the
+//!   core asks the port whether it holds the file open, ready to send
+//!   ([`HelperPort::held`]): a shard's port answers from its open-file
+//!   table, and such a miss is served like a hit, with no job at all.
 //! * [`crate::cache::CacheHandle`] — a shard's private
 //!   [`crate::cache::ContentCache`], or an MT thread's locked handle
 //!   on the one cache all threads share.
@@ -114,6 +117,7 @@ pub mod machine;
 pub mod plan;
 pub mod shard;
 
+use std::fs::File;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -126,7 +130,7 @@ pub use shard::ShardCore;
 
 pub use crate::stats::ShardStats;
 
-use crate::cache::Variant;
+use crate::cache::{Entry, Variant};
 
 /// The transport seam: every I/O operation the connection state
 /// machine performs, with nonblocking semantics — `WouldBlock` means
@@ -195,9 +199,36 @@ pub trait ConnIo {
 /// into [`shard::ShardCore::complete_job`] — later, from another
 /// thread's result, or at once when the driver can tell the job needs
 /// no waiting (the residency test): the same path either way.
-pub trait HelperPort {
+///
+/// `F` is the large-body handle of the transports the port serves
+/// ([`ConnIo::FileRef`]); the real server's `Arc<File>` by default.
+pub trait HelperPort<F = Arc<File>> {
     /// Dispatches one open/read (or open/fstat) job. Must not block.
     fn submit(&mut self, job: HelperJob);
+
+    /// A content-cache miss on variant key `key`, with no job in
+    /// flight for it, answered from a file the port already holds open
+    /// — the paper's mapped-file and response-header caches (§5.3,
+    /// §5.4) as a second tier behind the content cache — or declined
+    /// (`None`), and the core makes its job as before. The core asks
+    /// before it makes anything: an answer is sent at once on the
+    /// `sendfile` tier, and costs no [`HelperJob`], token, cancel flag,
+    /// job-table entry or [`Done`]. `inline_max` is the job's
+    /// [`HelperJob::inline_max`]; `now` the driver's clock. Must not
+    /// block. The default declines: a port that holds no files.
+    fn held(&mut self, _key: &str, _inline_max: u64, _now: Instant) -> Option<Held<F>> {
+        None
+    }
+}
+
+/// A file a port holds open, as [`HelperPort::held`] hands it out: the
+/// representation's head (its header pair and validators, rendered
+/// once for as long as the port holds the file) and the handle to send
+/// its `len` bytes from.
+pub struct Held<F> {
+    pub head: Arc<Entry>,
+    pub file: F,
+    pub len: u64,
 }
 
 /// What a helper does for a job: read the file, or merely re-stat it.
@@ -240,10 +271,10 @@ pub struct HelperJob {
     /// for the `sendfile` window path. The value is core policy
     /// (`ProtoConfig::sendfile_threshold`) carried on the job so
     /// executors stay mechanical — no driver consults the config. (A
-    /// shard's open-file table answers a file it holds with the handle
-    /// at any size, once its pages are known resident: the bytes are
-    /// read only for the content cache, and only a load resolved by
-    /// path feeds that.)
+    /// file a shard's open-file table holds is answered with the handle
+    /// at any size, once its pages are known resident, before any job
+    /// is made — [`HelperPort::held`]: the bytes are read only for the
+    /// content cache, and only a load resolved by path feeds that.)
     pub inline_max: u64,
     /// The dispatching shard's reload epoch; echoed back on the
     /// [`Done`] so a completion that raced a SIGHUP reload can be
@@ -283,9 +314,10 @@ impl HelperJob {
 /// What a job execution hands back for a readable file: either the
 /// bytes themselves (small representation, destined for the content
 /// cache — `len <= HelperJob::inline_max`) or an opaque file handle
-/// plus its stat'ed length (a large representation, or any a shard's
-/// open-file table holds; destined for the `sendfile` window path —
-/// the shard never sees the body at all, and caches nothing).
+/// plus its stat'ed length (a large representation; destined for the
+/// `sendfile` window path — the shard never sees the body at all, and
+/// caches nothing). A file a shard's open-file table holds is answered
+/// before any job exists, as a [`Held`].
 /// Both carry the fstat'ed mtime so responses advertise
 /// `Last-Modified` and conditional requests can be answered `304`.
 #[derive(Debug)]

@@ -25,7 +25,7 @@ use crate::timer::TimerWheel;
 use super::machine::{flush_out, Conn, ConnState, DeadlineKind, Drive, FlushResult};
 use super::plan::{plan_dynamic, plan_response, queue_plan, RequestCond, Resource};
 use super::{
-    ConnIo, Done, DoneData, DynEvent, FileData, HelperJob, HelperPort, JobKind, LoadResult,
+    ConnIo, Done, DoneData, DynEvent, FileData, Held, HelperJob, HelperPort, JobKind, LoadResult,
     ProtoConfig, ShardStats,
 };
 
@@ -283,7 +283,7 @@ impl<C: CacheHandle> ShardCore<C> {
         &mut self,
         idx: usize,
         conns: &mut [Option<Conn<Io>>],
-        port: &mut dyn HelperPort,
+        port: &mut dyn HelperPort<Io::FileRef>,
         now: Instant,
     ) -> Drive {
         loop {
@@ -423,7 +423,7 @@ impl<C: CacheHandle> ShardCore<C> {
         idx: usize,
         conn: &mut Conn<Io>,
         req: Request,
-        port: &mut dyn HelperPort,
+        port: &mut dyn HelperPort<Io::FileRef>,
         now: Instant,
     ) {
         conn.keep_alive = req.keep_alive();
@@ -511,12 +511,29 @@ impl<C: CacheHandle> ShardCore<C> {
         };
         // Coalesce concurrent misses (and revalidations) per variant
         // key: a request for a key already in flight parks on its job.
+        // A miss on a key with none is asked of the port's held files
+        // first, and answered like a hit if it holds this one.
         // The request parser has already normalized away any `..`, so
         // joining the relative remainder cannot escape the docroot.
         let key = gz_key.unwrap_or(path);
         match self.jobs.get_mut(&key) {
             Some(job) => job.waiters.push(idx),
-            None => self.dispatch_job(key, kind, vec![idx], port),
+            None => {
+                if kind == JobKind::Load {
+                    let held = port.held(&key, self.cfg.sendfile_threshold, now);
+                    if let Some(Held { head, file, len }) = held {
+                        let res = Resource::File {
+                            head: &head,
+                            file: &file,
+                            len,
+                        };
+                        let url_path = cache::split_variant_key(&key).0;
+                        self.respond(conn, &res, url_path, Tier::Sendfile);
+                        return;
+                    }
+                }
+                self.dispatch_job(key, kind, vec![idx], port);
+            }
         }
         conn.wait_start = Some(now);
         conn.state = ConnState::Waiting;
@@ -567,12 +584,12 @@ impl<C: CacheHandle> ShardCore<C> {
     /// completion is accepted, and carrying a fresh cancellation flag.
     /// The job carries the core's tier threshold (`inline_max`) and the
     /// key's variant so every executor stays mechanical.
-    fn dispatch_job(
+    fn dispatch_job<F>(
         &mut self,
         key: String,
         kind: JobKind,
         waiters: Vec<usize>,
-        port: &mut dyn HelperPort,
+        port: &mut dyn HelperPort<F>,
     ) {
         let (token, cancel) = self.register_job(&key, waiters);
         // The filesystem path is always the identity representation's;
@@ -605,7 +622,7 @@ impl<C: CacheHandle> ShardCore<C> {
         idx: usize,
         conn: &mut Conn<Io>,
         url_path: &str,
-        port: &mut dyn HelperPort,
+        port: &mut dyn HelperPort<Io::FileRef>,
         now: Instant,
     ) {
         self.stats.dynamic_requests.fetch_add(1, Ordering::Relaxed);
@@ -669,7 +686,7 @@ impl<C: CacheHandle> ShardCore<C> {
         done: Done<Io::FileRef>,
         conns: &mut [Option<Conn<Io>>],
         completed: &mut Vec<usize>,
-        port: &mut dyn HelperPort,
+        port: &mut dyn HelperPort<Io::FileRef>,
         now: Instant,
     ) {
         // A dynamic job produces *several* completions under one token
@@ -777,7 +794,7 @@ impl<C: CacheHandle> ShardCore<C> {
         waiters: Vec<usize>,
         conns: &mut [Option<Conn<Io>>],
         completed: &mut Vec<usize>,
-        port: &mut dyn HelperPort,
+        port: &mut dyn HelperPort<Io::FileRef>,
         now: Instant,
     ) {
         if let (Some(entry), Ok((len, mtime))) = (self.cache.peek(&path), &stat) {
@@ -940,7 +957,7 @@ impl<C: CacheHandle> ShardCore<C> {
         &mut self,
         idx: usize,
         conns: &mut [Option<Conn<Io>>],
-        port: &mut dyn HelperPort,
+        port: &mut dyn HelperPort<Io::FileRef>,
         now: Instant,
     ) -> Drive {
         let Some(conn) = conns.get_mut(idx).and_then(|c| c.as_mut()) else {

@@ -36,24 +36,26 @@
 //! threads) and resolves every job by path. [`exec_job_nowait`] is the
 //! event loop's **residency test**: it never waits, and either answers
 //! a regular file as `exec_job` would — the same file, variant and
-//! validators — or declines, leaving the job to a helper. A name the
-//! table holds is answered with the **descriptor** at any size, as
-//! Flash sent from its mapped files (§5.4): `cachestat(2)` confirms
-//! that every page is resident (§5.7's `mincore` test, asked of a
-//! descriptor), and `sendfile(2)` sends the body from the page cache
-//! without a copy. Only a load resolved by path reads a small body
-//! into bytes, for the content cache.
+//! validators — or declines, leaving the job to a helper.
+//!
+//! A name the table holds never becomes a job: the loop asks
+//! [`OpenFileTable::held`] first, and a held file is answered like a
+//! cache hit, with the **descriptor** at any size, as Flash sent from
+//! its mapped files (§5.4), under a header pair rendered once per entry
+//! (§5.3): `cachestat(2)` confirms that every page is resident (§5.7's
+//! `mincore` test, asked of a descriptor), and `sendfile(2)` sends the
+//! body from the page cache without a copy. Only a load resolved by
+//! path reads a small body into bytes, for the content cache.
 
 use std::fs::File;
 use std::io::{self, Read};
-use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::cache::Variant;
-use crate::conn::{DoneData, FileData, HelperJob, JobKind, LoadResult, ShardStats};
+use crate::cache::{self, Entry, Variant};
+use crate::conn::{DoneData, FileData, Held, HelperJob, JobKind, LoadResult, ShardStats};
 use crate::lru::LruCache;
 use crate::sys;
 
@@ -318,29 +320,37 @@ static NOWAIT_OFF: AtomicBool = AtomicBool::new(!sys::HAS_NOWAIT);
 
 /// Set once `cachestat(2)` proves unavailable (a kernel before 6.5, a
 /// seccomp filter, a kernel that asks for ownership the server lacks):
-/// from then on a held file's residency is tested by reading its
-/// bytes, as a load resolved by path does. Like [`NOWAIT_OFF`], a
+/// from then on the loop answers no held file ([`OpenFileTable::held`])
+/// and a held file's residency is tested by reading its bytes, on the
+/// job path, as a load resolved by path does. Like [`NOWAIT_OFF`], a
 /// fact about the platform, not a setting.
 static CACHESTAT_OFF: AtomicBool = AtomicBool::new(!sys::HAS_NOWAIT);
 
-/// One shard's **open-file table**: `resolve` memoised for the
-/// residency test, so a content-cache miss on a file the shard has
-/// served before costs an `fstat` and a `cachestat` of a descriptor it
-/// already holds, and is answered with that descriptor for `sendfile`
-/// — no `openat2`, no sibling probe, no read, no copy, no `close` —
-/// the paper's pathname-translation cache (§5.2), holding descriptors
-/// where Flash held `mmap`s (§5.4). Such an answer inserts nothing:
-/// the content cache is fed only by loads resolved by path.
+/// One shard's **open-file table**: `resolve` memoised, and with it the
+/// response head — the paper's pathname-translation and
+/// response-header caches (§5.2, §5.3), holding descriptors where Flash
+/// held `mmap`s (§5.4). It is a second cache tier behind the content
+/// cache, answered in the loop: a content-cache miss on a file the
+/// shard has served before is asked of [`Self::held`] before any job
+/// exists, and answered like a hit — an `fstat` and a `cachestat` of a
+/// descriptor the table already holds, then that descriptor, under the
+/// head the entry rendered at its first such answer, for `sendfile` —
+/// no `openat2`, no sibling probe, no read, no copy, no `close`, no
+/// header render, and no helper job. Such an answer inserts nothing:
+/// the content cache is fed only by loads resolved by path, which the
+/// residency test ([`exec_job_nowait`]) makes through the table and
+/// remembers in it.
 ///
 /// An entry-count-bounded LRU keyed by the job's variant key, owned by
-/// the shard's port and touched by its event-loop thread only. What an
-/// entry is trusted for is the module's TOCTOU rule: the name binding
-/// for `ttl` since it was resolved by path (`None`: until something
-/// else drops it), everything else re-read from the descriptor on
-/// every use (`OpenFile::unchanged`), and the body's residency asked
-/// of `cachestat` (`OpenFile::answer`). Any disagreement, error, page
-/// not resident or would-block drops the entry and declines the job;
-/// the helper that takes it resolves by path. Two things only the TTL
+/// the shard's environment and touched by its event-loop thread only.
+/// What an entry is trusted for is the module's TOCTOU rule, checked in
+/// one place (`check`): the name binding for `ttl` since it was
+/// resolved by path (`None`: until something else drops it), then
+/// everything else re-read from the descriptor on every use
+/// (`OpenFile::unchanged`), then the body's residency asked of
+/// `cachestat` (`OpenFile::resident`). Any disagreement, error or page
+/// not resident drops the entry, its head with it, and declines; the
+/// job the core then makes resolves by path. Two things only the TTL
 /// catches, as on a content-cache hit: a `chmod` that would refuse
 /// the open today, and a rename-over of a file that keeps another hard
 /// link (its link count never reaches zero). Entries leave by LRU eviction at
@@ -348,6 +358,11 @@ static CACHESTAT_OFF: AtomicBool = AtomicBool::new(!sys::HAS_NOWAIT);
 /// exhaustion, shard exit), and — so that a file nobody asks for again
 /// does not pin a deleted inode's blocks until eviction — from the LRU
 /// tail on every insert once their TTL has lapsed.
+///
+/// Where `cachestat` is unavailable the loop asks nothing of the
+/// table, and a held file is answered on the job path instead, its
+/// bytes read with `RWF_NOWAIT` (or, above `inline_max`, its
+/// descriptor), after the same check.
 ///
 /// The capacity is the caller's descriptor budget; below
 /// [`Self::MIN_CAPACITY`] there is no table and every load resolves by
@@ -363,6 +378,12 @@ pub struct OpenFileTable {
 struct OpenFile {
     found: Resolved,
     resolved_at: Instant,
+    /// The representation's head — header pair and validators —
+    /// rendered at the entry's first held answer and kept for as long
+    /// as the entry lives: it describes `found`'s length and mtime,
+    /// which the per-use check holds the file to, and it leaves with
+    /// the entry, whichever way the entry leaves.
+    head: Option<Arc<Entry>>,
 }
 
 impl OpenFile {
@@ -370,20 +391,19 @@ impl OpenFile {
         ttl.is_none_or(|t| now.saturating_duration_since(self.resolved_at) < t)
     }
 
-    /// The per-use check: the descriptor must still be a regular file
-    /// with a name (`st_nlink > 0` — an unlinked or renamed-over file
-    /// is dropped at once, so a delete still `404`s and a `mv new old`
-    /// shows on the very next request) and the length and mtime it had
-    /// when resolved. No byte is read after it: the length this
-    /// promises is `sendfile`'s to deliver, and a file that shrinks in
-    /// between drops the connection (`ConnIo::sendfile`'s `Ok(0)`), on
-    /// either tier.
+    /// The per-use check, one bare `fstat` ([`sys::fstat`]): the
+    /// descriptor must still be a regular file with a name
+    /// (`st_nlink > 0` — an unlinked or renamed-over file is dropped
+    /// at once, so a delete still `404`s and a `mv new old` shows on
+    /// the very next request) and the length and mtime it had when
+    /// resolved. No byte is read after it: the length this promises is
+    /// `sendfile`'s to deliver, and a file that shrinks in between
+    /// drops the connection (`ConnIo::sendfile`'s `Ok(0)`), on either
+    /// tier.
     fn unchanged(&self) -> io::Result<()> {
-        let meta = self.found.file.metadata()?;
-        let same = meta.is_file()
-            && meta.nlink() > 0
-            && meta.len() == self.found.len
-            && unix_mtime(&meta) == self.found.mtime;
+        let st = sys::fstat(&self.found.file)?;
+        let same =
+            st.regular && st.linked && st.len == self.found.len && st.mtime == self.found.mtime;
         if same {
             Ok(())
         } else {
@@ -391,27 +411,51 @@ impl OpenFile {
         }
     }
 
-    /// The answer from the held descriptor, once [`Self::unchanged`]
-    /// passed: the descriptor itself, for `sendfile`, when `cachestat`
-    /// finds every page of the body in the page cache; `WouldBlock`
-    /// when one is not — the disk would block, a helper's business.
-    /// A body above `inline_max` is the descriptor either way, as it
-    /// always was. Where `cachestat` is unavailable a small body is
-    /// read instead, and the `RWF_NOWAIT` read is the residency test.
-    fn answer(&self, inline_max: u64) -> io::Result<LoadResult<Arc<File>>> {
-        let (found, at) = (&self.found, Some(self.resolved_at));
-        if found.len <= inline_max && !CACHESTAT_OFF.load(Ordering::Relaxed) {
-            match sys::resident(&found.file, found.len) {
-                Ok(true) => return Ok(found.by_descriptor(at)),
-                Ok(false) => return Err(io::ErrorKind::WouldBlock.into()),
-                Err(e) if sys::is_unsupported(&e) => {
+    /// The residency step: every page of a body a helper would read
+    /// (at most `inline_max` bytes) must be in the page cache, by
+    /// `cachestat`; `WouldBlock` when one is not — the disk would
+    /// block, a helper's business. A larger body is the descriptor
+    /// either way, as a helper's answer would be, and whether its
+    /// pages are resident is `sendfile`'s business. Where `cachestat`
+    /// is unavailable this passes, and the `RWF_NOWAIT` read of the
+    /// job path is the test.
+    fn resident(&self, inline_max: u64) -> io::Result<()> {
+        let found = &self.found;
+        if found.len > inline_max || CACHESTAT_OFF.load(Ordering::Relaxed) {
+            return Ok(());
+        }
+        match sys::resident(&found.file, found.len) {
+            Ok(true) => Ok(()),
+            Ok(false) => Err(io::ErrorKind::WouldBlock.into()),
+            Err(e) => {
+                if sys::is_unsupported(&e) {
                     CACHESTAT_OFF.store(true, Ordering::Relaxed);
                 }
-                // A verdict on this file alone: its bytes decide.
-                Err(_) => {}
+                Err(e)
             }
         }
-        tiered(&NOWAIT, found, inline_max, at)
+    }
+
+    /// The held answer: the descriptor, under the head rendered at the
+    /// first one. `key` is the entry's variant key.
+    fn sendable(&mut self, key: &str) -> Held<Arc<File>> {
+        let OpenFile { found, head, .. } = self;
+        let head = head.get_or_insert_with(|| {
+            let url_path = cache::split_variant_key(key).0;
+            let (len, mtime) = (found.len, found.mtime);
+            Arc::new(Entry::head(
+                url_path,
+                len,
+                mtime,
+                found.variant,
+                found.has_gzip,
+            ))
+        });
+        Held {
+            head: Arc::clone(head),
+            file: Arc::clone(&found.file),
+            len: found.len,
+        }
     }
 }
 
@@ -437,46 +481,100 @@ impl OpenFileTable {
         self.stats.open_files.store(0, Ordering::Relaxed);
     }
 
-    /// A [`JobKind::Load`] through the table: from a trusted entry's
-    /// descriptor if there is one, else resolved by path and
-    /// remembered.
+    /// A content-cache miss on variant key `key` answered in the loop,
+    /// before any job exists ([`crate::conn::HelperPort::held`]): the
+    /// held descriptor under its head, if the table holds the file and
+    /// it passes `check`; `None` declines, and the core makes
+    /// its job. Without `cachestat` it always declines.
+    pub fn held(&mut self, key: &str, inline_max: u64, now: Instant) -> Option<Held<Arc<File>>> {
+        if CACHESTAT_OFF.load(Ordering::Relaxed) {
+            return None;
+        }
+        self.check(key, inline_max, now, |held| Ok(held.sendable(key)))?
+            .ok()
+    }
+
+    /// The held check, made here and nowhere else: the entry for `key`
+    /// must be trusted (its name binding inside the TTL), then
+    /// [`OpenFile::unchanged`], then [`OpenFile::resident`]; `answer`
+    /// then makes the answer from it, and the answer counts as one of
+    /// the `open_file_hits`. `None`: no entry for `key`, or one past
+    /// its TTL, dropped here — the name is to be resolved by path
+    /// again. Any other failure, `answer`'s included, drops the entry
+    /// too and comes back as the error: the caller declines. An error
+    /// that says a call is unavailable here ([`sys::is_unsupported`])
+    /// is a verdict on the platform, not on the file, and leaves the
+    /// entry where it is.
+    fn check<T>(
+        &mut self,
+        key: &str,
+        inline_max: u64,
+        now: Instant,
+        answer: impl FnOnce(&mut OpenFile) -> io::Result<T>,
+    ) -> Option<io::Result<T>> {
+        let lru = self.lru.as_mut()?;
+        let held = lru.get_mut(key)?;
+        let answer = held.trusted(self.ttl, now).then(|| {
+            held.unchanged()
+                .and_then(|()| held.resident(inline_max))
+                .and_then(|()| answer(held))
+        });
+        match &answer {
+            Some(Ok(_)) => {
+                self.stats.open_file_hits.fetch_add(1, Ordering::Relaxed);
+            }
+            Some(Err(e)) if sys::is_unsupported(e) => {}
+            _ => {
+                lru.remove(key);
+                self.stats
+                    .open_files
+                    .store(lru.len() as u64, Ordering::Relaxed);
+            }
+        }
+        answer
+    }
+
+    /// A [`JobKind::Load`] through the table, for the residency test:
+    /// resolved by path and remembered. Where `cachestat` is
+    /// unavailable, a held name is answered from its entry instead,
+    /// after `check`: its bytes read with `RWF_NOWAIT` (the
+    /// read is the residency test), or above `inline_max` its
+    /// descriptor. Where `cachestat` works, the loop answered every
+    /// held name it could ([`Self::held`]), and one that reaches here
+    /// is resolved afresh.
     fn answer(&mut self, job: &HelperJob) -> io::Result<LoadResult<Arc<File>>> {
+        let (key, now) = (job.path.as_str(), Instant::now());
+        if CACHESTAT_OFF.load(Ordering::Relaxed) {
+            let read = |held: &mut OpenFile| {
+                let at = Some(held.resolved_at);
+                tiered(&NOWAIT, &held.found, job.inline_max, at)
+            };
+            if let Some(answer) = self.check(key, job.inline_max, now, read) {
+                return answer;
+            }
+        }
         let Some(lru) = &mut self.lru else {
             return load(&NOWAIT, job);
         };
-        let (key, now) = (job.path.as_str(), Instant::now());
-        let answer = match lru.get(key) {
-            Some(held) if held.trusted(self.ttl, now) => {
-                let answer = held.unchanged().and_then(|()| held.answer(job.inline_max));
-                if answer.is_ok() {
-                    self.stats.open_file_hits.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    // Failed its per-use check: drop it and decline.
-                    lru.remove(key);
-                }
-                answer
+        // Resolve by path, and remember the binding once the bytes
+        // have come too.
+        lru.remove(key);
+        let answer = resolve(&NOWAIT, job).and_then(|found| {
+            let answer = tiered(&NOWAIT, &found, job.inline_max, Some(now))?;
+            while lru
+                .peek_lru()
+                .is_some_and(|(_, idle)| !idle.trusted(self.ttl, now))
+            {
+                lru.pop_lru();
             }
-            // Not held, or held past its TTL: resolve by path, and
-            // remember the binding once the bytes have come too.
-            _ => {
-                lru.remove(key);
-                resolve(&NOWAIT, job).and_then(|found| {
-                    let answer = tiered(&NOWAIT, &found, job.inline_max, Some(now))?;
-                    while lru
-                        .peek_lru()
-                        .is_some_and(|(_, idle)| !idle.trusted(self.ttl, now))
-                    {
-                        lru.pop_lru();
-                    }
-                    let held = OpenFile {
-                        found,
-                        resolved_at: now,
-                    };
-                    lru.insert(Arc::from(key), held);
-                    Ok(answer)
-                })
-            }
-        };
+            let held = OpenFile {
+                found,
+                resolved_at: now,
+                head: None,
+            };
+            lru.insert(Arc::from(key), held);
+            Ok(answer)
+        });
         self.stats
             .open_files
             .store(lru.len() as u64, Ordering::Relaxed);
@@ -486,19 +584,20 @@ impl OpenFileTable {
 
 /// The **residency test**: executes a [`JobKind::Load`] or
 /// [`JobKind::Revalidate`] job only if that takes no waiting — path
-/// lookups answered by the dentry cache ([`sys::open_cached`]) or by
-/// `table`, bytes by the page cache ([`sys::pread_nowait`], or
-/// [`sys::resident`] for a body sent from a held descriptor). `Some`
-/// carries the payload [`exec_job`] would produce — the same file,
-/// variant and validators; from a held descriptor the body is that
-/// descriptor at any size — and `None` declines, and the caller hands
-/// the job to a helper as if this had never run.
+/// lookups answered by the dentry cache ([`sys::open_cached`]), bytes
+/// by the page cache ([`sys::pread_nowait`]) — and remembers a load's
+/// name binding in `table`. `Some` carries the payload [`exec_job`]
+/// would produce — the same file, variant and validators — and `None`
+/// declines, and the caller hands the job to a helper as if this had
+/// never run. A file the table holds is the loop's to answer before
+/// any job exists ([`OpenFileTable::held`]); only where `cachestat` is
+/// unavailable is it answered here, from the entry.
 ///
 /// It declines whenever the answer is not "a regular file, here it
-/// is": a lookup or read that would touch the disk (`EAGAIN`), a held
-/// body with a page out of memory, a read that came back short or long
-/// (the file changed size after the `fstat`), a table entry that fails
-/// its per-use check, anything that is not a regular file (a FIFO
+/// is": a lookup or read that would touch the disk (`EAGAIN`), a read
+/// that came back short or long (the file changed size after the
+/// `fstat`), a table entry that fails its per-use check (without
+/// `cachestat`), anything that is not a regular file (a FIFO
 /// opens without blocking, is recognised by `fstat`, and is dropped —
 /// a writer blocked opening its other end does see that reader come
 /// and go), and **every error** —
@@ -739,6 +838,27 @@ mod tests {
 
     const MINUTE: Option<Duration> = Some(Duration::from_secs(60));
 
+    /// What a shard does with a content-cache miss: it asks the table
+    /// for the file held open ([`OpenFileTable::held`]) — the answer
+    /// shown here as the load result it stands for — and makes a job,
+    /// met first by the residency test, only if the table declines.
+    fn miss(j: &HelperJob, files: &mut OpenFileTable) -> Option<DoneData<Arc<File>>> {
+        let load = j.kind == JobKind::Load;
+        match load.then(|| files.held(&j.path, j.inline_max, Instant::now())) {
+            Some(Some(Held { head, file, len })) => Some(DoneData::Loaded(Ok(LoadResult {
+                data: FileData::Fd {
+                    file,
+                    len,
+                    mtime: head.mtime,
+                },
+                variant: head.variant,
+                has_gzip: head.has_gzip,
+                resolved_at: None,
+            }))),
+            _ => exec_job_nowait(j, files),
+        }
+    }
+
     fn hits_and_held(stats: &ShardStats) -> (u64, u64) {
         (
             stats.open_file_hits.load(Ordering::Relaxed),
@@ -748,16 +868,16 @@ mod tests {
 
     /// The differential contract: over a docroot of regular files —
     /// both tiers, empty, with and without a `.gz` sibling, both
-    /// variants, both job kinds — the residency test's answer,
-    /// whenever it gives one, carries the blocking executor's body,
-    /// variant and validators. Run after the blocking executor has
-    /// touched every path (so lookups and bytes are resident), it must
-    /// give one wherever the kernel and filesystem can — without a
-    /// table, through an empty table, and a second time from the
-    /// entries the first pass left. That second time every load is
-    /// answered with the held descriptor, at any size, where
-    /// `cachestat` can vouch for its pages; otherwise only the large
-    /// tier is.
+    /// variants, both job kinds — a miss answered without a helper
+    /// (from a held file, or by the residency test), whenever it is,
+    /// carries the blocking executor's body, variant and validators.
+    /// Run after the blocking executor has touched every path (so
+    /// lookups and bytes are resident), it must be answered wherever
+    /// the kernel and filesystem can — without a table, through an
+    /// empty table, and a second time from the entries the first pass
+    /// left. That second time every load is answered with the held
+    /// descriptor, at any size, where `cachestat` can vouch for its
+    /// pages; otherwise only the large tier is.
     #[test]
     fn nowait_agrees_with_exec_job_on_regular_files() {
         let dir = TestDir::new("differential");
@@ -792,7 +912,7 @@ mod tests {
                         !matches!(want, Seen::Failed(_)),
                         "{what}: fixture must load"
                     );
-                    match exec_job_nowait(&j, &mut files) {
+                    match miss(&j, &mut files) {
                         Some(got) => {
                             let held = capacity > 0 && pass == 1 && held_by_descriptor;
                             let fd = kind == JobKind::Load && (held || name == "big.bin");
@@ -829,8 +949,9 @@ mod tests {
 
     /// What a table entry is trusted for. The name binding, for the
     /// TTL; everything else is asked of the descriptor on every use —
-    /// so a rewrite, a delete or a rename-over declines the very next
-    /// job (the helper then resolves by path) and leaves nothing held.
+    /// so a rewrite, a delete or a rename-over is declined by the very
+    /// next held check, which leaves nothing held, and the job behind
+    /// it resolves by path.
     #[test]
     fn table_entry_is_rechecked_on_every_use_and_dropped_on_any_change() {
         let dir = TestDir::new("table-recheck");
@@ -845,7 +966,11 @@ mod tests {
             // The blocking executor first: it is the reference, and it
             // leaves every lookup (the sibling's negative one too) cached.
             let want = seen(exec_job(&j));
-            (exec_job_nowait(&j, files).map(seen), want)
+            (miss(&j, files).map(seen), want)
+        };
+        let held = |name: &str, files: &mut OpenFileTable| {
+            let key = crate::cache::variant_key(&format!("/{name}"), Variant::Identity);
+            files.held(&key, 1024, Instant::now()).is_some()
         };
         let (mut files, stats) = table(8, MINUTE);
         let (got, want) = load("f.html", &mut files);
@@ -855,8 +980,9 @@ mod tests {
         assert_eq!(hits_and_held(&stats), (1, 1));
 
         // Rewritten in place to another length, truncated, deleted,
-        // renamed over: each is seen by the next use, which declines
-        // and forgets; the use after that resolves by path again.
+        // renamed over: each is seen by the next held check, which
+        // declines and forgets; the job behind it resolves by path
+        // again (a deleted file's `404` is a helper's).
         let changes: [&dyn Fn(); 4] = [
             &|| std::fs::write(&p, b"version two, longer").unwrap(),
             &|| {
@@ -876,11 +1002,12 @@ mod tests {
         for (i, change) in changes.iter().enumerate() {
             let hits = hits_and_held(&stats).0;
             change();
-            let (got, want) = load("f.html", &mut files);
-            assert_eq!(got, None, "change {i} must decline");
+            assert!(!held("f.html", &mut files), "change {i} must decline");
             assert_eq!(hits_and_held(&stats), (hits, 0), "change {i} left an entry");
-            if matches!(want, Seen::Failed(_)) {
+            if !p.exists() {
                 // Deleted: there is nothing to remember until it is back.
+                let (got, want) = load("f.html", &mut files);
+                assert_eq!((got, want), (None, Seen::Failed(io::ErrorKind::NotFound)));
                 std::fs::write(&p, b"back again").unwrap();
             }
             let (got, want) = load("f.html", &mut files);
@@ -904,11 +1031,52 @@ mod tests {
             .unwrap()
             .set_len(2048)
             .unwrap();
+        assert!(!held("big.bin", &mut files));
         let (got, want) = load("big.bin", &mut files);
         assert!(matches!(&want, Seen::Body(b, ..) if b.len() == 2048));
-        assert_eq!(got, None);
-        let (got, _) = load("big.bin", &mut files);
         assert_eq!(got, Some(want));
+    }
+
+    /// The response head is rendered once per entry (§5.3): two held
+    /// answers share it. A rewrite in place to the same length, with a
+    /// new mtime, fails the next check, which drops the entry and its
+    /// head; the entry resolved after it renders a head of its own,
+    /// under the new validators.
+    #[test]
+    fn a_held_entry_renders_its_head_once() {
+        let dir = TestDir::new("held-head");
+        let p = dir.path().join("f.html");
+        std::fs::write(&p, b"version one").unwrap();
+        if !nowait_works(&p) || !cachestat_works(&p) {
+            return;
+        }
+        let j = job(dir.path(), "f.html", JobKind::Load, Variant::Identity, 1024);
+        seen(exec_job(&j));
+        let (mut files, stats) = table(8, MINUTE);
+        let held = |files: &mut OpenFileTable| files.held(&j.path, 1024, Instant::now());
+        assert!(held(&mut files).is_none(), "nothing is held yet");
+        assert!(exec_job_nowait(&j, &mut files).is_some());
+        let (a, b) = (held(&mut files).unwrap(), held(&mut files).unwrap());
+        assert!(Arc::ptr_eq(&a.head, &b.head), "one head per entry");
+        assert!(Arc::ptr_eq(&a.file, &b.file));
+        assert_eq!((a.len, a.head.body.len()), (11, 0));
+        assert_eq!(hits_and_held(&stats), (2, 1));
+
+        std::fs::write(&p, b"version two").unwrap();
+        let later = std::time::SystemTime::now() + Duration::from_secs(10);
+        File::options()
+            .write(true)
+            .open(&p)
+            .unwrap()
+            .set_modified(later)
+            .unwrap();
+        assert!(held(&mut files).is_none(), "a new mtime fails the check");
+        assert_eq!(hits_and_held(&stats), (2, 0));
+        assert!(exec_job_nowait(&j, &mut files).is_some());
+        let c = held(&mut files).unwrap();
+        assert!(!Arc::ptr_eq(&a.head, &c.head));
+        assert_ne!(a.head.etag, c.head.etag);
+        assert_ne!(a.head.mtime, c.head.mtime);
     }
 
     /// How entries leave: past the TTL an entry is resolved again
@@ -928,7 +1096,7 @@ mod tests {
             let name = format!("f{i}.html");
             let j = job(dir.path(), &name, JobKind::Load, Variant::Identity, 1024);
             let want = seen(exec_job(&j));
-            assert_eq!(exec_job_nowait(&j, files).map(seen), Some(want));
+            assert_eq!(miss(&j, files).map(seen), Some(want));
         };
         // A TTL nothing survives: never a hit, and each insert finds
         // the previous entry lapsed at the tail and closes it.
@@ -1083,7 +1251,7 @@ mod tests {
         // lookup is cached) and remembered: both files are held.
         for name in ["cold.bin", "warm.bin"] {
             let want = seen(exec_job(&load(name)));
-            let got = exec_job_nowait(&load(name), &mut files).map(seen);
+            let got = miss(&load(name), &mut files).map(seen);
             assert_eq!(got, nowait.then_some(want), "{name}");
         }
         assert_eq!(hits_and_held(&stats), (0, if nowait { 2 } else { 0 }));
@@ -1099,10 +1267,10 @@ mod tests {
                 let warm = File::open(path("warm.bin")).unwrap();
                 assert!(sys::resident(&warm, len).unwrap());
                 assert!(
-                    exec_job_nowait(&load("cold.bin"), &mut files).is_none(),
+                    miss(&load("cold.bin"), &mut files).is_none(),
                     "a body out of memory was answered from the loop"
                 );
-                let got = exec_job_nowait(&load("warm.bin"), &mut files);
+                let got = miss(&load("warm.bin"), &mut files);
                 assert_eq!(got.is_some(), nowait);
                 if let Some(got) = got {
                     assert!(
@@ -1121,7 +1289,7 @@ mod tests {
                 );
                 // No `cachestat`: a held hit reads its bytes, and the
                 // `RWF_NOWAIT` read is the residency test.
-                let got = exec_job_nowait(&load("warm.bin"), &mut files);
+                let got = miss(&load("warm.bin"), &mut files);
                 assert_eq!(got.is_some(), nowait);
                 if let Some(got) = got {
                     assert!(

@@ -215,33 +215,42 @@
 //! timer and no second `epoll_wait`. `inline_jobs` counts them, where
 //! they are answered.
 //!
-//! Step 1 is remembered. Flash keeps three caches, not one — pathname
-//! translation, response headers, mapped files (§5.2–5.4) — so that a
-//! request whose *bytes* have left memory still skips name resolution;
-//! here each shard's port keeps an **open-file table**
+//! Step 1 is remembered, and with it the response head. Flash keeps
+//! three caches, not one — pathname translation, response headers,
+//! mapped files (§5.2–5.4) — so that a request whose *bytes* have left
+//! its content cache still skips name resolution and header rendering;
+//! here each shard's environment keeps an **open-file table**
 //! ([`fsjob::OpenFileTable`]): what step 1 found — the open regular
 //! file, which variant it is, whether a `.gz` sibling exists — in an
 //! entry-count-bounded LRU keyed like the content cache, touched by
-//! the event-loop thread only. A load whose name is in the table is
-//! answered from the descriptor already held, as Flash sent from its
-//! mapped files (`open_file_hits` counts them): step 2, then
+//! the event-loop thread only. It is a **second cache tier**, asked in
+//! the loop: on a content-cache miss for a key with no job in flight,
+//! the core asks its port for the file held open
+//! ([`conn::HelperPort::held`]) *before* it makes a job, and a held
+//! file is answered like a hit, as Flash sent from its mapped files
+//! (`open_file_hits` counts them): step 2 — a bare `fstat` — then
 //! `cachestat(2)` in place of step 3 — it counts the file's resident
 //! pages without reading one, the question `mincore` asked of a
-//! mapping — and, with every page of the body resident, the
-//! descriptor itself goes to `sendfile(2)`, at any size. No byte is
-//! read or copied, and nothing is inserted into the content cache,
-//! which only loads resolved by path feed (a first touch, a name
-//! re-resolved once its TTL lapsed, a helper's load). A first-time
-//! miss pays `openat2`, `fstat`, the sibling probe, `preadv2` and
-//! `close`. A body with a page out of memory is declined to a helper.
-//! Where `cachestat` is unavailable (before Linux 6.5, or refused) a
-//! held body up to the threshold is read with step 3 instead, and a
-//! larger one is the `fstat` and a clone of the handle, as before. A
-//! file that shrinks between the `fstat` and the `sendfile` ends its
-//! connection, since its `Content-Length` is already promised — the
-//! large tier's rule, now every held file's. What the table is
-//! trusted for is the policy the content cache already had, not a new
-//! one:
+//! mapping — and, with every page of the body resident, the descriptor
+//! itself goes to `sendfile(2)`, at any size, under the header pair the
+//! entry rendered at its first such answer and keeps for as long as it
+//! lives. No job, token, cancel flag, job-table entry or completion is
+//! made, no header is rendered, no byte is read or copied, and nothing
+//! is inserted into the content cache, which only loads resolved by
+//! path feed (a first touch, a name re-resolved once its TTL lapsed, a
+//! helper's load); such a miss is in neither `helper_jobs` nor
+//! `inline_jobs`. A first-time miss is a job, and the residency test
+//! pays `openat2`, `fstat`, the sibling probe, `preadv2` and `close`
+//! for it. A held body with a page out of memory is declined, and the
+//! job it becomes goes to a helper. Where `cachestat` is unavailable
+//! (before Linux 6.5, or refused) the loop asks the table nothing: a
+//! held file is a job again, and the residency test answers it from the
+//! entry — a body up to the threshold read with step 3, a larger one
+//! the `fstat` and a clone of the handle, as before. A file that
+//! shrinks between the `fstat` and the `sendfile` ends its connection,
+//! since its `Content-Length` is already promised — the large tier's
+//! rule, now every held file's. What the table is trusted for is the
+//! policy the content cache already had, not a new one:
 //!
 //! * the **name binding** — what `open` decided: path lookup, symlinks
 //!   followed, permission checked, sibling present or not — is trusted
@@ -252,11 +261,14 @@
 //!   the two never add up to twice the TTL;
 //! * **everything else comes from the descriptor on every use**: it
 //!   must still be a regular file, still linked (`st_nlink > 0`), of
-//!   the length and mtime it had when resolved, and its pages resident.
-//!   A rewrite, a truncation, a delete or a
-//!   `mv new old` therefore shows on the very next request, as it
-//!   always did; any disagreement, error or `EAGAIN` drops the entry
-//!   and declines, and the helper that takes the job resolves by path.
+//!   the length and mtime it had when resolved — the ones its kept
+//!   header advertises — and its pages resident. One method makes the
+//!   check, in that order: trusted, unchanged, resident. A rewrite, a
+//!   truncation, a delete or a `mv new old` therefore shows on the very
+//!   next request, under a fresh `ETag` and `Last-Modified`, as it
+//!   always did; any disagreement, error or `EAGAIN` drops the entry,
+//!   its header with it, and declines, and the job the core then makes
+//!   resolves by path.
 //!
 //! The table's capacity is derived, not configured: a quarter of the
 //! process's soft `RLIMIT_NOFILE`, read once at start, split over the
@@ -266,7 +278,8 @@
 //! entry must not pin a deleted file's blocks), on a docroot reload —
 //! a SIGHUP to the *same* root drops everything too — at shard exit,
 //! and when `accept4` reports `EMFILE`/`ENFILE`: cached descriptors
-//! are the first thing a shard sheds (`open_files` is the gauge).
+//! are the first thing a shard sheds (`open_files` is the gauge). An
+//! entry's header pair leaves with it, however it leaves.
 //! Helpers, the MT server and `Revalidate` jobs resolve by path, every
 //! time.
 //!
@@ -293,7 +306,8 @@
 //!   same answer from `cachestat` latches only it off: held bodies are
 //!   then read, as above;
 //! * a table entry that fails its per-use check (the entry is dropped
-//!   with the decline);
+//!   with the decline; only where `cachestat` is unavailable does a
+//!   held file reach the test at all);
 //! * `Dynamic` jobs, always — on a shard they never get this far: its
 //!   worker set takes them (*The dynamic tier*).
 //!

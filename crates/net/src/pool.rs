@@ -19,9 +19,10 @@ use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Instant;
 
 use crate::appworker::Worker;
-use crate::conn::{Done, HelperJob, HelperPort, JobKind, ShardStats};
+use crate::conn::{Done, Held, HelperJob, HelperPort, JobKind, ShardStats};
 use crate::server::{Env, FileOf};
 use crate::workerset::WorkerSet;
 
@@ -95,7 +96,11 @@ struct Queued {
 pub(crate) type DoneQueue<E> = VecDeque<Done<FileOf<E>>>;
 
 /// A shard's [`HelperPort`], and the one queue its jobs are answered
-/// through. Each submitted filesystem job first meets the
+/// through. A content-cache miss is first asked of the environment's
+/// held files ([`Env::held`]; on the real server the shard's open-file
+/// table), before the core makes a job for it: a file held open and
+/// resident is answered at once, with no job. Each submitted
+/// filesystem job then meets the
 /// environment's residency test ([`Env::try_inline`]; on the real
 /// server [`crate::fsjob::exec_job_nowait`] — the paper's `mincore`
 /// step — through the shard's open-file table): a job it can answer
@@ -122,7 +127,11 @@ pub(crate) struct PoolPort<E: Env> {
     pub(crate) stats: Arc<ShardStats>,
 }
 
-impl<E: Env> HelperPort for PoolPort<E> {
+impl<E: Env> HelperPort<FileOf<E>> for PoolPort<E> {
+    fn held(&mut self, key: &str, inline_max: u64, now: Instant) -> Option<Held<FileOf<E>>> {
+        self.env.held(key, inline_max, now)
+    }
+
     fn submit(&mut self, job: HelperJob) {
         if job.kind == JobKind::Dynamic {
             if let Some(workers) = self.workers.as_mut() {
@@ -154,7 +163,6 @@ struct JobLanes {
     queues: Vec<VecDeque<Queued>>,
     /// Next lane to serve; advances past each lane that yields a job.
     cursor: usize,
-    queued: usize,
     closed: bool,
 }
 
@@ -164,7 +172,6 @@ impl JobQueue {
             lanes: Mutex::new(JobLanes {
                 queues: (0..n_shards).map(|_| VecDeque::new()).collect(),
                 cursor: 0,
-                queued: 0,
                 closed: false,
             }),
             ready: Condvar::new(),
@@ -179,7 +186,6 @@ impl JobQueue {
             return;
         }
         lanes.queues[shard].push_back(Queued { shard, work });
-        lanes.queued += 1;
         drop(lanes);
         self.ready.notify_one();
     }
@@ -208,16 +214,13 @@ impl JobQueue {
 
 /// Takes the next job starting at the rotation cursor, advancing the
 /// cursor past the lane served so consecutive pops visit lanes fairly.
+/// An empty queue costs one look at each lane, one per shard.
 fn pop_round_robin(lanes: &mut JobLanes) -> Option<Queued> {
-    if lanes.queued == 0 {
-        return None;
-    }
     let n = lanes.queues.len();
     for k in 0..n {
         let lane = (lanes.cursor + k) % n;
         if let Some(job) = lanes.queues[lane].pop_front() {
             lanes.cursor = (lane + 1) % n;
-            lanes.queued -= 1;
             return Some(job);
         }
     }

@@ -89,11 +89,10 @@
 //!   connection table — nor does accepting, which takes its slot from
 //!   a free stack;
 //! * the **helper pool** is shared (disk parallelism is a global
-//!   resource): a miss the residency test cannot answer — it reads a
-//!   memory-resident file on the spot, through the shard's open-file
-//!   table when the name has been resolved before (crate docs,
-//!   *Residency test*) — enqueues a job in its shard's lane of the
-//!   job queue, and helpers pop the lanes
+//!   resource): a miss that becomes a job and that the residency test
+//!   cannot answer — it resolves a memory-resident file by path on the
+//!   spot (crate docs, *Residency test*) — enqueues a job in its
+//!   shard's lane of the job queue, and helpers pop the lanes
 //!   **round-robin by shard** — a cold-cache shard flooding its lane
 //!   cannot starve the other shards' disk latency. The finishing
 //!   helper routes the completion back to that shard's done queue,
@@ -127,10 +126,13 @@
 //!   with `MSG_MORE`, so it rides in the body's first segment) and the
 //!   body with `sendfile(2)` (see [`crate::sendfile`]) straight from
 //!   the kernel page cache, resuming partial sends from the same
-//!   per-connection state. A content-cache miss on a file the shard's
-//!   open-file table holds takes the same path at any size: the
-//!   table answers with its descriptor once `cachestat(2)` finds the
-//!   pages resident, and caches nothing.
+//!   per-connection state. A **held miss** — a content-cache miss on
+//!   a file the shard's open-file table holds — takes the same path at
+//!   any size, and is answered like a hit: before any job exists, the
+//!   core asks the port (`Env::held`, the table's held check), and the
+//!   table answers with its descriptor, under the header pair it keeps
+//!   for the file, once `cachestat(2)` finds the pages resident. No
+//!   job, no completion, no header render, and nothing cached.
 //!
 //! With `event_loops = 1` the behavior is byte-identical to the
 //! original single-loop server; with N shards the same architecture
@@ -152,7 +154,7 @@ use crate::accept::is_transient;
 use crate::appworker::Worker;
 use crate::config::NetConfig;
 use crate::conn::machine::{desired_interest, sync_deadline, Conn};
-use crate::conn::{ConnIo, ConnState, DoneData, Drive, HelperJob, ShardCore, ShardStats};
+use crate::conn::{ConnIo, ConnState, DoneData, Drive, Held, HelperJob, ShardCore, ShardStats};
 use crate::event::{new_backend, Event, EventBackend, Interest};
 use crate::fsjob::OpenFileTable;
 use crate::handle::Threads;
@@ -190,6 +192,13 @@ pub trait Env: Sized {
     /// The residency test: answers a filesystem job at once, or
     /// declines (crate docs, *Residency test*).
     fn try_inline(&mut self, job: &HelperJob) -> Option<DoneData<FileOf<Self>>>;
+    /// A content-cache miss answered from a file the environment holds
+    /// open, before any job exists ([`crate::conn::HelperPort::held`]),
+    /// or declined. The default declines: an environment that holds no
+    /// files, as the simulated kernel holds none.
+    fn held(&mut self, _key: &str, _inline_max: u64, _now: Instant) -> Option<Held<FileOf<Self>>> {
+        None
+    }
     /// Hands the helpers what would block the loop.
     fn push(&mut self, work: Work<Self::Worker>);
     /// Drops the descriptors the residency test holds open.
@@ -244,6 +253,10 @@ impl Env for NetEnv {
 
     fn try_inline(&mut self, job: &HelperJob) -> Option<DoneData<Arc<File>>> {
         crate::fsjob::exec_job_nowait(job, &mut self.files)
+    }
+
+    fn held(&mut self, key: &str, inline_max: u64, now: Instant) -> Option<Held<Arc<File>>> {
+        self.files.held(key, inline_max, now)
     }
 
     fn push(&mut self, work: Work<Worker>) {
@@ -389,12 +402,9 @@ fn conn_token(slot: usize, fd: RawFd) -> u64 {
     ((slot as u64) << 32) | (fd as u32 as u64)
 }
 
-fn token_slot(token: u64) -> usize {
-    (token >> 32) as usize
-}
-
-fn token_fd(token: u64) -> RawFd {
-    token as u32 as RawFd
+/// The slot and the descriptor a [`conn_token`] was minted from.
+fn token_parts(token: u64) -> (usize, RawFd) {
+    ((token >> 32) as usize, token as u32 as RawFd)
 }
 
 /// Spawns one shard per listener, and the shared helper pool behind
@@ -710,9 +720,9 @@ impl<E: Env> Shard<E> {
             }
             return;
         }
-        let idx = token_slot(ev.token);
+        let (idx, fd) = token_parts(ev.token);
         match self.conns.get_mut(idx) {
-            Some(Some(conn)) if conn.io.stream.as_raw_fd() == token_fd(ev.token) => {
+            Some(Some(conn)) if conn.io.stream.as_raw_fd() == fd => {
                 conn.io.dry &= !ev.readable;
                 conn.io.hangup |= ev.hangup;
             }
@@ -796,7 +806,7 @@ impl<E: Env> Shard<E> {
     /// Fires the deadline behind an expired timer key, unless the key
     /// is stale (see [`Shard::fd_of`]).
     fn expire(&mut self, token: u64) {
-        let (idx, fd) = (token_slot(token), token_fd(token));
+        let (idx, fd) = token_parts(token);
         if self.fd_of(idx) != Some(fd) {
             return;
         }
@@ -1653,21 +1663,23 @@ mod tests {
 
     /// The open-file table's budget: six files behind a content cache
     /// that holds four, fetched twice in order over one keep-alive
-    /// connection. Every miss is answered inline both times, and the
-    /// helper queue (nobody stands behind it) is never used. The first
-    /// pass resolves each name by path, reads it and caches it, the
-    /// last four inserts evicting the first two. The second pass
-    /// misses those two and answers each from the descriptor the first
-    /// pass left — `sendfile`, the whole body — inserting nothing, so
-    /// the four cached files it fetches next are still there: a cyclic
-    /// pass no longer thrashes the cache. (Where `cachestat` is
-    /// unavailable the held hits read bytes and insert them, and the
-    /// second pass misses all six, as every pass used to.) An answer
-    /// on the spot is settled before the connection is reconciled, so
-    /// its `Waiting` state is never seen: the connection's one
-    /// registration is the only interest-set call (on poll a parked
-    /// entry would cost two table edits), and after each response the
-    /// one armed deadline is the connection's idle one.
+    /// connection. Every miss is answered in the loop both times, and
+    /// the helper queue (nobody stands behind it) is never used. The
+    /// first pass resolves each name by path, inline, reads it and
+    /// caches it, the last four inserts evicting the first two. The
+    /// second pass misses those two and answers each from the
+    /// descriptor the first pass left — `sendfile`, the whole body,
+    /// under the head the table keeps — before any job exists, so
+    /// neither counts as a job; it inserts nothing, so the four cached
+    /// files it fetches next are still there: a cyclic pass no longer
+    /// thrashes the cache. (Where `cachestat` is unavailable the held
+    /// hits are jobs that read bytes and insert them, and the second
+    /// pass misses all six, as every pass used to.) A miss answered
+    /// in the loop never shows the backend its `Waiting` state: the
+    /// connection's one registration is the only interest-set call
+    /// (on poll a parked entry would cost two table edits), and after
+    /// each response the one armed deadline is the connection's idle
+    /// one.
     #[test]
     fn a_miss_on_a_file_served_before_is_answered_from_the_open_file_table() {
         let root = std::env::temp_dir().join(format!("flash-rig-table-{}", std::process::id()));
@@ -1719,11 +1731,11 @@ mod tests {
                 }
                 let s = &rig.shard.core.stats;
                 // The second pass: f0 and f1 from their descriptors,
-                // f2–f5 from the cache (read, all six, without
-                // `cachestat`).
+                // with no job, f2–f5 from the cache (read, all six, by
+                // jobs, without `cachestat`).
                 let (done, held, hits, sent) = match (pass, by_descriptor) {
                     (0, _) => (6, 0, 0, (0, 0)),
-                    (_, true) => (8, 2, 4, (2, 1000 + 1001)),
+                    (_, true) => (6, 2, 4, (2, 1000 + 1001)),
                     (_, false) => (12, 6, 0, (0, 0)),
                 };
                 assert_eq!(
@@ -1758,8 +1770,7 @@ mod tests {
     fn conn_token_roundtrips_slot_and_fd() {
         for (slot, fd) in [(0usize, 0), (3, 17), (100_000, 1023), (1, i32::MAX)] {
             let t = conn_token(slot, fd);
-            assert_eq!(token_slot(t), slot);
-            assert_eq!(token_fd(t), fd);
+            assert_eq!(token_parts(t), (slot, fd));
             assert_ne!(t, WAKE_TOKEN);
         }
     }

@@ -369,24 +369,29 @@ metrics! {
         accepted: Counter, Sum, "Connections the shards accepted from their listeners";
         /// Jobs the core dispatched through its [`crate::conn::HelperPort`]:
         /// content-cache misses and revalidations after coalescing, and one
-        /// per dynamic request. How many of them a helper thread actually
-        /// ran is `helper_jobs - inline_jobs`.
-        helper_jobs: Counter, Sum, "Jobs dispatched through the helper port: misses and revalidations after coalescing, and dynamic requests";
+        /// per dynamic request. A miss answered from the open-file table
+        /// (`open_file_hits`) is no job and is not counted here. How many
+        /// of them a helper thread actually ran is `helper_jobs -
+        /// inline_jobs`.
+        helper_jobs: Counter, Sum, "Jobs dispatched through the helper port: misses and revalidations after coalescing, and dynamic requests; a miss answered from the open-file table is none";
         /// The subset of `helper_jobs` the driver ran itself, with no
         /// hand-off and no helper: a miss the residency test found in
-        /// memory, completed in the loop turn that dispatched it, and every
-        /// dynamic exchange a shard opened on one of its own workers
-        /// (counted when the request line is written). Jobs actually handed
-        /// to the pool = `helper_jobs - inline_jobs` — on warm dynamic
-        /// traffic, none. On MT, where the dispatching thread runs every
-        /// job, the two are equal.
+        /// memory and resolved by path, completed in the loop turn that
+        /// dispatched it, and every dynamic exchange a shard opened on one
+        /// of its own workers (counted when the request line is written).
+        /// Jobs actually handed to the pool = `helper_jobs - inline_jobs`
+        /// — on warm dynamic traffic, none. On MT, where the dispatching
+        /// thread runs every job, the two are equal.
         inline_jobs: Counter, Sum, "Jobs the dispatching driver ran itself with no helper hand-off: memory-resident misses, and dynamic exchanges on a shard's own workers";
-        /// The subset of `inline_jobs` loads answered from the open-file
-        /// table: no path lookup, an `fstat` and a `cachestat` of the
-        /// descriptor the table already held, and that descriptor handed
-        /// to `sendfile` — served on the `sendfile` tier, inserting
-        /// nothing into the content cache.
-        open_file_hits: Counter, Sum, "Loads answered from the open-file table: no path lookup, an fstat and a cachestat of a descriptor already held, sent with sendfile";
+        /// Content-cache misses answered from the open-file table before
+        /// any job exists: no path lookup, an `fstat` and a `cachestat` of
+        /// the descriptor the table already held, and that descriptor
+        /// handed to `sendfile` under the head the table keeps for it —
+        /// served on the `sendfile` tier, counted in neither `helper_jobs`
+        /// nor `cache_hits`, inserting nothing into the content cache.
+        /// (Where `cachestat` is unavailable a held file is a job, and its
+        /// answer, read with `RWF_NOWAIT`, is one of the `inline_jobs`.)
+        open_file_hits: Counter, Sum, "Content-cache misses answered from the open-file table before any job: an fstat and a cachestat of a descriptor already held, sent with sendfile";
         /// Gauge: descriptors the open-file table holds now.
         open_files: Gauge, Sum, "Descriptors the shards' open-file tables hold now";
         /// Responses served from the content cache.

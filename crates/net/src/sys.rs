@@ -15,12 +15,13 @@
 //! [`crate::sendfile`], [`crate::event`], [`crate::sock`],
 //! [`crate::handoff`], [`crate::lifecycle`]).
 //!
-//! The last section holds the three calls behind the **residency
-//! test** ([`crate::fsjob::exec_job_nowait`]): an `open` that succeeds
-//! only when the whole path lookup is answered by the dentry cache, a
+//! The last section holds the calls behind the **residency test**
+//! ([`crate::fsjob::exec_job_nowait`]): an `open` that succeeds only
+//! when the whole path lookup is answered by the dentry cache, a
 //! positional `read` that succeeds only for bytes already in the page
-//! cache, and `cachestat`, which counts a held file's resident pages
-//! without reading one. All three are issued through `syscall(2)` by
+//! cache, `cachestat`, which counts a held file's resident pages
+//! without reading one, and the bare `fstat` that re-checks a held
+//! descriptor before each use. All four are issued through `syscall(2)` by
 //! number, so nothing here depends on the libc being new enough to
 //! wrap them; where the numbers are not known ([`HAS_NOWAIT`] is
 //! `false`) the functions report `Unsupported` and callers fall back
@@ -826,6 +827,88 @@ mod nowait {
     /// `_SC_PAGESIZE`, the same on both supported targets.
     const SC_PAGESIZE: c_int = 30;
 
+    #[cfg(target_arch = "x86_64")]
+    const SYS_FSTAT: c_long = 5;
+    #[cfg(target_arch = "aarch64")]
+    const SYS_FSTAT: c_long = 80;
+
+    /// The kernel's `struct stat` for `fstat(2)` on x86-64
+    /// (`<asm/stat.h>`): 144 bytes.
+    #[cfg(target_arch = "x86_64")]
+    #[repr(C)]
+    #[derive(Default)]
+    struct Stat {
+        _dev: u64,
+        _ino: u64,
+        nlink: u64,
+        mode: u32,
+        _uid: u32,
+        _gid: u32,
+        _pad0: i32,
+        _rdev: u64,
+        size: i64,
+        _blksize: i64,
+        _blocks: i64,
+        _atime: [i64; 2],
+        mtime: i64,
+        _mtime_nsec: i64,
+        _ctime: [i64; 2],
+        _unused: [i64; 3],
+    }
+
+    /// The kernel's `struct stat` for `fstat(2)` on aarch64
+    /// (`<asm-generic/stat.h>`): 128 bytes.
+    #[cfg(target_arch = "aarch64")]
+    #[repr(C)]
+    #[derive(Default)]
+    struct Stat {
+        _dev: u64,
+        _ino: u64,
+        mode: u32,
+        nlink: u32,
+        _uid: u32,
+        _gid: u32,
+        _rdev: u64,
+        _pad1: u64,
+        size: i64,
+        _blksize: i32,
+        _pad2: i32,
+        _blocks: i64,
+        _atime: [i64; 2],
+        mtime: i64,
+        _mtime_nsec: i64,
+        _ctime: [i64; 2],
+        _unused: [u32; 2],
+    }
+
+    const _: () = assert!(
+        std::mem::size_of::<Stat>()
+            == if cfg!(target_arch = "x86_64") {
+                144
+            } else {
+                128
+            }
+    );
+
+    pub fn fstat(file: &File) -> io::Result<super::FileStat> {
+        const S_IFMT: u32 = 0o170000;
+        const S_IFREG: u32 = 0o100000;
+        let mut st = Stat::default();
+        // SAFETY: `file` is borrowed, so its descriptor stays open for
+        // the call; `st` is a live, exclusively borrowed `struct stat`
+        // of this target's layout, the only memory the kernel writes.
+        let rc = unsafe { syscall(SYS_FSTAT, file.as_raw_fd() as c_long, &mut st as *mut Stat) };
+        if rc < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(super::FileStat {
+            regular: st.mode & S_IFMT == S_IFREG,
+            linked: st.nlink > 0,
+            len: st.size as u64,
+            mtime: (st.mtime >= 0).then_some(st.mtime),
+        })
+    }
+
     unsafe extern "C" {
         // `long syscall(long number, ...)`: every argument below is
         // passed as a `c_long`-sized integer or a pointer, which is
@@ -971,6 +1054,30 @@ pub fn resident(file: &File, len: u64) -> io::Result<bool> {
     nowait::resident(file, len)
 }
 
+/// What `fstat(2)` reports of an open file, cut down to the fields the
+/// open-file table's per-use check compares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FileStat {
+    /// Whether it is a regular file (`S_ISREG`).
+    pub regular: bool,
+    /// Whether it still has a name: its link count is `0` once it has
+    /// been unlinked or renamed over.
+    pub linked: bool,
+    /// Its length in bytes.
+    pub len: u64,
+    /// Its mtime in whole unix seconds, or `None` before 1970
+    /// ([`crate::fsjob::unix_mtime`]'s rule).
+    pub mtime: Option<i64>,
+}
+
+/// One bare `fstat(2)` of `file`: the per-use check of a held
+/// descriptor, without the `statx` (and the fields it fills) that
+/// `File::metadata` issues. Where [`HAS_NOWAIT`] is `false` it is
+/// `File::metadata`, cut down the same way.
+pub fn fstat(file: &File) -> io::Result<FileStat> {
+    nowait::fstat(file)
+}
+
 /// Drops `file`'s clean pages from the page cache
 /// (`posix_fadvise(POSIX_FADV_DONTNEED)`): how a test makes a file
 /// leave memory without touching anything else. Dirty pages stay, so
@@ -1003,6 +1110,17 @@ mod nowait {
         Err(io::ErrorKind::Unsupported.into())
     }
 
+    pub fn fstat(file: &File) -> io::Result<super::FileStat> {
+        use std::os::unix::fs::MetadataExt;
+        let meta = file.metadata()?;
+        Ok(super::FileStat {
+            regular: meta.is_file(),
+            linked: meta.nlink() > 0,
+            len: meta.len(),
+            mtime: crate::fsjob::unix_mtime(&meta),
+        })
+    }
+
     #[cfg(test)]
     pub fn drop_cached_pages(_file: &File) -> io::Result<()> {
         Err(io::ErrorKind::Unsupported.into())
@@ -1032,6 +1150,45 @@ pub(crate) fn mkfifo(path: &Path) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bare `fstat` reads what `File::metadata` reads, on a
+    /// regular file, after an unlink and on a directory.
+    #[test]
+    fn fstat_agrees_with_metadata() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = std::env::temp_dir().join(format!("flash-sys-fstat-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("f.bin");
+        std::fs::write(&path, vec![7u8; 12_345]).unwrap();
+        let file = File::open(&path).unwrap();
+        let mtime = std::time::UNIX_EPOCH + std::time::Duration::from_secs(1_700_000_000);
+        File::options()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_modified(mtime)
+            .unwrap();
+        let want = |f: &File| {
+            let m = f.metadata().unwrap();
+            FileStat {
+                regular: m.is_file(),
+                linked: m.nlink() > 0,
+                len: m.len(),
+                mtime: crate::fsjob::unix_mtime(&m),
+            }
+        };
+        let got = fstat(&file).unwrap();
+        assert_eq!(got, want(&file));
+        assert_eq!((got.regular, got.linked, got.len), (true, true, 12_345));
+        assert_eq!(got.mtime, Some(1_700_000_000));
+        std::fs::remove_file(&path).unwrap();
+        assert!(!fstat(&file).unwrap().linked);
+        let d = File::open(&dir).unwrap();
+        assert_eq!(fstat(&d).unwrap(), want(&d));
+        assert!(!fstat(&d).unwrap().regular);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn unsupported_is_about_the_call_not_the_file() {

@@ -23,8 +23,8 @@ use bytes::Bytes;
 use flash_net::cache::Variant;
 use flash_net::conn::machine::{sync_deadline, Conn};
 use flash_net::conn::{
-    ConnIo, ConnState, Done, DoneData, Drive, DynEvent, FileData, HelperJob, HelperPort, JobKind,
-    LoadResult, ProtoConfig, ShardCore, ShardStats,
+    ConnIo, ConnState, Done, DoneData, Drive, DynEvent, FileData, Held, HelperJob, HelperPort,
+    JobKind, LoadResult, ProtoConfig, ShardCore, ShardStats,
 };
 use flash_net::timer::TimerWheel;
 use flash_simcore::SimRng;
@@ -127,7 +127,7 @@ struct SyncPort {
     jobs: Vec<HelperJob>,
 }
 
-impl HelperPort for SyncPort {
+impl HelperPort<Arc<Vec<u8>>> for SyncPort {
     fn submit(&mut self, job: HelperJob) {
         self.jobs.push(job);
     }
@@ -709,4 +709,120 @@ fn coalesced_waiters_follow_their_job_through_a_changed_file() {
     assert!(core.jobs.is_empty());
     assert!(again.is_cancelled());
     assert_eq!(core.stats.jobs_cancelled.load(Ordering::Relaxed), 1);
+}
+
+/// A port that holds some files open, as a shard's open-file table
+/// does, and counts how often the core asks it for one.
+struct HoldingPort {
+    jobs: Vec<HelperJob>,
+    held: HashMap<String, (Arc<flash_net::cache::Entry>, Arc<Vec<u8>>)>,
+    asked: usize,
+}
+
+impl HoldingPort {
+    fn hold(&mut self, path: &str, body: &[u8]) {
+        let len = body.len() as u64;
+        let head = flash_net::cache::Entry::head(path, len, Some(7), Variant::Identity, false);
+        self.held
+            .insert(path.to_string(), (Arc::new(head), Arc::new(body.to_vec())));
+    }
+}
+
+impl HelperPort<Arc<Vec<u8>>> for HoldingPort {
+    fn submit(&mut self, job: HelperJob) {
+        self.jobs.push(job);
+    }
+
+    fn held(&mut self, key: &str, _inline_max: u64, _now: Instant) -> Option<Held<Arc<Vec<u8>>>> {
+        self.asked += 1;
+        let (head, file) = self.held.get(key)?;
+        Some(Held {
+            head: Arc::clone(head),
+            file: Arc::clone(file),
+            len: file.len() as u64,
+        })
+    }
+}
+
+/// A content-cache miss on a file the port holds is answered at once,
+/// on the `sendfile` tier under the held head, and makes no job at all.
+/// A miss on a key whose job is in flight parks on that job, even once
+/// the port holds the file: the port is not even asked, and the job's
+/// answer serves both waiters.
+#[test]
+fn a_held_file_answers_a_miss_with_no_job_unless_one_is_in_flight() {
+    let mut core = core();
+    let now = Instant::now();
+    let outs: Vec<_> = (0..2).map(|_| Rc::new(RefCell::new(Vec::new()))).collect();
+    let mut conns: Vec<_> = outs
+        .iter()
+        .map(|o| Some(Conn::new(TestIo::new(o))))
+        .collect();
+    let mut port = HoldingPort {
+        jobs: Vec::new(),
+        held: HashMap::new(),
+        asked: 0,
+    };
+    port.hold("/h.html", b"held body");
+    let wheel = TimerWheel::new(Duration::from_millis(10));
+    let check = |core: &ShardCore, conns: &[Option<Conn<TestIo>>]| {
+        core.check_invariants(conns, &wheel, |_| 0).unwrap();
+    };
+    let ask = |conns: &mut [Option<Conn<TestIo>>], idx: usize, path: &str| {
+        let req = format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n");
+        conns[idx].as_mut().unwrap().io.inbox.extend(req.as_bytes());
+    };
+
+    ask(&mut conns, 0, "/h.html");
+    let _ = core.drive_conn(0, &mut conns, &mut port, now);
+    check(&core, &conns);
+    assert!(port.jobs.is_empty() && core.jobs.is_empty(), "no job");
+    assert_eq!(port.asked, 1);
+    let answer = outs[0].borrow().clone();
+    assert!(answer.starts_with(b"HTTP/1.1 200 ") && answer.ends_with(b"held body"));
+    let calls = conns[0].as_ref().unwrap().io.calls.borrow().clone();
+    assert_eq!(calls, ["writev_more", "sendfile"]);
+    let stats = &core.stats;
+    let count = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
+    assert_eq!(
+        (count(&stats.helper_jobs), count(&stats.cache_hits)),
+        (0, 0)
+    );
+    outs[0].borrow_mut().clear();
+
+    // Not held: a job, with conn 0 parked on it.
+    ask(&mut conns, 0, "/a.html");
+    let _ = core.drive_conn(0, &mut conns, &mut port, now);
+    check(&core, &conns);
+    assert_eq!((port.jobs.len(), port.asked), (1, 2));
+    // The port holds it now, but the job in flight has it: conn 1
+    // parks beside conn 0, and the port is not asked.
+    port.hold("/a.html", b"held a");
+    ask(&mut conns, 1, "/a.html");
+    let _ = core.drive_conn(1, &mut conns, &mut port, now);
+    check(&core, &conns);
+    assert_eq!((port.jobs.len(), port.asked), (1, 2));
+    assert_eq!(
+        core.jobs.get("/a.html").map(|j| j.waiters.clone()),
+        Some(vec![0, 1])
+    );
+    assert!(outs[1].borrow().is_empty(), "answered around its job");
+
+    let job = port.jobs.pop().unwrap();
+    let mut completed = Vec::new();
+    core.complete_job(
+        exec(&disk(), &job),
+        &mut conns,
+        &mut completed,
+        &mut port,
+        now,
+    );
+    check(&core, &conns);
+    assert_eq!(completed, [0, 1]);
+    for idx in completed {
+        let _ = core.drive_conn(idx, &mut conns, &mut port, now);
+        let answer = outs[idx].borrow().clone();
+        assert!(answer.ends_with(b"alpha body"), "{idx}: the job's answer");
+    }
+    assert_eq!(count(&core.stats.helper_jobs), 1);
 }

@@ -1624,6 +1624,76 @@ fn run_open_file_table_name_binding_lapses_with_the_ttl(tag: &str, pins: Pins) {
     let _ = std::fs::remove_dir_all(root);
 }
 
+/// A held file is answered under the head its table entry keeps, and
+/// that head never outlives the file it describes. While the file is
+/// unchanged, its `ETag` in `If-None-Match` is a `304` from the held
+/// head. Rewritten in place to the same length with a new mtime, it is
+/// answered under a new `ETag` and `Last-Modified` at once — the
+/// per-use check drops the entry, head and all — and, held again, the
+/// old tag is a `200`. Unlinked, it is a `404`.
+fn run_held_file_answers_under_current_validators(tag: &str, pins: Pins) {
+    let (server, root, tabled) = always_missing_server(tag, pins, Duration::from_secs(10));
+    let addr = server.addr();
+    let target = root.join("t.html");
+    let fetch = |extra: &str| get(addr, &format!("GET /t.html HTTP/1.0\r\n{extra}\r\n"));
+    // Held by the table and pushed out of the content cache: every
+    // fetch below but the first after the rewrite is a held answer.
+    for _ in 0..2 {
+        fetch_fillers(addr, &root);
+        assert_eq!(body_of(&fetch("")), [b'a'; 1000]);
+    }
+    fetch_fillers(addr, &root);
+    let hits = server.stats().open_file_hits();
+    let old = String::from_utf8_lossy(&fetch("")).into_owned();
+    assert_eq!(server.stats().open_file_hits() > hits, tabled, "{old}");
+    let old_tag = hdr_value(&old, "ETag").expect("an ETag");
+    let old_modified = hdr_value(&old, "Last-Modified").expect("a Last-Modified");
+    let if_none_match = format!("If-None-Match: {old_tag}\r\n");
+    fetch_fillers(addr, &root);
+    let resp = fetch(&if_none_match);
+    let text = String::from_utf8_lossy(&resp).into_owned();
+    assert!(text.starts_with("HTTP/1.1 304"), "{text}");
+
+    // Same length, new bytes, an mtime a day later.
+    let mtime = std::fs::metadata(&target).unwrap().modified().unwrap();
+    std::fs::write(&target, [b'b'; 1000]).unwrap();
+    let file = std::fs::File::options().write(true).open(&target).unwrap();
+    file.set_modified(mtime + Duration::from_secs(86_400))
+        .unwrap();
+    fetch_fillers(addr, &root);
+    let resp = fetch("");
+    let text = String::from_utf8_lossy(&resp).into_owned();
+    assert_eq!(body_of(&resp), [b'b'; 1000], "{text}");
+    assert_ne!(hdr_value(&text, "ETag"), Some(old_tag.clone()), "{text}");
+    assert_ne!(
+        hdr_value(&text, "Last-Modified"),
+        Some(old_modified),
+        "{text}"
+    );
+    for _ in 0..2 {
+        fetch_fillers(addr, &root);
+        let hits = server.stats().open_file_hits();
+        let resp = fetch(&if_none_match);
+        let text = String::from_utf8_lossy(&resp).into_owned();
+        assert!(text.starts_with("HTTP/1.1 200"), "{text}");
+        assert_eq!(body_of(&resp), [b'b'; 1000], "{text}");
+        assert_eq!(server.stats().open_file_hits() > hits, tabled, "{text}");
+    }
+
+    fetch_fillers(addr, &root);
+    std::fs::remove_file(&target).unwrap();
+    let resp = fetch("");
+    let text = String::from_utf8_lossy(&resp).into_owned();
+    assert!(text.starts_with("HTTP/1.1 404"), "{text}");
+    assert_eq!(
+        server.stats().cache_hits(),
+        0,
+        "the target must always miss"
+    );
+    server.stop();
+    let _ = std::fs::remove_dir_all(root);
+}
+
 fn run_backend_resolution(tag: &str, backend: BackendChoice, expect: BackendChoice) {
     let root = docroot(tag);
     let cfg = NetConfig::builder(&root).backend(backend).build().unwrap();
@@ -2269,6 +2339,11 @@ macro_rules! backend_suite {
             #[test]
             fn amped_open_file_table_name_binding_lapses_with_the_ttl() {
                 run_open_file_table_name_binding_lapses_with_the_ttl(&tag("oft-ttl"), PINS);
+            }
+
+            #[test]
+            fn amped_held_file_answers_under_current_validators() {
+                run_held_file_answers_under_current_validators(&tag("oft-head"), PINS);
             }
 
             #[test]

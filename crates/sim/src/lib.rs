@@ -50,7 +50,14 @@
 //!   completions delivered on simulated time through the same reply
 //!   queue and wake token the pool uses. Residency is a seeded coin
 //!   ([`SimConfig::resident_fraction`]), not a page cache (see
-//!   `Kernel::exec_job`).
+//!   `Kernel::exec_job`);
+//! * **held files** — none. The kernel holds no open-file table, so it
+//!   takes the environment's default for
+//!   [`Env::held`] and declines every
+//!   one: a content-cache miss that the real server answers in the loop
+//!   from a held descriptor, with no job, is a job here, answered by
+//!   the coin. Held answers are not simulated until the kernel has a
+//!   page cache to hold files in (ROADMAP item 14).
 //!
 //! Mid-run reloads and the final drain reach the shard through the
 //! shared lifecycle state ([`LifecycleShared`]), the way signals reach
@@ -1002,10 +1009,11 @@ impl Kernel {
     /// decides residency with the [`SimConfig::resident_fraction`]
     /// coin and then answers here, as a helper would: bytes up to
     /// `inline_max`. The real test
-    /// ([`flash_net::fsjob::exec_job_nowait`]) answers a file its
-    /// open-file table holds with the descriptor, at any size, once
-    /// `cachestat` finds its pages resident. A simulated page cache,
-    /// and the table with it, is ROADMAP item 14.
+    /// ([`flash_net::fsjob::exec_job_nowait`]) resolves by path and
+    /// reads; a file the real shard's open-file table holds never
+    /// becomes a job at all ([`flash_net::fsjob::OpenFileTable::held`]),
+    /// and this kernel holds none. A simulated page cache, and the
+    /// table with it, is ROADMAP item 14.
     fn exec_job(&self, job: &HelperJob) -> DoneData<SimFile> {
         let not_found = || io::Error::from(io::ErrorKind::NotFound);
         let file = self.files.get(cache::split_variant_key(&job.path).0);
