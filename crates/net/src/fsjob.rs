@@ -442,14 +442,8 @@ impl OpenFile {
         let OpenFile { found, head, .. } = self;
         let head = head.get_or_insert_with(|| {
             let url_path = cache::split_variant_key(key).0;
-            let (len, mtime) = (found.len, found.mtime);
-            Arc::new(Entry::head(
-                url_path,
-                len,
-                mtime,
-                found.variant,
-                found.has_gzip,
-            ))
+            let (len, mtime, variant) = (found.len, found.mtime, found.variant);
+            Arc::new(Entry::head(url_path, len, mtime, variant, found.has_gzip))
         });
         Held {
             head: Arc::clone(head),
@@ -484,8 +478,8 @@ impl OpenFileTable {
     /// A content-cache miss on variant key `key` answered in the loop,
     /// before any job exists ([`crate::conn::HelperPort::held`]): the
     /// held descriptor under its head, if the table holds the file and
-    /// it passes `check`; `None` declines, and the core makes
-    /// its job. Without `cachestat` it always declines.
+    /// it passes `check`; `None` declines, and the core makes its job.
+    /// Without `cachestat` it always declines.
     pub fn held(&mut self, key: &str, inline_max: u64, now: Instant) -> Option<Held<Arc<File>>> {
         if CACHESTAT_OFF.load(Ordering::Relaxed) {
             return None;
@@ -537,11 +531,10 @@ impl OpenFileTable {
     /// A [`JobKind::Load`] through the table, for the residency test:
     /// resolved by path and remembered. Where `cachestat` is
     /// unavailable, a held name is answered from its entry instead,
-    /// after `check`: its bytes read with `RWF_NOWAIT` (the
-    /// read is the residency test), or above `inline_max` its
-    /// descriptor. Where `cachestat` works, the loop answered every
-    /// held name it could ([`Self::held`]), and one that reaches here
-    /// is resolved afresh.
+    /// after `check`: its bytes read with `RWF_NOWAIT` (the read is
+    /// the residency test), or above `inline_max` its descriptor. Where
+    /// `cachestat` works, the loop answered every held name it could
+    /// ([`Self::held`]), and one that reaches here is resolved afresh.
     fn answer(&mut self, job: &HelperJob) -> io::Result<LoadResult<Arc<File>>> {
         let (key, now) = (job.path.as_str(), Instant::now());
         if CACHESTAT_OFF.load(Ordering::Relaxed) {
