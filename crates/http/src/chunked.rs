@@ -6,14 +6,15 @@
 //! truncated stream (worker crash mid-body) is *detectable* by the
 //! client: the terminal chunk never arrives.
 //!
-//! The encoder side is deliberately split into pieces ([`size_line`],
+//! The encoder side is deliberately split into pieces ([`SizeLine`],
 //! [`CRLF`], [`TERMINATOR`]) so the server can queue a worker's chunk
 //! as three segments — size line, the worker's bytes zero-copy, CRLF —
 //! on its gathered-`writev` path instead of reassembling a copy. The
 //! two constant pieces never change, so the server holds each as one
 //! shared segment per thread and queues it without allocating; only
-//! the size line is made per chunk. [`encode`] glues them for tests
-//! and one-shot callers.
+//! the size line is made per chunk, on the stack, and copied into a
+//! buffer the server reuses. [`encode`] glues them for tests and
+//! one-shot callers.
 //!
 //! The decoder ([`ChunkedDecoder`]) is incremental byte-at-a-time —
 //! feed it arbitrary splits of the wire stream and it reassembles the
@@ -22,7 +23,10 @@
 //! trailer fields are not produced by this server and are rejected on
 //! decode.
 
+use std::cell::RefCell;
 use std::fmt;
+
+use bytes::{Bytes, BytesMut};
 
 /// The line terminator between framing elements.
 pub const CRLF: &[u8] = b"\r\n";
@@ -35,7 +39,57 @@ pub const TERMINATOR: &[u8] = b"0\r\n\r\n";
 /// followed by CRLF. The chunk data and its trailing [`CRLF`] follow
 /// as separate segments.
 pub fn size_line(len: usize) -> Vec<u8> {
-    format!("{len:x}\r\n").into_bytes()
+    SizeLine::new(len).as_bytes().to_vec()
+}
+
+thread_local! {
+    /// Where [`size_line_segment`] renders size lines and splits them
+    /// off: it takes its allocation back once the lines split off
+    /// before have been sent and dropped.
+    static SIZE_LINES: RefCell<BytesMut> = RefCell::new(BytesMut::new());
+}
+
+/// The size line of a chunk of `len` bytes as a segment of its own,
+/// for a gathered write: copied into a per-thread buffer and split
+/// off it, so a server that sends each chunk before the next arrives
+/// allocates nothing per chunk.
+pub fn size_line_segment(len: usize) -> Bytes {
+    let line = SizeLine::new(len);
+    SIZE_LINES.with_borrow_mut(|lines| {
+        lines.extend_from_slice(line.as_bytes());
+        lines.split_to(line.as_bytes().len()).freeze()
+    })
+}
+
+/// A chunk's size line rendered on the stack, with no formatting
+/// machinery: the caller copies it where its segment is kept.
+pub struct SizeLine {
+    buf: [u8; 2 * std::mem::size_of::<usize>() + 2],
+    start: usize,
+}
+
+impl SizeLine {
+    /// The size line of a chunk of `len` bytes.
+    pub fn new(mut len: usize) -> SizeLine {
+        let mut line = SizeLine {
+            buf: [0; 2 * std::mem::size_of::<usize>() + 2],
+            start: 2 * std::mem::size_of::<usize>(),
+        };
+        line.buf[line.start..].copy_from_slice(CRLF);
+        loop {
+            line.start -= 1;
+            line.buf[line.start] = b"0123456789abcdef"[len & 0xf];
+            len >>= 4;
+            if len == 0 {
+                return line;
+            }
+        }
+    }
+
+    /// The line's bytes: the hex digits and the CRLF.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf[self.start..]
+    }
 }
 
 /// Encodes `chunks` as one contiguous chunked body, terminal frame
@@ -48,7 +102,7 @@ pub fn encode(chunks: &[&[u8]]) -> Vec<u8> {
         if chunk.is_empty() {
             continue;
         }
-        out.extend_from_slice(&size_line(chunk.len()));
+        out.extend_from_slice(SizeLine::new(chunk.len()).as_bytes());
         out.extend_from_slice(chunk);
         out.extend_from_slice(CRLF);
     }
@@ -267,6 +321,10 @@ mod tests {
         assert_eq!(size_line(10), b"a\r\n".to_vec());
         assert_eq!(size_line(255), b"ff\r\n".to_vec());
         assert_eq!(size_line(4096), b"1000\r\n".to_vec());
+        assert_eq!(size_line(0), b"0\r\n".to_vec());
+        assert_eq!(size_line(usize::MAX), b"ffffffffffffffff\r\n".to_vec());
+        assert_eq!(&size_line_segment(4096)[..], b"1000\r\n");
+        assert_eq!(&size_line_segment(10)[..], b"a\r\n");
     }
 
     /// Property: random chunk sequences round-trip through the

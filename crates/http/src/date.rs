@@ -13,8 +13,8 @@
 //! a thread, so the hot path re-formats at most once a second per shard
 //! and otherwise costs one integer compare.
 
-use std::cell::RefCell;
-use std::time::{SystemTime, UNIX_EPOCH};
+use std::cell::{Cell, RefCell};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Length of an IMF-fixdate string in bytes, always.
 pub const IMF_FIXDATE_LEN: usize = 29;
@@ -162,19 +162,53 @@ thread_local! {
     /// (second, rendered date as shared bytes) — see [`now_imf_bytes`].
     static NOW_BYTES: RefCell<(i64, bytes::Bytes)> =
         RefCell::new((i64::MIN, bytes::Bytes::new()));
+    /// The clock an event loop on this thread lends the cache
+    /// ([`set_loop_clock`]): its last reading, and the span of its
+    /// instants over which the cached second is current.
+    static LOOP_CLOCK: Cell<Option<(Instant, Instant, Instant)>> = const { Cell::new(None) };
+}
+
+/// Lends [`now_imf_bytes`] this thread's event-loop clock: `at` is the
+/// loop's latest reading of it, and from here on the thread's date is
+/// the second `at` falls in. The wall clock is read again only when a
+/// reading leaves the second last rendered — once a second — not per
+/// response. An event loop calls this with each reading it takes
+/// anyway, so what it renders in a turn is dated by that turn's clock.
+pub fn set_loop_clock(at: Instant) {
+    LOOP_CLOCK.with(|c| {
+        let (from, until) = c.get().map_or((at, at), |(_, from, until)| (from, until));
+        c.set(Some((at, from, until)));
+    });
 }
 
 /// Current time as IMF-fixdate [`bytes::Bytes`], cached per second per
 /// thread; within one second every call returns a clone of the same
 /// allocation (an `Arc` bump, no formatting, no copy) — what a server
-/// splices into pre-rendered headers to keep their `Date` current.
+/// splices into pre-rendered headers to keep their `Date` current. On a
+/// thread that lends its loop's clock ([`set_loop_clock`]) a call
+/// within the cached second reads no clock either.
 pub fn now_imf_bytes() -> bytes::Bytes {
-    let now = unix_now();
+    let lent = LOOP_CLOCK.with(Cell::get);
     NOW_BYTES.with(|c| {
         let mut c = c.borrow_mut();
+        if let Some((at, from, until)) = lent {
+            if from <= at && at < until {
+                return c.1.clone();
+            }
+        }
+        let wall = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .unwrap_or_default();
+        let now = wall.as_secs() as i64;
         if c.0 != now {
             c.1 = bytes::Bytes::from(format_imf(now).into_bytes());
             c.0 = now;
+        }
+        if let Some((at, ..)) = lent {
+            // `at` is no later than the reading above, so the second
+            // rendered lasts at least this long past it.
+            let left = Duration::from_secs(1) - Duration::from_nanos(wall.subsec_nanos().into());
+            LOOP_CLOCK.with(|c| c.set(Some((at, at, at + left))));
         }
         c.1.clone()
     })
@@ -221,6 +255,31 @@ mod tests {
             "Sun, 0x Nov 1994 08:49:37 GMT",  // non-digit
         ] {
             assert_eq!(parse_imf(bad), None, "{bad:?} must not parse");
+        }
+    }
+
+    /// A lent clock dates what is rendered by its readings: the same
+    /// second's segment while they stay in it, a fresh one once a
+    /// reading leaves it — forward or, a clock of another loop, back.
+    #[test]
+    fn a_lent_loop_clock_dates_by_its_readings() {
+        let t0 = Instant::now();
+        set_loop_clock(t0);
+        let first = now_imf_bytes();
+        let t = parse_imf(std::str::from_utf8(&first).unwrap()).unwrap();
+        assert!((t - unix_now()).abs() <= 2, "date is now");
+        set_loop_clock(t0);
+        assert_eq!(now_imf_bytes(), first, "same reading, same second");
+        let (_, from, until) = LOOP_CLOCK.with(Cell::get).unwrap();
+        assert!(from == t0 && until > t0 && until <= t0 + Duration::from_secs(1));
+        for at in [until, t0 - Duration::from_millis(1)] {
+            set_loop_clock(at);
+            let _ = now_imf_bytes();
+            let (_, from, _) = LOOP_CLOCK.with(Cell::get).unwrap();
+            assert_eq!(
+                from, at,
+                "a reading out of the span re-reads the wall clock"
+            );
         }
     }
 

@@ -18,6 +18,7 @@
 //! sent (request smuggling).
 
 use bytes::BytesMut;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Maximum accepted request-header size; larger requests are rejected
@@ -82,24 +83,28 @@ impl fmt::Display for Version {
     }
 }
 
-/// A parsed HTTP request.
+/// A parsed HTTP request, borrowed from the parser's buffer: it lives
+/// until the parser is fed again. A field is copied only where parsing
+/// has to change its bytes — a path that is percent-encoded or not yet
+/// normal, a value that is not UTF-8 (read lossily, as `U+FFFD`).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Request {
+pub struct Request<'a> {
     /// Request method.
     pub method: Method,
     /// Decoded path (no query string), always starting with `/`, and
     /// free of control bytes.
-    pub path: String,
+    pub path: Cow<'a, str>,
     /// Raw query string (after `?`), if any.
-    pub query: Option<String>,
+    pub query: Option<Cow<'a, str>>,
     /// Protocol version.
     pub version: Version,
-    /// Value of the `Connection` header, lower-cased, if present.
-    pub connection: Option<String>,
+    /// Value of the `Connection` header, if present (verbatim; its
+    /// tokens are matched in any case).
+    pub connection: Option<Cow<'a, str>>,
     /// Value of the `Host` header, if present.
-    pub host: Option<String>,
+    pub host: Option<Cow<'a, str>>,
     /// Value of the `If-Modified-Since` header, if present (verbatim).
-    pub if_modified_since: Option<String>,
+    pub if_modified_since: Option<Cow<'a, str>>,
     /// Parsed single-range `Range` header. `None` both when the header
     /// is absent and when it is malformed or multi-range — RFC 9110
     /// §14.2 says an unintelligible `Range` is simply ignored (full
@@ -110,7 +115,7 @@ pub struct Request {
     pub if_range: Option<IfRange>,
     /// Value of the `If-None-Match` header, if present (verbatim) —
     /// takes precedence over `If-Modified-Since` (RFC 9110 §13.1.2).
-    pub if_none_match: Option<String>,
+    pub if_none_match: Option<Cow<'a, str>>,
     /// Whether `Accept-Encoding` admits gzip (a `gzip` or `*` token
     /// with nonzero q). False when the header is absent.
     pub accept_gzip: bool,
@@ -232,7 +237,7 @@ fn accepts_gzip(value: &str) -> bool {
     })
 }
 
-impl Request {
+impl Request<'_> {
     /// Whether the connection should persist after this request
     /// (HTTP/1.1 default-on, HTTP/1.0 with `keep-alive`).
     ///
@@ -244,7 +249,7 @@ impl Request {
         let has_token = |tok: &str| {
             self.connection
                 .as_deref()
-                .is_some_and(|v| v.split(',').any(|t| t.trim() == tok))
+                .is_some_and(|v| v.split(',').any(|t| t.trim().eq_ignore_ascii_case(tok)))
         };
         match self.version {
             Version::Http09 => false,
@@ -296,11 +301,11 @@ impl std::error::Error for ParseError {}
 
 /// Outcome of feeding bytes to the parser.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ParseStatus {
+pub enum ParseStatus<'a> {
     /// Need more bytes.
     Incomplete,
     /// A complete request was parsed.
-    Done(Request),
+    Done(Request<'a>),
     /// The request is malformed.
     Error(ParseError),
 }
@@ -310,6 +315,10 @@ pub enum ParseStatus {
 #[derive(Debug, Default)]
 pub struct RequestParser {
     buf: BytesMut,
+    /// Bytes at the front of `buf` that the last [`ParseStatus::Done`]
+    /// or error consumed: the request borrows them until the next
+    /// `feed`, which drops them.
+    consumed: usize,
 }
 
 impl RequestParser {
@@ -318,16 +327,20 @@ impl RequestParser {
         Self::default()
     }
 
-    /// Bytes currently buffered (for tests and flow control).
+    /// Bytes currently buffered past the last request parsed (for tests
+    /// and flow control).
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.consumed
     }
 
     /// Appends `bytes` and attempts to parse. On [`ParseStatus::Done`]
-    /// the consumed request is removed from the buffer, so pipelined
-    /// requests parse one at a time.
-    pub fn feed(&mut self, bytes: &[u8]) -> ParseStatus {
-        self.buf.extend_from_slice(bytes);
+    /// the request is consumed — it borrows the buffer until the next
+    /// call — so pipelined requests parse one at a time.
+    pub fn feed(&mut self, bytes: &[u8]) -> ParseStatus<'_> {
+        let _ = self.buf.split_to(std::mem::take(&mut self.consumed));
+        if !bytes.is_empty() {
+            self.buf.extend_from_slice(bytes);
+        }
         // The size bound applies to the *current request's* header, not
         // the whole buffer: a burst of pipelined requests buffered
         // together may legitimately exceed MAX_HEADER_BYTES in total
@@ -369,8 +382,8 @@ impl RequestParser {
                 },
             }
         };
-        let header = self.buf.split_to(header_end);
-        match parse_header(&header) {
+        self.consumed = header_end;
+        match parse_header(&self.buf[..header_end]) {
             Ok(req) => ParseStatus::Done(req),
             Err(e) => ParseStatus::Error(e),
         }
@@ -388,11 +401,24 @@ fn trim_cr(line: &[u8]) -> &[u8] {
     }
 }
 
-fn parse_header(raw: &[u8]) -> Result<Request, ParseError> {
-    let text = String::from_utf8_lossy(raw);
-    let mut lines = text.split('\n').map(|l| l.trim_end_matches('\r'));
-    let request_line = lines.next().ok_or(ParseError::BadRequestLine)?;
-    let mut parts = request_line.split_whitespace();
+/// `bytes` as text: borrowed when UTF-8, a lossy copy otherwise.
+fn text(bytes: &[u8]) -> Cow<'_, str> {
+    String::from_utf8_lossy(bytes)
+}
+
+/// A field value: its text with surrounding whitespace trimmed.
+fn value(bytes: &[u8]) -> Cow<'_, str> {
+    match text(bytes) {
+        Cow::Borrowed(v) => Cow::Borrowed(v.trim()),
+        Cow::Owned(v) => Cow::Owned(v.trim().to_string()),
+    }
+}
+
+/// The method, version, path and query of a request line.
+type Target<'a> = (Method, Version, Cow<'a, str>, Option<Cow<'a, str>>);
+
+fn request_line(line: &str) -> Result<Target<'_>, ParseError> {
+    let mut parts = line.split_whitespace();
     let method = parts.next().ok_or(ParseError::BadRequestLine)?;
     let target = parts.next().ok_or(ParseError::BadRequestLine)?;
     let version = match parts.next() {
@@ -407,10 +433,23 @@ fn parse_header(raw: &[u8]) -> Result<Request, ParseError> {
     }
     let method = Method::parse(method).ok_or(ParseError::BadMethod)?;
     let (path_raw, query) = match target.split_once('?') {
-        Some((p, q)) => (p, Some(q.to_string())),
+        Some((p, q)) => (p, Some(Cow::Borrowed(q))),
         None => (target, None),
     };
-    let path = normalize_path(path_raw)?;
+    Ok((method, version, normalize_path(path_raw)?, query))
+}
+
+fn parse_header(raw: &[u8]) -> Result<Request<'_>, ParseError> {
+    let mut lines = raw.split(|&b| b == b'\n').map(trim_cr);
+    let first = lines.next().ok_or(ParseError::BadRequestLine)?;
+    let (method, version, path, query) = match text(first) {
+        Cow::Borrowed(line) => request_line(line)?,
+        Cow::Owned(line) => {
+            let (method, version, path, query) = request_line(&line)?;
+            let owned = |c: Cow<'_, str>| Cow::Owned(c.into_owned());
+            (method, version, owned(path), query.map(owned))
+        }
+    };
 
     let mut connection = None;
     let mut host = None;
@@ -426,29 +465,42 @@ fn parse_header(raw: &[u8]) -> Result<Request, ParseError> {
         if line.is_empty() {
             continue;
         }
-        let (name, value) = line.split_once(':').ok_or(ParseError::BadHeader)?;
+        let colon = line
+            .iter()
+            .position(|&b| b == b':')
+            .ok_or(ParseError::BadHeader)?;
+        let (name, raw_value) = (&line[..colon], &line[colon + 1..]);
         // A field name is a token (RFC 9110 §5.6.2), so whitespace
         // before the colon is a `400` (RFC 9112 §5.1): read leniently,
         // `Content-Length : 5` would get past the body refusal below.
-        if name.is_empty() || !name.bytes().all(is_tchar) {
+        if name.is_empty() || !name.iter().all(|&b| is_tchar(b)) {
             return Err(ParseError::BadHeader);
         }
-        let value = value.trim();
-        match name.to_ascii_lowercase().as_str() {
-            "transfer-encoding" if bodiless => return Err(ParseError::UnexpectedBody),
-            "content-length" if bodiless && value.parse::<u64>() != Ok(0) => {
-                return Err(ParseError::UnexpectedBody)
+        // Names match in any case, without a lowered copy.
+        let is = |field: &str| name.eq_ignore_ascii_case(field.as_bytes());
+        if is("transfer-encoding") && bodiless {
+            return Err(ParseError::UnexpectedBody);
+        } else if is("content-length") && bodiless {
+            if value(raw_value).parse::<u64>() != Ok(0) {
+                return Err(ParseError::UnexpectedBody);
             }
-            "connection" => connection = Some(value.to_ascii_lowercase()),
+        } else if is("connection") {
+            connection = Some(value(raw_value));
+        } else if is("host") {
             // More than one `Host` is a `400` (RFC 9112 §3.2).
-            "host" if host.is_some() => return Err(ParseError::BadHeader),
-            "host" => host = Some(value.to_string()),
-            "if-modified-since" => if_modified_since = Some(value.to_string()),
-            "range" => range = RangeSpec::parse(value),
-            "if-range" => if_range = IfRange::parse(value),
-            "if-none-match" => if_none_match = Some(value.to_string()),
-            "accept-encoding" => accept_gzip = accepts_gzip(value),
-            _ => {}
+            if host.replace(value(raw_value)).is_some() {
+                return Err(ParseError::BadHeader);
+            }
+        } else if is("if-modified-since") {
+            if_modified_since = Some(value(raw_value));
+        } else if is("range") {
+            range = RangeSpec::parse(&value(raw_value));
+        } else if is("if-range") {
+            if_range = IfRange::parse(&value(raw_value));
+        } else if is("if-none-match") {
+            if_none_match = Some(value(raw_value));
+        } else if is("accept-encoding") {
+            accept_gzip = accepts_gzip(&value(raw_value));
         }
     }
     Ok(Request {
@@ -472,15 +524,23 @@ fn is_tchar(b: u8) -> bool {
 }
 
 /// Percent-decodes and normalizes a request path, rejecting traversal
-/// outside the document root.
-fn normalize_path(raw: &str) -> Result<String, ParseError> {
-    let decoded = percent_decode(raw);
+/// outside the document root. A path already in normal form — rooted,
+/// with no `%`, no empty, `.` or `..` segment — is returned as it is.
+fn normalize_path(raw: &str) -> Result<Cow<'_, str>, ParseError> {
     // A NUL is a filename-smuggling vector on C-string filesystems;
     // rejecting it also guarantees decoded paths never collide with the
     // server's NUL-separated internal variant-cache keys. Every other
     // control byte goes with it: a `%0A` would split the request line
     // handed to an application worker in two, and forge a line of the
     // access log.
+    let normal = raw.starts_with('/')
+        && !raw.contains("//")
+        && !raw.bytes().any(|b| b == b'%' || b.is_ascii_control())
+        && raw.split('/').all(|seg| !matches!(seg, "." | ".."));
+    if normal {
+        return Ok(Cow::Borrowed(raw));
+    }
+    let decoded = percent_decode(raw);
     if decoded.chars().any(|c| c.is_ascii_control()) {
         return Err(ParseError::PathTraversal);
     }
@@ -502,7 +562,7 @@ fn normalize_path(raw: &str) -> Result<String, ParseError> {
     if decoded.ends_with('/') && path.len() > 1 {
         path.push('/');
     }
-    Ok(path)
+    Ok(Cow::Owned(path))
 }
 
 fn percent_decode(s: &str) -> String {
@@ -535,11 +595,33 @@ fn percent_decode(s: &str) -> String {
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> ParseStatus {
-        RequestParser::new().feed(s.as_bytes())
+    fn parse(s: &str) -> ParseStatus<'static> {
+        match RequestParser::new().feed(s.as_bytes()) {
+            ParseStatus::Done(r) => ParseStatus::Done(owned(r)),
+            ParseStatus::Incomplete => ParseStatus::Incomplete,
+            ParseStatus::Error(e) => ParseStatus::Error(e),
+        }
     }
 
-    fn done(s: &str) -> Request {
+    /// `req` with every field its own.
+    fn owned(req: Request<'_>) -> Request<'static> {
+        let own = |c: Cow<'_, str>| Cow::Owned(c.into_owned());
+        Request {
+            method: req.method,
+            path: own(req.path),
+            query: req.query.map(own),
+            version: req.version,
+            connection: req.connection.map(own),
+            host: req.host.map(own),
+            if_modified_since: req.if_modified_since.map(own),
+            range: req.range,
+            if_range: req.if_range,
+            if_none_match: req.if_none_match.map(own),
+            accept_gzip: req.accept_gzip,
+        }
+    }
+
+    fn done(s: &str) -> Request<'static> {
         match parse(s) {
             ParseStatus::Done(r) => r,
             other => panic!("expected Done, got {other:?}"),
@@ -561,7 +643,7 @@ mod tests {
             "GET /a/b.html HTTP/1.0\r\nHost: rice.edu\r\nConnection: Keep-Alive\r\nIf-Modified-Since: Sat, 29 Oct 1994 19:43:31 GMT\r\n\r\n",
         );
         assert_eq!(r.host.as_deref(), Some("rice.edu"));
-        assert_eq!(r.connection.as_deref(), Some("keep-alive"));
+        assert_eq!(r.connection.as_deref(), Some("Keep-Alive"));
         assert!(r.keep_alive());
         assert!(r.if_modified_since.is_some());
     }

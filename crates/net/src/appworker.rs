@@ -44,13 +44,14 @@
 
 use std::io::{self, Read, Write};
 use std::os::fd::{AsRawFd, OwnedFd, RawFd};
+use std::os::unix::ffi::OsStrExt;
 use std::os::unix::net::UnixStream;
 use std::os::unix::process::CommandExt;
 use std::process::{Child, Command, Stdio};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
 use crate::conn::{DynEvent, HelperJob};
 
@@ -222,8 +223,9 @@ impl WorkerPool {
 /// One thing the worker said, as [`FrameParser`] reads it.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Frame {
-    /// The payload of one `DATA <len>` frame.
-    Data(Vec<u8>),
+    /// The payload of one `DATA <len>` frame: a view of the buffer it
+    /// was read into, not a copy.
+    Data(Bytes),
     /// The `END` line.
     End,
     /// Not the protocol: a line that is neither `END` nor a `DATA`
@@ -240,11 +242,16 @@ pub enum Frame {
 /// and a shard's readable arm (`workerset.rs`) share it. End of stream
 /// is the driver's to notice: short of an `END` it is a crash wherever
 /// it falls, and the parser is simply never given the rest.
+///
+/// A `DATA` payload is split off the parser's buffer, not copied out
+/// of it: the buffer takes its allocation back once every payload
+/// popped from it has been dropped ([`BytesMut`]), so a parser whose
+/// payloads are sent before the next read reuses one allocation for
+/// as long as it lives.
 #[derive(Default)]
 pub struct FrameParser {
-    buf: Vec<u8>,
-    /// Bytes of `buf` already popped as frames.
-    head: usize,
+    /// What was pushed and not yet popped as frames.
+    buf: BytesMut,
     /// The payload length of a `DATA` header already consumed.
     want: Option<usize>,
     corrupt: bool,
@@ -253,10 +260,6 @@ pub struct FrameParser {
 impl FrameParser {
     /// Buffers what one read returned.
     pub fn push(&mut self, bytes: &[u8]) {
-        // What is left of earlier reads is less than a frame — or the
-        // front of one large one, moved this once.
-        self.buf.drain(..self.head);
-        self.head = 0;
         self.buf.extend_from_slice(bytes);
     }
 
@@ -268,14 +271,13 @@ impl FrameParser {
         let len = match self.want {
             Some(len) => len,
             None => {
-                let rest = &self.buf[self.head..];
-                let line = match rest.iter().position(|&b| b == b'\n') {
-                    Some(pos) if pos <= MAX_LINE => &rest[..pos],
+                let line = match self.buf.iter().position(|&b| b == b'\n') {
+                    Some(pos) if pos <= MAX_LINE => self.buf.split_to(pos + 1),
                     // Still short enough to become a header.
-                    None if rest.len() <= MAX_LINE => return None,
+                    None if self.buf.len() <= MAX_LINE => return None,
                     _ => return Some(self.corrupted()),
                 };
-                self.head += line.len() + 1;
+                let line = &line[..line.len() - 1];
                 if line == b"END" {
                     return Some(Frame::End);
                 }
@@ -285,17 +287,18 @@ impl FrameParser {
                 }
             }
         };
-        let body = self.buf.get(self.head..self.head + len)?.to_vec();
-        self.head += len;
+        if self.buf.len() < len {
+            return None;
+        }
         self.want = None;
-        Some(Frame::Data(body))
+        Some(Frame::Data(self.buf.split_to(len).freeze()))
     }
 
     /// Whether bytes are buffered past the frames popped so far. After
     /// an `END` that is a worker talking out of turn: it cannot be
     /// handed another request.
     pub fn has_leftover(&self) -> bool {
-        self.head < self.buf.len()
+        !self.buf.is_empty()
     }
 
     fn corrupted(&mut self) -> Frame {
@@ -345,7 +348,9 @@ pub(crate) fn run_exchange(
             return retired;
         }
     };
-    if worker.sock.write_all(&request_line(job)).is_err() {
+    let mut line = Vec::new();
+    request_line(job, &mut line);
+    if worker.sock.write_all(&line).is_err() {
         drop(worker); // kills
         emit(DynEvent::End { clean: false });
         return retired + 1;
@@ -363,7 +368,7 @@ pub(crate) fn run_exchange(
         }
         while let Some(frame) = parser.pop() {
             match frame {
-                Frame::Data(body) => emit(DynEvent::Chunk(Bytes::from(body))),
+                Frame::Data(body) => emit(DynEvent::Chunk(body)),
                 Frame::End => break 'exchange true,
                 Frame::Corrupt => break 'exchange false,
             }
@@ -399,9 +404,13 @@ pub(crate) fn run_exchange(
     retired
 }
 
-/// The server → worker half of the protocol: `GET <path>\n`.
-pub(crate) fn request_line(job: &HelperJob) -> Vec<u8> {
-    format!("GET {}\n", job.fs_path.display()).into_bytes()
+/// The server → worker half of the protocol, `GET <path>\n`, written
+/// over what `line` held: the path's own bytes, no formatting.
+pub(crate) fn request_line(job: &HelperJob, line: &mut Vec<u8>) {
+    line.clear();
+    line.extend_from_slice(b"GET ");
+    line.extend_from_slice(job.fs_path.as_os_str().as_bytes());
+    line.push(b'\n');
 }
 
 /// Parses `DATA <len>` (ASCII decimal, bounded by [`MAX_FRAME`]).
@@ -423,7 +432,7 @@ mod tests {
 
     fn dyn_job(path: &str) -> HelperJob {
         HelperJob {
-            path: "\0dyn:1".to_string(),
+            path: String::new(),
             fs_path: PathBuf::from(path),
             kind: JobKind::Dynamic,
             variant: Variant::Identity,

@@ -244,9 +244,29 @@ pub enum JobKind {
     /// Unlike the filesystem kinds this job produces *multiple*
     /// completions under one token — every chunk the worker emits,
     /// then a terminal [`DynEvent::End`]. Never coalesced and never
-    /// cached; `fs_path` carries the request's URL path verbatim and
-    /// `path` a synthetic per-dispatch waiter key.
+    /// cached; `fs_path` carries the request's URL path verbatim, and
+    /// `path` is empty: the job is known by its token
+    /// ([`JobKey::Stream`]).
     Dynamic,
+}
+
+/// What a job in flight is known by ([`ShardCore::jobs`]): the variant
+/// key its file jobs coalesce on, or — a dynamic request's stream,
+/// never coalesced — the token it was dispatched under.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum JobKey {
+    Path(String),
+    Stream(u64),
+}
+
+impl JobKey {
+    /// The variant key of a file job; empty for a stream.
+    pub fn path(&self) -> &str {
+        match self {
+            JobKey::Path(path) => path,
+            JobKey::Stream(_) => "",
+        }
+    }
 }
 
 /// One unit of disk work dispatched through a [`HelperPort`].
@@ -305,6 +325,18 @@ impl HelperJob {
         Done {
             path: self.path,
             data,
+            epoch: self.epoch,
+            token: self.token,
+        }
+    }
+
+    /// The completion that carries one event of this dynamic job's
+    /// stream: known by its token, as the job is, so it names no path
+    /// and allocates nothing.
+    pub fn event<F>(&self, ev: DynEvent) -> Done<F> {
+        Done {
+            path: String::new(),
+            data: DoneData::Dynamic(ev),
             epoch: self.epoch,
             token: self.token,
         }

@@ -49,13 +49,13 @@ pub struct RequestCond {
 
 impl RequestCond {
     /// Snapshots the conditional fields of a parsed request.
-    pub fn from_request(req: &Request) -> RequestCond {
+    pub fn from_request(req: &Request<'_>) -> RequestCond {
         RequestCond {
             if_modified_since: req
                 .if_modified_since
                 .as_deref()
                 .and_then(flash_http::date::parse_imf),
-            if_none_match: req.if_none_match.clone(),
+            if_none_match: req.if_none_match.as_deref().map(str::to_string),
             range: req.range,
             if_range: req.if_range.clone(),
             accept_gzip: req.accept_gzip,
@@ -129,14 +129,6 @@ pub enum BodySource<F> {
     File { file: F, offset: u64, len: u64 },
     /// No body (`304`, or a zero-length window).
     Empty,
-    /// An open chunked stream: the body's length is unknown when the
-    /// header goes out — an application worker produces it
-    /// incrementally and the shard appends each chunk to the output
-    /// queue as its [`super::DynEvent`] arrives. Queueing this source
-    /// opens the connection's stream state; the terminal frame (or an
-    /// error path) closes it. HEAD never opens a stream — the header
-    /// is kept and the source dropped, like every other body.
-    Stream,
 }
 
 /// One fully-decided response: status for the access log, header
@@ -295,9 +287,6 @@ pub fn queue_plan<Io: ConnIo>(conn: &mut Conn<Io>, plan: ResponsePlan<Io::FileRe
             }
         }
         BodySource::Empty => {}
-        BodySource::Stream => {
-            conn.stream_open = true;
-        }
     }
 }
 
@@ -322,27 +311,29 @@ thread_local! {
     };
 }
 
-/// The dynamic tier's response plan: a chunked `200` whose body is an
-/// open [`BodySource::Stream`]. Dynamic responses bypass the
-/// conditional plane entirely — no `ETag`, `Last-Modified`, `304`, or
-/// `Range` handling applies ([`plan_response`] is never consulted);
-/// the worker's output is generated per request and has no validators.
-/// So the header never varies but for `Connection` and `Date`: it is
-/// the thread's pre-rendered pair with the current `Date` spliced in,
-/// as a cached entry's is ([`Entry::push_header`]) — three zero-copy
-/// segments, nothing rendered per response.
-pub fn plan_dynamic<F>(keep_alive: bool) -> ResponsePlan<F> {
-    let mut header = Vec::with_capacity(3);
+/// Opens the dynamic tier's response on `conn`: queues a chunked `200`
+/// header and, but for HEAD, opens the connection's stream — the body's
+/// length is unknown when the header goes out, an application worker
+/// produces it incrementally, and the shard appends each chunk as its
+/// [`super::DynEvent`] arrives; the terminal frame (or an error path)
+/// closes the stream. Dynamic responses bypass the conditional plane
+/// entirely — no `ETag`, `Last-Modified`, `304`, or `Range` handling
+/// applies ([`plan_response`] is never consulted); the worker's output
+/// is generated per request and has no validators. So the header never
+/// varies but for `Connection` and `Date`: it is the thread's
+/// pre-rendered pair with the current `Date` spliced in, as a cached
+/// entry's is ([`Entry::push_header`]) — three zero-copy segments,
+/// nothing rendered or allocated per response.
+pub fn open_stream<Io: ConnIo>(conn: &mut Conn<Io>) {
     CHUNKED_200.with(|pair| {
-        let hdr = if keep_alive { &pair.keep } else { &pair.close };
-        cache::push_dated(hdr, pair.date_at, &mut header);
+        let hdr = if conn.keep_alive {
+            &pair.keep
+        } else {
+            &pair.close
+        };
+        cache::push_dated(hdr, pair.date_at, &mut conn.out);
     });
-    ResponsePlan {
-        status: Status::Ok,
-        tier: Tier::Dynamic,
-        header,
-        body: BodySource::Stream,
-    }
+    conn.stream_open = !conn.head_only;
 }
 
 #[cfg(test)]
@@ -507,13 +498,37 @@ mod tests {
         ));
     }
 
+    /// A transport that is never written: [`open_stream`] only queues.
+    struct Queued;
+
+    impl ConnIo for Queued {
+        type FileRef = ();
+        fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+            Ok(0)
+        }
+        fn writev(&mut self, _: &[&[u8]]) -> std::io::Result<usize> {
+            Ok(0)
+        }
+        fn sendfile(&mut self, _: &(), _: &mut u64, _: u64) -> std::io::Result<usize> {
+            Ok(0)
+        }
+    }
+
+    /// The segments [`open_stream`] queues for a connection in the
+    /// given posture, and whether it opened the stream.
+    fn opened(keep_alive: bool, head_only: bool) -> (Vec<Bytes>, bool) {
+        let mut conn = Conn::new(Queued);
+        (conn.keep_alive, conn.head_only) = (keep_alive, head_only);
+        open_stream(&mut conn);
+        (conn.out.drain(..).collect(), conn.stream_open)
+    }
+
     #[test]
     fn dynamic_plan_is_chunked_and_unconditional() {
-        let plan: ResponsePlan<()> = plan_dynamic(true);
-        assert!(matches!(plan.status, Status::Ok));
-        assert!(matches!(plan.tier, Tier::Dynamic));
-        assert!(matches!(plan.body, BodySource::Stream));
-        let hdr = String::from_utf8(plan.header.iter().flat_map(|b| b.to_vec()).collect()).unwrap();
+        let (header, open) = opened(true, false);
+        assert!(open, "a GET opens the stream");
+        assert!(!opened(true, true).1, "a HEAD opens none");
+        let hdr = String::from_utf8(header.iter().flat_map(|b| b.to_vec()).collect()).unwrap();
         assert!(hdr.contains("Transfer-Encoding: chunked\r\n"), "{hdr}");
         assert!(!hdr.contains("Content-Length"), "{hdr}");
         assert!(!hdr.contains("ETag"), "dynamic bypasses validators: {hdr}");
@@ -524,7 +539,7 @@ mod tests {
     /// would give, in both forms — `Date` aside, which is spliced in
     /// current: three segments, the rendered length, so the alignment.
     #[test]
-    fn plan_dynamic_splices_a_current_date_into_the_rendered_pair() {
+    fn open_stream_splices_a_current_date_into_the_rendered_pair() {
         let blank = |b: &[u8]| {
             let mut b = b.to_vec();
             let at = b.windows(6).position(|w| w == b"Date: ").unwrap() + 6;
@@ -532,9 +547,9 @@ mod tests {
             String::from_utf8(b).unwrap()
         };
         for keep in [true, false] {
-            let plan: ResponsePlan<()> = plan_dynamic(keep);
-            assert_eq!(plan.header.len(), 3, "prefix + date + suffix");
-            let joined: Vec<u8> = plan.header.iter().flat_map(|s| s.to_vec()).collect();
+            let (header, _) = opened(keep, false);
+            assert_eq!(header.len(), 3, "prefix + date + suffix");
+            let joined: Vec<u8> = header.iter().flat_map(|s| s.to_vec()).collect();
             let rendered = ResponseHeader::build_chunked(Status::Ok, "text/plain", keep, true);
             assert_eq!(
                 blank(&joined),

@@ -23,16 +23,17 @@ use crate::stats::{self, AccessRecord, Tier};
 use crate::timer::TimerWheel;
 
 use super::machine::{flush_out, Conn, ConnState, DeadlineKind, Drive, FlushResult};
-use super::plan::{plan_dynamic, plan_response, queue_plan, RequestCond, Resource};
+use super::plan::{open_stream, plan_response, queue_plan, RequestCond, Resource};
 use super::{
-    ConnIo, Done, DoneData, DynEvent, FileData, Held, HelperJob, HelperPort, JobKind, LoadResult,
-    ProtoConfig, ShardStats,
+    ConnIo, Done, DoneData, DynEvent, FileData, Held, HelperJob, HelperPort, JobKey, JobKind,
+    LoadResult, ProtoConfig, ShardStats,
 };
 
 /// The shard's one record of a dispatched, not-yet-completed job: the
 /// token a completion must echo to be accepted, the connections parked
 /// on it (coalesced misses share one job; a dynamic request has its
 /// own), and the cancellation flag raised when the last of them leaves.
+#[derive(Default)]
 pub struct PendingJob {
     pub token: u64,
     pub cancel: Arc<AtomicBool>,
@@ -53,9 +54,13 @@ pub struct PendingJob {
 pub struct ShardCore<C: CacheHandle = ContentCache> {
     pub shard: usize,
     pub cache: C,
-    /// Jobs in flight, per variant key (or a dynamic request's
-    /// synthetic `\0dyn:` key), each with the connections it answers.
-    pub jobs: HashMap<String, PendingJob>,
+    /// Jobs in flight, per variant key or dynamic stream, each with
+    /// the connections it answers.
+    pub jobs: HashMap<JobKey, PendingJob>,
+    /// Records of finished streams, for the next dynamic requests to
+    /// take over: their flags were never raised, and nothing else
+    /// holds them.
+    spare: Vec<PendingJob>,
     /// Monotonic per-dispatch token source (see [`HelperJob::token`]).
     next_job_token: u64,
     pub cfg: ProtoConfig,
@@ -78,7 +83,7 @@ pub struct ShardCore<C: CacheHandle = ContentCache> {
     /// itself so the core stays clock-free.
     pub access_log: Vec<AccessRecord>,
     /// Where [`Self::drive_conn`] reads request bytes: one buffer for
-    /// the shard (the parser copies out what it keeps), not a zeroed
+    /// the shard (the parser copies in what it keeps), not a zeroed
     /// array per call.
     read_buf: Box<[u8; READ_BUF]>,
 }
@@ -116,6 +121,7 @@ impl<C: CacheHandle> ShardCore<C> {
             shard,
             cache,
             jobs: HashMap::new(),
+            spare: Vec::new(),
             next_job_token: 1,
             cfg,
             stats,
@@ -221,16 +227,16 @@ impl<C: CacheHandle> ShardCore<C> {
     /// (`None`) as `"- -"`. The outcome is filled in when the response
     /// is decided ([`set_log`]), the bytes and latency when it finishes
     /// ([`Self::finish_response`]).
-    fn stage_log<Io: ConnIo>(&self, conn: &mut Conn<Io>, req: Option<&Request>) {
+    fn stage_log<Io: ConnIo>(&self, conn: &mut Conn<Io>, req: Option<&Request<'_>>) {
         conn.progress_at_req = conn.progress;
         if !self.cfg.access_log {
             return;
         }
         let (host, method, path) = match req {
             Some(req) => (
-                req.host.clone().unwrap_or_default(),
+                req.host.as_deref().unwrap_or_default().to_string(),
                 req.method.as_str(),
-                req.path.clone(),
+                req.path.to_string(),
             ),
             None => (String::new(), "-", "-".to_string()),
         };
@@ -294,16 +300,8 @@ impl<C: CacheHandle> ShardCore<C> {
                 ConnState::Reading => {
                     // Serve any request already buffered (keep-alive
                     // pipelining) before asking the transport for more.
-                    match conn.parser.feed(&[]) {
-                        ParseStatus::Done(req) => {
-                            self.handle_request(idx, conn, req, port, now);
-                            continue;
-                        }
-                        ParseStatus::Error(_) => {
-                            self.reject_request(conn);
-                            continue;
-                        }
-                        ParseStatus::Incomplete => {}
+                    if self.parse(idx, conn, 0, port, now) {
+                        continue;
                     }
                     // A transport that knows it is dry is not asked:
                     // the read could only say `WouldBlock`.
@@ -315,13 +313,7 @@ impl<C: CacheHandle> ShardCore<C> {
                                 return Drive::Closed;
                             }
                             Ok(n) => {
-                                match conn.parser.feed(&self.read_buf[..n]) {
-                                    ParseStatus::Done(req) => {
-                                        self.handle_request(idx, conn, req, port, now);
-                                    }
-                                    ParseStatus::Incomplete => {}
-                                    ParseStatus::Error(_) => self.reject_request(conn),
-                                }
+                                self.parse(idx, conn, n, port, now);
                                 continue;
                             }
                             Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {}
@@ -418,11 +410,35 @@ impl<C: CacheHandle> ShardCore<C> {
         }
     }
 
+    /// Feeds the first `n` bytes of the read buffer to the connection's
+    /// parser and handles the request it completes, or refuses what it
+    /// cannot parse. Returns whether either happened. The request
+    /// borrows the parser, which is out of the connection meanwhile.
+    fn parse<Io: ConnIo>(
+        &mut self,
+        idx: usize,
+        conn: &mut Conn<Io>,
+        n: usize,
+        port: &mut dyn HelperPort<Io::FileRef>,
+        now: Instant,
+    ) -> bool {
+        let mut parser = std::mem::take(&mut conn.parser);
+        let status = parser.feed(&self.read_buf[..n]);
+        let parsed = !matches!(status, ParseStatus::Incomplete);
+        match status {
+            ParseStatus::Done(req) => self.handle_request(idx, conn, req, port, now),
+            ParseStatus::Error(_) => self.reject_request(conn),
+            ParseStatus::Incomplete => {}
+        }
+        conn.parser = parser;
+        parsed
+    }
+
     fn handle_request<Io: ConnIo>(
         &mut self,
         idx: usize,
         conn: &mut Conn<Io>,
-        req: Request,
+        req: Request<'_>,
         port: &mut dyn HelperPort<Io::FileRef>,
         now: Instant,
     ) {
@@ -464,9 +480,9 @@ impl<C: CacheHandle> ShardCore<C> {
                 return;
             }
         }
-        let mut path = req.path.clone();
+        let mut path = req.path;
         if path.ends_with('/') {
-            path.push_str("index.html");
+            path.to_mut().push_str("index.html");
         }
         let ttl = self.cfg.cache_revalidate_ttl;
         // Variant negotiation: a gzip-accepting client consults the
@@ -515,24 +531,24 @@ impl<C: CacheHandle> ShardCore<C> {
         // first, and answered like a hit if it holds this one.
         // The request parser has already normalized away any `..`, so
         // joining the relative remainder cannot escape the docroot.
-        let key = gz_key.unwrap_or(path);
+        let key = JobKey::Path(gz_key.unwrap_or_else(|| path.into_owned()));
         match self.jobs.get_mut(&key) {
             Some(job) => job.waiters.push(idx),
             None => {
                 if kind == JobKind::Load {
-                    let held = port.held(&key, self.cfg.sendfile_threshold, now);
+                    let held = port.held(key.path(), self.cfg.sendfile_threshold, now);
                     if let Some(Held { head, file, len }) = held {
                         let res = Resource::File {
                             head: &head,
                             file: &file,
                             len,
                         };
-                        let url_path = cache::split_variant_key(&key).0;
+                        let url_path = cache::split_variant_key(key.path()).0;
                         self.respond(conn, &res, url_path, Tier::Sendfile);
                         return;
                     }
                 }
-                self.dispatch_job(key, kind, vec![idx], port);
+                self.dispatch_job(key, kind, &[idx], port);
             }
         }
         conn.wait_start = Some(now);
@@ -563,18 +579,17 @@ impl<C: CacheHandle> ShardCore<C> {
         conn.state = ConnState::Writing;
     }
 
-    /// Records a dispatch under `key` for `waiters`: mints its token
-    /// and a fresh cancellation flag, and counts the job.
-    fn register_job(&mut self, key: &str, waiters: Vec<usize>) -> (u64, Arc<AtomicBool>) {
+    /// Records a dispatch under `key` for `waiters`: mints its token,
+    /// takes a lowered cancellation flag — a finished stream's, or a
+    /// fresh one — and counts the job.
+    fn register_job(&mut self, key: JobKey, waiters: &[usize]) -> (u64, Arc<AtomicBool>) {
         let token = self.next_job_token;
         self.next_job_token += 1;
-        let cancel = Arc::new(AtomicBool::new(false));
-        let job = PendingJob {
-            token,
-            cancel: Arc::clone(&cancel),
-            waiters,
-        };
-        self.jobs.insert(key.to_string(), job);
+        let mut job = self.spare.pop().unwrap_or_default();
+        job.token = token;
+        job.waiters.extend_from_slice(waiters);
+        let cancel = Arc::clone(&job.cancel);
+        self.jobs.insert(key, job);
         self.stats.helper_jobs.fetch_add(1, Ordering::Relaxed);
         (token, cancel)
     }
@@ -586,19 +601,20 @@ impl<C: CacheHandle> ShardCore<C> {
     /// key's variant so every executor stays mechanical.
     fn dispatch_job<F>(
         &mut self,
-        key: String,
+        key: JobKey,
         kind: JobKind,
-        waiters: Vec<usize>,
+        waiters: &[usize],
         port: &mut dyn HelperPort<F>,
     ) {
-        let (token, cancel) = self.register_job(&key, waiters);
         // The filesystem path is always the identity representation's;
         // executors derive the `.gz` sibling themselves when the job
         // concerns the gzip variant.
-        let (url_path, variant) = cache::split_variant_key(&key);
+        let (url_path, variant) = cache::split_variant_key(key.path());
         let fs_path = self.cfg.docroot.join(url_path.trim_start_matches('/'));
+        let path = key.path().to_string();
+        let (token, cancel) = self.register_job(key, waiters);
         port.submit(HelperJob {
-            path: key,
+            path,
             fs_path,
             kind,
             variant,
@@ -611,12 +627,11 @@ impl<C: CacheHandle> ShardCore<C> {
 
     /// Routes one request into the dynamic tier. HEAD answers
     /// immediately with the chunked header alone — no worker runs. GET
-    /// dispatches a [`JobKind::Dynamic`] helper job under a synthetic
-    /// waiter key (`"\0dyn:<token>"` — the NUL prefix cannot collide
-    /// with URL paths, which always start with `/`): dynamic responses
-    /// are per-connection streams, never coalesced, so each dispatch
-    /// owns exactly one waiter. Conditional headers (ETag/304/Range)
-    /// deliberately do not apply — generated output has no validators.
+    /// dispatches a [`JobKind::Dynamic`] job known by its token
+    /// ([`JobKey::Stream`]): dynamic responses are per-connection
+    /// streams, never coalesced, so each dispatch owns exactly one
+    /// waiter. Conditional headers (ETag/304/Range) deliberately do not
+    /// apply — generated output has no validators.
     fn handle_dynamic<Io: ConnIo>(
         &mut self,
         idx: usize,
@@ -630,18 +645,17 @@ impl<C: CacheHandle> ShardCore<C> {
         if conn.head_only {
             // Headers only: `queue_plan` drops the `Stream` body for
             // HEAD, so no stream opens and no worker is consulted.
-            queue_plan(conn, plan_dynamic(conn.keep_alive));
+            open_stream(conn);
             conn.state = ConnState::Writing;
             return;
         }
         // Keyed by the token `register_job` mints next.
-        let key = format!("\0dyn:{}", self.next_job_token);
-        let (token, cancel) = self.register_job(&key, vec![idx]);
+        let (token, cancel) = self.register_job(JobKey::Stream(self.next_job_token), &[idx]);
         // `fs_path` carries the request path verbatim: it is the
         // worker's argument, not a filesystem name, so no docroot join
         // and no trailing-slash rewrite.
         port.submit(HelperJob {
-            path: key,
+            path: String::new(),
             fs_path: PathBuf::from(url_path),
             kind: JobKind::Dynamic,
             variant: Variant::Identity,
@@ -690,31 +704,25 @@ impl<C: CacheHandle> ShardCore<C> {
         now: Instant,
     ) {
         // A dynamic job produces *several* completions under one token
-        // — every mid-stream `Chunk` keeps the job (its waiter and its
-        // cancel flag) in place; only the final `End` (or any
-        // non-dynamic completion) retires it, waiters and all.
-        let waiters = match self.jobs.get(&done.path) {
-            Some(job) if job.token == done.token => match done.data {
-                DoneData::Dynamic(DynEvent::Chunk(_)) => job.waiters.clone(),
-                _ => self
-                    .jobs
-                    .remove(&done.path)
-                    .map(|job| job.waiters)
-                    .unwrap_or_default(),
-            },
+        // ([`Self::deliver_dynamic`]); any other completion retires its
+        // job, waiters and all.
+        if let DoneData::Dynamic(ev) = done.data {
+            return self.deliver_dynamic(ev, done.token, conns, completed, now);
+        }
+        let key = JobKey::Path(done.path);
+        let waiters = match self.jobs.get(&key) {
+            Some(job) if job.token == done.token => self.jobs.remove(&key).unwrap_or_default(),
             _ => return,
-        };
+        }
+        .waiters;
         let result = match done.data {
             DoneData::Stat(stat) => {
-                return self
-                    .complete_revalidation(done.path, stat, waiters, conns, completed, port, now);
-            }
-            DoneData::Dynamic(ev) => {
-                return self.deliver_dynamic(ev, &waiters, conns, completed, now);
+                return self.complete_revalidation(key, stat, waiters, conns, completed, port, now);
             }
             DoneData::Loaded(result) => result,
+            DoneData::Dynamic(_) => unreachable!("a stream's events are delivered above"),
         };
-        let url_path = cache::split_variant_key(&done.path).0.to_string();
+        let url_path = cache::split_variant_key(key.path()).0.to_string();
         let completion = match result {
             Ok(LoadResult {
                 data: FileData::Bytes { body, mtime },
@@ -789,7 +797,7 @@ impl<C: CacheHandle> ShardCore<C> {
     #[allow(clippy::too_many_arguments)]
     fn complete_revalidation<Io: ConnIo>(
         &mut self,
-        path: String,
+        key: JobKey,
         stat: io::Result<(u64, Option<i64>)>,
         waiters: Vec<usize>,
         conns: &mut [Option<Conn<Io>>],
@@ -797,11 +805,12 @@ impl<C: CacheHandle> ShardCore<C> {
         port: &mut dyn HelperPort<Io::FileRef>,
         now: Instant,
     ) {
-        if let (Some(entry), Ok((len, mtime))) = (self.cache.peek(&path), &stat) {
+        let path = key.path();
+        if let (Some(entry), Ok((len, mtime))) = (self.cache.peek(path), &stat) {
             if entry.mtime == *mtime && entry.body.len() as u64 == *len {
-                self.cache.refresh_at(&path, now);
+                self.cache.refresh_at(path, now);
                 self.stats.revalidations.fetch_add(1, Ordering::Relaxed);
-                let url_path = cache::split_variant_key(&path).0;
+                let url_path = cache::split_variant_key(path).0;
                 let completion = Completion::Small(entry);
                 self.deliver_completion(
                     &completion,
@@ -819,13 +828,13 @@ impl<C: CacheHandle> ShardCore<C> {
         // bytes can no longer be trusted. A vanished `.gz` sibling
         // lands here too — the requeued gzip-preference load falls
         // back to the identity file.
-        if self.cache.invalidate(&path) {
+        if self.cache.invalidate(path) {
             self.stats.stale_evicted.fetch_add(1, Ordering::Relaxed);
             self.stats
                 .cache_used_bytes
                 .store(self.cache.used_bytes(), Ordering::Relaxed);
         }
-        self.dispatch_job(path, JobKind::Load, waiters, port);
+        self.dispatch_job(key, JobKind::Load, &waiters, port);
     }
 
     /// Renders a completion into the output queue of each of the
@@ -877,8 +886,11 @@ impl<C: CacheHandle> ShardCore<C> {
         }
     }
 
-    /// Delivers one streaming event from a dynamic worker to the
-    /// (single) waiter of its job. `Chunk` events leave the job in
+    /// Delivers one streaming event from a dynamic worker to the single
+    /// waiter of its job, known by its `token`. Every mid-stream `Chunk`
+    /// keeps the job (its waiter and its cancel flag) in place; the
+    /// `End` retires it, and keeps its record for the next stream to
+    /// take over: nothing else holds its flag once the `End` is out. `Chunk` events leave the job in
     /// place — the stream is still running — while [`Self::complete_job`]'s
     /// gate has already retired it, waiter and all, for the `End`.
     /// The first event opens the response (chunked header + stream
@@ -890,58 +902,67 @@ impl<C: CacheHandle> ShardCore<C> {
     fn deliver_dynamic<Io: ConnIo>(
         &mut self,
         ev: DynEvent,
-        waiters: &[usize],
+        token: u64,
         conns: &mut [Option<Conn<Io>>],
         completed: &mut Vec<usize>,
         now: Instant,
     ) {
-        for &idx in waiters {
-            let Some(conn) = conns.get_mut(idx).and_then(|c| c.as_mut()) else {
-                continue;
-            };
-            // Only the first event finds `wait_start` set: the
-            // histogram records time-to-first-byte from the worker,
-            // not per-chunk delivery.
-            if let Some(start) = conn.wait_start.take() {
-                self.stats
-                    .worker_wait
-                    .record(now.duration_since(start).as_nanos() as u64);
+        let key = JobKey::Stream(token);
+        let Some(idx) = self.jobs.get(&key).map(|job| job.waiters[0]) else {
+            return;
+        };
+        if let DynEvent::End { .. } = ev {
+            let mut job = self.jobs.remove(&key).expect("looked up above");
+            job.waiters.clear();
+            if Arc::get_mut(&mut job.cancel).is_some() {
+                self.spare.push(job);
             }
-            match &ev {
-                DynEvent::Chunk(bytes) => {
-                    if !conn.stream_open {
-                        queue_plan(conn, plan_dynamic(conn.keep_alive));
-                    }
-                    push_chunk(conn, bytes.clone());
-                }
-                DynEvent::End { clean: true } => {
-                    if !conn.stream_open {
-                        // Zero-chunk body: still a valid (empty)
-                        // chunked response.
-                        queue_plan(conn, plan_dynamic(conn.keep_alive));
-                    }
-                    FRAMING.with(|(_, end)| conn.out.push_back(end.clone()));
-                    conn.stream_open = false;
-                    conn.dynamic = false;
-                }
-                DynEvent::End { clean: false } => {
-                    if conn.stream_open {
-                        // Mid-body crash: no terminator, no reuse — the
-                        // client sees the truncation, and the slot
-                        // closes once the partial tail flushes.
-                        conn.stream_open = false;
-                        conn.keep_alive = false;
-                    } else {
-                        let body = Bytes::from(error_body(Status::InternalError));
-                        queue_error(conn, Status::InternalError, body);
-                        set_log(conn, Status::InternalError.code(), Tier::Error);
-                    }
-                    conn.dynamic = false;
-                }
-            }
-            conn.state = ConnState::Writing;
-            completed.push(idx);
         }
+        let Some(conn) = conns.get_mut(idx).and_then(|c| c.as_mut()) else {
+            return;
+        };
+        // Only the first event finds `wait_start` set: the histogram
+        // records time-to-first-byte from the worker, not per-chunk
+        // delivery.
+        if let Some(start) = conn.wait_start.take() {
+            self.stats
+                .worker_wait
+                .record(stats::nanos_since(start, now));
+        }
+        match ev {
+            DynEvent::Chunk(bytes) => {
+                if !conn.stream_open {
+                    open_stream(conn);
+                }
+                push_chunk(conn, bytes);
+            }
+            DynEvent::End { clean: true } => {
+                if !conn.stream_open {
+                    // Zero-chunk body: still a valid (empty) chunked
+                    // response.
+                    open_stream(conn);
+                }
+                FRAMING.with(|(_, end)| conn.out.push_back(end.clone()));
+                conn.stream_open = false;
+                conn.dynamic = false;
+            }
+            DynEvent::End { clean: false } => {
+                if conn.stream_open {
+                    // Mid-body crash: no terminator, no reuse — the
+                    // client sees the truncation, and the slot closes
+                    // once the partial tail flushes.
+                    conn.stream_open = false;
+                    conn.keep_alive = false;
+                } else {
+                    let body = Bytes::from(error_body(Status::InternalError));
+                    queue_error(conn, Status::InternalError, body);
+                    set_log(conn, Status::InternalError.code(), Tier::Error);
+                }
+                conn.dynamic = false;
+            }
+        }
+        conn.state = ConnState::Writing;
+        completed.push(idx);
     }
 
     /// Fires the deadline armed for slot `idx` (the driver has checked
@@ -1009,7 +1030,7 @@ impl<C: CacheHandle> ShardCore<C> {
         for (path, job) in &self.jobs {
             if job.waiters.is_empty() {
                 return Err(format!(
-                    "job for {path} with no waiters (leak: nobody can consume it)"
+                    "job for {path:?} with no waiters (leak: nobody can consume it)"
                 ));
             }
             for &idx in &job.waiters {
@@ -1023,9 +1044,9 @@ impl<C: CacheHandle> ShardCore<C> {
                     // parked on the list either way.
                     Some(c) if matches!(c.state, ConnState::Waiting) || c.stream_open => {}
                     Some(_) => {
-                        return Err(format!("waiter {idx} on {path} is not in Waiting state"))
+                        return Err(format!("waiter {idx} on {path:?} is not in Waiting state"))
                     }
-                    None => return Err(format!("waiter {idx} on {path} is an empty slot")),
+                    None => return Err(format!("waiter {idx} on {path:?} is an empty slot")),
                 }
             }
         }
@@ -1102,8 +1123,7 @@ fn push_chunk<Io: ConnIo>(conn: &mut Conn<Io>, bytes: Bytes) {
     if bytes.is_empty() {
         return;
     }
-    conn.out
-        .push_back(Bytes::from(chunked::size_line(bytes.len())));
+    conn.out.push_back(chunked::size_line_segment(bytes.len()));
     conn.out.push_back(bytes);
     FRAMING.with(|(crlf, _)| conn.out.push_back(crlf.clone()));
 }

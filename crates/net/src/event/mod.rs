@@ -87,10 +87,44 @@
 //! nothing else: its default is epoll on Linux and poll elsewhere, and
 //! epoll asked for where there is none runs poll ([`resolve`]).
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
 use std::os::unix::io::RawFd;
 
 use crate::sys;
+
+/// A map keyed by readiness tokens or descriptors — keys the shard or
+/// the kernel mints, never ones a client chooses — hashed by
+/// [`TokenHash`]: the deadline set's ([`crate::timer`]) and the poll
+/// backend's descriptor index.
+pub type TokenMap<K, V> = HashMap<K, V, BuildHasherDefault<TokenHash>>;
+
+/// Hashes a token or a descriptor with one multiply where a `HashMap`
+/// would spend a round of SipHash: keys no client chooses need no
+/// defence against crafted collisions. The folded 128-bit product
+/// carries every key bit into every hash bit.
+#[derive(Default, Clone, Copy)]
+pub struct TokenHash(u64);
+
+impl Hasher for TokenHash {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let product = u128::from(key ^ self.0) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = product as u64 ^ (product >> 64) as u64;
+    }
+}
 
 pub mod pollset;
 

@@ -13,11 +13,10 @@
 //! too, just with occasional spurious wakeups it absorbs as
 //! `EWOULDBLOCK`.
 
-use std::collections::HashMap;
 use std::io;
 use std::os::unix::io::RawFd;
 
-use super::{BackendChoice, Event, EventBackend, Interest};
+use super::{BackendChoice, Event, EventBackend, Interest, TokenMap};
 use crate::sys::{self, PollFd};
 
 /// Readable readiness (POLLIN).
@@ -58,7 +57,7 @@ struct Entry {
 /// The level-triggered fallback backend.
 pub struct PollBackend {
     entries: Vec<Entry>,
-    index: HashMap<RawFd, usize>,
+    index: TokenMap<RawFd, usize>,
     /// Persistent `pollfd` buffer, cleared (never shrunk) per wait.
     fds: Vec<PollFd>,
     /// `fds[i]` (beyond any skipped entries) maps to `entries[fd_entry[i]]`.
@@ -70,7 +69,7 @@ impl PollBackend {
     pub fn new() -> PollBackend {
         PollBackend {
             entries: Vec::new(),
-            index: HashMap::new(),
+            index: TokenMap::default(),
             fds: Vec::new(),
             fd_entry: Vec::new(),
         }

@@ -32,6 +32,19 @@
 //! drive or expiry (before that connection is reconciled), after a
 //! worker's readable event, and on a wake. No answer outlives its turn.
 //!
+//! **The turn's clock.** A turn reads the clock twice: once when its
+//! wait returns — the turn's clock, which every core call, deadline,
+//! timer expiry and accept of the turn is given — and once when it
+//! ends, a reading that closes the phase ledger, feeds the stall
+//! watchdog and times the next wait. A phase that does no work takes
+//! no lap; each further phase that works in the same turn costs one
+//! more reading (a keep-alive hit's turn and each of a warm dynamic
+//! request's two are one phase, two readings; `flash-sim` counts
+//! them). Each reading is also lent to the thread's `Date` cache, so
+//! a response reads no clock of its own: its `Date` is the second its
+//! turn began in. Durations become microseconds without 128-bit
+//! division.
+//!
 //! Layout:
 //!
 //! * **accepting is the first step of each shard's own loop** (the
@@ -161,7 +174,7 @@ use crate::handle::Threads;
 use crate::lifecycle::{LifecycleShared, PHASE_DRAINING, PHASE_RUNNING};
 use crate::pool::{helper_main, JobQueue, NetReply, PoolPort, Reply, WakeHandle, Work};
 use crate::sendfile::send_file;
-use crate::stats::AccessLogWriter;
+use crate::stats::{nanos_since, AccessLogWriter};
 use crate::sys;
 use crate::timer::{tick_for, TimerWheel};
 use crate::workerset::{WorkerSet, WORKER_TOKEN_BASE};
@@ -185,7 +198,11 @@ pub trait Env: Sized {
     /// The readiness backend.
     type Backend: EventBackend + ?Sized;
 
-    /// The clock behind every instant the shard hands its core.
+    /// The clock behind every instant the shard hands its core. The
+    /// loop reads it twice a turn — when the wait returns and when the
+    /// turn ends — and once more per further phase that works in the
+    /// turn (module docs, *The turn's clock*); nothing else in the turn
+    /// reads it.
     fn now(&self) -> Instant;
     /// Accepts one queued connection, nonblocking.
     fn accept(&mut self, listener: &Self::Listener) -> io::Result<Self::Stream>;
@@ -231,9 +248,14 @@ pub(crate) struct NetEnv {
 }
 
 impl NetEnv {
-    /// The wall clock: the one clock this file reads.
+    /// The wall clock: the one clock this file reads. Each reading is
+    /// lent to the thread's `Date` cache, so a response rendered in the
+    /// turn it starts reads no clock of its own
+    /// ([`flash_http::date::set_loop_clock`]).
     fn clock() -> Instant {
-        Instant::now()
+        let now = Instant::now();
+        flash_http::date::set_loop_clock(now);
+        now
     }
 }
 
@@ -549,6 +571,10 @@ pub struct Shard<E: Env> {
     access_log: Option<Arc<AccessLogWriter>>,
     /// Scratch for [`Shard::settle`]: who the completions woke.
     woken: Vec<usize>,
+    /// The turn's clock: read when the wait returned, and what every
+    /// core call, deadline and expiry of the turn is given; between
+    /// turns, the turn's end (module docs, *The turn's clock*).
+    clock: Instant,
 }
 
 /// Each shard's open-file table capacity: a quarter of the process's
@@ -585,7 +611,8 @@ impl<E: Env> Shard<E> {
             cfg.helper_wait_timeout,
             cfg.dynamic_deadline,
         ];
-        let wheel = TimerWheel::new_at(tick_for(timeouts.into_iter().flatten()), env.now());
+        let clock = env.now();
+        let wheel = TimerWheel::new_at(tick_for(timeouts.into_iter().flatten()), clock);
         Shard {
             port: PoolPort {
                 done: VecDeque::new(),
@@ -610,12 +637,8 @@ impl<E: Env> Shard<E> {
                 .clone()
                 .map(|p| Arc::new(AccessLogWriter::open(p))),
             woken: Vec::new(),
+            clock,
         }
-    }
-
-    /// The environment's clock.
-    fn now(&self) -> Instant {
-        self.port.env.now()
     }
 
     /// Appends the access records the core has staged, in one write.
@@ -687,7 +710,7 @@ impl<E: Env> Shard<E> {
             dry: false,
             hangup: false,
         });
-        conn.opened_at = Some(self.now());
+        conn.opened_at = Some(self.clock);
         let idx = match self.free.pop() {
             Some(i) => {
                 self.conns[i] = Some(conn);
@@ -750,7 +773,7 @@ impl<E: Env> Shard<E> {
         let mut outcome = None;
         loop {
             while let Some(done) = self.port.done.pop_front() {
-                let now = self.now();
+                let now = self.clock;
                 self.core
                     .complete_job(done, &mut self.conns, &mut woken, &mut self.port, now);
             }
@@ -764,7 +787,7 @@ impl<E: Env> Shard<E> {
                     self.drive(idx);
                     continue;
                 }
-                let (now, conns, port) = (self.now(), &mut self.conns, &mut self.port);
+                let (now, conns, port) = (self.clock, &mut self.conns, &mut self.port);
                 outcome = Some(self.core.drive_conn(idx, conns, port, now));
             }
         }
@@ -796,10 +819,9 @@ impl<E: Env> Shard<E> {
         let Some(fd) = self.fd_of(idx) else {
             return;
         };
-        let now = self.now();
         let outcome = self
             .core
-            .drive_conn(idx, &mut self.conns, &mut self.port, now);
+            .drive_conn(idx, &mut self.conns, &mut self.port, self.clock);
         self.reconcile(idx, fd, outcome);
     }
 
@@ -810,10 +832,9 @@ impl<E: Env> Shard<E> {
         if self.fd_of(idx) != Some(fd) {
             return;
         }
-        let now = self.now();
         let outcome = self
             .core
-            .expire_conn(idx, &mut self.conns, &mut self.port, now);
+            .expire_conn(idx, &mut self.conns, &mut self.port, self.clock);
         self.reconcile(idx, fd, outcome);
     }
 
@@ -849,15 +870,13 @@ impl<E: Env> Shard<E> {
                 Ok(())
             };
             if watched.is_ok() {
-                let now = self.port.env.now();
-                sync_deadline(conn, token, &self.core.cfg, &mut self.wheel, now);
+                sync_deadline(conn, token, &self.core.cfg, &mut self.wheel, self.clock);
                 return;
             }
             // Unwatchable means unreachable — and under ET a consumed
             // edge that cannot be re-armed is a permanent stall: close
             // the connection rather than pin its fd and slot forever.
-            let now = self.port.env.now();
-            self.core.close_conn(idx, &mut self.conns, now);
+            self.core.close_conn(idx, &mut self.conns, self.clock);
         }
         // The slot is empty and the socket closed with it, which
         // unhooked it from the kernel's interest set: there is nothing
@@ -959,7 +978,7 @@ impl<E: Env> Shard<E> {
     /// deadline — the severing check must run when it lands even if
     /// every remaining connection is quietly mid-transfer.
     fn wait_timeout(&self, drain_deadline: Option<Instant>) -> i32 {
-        let now = self.now();
+        let now = self.clock;
         let mut wait_ms = self.wheel.next_timeout_ms(now).unwrap_or(-1);
         if self.listener.is_some()
             && !self.listener_armed
@@ -980,15 +999,17 @@ impl<E: Env> Shard<E> {
     }
 
     /// Waits for readiness — the one call a turn may block in — and
-    /// counts it. Returns the instant the wait returned: the start of
-    /// the turn.
+    /// counts it. Reads the clock as the wait returns: the start of the
+    /// turn, returned, and the turn's clock. The time since the last
+    /// turn ended is the wait's.
     fn wait(&mut self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<Instant> {
-        let mut start = self.now();
         let n = self.backend.wait(events, timeout_ms)?;
-        self.lap(&self.core.stats.phase_wait_us, &mut start);
+        let start = self.port.env.now();
         let stats = &self.core.stats;
+        charge(&stats.phase_wait_us, self.clock, start);
         bump(&stats.wait_calls);
         stats.wait_events.fetch_add(n as u64, Ordering::Relaxed);
+        self.clock = start;
         Ok(start)
     }
 
@@ -996,12 +1017,15 @@ impl<E: Env> Shard<E> {
     /// the order the loop has always taken them: the helpers' replies
     /// (on a wake), the readiness events, the deadlines, the accepts,
     /// and the worker sweep; then the turn's access records are
-    /// flushed and its busy time goes to the stall watchdog.
+    /// flushed, and the clock is read a second time: the turn's end,
+    /// which closes the phase ledger, feeds the stall watchdog and
+    /// becomes the clock between turns.
     fn turn(&mut self, events: &[Event], start: Instant) {
         // Everything from here to the end of the turn is non-wait time
         // — the span the stall watchdog measures, phase by phase.
-        let mut mark = start;
+        let mut open = None;
         if events.iter().any(|e| e.token == WAKE_TOKEN) {
+            self.lap(&mut open, |s| &s.phase_completions_us);
             self.port.env.take_wake();
             while let Some(reply) = self.port.env.recv() {
                 match reply {
@@ -1016,13 +1040,17 @@ impl<E: Env> Shard<E> {
                     }
                 }
             }
-            self.lap(&self.core.stats.phase_completions_us, &mut mark);
             // Completions flip their waiters to Writing with write
             // interest unarmed; the settle drives them at once — the
             // socket is almost always writable, so the common case
             // finishes here without ever arming write interest.
+            self.lap(&mut open, |s| &s.phase_respond_us);
             self.settle(None);
-            self.lap(&self.core.stats.phase_respond_us, &mut mark);
+        }
+        // Every token below the listener's is a connection's or a
+        // worker's.
+        if events.iter().any(|e| e.token < LISTENER_TOKEN) {
+            self.lap(&mut open, |s| &s.phase_read_us);
         }
         let mut accept_ready = false;
         for ev in events {
@@ -1037,51 +1065,73 @@ impl<E: Env> Shard<E> {
                 _ => self.on_event(ev),
             }
         }
-        self.lap(&self.core.stats.phase_read_us, &mut mark);
         // Expire deadlines last: anything the drives above just
         // re-armed is already accounted for (single-threaded, so the
         // timers are exactly consistent with the connection table here).
         let mut expired = Vec::new();
-        self.wheel.expire(self.port.env.now(), &mut expired);
+        self.wheel.expire(start, &mut expired);
+        if !expired.is_empty() {
+            self.lap(&mut open, |s| &s.phase_timers_us);
+        }
         for token in expired {
             self.expire(token);
         }
-        self.lap(&self.core.stats.phase_timers_us, &mut mark);
         // Accept last: the drives and expiries above may have freed
         // slots, so the gate decision below sees this turn's final
         // occupancy. (A draining shard has no listener left.)
-        if !self.listener_armed && self.live() < self.max_conns {
+        if !self.listener_armed && self.listener.is_some() && self.live() < self.max_conns {
             // Re-arm: the listener is level-triggered, so the next wait
             // reports a backlog that is still pending and the accepts
             // resume without a new connection having to arrive.
+            self.lap(&mut open, |s| &s.phase_accept_us);
             self.listener_armed = self.set_listener_interest(Interest::ACCEPT);
         } else if accept_ready && self.listener_armed {
+            self.lap(&mut open, |s| &s.phase_accept_us);
             self.listener_armed = self.accept_one();
         }
-        self.lap(&self.core.stats.phase_accept_us, &mut mark);
         self.sweep_workers();
         // Flush this turn's access records in one append, then close
         // the watchdog ledger: everything since the wait returned was
         // time the event loop spent NOT listening — the one quantity
-        // AMPED exists to keep small.
+        // AMPED exists to keep small. The tail goes to the last phase
+        // that worked.
         self.flush_access_log();
-        let busy = self.now().duration_since(start);
+        let end = self.port.env.now();
         let stats = &self.core.stats;
-        stats
-            .loop_stall_max_us
-            .fetch_max(busy.as_micros() as u64, Ordering::Relaxed);
-        if busy >= LOOP_STALL_THRESHOLD {
+        if let Some((phase, mark)) = open {
+            charge(phase(stats), mark, end);
+        }
+        let busy = nanos_since(start, end) / 1_000;
+        stats.loop_stall_max_us.fetch_max(busy, Ordering::Relaxed);
+        if busy >= LOOP_STALL_THRESHOLD.as_micros() as u64 {
             bump(&stats.loop_stalls);
         }
+        self.clock = end;
     }
 
-    /// Adds the time since `*mark` to `counter` and advances the mark —
-    /// the per-phase ledger behind the event-loop stall watchdog.
-    fn lap(&self, counter: &AtomicU64, mark: &mut Instant) {
-        let now = self.now();
-        let since = now.duration_since(std::mem::replace(mark, now));
-        counter.fetch_add(since.as_micros() as u64, Ordering::Relaxed);
+    /// Opens `phase`, which has work to do this turn, in the turn's
+    /// phase ledger `open`: the phase at work, and since when. The one
+    /// open before it is charged up to now — the one clock read a phase
+    /// costs, and only when a second phase works in the same turn: the
+    /// turn's end closes the last one. A phase that does nothing opens
+    /// nothing and reads no clock.
+    fn lap(&self, open: &mut Option<(Phase, Instant)>, phase: Phase) {
+        let mut now = self.clock;
+        if let Some((done, mark)) = *open {
+            now = self.port.env.now();
+            charge(done(&self.core.stats), mark, now);
+        }
+        *open = Some((phase, now));
     }
+}
+
+/// One of the per-phase counters behind the event-loop stall watchdog.
+type Phase = fn(&ShardStats) -> &AtomicU64;
+
+/// Adds the whole microseconds from `from` to `to` to `counter`, with
+/// no 128-bit division.
+fn charge(counter: &AtomicU64, from: Instant, to: Instant) {
+    counter.fetch_add(nanos_since(from, to) / 1_000, Ordering::Relaxed);
 }
 
 /// Bounded retry cadence while a shard's listener is throttled with
@@ -1142,7 +1192,7 @@ pub fn shard_loop<E: Env>(shard: &mut Shard<E>, lifecycle: &LifecycleShared) {
             shard.listener_armed = false;
             shard.enter_drain();
         }
-        if (phase != PHASE_RUNNING && lifecycle.severs(|| shard.now()))
+        if (phase != PHASE_RUNNING && lifecycle.severs(|| shard.clock))
             || (shard.core.draining && shard.live() == 0)
         {
             // Stopped, or past the drain deadline — whatever is left
@@ -1176,7 +1226,7 @@ pub fn shard_loop<E: Env>(shard: &mut Shard<E>, lifecycle: &LifecycleShared) {
 }
 
 /// One more of whatever `counter` counts.
-fn bump(counter: &AtomicU64) {
+pub(crate) fn bump(counter: &AtomicU64) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
 

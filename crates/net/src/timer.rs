@@ -26,17 +26,21 @@
 //! replaced, because the benchmark (`loadbench`) imports it by that
 //! name.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
+
+use crate::event::TokenMap;
 
 /// The armed deadlines. Keys are caller-chosen `u64`s (the server uses
 /// the same packed slot+fd tokens its event backend uses, so an expiry
 /// can be validated against slot reuse exactly like a readiness event).
 pub struct TimerWheel {
-    tick: Duration,
+    /// The tick, in nanoseconds.
+    tick: u64,
     start: Instant,
-    /// Key → the tick it fires at.
-    armed: HashMap<u64, u64>,
+    /// Key → the tick it fires at. Keys are the caller's own tokens,
+    /// hashed with a multiply ([`crate::event::TokenHash`]).
+    armed: TokenMap<u64, u64>,
     /// The same timers as `(tick, key)`, earliest first.
     due: BTreeSet<(u64, u64)>,
 }
@@ -68,9 +72,9 @@ impl TimerWheel {
     /// simulation.
     pub fn new_at(tick: Duration, start: Instant) -> TimerWheel {
         TimerWheel {
-            tick: tick.max(Duration::from_millis(1)),
+            tick: tick.max(Duration::from_millis(1)).as_nanos() as u64,
             start,
-            armed: HashMap::new(),
+            armed: TokenMap::default(),
             due: BTreeSet::new(),
         }
     }
@@ -87,9 +91,10 @@ impl TimerWheel {
         self.armed.len()
     }
 
-    /// Nanoseconds from the epoch to `at`.
-    fn since_start(&self, at: Instant) -> u128 {
-        at.saturating_duration_since(self.start).as_nanos()
+    /// Nanoseconds from the epoch to `at` (in 64 bits: 584 years),
+    /// so no tick arithmetic divides in 128.
+    fn since_start(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.start).as_nanos() as u64
     }
 
     /// Arms (or re-arms) the timer for `key` to fire at `deadline`,
@@ -97,7 +102,7 @@ impl TimerWheel {
     /// tick is a no-op, so per-byte progress re-arms cost one lookup
     /// until they actually move the deadline by a tick.
     pub fn arm(&mut self, key: u64, deadline: Instant) {
-        let tick = self.since_start(deadline).div_ceil(self.tick.as_nanos()) as u64;
+        let tick = self.since_start(deadline).div_ceil(self.tick);
         if let Some(old) = self.armed.insert(key, tick) {
             if old == tick {
                 return;
@@ -122,19 +127,16 @@ impl TimerWheel {
     /// indefinitely).
     pub fn next_timeout_ms(&self, now: Instant) -> Option<i32> {
         let &(tick, _) = self.due.first()?;
-        let left = (tick as u128 * self.tick.as_nanos()).saturating_sub(self.since_start(now));
-        Some(left.div_ceil(1_000_000).min(i32::MAX as u128) as i32)
+        let left = (tick * self.tick).saturating_sub(self.since_start(now));
+        Some(left.div_ceil(1_000_000).min(i32::MAX as u64) as i32)
     }
 
     /// Appends every key due by `now` to `out` (cleared first), earliest
     /// tick first and in key order within a tick, and disarms it.
     pub fn expire(&mut self, now: Instant, out: &mut Vec<u64>) {
         out.clear();
-        let now_tick = (self.since_start(now) / self.tick.as_nanos()) as u64;
-        while let Some(&(tick, key)) = self.due.first() {
-            if tick > now_tick {
-                break;
-            }
+        let now_tick = self.since_start(now) / self.tick;
+        while let Some(&(_, key)) = self.due.first().filter(|&&(tick, _)| tick <= now_tick) {
             self.due.pop_first();
             self.armed.remove(&key);
             out.push(key);

@@ -37,6 +37,20 @@
 //!   [`READS_PER_EVENT`] reads, then the descriptor is re-armed and the
 //!   loop moves on.
 //!
+//! **Who owns the relay's bytes.** A warm exchange allocates nothing.
+//! The request line is written from the job's own path into one
+//! buffer the set keeps and overwrites. A read lands in the set's one
+//! read buffer and is copied once into the worker's frame parser,
+//! which each worker keeps for its life; a `DATA` payload leaves the
+//! parser as a [`bytes::Bytes`] view of that parser's buffer, not a
+//! copy, and travels as such through the completion queue onto the
+//! connection's output queue. Once the connection has sent it — in the
+//! same turn, on a warm keep-alive — the view drops, and the parser's
+//! next read reuses the buffer ([`bytes::BytesMut`]); a view a slow
+//! client still holds only makes that read copy into a fresh buffer.
+//! A completion names its job by token alone, so no path is cloned
+//! per chunk.
+//!
 //! Nothing here forks, kills or reaps (`tests/driver_audit.rs`): a
 //! cold worker is asked of the helper pool ([`Work::Spawn`]) and a
 //! retired one given to it ([`Work::Reap`]), the pool doing for
@@ -48,16 +62,13 @@
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bytes::Bytes;
-
 use crate::appworker::{request_line, Frame, FrameParser};
-use crate::conn::{Done, DoneData, DynEvent, HelperJob, ShardStats};
+use crate::conn::{Done, DynEvent, HelperJob, ShardStats};
 use crate::event::{EventBackend, Interest};
 use crate::pool::{DoneQueue, Work};
-use crate::server::Env;
+use crate::server::{bump, Env};
 
 /// Worker tokens carry the slot half no connection can have (2^32-1,
 /// as the wake pipe's and the listener's do) and the worker's index in
@@ -79,14 +90,11 @@ const READS_PER_EVENT: usize = 16;
 /// One live worker, registered with the shard's backend.
 struct Slot<W> {
     worker: W,
-    /// The exchange it is in; `None` while idle — an idle worker holds
-    /// no buffer.
-    exchange: Option<Exchange>,
-}
-
-struct Exchange {
-    job: HelperJob,
+    /// The frames it sends, kept from one exchange to the next with
+    /// the buffer they are split off.
     parser: FrameParser,
+    /// The job of the exchange it is in; `None` while idle.
+    job: Option<HelperJob>,
 }
 
 pub(crate) struct WorkerSet<E: Env> {
@@ -102,6 +110,8 @@ pub(crate) struct WorkerSet<E: Env> {
     /// ([`WorkerSet::bury`]).
     pub(crate) morgue: Vec<E::Worker>,
     chunk: Box<[u8; READ_CHUNK]>,
+    /// The request line being written, over the last one.
+    line: Vec<u8>,
     stats: Arc<ShardStats>,
 }
 
@@ -113,6 +123,7 @@ impl<E: Env> WorkerSet<E> {
             queue: VecDeque::new(),
             morgue: Vec::new(),
             chunk: Box::new([0; READ_CHUNK]),
+            line: Vec::new(),
             stats,
         }
     }
@@ -152,7 +163,8 @@ impl<E: Env> WorkerSet<E> {
                 Ok(slot) => {
                     self.slots[slot] = Some(Slot {
                         worker,
-                        exchange: None,
+                        parser: FrameParser::default(),
+                        job: None,
                     });
                     Ok(())
                 }
@@ -207,30 +219,22 @@ impl<E: Env> WorkerSet<E> {
             };
             // EOF or a dead socket — or an idle worker with something
             // to say: it died, or it wrote behind its `END`.
-            let Some(exchange) = live.exchange.as_mut().filter(|_| n > 0) else {
+            let Some(job) = live.job.as_ref().filter(|_| n > 0) else {
                 self.retire(slot, Some(false), done);
                 break;
             };
-            exchange.parser.push(&self.chunk[..n]);
-            let mut ended = None;
-            while let Some(frame) = exchange.parser.pop() {
-                match frame {
-                    Frame::Data(body) => done.push_back(Done {
-                        path: exchange.job.path.clone(),
-                        data: DoneData::Dynamic(DynEvent::Chunk(Bytes::from(body))),
-                        epoch: exchange.job.epoch,
-                        token: exchange.job.token,
-                    }),
-                    Frame::End => ended = Some(true),
-                    Frame::Corrupt => ended = Some(false),
+            live.parser.push(&self.chunk[..n]);
+            let ended = loop {
+                match live.parser.pop() {
+                    Some(Frame::Data(body)) => done.push_back(job.event(DynEvent::Chunk(body))),
+                    Some(Frame::End) => break Some(true),
+                    Some(Frame::Corrupt) => break Some(false),
+                    None => break None,
                 }
-                if ended.is_some() {
-                    break;
-                }
-            }
-            if ended == Some(true) && !exchange.parser.has_leftover() {
-                if let Some(exchange) = live.exchange.take() {
-                    finish(exchange.job, true, done);
+            };
+            if ended == Some(true) && !live.parser.has_leftover() {
+                if let Some(job) = live.job.take() {
+                    finish(job, true, done);
                 }
             } else if ended.is_some() {
                 self.retire(slot, ended, done);
@@ -252,8 +256,8 @@ impl<E: Env> WorkerSet<E> {
         for slot in 0..self.slots.len() {
             let cancelled = self.slots[slot]
                 .as_ref()
-                .and_then(|live| live.exchange.as_ref())
-                .is_some_and(|exchange| exchange.job.is_cancelled());
+                .and_then(|live| live.job.as_ref())
+                .is_some_and(HelperJob::is_cancelled);
             if cancelled {
                 self.retire(slot, None, done);
             }
@@ -279,7 +283,7 @@ impl<E: Env> WorkerSet<E> {
             if self.queue.is_empty() {
                 return;
             }
-            if matches!(&self.slots[slot], Some(live) if live.exchange.is_none()) {
+            if matches!(&self.slots[slot], Some(live) if live.job.is_none()) {
                 if let Some(job) = self.next_job() {
                     self.begin(slot, job, done);
                 }
@@ -312,12 +316,9 @@ impl<E: Env> WorkerSet<E> {
         };
         bump(&self.stats.inline_jobs);
         bump(&self.stats.worker_io_calls);
-        let line = request_line(&job);
-        if matches!(live.worker.write(&line), Ok(n) if n == line.len()) {
-            live.exchange = Some(Exchange {
-                job,
-                parser: FrameParser::default(),
-            });
+        request_line(&job, &mut self.line);
+        if matches!(live.worker.write(&self.line), Ok(n) if n == self.line.len()) {
+            live.job = Some(job);
         } else {
             self.retire(slot, None, done);
             finish(job, false, done);
@@ -334,17 +335,13 @@ impl<E: Env> WorkerSet<E> {
         };
         bump(&self.stats.worker_respawns);
         self.morgue.push(live.worker);
-        if let (Some(exchange), Some(clean)) = (live.exchange, clean) {
-            finish(exchange.job, clean, done);
+        if let (Some(job), Some(clean)) = (live.job, clean) {
+            finish(job, clean, done);
         }
     }
 }
 
 /// Queues the `End` that closes `job`'s completion stream.
 fn finish<F>(job: HelperJob, clean: bool, done: &mut VecDeque<Done<F>>) {
-    done.push_back(job.done(DoneData::Dynamic(DynEvent::End { clean })));
-}
-
-fn bump(counter: &AtomicU64) {
-    counter.fetch_add(1, Ordering::Relaxed);
+    done.push_back(job.event(DynEvent::End { clean }));
 }

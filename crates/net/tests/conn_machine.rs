@@ -24,7 +24,7 @@ use flash_net::cache::Variant;
 use flash_net::conn::machine::{sync_deadline, Conn};
 use flash_net::conn::{
     ConnIo, ConnState, Done, DoneData, Drive, DynEvent, FileData, Held, HelperJob, HelperPort,
-    JobKind, LoadResult, ProtoConfig, ShardCore, ShardStats,
+    JobKey, JobKind, LoadResult, ProtoConfig, ShardCore, ShardStats,
 };
 use flash_net::timer::TimerWheel;
 use flash_simcore::SimRng;
@@ -616,7 +616,11 @@ fn coalesced_waiters_follow_their_job_through_a_changed_file() {
         core.check_invariants(conns, &wheel, |_| 0).unwrap();
     };
     const GET: &[u8] = b"GET /a.html HTTP/1.1\r\nHost: t\r\n\r\n";
-    let waiters = |core: &ShardCore| core.jobs.get("/a.html").map(|job| job.waiters.clone());
+    let waiters = |core: &ShardCore| {
+        core.jobs
+            .get(&JobKey::Path("/a.html".into()))
+            .map(|job| job.waiters.clone())
+    };
 
     // Both ask; one `Revalidate` job carries both.
     for idx in 0..2 {
@@ -803,7 +807,9 @@ fn a_held_file_answers_a_miss_with_no_job_unless_one_is_in_flight() {
     check(&core, &conns);
     assert_eq!((port.jobs.len(), port.asked), (1, 2));
     assert_eq!(
-        core.jobs.get("/a.html").map(|j| j.waiters.clone()),
+        core.jobs
+            .get(&JobKey::Path("/a.html".into()))
+            .map(|j| j.waiters.clone()),
         Some(vec![0, 1])
     );
     assert!(outs[1].borrow().is_empty(), "answered around its job");

@@ -34,7 +34,7 @@ fn frames(stream: &[u8], reads: &[usize]) -> Vec<Frame> {
 }
 
 fn data(body: &[u8]) -> Frame {
-    Frame::Data(body.to_vec())
+    Frame::Data(bytes::Bytes::copy_from_slice(body))
 }
 
 #[test]

@@ -3,7 +3,8 @@
 //! The build environment has no crates.io access, so this workspace
 //! member provides the small API subset the Flash reproduction uses:
 //! [`Bytes`] (cheaply clonable, immutable byte buffer backed by an
-//! `Arc`) and [`BytesMut`] (growable buffer with `split_to`). The
+//! `Arc`) and [`BytesMut`] (growable buffer whose front `split_to` and
+//! `freeze` hand out as `Bytes` without a copy). The
 //! semantics match the real crate for this subset; only the
 //! performance characteristics of exotic paths differ.
 
@@ -137,13 +138,22 @@ impl PartialEq<[u8]> for Bytes {
     }
 }
 
-/// A growable byte buffer supporting efficient prefix removal.
-#[derive(Debug, Default)]
+/// A growable byte buffer supporting efficient prefix removal, whose
+/// front can be split off and frozen into a [`Bytes`] without a copy.
+///
+/// Like the real crate's, a buffer and the views split off it share
+/// one allocation. Writing needs the allocation to itself: while a
+/// split-off view is alive, an append copies the live bytes into a
+/// fresh allocation first; once every view has dropped, the buffer
+/// takes its allocation back and appends in place. A reader that
+/// splits each frame off, hands it on, and appends the next read only
+/// after the frame has gone, so reuses one allocation indefinitely.
+#[derive(Default)]
 pub struct BytesMut {
-    buf: Vec<u8>,
-    /// Consumed prefix; `buf[head..]` is the live region. Compacted
-    /// when the dead prefix outgrows the live remainder.
-    head: usize,
+    data: Arc<[u8]>,
+    /// `data[start..end]` is the live region, `data[end..]` spare.
+    start: usize,
+    end: usize,
 }
 
 impl BytesMut {
@@ -155,14 +165,15 @@ impl BytesMut {
     /// An empty buffer with `cap` bytes preallocated.
     pub fn with_capacity(cap: usize) -> Self {
         BytesMut {
-            buf: Vec::with_capacity(cap),
-            head: 0,
+            data: zeroed(cap),
+            start: 0,
+            end: 0,
         }
     }
 
     /// Live length in bytes.
     pub fn len(&self) -> usize {
-        self.buf.len() - self.head
+        self.end - self.start
     }
 
     /// True when empty.
@@ -170,45 +181,93 @@ impl BytesMut {
         self.len() == 0
     }
 
-    /// Appends `bytes`.
-    pub fn extend_from_slice(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+    /// Bytes this buffer can hold without allocating, while it has its
+    /// allocation to itself.
+    pub fn capacity(&self) -> usize {
+        self.data.len() - self.start
     }
 
-    /// Removes and returns the first `at` bytes, keeping the rest.
+    /// Makes room to append `additional` bytes in place: takes the
+    /// allocation back once no split-off view shares it (moving the
+    /// live bytes to its front when the spare tail is short), or moves
+    /// them to a fresh one — twice the size, when it outgrew its own;
+    /// just large enough, when views still share it.
+    pub fn reserve(&mut self, additional: usize) {
+        let len = self.len();
+        let cap = match Arc::get_mut(&mut self.data) {
+            Some(data) if data.len() - self.end >= additional => return,
+            Some(data) if data.len() >= len + additional => {
+                data.copy_within(self.start..self.end, 0);
+                (self.start, self.end) = (0, len);
+                return;
+            }
+            Some(data) => (len + additional).max(2 * data.len()),
+            None => (len + additional).max(64),
+        };
+        let mut fresh = zeroed(cap.max(64));
+        Arc::get_mut(&mut fresh).expect("a fresh allocation is unshared")[..len]
+            .copy_from_slice(&self.data[self.start..self.end]);
+        (self.data, self.start, self.end) = (fresh, 0, len);
+    }
+
+    /// Appends `bytes`.
+    pub fn extend_from_slice(&mut self, bytes: &[u8]) {
+        self.reserve(bytes.len());
+        let end = self.end + bytes.len();
+        Arc::get_mut(&mut self.data).expect("reserve leaves the allocation unshared")
+            [self.end..end]
+            .copy_from_slice(bytes);
+        self.end = end;
+    }
+
+    /// Removes and returns the first `at` bytes, keeping the rest; both
+    /// share this allocation.
     ///
     /// # Panics
     ///
     /// Panics if `at > len`.
     pub fn split_to(&mut self, at: usize) -> BytesMut {
         assert!(at <= self.len(), "split_to out of bounds");
-        let head = self.buf[self.head..self.head + at].to_vec();
-        self.head += at;
-        // Compact once the dead prefix dominates, keeping amortized
-        // O(1) appends without unbounded memory growth.
-        if self.head > 4096 && self.head * 2 > self.buf.len() {
-            self.buf.drain(..self.head);
-            self.head = 0;
-        }
-        BytesMut { buf: head, head: 0 }
+        let head = BytesMut {
+            data: Arc::clone(&self.data),
+            start: self.start,
+            end: self.start + at,
+        };
+        self.start += at;
+        head
     }
 
-    /// Freezes into an immutable [`Bytes`].
+    /// Freezes into an immutable [`Bytes`] over the same allocation.
     pub fn freeze(self) -> Bytes {
-        Bytes::from(self.buf[self.head..].to_vec())
+        Bytes {
+            data: self.data,
+            start: self.start,
+            end: self.end,
+        }
     }
+}
+
+/// `cap` zero bytes in one allocation.
+fn zeroed(cap: usize) -> Arc<[u8]> {
+    std::iter::repeat_n(0, cap).collect()
 }
 
 impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.buf[self.head..]
+        &self.data[self.start..self.end]
     }
 }
 
 impl AsRef<[u8]> for BytesMut {
     fn as_ref(&self) -> &[u8] {
         self
+    }
+}
+
+impl std::fmt::Debug for BytesMut {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&Bytes::copy_from_slice(self), f)
     }
 }
 
@@ -238,6 +297,42 @@ mod tests {
         m.extend_from_slice(b"!");
         assert_eq!(&m[..], b"world!");
         assert_eq!(m.len(), 6);
+    }
+
+    #[test]
+    fn a_frozen_front_shares_the_buffer_until_it_drops() {
+        let mut m = BytesMut::with_capacity(16);
+        m.extend_from_slice(b"frame rest");
+        let frame = m.split_to(6).freeze();
+        assert_eq!(&frame[..], b"frame ");
+        // Shared: the append copies, and the frame is untouched.
+        m.extend_from_slice(b"!");
+        assert_eq!(&m[..], b"rest!");
+        assert_eq!(&frame[..], b"frame ");
+        drop(frame);
+        // Alone again: the next appends reuse the allocation in place.
+        let _ = m.split_to(m.len());
+        let before = m.data.as_ptr();
+        for _ in 0..100 {
+            m.extend_from_slice(b"0123456789");
+            assert_eq!(&m.split_to(10).freeze()[..], b"0123456789");
+        }
+        assert_eq!(m.data.as_ptr(), before);
+    }
+
+    /// Views that outlive the appends behind them cost one right-sized
+    /// allocation each, not a doubling one.
+    #[test]
+    fn appends_behind_live_views_do_not_grow_the_buffer() {
+        let mut m = BytesMut::new();
+        let views: Vec<Bytes> = (0..1000)
+            .map(|_| {
+                m.extend_from_slice(b"3\r\n");
+                m.split_to(3).freeze()
+            })
+            .collect();
+        assert!(views.iter().all(|v| &v[..] == b"3\r\n"));
+        assert!(m.data.len() <= 64, "{} bytes", m.data.len());
     }
 
     #[test]

@@ -117,7 +117,7 @@
 //!    slots, stale-epoch cache inserts, or orphaned deadlines from the
 //!    new fault fail the replay without further wiring.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::os::unix::io::{AsRawFd, RawFd};
@@ -523,6 +523,9 @@ struct Kernel {
     wake: bool,
     replies: VecDeque<Reply<SimFile, RawFd>>,
     turns: u64,
+    /// When a test asks for it: after each turn, the clock reads and
+    /// wakes so far and the shard's counters.
+    turn_log: Option<Vec<(u64, u64, Counts)>>,
     error: Option<String>,
     fingerprint: u64,
     bytes: u64,
@@ -1191,9 +1194,16 @@ impl EventBackend for SimBackend {
 }
 
 /// The shard's environment in the sim: every call answered by the
-/// kernel.
+/// kernel, and the clock reads and wakes the shard takes counted.
 struct SimEnv {
     k: K,
+    /// Every `Env::now` the shard has made: a loop turn reads the clock
+    /// when its wait returns and when it ends, and once more only for
+    /// each further phase that works in it (`server.rs`, *The turn's
+    /// clock*).
+    clock_reads: Cell<u64>,
+    /// Every wake the shard has taken.
+    wakes: u64,
 }
 
 impl Env for SimEnv {
@@ -1203,6 +1213,7 @@ impl Env for SimEnv {
     type Backend = SimBackend;
 
     fn now(&self) -> Instant {
+        self.clock_reads.set(self.clock_reads.get() + 1);
         self.k.borrow().now()
     }
 
@@ -1234,6 +1245,7 @@ impl Env for SimEnv {
     fn clear_files(&mut self) {}
 
     fn take_wake(&mut self) {
+        self.wakes += 1;
         self.k.borrow_mut().wake = false;
     }
 
@@ -1247,8 +1259,12 @@ impl Env for SimEnv {
     }
 
     fn after_turn(shard: &Shard<SimEnv>) {
-        let mut k = shard.env().k.borrow_mut();
+        let env = shard.env();
+        let mut k = env.k.borrow_mut();
         k.turns += 1;
+        if let Some(log) = k.turn_log.as_mut() {
+            log.push((env.clock_reads.get(), env.wakes, shard.counts()));
+        }
         let (turns, events) = (k.turns, k.queue.events_processed());
         let every = k.cfg.check_every;
         if let Some(Err(e)) = (every > 0 && turns % every == 0).then(|| shard.check_invariants()) {
@@ -1327,6 +1343,7 @@ impl Sim {
             wake: false,
             replies: VecDeque::new(),
             turns: 0,
+            turn_log: None,
             error: None,
             fingerprint: FNV_OFFSET,
             bytes: 0,
@@ -1342,7 +1359,11 @@ impl Sim {
             fd: LISTEN_FD,
             k: Rc::clone(&k),
         };
-        let env = SimEnv { k: Rc::clone(&k) };
+        let env = SimEnv {
+            k: Rc::clone(&k),
+            clock_reads: Cell::new(0),
+            wakes: 0,
+        };
         let shard = Shard::new(0, env, backend, listener, Arc::default(), &net);
         // A run of no connections drains at once.
         let first = match k.borrow().cfg.connections {
@@ -1543,6 +1564,50 @@ mod tests {
         assert_eq!((c.accepted, c.accept_calls), (N, N), "{report:?}");
         assert!(c.wait_calls >= N, "{report:?}");
         assert_eq!(report.unanswered, 0, "{report:?}");
+    }
+
+    /// The clock-read ledger: a loop turn that only serves requests —
+    /// keep-alive cache hits, or a warm dynamic request's two turns
+    /// (the request line out, the worker's frames back and relayed) —
+    /// reads the clock twice, when its wait returns and when it ends,
+    /// whatever it serves. Turns that accept, take a wake, fire a
+    /// deadline or replace a worker work in more than one phase and
+    /// may read once more per phase; they are left out.
+    #[test]
+    fn a_serving_turn_reads_the_clock_twice() {
+        for dynamic in [false, true] {
+            let mut cfg = SimConfig::new(11, 400);
+            cfg.faults = FaultPlan::none();
+            cfg.check_every = 1;
+            cfg.resident_fraction = 1.0;
+            cfg.gzip_fraction = 0.0;
+            cfg.dynamic_fraction = if dynamic { 1.0 } else { 0.0 };
+            let sim = Sim::new(cfg, &small_site(3));
+            let k = Rc::clone(&sim.k);
+            k.borrow_mut().turn_log = Some(Vec::new());
+            sim.run().expect("clean run");
+            let log = k.borrow_mut().turn_log.take().unwrap();
+            let mut serving = 0;
+            for pair in log.windows(2) {
+                let ((r0, w0, a), (r1, w1, b)) = (&pair[0], &pair[1]);
+                let quiet = |f: fn(&Counts) -> u64| f(a) == f(b);
+                let only_served = w0 == w1
+                    && quiet(|c| c.accepted)
+                    && quiet(|c| c.idle_reaped + c.read_timeouts + c.write_stall_timeouts)
+                    && quiet(|c| c.helper_wait_timeouts + c.dynamic_timeouts)
+                    && quiet(|c| c.worker_respawns);
+                let served = if dynamic {
+                    !quiet(|c| c.worker_io_calls)
+                } else {
+                    !quiet(|c| c.cache_hits) && quiet(|c| c.helper_jobs)
+                };
+                if only_served && served {
+                    serving += 1;
+                    assert_eq!(r1 - r0, 2, "dynamic: {dynamic}, {a:?} -> {b:?}");
+                }
+            }
+            assert!(serving > 100, "dynamic: {dynamic}: {serving} serving turns");
+        }
     }
 
     /// The acceptance bar: same seed ⇒ byte-identical report (the
