@@ -337,7 +337,7 @@ impl RequestParser {
     /// the request is consumed — it borrows the buffer until the next
     /// call — so pipelined requests parse one at a time.
     pub fn feed(&mut self, bytes: &[u8]) -> ParseStatus<'_> {
-        let _ = self.buf.split_to(std::mem::take(&mut self.consumed));
+        self.buf.advance(std::mem::take(&mut self.consumed));
         if !bytes.is_empty() {
             self.buf.extend_from_slice(bytes);
         }

@@ -271,19 +271,21 @@ impl FrameParser {
         let len = match self.want {
             Some(len) => len,
             None => {
-                let line = match self.buf.iter().position(|&b| b == b'\n') {
-                    Some(pos) if pos <= MAX_LINE => self.buf.split_to(pos + 1),
+                let pos = match self.buf.iter().position(|&b| b == b'\n') {
+                    Some(pos) if pos <= MAX_LINE => pos,
                     // Still short enough to become a header.
                     None if self.buf.len() <= MAX_LINE => return None,
                     _ => return Some(self.corrupted()),
                 };
-                let line = &line[..line.len() - 1];
-                if line == b"END" {
-                    return Some(Frame::End);
-                }
-                match parse_data_header(line) {
-                    Some(len) => *self.want.insert(len),
-                    None => return Some(self.corrupted()),
+                let header = match &self.buf[..pos] {
+                    b"END" => None,
+                    line => Some(parse_data_header(line)),
+                };
+                self.buf.advance(pos + 1);
+                match header {
+                    None => return Some(Frame::End),
+                    Some(Some(len)) => *self.want.insert(len),
+                    Some(None) => return Some(self.corrupted()),
                 }
             }
         };

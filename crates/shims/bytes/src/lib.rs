@@ -237,6 +237,17 @@ impl BytesMut {
         head
     }
 
+    /// Drops the first `cnt` bytes (the real crate's `Buf::advance`):
+    /// no view is made of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cnt > len`.
+    pub fn advance(&mut self, cnt: usize) {
+        assert!(cnt <= self.len(), "advance out of bounds");
+        self.start += cnt;
+    }
+
     /// Freezes into an immutable [`Bytes`] over the same allocation.
     pub fn freeze(self) -> Bytes {
         Bytes {
