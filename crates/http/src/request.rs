@@ -4,7 +4,9 @@
 //! split across arbitrarily many reads — slow WAN clients in the paper's
 //! §6.4 do exactly this) and never panics on malformed input: every
 //! failure is a typed [`ParseError`] that the server maps to a 4xx
-//! response.
+//! response. A parsed [`Request`] borrows the parser's buffer: field
+//! names are matched in any case where they lie, and a value is copied
+//! only where it is not UTF-8.
 //!
 //! A path is percent-decoded and normalized before anything sees it.
 //! One that climbs above the root, or that holds a control byte once

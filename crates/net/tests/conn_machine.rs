@@ -338,10 +338,10 @@ fn three_way_splits_match_for_mixed_tiers() {
 /// A dynamic stream's waiter registration must die with its
 /// connection, however the connection dies mid-stream — a transport
 /// error on the flush, or the write-stall deadline on a peer that
-/// stopped reading. Otherwise the slot's index stays on the
-/// `\0dyn:<token>` list with the job uncancelled, and the worker's
-/// next chunk is framed and sent — fresh `200` header and all — to
-/// whichever connection is accepted into the recycled slot.
+/// stopped reading. Otherwise the slot's index stays on its stream's
+/// job, uncancelled, and the worker's next chunk is framed and sent —
+/// fresh `200` header and all — to whichever connection is accepted
+/// into the recycled slot.
 #[test]
 fn a_dead_dynamic_stream_cannot_reach_the_slots_next_connection() {
     for death in [io::ErrorKind::BrokenPipe, io::ErrorKind::WouldBlock] {

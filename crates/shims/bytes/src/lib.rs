@@ -181,12 +181,6 @@ impl BytesMut {
         self.len() == 0
     }
 
-    /// Bytes this buffer can hold without allocating, while it has its
-    /// allocation to itself.
-    pub fn capacity(&self) -> usize {
-        self.data.len() - self.start
-    }
-
     /// Makes room to append `additional` bytes in place: takes the
     /// allocation back once no split-off view shares it (moving the
     /// live bytes to its front when the spare tail is short), or moves
