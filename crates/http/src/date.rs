@@ -8,10 +8,11 @@
 //! the §5.5 alignment padding both rely on that).
 //!
 //! Formatting walks the proleptic Gregorian calendar with the
-//! days-from-civil algorithm (no `libc`, no chrono); [`now_imf`] caches
-//! the rendered string **per second per thread** — each server shard is
-//! a thread, so the hot path re-formats at most once a second per shard
-//! and otherwise costs one integer compare.
+//! days-from-civil algorithm (no `libc`, no chrono); [`now_imf_bytes`]
+//! caches the rendered date **per second per thread** — each server
+//! shard is a thread, so the hot path re-formats at most once a second
+//! per shard and otherwise costs one integer compare — and is the one
+//! source of the current date: [`with_now_imf`] reads it too.
 
 use std::cell::{Cell, RefCell};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -123,11 +124,6 @@ pub fn parse_imf(s: &str) -> Option<i64> {
     Some(secs)
 }
 
-thread_local! {
-    /// (second, rendered date) — see [`now_imf`].
-    static NOW_CACHE: RefCell<(i64, String)> = const { RefCell::new((i64::MIN, String::new())) };
-}
-
 /// Current unix time in whole seconds.
 pub fn unix_now() -> i64 {
     match SystemTime::now().duration_since(UNIX_EPOCH) {
@@ -136,26 +132,13 @@ pub fn unix_now() -> i64 {
     }
 }
 
-/// Runs `f` with the current time as an IMF-fixdate. The rendered
-/// string is cached per second **per thread** (one shard = one thread),
-/// so a shard serving thousands of responses a second formats the date
-/// once and hands out the cached bytes for the rest of that second.
+/// Runs `f` with the current time as an IMF-fixdate: the text of
+/// [`now_imf_bytes`], so a header rendered whole is dated as the
+/// spliced `Date` is — by the thread's lent loop clock, if it has one —
+/// and the date is formatted at most once a second per thread.
 pub fn with_now_imf<R>(f: impl FnOnce(&str) -> R) -> R {
-    let now = unix_now();
-    NOW_CACHE.with(|c| {
-        let mut c = c.borrow_mut();
-        if c.0 != now {
-            c.1 = format_imf(now);
-            c.0 = now;
-        }
-        f(&c.1)
-    })
-}
-
-/// Current time as an owned IMF-fixdate string (cached as in
-/// [`with_now_imf`]).
-pub fn now_imf() -> String {
-    with_now_imf(|s| s.to_owned())
+    let now = now_imf_bytes();
+    f(std::str::from_utf8(&now).expect("an IMF-fixdate is ASCII"))
 }
 
 thread_local! {
@@ -286,12 +269,14 @@ mod tests {
     #[test]
     fn now_cache_matches_direct_formatting() {
         // Within one call the cache and a direct render agree (modulo a
-        // second boundary, absorbed by retrying).
+        // second boundary, absorbed by retrying), and a whole header's
+        // date is the spliced one.
         for _ in 0..3 {
             let direct = format_imf(unix_now());
-            let cached = now_imf();
+            let cached = with_now_imf(str::to_owned);
             if direct == cached {
                 assert_eq!(parse_imf(&cached), parse_imf(&direct));
+                assert_eq!(cached.as_bytes(), &now_imf_bytes()[..]);
                 return;
             }
         }

@@ -40,8 +40,7 @@ pub struct NetConfig {
     /// extra syscall, and past the sweet spot of cache residency. A
     /// file a shard's open-file table already holds is sent from its
     /// descriptor at any size, once `cachestat(2)` finds it resident
-    /// ([`crate::fsjob::OpenFileTable`]); where `cachestat` is
-    /// unavailable this size splits those too.
+    /// ([`crate::fsjob::OpenFileTable`]).
     pub sendfile_threshold_bytes: u64,
     /// Readiness backend (see [`crate::event`]). Default:
     /// edge-triggered `epoll` on Linux, `poll` elsewhere; `Epoll` asked
@@ -87,9 +86,9 @@ pub struct NetConfig {
     /// It is also how long a **miss** trusts a name it has resolved
     /// before: the shard's open-file table (crate docs, *Residency
     /// test*) keeps the descriptor a path led to for this long, and
-    /// a content-cache entry built through it counts its TTL from that
-    /// path lookup, not from the read. So the one bound holds to the
-    /// letter on both paths: whatever changes what a *name* means — a
+    /// its answers insert nothing into the content cache. So the one
+    /// bound holds to the letter on both tiers: whatever changes what a
+    /// *name* means — a
     /// symlinked directory flipped, a `.gz` sibling added — is seen
     /// within the TTL of the change; every change to the *file* the
     /// name led to (rewrite, truncation, delete, rename-over) is seen

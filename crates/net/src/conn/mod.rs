@@ -290,11 +290,10 @@ pub struct HelperJob {
     /// most this many bytes; larger files come back as an open handle
     /// for the `sendfile` window path. The value is core policy
     /// (`ProtoConfig::sendfile_threshold`) carried on the job so
-    /// executors stay mechanical — no driver consults the config. (A
-    /// file a shard's open-file table holds is answered with the handle
-    /// at any size, once its pages are known resident, before any job
-    /// is made — [`HelperPort::held`]: the bytes are read only for the
-    /// content cache, and only a load resolved by path feeds that.)
+    /// executors stay mechanical — no driver consults the config. It
+    /// splits every job, since every job resolves by path; a file a
+    /// shard's open-file table holds makes no job at all
+    /// ([`HelperPort::held`]).
     pub inline_max: u64,
     /// The dispatching shard's reload epoch; echoed back on the
     /// [`Done`] so a completion that raced a SIGHUP reload can be
@@ -369,7 +368,9 @@ pub enum FileData<F> {
 /// actually loaded (a gzip *preference* falls back to identity when no
 /// sibling exists), its payload, and whether a `.gz` sibling was seen
 /// — the identity entry records that to emit `Vary` and to route
-/// gzip-accepting clients.
+/// gzip-accepting clients. Every load resolves its name by path when it
+/// runs, so a content-cache entry built from it is as fresh as its
+/// completion.
 #[derive(Debug)]
 pub struct LoadResult<F> {
     pub data: FileData<F>,
@@ -377,15 +378,6 @@ pub struct LoadResult<F> {
     pub variant: Variant,
     /// Whether a `.gz` sibling existed at load time.
     pub has_gzip: bool,
-    /// When the name was last resolved **by path**, if that was
-    /// earlier than this load: an answer from the open-file table
-    /// ([`crate::fsjob::OpenFileTable`]) carries its entry's resolve
-    /// time, and the content-cache entry built from it inherits that
-    /// as its validation instant — so stale bytes stop within
-    /// `cache_revalidate_ttl` of the moment the name stopped meaning
-    /// this file, not within twice it. `None` (the blocking executor,
-    /// the sim): resolved by this load.
-    pub resolved_at: Option<Instant>,
 }
 
 /// One event in a dynamic job's completion stream. A [`JobKind::Dynamic`]

@@ -728,7 +728,6 @@ impl<C: CacheHandle> ShardCore<C> {
                 data: FileData::Bytes { body, mtime },
                 variant,
                 has_gzip,
-                resolved_at,
             }) => {
                 let entry = Entry::build_variant(&url_path, body, mtime, variant, has_gzip);
                 // Oversized-for-this-cache entries are refused by the
@@ -742,14 +741,11 @@ impl<C: CacheHandle> ShardCore<C> {
                 // back to identity (no `.gz` sibling) populates the
                 // identity slot, so the next gzip-accepting request
                 // hits `has_gzip: false` there and never re-dispatches.
-                // The entry is as fresh as its name binding: bytes read
-                // through a descriptor resolved earlier inherit that
-                // instant, so the TTL runs from the path lookup.
                 if done.epoch == self.epoch {
                     self.cache.insert_at(
                         cache::variant_key(&url_path, variant),
                         Arc::clone(&entry),
-                        resolved_at.unwrap_or(now),
+                        now,
                     );
                     self.stats
                         .cache_used_bytes
@@ -761,7 +757,6 @@ impl<C: CacheHandle> ShardCore<C> {
                 data: FileData::Fd { file, len, mtime },
                 variant,
                 has_gzip,
-                ..
             }) => Completion::Large {
                 head: Entry::head(&url_path, len, mtime, variant, has_gzip),
                 file,

@@ -22,30 +22,28 @@
 //! A load is two halves: `resolve` binds the name to an open regular
 //! file (and learns which variant it is and whether a `.gz` sibling
 //! exists); `tiered` turns the open file into bytes or hands out the
-//! descriptor. The event loop's [`OpenFileTable`] memoises the first
-//! half, and the rule above then reads: **the name binding — what
-//! `open` decided, path lookup and permission check both — is trusted
-//! for `cache_revalidate_ttl`; the regular-file check, the link count,
-//! the length, the mtime and the residency of the bytes come from the
-//! open descriptor every time.** That is what a content-cache hit
-//! already assumes about a name, and no more.
+//! descriptor. Every job resolves its name by path when it runs.
 //!
 //! There are two executors over those rules. [`exec_job`] blocks for
 //! as long as the disk takes and always answers — success or the error
 //! the client will see; it runs on helper threads (and MT connection
-//! threads) and resolves every job by path. [`exec_job_nowait`] is the
-//! event loop's **residency test**: it never waits, and either answers
-//! a regular file as `exec_job` would — the same file, variant and
-//! validators — or declines, leaving the job to a helper.
+//! threads). [`exec_job_nowait`] is the event loop's **residency
+//! test**: it never waits, and either answers a regular file as
+//! `exec_job` would — the same file, variant and validators — or
+//! declines, leaving the job to a helper.
 //!
-//! A name the table holds never becomes a job: the loop asks
-//! [`OpenFileTable::held`] first, and a held file is answered like a
+//! The event loop's [`OpenFileTable`] remembers what the residency
+//! test resolved, and is asked in the loop only, before any job
+//! exists ([`OpenFileTable::held`]): a held file is answered like a
 //! cache hit, with the **descriptor** at any size, as Flash sent from
 //! its mapped files (§5.4), under a header pair rendered once per entry
-//! (§5.3): `cachestat(2)` confirms that every page is resident (§5.7's
-//! `mincore` test, asked of a descriptor), and `sendfile(2)` sends the
-//! body from the page cache without a copy. Only a load resolved by
-//! path reads a small body into bytes, for the content cache.
+//! (§5.3), once `cachestat(2)` confirms that every page is resident
+//! (§5.7's `mincore` test, asked of a descriptor). So a content-cache
+//! miss takes one of two paths: the table holds the file and the loop
+//! answers it, or the name is resolved by path — in the loop by the
+//! residency test, or by a helper. **Platform rule:** before Linux 6.5,
+//! or where `cachestat` is refused, a shard keeps no open-file table,
+//! and every miss resolves by path.
 
 use std::fs::File;
 use std::io::{self, Read};
@@ -130,25 +128,23 @@ const BLOCKING: Access = Access {
 /// sibling error, this one fails, and `BLOCKING` gets to shrug.
 const NOWAIT: Access = Access {
     open: |p| sys::open_cached(p, false),
-    is_file: |p| Ok(sys::open_cached(p, true)?.metadata()?.is_file()),
+    is_file: |p| Ok(sys::fstat(&sys::open_cached(p, true)?)?.regular),
     absent: |e| e.kind() == io::ErrorKind::NotFound,
     read: read_body_nowait,
 };
 
-/// The regular-file check on an **open** descriptor (`fstat` — no
-/// second path lookup): refuses directories, FIFOs and the rest;
-/// returns the descriptor with its length and mtime.
+/// The regular-file check on an **open** descriptor (one bare `fstat`,
+/// [`sys::fstat`] — no second path lookup): refuses directories, FIFOs
+/// and the rest; returns the descriptor with its length and mtime.
 fn regular(file: File) -> io::Result<(File, u64, Option<i64>)> {
-    let meta = file.metadata()?;
-    if !meta.is_file() {
+    let st = sys::fstat(&file)?;
+    if !st.regular {
         return Err(io::Error::new(
             io::ErrorKind::NotFound,
             "not a regular file",
         ));
     }
-    let len = meta.len();
-    let mtime = unix_mtime(&meta);
-    Ok((file, len, mtime))
+    Ok((file, st.len, st.mtime))
 }
 
 /// One read of `want + 1` bytes: `want` back means the extra byte met
@@ -237,49 +233,28 @@ fn resolve(fs: &Access, job: &HelperJob) -> io::Result<Resolved> {
     Ok(found(identity, Variant::Identity, has_gzip))
 }
 
-impl Resolved {
-    /// A load's result with `data` as the body.
-    fn loaded(
-        &self,
-        data: FileData<Arc<File>>,
-        resolved_at: Option<Instant>,
-    ) -> LoadResult<Arc<File>> {
-        LoadResult {
-            data,
-            variant: self.variant,
-            has_gzip: self.has_gzip,
-            resolved_at,
-        }
-    }
-
-    /// The body as the open descriptor, for the `sendfile` path.
-    fn by_descriptor(&self, resolved_at: Option<Instant>) -> LoadResult<Arc<File>> {
-        let data = FileData::Fd {
-            file: Arc::clone(&self.file),
-            len: self.len,
-            mtime: self.mtime,
-        };
-        self.loaded(data, resolved_at)
-    }
-}
-
 /// The second half: applies the job's tier rule to the open file.
 /// Bodies at most `inline_max` bytes come back as bytes (destined for
 /// the content cache and the `writev` path), larger ones as the open
 /// descriptor for the `sendfile` window path — a multi-gigabyte file
 /// never materializes in executor memory.
-fn tiered(
-    fs: &Access,
-    found: &Resolved,
-    inline_max: u64,
-    resolved_at: Option<Instant>,
-) -> io::Result<LoadResult<Arc<File>>> {
-    if found.len > inline_max {
-        return Ok(found.by_descriptor(resolved_at));
-    }
-    let body = (fs.read)(&found.file, found.len as usize)?;
-    let mtime = found.mtime;
-    Ok(found.loaded(FileData::Bytes { body, mtime }, resolved_at))
+fn tiered(fs: &Access, found: &Resolved, inline_max: u64) -> io::Result<LoadResult<Arc<File>>> {
+    let data = if found.len > inline_max {
+        FileData::Fd {
+            file: Arc::clone(&found.file),
+            len: found.len,
+            mtime: found.mtime,
+        }
+    } else {
+        let body = (fs.read)(&found.file, found.len as usize)?;
+        let mtime = found.mtime;
+        FileData::Bytes { body, mtime }
+    };
+    Ok(LoadResult {
+        data,
+        variant: found.variant,
+        has_gzip: found.has_gzip,
+    })
 }
 
 /// Executes a [`JobKind::Load`] — `resolve`, then `tiered` — and
@@ -289,7 +264,7 @@ pub fn exec_load(job: &HelperJob) -> io::Result<LoadResult<Arc<File>>> {
 }
 
 fn load(fs: &Access, job: &HelperJob) -> io::Result<LoadResult<Arc<File>>> {
-    tiered(fs, &resolve(fs, job)?, job.inline_max, None)
+    tiered(fs, &resolve(fs, job)?, job.inline_max)
 }
 
 /// Executes a [`JobKind::Revalidate`]: the cheap open + `fstat` probe,
@@ -318,35 +293,27 @@ fn stat(fs: &Access, job: &HelperJob) -> io::Result<(u64, Option<i64>)> {
 /// itself, so `Relaxed` suffices.
 static NOWAIT_OFF: AtomicBool = AtomicBool::new(!sys::HAS_NOWAIT);
 
-/// Set once `cachestat(2)` proves unavailable (a kernel before 6.5, a
-/// seccomp filter, a kernel that asks for ownership the server lacks):
-/// from then on the loop answers no held file ([`OpenFileTable::held`])
-/// and a held file's residency is tested by reading its bytes, on the
-/// job path, as a load resolved by path does. Like [`NOWAIT_OFF`], a
-/// fact about the platform, not a setting.
-static CACHESTAT_OFF: AtomicBool = AtomicBool::new(!sys::HAS_NOWAIT);
-
 /// One shard's **open-file table**: `resolve` memoised, and with it the
 /// response head — the paper's pathname-translation and
 /// response-header caches (§5.2, §5.3), holding descriptors where Flash
 /// held `mmap`s (§5.4). It is a second cache tier behind the content
-/// cache, answered in the loop: a content-cache miss on a file the
-/// shard has served before is asked of [`Self::held`] before any job
-/// exists, and answered like a hit — an `fstat` and a `cachestat` of a
-/// descriptor the table already holds, then that descriptor, under the
-/// head the entry rendered at its first such answer, for `sendfile` —
-/// no `openat2`, no sibling probe, no read, no copy, no `close`, no
-/// header render, and no helper job. Such an answer inserts nothing:
-/// the content cache is fed only by loads resolved by path, which the
-/// residency test ([`exec_job_nowait`]) makes through the table and
-/// remembers in it.
+/// cache, answered in the loop and nowhere else: a content-cache miss
+/// on a file the shard has served before is asked of [`Self::held`]
+/// before any job exists, and answered like a hit — an `fstat` and a
+/// `cachestat` of a descriptor the table already holds, then that
+/// descriptor, under the head the entry rendered at its first such
+/// answer, for `sendfile` — no `openat2`, no sibling probe, no read, no
+/// copy, no `close`, no header render, and no helper job. Such an
+/// answer inserts nothing: the content cache is fed only by loads
+/// resolved by path, which the residency test ([`exec_job_nowait`])
+/// makes and remembers here.
 ///
 /// An entry-count-bounded LRU keyed by the job's variant key, owned by
 /// the shard's environment and touched by its event-loop thread only.
-/// What an entry is trusted for is the module's TOCTOU rule, checked in
-/// one place (`check`): the name binding for `ttl` since it was
-/// resolved by path (`None`: until something else drops it), then
-/// everything else re-read from the descriptor on every use
+/// What an entry is trusted for is the module's TTL and TOCTOU rules,
+/// checked in one place ([`Self::held`]): the name binding for `ttl`
+/// since it was resolved by path (`None`: until something else drops
+/// it), then everything else re-read from the descriptor on every use
 /// (`OpenFile::unchanged`), then the body's residency asked of
 /// `cachestat` (`OpenFile::resident`). Any disagreement, error or page
 /// not resident drops the entry, its head with it, and declines; the
@@ -359,15 +326,11 @@ static CACHESTAT_OFF: AtomicBool = AtomicBool::new(!sys::HAS_NOWAIT);
 /// does not pin a deleted inode's blocks until eviction — from the LRU
 /// tail on every insert once their TTL has lapsed.
 ///
-/// Where `cachestat` is unavailable the loop asks nothing of the
-/// table, and a held file is answered on the job path instead, its
-/// bytes read with `RWF_NOWAIT` (or, above `inline_max`, its
-/// descriptor), after the same check.
-///
 /// The capacity is the caller's descriptor budget; below
 /// [`Self::MIN_CAPACITY`] there is no table and every load resolves by
-/// path. Where the cached-only calls are unavailable nothing is ever
-/// inserted.
+/// path. The module's platform rule is the same verdict: a target
+/// without the cached-only calls never builds a table, and a table
+/// whose `cachestat` is refused closes every descriptor and is gone.
 pub struct OpenFileTable {
     lru: Option<LruCache<Arc<str>, OpenFile>>,
     ttl: Option<Duration>,
@@ -416,23 +379,13 @@ impl OpenFile {
     /// `cachestat`; `WouldBlock` when one is not — the disk would
     /// block, a helper's business. A larger body is the descriptor
     /// either way, as a helper's answer would be, and whether its
-    /// pages are resident is `sendfile`'s business. Where `cachestat`
-    /// is unavailable this passes, and the `RWF_NOWAIT` read of the
-    /// job path is the test.
+    /// pages are resident is `sendfile`'s business.
     fn resident(&self, inline_max: u64) -> io::Result<()> {
         let found = &self.found;
-        if found.len > inline_max || CACHESTAT_OFF.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        match sys::resident(&found.file, found.len) {
-            Ok(true) => Ok(()),
-            Ok(false) => Err(io::ErrorKind::WouldBlock.into()),
-            Err(e) => {
-                if sys::is_unsupported(&e) {
-                    CACHESTAT_OFF.store(true, Ordering::Relaxed);
-                }
-                Err(e)
-            }
+        if found.len > inline_max || sys::resident(&found.file, found.len)? {
+            Ok(())
+        } else {
+            Err(io::ErrorKind::WouldBlock.into())
         }
     }
 
@@ -460,8 +413,9 @@ impl OpenFileTable {
     /// A table holding at most `capacity` descriptors, counting into
     /// `stats` (`open_file_hits`, `open_files`).
     pub fn new(capacity: usize, ttl: Option<Duration>, stats: Arc<ShardStats>) -> Self {
+        let worth = sys::HAS_NOWAIT && capacity >= Self::MIN_CAPACITY;
         OpenFileTable {
-            lru: (capacity >= Self::MIN_CAPACITY).then(|| LruCache::new(capacity)),
+            lru: worth.then(|| LruCache::new(capacity)),
             ttl,
             stats,
         }
@@ -478,46 +432,26 @@ impl OpenFileTable {
     /// A content-cache miss on variant key `key` answered in the loop,
     /// before any job exists ([`crate::conn::HelperPort::held`]): the
     /// held descriptor under its head, if the table holds the file and
-    /// it passes `check`; `None` declines, and the core makes its job.
-    /// Without `cachestat` it always declines.
+    /// it passes the held check — trusted (its name binding inside the
+    /// TTL), then `OpenFile::unchanged`, then `OpenFile::resident` —
+    /// and the answer counts as one of the `open_file_hits`. `None`
+    /// declines, and the core makes its job: no entry for `key`, or one
+    /// that failed the check, which is dropped here. An error that says
+    /// a call is unavailable here ([`sys::is_unsupported`]) is a verdict
+    /// on the platform, not on the file: the table closes every
+    /// descriptor and is gone (`abandon`).
     pub fn held(&mut self, key: &str, inline_max: u64, now: Instant) -> Option<Held<Arc<File>>> {
-        if CACHESTAT_OFF.load(Ordering::Relaxed) {
-            return None;
-        }
-        self.check(key, inline_max, now, |held| Ok(held.sendable(key)))?
-            .ok()
-    }
-
-    /// The held check, made here and nowhere else: the entry for `key`
-    /// must be trusted (its name binding inside the TTL), then
-    /// [`OpenFile::unchanged`], then [`OpenFile::resident`]; `answer`
-    /// then makes the answer from it, and the answer counts as one of
-    /// the `open_file_hits`. `None`: no entry for `key`, or one past
-    /// its TTL, dropped here — the name is to be resolved by path
-    /// again. Any other failure, `answer`'s included, drops the entry
-    /// too and comes back as the error: the caller declines. An error
-    /// that says a call is unavailable here ([`sys::is_unsupported`])
-    /// is a verdict on the platform, not on the file, and leaves the
-    /// entry where it is.
-    fn check<T>(
-        &mut self,
-        key: &str,
-        inline_max: u64,
-        now: Instant,
-        answer: impl FnOnce(&mut OpenFile) -> io::Result<T>,
-    ) -> Option<io::Result<T>> {
         let lru = self.lru.as_mut()?;
         let held = lru.get_mut(key)?;
-        let answer = held.trusted(self.ttl, now).then(|| {
-            held.unchanged()
-                .and_then(|()| held.resident(inline_max))
-                .and_then(|()| answer(held))
-        });
-        match &answer {
-            Some(Ok(_)) => {
+        let checked = held
+            .trusted(self.ttl, now)
+            .then(|| held.unchanged().and_then(|()| held.resident(inline_max)));
+        match checked {
+            Some(Ok(())) => {
                 self.stats.open_file_hits.fetch_add(1, Ordering::Relaxed);
+                return Some(held.sendable(key));
             }
-            Some(Err(e)) if sys::is_unsupported(e) => {}
+            Some(Err(e)) if sys::is_unsupported(&e) => self.abandon(),
             _ => {
                 lru.remove(key);
                 self.stats
@@ -525,35 +459,27 @@ impl OpenFileTable {
                     .store(lru.len() as u64, Ordering::Relaxed);
             }
         }
-        answer
+        None
     }
 
-    /// A [`JobKind::Load`] through the table, for the residency test:
-    /// resolved by path and remembered. Where `cachestat` is
-    /// unavailable, a held name is answered from its entry instead,
-    /// after `check`: its bytes read with `RWF_NOWAIT` (the read is
-    /// the residency test), or above `inline_max` its descriptor. Where
-    /// `cachestat` works, the loop answered every held name it could
-    /// ([`Self::held`]), and one that reaches here is resolved afresh.
+    /// The platform refused the held check: closes every descriptor and
+    /// keeps no table from here on, so every miss resolves by path, as
+    /// below [`Self::MIN_CAPACITY`].
+    fn abandon(&mut self) {
+        self.lru = None;
+        self.stats.open_files.store(0, Ordering::Relaxed);
+    }
+
+    /// A [`JobKind::Load`] for the residency test: resolved by path and,
+    /// with a table, remembered once the bytes have come too.
     fn answer(&mut self, job: &HelperJob) -> io::Result<LoadResult<Arc<File>>> {
-        let (key, now) = (job.path.as_str(), Instant::now());
-        if CACHESTAT_OFF.load(Ordering::Relaxed) {
-            let read = |held: &mut OpenFile| {
-                let at = Some(held.resolved_at);
-                tiered(&NOWAIT, &held.found, job.inline_max, at)
-            };
-            if let Some(answer) = self.check(key, job.inline_max, now, read) {
-                return answer;
-            }
-        }
         let Some(lru) = &mut self.lru else {
             return load(&NOWAIT, job);
         };
-        // Resolve by path, and remember the binding once the bytes
-        // have come too.
+        let (key, now) = (job.path.as_str(), Instant::now());
         lru.remove(key);
         let answer = resolve(&NOWAIT, job).and_then(|found| {
-            let answer = tiered(&NOWAIT, &found, job.inline_max, Some(now))?;
+            let answer = tiered(&NOWAIT, &found, job.inline_max)?;
             while lru
                 .peek_lru()
                 .is_some_and(|(_, idle)| !idle.trusted(self.ttl, now))
@@ -582,15 +508,14 @@ impl OpenFileTable {
 /// name binding in `table`. `Some` carries the payload [`exec_job`]
 /// would produce — the same file, variant and validators — and `None`
 /// declines, and the caller hands the job to a helper as if this had
-/// never run. A file the table holds is the loop's to answer before
-/// any job exists ([`OpenFileTable::held`]); only where `cachestat` is
-/// unavailable is it answered here, from the entry.
+/// never run. Every load here resolves its name by path: a file the
+/// table holds is the loop's to answer before any job exists
+/// ([`OpenFileTable::held`]).
 ///
 /// It declines whenever the answer is not "a regular file, here it
 /// is": a lookup or read that would touch the disk (`EAGAIN`), a read
 /// that came back short or long (the file changed size after the
-/// `fstat`), a table entry that fails its per-use check (without
-/// `cachestat`), anything that is not a regular file (a FIFO
+/// `fstat`), anything that is not a regular file (a FIFO
 /// opens without blocking, is recognised by `fstat`, and is dropped —
 /// a writer blocked opening its other end does see that reader come
 /// and go), and **every error** —
@@ -805,8 +730,8 @@ mod tests {
         )
     }
 
-    /// Whether `cachestat` answers here: where it does not, a held
-    /// file's bytes are read, as a load resolved by path reads them.
+    /// Whether `cachestat` answers here: where it does not, the first
+    /// held check gives the table up, and every miss resolves by path.
     fn cachestat_works(file: &Path) -> bool {
         File::open(file).and_then(|f| sys::resident(&f, 1)).is_ok()
     }
@@ -846,7 +771,6 @@ mod tests {
                 },
                 variant: head.variant,
                 has_gzip: head.has_gzip,
-                resolved_at: None,
             }))),
             _ => exec_job_nowait(j, files),
         }
@@ -870,7 +794,9 @@ mod tests {
     /// empty table, and a second time from the entries the first pass
     /// left. That second time every load is answered with the held
     /// descriptor, at any size, where `cachestat` can vouch for its
-    /// pages; otherwise only the large tier is.
+    /// pages; where it cannot, the first held check gives the table up,
+    /// every load resolves by path again, and only the large tier is a
+    /// descriptor.
     #[test]
     fn nowait_agrees_with_exec_job_on_regular_files() {
         let dir = TestDir::new("differential");
@@ -917,9 +843,15 @@ mod tests {
                 }
                 if must_answer {
                     // Six loads: all remembered, and the second pass
-                    // answered from what the first remembered.
-                    let loads = if capacity == 0 { 0 } else { 6 };
-                    assert_eq!(hits_and_held(&stats), (loads * pass, loads));
+                    // answered from what the first remembered — or,
+                    // without `cachestat`, no table after the first
+                    // held check.
+                    let want = match (capacity, held_by_descriptor) {
+                        (0, _) => (0, 0),
+                        (_, true) => (6 * pass, 6),
+                        (_, false) => (0, 6 * (1 - pass)),
+                    };
+                    assert_eq!(hits_and_held(&stats), want);
                 }
             }
         }
@@ -951,7 +883,7 @@ mod tests {
         let p = dir.path().join("f.html");
         std::fs::write(&p, b"version one").unwrap();
         std::fs::write(dir.path().join("big.bin"), vec![1u8; 4096]).unwrap();
-        if !nowait_works(&p) {
+        if !nowait_works(&p) || !cachestat_works(&p) {
             return;
         }
         let load = |name: &str, files: &mut OpenFileTable| {
@@ -1082,7 +1014,8 @@ mod tests {
         for i in 0..20 {
             std::fs::write(dir.path().join(format!("f{i}.html")), [i; 64]).unwrap();
         }
-        if !nowait_works(&dir.path().join("f0.html")) {
+        let f0 = dir.path().join("f0.html");
+        if !nowait_works(&f0) || !cachestat_works(&f0) {
             return;
         }
         let load = |i: usize, files: &mut OpenFileTable| {
@@ -1123,6 +1056,53 @@ mod tests {
         load(0, &mut files);
         load(0, &mut files);
         assert_eq!(hits_and_held(&stats), (0, 0));
+    }
+
+    /// The platform verdict, driven by hand (the step [`held`] takes
+    /// when `cachestat` is refused, which a kernel that has it never
+    /// shows): the table closes every descriptor, declines every later
+    /// held check, and leaves the residency test answering loads by
+    /// path — byte for byte what a table of capacity 0 answers — with
+    /// nothing inserted.
+    ///
+    /// [`held`]: OpenFileTable::held
+    #[test]
+    fn a_table_the_platform_refused_holds_nothing_and_resolves_by_path() {
+        let dir = TestDir::new("refused");
+        std::fs::write(dir.path().join("a.html"), b"first page").unwrap();
+        std::fs::write(dir.path().join("a.html.gz"), b"gz").unwrap();
+        std::fs::write(dir.path().join("b.html"), b"second page").unwrap();
+        std::fs::write(dir.path().join("big.bin"), vec![5u8; 4096]).unwrap();
+        if !nowait_works(&dir.path().join("a.html")) {
+            return;
+        }
+        let jobs = [
+            ("a.html", Variant::Identity),
+            ("a.html", Variant::Gzip),
+            ("b.html", Variant::Identity),
+            ("big.bin", Variant::Identity),
+        ]
+        .map(|(name, variant)| job(dir.path(), name, JobKind::Load, variant, 1024));
+        let (mut files, stats) = table(8, MINUTE);
+        let (mut none, _) = table(0, MINUTE);
+        for j in &jobs {
+            seen(exec_job(j));
+            assert!(exec_job_nowait(j, &mut files).is_some());
+        }
+        assert_eq!(hits_and_held(&stats), (0, 4));
+        files.abandon();
+        assert_eq!(hits_and_held(&stats), (0, 0), "every descriptor closed");
+        for pass in 0..2 {
+            for j in &jobs {
+                let what = format!("{} {:?}, pass {pass}", j.path, j.variant);
+                assert!(files.held(&j.path, 1024, Instant::now()).is_none());
+                let got = exec_job_nowait(j, &mut files).map(seen);
+                assert!(got.is_some(), "{what}: resolved by path");
+                assert_eq!(got, exec_job_nowait(j, &mut none).map(seen), "{what}");
+                assert_eq!(got, Some(seen(exec_job(j))), "{what}");
+            }
+        }
+        assert_eq!(hits_and_held(&stats), (0, 0), "nothing inserted");
     }
 
     /// Everything that is not "a regular file, here it is" is the
@@ -1218,8 +1198,9 @@ mod tests {
     /// memory is not sent from the loop. `cachestat` reports the pages
     /// gone, the residency test declines (a helper reads the file) and
     /// forgets the entry, and a held file still resident is answered
-    /// with its descriptor. Where `cachestat` is unavailable a held hit
-    /// reads its bytes instead; where the cached-only calls are, the
+    /// with its descriptor. Where `cachestat` is unavailable the first
+    /// held check gives the table up and the miss resolves by path,
+    /// reading its bytes; where the cached-only calls are, the
     /// residency test answers nothing at all.
     #[test]
     fn a_held_file_that_left_memory_is_declined_and_a_resident_one_sent_by_descriptor() {
@@ -1280,17 +1261,18 @@ mod tests {
                     sys::is_unsupported(&e) || e.kind() == io::ErrorKind::Unsupported,
                     "{e}"
                 );
-                // No `cachestat`: a held hit reads its bytes, and the
-                // `RWF_NOWAIT` read is the residency test.
+                // No `cachestat`: the held check gives the table up,
+                // and the miss resolves by path, its `RWF_NOWAIT` read
+                // the residency test.
                 let got = miss(&load("warm.bin"), &mut files);
                 assert_eq!(got.is_some(), nowait);
                 if let Some(got) = got {
                     assert!(
                         !by_descriptor(&got),
-                        "held bytes are read without cachestat"
+                        "without cachestat a miss resolves by path and reads"
                     );
                     assert_eq!(seen(got), seen(exec_job(&load("warm.bin"))));
-                    assert_eq!(hits_and_held(&stats).0, 1);
+                    assert_eq!(hits_and_held(&stats), (0, 0), "no table left");
                 }
             }
         }

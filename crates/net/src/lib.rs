@@ -242,23 +242,25 @@
 //! `inline_jobs`. A first-time miss is a job, and the residency test
 //! pays `openat2`, `fstat`, the sibling probe, `preadv2` and `close`
 //! for it. A held body with a page out of memory is declined, and the
-//! job it becomes goes to a helper. Where `cachestat` is unavailable
-//! (before Linux 6.5, or refused) the loop asks the table nothing: a
-//! held file is a job again, and the residency test answers it from the
-//! entry — a body up to the threshold read with step 3, a larger one
-//! the `fstat` and a clone of the handle, as before. A file that
-//! shrinks between the `fstat` and the `sendfile` ends its connection,
-//! since its `Content-Length` is already promised — the large tier's
-//! rule, now every held file's. What the table is trusted for is the
-//! policy the content cache already had, not a new one:
+//! job it becomes goes to a helper. So a content-cache miss takes one
+//! of two paths: the table holds the file and the loop answers it, or
+//! the name is resolved by path — by the residency test or by a
+//! helper; no job is ever answered from the table. The platform rule
+//! is [`fsjob`]'s: before Linux 6.5, or where `cachestat` is refused,
+//! a shard keeps no open-file table, and every miss resolves by path
+//! (unmeasured here: the benchmark's kernel has `cachestat`). A file
+//! that shrinks between the `fstat` and the `sendfile` ends its
+//! connection, since its `Content-Length` is already promised — the
+//! large tier's rule, now every held file's. What the table is trusted
+//! for is the policy the content cache already had, not a new one:
 //!
 //! * the **name binding** — what `open` decided: path lookup, symlinks
 //!   followed, permission checked, sibling present or not — is trusted
 //!   for [`NetConfig::cache_revalidate_ttl`] since the name was last
 //!   resolved by path, exactly as a content-cache hit trusts it. A
-//!   content-cache entry built through the table **inherits the table
-//!   entry's resolve time** ([`conn::LoadResult::resolved_at`]), so
-//!   the two never add up to twice the TTL;
+//!   held answer inserts nothing into the content cache, and every
+//!   entry there comes from a load that resolved its name as it ran,
+//!   so the two never add up to twice the TTL;
 //! * **everything else comes from the descriptor on every use**: it
 //!   must still be a regular file, still linked (`st_nlink > 0`), of
 //!   the length and mtime it had when resolved — the ones its kept
@@ -303,11 +305,7 @@
 //!   filter. The first one latches the test off and every job takes
 //!   the helper path, exactly as before this existed; so does every
 //!   job on a target whose syscall numbers [`sys`] does not list. The
-//!   same answer from `cachestat` latches only it off: held bodies are
-//!   then read, as above;
-//! * a table entry that fails its per-use check (the entry is dropped
-//!   with the decline; only where `cachestat` is unavailable does a
-//!   held file reach the test at all);
+//!   same answer from `cachestat` gives the shard's table up, as above;
 //! * `Dynamic` jobs, always — on a shard they never get this far: its
 //!   worker set takes them (*The dynamic tier*).
 //!

@@ -389,8 +389,8 @@ metrics! {
         /// handed to `sendfile` under the head the table keeps for it —
         /// served on the `sendfile` tier, counted in neither `helper_jobs`
         /// nor `cache_hits`, inserting nothing into the content cache.
-        /// (Where `cachestat` is unavailable a held file is a job, and its
-        /// answer, read with `RWF_NOWAIT`, is one of the `inline_jobs`.)
+        /// (Where `cachestat` is unavailable there is no table, and no
+        /// such answer.)
         open_file_hits: Counter, Sum, "Content-cache misses answered from the open-file table before any job: an fstat and a cachestat of a descriptor already held, sent with sendfile";
         /// Gauge: descriptors the open-file table holds now.
         open_files: Gauge, Sum, "Descriptors the shards' open-file tables hold now";

@@ -20,17 +20,16 @@
 //! when the whole path lookup is answered by the dentry cache, a
 //! positional `read` that succeeds only for bytes already in the page
 //! cache, `cachestat`, which counts a held file's resident pages
-//! without reading one, and the bare `fstat` that re-checks a held
-//! descriptor before each use. All four are issued through `syscall(2)` by
-//! number, so nothing here depends on the libc being new enough to
-//! wrap them; where the numbers are not known ([`HAS_NOWAIT`] is
+//! without reading one, and the bare `fstat` that checks every file a
+//! job opens and re-checks a held descriptor before each use. All four
+//! are issued through `syscall(2)` by number, so nothing here depends
+//! on the libc being new enough to wrap them; where the numbers are not known ([`HAS_NOWAIT`] is
 //! `false`) the functions report `Unsupported` and callers fall back
 //! to blocking I/O on a helper thread.
 
 use std::fs::File;
 use std::io::{self, IoSlice};
 use std::os::unix::io::{AsRawFd, FromRawFd, OwnedFd, RawFd};
-use std::path::Path;
 use std::sync::atomic::{AtomicI32, Ordering};
 
 use core::ffi::{c_int, c_ulong, c_void};
@@ -890,6 +889,11 @@ mod nowait {
             }
     );
 
+    /// One bare `fstat(2)` of `file`: the regular-file check of every
+    /// job and the per-use check of a held descriptor, without the
+    /// `statx` (and the fields it fills) that `File::metadata` issues.
+    /// Where [`HAS_NOWAIT`](super::HAS_NOWAIT) is `false` it is
+    /// `File::metadata`, cut down the same way.
     pub fn fstat(file: &File) -> io::Result<super::FileStat> {
         const S_IFMT: u32 = 0o170000;
         const S_IFREG: u32 = 0o100000;
@@ -919,6 +923,17 @@ mod nowait {
         fn posix_fadvise(fd: c_int, offset: i64, len: i64, advice: c_int) -> c_int;
     }
 
+    /// Opens `path` read-only **only if** the lookup needs no I/O:
+    /// every component must already sit in the kernel's dentry cache
+    /// (`openat2(2)` with `RESOLVE_CACHED`), else `EAGAIN`/`WouldBlock`.
+    /// Symlinks are followed exactly as `File::open` follows them. The
+    /// descriptor is `O_NONBLOCK | O_CLOEXEC`, so opening a FIFO returns
+    /// at once instead of waiting for a writer. With `path_only` the
+    /// descriptor is `O_PATH`: good for `fstat`, needs no read
+    /// permission, opens nothing.
+    ///
+    /// A cached *negative* entry answers too: a file known to be missing
+    /// fails with `NotFound`, not `WouldBlock`.
     pub fn open_cached(path: &Path, path_only: bool) -> io::Result<File> {
         let c_path = CString::new(path.as_os_str().as_bytes())?;
         let how = OpenHow {
@@ -950,6 +965,12 @@ mod nowait {
         Ok(unsafe { File::from_raw_fd(rc as c_int) })
     }
 
+    /// Reads into `buf` from `offset` **only from the page cache**
+    /// (`preadv2(2)` with `RWF_NOWAIT`): returns the bytes that were
+    /// resident — possibly fewer than asked, `0` at end of file — or
+    /// `EAGAIN`/`WouldBlock` when the first byte would need the disk. A
+    /// filesystem without non-blocking buffered reads fails with
+    /// `EOPNOTSUPP`. The file's own cursor is neither used nor moved.
     pub fn pread_nowait(file: &File, buf: &mut [u8], offset: u64) -> io::Result<usize> {
         let iov = IoVec {
             base: buf.as_mut_ptr(),
@@ -982,6 +1003,11 @@ mod nowait {
         *PAGE.get_or_init(|| (unsafe { sysconf(SC_PAGESIZE) }).max(1) as u64)
     }
 
+    /// Whether every page of `file`'s first `len` bytes is in the page
+    /// cache, by `cachestat(2)` (Linux 6.5): the question `mincore(2)`
+    /// asks of a mapping, asked of a descriptor — nothing is read,
+    /// mapped or copied, and nothing is waited for. An empty range is
+    /// resident.
     pub fn resident(file: &File, len: u64) -> io::Result<bool> {
         if len == 0 {
             return Ok(true);
@@ -1009,6 +1035,10 @@ mod nowait {
         Ok(stat.nr_cache >= len.div_ceil(page_size()))
     }
 
+    /// Drops `file`'s clean pages from the page cache
+    /// (`posix_fadvise(POSIX_FADV_DONTNEED)`): how a test makes a file
+    /// leave memory without touching anything else. Dirty pages stay,
+    /// so sync the file first.
     #[cfg(test)]
     pub fn drop_cached_pages(file: &File) -> io::Result<()> {
         const POSIX_FADV_DONTNEED: c_int = 4;
@@ -1021,41 +1051,13 @@ mod nowait {
     }
 }
 
-/// Opens `path` read-only **only if** the lookup needs no I/O: every
-/// component must already sit in the kernel's dentry cache
-/// (`openat2(2)` with `RESOLVE_CACHED`), else `EAGAIN`/`WouldBlock`.
-/// Symlinks are followed exactly as `File::open` follows them. The
-/// descriptor is `O_NONBLOCK | O_CLOEXEC`, so opening a FIFO returns
-/// at once instead of waiting for a writer. With `path_only` the
-/// descriptor is `O_PATH`: good for `fstat`, needs no read permission,
-/// opens nothing.
-///
-/// A cached *negative* entry answers too: a file known to be missing
-/// fails with `NotFound`, not `WouldBlock`.
-pub fn open_cached(path: &Path, path_only: bool) -> io::Result<File> {
-    nowait::open_cached(path, path_only)
-}
+pub use nowait::{fstat, open_cached, pread_nowait, resident};
 
-/// Reads into `buf` from `offset` **only from the page cache**
-/// (`preadv2(2)` with `RWF_NOWAIT`): returns the bytes that were
-/// resident — possibly fewer than asked, `0` at end of file — or
-/// `EAGAIN`/`WouldBlock` when the first byte would need the disk. A
-/// filesystem without non-blocking buffered reads fails with
-/// `EOPNOTSUPP`. The file's own cursor is neither used nor moved.
-pub fn pread_nowait(file: &File, buf: &mut [u8], offset: u64) -> io::Result<usize> {
-    nowait::pread_nowait(file, buf, offset)
-}
-
-/// Whether every page of `file`'s first `len` bytes is in the page
-/// cache, by `cachestat(2)` (Linux 6.5): the question `mincore(2)` asks
-/// of a mapping, asked of a descriptor — nothing is read, mapped or
-/// copied, and nothing is waited for. An empty range is resident.
-pub fn resident(file: &File, len: u64) -> io::Result<bool> {
-    nowait::resident(file, len)
-}
+#[cfg(test)]
+pub(crate) use nowait::drop_cached_pages;
 
 /// What `fstat(2)` reports of an open file, cut down to the fields the
-/// open-file table's per-use check compares.
+/// regular-file check and the open-file table's per-use check compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileStat {
     /// Whether it is a regular file (`S_ISREG`).
@@ -1068,23 +1070,6 @@ pub struct FileStat {
     /// Its mtime in whole unix seconds, or `None` before 1970
     /// ([`crate::fsjob::unix_mtime`]'s rule).
     pub mtime: Option<i64>,
-}
-
-/// One bare `fstat(2)` of `file`: the per-use check of a held
-/// descriptor, without the `statx` (and the fields it fills) that
-/// `File::metadata` issues. Where [`HAS_NOWAIT`] is `false` it is
-/// `File::metadata`, cut down the same way.
-pub fn fstat(file: &File) -> io::Result<FileStat> {
-    nowait::fstat(file)
-}
-
-/// Drops `file`'s clean pages from the page cache
-/// (`posix_fadvise(POSIX_FADV_DONTNEED)`): how a test makes a file
-/// leave memory without touching anything else. Dirty pages stay, so
-/// sync the file first.
-#[cfg(test)]
-pub(crate) fn drop_cached_pages(file: &File) -> io::Result<()> {
-    nowait::drop_cached_pages(file)
 }
 
 /// Targets whose syscall numbers are not listed above: nothing to
@@ -1132,7 +1117,7 @@ mod nowait {
 /// the child's `SIGCHLD` can fail another test's timed `read` with
 /// `EINTR`.
 #[cfg(test)]
-pub(crate) fn mkfifo(path: &Path) -> io::Result<()> {
+pub(crate) fn mkfifo(path: &std::path::Path) -> io::Result<()> {
     use std::ffi::CString;
     use std::os::unix::ffi::OsStrExt;
     unsafe extern "C" {

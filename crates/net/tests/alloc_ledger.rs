@@ -2,7 +2,8 @@
 //! allocator per request, exactly, on the paths the benchmark spends
 //! its time on — a content-cache hit on AMPED and on MT, a miss on a
 //! file the shard's open-file table holds (`miss_helper`'s commonest
-//! request), a warm dynamic request relayed from a persistent worker
+//! request), a miss on MT (a blocking job on the connection's own
+//! thread, every time), a warm dynamic request relayed from a persistent worker
 //! (`dynamic_small`'s), a cached hit with the access log on, and a
 //! one-request HTTP/1.0 connection (`conn_churn`'s). Unlike every
 //! timing on a shared machine, these counts are deterministic, so a
@@ -75,6 +76,9 @@ const HIT_AMPED_LANDED_AT: u64 = 1;
 const HIT_MT_LANDED_AT: u64 = 1;
 /// Allocations per request for a held-file miss on AMPED (11 before).
 const HELD_MISS_AMPED_LANDED_AT: u64 = 2;
+/// Allocations per request for a miss on MT answered by descriptor
+/// (first counted at 24).
+const MISS_MT_LANDED_AT: u64 = 24;
 /// Allocations per request for a warm dynamic request on AMPED (24
 /// before the relay stopped copying and formatting): the job's path.
 const DYNAMIC_AMPED_LANDED_AT: u64 = 1;
@@ -260,6 +264,7 @@ fn allocations_per_request() {
         ledger(&format!("cached hit, {kind:?}"), count, landed_at);
     }
     beyond_the_hit();
+    miss_on_mt();
 
     // A held-file miss on AMPED: a body under the `sendfile` threshold
     // whose entry would cost more than the content cache admits, so
@@ -294,6 +299,28 @@ fn allocations_per_request() {
         count <= HIT_AMPED_LANDED_AT + 2,
         "a held-file miss costs {count} allocations, a cached hit {HIT_AMPED_LANDED_AT}"
     );
+}
+
+/// A miss on MT: a body above the `sendfile` threshold, which the
+/// content cache never holds, so every request is a blocking job on the
+/// connection's own thread — resolved by path, answered with the open
+/// descriptor, sent with `sendfile` under a head rendered for it.
+fn miss_on_mt() {
+    let root = Docroot::new("mt-miss");
+    std::fs::write(root.path().join("big.bin"), vec![b'm'; 4096]).unwrap();
+    let cfg = NetConfig::builder(root.path())
+        .event_loops(1)
+        .sendfile_threshold_bytes(2_000)
+        .build()
+        .unwrap();
+    let server = Server::start_as(ServerKind::Mt, "127.0.0.1:0", cfg).unwrap();
+    let mut client = Client::new(&server, "/big.bin");
+    let (count, jobs) = per_request(&mut client, server.stats(), ServerStats::inline_jobs);
+    assert_eq!(jobs, ROUNDS, "every request a job");
+    assert_eq!(server.stats().cache_hits(), 0);
+    drop(client);
+    server.stop();
+    ledger("miss by descriptor, Mt", count, MISS_MT_LANDED_AT);
 }
 
 /// The cases past the plain hit: a logged hit, a one-shot connection

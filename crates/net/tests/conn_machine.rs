@@ -168,7 +168,6 @@ fn exec(files: &HashMap<String, (Vec<u8>, bool)>, job: &HelperJob) -> Done<Arc<V
                 data,
                 variant: Variant::Identity,
                 has_gzip: false,
-                resolved_at: None,
             }))
         }
     };
@@ -659,7 +658,6 @@ fn coalesced_waiters_follow_their_job_through_a_changed_file() {
             },
             variant: Variant::Identity,
             has_gzip: false,
-            resolved_at: None,
         })),
         epoch: load.epoch,
         token,

@@ -84,9 +84,10 @@ fn budget_held(backend: BackendChoice, accept_mode: AcceptMode) {
     }
     if flash_net::sys::open_cached(&root.join("f0.html"), false)
         .and_then(|f| flash_net::sys::pread_nowait(&f, &mut [0u8; 1], 0))
+        .and_then(|_| flash_net::sys::resident(&File::open(root.join("f0.html"))?, 1))
         .is_err()
     {
-        eprintln!("residency test unavailable here: no table to bound. Skipping.");
+        eprintln!("residency test or cachestat unavailable here: no table to bound. Skipping.");
         let _ = std::fs::remove_dir_all(&root);
         return;
     }

@@ -1412,8 +1412,8 @@ fn run_mt_cache_revalidation(tag: &str, pins: Pins) {
 /// [`fetch_fillers`] empties between two requests for the target, so
 /// every request for it misses — `miss_helper` in miniature — and is
 /// answered through the open-file table (or, where the residency test
-/// is unavailable, by a helper). Returns the server, its docroot, and
-/// whether the table is in play.
+/// or `cachestat` is unavailable, resolved by path). Returns the
+/// server, its docroot, and whether the table is in play.
 fn always_missing_server(
     tag: &str,
     pins: Pins,
@@ -1434,6 +1434,8 @@ fn always_missing_server(
     .unwrap();
     let tabled = flash_net::sys::open_cached(&root.join("t.html"), false)
         .and_then(|f| flash_net::sys::pread_nowait(&f, &mut [0u8; 1], 0))
+        .and_then(|_| std::fs::File::open(root.join("t.html")))
+        .and_then(|f| flash_net::sys::resident(&f, 1))
         .is_ok();
     (server, root, tabled)
 }
@@ -1514,10 +1516,8 @@ fn run_open_file_table_sees_every_change_to_a_file(tag: &str, pins: Pins) {
         "the TTL never came into it"
     );
     assert_eq!(stats.open_file_hits() > hits, tabled);
-    // The table's answers went out by `sendfile`, where `cachestat`
-    // could vouch for their pages.
-    let cachestat = std::fs::File::open(&target).and_then(|f| flash_net::sys::resident(&f, 1));
-    assert_eq!(stats.bytes_sendfile() > 0, tabled && cachestat.is_ok());
+    // The table's answers went out by `sendfile`.
+    assert_eq!(stats.bytes_sendfile() > 0, tabled);
     server.stop();
     let _ = std::fs::remove_dir_all(root);
 }
@@ -1529,11 +1529,8 @@ fn run_open_file_table_sees_every_change_to_a_file(tag: &str, pins: Pins) {
 /// the same promise a content-cache hit makes. The sharp case is a
 /// table entry about to lapse that answers once more: its descriptor
 /// answer caches nothing, so the next requests ask the table again
-/// and the binding lapses on time; where held bytes are read instead
-/// (no `cachestat`), the content-cache entry they make inherits the
-/// table entry's resolve time, or the bound would be twice the TTL.
-/// (The TTL here is long enough that twice it is past the slack the
-/// assertion allows.)
+/// and the binding lapses on time. (The TTL here is long enough that
+/// twice it is past the slack the assertion allows.)
 fn run_open_file_table_name_binding_lapses_with_the_ttl(tag: &str, pins: Pins) {
     let ttl = Duration::from_millis(400);
     let bound = ttl + Duration::from_millis(150);
@@ -1597,8 +1594,7 @@ fn run_open_file_table_name_binding_lapses_with_the_ttl(tag: &str, pins: Pins) {
             assert_eq!(body_of(&resp), before, "{path}: the binding had not lapsed");
             assert_eq!(server.stats().open_file_hits(), hits + 1, "{path}");
         }
-        // From here on only the table's entry is asked (or, with held
-        // bytes read, the content-cache entry they left behind).
+        // From here on only the table's entry is asked.
         loop {
             let resp = fetch();
             let late = changed.elapsed();

@@ -1053,7 +1053,6 @@ impl Kernel {
                     data,
                     variant,
                     has_gzip,
-                    resolved_at: None,
                 }
             })),
             // Dynamic jobs go to the shard's workers, never to a disk.

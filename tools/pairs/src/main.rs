@@ -1,8 +1,8 @@
 //! `pairs`: the repo benchmark's pair protocol as one command.
 //!
 //! ```text
-//! pairs --workload <name> [--pairs n] [--seed s] [--seconds t] [--repo dir] [--work dir] <base> <change>
-//! pairs --workload <name> [--pairs n] [--seed s] [--seconds t] [--repo dir] [--work dir] --aa <commit>
+//! pairs --workload <name> [--pairs n] [--seed s] [--seconds t] [--counts] [--repo dir] [--work dir] <base> <change>
+//! pairs --workload <name> [--pairs n] [--seed s] [--seconds t] [--counts] [--repo dir] [--work dir] --aa <commit>
 //! ```
 //!
 //! One machine's speed drifts between states minutes apart, so a
@@ -26,6 +26,11 @@
 //! operation, failed its checks or printed no result is reported
 //! with its pair, and never dropped.
 //!
+//! With `--counts`, after the pairs it runs each side once more with
+//! `--trace`, on the first seed, and prints every per-layer value
+//! `BENCHMARK.json` lists side by side — labelled as single runs, and
+//! kept out of the end-to-end statistics.
+//!
 //! It reads `BENCHMARK.json` and never writes it; it reports, and does
 //! not decide which bar a claim must meet. Every run's result line is
 //! kept in `<work>/runs.jsonl`, every run's log beside it.
@@ -44,6 +49,9 @@ struct Args {
     pairs: usize,
     seed: u64,
     seconds: Option<f64>,
+    /// One `--trace` run a side after the pairs, for the per-layer
+    /// values.
+    counts: bool,
     repo: PathBuf,
     work: PathBuf,
     /// (label, commit) for the base and the change.
@@ -51,12 +59,12 @@ struct Args {
 }
 
 fn usage() -> &'static str {
-    "usage: pairs --workload <name> [--pairs n] [--seed s] [--seconds t] [--repo dir] \
-     [--work dir] (<base> <change> | --aa <commit>)"
+    "usage: pairs --workload <name> [--pairs n] [--seed s] [--seconds t] [--counts] \
+     [--repo dir] [--work dir] (<base> <change> | --aa <commit>)"
 }
 
 fn parse_args(args: &[String]) -> Result<Args, String> {
-    let (mut workload, mut pairs, mut seed, mut seconds) = (None, 10, 1, None);
+    let (mut workload, mut pairs, mut seed, mut seconds, mut counts) = (None, 10, 1, None, false);
     let (mut repo, mut work, mut aa) = (PathBuf::from("."), None, None);
     let mut commits = Vec::new();
     let mut it = args.iter();
@@ -67,6 +75,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             "--pairs" => pairs = value()?.parse().map_err(|e| format!("--pairs: {e}"))?,
             "--seed" => seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--seconds" => seconds = Some(value()?.parse().map_err(|e| format!("--seconds: {e}"))?),
+            "--counts" => counts = true,
             "--repo" => repo = PathBuf::from(value()?),
             "--work" => work = Some(PathBuf::from(value()?)),
             "--aa" => aa = Some(value()?),
@@ -92,6 +101,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         pairs,
         seed,
         seconds,
+        counts,
         repo,
         work,
         sides,
@@ -106,11 +116,22 @@ struct Metric {
     bound: f64,
 }
 
-/// `run_seconds` and the end-to-end metrics.
-fn read_benchmark(repo: &Path) -> Result<(f64, Vec<Metric>), String> {
+/// What `BENCHMARK.json` declares.
+struct Benchmark {
+    run_seconds: f64,
+    end_to_end: Vec<Metric>,
+    /// The per-layer metrics' names and units, in the file's order.
+    per_layer: Vec<(String, String)>,
+}
+
+fn read_benchmark(repo: &Path) -> Result<Benchmark, String> {
     let path = repo.join("BENCHMARK.json");
     let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let doc = json::parse(&text)?;
+    benchmark_of(&text)
+}
+
+fn benchmark_of(text: &str) -> Result<Benchmark, String> {
+    let doc = json::parse(text)?;
     let seconds = doc
         .get("run_seconds")
         .and_then(Json::num)
@@ -130,7 +151,24 @@ fn read_benchmark(repo: &Path) -> Result<(f64, Vec<Metric>), String> {
         })
         .collect::<Option<Vec<_>>>()
         .ok_or("an end_to_end entry lacks name, unit, better or bound")?;
-    Ok((seconds, metrics))
+    let Some(Json::Arr(list)) = doc.get("per_layer") else {
+        return Err("BENCHMARK.json has no per_layer list".to_string());
+    };
+    let per_layer = list
+        .iter()
+        .map(|m| {
+            Some((
+                m.get("name")?.str()?.to_string(),
+                m.get("unit")?.str()?.to_string(),
+            ))
+        })
+        .collect::<Option<Vec<_>>>()
+        .ok_or("a per_layer entry lacks name or unit")?;
+    Ok(Benchmark {
+        run_seconds: seconds,
+        end_to_end: metrics,
+        per_layer,
+    })
 }
 
 /// Runs `cmd`, failing with its name unless it exits 0.
@@ -219,12 +257,19 @@ impl Run {
     }
 }
 
-fn one_run(bin: &Path, workload: &str, seed: u64, seconds: f64, log: &Path) -> Result<Run, String> {
+/// One run of `bin`; `trace` adds `--trace`, for the per-layer values.
+fn one_run(
+    bin: &Path,
+    workload: &str,
+    (seed, seconds, trace): (u64, f64, bool),
+    log: &Path,
+) -> Result<Run, String> {
     let segs_before = out_segs();
     let log_file = std::fs::File::create(log).map_err(|e| format!("{}: {e}", log.display()))?;
     let out = Command::new(bin)
         .args(["--workload", workload, "--seed", &seed.to_string()])
         .args(["--seconds", &seconds.to_string()])
+        .args(trace.then_some("--trace"))
         .stderr(log_file)
         .output()
         .map_err(|e| format!("{}: {e}", bin.display()))?;
@@ -366,6 +411,33 @@ fn report_metric(
     )
 }
 
+/// The per-layer block: each of `layers` from one run a side, side by
+/// side, and `-` where a run lacks it.
+fn report_counts(
+    labels: [&str; 2],
+    seed: u64,
+    layers: &[(String, String)],
+    runs: [&Run; 2],
+    out: &mut String,
+) -> std::fmt::Result {
+    writeln!(
+        out,
+        "per layer: one --trace run of each side, seed {seed} (single runs, not in the statistics above)"
+    )?;
+    let value = |run: &Run, name: &str| run.metric(name).map_or("-".to_string(), fmt);
+    for (name, unit) in layers {
+        writeln!(
+            out,
+            "  {name:<40} {} {:>10}  {} {:>10}  {unit}",
+            labels[0],
+            value(runs[0], name),
+            labels[1],
+            value(runs[1], name)
+        )?;
+    }
+    Ok(())
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Err(e) = parse_args(&args).and_then(|a| pairs(&a)) {
@@ -375,8 +447,8 @@ fn main() {
 }
 
 fn pairs(a: &Args) -> Result<(), String> {
-    let (run_seconds, metrics) = read_benchmark(&a.repo)?;
-    let seconds = a.seconds.unwrap_or(run_seconds);
+    let bench = read_benchmark(&a.repo)?;
+    let seconds = a.seconds.unwrap_or(bench.run_seconds);
     std::fs::create_dir_all(&a.work).map_err(|e| format!("{}: {e}", a.work.display()))?;
     let mut bins = Vec::new();
     for (label, commit) in &a.sides {
@@ -401,7 +473,7 @@ fn pairs(a: &Args) -> Result<(), String> {
                 a.pairs,
                 labels[side]
             );
-            let run = one_run(&bins[side], &a.workload, seed, seconds, &log)?;
+            let run = one_run(&bins[side], &a.workload, (seed, seconds, false), &log)?;
             let _ = writeln!(
                 jsonl,
                 "{{\"seed\": {seed}, \"side\": \"{}\", \"faults\": {:?}, \"metrics\": {:?}}}",
@@ -415,6 +487,16 @@ fn pairs(a: &Args) -> Result<(), String> {
         runs.push([x, y]);
     }
     let _ = std::fs::write(a.work.join("runs.jsonl"), jsonl);
+    let mut traced = Vec::new();
+    if a.counts {
+        for (side, bin) in bins.iter().enumerate() {
+            let log = a
+                .work
+                .join(format!("run-{}-{}-trace.log", a.seed, labels[side]));
+            eprintln!("pairs: traced run, seed {}: {}", a.seed, labels[side]);
+            traced.push(one_run(bin, &a.workload, (a.seed, seconds, true), &log)?);
+        }
+    }
 
     let mut out = String::new();
     let commits = format!(
@@ -438,6 +520,12 @@ fn pairs(a: &Args) -> Result<(), String> {
             }
         }
     }
+    for (side, run) in traced.iter().enumerate() {
+        if !run.faults.is_empty() {
+            let faults = run.faults.join("; ");
+            let _ = writeln!(out, "FAULT: traced run, {}: {faults}", labels[side]);
+        }
+    }
     let segs = |side: usize| -> Vec<f64> {
         runs.iter()
             .filter_map(|p| p[side].out_segs_per_req)
@@ -451,7 +539,7 @@ fn pairs(a: &Args) -> Result<(), String> {
         labels[1],
         fmt(stats::median(&segs(1)))
     );
-    for m in &metrics {
+    for m in &bench.end_to_end {
         let pairs: Vec<(f64, f64)> = runs
             .iter()
             .filter_map(|[x, y]| Some((x.metric(&m.name)?, y.metric(&m.name)?)))
@@ -463,6 +551,9 @@ fn pairs(a: &Args) -> Result<(), String> {
         if !pairs.is_empty() {
             let _ = report_metric(labels, m, &pairs, &mut out);
         }
+    }
+    if let [base, change] = &traced[..] {
+        let _ = report_counts(labels, a.seed, &bench.per_layer, [base, change], &mut out);
     }
     print!("{out}");
     Ok(())
@@ -496,6 +587,59 @@ mod tests {
         assert!(parse_args(&v("--workload x --aa HEAD main")).is_err());
         assert!(parse_args(&v("main HEAD")).is_err());
         assert!(parse_args(&v("--workload x --pairs 0 a b")).is_err());
+        assert!(!parse_args(&v("--workload x a b")).unwrap().counts);
+        assert!(parse_args(&v("--workload x --counts a b")).unwrap().counts);
+    }
+
+    #[test]
+    fn the_benchmark_file_gives_both_metric_lists() {
+        let text = r#"{"run_seconds": 24, "paths": ["loadbench"],
+            "end_to_end": [{"name": "rps", "unit": "1/s", "better": "higher", "bound": 0.17}],
+            "per_layer": [
+                {"name": "server.sendfile_per_req", "unit": "1/req", "better": "lower"},
+                {"name": "cache.hit_ratio", "unit": "ratio", "better": "higher"}
+            ]}"#;
+        let b = benchmark_of(text).unwrap();
+        assert_eq!(b.run_seconds, 24.0);
+        assert_eq!(b.end_to_end.len(), 1);
+        assert!(b.end_to_end[0].higher_is_better);
+        let layer = |n: &str, u: &str| (n.to_string(), u.to_string());
+        assert_eq!(
+            b.per_layer,
+            [
+                layer("server.sendfile_per_req", "1/req"),
+                layer("cache.hit_ratio", "ratio")
+            ]
+        );
+        assert!(benchmark_of(r#"{"run_seconds": 1, "end_to_end": []}"#).is_err());
+        let no_unit = r#"{"run_seconds": 1, "end_to_end": [], "per_layer": [{"name": "x"}]}"#;
+        assert!(benchmark_of(no_unit).is_err());
+    }
+
+    #[test]
+    fn the_counts_block_puts_one_run_of_each_side_side_by_side() {
+        let run = |v: f64| Run {
+            metrics: vec![("cache.hit_ratio".to_string(), v)],
+            faults: Vec::new(),
+            attempted: 1.0,
+            out_segs_per_req: None,
+        };
+        let layers = [
+            ("cache.hit_ratio".to_string(), "ratio".to_string()),
+            ("server.sendfile_per_req".to_string(), "1/req".to_string()),
+        ];
+        let mut out = String::new();
+        let (base, change) = (run(0.0615), run(0.0621));
+        report_counts(["base", "change"], 7, &layers, [&base, &change], &mut out).unwrap();
+        assert!(out.starts_with("per layer: one --trace run of each side, seed 7 (single runs"));
+        assert!(
+            out.contains("base     0.0615  change     0.0621  ratio"),
+            "{out}"
+        );
+        assert!(
+            out.contains("base          -  change          -  1/req"),
+            "{out}"
+        );
     }
 
     #[test]
