@@ -38,8 +38,13 @@
 //! cache hit, with the **descriptor** at any size, as Flash sent from
 //! its mapped files (§5.4), under a header pair rendered once per entry
 //! (§5.3), once `cachestat(2)` confirms that every page is resident
-//! (§5.7's `mincore` test, asked of a descriptor). So a content-cache
-//! miss takes one of two paths: the table holds the file and the loop
+//! (§5.7's `mincore` test, asked of a descriptor). The rule above then
+//! reads: **the name binding — what `open` decided, path lookup and
+//! permission check both — is trusted for `cache_revalidate_ttl`; the
+//! regular-file check, the link count, the length, the mtime and the
+//! residency of the bytes come from the open descriptor every time.**
+//! That is what a content-cache hit already assumes about a name, and
+//! no more. So a content-cache miss takes one of two paths: the table holds the file and the loop
 //! answers it, or the name is resolved by path — in the loop by the
 //! residency test, or by a helper. **Platform rule:** before Linux 6.5,
 //! or where `cachestat` is refused, a shard keeps no open-file table,

@@ -261,7 +261,9 @@ impl Run {
 fn one_run(
     bin: &Path,
     workload: &str,
-    (seed, seconds, trace): (u64, f64, bool),
+    seed: u64,
+    seconds: f64,
+    trace: bool,
     log: &Path,
 ) -> Result<Run, String> {
     let segs_before = out_segs();
@@ -473,7 +475,7 @@ fn pairs(a: &Args) -> Result<(), String> {
                 a.pairs,
                 labels[side]
             );
-            let run = one_run(&bins[side], &a.workload, (seed, seconds, false), &log)?;
+            let run = one_run(&bins[side], &a.workload, seed, seconds, false, &log)?;
             let _ = writeln!(
                 jsonl,
                 "{{\"seed\": {seed}, \"side\": \"{}\", \"faults\": {:?}, \"metrics\": {:?}}}",
@@ -494,7 +496,7 @@ fn pairs(a: &Args) -> Result<(), String> {
                 .work
                 .join(format!("run-{}-{}-trace.log", a.seed, labels[side]));
             eprintln!("pairs: traced run, seed {}: {}", a.seed, labels[side]);
-            traced.push(one_run(bin, &a.workload, (a.seed, seconds, true), &log)?);
+            traced.push(one_run(bin, &a.workload, a.seed, seconds, true, &log)?);
         }
     }
 
