@@ -88,9 +88,8 @@ pub struct NetConfig {
     /// test*) keeps the descriptor a path led to for this long, and
     /// its answers insert nothing into the content cache. So the one
     /// bound holds to the letter on both tiers: whatever changes what a
-    /// *name* means — a
-    /// symlinked directory flipped, a `.gz` sibling added — is seen
-    /// within the TTL of the change; every change to the *file* the
+    /// *name* means — a symlinked directory flipped, a `.gz` sibling
+    /// added — is seen within the TTL of the change; every change to the *file* the
     /// name led to (rewrite, truncation, delete, rename-over) is seen
     /// by the next miss, as ever. `None` trusts cached entries and
     /// name bindings until they are evicted (the pre-revalidation

@@ -248,7 +248,8 @@
 //! helper; no job is ever answered from the table. The platform rule
 //! is [`fsjob`]'s: before Linux 6.5, or where `cachestat` is refused,
 //! a shard keeps no open-file table, and every miss resolves by path
-//! (unmeasured here: the benchmark's kernel has `cachestat`). A file
+//! (a path no benchmark workload measures on a kernel that has
+//! `cachestat`). A file
 //! that shrinks between the `fstat` and the `sendfile` ends its
 //! connection, since its `Content-Length` is already promised — the
 //! large tier's rule, now every held file's. What the table is trusted

@@ -23,9 +23,9 @@
 //! without reading one, and the bare `fstat` that checks every file a
 //! job opens and re-checks a held descriptor before each use. All four
 //! are issued through `syscall(2)` by number, so nothing here depends
-//! on the libc being new enough to wrap them; where the numbers are not known ([`HAS_NOWAIT`] is
-//! `false`) the functions report `Unsupported` and callers fall back
-//! to blocking I/O on a helper thread.
+//! on the libc being new enough to wrap them; where the numbers are not
+//! known ([`HAS_NOWAIT`] is `false`) the functions report `Unsupported`
+//! and callers fall back to blocking I/O on a helper thread.
 
 use std::fs::File;
 use std::io::{self, IoSlice};
