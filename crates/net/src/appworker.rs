@@ -2,12 +2,25 @@
 //! paper's §5.6 CGI successor: long-lived worker *processes* reused
 //! across requests instead of a fork+exec per hit).
 //!
-//! Each worker is spawned **once** over a `socketpair(2)`
-//! ([`std::os::unix::net::UnixStream::pair`]) with both stdin and
-//! stdout bound to the child end, kept between requests, and killed +
+//! Each worker is spawned **once** with two pipes for its stdio: it
+//! reads request lines from its stdin, the *request pipe*, and writes
+//! frames to its stdout, the *reply pipe*. The parent keeps the write
+//! end of the one and the read end of the other, both nonblocking, on
+//! every driver. The worker is kept between requests, and killed +
 //! replaced only when it crashes, corrupts the framing, talks out of
-//! turn, or is cancelled mid-exchange (a kill is the only way to
-//! resynchronize a stream protocol with no request ids).
+//! turn, stops reading its stdin, or is cancelled mid-exchange (a kill
+//! is the only way to resynchronize a stream protocol with no request
+//! ids).
+//!
+//! Pipes, not a `socketpair(2)`: a message over an `AF_UNIX` stream
+//! socket is an skb the kernel allocates, queues and frees, while a
+//! pipe copies into pages it already holds — and the shard and the
+//! worker share the server's CPUs, so both ends of the round trip get
+//! cheaper. What a pipe lacks, this module makes up for: a write to a
+//! worker that is gone is `EPIPE`, never a `SIGPIPE` that kills the
+//! process (`sys::write_pipe`), and having no receive timeout,
+//! the blocking exchange waits for a reply with `poll(2)`, and only when
+//! a read would block.
 //!
 //! This module holds what every driver shares — the process
 //! (`Worker`: spawned as the leader of a process group of its own, and
@@ -17,7 +30,7 @@
 //! form (`run_exchange` over a shared [`WorkerPool`]), which MT's
 //! connection threads run themselves. An event-loop shard does not
 //! block on a worker and does not hand the exchange to a helper
-//! either: as in the paper, the worker's descriptor sits in the same
+//! either: as in the paper, the worker's reply pipe sits in the same
 //! readiness set as the client sockets, and the shard speaks to it
 //! directly (`workerset.rs`); only the `fork`+`exec` of a cold worker
 //! and the `kill`+`waitpid` of a retired one — the two calls here that
@@ -42,23 +55,21 @@
 //! request: bytes behind an `END` end that response cleanly and the
 //! worker's life with it.
 
-use std::io::{self, Read, Write};
-use std::os::fd::{AsRawFd, OwnedFd, RawFd};
+use std::io::{self, PipeReader, PipeWriter, Read, Write};
+use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::ffi::OsStrExt;
-use std::os::unix::net::UnixStream;
 use std::os::unix::process::CommandExt;
 use std::process::{Child, Command, Stdio};
 use std::sync::Mutex;
-use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
 
 use crate::conn::{DynEvent, HelperJob};
 
-/// Cadence at which a blocked frame read wakes to ask `stop` — the
-/// path by which a deadline, a cancellation or a server stop reaches a
-/// thread that is inside [`run_exchange`].
-const CANCEL_POLL: Duration = Duration::from_millis(50);
+/// Cadence, in milliseconds, at which a wait for a silent worker wakes
+/// to ask `stop` — the path by which a deadline, a cancellation or a
+/// server stop reaches a thread that is inside [`run_exchange`].
+const CANCEL_POLL_MS: i32 = 50;
 
 /// Upper bound on a single `DATA` frame. A length past this is treated
 /// as framing corruption (worker killed), not an allocation request.
@@ -79,45 +90,53 @@ pub const DEFAULT_WORKER_SCRIPT: &str = r#"while read -r m p; do
   printf 'END\n'
 done"#;
 
-/// One live worker process and the parent's end of its socketpair.
+/// One live worker process and the parent's ends of its two pipes,
+/// both nonblocking.
 pub(crate) struct Worker {
     pub(crate) child: Child,
-    pub(crate) sock: UnixStream,
+    /// The write end of the worker's stdin: request lines go here.
+    request: PipeWriter,
+    /// The read end of the worker's stdout: its frames come from here,
+    /// and a shard registers this descriptor.
+    reply: PipeReader,
 }
 
 impl Worker {
     /// Forks and execs `command` — blocking calls, so never on an
-    /// event-loop thread. `blocking` picks what the parent's end is
-    /// for: reads that wake on the cancel-poll cadence
-    /// ([`run_exchange`]), or a non-blocking end for a shard's
-    /// readiness set.
-    pub(crate) fn spawn(command: &[String], blocking: bool) -> io::Result<Worker> {
+    /// event-loop thread — with a fresh pipe as its stdin and another
+    /// as its stdout. The parent's ends are nonblocking for every
+    /// driver: a shard's readiness set reads the reply end as it comes
+    /// ready, and the blocking exchange ([`run_exchange`]) waits on it
+    /// with `poll(2)`.
+    pub(crate) fn spawn(command: &[String]) -> io::Result<Worker> {
         if command.is_empty() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "empty worker command",
             ));
         }
-        let (ours, theirs) = UnixStream::pair()?;
-        // Both child stdio ends are dups of the same socket — one
-        // bidirectional pipe, the socketpair(2) shape the paper's
-        // persistent CGI processes used.
-        let stdin_fd = OwnedFd::from(theirs.try_clone()?);
-        let stdout_fd = OwnedFd::from(theirs);
+        // Close-on-exec, all four: only the child's stdio copies of its
+        // two ends outlive its `exec`, and no other worker's.
+        let (stdin, request) = io::pipe()?;
+        let (reply, stdout) = io::pipe()?;
+        // A worker starts with `SIGPIPE` unblocked, even when it is
+        // spawned by a thread that writes request lines (MT's).
+        crate::sys::unblock_sigpipe();
         // A process group of its own, led by the worker: what it
         // forks (a shell script's `sleep`) is killed with it.
         let child = Command::new(&command[0])
             .args(&command[1..])
-            .stdin(Stdio::from(stdin_fd))
-            .stdout(Stdio::from(stdout_fd))
+            .stdin(Stdio::from(stdin))
+            .stdout(Stdio::from(stdout))
             .process_group(0)
             .spawn()?;
-        let worker = Worker { child, sock: ours };
-        if blocking {
-            worker.sock.set_read_timeout(Some(CANCEL_POLL))?;
-        } else {
-            worker.sock.set_nonblocking(true)?;
-        }
+        let worker = Worker {
+            child,
+            request,
+            reply,
+        };
+        crate::sys::set_nonblocking(worker.request.as_raw_fd())?;
+        crate::sys::set_nonblocking(worker.reply.as_raw_fd())?;
         Ok(worker)
     }
 
@@ -128,17 +147,19 @@ impl Worker {
     }
 }
 
-/// A shard speaks to a worker through its socket: reads and writes on
-/// the parent's end, registered under that descriptor.
+/// A driver reads a worker's frames off its reply pipe.
 impl Read for Worker {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.sock.read(buf)
+        self.reply.read(buf)
     }
 }
 
+/// A driver writes a request line into a worker's request pipe. A
+/// worker that no longer reads its stdin is `EPIPE`, never `SIGPIPE`
+/// (`sys::write_pipe`).
 impl Write for Worker {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.sock.write(buf)
+        crate::sys::write_pipe(self.request.as_raw_fd(), buf)
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -146,9 +167,10 @@ impl Write for Worker {
     }
 }
 
+/// A worker's readiness key is its reply pipe.
 impl AsRawFd for Worker {
     fn as_raw_fd(&self) -> RawFd {
-        self.sock.as_raw_fd()
+        self.reply.as_raw_fd()
     }
 }
 
@@ -209,7 +231,7 @@ impl WorkerPool {
             return (Ok(w), dead);
         }
         drop(idle);
-        (Worker::spawn(&self.command, true), dead)
+        (Worker::spawn(&self.command), dead)
     }
 
     pub(crate) fn checkin(&self, worker: Worker) {
@@ -352,17 +374,21 @@ pub(crate) fn run_exchange(
     };
     let mut line = Vec::new();
     request_line(job, &mut line);
-    if worker.sock.write_all(&line).is_err() {
+    // One write, as on a shard: an idle worker's request pipe is empty,
+    // so a worker that does not take the whole line at once is not
+    // reading it.
+    if !matches!(worker.write(&line), Ok(n) if n == line.len()) {
         drop(worker); // kills
         emit(DynEvent::End { clean: false });
         return retired + 1;
     }
     let mut parser = FrameParser::default();
     let mut chunk = [0u8; 4096];
-    // Whether the last read came back empty: a tick of a silent worker.
+    // Whether the last wait for the worker timed out: a tick of a
+    // silent worker.
     let mut silent = false;
     // Whether the worker said `END`. Every other way out (EOF, stop,
-    // garbage, a hard socket error) means it cannot be trusted to be
+    // garbage, a hard pipe error) means it cannot be trusted to be
     // frame-aligned again.
     let ended = 'exchange: loop {
         if stop(std::mem::take(&mut silent)) {
@@ -375,19 +401,17 @@ pub(crate) fn run_exchange(
                 Frame::Corrupt => break 'exchange false,
             }
         }
-        match worker.sock.read(&mut chunk) {
+        match worker.read(&mut chunk) {
             Ok(0) => break false,
             Ok(n) => parser.push(&chunk[..n]),
-            // The cancel-poll tick of a silent worker, or a signal.
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                silent = true
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            // Nothing yet. A pipe has no receive timeout, so the wait
+            // for more is a `poll(2)` on the cancel-poll cadence.
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                match crate::sys::wait_readable(worker.as_raw_fd(), CANCEL_POLL_MS) {
+                    Ok(ready) => silent = !ready,
+                    Err(_) => break false,
+                }
             }
             Err(_) => break false,
         }
@@ -521,6 +545,41 @@ mod tests {
         assert!(events.is_empty(), "cancelled exchange must stay silent");
         assert_eq!(retired, 1);
         assert!(pool.idle.lock().unwrap().is_empty());
+    }
+
+    /// A worker starts with `SIGPIPE` neither blocked nor ignored,
+    /// even when the thread that spawns it has blocked it by writing
+    /// to a worker before (MT's connection threads spawn their own).
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_worker_starts_with_sigpipe_at_its_default() {
+        const MASKS: &str = "read -r m p; \
+            b=$(grep -E '^Sig(Blk|Ign):' /proc/$$/status | tr '\\n' ' '); \
+            printf 'DATA %s\\n%s' \"${#b}\" \"$b\"; printf 'END\\n'";
+        let sigpipe = 1u64 << 12;
+        std::thread::spawn(move || {
+            for spawned in 0..2 {
+                // A fresh pool: each exchange spawns, the second from a
+                // thread whose first one wrote a request line.
+                let pool = WorkerPool::new(vec!["/bin/sh".into(), "-c".into(), MASKS.into()]);
+                let (events, _) = collect(&pool, &dyn_job("/app/masks"));
+                let Some(DynEvent::Chunk(body)) = events.first() else {
+                    panic!("no answer: {events:?}");
+                };
+                let text = String::from_utf8_lossy(body).into_owned();
+                let masks: Vec<u64> = text
+                    .split_whitespace()
+                    .filter_map(|w| u64::from_str_radix(w, 16).ok())
+                    .collect();
+                assert_eq!(masks.len(), 2, "{text}");
+                assert!(
+                    masks.iter().all(|m| m & sigpipe == 0),
+                    "spawn {spawned}: {text}"
+                );
+            }
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

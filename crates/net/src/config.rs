@@ -140,8 +140,9 @@ pub struct NetConfig {
     /// not total response time. The fifth deadline class.
     /// `None` disables it. Default 10 s.
     pub dynamic_deadline: Option<Duration>,
-    /// The worker command line (argv): spawned once per worker over a
-    /// `socketpair(2)` and reused across requests. `None` (default)
+    /// The worker command line (argv): spawned once per worker, with a
+    /// pipe as its stdin and another as its stdout, and reused across
+    /// requests. `None` (default)
     /// uses the built-in `/bin/sh` echo worker
     /// ([`crate::appworker::DEFAULT_WORKER_SCRIPT`]).
     pub dynamic_command: Option<Vec<String>>,

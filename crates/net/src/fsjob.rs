@@ -476,12 +476,13 @@ impl OpenFileTable {
     }
 
     /// A [`JobKind::Load`] for the residency test: resolved by path and,
-    /// with a table, remembered once the bytes have come too.
-    fn answer(&mut self, job: &HelperJob) -> io::Result<LoadResult<Arc<File>>> {
+    /// with a table, remembered as resolved at `now` (the turn's clock)
+    /// once the bytes have come too.
+    fn answer(&mut self, job: &HelperJob, now: Instant) -> io::Result<LoadResult<Arc<File>>> {
         let Some(lru) = &mut self.lru else {
             return load(&NOWAIT, job);
         };
-        let (key, now) = (job.path.as_str(), Instant::now());
+        let key = job.path.as_str();
         lru.remove(key);
         let answer = resolve(&NOWAIT, job).and_then(|found| {
             let answer = tiered(&NOWAIT, &found, job.inline_max)?;
@@ -515,7 +516,9 @@ impl OpenFileTable {
 /// declines, and the caller hands the job to a helper as if this had
 /// never run. Every load here resolves its name by path: a file the
 /// table holds is the loop's to answer before any job exists
-/// ([`OpenFileTable::held`]).
+/// ([`OpenFileTable::held`]). A load the table remembers is resolved
+/// at `now`, the caller's clock — a shard's, its turn's — which its
+/// TTL runs from.
 ///
 /// It declines whenever the answer is not "a regular file, here it
 /// is": a lookup or read that would touch the disk (`EAGAIN`), a read
@@ -526,12 +529,16 @@ impl OpenFileTable {
 /// and go), and **every error** —
 /// `404`/`403`/`500` are decided by the blocking executor alone, so
 /// there is one source of error semantics. Never [`JobKind::Dynamic`].
-pub fn exec_job_nowait(job: &HelperJob, table: &mut OpenFileTable) -> Option<DoneData<Arc<File>>> {
+pub fn exec_job_nowait(
+    job: &HelperJob,
+    table: &mut OpenFileTable,
+    now: Instant,
+) -> Option<DoneData<Arc<File>>> {
     if NOWAIT_OFF.load(Ordering::Relaxed) {
         return None;
     }
     let done = match job.kind {
-        JobKind::Load => table.answer(job).map(|r| DoneData::Loaded(Ok(r))),
+        JobKind::Load => table.answer(job, now).map(|r| DoneData::Loaded(Ok(r))),
         JobKind::Revalidate => stat(&NOWAIT, job).map(|s| DoneData::Stat(Ok(s))),
         JobKind::Dynamic => return None,
     };
@@ -766,8 +773,8 @@ mod tests {
     /// shown here as the load result it stands for — and makes a job,
     /// met first by the residency test, only if the table declines.
     fn miss(j: &HelperJob, files: &mut OpenFileTable) -> Option<DoneData<Arc<File>>> {
-        let load = j.kind == JobKind::Load;
-        match load.then(|| files.held(&j.path, j.inline_max, Instant::now())) {
+        let (load, now) = (j.kind == JobKind::Load, Instant::now());
+        match load.then(|| files.held(&j.path, j.inline_max, now)) {
             Some(Some(Held { head, file, len })) => Some(DoneData::Loaded(Ok(LoadResult {
                 data: FileData::Fd {
                     file,
@@ -777,7 +784,7 @@ mod tests {
                 variant: head.variant,
                 has_gzip: head.has_gzip,
             }))),
-            _ => exec_job_nowait(j, files),
+            _ => exec_job_nowait(j, files, now),
         }
     }
 
@@ -985,7 +992,7 @@ mod tests {
         let (mut files, stats) = table(8, MINUTE);
         let held = |files: &mut OpenFileTable| files.held(&j.path, 1024, Instant::now());
         assert!(held(&mut files).is_none(), "nothing is held yet");
-        assert!(exec_job_nowait(&j, &mut files).is_some());
+        assert!(exec_job_nowait(&j, &mut files, Instant::now()).is_some());
         let (a, b) = (held(&mut files).unwrap(), held(&mut files).unwrap());
         assert!(Arc::ptr_eq(&a.head, &b.head), "one head per entry");
         assert!(Arc::ptr_eq(&a.file, &b.file));
@@ -1002,11 +1009,36 @@ mod tests {
             .unwrap();
         assert!(held(&mut files).is_none(), "a new mtime fails the check");
         assert_eq!(hits_and_held(&stats), (2, 0));
-        assert!(exec_job_nowait(&j, &mut files).is_some());
+        assert!(exec_job_nowait(&j, &mut files, Instant::now()).is_some());
         let c = held(&mut files).unwrap();
         assert!(!Arc::ptr_eq(&a.head, &c.head));
         assert_ne!(a.head.etag, c.head.etag);
         assert_ne!(a.head.mtime, c.head.mtime);
+    }
+
+    /// A load the table remembers is resolved at the clock its caller
+    /// gives — a shard's, its turn's — and its TTL runs from there, not
+    /// from a clock of the table's own.
+    #[test]
+    fn a_remembered_load_is_resolved_at_the_callers_clock() {
+        let dir = TestDir::new("turn-clock");
+        let p = dir.path().join("f.html");
+        std::fs::write(&p, b"body").unwrap();
+        if !nowait_works(&p) || !cachestat_works(&p) {
+            return;
+        }
+        let j = job(dir.path(), "f.html", JobKind::Load, Variant::Identity, 1024);
+        seen(exec_job(&j));
+        let (mut files, stats) = table(8, MINUTE);
+        let (turn, ttl) = (Instant::now(), MINUTE.unwrap());
+        assert!(exec_job_nowait(&j, &mut files, turn).is_some());
+        let just_inside = turn + ttl - Duration::from_millis(1);
+        assert!(files.held(&j.path, 1024, just_inside).is_some());
+        assert!(
+            files.held(&j.path, 1024, turn + ttl).is_none(),
+            "lapsed a TTL after the turn that resolved it"
+        );
+        assert_eq!(hits_and_held(&stats), (1, 0));
     }
 
     /// How entries leave: past the TTL an entry is resolved again
@@ -1092,7 +1124,7 @@ mod tests {
         let (mut none, _) = table(0, MINUTE);
         for j in &jobs {
             seen(exec_job(j));
-            assert!(exec_job_nowait(j, &mut files).is_some());
+            assert!(exec_job_nowait(j, &mut files, Instant::now()).is_some());
         }
         assert_eq!(hits_and_held(&stats), (0, 4));
         files.abandon();
@@ -1101,9 +1133,13 @@ mod tests {
             for j in &jobs {
                 let what = format!("{} {:?}, pass {pass}", j.path, j.variant);
                 assert!(files.held(&j.path, 1024, Instant::now()).is_none());
-                let got = exec_job_nowait(j, &mut files).map(seen);
+                let got = exec_job_nowait(j, &mut files, Instant::now()).map(seen);
                 assert!(got.is_some(), "{what}: resolved by path");
-                assert_eq!(got, exec_job_nowait(j, &mut none).map(seen), "{what}");
+                assert_eq!(
+                    got,
+                    exec_job_nowait(j, &mut none, Instant::now()).map(seen),
+                    "{what}"
+                );
                 assert_eq!(got, Some(seen(exec_job(j))), "{what}");
             }
         }
@@ -1134,7 +1170,10 @@ mod tests {
                 // so the decline below is the executor's choice, not
                 // merely a cold dentry cache.
                 assert!(matches!(seen(exec_job(&j)), Seen::Failed(_)), "{name}");
-                assert!(exec_job_nowait(&j, &mut files).is_none(), "{name} {kind:?}");
+                assert!(
+                    exec_job_nowait(&j, &mut files, Instant::now()).is_none(),
+                    "{name} {kind:?}"
+                );
             }
         }
         assert_eq!(hits_and_held(&stats), (0, 0), "a decline left an entry");
@@ -1148,14 +1187,14 @@ mod tests {
             1024,
         );
         let want = seen(exec_job(&j));
-        match exec_job_nowait(&j, &mut files) {
+        match exec_job_nowait(&j, &mut files, Instant::now()) {
             None => {}
             Some(got) => assert_eq!(seen(got), want),
         }
         if let Seen::Failed(kind) = want {
             assert_eq!(kind, io::ErrorKind::PermissionDenied);
             assert!(
-                exec_job_nowait(&j, &mut files).is_none(),
+                exec_job_nowait(&j, &mut files, Instant::now()).is_none(),
                 "a 403 is the helper's to give"
             );
             // And nothing that was declined is remembered.
@@ -1169,7 +1208,7 @@ mod tests {
             Variant::Identity,
             0,
         );
-        assert!(exec_job_nowait(&j, &mut files).is_none());
+        assert!(exec_job_nowait(&j, &mut files, Instant::now()).is_none());
     }
 
     /// A FIFO with no writer blocks `File::open` forever — the trick
@@ -1187,7 +1226,7 @@ mod tests {
             let (mut files, stats) = table(64, MINUTE);
             for kind in [JobKind::Load, JobKind::Revalidate] {
                 let j = job(&root, "wedge.fifo", kind, Variant::Identity, 1024);
-                let declined = exec_job_nowait(&j, &mut files).is_none();
+                let declined = exec_job_nowait(&j, &mut files, Instant::now()).is_none();
                 let _ = tx.send(declined && hits_and_held(&stats) == (0, 0));
             }
         });

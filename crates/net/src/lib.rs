@@ -378,9 +378,9 @@
 //! `dynamic_prefix("/app/")`) bypass the filesystem entirely and are
 //! answered by **persistent worker processes** ([`appworker`]) — the
 //! paper's persistent CGI processes (§2.2, §5.6), without
-//! fork-per-request: each worker is spawned once over a
-//! `socketpair(2)` (its stdin *and* stdout are the same socket), given
-//! one request at a time, and kept after a clean exchange. A worker
+//! fork-per-request: each worker is spawned once with a pipe for its
+//! stdin and another for its stdout, given one request at a time, and
+//! kept after a clean exchange. A worker
 //! that crashes, emits garbage, says anything it was not asked for, or
 //! misses its deadline is killed and discarded; the next request that
 //! needs one has a replacement forked (`worker_respawns`).
@@ -423,16 +423,17 @@
 //! * **An event-loop shard speaks to its workers itself** — the paper's
 //!   design (§5.6: the CGI process's descriptor is one more member of
 //!   the `select` set, and its output is transmitted "just like static
-//!   content"). Each shard owns up to [`NetConfig::helpers`] workers,
-//!   their non-blocking sockets registered with its readiness backend
-//!   once, when they are forked. A warm keep-alive request is, on the
-//!   one thread and with no other involved, six kernel crossings:
+//!   content"). Each shard owns up to [`NetConfig::helpers`] workers
+//!   and speaks to each over two pipes; a worker's nonblocking reply
+//!   pipe is registered with the readiness backend once, when it is
+//!   forked. A warm keep-alive request is, on the one thread and with
+//!   no other involved, six kernel crossings:
 //!
 //!   ```text
 //!   wait    the client's socket is readable
 //!   read    the request                        (read_calls)
 //!   write   GET <path>\n to an idle worker      (worker_io_calls)
-//!   wait    the worker's socket is readable
+//!   wait    the worker's reply pipe is readable
 //!   read    DATA <len>\n<bytes>END\n            (worker_io_calls)
 //!   writev  header, chunk and terminator       (writev_calls)
 //!   ```

@@ -9,7 +9,7 @@
 //! the filesystem calls of a miss whose file is not in memory, the
 //! `fork`+`exec` of a cold application worker and the `kill`+`waitpid`
 //! of a retired one. A dynamic *exchange* is none of those — a shard
-//! speaks to its workers' sockets itself (`workerset.rs`) — so a
+//! speaks to its workers' pipes itself (`workerset.rs`) — so a
 //! dynamic job never enters the queue.
 
 use std::collections::VecDeque;
@@ -109,11 +109,16 @@ pub(crate) type DoneQueue<E> = VecDeque<Done<FileOf<E>>>;
 /// helpers ([`Env::push`]), which resolve by path and know nothing of
 /// the table; their replies join `done` when the shard wakes. A
 /// dynamic job goes to neither: the shard's own worker set takes it,
-/// and its frames join `done` as the worker's socket is read. The
+/// and its frames join `done` as the worker's reply pipe is read. The
 /// shard applies the queue before its turn ends (`Shard::settle`).
 pub(crate) struct PoolPort<E: Env> {
     /// The environment: the helpers, the residency test, the clock.
     pub(crate) env: E,
+    /// The turn's clock: read when the wait returned, and what every
+    /// core call, deadline and expiry of the turn is given, and the
+    /// instant the residency test resolves a load at; between turns,
+    /// the turn's end (`server.rs`, *The turn's clock*).
+    pub(crate) clock: Instant,
     /// The completion queue: the immediate answers, the helpers'
     /// replies and the workers' frames, in the order they came.
     pub(crate) done: DoneQueue<E>,
@@ -138,7 +143,7 @@ impl<E: Env> HelperPort<FileOf<E>> for PoolPort<E> {
                 return workers.submit(job, &mut self.env, &mut self.done);
             }
         }
-        match self.env.try_inline(&job) {
+        match self.env.try_inline(&job, self.clock) {
             Some(data) => {
                 self.stats.inline_jobs.fetch_add(1, Ordering::Relaxed);
                 self.done.push_back(job.done(data));
@@ -252,7 +257,7 @@ pub(crate) fn helper_main(
                 let data = crate::fsjob::exec_job(&job);
                 Reply::Done(job.done(data))
             }
-            Work::Spawn => Reply::Spawned(Worker::spawn(&worker_command, false)),
+            Work::Spawn => Reply::Spawned(Worker::spawn(&worker_command)),
             Work::Reap(worker) => {
                 drop(worker); // kills, and waits for the corpse
                 continue;

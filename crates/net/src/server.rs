@@ -118,9 +118,11 @@
 //!   (`revalidations`), a mismatch evicts the stale entry and reloads
 //!   (`stale_evicted`), so a file edited in place stops being served —
 //!   and 304-validated — from stale bytes within the TTL;
-//! * the **dynamic tier is part of the loop** (§5.6): a shard's
-//!   application workers are descriptors in its readiness set like any
-//!   client, registered once under tokens of their own, and a worker's
+//! * the **dynamic tier is part of the loop** (§5.6): a shard speaks
+//!   to each of its application workers over two nonblocking pipes,
+//!   writing request lines into the one and reading frames off the
+//!   other, whose descriptor sits in its readiness set like any
+//!   client's, registered once under a token of its own; a worker's
 //!   readable event is read, parsed and relayed in the loop turn that
 //!   harvested it — the frame and the `END` behind it leave in one
 //!   `writev`. `workerset.rs` has the exchange; this driver routes the
@@ -207,8 +209,9 @@ pub trait Env: Sized {
     /// Accepts one queued connection, nonblocking.
     fn accept(&mut self, listener: &Self::Listener) -> io::Result<Self::Stream>;
     /// The residency test: answers a filesystem job at once, or
-    /// declines (crate docs, *Residency test*).
-    fn try_inline(&mut self, job: &HelperJob) -> Option<DoneData<FileOf<Self>>>;
+    /// declines (crate docs, *Residency test*). `now` is the turn's
+    /// clock, which a load it resolves is remembered at.
+    fn try_inline(&mut self, job: &HelperJob, now: Instant) -> Option<DoneData<FileOf<Self>>>;
     /// A content-cache miss answered from a file the environment holds
     /// open, before any job exists ([`crate::conn::HelperPort::held`]),
     /// or declined. The default declines: an environment that holds no
@@ -273,8 +276,8 @@ impl Env for NetEnv {
         sys::accept_nonblocking(listener).map(TcpIo)
     }
 
-    fn try_inline(&mut self, job: &HelperJob) -> Option<DoneData<Arc<File>>> {
-        crate::fsjob::exec_job_nowait(job, &mut self.files)
+    fn try_inline(&mut self, job: &HelperJob, now: Instant) -> Option<DoneData<Arc<File>>> {
+        crate::fsjob::exec_job_nowait(job, &mut self.files, now)
     }
 
     fn held(&mut self, key: &str, inline_max: u64, now: Instant) -> Option<Held<Arc<File>>> {
@@ -571,10 +574,6 @@ pub struct Shard<E: Env> {
     access_log: Option<Arc<AccessLogWriter>>,
     /// Scratch for [`Shard::settle`]: who the completions woke.
     woken: Vec<usize>,
-    /// The turn's clock: read when the wait returned, and what every
-    /// core call, deadline and expiry of the turn is given; between
-    /// turns, the turn's end (module docs, *The turn's clock*).
-    clock: Instant,
 }
 
 /// Each shard's open-file table capacity: a quarter of the process's
@@ -615,6 +614,7 @@ impl<E: Env> Shard<E> {
         let wheel = TimerWheel::new_at(tick_for(timeouts.into_iter().flatten()), clock);
         Shard {
             port: PoolPort {
+                clock,
                 done: VecDeque::new(),
                 workers: cfg
                     .dynamic_prefix
@@ -637,7 +637,6 @@ impl<E: Env> Shard<E> {
                 .clone()
                 .map(|p| Arc::new(AccessLogWriter::open(p))),
             woken: Vec::new(),
-            clock,
         }
     }
 
@@ -710,7 +709,7 @@ impl<E: Env> Shard<E> {
             dry: false,
             hangup: false,
         });
-        conn.opened_at = Some(self.clock);
+        conn.opened_at = Some(self.port.clock);
         let idx = match self.free.pop() {
             Some(i) => {
                 self.conns[i] = Some(conn);
@@ -773,7 +772,7 @@ impl<E: Env> Shard<E> {
         let mut outcome = None;
         loop {
             while let Some(done) = self.port.done.pop_front() {
-                let now = self.clock;
+                let now = self.port.clock;
                 self.core
                     .complete_job(done, &mut self.conns, &mut woken, &mut self.port, now);
             }
@@ -787,7 +786,7 @@ impl<E: Env> Shard<E> {
                     self.drive(idx);
                     continue;
                 }
-                let (now, conns, port) = (self.clock, &mut self.conns, &mut self.port);
+                let (now, conns, port) = (self.port.clock, &mut self.conns, &mut self.port);
                 outcome = Some(self.core.drive_conn(idx, conns, port, now));
             }
         }
@@ -819,9 +818,8 @@ impl<E: Env> Shard<E> {
         let Some(fd) = self.fd_of(idx) else {
             return;
         };
-        let outcome = self
-            .core
-            .drive_conn(idx, &mut self.conns, &mut self.port, self.clock);
+        let (now, conns, port) = (self.port.clock, &mut self.conns, &mut self.port);
+        let outcome = self.core.drive_conn(idx, conns, port, now);
         self.reconcile(idx, fd, outcome);
     }
 
@@ -832,9 +830,8 @@ impl<E: Env> Shard<E> {
         if self.fd_of(idx) != Some(fd) {
             return;
         }
-        let outcome = self
-            .core
-            .expire_conn(idx, &mut self.conns, &mut self.port, self.clock);
+        let (now, conns, port) = (self.port.clock, &mut self.conns, &mut self.port);
+        let outcome = self.core.expire_conn(idx, conns, port, now);
         self.reconcile(idx, fd, outcome);
     }
 
@@ -848,7 +845,7 @@ impl<E: Env> Shard<E> {
     /// connection that closed.
     fn reconcile(&mut self, idx: usize, fd: RawFd, outcome: Drive) {
         let outcome = self.settle(Some(idx)).unwrap_or(outcome);
-        let token = conn_token(idx, fd);
+        let (token, now) = (conn_token(idx, fd), self.port.clock);
         if let Some(conn) = self.conns[idx].as_mut() {
             let want = desired_interest(conn, self.backend.edge_triggered());
             let ctl = &self.core.stats.ctl_calls;
@@ -870,13 +867,13 @@ impl<E: Env> Shard<E> {
                 Ok(())
             };
             if watched.is_ok() {
-                sync_deadline(conn, token, &self.core.cfg, &mut self.wheel, self.clock);
+                sync_deadline(conn, token, &self.core.cfg, &mut self.wheel, now);
                 return;
             }
             // Unwatchable means unreachable — and under ET a consumed
             // edge that cannot be re-armed is a permanent stall: close
             // the connection rather than pin its fd and slot forever.
-            self.core.close_conn(idx, &mut self.conns, self.clock);
+            self.core.close_conn(idx, &mut self.conns, now);
         }
         // The slot is empty and the socket closed with it, which
         // unhooked it from the kernel's interest set: there is nothing
@@ -978,7 +975,7 @@ impl<E: Env> Shard<E> {
     /// deadline — the severing check must run when it lands even if
     /// every remaining connection is quietly mid-transfer.
     fn wait_timeout(&self, drain_deadline: Option<Instant>) -> i32 {
-        let now = self.clock;
+        let now = self.port.clock;
         let mut wait_ms = self.wheel.next_timeout_ms(now).unwrap_or(-1);
         if self.listener.is_some()
             && !self.listener_armed
@@ -1006,10 +1003,10 @@ impl<E: Env> Shard<E> {
         let n = self.backend.wait(events, timeout_ms)?;
         let start = self.port.env.now();
         let stats = &self.core.stats;
-        charge(&stats.phase_wait_us, self.clock, start);
+        charge(&stats.phase_wait_us, self.port.clock, start);
         bump(&stats.wait_calls);
         stats.wait_events.fetch_add(n as u64, Ordering::Relaxed);
-        self.clock = start;
+        self.port.clock = start;
         Ok(start)
     }
 
@@ -1106,7 +1103,7 @@ impl<E: Env> Shard<E> {
         if busy >= LOOP_STALL_THRESHOLD.as_micros() as u64 {
             bump(&stats.loop_stalls);
         }
-        self.clock = end;
+        self.port.clock = end;
     }
 
     /// Opens `phase`, which has work to do this turn, in the turn's
@@ -1116,7 +1113,7 @@ impl<E: Env> Shard<E> {
     /// turn's end closes the last one. A phase that does nothing opens
     /// nothing and reads no clock.
     fn lap(&self, open: &mut Option<(Phase, Instant)>, phase: Phase) {
-        let mut now = self.clock;
+        let mut now = self.port.clock;
         if let Some((done, mark)) = *open {
             now = self.port.env.now();
             charge(done(&self.core.stats), mark, now);
@@ -1192,7 +1189,7 @@ pub fn shard_loop<E: Env>(shard: &mut Shard<E>, lifecycle: &LifecycleShared) {
             shard.listener_armed = false;
             shard.enter_drain();
         }
-        if (phase != PHASE_RUNNING && lifecycle.severs(|| shard.clock))
+        if (phase != PHASE_RUNNING && lifecycle.severs(|| shard.port.clock))
             || (shard.core.draining && shard.live() == 0)
         {
             // Stopped, or past the drain deadline — whatever is left
@@ -1512,7 +1509,7 @@ mod tests {
         /// Plays the helper the shard asked for a worker: forks one and
         /// hands it over, as the wake branch of the loop would.
         fn adopt_worker(&mut self, command: &[String]) {
-            let worker = Worker::spawn(command, false);
+            let worker = Worker::spawn(command);
             let port = &mut self.shard.port;
             let workers = port.workers.as_mut().unwrap();
             workers.adopt(
@@ -1537,7 +1534,7 @@ mod tests {
 
     /// The dynamic budget: once its worker exists, a keep-alive dynamic
     /// request is `wait, read, write, wait, read, writev` — two calls on
-    /// the worker's socket, nothing handed to the pool, and no
+    /// the worker's pipes, nothing handed to the pool, and no
     /// interest-set call for the worker, whose one registration dates
     /// from its adoption. On epoll none for the connection either: it
     /// stays registered for reading, and so watched for its client's
@@ -1722,9 +1719,11 @@ mod tests {
     /// under the head the table keeps — before any job exists, so
     /// neither counts as a job; it inserts nothing, so the four cached
     /// files it fetches next are still there: a cyclic pass no longer
-    /// thrashes the cache. (Where `cachestat` is unavailable the held
-    /// hits are jobs that read bytes and insert them, and the second
-    /// pass misses all six, as every pass used to.) A miss answered
+    /// thrashes the cache. A shard with no table — its descriptor
+    /// budget below [`OpenFileTable::MIN_CAPACITY`], as driven here
+    /// on every kernel, or a kernel without `cachestat` — holds
+    /// nothing: the second pass misses all six, each a job that reads
+    /// the bytes and inserts them, as every pass used to. A miss answered
     /// in the loop never shows the backend its `Waiting` state: the
     /// connection's one registration is the only interest-set call
     /// (on poll a parked entry would cost two table edits), and after
@@ -1753,9 +1752,15 @@ mod tests {
         let by_descriptor = File::open(root.join("f0.html"))
             .and_then(|f| sys::resident(&f, 1))
             .is_ok();
-        for choice in BACKENDS {
+        let rigs = BACKENDS.into_iter().flat_map(|c| [(c, true), (c, false)]);
+        for (choice, tabled) in rigs.filter(|&(_, tabled)| by_descriptor || !tabled) {
             // 6 000 bytes: four entries of ≈ 1.4 kB each, never six.
             let mut rig = Rig::over(choice, root.clone(), 6_000);
+            if !tabled {
+                let stats = Arc::clone(&rig.shard.core.stats);
+                let below = OpenFileTable::MIN_CAPACITY - 1;
+                rig.shard.port.env.files = OpenFileTable::new(below, None, stats);
+            }
             let mut client = rig.connect();
             let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
             let mut cached = 0;
@@ -1776,18 +1781,19 @@ mod tests {
                     assert_eq!(
                         (rig.counts().3, rig.shard.wheel.pending(), conn.deadline),
                         (1, 1, DeadlineKind::Idle),
-                        "{choice:?} pass {pass} file {i}"
+                        "{choice:?} tabled {tabled} pass {pass} file {i}"
                     );
                 }
                 let s = &rig.shard.core.stats;
                 // The second pass: f0 and f1 from their descriptors,
-                // with no job, f2–f5 from the cache (read, all six, by
-                // jobs, without `cachestat`).
-                let (done, held, hits, sent) = match (pass, by_descriptor) {
+                // with no job, f2–f5 from the cache; with no table, all
+                // six read again by jobs.
+                let (done, held, hits, sent) = match (pass, tabled) {
                     (0, _) => (6, 0, 0, (0, 0)),
                     (_, true) => (6, 2, 4, (2, 1000 + 1001)),
-                    (_, false) => (12, 6, 0, (0, 0)),
+                    (_, false) => (12, 0, 0, (0, 0)),
                 };
+                let open = if tabled { 6 } else { 0 };
                 assert_eq!(
                     (
                         get(&s.helper_jobs),
@@ -1796,15 +1802,15 @@ mod tests {
                         get(&s.open_files),
                         get(&s.cache_hits),
                     ),
-                    (done, done, held, 6, hits),
-                    "{choice:?} pass {pass}"
+                    (done, done, held, open, hits),
+                    "{choice:?} tabled {tabled} pass {pass}"
                 );
                 assert_eq!(
                     (get(&s.sendfile_calls), get(&s.bytes_sendfile)),
                     sent,
-                    "{choice:?} pass {pass}: one sendfile per held hit, the whole body"
+                    "{choice:?} tabled {tabled} pass {pass}: one sendfile per held hit, the whole body"
                 );
-                if pass == 1 && by_descriptor {
+                if pass == 1 && tabled {
                     assert_eq!(
                         get(&s.cache_used_bytes),
                         cached,

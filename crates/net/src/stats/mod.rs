@@ -423,11 +423,11 @@ metrics! {
         /// two table edits on poll (`READ` → `HANGUP` → `READ`).
         ctl_calls: Counter, Sum, "Interest-set calls (register, modify, rearm, deregister) the shard drivers made on their readiness backends";
         /// `read(2)`s and `write(2)`s the shard issued on its application
-        /// workers' sockets: a warm dynamic request whose worker answers in
+        /// workers' pipes: a warm dynamic request whose worker answers in
         /// one write is exactly two, the request line out and the frames
         /// in. Zero on MT, whose connection threads block in the exchange
         /// uncounted.
-        worker_io_calls: Counter, Sum, "read(2) and write(2) calls the shards issued on their application workers' sockets";
+        worker_io_calls: Counter, Sum, "read(2) and write(2) calls the shards issued on their application workers' pipes";
         /// `sendfile(2)` calls issued on the file-body path: bodies above
         /// the threshold, and files answered from the open-file table.
         sendfile_calls: Counter, Sum, "sendfile(2) calls issued on the file-body path: large bodies and open-file-table hits";

@@ -13,7 +13,9 @@
 //! which interest maps to which event bits, what a short `sendfile`
 //! means — stays with the caller ([`crate::writev`],
 //! [`crate::sendfile`], [`crate::event`], [`crate::sock`],
-//! [`crate::handoff`], [`crate::lifecycle`]).
+//! [`crate::handoff`], [`crate::lifecycle`]). The one exception is
+//! `write_pipe`, which also keeps a write to a pipe from raising
+//! `SIGPIPE`: no caller could, the signal mask being the thread's.
 //!
 //! The last section holds the calls behind the **residency test**
 //! ([`crate::fsjob::exec_job_nowait`]): an `open` that succeeds only
@@ -49,6 +51,10 @@ mod c {
         pub fn getpid() -> c_int;
         pub fn getrlimit(resource: c_int, rlim: *mut RLimit) -> c_int;
         pub fn setrlimit(resource: c_int, rlim: *const RLimit) -> c_int;
+        pub fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
+        pub fn pthread_sigmask(how: c_int, set: *const SigSet, oldset: *mut SigSet) -> c_int;
+        pub fn sigpending(set: *mut SigSet) -> c_int;
+        pub fn sigwait(set: *const SigSet, sig: *mut c_int) -> c_int;
         #[cfg(not(any(target_os = "linux", target_os = "android")))]
         pub fn signal(signum: c_int, handler: usize) -> usize;
     }
@@ -693,6 +699,142 @@ pub(crate) fn kill_group(pgid: u32) -> io::Result<()> {
     cvt_unit(unsafe { c::kill(-pgid, SIGKILL) })
 }
 
+// -- Pipes: an application worker's stdin and stdout -------------------------
+
+/// `O_NONBLOCK`, as `fcntl(F_SETFL)` takes it.
+#[cfg(any(target_os = "linux", target_os = "android"))]
+const O_NONBLOCK: c_int = 0o4000;
+#[cfg(not(any(target_os = "linux", target_os = "android")))]
+const O_NONBLOCK: c_int = 0x0004;
+
+/// Sets `O_NONBLOCK` on `fd`'s open file description. A pipe's two
+/// ends are two descriptions, so the end kept by the parent turns
+/// nonblocking and the end a child reads or writes as its stdio does
+/// not.
+pub(crate) fn set_nonblocking(fd: RawFd) -> io::Result<()> {
+    const F_GETFL: c_int = 3;
+    const F_SETFL: c_int = 4;
+    // SAFETY: `F_GETFL` takes no argument and reads no memory.
+    let flags = cvt(unsafe { c::fcntl(fd, F_GETFL) } as isize)? as c_int;
+    // SAFETY: `F_SETFL` takes one `int` by value.
+    cvt_unit(unsafe { c::fcntl(fd, F_SETFL, flags | O_NONBLOCK) })
+}
+
+/// Waits up to `timeout_ms` for `fd` to have something to read, or
+/// its writer to be gone. Returns whether it has.
+pub(crate) fn wait_readable(fd: RawFd, timeout_ms: i32) -> io::Result<bool> {
+    const POLLIN: i16 = 0x001;
+    let mut fds = [PollFd {
+        fd,
+        events: POLLIN,
+        revents: 0,
+    }];
+    poll(&mut fds, timeout_ms).map(|n| n > 0)
+}
+
+/// A word of a `sigset_t`: `unsigned long` in glibc, musl and bionic,
+/// a 32-bit word on the BSDs and macOS.
+#[cfg(any(target_os = "linux", target_os = "android"))]
+type SigWord = c_ulong;
+#[cfg(not(any(target_os = "linux", target_os = "android")))]
+type SigWord = u32;
+
+/// A `sigset_t` with room to spare: glibc's is 128 bytes, the largest
+/// of the libcs this builds against; the others read a prefix of it.
+/// Signal `n` is bit `n - 1`, counted from the first word.
+#[repr(C)]
+struct SigSet([SigWord; 128 / std::mem::size_of::<SigWord>()]);
+
+/// `SIGPIPE` is 13 on every Unix.
+const SIGPIPE: c_int = 13;
+
+impl SigSet {
+    fn empty() -> SigSet {
+        SigSet([0; 128 / std::mem::size_of::<SigWord>()])
+    }
+
+    fn sigpipe() -> SigSet {
+        let mut set = SigSet::empty();
+        set.0[0] = 1 << (SIGPIPE - 1);
+        set
+    }
+
+    fn has_sigpipe(&self) -> bool {
+        self.0[0] & (1 << (SIGPIPE - 1)) != 0
+    }
+}
+
+std::thread_local! {
+    /// Whether this thread has blocked `SIGPIPE` ([`write_pipe`]).
+    static SIGPIPE_BLOCKED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+#[cfg(any(target_os = "linux", target_os = "android"))]
+const SIG_BLOCK: c_int = 0;
+#[cfg(not(any(target_os = "linux", target_os = "android")))]
+const SIG_BLOCK: c_int = 1;
+const SIG_UNBLOCK: c_int = SIG_BLOCK + 1;
+
+/// Blocks (`SIG_BLOCK`) or unblocks (`SIG_UNBLOCK`) `SIGPIPE` in the
+/// calling thread's signal mask.
+fn mask_sigpipe(how: c_int) -> io::Result<()> {
+    // SAFETY: the set is a live `sigset_t`-sized buffer the call only
+    // reads; no old mask is asked for.
+    let rc = unsafe { c::pthread_sigmask(how, &SigSet::sigpipe(), std::ptr::null_mut()) };
+    match rc {
+        0 => Ok(()),
+        errno => Err(io::Error::from_raw_os_error(errno)),
+    }
+}
+
+/// `write(2)` to a pipe, which never raises `SIGPIPE`: a reader that
+/// is gone is `EPIPE` (`BrokenPipe`) and nothing else, whatever the
+/// disposition of `SIGPIPE` the program set. A pipe, unlike a socket,
+/// has no `MSG_NOSIGNAL`, so the first call on a thread blocks
+/// `SIGPIPE` in that thread's signal mask, until [`unblock_sigpipe`],
+/// and an `EPIPE` takes the signal it left pending back out with
+/// `sigwait`. The mask is the thread's alone: the program's handler or
+/// default still applies to every other thread.
+pub(crate) fn write_pipe(fd: RawFd, buf: &[u8]) -> io::Result<usize> {
+    if !SIGPIPE_BLOCKED.get() {
+        mask_sigpipe(SIG_BLOCK)?;
+        SIGPIPE_BLOCKED.set(true);
+    }
+    // SAFETY: `buf` is a live slice the call only reads, `len` bytes
+    // long.
+    let written = retry_eintr(|| unsafe { c::write(fd, buf.as_ptr().cast(), buf.len()) });
+    if matches!(&written, Err(e) if e.kind() == io::ErrorKind::BrokenPipe) {
+        take_pending_sigpipe();
+    }
+    written
+}
+
+/// Undoes what [`write_pipe`] did to the calling thread's signal mask,
+/// if it did anything; its next call blocks `SIGPIPE` again. For a
+/// thread about to spawn a child: `std::process::Command` resets
+/// `SIGPIPE`'s disposition in the child, but the child inherits the
+/// mask of the thread that spawned it.
+pub(crate) fn unblock_sigpipe() {
+    if SIGPIPE_BLOCKED.get() && mask_sigpipe(SIG_UNBLOCK).is_ok() {
+        SIGPIPE_BLOCKED.set(false);
+    }
+}
+
+/// Takes a pending `SIGPIPE` out of the calling thread's pending set,
+/// if there is one: then `sigwait` returns at once.
+fn take_pending_sigpipe() {
+    let mut pending = SigSet::empty();
+    // SAFETY: `pending` is a live, exclusively borrowed `sigset_t`-sized
+    // buffer the call writes.
+    if unsafe { c::sigpending(&mut pending) } != 0 || !pending.has_sigpipe() {
+        return;
+    }
+    let mut signo: c_int = 0;
+    // SAFETY: the set is a live buffer the call reads, `signo` one it
+    // writes; the signal is pending and blocked, so it returns at once.
+    unsafe { c::sigwait(&SigSet::sigpipe(), &mut signo) };
+}
+
 // -- RLIMIT_NOFILE -----------------------------------------------------------
 
 /// `struct rlimit` with a 64-bit `rlim_t`.
@@ -1173,6 +1315,41 @@ mod tests {
         assert_eq!(fstat(&d).unwrap(), want(&d));
         assert!(!fstat(&d).unwrap().regular);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A `Sig*` mask of the calling thread, from its `/proc` status.
+    #[cfg(target_os = "linux")]
+    fn thread_mask(field: &str) -> u64 {
+        let status = std::fs::read_to_string("/proc/thread-self/status").unwrap();
+        let line = status.lines().find(|l| l.starts_with(field)).unwrap();
+        u64::from_str_radix(line[field.len()..].trim(), 16).unwrap()
+    }
+
+    /// A write into a pipe nobody reads is `EPIPE`, and leaves no
+    /// `SIGPIPE` behind, pending or delivered: the thread that wrote
+    /// has it blocked, and the write took back the one it raised.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_pipe_without_a_reader_is_epipe_and_leaves_no_signal() {
+        let sigpipe = 1u64 << (SIGPIPE - 1);
+        // A thread of its own: the mask it leaves is its own business.
+        std::thread::spawn(move || {
+            let (reader, writer) = io::pipe().unwrap();
+            assert_eq!(write_pipe(writer.as_raw_fd(), b"x").unwrap(), 1);
+            assert_ne!(
+                thread_mask("SigBlk:") & sigpipe,
+                0,
+                "blocked at the first write"
+            );
+            drop(reader);
+            for _ in 0..2 {
+                let e = write_pipe(writer.as_raw_fd(), b"y").unwrap_err();
+                assert_eq!(e.kind(), io::ErrorKind::BrokenPipe);
+                assert_eq!(thread_mask("SigPnd:") & sigpipe, 0, "SIGPIPE left pending");
+            }
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -1,17 +1,19 @@
 //! A shard's own application workers: the dynamic tier as the paper
-//! has it (§5.6) — the worker's descriptor sits in the event loop's
+//! has it (§5.6) — the worker's reply pipe sits in the event loop's
 //! readiness set beside the client sockets, and the loop relays what
 //! it says "just like static content".
 //!
 //! One set per shard, touched by that shard's thread alone (the
 //! ownership rule of its open-file table), holding at most
-//! [`crate::NetConfig::helpers`] live workers. A worker's non-blocking
-//! socket is registered **once**, when the helper that forked it hands
-//! it over, under a token of its own ([`worker_token`]) and for reading
-//! only; from then on a warm exchange is one `write` (the request
-//! line, at [`WorkerSet::submit`]) and one `read` (the readable event
-//! that brings the frames, [`WorkerSet::on_readable`]), with no
-//! interest change, no thread switch and no wake byte. Its frames join
+//! [`crate::NetConfig::helpers`] live workers. A worker is two
+//! nonblocking pipes to the shard (`appworker.rs`): its reply pipe is
+//! registered **once**, when the helper that forked it hands it over,
+//! under a token of its own ([`worker_token`]) and for reading only;
+//! its request pipe is only ever written. From then on a warm exchange
+//! is one `write` into the request pipe (the request line, at
+//! [`WorkerSet::submit`]) and one `read` off the reply pipe (the
+//! readable event that brings the frames, [`WorkerSet::on_readable`]),
+//! with no interest change, no thread switch and no wake byte. Its frames join
 //! the shard's one completion queue ([`DoneQueue`]) beside the
 //! residency test's answers and the helpers' replies, and reach the
 //! core through the same `ShardCore::complete_job`, so the core cannot
@@ -30,8 +32,9 @@
 //!   watched, and the core counts a hang-up on a request a worker owns
 //!   as a client abort;
 //! * **a worker speaks only when spoken to** — EOF, garbage, a refused
-//!   request line, or anything at all readable on an idle worker (its
-//!   death, or bytes behind an `END`) retires it, counted as
+//!   request line (one it took only part of, or `EPIPE`: it no longer
+//!   reads its stdin), or anything at all readable on an idle worker
+//!   (its death, or bytes behind an `END`) retires it, counted as
 //!   `worker_respawns`;
 //! * **one worker cannot hold the loop** — a readable event is worth
 //!   [`READS_PER_EVENT`] reads, then the descriptor is re-armed and the
@@ -56,7 +59,7 @@
 //! retired one given to it ([`Work::Reap`]), the pool doing for
 //! processes what it does for disks — the calls that block. The set is
 //! generic over the shard's environment ([`Env`]): on the real server a
-//! worker is a child process behind a socketpair, in the sim an
+//! worker is a child process behind a pipe pair, in the sim an
 //! endpoint of the simulated kernel that writes the same frames.
 
 use std::collections::VecDeque;
@@ -81,7 +84,7 @@ pub(crate) fn worker_token(slot: usize) -> u64 {
     WORKER_TOKEN_BASE | slot as u64
 }
 
-/// Bytes asked of a worker's socket per read.
+/// Bytes asked of a worker's reply pipe per read.
 const READ_CHUNK: usize = 16 * 1024;
 
 /// Reads one readable event is worth before the loop moves on.
@@ -199,7 +202,7 @@ impl<E: Env> WorkerSet<E> {
                 break; // a stale token, or retired below
             };
             if reads == READS_PER_EVENT {
-                // The edge is spent and the socket is not dry.
+                // The edge is spent and the pipe is not dry.
                 bump(&self.stats.ctl_calls);
                 let fd = live.worker.as_raw_fd();
                 if backend
@@ -217,7 +220,7 @@ impl<E: Env> WorkerSet<E> {
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(_) => 0,
             };
-            // EOF or a dead socket — or an idle worker with something
+            // EOF or a dead pipe — or an idle worker with something
             // to say: it died, or it wrote behind its `END`.
             let Some(job) = live.job.as_ref().filter(|_| n > 0) else {
                 self.retire(slot, Some(false), done);
@@ -308,8 +311,10 @@ impl<E: Env> WorkerSet<E> {
 
     /// Opens an exchange on idle worker `slot`: the request line, in
     /// one `write`. A worker that does not take all of it at once —
-    /// its socket buffer is empty — is not reading; it is retired and
-    /// the request fails as a `500`.
+    /// its request pipe is empty, and holds far more than the longest
+    /// line the parser admits — is not reading, and one whose pipe has
+    /// no reader is `EPIPE`; either is retired and the request fails
+    /// as a `500`.
     fn begin(&mut self, slot: usize, job: HelperJob, done: &mut DoneQueue<E>) {
         let Some(live) = self.slots[slot].as_mut() else {
             return;

@@ -2,7 +2,9 @@
 //! it holds no more than its derived capacity however many distinct
 //! files are asked for, gives everything back on a docroot reload and
 //! at stop, and is the first thing a shard sheds when the process runs
-//! out of descriptors.
+//! out of descriptors. Beside it, an application worker holds two
+//! descriptors for as long as it lives — its two pipes — and none once
+//! the server has stopped.
 //!
 //! One test, in a file — a process — of its own: it counts every
 //! descriptor the process has and, at one point, uses them all up. It
@@ -104,6 +106,7 @@ fn budget_held(backend: BackendChoice, accept_mode: AcceptMode) {
         .cache_bytes(8_000)
         .sendfile_threshold_bytes(2_000)
         .metrics_endpoint(true)
+        .dynamic_prefix("/app/")
         .build()
         .unwrap();
     let server = Server::start("127.0.0.1:0", cfg).unwrap();
@@ -115,8 +118,17 @@ fn budget_held(backend: BackendChoice, accept_mode: AcceptMode) {
     // What the process holds with the server up and this connection
     // accepted, the table still empty: a scrape opens nothing.
     assert_eq!(fetch(&mut client, "/.flash/metrics").0, "HTTP/1.1 200 OK");
-    let serving = open_fds();
+    let mut serving = open_fds();
     assert_eq!(server.stats().open_files(), 0);
+    // A worker, kept after its answer: two descriptors, its pipes'.
+    let mut app = TcpStream::connect(addr).unwrap();
+    app.write_all(b"GET /app/x HTTP/1.0\r\n\r\n").unwrap();
+    let mut answer = Vec::new();
+    app.read_to_end(&mut answer).unwrap();
+    assert!(answer.starts_with(b"HTTP/1.1 200 OK"));
+    drop(app);
+    assert_eq!(open_fds(), serving + 2, "two descriptors per live worker");
+    serving += 2;
     // A helper answers a name's first request and leaves its lookups
     // (the `.gz` sibling's negative one too) cached; the second pass
     // is the one the table sees.

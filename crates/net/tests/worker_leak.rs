@@ -4,7 +4,8 @@
 //! alive and idle — the process has no child left (no `/proc/<pid>/stat`
 //! names it as the parent, zombies included), and exactly
 //! the threads (`/proc/self/task`) and descriptors (`/proc/self/fd`) it
-//! had before `start`. For the event-loop server on both backends,
+//! had before `start`. While a worker lives, the server holds two
+//! descriptors for it: the ends of its two pipes. For the event-loop server on both backends,
 //! whose shards speak to their workers themselves and leave the fork
 //! and the reap to the helper pool, and for the thread-per-connection
 //! server, whose connection threads do all three.
@@ -144,10 +145,14 @@ fn hundred_warm_requests(addr: SocketAddr) {
 /// server's own exit. Leaves one worker alive and idle.
 fn exercise(server: &dyn ServeHandle, kind: ServerKind) {
     let addr = server.local_addr();
+    let serving = census().2;
     let (status, body, whole) = get(addr, "/app/one");
     assert!(status.contains("200") && whole, "{status}");
     assert_eq!(body, b"ok: /app/one");
     assert_eq!(census().0.len(), 1, "one worker, kept");
+    // The parent's ends of its two pipes: the request pipe's write end
+    // and the reply pipe's read end.
+    assert_eq!(census().2, serving + 2, "two descriptors per live worker");
 
     if kind == ServerKind::Amped {
         let stats = server.stats();
@@ -181,6 +186,10 @@ fn exercise(server: &dyn ServeHandle, kind: ServerKind) {
     assert!(status.contains("200") && whole, "{status}");
     assert_eq!(body, b"ok: /app/two");
     assert_eq!(census().0.len(), 1, "a fresh worker, kept");
+    // A retired worker's pipes close just after it is reaped.
+    wait_for("two descriptors, the fresh worker's", SETTLE, || {
+        census().2 == serving + 2
+    });
     assert_eq!(server.stats().loop_stalls(), 0);
 }
 

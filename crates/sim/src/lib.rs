@@ -42,10 +42,12 @@
 //!   edge) and the capture of everything sent;
 //! * **accept** — a listener whose backlog fills on the seeded arrival
 //!   schedule, and whose accept can fail with `EMFILE`;
-//! * **the worker endpoint** — `SimFd` as a worker's socket: a
-//!   `DynApp` model that writes real `DATA`/`END` frames over simulated
-//!   time, after per-endpoint compute times (1–5 ms), read by the
-//!   shard's own worker set and frame parser;
+//! * **the worker endpoint** — `SimFd` as a worker: one descriptor
+//!   for the real worker's two pipes (written with request lines, and
+//!   registered and read for frames), behind which a `DynApp` model
+//!   writes real `DATA`/`END` frames over simulated time, after
+//!   per-endpoint compute times (1–5 ms), read by the shard's own
+//!   worker set and frame parser;
 //! * **the helpers** — the residency test's answer and helper
 //!   completions delivered on simulated time through the same reply
 //!   queue and wake token the pool uses. Residency is a seeded coin
@@ -1063,7 +1065,7 @@ impl Kernel {
 
 /// A descriptor of the simulated kernel, as the shard holds it: the
 /// listener, a client connection (its transport) or an application
-/// worker's socket (the worker set's endpoint).
+/// worker (the worker set's endpoint, standing for both of its pipes).
 struct SimFd {
     fd: RawFd,
     k: K,
@@ -1095,7 +1097,7 @@ impl Read for SimFd {
     }
 }
 
-/// A worker's socket takes one request line at a time.
+/// A worker's request pipe takes one request line at a time.
 impl Write for SimFd {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         self.k.borrow_mut().start_exchange(self.fd, buf);
@@ -1222,7 +1224,7 @@ impl Env for SimEnv {
         Ok(SimFd { fd, k })
     }
 
-    fn try_inline(&mut self, job: &HelperJob) -> Option<DoneData<SimFile>> {
+    fn try_inline(&mut self, job: &HelperJob, _now: Instant) -> Option<DoneData<SimFile>> {
         let mut k = self.k.borrow_mut();
         let resident = k.cfg.resident_fraction;
         k.rng.chance(resident).then(|| k.exec_job(job))

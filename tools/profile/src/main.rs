@@ -18,9 +18,13 @@
 //! process may open on its own children at `perf_event_paranoid` 2),
 //! sampling the instruction pointer every `--period-us` of the
 //! thread's CPU time; the addresses are folded by function through
-//! `nm` and `readelf` on the binary, and by mapping name (`[vdso]`,
-//! `libc.so.6`) elsewhere. Kernel time is not sampled: it is the
-//! ticks table's system column.
+//! `nm` and `readelf` on the binary; in a shared library (libc) by the
+//! exported symbol nearest below the address (`nm -D`), shown as
+//! `libc.so.6 ~write` — approximate, since the library's internal
+//! functions (the `__pthread_*_asynccancel` pair around every
+//! cancellable call, `memcpy`'s variants) fold into the export before
+//! them; and by mapping name (`[vdso]`) elsewhere. Kernel time is not
+//! sampled: it is the ticks table's system column.
 
 mod perf;
 mod procfs;
@@ -167,6 +171,7 @@ fn profile(a: &Args) -> Result<(), String> {
     let mut samplers: HashMap<u32, perf::Sampler> = HashMap::new();
     let mut refused: Option<String> = None;
     let (mut ips, mut maps) = (Vec::new(), Vec::new());
+    let mut libraries = symbols::Libraries::default();
     let mut folded: HashMap<String, u64> = HashMap::new();
     let status = loop {
         for (tid, times) in procfs::tasks(pid) {
@@ -190,7 +195,7 @@ fn profile(a: &Args) -> Result<(), String> {
             }
             for ip in ips.drain(..) {
                 *folded
-                    .entry(symbols::fold(ip, &maps, &bin_path, symbols))
+                    .entry(symbols::fold(ip, &maps, &bin_path, symbols, &mut libraries))
                     .or_default() += 1;
             }
         }
@@ -208,7 +213,7 @@ fn profile(a: &Args) -> Result<(), String> {
     if let Some(symbols) = &symbols {
         for ip in ips.drain(..) {
             *folded
-                .entry(symbols::fold(ip, &maps, &bin_path, symbols))
+                .entry(symbols::fold(ip, &maps, &bin_path, symbols, &mut libraries))
                 .or_default() += 1;
         }
     }
@@ -239,6 +244,9 @@ fn profile(a: &Args) -> Result<(), String> {
         println!(
             "\nuser-mode samples of the flash-shard* threads, one per {} µs of their CPU time: {total}",
             a.period_us
+        );
+        println!(
+            "(`lib ~name`: the export of lib nearest below the address, by nm -D; approximate)"
         );
         let mut top: Vec<(&String, &u64)> = folded.iter().collect();
         top.sort_by(|x, y| y.1.cmp(x.1).then(x.0.cmp(y.0)));

@@ -1,7 +1,12 @@
 //! Sampled addresses folded by function: the benchmark binary's own
 //! symbols, read with `nm`, placed through its load segments, read
-//! with `readelf`; anything else mapped (`[vdso]`, libc) by its name.
+//! with `readelf`; a shared library's (libc's) by the exported symbol
+//! nearest below the address, read with `nm -D` — an approximate
+//! attribution, marked `~`, since a library's internal functions fold
+//! into the export before them; anything else mapped (`[vdso]`) by
+//! its name.
 
+use std::collections::HashMap;
 use std::path::Path;
 use std::process::Command;
 
@@ -24,11 +29,22 @@ impl Symbols {
         Ok(Symbols::parse(&nm, &readelf))
     }
 
-    /// Symbols from `nm --defined-only -n -S -C` and `readelf -lW`
-    /// output.
+    /// A shared library's exported functions and its segments.
+    pub fn of_library(library: &Path) -> Result<Symbols, String> {
+        let nm = tool("nm", &["-D", "--defined-only", "-n", "-S"], library)?;
+        let readelf = tool("readelf", &["-lW"], library)?;
+        Ok(Symbols::parse(&nm, &readelf))
+    }
+
+    /// Symbols from `nm --defined-only -n -S [-C | -D]` and
+    /// `readelf -lW` output. Of the names at one address (aliases, or
+    /// identical functions folded into one), the one with the fewest
+    /// leading underscores is kept, then the shortest.
     pub fn parse(nm: &str, readelf: &str) -> Symbols {
         let mut functions = parse_nm(nm);
-        functions.sort();
+        let rank = |name: &str| (name.len() - name.trim_start_matches('_').len(), name.len());
+        functions.sort_by(|a, b| (a.0, rank(&a.2), &a.2).cmp(&(b.0, rank(&b.2), &b.2)));
+        functions.dedup_by_key(|f| f.0);
         Symbols {
             segments: parse_segments(readelf),
             functions,
@@ -37,6 +53,21 @@ impl Symbols {
 
     /// The function at file offset `offset` of the binary.
     pub fn at_offset(&self, offset: u64) -> Option<&str> {
+        let (addr, i) = self.below(offset)?;
+        let (start, size, name) = &self.functions[i];
+        (*size == 0 || addr < start + size).then_some(name.as_str())
+    }
+
+    /// The function nearest below file offset `offset`, however far
+    /// past its size the offset is.
+    pub fn nearest(&self, offset: u64) -> Option<&str> {
+        let (_, i) = self.below(offset)?;
+        Some(self.functions[i].2.as_str())
+    }
+
+    /// The virtual address at file offset `offset`, and the index of
+    /// the last function that starts at or below it.
+    fn below(&self, offset: u64) -> Option<(u64, usize)> {
         let &(file, vaddr, _) = self
             .segments
             .iter()
@@ -46,8 +77,21 @@ impl Symbols {
             .functions
             .partition_point(|f| f.0 <= addr)
             .checked_sub(1)?;
-        let (start, size, name) = &self.functions[i];
-        (*size == 0 || addr < start + size).then_some(name.as_str())
+        Some((addr, i))
+    }
+}
+
+/// Shared libraries' exported symbols, read the first time a sample
+/// lands in each; `None` for one `nm` or `readelf` could not read.
+#[derive(Default)]
+pub struct Libraries(HashMap<String, Option<Symbols>>);
+
+impl Libraries {
+    fn get(&mut self, path: &str) -> Option<&Symbols> {
+        self.0
+            .entry(path.to_string())
+            .or_insert_with(|| Symbols::of_library(Path::new(path)).ok())
+            .as_ref()
     }
 }
 
@@ -78,8 +122,10 @@ fn parse_segments(text: &str) -> Vec<(u64, u64, u64)> {
         .collect()
 }
 
-/// The function symbols (`t`, `T`, `w`, `W`) of `nm -S` output, with
-/// a Rust symbol's hash suffix dropped.
+/// The function symbols (`t`, `T`, `w`, `W`, and `i`, an indirect
+/// function such as libc's `memcpy`) of `nm -S` output, with a Rust
+/// symbol's hash suffix and a dynamic symbol's version (`@GLIBC_…`)
+/// dropped.
 fn parse_nm(text: &str) -> Vec<(u64, u64, String)> {
     text.lines()
         .filter_map(|line| {
@@ -91,7 +137,8 @@ fn parse_nm(text: &str) -> Vec<(u64, u64, String)> {
                 Ok(size) if second.len() > 1 => (size, f.next()?, f.next()?),
                 _ => (0, second, line.splitn(3, ' ').nth(2)?),
             };
-            matches!(kind, "t" | "T" | "w" | "W").then(|| (addr, size, unhashed(name)))
+            let name = name.split_once('@').map_or(name, |(name, _version)| name);
+            matches!(kind, "t" | "T" | "w" | "W" | "i").then(|| (addr, size, unhashed(name)))
         })
         .collect()
 }
@@ -107,21 +154,36 @@ fn unhashed(name: &str) -> String {
 }
 
 /// Names the code at `ip`: a function of `binary` (its path as `maps`
-/// shows it), or the basename of whatever else is mapped there.
-pub fn fold(ip: u64, maps: &[Mapping], binary: &str, symbols: &Symbols) -> String {
+/// shows it); in a shared library, `<library> ~<export>`, the export
+/// nearest below `ip` (approximate); or the basename of whatever else
+/// is mapped there.
+pub fn fold(
+    ip: u64,
+    maps: &[Mapping],
+    binary: &str,
+    symbols: &Symbols,
+    libraries: &mut Libraries,
+) -> String {
     let Some(m) = mapping_of(maps, ip) else {
         return "[unmapped]".to_string();
     };
+    let offset = ip - m.start + m.offset;
     if m.path == binary {
-        let offset = ip - m.start + m.offset;
         return match symbols.at_offset(offset) {
             Some(name) => name.to_string(),
             None => format!("{binary}+{offset:#x}"),
         };
     }
-    match m.path.rsplit('/').next() {
-        Some("") | None => "[anonymous]".to_string(),
-        Some(name) => name.to_string(),
+    let name = match m.path.rsplit('/').next() {
+        Some("") | None => return "[anonymous]".to_string(),
+        Some(name) => name,
+    };
+    let export = (m.path.starts_with('/') && name.contains(".so"))
+        .then(|| libraries.get(&m.path)?.nearest(offset))
+        .flatten();
+    match export {
+        Some(export) => format!("{name} ~{export}"),
+        None => name.to_string(),
     }
 }
 
@@ -184,20 +246,62 @@ Program Headers:
              a000-b000 r-xp 00000000 08:01 2 /usr/lib/libc.so.6\n\
              c000-d000 r-xp 00000000 00:00 0 [vdso]\n"
         ));
+        let mut libs = Libraries::default();
+        // A library nm cannot read folds by its name alone.
+        libs.0.insert("/usr/lib/libc.so.6".into(), None);
+        let mut fold = |ip| fold(ip, &maps, bin, &symbols, &mut libs);
+        assert_eq!(fold(0x6045), "flash_net::server::Shard<E>::turn");
         assert_eq!(
-            fold(0x6045, &maps, bin, &symbols),
-            "flash_net::server::Shard<E>::turn"
-        );
-        assert_eq!(
-            fold(0x6000 + 0x400, &maps, bin, &symbols),
+            fold(0x6000 + 0x400),
             "<bytes::Bytes as core::ops::drop::Drop>::drop"
         );
-        assert_eq!(fold(0xa010, &maps, bin, &symbols), "libc.so.6");
-        assert_eq!(fold(0xc010, &maps, bin, &symbols), "[vdso]");
-        assert_eq!(fold(0x10, &maps, bin, &symbols), "[unmapped]");
+        assert_eq!(fold(0xa010), "libc.so.6");
+        assert_eq!(fold(0xc010), "[vdso]");
+        assert_eq!(fold(0x10), "[unmapped]");
+        assert_eq!(fold(0x6000 + 0x2f00), format!("{bin}+0x22f00"));
+    }
+
+    /// `nm -D --defined-only -n -S` of a libc, abridged: versioned
+    /// names, aliases at one address, an indirect function, data.
+    const NM_D: &str = "\
+000000000009be70 0000000000000109 i memcpy@@GLIBC_2.14
+00000000000a2d70 0000000000000028 T memcpy@GLIBC_2.2.5
+00000000000f8340 000000000000009d W __write@@GLIBC_2.2.5
+00000000000f8340 000000000000009d W write@@GLIBC_2.2.5
+0000000000108ee0 00000000000000a3 T epoll_wait@@GLIBC_2.3.2
+00000000001d4000 0000000000000004 D errno_data@@GLIBC_PRIVATE
+";
+
+    const READELF_LIBC: &str = "\
+  LOAD           0x000000 0x0000000000000000 0x0000000000000000 0x025388 0x025388 R   0x1000
+  LOAD           0x026000 0x0000000000026000 0x0000000000026000 0x1550fc 0x1550fc R E 0x1000
+";
+
+    #[test]
+    fn a_library_sample_folds_to_the_nearest_export_below_it() {
+        let symbols = Symbols::parse(NM, READELF);
+        let libc = "/usr/lib/libc.so.6";
+        let mut libs = Libraries::default();
+        libs.0
+            .insert(libc.into(), Some(Symbols::parse(NM_D, READELF_LIBC)));
+        // The text mapping starts at file offset 0x26000.
+        let maps = parse_maps(&format!(
+            "7f0000026000-7f000017c000 r-xp 00026000 08:01 2 {libc}\n"
+        ));
+        let base = 0x7f00_0000_0000u64;
+        let mut fold = |offset| fold(base + offset, &maps, "/opt/bin", &symbols, &mut libs);
         assert_eq!(
-            fold(0x6000 + 0x2f00, &maps, bin, &symbols),
-            format!("{bin}+0x22f00")
+            fold(0xf8340),
+            "libc.so.6 ~write",
+            "an alias, the plainest name"
         );
+        assert_eq!(
+            fold(0xf8340 + 0x9d + 0x40),
+            "libc.so.6 ~write",
+            "past the export's size: still the nearest below"
+        );
+        assert_eq!(fold(0x9be80), "libc.so.6 ~memcpy", "an indirect function");
+        assert_eq!(fold(0x108ee5), "libc.so.6 ~epoll_wait");
+        assert_eq!(fold(0x30000), "libc.so.6", "no export below");
     }
 }
